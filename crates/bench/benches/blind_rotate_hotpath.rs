@@ -91,7 +91,8 @@ fn seed_rotation(f: &Fixture) -> GlweCiphertext {
         let mut spectra = Vec::with_capacity(digit_polys.len());
         let mut chunks = digit_polys.chunks_exact(2);
         for pair in &mut chunks {
-            let (s0, s1) = fft.forward_pair_int(&pair[0], &pair[1]);
+            let (mut s0, mut s1) = (Spectrum::zero(n), Spectrum::zero(n));
+            fft.forward_pair_int_into(&pair[0], &pair[1], &mut s0, &mut s1, &mut Vec::new());
             spectra.push(s0);
             spectra.push(s1);
         }
@@ -108,7 +109,8 @@ fn seed_rotation(f: &Fixture) -> GlweCiphertext {
         let mut comps = Vec::with_capacity(k1);
         let mut it = acc_spec.chunks_exact(2);
         for pair in &mut it {
-            let (p0, p1) = fft.inverse_pair_torus(&pair[0], &pair[1]);
+            let (mut p0, mut p1) = (Polynomial::zero(n), Polynomial::zero(n));
+            fft.inverse_pair_torus_into(&pair[0], &pair[1], &mut p0, &mut p1, &mut Vec::new());
             comps.push(p0);
             comps.push(p1);
         }

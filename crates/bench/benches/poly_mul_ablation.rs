@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morphling_math::{negacyclic, Polynomial, Torus32};
-use morphling_transform::{NegacyclicFft, NegacyclicNtt};
+use morphling_transform::{NegacyclicFft, NegacyclicNtt, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,10 +26,21 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("forward_single", n), &n, |b, _| {
             b.iter(|| fft.forward_int(std::hint::black_box(&digits)))
         });
+        let (mut s1, mut s2, mut scratch) = (Spectrum::zero(n), Spectrum::zero(n), Vec::new());
         g.bench_with_input(
             BenchmarkId::new("forward_merge_split_pair", n),
             &n,
-            |b, _| b.iter(|| fft.forward_pair_int(std::hint::black_box(&digits), &digits2)),
+            |b, _| {
+                b.iter(|| {
+                    fft.forward_pair_int_into(
+                        std::hint::black_box(&digits),
+                        &digits2,
+                        &mut s1,
+                        &mut s2,
+                        &mut scratch,
+                    )
+                })
+            },
         );
         if n <= 1024 {
             g.bench_with_input(BenchmarkId::new("exact_schoolbook", n), &n, |b, _| {

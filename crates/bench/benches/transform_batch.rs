@@ -1,196 +1,212 @@
-//! Batched SoA transforms vs per-polynomial transforms — the software
-//! VPE-array ablation.
+//! The transform kernel against the scalar reference it replaced.
 //!
-//! Three ways to compute the same `k` negacyclic products at the paper's
-//! N = 1024:
+//! At the paper's polynomial sizes N ∈ {512, 1024, 2048}:
 //!
-//! - `scalar`: one allocating [`NegacyclicFft::mul_int_torus`] call per
-//!   polynomial — the pre-batching baseline;
-//! - `batched`: one allocating [`NegacyclicFft::mul_int_torus_batch`] call
-//!   over a planar [`PolyBatch`] — all lanes in lockstep;
-//! - `batched_ws`: the same lockstep kernels through warm caller-owned
-//!   buffers (`*_batch_into` + [`BatchScratch`]) — what the bootstrap hot
-//!   path uses.
+//! - `reference`: the folded negacyclic transform as scalar AoS
+//!   arithmetic — fold and twist in `Complex64`, then
+//!   [`FftPlan::forward`] / [`FftPlan::inverse`], the radix-2 network one
+//!   stage and one point at a time, then untwist and round. This is the
+//!   schedule every kernel result is tested bit-identical to.
+//! - `kernel`: [`NegacyclicFft`] — the same arithmetic, planar,
+//!   vectorized along the coefficient axis, two stages per pass, twist and
+//!   rounding folded into the first and last pass.
 //!
-//! All three are bit-identical (asserted before timing). Besides the
-//! criterion group, each batch size is timed directly and the results land
-//! in `BENCH_transform.json` (CI validates and archives it) with the
-//! batched-over-scalar speedup at batch 8 as the headline number.
+//! Measured for one polynomial (forward and inverse) and for one CMUX's
+//! digit set — six digit polynomials, the `(k+1)·l_b` of Set III — where
+//! the kernel runs as the external product runs it (three merge-split
+//! pairs). Outputs are asserted equal before timing. Besides the criterion
+//! group, each size is timed directly and the results land in
+//! `BENCH_transform.json` (committed; CI regenerates and checks that the
+//! kernel is no slower than the reference for one polynomial at every
+//! size).
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use morphling_math::{Polynomial, Torus32};
-use morphling_transform::{BatchScratch, NegacyclicFft, PolyBatch, SpectrumBatch};
+use morphling_math::{Complex64, Polynomial, Torus32};
+use morphling_transform::{FftPlan, NegacyclicFft, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const N: usize = 1024;
-const MAX_LANES: usize = 32;
+/// `(k+1)·l_b` at Set III (k = 1, l_b = 3).
+const DIGIT_SET: usize = 6;
 
-struct Fixture {
-    fft: NegacyclicFft,
-    digits: Vec<Polynomial<i64>>,
-    ts: Vec<Polynomial<Torus32>>,
+/// The scalar schedule, with its own twist tables and staging buffer.
+struct Reference {
+    n: usize,
+    plan: FftPlan,
+    twist: Vec<Complex64>,
+    untwist: Vec<Complex64>,
+    buf: Vec<Complex64>,
 }
 
-fn fixture() -> Fixture {
-    let mut rng = StdRng::seed_from_u64(2024);
-    // Paper set I/II digit range (β up to 2^6) against uniform torus polys.
-    let digits: Vec<Polynomial<i64>> = (0..MAX_LANES)
-        .map(|_| Polynomial::from_fn(N, |_| rng.gen_range(-32i64..32)))
-        .collect();
-    let ts: Vec<Polynomial<Torus32>> = (0..MAX_LANES)
-        .map(|_| Polynomial::from_fn(N, |_| Torus32::from_raw(rng.gen())))
-        .collect();
-    Fixture {
-        fft: NegacyclicFft::new(N),
-        digits,
-        ts,
+impl Reference {
+    fn new(n: usize) -> Self {
+        let step = -std::f64::consts::PI / n as f64;
+        Self {
+            n,
+            plan: FftPlan::new(n / 2),
+            twist: (0..n / 2)
+                .map(|j| Complex64::from_polar_unit(step * j as f64))
+                .collect(),
+            untwist: (0..n / 2)
+                .map(|j| Complex64::from_polar_unit(-step * j as f64))
+                .collect(),
+            buf: vec![Complex64::ZERO; n / 2],
+        }
+    }
+
+    fn forward(&mut self, p: &Polynomial<i64>) -> &[Complex64] {
+        let half = self.n / 2;
+        let c = p.coeffs();
+        for j in 0..half {
+            self.buf[j] = Complex64::new(c[j] as f64, -(c[j + half] as f64)) * self.twist[j];
+        }
+        self.plan.forward(&mut self.buf);
+        &self.buf
+    }
+
+    fn inverse(&mut self, spectrum: &Spectrum, out: &mut Polynomial<Torus32>) {
+        let half = self.n / 2;
+        for (m, slot) in self.buf.iter_mut().enumerate() {
+            *slot = spectrum.point(m);
+        }
+        self.plan.inverse(&mut self.buf);
+        for j in 0..half {
+            let u = self.buf[j] * self.untwist[j];
+            out[j] = Torus32::from_raw(u.re.round() as i64 as u32);
+            out[j + half] = Torus32::from_raw((-u.im).round() as i64 as u32);
+        }
     }
 }
 
-/// Time `runs` evaluations of `op`, returning ns per evaluation.
-fn time_ns(mut op: impl FnMut(), runs: u32) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..runs {
-        op();
-    }
-    t0.elapsed().as_nanos() as f64 / f64::from(runs)
+/// Median over `rounds` of the ns per call of `op`, `runs` calls a round.
+fn time_ns(mut op: impl FnMut(), runs: u32, rounds: usize) -> f64 {
+    let mut samples: Vec<f64> = (0..rounds)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..runs {
+                op();
+            }
+            t0.elapsed().as_nanos() as f64 / f64::from(runs)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[rounds / 2]
 }
 
 fn bench(c: &mut Criterion) {
-    let f = fixture();
-    let mut g = c.benchmark_group("transform_batch");
+    let mut rng = StdRng::seed_from_u64(2024);
+    let mut g = c.benchmark_group("transform_kernel");
     g.sample_size(10);
 
     let mut entries = Vec::new();
-    let mut headline = 0.0f64;
-    for lanes in [1usize, 2, 4, 8, 16, 32] {
-        let ds = &f.digits[..lanes];
-        let ts = &f.ts[..lanes];
-        let dbatch = PolyBatch::from_polys(ds);
-        let tbatch = PolyBatch::from_polys(ts);
-
-        // Warm workspace buffers for the `_into` mode.
-        let mut dspec = SpectrumBatch::zero(N, lanes);
-        let mut tspec = SpectrumBatch::zero(N, lanes);
-        let mut prod = PolyBatch::<Torus32>::zero(N, lanes);
-        let mut scratch = BatchScratch::new();
-
-        // Hold all three modes to the bit-identity contract before timing.
-        let want: Vec<Polynomial<Torus32>> = ds
-            .iter()
-            .zip(ts)
-            .map(|(d, t)| f.fft.mul_int_torus(d, t))
+    let mut min_speedup = f64::INFINITY;
+    for n in [512usize, 1024, 2048] {
+        let fft = NegacyclicFft::new(n);
+        let mut reference = Reference::new(n);
+        // Set III digit range (β = 2^7) against a uniform torus polynomial.
+        let digits: Vec<Polynomial<i64>> = (0..DIGIT_SET)
+            .map(|_| Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64)))
             .collect();
-        assert_eq!(
-            f.fft.mul_int_torus_batch(&dbatch, &tbatch).to_polys(),
-            want,
-            "lanes={lanes}: batched path must be bit-identical"
+        let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+        let mut spectra = vec![Spectrum::zero(n); DIGIT_SET];
+        let mut scratch = Vec::new();
+        let mut product = Spectrum::zero(n);
+        product.mul_acc(&fft.forward_int(&digits[0]), &fft.forward_torus(&t));
+        let (mut out, mut out_ref) = (Polynomial::zero(n), Polynomial::zero(n));
+
+        // Same bits both ways, or the comparison means nothing.
+        fft.forward_int_into(&digits[0], &mut spectra[0]);
+        let want = reference.forward(&digits[0]);
+        assert!(
+            (0..n / 2).all(|m| spectra[0].point(m) == want[m]),
+            "n={n}: forward kernel must equal the reference"
         );
-        f.fft.forward_int_batch_into(&dbatch, &mut dspec);
-        f.fft.forward_torus_batch_into(&tbatch, &mut tspec);
-        dspec.pointwise_mul_assign(&tspec);
-        f.fft
-            .inverse_torus_batch_into(&dspec, &mut prod, &mut scratch);
+        fft.inverse_torus_into(&product, &mut out, &mut scratch);
+        reference.inverse(&product, &mut out_ref);
         assert_eq!(
-            prod.to_polys(),
-            want,
-            "lanes={lanes}: workspace path must be bit-identical"
+            out, out_ref,
+            "n={n}: inverse kernel must equal the reference"
         );
 
-        g.bench_with_input(BenchmarkId::new("scalar", lanes), &lanes, |b, _| {
+        let kernel_digit_set = |spectra: &mut [Spectrum], scratch: &mut Vec<f64>| {
+            for (pair, out) in digits.chunks_exact(2).zip(spectra.chunks_exact_mut(2)) {
+                let (s0, s1) = out.split_at_mut(1);
+                fft.forward_pair_int_into(&pair[0], &pair[1], &mut s0[0], &mut s1[0], scratch);
+            }
+        };
+
+        g.bench_with_input(BenchmarkId::new("reference_forward", n), &n, |b, _| {
             b.iter(|| {
-                for (d, t) in ds.iter().zip(ts) {
-                    std::hint::black_box(f.fft.mul_int_torus(d, t));
+                std::hint::black_box(reference.forward(std::hint::black_box(&digits[0])));
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("kernel_forward", n), &n, |b, _| {
+            b.iter(|| fft.forward_int_into(std::hint::black_box(&digits[0]), &mut spectra[0]))
+        });
+
+        // Direct measurement for the JSON artifact.
+        let (runs, rounds) = (200u32, 9usize);
+        let ref_fwd = time_ns(
+            || {
+                std::hint::black_box(reference.forward(std::hint::black_box(&digits[0])));
+            },
+            runs,
+            rounds,
+        );
+        let ker_fwd = time_ns(
+            || fft.forward_int_into(std::hint::black_box(&digits[0]), &mut spectra[0]),
+            runs,
+            rounds,
+        );
+        let ref_inv = time_ns(
+            || reference.inverse(std::hint::black_box(&product), &mut out_ref),
+            runs,
+            rounds,
+        );
+        let ker_inv = time_ns(
+            || fft.inverse_torus_into(std::hint::black_box(&product), &mut out, &mut scratch),
+            runs,
+            rounds,
+        );
+        let ref_set = time_ns(
+            || {
+                for d in &digits {
+                    std::hint::black_box(reference.forward(std::hint::black_box(d)));
                 }
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("batched", lanes), &lanes, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(
-                    f.fft
-                        .mul_int_torus_batch(std::hint::black_box(&dbatch), &tbatch),
-                )
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("batched_ws", lanes), &lanes, |b, _| {
-            b.iter(|| {
-                f.fft
-                    .forward_int_batch_into(std::hint::black_box(&dbatch), &mut dspec);
-                f.fft.forward_torus_batch_into(&tbatch, &mut tspec);
-                dspec.pointwise_mul_assign(&tspec);
-                f.fft
-                    .inverse_torus_batch_into(&dspec, &mut prod, &mut scratch);
-                std::hint::black_box(&prod);
-            })
-        });
-
-        // Direct measurement for the JSON artifact; interleave the modes
-        // so machine-load drift hits all three alike.
-        let (runs, rounds) = (20u32, 5u32);
-        let (mut scalar_ns, mut batched_ns, mut ws_ns) = (0.0, 0.0, 0.0);
-        for _ in 0..rounds {
-            scalar_ns += time_ns(
-                || {
-                    for (d, t) in ds.iter().zip(ts) {
-                        std::hint::black_box(f.fft.mul_int_torus(d, t));
-                    }
-                },
-                runs,
-            );
-            batched_ns += time_ns(
-                || {
-                    std::hint::black_box(f.fft.mul_int_torus_batch(&dbatch, &tbatch));
-                },
-                runs,
-            );
-            ws_ns += time_ns(
-                || {
-                    f.fft.forward_int_batch_into(&dbatch, &mut dspec);
-                    f.fft.forward_torus_batch_into(&tbatch, &mut tspec);
-                    dspec.pointwise_mul_assign(&tspec);
-                    f.fft
-                        .inverse_torus_batch_into(&dspec, &mut prod, &mut scratch);
-                    std::hint::black_box(&prod);
-                },
-                runs,
-            );
-        }
-        let scalar_ns = scalar_ns / f64::from(rounds);
-        let batched_ns = batched_ns / f64::from(rounds);
-        let ws_ns = ws_ns / f64::from(rounds);
-        let per_poly = |total: f64| total / lanes as f64;
-        let speedup_batched = scalar_ns / batched_ns;
-        let speedup_ws = scalar_ns / ws_ns;
-        if lanes == 8 {
-            headline = speedup_batched.max(speedup_ws);
-        }
+            },
+            runs,
+            rounds,
+        );
+        let ker_set = time_ns(
+            || kernel_digit_set(std::hint::black_box(&mut spectra), &mut scratch),
+            runs,
+            rounds,
+        );
+        let (s_fwd, s_inv, s_set) = (ref_fwd / ker_fwd, ref_inv / ker_inv, ref_set / ker_set);
+        min_speedup = min_speedup.min(s_fwd).min(s_inv);
         println!(
-            "transform_batch/lanes{lanes}: scalar {:.0} ns/poly, batched {:.0} ns/poly \
-             ({speedup_batched:.2}x), batched_ws {:.0} ns/poly ({speedup_ws:.2}x)",
-            per_poly(scalar_ns),
-            per_poly(batched_ns),
-            per_poly(ws_ns),
+            "transform_kernel/n{n}: forward {ref_fwd:.0} → {ker_fwd:.0} ns ({s_fwd:.2}x), \
+             inverse {ref_inv:.0} → {ker_inv:.0} ns ({s_inv:.2}x), \
+             digit set of {DIGIT_SET} {ref_set:.0} → {ker_set:.0} ns ({s_set:.2}x)"
         );
         entries.push(format!(
-            "    {{\"lanes\": {lanes}, \"poly_size\": {N}, \"runs\": {}, \
-             \"scalar_ns_per_poly\": {:.1}, \
-             \"batched_ns_per_poly\": {:.1}, \
-             \"batched_ws_ns_per_poly\": {:.1}, \
-             \"speedup_batched\": {speedup_batched:.3}, \
-             \"speedup_batched_ws\": {speedup_ws:.3}}}",
-            runs * rounds,
-            per_poly(scalar_ns),
-            per_poly(batched_ns),
-            per_poly(ws_ns),
+            "    {{\"poly_size\": {n}, \"runs\": {}, \
+             \"reference_forward_ns\": {ref_fwd:.1}, \"kernel_forward_ns\": {ker_fwd:.1}, \
+             \"speedup_forward\": {s_fwd:.3}, \
+             \"reference_inverse_ns\": {ref_inv:.1}, \"kernel_inverse_ns\": {ker_inv:.1}, \
+             \"speedup_inverse\": {s_inv:.3}, \
+             \"digit_set\": {DIGIT_SET}, \
+             \"reference_digit_set_ns\": {ref_set:.1}, \"kernel_digit_set_ns\": {ker_set:.1}, \
+             \"speedup_digit_set\": {s_set:.3}}}",
+            runs as usize * rounds,
         ));
     }
     g.finish();
 
     let json = format!(
-        "{{\n  \"bench\": \"transform_batch\",\n  \"batched_speedup_at_8\": {headline:.3},\n  \"entries\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"transform_kernel\",\n  \"min_speedup_one_poly\": {min_speedup:.3},\n  \"entries\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     if let Err(e) = std::fs::write("BENCH_transform.json", json) {

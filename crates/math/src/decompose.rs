@@ -187,26 +187,46 @@ impl<T: TorusScalar> SignedDecomposer<T> {
     }
 
     /// [`decompose_poly`](Self::decompose_poly) into caller-owned digit
-    /// polynomials, bit-identical and allocation-free — the decomposition
-    /// unit of the blind-rotation hot path.
+    /// polynomials, allocation-free — the decomposition unit of the
+    /// blind-rotation hot path.
+    ///
+    /// Bit-identical to [`decompose_scalar_into`]
+    /// (Self::decompose_scalar_into) per coefficient, but with no carry
+    /// chain: adding `β/2` at every level before slicing turns each
+    /// balanced digit into an independent shift-mask-subtract,
+    /// `d_i = ((x̃ + Σ_j (β/2)·β^j) >> b·(l−1−i)) mod β − β/2` (balanced
+    /// digits in `[−β/2, β/2)` are unique mod `β^l`, so this is the digit
+    /// the carry chain produces, dropped top carry included). The loops
+    /// run level-outer over whole polynomials with no branch inside, which
+    /// is what lets the compiler vectorize them.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != level` or any digit polynomial's size
     /// differs from `p.len()`.
     pub fn decompose_poly_into(&self, p: &Polynomial<T>, out: &mut [Polynomial<i64>]) {
+        let b = self.params.base_log;
         let l = self.params.level;
         assert_eq!(out.len(), l, "digit polynomial count must equal the level");
-        for dp in out.iter_mut() {
+        let total = b * l as u32;
+        // Rounding to the closest multiple of q / β^l (round-half-up), as
+        // `decompose_scalar_into` does: add half of what is dropped, wrap
+        // within the torus word, shift down.
+        let (drop, half) = match T::BITS - total {
+            0 => (0, 0),
+            drop => (drop, 1u64 << (drop - 1)),
+        };
+        let word_mask = u64::MAX >> (64 - T::BITS);
+        let beta_mask = (1u64 << b) - 1;
+        let half_beta = 1u64 << (b - 1);
+        let offset = (0..l as u32).fold(0u64, |acc, j| acc | (half_beta << (b * j)));
+        for (i, dp) in out.iter_mut().enumerate() {
             assert_eq!(dp.len(), p.len(), "digit polynomial size mismatch");
-        }
-        // `base_log ≥ 1` and `total_bits ≤ 64` bound the level by 64, so a
-        // stack buffer covers every valid decomposer.
-        let mut digits = [0i64; 64];
-        for (j, &c) in p.iter().enumerate() {
-            self.decompose_scalar_into(c, &mut digits[..l]);
-            for (dp, &d) in out.iter_mut().zip(&digits[..l]) {
-                dp[j] = d;
+            let shift = b * (l - 1 - i) as u32;
+            for (d, &c) in dp.coeffs_mut().iter_mut().zip(p.coeffs()) {
+                let rounded = (c.to_u64().wrapping_add(half) & word_mask) >> drop;
+                let digit = (rounded.wrapping_add(offset) >> shift) & beta_mask;
+                *d = digit as i64 - half_beta as i64;
             }
         }
     }

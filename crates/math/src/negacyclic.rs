@@ -46,26 +46,6 @@ pub fn mul_int_torus32(digits: &Polynomial<i64>, t: &Polynomial<Torus32>) -> Pol
     )
 }
 
-/// Lane-wise exact negacyclic products `digits[l](X) · ts[l](X)` — the
-/// correctness oracle for the batched (SoA) transform path, which computes
-/// all lanes in lockstep.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or any lane's operand
-/// sizes disagree.
-pub fn mul_int_torus32_batch(
-    digits: &[Polynomial<i64>],
-    ts: &[Polynomial<Torus32>],
-) -> Vec<Polynomial<Torus32>> {
-    assert_eq!(digits.len(), ts.len(), "batch lane count mismatch");
-    digits
-        .iter()
-        .zip(ts)
-        .map(|(d, t)| mul_int_torus32(d, t))
-        .collect()
-}
-
 /// Exact negacyclic product for the 64-bit torus. Accumulates in `i128`.
 ///
 /// # Panics

@@ -126,4 +126,49 @@ proptest! {
         let err = torus_distance(back_neg.to_f64(), (-x).to_f64());
         prop_assert!(err <= dec.max_error() + 1e-12);
     }
+
+    #[test]
+    fn poly_decomposition_is_the_scalar_carry_chain(
+        p in torus_poly(16),
+        seed: u32,
+    ) {
+        // The level-outer, carry-free polynomial path against the
+        // per-coefficient carry chain, for every gadget that fits the
+        // 32-bit torus. Half the coefficients are built to sit on the
+        // chain's edges: every digit at β/2 − 1 plus a rounding carry-in
+        // (the β/2 → −β/2 wrap rippling through all levels), every digit
+        // at β/2, and the all-ones word whose top carry is dropped.
+        for b in 1u32..=32 {
+            for l in 1usize..=(32 / b) as usize {
+                let dec = SignedDecomposer::<Torus32>::new(DecompParams::new(b, l));
+                let total = b * l as u32;
+                let top = |digits: u64| ((digits << (32 - total)) & 0xFFFF_FFFF) as u32;
+                let half_beta = 1u64 << (b - 1);
+                let every_digit = |d: u64| (0..l as u32).fold(0u64, |acc, j| acc | (d << (b * j)));
+                let round_up = if total < 32 { 1u32 << (31 - total) } else { 0 };
+                let edges = [
+                    top(every_digit(half_beta - 1)) | round_up,
+                    top(every_digit(half_beta)),
+                    top(every_digit(half_beta)).wrapping_sub(1),
+                    u32::MAX,
+                    u32::MAX - round_up,
+                    top(every_digit(half_beta - 1)) | round_up.saturating_sub(1),
+                    seed,
+                    seed.rotate_left(b),
+                ];
+                let p = Polynomial::from_fn(16, |j| {
+                    if j % 2 == 0 { p[j] } else { Torus32::from_raw(edges[j / 2]) }
+                });
+                let mut out = vec![Polynomial::<i64>::zero(16); l];
+                dec.decompose_poly_into(&p, &mut out);
+                let mut digits = vec![0i64; l];
+                for (j, &c) in p.iter().enumerate() {
+                    dec.decompose_scalar_into(c, &mut digits);
+                    for (i, dp) in out.iter().enumerate() {
+                        prop_assert_eq!(dp[j], digits[i], "b={} l={} x={:#x} level {}", b, l, c.into_raw(), i);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -66,21 +66,18 @@ pub fn blind_rotate_assign(
 }
 
 /// [`blind_rotate_assign`] for several independent accumulators sharing
-/// one bootstrapping key, with the forward transforms of every request
-/// run as **one lockstep SoA batch per CMUX step** — the software twin of
-/// the paper's throughput mode, where coalesced bootstraps stream their
-/// digit polynomials through the 2D VPE array together.
+/// one bootstrapping key, with the loops interchanged: CMUX step outer,
+/// request inner. Every request performs exactly the external products it
+/// would perform alone, in the same order, so results are **bit-identical**
+/// to calling [`blind_rotate_assign`] once per request; what changes is
+/// that `BSK_i` — the one operand too large to stay cached across a whole
+/// rotation (the Fourier key is ~100 MB at the paper's sets) — is fetched
+/// from memory once per step for the whole chunk instead of once per
+/// request. This is the paper's batch BSK reuse (§IV-C: consecutive ACC
+/// streams share each `BSK_i` while it sits in Private-A2), with the
+/// chunk's accumulators playing Private-A1.
 ///
-/// At step `i`, every request whose `ã_i` is nonzero decomposes its
-/// `X^ã·ACC − ACC` operand; all active requests' digit rows then go
-/// through a single batched forward transform before the per-request
-/// MAC + inverse stages. Results are **bit-identical** to calling
-/// [`blind_rotate_assign`] once per request: per lane the batch kernels
-/// replay the scalar f64 schedule, and the merge-split pairing never
-/// straddles a request boundary because the lockstep path only engages
-/// when the per-request row count is even (or merge-split is off). When
-/// the engine has batched transforms disabled, or pairing would straddle
-/// a boundary, this transparently falls back to the per-request loop.
+/// Allocation-free, like the per-request path.
 ///
 /// # Panics
 ///
@@ -95,75 +92,19 @@ pub fn blind_rotate_assign_many(
     ws: &mut BootstrapWorkspace,
 ) {
     assert_eq!(accs.len(), masks.len(), "one mask per accumulator required");
-    let rows = ws.digit_polys.len();
-    // Merge-split pairs digit rows (2t, 2t+1) within one request; an odd
-    // row count would make lockstep pairs straddle request boundaries and
-    // break bit-identity with the per-request schedule.
-    let lockstep = accs.len() > 1
-        && engine.batched_transforms()
-        && (!engine.merge_split() || rows.is_multiple_of(2));
-    if !lockstep {
-        for (acc, mask) in accs.iter_mut().zip(masks) {
-            blind_rotate_assign(engine, bsk, acc, mask, ws);
-        }
-        return;
-    }
-    for (acc, mask) in accs.iter().zip(masks) {
+    for mask in masks {
         assert_eq!(
             mask.len(),
             bsk.lwe_dim(),
             "mask length must equal the LWE dimension"
         );
-        assert!(
-            ws.fits(acc.dim(), acc.poly_size()),
-            "workspace shape does not match the accumulator"
-        );
     }
-    let n = ws.poly_size();
-    let mut active: Vec<usize> = Vec::with_capacity(accs.len());
     for i in 0..bsk.lwe_dim() {
-        active.clear();
-        active.extend(
-            masks
-                .iter()
-                .enumerate()
-                .filter(|(_, mask)| mask[i] != 0)
-                .map(|(r, _)| r),
-        );
-        if active.is_empty() {
-            continue;
-        }
-        // Stage 1: decompose every active request's Λ operand and scatter
-        // its digit rows into the shared planar batch.
-        ws.digit_batch.reshape(n, active.len() * rows);
-        ws.spectra_batch.reshape(n, active.len() * rows);
-        for (slot, &r) in active.iter().enumerate() {
-            accs[r].monomial_mul_minus_one_into(masks[r][i] as i64, &mut ws.lambda);
-            engine.decompose_lambda(ws);
-            for (row, p) in ws.digit_polys.iter().enumerate() {
-                ws.digit_batch.load_lane(slot * rows + row, p);
+        let bsk_i = bsk.fourier(i);
+        for (acc, mask) in accs.iter_mut().zip(masks) {
+            if mask[i] != 0 {
+                engine.rotate_cmux_into(bsk_i, acc, mask[i] as i64, ws);
             }
-        }
-        // Stage 2: one lockstep forward transform over every active row.
-        if engine.merge_split() {
-            engine.fft().forward_pair_int_batch_into(
-                &ws.digit_batch,
-                &mut ws.spectra_batch,
-                &mut ws.batch_scratch,
-            );
-        } else {
-            engine
-                .fft()
-                .forward_int_batch_into(&ws.digit_batch, &mut ws.spectra_batch);
-        }
-        // Stage 3: per request, MAC against the BSK rows, inverse, and
-        // fold the product into that request's accumulator.
-        for (slot, &r) in active.iter().enumerate() {
-            for (row, s) in ws.digit_spectra.iter_mut().enumerate() {
-                ws.spectra_batch.store_lane(slot * rows + row, s);
-            }
-            engine.mac_and_inverse(bsk.fourier(i), ws);
-            accs[r].add_assign_components(&ws.product);
         }
     }
 }
@@ -358,11 +299,11 @@ mod tests {
 
     #[test]
     fn blind_rotate_assign_many_is_bit_identical_to_sequential() {
-        // Every engine configuration, k = 1 (even row count → lockstep
-        // engages under merge-split) and k = 2 (odd row count → merge-split
-        // falls back per-request): the many-rotation path must equal one
-        // blind_rotate_assign per request bit for bit. Batch sizes cover
-        // the degenerate 1 and an odd count.
+        // Merge-split on and off, k = 1 (even row count) and k = 2 (odd:
+        // the last digit row and the last output component take the
+        // folded path), chunk sizes including the degenerate 1 and an odd
+        // count: the interchanged loops must equal one
+        // blind_rotate_assign per request bit for bit.
         for set in [ParamSet::Test, ParamSet::TestMedium] {
             let mut rng = StdRng::seed_from_u64(65);
             let params = set.params();
@@ -370,44 +311,41 @@ mod tests {
             let bsk = BootstrapKey::generate(&ck, &mut rng);
             let tp = Polynomial::from_fn(params.poly_size, |j| Torus32::encode((j % 4) as u64, 8));
             for batch_len in [1usize, 3, 4] {
-                // Distinct masks per request, with a few zero exponents so
-                // the active-lane gathering is exercised.
+                // Distinct masks per request, with zero exponents (skipped
+                // steps): one step every request skips, others that only
+                // some do.
                 let masks: Vec<Vec<u64>> = (0..batch_len)
-                    .map(|_| {
-                        (0..params.lwe_dim)
+                    .map(|r| {
+                        let mut mask: Vec<u64> = (0..params.lwe_dim)
                             .map(|_| {
                                 sampling::uniform_torus::<Torus32, _>(&mut rng)
                                     .mod_switch(params.two_n())
-                                    & !3
                             })
-                            .collect()
+                            .collect();
+                        for at in [0, 3 * r + 1, 7 * r + 4] {
+                            mask[at % params.lwe_dim] = 0;
+                        }
+                        mask
                     })
                     .collect();
                 let accs0: Vec<GlweCiphertext> = (0..batch_len)
                     .map(|r| initial_accumulator(&tp, params.glwe_dim, 7 + r as u64))
                     .collect();
                 for ms in [true, false] {
-                    for batched in [true, false] {
-                        let engine = ExternalProductEngine::new(&params)
-                            .with_merge_split(ms)
-                            .with_batched_transforms(batched);
-                        let mut ws = engine.workspace(params.glwe_dim);
-                        let want: Vec<GlweCiphertext> = accs0
-                            .iter()
-                            .zip(&masks)
-                            .map(|(acc, mask)| {
-                                let mut acc = acc.clone();
-                                blind_rotate_assign(&engine, &bsk, &mut acc, mask, &mut ws);
-                                acc
-                            })
-                            .collect();
-                        let mut accs = accs0.clone();
-                        blind_rotate_assign_many(&engine, &bsk, &mut accs, &masks, &mut ws);
-                        assert_eq!(
-                            accs, want,
-                            "set={set:?} batch_len={batch_len} ms={ms} batched={batched}"
-                        );
-                    }
+                    let engine = ExternalProductEngine::new(&params).with_merge_split(ms);
+                    let mut ws = engine.workspace(params.glwe_dim);
+                    let want: Vec<GlweCiphertext> = accs0
+                        .iter()
+                        .zip(&masks)
+                        .map(|(acc, mask)| {
+                            let mut acc = acc.clone();
+                            blind_rotate_assign(&engine, &bsk, &mut acc, mask, &mut ws);
+                            acc
+                        })
+                        .collect();
+                    let mut accs = accs0.clone();
+                    blind_rotate_assign_many(&engine, &bsk, &mut accs, &masks, &mut ws);
+                    assert_eq!(accs, want, "set={set:?} batch_len={batch_len} ms={ms}");
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! The bootstrapping key: `n` GGSW encryptions of the LWE key bits.
 
-use morphling_transform::NegacyclicFft;
 use rand::Rng;
 
+use crate::fft_cache::fft_for;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
 use crate::keys::ClientKey;
 
@@ -22,7 +22,7 @@ impl BootstrapKey {
     /// key.
     pub fn generate<R: Rng + ?Sized>(client: &ClientKey, rng: &mut R) -> Self {
         let params = client.params();
-        let fft = NegacyclicFft::new(params.poly_size);
+        let fft = fft_for(params.poly_size);
         let coefficient: Vec<GgswCiphertext> = client
             .lwe_key()
             .bits()
@@ -56,7 +56,7 @@ impl BootstrapKey {
                 .all(|g| g.poly_size() == n && g.glwe_dim() == k && g.level() == l),
             "bootstrap key GGSWs must share one shape"
         );
-        let fft = NegacyclicFft::new(n);
+        let fft = fft_for(n);
         let fourier = coefficient.iter().map(|g| g.to_fourier(&fft)).collect();
         Self {
             coefficient,

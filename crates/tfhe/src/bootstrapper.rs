@@ -481,9 +481,9 @@ impl ServerKey {
 /// The single-core CPU baseline: one bootstrap after another through a
 /// single reused [`BootstrapWorkspace`](crate::BootstrapWorkspace) — zero
 /// steady-state allocations, deterministic order. On the FFT backends,
-/// non-fanout batches run their blind rotations in lockstep: every CMUX
-/// step forward-transforms the whole wave's digit polynomials as one
-/// batched SoA pass (bit-identical to the per-item loop — see
+/// a non-fanout batch advances its blind rotations together, one CMUX
+/// step at a time, so that each `BSK_i` is read once for the whole batch
+/// (bit-identical to the per-item loop — see
 /// [`blind_rotate_assign_many`](crate::bootstrap::blind_rotate_assign_many)).
 impl Bootstrapper for ServerKey {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
@@ -500,26 +500,15 @@ impl Bootstrapper for ServerKey {
                     out.extend(self.try_bootstrap_many_refs(ct, &luts, &mut ws)?);
                 }
             }
-            None => match self.backend() {
-                crate::MulBackend::Fft | crate::MulBackend::FftPlain => {
-                    let items: Vec<(&LweCiphertext, &Lut)> = req
-                        .ciphertexts()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, ct)| (ct, req.lut_for(i)))
-                        .collect();
-                    out.extend(self.try_bootstrap_wave_lockstep(&items, &mut ws)?);
-                }
-                _ => {
-                    for (i, ct) in req.ciphertexts().iter().enumerate() {
-                        out.push(self.try_programmable_bootstrap_with(
-                            ct,
-                            req.lut_for(i),
-                            &mut ws,
-                        )?);
-                    }
-                }
-            },
+            None => {
+                let items: Vec<(&LweCiphertext, &Lut)> = req
+                    .ciphertexts()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, ct)| (ct, req.lut_for(i)))
+                    .collect();
+                out.extend(self.try_bootstrap_chunk(&items, &mut ws)?);
+            }
         }
         Ok(out)
     }

@@ -394,14 +394,23 @@ struct WorkerShared {
 /// Execute one job's bootstraps, with fault-injection hooks. Runs under
 /// `catch_unwind`: an (injected or organic) panic unwinds out of here and
 /// is handled by the caller. `ws` is the worker's long-lived
-/// [`BootstrapWorkspace`], so a warm worker bootstraps allocation-free.
+/// [`BootstrapWorkspace`], so a warm worker's blind rotations are
+/// allocation-free.
+///
+/// Faults stay keyed per ciphertext: each one's `WorkerPanic` and
+/// `WedgedJob` sites fire, in ciphertext order, before the chunk's work
+/// starts, and its `CorruptOutput` site marks that ciphertext's outputs.
+/// A non-fanout chunk then goes through
+/// [`ServerKey::try_bootstrap_chunk`] as a whole — one fetch of each
+/// `BSK_i` for the chunk — and a fanout chunk through one multi-value
+/// bootstrap per ciphertext.
 fn run_job(
     shared: &WorkerShared,
     job: &Job,
     ws: &mut BootstrapWorkspace,
 ) -> Result<Vec<LweCiphertext>, TfheError> {
     let injector = &shared.injector;
-    let mut outs = Vec::with_capacity(job.range.len());
+    let mut corrupt = Vec::with_capacity(job.range.len());
     for i in job.range.clone() {
         let key = fault_key(job.batch, i);
         if injector.fires(FaultSite::WorkerPanic, key, job.attempt) {
@@ -413,36 +422,46 @@ fn run_job(
         if injector.fires(FaultSite::WedgedJob, key, job.attempt) {
             std::thread::sleep(injector.plan().wedge);
         }
-        let corrupt = injector.fires(FaultSite::CorruptOutput, key, job.attempt);
-        match &job.fanout {
-            Some(map) => {
-                // Multi-value path: one rotation, map[i].len() outputs.
+        corrupt.push(injector.fires(FaultSite::CorruptOutput, key, job.attempt));
+    }
+    let tamper = |out: LweCiphertext, corrupt: bool| {
+        if corrupt {
+            corrupt_ciphertext(&out)
+        } else {
+            out
+        }
+    };
+    let mut outs = Vec::with_capacity(job.range.len());
+    match &job.fanout {
+        Some(map) => {
+            // Multi-value path: one rotation, map[i].len() outputs.
+            for (i, &corrupt) in job.range.clone().zip(&corrupt) {
                 let luts: Vec<&Lut> = map[i].iter().map(|&j| &job.luts[j]).collect();
                 let item = shared
                     .server
                     .try_bootstrap_many_refs(&job.cts[i], &luts, ws)?;
-                outs.extend(item.into_iter().map(|out| {
-                    if corrupt {
-                        corrupt_ciphertext(&out)
-                    } else {
-                        out
-                    }
-                }));
+                outs.extend(item.into_iter().map(|out| tamper(out, corrupt)));
             }
-            None => {
-                let lut = match &job.lut_of {
-                    Some(sel) => &job.luts[sel[i]],
-                    None => &job.luts[0],
-                };
-                let mut out =
-                    shared
-                        .server
-                        .try_programmable_bootstrap_with(&job.cts[i], lut, ws)?;
-                if corrupt {
-                    out = corrupt_ciphertext(&out);
-                }
-                outs.push(out);
-            }
+        }
+        None => {
+            let items: Vec<(&LweCiphertext, &Lut)> = job
+                .range
+                .clone()
+                .map(|i| {
+                    let lut = match &job.lut_of {
+                        Some(sel) => &job.luts[sel[i]],
+                        None => &job.luts[0],
+                    };
+                    (&job.cts[i], lut)
+                })
+                .collect();
+            let chunk = shared.server.try_bootstrap_chunk(&items, ws)?;
+            outs.extend(
+                chunk
+                    .into_iter()
+                    .zip(&corrupt)
+                    .map(|(out, &corrupt)| tamper(out, corrupt)),
+            );
         }
     }
     Ok(outs)

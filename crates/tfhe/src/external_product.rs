@@ -9,14 +9,18 @@
 //!   two at a time via the merge-split FFT), multiply-accumulate against
 //!   the precomputed BSK spectra, and inverse-FFT once per output
 //!   component. The accumulation order mirrors the VPE array with the
-//!   ACC-output-stationary dataflow.
+//!   ACC-output-stationary dataflow. There is one implementation: the
+//!   allocating entry points run it in a workspace of their own.
 //! - [`external_product`] (free function): an exact integer-domain oracle
 //!   with no floating point, used to validate the FFT path.
 
+use std::sync::Arc;
+
 use morphling_math::negacyclic::mul_int_torus32;
 use morphling_math::{Polynomial, SignedDecomposer, Torus32};
-use morphling_transform::{NegacyclicFft, Spectrum};
+use morphling_transform::NegacyclicFft;
 
+use crate::fft_cache::fft_for;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
 use crate::glwe::GlweCiphertext;
 use crate::params::TfheParams;
@@ -26,21 +30,19 @@ use crate::workspace::BootstrapWorkspace;
 /// XPU's datapath).
 #[derive(Debug)]
 pub struct ExternalProductEngine {
-    fft: NegacyclicFft,
+    /// The process-wide transform engine for this polynomial size.
+    fft: Arc<NegacyclicFft>,
     decomposer: SignedDecomposer<Torus32>,
     merge_split: bool,
-    batched: bool,
 }
 
 impl ExternalProductEngine {
-    /// Build an engine for `params`, with the merge-split FFT and the
-    /// batched (SoA) forward transform enabled.
+    /// Build an engine for `params`, with the merge-split FFT enabled.
     pub fn new(params: &TfheParams) -> Self {
         Self {
-            fft: NegacyclicFft::new(params.poly_size),
+            fft: fft_for(params.poly_size),
             decomposer: SignedDecomposer::new(params.bsk_decomp),
             merge_split: true,
-            batched: true,
         }
     }
 
@@ -52,62 +54,20 @@ impl ExternalProductEngine {
         self
     }
 
-    /// Enable or disable the batched SoA forward transform on the
-    /// workspace hot path (bit-identical either way; this exists for the
-    /// ablation benches and as an escape hatch).
-    #[must_use]
-    pub fn with_batched_transforms(mut self, enabled: bool) -> Self {
-        self.batched = enabled;
-        self
-    }
-
     /// Whether the merge-split FFT is enabled.
     #[inline]
     pub fn merge_split(&self) -> bool {
         self.merge_split
     }
 
-    /// Whether the batched SoA forward transform is enabled.
-    #[inline]
-    pub fn batched_transforms(&self) -> bool {
-        self.batched
-    }
-
-    /// The FFT engine (shared with other components working at the same
-    /// polynomial size).
+    /// The FFT engine (shared with every other component working at the
+    /// same polynomial size).
     pub fn fft(&self) -> &NegacyclicFft {
         &self.fft
     }
 
-    /// Decompose every component of `ct` and return the `(k+1)·l_b` digit
-    /// spectra in row order — the stream eq. (1) feeds across the VPE rows.
-    pub fn decompose_to_spectra(&self, ct: &GlweCiphertext) -> Vec<Spectrum> {
-        let mut digit_polys: Vec<Polynomial<i64>> = Vec::new();
-        for comp in ct.components() {
-            digit_polys.extend(self.decomposer.decompose_poly(comp));
-        }
-        if self.merge_split {
-            // Transform two real polynomials per FFT pass (MS-FFT, §V-A.3).
-            let mut spectra = Vec::with_capacity(digit_polys.len());
-            let mut chunks = digit_polys.chunks_exact(2);
-            for pair in &mut chunks {
-                let (s0, s1) = self.fft.forward_pair_int(&pair[0], &pair[1]);
-                spectra.push(s0);
-                spectra.push(s1);
-            }
-            if let [last] = chunks.remainder() {
-                spectra.push(self.fft.forward_int(last));
-            }
-            spectra
-        } else {
-            digit_polys
-                .iter()
-                .map(|p| self.fft.forward_int(p))
-                .collect()
-        }
-    }
-
-    /// `ggsw ⊡ ct`: the full external product through the transform domain.
+    /// `ggsw ⊡ ct`: the full external product through the transform
+    /// domain, in a workspace of its own.
     ///
     /// # Panics
     ///
@@ -115,41 +75,10 @@ impl ExternalProductEngine {
     pub fn external_product(&self, ggsw: &FourierGgsw, ct: &GlweCiphertext) -> GlweCiphertext {
         assert_eq!(ggsw.glwe_dim(), ct.dim(), "GLWE dimension mismatch");
         assert_eq!(ggsw.poly_size(), ct.poly_size(), "polynomial size mismatch");
-        let k1 = ct.dim() + 1;
-        let digit_spectra = self.decompose_to_spectra(ct);
-        assert_eq!(
-            digit_spectra.len(),
-            ggsw.row_count(),
-            "gadget level mismatch"
-        );
-
-        // ACC-output-stationary accumulation: each output component u keeps
-        // a running spectrum (POLY-ACC-REG) over all (k+1)·l_b rows; the
-        // IFFT runs once per component at the end.
-        let mut acc: Vec<Spectrum> = (0..k1).map(|_| Spectrum::zero(ct.poly_size())).collect();
-        for (r, digit_spec) in digit_spectra.iter().enumerate() {
-            let row = ggsw.row(r);
-            for (u, acc_u) in acc.iter_mut().enumerate() {
-                acc_u.mul_acc(digit_spec, &row[u]);
-            }
-        }
-        let comps = if self.merge_split {
-            // Inverse-transform two components per IFFT pass.
-            let mut comps = Vec::with_capacity(k1);
-            let mut it = acc.chunks_exact(2);
-            for pair in &mut it {
-                let (p0, p1) = self.fft.inverse_pair_torus(&pair[0], &pair[1]);
-                comps.push(p0);
-                comps.push(p1);
-            }
-            if let [last] = it.remainder() {
-                comps.push(self.fft.inverse_torus(last));
-            }
-            comps
-        } else {
-            acc.iter().map(|s| self.fft.inverse_torus(s)).collect()
-        };
-        GlweCiphertext::from_components(comps)
+        let mut ws = self.workspace(ct.dim());
+        ws.lambda = ct.clone();
+        self.external_product_buffers(ggsw, &mut ws);
+        GlweCiphertext::from_components(ws.product)
     }
 
     /// CMUX: `ct0 + ggsw ⊡ (ct1 − ct0)` — selects `ct1` when the GGSW
@@ -186,8 +115,8 @@ impl ExternalProductEngine {
     }
 
     /// [`rotate_cmux`](Self::rotate_cmux) in place: updates `acc` through
-    /// caller-owned workspace buffers and, once `ws` is warm, performs no
-    /// heap allocation. Bit-identical to the allocating path.
+    /// caller-owned workspace buffers and performs no heap allocation.
+    /// Bit-identical to the allocating path.
     ///
     /// # Panics
     ///
@@ -214,45 +143,27 @@ impl ExternalProductEngine {
         acc.add_assign_components(&ws.product);
     }
 
-    /// `ggsw ⊡ ws.lambda` into `ws.product`, staging everything in the
-    /// workspace. The dataflow matches [`external_product`]
-    /// (Self::external_product) exactly — same decomposition, same
-    /// merge-split pairing, same accumulation order — so the results are
-    /// bit-identical; only the storage is caller-owned.
+    /// `ggsw ⊡ ws.lambda` into `ws.product`, every intermediate staged in
+    /// the workspace: decompose (eq. (1)), forward-transform the digit
+    /// rows (two per FFT pass under merge-split, §V-A.3),
+    /// multiply-accumulate against the GGSW rows with one running spectrum
+    /// per output component (the ACC-output-stationary dataflow of the VPE
+    /// array), and inverse-transform once per component.
     fn external_product_buffers(&self, ggsw: &FourierGgsw, ws: &mut BootstrapWorkspace) {
         assert_eq!(
             ws.digit_polys.len(),
             ggsw.row_count(),
             "gadget level mismatch"
         );
-        self.decompose_lambda(ws);
-        if self.batched {
-            self.forward_digits_batched(ws);
-        } else {
-            self.forward_digits_scalar(ws);
-        }
-        self.mac_and_inverse(ggsw, ws);
-    }
-
-    /// Stage 1: decompose every component of `ws.lambda` into the
-    /// `(k+1)·l_b` digit rows (eq. (1)).
-    pub(crate) fn decompose_lambda(&self, ws: &mut BootstrapWorkspace) {
         let l = self.decomposer.params().level();
-        let lambda = &ws.lambda;
-        for (comp, rows) in lambda.components().zip(ws.digit_polys.chunks_mut(l)) {
+        for (comp, rows) in ws.lambda.components().zip(ws.digit_polys.chunks_mut(l)) {
             self.decomposer.decompose_poly_into(comp, rows);
         }
-    }
 
-    /// Stage 2 (scalar): forward-transform the digit rows one (or, with
-    /// merge-split, two) at a time — the pre-batching reference schedule.
-    pub(crate) fn forward_digits_scalar(&self, ws: &mut BootstrapWorkspace) {
-        let digit_polys = &ws.digit_polys[..];
-        let digit_spectra = &mut ws.digit_spectra[..];
         let scratch = &mut ws.scratch;
         if self.merge_split {
-            let mut polys = digit_polys.chunks_exact(2);
-            let mut specs = digit_spectra.chunks_exact_mut(2);
+            let mut polys = ws.digit_polys.chunks_exact(2);
+            let mut specs = ws.digit_spectra.chunks_exact_mut(2);
             for (pair, out) in (&mut polys).zip(&mut specs) {
                 let (s0, s1) = out.split_at_mut(1);
                 self.fft
@@ -262,67 +173,25 @@ impl ExternalProductEngine {
                 self.fft.forward_int_into(last, out);
             }
         } else {
-            for (p, s) in digit_polys.iter().zip(digit_spectra.iter_mut()) {
+            for (p, s) in ws.digit_polys.iter().zip(ws.digit_spectra.iter_mut()) {
                 self.fft.forward_int_into(p, s);
             }
         }
-    }
-
-    /// Stage 2 (batched): pack the digit rows into the workspace's planar
-    /// [`PolyBatch`](morphling_transform::PolyBatch) and run one lockstep
-    /// SoA forward pass over all lanes — the software image of streaming
-    /// the whole digit set through the 2D VPE array at once. Bit-identical
-    /// to [`forward_digits_scalar`](Self::forward_digits_scalar): per lane
-    /// the batch kernels replay the scalar f64 operation sequence, and the
-    /// pair kernel reproduces the merge-split pairing schedule exactly.
-    pub(crate) fn forward_digits_batched(&self, ws: &mut BootstrapWorkspace) {
-        let rows = ws.digit_polys.len();
-        let n = self.fft.poly_len();
-        ws.digit_batch.reshape(n, rows);
-        ws.spectra_batch.reshape(n, rows);
-        for (lane, p) in ws.digit_polys.iter().enumerate() {
-            ws.digit_batch.load_lane(lane, p);
-        }
-        if self.merge_split {
-            self.fft.forward_pair_int_batch_into(
-                &ws.digit_batch,
-                &mut ws.spectra_batch,
-                &mut ws.batch_scratch,
-            );
-        } else {
-            self.fft
-                .forward_int_batch_into(&ws.digit_batch, &mut ws.spectra_batch);
-        }
-        for (lane, s) in ws.digit_spectra.iter_mut().enumerate() {
-            ws.spectra_batch.store_lane(lane, s);
-        }
-    }
-
-    /// Stage 3: ACC-output-stationary accumulation of `ws.digit_spectra`
-    /// against the GGSW rows, then one inverse transform per output
-    /// component (paired under merge-split), into `ws.product`.
-    pub(crate) fn mac_and_inverse(&self, ggsw: &FourierGgsw, ws: &mut BootstrapWorkspace) {
-        let digit_spectra = &ws.digit_spectra[..];
-        let acc_spectra = &mut ws.acc_spectra[..];
-        let product = &mut ws.product[..];
-        let scratch = &mut ws.scratch;
 
         // Clear POLY-ACC-REG, then stream every row across all k+1 output
         // lanes.
-        for s in acc_spectra.iter_mut() {
+        for s in ws.acc_spectra.iter_mut() {
             s.set_zero();
         }
-        for (r, digit_spec) in digit_spectra.iter().enumerate() {
-            let row = ggsw.row(r);
-            for (u, acc_u) in acc_spectra.iter_mut().enumerate() {
-                acc_u.mul_acc(digit_spec, &row[u]);
+        for (r, digit_spec) in ws.digit_spectra.iter().enumerate() {
+            for (acc_u, row_u) in ws.acc_spectra.iter_mut().zip(ggsw.row(r)) {
+                acc_u.mul_acc(digit_spec, row_u);
             }
         }
 
-        // One inverse transform per output component, again paired.
         if self.merge_split {
-            let mut specs = acc_spectra.chunks_exact(2);
-            let mut outs = product.chunks_exact_mut(2);
+            let mut specs = ws.acc_spectra.chunks_exact(2);
+            let mut outs = ws.product.chunks_exact_mut(2);
             for (pair, out) in (&mut specs).zip(&mut outs) {
                 let (p0, p1) = out.split_at_mut(1);
                 self.fft
@@ -332,7 +201,7 @@ impl ExternalProductEngine {
                 self.fft.inverse_torus_into(last, out, scratch);
             }
         } else {
-            for (s, p) in acc_spectra.iter().zip(product.iter_mut()) {
+            for (s, p) in ws.acc_spectra.iter().zip(ws.product.iter_mut()) {
                 self.fft.inverse_torus_into(s, p, scratch);
             }
         }
@@ -568,11 +437,10 @@ mod tests {
 
     #[test]
     fn rotate_cmux_into_is_bit_identical_to_allocating_path() {
-        // Chained rotations, every merge-split × batched-transform
-        // combination, k = 1 and k = 2: the workspace path must reproduce
-        // the allocating path bit for bit, not merely up to noise. The
-        // allocating `rotate_cmux` never touches the batch kernels, so
-        // batched = true here is also the SoA-vs-scalar identity check.
+        // Chained rotations, merge-split on and off, k = 1 and k = 2: a
+        // workspace reused across steps must reproduce the allocating
+        // path (a fresh workspace per step) bit for bit — nothing may
+        // leak from one external product into the next.
         for set in [ParamSet::Test, ParamSet::TestMedium] {
             let params = set.params();
             let mut rng = StdRng::seed_from_u64(42);
@@ -580,22 +448,15 @@ mod tests {
             let m = coarse_msg(params.poly_size, 11);
             let ct = GlweCiphertext::encrypt(&m, &key, params.glwe_noise_std, &mut rng);
             for ms in [true, false] {
-                for batched in [true, false] {
-                    let engine = ExternalProductEngine::new(&params)
-                        .with_merge_split(ms)
-                        .with_batched_transforms(batched);
-                    let ggsw = GgswCiphertext::encrypt(1, &key, &params, &mut rng)
-                        .to_fourier(engine.fft());
-                    let mut ws = engine.workspace(params.glwe_dim);
-                    let mut acc = ct.clone();
-                    for a_tilde in [0i64, 5, 37, 211] {
-                        let want = engine.rotate_cmux(&ggsw, &acc, a_tilde);
-                        engine.rotate_cmux_into(&ggsw, &mut acc, a_tilde, &mut ws);
-                        assert_eq!(
-                            acc, want,
-                            "set={set:?} ms={ms} batched={batched} a_tilde={a_tilde}"
-                        );
-                    }
+                let engine = ExternalProductEngine::new(&params).with_merge_split(ms);
+                let ggsw =
+                    GgswCiphertext::encrypt(1, &key, &params, &mut rng).to_fourier(engine.fft());
+                let mut ws = engine.workspace(params.glwe_dim);
+                let mut acc = ct.clone();
+                for a_tilde in [0i64, 5, 37, 211] {
+                    let want = engine.rotate_cmux(&ggsw, &acc, a_tilde);
+                    engine.rotate_cmux_into(&ggsw, &mut acc, a_tilde, &mut ws);
+                    assert_eq!(acc, want, "set={set:?} ms={ms} a_tilde={a_tilde}");
                 }
             }
         }

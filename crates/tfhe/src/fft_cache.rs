@@ -1,7 +1,9 @@
 //! Process-global caches of transform engines keyed by polynomial size.
 //!
-//! Hot paths (key generation, encryption, bootstrapping) must not rebuild
-//! twiddle tables, and the [`BootstrapEngine`](crate::BootstrapEngine)'s
+//! Hot paths (key generation, encryption, bootstrapping, key
+//! deserialization) must not rebuild twiddle tables — nothing in this
+//! crate constructs a [`NegacyclicFft`] except [`fft_for`] — and the
+//! [`BootstrapEngine`](crate::BootstrapEngine)'s
 //! worker pool must *share* one engine per size across threads — Morphling
 //! itself banks one set of transform twiddles for all 16 bootstrapping
 //! cores. The caches are therefore `Arc`-based and global (a
@@ -107,6 +109,63 @@ mod tests {
         );
         // New sizes still build after recovery.
         assert_eq!(fft_for(256).poly_len(), 256);
+    }
+
+    #[test]
+    fn server_keys_of_one_size_share_the_cached_plan() {
+        use crate::{ClientKey, ParamSet, ServerKey};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFF7);
+        let params = ParamSet::Test.params();
+        let cached = fft_for(params.poly_size);
+        let keys: Vec<ServerKey> = (0..2)
+            .map(|_| ServerKey::new(&ClientKey::generate(params.clone(), &mut rng), &mut rng))
+            .collect();
+        for key in &keys {
+            assert!(
+                std::ptr::eq(key.fft(), &*cached),
+                "every key of one N must compute with the one cached engine"
+            );
+        }
+    }
+
+    #[test]
+    fn keystore_cold_load_builds_no_plan() {
+        use crate::{ClientKey, KeyStore, MemoryBackend, ParamSet, ServerKey, TenantId};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFF8);
+        let params = ParamSet::Test.params();
+        let sk = ServerKey::new(&ClientKey::generate(params.clone(), &mut rng), &mut rng);
+        let backend = Arc::new(MemoryBackend::new());
+        backend.insert_server_key(TenantId::new(1), &sk);
+        let cached = fft_for(params.poly_size);
+        let store = KeyStore::new(backend, u64::MAX);
+        let loaded = store.get(TenantId::new(1)).expect("cold load");
+        assert_eq!(store.stats().loads, 1);
+        assert!(
+            std::ptr::eq(loaded.fft(), &*cached),
+            "a deserialized key must compute with the engine that was already cached"
+        );
+    }
+
+    #[test]
+    fn only_this_module_constructs_transform_engines() {
+        // The contract above, checked where it can be: an engine built
+        // for a conversion and dropped again leaves no pointer to
+        // compare, so read the sources.
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        for entry in std::fs::read_dir(src).expect("crate sources") {
+            let path = entry.expect("directory entry").path();
+            if path.file_name().is_some_and(|name| name == "fft_cache.rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source file");
+            assert!(
+                !text.contains("NegacyclicFft::new("),
+                "{} builds its own transform engine; use fft_cache::fft_for",
+                path.display()
+            );
+        }
     }
 
     #[test]

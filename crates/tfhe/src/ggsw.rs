@@ -236,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let params = ParamSet::Test.params();
         let key = GlweSecretKey::generate(params.glwe_dim, params.poly_size, &mut rng);
-        let fft = NegacyclicFft::new(params.poly_size);
+        let fft = crate::fft_cache::fft_for(params.poly_size);
         let fourier = GgswCiphertext::encrypt(1, &key, &params, &mut rng).to_fourier(&fft);
         assert_eq!(fourier.fourier_bytes(), params.bsk_iter_bytes_fourier());
     }

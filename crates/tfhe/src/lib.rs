@@ -101,7 +101,9 @@ pub use autotune::{
     AutotuneReport, AutotuneRequest, LoadSpec, MeasuredProfile, PredictedProfile, SearchPoint,
     ServiceModel, SloTarget,
 };
-pub use bootstrap::{blind_rotate, blind_rotate_assign, modulus_switch, sample_extract};
+pub use bootstrap::{
+    blind_rotate, blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,
+};
 pub use bootstrap_key::BootstrapKey;
 pub use bootstrapper::{BatchRequest, BatchRequestBuilder, Bootstrapper, ParallelServerKey};
 pub use dispatch::{

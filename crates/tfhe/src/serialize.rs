@@ -593,7 +593,8 @@ pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
     write_params(&mut w, key.params());
     w.u8(backend_tag(key.backend()));
     w.u8(u8::from(key.merge_split()));
-    w.u8(u8::from(key.batched_transforms()));
+    // Reserved: earlier writers stored a transform-path flag here.
+    w.u8(0);
     let bsk = bootstrap_key_payload(key.bootstrap_key());
     w.usize(bsk.len());
     w.bytes(&bsk);
@@ -615,7 +616,7 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
     let params = read_params(&mut r)?;
     let backend = backend_from_tag(r.u8()?)?;
     let merge_split = r.u8()? != 0;
-    let batched = r.u8()? != 0;
+    let _reserved = r.u8()?;
     let bsk_len = r.len_field("embedded BSK")?;
     let mut bsk_r = Reader::new(r.take(bsk_len)?);
     let bsk = read_bootstrap_key(&mut bsk_r)?;
@@ -647,7 +648,6 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
         ksk,
         backend,
         merge_split,
-        batched,
     ))
 }
 
@@ -703,7 +703,6 @@ mod tests {
         assert_eq!(back.params(), sk.params());
         assert_eq!(back.backend(), sk.backend());
         assert_eq!(back.merge_split(), sk.merge_split());
-        assert_eq!(back.batched_transforms(), sk.batched_transforms());
         // Key material matches exactly...
         for i in 0..sk.bootstrap_key().lwe_dim() {
             assert_eq!(

@@ -117,12 +117,10 @@ impl<'a> BootstrapOptions<'a> {
 pub struct ServerKeyBuilder {
     backend: MulBackend,
     merge_split: Option<bool>,
-    batched_transforms: Option<bool>,
 }
 
 impl ServerKeyBuilder {
-    /// Start from the defaults: FFT backend with merge-split and batched
-    /// SoA transforms enabled.
+    /// Start from the defaults: FFT backend with merge-split enabled.
     pub fn new() -> Self {
         Self::default()
     }
@@ -141,15 +139,6 @@ impl ServerKeyBuilder {
         self
     }
 
-    /// Force the batched SoA forward transform on or off for the FFT
-    /// backends (default on; results are bit-identical either way — this
-    /// is an ablation/escape-hatch knob, irrelevant for the exact
-    /// backends).
-    pub fn batched_transforms(mut self, enabled: bool) -> Self {
-        self.batched_transforms = Some(enabled);
-        self
-    }
-
     /// Generate BSK and KSK from the client key and assemble the server
     /// key.
     pub fn build<R: Rng + ?Sized>(self, client: &ClientKey, rng: &mut R) -> ServerKey {
@@ -164,9 +153,7 @@ impl ServerKeyBuilder {
         let merge_split = self
             .merge_split
             .unwrap_or(self.backend != MulBackend::FftPlain);
-        let engine = ExternalProductEngine::new(&params)
-            .with_merge_split(merge_split)
-            .with_batched_transforms(self.batched_transforms.unwrap_or(true));
+        let engine = ExternalProductEngine::new(&params).with_merge_split(merge_split);
         ServerKey {
             params,
             bsk,
@@ -229,18 +216,15 @@ impl ServerKey {
 
     /// Reassemble a server key from its public parts (deserialization
     /// path): the transform engine is rebuilt locally from `params` and the
-    /// two option flags, mirroring [`ServerKeyBuilder::build`].
+    /// merge-split flag, mirroring [`ServerKeyBuilder::build`].
     pub fn from_parts(
         params: TfheParams,
         bsk: BootstrapKey,
         ksk: KeySwitchKey,
         backend: MulBackend,
         merge_split: bool,
-        batched_transforms: bool,
     ) -> Self {
-        let engine = ExternalProductEngine::new(&params)
-            .with_merge_split(merge_split)
-            .with_batched_transforms(batched_transforms);
+        let engine = ExternalProductEngine::new(&params).with_merge_split(merge_split);
         Self {
             params,
             bsk,
@@ -275,9 +259,10 @@ impl ServerKey {
         self.engine.merge_split()
     }
 
-    /// Whether the batched SoA forward transform is active.
-    pub fn batched_transforms(&self) -> bool {
-        self.engine.batched_transforms()
+    /// The transform engine this key computes with.
+    #[cfg(test)]
+    pub(crate) fn fft(&self) -> &morphling_transform::NegacyclicFft {
+        self.engine.fft()
     }
 
     /// Programmable bootstrapping (Algorithm 1): reset the noise of `ct`
@@ -468,28 +453,35 @@ impl ServerKey {
         acc
     }
 
-    /// Bootstrap a wave of independent `(ciphertext, LUT)` items with the
-    /// blind rotations run in **lockstep**: at every CMUX step the active
-    /// items' digit polynomials go through one batched SoA forward
-    /// transform ([`blind_rotate_assign_many`]). Only valid for the FFT
-    /// backends; bit-identical to bootstrapping each item separately.
+    /// Bootstrap a chunk of independent `(ciphertext, LUT)` items. On the
+    /// FFT backends the chunk's blind rotations advance together, one
+    /// CMUX step at a time ([`blind_rotate_assign_many`]), so that each
+    /// `BSK_i` is fetched from memory once for the whole chunk — the batch
+    /// BSK reuse of §IV-C; the exact backends take the items one after
+    /// another. Either way the outputs are bit-identical to bootstrapping
+    /// each item separately.
     ///
     /// # Errors
     ///
-    /// Same as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap).
-    pub(crate) fn try_bootstrap_wave_lockstep(
+    /// Same as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap),
+    /// for the first offending item; no item is bootstrapped then.
+    pub(crate) fn try_bootstrap_chunk(
         &self,
         items: &[(&LweCiphertext, &Lut)],
         ws: &mut BootstrapWorkspace,
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        debug_assert!(matches!(
-            self.backend,
-            MulBackend::Fft | MulBackend::FftPlain
-        ));
+        for (ct, lut) in items {
+            self.validate_bootstrap_inputs(ct, lut)?;
+        }
+        if !matches!(self.backend, MulBackend::Fft | MulBackend::FftPlain) {
+            return items
+                .iter()
+                .map(|(ct, lut)| self.try_programmable_bootstrap_with(ct, lut, ws))
+                .collect();
+        }
         let mut accs = Vec::with_capacity(items.len());
         let mut masks = Vec::with_capacity(items.len());
         for (ct, lut) in items {
-            self.validate_bootstrap_inputs(ct, lut)?;
             let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
             accs.push(initial_accumulator(
                 lut.polynomial(),

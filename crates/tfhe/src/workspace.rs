@@ -9,8 +9,8 @@
 //! construction, then every CMUX iteration of every bootstrap reuses the
 //! same memory. See `DESIGN.md` §8 for the buffer-by-buffer mapping.
 
-use morphling_math::{Complex64, Polynomial, Torus32};
-use morphling_transform::{BatchScratch, PolyBatch, Spectrum, SpectrumBatch};
+use morphling_math::{Polynomial, Torus32};
+use morphling_transform::Spectrum;
 
 use crate::glwe::GlweCiphertext;
 use crate::params::TfheParams;
@@ -37,18 +37,9 @@ pub struct BootstrapWorkspace {
     /// The external product's `k+1` output components before they fold
     /// into the accumulator.
     pub(crate) product: Vec<Polynomial<Torus32>>,
-    /// Complex FFT staging shared by every transform call (the software
-    /// Coef buffer); grows to `N` points on first use and stays there.
-    pub(crate) scratch: Vec<Complex64>,
-    /// Planar (SoA) staging for the batched forward transform: all
-    /// `(k+1)·l_b` digit polynomials of one external product as lockstep
-    /// lanes — the software image of the digit stream entering the 2D
-    /// VPE array.
-    pub(crate) digit_batch: PolyBatch<i64>,
-    /// Planar spectra produced by the batched forward pass.
-    pub(crate) spectra_batch: SpectrumBatch,
-    /// Split-complex scratch planes for the batched kernels.
-    pub(crate) batch_scratch: BatchScratch,
+    /// The transform kernel's work planes, shared by every call (the
+    /// software Coef buffer): sized for the merge-split `N`-point FFT.
+    pub(crate) scratch: Vec<f64>,
     glwe_dim: usize,
     poly_size: usize,
     level: usize,
@@ -76,10 +67,7 @@ impl BootstrapWorkspace {
             acc_spectra: vec![Spectrum::zero(poly_size); glwe_dim + 1],
             lambda: GlweCiphertext::zero(glwe_dim, poly_size),
             product: vec![Polynomial::zero(poly_size); glwe_dim + 1],
-            scratch: Vec::with_capacity(poly_size),
-            digit_batch: PolyBatch::zero(poly_size, rows),
-            spectra_batch: SpectrumBatch::zero(poly_size, rows),
-            batch_scratch: BatchScratch::new(),
+            scratch: vec![0.0; 2 * poly_size],
             glwe_dim,
             poly_size,
             level,
@@ -129,10 +117,6 @@ mod tests {
         );
         assert_eq!(ws.acc_spectra.len(), params.glwe_dim + 1);
         assert_eq!(ws.product.len(), params.glwe_dim + 1);
-        assert_eq!(ws.digit_batch.lanes(), ws.digit_polys.len());
-        assert_eq!(ws.digit_batch.poly_len(), params.poly_size);
-        assert_eq!(ws.spectra_batch.lanes(), ws.digit_polys.len());
-        assert_eq!(ws.spectra_batch.poly_len(), params.poly_size);
         assert!(ws.fits(params.glwe_dim, params.poly_size));
         assert!(!ws.fits(params.glwe_dim + 1, params.poly_size));
     }

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use morphling_math::{Polynomial, Torus32, TorusScalar};
 use morphling_tfhe::{
-    blind_rotate_assign, BootstrapKey, ClientKey, ExternalProductEngine, ParamSet,
+    blind_rotate_assign, blind_rotate_assign_many, BootstrapKey, ClientKey, ExternalProductEngine,
+    ParamSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,8 +57,7 @@ fn warm_workspace_blind_rotation_is_allocation_free() {
     let mut acc = morphling_tfhe::GlweCiphertext::trivial(tp, params.glwe_dim);
     let mut ws = engine.workspace(params.glwe_dim);
 
-    // One warm-up rotation grows the FFT scratch to its steady-state
-    // capacity; nothing after it may allocate.
+    // One warm-up rotation; nothing after it may allocate.
     blind_rotate_assign(&engine, &bsk, &mut acc, &mask, &mut ws);
 
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -69,6 +69,30 @@ fn warm_workspace_blind_rotation_is_allocation_free() {
         after - before,
         0,
         "steady-state blind rotation allocated {} time(s)",
+        after - before
+    );
+
+    // The chunked rotation (one BSK fetch per step for several
+    // accumulators) runs through the same workspace and must not
+    // allocate either — no per-call bookkeeping on the side. Masks with
+    // zero exponents exercise the skipped-step path.
+    let mut accs = vec![acc.clone(), acc.clone(), acc.clone()];
+    let masks: Vec<Vec<u64>> = (0..3)
+        .map(|r| {
+            (0..mask.len())
+                .map(|i| if (i + r) % 5 == 0 { 0 } else { mask[i] })
+                .collect()
+        })
+        .collect();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..2 {
+        blind_rotate_assign_many(&engine, &bsk, &mut accs, &masks, &mut ws);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state chunked blind rotation allocated {} time(s)",
         after - before
     );
 

@@ -18,9 +18,10 @@ use std::time::Duration;
 
 use morphling_math::TorusScalar;
 
+use morphling_tfhe::faults::{corrupt_ciphertext, fault_key};
 use morphling_tfhe::{
-    noise, BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, FaultPlan, Lut,
-    LweCiphertext, ParamSet, ServerKey, TfheError,
+    noise, BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, FaultInjector,
+    FaultPlan, FaultSite, Lut, LweCiphertext, ParamSet, ServerKey, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,6 +143,74 @@ fn chaos_corrupted_outputs_are_caught_by_the_sanity_check() {
     assert!(stats.check_failures > 0, "the check must have fired");
     assert!(stats.retries > 0);
     assert_eq!(stats.health, EngineHealth::Healthy);
+}
+
+/// A worker bootstraps its chunk as a whole (one fetch of each `BSK_i`
+/// for all of it), but faults stay keyed per ciphertext and attempt: the
+/// outcomes are exactly those the stateless injector predicts for
+/// `fault_key(batch, i)`, whatever the chunking.
+#[test]
+fn chaos_fault_keys_stay_per_ciphertext_on_the_chunked_path() {
+    let (ck, sk, mut rng) = setup(9008);
+    let lut = Lut::identity(sk.params().poly_size, 4);
+    let cts = batch(&ck, &mut rng, 12);
+    let reference = bb(&*sk, &cts, &lut).expect("reference");
+
+    // Corruption with no output check installed: precisely the predicted
+    // ciphertexts of the first batch come back tampered.
+    let plan = FaultPlan::seeded(0xABCD).with_corrupt_output(0.4);
+    let oracle = FaultInjector::new(plan);
+    let engine = BootstrapEngine::builder()
+        .workers(2)
+        .chunk_size(4)
+        .fault_plan(plan)
+        .build(Arc::clone(&sk))
+        .expect("spawn pool");
+    let out = bb(&engine, &cts, &lut).expect("unchecked corruption is not an error");
+    let mut tampered = 0;
+    for (i, (got, clean)) in out.iter().zip(&reference).enumerate() {
+        let hit = oracle.fires(FaultSite::CorruptOutput, fault_key(0, i), 0);
+        tampered += usize::from(hit);
+        let want = if hit {
+            corrupt_ciphertext(clean)
+        } else {
+            clean.clone()
+        };
+        assert_eq!(*got, want, "ciphertext {i} (predicted tampered: {hit})");
+    }
+    assert!(
+        (1..12).contains(&tampered),
+        "the plan must hit some ciphertexts and spare others, hit {tampered}"
+    );
+
+    // Panics: a chunk's attempt dies iff the panic site of one of its
+    // ciphertexts fires for that attempt, and is retried until none does.
+    let plan = FaultPlan::seeded(0x5EED).with_worker_panic(0.2);
+    let oracle = FaultInjector::new(plan);
+    let predicted: usize = (0..12)
+        .step_by(4)
+        .map(|start| {
+            (0u32..)
+                .take_while(|&attempt| {
+                    (start..start + 4)
+                        .any(|i| oracle.fires(FaultSite::WorkerPanic, fault_key(0, i), attempt))
+                })
+                .count()
+        })
+        .sum();
+    assert!(predicted > 0, "the plan must actually fire");
+    let engine = BootstrapEngine::builder()
+        .workers(2)
+        .chunk_size(4)
+        .respawn_budget(64)
+        .max_retries(32)
+        .retry_backoff(Duration::from_micros(100))
+        .fault_plan(plan)
+        .build(Arc::clone(&sk))
+        .expect("spawn pool");
+    let out = bb(&engine, &cts, &lut).expect("survive panics");
+    assert_eq!(out, reference);
+    assert_eq!(engine.stats().panics, predicted as u64);
 }
 
 /// A zero-rate plan must be indistinguishable from no plan at all:

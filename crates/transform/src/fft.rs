@@ -1,20 +1,35 @@
-//! Iterative radix-2 complex FFT with precomputed twiddle tables.
+//! The transform kernel: one planar polynomial, vectorized along its
+//! coefficient axis, plus the scalar AoS reference it is tested against.
 //!
-//! This is the software analogue of the multi-delay-commutator pipelined
-//! FFT of §V-A.3: all `log2 n` butterfly stages with a fixed twiddle ROM
-//! (the hardware's Twiddle-Buffer). Timing/occupancy of the hardware unit
-//! is modeled separately in [`crate::pipeline`].
+//! Both are the decimation-in-time radix-2 network over one twiddle ROM
+//! (the hardware's Twiddle-Buffer; §V-A.3's multi-delay-commutator
+//! pipeline is its streaming form, timed separately in
+//! [`crate::pipeline`]). The reference ([`FftPlan::forward`] /
+//! [`FftPlan::inverse`]) walks it one stage and one complex point at a
+//! time. The kernel (`FftPlan::transform`) fuses two stages per pass
+//! (radix-2²), folds the bit-reversal into the first pass and lets the
+//! caller fold its own pre- and post-processing (negacyclic twist, untwist
+//! and rounding) into the first and last — but per element it performs
+//! *exactly* the reference's f64 operation sequence, so the two agree bit
+//! for bit on every input.
 
 use morphling_math::Complex64;
 
+use crate::simd::{cmul, Isa, Simd};
+
 /// A reusable FFT plan for one transform size.
 ///
-/// Construction precomputes the bit-reversal permutation and the per-stage
-/// twiddle factors; [`FftPlan::forward`] and [`FftPlan::inverse`] then run
+/// Construction precomputes the twiddle factors and the block permutation
+/// and picks the vector ISA from CPU detection; the transforms then run
 /// allocation-free on caller buffers.
 ///
 /// Conventions: `forward` computes `X_k = Σ_j x_j e^(-2πi jk/n)` (no
 /// scaling); `inverse` computes `x_j = (1/n) Σ_k X_k e^(+2πi jk/n)`.
+///
+/// [`forward`](Self::forward) and [`inverse`](Self::inverse) are the
+/// scalar **reference**: the hot paths of this workspace go through
+/// [`NegacyclicFft`](crate::NegacyclicFft), whose kernel is tested
+/// bit-identical to them.
 ///
 /// # Example
 ///
@@ -34,10 +49,23 @@ use morphling_math::Complex64;
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     n: usize,
-    // twiddles[s] holds the factors for stage s (half-block size 2^s):
-    // e^(-2πi k / 2^(s+1)) for k in 0..2^s.
-    twiddles: Vec<Vec<Complex64>>,
-    bit_rev: Vec<u32>,
+    // Planar twiddle ROM: the stage with half-block size h keeps
+    // e^(-2πi k / 2h), k < h, at index h + k (index 0 is unused).
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
+    // Where the kernel's first pass puts its blocks: 4·bitrev(r) over
+    // log2(n) − 2 bits, for r < n/4.
+    rev4: Vec<u32>,
+    simd: Simd,
+}
+
+/// Bit-reverse `i` within `bits` bits.
+fn bit_reverse(i: usize, bits: u32) -> usize {
+    if bits == 0 {
+        0
+    } else {
+        i.reverse_bits() >> (usize::BITS - bits)
+    }
 }
 
 impl FftPlan {
@@ -51,26 +79,24 @@ impl FftPlan {
             n.is_power_of_two() && n > 0,
             "FFT size must be a positive power of two, got {n}"
         );
-        let stages = n.trailing_zeros() as usize;
-        let mut twiddles = Vec::with_capacity(stages);
-        for s in 0..stages {
-            let half = 1usize << s;
-            let block = half * 2;
-            let step = -std::f64::consts::TAU / block as f64;
-            twiddles.push(
-                (0..half)
-                    .map(|k| Complex64::from_polar_unit(step * k as f64))
-                    .collect(),
-            );
+        let mut tw = vec![Complex64::ZERO; n];
+        let mut half = 1usize;
+        while half < n {
+            let step = -std::f64::consts::TAU / (2 * half) as f64;
+            for k in 0..half {
+                tw[half + k] = Complex64::from_polar_unit(step * k as f64);
+            }
+            half *= 2;
         }
-        let shift = (usize::BITS - n.trailing_zeros()) % usize::BITS;
-        let bit_rev = (0..n as u32)
-            .map(|i| if n == 1 { 0 } else { (i as usize).reverse_bits() >> shift } as u32)
-            .collect();
+        let quarter_bits = n.trailing_zeros().saturating_sub(2);
         Self {
             n,
-            twiddles,
-            bit_rev,
+            tw_re: tw.iter().map(|w| w.re).collect(),
+            tw_im: tw.iter().map(|w| w.im).collect(),
+            rev4: (0..n / 4)
+                .map(|r| 4 * bit_reverse(r, quarter_bits) as u32)
+                .collect(),
+            simd: Simd::detect(n / 4),
         }
     }
 
@@ -84,170 +110,263 @@ impl FftPlan {
         self.n
     }
 
-    /// In-place forward FFT.
+    /// In-place forward FFT (scalar reference).
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` differs from the plan size.
     pub fn forward(&self, data: &mut [Complex64]) {
-        assert_eq!(data.len(), self.n, "buffer size does not match FFT plan");
-        self.permute(data);
-        self.butterflies(data, false);
+        self.reference(data, false);
     }
 
-    /// In-place inverse FFT (including the `1/n` scaling).
+    /// In-place inverse FFT including the `1/n` scaling (scalar
+    /// reference).
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` differs from the plan size.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        assert_eq!(data.len(), self.n, "buffer size does not match FFT plan");
-        self.permute(data);
-        self.butterflies(data, true);
+        self.reference(data, true);
         let scale = 1.0 / self.n as f64;
         for v in data.iter_mut() {
             *v = v.scale(scale);
         }
     }
 
-    /// Batched in-place forward FFT over split-complex planes in planar
-    /// layout: point `p` of lane `l` lives at `re[p * lanes + l]` /
-    /// `im[p * lanes + l]`. All lanes advance through the butterfly
-    /// network in lockstep — the software analogue of the VPE array
-    /// streaming a batch through one pipelined FFT unit — and each lane
-    /// undergoes exactly the operation sequence of [`Self::forward`], so
-    /// per-lane results are **bit-identical** to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0` or either plane's length differs from
-    /// `n * lanes`.
-    pub fn forward_batch(&self, re: &mut [f64], im: &mut [f64], lanes: usize) {
-        self.check_batch(re, im, lanes);
-        self.permute_batch(re, im, lanes);
-        self.butterflies_batch(re, im, lanes, false);
-    }
-
-    /// Batched in-place inverse FFT (including the `1/n` scaling) over
-    /// split-complex planes; see [`Self::forward_batch`] for the layout
-    /// and the per-lane bit-identity contract with [`Self::inverse`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0` or either plane's length differs from
-    /// `n * lanes`.
-    pub fn inverse_batch(&self, re: &mut [f64], im: &mut [f64], lanes: usize) {
-        self.check_batch(re, im, lanes);
-        self.permute_batch(re, im, lanes);
-        self.butterflies_batch(re, im, lanes, true);
-        let scale = 1.0 / self.n as f64;
-        for v in re.iter_mut() {
-            *v *= scale;
-        }
-        for v in im.iter_mut() {
-            *v *= scale;
-        }
-    }
-
-    fn check_batch(&self, re: &[f64], im: &[f64], lanes: usize) {
-        assert!(lanes > 0, "batched FFT needs at least one lane");
-        assert_eq!(
-            re.len(),
-            self.n * lanes,
-            "real plane size does not match FFT plan × lanes"
-        );
-        assert_eq!(
-            im.len(),
-            self.n * lanes,
-            "imaginary plane size does not match FFT plan × lanes"
-        );
-    }
-
-    fn permute(&self, data: &mut [Complex64]) {
+    fn reference(&self, data: &mut [Complex64], inverse: bool) {
+        assert_eq!(data.len(), self.n, "buffer size does not match FFT plan");
+        let bits = self.n.trailing_zeros();
         for i in 0..self.n {
-            let j = self.bit_rev[i] as usize;
+            let j = bit_reverse(i, bits);
             if i < j {
                 data.swap(i, j);
             }
         }
-    }
-
-    fn permute_batch(&self, re: &mut [f64], im: &mut [f64], lanes: usize) {
-        for i in 0..self.n {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                // Swap whole lane rows i and j (i < j, so split is clean).
-                let (lo_re, hi_re) = re.split_at_mut(j * lanes);
-                lo_re[i * lanes..i * lanes + lanes].swap_with_slice(&mut hi_re[..lanes]);
-                let (lo_im, hi_im) = im.split_at_mut(j * lanes);
-                lo_im[i * lanes..i * lanes + lanes].swap_with_slice(&mut hi_im[..lanes]);
-            }
-        }
-    }
-
-    fn butterflies_batch(&self, re: &mut [f64], im: &mut [f64], lanes: usize, inverse: bool) {
-        for (s, tw) in self.twiddles.iter().enumerate() {
-            let half = 1usize << s;
-            let block = half * 2;
-            let row = half * lanes;
-            // One split per block (not per butterfly): the upper/lower
-            // halves of a block are contiguous lane rows, so the k-loop
-            // walks four `chunks_exact_mut` streams with no bounds checks.
-            for (blk_re, blk_im) in re
-                .chunks_exact_mut(block * lanes)
-                .zip(im.chunks_exact_mut(block * lanes))
-            {
-                let (a_re, b_re) = blk_re.split_at_mut(row);
-                let (a_im, b_im) = blk_im.split_at_mut(row);
-                let rows = a_re
-                    .chunks_exact_mut(lanes)
-                    .zip(b_re.chunks_exact_mut(lanes))
-                    .zip(
-                        a_im.chunks_exact_mut(lanes)
-                            .zip(b_im.chunks_exact_mut(lanes)),
-                    );
-                for (k, ((a_re, b_re), (a_im, b_im))) in rows.enumerate() {
-                    let w = if inverse { tw[k].conj() } else { tw[k] };
-                    // Per lane: b' = b·w; a ← a + b'; b ← a − b' — the
-                    // exact f64 sequence of the scalar butterfly.
-                    for l in 0..lanes {
-                        let br = b_re[l];
-                        let bm = b_im[l];
-                        let tre = br * w.re - bm * w.im;
-                        let tim = br * w.im + bm * w.re;
-                        let ar = a_re[l];
-                        let am = a_im[l];
-                        a_re[l] = ar + tre;
-                        a_im[l] = am + tim;
-                        b_re[l] = ar - tre;
-                        b_im[l] = am - tim;
-                    }
-                }
-            }
-        }
-    }
-
-    fn butterflies(&self, data: &mut [Complex64], inverse: bool) {
-        for (s, tw) in self.twiddles.iter().enumerate() {
-            let half = 1usize << s;
-            let block = half * 2;
-            for start in (0..self.n).step_by(block) {
+        let mut half = 1usize;
+        while half < self.n {
+            for start in (0..self.n).step_by(2 * half) {
                 for k in 0..half {
-                    let w = if inverse { tw[k].conj() } else { tw[k] };
+                    let w = Complex64::new(self.tw_re[half + k], self.tw_im[half + k]);
+                    let w = if inverse { w.conj() } else { w };
                     let a = data[start + k];
                     let b = data[start + k + half] * w;
                     data[start + k] = a + b;
                     data[start + k + half] = a - b;
                 }
             }
+            half *= 2;
         }
     }
+
+    /// The ISA this plan's kernel runs on.
+    pub(crate) fn simd(&self) -> Simd {
+        self.simd
+    }
+
+    /// The kernel: an unscaled `n`-point transform (`INV` conjugates the
+    /// twiddles) of the planar sequence `source` yields, worked in place
+    /// in `re`/`im`, whose results go to `sink`.
+    ///
+    /// `source(j)` returns points `j..j + LANES` and is called once per
+    /// vector, by the first pass. `sink(re, im, j, vr, vi)` receives
+    /// output points `j..j + LANES` once each, from the last pass, with
+    /// the work planes handed back to it: [`store_back`] writes them there
+    /// (`re`/`im` then hold the result); any other sink may leave the
+    /// planes as scratch and put its output elsewhere.
+    ///
+    /// `isa` must be the one [`Self::simd`] dispatches to.
+    #[inline(always)]
+    pub(crate) fn transform<I: Isa, const INV: bool>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        source: impl Fn(usize) -> (I::V, I::V),
+        mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
+    ) {
+        let n = self.n;
+        assert!(
+            n >= 2 && re.len() == n && im.len() == n,
+            "work planes do not match the FFT plan"
+        );
+        let mut store = store_back(isa);
+        let mut h = if n == 2 {
+            // Two points are their own bit reversal (and only the
+            // one-lane ISA is this narrow).
+            for j in 0..2 {
+                let (vr, vi) = source(j);
+                store(re, im, j, vr, vi);
+            }
+            1
+        } else {
+            self.first_pass::<I, INV>(isa, re, im, &source);
+            4
+        };
+        // Stages with half-block sizes h, 2h, …, n/2 remain; the last
+        // pass hands its results to the sink.
+        while 8 * h <= n {
+            self.radix4_pass::<I, INV>(isa, re, im, h, &mut store);
+            h *= 4;
+        }
+        if h == n {
+            for j in (0..n).step_by(I::LANES) {
+                let (vr, vi) = (isa.load(re, j), isa.load(im, j));
+                sink(re, im, j, vr, vi);
+            }
+        } else if 2 * h == n {
+            self.radix2_pass::<I, INV>(isa, re, im, sink);
+        } else {
+            self.radix4_pass::<I, INV>(isa, re, im, h, sink);
+        }
+    }
+
+    /// Twiddles `at..at + LANES` of the ROM.
+    #[inline(always)]
+    fn twiddles<I: Isa, const INV: bool>(&self, isa: I, at: usize) -> (I::V, I::V) {
+        let im = isa.load(&self.tw_im, at);
+        (
+            isa.load(&self.tw_re, at),
+            if INV { isa.neg(im) } else { im },
+        )
+    }
+
+    /// Twiddle `at` of the ROM in every lane.
+    #[inline(always)]
+    fn twiddle_splat<I: Isa, const INV: bool>(&self, isa: I, at: usize) -> (I::V, I::V) {
+        let im = self.tw_im[at];
+        (
+            isa.splat(self.tw_re[at]),
+            isa.splat(if INV { -im } else { im }),
+        )
+    }
+
+    /// Input, bit reversal and stages 0–1 in one pass. After the
+    /// reversal, block `b` (points `4b..4b + 4`) holds source points
+    /// `r, r + n/2, r + n/4, r + 3n/4` with `r = bitrev(b)`; walking `r`
+    /// instead of `b` makes all four reads contiguous runs, and the
+    /// transposing store puts each finished block where it belongs.
+    #[inline(always)]
+    fn first_pass<I: Isa, const INV: bool>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        source: &impl Fn(usize) -> (I::V, I::V),
+    ) {
+        let q = self.n / 4;
+        // Stage 0's twiddle and stage 1's two, the same for every block.
+        let w = [
+            self.twiddle_splat::<I, INV>(isa, 1),
+            self.twiddle_splat::<I, INV>(isa, 2),
+            self.twiddle_splat::<I, INV>(isa, 3),
+        ];
+        for r in (0..q).step_by(I::LANES) {
+            let x = [
+                source(r),
+                source(r + 2 * q),
+                source(r + q),
+                source(r + 3 * q),
+            ];
+            let y = butterfly4(isa, x, w);
+            let pos = &self.rev4[r..r + I::LANES];
+            isa.scatter4(re, pos, [y[0].0, y[1].0, y[2].0, y[3].0]);
+            isa.scatter4(im, pos, [y[0].1, y[1].1, y[2].1, y[3].1]);
+        }
+    }
+
+    /// The stages with half-block sizes `h` and `2h`, fused.
+    #[inline(always)]
+    fn radix4_pass<I: Isa, const INV: bool>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        h: usize,
+        mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
+    ) {
+        for base in (0..self.n).step_by(4 * h) {
+            for k in (0..h).step_by(I::LANES) {
+                let at = [base + k, base + k + h, base + k + 2 * h, base + k + 3 * h];
+                let x = [
+                    (isa.load(re, at[0]), isa.load(im, at[0])),
+                    (isa.load(re, at[1]), isa.load(im, at[1])),
+                    (isa.load(re, at[2]), isa.load(im, at[2])),
+                    (isa.load(re, at[3]), isa.load(im, at[3])),
+                ];
+                let w = [
+                    self.twiddles::<I, INV>(isa, h + k),
+                    self.twiddles::<I, INV>(isa, 2 * h + k),
+                    self.twiddles::<I, INV>(isa, 3 * h + k),
+                ];
+                let y = butterfly4(isa, x, w);
+                sink(re, im, at[0], y[0].0, y[0].1);
+                sink(re, im, at[1], y[1].0, y[1].1);
+                sink(re, im, at[2], y[2].0, y[2].1);
+                sink(re, im, at[3], y[3].0, y[3].1);
+            }
+        }
+    }
+
+    /// The last stage on its own, when the stage count is odd.
+    #[inline(always)]
+    fn radix2_pass<I: Isa, const INV: bool>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
+    ) {
+        let h = self.n / 2;
+        for k in (0..h).step_by(I::LANES) {
+            let a = (isa.load(re, k), isa.load(im, k));
+            let b = (isa.load(re, k + h), isa.load(im, k + h));
+            let (lo, hi) = butterfly2(isa, a, b, self.twiddles::<I, INV>(isa, h + k));
+            sink(re, im, k, lo.0, lo.1);
+            sink(re, im, k + h, hi.0, hi.1);
+        }
+    }
+}
+
+/// The sink that keeps a transform's output in its work planes.
+#[inline(always)]
+pub(crate) fn store_back<I: Isa>(isa: I) -> impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V) {
+    #[inline(always)]
+    move |re, im, at, vr, vi| {
+        isa.store(re, at, vr);
+        isa.store(im, at, vi);
+    }
+}
+
+type C<I> = (<I as Isa>::V, <I as Isa>::V);
+
+/// The reference butterfly: `(a + b·w, a − b·w)`.
+#[inline(always)]
+fn butterfly2<I: Isa>(isa: I, a: C<I>, b: C<I>, w: C<I>) -> (C<I>, C<I>) {
+    let t = cmul(isa, b, w);
+    (
+        (isa.add(a.0, t.0), isa.add(a.1, t.1)),
+        (isa.sub(a.0, t.0), isa.sub(a.1, t.1)),
+    )
+}
+
+/// Two consecutive stages on the points `k, k+h, k+2h, k+3h` of a
+/// `4h`-block: `w = [stage-h twiddle k, stage-2h twiddle k, stage-2h
+/// twiddle k+h]`. The same butterflies the reference runs, in an order
+/// that keeps all four points in registers.
+#[inline(always)]
+fn butterfly4<I: Isa>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C<I>; 4] {
+    let (a0, a1) = butterfly2(isa, x[0], x[1], w[0]);
+    let (a2, a3) = butterfly2(isa, x[2], x[3], w[0]);
+    let (y0, y2) = butterfly2(isa, a0, a2, w[1]);
+    let (y1, y3) = butterfly2(isa, a1, a3, w[2]);
+    [y0, y1, y2, y3]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dft::naive_dft;
+    use crate::simd::Kernel;
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -325,75 +444,116 @@ mod tests {
         assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy);
     }
 
-    /// Split a lane out of planar storage back into complex form.
-    fn gather_lane(re: &[f64], im: &[f64], lanes: usize, lane: usize, n: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|p| Complex64::new(re[p * lanes + lane], im[p * lanes + lane]))
+    /// The kernel as a plain FFT: planar input in, planar output out,
+    /// `1/n` applied by the sink on the inverse as `FftPlan::inverse` does.
+    struct Plain<'a, const INV: bool> {
+        plan: &'a FftPlan,
+        input: &'a [Complex64],
+    }
+
+    impl<const INV: bool> Kernel for Plain<'_, INV> {
+        type Out = Vec<Complex64>;
+
+        #[inline(always)]
+        fn run<I: Isa>(self, isa: I) -> Vec<Complex64> {
+            let n = self.plan.len();
+            let in_re: Vec<f64> = self.input.iter().map(|z| z.re).collect();
+            let in_im: Vec<f64> = self.input.iter().map(|z| z.im).collect();
+            let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            let scale = isa.splat(1.0 / n as f64);
+            self.plan.transform::<I, INV>(
+                isa,
+                &mut re,
+                &mut im,
+                #[inline(always)]
+                |j| (isa.load(&in_re, j), isa.load(&in_im, j)),
+                #[inline(always)]
+                |_, _, j, vr, vi| {
+                    let (vr, vi) = if INV {
+                        (isa.mul(vr, scale), isa.mul(vi, scale))
+                    } else {
+                        (vr, vi)
+                    };
+                    isa.store(&mut out_re, j, vr);
+                    isa.store(&mut out_im, j, vi);
+                },
+            );
+            out_re
+                .into_iter()
+                .zip(out_im)
+                .map(|(r, i)| Complex64::new(r, i))
+                .collect()
+        }
+    }
+
+    fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
+        data.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
             .collect()
     }
 
+    /// Random points salted with the values that expose a kernel taking a
+    /// shortcut the reference does not: signed zeros (a skipped trivial
+    /// twiddle multiply flips them), subnormals, and magnitudes around
+    /// 2^52 and 2^63 where f64 spacing reaches and passes one.
+    fn awkward_points(n: usize, seed: u64) -> Vec<Complex64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SALT: [f64; 10] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.0e-308,
+            4_503_599_627_370_496.5,
+            -4_503_599_627_370_497.0,
+            9_223_372_036_854_775_808.0,
+            -1.8e19,
+            0.5,
+            -1.5,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pick = || {
+            if rng.gen_range(0..4) == 0 {
+                SALT[rng.gen_range(0..SALT.len())]
+            } else {
+                rng.gen_range(-1.0e6..1.0e6)
+            }
+        };
+        (0..n).map(|_| Complex64::new(pick(), pick())).collect()
+    }
+
     #[test]
-    fn batched_fft_is_bit_identical_to_scalar_per_lane() {
-        for n in [2usize, 8, 64, 256] {
+    fn kernel_is_bit_identical_to_the_reference_on_every_isa() {
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
             let plan = FftPlan::new(n);
-            for lanes in [1usize, 2, 3, 5, 8] {
-                // Distinct data per lane, planar layout.
-                let mut re = vec![0.0f64; n * lanes];
-                let mut im = vec![0.0f64; n * lanes];
-                let mut scalars: Vec<Vec<Complex64>> = Vec::new();
-                for lane in 0..lanes {
-                    let data: Vec<Complex64> = (0..n)
-                        .map(|j| {
-                            Complex64::new(
-                                ((j * 31 + lane * 7) % 97) as f64 - 48.0,
-                                ((j * 17 + lane * 13) % 89) as f64 * 0.5 - 20.0,
-                            )
-                        })
-                        .collect();
-                    for (j, v) in data.iter().enumerate() {
-                        re[j * lanes + lane] = v.re;
-                        im[j * lanes + lane] = v.im;
-                    }
-                    scalars.push(data);
-                }
-                let mut fwd_re = re.clone();
-                let mut fwd_im = im.clone();
-                plan.forward_batch(&mut fwd_re, &mut fwd_im, lanes);
-                plan.inverse_batch(&mut re, &mut im, lanes);
-                for (lane, data) in scalars.iter().enumerate() {
-                    let mut fwd = data.clone();
-                    plan.forward(&mut fwd);
-                    assert_eq!(
-                        gather_lane(&fwd_re, &fwd_im, lanes, lane, n),
-                        fwd,
-                        "forward n={n} lanes={lanes} lane={lane}"
-                    );
-                    let mut inv = data.clone();
-                    plan.inverse(&mut inv);
-                    assert_eq!(
-                        gather_lane(&re, &im, lanes, lane, n),
-                        inv,
-                        "inverse n={n} lanes={lanes} lane={lane}"
-                    );
+            for seed in 0..4 {
+                let input = awkward_points(n, seed + 100 * log_n);
+                let mut forward = input.clone();
+                plan.forward(&mut forward);
+                let mut inverse = input.clone();
+                plan.inverse(&mut inverse);
+                for (name, simd) in Simd::every(n / 4) {
+                    let got = simd.run(Plain::<false> {
+                        plan: &plan,
+                        input: &input,
+                    });
+                    assert_eq!(bits(&got), bits(&forward), "forward n={n} {name}");
+                    let got = simd.run(Plain::<true> {
+                        plan: &plan,
+                        input: &input,
+                    });
+                    assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn batched_fft_rejects_zero_lanes() {
-        let plan = FftPlan::new(8);
-        plan.forward_batch(&mut [], &mut [], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn batched_fft_rejects_wrong_plane_size() {
-        let plan = FftPlan::new(8);
-        let mut re = vec![0.0; 8];
-        let mut im = vec![0.0; 8];
-        plan.forward_batch(&mut re, &mut im, 2);
+    fn plans_pick_an_isa_their_size_can_fill() {
+        assert!(matches!(FftPlan::new(8).simd(), Simd::Narrow));
+        assert!(!matches!(FftPlan::new(16).simd(), Simd::Narrow));
     }
 
     #[test]

@@ -4,30 +4,50 @@
 //! bootstrapping operations and builds its whole architecture around
 //! reducing them. This crate implements the functional transforms:
 //!
-//! - [`FftPlan`]: an iterative radix-2 complex FFT with precomputed
-//!   twiddle tables (the software analogue of the multi-delay-commutator
-//!   pipeline of §V-A.3).
-//! - [`NegacyclicFft`]: the negacyclic ("twisted") transform of
-//!   Klemsa that evaluates a real polynomial of size `N` at the odd
-//!   `2N`-th roots of unity using a single `N/2`-point complex FFT.
-//! - **Merge-split FFT** ([`NegacyclicFft::forward_pair`],
-//!   [`NegacyclicFft::inverse_pair`]): transforming *two* real polynomials
-//!   with one FFT invocation by packing one into the real and one into the
-//!   imaginary component and splitting via conjugate symmetry — the paper's
+//! - [`NegacyclicFft`]: the negacyclic ("twisted") transform of Klemsa
+//!   that evaluates a real polynomial of size `N` at the odd `2N`-th roots
+//!   of unity using a single `N/2`-point complex FFT, and the
+//!   **merge-split FFT**
+//!   ([`forward_pair_int_into`](NegacyclicFft::forward_pair_int_into),
+//!   [`inverse_pair_torus_into`](NegacyclicFft::inverse_pair_torus_into)):
+//!   *two* real polynomials through one `N`-point FFT, packed as real and
+//!   imaginary components and split via conjugate symmetry — the paper's
 //!   MS-FFT (§V-A.3).
 //! - [`Spectrum`]: transform-domain data (what Morphling keeps in
 //!   POLY-ACC-REG and the Private-A2 buffer), with the pointwise
 //!   multiply-accumulate the VPEs perform.
-//! - **Batched SoA transforms** ([`PolyBatch`], [`SpectrumBatch`],
-//!   [`BatchScratch`] and the `*_batch_into` entry points on
-//!   [`NegacyclicFft`]): planar, lane-innermost batches whose kernels run
-//!   every lane in lockstep — the software twin of the paper's 2D-systolic
-//!   VPE array (§V-A), and the layout SIMD/GPU backends want. Batch
-//!   outputs are bit-identical to the one-polynomial calls at any lane
-//!   count (per lane, the kernels replay the scalar f64 operation
-//!   sequence exactly).
+//! - [`FftPlan`]: the twiddle ROM and block permutation of one transform
+//!   size, plus the scalar radix-2 FFT every kernel result is tested
+//!   against.
 //! - [`pipeline::PipelinedFftModel`]: the cycle/occupancy model of the
 //!   hardware FFT unit used by the simulator.
+//!
+//! # One kernel
+//!
+//! Every transform above is a single kernel (`fft.rs`): one polynomial held
+//! planar (a plane of real parts, a plane of imaginary parts), vectorized
+//! **along the coefficient axis** — the software image of a VPE row's
+//! lanes. It bit-reverses, then runs radix-2² passes (two butterfly stages
+//! fused per sweep), with the negacyclic twist folded into the first pass
+//! and the untwist, scaling and round-to-torus into the last. It is
+//! written once, generically over a four-lane vector type (`simd.rs`), and
+//! instantiated for portable `[f64; 4]` arithmetic and for AVX2
+//! (`std::arch`); which one runs is decided once, from CPU detection, when
+//! a plan is built.
+//!
+//! **Bits do not depend on that choice.** Per element, both
+//! instantiations perform exactly the f64 operation sequence of the scalar
+//! reference — IEEE `add`/`sub`/`mul` only, never a fused multiply-add,
+//! and a rounding step that reproduces `f64::round` (half away from zero)
+//! where the hardware instruction would round half to even — so kernel
+//! output equals [`FftPlan::forward`]/[`FftPlan::inverse`] plus the scalar
+//! twist bit for bit, on every input (`tests/properties.rs` and the
+//! in-crate identity tests). [`PolyBatch`]/[`SpectrumBatch`] and the
+//! `*_batch_into` entry points run that same kernel once per lane.
+//!
+//! `unsafe` is denied crate-wide and allowed in exactly one module,
+//! `simd::avx2`, whose intrinsics are reachable only through a token that
+//! CPU detection hands out.
 //!
 //! # Example: negacyclic product via the transform domain
 //!
@@ -43,26 +63,25 @@
 //! assert_eq!(product, exact);
 //! ```
 //!
-//! # Example: the same products as one lockstep batch
+//! # Example: accumulate in the transform domain, invert once
 //!
 //! ```
 //! use morphling_math::{Polynomial, Torus32};
-//! use morphling_transform::{NegacyclicFft, PolyBatch};
+//! use morphling_transform::{NegacyclicFft, Spectrum};
 //!
 //! let fft = NegacyclicFft::new(64);
-//! let digits: Vec<Polynomial<i64>> =
-//!     (0..4).map(|l| Polynomial::from_fn(64, |j| ((j + l) as i64 % 7) - 3)).collect();
-//! let ts: Vec<Polynomial<Torus32>> =
-//!     (0..4).map(|l| Polynomial::from_fn(64, |j| Torus32::from_raw(((j * (l + 1)) as u32) << 20))).collect();
-//! let prods = fft
-//!     .mul_int_torus_batch(&PolyBatch::from_polys(&digits), &PolyBatch::from_polys(&ts))
-//!     .to_polys();
-//! for lane in 0..4 {
-//!     assert_eq!(prods[lane], fft.mul_int_torus(&digits[lane], &ts[lane]));
+//! let mut acc = Spectrum::zero(64);
+//! let mut exact = Polynomial::<Torus32>::zero(64);
+//! for l in 0..4 {
+//!     let digits = Polynomial::from_fn(64, |j| ((j + l) as i64 % 7) - 3);
+//!     let t = Polynomial::from_fn(64, |j| Torus32::from_raw(((j * (l + 1)) as u32) << 20));
+//!     acc.mul_acc(&fft.forward_int(&digits), &fft.forward_torus(&t));
+//!     exact += &morphling_math::negacyclic::mul_int_torus32(&digits, &t);
 //! }
+//! assert_eq!(fft.inverse_torus(&acc), exact);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -72,6 +91,7 @@ mod fft;
 mod negacyclic;
 pub mod ntt;
 pub mod pipeline;
+mod simd;
 mod spectrum;
 
 pub use batch::{BatchScratch, PolyBatch, SpectrumBatch};

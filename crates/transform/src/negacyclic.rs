@@ -16,11 +16,17 @@
 //!
 //! Both paths produce identical [`Spectrum`] values (asserted by tests), so
 //! the rest of the system is agnostic to which one produced the data.
+//!
+//! Every entry point is the one kernel of [`crate::fft`] with a different
+//! first and last pass: the twist (or merge) rides on the pass that reads
+//! the coefficients, the untwist, `1/n` scaling and rounding on the pass
+//! that writes them.
 
-use morphling_math::{Complex64, Polynomial, Torus32};
+use morphling_math::{Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
-use crate::fft::FftPlan;
+use crate::fft::{store_back, FftPlan};
+use crate::simd::{cmul, Isa, Kernel};
 use crate::spectrum::Spectrum;
 
 /// Negacyclic transform engine for polynomials of one size `N`.
@@ -33,14 +39,72 @@ pub struct NegacyclicFft {
     n: usize,
     half_plan: FftPlan,
     full_plan: FftPlan,
-    /// `ζ^j` for `j < N/2`, `ζ = e^(-iπ/N)`.
-    twist_half: Vec<Complex64>,
-    /// `ζ^(-j)` for `j < N/2`.
-    untwist_half: Vec<Complex64>,
-    /// `ζ^j` for `j < N` (merge-split path).
-    twist_full: Vec<Complex64>,
+    /// `ζ^j` for `j < N`, `ζ = e^(-iπ/N)`, planar; the folded path reads
+    /// the first half, the merge-split path all of it.
+    twist_re: Vec<f64>,
+    twist_im: Vec<f64>,
     /// `ζ^(-j)` for `j < N`.
-    untwist_full: Vec<Complex64>,
+    untwist_re: Vec<f64>,
+    untwist_im: Vec<f64>,
+}
+
+/// A coefficient type the forward transform reads.
+trait Coefficient: Copy {
+    fn widen(self) -> f64;
+}
+
+impl Coefficient for f64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+impl Coefficient for i64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+}
+
+/// The centered signed representative (the standard TFHE convention —
+/// keeping magnitudes ≤ q/2 preserves f64 precision).
+impl Coefficient for Torus32 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self.to_signed() as f64
+    }
+}
+
+/// A coefficient type the inverse transform writes.
+trait Output: Copy {
+    fn put<I: Isa>(isa: I, dst: &mut [Self], at: usize, v: I::V);
+}
+
+impl Output for f64 {
+    #[inline(always)]
+    fn put<I: Isa>(isa: I, dst: &mut [f64], at: usize, v: I::V) {
+        isa.store(dst, at, v);
+    }
+}
+
+/// Rounded to the nearest integer and wrapped into the 32-bit torus.
+impl Output for Torus32 {
+    #[inline(always)]
+    fn put<I: Isa>(isa: I, dst: &mut [Torus32], at: usize, v: I::V) {
+        isa.round_wrap_store(dst, at, v);
+    }
+}
+
+/// Two work planes of `n` points each inside `scratch`, which grows to the
+/// largest request seen and stays there. Contents are unspecified: the
+/// kernel's first pass overwrites every point.
+fn work_planes(scratch: &mut Vec<f64>, n: usize) -> (&mut [f64], &mut [f64]) {
+    if scratch.len() < 2 * n {
+        scratch.resize(2 * n, 0.0);
+    }
+    let (re, im) = scratch.split_at_mut(n);
+    (re, &mut im[..n])
 }
 
 impl NegacyclicFft {
@@ -55,16 +119,16 @@ impl NegacyclicFft {
             "polynomial size must be a power of two ≥ 4, got {n}"
         );
         let step = -std::f64::consts::PI / n as f64;
-        let twist = |j: usize| Complex64::from_polar_unit(step * j as f64);
-        let untwist = |j: usize| Complex64::from_polar_unit(-step * j as f64);
+        let twist = |j: usize| step * j as f64;
+        let untwist = |j: usize| -step * j as f64;
         Self {
             n,
             half_plan: FftPlan::new(n / 2),
             full_plan: FftPlan::new(n),
-            twist_half: (0..n / 2).map(twist).collect(),
-            untwist_half: (0..n / 2).map(untwist).collect(),
-            twist_full: (0..n).map(twist).collect(),
-            untwist_full: (0..n).map(untwist).collect(),
+            twist_re: (0..n).map(|j| twist(j).cos()).collect(),
+            twist_im: (0..n).map(|j| twist(j).sin()).collect(),
+            untwist_re: (0..n).map(|j| untwist(j).cos()).collect(),
+            untwist_im: (0..n).map(|j| untwist(j).sin()).collect(),
         }
     }
 
@@ -82,30 +146,8 @@ impl NegacyclicFft {
     /// Panics if `coeffs.len() != N`.
     pub fn forward_real(&self, coeffs: &[f64]) -> Spectrum {
         let mut out = Spectrum::zero(self.n);
-        self.forward_real_into(coeffs, &mut out);
+        self.forward_folded(coeffs, &mut out);
         out
-    }
-
-    /// [`forward_real`](Self::forward_real) into a caller-owned spectrum,
-    /// bit-identical and allocation-free: the fold/twist writes straight
-    /// into the output points and the FFT runs in place there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != N` or the output spectrum size differs.
-    pub fn forward_real_into(&self, coeffs: &[f64], out: &mut Spectrum) {
-        assert_eq!(
-            coeffs.len(),
-            self.n,
-            "coefficient count must equal the engine size"
-        );
-        assert_eq!(out.poly_len(), self.n, "output spectrum size mismatch");
-        let half = self.n / 2;
-        let vals = out.values_mut();
-        for j in 0..half {
-            vals[j] = Complex64::new(coeffs[j], -coeffs[j + half]) * self.twist_half[j];
-        }
-        self.half_plan.forward(vals);
     }
 
     /// Inverse transform back to real coefficients (unrounded `f64`).
@@ -114,20 +156,8 @@ impl NegacyclicFft {
     ///
     /// Panics if the spectrum size does not match the engine.
     pub fn inverse_real(&self, spectrum: &Spectrum) -> Vec<f64> {
-        assert_eq!(
-            spectrum.poly_len(),
-            self.n,
-            "spectrum size must equal the engine size"
-        );
-        let half = self.n / 2;
-        let mut buf = spectrum.values().to_vec();
-        self.half_plan.inverse(&mut buf);
         let mut out = vec![0.0f64; self.n];
-        for j in 0..half {
-            let u = buf[j] * self.untwist_half[j];
-            out[j] = u.re;
-            out[j + half] = -u.im;
-        }
+        self.inverse_folded(spectrum, &mut out, &mut Vec::new());
         out
     }
 
@@ -139,73 +169,51 @@ impl NegacyclicFft {
     }
 
     /// [`forward_int`](Self::forward_int) into a caller-owned spectrum —
-    /// the integer digits are widened to `f64` on the fly, with no staging
-    /// buffer at all.
+    /// allocation-free: the digits are widened to `f64` and twisted on the
+    /// fly by the kernel's first pass, and the rest runs in place in
+    /// `out`.
     ///
     /// # Panics
     ///
     /// Panics if `p.len() != N` or the output spectrum size differs.
     pub fn forward_int_into(&self, p: &Polynomial<i64>, out: &mut Spectrum) {
-        assert_eq!(
-            p.len(),
-            self.n,
-            "polynomial size must equal the engine size"
-        );
-        assert_eq!(out.poly_len(), self.n, "output spectrum size mismatch");
-        let half = self.n / 2;
-        let c = p.coeffs();
-        let vals = out.values_mut();
-        for j in 0..half {
-            vals[j] = Complex64::new(c[j] as f64, -(c[j + half] as f64)) * self.twist_half[j];
-        }
-        self.half_plan.forward(vals);
+        self.forward_folded(p.coeffs(), out);
     }
 
     /// Forward transform of a torus polynomial, using the centered signed
-    /// representative of each coefficient (the standard TFHE convention —
-    /// keeping magnitudes ≤ q/2 preserves f64 precision).
+    /// representative of each coefficient.
     pub fn forward_torus(&self, p: &Polynomial<Torus32>) -> Spectrum {
         let mut out = Spectrum::zero(self.n);
-        self.forward_torus_into(p, &mut out);
+        self.forward_folded(p.coeffs(), &mut out);
         out
     }
 
-    /// [`forward_torus`](Self::forward_torus) into a caller-owned
-    /// spectrum, staging-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p.len() != N` or the output spectrum size differs.
-    pub fn forward_torus_into(&self, p: &Polynomial<Torus32>, out: &mut Spectrum) {
+    fn forward_folded<T: Coefficient>(&self, coeffs: &[T], out: &mut Spectrum) {
         assert_eq!(
-            p.len(),
+            coeffs.len(),
             self.n,
             "polynomial size must equal the engine size"
         );
         assert_eq!(out.poly_len(), self.n, "output spectrum size mismatch");
-        let half = self.n / 2;
-        let c = p.coeffs();
-        let vals = out.values_mut();
-        for j in 0..half {
-            vals[j] = Complex64::new(c[j].to_signed() as f64, -(c[j + half].to_signed() as f64))
-                * self.twist_half[j];
-        }
-        self.half_plan.forward(vals);
+        self.half_plan.simd().run(ForwardFolded {
+            fft: self,
+            coeffs,
+            out,
+        });
     }
 
     /// Inverse transform, rounding each coefficient to the nearest integer
     /// and wrapping into the 32-bit torus.
     pub fn inverse_torus(&self, spectrum: &Spectrum) -> Polynomial<Torus32> {
         let mut out = Polynomial::zero(self.n);
-        let mut scratch = Vec::new();
-        self.inverse_torus_into(spectrum, &mut out, &mut scratch);
+        self.inverse_torus_into(spectrum, &mut out, &mut Vec::new());
         out
     }
 
     /// [`inverse_torus`](Self::inverse_torus) into a caller-owned
-    /// polynomial. `scratch` is resized to `N/2` points and reused across
-    /// calls — after the first call it never reallocates (the software
-    /// Coef buffer).
+    /// polynomial. `scratch` is the kernel's work area (the software Coef
+    /// buffer): it grows to `N` values on first use and is reused across
+    /// calls without reallocating.
     ///
     /// # Panics
     ///
@@ -215,7 +223,16 @@ impl NegacyclicFft {
         &self,
         spectrum: &Spectrum,
         out: &mut Polynomial<Torus32>,
-        scratch: &mut Vec<Complex64>,
+        scratch: &mut Vec<f64>,
+    ) {
+        self.inverse_folded(spectrum, out.coeffs_mut(), scratch);
+    }
+
+    fn inverse_folded<T: Output>(
+        &self,
+        spectrum: &Spectrum,
+        out: &mut [T],
+        scratch: &mut Vec<f64>,
     ) {
         assert_eq!(
             spectrum.poly_len(),
@@ -223,67 +240,20 @@ impl NegacyclicFft {
             "spectrum size must equal the engine size"
         );
         assert_eq!(out.len(), self.n, "output polynomial size mismatch");
-        let half = self.n / 2;
-        scratch.clear();
-        scratch.extend_from_slice(spectrum.values());
-        self.half_plan.inverse(scratch);
-        for j in 0..half {
-            let u = scratch[j] * self.untwist_half[j];
-            out[j] = Torus32::from_raw(round_wrap_u32(u.re));
-            out[j + half] = Torus32::from_raw(round_wrap_u32(-u.im));
-        }
+        self.half_plan.simd().run(InverseFolded {
+            fft: self,
+            spectrum,
+            out,
+            scratch,
+        });
     }
 
-    /// **Merge-split forward**: transform *two* real polynomials with one
-    /// `N`-point FFT (the paper's MS-FFT). Returns their two spectra,
-    /// identical to what two [`Self::forward_real`] calls would produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input length differs from `N`.
-    pub fn forward_pair_real(&self, p: &[f64], q: &[f64]) -> (Spectrum, Spectrum) {
-        assert_eq!(p.len(), self.n, "first polynomial size mismatch");
-        assert_eq!(q.len(), self.n, "second polynomial size mismatch");
-        // Merge: r_j = (p_j + i q_j) ζ^j, evaluate at all odd 2N-th roots.
-        let mut buf: Vec<Complex64> = (0..self.n)
-            .map(|j| Complex64::new(p[j], q[j]) * self.twist_full[j])
-            .collect();
-        self.full_plan.forward(&mut buf);
-        // Split: R_m = P(t_m) + i Q(t_m) with t_m = ζ^(2m+1) and, because p
-        // and q are real, P(t_(N-1-m)) = conj(P(t_m)). Keep the even-m
-        // points, which are exactly the ζ^(4m'+1) grid of the folded path.
-        let half = self.n / 2;
-        let mut ps = Vec::with_capacity(half);
-        let mut qs = Vec::with_capacity(half);
-        for m2 in 0..half {
-            let m = 2 * m2;
-            let r = buf[m];
-            let rc = buf[self.n - 1 - m].conj();
-            let p_val = (r + rc).scale(0.5);
-            // (r - rc) / (2i) = -i (r - rc) / 2.
-            let q_val = (r - rc).mul_i().scale(-0.5);
-            ps.push(p_val);
-            qs.push(q_val);
-        }
-        (Spectrum::from_values(ps), Spectrum::from_values(qs))
-    }
-
-    /// Merge-split forward for two integer polynomials.
-    pub fn forward_pair_int(
-        &self,
-        p: &Polynomial<i64>,
-        q: &Polynomial<i64>,
-    ) -> (Spectrum, Spectrum) {
-        let mut out_p = Spectrum::zero(self.n);
-        let mut out_q = Spectrum::zero(self.n);
-        let mut scratch = Vec::new();
-        self.forward_pair_int_into(p, q, &mut out_p, &mut out_q, &mut scratch);
-        (out_p, out_q)
-    }
-
-    /// [`forward_pair_int`](Self::forward_pair_int) into caller-owned
-    /// spectra. `scratch` holds the merged `N`-point complex sequence and
-    /// is reused across calls — allocation-free once warm.
+    /// **Merge-split forward**: transform *two* integer polynomials with
+    /// one `N`-point FFT (the paper's MS-FFT) into caller-owned spectra,
+    /// equal (up to f64 round-off) to what two
+    /// [`forward_int_into`](Self::forward_int_into) calls produce.
+    /// `scratch` holds the merged `N`-point sequence and is reused across
+    /// calls — allocation-free once warm.
     ///
     /// # Panics
     ///
@@ -294,7 +264,7 @@ impl NegacyclicFft {
         q: &Polynomial<i64>,
         out_p: &mut Spectrum,
         out_q: &mut Spectrum,
-        scratch: &mut Vec<Complex64>,
+        scratch: &mut Vec<f64>,
     ) {
         assert_eq!(p.len(), self.n, "first polynomial size mismatch");
         assert_eq!(q.len(), self.n, "second polynomial size mismatch");
@@ -308,70 +278,20 @@ impl NegacyclicFft {
             self.n,
             "second output spectrum size mismatch"
         );
-        // Merge: r_j = (p_j + i q_j) ζ^j, evaluate at all odd 2N-th roots.
-        let (pc, qc) = (p.coeffs(), q.coeffs());
-        scratch.clear();
-        scratch.extend(
-            (0..self.n).map(|j| Complex64::new(pc[j] as f64, qc[j] as f64) * self.twist_full[j]),
-        );
-        self.full_plan.forward(scratch);
-        // Split: same conjugate-symmetry separation as forward_pair_real.
-        let half = self.n / 2;
-        let (ps, qs) = (out_p.values_mut(), out_q.values_mut());
-        for m2 in 0..half {
-            let m = 2 * m2;
-            let r = scratch[m];
-            let rc = scratch[self.n - 1 - m].conj();
-            ps[m2] = (r + rc).scale(0.5);
-            qs[m2] = (r - rc).mul_i().scale(-0.5);
-        }
+        self.full_plan.simd().run(ForwardPair {
+            fft: self,
+            p: p.coeffs(),
+            q: q.coeffs(),
+            out_p,
+            out_q,
+            scratch,
+        });
     }
 
-    /// **Merge-split inverse**: reconstruct two real polynomials from their
-    /// spectra using one `N`-point inverse FFT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either spectrum size differs from the engine size.
-    pub fn inverse_pair_real(&self, ps: &Spectrum, qs: &Spectrum) -> (Vec<f64>, Vec<f64>) {
-        assert_eq!(ps.poly_len(), self.n, "first spectrum size mismatch");
-        assert_eq!(qs.poly_len(), self.n, "second spectrum size mismatch");
-        let mut buf = vec![Complex64::ZERO; self.n];
-        for (m, slot) in buf.iter_mut().enumerate() {
-            *slot = if m % 2 == 0 {
-                ps.values()[m / 2] + qs.values()[m / 2].mul_i()
-            } else {
-                let k = (self.n - 1 - m) / 2;
-                ps.values()[k].conj() + qs.values()[k].conj().mul_i()
-            };
-        }
-        self.full_plan.inverse(&mut buf);
-        let mut p = vec![0.0; self.n];
-        let mut q = vec![0.0; self.n];
-        for j in 0..self.n {
-            let u = buf[j] * self.untwist_full[j];
-            p[j] = u.re;
-            q[j] = u.im;
-        }
-        (p, q)
-    }
-
-    /// Merge-split inverse with rounding into torus polynomials.
-    pub fn inverse_pair_torus(
-        &self,
-        ps: &Spectrum,
-        qs: &Spectrum,
-    ) -> (Polynomial<Torus32>, Polynomial<Torus32>) {
-        let mut out_p = Polynomial::zero(self.n);
-        let mut out_q = Polynomial::zero(self.n);
-        let mut scratch = Vec::new();
-        self.inverse_pair_torus_into(ps, qs, &mut out_p, &mut out_q, &mut scratch);
-        (out_p, out_q)
-    }
-
-    /// [`inverse_pair_torus`](Self::inverse_pair_torus) into caller-owned
-    /// polynomials, reusing `scratch` for the `N`-point inverse FFT —
-    /// allocation-free once warm.
+    /// **Merge-split inverse**: reconstruct two torus polynomials from
+    /// their spectra using one `N`-point inverse FFT, rounding as
+    /// [`inverse_torus_into`](Self::inverse_torus_into) does. `scratch` is
+    /// reused across calls — allocation-free once warm.
     ///
     /// # Panics
     ///
@@ -382,7 +302,7 @@ impl NegacyclicFft {
         qs: &Spectrum,
         out_p: &mut Polynomial<Torus32>,
         out_q: &mut Polynomial<Torus32>,
-        scratch: &mut Vec<Complex64>,
+        scratch: &mut Vec<f64>,
     ) {
         assert_eq!(ps.poly_len(), self.n, "first spectrum size mismatch");
         assert_eq!(qs.poly_len(), self.n, "second spectrum size mismatch");
@@ -392,21 +312,14 @@ impl NegacyclicFft {
             self.n,
             "second output polynomial size mismatch"
         );
-        scratch.clear();
-        scratch.extend((0..self.n).map(|m| {
-            if m % 2 == 0 {
-                ps.values()[m / 2] + qs.values()[m / 2].mul_i()
-            } else {
-                let k = (self.n - 1 - m) / 2;
-                ps.values()[k].conj() + qs.values()[k].conj().mul_i()
-            }
-        }));
-        self.full_plan.inverse(scratch);
-        for j in 0..self.n {
-            let u = scratch[j] * self.untwist_full[j];
-            out_p[j] = Torus32::from_raw(round_wrap_u32(u.re));
-            out_q[j] = Torus32::from_raw(round_wrap_u32(u.im));
-        }
+        self.full_plan.simd().run(InversePair {
+            fft: self,
+            ps,
+            qs,
+            out_p: out_p.coeffs_mut(),
+            out_q: out_q.coeffs_mut(),
+            scratch,
+        });
     }
 
     /// Convenience: full negacyclic product `digits(X) · t(X)` through the
@@ -422,129 +335,26 @@ impl NegacyclicFft {
         self.inverse_torus(&a.pointwise_mul(&b))
     }
 
-    // --- Batched (SoA) entry points: the software VPE array ---
-    //
-    // Every batch kernel below performs, per lane, exactly the f64
-    // operation sequence of its scalar counterpart (same fold, same
-    // twist multiply, same FFT butterfly order), so batch outputs are
-    // bit-identical to the one-polynomial calls at any lane count.
-
-    /// Shared fold+twist for the batched folded forward path: per lane,
-    /// exactly `Complex64::new(c[j], -c[j+half]) * twist_half[j]`.
-    fn fold_twist_batch<T: Copy>(
-        &self,
-        data: &[T],
-        lanes: usize,
-        to_f64: impl Fn(T) -> f64,
-        re: &mut [f64],
-        im: &mut [f64],
-    ) {
-        let half = self.n / 2;
-        for j in 0..half {
-            let tw = self.twist_half[j];
-            let lo = &data[j * lanes..(j + 1) * lanes];
-            let hi = &data[(j + half) * lanes..(j + half + 1) * lanes];
-            let out_re = &mut re[j * lanes..(j + 1) * lanes];
-            let out_im = &mut im[j * lanes..(j + 1) * lanes];
-            for l in 0..lanes {
-                let a_re = to_f64(lo[l]);
-                let a_im = -to_f64(hi[l]);
-                out_re[l] = a_re * tw.re - a_im * tw.im;
-                out_im[l] = a_re * tw.im + a_im * tw.re;
-            }
-        }
-    }
-
-    fn check_batch_out(&self, in_n: usize, in_lanes: usize, out: &SpectrumBatch) {
-        assert_eq!(
-            in_n, self.n,
-            "batch polynomial size must equal the engine size"
-        );
-        assert_eq!(out.poly_len(), self.n, "output batch size mismatch");
-        assert_eq!(out.lanes(), in_lanes, "output batch lane count mismatch");
-    }
-
-    /// Batched [`forward_int`](Self::forward_int): all lanes advance
-    /// through the fold, twist, and FFT in lockstep.
-    pub fn forward_int_batch(&self, batch: &PolyBatch<i64>) -> SpectrumBatch {
-        let mut out = SpectrumBatch::zero(self.n, batch.lanes());
-        self.forward_int_batch_into(batch, &mut out);
-        out
-    }
-
-    /// [`forward_int_batch`](Self::forward_int_batch) into a caller-owned
-    /// spectrum batch, allocation-free. Each lane is bit-identical to
-    /// [`forward_int_into`](Self::forward_int_into) of that polynomial.
+    /// [`forward_int_into`](Self::forward_int_into) for every polynomial
+    /// of a batch.
     ///
     /// # Panics
     ///
     /// Panics if the batch size or the output shape disagree with the
     /// engine.
     pub fn forward_int_batch_into(&self, batch: &PolyBatch<i64>, out: &mut SpectrumBatch) {
-        self.check_batch_out(batch.poly_len(), batch.lanes(), out);
-        let lanes = batch.lanes();
-        let (re, im) = out.planes_mut();
-        self.fold_twist_batch(batch.data(), lanes, |v| v as f64, re, im);
-        self.half_plan.forward_batch(re, im, lanes);
-    }
-
-    /// Batched [`forward_torus`](Self::forward_torus).
-    pub fn forward_torus_batch(&self, batch: &PolyBatch<Torus32>) -> SpectrumBatch {
-        let mut out = SpectrumBatch::zero(self.n, batch.lanes());
-        self.forward_torus_batch_into(batch, &mut out);
-        out
-    }
-
-    /// [`forward_torus_batch`](Self::forward_torus_batch) into a
-    /// caller-owned spectrum batch; per lane bit-identical to
-    /// [`forward_torus_into`](Self::forward_torus_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch size or the output shape disagree with the
-    /// engine.
-    pub fn forward_torus_batch_into(&self, batch: &PolyBatch<Torus32>, out: &mut SpectrumBatch) {
-        self.check_batch_out(batch.poly_len(), batch.lanes(), out);
-        let lanes = batch.lanes();
-        let (re, im) = out.planes_mut();
-        self.fold_twist_batch(
-            batch.data(),
-            lanes,
-            |v: Torus32| v.to_signed() as f64,
-            re,
-            im,
+        assert_eq!(
+            out.lanes(),
+            batch.lanes(),
+            "output batch lane count mismatch"
         );
-        self.half_plan.forward_batch(re, im, lanes);
+        for (p, s) in batch.polys().iter().zip(out.spectra_mut()) {
+            self.forward_int_into(p, s);
+        }
     }
 
-    /// Batched [`forward_real`](Self::forward_real) into a caller-owned
-    /// spectrum batch; per lane bit-identical to
-    /// [`forward_real_into`](Self::forward_real_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch size or the output shape disagree with the
-    /// engine.
-    pub fn forward_real_batch_into(&self, batch: &PolyBatch<f64>, out: &mut SpectrumBatch) {
-        self.check_batch_out(batch.poly_len(), batch.lanes(), out);
-        let lanes = batch.lanes();
-        let (re, im) = out.planes_mut();
-        self.fold_twist_batch(batch.data(), lanes, |v| v, re, im);
-        self.half_plan.forward_batch(re, im, lanes);
-    }
-
-    /// Batched [`inverse_torus`](Self::inverse_torus).
-    pub fn inverse_torus_batch(&self, spec: &SpectrumBatch) -> PolyBatch<Torus32> {
-        let mut out = PolyBatch::zero(self.n, spec.lanes());
-        let mut scratch = BatchScratch::new();
-        self.inverse_torus_batch_into(spec, &mut out, &mut scratch);
-        out
-    }
-
-    /// [`inverse_torus_batch`](Self::inverse_torus_batch) into a
-    /// caller-owned polynomial batch, reusing `scratch` — allocation-free
-    /// once warm. Per lane bit-identical to
-    /// [`inverse_torus_into`](Self::inverse_torus_into).
+    /// [`inverse_torus_into`](Self::inverse_torus_into) for every spectrum
+    /// of a batch.
     ///
     /// # Panics
     ///
@@ -557,256 +367,222 @@ impl NegacyclicFft {
         scratch: &mut BatchScratch,
     ) {
         assert_eq!(
-            spec.poly_len(),
-            self.n,
-            "spectrum batch size must equal the engine size"
-        );
-        assert_eq!(out.poly_len(), self.n, "output batch size mismatch");
-        assert_eq!(
             out.lanes(),
             spec.lanes(),
             "output batch lane count mismatch"
         );
-        let lanes = spec.lanes();
-        let half = self.n / 2;
-        let (re, im) = scratch.planes(half * lanes);
-        re.copy_from_slice(spec.re());
-        im.copy_from_slice(spec.im());
-        self.half_plan.inverse_batch(re, im, lanes);
-        let data = out.data_mut();
-        for j in 0..half {
-            let tw = self.untwist_half[j];
-            for l in 0..lanes {
-                let sr = re[j * lanes + l];
-                let si = im[j * lanes + l];
-                let u_re = sr * tw.re - si * tw.im;
-                let u_im = sr * tw.im + si * tw.re;
-                data[j * lanes + l] = Torus32::from_raw(round_wrap_u32(u_re));
-                data[(j + half) * lanes + l] = Torus32::from_raw(round_wrap_u32(-u_im));
-            }
+        for (s, p) in spec.spectra().iter().zip(out.polys_mut()) {
+            self.inverse_torus_into(s, p, scratch.planes());
         }
-    }
-
-    /// Batched merge-split forward: lanes `(2t, 2t+1)` share one `N`-point
-    /// FFT pass exactly as [`forward_pair_int_into`]
-    /// (Self::forward_pair_int_into) pairs them; an odd trailing lane goes
-    /// through the folded path, mirroring the scalar
-    /// `chunks_exact(2)` + remainder schedule — so the whole batch is
-    /// bit-identical to the scalar merge-split loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch size or the output shape disagree with the
-    /// engine.
-    pub fn forward_pair_int_batch_into(
-        &self,
-        batch: &PolyBatch<i64>,
-        out: &mut SpectrumBatch,
-        scratch: &mut BatchScratch,
-    ) {
-        self.check_batch_out(batch.poly_len(), batch.lanes(), out);
-        let lanes = batch.lanes();
-        let pairs = lanes / 2;
-        let half = self.n / 2;
-        let c = batch.data();
-        if pairs > 0 {
-            // Merge: r_j = (p_j + i q_j) ζ^j per pair, all pairs in lockstep.
-            let (sre, sim) = scratch.planes(self.n * pairs);
-            for j in 0..self.n {
-                let tw = self.twist_full[j];
-                let row = &c[j * lanes..(j + 1) * lanes];
-                let out_re = &mut sre[j * pairs..(j + 1) * pairs];
-                let out_im = &mut sim[j * pairs..(j + 1) * pairs];
-                for t in 0..pairs {
-                    let p = row[2 * t] as f64;
-                    let q = row[2 * t + 1] as f64;
-                    out_re[t] = p * tw.re - q * tw.im;
-                    out_im[t] = p * tw.im + q * tw.re;
-                }
-            }
-            self.full_plan.forward_batch(sre, sim, pairs);
-            // Split via conjugate symmetry, exactly as the scalar path.
-            let (ore, oim) = out.planes_mut();
-            for m2 in 0..half {
-                let m = 2 * m2;
-                for t in 0..pairs {
-                    let r_re = sre[m * pairs + t];
-                    let r_im = sim[m * pairs + t];
-                    let rc_re = sre[(self.n - 1 - m) * pairs + t];
-                    let rc_im = -sim[(self.n - 1 - m) * pairs + t];
-                    ore[m2 * lanes + 2 * t] = (r_re + rc_re) * 0.5;
-                    oim[m2 * lanes + 2 * t] = (r_im + rc_im) * 0.5;
-                    let d_re = r_re - rc_re;
-                    let d_im = r_im - rc_im;
-                    ore[m2 * lanes + 2 * t + 1] = (-d_im) * (-0.5);
-                    oim[m2 * lanes + 2 * t + 1] = d_re * (-0.5);
-                }
-            }
-        }
-        if lanes % 2 == 1 {
-            // Trailing lane: the folded N/2-point path, as the scalar
-            // remainder does.
-            let lane = lanes - 1;
-            let (sre, sim) = scratch.planes(half);
-            for j in 0..half {
-                let tw = self.twist_half[j];
-                let a_re = c[j * lanes + lane] as f64;
-                let a_im = -(c[(j + half) * lanes + lane] as f64);
-                sre[j] = a_re * tw.re - a_im * tw.im;
-                sim[j] = a_re * tw.im + a_im * tw.re;
-            }
-            self.half_plan.forward_batch(sre, sim, 1);
-            let (ore, oim) = out.planes_mut();
-            for m in 0..half {
-                ore[m * lanes + lane] = sre[m];
-                oim[m * lanes + lane] = sim[m];
-            }
-        }
-    }
-
-    /// Batched merge-split inverse with rounding: lane pairs `(2t, 2t+1)`
-    /// share one `N`-point inverse FFT exactly as
-    /// [`inverse_pair_torus_into`](Self::inverse_pair_torus_into) pairs
-    /// them; an odd trailing lane takes the folded path — bit-identical to
-    /// the scalar `chunks_exact(2)` + remainder schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spectrum batch or the output shape disagree with the
-    /// engine.
-    pub fn inverse_pair_torus_batch_into(
-        &self,
-        spec: &SpectrumBatch,
-        out: &mut PolyBatch<Torus32>,
-        scratch: &mut BatchScratch,
-    ) {
-        assert_eq!(
-            spec.poly_len(),
-            self.n,
-            "spectrum batch size must equal the engine size"
-        );
-        assert_eq!(out.poly_len(), self.n, "output batch size mismatch");
-        assert_eq!(
-            out.lanes(),
-            spec.lanes(),
-            "output batch lane count mismatch"
-        );
-        let lanes = spec.lanes();
-        let pairs = lanes / 2;
-        let half = self.n / 2;
-        if pairs > 0 {
-            let (sre, sim) = scratch.planes(self.n * pairs);
-            let (pre, pim) = (spec.re(), spec.im());
-            // Merge the two spectra of each pair back into one N-point
-            // sequence (conjugate symmetry), all pairs in lockstep.
-            for m in 0..self.n {
-                let out_re = &mut sre[m * pairs..(m + 1) * pairs];
-                let out_im = &mut sim[m * pairs..(m + 1) * pairs];
-                if m % 2 == 0 {
-                    let k = m / 2;
-                    for t in 0..pairs {
-                        let p_re = pre[k * lanes + 2 * t];
-                        let p_im = pim[k * lanes + 2 * t];
-                        let q_re = pre[k * lanes + 2 * t + 1];
-                        let q_im = pim[k * lanes + 2 * t + 1];
-                        out_re[t] = p_re + (-q_im);
-                        out_im[t] = p_im + q_re;
-                    }
-                } else {
-                    let k = (self.n - 1 - m) / 2;
-                    for t in 0..pairs {
-                        let p_re = pre[k * lanes + 2 * t];
-                        let p_im = -pim[k * lanes + 2 * t];
-                        let q_re = pre[k * lanes + 2 * t + 1];
-                        let q_im = -pim[k * lanes + 2 * t + 1];
-                        out_re[t] = p_re + (-q_im);
-                        out_im[t] = p_im + q_re;
-                    }
-                }
-            }
-            self.full_plan.inverse_batch(sre, sim, pairs);
-            let data = out.data_mut();
-            for j in 0..self.n {
-                let tw = self.untwist_full[j];
-                for t in 0..pairs {
-                    let sr = sre[j * pairs + t];
-                    let si = sim[j * pairs + t];
-                    let u_re = sr * tw.re - si * tw.im;
-                    let u_im = sr * tw.im + si * tw.re;
-                    data[j * lanes + 2 * t] = Torus32::from_raw(round_wrap_u32(u_re));
-                    data[j * lanes + 2 * t + 1] = Torus32::from_raw(round_wrap_u32(u_im));
-                }
-            }
-        }
-        if lanes % 2 == 1 {
-            let lane = lanes - 1;
-            let (sre, sim) = scratch.planes(half);
-            for m in 0..half {
-                sre[m] = spec.re()[m * lanes + lane];
-                sim[m] = spec.im()[m * lanes + lane];
-            }
-            self.half_plan.inverse_batch(sre, sim, 1);
-            let data = out.data_mut();
-            for j in 0..half {
-                let tw = self.untwist_half[j];
-                let sr = sre[j];
-                let si = sim[j];
-                let u_re = sr * tw.re - si * tw.im;
-                let u_im = sr * tw.im + si * tw.re;
-                data[j * lanes + lane] = Torus32::from_raw(round_wrap_u32(u_re));
-                data[(j + half) * lanes + lane] = Torus32::from_raw(round_wrap_u32(-u_im));
-            }
-        }
-    }
-
-    /// Batched [`mul_int_torus`](Self::mul_int_torus): lane-wise negacyclic
-    /// products `digits[l](X) · ts[l](X)` through the transform domain,
-    /// all lanes in lockstep. Per lane bit-identical to the scalar call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch shapes disagree with each other or the engine.
-    pub fn mul_int_torus_batch(
-        &self,
-        digits: &PolyBatch<i64>,
-        ts: &PolyBatch<Torus32>,
-    ) -> PolyBatch<Torus32> {
-        assert_eq!(digits.lanes(), ts.lanes(), "batch lane count mismatch");
-        let lanes = digits.lanes();
-        let mut a = SpectrumBatch::zero(self.n, lanes);
-        self.forward_int_batch_into(digits, &mut a);
-        let mut b = SpectrumBatch::zero(self.n, lanes);
-        self.forward_torus_batch_into(ts, &mut b);
-        a.pointwise_mul_assign(&b);
-        let mut out = PolyBatch::zero(self.n, lanes);
-        let mut scratch = BatchScratch::new();
-        self.inverse_torus_batch_into(&a, &mut out, &mut scratch);
-        out
     }
 }
 
-/// Round an f64 to the nearest integer and wrap into `u32` (mod 2³²).
-///
-/// Magnitudes stay ≪ 2^63 for all supported parameter sets, so the fast
-/// cast through `i64` is exact and wrapping to `u32` reduces mod q. Rust
-/// float→int casts *saturate* rather than wrap, so a value at or beyond
-/// 2^63 must not take that path — it would silently collapse to
-/// `0xFFFF_FFFF` instead of its mod-2³² residue. Out-of-range values trip
-/// the `debug_assert` in debug builds and take an exact `rem_euclid`
-/// reduction in release builds (`%` on integer-valued f64 is exact).
-fn round_wrap_u32(v: f64) -> u32 {
-    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
-    const TWO_32: f64 = 4_294_967_296.0;
-    let r = v.round();
-    debug_assert!(
-        r.abs() < TWO_63,
-        "round_wrap_u32: |{r}| is outside the documented 2^63 magnitude bound"
-    );
-    if r.abs() < TWO_63 {
-        r as i64 as u32
-    } else {
-        // Checked fallback: exact mod-2^32 residue (NaN saturates to 0).
-        r.rem_euclid(TWO_32) as u32
+type C<I> = (<I as Isa>::V, <I as Isa>::V);
+
+impl NegacyclicFft {
+    /// `v · ζ^j` for points `j..j + LANES`.
+    #[inline(always)]
+    fn twisted<I: Isa>(&self, isa: I, j: usize, v: C<I>) -> C<I> {
+        let twist = (isa.load(&self.twist_re, j), isa.load(&self.twist_im, j));
+        cmul(isa, v, twist)
+    }
+
+    /// `(v · scale) · ζ^(-j)` for points `j..j + LANES` — the reference
+    /// scales first (`FftPlan::inverse`), then untwists.
+    #[inline(always)]
+    fn untwisted<I: Isa>(&self, isa: I, j: usize, v: C<I>, scale: I::V) -> C<I> {
+        let untwist = (isa.load(&self.untwist_re, j), isa.load(&self.untwist_im, j));
+        cmul(isa, (isa.mul(v.0, scale), isa.mul(v.1, scale)), untwist)
+    }
+}
+
+/// Folded forward: point `j < N/2` enters as `(c_j − i·c_(j+N/2))·ζ^j`.
+struct ForwardFolded<'a, T> {
+    fft: &'a NegacyclicFft,
+    coeffs: &'a [T],
+    out: &'a mut Spectrum,
+}
+
+impl<T: Coefficient> Kernel for ForwardFolded<'_, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let fft = self.fft;
+        let (lo, hi) = self.coeffs.split_at(fft.n / 2);
+        let (re, im) = self.out.planes_mut();
+        fft.half_plan.transform::<I, false>(
+            isa,
+            re,
+            im,
+            #[inline(always)]
+            |j| {
+                let folded = (
+                    isa.lanes(|i| lo[j + i].widen()),
+                    isa.neg(isa.lanes(|i| hi[j + i].widen())),
+                );
+                fft.twisted(isa, j, folded)
+            },
+            store_back(isa),
+        );
+    }
+}
+
+/// Folded inverse: output point `j < N/2`, scaled by `2/N` and untwisted
+/// by `ζ^(-j)`, carries coefficient `j` in its real part and `j + N/2` in
+/// its negated imaginary part.
+struct InverseFolded<'a, T> {
+    fft: &'a NegacyclicFft,
+    spectrum: &'a Spectrum,
+    out: &'a mut [T],
+    scratch: &'a mut Vec<f64>,
+}
+
+impl<T: Output> Kernel for InverseFolded<'_, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let fft = self.fft;
+        let half = fft.n / 2;
+        let (spec_re, spec_im) = (self.spectrum.re(), self.spectrum.im());
+        let (out_lo, out_hi) = self.out.split_at_mut(half);
+        let (re, im) = work_planes(self.scratch, half);
+        let scale = isa.splat(1.0 / half as f64);
+        fft.half_plan.transform::<I, true>(
+            isa,
+            re,
+            im,
+            #[inline(always)]
+            |j| (isa.load(spec_re, j), isa.load(spec_im, j)),
+            #[inline(always)]
+            |_, _, j, vr, vi| {
+                let u = fft.untwisted(isa, j, (vr, vi), scale);
+                T::put(isa, out_lo, j, u.0);
+                T::put(isa, out_hi, j, isa.neg(u.1));
+            },
+        );
+    }
+}
+
+/// Merge-split forward: point `j < N` enters as `(p_j + i·q_j)·ζ^j`; the
+/// `N`-point result `R_m = P(t_m) + i·Q(t_m)`, `t_m = ζ^(2m+1)`, is split
+/// with `P(t_(N−1−m)) = conj(P(t_m))` (`p`, `q` real), keeping the even
+/// `m` — exactly the `ζ^(4m'+1)` grid of the folded path.
+struct ForwardPair<'a> {
+    fft: &'a NegacyclicFft,
+    p: &'a [i64],
+    q: &'a [i64],
+    out_p: &'a mut Spectrum,
+    out_q: &'a mut Spectrum,
+    scratch: &'a mut Vec<f64>,
+}
+
+impl Kernel for ForwardPair<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Self { fft, p, q, .. } = self;
+        let n = fft.n;
+        let (re, im) = work_planes(self.scratch, n);
+        fft.full_plan.transform::<I, false>(
+            isa,
+            re,
+            im,
+            #[inline(always)]
+            |j| {
+                let merged = (
+                    isa.lanes(|i| p[j + i].widen()),
+                    isa.lanes(|i| q[j + i].widen()),
+                );
+                fft.twisted(isa, j, merged)
+            },
+            store_back(isa),
+        );
+        // Output point m' pairs R at the even index 2m' (first of the
+        // m'-th pair from the front) with its mirror at N − 1 − 2m' (second
+        // of the m'-th pair from the back).
+        let (p_re, p_im) = self.out_p.planes_mut();
+        let (q_re, q_im) = self.out_q.planes_mut();
+        let pairs_re = re.chunks_exact(2).zip(re.rchunks_exact(2));
+        let pairs_im = im.chunks_exact(2).zip(im.rchunks_exact(2));
+        let outs = (p_re.iter_mut().zip(p_im)).zip(q_re.iter_mut().zip(q_im));
+        for (((front_re, back_re), (front_im, back_im)), ((p_re, p_im), (q_re, q_im))) in
+            pairs_re.zip(pairs_im).zip(outs)
+        {
+            let (r_re, r_im) = (front_re[0], front_im[0]);
+            let (rc_re, rc_im) = (back_re[1], -back_im[1]);
+            *p_re = (r_re + rc_re) * 0.5;
+            *p_im = (r_im + rc_im) * 0.5;
+            // (r − rc) / 2i = −i·(r − rc) / 2.
+            let (d_re, d_im) = (r_re - rc_re, r_im - rc_im);
+            *q_re = (-d_im) * -0.5;
+            *q_im = d_re * -0.5;
+        }
+    }
+}
+
+/// Merge-split inverse: the two spectra are merged back into the
+/// `N`-point sequence `R_m` (conjugate symmetry supplies the odd `m`);
+/// output point `j`, scaled by `1/N` and untwisted, carries `p_j` in its
+/// real part and `q_j` in its imaginary part.
+struct InversePair<'a> {
+    fft: &'a NegacyclicFft,
+    ps: &'a Spectrum,
+    qs: &'a Spectrum,
+    out_p: &'a mut [Torus32],
+    out_q: &'a mut [Torus32],
+    scratch: &'a mut Vec<f64>,
+}
+
+impl Kernel for InversePair<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Self {
+            fft, out_p, out_q, ..
+        } = self;
+        let n = fft.n;
+        let (p_re, p_im) = (self.ps.re(), self.ps.im());
+        let (q_re, q_im) = (self.qs.re(), self.qs.im());
+        // R_m = P + i·Q at the even m, conj(P) + i·conj(Q) mirrored at
+        // the odd ones.
+        let merged_re = |m: usize| {
+            if m.is_multiple_of(2) {
+                p_re[m / 2] + -q_im[m / 2]
+            } else {
+                p_re[(n - 1 - m) / 2] + q_im[(n - 1 - m) / 2]
+            }
+        };
+        let merged_im = |m: usize| {
+            if m.is_multiple_of(2) {
+                p_im[m / 2] + q_re[m / 2]
+            } else {
+                -p_im[(n - 1 - m) / 2] + q_re[(n - 1 - m) / 2]
+            }
+        };
+        let (re, im) = work_planes(self.scratch, n);
+        let scale = isa.splat(1.0 / n as f64);
+        fft.full_plan.transform::<I, true>(
+            isa,
+            re,
+            im,
+            #[inline(always)]
+            |j| {
+                (
+                    isa.lanes(|i| merged_re(j + i)),
+                    isa.lanes(|i| merged_im(j + i)),
+                )
+            },
+            #[inline(always)]
+            |_, _, j, vr, vi| {
+                let u = fft.untwisted(isa, j, (vr, vi), scale);
+                isa.round_wrap_store(out_p, j, u.0);
+                isa.round_wrap_store(out_q, j, u.1);
+            },
+        );
     }
 }
 
@@ -814,14 +590,37 @@ fn round_wrap_u32(v: f64) -> u32 {
 mod tests {
     use super::*;
     use crate::dft::naive_negacyclic_eval;
+    use crate::simd::{round_wrap_u32, Simd};
     use morphling_math::negacyclic::mul_int_torus32;
+    use morphling_math::Complex64;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn assert_spec_close(a: &Spectrum, b: &Spectrum, tol: f64) {
-        for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
-            assert!((*x - *y).abs() < tol, "point {i}: {x:?} vs {y:?}");
+        for m in 0..a.points() {
+            let (x, y) = (a.point(m), b.point(m));
+            assert!((x - y).abs() < tol, "point {m}: {x:?} vs {y:?}");
         }
+    }
+
+    fn forward_pair(
+        fft: &NegacyclicFft,
+        p: &Polynomial<i64>,
+        q: &Polynomial<i64>,
+    ) -> (Spectrum, Spectrum) {
+        let (mut sp, mut sq) = (Spectrum::zero(fft.n), Spectrum::zero(fft.n));
+        fft.forward_pair_int_into(p, q, &mut sp, &mut sq, &mut Vec::new());
+        (sp, sq)
+    }
+
+    fn inverse_pair(
+        fft: &NegacyclicFft,
+        ps: &Spectrum,
+        qs: &Spectrum,
+    ) -> (Polynomial<Torus32>, Polynomial<Torus32>) {
+        let (mut p, mut q) = (Polynomial::zero(fft.n), Polynomial::zero(fft.n));
+        fft.inverse_pair_torus_into(ps, qs, &mut p, &mut q, &mut Vec::new());
+        (p, q)
     }
 
     #[test]
@@ -850,11 +649,11 @@ mod tests {
         let n = 64;
         let fft = NegacyclicFft::new(n);
         let mut rng = StdRng::seed_from_u64(11);
-        let p: Vec<f64> = (0..n).map(|_| rng.gen_range(-1000.0..1000.0)).collect();
-        let q: Vec<f64> = (0..n).map(|_| rng.gen_range(-1000.0..1000.0)).collect();
-        let (ps, qs) = fft.forward_pair_real(&p, &q);
-        assert_spec_close(&ps, &fft.forward_real(&p), 1e-7);
-        assert_spec_close(&qs, &fft.forward_real(&q), 1e-7);
+        let p = Polynomial::from_fn(n, |_| rng.gen_range(-1000i64..1000));
+        let q = Polynomial::from_fn(n, |_| rng.gen_range(-1000i64..1000));
+        let (ps, qs) = forward_pair(&fft, &p, &q);
+        assert_spec_close(&ps, &fft.forward_int(&p), 1e-7);
+        assert_spec_close(&qs, &fft.forward_int(&q), 1e-7);
     }
 
     #[test]
@@ -862,46 +661,39 @@ mod tests {
         let n = 32;
         let fft = NegacyclicFft::new(n);
         let mut rng = StdRng::seed_from_u64(12);
-        let p: Vec<f64> = (0..n).map(|_| rng.gen_range(-500.0..500.0)).collect();
-        let q: Vec<f64> = (0..n).map(|_| rng.gen_range(-500.0..500.0)).collect();
-        let (ps, qs) = fft.forward_pair_real(&p, &q);
-        let (p2, q2) = fft.inverse_pair_real(&ps, &qs);
-        for j in 0..n {
-            assert!((p[j] - p2[j]).abs() < 1e-6);
-            assert!((q[j] - q2[j]).abs() < 1e-6);
-        }
+        let p = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+        let q = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+        let (p2, q2) = inverse_pair(&fft, &fft.forward_torus(&p), &fft.forward_torus(&q));
+        assert_eq!((p2, q2), (p, q));
     }
 
     #[test]
-    fn into_variants_are_bit_identical_to_allocating_apis() {
+    fn into_variants_overwrite_dirty_buffers() {
         let n = 64;
         let fft = NegacyclicFft::new(n);
         let mut rng = StdRng::seed_from_u64(15);
         let p = Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64));
         let q = Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64));
         let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+        // One scratch through every call, in shrinking and growing order.
         let mut scratch = Vec::new();
 
-        // Deliberately dirty output buffers: _into must fully overwrite.
         let mut spec = fft.forward_int(&q);
         fft.forward_int_into(&p, &mut spec);
         assert_eq!(spec, fft.forward_int(&p));
 
-        let mut tspec = Spectrum::zero(n);
-        fft.forward_torus_into(&t, &mut tspec);
-        assert_eq!(tspec, fft.forward_torus(&t));
-
-        let (mut sp, mut sq) = (Spectrum::zero(n), Spectrum::zero(n));
+        let (mut sp, mut sq) = (spec.clone(), spec.clone());
         fft.forward_pair_int_into(&p, &q, &mut sp, &mut sq, &mut scratch);
-        assert_eq!((sp.clone(), sq.clone()), fft.forward_pair_int(&p, &q));
+        assert_eq!((sp.clone(), sq.clone()), forward_pair(&fft, &p, &q));
 
-        let mut out = Polynomial::zero(n);
-        fft.inverse_torus_into(&tspec, &mut out, &mut scratch);
-        assert_eq!(out, fft.inverse_torus(&tspec));
+        let tspec = fft.forward_torus(&t);
+        let mut out = t.clone();
+        fft.inverse_torus_into(&sp, &mut out, &mut scratch);
+        assert_eq!(out, fft.inverse_torus(&sp));
 
-        let (mut op, mut oq) = (Polynomial::zero(n), Polynomial::zero(n));
-        fft.inverse_pair_torus_into(&sp, &sq, &mut op, &mut oq, &mut scratch);
-        assert_eq!((op, oq), fft.inverse_pair_torus(&sp, &sq));
+        let (mut op, mut oq) = (t.clone(), t.clone());
+        fft.inverse_pair_torus_into(&tspec, &sq, &mut op, &mut oq, &mut scratch);
+        assert_eq!((op, oq), inverse_pair(&fft, &tspec, &sq));
     }
 
     #[test]
@@ -950,6 +742,417 @@ mod tests {
     }
 
     #[test]
+    fn batch_entry_points_run_the_kernel_per_lane() {
+        let n = 64;
+        let fft = NegacyclicFft::new(n);
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = BatchScratch::new();
+        for lanes in [1usize, 3, 8] {
+            let digits: Vec<Polynomial<i64>> = (0..lanes)
+                .map(|_| Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64)))
+                .collect();
+            let mut fwd = SpectrumBatch::zero(n, lanes);
+            fft.forward_int_batch_into(&PolyBatch::from_polys(&digits), &mut fwd);
+            let mut inv = PolyBatch::<Torus32>::zero(n, lanes);
+            fft.inverse_torus_batch_into(&fwd, &mut inv, &mut scratch);
+            for (lane, d) in digits.iter().enumerate() {
+                assert_eq!(fwd.spectra()[lane], fft.forward_int(d), "lane {lane}");
+                assert_eq!(
+                    inv.polys()[lane],
+                    fft.inverse_torus(&fwd.spectra()[lane]),
+                    "lane {lane}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must equal the engine size")]
+    fn batch_size_mismatch_is_rejected() {
+        let fft = NegacyclicFft::new(64);
+        let batch = PolyBatch::<i64>::zero(32, 2);
+        fft.forward_int_batch_into(&batch, &mut SpectrumBatch::zero(64, 2));
+    }
+
+    #[test]
+    fn negacyclic_wraparound_sign() {
+        // X^(N-1) · X = X^N = -1.
+        let n = 16;
+        let fft = NegacyclicFft::new(n);
+        let mut a = Polynomial::<i64>::zero(n);
+        a[n - 1] = 1;
+        let mut b = Polynomial::<Torus32>::zero(n);
+        b[1] = Torus32::from_raw(1 << 16);
+        let prod = fft.mul_int_torus(&a, &b);
+        assert_eq!(prod[0], Torus32::from_raw(0u32.wrapping_sub(1 << 16)));
+        for j in 1..n {
+            assert_eq!(prod[j], Torus32::ZERO, "j={j}");
+        }
+    }
+
+    // --- Kernel identity: every entry point, on every ISA this CPU can
+    // run, against the scalar schedule it replaced (AoS `Complex64`
+    // arithmetic around `FftPlan::{forward, inverse}`), bit for bit. ---
+
+    fn twist(fft: &NegacyclicFft, j: usize) -> Complex64 {
+        Complex64::new(fft.twist_re[j], fft.twist_im[j])
+    }
+
+    fn untwist(fft: &NegacyclicFft, j: usize) -> Complex64 {
+        Complex64::new(fft.untwist_re[j], fft.untwist_im[j])
+    }
+
+    fn reference_forward(fft: &NegacyclicFft, c: &[f64]) -> Spectrum {
+        let half = fft.n / 2;
+        let mut vals: Vec<Complex64> = (0..half)
+            .map(|j| Complex64::new(c[j], -c[j + half]) * twist(fft, j))
+            .collect();
+        fft.half_plan.forward(&mut vals);
+        Spectrum::from_values(vals)
+    }
+
+    /// Unrounded coefficients of the folded inverse.
+    fn reference_inverse(fft: &NegacyclicFft, spec: &Spectrum) -> Vec<f64> {
+        let half = fft.n / 2;
+        let mut buf: Vec<Complex64> = (0..half).map(|m| spec.point(m)).collect();
+        fft.half_plan.inverse(&mut buf);
+        let mut out = vec![0.0; fft.n];
+        for j in 0..half {
+            let u = buf[j] * untwist(fft, j);
+            out[j] = u.re;
+            out[j + half] = -u.im;
+        }
+        out
+    }
+
+    fn reference_forward_pair(fft: &NegacyclicFft, p: &[i64], q: &[i64]) -> (Spectrum, Spectrum) {
+        let n = fft.n;
+        let mut buf: Vec<Complex64> = (0..n)
+            .map(|j| Complex64::new(p[j] as f64, q[j] as f64) * twist(fft, j))
+            .collect();
+        fft.full_plan.forward(&mut buf);
+        let (mut ps, mut qs) = (Vec::new(), Vec::new());
+        for m in (0..n).step_by(2) {
+            let r = buf[m];
+            let rc = buf[n - 1 - m].conj();
+            ps.push((r + rc).scale(0.5));
+            qs.push((r - rc).mul_i().scale(-0.5));
+        }
+        (Spectrum::from_values(ps), Spectrum::from_values(qs))
+    }
+
+    /// Unrounded coefficients of the merge-split inverse.
+    fn reference_inverse_pair(
+        fft: &NegacyclicFft,
+        ps: &Spectrum,
+        qs: &Spectrum,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = fft.n;
+        let mut buf: Vec<Complex64> = (0..n)
+            .map(|m| {
+                if m.is_multiple_of(2) {
+                    ps.point(m / 2) + qs.point(m / 2).mul_i()
+                } else {
+                    let k = (n - 1 - m) / 2;
+                    ps.point(k).conj() + qs.point(k).conj().mul_i()
+                }
+            })
+            .collect();
+        fft.full_plan.inverse(&mut buf);
+        (0..n)
+            .map(|j| {
+                let u = buf[j] * untwist(fft, j);
+                (u.re, u.im)
+            })
+            .unzip()
+    }
+
+    fn spectrum_bits(s: &Spectrum) -> Vec<u64> {
+        s.re().iter().chain(s.im()).map(|x| x.to_bits()).collect()
+    }
+
+    fn round_all(v: &[f64]) -> Vec<Torus32> {
+        v.iter()
+            .map(|&x| Torus32::from_raw(round_wrap_u32(x)))
+            .collect()
+    }
+
+    const SIZES: [usize; 11] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+
+    /// Spectra whose inverse must round awkwardly. A constant real
+    /// spectrum `c` inverts to exactly `c` at coefficient 0 (every
+    /// butterfly on that path multiplies by the unit twiddle and adds
+    /// equal halves), a constant imaginary one to exactly `−c` at
+    /// coefficient N/2 — so `c = k + ½` puts an exact tie of either sign
+    /// in front of the rounding step, where `f64::round` (half away from
+    /// zero) and the hardware rounding instruction (half to even)
+    /// disagree. The rest: signed zeros, subnormals, magnitudes around
+    /// 2^51–2^53 where the fast conversion's range ends, and — release
+    /// builds only, since `round_wrap_u32` debug-asserts the documented
+    /// bound — at and beyond 2^63, where it must take the `rem_euclid`
+    /// path.
+    fn awkward_spectra(n: usize, rng: &mut StdRng) -> Vec<Spectrum> {
+        let constant =
+            |re: f64, im: f64| Spectrum::from_values(vec![Complex64::new(re, im); n / 2]);
+        let mut out = vec![
+            constant(0.5, -0.5),
+            constant(-0.5, 0.5),
+            constant(1.5, 2.5),
+            constant(-2.5, -1.5),
+            constant(4_194_304.5, -8_388_607.5),
+            constant(0.499_999_999_999_999_94, -0.499_999_999_999_999_94),
+            constant(0.0, -0.0),
+            constant(5e-324, -2.0e-308),
+            constant(2_251_799_813_685_247.5, -2_251_799_813_685_248.0),
+            constant(4_503_599_627_370_496.0, 9_007_199_254_740_992.0),
+        ];
+        if !cfg!(debug_assertions) {
+            out.push(constant(9_223_372_036_854_775_808.0 + 10_240.0, -1.8e19));
+            out.push(constant(-3.0e25, 7.0e30));
+        }
+        let scales = [1.0, 1.0e6, 4.0e15];
+        for scale in scales {
+            out.push(Spectrum::from_values(
+                (0..n / 2)
+                    .map(|_| {
+                        Complex64::new(
+                            rng.gen_range(-1.0..1.0) * scale,
+                            rng.gen_range(-1.0..1.0) * scale,
+                        )
+                    })
+                    .collect(),
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn forward_kernels_are_bit_identical_to_the_scalar_schedule() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        for n in SIZES {
+            let fft = NegacyclicFft::new(n);
+            let ints = Polynomial::from_fn(n, |j| match j % 7 {
+                0 => 0,
+                1 => i64::MAX,
+                2 => i64::MIN,
+                _ => rng.gen_range(-(1i64 << 40)..(1i64 << 40)),
+            });
+            let digits = Polynomial::from_fn(n, |_| rng.gen_range(-512i64..512));
+            let torus = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+            let reals: Vec<f64> = (0..n)
+                .map(|j| match j % 5 {
+                    0 => -0.0,
+                    1 => 5e-324,
+                    2 => 9_223_372_036_854_775_808.0,
+                    _ => rng.gen_range(-1.0e9..1.0e9),
+                })
+                .collect();
+            let as_f64 = |p: &Polynomial<i64>| p.iter().map(|&c| c as f64).collect::<Vec<_>>();
+            let torus_f64: Vec<f64> = torus.iter().map(|c| c.to_signed() as f64).collect();
+
+            for (name, simd) in Simd::every(n / 8) {
+                let run = |coeffs: &dyn Fn(&mut Spectrum)| {
+                    let mut out = Spectrum::from_values(vec![Complex64::new(f64::NAN, 1.0); n / 2]);
+                    coeffs(&mut out);
+                    spectrum_bits(&out)
+                };
+                let got = run(&|out| {
+                    simd.run(ForwardFolded {
+                        fft: &fft,
+                        coeffs: ints.coeffs(),
+                        out,
+                    })
+                });
+                assert_eq!(
+                    got,
+                    spectrum_bits(&reference_forward(&fft, &as_f64(&ints))),
+                    "int n={n} {name}"
+                );
+                let got = run(&|out| {
+                    simd.run(ForwardFolded {
+                        fft: &fft,
+                        coeffs: torus.coeffs(),
+                        out,
+                    })
+                });
+                assert_eq!(
+                    got,
+                    spectrum_bits(&reference_forward(&fft, &torus_f64)),
+                    "torus n={n} {name}"
+                );
+                let got = run(&|out| {
+                    simd.run(ForwardFolded {
+                        fft: &fft,
+                        coeffs: &reals[..],
+                        out,
+                    })
+                });
+                assert_eq!(
+                    got,
+                    spectrum_bits(&reference_forward(&fft, &reals)),
+                    "real n={n} {name}"
+                );
+            }
+            for (name, simd) in Simd::every(n / 4) {
+                for (p, q) in [(&ints, &digits), (&digits, &digits)] {
+                    let (mut sp, mut sq) = (Spectrum::zero(n), Spectrum::zero(n));
+                    simd.run(ForwardPair {
+                        fft: &fft,
+                        p: p.coeffs(),
+                        q: q.coeffs(),
+                        out_p: &mut sp,
+                        out_q: &mut sq,
+                        scratch: &mut Vec::new(),
+                    });
+                    let (wp, wq) = reference_forward_pair(&fft, p.coeffs(), q.coeffs());
+                    assert_eq!(
+                        spectrum_bits(&sp),
+                        spectrum_bits(&wp),
+                        "pair p n={n} {name}"
+                    );
+                    assert_eq!(
+                        spectrum_bits(&sq),
+                        spectrum_bits(&wq),
+                        "pair q n={n} {name}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_kernels_are_bit_identical_to_the_scalar_schedule() {
+        let mut rng = StdRng::seed_from_u64(4202);
+        for n in SIZES {
+            let fft = NegacyclicFft::new(n);
+            let spectra = awkward_spectra(n, &mut rng);
+            for (i, spec) in spectra.iter().enumerate() {
+                let want_real = reference_inverse(&fft, spec);
+                let want_torus = round_all(&want_real);
+                for (name, simd) in Simd::every(n / 8) {
+                    let mut real = vec![f64::NAN; n];
+                    simd.run(InverseFolded {
+                        fft: &fft,
+                        spectrum: spec,
+                        out: &mut real[..],
+                        scratch: &mut Vec::new(),
+                    });
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&real), bits(&want_real), "real #{i} n={n} {name}");
+                    let mut torus = vec![Torus32::HALF; n];
+                    simd.run(InverseFolded {
+                        fft: &fft,
+                        spectrum: spec,
+                        out: &mut torus[..],
+                        scratch: &mut Vec::new(),
+                    });
+                    assert_eq!(torus, want_torus, "torus #{i} n={n} {name}");
+                }
+                let other = &spectra[(i + 3) % spectra.len()];
+                let (wp, wq) = reference_inverse_pair(&fft, spec, other);
+                for (name, simd) in Simd::every(n / 4) {
+                    let (mut p, mut q) = (vec![Torus32::HALF; n], vec![Torus32::HALF; n]);
+                    simd.run(InversePair {
+                        fft: &fft,
+                        ps: spec,
+                        qs: other,
+                        out_p: &mut p,
+                        out_q: &mut q,
+                        scratch: &mut Vec::new(),
+                    });
+                    assert_eq!(p, round_all(&wp), "pair p #{i} n={n} {name}");
+                    assert_eq!(q, round_all(&wq), "pair q #{i} n={n} {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_spectra_put_exact_ties_before_the_rounding_step() {
+        // The premise of `awkward_spectra`, checked: otherwise the tie
+        // cases above would silently test nothing.
+        let fft = NegacyclicFft::new(64);
+        let spec = Spectrum::from_values(vec![Complex64::new(2.5, -0.5); 32]);
+        let real = fft.inverse_real(&spec);
+        assert_eq!((real[0], real[32]), (2.5, 0.5));
+        let torus = fft.inverse_torus(&spec);
+        assert_eq!((torus[0].into_raw(), torus[32].into_raw()), (3, 1));
+        let spec = Spectrum::from_values(vec![Complex64::new(-2.5, 0.5); 32]);
+        let torus = fft.inverse_torus(&spec);
+        assert_eq!(
+            (torus[0].into_raw(), torus[32].into_raw()),
+            (0u32.wrapping_sub(3), 0u32.wrapping_sub(1))
+        );
+    }
+
+    #[test]
+    fn every_isa_rounds_like_round_wrap_u32() {
+        // The rounding step alone, on values no transform output is
+        // needed to reach: ties, the last value below one half, the edges
+        // of the fast conversion's range, the saturating-cast hazard, and
+        // non-finite values.
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            34_359_738_375.0,
+            -34_359_738_375.0,
+            -1.25,
+            2_251_799_813_685_247.5,
+            2_251_799_813_685_248.0,
+            -2_251_799_813_685_248.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_497.0,
+            -9_007_199_254_740_993.0,
+            9.2e18,
+            -9.2e18,
+            5e-324,
+        ];
+        if !cfg!(debug_assertions) {
+            values.extend([
+                9_223_372_036_854_775_808.0 + 10_240.0,
+                -(9_223_372_036_854_775_808.0 + 10_240.0),
+                1.0e30,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ]);
+        }
+        while values.len() % 4 != 0 {
+            values.push(7.5);
+        }
+        // Rotate so that every value visits every lane, and so that
+        // in-range and out-of-range values share a vector.
+        for shift in 0..4 {
+            values.rotate_left(shift);
+            let want = round_all(&values);
+            struct RoundAll<'a>(&'a [f64]);
+            impl Kernel for RoundAll<'_> {
+                type Out = Vec<Torus32>;
+                #[inline(always)]
+                fn run<I: Isa>(self, isa: I) -> Vec<Torus32> {
+                    let mut out = vec![Torus32::HALF; self.0.len()];
+                    for at in (0..self.0.len()).step_by(I::LANES) {
+                        isa.round_wrap_store(&mut out, at, isa.load(self.0, at));
+                    }
+                    out
+                }
+            }
+            for (name, simd) in Simd::every(4) {
+                assert_eq!(simd.run(RoundAll(&values)), want, "{name} shift {shift}");
+            }
+        }
+    }
+
+    #[test]
     fn round_wrap_is_exact_for_large_in_range_values() {
         // 2^35 + 7 ≡ 7 (mod 2^32): the fast path must wrap, not clamp.
         assert_eq!(round_wrap_u32(34_359_738_375.0), 7);
@@ -973,191 +1176,5 @@ mod tests {
     #[should_panic(expected = "magnitude bound")]
     fn round_wrap_regression_out_of_range_asserts_in_debug() {
         let _ = round_wrap_u32(OUT_OF_RANGE);
-    }
-
-    /// Scalar reference for the merge-split batch schedule: transform
-    /// pairs, fold the odd remainder — exactly what the external-product
-    /// hot loop does with `chunks_exact(2)`.
-    fn scalar_pair_forward(fft: &NegacyclicFft, polys: &[Polynomial<i64>]) -> Vec<Spectrum> {
-        let mut out = Vec::with_capacity(polys.len());
-        let mut chunks = polys.chunks_exact(2);
-        for pair in &mut chunks {
-            let (a, b) = fft.forward_pair_int(&pair[0], &pair[1]);
-            out.push(a);
-            out.push(b);
-        }
-        if let [last] = chunks.remainder() {
-            out.push(fft.forward_int(last));
-        }
-        out
-    }
-
-    fn scalar_pair_inverse(fft: &NegacyclicFft, specs: &[Spectrum]) -> Vec<Polynomial<Torus32>> {
-        let mut out = Vec::with_capacity(specs.len());
-        let mut chunks = specs.chunks_exact(2);
-        for pair in &mut chunks {
-            let (a, b) = fft.inverse_pair_torus(&pair[0], &pair[1]);
-            out.push(a);
-            out.push(b);
-        }
-        if let [last] = chunks.remainder() {
-            out.push(fft.inverse_torus(last));
-        }
-        out
-    }
-
-    #[test]
-    fn batch_transforms_are_bit_identical_to_scalar() {
-        let n = 64;
-        let fft = NegacyclicFft::new(n);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut scratch = BatchScratch::new();
-        for lanes in [1usize, 2, 3, 5, 8] {
-            let digits: Vec<Polynomial<i64>> = (0..lanes)
-                .map(|_| Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64)))
-                .collect();
-            let torus: Vec<Polynomial<Torus32>> = (0..lanes)
-                .map(|_| Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen())))
-                .collect();
-            let db = PolyBatch::from_polys(&digits);
-            let tb = PolyBatch::from_polys(&torus);
-
-            // Folded forward, int and torus.
-            let fwd = fft.forward_int_batch(&db);
-            let tfwd = fft.forward_torus_batch(&tb);
-            for lane in 0..lanes {
-                let mut got = Spectrum::zero(n);
-                fwd.store_lane(lane, &mut got);
-                assert_eq!(
-                    got,
-                    fft.forward_int(&digits[lane]),
-                    "int lane {lane}/{lanes}"
-                );
-                tfwd.store_lane(lane, &mut got);
-                assert_eq!(
-                    got,
-                    fft.forward_torus(&torus[lane]),
-                    "torus lane {lane}/{lanes}"
-                );
-            }
-
-            // Real forward.
-            let reals: Vec<Vec<f64>> = digits
-                .iter()
-                .map(|p| p.coeffs().iter().map(|&c| c as f64 * 1.5).collect())
-                .collect();
-            let mut rb = PolyBatch::<f64>::zero(n, lanes);
-            for (lane, r) in reals.iter().enumerate() {
-                for (j, &v) in r.iter().enumerate() {
-                    rb.set_coeff(j, lane, v);
-                }
-            }
-            let mut rfwd = SpectrumBatch::zero(n, lanes);
-            fft.forward_real_batch_into(&rb, &mut rfwd);
-            for (lane, r) in reals.iter().enumerate() {
-                let mut got = Spectrum::zero(n);
-                rfwd.store_lane(lane, &mut got);
-                assert_eq!(got, fft.forward_real(r), "real lane {lane}/{lanes}");
-            }
-
-            // Folded inverse with rounding.
-            let mut inv = PolyBatch::<Torus32>::zero(n, lanes);
-            fft.inverse_torus_batch_into(&tfwd, &mut inv, &mut scratch);
-            let unpacked = inv.to_polys();
-            for (lane, got) in unpacked.iter().enumerate() {
-                let mut want_spec = Spectrum::zero(n);
-                tfwd.store_lane(lane, &mut want_spec);
-                assert_eq!(
-                    *got,
-                    fft.inverse_torus(&want_spec),
-                    "inverse lane {lane}/{lanes}"
-                );
-            }
-
-            // Merge-split pair forward: lane pairs + folded remainder.
-            let mut pfwd = SpectrumBatch::zero(n, lanes);
-            fft.forward_pair_int_batch_into(&db, &mut pfwd, &mut scratch);
-            let want = scalar_pair_forward(&fft, &digits);
-            for (lane, w) in want.iter().enumerate() {
-                let mut got = Spectrum::zero(n);
-                pfwd.store_lane(lane, &mut got);
-                assert_eq!(got, *w, "pair fwd lane {lane}/{lanes}");
-            }
-
-            // Merge-split pair inverse on realistic (product) spectra.
-            let prod_specs: Vec<Spectrum> = digits
-                .iter()
-                .zip(&torus)
-                .map(|(d, t)| fft.forward_int(d).pointwise_mul(&fft.forward_torus(t)))
-                .collect();
-            let pb = SpectrumBatch::from_spectra(&prod_specs);
-            let mut pinv = PolyBatch::<Torus32>::zero(n, lanes);
-            fft.inverse_pair_torus_batch_into(&pb, &mut pinv, &mut scratch);
-            let want = scalar_pair_inverse(&fft, &prod_specs);
-            assert_eq!(pinv.to_polys(), want, "pair inv lanes={lanes}");
-
-            // Full product convenience vs scalar and vs the exact oracle.
-            let prod = fft.mul_int_torus_batch(&db, &tb);
-            for (lane, p) in prod.to_polys().into_iter().enumerate() {
-                assert_eq!(
-                    p,
-                    fft.mul_int_torus(&digits[lane], &torus[lane]),
-                    "product lane {lane}/{lanes}"
-                );
-                assert_eq!(
-                    p,
-                    mul_int_torus32(&digits[lane], &torus[lane]),
-                    "oracle lane {lane}/{lanes}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_entry_points_work_at_paper_size() {
-        let n = 1024;
-        let fft = NegacyclicFft::new(n);
-        let mut rng = StdRng::seed_from_u64(78);
-        let digits: Vec<Polynomial<i64>> = (0..8)
-            .map(|_| Polynomial::from_fn(n, |_| rng.gen_range(-32i64..32)))
-            .collect();
-        let torus: Vec<Polynomial<Torus32>> = (0..8)
-            .map(|_| Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen())))
-            .collect();
-        let prod = fft.mul_int_torus_batch(
-            &PolyBatch::from_polys(&digits),
-            &PolyBatch::from_polys(&torus),
-        );
-        for (lane, p) in prod.to_polys().into_iter().enumerate() {
-            assert_eq!(
-                p,
-                mul_int_torus32(&digits[lane], &torus[lane]),
-                "lane {lane}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must equal the engine size")]
-    fn batch_size_mismatch_is_rejected() {
-        let fft = NegacyclicFft::new(64);
-        let batch = PolyBatch::<i64>::zero(32, 2);
-        let _ = fft.forward_int_batch(&batch);
-    }
-
-    #[test]
-    fn negacyclic_wraparound_sign() {
-        // X^(N-1) · X = X^N = -1.
-        let n = 16;
-        let fft = NegacyclicFft::new(n);
-        let mut a = Polynomial::<i64>::zero(n);
-        a[n - 1] = 1;
-        let mut b = Polynomial::<Torus32>::zero(n);
-        b[1] = Torus32::from_raw(1 << 16);
-        let prod = fft.mul_int_torus(&a, &b);
-        assert_eq!(prod[0], Torus32::from_raw(0u32.wrapping_sub(1 << 16)));
-        for j in 1..n {
-            assert_eq!(prod[j], Torus32::ZERO, "j={j}");
-        }
     }
 }

@@ -5,15 +5,22 @@ use std::ops::{Add, AddAssign};
 
 use morphling_math::Complex64;
 
+use crate::simd::{cmul, Isa, Kernel, Simd};
+
 /// The negacyclic spectrum of a size-`N` real polynomial: its `N/2`
 /// evaluations at the odd `2N`-th roots of unity `e^(-iπ(4m+1)/N)`.
+///
+/// Stored planar — all real parts, then all imaginary parts — so that the
+/// transform kernel and the multiply-accumulate below are straight vector
+/// loops along the point axis.
 ///
 /// Spectra form a module: they can be added (IFFT linearity — the heart of
 /// *output* transform-domain reuse, §IV-B) and multiplied pointwise
 /// (polynomial multiplication — what a VPE lane computes).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Spectrum {
-    values: Vec<Complex64>,
+    /// `re[0..points]` followed by `im[0..points]`.
+    planes: Vec<f64>,
 }
 
 impl Spectrum {
@@ -28,42 +35,67 @@ impl Spectrum {
             "polynomial size must be a power of two ≥ 2"
         );
         Self {
-            values: vec![Complex64::ZERO; n / 2],
+            planes: vec![0.0; n],
         }
     }
 
-    /// Wrap raw spectrum values (must be `N/2` points of a size-`N`
+    /// Build from evaluation points (must be `N/2` points of a size-`N`
     /// polynomial).
     pub fn from_values(values: Vec<Complex64>) -> Self {
         assert!(
             values.len().is_power_of_two(),
             "spectrum length must be a power of two"
         );
-        Self { values }
+        Self {
+            planes: values
+                .iter()
+                .map(|v| v.re)
+                .chain(values.iter().map(|v| v.im))
+                .collect(),
+        }
     }
 
-    /// The underlying evaluation points.
+    /// Number of evaluation points, `N/2`.
     #[inline]
-    pub fn values(&self) -> &[Complex64] {
-        &self.values
-    }
-
-    /// Mutable access to the evaluation points.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [Complex64] {
-        &mut self.values
+    pub fn points(&self) -> usize {
+        self.planes.len() / 2
     }
 
     /// The polynomial size `N` this spectrum represents (`2 ×` points).
     #[inline]
     pub fn poly_len(&self) -> usize {
-        self.values.len() * 2
+        self.planes.len()
+    }
+
+    /// The real parts of the evaluation points.
+    #[inline]
+    pub fn re(&self) -> &[f64] {
+        &self.planes[..self.planes.len() / 2]
+    }
+
+    /// The imaginary parts of the evaluation points.
+    #[inline]
+    pub fn im(&self) -> &[f64] {
+        &self.planes[self.planes.len() / 2..]
+    }
+
+    /// Both planes, mutably: `(re, im)`.
+    #[inline]
+    pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        let points = self.planes.len() / 2;
+        self.planes.split_at_mut(points)
+    }
+
+    /// Evaluation point `m`.
+    #[inline]
+    pub fn point(&self, m: usize) -> Complex64 {
+        Complex64::new(self.re()[m], self.im()[m])
     }
 
     /// Reset every point to zero in place — how POLY-ACC-REG is cleared
     /// between accumulations, without reallocating the register file.
     pub fn set_zero(&mut self) {
-        self.values.fill(Complex64::ZERO);
+        self.planes.fill(0.0);
     }
 
     /// Pointwise product — polynomial multiplication in the transform
@@ -71,67 +103,78 @@ impl Spectrum {
     #[must_use]
     pub fn pointwise_mul(&self, rhs: &Self) -> Self {
         assert_eq!(
-            self.values.len(),
-            rhs.values.len(),
+            self.planes.len(),
+            rhs.planes.len(),
             "spectrum size mismatch"
         );
-        Self {
-            values: self
-                .values
-                .iter()
-                .zip(&rhs.values)
-                .map(|(&a, &b)| a * b)
+        Self::from_values(
+            (0..self.points())
+                .map(|m| self.point(m) * rhs.point(m))
                 .collect(),
-        }
+        )
     }
 
-    /// Fused multiply-accumulate: `self += a * b`. This is exactly the VPE
-    /// inner loop with POLY-ACC-REG as `self` (§V-A.2).
+    /// Multiply-accumulate: `self += a * b` pointwise. This is exactly the
+    /// VPE inner loop with POLY-ACC-REG as `self` (§V-A.2), and the
+    /// external product's hot loop: it runs on the vector ISA the CPU
+    /// offers, with the per-point operation sequence of
+    /// `acc += Complex64::mul(a, b)` — multiplies and adds only, never
+    /// fused — so its bits do not depend on that choice.
     pub fn mul_acc(&mut self, a: &Self, b: &Self) {
-        assert_eq!(self.values.len(), a.values.len(), "spectrum size mismatch");
-        assert_eq!(self.values.len(), b.values.len(), "spectrum size mismatch");
-        for ((acc, &x), &y) in self.values.iter_mut().zip(&a.values).zip(&b.values) {
-            *acc += x * y;
-        }
+        assert_eq!(self.planes.len(), a.planes.len(), "spectrum size mismatch");
+        assert_eq!(self.planes.len(), b.planes.len(), "spectrum size mismatch");
+        Simd::detect(self.points()).run(MulAcc { acc: self, a, b });
     }
 
     /// Largest absolute component over all points — used by the precision
     /// tests that bound f64 round-off against the 53-bit mantissa budget.
     pub fn max_abs(&self) -> f64 {
-        self.values
-            .iter()
-            .map(|z| z.re.abs().max(z.im.abs()))
-            .fold(0.0, f64::max)
+        self.planes.iter().map(|x| x.abs()).fold(0.0, f64::max)
+    }
+}
+
+struct MulAcc<'a> {
+    acc: &'a mut Spectrum,
+    a: &'a Spectrum,
+    b: &'a Spectrum,
+}
+
+impl Kernel for MulAcc<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let (a_re, a_im, b_re, b_im) = (self.a.re(), self.a.im(), self.b.re(), self.b.im());
+        let (acc_re, acc_im) = self.acc.planes_mut();
+        for m in (0..acc_re.len()).step_by(I::LANES) {
+            let p = cmul(
+                isa,
+                (isa.load(a_re, m), isa.load(a_im, m)),
+                (isa.load(b_re, m), isa.load(b_im, m)),
+            );
+            isa.store(acc_re, m, isa.add(isa.load(acc_re, m), p.0));
+            isa.store(acc_im, m, isa.add(isa.load(acc_im, m), p.1));
+        }
     }
 }
 
 impl Add for &Spectrum {
     type Output = Spectrum;
     fn add(self, rhs: &Spectrum) -> Spectrum {
-        assert_eq!(
-            self.values.len(),
-            rhs.values.len(),
-            "spectrum size mismatch"
-        );
-        Spectrum {
-            values: self
-                .values
-                .iter()
-                .zip(&rhs.values)
-                .map(|(&a, &b)| a + b)
-                .collect(),
-        }
+        let mut sum = self.clone();
+        sum += rhs;
+        sum
     }
 }
 
 impl AddAssign<&Spectrum> for Spectrum {
     fn add_assign(&mut self, rhs: &Spectrum) {
         assert_eq!(
-            self.values.len(),
-            rhs.values.len(),
+            self.planes.len(),
+            rhs.planes.len(),
             "spectrum size mismatch"
         );
-        for (a, &b) in self.values.iter_mut().zip(&rhs.values) {
+        for (a, &b) in self.planes.iter_mut().zip(&rhs.planes) {
             *a += b;
         }
     }
@@ -140,11 +183,20 @@ impl AddAssign<&Spectrum> for Spectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Portable;
 
     #[test]
     fn zero_has_half_the_points() {
-        assert_eq!(Spectrum::zero(64).values().len(), 32);
+        assert_eq!(Spectrum::zero(64).points(), 32);
         assert_eq!(Spectrum::zero(64).poly_len(), 64);
+    }
+
+    #[test]
+    fn planes_round_trip_points() {
+        let values = vec![Complex64::new(1.0, 2.0), Complex64::new(-1.0, 0.5)];
+        let s = Spectrum::from_values(values.clone());
+        assert_eq!((s.re(), s.im()), (&[1.0, -1.0][..], &[2.0, 0.5][..]));
+        assert_eq!((0..2).map(|m| s.point(m)).collect::<Vec<_>>(), values);
     }
 
     #[test]
@@ -157,6 +209,69 @@ mod tests {
         acc.mul_acc(&a, &b);
         let doubled = &a.pointwise_mul(&b) + &a.pointwise_mul(&b);
         assert_eq!(acc, doubled);
+    }
+
+    /// The per-point reference: `acc += a * b` in `Complex64` arithmetic.
+    fn mul_acc_reference(acc: &mut [Complex64], a: &Spectrum, b: &Spectrum) {
+        for (m, v) in acc.iter_mut().enumerate() {
+            *v += a.point(m) * b.point(m);
+        }
+    }
+
+    fn bits(s: &Spectrum) -> Vec<u64> {
+        s.planes.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn mul_acc_is_bit_identical_on_every_isa() {
+        // Awkward values on purpose: signed zeros, a subnormal, a huge
+        // magnitude, and products whose difference cancels.
+        let awkward = [0.0, -0.0, 5e-324, -1.5, 3.0e300, 1.0 / 3.0, -7.25, 1e-160];
+        for points in [4usize, 8, 64] {
+            let mk = |salt: usize| {
+                Spectrum::from_values(
+                    (0..points)
+                        .map(|m| {
+                            Complex64::new(
+                                awkward[(m * 3 + salt) % awkward.len()],
+                                awkward[(m * 5 + 2 * salt + 1) % awkward.len()],
+                            )
+                        })
+                        .collect(),
+                )
+            };
+            let (a, b, start) = (mk(0), mk(1), mk(2));
+            let mut want: Vec<Complex64> = (0..points).map(|m| start.point(m)).collect();
+            mul_acc_reference(&mut want, &a, &b);
+            let want = bits(&Spectrum::from_values(want));
+
+            let mut narrow = start.clone();
+            MulAcc {
+                acc: &mut narrow,
+                a: &a,
+                b: &b,
+            }
+            .run(Portable::<1>);
+            assert_eq!(bits(&narrow), want, "one lane, {points} points");
+            let mut portable = start.clone();
+            MulAcc {
+                acc: &mut portable,
+                a: &a,
+                b: &b,
+            }
+            .run(Portable::<4>);
+            assert_eq!(bits(&portable), want, "portable, {points} points");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(isa) = crate::simd::avx2::Avx2::detect() {
+                let mut avx2 = start.clone();
+                isa.run(MulAcc {
+                    acc: &mut avx2,
+                    a: &a,
+                    b: &b,
+                });
+                assert_eq!(bits(&avx2), want, "avx2, {points} points");
+            }
+        }
     }
 
     #[test]
