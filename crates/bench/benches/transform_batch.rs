@@ -12,18 +12,30 @@
 //!   rounding folded into the first and last pass.
 //!
 //! Measured for one polynomial (forward and inverse) and for one CMUX's
-//! digit set — six digit polynomials, the `(k+1)·l_b` of Set III — where
-//! the kernel runs as the external product runs it (three merge-split
-//! pairs). Outputs are asserted equal before timing. Besides the criterion
-//! group, each size is timed directly and the results land in
-//! `BENCH_transform.json` (committed; CI regenerates and checks that the
-//! kernel is no slower than the reference for one polynomial at every
-//! size).
+//! digit set — six digit polynomials, the `(k+1)·l_b` of Set III — as
+//! three merge-split pairs (the paper's MS-FFT, §V-A.3). Outputs are
+//! asserted equal before timing.
+//!
+//! Then one whole CMUX step `ACC ← ACC + G ⊡ (X^ã·ACC − ACC)` at the Set
+//! III shape (k = 1, l_b = 3, β = 2^8), two ways that must agree bit for
+//! bit: `staged`, the composition of the public stage functions with
+//! every intermediate in a buffer of its own (each stage also timed
+//! alone), and `fused`, the two streaming passes the external product
+//! runs ([`NegacyclicFft::forward_digit_into`],
+//! [`NegacyclicFft::inverse_mac_add_into`]) — against one hot GGSW and
+//! against a ring of them larger than the L2 cache. The staged sum minus
+//! the fused whole is the inter-stage memory traffic the fusion removes.
+//!
+//! Besides the criterion group, each size is timed directly and the
+//! results land in `BENCH_transform.json` (committed; CI regenerates and
+//! checks that the kernel is no slower than the reference for one
+//! polynomial at every size, and the fused CMUX no slower than the staged
+//! one at N ≥ 1024).
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use morphling_math::{Complex64, Polynomial, Torus32};
+use morphling_math::{Complex64, DecompParams, Polynomial, SignedDecomposer, Torus32};
 use morphling_transform::{FftPlan, NegacyclicFft, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,6 +89,195 @@ impl Reference {
             out[j] = Torus32::from_raw(u.re.round() as i64 as u32);
             out[j + half] = Torus32::from_raw((-u.im).round() as i64 as u32);
         }
+    }
+}
+
+/// Set III's gadget and GLWE dimension.
+const BASE_LOG: u32 = 8;
+const LEVEL: usize = 3;
+const GLWE_DIM: usize = 1;
+/// GGSWs in the streamed ring: 64 × 192 KB at N = 2048, beyond L2.
+const RING: usize = 64;
+
+type Ggsw = Vec<Vec<Spectrum>>;
+
+/// The buffers of one CMUX step, staged and fused alike.
+struct Cmux {
+    fft: NegacyclicFft,
+    decomp: DecompParams,
+    acc: Vec<Polynomial<Torus32>>,
+    lambda: Vec<Polynomial<Torus32>>,
+    digit_polys: Vec<Polynomial<i64>>,
+    digit_spectra: Vec<Spectrum>,
+    acc_spectra: Vec<Spectrum>,
+    product: Vec<Polynomial<Torus32>>,
+    scratch: Vec<f64>,
+}
+
+impl Cmux {
+    fn new(n: usize, rng: &mut StdRng) -> Self {
+        let comps = GLWE_DIM + 1;
+        Self {
+            fft: NegacyclicFft::new(n),
+            decomp: DecompParams::new(BASE_LOG, LEVEL),
+            acc: (0..comps)
+                .map(|_| Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen())))
+                .collect(),
+            lambda: vec![Polynomial::zero(n); comps],
+            digit_polys: vec![Polynomial::zero(n); comps * LEVEL],
+            digit_spectra: vec![Spectrum::zero(n); comps * LEVEL],
+            acc_spectra: vec![Spectrum::zero(n); comps],
+            product: vec![Polynomial::zero(n); comps],
+            scratch: Vec::new(),
+        }
+    }
+
+    fn rotate(&mut self, a_tilde: i64) {
+        for (acc, lambda) in self.acc.iter().zip(&mut self.lambda) {
+            acc.monomial_mul_minus_one_into(a_tilde, lambda);
+        }
+    }
+
+    fn decompose(&mut self) {
+        let decomposer = SignedDecomposer::<Torus32>::new(self.decomp);
+        for (lambda, digits) in self.lambda.iter().zip(self.digit_polys.chunks_mut(LEVEL)) {
+            decomposer.decompose_poly_into(lambda, digits);
+        }
+    }
+
+    fn forward(&mut self) {
+        for (p, s) in self.digit_polys.iter().zip(&mut self.digit_spectra) {
+            self.fft.forward_int_into(p, s);
+        }
+    }
+
+    fn mac(&mut self, ggsw: &Ggsw) {
+        for s in &mut self.acc_spectra {
+            s.set_zero();
+        }
+        for (digit, row) in self.digit_spectra.iter().zip(ggsw) {
+            for (acc_u, row_u) in self.acc_spectra.iter_mut().zip(row) {
+                acc_u.mul_acc(digit, row_u);
+            }
+        }
+    }
+
+    fn inverse(&mut self) {
+        for (s, p) in self.acc_spectra.iter().zip(&mut self.product) {
+            self.fft.inverse_torus_into(s, p, &mut self.scratch);
+        }
+    }
+
+    fn add(&mut self) {
+        for (acc, p) in self.acc.iter_mut().zip(&self.product) {
+            *acc += p;
+        }
+    }
+
+    fn staged(&mut self, ggsw: &Ggsw, a_tilde: i64) {
+        self.rotate(a_tilde);
+        self.decompose();
+        self.forward();
+        self.mac(ggsw);
+        self.inverse();
+        self.add();
+    }
+
+    fn fused(&mut self, ggsw: &Ggsw, a_tilde: i64) {
+        self.rotate(a_tilde);
+        for (lambda, specs) in self.lambda.iter().zip(self.digit_spectra.chunks_mut(LEVEL)) {
+            for (level, spec) in specs.iter_mut().enumerate() {
+                self.fft
+                    .forward_digit_into(lambda, self.decomp, level, spec);
+            }
+        }
+        for (u, acc) in self.acc.iter_mut().enumerate() {
+            self.fft
+                .inverse_mac_add_into(&self.digit_spectra, ggsw, u, acc, &mut self.scratch);
+        }
+    }
+}
+
+/// What one CMUX costs, in ns: each staged stage alone against a hot
+/// GGSW, then the staged and the fused whole, hot and streamed.
+struct CmuxTimes {
+    stages: [(&'static str, f64); 6],
+    staged_hot: f64,
+    fused_hot: f64,
+    staged_streamed: f64,
+    fused_streamed: f64,
+}
+
+fn time_cmux(n: usize, rng: &mut StdRng) -> CmuxTimes {
+    let mut cmux = Cmux::new(n, rng);
+    let random_ggsw = |cmux: &Cmux, rng: &mut StdRng| -> Ggsw {
+        (0..(GLWE_DIM + 1) * LEVEL)
+            .map(|_| {
+                (0..=GLWE_DIM)
+                    .map(|_| {
+                        let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+                        cmux.fft.forward_torus(&t)
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let hot = random_ggsw(&cmux, rng);
+    let ring: Vec<Ggsw> = (0..RING).map(|_| hot.clone()).collect();
+
+    // Same bits both ways over a chain of steps, or the comparison means
+    // nothing.
+    let start = cmux.acc.clone();
+    for a_tilde in [3, n as i64 + 1, 2 * n as i64 - 1] {
+        cmux.staged(&hot, a_tilde);
+    }
+    let want = std::mem::replace(&mut cmux.acc, start);
+    for a_tilde in [3, n as i64 + 1, 2 * n as i64 - 1] {
+        cmux.fused(&hot, a_tilde);
+    }
+    assert_eq!(
+        cmux.acc, want,
+        "n={n}: fused CMUX must equal the staged one"
+    );
+
+    let (runs, rounds) = (200u32, 9usize);
+    let stages = [
+        ("rotate", time_ns(|| cmux.rotate(3), runs, rounds)),
+        ("decompose", time_ns(|| cmux.decompose(), runs, rounds)),
+        ("forward", time_ns(|| cmux.forward(), runs, rounds)),
+        ("mac", time_ns(|| cmux.mac(&hot), runs, rounds)),
+        ("inverse", time_ns(|| cmux.inverse(), runs, rounds)),
+        ("add", time_ns(|| cmux.add(), runs, rounds)),
+    ];
+    // Staged and fused in alternating rounds, so that a slow spell of a
+    // shared host falls on both alike.
+    let mut at = 0usize;
+    let mut whole: [Vec<f64>; 4] = Default::default();
+    for _ in 0..rounds {
+        for (which, samples) in whole.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            for _ in 0..runs {
+                at = (at + 1) % RING;
+                match which {
+                    0 => cmux.staged(&hot, 3),
+                    1 => cmux.fused(&hot, 3),
+                    2 => cmux.staged(&ring[at], 3),
+                    _ => cmux.fused(&ring[at], 3),
+                }
+            }
+            samples.push(t0.elapsed().as_nanos() as f64 / f64::from(runs));
+        }
+    }
+    let [staged_hot, fused_hot, staged_streamed, fused_streamed] = whole.map(|mut samples| {
+        samples.sort_by(f64::total_cmp);
+        samples[rounds / 2]
+    });
+    CmuxTimes {
+        stages,
+        staged_hot,
+        fused_hot,
+        staged_streamed,
+        fused_streamed,
     }
 }
 
@@ -191,6 +392,24 @@ fn bench(c: &mut Criterion) {
              inverse {ref_inv:.0} → {ker_inv:.0} ns ({s_inv:.2}x), \
              digit set of {DIGIT_SET} {ref_set:.0} → {ker_set:.0} ns ({s_set:.2}x)"
         );
+        let cmux = time_cmux(n, &mut rng);
+        let stage_sum: f64 = cmux.stages.iter().map(|(_, ns)| ns).sum();
+        let stages: Vec<String> = cmux
+            .stages
+            .iter()
+            .map(|(name, ns)| format!("{name} {ns:.0}"))
+            .collect();
+        let s_cmux = cmux.staged_hot / cmux.fused_hot;
+        println!(
+            "cmux/n{n}: stages [{}] sum {stage_sum:.0} ns; hot staged {:.0} → fused {:.0} ns \
+             ({s_cmux:.2}x); streamed staged {:.0} → fused {:.0} ns ({:.2}x)",
+            stages.join(", "),
+            cmux.staged_hot,
+            cmux.fused_hot,
+            cmux.staged_streamed,
+            cmux.fused_streamed,
+            cmux.staged_streamed / cmux.fused_streamed,
+        );
         entries.push(format!(
             "    {{\"poly_size\": {n}, \"runs\": {}, \
              \"reference_forward_ns\": {ref_fwd:.1}, \"kernel_forward_ns\": {ker_fwd:.1}, \
@@ -199,8 +418,15 @@ fn bench(c: &mut Criterion) {
              \"speedup_inverse\": {s_inv:.3}, \
              \"digit_set\": {DIGIT_SET}, \
              \"reference_digit_set_ns\": {ref_set:.1}, \"kernel_digit_set_ns\": {ker_set:.1}, \
-             \"speedup_digit_set\": {s_set:.3}}}",
+             \"speedup_digit_set\": {s_set:.3}, \
+             \"cmux_stage_sum_ns\": {stage_sum:.1}, \
+             \"staged_cmux_ns\": {:.1}, \"fused_cmux_ns\": {:.1}, \"speedup_cmux\": {s_cmux:.3}, \
+             \"staged_cmux_streamed_ns\": {:.1}, \"fused_cmux_streamed_ns\": {:.1}}}",
             runs as usize * rounds,
+            cmux.staged_hot,
+            cmux.fused_hot,
+            cmux.staged_streamed,
+            cmux.fused_streamed,
         ));
     }
     g.finish();

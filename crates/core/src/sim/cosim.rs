@@ -47,7 +47,7 @@ pub struct XpuCosim {
 impl XpuCosim {
     /// Build a co-simulator for `config` at `params`' polynomial size.
     pub fn new(config: ArchConfig, params: &TfheParams) -> Self {
-        let engine = ExternalProductEngine::new(params).with_merge_split(config.merge_split);
+        let engine = ExternalProductEngine::new(params);
         Self { config, engine }
     }
 

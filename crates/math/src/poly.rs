@@ -138,24 +138,35 @@ where
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn monomial_mul_into(&self, power: i64, out: &mut Self) {
+        self.rotate_into(power, out, |rotated, _| rotated);
+    }
+
+    /// `out[j] = f(rotated[j], self[j])` with `rotated = X^power · self`:
+    /// the rotation as two straight runs — `self[..N−s]` lands on
+    /// `out[s..]`, the wrapped `self[N−s..]` on `out[..s]` with its sign
+    /// flipped (`X^N = −1`) — so every loop is branch-free.
+    #[inline(always)]
+    fn rotate_into(&self, power: i64, out: &mut Self, f: impl Fn(T, T) -> T) {
         assert_eq!(out.len(), self.len(), "output polynomial size mismatch");
-        let n = self.len() as i64;
-        let two_n = 2 * n;
-        let a = power.rem_euclid(two_n);
+        let n = self.len();
+        let a = power.rem_euclid(2 * n as i64) as usize;
         let (shift, negate_all) = if a < n { (a, false) } else { (a - n, true) };
-        let shift = shift as usize;
-        let n = n as usize;
-        for j in 0..n {
-            // out[j + shift] = coeffs[j], wrapping with sign flip.
-            let (dst, wrapped) = if j + shift < n {
-                (j + shift, false)
+        let (straight, wrapped) = self.coeffs.split_at(n - shift);
+        let (own_low, own_high) = self.coeffs.split_at(shift);
+        let (out_low, out_high) = out.coeffs.split_at_mut(shift);
+        let run = |out: &mut [T], src: &[T], own: &[T], negate: bool| {
+            if negate {
+                for ((o, &v), &s) in out.iter_mut().zip(src).zip(own) {
+                    *o = f(-v, s);
+                }
             } else {
-                (j + shift - n, true)
-            };
-            let v = self.coeffs[j];
-            let v = if wrapped ^ negate_all { -v } else { v };
-            out.coeffs[dst] = v;
-        }
+                for ((o, &v), &s) in out.iter_mut().zip(src).zip(own) {
+                    *o = f(v, s);
+                }
+            }
+        };
+        run(out_high, straight, own_high, negate_all);
+        run(out_low, wrapped, own_low, !negate_all);
     }
 
     /// `X^power * self - self`: the rotate-and-subtract producing the
@@ -181,10 +192,7 @@ where
     where
         T: Sub<Output = T>,
     {
-        self.monomial_mul_into(power, out);
-        for (o, &s) in out.coeffs.iter_mut().zip(&self.coeffs) {
-            *o = *o - s;
-        }
+        self.rotate_into(power, out, |rotated, own| rotated - own);
     }
 }
 

@@ -299,10 +299,8 @@ mod tests {
 
     #[test]
     fn blind_rotate_assign_many_is_bit_identical_to_sequential() {
-        // Merge-split on and off, k = 1 (even row count) and k = 2 (odd:
-        // the last digit row and the last output component take the
-        // folded path), chunk sizes including the degenerate 1 and an odd
-        // count: the interchanged loops must equal one
+        // k = 1 and k = 2, chunk sizes including the degenerate 1 and an
+        // odd count: the interchanged loops must equal one
         // blind_rotate_assign per request bit for bit.
         for set in [ParamSet::Test, ParamSet::TestMedium] {
             let mut rng = StdRng::seed_from_u64(65);
@@ -331,22 +329,20 @@ mod tests {
                 let accs0: Vec<GlweCiphertext> = (0..batch_len)
                     .map(|r| initial_accumulator(&tp, params.glwe_dim, 7 + r as u64))
                     .collect();
-                for ms in [true, false] {
-                    let engine = ExternalProductEngine::new(&params).with_merge_split(ms);
-                    let mut ws = engine.workspace(params.glwe_dim);
-                    let want: Vec<GlweCiphertext> = accs0
-                        .iter()
-                        .zip(&masks)
-                        .map(|(acc, mask)| {
-                            let mut acc = acc.clone();
-                            blind_rotate_assign(&engine, &bsk, &mut acc, mask, &mut ws);
-                            acc
-                        })
-                        .collect();
-                    let mut accs = accs0.clone();
-                    blind_rotate_assign_many(&engine, &bsk, &mut accs, &masks, &mut ws);
-                    assert_eq!(accs, want, "set={set:?} batch_len={batch_len} ms={ms}");
-                }
+                let engine = ExternalProductEngine::new(&params);
+                let mut ws = engine.workspace(params.glwe_dim);
+                let want: Vec<GlweCiphertext> = accs0
+                    .iter()
+                    .zip(&masks)
+                    .map(|(acc, mask)| {
+                        let mut acc = acc.clone();
+                        blind_rotate_assign(&engine, &bsk, &mut acc, mask, &mut ws);
+                        acc
+                    })
+                    .collect();
+                let mut accs = accs0.clone();
+                blind_rotate_assign_many(&engine, &bsk, &mut accs, &masks, &mut ws);
+                assert_eq!(accs, want, "set={set:?} batch_len={batch_len}");
             }
         }
     }

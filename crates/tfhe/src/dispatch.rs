@@ -94,6 +94,7 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::faults;
+use crate::journal::Ring;
 use crate::keystore::{KeyStore, TenantId};
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
@@ -227,7 +228,7 @@ struct DispatchCounters {
     last_ns: AtomicU64,
     latencies: Mutex<LatencyReservoir>,
     per_tenant: Mutex<HashMap<u64, TenantCounters>>,
-    spans: Mutex<Vec<DispatchSpan>>,
+    spans: Mutex<Ring<DispatchSpan>>,
 }
 
 struct Shared {
@@ -517,6 +518,9 @@ pub struct DispatcherStats {
     pub key_evictions: u64,
     /// Key bytes currently resident in the cache.
     pub key_bytes_resident: u64,
+    /// Request spans the bounded journal behind [`Dispatcher::spans`]
+    /// has overwritten.
+    pub spans_dropped: u64,
 }
 
 /// One tenant's slice of [`DispatcherStats`]: completion count and
@@ -1039,6 +1043,7 @@ impl Dispatcher {
             key_misses: key.misses,
             key_evictions: key.evictions,
             key_bytes_resident: key.bytes_resident,
+            spans_dropped: lock(&c.spans).dropped(),
         }
     }
 
@@ -1048,9 +1053,11 @@ impl Dispatcher {
         self.shared.key_store.as_ref()
     }
 
-    /// Snapshot of the per-request queue/execute journal.
+    /// Snapshot of the per-request queue/execute journal: the newest
+    /// 16 384 completed requests, oldest first
+    /// ([`DispatcherStats::spans_dropped`] counts the rest).
     pub fn spans(&self) -> Vec<DispatchSpan> {
-        lock(&self.shared.counters.spans).clone()
+        lock(&self.shared.counters.spans).snapshot()
     }
 
     /// Snapshot of the resilience timeline: retries and sheds journaled
@@ -1776,6 +1783,37 @@ mod tests {
         assert!(stats.p50_latency <= stats.p95_latency);
         assert!(stats.p95_latency <= stats.p99_latency);
         assert!(stats.throughput_bs > 0.0);
+    }
+
+    #[test]
+    fn span_journal_is_bounded_and_counts_what_it_drops() {
+        use crate::journal::JOURNAL_CAPACITY;
+        let (backend, _started, _gate) = echo(false);
+        let d = Dispatcher::builder()
+            .max_batch_size(64)
+            .queue_capacity(4096)
+            .max_linger(Duration::from_micros(50))
+            .build(backend);
+        let lut = dummy_lut();
+        let ops = 100_000u64;
+        for wave in 0..ops / 1000 {
+            let tickets: Vec<Ticket> = (0..1000)
+                .map(|i| {
+                    d.submit(dummy_ct(wave * 1000 + i), Arc::clone(&lut), None)
+                        .unwrap()
+                })
+                .collect();
+            for t in tickets {
+                t.wait().unwrap();
+            }
+        }
+        let (spans, stats) = (d.spans(), d.stats());
+        assert_eq!(stats.completed, ops);
+        assert_eq!(spans.len(), JOURNAL_CAPACITY);
+        assert_eq!(spans.len() as u64 + stats.spans_dropped, stats.completed);
+        // The newest requests are the ones kept, oldest first.
+        assert_eq!(spans.last().map(|s| s.id), Some(ops - 1));
+        assert!(spans.windows(2).all(|w| w[0].exec_start <= w[1].exec_start));
     }
 
     #[test]

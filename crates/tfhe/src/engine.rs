@@ -96,6 +96,7 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::faults::{corrupt_ciphertext, fault_key, FaultInjector, FaultPlan, FaultSite};
+use crate::journal::Ring;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
@@ -269,6 +270,9 @@ pub struct EngineStats {
     pub watchdog_timeouts: u64,
     /// Outputs rejected by the sanity-check hook.
     pub check_failures: u64,
+    /// Job spans the bounded journal behind
+    /// [`BootstrapEngine::job_spans`] has overwritten.
+    pub spans_dropped: u64,
 }
 
 impl EngineStats {
@@ -328,7 +332,7 @@ struct Counters {
     alive: AtomicUsize,
     /// Per-job execution spans (coarse-grained: one entry per chunk, so
     /// the mutex is uncontended relative to the bootstrap work itself).
-    spans: Mutex<Vec<JobSpan>>,
+    spans: Mutex<Ring<JobSpan>>,
     /// Fault/recovery incident journal, same epoch as `spans`.
     events: Mutex<Vec<FaultEvent>>,
 }
@@ -820,6 +824,7 @@ impl BootstrapEngine {
             retries: self.counters.retries.load(Ordering::Relaxed),
             watchdog_timeouts: self.counters.watchdog_timeouts.load(Ordering::Relaxed),
             check_failures: self.counters.check_failures.load(Ordering::Relaxed),
+            spans_dropped: self.counters.spans.lock().map_or(0, |s| s.dropped()),
         }
     }
 
@@ -859,12 +864,13 @@ impl BootstrapEngine {
 
     /// Snapshot of the per-worker job journal (one [`JobSpan`] per
     /// executed chunk) since construction or the last
-    /// [`reset_stats`](Self::reset_stats).
+    /// [`reset_stats`](Self::reset_stats): the newest 16 384 spans,
+    /// oldest first ([`EngineStats::spans_dropped`] counts the rest).
     pub fn job_spans(&self) -> Vec<JobSpan> {
         self.counters
             .spans
             .lock()
-            .map(|s| s.clone())
+            .map(|s| s.snapshot())
             .unwrap_or_default()
     }
 

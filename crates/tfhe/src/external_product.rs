@@ -5,10 +5,12 @@
 //! Two implementations are provided:
 //!
 //! - [`ExternalProductEngine`]: the transform-domain path the hardware
-//!   accelerates — decompose, forward-FFT the digit polynomials (optionally
-//!   two at a time via the merge-split FFT), multiply-accumulate against
-//!   the precomputed BSK spectra, and inverse-FFT once per output
-//!   component. The accumulation order mirrors the VPE array with the
+//!   accelerates, as the XPU's streaming pipeline (§IV–V): decomposition
+//!   rides on the forward transform's first pass, the multiply-accumulate
+//!   against the precomputed BSK spectra on the inverse transform's
+//!   first pass and the rounding and the `+ ACC` on its last. Only the
+//!   digit spectra are parked in memory between the two. The
+//!   accumulation order mirrors the VPE array with the
 //!   ACC-output-stationary dataflow. There is one implementation: the
 //!   allocating entry points run it in a workspace of their own.
 //! - [`external_product`] (free function): an exact integer-domain oracle
@@ -17,7 +19,7 @@
 use std::sync::Arc;
 
 use morphling_math::negacyclic::mul_int_torus32;
-use morphling_math::{Polynomial, SignedDecomposer, Torus32};
+use morphling_math::{DecompParams, Polynomial, SignedDecomposer, Torus32};
 use morphling_transform::NegacyclicFft;
 
 use crate::fft_cache::fft_for;
@@ -32,32 +34,16 @@ use crate::workspace::BootstrapWorkspace;
 pub struct ExternalProductEngine {
     /// The process-wide transform engine for this polynomial size.
     fft: Arc<NegacyclicFft>,
-    decomposer: SignedDecomposer<Torus32>,
-    merge_split: bool,
+    decomp: DecompParams,
 }
 
 impl ExternalProductEngine {
-    /// Build an engine for `params`, with the merge-split FFT enabled.
+    /// Build an engine for `params`.
     pub fn new(params: &TfheParams) -> Self {
         Self {
             fft: fft_for(params.poly_size),
-            decomposer: SignedDecomposer::new(params.bsk_decomp),
-            merge_split: true,
+            decomp: params.bsk_decomp,
         }
-    }
-
-    /// Enable or disable the merge-split FFT (functional results are
-    /// identical; this exists for the ablation benches).
-    #[must_use]
-    pub fn with_merge_split(mut self, enabled: bool) -> Self {
-        self.merge_split = enabled;
-        self
-    }
-
-    /// Whether the merge-split FFT is enabled.
-    #[inline]
-    pub fn merge_split(&self) -> bool {
-        self.merge_split
     }
 
     /// The FFT engine (shared with every other component working at the
@@ -77,8 +63,9 @@ impl ExternalProductEngine {
         assert_eq!(ggsw.poly_size(), ct.poly_size(), "polynomial size mismatch");
         let mut ws = self.workspace(ct.dim());
         ws.lambda = ct.clone();
-        self.external_product_buffers(ggsw, &mut ws);
-        GlweCiphertext::from_components(ws.product)
+        let mut out = GlweCiphertext::zero(ct.dim(), ct.poly_size());
+        self.add_external_product(ggsw, &mut ws, &mut out);
+        out
     }
 
     /// CMUX: `ct0 + ggsw ⊡ (ct1 − ct0)` — selects `ct1` when the GGSW
@@ -107,11 +94,7 @@ impl ExternalProductEngine {
     /// A [`BootstrapWorkspace`] sized for this engine's transform and
     /// gadget, serving accumulators of GLWE dimension `glwe_dim`.
     pub fn workspace(&self, glwe_dim: usize) -> BootstrapWorkspace {
-        BootstrapWorkspace::with_shape(
-            glwe_dim,
-            self.fft.poly_len(),
-            self.decomposer.params().level(),
-        )
+        BootstrapWorkspace::with_shape(glwe_dim, self.fft.poly_len(), self.decomp.level())
     }
 
     /// [`rotate_cmux`](Self::rotate_cmux) in place: updates `acc` through
@@ -139,71 +122,41 @@ impl ExternalProductEngine {
             "workspace shape does not match the accumulator"
         );
         acc.monomial_mul_minus_one_into(a_tilde, &mut ws.lambda);
-        self.external_product_buffers(bsk_i, ws);
-        acc.add_assign_components(&ws.product);
+        self.add_external_product(bsk_i, ws, acc);
     }
 
-    /// `ggsw ⊡ ws.lambda` into `ws.product`, every intermediate staged in
-    /// the workspace: decompose (eq. (1)), forward-transform the digit
-    /// rows (two per FFT pass under merge-split, §V-A.3),
-    /// multiply-accumulate against the GGSW rows with one running spectrum
-    /// per output component (the ACC-output-stationary dataflow of the VPE
-    /// array), and inverse-transform once per component.
-    fn external_product_buffers(&self, ggsw: &FourierGgsw, ws: &mut BootstrapWorkspace) {
+    /// `acc += ggsw ⊡ ws.lambda` as two streaming passes with only the
+    /// digit spectra parked between them. Forward, once per (component,
+    /// level): decompose (eq. (1)), widen, fold, twist, transform.
+    /// Inverse, once per output component: multiply-accumulate every
+    /// digit spectrum against its GGSW row (the ACC-output-stationary
+    /// dataflow of the VPE array), transform back, untwist, round, add
+    /// into `acc`.
+    fn add_external_product(
+        &self,
+        ggsw: &FourierGgsw,
+        ws: &mut BootstrapWorkspace,
+        acc: &mut GlweCiphertext,
+    ) {
+        let l = self.decomp.level();
         assert_eq!(
-            ws.digit_polys.len(),
+            ws.digit_spectra.len(),
             ggsw.row_count(),
             "gadget level mismatch"
         );
-        let l = self.decomposer.params().level();
-        for (comp, rows) in ws.lambda.components().zip(ws.digit_polys.chunks_mut(l)) {
-            self.decomposer.decompose_poly_into(comp, rows);
-        }
-
-        let scratch = &mut ws.scratch;
-        if self.merge_split {
-            let mut polys = ws.digit_polys.chunks_exact(2);
-            let mut specs = ws.digit_spectra.chunks_exact_mut(2);
-            for (pair, out) in (&mut polys).zip(&mut specs) {
-                let (s0, s1) = out.split_at_mut(1);
-                self.fft
-                    .forward_pair_int_into(&pair[0], &pair[1], &mut s0[0], &mut s1[0], scratch);
-            }
-            if let ([last], [out]) = (polys.remainder(), specs.into_remainder()) {
-                self.fft.forward_int_into(last, out);
-            }
-        } else {
-            for (p, s) in ws.digit_polys.iter().zip(ws.digit_spectra.iter_mut()) {
-                self.fft.forward_int_into(p, s);
+        for (comp, specs) in ws.lambda.components().zip(ws.digit_spectra.chunks_mut(l)) {
+            for (level, spec) in specs.iter_mut().enumerate() {
+                self.fft.forward_digit_into(comp, self.decomp, level, spec);
             }
         }
-
-        // Clear POLY-ACC-REG, then stream every row across all k+1 output
-        // lanes.
-        for s in ws.acc_spectra.iter_mut() {
-            s.set_zero();
-        }
-        for (r, digit_spec) in ws.digit_spectra.iter().enumerate() {
-            for (acc_u, row_u) in ws.acc_spectra.iter_mut().zip(ggsw.row(r)) {
-                acc_u.mul_acc(digit_spec, row_u);
-            }
-        }
-
-        if self.merge_split {
-            let mut specs = ws.acc_spectra.chunks_exact(2);
-            let mut outs = ws.product.chunks_exact_mut(2);
-            for (pair, out) in (&mut specs).zip(&mut outs) {
-                let (p0, p1) = out.split_at_mut(1);
-                self.fft
-                    .inverse_pair_torus_into(&pair[0], &pair[1], &mut p0[0], &mut p1[0], scratch);
-            }
-            if let ([last], [out]) = (specs.remainder(), outs.into_remainder()) {
-                self.fft.inverse_torus_into(last, out, scratch);
-            }
-        } else {
-            for (s, p) in ws.acc_spectra.iter().zip(ws.product.iter_mut()) {
-                self.fft.inverse_torus_into(s, p, scratch);
-            }
+        for (u, acc_u) in acc.components_mut().enumerate() {
+            self.fft.inverse_mac_add_into(
+                &ws.digit_spectra,
+                ggsw.rows(),
+                u,
+                acc_u,
+                &mut ws.scratch,
+            );
         }
     }
 }
@@ -292,6 +245,40 @@ mod tests {
         rng: StdRng,
     }
 
+    /// `acc += ggsw ⊡ (X^ã·acc − acc)` as the staged composition of the
+    /// public stage functions, every intermediate in a buffer of its own:
+    /// the reference the fused pipeline must equal bit for bit.
+    fn rotate_cmux_staged(
+        engine: &ExternalProductEngine,
+        ggsw: &FourierGgsw,
+        acc: &mut GlweCiphertext,
+        a_tilde: i64,
+    ) {
+        use morphling_transform::Spectrum;
+        let (n, l) = (acc.poly_size(), engine.decomp.level());
+        let decomposer = SignedDecomposer::<Torus32>::new(engine.decomp);
+        let lambda = acc.monomial_mul_minus_one(a_tilde);
+        let mut digit_polys = vec![Polynomial::<i64>::zero(n); ggsw.row_count()];
+        for (comp, rows) in lambda.components().zip(digit_polys.chunks_mut(l)) {
+            decomposer.decompose_poly_into(comp, rows);
+        }
+        let mut digit_spectra = vec![Spectrum::zero(n); ggsw.row_count()];
+        for (p, s) in digit_polys.iter().zip(&mut digit_spectra) {
+            engine.fft.forward_int_into(p, s);
+        }
+        let mut acc_spectra = vec![Spectrum::zero(n); acc.dim() + 1];
+        for (r, digit_spec) in digit_spectra.iter().enumerate() {
+            for (acc_u, row_u) in acc_spectra.iter_mut().zip(ggsw.row(r)) {
+                acc_u.mul_acc(digit_spec, row_u);
+            }
+        }
+        let mut product = vec![Polynomial::zero(n); acc.dim() + 1];
+        for (s, p) in acc_spectra.iter().zip(&mut product) {
+            engine.fft.inverse_torus_into(s, p, &mut Vec::new());
+        }
+        acc.add_assign_components(&product);
+    }
+
     fn setup(noiseless: bool) -> Setup {
         let params = if noiseless {
             ParamSet::Test.params().noiseless()
@@ -363,28 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_split_path_is_equivalent() {
-        let Setup {
-            params,
-            key,
-            mut rng,
-        } = setup(false);
-        let m = coarse_msg(params.poly_size, 9);
-        let ct = GlweCiphertext::encrypt(&m, &key, params.glwe_noise_std, &mut rng);
-        let ggsw = GgswCiphertext::encrypt(1, &key, &params, &mut rng);
-        let with = ExternalProductEngine::new(&params);
-        let without = ExternalProductEngine::new(&params).with_merge_split(false);
-        let f = ggsw.to_fourier(with.fft());
-        let a = with.external_product(&f, &ct);
-        let b = without.external_product(&f, &ct);
-        for (x, y) in a.components().zip(b.components()) {
-            for j in 0..params.poly_size {
-                assert!((x[j] - y[j]).to_signed().abs() <= 1, "j={j}");
-            }
-        }
-    }
-
-    #[test]
     fn cmux_selects_by_the_encrypted_bit() {
         let Setup {
             params,
@@ -436,28 +401,33 @@ mod tests {
     }
 
     #[test]
-    fn rotate_cmux_into_is_bit_identical_to_allocating_path() {
-        // Chained rotations, merge-split on and off, k = 1 and k = 2: a
-        // workspace reused across steps must reproduce the allocating
-        // path (a fresh workspace per step) bit for bit — nothing may
-        // leak from one external product into the next.
+    fn rotate_cmux_into_is_bit_identical_to_the_staged_reference() {
+        // Chained rotations through one reused workspace, k = 1 and
+        // k = 2, exponents on both sides of every wrap: each step must
+        // equal the staged reference and the allocating path (a fresh
+        // workspace per step) bit for bit — nothing may leak from one
+        // external product into the next.
         for set in [ParamSet::Test, ParamSet::TestMedium] {
             let params = set.params();
+            let n = params.poly_size as i64;
             let mut rng = StdRng::seed_from_u64(42);
             let key = GlweSecretKey::generate(params.glwe_dim, params.poly_size, &mut rng);
             let m = coarse_msg(params.poly_size, 11);
             let ct = GlweCiphertext::encrypt(&m, &key, params.glwe_noise_std, &mut rng);
-            for ms in [true, false] {
-                let engine = ExternalProductEngine::new(&params).with_merge_split(ms);
-                let ggsw =
-                    GgswCiphertext::encrypt(1, &key, &params, &mut rng).to_fourier(engine.fft());
-                let mut ws = engine.workspace(params.glwe_dim);
-                let mut acc = ct.clone();
-                for a_tilde in [0i64, 5, 37, 211] {
-                    let want = engine.rotate_cmux(&ggsw, &acc, a_tilde);
-                    engine.rotate_cmux_into(&ggsw, &mut acc, a_tilde, &mut ws);
-                    assert_eq!(acc, want, "set={set:?} ms={ms} a_tilde={a_tilde}");
-                }
+            let engine = ExternalProductEngine::new(&params);
+            let ggsw = GgswCiphertext::encrypt(1, &key, &params, &mut rng).to_fourier(engine.fft());
+            let mut ws = engine.workspace(params.glwe_dim);
+            let mut acc = ct.clone();
+            for a_tilde in [0, 1, 5, 37, 211, n - 1, n, n + 1, 2 * n - 1] {
+                let mut want = acc.clone();
+                rotate_cmux_staged(&engine, &ggsw, &mut want, a_tilde);
+                assert_eq!(
+                    engine.rotate_cmux(&ggsw, &acc, a_tilde),
+                    want,
+                    "allocating, set={set:?} a_tilde={a_tilde}"
+                );
+                engine.rotate_cmux_into(&ggsw, &mut acc, a_tilde, &mut ws);
+                assert_eq!(acc, want, "in place, set={set:?} a_tilde={a_tilde}");
             }
         }
     }

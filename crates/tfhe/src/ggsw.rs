@@ -151,6 +151,11 @@ impl FourierGgsw {
         &self.rows[r]
     }
 
+    /// Every row, in `(component, level)` order.
+    pub(crate) fn rows(&self) -> &[Vec<Spectrum>] {
+        &self.rows
+    }
+
     /// Number of rows, `(k+1)·l`.
     pub fn row_count(&self) -> usize {
         self.rows.len()

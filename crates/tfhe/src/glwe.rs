@@ -103,11 +103,14 @@ impl GlweCiphertext {
     }
 
     /// Add `comps` (in `A_1, …, A_k, B` order) into this ciphertext —
-    /// the final `+ ACC` of Algorithm 1 line 4, done in place.
+    /// the final `+ ACC` of Algorithm 1 line 4 as a pass of its own (the
+    /// external product's staged reference; the engine adds as it
+    /// rounds).
     ///
     /// # Panics
     ///
     /// Panics if `comps.len() != k + 1`.
+    #[cfg(test)]
     pub(crate) fn add_assign_components(&mut self, comps: &[Polynomial<Torus32>]) {
         assert_eq!(comps.len(), self.dim() + 1, "component count mismatch");
         for (dst, src) in self.components_mut().zip(comps) {

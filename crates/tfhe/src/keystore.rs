@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
+use crate::journal::Ring;
 use crate::lwe::LweCiphertext;
 use crate::serialize::deserialize_server_key;
 use crate::server::ServerKey;
@@ -246,7 +247,7 @@ pub struct KeyEvent {
 #[derive(Debug)]
 struct KeyJournal {
     epoch: Instant,
-    events: Mutex<Vec<KeyEvent>>,
+    events: Mutex<Ring<KeyEvent>>,
 }
 
 impl KeyJournal {
@@ -278,6 +279,9 @@ pub struct KeyStoreStats {
     pub bytes_resident: u64,
     /// Keys currently resident.
     pub resident_keys: u64,
+    /// Cache events the bounded journal behind [`KeyStore::events`] has
+    /// overwritten.
+    pub events_dropped: u64,
 }
 
 /// A resident cache entry.
@@ -363,7 +367,7 @@ impl KeyStore {
             loaded: Condvar::new(),
             journal: Arc::new(KeyJournal {
                 epoch: Instant::now(),
-                events: Mutex::new(Vec::new()),
+                events: Mutex::default(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -384,9 +388,10 @@ impl KeyStore {
         self.journal.epoch
     }
 
-    /// Snapshot of the journaled cache transitions.
+    /// Snapshot of the journaled cache transitions: the newest 16 384,
+    /// oldest first ([`KeyStoreStats::events_dropped`] counts the rest).
     pub fn events(&self) -> Vec<KeyEvent> {
-        lock(&self.journal.events).clone()
+        lock(&self.journal.events).snapshot()
     }
 
     /// Snapshot of the counters.
@@ -408,6 +413,7 @@ impl KeyStore {
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_resident,
             resident_keys,
+            events_dropped: lock(&self.journal.events).dropped(),
         }
     }
 

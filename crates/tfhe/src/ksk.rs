@@ -131,16 +131,24 @@ impl KeySwitchKey {
                 got: ct.dim(),
             });
         }
-        let mut out = LweCiphertext::trivial(ct.body(), self.dim_out);
+        // Accumulated in place, `out −= d·KSK_(i,j)` word by word: the
+        // output is the only allocation.
+        let mut mask = vec![Torus32::ZERO; self.dim_out];
+        let mut body = ct.body();
+        let mut digits = [0i64; Torus32::BITS as usize];
+        let digits = &mut digits[..self.level()];
         for (a_i, row) in ct.mask().iter().zip(&self.rows) {
-            let digits = self.decomposer.decompose_scalar(*a_i);
-            for (d, ksk_ij) in digits.iter().zip(row) {
-                if *d != 0 {
-                    out = out.sub(&ksk_ij.scalar_mul(*d));
+            self.decomposer.decompose_scalar_into(*a_i, digits);
+            for (&d, ksk_ij) in digits.iter().zip(row) {
+                if d != 0 {
+                    for (o, k) in mask.iter_mut().zip(ksk_ij.mask()) {
+                        *o -= k.scalar_mul(d);
+                    }
+                    body -= ksk_ij.body().scalar_mul(d);
                 }
             }
         }
-        Ok(out)
+        Ok(LweCiphertext::from_parts(mask, body))
     }
 }
 
@@ -166,6 +174,25 @@ mod tests {
             assert_eq!(switched.dim(), params.lwe_dim);
             assert_eq!(key_out.phase(&switched).decode(8), m, "m={m}");
         }
+    }
+
+    #[test]
+    fn in_place_accumulation_equals_the_ciphertext_algebra() {
+        // c'' = (0, …, 0, b) − Σ_i Σ_j ⟨a_i⟩_j · KSK_(i,j), spelled with
+        // whole-ciphertext operations in the same order.
+        let mut rng = StdRng::seed_from_u64(54);
+        let params = ParamSet::TestMedium.params();
+        let key_in = LweSecretKey::generate(96, &mut rng);
+        let key_out = LweSecretKey::generate(params.lwe_dim, &mut rng);
+        let ksk = KeySwitchKey::generate(&key_in, &key_out, &params, &mut rng);
+        let ct = LweCiphertext::encrypt(Torus32::encode(3, 8), &key_in, 0.0, &mut rng);
+        let mut want = LweCiphertext::trivial(ct.body(), ksk.dim_out());
+        for (a_i, row) in ct.mask().iter().zip(ksk.rows()) {
+            for (d, ksk_ij) in ksk.decomposer.decompose_scalar(*a_i).iter().zip(row) {
+                want = want.sub(&ksk_ij.scalar_mul(*d));
+            }
+        }
+        assert_eq!(ksk.key_switch(&ct), want);
     }
 
     #[test]

@@ -81,6 +81,7 @@ pub mod faults;
 mod fft_cache;
 mod ggsw;
 mod glwe;
+mod journal;
 mod keys;
 pub mod keystore;
 mod ksk;

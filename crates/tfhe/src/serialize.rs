@@ -570,7 +570,6 @@ pub fn deserialize_key_switch_key(bytes: &[u8]) -> Result<KeySwitchKey, TfheErro
 fn backend_tag(b: MulBackend) -> u8 {
     match b {
         MulBackend::Fft => 0,
-        MulBackend::FftPlain => 1,
         MulBackend::Ntt => 2,
         MulBackend::Exact => 3,
     }
@@ -578,8 +577,9 @@ fn backend_tag(b: MulBackend) -> u8 {
 
 fn backend_from_tag(tag: u8) -> Result<MulBackend, TfheError> {
     Ok(match tag {
-        0 => MulBackend::Fft,
-        1 => MulBackend::FftPlain,
+        // Tag 1 was `FftPlain`, the FFT path without merge_split: the one
+        // FFT path there is now.
+        0 | 1 => MulBackend::Fft,
         2 => MulBackend::Ntt,
         3 => MulBackend::Exact,
         other => return Err(corrupt(format!("unknown MulBackend tag {other}"))),
@@ -592,8 +592,8 @@ pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
     let mut w = Writer::new();
     write_params(&mut w, key.params());
     w.u8(backend_tag(key.backend()));
-    w.u8(u8::from(key.merge_split()));
-    // Reserved: earlier writers stored a transform-path flag here.
+    // Reserved: earlier writers stored two transform-path flags here.
+    w.u8(0);
     w.u8(0);
     let bsk = bootstrap_key_payload(key.bootstrap_key());
     w.usize(bsk.len());
@@ -615,8 +615,7 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
     let mut r = Reader::new(unframe(bytes, Kind::ServerKey)?);
     let params = read_params(&mut r)?;
     let backend = backend_from_tag(r.u8()?)?;
-    let merge_split = r.u8()? != 0;
-    let _reserved = r.u8()?;
+    let _reserved = [r.u8()?, r.u8()?];
     let bsk_len = r.len_field("embedded BSK")?;
     let mut bsk_r = Reader::new(r.take(bsk_len)?);
     let bsk = read_bootstrap_key(&mut bsk_r)?;
@@ -642,13 +641,7 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
             params.lwe_dim
         )));
     }
-    Ok(ServerKey::from_parts(
-        params,
-        bsk,
-        ksk,
-        backend,
-        merge_split,
-    ))
+    Ok(ServerKey::from_parts(params, bsk, ksk, backend))
 }
 
 #[cfg(test)]
@@ -702,7 +695,6 @@ mod tests {
         let back = deserialize_server_key(&blob).unwrap();
         assert_eq!(back.params(), sk.params());
         assert_eq!(back.backend(), sk.backend());
-        assert_eq!(back.merge_split(), sk.merge_split());
         // Key material matches exactly...
         for i in 0..sk.bootstrap_key().lwe_dim() {
             assert_eq!(

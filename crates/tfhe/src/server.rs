@@ -23,12 +23,10 @@ use crate::workspace::BootstrapWorkspace;
 /// Which polynomial-multiplication backend the blind rotation uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MulBackend {
-    /// The transform-domain path with the merge-split FFT — what the
-    /// hardware accelerates. Default.
+    /// The transform-domain path — what the hardware accelerates.
+    /// Default.
     #[default]
     Fft,
-    /// The transform-domain path without merge-split (ablation).
-    FftPlain,
     /// Exact number-theoretic transform over two CRT primes — O(N log N)
     /// with no rounding at all (the paper's "or NTT" alternative, §III).
     Ntt,
@@ -96,8 +94,8 @@ impl<'a> BootstrapOptions<'a> {
     }
 }
 
-/// Configures and derives a [`ServerKey`] — the one place where backend
-/// and transform options are chosen.
+/// Configures and derives a [`ServerKey`] — the one place where the
+/// backend is chosen.
 ///
 /// ```
 /// use morphling_tfhe::{ClientKey, MulBackend, ParamSet, ServerKey};
@@ -108,7 +106,6 @@ impl<'a> BootstrapOptions<'a> {
 /// let client = ClientKey::generate(ParamSet::Test.params(), &mut rng);
 /// let server = ServerKey::builder()
 ///     .backend(MulBackend::Fft)
-///     .merge_split(true)
 ///     .build(&client, &mut rng);
 /// assert_eq!(server.backend(), MulBackend::Fft);
 /// ```
@@ -116,11 +113,10 @@ impl<'a> BootstrapOptions<'a> {
 #[must_use = "a builder does nothing until .build() is called"]
 pub struct ServerKeyBuilder {
     backend: MulBackend,
-    merge_split: Option<bool>,
 }
 
 impl ServerKeyBuilder {
-    /// Start from the defaults: FFT backend with merge-split enabled.
+    /// Start from the default: the FFT backend.
     pub fn new() -> Self {
         Self::default()
     }
@@ -128,14 +124,6 @@ impl ServerKeyBuilder {
     /// Choose the polynomial-multiplication backend.
     pub fn backend(mut self, backend: MulBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Force the merge-split FFT optimization on or off, overriding the
-    /// backend's default (`Fft` ⇒ on, `FftPlain` ⇒ off; irrelevant for
-    /// the exact backends).
-    pub fn merge_split(mut self, enabled: bool) -> Self {
-        self.merge_split = Some(enabled);
         self
     }
 
@@ -150,17 +138,7 @@ impl ServerKeyBuilder {
             &params,
             rng,
         );
-        let merge_split = self
-            .merge_split
-            .unwrap_or(self.backend != MulBackend::FftPlain);
-        let engine = ExternalProductEngine::new(&params).with_merge_split(merge_split);
-        ServerKey {
-            params,
-            bsk,
-            ksk,
-            engine,
-            backend: self.backend,
-        }
+        ServerKey::from_parts(params, bsk, ksk, self.backend)
     }
 }
 
@@ -188,7 +166,7 @@ const _: () = {
 };
 
 impl ServerKey {
-    /// Configure backend and transform options before deriving the key.
+    /// Configure the backend before deriving the key.
     pub fn builder() -> ServerKeyBuilder {
         ServerKeyBuilder::new()
     }
@@ -196,8 +174,8 @@ impl ServerKey {
     /// Derive the server key from a client key (generates BSK and KSK).
     ///
     /// Deprecated-in-docs: prefer [`ServerKey::builder`], which is the
-    /// single place backend and merge-split options live. `new` remains as
-    /// a convenience alias for `ServerKey::builder().build(client, rng)`.
+    /// single place the backend is chosen. `new` remains as a convenience
+    /// alias for `ServerKey::builder().build(client, rng)`.
     pub fn new<R: Rng + ?Sized>(client: &ClientKey, rng: &mut R) -> Self {
         Self::builder().build(client, rng)
     }
@@ -215,16 +193,14 @@ impl ServerKey {
     }
 
     /// Reassemble a server key from its public parts (deserialization
-    /// path): the transform engine is rebuilt locally from `params` and the
-    /// merge-split flag, mirroring [`ServerKeyBuilder::build`].
+    /// path): the transform engine is rebuilt locally from `params`.
     pub fn from_parts(
         params: TfheParams,
         bsk: BootstrapKey,
         ksk: KeySwitchKey,
         backend: MulBackend,
-        merge_split: bool,
     ) -> Self {
-        let engine = ExternalProductEngine::new(&params).with_merge_split(merge_split);
+        let engine = ExternalProductEngine::new(&params);
         Self {
             params,
             bsk,
@@ -252,11 +228,6 @@ impl ServerKey {
     /// The active multiplication backend.
     pub fn backend(&self) -> MulBackend {
         self.backend
-    }
-
-    /// Whether the merge-split FFT optimization is active.
-    pub fn merge_split(&self) -> bool {
-        self.engine.merge_split()
     }
 
     /// The transform engine this key computes with.
@@ -439,7 +410,7 @@ impl ServerKey {
     ) -> GlweCiphertext {
         let mut acc = initial_accumulator(tp, self.params.glwe_dim, b_tilde);
         match self.backend {
-            MulBackend::Fft | MulBackend::FftPlain => {
+            MulBackend::Fft => {
                 blind_rotate_assign(&self.engine, &self.bsk, &mut acc, mask, ws);
             }
             MulBackend::Ntt => {
@@ -473,7 +444,7 @@ impl ServerKey {
         for (ct, lut) in items {
             self.validate_bootstrap_inputs(ct, lut)?;
         }
-        if !matches!(self.backend, MulBackend::Fft | MulBackend::FftPlain) {
+        if self.backend != MulBackend::Fft {
             return items
                 .iter()
                 .map(|(ct, lut)| self.try_programmable_bootstrap_with(ct, lut, ws))

@@ -1,15 +1,14 @@
 //! Reusable scratch buffers for the blind-rotation hot path.
 //!
 //! The external product is 97% of all bootstrapping work (§I), and the
-//! paper's answer is to keep every intermediate resident in dedicated
-//! hardware buffers: the decomposed digit stream flows through the Coef
-//! buffer, the per-component accumulators live in POLY-ACC-REG, and the
-//! rotating accumulator ciphertext sits in Private-A1. A
-//! [`BootstrapWorkspace`] is the software analogue — one allocation at
-//! construction, then every CMUX iteration of every bootstrap reuses the
-//! same memory. See `DESIGN.md` §8 for the buffer-by-buffer mapping.
+//! paper's answer is to stream it: the decomposed digits flow through the
+//! Coef buffer into the FFT, the per-component accumulators live in
+//! POLY-ACC-REG, and the rotating accumulator ciphertext sits in
+//! Private-A1. A [`BootstrapWorkspace`] is what the software pipeline
+//! still has to park in memory — one allocation at construction, then
+//! every CMUX iteration of every bootstrap reuses it. See `DESIGN.md`
+//! §6.3 for the buffer-by-buffer mapping.
 
-use morphling_math::{Polynomial, Torus32};
 use morphling_transform::Spectrum;
 
 use crate::glwe::GlweCiphertext;
@@ -26,19 +25,13 @@ use crate::params::TfheParams;
 /// `alloc_regression` integration test).
 #[derive(Clone, Debug)]
 pub struct BootstrapWorkspace {
-    /// The `(k+1)·l_b` digit polynomials of one decomposed ciphertext.
-    pub(crate) digit_polys: Vec<Polynomial<i64>>,
-    /// Their forward transforms (the stream fed across the VPE rows).
+    /// The forward transforms of the `(k+1)·l_b` digit polynomials of one
+    /// decomposed ciphertext (the stream fed across the VPE rows).
     pub(crate) digit_spectra: Vec<Spectrum>,
-    /// Per-output-component running spectra — the POLY-ACC-REG file.
-    pub(crate) acc_spectra: Vec<Spectrum>,
     /// Staging for `X^ã·ACC − ACC` (the Λ operand of Algorithm 1 line 4).
     pub(crate) lambda: GlweCiphertext,
-    /// The external product's `k+1` output components before they fold
-    /// into the accumulator.
-    pub(crate) product: Vec<Polynomial<Torus32>>,
-    /// The transform kernel's work planes, shared by every call (the
-    /// software Coef buffer): sized for the merge-split `N`-point FFT.
+    /// The inverse transform's work planes (the software Coef buffer):
+    /// two of `N/2` points.
     pub(crate) scratch: Vec<f64>,
     glwe_dim: usize,
     poly_size: usize,
@@ -60,14 +53,10 @@ impl BootstrapWorkspace {
     /// Panics if `poly_size` is not a power of two ≥ 4 or `level == 0`.
     pub fn with_shape(glwe_dim: usize, poly_size: usize, level: usize) -> Self {
         assert!(level > 0, "gadget level must be at least 1");
-        let rows = (glwe_dim + 1) * level;
         Self {
-            digit_polys: vec![Polynomial::zero(poly_size); rows],
-            digit_spectra: vec![Spectrum::zero(poly_size); rows],
-            acc_spectra: vec![Spectrum::zero(poly_size); glwe_dim + 1],
+            digit_spectra: vec![Spectrum::zero(poly_size); (glwe_dim + 1) * level],
             lambda: GlweCiphertext::zero(glwe_dim, poly_size),
-            product: vec![Polynomial::zero(poly_size); glwe_dim + 1],
-            scratch: vec![0.0; 2 * poly_size],
+            scratch: vec![0.0; poly_size],
             glwe_dim,
             poly_size,
             level,
@@ -112,11 +101,11 @@ mod tests {
         assert_eq!(ws.poly_size(), params.poly_size);
         assert_eq!(ws.level(), params.bsk_decomp.level());
         assert_eq!(
-            ws.digit_polys.len(),
+            ws.digit_spectra.len(),
             (params.glwe_dim + 1) * params.bsk_decomp.level()
         );
-        assert_eq!(ws.acc_spectra.len(), params.glwe_dim + 1);
-        assert_eq!(ws.product.len(), params.glwe_dim + 1);
+        assert_eq!(ws.lambda.dim(), params.glwe_dim);
+        assert_eq!(ws.scratch.len(), params.poly_size);
         assert!(ws.fits(params.glwe_dim, params.poly_size));
         assert!(!ws.fits(params.glwe_dim + 1, params.poly_size));
     }

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use morphling_math::{Polynomial, Torus32, TorusScalar};
 use morphling_tfhe::{
-    blind_rotate_assign, blind_rotate_assign_many, BootstrapKey, ClientKey, ExternalProductEngine,
-    ParamSet,
+    blind_rotate_assign, blind_rotate_assign_many, sample_extract, BootstrapKey, ClientKey,
+    ExternalProductEngine, KeySwitchKey, ParamSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,6 +95,26 @@ fn warm_workspace_blind_rotation_is_allocation_free() {
         "steady-state chunked blind rotation allocated {} time(s)",
         after - before
     );
+
+    // The key switch accumulates in place: its output ciphertext is the
+    // one allocation, whatever the digits are.
+    let ksk = KeySwitchKey::generate(
+        &ck.glwe_key().to_extracted_lwe_key(),
+        ck.lwe_key(),
+        &params,
+        &mut rng,
+    );
+    let extracted = sample_extract(&acc);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let switched = ksk.try_key_switch(&extracted).expect("matching dimensions");
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        1,
+        "key switch allocated {} time(s), not just its output",
+        after - before
+    );
+    assert_eq!(switched.dim(), params.lwe_dim);
 
     // The accumulator still decrypts to *something* sane (phases on the
     // torus): the zero-allocation loop did real work, not a no-op.

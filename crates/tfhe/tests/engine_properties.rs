@@ -106,54 +106,47 @@ proptest! {
 /// The chunk path — a worker advancing its whole chunk's blind rotations
 /// step by step so that each `BSK_i` is fetched once — against the
 /// one-ciphertext-at-a-time bootstrap it replaced in the engine: chunk
-/// sizes 1, 3 and 4, k = 1 and k = 2 (an odd row count needs no fallback
-/// any more), merge-split on and off, a LUT per ciphertext. The bare
+/// sizes 1, 3 and 4, k = 1 and k = 2, a LUT per ciphertext. The bare
 /// `ServerKey` batch takes the same path with the batch as one chunk.
 #[test]
 fn chunked_bootstraps_are_bit_identical_to_one_at_a_time() {
     for set in [ParamSet::Test, ParamSet::TestMedium] {
-        for merge_split in [true, false] {
-            let mut rng = StdRng::seed_from_u64(0xC4A2);
-            let client = ClientKey::generate(set.params(), &mut rng);
-            let server = Arc::new(
-                ServerKey::builder()
-                    .merge_split(merge_split)
-                    .build(&client, &mut rng),
-            );
-            let n = server.params().poly_size;
-            let luts = vec![Lut::identity(n, 4), Lut::from_fn(n, 4, |m| (3 * m + 1) % 4)];
-            let cts: Vec<LweCiphertext> = (0..9).map(|m| client.encrypt(m % 4, &mut rng)).collect();
-            let lut_of: Vec<usize> = (0..cts.len()).map(|i| i % 2).collect();
-            let one_at_a_time: Vec<LweCiphertext> = cts
-                .iter()
-                .zip(&lut_of)
-                .map(|(ct, &j)| server.programmable_bootstrap(ct, &luts[j]))
-                .collect();
-            let request = BatchRequest::builder()
-                .ciphertexts(cts.clone())
-                .luts(luts.clone())
-                .selectors(lut_of.clone())
-                .build()
-                .expect("valid request");
+        let mut rng = StdRng::seed_from_u64(0xC4A2);
+        let client = ClientKey::generate(set.params(), &mut rng);
+        let server = Arc::new(ServerKey::new(&client, &mut rng));
+        let n = server.params().poly_size;
+        let luts = vec![Lut::identity(n, 4), Lut::from_fn(n, 4, |m| (3 * m + 1) % 4)];
+        let cts: Vec<LweCiphertext> = (0..9).map(|m| client.encrypt(m % 4, &mut rng)).collect();
+        let lut_of: Vec<usize> = (0..cts.len()).map(|i| i % 2).collect();
+        let one_at_a_time: Vec<LweCiphertext> = cts
+            .iter()
+            .zip(&lut_of)
+            .map(|(ct, &j)| server.programmable_bootstrap(ct, &luts[j]))
+            .collect();
+        let request = BatchRequest::builder()
+            .ciphertexts(cts.clone())
+            .luts(luts.clone())
+            .selectors(lut_of.clone())
+            .build()
+            .expect("valid request");
+        assert_eq!(
+            server
+                .try_bootstrap_batch(&request)
+                .expect("server key batch"),
+            one_at_a_time,
+            "server key, set={set:?}"
+        );
+        for chunk in [1usize, 3, 4] {
+            let engine = BootstrapEngine::builder()
+                .workers(2)
+                .chunk_size(chunk)
+                .build(Arc::clone(&server))
+                .expect("workers");
             assert_eq!(
-                server
-                    .try_bootstrap_batch(&request)
-                    .expect("server key batch"),
+                engine.try_bootstrap_batch(&request).expect("engine batch"),
                 one_at_a_time,
-                "server key, set={set:?} merge_split={merge_split}"
+                "engine, set={set:?} chunk={chunk}"
             );
-            for chunk in [1usize, 3, 4] {
-                let engine = BootstrapEngine::builder()
-                    .workers(2)
-                    .chunk_size(chunk)
-                    .build(Arc::clone(&server))
-                    .expect("workers");
-                assert_eq!(
-                    engine.try_bootstrap_batch(&request).expect("engine batch"),
-                    one_at_a_time,
-                    "engine, set={set:?} merge_split={merge_split} chunk={chunk}"
-                );
-            }
         }
     }
 }

@@ -82,12 +82,7 @@ fn noise_stays_bounded_across_a_chain() {
 fn exact_and_fft_backends_decode_identically() {
     let params = ParamSet::Test.params();
     let lut = Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4);
-    for backend in [
-        MulBackend::Fft,
-        MulBackend::FftPlain,
-        MulBackend::Ntt,
-        MulBackend::Exact,
-    ] {
+    for backend in [MulBackend::Fft, MulBackend::Ntt, MulBackend::Exact] {
         let mut rng = StdRng::seed_from_u64(1004);
         let ck = ClientKey::generate(params.clone(), &mut rng);
         let sk = ServerKey::with_backend(&ck, backend, &mut rng);

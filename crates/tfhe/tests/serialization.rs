@@ -21,8 +21,8 @@ use morphling_tfhe::{
     deserialize_bootstrap_key, deserialize_glwe_secret_key, deserialize_key_switch_key,
     deserialize_lwe_secret_key, deserialize_server_key, serialize_bootstrap_key,
     serialize_glwe_secret_key, serialize_key_switch_key, serialize_lwe_secret_key,
-    serialize_server_key, ClientKey, GlweSecretKey, KeySwitchKey, LweSecretKey, ParamSet,
-    ServerKey, TfheError,
+    serialize_server_key, ClientKey, GlweSecretKey, KeySwitchKey, LweSecretKey, MulBackend,
+    ParamSet, ServerKey, TfheError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -83,6 +83,42 @@ fn server_key_round_trips_for_both_test_param_sets() {
             sk.programmable_bootstrap(&ct, &lut),
             "{set:?}: deserialized key must bootstrap bit-identically"
         );
+    }
+}
+
+/// A server key as earlier writers framed it — backend tag 1 (the FFT
+/// path without merge-split) and the merge-split flag set — still loads:
+/// both spellings meant the one FFT path there is now, and re-encoding
+/// writes the tag and the flag as zero.
+#[test]
+fn frames_with_the_retired_transform_flags_still_load() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let mut rng = StdRng::seed_from_u64(0x33);
+    let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
+    let sk = ServerKey::new(&ck, &mut rng);
+    let blob = serialize_server_key(&sk);
+    // Magic 4, version 2, kind 1, payload length 8; then the parameter
+    // block: name length 1, name, and 77 bytes of fixed-width fields.
+    let tag_at = 15 + 1 + usize::from(blob[15]) + 77;
+    assert_eq!(blob[tag_at..tag_at + 2], [0, 0]);
+    let mut old = blob.clone();
+    old[tag_at] = 1;
+    old[tag_at + 1] = 1;
+    let body = old.len() - 8;
+    let check = fnv1a(&old[..body]);
+    old[body..].copy_from_slice(&check.to_le_bytes());
+
+    let back = deserialize_server_key(&old).expect("an old frame loads");
+    assert_eq!(back.backend(), MulBackend::Fft);
+    assert_eq!(serialize_server_key(&back), blob);
+    let lut = morphling_tfhe::Lut::from_fn(sk.params().poly_size, 4, |m| (m + 1) % 4);
+    for m in 0..4 {
+        let out = back.programmable_bootstrap(&ck.encrypt(m, &mut rng), &lut);
+        assert_eq!(ck.decrypt(&out), (m + 1) % 4, "m={m}");
     }
 }
 

@@ -167,8 +167,11 @@ impl FftPlan {
     /// twiddles) of the planar sequence `source` yields, worked in place
     /// in `re`/`im`, whose results go to `sink`.
     ///
-    /// `source(j)` returns points `j..j + LANES` and is called once per
-    /// vector, by the first pass. `sink(re, im, j, vr, vi)` receives
+    /// `source(j)` returns points `j..j + COLS·LANES` as `COLS` adjacent
+    /// vectors and is called once per such run, by the first pass; more
+    /// than one vector a call pays for a source whose every call has a
+    /// fixed cost to spread (the external product's MAC, which gathers
+    /// from two dozen arrays). `sink(re, im, j, vr, vi)` receives
     /// output points `j..j + LANES` once each, from the last pass, with
     /// the work planes handed back to it: [`store_back`] writes them there
     /// (`re`/`im` then hold the result); any other sink may leave the
@@ -176,12 +179,12 @@ impl FftPlan {
     ///
     /// `isa` must be the one [`Self::simd`] dispatches to.
     #[inline(always)]
-    pub(crate) fn transform<I: Isa, const INV: bool>(
+    pub(crate) fn transform<I: Isa, const INV: bool, const COLS: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize) -> (I::V, I::V),
+        source: impl Fn(usize) -> [C<I>; COLS],
         mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
     ) {
         let n = self.n;
@@ -189,17 +192,21 @@ impl FftPlan {
             n >= 2 && re.len() == n && im.len() == n,
             "work planes do not match the FFT plan"
         );
+        assert!(
+            COLS == 1 || n >= 4 * COLS * I::LANES,
+            "a quarter of the transform is shorter than one source run"
+        );
         let mut store = store_back(isa);
         let mut h = if n == 2 {
             // Two points are their own bit reversal (and only the
             // one-lane ISA is this narrow).
             for j in 0..2 {
-                let (vr, vi) = source(j);
+                let (vr, vi) = source(j)[0];
                 store(re, im, j, vr, vi);
             }
             1
         } else {
-            self.first_pass::<I, INV>(isa, re, im, &source);
+            self.first_pass::<I, INV, COLS>(isa, re, im, &source);
             4
         };
         // Stages with half-block sizes h, 2h, …, n/2 remain; the last
@@ -244,14 +251,18 @@ impl FftPlan {
     /// reversal, block `b` (points `4b..4b + 4`) holds source points
     /// `r, r + n/2, r + n/4, r + 3n/4` with `r = bitrev(b)`; walking `r`
     /// instead of `b` makes all four reads contiguous runs, and the
-    /// transposing store puts each finished block where it belongs.
+    /// transposing store puts each finished block where it belongs. All
+    /// `COLS` vectors of a source run are read before the next run's: a
+    /// gathering source is then done with each cache line before the
+    /// other runs' lines — a multiple of 4 KB away at N = 2048, the same
+    /// L1 set — can evict it.
     #[inline(always)]
-    fn first_pass<I: Isa, const INV: bool>(
+    fn first_pass<I: Isa, const INV: bool, const COLS: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: &impl Fn(usize) -> (I::V, I::V),
+        source: &impl Fn(usize) -> [C<I>; COLS],
     ) {
         let q = self.n / 4;
         // Stage 0's twiddle and stage 1's two, the same for every block.
@@ -260,17 +271,17 @@ impl FftPlan {
             self.twiddle_splat::<I, INV>(isa, 2),
             self.twiddle_splat::<I, INV>(isa, 3),
         ];
-        for r in (0..q).step_by(I::LANES) {
-            let x = [
-                source(r),
-                source(r + 2 * q),
-                source(r + q),
-                source(r + 3 * q),
-            ];
-            let y = butterfly4(isa, x, w);
-            let pos = &self.rev4[r..r + I::LANES];
-            isa.scatter4(re, pos, [y[0].0, y[1].0, y[2].0, y[3].0]);
-            isa.scatter4(im, pos, [y[0].1, y[1].1, y[2].1, y[3].1]);
+        for r in (0..q).step_by(COLS * I::LANES) {
+            let (x0, x1) = (source(r), source(r + 2 * q));
+            let (x2, x3) = (source(r + q), source(r + 3 * q));
+            let columns = x0.into_iter().zip(x1).zip(x2).zip(x3);
+            for (c, (((p0, p1), p2), p3)) in columns.enumerate() {
+                let at = r + c * I::LANES;
+                let y = butterfly4(isa, [p0, p1, p2, p3], w);
+                let pos = &self.rev4[at..at + I::LANES];
+                isa.scatter4(re, pos, [y[0].0, y[1].0, y[2].0, y[3].0]);
+                isa.scatter4(im, pos, [y[0].1, y[1].1, y[2].1, y[3].1]);
+            }
         }
     }
 
@@ -462,12 +473,12 @@ mod tests {
             let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             let scale = isa.splat(1.0 / n as f64);
-            self.plan.transform::<I, INV>(
+            self.plan.transform::<I, INV, 1>(
                 isa,
                 &mut re,
                 &mut im,
                 #[inline(always)]
-                |j| (isa.load(&in_re, j), isa.load(&in_im, j)),
+                |j| [(isa.load(&in_re, j), isa.load(&in_im, j))],
                 #[inline(always)]
                 |_, _, j, vr, vi| {
                     let (vr, vi) = if INV {

@@ -12,7 +12,12 @@
 //!   [`inverse_pair_torus_into`](NegacyclicFft::inverse_pair_torus_into)):
 //!   *two* real polynomials through one `N`-point FFT, packed as real and
 //!   imaginary components and split via conjugate symmetry — the paper's
-//!   MS-FFT (§V-A.3).
+//!   MS-FFT (§V-A.3). And the two fused passes the external product
+//!   runs, [`forward_digit_into`](NegacyclicFft::forward_digit_into)
+//!   (decompose → transform) and
+//!   [`inverse_mac_add_into`](NegacyclicFft::inverse_mac_add_into)
+//!   (multiply-accumulate → inverse → round → add), bit-identical to the
+//!   stage-by-stage composition.
 //! - [`Spectrum`]: transform-domain data (what Morphling keeps in
 //!   POLY-ACC-REG and the Private-A2 buffer), with the pointwise
 //!   multiply-accumulate the VPEs perform.

@@ -20,13 +20,16 @@
 //! Every entry point is the one kernel of [`crate::fft`] with a different
 //! first and last pass: the twist (or merge) rides on the pass that reads
 //! the coefficients, the untwist, `1/n` scaling and rounding on the pass
-//! that writes them.
+//! that writes them. The external product goes one step further on each
+//! side (`forward_digit_into`, `inverse_mac_add_into`): the pass that
+//! reads also decomposes, or multiply-accumulates; the pass that writes
+//! also adds into the accumulator.
 
-use morphling_math::{Polynomial, Torus32};
+use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
 use crate::fft::{store_back, FftPlan};
-use crate::simd::{cmul, Isa, Kernel};
+use crate::simd::{cmul, DigitOf, Isa, Kernel};
 use crate::spectrum::Spectrum;
 
 /// Negacyclic transform engine for polynomials of one size `N`.
@@ -48,51 +51,126 @@ pub struct NegacyclicFft {
     untwist_im: Vec<f64>,
 }
 
-/// A coefficient type the forward transform reads.
-trait Coefficient: Copy {
-    fn widen(self) -> f64;
+/// The real coefficients the forward transform reads, a vector at a
+/// time: `load` returns coefficients `at..at + LANES` as `f64`.
+trait Coefficients {
+    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V;
 }
 
-impl Coefficient for f64 {
+impl Coefficients for [f64] {
     #[inline(always)]
-    fn widen(self) -> f64 {
-        self
+    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
+        isa.load(self, at)
     }
 }
 
-impl Coefficient for i64 {
+impl Coefficients for [i64] {
     #[inline(always)]
-    fn widen(self) -> f64 {
-        self as f64
+    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
+        isa.lanes(|i| self[at + i] as f64)
     }
 }
 
 /// The centered signed representative (the standard TFHE convention —
 /// keeping magnitudes ≤ q/2 preserves f64 precision).
-impl Coefficient for Torus32 {
+impl Coefficients for [Torus32] {
     #[inline(always)]
-    fn widen(self) -> f64 {
-        self.to_signed() as f64
+    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
+        isa.lanes(|i| self[at + i].to_signed() as f64)
     }
 }
 
-/// A coefficient type the inverse transform writes.
+/// One gadget-decomposition level of a torus polynomial: the digit
+/// polynomial, computed as it is read.
+struct Digits<'a> {
+    coeffs: &'a [Torus32],
+    digit: DigitOf,
+}
+
+impl Coefficients for Digits<'_> {
+    #[inline(always)]
+    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
+        isa.load_digits(self.coeffs, at, self.digit)
+    }
+}
+
+/// The spectrum points the inverse transform reads: `load` returns
+/// points `j..j + RUN·LANES` as `RUN` adjacent vectors.
+trait Points: Copy {
+    fn load<I: Isa, const RUN: usize>(self, isa: I, j: usize) -> [C<I>; RUN];
+}
+
+impl Points for &Spectrum {
+    #[inline(always)]
+    fn load<I: Isa, const RUN: usize>(self, isa: I, j: usize) -> [C<I>; RUN] {
+        let mut run = [(isa.splat(0.0), isa.splat(0.0)); RUN];
+        for (c, point) in run.iter_mut().enumerate() {
+            let at = j + c * I::LANES;
+            *point = (isa.load(self.re(), at), isa.load(self.im(), at));
+        }
+        run
+    }
+}
+
+/// `0 + Σ_r digits[r] · rows[r][column]`, pointwise: what
+/// [`Spectrum::set_zero`] followed by one [`Spectrum::mul_acc`] per row,
+/// in row order, leaves in the accumulator — computed as it is read.
+#[derive(Clone, Copy)]
+struct Mac<'a> {
+    digits: &'a [Spectrum],
+    rows: &'a [Vec<Spectrum>],
+    column: usize,
+}
+
+impl Points for Mac<'_> {
+    /// Row outer, vector inner: what it costs to find a row's four
+    /// planes is paid once per run.
+    #[inline(always)]
+    fn load<I: Isa, const RUN: usize>(self, isa: I, j: usize) -> [C<I>; RUN] {
+        let run = j..j + RUN * I::LANES;
+        let mut acc = [(isa.splat(0.0), isa.splat(0.0)); RUN];
+        for (digit, row) in self.digits.iter().zip(self.rows) {
+            let row = &row[self.column];
+            let (d_re, d_im) = (&digit.re()[run.clone()], &digit.im()[run.clone()]);
+            let (b_re, b_im) = (&row.re()[run.clone()], &row.im()[run.clone()]);
+            for (c, acc) in acc.iter_mut().enumerate() {
+                let at = c * I::LANES;
+                let p = cmul(
+                    isa,
+                    (isa.load(d_re, at), isa.load(d_im, at)),
+                    (isa.load(b_re, at), isa.load(b_im, at)),
+                );
+                *acc = (isa.add(acc.0, p.0), isa.add(acc.1, p.1));
+            }
+        }
+        acc
+    }
+}
+
+/// A coefficient type the inverse transform writes; with `ADD` it adds
+/// into what is there instead of overwriting it.
 trait Output: Copy {
-    fn put<I: Isa>(isa: I, dst: &mut [Self], at: usize, v: I::V);
+    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut [Self], at: usize, v: I::V);
 }
 
 impl Output for f64 {
     #[inline(always)]
-    fn put<I: Isa>(isa: I, dst: &mut [f64], at: usize, v: I::V) {
+    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut [f64], at: usize, v: I::V) {
+        let v = if ADD {
+            isa.add(isa.load(dst, at), v)
+        } else {
+            v
+        };
         isa.store(dst, at, v);
     }
 }
 
-/// Rounded to the nearest integer and wrapped into the 32-bit torus.
+/// Rounded to the nearest integer and wrapped into the 32-bit torus
+/// (where addition wraps too).
 impl Output for Torus32 {
     #[inline(always)]
-    fn put<I: Isa>(isa: I, dst: &mut [Torus32], at: usize, v: I::V) {
-        isa.round_wrap_store(dst, at, v);
+    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut [Torus32], at: usize, v: I::V) {
+        isa.round_wrap_put::<ADD>(dst, at, v);
     }
 }
 
@@ -146,7 +224,7 @@ impl NegacyclicFft {
     /// Panics if `coeffs.len() != N`.
     pub fn forward_real(&self, coeffs: &[f64]) -> Spectrum {
         let mut out = Spectrum::zero(self.n);
-        self.forward_folded(coeffs, &mut out);
+        self.forward_folded(coeffs, coeffs.len(), &mut out);
         out
     }
 
@@ -157,7 +235,7 @@ impl NegacyclicFft {
     /// Panics if the spectrum size does not match the engine.
     pub fn inverse_real(&self, spectrum: &Spectrum) -> Vec<f64> {
         let mut out = vec![0.0f64; self.n];
-        self.inverse_folded(spectrum, &mut out, &mut Vec::new());
+        self.inverse_plain(spectrum, &mut out, &mut Vec::new());
         out
     }
 
@@ -177,23 +255,49 @@ impl NegacyclicFft {
     ///
     /// Panics if `p.len() != N` or the output spectrum size differs.
     pub fn forward_int_into(&self, p: &Polynomial<i64>, out: &mut Spectrum) {
-        self.forward_folded(p.coeffs(), out);
+        self.forward_folded(p.coeffs(), p.len(), out);
     }
 
     /// Forward transform of a torus polynomial, using the centered signed
     /// representative of each coefficient.
     pub fn forward_torus(&self, p: &Polynomial<Torus32>) -> Spectrum {
         let mut out = Spectrum::zero(self.n);
-        self.forward_folded(p.coeffs(), &mut out);
+        self.forward_folded(p.coeffs(), p.len(), &mut out);
         out
     }
 
-    fn forward_folded<T: Coefficient>(&self, coeffs: &[T], out: &mut Spectrum) {
-        assert_eq!(
-            coeffs.len(),
-            self.n,
-            "polynomial size must equal the engine size"
-        );
+    /// Forward transform of level `level` (most significant first) of the
+    /// gadget decomposition of `p`: the kernel's first pass slices each
+    /// digit out of the torus word as it reads it, so the digit polynomial
+    /// is never stored. Bit-identical to
+    /// `SignedDecomposer::decompose_poly_into` followed by
+    /// [`forward_int_into`](Self::forward_int_into) on that level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p.len() != N`, the output spectrum size differs,
+    /// `decomp` keeps more than 32 bits or `level >= decomp.level()`.
+    pub fn forward_digit_into(
+        &self,
+        p: &Polynomial<Torus32>,
+        decomp: DecompParams,
+        level: usize,
+        out: &mut Spectrum,
+    ) {
+        let digits = Digits {
+            coeffs: p.coeffs(),
+            digit: DigitOf::new(decomp, level),
+        };
+        self.forward_folded(&digits, p.len(), out);
+    }
+
+    fn forward_folded(
+        &self,
+        coeffs: &(impl Coefficients + ?Sized),
+        len: usize,
+        out: &mut Spectrum,
+    ) {
+        assert_eq!(len, self.n, "polynomial size must equal the engine size");
         assert_eq!(out.poly_len(), self.n, "output spectrum size mismatch");
         self.half_plan.simd().run(ForwardFolded {
             fft: self,
@@ -225,22 +329,62 @@ impl NegacyclicFft {
         out: &mut Polynomial<Torus32>,
         scratch: &mut Vec<f64>,
     ) {
-        self.inverse_folded(spectrum, out.coeffs_mut(), scratch);
+        self.inverse_plain(spectrum, out.coeffs_mut(), scratch);
     }
 
-    fn inverse_folded<T: Output>(
-        &self,
-        spectrum: &Spectrum,
-        out: &mut [T],
-        scratch: &mut Vec<f64>,
-    ) {
+    fn inverse_plain<T: Output>(&self, spectrum: &Spectrum, out: &mut [T], scratch: &mut Vec<f64>) {
         assert_eq!(
             spectrum.poly_len(),
             self.n,
             "spectrum size must equal the engine size"
         );
+        self.inverse_folded::<_, 1, false>(spectrum, out, scratch);
+    }
+
+    /// `acc += round(IFFT(Σ_r digits[r] · rows[r][column]))`, one output
+    /// component of an external product: the multiply-accumulate is the
+    /// kernel's first pass, the rounding and the torus addition its last,
+    /// so neither the summed spectrum nor the product polynomial is ever
+    /// stored. Bit-identical to [`Spectrum::set_zero`], one
+    /// [`Spectrum::mul_acc`]`(&digits[r], &rows[r][column])` per row in
+    /// order, [`inverse_torus_into`](Self::inverse_torus_into) (whose
+    /// `scratch` this takes) and a coefficient-wise addition into `acc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` and `rows` differ in length, a row has no
+    /// `column`, or any spectrum or `acc` differs from the engine size.
+    pub fn inverse_mac_add_into(
+        &self,
+        digits: &[Spectrum],
+        rows: &[Vec<Spectrum>],
+        column: usize,
+        acc: &mut Polynomial<Torus32>,
+        scratch: &mut Vec<f64>,
+    ) {
+        assert_eq!(digits.len(), rows.len(), "one digit spectrum per row");
+        for (digit, row) in digits.iter().zip(rows) {
+            let size = (digit.poly_len(), row[column].poly_len());
+            assert_eq!(size, (self.n, self.n), "row spectrum size mismatch");
+        }
+        let mac = Mac {
+            digits,
+            rows,
+            column,
+        };
+        self.inverse_folded::<_, 2, true>(mac, acc.coeffs_mut(), scratch);
+    }
+
+    /// `RUN`: how many adjacent vectors the first pass asks `spectrum`
+    /// for at a time (see `FftPlan::transform`); `ADD`: add into `out`.
+    fn inverse_folded<T: Output, const RUN: usize, const ADD: bool>(
+        &self,
+        spectrum: impl Points,
+        out: &mut [T],
+        scratch: &mut Vec<f64>,
+    ) {
         assert_eq!(out.len(), self.n, "output polynomial size mismatch");
-        self.half_plan.simd().run(InverseFolded {
+        self.half_plan.simd().run(InverseFolded::<_, _, RUN, ADD> {
             fft: self,
             spectrum,
             out,
@@ -397,31 +541,28 @@ impl NegacyclicFft {
 }
 
 /// Folded forward: point `j < N/2` enters as `(c_j − i·c_(j+N/2))·ζ^j`.
-struct ForwardFolded<'a, T> {
+struct ForwardFolded<'a, C: ?Sized> {
     fft: &'a NegacyclicFft,
-    coeffs: &'a [T],
+    coeffs: &'a C,
     out: &'a mut Spectrum,
 }
 
-impl<T: Coefficient> Kernel for ForwardFolded<'_, T> {
+impl<C: Coefficients + ?Sized> Kernel for ForwardFolded<'_, C> {
     type Out = ();
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        let fft = self.fft;
-        let (lo, hi) = self.coeffs.split_at(fft.n / 2);
-        let (re, im) = self.out.planes_mut();
-        fft.half_plan.transform::<I, false>(
+        let Self { fft, coeffs, out } = self;
+        let half = fft.n / 2;
+        let (re, im) = out.planes_mut();
+        fft.half_plan.transform::<I, false, 1>(
             isa,
             re,
             im,
             #[inline(always)]
             |j| {
-                let folded = (
-                    isa.lanes(|i| lo[j + i].widen()),
-                    isa.neg(isa.lanes(|i| hi[j + i].widen())),
-                );
-                fft.twisted(isa, j, folded)
+                let folded = (coeffs.load(isa, j), isa.neg(coeffs.load(isa, j + half)));
+                [fft.twisted(isa, j, folded)]
             },
             store_back(isa),
         );
@@ -431,35 +572,48 @@ impl<T: Coefficient> Kernel for ForwardFolded<'_, T> {
 /// Folded inverse: output point `j < N/2`, scaled by `2/N` and untwisted
 /// by `ζ^(-j)`, carries coefficient `j` in its real part and `j + N/2` in
 /// its negated imaginary part.
-struct InverseFolded<'a, T> {
+struct InverseFolded<'a, S, T, const RUN: usize, const ADD: bool> {
     fft: &'a NegacyclicFft,
-    spectrum: &'a Spectrum,
+    spectrum: S,
     out: &'a mut [T],
     scratch: &'a mut Vec<f64>,
 }
 
-impl<T: Output> Kernel for InverseFolded<'_, T> {
+impl<S: Points, T: Output, const RUN: usize, const ADD: bool> Kernel
+    for InverseFolded<'_, S, T, RUN, ADD>
+{
     type Out = ();
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        let fft = self.fft;
+        // A transform too short for `RUN` vectors a quarter reads one.
+        if self.fft.n / 2 >= 4 * RUN * I::LANES {
+            self.read::<I, RUN>(isa);
+        } else {
+            self.read::<I, 1>(isa);
+        }
+    }
+}
+
+impl<S: Points, T: Output, const RUN: usize, const ADD: bool> InverseFolded<'_, S, T, RUN, ADD> {
+    #[inline(always)]
+    fn read<I: Isa, const COLS: usize>(self, isa: I) {
+        let Self { fft, spectrum, .. } = self;
         let half = fft.n / 2;
-        let (spec_re, spec_im) = (self.spectrum.re(), self.spectrum.im());
         let (out_lo, out_hi) = self.out.split_at_mut(half);
         let (re, im) = work_planes(self.scratch, half);
         let scale = isa.splat(1.0 / half as f64);
-        fft.half_plan.transform::<I, true>(
+        fft.half_plan.transform::<I, true, COLS>(
             isa,
             re,
             im,
             #[inline(always)]
-            |j| (isa.load(spec_re, j), isa.load(spec_im, j)),
+            |j| spectrum.load::<I, COLS>(isa, j),
             #[inline(always)]
             |_, _, j, vr, vi| {
                 let u = fft.untwisted(isa, j, (vr, vi), scale);
-                T::put(isa, out_lo, j, u.0);
-                T::put(isa, out_hi, j, isa.neg(u.1));
+                T::put::<I, ADD>(isa, out_lo, j, u.0);
+                T::put::<I, ADD>(isa, out_hi, j, isa.neg(u.1));
             },
         );
     }
@@ -486,17 +640,17 @@ impl Kernel for ForwardPair<'_> {
         let Self { fft, p, q, .. } = self;
         let n = fft.n;
         let (re, im) = work_planes(self.scratch, n);
-        fft.full_plan.transform::<I, false>(
+        fft.full_plan.transform::<I, false, 1>(
             isa,
             re,
             im,
             #[inline(always)]
             |j| {
                 let merged = (
-                    isa.lanes(|i| p[j + i].widen()),
-                    isa.lanes(|i| q[j + i].widen()),
+                    isa.lanes(|i| p[j + i] as f64),
+                    isa.lanes(|i| q[j + i] as f64),
                 );
-                fft.twisted(isa, j, merged)
+                [fft.twisted(isa, j, merged)]
             },
             store_back(isa),
         );
@@ -565,22 +719,22 @@ impl Kernel for InversePair<'_> {
         };
         let (re, im) = work_planes(self.scratch, n);
         let scale = isa.splat(1.0 / n as f64);
-        fft.full_plan.transform::<I, true>(
+        fft.full_plan.transform::<I, true, 1>(
             isa,
             re,
             im,
             #[inline(always)]
             |j| {
-                (
+                [(
                     isa.lanes(|i| merged_re(j + i)),
                     isa.lanes(|i| merged_im(j + i)),
-                )
+                )]
             },
             #[inline(always)]
             |_, _, j, vr, vi| {
                 let u = fft.untwisted(isa, j, (vr, vi), scale);
-                isa.round_wrap_store(out_p, j, u.0);
-                isa.round_wrap_store(out_q, j, u.1);
+                isa.round_wrap_put::<false>(out_p, j, u.0);
+                isa.round_wrap_put::<false>(out_q, j, u.1);
             },
         );
     }
@@ -1031,7 +1185,7 @@ mod tests {
                 let want_torus = round_all(&want_real);
                 for (name, simd) in Simd::every(n / 8) {
                     let mut real = vec![f64::NAN; n];
-                    simd.run(InverseFolded {
+                    simd.run(InverseFolded::<_, _, 1, false> {
                         fft: &fft,
                         spectrum: spec,
                         out: &mut real[..],
@@ -1040,7 +1194,7 @@ mod tests {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&real), bits(&want_real), "real #{i} n={n} {name}");
                     let mut torus = vec![Torus32::HALF; n];
-                    simd.run(InverseFolded {
+                    simd.run(InverseFolded::<_, _, 1, false> {
                         fft: &fft,
                         spectrum: spec,
                         out: &mut torus[..],
@@ -1141,13 +1295,253 @@ mod tests {
                 fn run<I: Isa>(self, isa: I) -> Vec<Torus32> {
                     let mut out = vec![Torus32::HALF; self.0.len()];
                     for at in (0..self.0.len()).step_by(I::LANES) {
-                        isa.round_wrap_store(&mut out, at, isa.load(self.0, at));
+                        isa.round_wrap_put::<false>(&mut out, at, isa.load(self.0, at));
                     }
                     out
                 }
             }
             for (name, simd) in Simd::every(4) {
                 assert_eq!(simd.run(RoundAll(&values)), want, "{name} shift {shift}");
+            }
+        }
+    }
+
+    // --- The fused external-product pipeline against the staged
+    // composition of the public stage functions it replaces. ---
+
+    /// `acc[u] += round(IFFT(Σ_r digits[r]·rows[r][u]))` the staged way:
+    /// clear, one `mul_acc` per row, inverse, add.
+    fn staged_mac_add(
+        fft: &NegacyclicFft,
+        digits: &[Spectrum],
+        rows: &[Vec<Spectrum>],
+        acc: &mut [Polynomial<Torus32>],
+    ) {
+        let mut sum = Spectrum::from_values(vec![Complex64::new(f64::NAN, 1.0); fft.n / 2]);
+        let mut product = Polynomial::zero(fft.n);
+        for (u, acc_u) in acc.iter_mut().enumerate() {
+            sum.set_zero();
+            for (digit, row) in digits.iter().zip(rows) {
+                sum.mul_acc(digit, &row[u]);
+            }
+            fft.inverse_torus_into(&sum, &mut product, &mut Vec::new());
+            *acc_u += &product;
+        }
+    }
+
+    fn fused_mac_add(
+        fft: &NegacyclicFft,
+        simd: Simd,
+        digits: &[Spectrum],
+        rows: &[Vec<Spectrum>],
+        acc: &mut [Polynomial<Torus32>],
+    ) {
+        // One dirty scratch through every call.
+        let mut scratch = vec![f64::NAN; 3];
+        for (column, acc_u) in acc.iter_mut().enumerate() {
+            simd.run(InverseFolded::<_, _, 2, true> {
+                fft,
+                spectrum: Mac {
+                    digits,
+                    rows,
+                    column,
+                },
+                out: acc_u.coeffs_mut(),
+                scratch: &mut scratch,
+            });
+        }
+    }
+
+    #[test]
+    fn fused_external_product_is_bit_identical_to_the_staged_composition() {
+        use morphling_math::SignedDecomposer;
+        let mut rng = StdRng::seed_from_u64(1606);
+        let random_poly =
+            |n: usize, rng: &mut StdRng| Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+        // (k, l_b, log2 β): the paper's shapes, two full-width gadgets
+        // (b·l = 32: nothing is dropped) and a one-level one.
+        let shapes = [
+            (1usize, 1usize, 16u32),
+            (1, 2, 16),
+            (1, 3, 8),
+            (2, 2, 8),
+            (2, 3, 7),
+            (3, 3, 10),
+        ];
+        for n in [256usize, 512, 1024, 2048, 4096] {
+            let fft = NegacyclicFft::new(n);
+            for (k, l, b) in shapes {
+                let decomp = DecompParams::new(b, l);
+                let decomposer = SignedDecomposer::<Torus32>::new(decomp);
+                let rows: Vec<Vec<Spectrum>> = (0..(k + 1) * l)
+                    .map(|_| {
+                        (0..=k)
+                            .map(|_| fft.forward_torus(&random_poly(n, &mut rng)))
+                            .collect()
+                    })
+                    .collect();
+                let start: Vec<_> = (0..=k).map(|_| random_poly(n, &mut rng)).collect();
+                let rotations = [1, n - 1, n, 2 * n - 1, rng.gen_range(1..2 * n)];
+
+                // The chain the staged way, keeping every step's digit
+                // spectra and accumulator.
+                let mut acc = start.clone();
+                let mut digit_polys = vec![Polynomial::<i64>::zero(n); l];
+                let mut steps = Vec::new();
+                for a_tilde in rotations {
+                    let mut digits = Vec::new();
+                    for comp in &acc {
+                        let lambda = comp.monomial_mul_minus_one(a_tilde as i64);
+                        decomposer.decompose_poly_into(&lambda, &mut digit_polys);
+                        digits.extend(digit_polys.iter().map(|d| fft.forward_int(d)));
+                    }
+                    staged_mac_add(&fft, &digits, &rows, &mut acc);
+                    steps.push((digits, acc.clone()));
+                }
+
+                for (name, simd) in Simd::every(n / 8) {
+                    let mut acc = start.clone();
+                    let mut digits = vec![Spectrum::zero(n); (k + 1) * l];
+                    for (a_tilde, (want_digits, want_acc)) in rotations.iter().zip(&steps) {
+                        for (comp, specs) in acc.iter().zip(digits.chunks_mut(l)) {
+                            let lambda = comp.monomial_mul_minus_one(*a_tilde as i64);
+                            for (level, out) in specs.iter_mut().enumerate() {
+                                simd.run(ForwardFolded {
+                                    fft: &fft,
+                                    coeffs: &Digits {
+                                        coeffs: lambda.coeffs(),
+                                        digit: DigitOf::new(decomp, level),
+                                    },
+                                    out,
+                                });
+                            }
+                        }
+                        let at = format!("n={n} k={k} l={l} b={b} ã={a_tilde} {name}");
+                        for (got, want) in digits.iter().zip(want_digits) {
+                            assert_eq!(spectrum_bits(got), spectrum_bits(want), "forward {at}");
+                        }
+                        fused_mac_add(&fft, simd, &digits, &rows, &mut acc);
+                        assert_eq!(&acc, want_acc, "accumulator {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_mac_inverse_matches_staged_on_awkward_spectra() {
+        // The spectra that stress the rounding step, fed through the MAC:
+        // times one (each tie, signed zero and out-of-range magnitude
+        // reaches the rounding step as the plain inverse sees it), times
+        // minus one and i, and summed over several rows.
+        let mut rng = StdRng::seed_from_u64(6061);
+        for n in [256usize, 1024, 4096] {
+            let fft = NegacyclicFft::new(n);
+            let awkward = awkward_spectra(n, &mut rng);
+            let constant =
+                |re: f64, im: f64| vec![Spectrum::from_values(vec![Complex64::new(re, im); n / 2])];
+            let start: Vec<_> = (0..1)
+                .map(|_| Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen())))
+                .collect();
+            for (i, spec) in awkward.iter().enumerate() {
+                let cases: [(Vec<Spectrum>, Vec<Vec<Spectrum>>); 4] = [
+                    (vec![spec.clone()], vec![constant(1.0, 0.0)]),
+                    (vec![spec.clone()], vec![constant(-1.0, -0.0)]),
+                    (vec![spec.clone()], vec![constant(0.0, 1.0)]),
+                    (
+                        vec![spec.clone(), awkward[(i + 1) % awkward.len()].clone()],
+                        vec![constant(1.0, 0.0), constant(0.0, -0.0)],
+                    ),
+                ];
+                for (c, (digits, rows)) in cases.iter().enumerate() {
+                    let mut want = start.clone();
+                    staged_mac_add(&fft, digits, rows, &mut want);
+                    for (name, simd) in Simd::every(n / 8) {
+                        let mut got = start.clone();
+                        fused_mac_add(&fft, simd, digits, rows, &mut got);
+                        assert_eq!(got, want, "#{i} case {c} n={n} {name}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_isa_slices_digits_like_the_scalar_decomposer() {
+        use morphling_math::SignedDecomposer;
+        struct DigitsOf<'a>(&'a [Torus32], DigitOf);
+        impl Kernel for DigitsOf<'_> {
+            type Out = Vec<u64>;
+            #[inline(always)]
+            fn run<I: Isa>(self, isa: I) -> Vec<u64> {
+                let mut out = vec![f64::NAN; self.0.len()];
+                for at in (0..self.0.len()).step_by(I::LANES) {
+                    isa.store(&mut out, at, isa.load_digits(self.0, at, self.1));
+                }
+                out.into_iter().map(f64::to_bits).collect()
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(3232);
+        for b in 1..=32u32 {
+            for l in 1..=(32 / b) as usize {
+                let decomp = DecompParams::new(b, l);
+                let decomposer = SignedDecomposer::<Torus32>::new(decomp);
+                let kept = b * l as u32;
+                let half_beta = 1u32 << (b - 1);
+                // β/2 − 1 and β/2 in every kept field: the longest carry
+                // chain stops, or runs, through all of them.
+                let below =
+                    (0..l as u32).fold(0u32, |x, j| x | ((half_beta - 1) << (32 - kept + b * j)));
+                let at = (0..l as u32).fold(0u32, |x, j| x | (half_beta << (32 - kept + b * j)));
+                let mut raws = vec![
+                    0,
+                    1,
+                    1 << 31,
+                    (1 << 31) - 1,
+                    u32::MAX,
+                    below,
+                    at,
+                    0x7F7F_7F7F,
+                    0x8080_8080,
+                ];
+                if kept < 32 {
+                    // Either side of the rounding boundary of what is
+                    // dropped, alone and on top of a pending carry chain.
+                    let half = 1u32 << (31 - kept);
+                    raws.extend([
+                        half - 1,
+                        half,
+                        below | (half - 1),
+                        below | half,
+                        u32::MAX - half,
+                    ]);
+                }
+                raws.extend((0..16).map(|_| rng.gen::<u32>()));
+                while raws.len() % 4 != 0 {
+                    raws.push(rng.gen());
+                }
+                // Rotate so that every value visits every lane.
+                for shift in 0..4 {
+                    raws.rotate_left(shift);
+                    let xs: Vec<Torus32> = raws.iter().map(|&r| Torus32::from_raw(r)).collect();
+                    let mut digits = vec![0i64; l];
+                    for level in 0..l {
+                        let want: Vec<u64> = xs
+                            .iter()
+                            .map(|&x| {
+                                decomposer.decompose_scalar_into(x, &mut digits);
+                                (digits[level] as f64).to_bits()
+                            })
+                            .collect();
+                        for (name, simd) in Simd::every(4) {
+                            assert_eq!(
+                                simd.run(DigitsOf(&xs, DigitOf::new(decomp, level))),
+                                want,
+                                "b={b} l={l} level={level} {name}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -19,7 +19,53 @@
 //!
 //! `unsafe` is confined to the [`avx2`] submodule.
 
-use morphling_math::Torus32;
+use morphling_math::{DecompParams, Torus32};
+
+/// One level of the signed gadget decomposition of a [`Torus32`], as the
+/// carry-free closed form of `SignedDecomposer::decompose_poly_into`:
+/// adding `β/2` at every kept level (and half of what is dropped) before
+/// slicing makes each balanced digit an independent
+/// add-shift-mask-subtract of the 32-bit word. Wrapping `u32` arithmetic
+/// suffices: the sliced field always lies below bit 32.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DigitOf {
+    bias: u32,
+    shift: u32,
+    mask: u32,
+    half_beta: u32,
+}
+
+impl DigitOf {
+    /// Digit `level` (most significant first) of `decomp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decomp` keeps more than 32 bits or has no such level.
+    pub(crate) fn new(decomp: DecompParams, level: usize) -> Self {
+        let (b, l) = (decomp.base_log(), decomp.level());
+        assert!(
+            decomp.total_bits() <= 32 && level < l,
+            "decomposition level {level} of {decomp:?} does not fit a 32-bit torus"
+        );
+        // β/2 at the bottom of every kept level (bit 31 − b·i, i < l), and
+        // the rounding half just below the lowest one (i = l, if any).
+        let bias = (0..=l as u32)
+            .filter_map(|i| 31u32.checked_sub(b * i))
+            .fold(0u32, |acc, bit| acc | (1 << bit));
+        Self {
+            bias,
+            shift: 32 - b * (level as u32 + 1),
+            mask: u32::MAX >> (32 - b),
+            half_beta: 1 << (b - 1),
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn of(self, x: Torus32) -> i32 {
+        let field = (x.into_raw().wrapping_add(self.bias) >> self.shift) & self.mask;
+        field.wrapping_sub(self.half_beta) as i32
+    }
+}
 
 /// A vector of [`Isa::LANES`] consecutive `f64` elements and the exact
 /// lane-wise operations the kernels need.
@@ -34,6 +80,8 @@ pub(crate) trait Isa: Copy {
     /// Lane `i` is `f(i)` — how integer and torus coefficients are widened.
     fn lanes(self, f: impl FnMut(usize) -> f64) -> Self::V;
     fn load(self, src: &[f64], at: usize) -> Self::V;
+    /// Lane `i` is `digit.of(src[at + i]) as f64`.
+    fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> Self::V;
     fn store(self, dst: &mut [f64], at: usize, v: Self::V);
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
     fn sub(self, a: Self::V, b: Self::V) -> Self::V;
@@ -43,8 +91,9 @@ pub(crate) trait Isa: Copy {
     /// consecutive slots starting at `dst[pos[i]]` (`pos` has `LANES`
     /// entries).
     fn scatter4(self, dst: &mut [f64], pos: &[u32], y: [Self::V; 4]);
-    /// `dst[at + i] = round_wrap_u32(v[i])`, exactly.
-    fn round_wrap_store(self, dst: &mut [Torus32], at: usize, v: Self::V);
+    /// `dst[at + i] = round_wrap_u32(v[i])`, exactly — or, with `ADD`,
+    /// `dst[at + i] += round_wrap_u32(v[i])` on the torus (wrapping).
+    fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: Self::V);
 }
 
 /// Complex product `a · b` on split re/im vectors: the operation sequence
@@ -164,6 +213,11 @@ impl<const L: usize> Isa for Portable<L> {
         std::array::from_fn(|i| s[i])
     }
     #[inline(always)]
+    fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> [f64; L] {
+        let s = &src[at..at + L];
+        std::array::from_fn(|i| f64::from(digit.of(s[i])))
+    }
+    #[inline(always)]
     fn store(self, dst: &mut [f64], at: usize, v: [f64; L]) {
         dst[at..at + L].copy_from_slice(&v);
     }
@@ -193,9 +247,10 @@ impl<const L: usize> Isa for Portable<L> {
         }
     }
     #[inline(always)]
-    fn round_wrap_store(self, dst: &mut [Torus32], at: usize, v: [f64; L]) {
+    fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: [f64; L]) {
         for (slot, x) in dst[at..at + L].iter_mut().zip(v) {
-            *slot = Torus32::from_raw(round_wrap_u32(x));
+            let rounded = Torus32::from_raw(round_wrap_u32(x));
+            *slot = if ADD { *slot + rounded } else { rounded };
         }
     }
 }
@@ -215,7 +270,7 @@ pub(crate) mod avx2 {
 
     use morphling_math::Torus32;
 
-    use super::{round_wrap_u32, Isa, Kernel};
+    use super::{round_wrap_u32, DigitOf, Isa, Kernel};
 
     /// Proof that the running CPU has AVX2 (the field is private: the
     /// only constructor is [`Avx2::detect`]).
@@ -270,6 +325,23 @@ pub(crate) mod avx2 {
             unsafe { _mm256_loadu_pd(s.as_ptr()) }
         }
         #[inline(always)]
+        fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> __m256d {
+            let s = &src[at..at + 4];
+            let raw = [s[0], s[1], s[2], s[3]].map(Torus32::into_raw);
+            // SAFETY: AVX2 is available; `raw` is 16 readable bytes. The
+            // integer steps are `DigitOf::of` per 32-bit lane, and the
+            // conversion of an `i32` to `f64` is exact.
+            unsafe {
+                let x = _mm_loadu_si128(raw.as_ptr().cast());
+                let biased = _mm_add_epi32(x, _mm_set1_epi32(digit.bias as i32));
+                let field = _mm_and_si128(
+                    _mm_srl_epi32(biased, _mm_cvtsi32_si128(digit.shift as i32)),
+                    _mm_set1_epi32(digit.mask as i32),
+                );
+                _mm256_cvtepi32_pd(_mm_sub_epi32(field, _mm_set1_epi32(digit.half_beta as i32)))
+            }
+        }
+        #[inline(always)]
         fn store(self, dst: &mut [f64], at: usize, v: __m256d) {
             let d = &mut dst[at..at + 4];
             // SAFETY: AVX2 is available; `d` is four writable f64.
@@ -315,7 +387,7 @@ pub(crate) mod avx2 {
             }
         }
         #[inline(always)]
-        fn round_wrap_store(self, dst: &mut [Torus32], at: usize, v: __m256d) {
+        fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: __m256d) {
             let out = &mut dst[at..at + 4];
             let mut raw = [0u32; 4];
             // SAFETY: AVX2 is available; `raw` is 16 writable bytes.
@@ -344,7 +416,8 @@ pub(crate) mod avx2 {
                 raw = lanes.map(round_wrap_u32);
             }
             for (slot, r) in out.iter_mut().zip(raw) {
-                *slot = Torus32::from_raw(r);
+                let rounded = Torus32::from_raw(r);
+                *slot = if ADD { *slot + rounded } else { rounded };
             }
         }
     }

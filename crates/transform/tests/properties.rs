@@ -10,7 +10,7 @@
 //! is deliberately no public switch to force an ISA from here.
 
 use morphling_math::negacyclic::mul_int_torus32;
-use morphling_math::{Complex64, Polynomial, Torus32};
+use morphling_math::{Complex64, DecompParams, Polynomial, SignedDecomposer, Torus32};
 use morphling_transform::{
     BatchScratch, FftPlan, NegacyclicFft, PolyBatch, Spectrum, SpectrumBatch,
 };
@@ -117,6 +117,62 @@ proptest! {
             prop_assert_eq!(&fwd.spectra()[lane], &fft.forward_int(d), "lane {}", lane);
             prop_assert_eq!(&inv.polys()[lane], &fft.inverse_torus(&fwd.spectra()[lane]), "lane {}", lane);
         }
+    }
+
+    #[test]
+    fn fused_external_product_equals_the_staged_stages(
+        seed in any::<u64>(),
+        log_n in 2u32..=11,
+        shape in prop::sample::select(vec![(1usize, 1usize, 16u32), (1, 2, 16), (1, 3, 8), (2, 2, 8), (2, 3, 7), (3, 3, 10)]),
+    ) {
+        // One CMUX step `acc += G ⊡ (X^ã·acc − acc)` both ways: the two
+        // streaming passes against decompose → forward → clear + MAC →
+        // inverse → add, every stage a public function with its own
+        // buffer. Sizes start below one vector, so the short-transform
+        // fallbacks of the fused passes are covered too.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (n, (k, l, b)) = (1usize << log_n, shape);
+        let fft = NegacyclicFft::new(n);
+        let decomp = DecompParams::new(b, l);
+        let mut random = || Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+        let rows: Vec<Vec<Spectrum>> = (0..(k + 1) * l)
+            .map(|_| (0..=k).map(|_| fft.forward_torus(&random())).collect())
+            .collect();
+        let acc: Vec<Polynomial<Torus32>> = (0..=k).map(|_| random()).collect();
+        let a_tilde = rng.gen_range(1..2 * n as i64);
+        let lambda: Vec<_> = acc.iter().map(|c| c.monomial_mul_minus_one(a_tilde)).collect();
+
+        let mut digit_polys = vec![Polynomial::<i64>::zero(n); (k + 1) * l];
+        for (c, digits) in lambda.iter().zip(digit_polys.chunks_mut(l)) {
+            SignedDecomposer::<Torus32>::new(decomp).decompose_poly_into(c, digits);
+        }
+        let staged_digits: Vec<Spectrum> = digit_polys.iter().map(|d| fft.forward_int(d)).collect();
+        let mut staged = acc.clone();
+        for (u, acc_u) in staged.iter_mut().enumerate() {
+            let mut sum = Spectrum::zero(n);
+            for (digit, row) in staged_digits.iter().zip(&rows) {
+                sum.mul_acc(digit, &row[u]);
+            }
+            *acc_u += &fft.inverse_torus(&sum);
+        }
+
+        let mut fused_digits = vec![Spectrum::zero(n); (k + 1) * l];
+        for (c, specs) in lambda.iter().zip(fused_digits.chunks_mut(l)) {
+            for (level, spec) in specs.iter_mut().enumerate() {
+                fft.forward_digit_into(c, decomp, level, spec);
+            }
+        }
+        for (got, want) in fused_digits.iter().zip(&staged_digits) {
+            prop_assert_eq!(bits(got.re()), bits(want.re()), "n={} {:?}", n, shape);
+            prop_assert_eq!(bits(got.im()), bits(want.im()), "n={} {:?}", n, shape);
+        }
+        let mut fused = acc;
+        let mut scratch = Vec::new();
+        for (u, acc_u) in fused.iter_mut().enumerate() {
+            fft.inverse_mac_add_into(&fused_digits, &rows, u, acc_u, &mut scratch);
+        }
+        prop_assert_eq!(fused, staged, "n={} {:?}", n, shape);
     }
 
     #[test]
