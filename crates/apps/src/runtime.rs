@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn inference_driver_waves_match_sequential_paths() {
         use crate::functional::{EncryptedMlp, EncryptedTreeEvaluator};
-        use morphling_tfhe::{ClientKey, Dispatcher};
+        use morphling_tfhe::{ClientKey, Dispatcher, ServingConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use std::sync::Arc;
@@ -478,9 +478,12 @@ mod tests {
         let ck = ClientKey::generate(params, &mut rng);
         let sk = Arc::new(ServerKey::new(&ck, &mut rng));
         // Wave through a Dispatcher (coalescing front-end over the key)...
-        let dispatcher = Dispatcher::builder()
+        let config = ServingConfig::builder()
             .max_batch_size(16)
-            .build(Arc::clone(&sk));
+            .build()
+            .expect("valid serving knobs");
+        let dispatcher =
+            Dispatcher::from_config(&config, Arc::clone(&sk)).expect("validated above");
         let driver = InferenceDriver::new(&sk, &dispatcher);
 
         let model = MlpModel::demo();

@@ -24,7 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morphling_tfhe::keystore::{KeyStore, KeyStoreBootstrapper, MemoryBackend, TenantId};
-use morphling_tfhe::{ClientKey, Dispatcher, DispatcherStats, Lut, ParamSet, ServerKey};
+use morphling_tfhe::{
+    ClientKey, DispatcherBuilder, DispatcherStats, Lut, ParamSet, ServerKey, ServingConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,10 +54,14 @@ fn run_budget(
         Arc::clone(backend) as Arc<_>,
         budget_keys * key_bytes,
     ));
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(8)
         .max_linger(Duration::from_micros(500))
         .queue_capacity(1024)
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
         .key_store(Arc::clone(&store))
         .build(KeyStoreBootstrapper::new(Arc::clone(&store)));
 

@@ -15,9 +15,9 @@
 //! p99 SLO (ms), writes the recommended `ServingConfig` to
 //! `autotune_config.json` and the run summary to `BENCH_autotune.json`,
 //! and with `--validate` replays the recommendation through the real
-//! dispatcher to check the predicted/measured agreement bound
-//! (DESIGN.md §15). `--trace <path>` additionally writes the search
-//! trajectory as a Chrome-trace `autotune` track.
+//! dispatcher and reports measured next to predicted p99 and their
+//! ratio (DESIGN.md §15). `--trace <path>` additionally writes the
+//! search trajectory as a Chrome-trace `autotune` track.
 //!
 //! The legacy positional invocations keep working: bare `report` renders
 //! every artifact, `report table5 --measure-cpu` renders one, and
@@ -245,15 +245,15 @@ fn run_autotune(args: &[String]) {
         r.recommended.deadline_slack,
         r.predicted.p99.as_secs_f64() * 1e3
     );
-    if let (Some(m), Some(agree)) = (&outcome.measured, outcome.agree) {
+    if let (Some(m), Some(ratio)) = (&outcome.measured, outcome.p99_ratio()) {
         eprintln!(
-            "validated against the real dispatcher: measured p99 {:.2} ms \
-             (completed {}, expired {}, rejected {}) — agreement {}",
+            "replayed on the real dispatcher: measured p99 {:.2} ms, {ratio:.2}x predicted \
+             (completed {}, expired {}, rejected {}, failed {})",
             m.p99.as_secs_f64() * 1e3,
             m.completed,
             m.expired,
             m.rejected,
-            if agree { "OK" } else { "VIOLATED" }
+            m.failed
         );
     }
     write_or_die(
@@ -272,9 +272,6 @@ fn run_autotune(args: &[String]) {
             &reports::autotune::trace_json(&outcome),
             "autotune search trace",
         );
-    }
-    if outcome.agree == Some(false) {
-        std::process::exit(1);
     }
 }
 

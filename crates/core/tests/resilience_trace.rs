@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use morphling_core::trace::ExecutionTrace;
 use morphling_tfhe::{
-    BatchRequest, Bootstrapper, ClientKey, Dispatcher, FailoverBootstrapper, Lut, LweCiphertext,
-    ParamSet, ResilienceJournal, RetryPolicy, ServerKey, TfheError,
+    BatchRequest, Bootstrapper, ClientKey, DispatcherBuilder, FailoverBootstrapper, Lut,
+    LweCiphertext, ParamSet, ResilienceJournal, RetryPolicy, ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,9 +59,13 @@ fn resilience_trace_roundtrips_to_disk() {
             .build()
             .expect("two tiers"),
     );
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
         .resilience_journal(Arc::clone(&journal))
         .build(Arc::clone(&stack));
 

@@ -1,30 +1,30 @@
 //! Simulator-in-the-loop autotuning: search the serving-config space for
 //! a target arrival rate and p99 SLO.
 //!
-//! The paper sizes its hardware from a cycle-accurate co-simulation
-//! (Morphling §VI); this module closes the same loop for the *serving*
-//! layer. A [`ServiceModel`] — calibrated from measured [`EngineStats`]
-//! (or from the cycle-accurate accelerator simulator in
-//! `morphling-core`, which can emit one from a `SimReport`) — feeds a
-//! deterministic **event-driven simulation of the dispatcher's batching
-//! policy**: the [`Dispatcher`](crate::Dispatcher)'s batcher is a single
-//! server that seeds a batch from the queue head, absorbs same-affinity
-//! arrivals until the batch fills or the oldest member's linger window
-//! (or deadline minus slack) closes, and executes the batch on the
-//! backend. [`simulate`] replays a seeded open-loop arrival process
-//! through exactly that policy and reports the latency profile;
-//! [`autotune`] grid-searches worker count, `max_batch_size`,
-//! `max_linger`, queue depth, and deadline slack over such simulations
-//! and emits the cheapest [`ServingConfig`] that meets the SLO — plus
-//! the full search [trajectory](SearchPoint), which
-//! `morphling_core::trace` renders as an `autotune` track in the Chrome
-//! trace.
+//! The paper sizes its hardware by running the *same* scheduler inside
+//! the cycle-accurate model that runs on the chip (Morphling §V–§VI);
+//! this module closes the same loop for the *serving* layer. A
+//! [`ServiceModel`] — calibrated from measured [`EngineStats`] (or from
+//! the cycle-accurate accelerator simulator in `morphling-core`, which
+//! can emit one from a `SimReport`) — supplies batch service times, and
+//! [`simulate`] replays a seeded open-loop arrival process through the
+//! [`Dispatcher`](crate::Dispatcher)'s batching policy **itself**: the
+//! state machine in `policy.rs` that the batcher thread drives with the
+//! wall clock is driven here with virtual time, so there is no second
+//! copy of the policy to keep honest. [`autotune`] grid-searches worker
+//! count, `max_batch_size`, `max_linger`, queue depth, and deadline
+//! slack over such simulations and emits the cheapest [`ServingConfig`]
+//! that meets the SLO — plus the full search [trajectory](SearchPoint),
+//! which `morphling_core::trace` renders as an `autotune` track in the
+//! Chrome trace.
 //!
-//! The loop is validated end-to-end: [`replay_open_loop`] drives the
-//! **real** dispatcher with the *same seeded arrival schedule* the
-//! simulator used, and [`p99_agree`] states the predicted/measured
-//! agreement bound ([`AGREEMENT_FACTOR`]× plus [`AGREEMENT_SLACK`],
-//! documented in DESIGN.md §15).
+//! [`replay_open_loop`] is the load generator for checking a
+//! recommendation on the real stack: it drives a **real** dispatcher
+//! with the *same seeded arrival schedule* the simulation used and
+//! reports what was measured. How close measured latency comes to the
+//! prediction depends on how well one calibration run captured the host
+//! (DESIGN.md §15), so `report autotune --validate` reports both and
+//! their ratio, and nothing gates on it.
 //!
 //! ```
 //! use std::time::Duration;
@@ -46,7 +46,6 @@
 //! // or build the stack directly via Dispatcher::from_config.
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,6 +55,7 @@ use crate::error::TfheError;
 use crate::faults;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
+use crate::policy::{dur_ns, BatchPolicy, Entry, Poll};
 use crate::serving::ServingConfig;
 
 /// Hash domain separating arrival-time draws from the fault injector's
@@ -69,26 +69,6 @@ const DEFAULT_BATCH_OVERHEAD_NS: u64 = 50_000;
 /// Default parallel efficiency assumed by [`ServiceModel::new`] for
 /// multi-worker batches (memory-bandwidth and scheduling losses).
 const DEFAULT_PARALLEL_EFFICIENCY: f64 = 0.85;
-
-/// Predicted p99 and measured p99 must agree within this multiplicative
-/// factor (each way) plus [`AGREEMENT_SLACK`] — see [`p99_agree`].
-pub const AGREEMENT_FACTOR: f64 = 3.0;
-
-/// Absolute slack added on top of [`AGREEMENT_FACTOR`], absorbing OS
-/// scheduling jitter that dominates sub-millisecond predictions.
-pub const AGREEMENT_SLACK: Duration = Duration::from_millis(10);
-
-/// The two-sided predicted/measured agreement bound the validation loop
-/// asserts (DESIGN.md §15): each of the two p99s must be at most
-/// [`AGREEMENT_FACTOR`] times the other plus [`AGREEMENT_SLACK`].
-pub fn p99_agree(predicted: Duration, measured: Duration) -> bool {
-    let within = |a: Duration, b: Duration| a <= b.mul_f64(AGREEMENT_FACTOR) + AGREEMENT_SLACK;
-    within(predicted, measured) && within(measured, predicted)
-}
-
-fn dur_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
 
 fn invalid(field: &'static str, detail: String) -> TfheError {
     TfheError::InvalidServingConfig { field, detail }
@@ -168,7 +148,7 @@ impl ServiceModel {
 /// A seeded synthetic open-loop arrival process: `requests` arrivals at
 /// mean `rate_per_s`, exponentially-distributed inter-arrival times
 /// drawn deterministically from `seed`. The same spec produces the same
-/// schedule in the [`simulate`]d policy and in the real
+/// schedule in the [`simulate`]d run and in the real
 /// [`replay_open_loop`] — prediction and measurement see identical
 /// traffic.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -260,41 +240,18 @@ pub struct PredictedProfile {
     pub utilization: f64,
 }
 
-/// Admission queue of the simulated dispatcher: arrivals past the
-/// capacity are shed, exactly like `try_submit` under backpressure.
-struct SimQueue {
-    pending: VecDeque<u64>,
-    next: usize,
-    shed: u64,
-    cap: usize,
-}
-
-impl SimQueue {
-    /// Admit every arrival with `arr[i] <= t`, shedding beyond capacity.
-    fn absorb(&mut self, arr: &[u64], t: u64) {
-        while self.next < arr.len() && arr[self.next] <= t {
-            if self.pending.len() < self.cap {
-                self.pending.push_back(arr[self.next]);
-            } else {
-                self.shed += 1;
-            }
-            self.next += 1;
-        }
-    }
-}
-
-/// Replay `spec`'s arrival schedule through an event-driven model of the
-/// dispatcher's batching policy under `cfg`, with batch service times
-/// from `model`. Deterministic: same inputs, same profile.
+/// Replay `spec`'s arrival schedule through the dispatcher's batching
+/// policy under `cfg` on virtual time, with batch service times from
+/// `model`. Deterministic: same inputs, same profile.
 ///
-/// The model mirrors the real batcher: a single server seeds each batch
-/// from the queue head, immediately absorbs everything already queued
-/// (up to `max_batch_size`), lingers for late arrivals until the seed's
-/// `max_linger` window — truncated to `deadline − deadline_slack` when
-/// the load carries deadlines — then executes the whole batch for
-/// [`ServiceModel::batch_service_ns`]. Requests whose deadline passes
-/// before their batch starts expire; arrivals beyond `queue_capacity`
-/// while the server is busy are shed.
+/// This drives the policy the way the batcher thread does, with jumps
+/// where the thread waits: every arrival due by `t` is offered (one the
+/// bounded queue refuses is shed, like `try_submit`), then the policy is
+/// polled at `t`. A flushed batch occupies the single batcher for
+/// [`ServiceModel::batch_service_ns`], a forming batch jumps `t` to its
+/// flush time or the next arrival, whichever is first, and an idle
+/// policy jumps to the next arrival. Requests the policy drops on their
+/// deadline (only with [`LoadSpec::deadline`]) count as expired.
 ///
 /// # Errors
 ///
@@ -307,104 +264,45 @@ pub fn simulate(
     cfg.validate()?;
     spec.validate()?;
     let arr = spec.arrival_schedule_ns();
-    let linger = dur_ns(cfg.max_linger);
-    let slack = dur_ns(cfg.deadline_slack);
     let budget = spec.deadline.map(dur_ns);
-    let max_batch = cfg.max_batch_size;
-    let mut q = SimQueue {
-        pending: VecDeque::new(),
-        next: 0,
-        shed: 0,
-        cap: cfg.queue_capacity,
-    };
+    let mut policy = BatchPolicy::new(cfg);
+    let mut next = 0usize;
+    let mut t = 0u64;
     let mut latencies: Vec<u64> = Vec::with_capacity(arr.len());
-    let mut expired = 0u64;
-    let mut batches = 0u64;
-    let mut batched = 0u64;
-    let mut busy_ns = 0u64;
-    let mut t_free = 0u64;
-    let mut end_ns = 0u64;
+    let (mut shed, mut expired, mut batches, mut busy_ns, mut end_ns) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
     loop {
-        if q.pending.is_empty() {
-            if q.next >= arr.len() {
-                break;
+        while next < arr.len() && arr[next] <= t {
+            let entry = Entry {
+                item: (),
+                affinity: None,
+                enqueued_ns: arr[next],
+                deadline_ns: budget.map(|b| arr[next].saturating_add(b)),
+            };
+            if policy.offer(entry).is_err() {
+                shed += 1;
             }
-            // Server idle: jump to the next arrival.
-            q.absorb(&arr, arr[q.next]);
-            continue;
+            next += 1;
         }
-        let seed = match q.pending.pop_front() {
-            Some(s) => s,
-            None => break,
-        };
-        let start_floor = t_free.max(seed);
-        if let Some(bud) = budget {
-            // Mirror `take_first`: a seed already past its deadline when
-            // picked up is dropped, and the next request seeds instead.
-            if start_floor >= seed.saturating_add(bud) {
-                expired += 1;
-                continue;
+        match policy.poll(t, false, |_| false) {
+            Poll::Flush { batch, dropped } => {
+                expired += dropped.len() as u64;
+                if batch.is_empty() {
+                    continue;
+                }
+                let svc = model.batch_service_ns(batch.len(), cfg.workers);
+                t = t.saturating_add(svc);
+                end_ns = t;
+                busy_ns += svc;
+                batches += 1;
+                latencies.extend(batch.iter().map(|e| t.saturating_sub(e.enqueued_ns)));
             }
-        }
-        q.absorb(&arr, start_floor);
-        let mut flush_at = seed.saturating_add(linger);
-        if let Some(bud) = budget {
-            // Deadline-slack early flush: the batch must start far enough
-            // before the (oldest) member's deadline to rescue it.
-            flush_at = flush_at.min(seed.saturating_add(bud).saturating_sub(slack));
-        }
-        let mut batch: Vec<u64> = vec![seed];
-        while batch.len() < max_batch {
-            match q.pending.pop_front() {
-                Some(a) => batch.push(a),
+            Poll::WaitUntil(flush_at) => t = arr.get(next).map_or(flush_at, |&a| a.min(flush_at)),
+            Poll::Idle => match arr.get(next) {
+                Some(&a) => t = a,
                 None => break,
-            }
+            },
         }
-        let mut exec_start = start_floor;
-        if batch.len() < max_batch {
-            // Linger: future arrivals up to the flush point join the
-            // batch; the arrival that fills it starts execution.
-            while batch.len() < max_batch && q.next < arr.len() && arr[q.next] <= flush_at {
-                let t = arr[q.next];
-                q.absorb(&arr, t);
-                while batch.len() < max_batch {
-                    match q.pending.pop_front() {
-                        Some(a) => batch.push(a),
-                        None => break,
-                    }
-                }
-                exec_start = exec_start.max(t);
-            }
-            if batch.len() < max_batch {
-                exec_start = exec_start.max(flush_at).max(start_floor);
-            }
-        }
-        if let Some(bud) = budget {
-            // Mirror `execute_batch`'s final sweep: members whose
-            // deadline passed while the batch formed are dropped.
-            batch.retain(|&a| {
-                if exec_start >= a.saturating_add(bud) {
-                    expired += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if batch.is_empty() {
-            t_free = t_free.max(exec_start);
-            continue;
-        }
-        let svc = model.batch_service_ns(batch.len(), cfg.workers);
-        let exec_end = exec_start.saturating_add(svc);
-        busy_ns += svc;
-        batches += 1;
-        batched += batch.len() as u64;
-        for a in batch {
-            latencies.push(exec_end.saturating_sub(a));
-        }
-        t_free = exec_end;
-        end_ns = end_ns.max(exec_end);
     }
     latencies.sort_unstable();
     let completed = latencies.len() as u64;
@@ -420,13 +318,13 @@ pub fn simulate(
             0.0
         },
         mean_batch_size: if batches > 0 {
-            batched as f64 / batches as f64
+            completed as f64 / batches as f64
         } else {
             0.0
         },
         completed,
         expired,
-        shed: q.shed,
+        shed,
         utilization: if window_ns > 0 {
             (busy_ns as f64 / window_ns as f64).min(1.0)
         } else {
@@ -719,11 +617,11 @@ pub struct MeasuredProfile {
 
 /// Drive the **real** `dispatcher` with `spec`'s seeded open-loop load —
 /// the same arrival schedule [`simulate`] used — and report what was
-/// measured. This is the validation half of the autotune loop: run it
-/// against a dispatcher built from
-/// [`AutotuneReport::recommended`] and compare
-/// [`MeasuredProfile::p99`] with [`PredictedProfile::p99`] via
-/// [`p99_agree`].
+/// measured. Run it against a dispatcher built from
+/// [`AutotuneReport::recommended`] to see the recommendation serve real
+/// traffic; [`MeasuredProfile::p99`] over [`PredictedProfile::p99`]
+/// says how well the [`ServiceModel`] was calibrated, not whether the
+/// policy was modelled right — both sides run the same policy code.
 ///
 /// Submissions are non-blocking (`try_submit`), so an undersized config
 /// sheds load here exactly as it would in production (and as the
@@ -970,17 +868,6 @@ mod tests {
             heavy.recommended.workers,
             light.recommended.workers
         );
-    }
-
-    #[test]
-    fn agreement_bound_is_two_sided() {
-        let ms = Duration::from_millis;
-        assert!(p99_agree(ms(20), ms(25)));
-        assert!(p99_agree(ms(2), ms(5)));
-        // Slack absorbs sub-10ms noise entirely.
-        assert!(p99_agree(ms(1), ms(9)));
-        assert!(!p99_agree(ms(20), ms(100)));
-        assert!(!p99_agree(ms(100), ms(20)));
     }
 
     /// Backend that sleeps a fixed time per batch and echoes its inputs —

@@ -16,11 +16,14 @@
 //!   multi-value-capable backend pays one blind rotation for all of the
 //!   request's outputs;
 //! - a batcher thread coalesces queued requests into micro-batches under
-//!   a [`max_batch_size`](DispatcherBuilder::max_batch_size) /
-//!   [`max_linger`](DispatcherBuilder::max_linger) policy: a batch is
+//!   a [`max_batch_size`](ServingConfig::max_batch_size) /
+//!   [`max_linger`](ServingConfig::max_linger) policy: a batch is
 //!   flushed as soon as it is full, or when its oldest member has waited
 //!   `max_linger`, whichever comes first — bounded latency at low load,
-//!   full batches at high load;
+//!   full batches at high load. The policy itself is the pure state
+//!   machine in `policy.rs`; the batcher thread only drives it with the
+//!   wall clock, and the [autotuner](crate::autotune) drives the same
+//!   code with virtual time;
 //! - admission runs through a **bounded queue**:
 //!   [`try_submit`](Dispatcher::try_submit) rejects with
 //!   [`TfheError::QueueFull`] instead of queueing unboundedly
@@ -31,7 +34,9 @@
 //!   with [`TfheError::DeadlineExceeded`] rather than doing late work;
 //! - [`shutdown`](Dispatcher::shutdown) (also run on `Drop`) closes
 //!   admission, **drains** everything already queued, then joins the
-//!   batcher — no request is silently lost;
+//!   batcher — no request is silently lost, and a batcher that dies
+//!   (a panicking backend) closes admission and fails what it still
+//!   held with [`TfheError::DispatcherShutDown`] on its way out;
 //! - every request's queue/execute timeline is journaled as a
 //!   [`DispatchSpan`] (rendered into the Chrome trace by
 //!   `morphling_core::trace`), and [`DispatcherStats`] exposes
@@ -65,7 +70,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use morphling_tfhe::{ClientKey, Dispatcher, Lut, ParamSet, ServerKey};
+//! use morphling_tfhe::{ClientKey, Dispatcher, Lut, ParamSet, ServerKey, ServingConfig};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -74,7 +79,8 @@
 //! let ck = ClientKey::generate(params.clone(), &mut rng);
 //! let sk = Arc::new(ServerKey::new(&ck, &mut rng));
 //!
-//! let dispatcher = Dispatcher::builder().max_batch_size(8).build(sk);
+//! let config = ServingConfig::builder().max_batch_size(8).build().unwrap();
+//! let dispatcher = Dispatcher::from_config(&config, sk).unwrap();
 //! let lut = Arc::new(Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4));
 //! let ticket = dispatcher.submit(ck.encrypt(2, &mut rng), Arc::clone(&lut), None).unwrap();
 //! assert_eq!(ck.decrypt(&ticket.wait().unwrap()), 3);
@@ -83,7 +89,7 @@
 // Tighter than the crate-wide `warn`: serving code must never unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -98,10 +104,11 @@ use crate::journal::Ring;
 use crate::keystore::{KeyStore, TenantId};
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
+use crate::policy::{dur_ns, BatchPolicy, Dropped, Entry, Poll};
 use crate::resilience::{
     CircuitBreaker, ResilienceEvent, ResilienceEventKind, ResilienceJournal, RetryPolicy,
 };
-use crate::serving::{RetryConfig, ServingConfig};
+use crate::serving::ServingConfig;
 
 /// Journal scope for dispatcher-originated resilience events.
 const DISPATCHER_SCOPE: &str = "dispatcher";
@@ -115,24 +122,23 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One queued request: one input ciphertext through one or more LUTs
 /// (`luts.len()` outputs, in LUT order). Multi-LUT requests become fanout
 /// entries of the formed batch and cost a single blind rotation on a
-/// multi-value-capable backend.
+/// multi-value-capable backend. Its tenant (key affinity), enqueue time
+/// and deadline travel beside it in the policy's [`Entry`].
 struct Pending {
     id: u64,
     ct: LweCiphertext,
     luts: Vec<Arc<Lut>>,
-    /// Key affinity: which tenant's server key must serve this request.
-    /// `None` means "the backend's default key" — its own affinity class.
-    tenant: Option<TenantId>,
-    deadline: Option<Instant>,
-    enqueued: Instant,
     cancelled: Arc<AtomicBool>,
     reply: Sender<Result<Vec<LweCiphertext>, TfheError>>,
 }
 
 struct QueueState {
-    queue: VecDeque<Pending>,
+    /// The admission queue and the forming batch (`policy.rs`), on ns
+    /// since [`Shared::epoch`].
+    policy: BatchPolicy<Pending>,
     /// `false` once shutdown begins: admission closed, batcher draining.
     open: bool,
+    next_id: u64,
 }
 
 /// Latency samples kept per reservoir. 4096 points give sub-percent
@@ -233,8 +239,8 @@ struct DispatchCounters {
 
 struct Shared {
     /// The serving knobs this dispatcher was built from (batch/linger/
-    /// queue/slack are read from here; retry and breaker are materialized
-    /// into the fields below at build time).
+    /// queue/slack went into the policy, retry and breaker into the
+    /// fields below, at build time).
     config: ServingConfig,
     epoch: Instant,
     state: Mutex<QueueState>,
@@ -258,8 +264,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn ns_since_epoch(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_nanos() as u64
+    fn now_ns(&self) -> u64 {
+        dur_ns(self.epoch.elapsed())
     }
 
     /// Deliver a terminal result to a request and bump the matching
@@ -276,7 +282,7 @@ impl Shared {
         if result.is_ok() {
             self.counters
                 .last_ns
-                .fetch_max(self.ns_since_epoch(Instant::now()), Ordering::Relaxed);
+                .fetch_max(self.now_ns(), Ordering::Relaxed);
         }
         let _ = p.reply.send(result);
     }
@@ -489,7 +495,7 @@ pub struct DispatcherStats {
     /// Requests that entered a micro-batch (completed + failed).
     pub batched: u64,
     /// Single-request re-dispatches after retryable backend faults
-    /// (see [`DispatcherBuilder::retry_policy`]).
+    /// (see [`ServingConfig::retry`]).
     pub retries: u64,
     /// Submissions shed at admission by an open circuit breaker
     /// (see [`DispatcherBuilder::circuit_breaker`]).
@@ -554,17 +560,13 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> Duration {
     Duration::from_nanos(sorted[idx.min(sorted.len() - 1)])
 }
 
-/// Builder for [`Dispatcher`], mirroring
-/// [`BootstrapEngineBuilder`](crate::BootstrapEngineBuilder)'s consuming
-/// style. All knobs clamp to sane minimums, so `build` is infallible.
-///
-/// This is the **legacy path**, kept so existing call sites compile
-/// unchanged: since the [`ServingConfig`] redesign it is a thin wrapper
-/// that assembles a config plus the runtime-only wiring (a shared breaker
-/// instance, a shared journal, a live key store). New code — and anything
-/// consuming an autotuner recommendation — should prefer
-/// [`Dispatcher::from_config`], which validates loudly instead of
-/// clamping.
+/// Runtime wiring for a [`Dispatcher`]: what a [`ServingConfig`] cannot
+/// carry because it is a live object — a shared
+/// [`circuit_breaker`](Self::circuit_breaker) instance, a shared
+/// [`resilience_journal`](Self::resilience_journal), a
+/// [`key_store`](Self::key_store). Every knob lives in the config
+/// ([`from_config`](Self::from_config)); [`Dispatcher::builder`] starts
+/// from [`ServingConfig::default`].
 #[derive(Clone, Debug, Default)]
 pub struct DispatcherBuilder {
     config: ServingConfig,
@@ -574,71 +576,19 @@ pub struct DispatcherBuilder {
 }
 
 impl DispatcherBuilder {
-    /// Defaults: batch up to 32, linger up to 2 ms, queue 1024 deep
-    /// ([`ServingConfig::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Start from an explicit [`ServingConfig`] (e.g. an autotuner
-    /// recommendation read back from `autotune_config.json`), keeping the
-    /// builder available for runtime-only wiring
-    /// ([`key_store`](Self::key_store),
-    /// [`resilience_journal`](Self::resilience_journal), a shared
-    /// [`circuit_breaker`](Self::circuit_breaker) instance).
+    /// recommendation read back from `autotune_config.json`).
     ///
     /// # Errors
     ///
     /// [`TfheError::InvalidServingConfig`] if `config` fails
-    /// [`ServingConfig::validate`] — degenerate knobs are rejected here,
-    /// not clamped.
+    /// [`ServingConfig::validate`].
     pub fn from_config(config: &ServingConfig) -> Result<Self, TfheError> {
         config.validate()?;
         Ok(Self {
             config: config.clone(),
             ..Self::default()
         })
-    }
-
-    /// Flush a batch as soon as it reaches this many requests (the
-    /// paper's per-wave batch sizing; clamped to ≥ 1). `1` disables
-    /// coalescing — every request executes alone, the baseline the bench
-    /// compares against.
-    pub fn max_batch_size(mut self, n: usize) -> Self {
-        self.config.max_batch_size = n.max(1);
-        self
-    }
-
-    /// Flush a non-full batch once its oldest member has waited this
-    /// long — the latency bound a mostly-idle dispatcher adds.
-    pub fn max_linger(mut self, linger: Duration) -> Self {
-        self.config.max_linger = linger;
-        self
-    }
-
-    /// Admission-queue depth (clamped to ≥ 1). Beyond it, `try_submit`
-    /// rejects with [`TfheError::QueueFull`] and `submit` blocks.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.config.queue_capacity = cap.max(1);
-        self
-    }
-
-    /// Start a deadline-triggered flush this much before the deadline
-    /// itself, so the request it rescues still starts in time despite
-    /// condvar wake-up jitter. Default 500 µs.
-    pub fn deadline_slack(mut self, slack: Duration) -> Self {
-        self.config.deadline_slack = slack;
-        self
-    }
-
-    /// Retry requests that hit a *retryable* backend fault
-    /// ([`TfheError::is_retryable`]) — the batcher re-dispatches the
-    /// failed request alone, up to the policy's budget, sleeping the
-    /// policy's (deterministically jittered) backoff between attempts.
-    /// Default: [`RetryPolicy::none`], preserving fail-fast semantics.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.config.retry = RetryConfig::from(policy);
-        self
     }
 
     /// Gate admission behind `breaker`: while it is open, `submit` /
@@ -694,12 +644,13 @@ impl DispatcherBuilder {
         });
         let retry = self.config.retry.policy();
         let shared = Arc::new(Shared {
-            config: self.config,
             epoch: Instant::now(),
             state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
+                policy: BatchPolicy::new(&self.config),
                 open: true,
+                next_id: 0,
             }),
+            config: self.config,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             counters: DispatchCounters {
@@ -717,7 +668,6 @@ impl DispatcherBuilder {
         Dispatcher {
             shared,
             batcher: Some(batcher),
-            next_id: AtomicU64::new(0),
         }
     }
 }
@@ -726,13 +676,13 @@ impl DispatcherBuilder {
 pub struct Dispatcher {
     shared: Arc<Shared>,
     batcher: Option<JoinHandle<()>>,
-    next_id: AtomicU64,
 }
 
 impl Dispatcher {
-    /// Configure batch sizing, linger, and queue depth before building.
+    /// Default policy plus runtime wiring (breaker, journal, key store);
+    /// for other knobs start from [`DispatcherBuilder::from_config`].
     pub fn builder() -> DispatcherBuilder {
-        DispatcherBuilder::new()
+        DispatcherBuilder::default()
     }
 
     /// Wrap `backend` with default policy (batch ≤ 32, linger ≤ 2 ms,
@@ -760,7 +710,7 @@ impl Dispatcher {
     /// [`TfheError::InvalidServingConfig`] if `config` fails
     /// [`ServingConfig::validate`] — degenerate knobs (`workers == 0`,
     /// `max_batch_size == 0`, a zero queue) are rejected loudly here
-    /// instead of panicking (or being silently clamped) deeper in.
+    /// instead of misbehaving deeper in.
     pub fn from_config<B>(config: &ServingConfig, backend: B) -> Result<Self, TfheError>
     where
         B: Bootstrapper + Send + Sync + 'static,
@@ -940,44 +890,51 @@ impl Dispatcher {
             }
         }
         let mut st = lock(&shared.state);
-        loop {
-            if !st.open {
-                return Err(TfheError::DispatcherShutDown);
+        let queue_full = || {
+            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            TfheError::QueueFull {
+                capacity: shared.config.queue_capacity,
             }
-            if st.queue.len() < shared.config.queue_capacity {
-                break;
-            }
+        };
+        while st.open && st.policy.is_full() {
             if !block {
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(TfheError::QueueFull {
-                    capacity: shared.config.queue_capacity,
-                });
+                return Err(queue_full());
             }
             st = shared
                 .not_full
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        if !st.open {
+            return Err(TfheError::DispatcherShutDown);
+        }
+        let id = st.next_id;
         let (reply_tx, reply_rx) = channel::bounded(1);
         let cancelled = Arc::new(AtomicBool::new(false));
-        let enqueued = Instant::now();
-        st.queue.push_back(Pending {
-            id,
-            ct,
-            luts,
-            tenant,
-            deadline,
-            enqueued,
-            cancelled: Arc::clone(&cancelled),
-            reply: reply_tx,
-        });
+        // Stamped at admission: a `submit` that blocked on a full queue
+        // lingers from when it got in, not from when it was called.
+        let enqueued_ns = shared.now_ns();
+        let entry = Entry {
+            item: Pending {
+                id,
+                ct,
+                luts,
+                cancelled: Arc::clone(&cancelled),
+                reply: reply_tx,
+            },
+            affinity: tenant,
+            enqueued_ns,
+            // Instants before the epoch are 0: expired from the start.
+            deadline_ns: deadline.map(|d| dur_ns(d.saturating_duration_since(shared.epoch))),
+        };
+        st.policy.offer(entry).map_err(|_| queue_full())?;
+        st.next_id += 1;
         drop(st);
         shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
         shared
             .counters
             .first_ns
-            .fetch_min(shared.ns_since_epoch(enqueued), Ordering::Relaxed);
+            .fetch_min(enqueued_ns, Ordering::Relaxed);
         shared.not_empty.notify_one();
         Ok((id, cancelled, reply_rx))
     }
@@ -1078,30 +1035,8 @@ impl Dispatcher {
         self.shared.epoch
     }
 
-    /// Admission-queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.config.queue_capacity
-    }
-
-    /// Batch-size cap.
-    pub fn max_batch_size(&self) -> usize {
-        self.shared.config.max_batch_size
-    }
-
-    /// Linger bound.
-    pub fn max_linger(&self) -> Duration {
-        self.shared.config.max_linger
-    }
-
-    /// How far before a member's deadline a batch is flushed early.
-    pub fn deadline_slack(&self) -> Duration {
-        self.shared.config.deadline_slack
-    }
-
-    /// The serving knobs this dispatcher runs under. From the
-    /// [`from_config`](Self::from_config) path this is the caller's
-    /// config verbatim; from the legacy [`builder`](Self::builder) path
-    /// it is the equivalent assembled config (ready to serialize and pin).
+    /// The serving knobs this dispatcher runs under: the caller's config
+    /// verbatim, ready to serialize and pin.
     pub fn config(&self) -> &ServingConfig {
         &self.shared.config
     }
@@ -1226,173 +1161,115 @@ impl Bootstrapper for Dispatcher {
     }
 }
 
-/// Has `deadline` passed at `now`? The boundary counts as expired: a
-/// deadline is the latest acceptable *execution start*, and work picked
-/// up exactly at `d == now` cannot start before it.
-fn deadline_expired(deadline: Option<Instant>, now: Instant) -> bool {
-    deadline.is_some_and(|d| d <= now)
-}
-
-/// The one cancellation/deadline sweep every pickup point runs (queue
-/// pop in `take_first` / `collect_linger`, and the last look in
-/// `execute_batch`): a cancelled or expired request is resolved on the
-/// spot and filtered out; a live one is handed back.
-fn admit_live(shared: &Shared, p: Pending, now: Instant) -> Option<Pending> {
-    if p.cancelled.load(Ordering::SeqCst) {
-        shared.resolve(p, Err(TfheError::Cancelled));
-        None
-    } else if deadline_expired(p.deadline, now) {
-        shared.resolve(p, Err(TfheError::DeadlineExceeded));
-        None
-    } else {
-        Some(p)
-    }
-}
-
-/// Pop the next live request, blocking until one arrives or shutdown
-/// completes the drain. Cancelled / expired requests are resolved on the
-/// spot and skipped.
-fn take_first(shared: &Shared) -> Option<Pending> {
+/// The batcher thread: drive the batching policy (`policy.rs`) with the
+/// wall clock. One clock read per poll; `Flush` runs the batch outside
+/// the lock, `WaitUntil` becomes a timed wait that a new submission cuts
+/// short, `Idle` waits for a submission — or, once admission is closed
+/// and everything queued has drained, ends the thread.
+fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
+    let _fail_leftovers_on_exit = ExitGuard(shared);
     let mut st = lock(&shared.state);
     loop {
-        while let Some(p) = st.queue.pop_front() {
-            shared.not_full.notify_all();
-            if let Some(p) = admit_live(shared, p, Instant::now()) {
-                return Some(p);
+        let now = shared.now_ns();
+        let draining = !st.open;
+        match st
+            .policy
+            .poll(now, draining, |p| p.cancelled.load(Ordering::SeqCst))
+        {
+            Poll::Flush { batch, dropped } => {
+                drop(st);
+                shared.not_full.notify_all();
+                for (e, why) in dropped {
+                    let err = match why {
+                        Dropped::Cancelled => TfheError::Cancelled,
+                        Dropped::Expired => TfheError::DeadlineExceeded,
+                    };
+                    shared.resolve(e.item, Err(err));
+                }
+                if !batch.is_empty() {
+                    execute_batch(shared, backend, batch);
+                }
+                st = lock(&shared.state);
+            }
+            Poll::WaitUntil(t) => {
+                // Joiners left the queue for the forming batch: a
+                // submitter blocked on a full queue may fit now.
+                shared.not_full.notify_all();
+                let wait = Duration::from_nanos(t.saturating_sub(now));
+                st = shared
+                    .not_empty
+                    .wait_timeout(st, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            Poll::Idle if draining => return,
+            Poll::Idle => {
+                st = shared
+                    .not_empty
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        if !st.open {
-            return None;
-        }
-        st = shared
-            .not_empty
-            .wait(st)
-            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
-/// Grow `batch` (seeded with one request) until it is full, the linger
-/// window of its oldest member closes, a member's deadline forces an
-/// early flush, or shutdown ends the wait.
-///
-/// Key affinity: only requests sharing the seed's tenant join the batch,
-/// so every formed batch is servable by exactly one server key (a
-/// key-store backend then pins one key per backend call instead of
-/// thrashing between tenants mid-batch). Other tenants' requests are
-/// left queued **in order**; cancelled or expired requests of any tenant
-/// are still swept and resolved during the scan.
-fn collect_linger(shared: &Shared, batch: &mut Vec<Pending>) {
-    let flush_for = |p: &Pending| -> Option<Instant> {
-        p.deadline
-            .map(|d| d.checked_sub(shared.config.deadline_slack).unwrap_or(d))
-    };
-    let affinity = batch[0].tenant;
-    let mut flush_at = batch[0].enqueued + shared.config.max_linger;
-    if let Some(d) = flush_for(&batch[0]) {
-        flush_at = flush_at.min(d);
-    }
-    if shared.config.max_batch_size <= 1 {
-        return;
-    }
-    let mut st = lock(&shared.state);
-    loop {
-        let mut i = 0;
-        while batch.len() < shared.config.max_batch_size && i < st.queue.len() {
-            let now = Instant::now();
-            let doomed = st.queue[i].cancelled.load(Ordering::SeqCst)
-                || deadline_expired(st.queue[i].deadline, now);
-            if !doomed && st.queue[i].tenant != affinity {
-                i += 1;
-                continue;
-            }
-            let Some(p) = st.queue.remove(i) else {
-                break;
-            };
-            shared.not_full.notify_all();
-            let Some(p) = admit_live(shared, p, now) else {
-                continue;
-            };
-            if let Some(d) = flush_for(&p) {
-                flush_at = flush_at.min(d);
-            }
-            batch.push(p);
-        }
-        if batch.len() >= shared.config.max_batch_size || !st.open {
-            return;
-        }
-        let now = Instant::now();
-        let Some(wait) = flush_at
-            .checked_duration_since(now)
-            .filter(|w| !w.is_zero())
-        else {
-            return;
+/// However the batcher thread ends — drained after `shutdown`, or
+/// unwinding out of a panicking backend — nobody is left waiting on it:
+/// admission closes, whatever is still queued or forming fails with
+/// [`TfheError::DispatcherShutDown`], and blocked submitters wake to see
+/// the closed door. (A batch already handed to the backend unwinds with
+/// it; dropping its reply senders reports the same error.)
+struct ExitGuard<'a>(&'a Shared);
+
+impl Drop for ExitGuard<'_> {
+    fn drop(&mut self) {
+        let leftovers = {
+            let mut st = lock(&self.0.state);
+            st.open = false;
+            st.policy.take_all()
         };
-        let (guard, _timed_out) = shared
-            .not_empty
-            .wait_timeout(st, wait)
-            .unwrap_or_else(PoisonError::into_inner);
-        st = guard;
+        for e in leftovers {
+            self.0.resolve(e.item, Err(TfheError::DispatcherShutDown));
+        }
+        self.0.not_full.notify_all();
     }
 }
 
-/// Execute one formed micro-batch: a last cancellation/deadline sweep,
-/// LUT deduplication by `Arc` identity, one backend call, then result
-/// distribution and journaling. If a multi-request batch fails as a
-/// whole, each member is rerun alone so one malformed request cannot
-/// poison its batch-mates; single-request failures then go through the
-/// retry policy before surfacing.
-fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, batch: Vec<Pending>) {
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(batch.len());
-    for p in batch {
-        if let Some(p) = admit_live(shared, p, now) {
-            live.push(p);
+/// Execute one formed micro-batch (live and single-tenant, as the policy
+/// flushed it): LUT deduplication by `Arc` identity, one backend call,
+/// then result distribution and journaling. If a multi-request batch
+/// fails as a whole, each member is rerun alone so one malformed request
+/// cannot poison its batch-mates; single-request failures then go
+/// through the retry policy before surfacing.
+fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, mut live: Vec<Entry<Pending>>) {
+    let batch_id = shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .batched
+        .fetch_add(live.len() as u64, Ordering::Relaxed);
+    let exec_start = shared.now_ns();
+    match run_as_batch(backend, &live) {
+        Ok(outs) => {
+            shared.record_breaker(true);
+            distribute(shared, batch_id, exec_start, live, outs);
         }
-    }
-    if live.is_empty() {
-        return;
-    }
-    // Key-affinity split: `collect_linger` forms single-tenant batches,
-    // but a batch seeded at `max_batch <= 1` or raced by future callers
-    // could still mix tenants — lower each tenant group as its own
-    // backend call, so one call never needs two server keys.
-    let mut groups: Vec<Vec<Pending>> = Vec::new();
-    for p in live {
-        match groups.iter_mut().find(|g| g[0].tenant == p.tenant) {
-            Some(g) => g.push(p),
-            None => groups.push(vec![p]),
-        }
-    }
-    for mut live in groups {
-        let batch_id = shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .batched
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-        let exec_start = Instant::now();
-        match run_as_batch(backend, &live) {
-            Ok(outs) => {
-                shared.record_breaker(true);
-                distribute(shared, batch_id, exec_start, live, outs);
+        Err(e) => {
+            if e.is_retryable() {
+                shared.record_breaker(false);
             }
-            Err(e) => {
-                if e.is_retryable() {
-                    shared.record_breaker(false);
+            if live.len() > 1 {
+                // Poison-pill isolation: rerun each member alone so
+                // only the malformed (or genuinely failing) requests
+                // see the error; `finish_single` layers the retry
+                // policy on top.
+                for p in live {
+                    finish_single(shared, backend, batch_id, exec_start, p, None);
                 }
-                if live.len() > 1 {
-                    // Poison-pill isolation: rerun each member alone so
-                    // only the malformed (or genuinely failing) requests
-                    // see the error; `finish_single` layers the retry
-                    // policy on top.
-                    for p in live {
-                        finish_single(shared, backend, batch_id, exec_start, p, None);
-                    }
-                } else if let Some(p) = live.pop() {
-                    // The lone member already observed this failure —
-                    // hand it to the retry loop instead of re-executing
-                    // to rediscover the same error.
-                    finish_single(shared, backend, batch_id, exec_start, p, Some(e));
-                }
+            } else if let Some(p) = live.pop() {
+                // The lone member already observed this failure —
+                // hand it to the retry loop instead of re-executing
+                // to rediscover the same error.
+                finish_single(shared, backend, batch_id, exec_start, p, Some(e));
             }
         }
     }
@@ -1408,8 +1285,8 @@ fn finish_single(
     shared: &Shared,
     backend: &dyn Bootstrapper,
     batch_id: u64,
-    exec_start: Instant,
-    p: Pending,
+    exec_start: u64,
+    p: Entry<Pending>,
     mut first_err: Option<TfheError>,
 ) {
     let mut attempt: u32 = 0;
@@ -1417,13 +1294,9 @@ fn finish_single(
         let err = match first_err.take() {
             Some(e) => e,
             None => match run_as_batch(backend, std::slice::from_ref(&p)) {
-                Ok(outs) if outs.len() == p.luts.len() => {
+                Ok(outs) => {
                     shared.record_breaker(true);
                     distribute(shared, batch_id, exec_start, vec![p], outs);
-                    return;
-                }
-                Ok(_) => {
-                    shared.resolve(p, Err(TfheError::DispatcherShutDown));
                     return;
                 }
                 Err(e) => {
@@ -1440,13 +1313,13 @@ fn finish_single(
             shared
                 .journal
                 .record(DISPATCHER_SCOPE, ResilienceEventKind::Retry { attempt });
-            let backoff = shared.retry.backoff(p.id, attempt);
+            let backoff = shared.retry.backoff(p.item.id, attempt);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
             continue;
         }
-        shared.resolve(p, Err(err));
+        shared.resolve(p.item, Err(err));
         return;
     }
 }
@@ -1456,13 +1329,13 @@ fn finish_single(
 /// pending `i` owns the next `live[i].luts.len()` outputs in order.
 fn run_as_batch(
     backend: &dyn Bootstrapper,
-    live: &[Pending],
+    live: &[Entry<Pending>],
 ) -> Result<Vec<LweCiphertext>, TfheError> {
     let mut luts: Vec<Arc<Lut>> = Vec::new();
     let mut lists: Vec<Vec<usize>> = Vec::with_capacity(live.len());
     for p in live {
-        let mut list = Vec::with_capacity(p.luts.len());
-        for lut in &p.luts {
+        let mut list = Vec::with_capacity(p.item.luts.len());
+        for lut in &p.item.luts {
             let idx = match luts.iter().position(|l| Arc::ptr_eq(l, lut)) {
                 Some(idx) => idx,
                 None => {
@@ -1474,7 +1347,7 @@ fn run_as_batch(
         }
         lists.push(list);
     }
-    let cts: Vec<LweCiphertext> = live.iter().map(|p| p.ct.clone()).collect();
+    let cts: Vec<LweCiphertext> = live.iter().map(|p| p.item.ct.clone()).collect();
     let mut owned: Vec<Lut> = luts.iter().map(|l| (**l).clone()).collect();
     let req = if lists.iter().any(|l| l.len() > 1) {
         // At least one multi-LUT member: encode the whole batch as a
@@ -1489,14 +1362,14 @@ fn run_as_batch(
             .collect();
         BatchRequest::per_item(cts, owned, selectors)?
     };
-    // `live` is single-tenant by construction (affinity collect + the
-    // execute-time split), so the group's tenant is its first member's.
-    let req = match live[0].tenant {
+    // The policy forms single-affinity batches, so the batch's tenant
+    // is its first member's.
+    let req = match live[0].affinity {
         Some(t) => req.with_tenant(t),
         None => req,
     };
     let outs = backend.try_bootstrap_batch(&req)?;
-    let expected: usize = live.iter().map(|p| p.luts.len()).sum();
+    let expected: usize = live.iter().map(|p| p.item.luts.len()).sum();
     if outs.len() != expected {
         // A backend returning the wrong shape is a contract violation;
         // surface it as a dead-service error rather than misdelivering.
@@ -1511,20 +1384,20 @@ fn run_as_batch(
 fn distribute(
     shared: &Shared,
     batch_id: u64,
-    exec_start: Instant,
-    live: Vec<Pending>,
+    exec_start: u64,
+    live: Vec<Entry<Pending>>,
     outs: Vec<LweCiphertext>,
 ) {
-    let exec_end = Instant::now();
-    let exec = exec_end.saturating_duration_since(exec_start);
+    let exec_end = shared.now_ns();
+    let exec = Duration::from_nanos(exec_end.saturating_sub(exec_start));
     {
         let mut spans = lock(&shared.counters.spans);
         let mut lats = lock(&shared.counters.latencies);
         let mut per_tenant = lock(&shared.counters.per_tenant);
         for p in &live {
-            let ns = exec_end.saturating_duration_since(p.enqueued).as_nanos() as u64;
+            let ns = exec_end.saturating_sub(p.enqueued_ns);
             lats.push(ns);
-            if let Some(t) = p.tenant {
+            if let Some(t) = p.affinity {
                 // Seed each tenant's reservoir with its id, so tenants'
                 // replacement patterns decorrelate deterministically.
                 let tc = per_tenant.entry(t.raw()).or_insert_with(|| TenantCounters {
@@ -1535,11 +1408,11 @@ fn distribute(
                 tc.reservoir.push(ns);
             }
             spans.push(DispatchSpan {
-                id: p.id,
+                id: p.item.id,
                 batch: batch_id,
-                enqueued: p.enqueued.saturating_duration_since(shared.epoch),
-                queued: exec_start.saturating_duration_since(p.enqueued),
-                exec_start: exec_start.saturating_duration_since(shared.epoch),
+                enqueued: Duration::from_nanos(p.enqueued_ns),
+                queued: Duration::from_nanos(exec_start.saturating_sub(p.enqueued_ns)),
+                exec_start: Duration::from_nanos(exec_start),
                 exec,
             });
         }
@@ -1548,16 +1421,8 @@ fn distribute(
     // members take exactly one).
     let mut outs = outs.into_iter();
     for p in live {
-        let item: Vec<LweCiphertext> = outs.by_ref().take(p.luts.len()).collect();
-        shared.resolve(p, Ok(item));
-    }
-}
-
-fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
-    while let Some(first) = take_first(shared) {
-        let mut batch = vec![first];
-        collect_linger(shared, &mut batch);
-        execute_batch(shared, backend, batch);
+        let item: Vec<LweCiphertext> = outs.by_ref().take(p.item.luts.len()).collect();
+        shared.resolve(p.item, Ok(item));
     }
 }
 
@@ -1567,6 +1432,7 @@ mod tests {
     use crate::keys::ClientKey;
     use crate::params::ParamSet;
     use crate::server::ServerKey;
+    use crate::serving::ServingConfigBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1623,13 +1489,23 @@ mod tests {
         Arc::new(Lut::identity(256, 4))
     }
 
+    /// A dispatcher over `backend` under `knobs`.
+    fn dispatcher<B>(knobs: ServingConfigBuilder, backend: B) -> Dispatcher
+    where
+        B: Bootstrapper + Send + Sync + 'static,
+    {
+        Dispatcher::from_config(&knobs.build().unwrap(), backend).unwrap()
+    }
+
     #[test]
     fn coalesces_under_load_and_keeps_request_identity() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(50))
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(50)),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         // First request gets picked up alone and blocks in the backend...
         let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
@@ -1656,13 +1532,212 @@ mod tests {
         assert!((stats.mean_batch_size - 8.0 / 3.0).abs() < 1e-9);
     }
 
+    /// Batch membership, by request id, that the policy forms on virtual
+    /// time when each wave is offered whole and then polled dry.
+    fn virtual_batches(cfg: &ServingConfig, waves: &[Vec<Option<u64>>]) -> Vec<Vec<u64>> {
+        let mut policy = BatchPolicy::new(cfg);
+        let (mut t, mut id, mut batches) = (0u64, 0u64, Vec::new());
+        for wave in waves {
+            for &tenant in wave {
+                let entry = Entry {
+                    item: id,
+                    affinity: tenant.map(TenantId::new),
+                    enqueued_ns: t,
+                    deadline_ns: None,
+                };
+                policy.offer(entry).unwrap();
+                id += 1;
+                t += 1;
+            }
+            loop {
+                match policy.poll(t, false, |_| false) {
+                    Poll::Flush { batch, .. } => {
+                        batches.push(batch.iter().map(|e| e.item).collect())
+                    }
+                    Poll::WaitUntil(at) => t = at,
+                    Poll::Idle => break,
+                }
+            }
+        }
+        batches
+    }
+
+    /// The same waves through the real dispatcher: the gated backend holds
+    /// the batcher inside a batch while the next wave queues up whole
+    /// behind it, so the event order is the virtual run's exactly.
+    fn threaded_batches(cfg: &ServingConfig, waves: &[Vec<Option<u64>>]) -> Vec<Vec<u64>> {
+        let (backend, started, gate) = echo(true);
+        let d = Dispatcher::from_config(cfg, Arc::clone(&backend)).unwrap();
+        let lut = dummy_lut();
+        let mut tickets: Vec<Ticket> = Vec::new();
+        let mut picked_up = 0;
+        for wave in waves {
+            for &tenant in wave {
+                let ct = dummy_ct(tickets.len() as u64);
+                let lut = Arc::clone(&lut);
+                tickets.push(match tenant {
+                    Some(t) => d.submit_for(TenantId::new(t), ct, lut, None).unwrap(),
+                    None => d.submit(ct, lut, None).unwrap(),
+                });
+            }
+            // One batch at a time, stopping inside the wave's last one.
+            while picked_up < tickets.len() {
+                if picked_up > 0 {
+                    gate.send(()).unwrap();
+                }
+                started.recv().unwrap();
+                picked_up += lock(&backend.sizes).last().unwrap();
+            }
+        }
+        gate.send(()).unwrap();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        let mut batches = vec![Vec::new(); d.stats().batches as usize];
+        for span in d.spans() {
+            batches[span.batch as usize].push(span.id);
+        }
+        batches
+    }
+
+    #[test]
+    fn batcher_thread_and_virtual_time_driver_form_the_same_batches() {
+        let knobs = |max_batch| {
+            ServingConfig::builder()
+                .max_batch_size(max_batch)
+                .max_linger(Duration::from_millis(20))
+                .build()
+                .unwrap()
+        };
+        // The schedule of `coalesces_under_load_and_keeps_request_identity`.
+        let waves = [vec![None], vec![None; 7]];
+        let batches = virtual_batches(&knobs(4), &waves);
+        assert_eq!(batches, [vec![0], vec![1, 2, 3, 4], vec![5, 6, 7]]);
+        assert_eq!(threaded_batches(&knobs(4), &waves), batches);
+        // Three tenants and tenantless traffic, interleaved.
+        let (a, b, c) = (Some(1), Some(2), Some(3));
+        let waves = [vec![a], vec![a, b, c, a, b, None, c, a, a, b]];
+        let batches = virtual_batches(&knobs(3), &waves);
+        let expected: [&[u64]; 6] = [&[0], &[1, 4, 8], &[2, 5, 10], &[3, 7], &[6], &[9]];
+        assert_eq!(batches, expected);
+        assert_eq!(threaded_batches(&knobs(3), &waves), batches);
+    }
+
+    #[test]
+    fn unbounded_linger_flushes_when_the_batch_fills() {
+        // `Duration::MAX` is a valid linger ("wait for a full batch"); the
+        // flush time saturates instead of overflowing the clock.
+        let (backend, _started, _gate) = echo(false);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(2)
+                .max_linger(Duration::MAX),
+            Arc::clone(&backend),
+        );
+        let lut = dummy_lut();
+        let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
+        let t1 = d.submit(dummy_ct(1), lut, None).unwrap();
+        assert_eq!(t0.wait().unwrap(), dummy_ct(0));
+        assert_eq!(t1.wait().unwrap(), dummy_ct(1));
+        assert_eq!(lock(&backend.sizes).clone(), vec![2]);
+    }
+
+    #[test]
+    fn a_forming_batch_makes_room_for_a_blocked_submitter() {
+        // Members of the forming batch no longer occupy the queue, so a
+        // `submit` blocked on a full queue gets in — and joins — while
+        // the batch lingers. With an unbounded linger nothing else would
+        // ever wake it.
+        let (backend, started, gate) = echo(true);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(3)
+                .queue_capacity(2)
+                .max_linger(Duration::MAX),
+            Arc::clone(&backend),
+        );
+        let lut = dummy_lut();
+        // Hold the batcher inside a first, full batch...
+        let patience = Duration::from_secs(5);
+        let held: Vec<Ticket> = (0..3)
+            .map(|i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
+            .collect();
+        started.recv().unwrap();
+        // ...fill the queue behind it, and block one more submitter.
+        let queued: Vec<Ticket> = (3..5)
+            .map(|i| d.try_submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
+            .collect();
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| d.submit(dummy_ct(5), Arc::clone(&lut), None).unwrap());
+            // Not a synchronisation: the outcome is the same whether or
+            // not the submitter is already waiting when the gate opens;
+            // the pause only makes the interesting order the likely one.
+            std::thread::sleep(Duration::from_millis(20));
+            gate.send(()).unwrap();
+            started.recv().unwrap();
+            gate.send(()).unwrap();
+            let last = blocked.join().unwrap();
+            assert_eq!(last.wait_timeout(patience).unwrap(), dummy_ct(5));
+        });
+        for (i, t) in held.into_iter().chain(queued).enumerate() {
+            assert_eq!(t.wait_timeout(patience).unwrap(), dummy_ct(i as u64));
+        }
+        assert_eq!(lock(&backend.sizes).clone(), vec![3, 3]);
+    }
+
+    /// Backend whose first call panics once the gate opens.
+    struct PanickingBackend {
+        started: Sender<()>,
+        gate: Receiver<()>,
+    }
+
+    impl Bootstrapper for PanickingBackend {
+        fn try_bootstrap_batch(&self, _: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
+            let _ = self.started.send(());
+            let _ = self.gate.recv();
+            panic!("backend bug (injected by the test)");
+        }
+    }
+
+    #[test]
+    fn a_dead_batcher_strands_no_ticket_and_closes_admission() {
+        let (started_tx, started) = channel::unbounded();
+        let (gate, gate_rx) = channel::unbounded();
+        let d = dispatcher(
+            ServingConfig::builder().max_batch_size(1),
+            PanickingBackend {
+                started: started_tx,
+                gate: gate_rx,
+            },
+        );
+        let lut = dummy_lut();
+        let doomed = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
+        started.recv().unwrap();
+        let behind = d.submit(dummy_ct(1), Arc::clone(&lut), None).unwrap();
+        gate.send(()).unwrap();
+        // The batcher unwinds out of the backend; nobody keeps waiting.
+        let patience = Duration::from_secs(2);
+        assert_eq!(
+            behind.wait_timeout(patience),
+            Err(TfheError::DispatcherShutDown)
+        );
+        assert_eq!(
+            doomed.wait_timeout(patience),
+            Err(TfheError::DispatcherShutDown)
+        );
+        assert_eq!(
+            d.submit(dummy_ct(2), lut, None).unwrap_err(),
+            TfheError::DispatcherShutDown
+        );
+    }
+
     #[test]
     fn try_submit_backpressures_at_capacity() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .queue_capacity(1)
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder().max_batch_size(1).queue_capacity(1),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
         started.recv().unwrap(); // batcher is now wedged in the backend
@@ -1684,9 +1759,10 @@ mod tests {
     #[test]
     fn cancellation_resolves_without_executing() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder().max_batch_size(1),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
         started.recv().unwrap();
@@ -1706,9 +1782,10 @@ mod tests {
     #[test]
     fn expired_deadline_drops_the_request() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder().max_batch_size(1),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
         started.recv().unwrap();
@@ -1732,10 +1809,12 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_requests() {
         let (backend, started, gate) = echo(true);
-        let mut d = Dispatcher::builder()
-            .max_batch_size(2)
-            .max_linger(Duration::from_secs(5))
-            .build(Arc::clone(&backend));
+        let mut d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(2)
+                .max_linger(Duration::from_secs(5)),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let tickets: Vec<Ticket> = (0..5)
             .map(|i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
@@ -1760,10 +1839,12 @@ mod tests {
     #[test]
     fn spans_cover_every_completed_request() {
         let (backend, _started, _gate) = echo(false);
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(1))
-            .build(backend);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(1)),
+            backend,
+        );
         let lut = dummy_lut();
         let tickets: Vec<Ticket> = (0..6)
             .map(|i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
@@ -1789,11 +1870,13 @@ mod tests {
     fn span_journal_is_bounded_and_counts_what_it_drops() {
         use crate::journal::JOURNAL_CAPACITY;
         let (backend, _started, _gate) = echo(false);
-        let d = Dispatcher::builder()
-            .max_batch_size(64)
-            .queue_capacity(4096)
-            .max_linger(Duration::from_micros(50))
-            .build(backend);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(64)
+                .queue_capacity(4096)
+                .max_linger(Duration::from_micros(50)),
+            backend,
+        );
         let lut = dummy_lut();
         let ops = 100_000u64;
         for wave in 0..ops / 1000 {
@@ -1819,10 +1902,12 @@ mod tests {
     #[test]
     fn submit_many_coalesces_with_singles() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(50))
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(50)),
+            Arc::clone(&backend),
+        );
         let lut_a = dummy_lut();
         let lut_b = dummy_lut();
         // Wedge the batcher on a lone single, then queue one multi-LUT
@@ -1873,10 +1958,12 @@ mod tests {
         let ct = ck.encrypt(2, &mut rng);
         let want = sk.try_programmable_bootstrap_many(&ct, &luts).unwrap();
 
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(5))
-            .build(Arc::clone(&sk));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(5)),
+            Arc::clone(&sk),
+        );
         let arcs: Vec<Arc<Lut>> = luts.iter().cloned().map(Arc::new).collect();
         let got = d.submit_many(ct, arcs, None).unwrap().wait().unwrap();
         // Per-input derivation is independent of batch-mates, so the
@@ -1919,10 +2006,12 @@ mod tests {
             .try_bootstrap_batch(&BatchRequest::shared(cts.clone(), lut.clone()))
             .unwrap();
 
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(5))
-            .build(Arc::clone(&sk));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(5)),
+            Arc::clone(&sk),
+        );
         let alut = Arc::new(lut);
         let tickets: Vec<Ticket> = cts
             .iter()
@@ -1955,10 +2044,12 @@ mod tests {
         let ck = ClientKey::generate(params.clone(), &mut rng);
         let sk = Arc::new(ServerKey::new(&ck, &mut rng));
         let lut = Arc::new(Lut::identity(params.poly_size, 4));
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(100))
-            .build(Arc::clone(&sk));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(100)),
+            Arc::clone(&sk),
+        );
         // One good request and one with the wrong LWE dimension, lingering
         // into the same micro-batch.
         let good = d
@@ -1976,22 +2067,12 @@ mod tests {
     }
 
     #[test]
-    fn deadline_boundary_counts_as_expired() {
-        let now = Instant::now();
-        // The pinned boundary: `d == now` is already too late to *start
-        // before* the deadline.
-        assert!(deadline_expired(Some(now), now));
-        assert!(deadline_expired(Some(now - Duration::from_nanos(1)), now));
-        assert!(!deadline_expired(Some(now + Duration::from_millis(1)), now));
-        assert!(!deadline_expired(None, now));
-    }
-
-    #[test]
     fn wait_timeout_leaves_the_request_in_flight() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder().max_batch_size(1),
+            Arc::clone(&backend),
+        );
         let t = d.submit(dummy_ct(0), dummy_lut(), None).unwrap();
         started.recv().unwrap(); // backend wedged on the gate
         let err = t.wait_timeout(Duration::from_millis(10)).unwrap_err();
@@ -2011,9 +2092,10 @@ mod tests {
     #[test]
     fn multi_ticket_wait_timeout_round_trips() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder().max_batch_size(1),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let t = d
             .submit_many(dummy_ct(3), vec![Arc::clone(&lut), lut], None)
@@ -2062,10 +2144,12 @@ mod tests {
     #[test]
     fn retry_policy_rescues_transient_faults() {
         use crate::resilience::RetryPolicy;
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .retry_policy(RetryPolicy::new(3).with_base_backoff(Duration::ZERO))
-            .build(FlakyEcho::new(2));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(1)
+                .retry(RetryPolicy::new(3).with_base_backoff(Duration::ZERO).into()),
+            FlakyEcho::new(2),
+        );
         let t = d.submit(dummy_ct(5), dummy_lut(), None).unwrap();
         assert_eq!(t.wait().unwrap(), dummy_ct(5));
         let stats = d.stats();
@@ -2084,10 +2168,12 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_surfaces_the_fault() {
         use crate::resilience::RetryPolicy;
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .retry_policy(RetryPolicy::new(1).with_base_backoff(Duration::ZERO))
-            .build(FlakyEcho::new(u64::MAX));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(1)
+                .retry(RetryPolicy::new(1).with_base_backoff(Duration::ZERO).into()),
+            FlakyEcho::new(u64::MAX),
+        );
         let t = d.submit(dummy_ct(0), dummy_lut(), None).unwrap();
         assert_eq!(
             t.wait().unwrap_err(),
@@ -2109,10 +2195,12 @@ mod tests {
                 .build(),
         );
         let (backend, _started, _gate) = echo(false);
-        let d = Dispatcher::builder()
-            .max_batch_size(1)
-            .circuit_breaker(Arc::clone(&breaker))
-            .build(backend);
+        let d = DispatcherBuilder::from_config(
+            &ServingConfig::builder().max_batch_size(1).build().unwrap(),
+        )
+        .unwrap()
+        .circuit_breaker(Arc::clone(&breaker))
+        .build(backend);
         // Trip the breaker out-of-band (as a failing backend would).
         breaker.record(false);
         assert_eq!(breaker.state(), BreakerState::Open);
@@ -2132,10 +2220,12 @@ mod tests {
                 .build(),
         );
         let (backend2, _s2, _g2) = echo(false);
-        let d2 = Dispatcher::builder()
-            .max_batch_size(1)
-            .circuit_breaker(Arc::clone(&slow))
-            .build(backend2);
+        let d2 = DispatcherBuilder::from_config(
+            &ServingConfig::builder().max_batch_size(1).build().unwrap(),
+        )
+        .unwrap()
+        .circuit_breaker(Arc::clone(&slow))
+        .build(backend2);
         slow.record(false);
         let err = d2.submit(dummy_ct(2), dummy_lut(), None).unwrap_err();
         assert!(matches!(err, TfheError::Overloaded { .. }));
@@ -2219,10 +2309,12 @@ mod tests {
     #[test]
     fn tenant_affinity_forms_single_tenant_batches() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(8)
-            .max_linger(Duration::from_millis(50))
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(8)
+                .max_linger(Duration::from_millis(50)),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let t_a = TenantId::new(1);
         let t_b = TenantId::new(2);
@@ -2271,10 +2363,12 @@ mod tests {
     #[test]
     fn tenantless_and_tenant_traffic_never_share_a_batch() {
         let (backend, started, gate) = echo(true);
-        let d = Dispatcher::builder()
-            .max_batch_size(8)
-            .max_linger(Duration::from_millis(50))
-            .build(Arc::clone(&backend));
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(8)
+                .max_linger(Duration::from_millis(50)),
+            Arc::clone(&backend),
+        );
         let lut = dummy_lut();
         let first = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
         started.recv().unwrap();
@@ -2316,11 +2410,16 @@ mod tests {
         }
         let budget = 4 * (params.bsk_total_bytes_fourier() + params.ksk_total_bytes());
         let store = Arc::new(KeyStore::new(backend, budget));
-        let d = Dispatcher::builder()
-            .max_batch_size(4)
-            .max_linger(Duration::from_millis(1))
-            .key_store(Arc::clone(&store))
-            .build(KeyStoreBootstrapper::new(Arc::clone(&store)));
+        let d = DispatcherBuilder::from_config(
+            &ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_millis(1))
+                .build()
+                .unwrap(),
+        )
+        .unwrap()
+        .key_store(Arc::clone(&store))
+        .build(KeyStoreBootstrapper::new(Arc::clone(&store)));
         let lut = Arc::new(Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4));
         let mut tickets = Vec::new();
         for round in 0..3u64 {
@@ -2380,10 +2479,6 @@ mod tests {
         let (backend, _started, _gate) = echo(false);
         let d = Dispatcher::from_config(&cfg, Arc::clone(&backend)).unwrap();
         assert_eq!(d.config(), &cfg);
-        assert_eq!(d.max_batch_size(), 7);
-        assert_eq!(d.queue_capacity(), 11);
-        assert_eq!(d.max_linger(), Duration::from_millis(9));
-        assert_eq!(d.deadline_slack(), Duration::from_micros(250));
         // And it actually serves traffic.
         let t = d.submit(dummy_ct(1), dummy_lut(), None).unwrap();
         assert_eq!(t.wait().unwrap(), dummy_ct(1));
@@ -2407,51 +2502,6 @@ mod tests {
             ),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    fn legacy_builder_and_config_agree() {
-        // The legacy builder is a thin wrapper: the config it assembles is
-        // observable on the running dispatcher and round-trips through the
-        // declarative path.
-        let (backend, _started, _gate) = echo(false);
-        let d = Dispatcher::builder()
-            .max_batch_size(5)
-            .max_linger(Duration::from_millis(3))
-            .queue_capacity(17)
-            .retry_policy(RetryPolicy::new(2))
-            .build(Arc::clone(&backend));
-        let cfg = d.config().clone();
-        assert_eq!(cfg.max_batch_size, 5);
-        assert_eq!(cfg.max_linger, Duration::from_millis(3));
-        assert_eq!(cfg.queue_capacity, 17);
-        assert_eq!(cfg.retry.max_retries, 2);
-        let d2 = Dispatcher::from_config(&cfg, backend).unwrap();
-        assert_eq!(d2.config(), &cfg);
-    }
-
-    #[test]
-    fn builder_clamps_zero_knobs_but_config_path_rejects_them() {
-        // Historic builder behavior: zeros are clamped up, never panics.
-        let (backend, _started, _gate) = echo(false);
-        let d = Dispatcher::builder()
-            .max_batch_size(0)
-            .queue_capacity(0)
-            .build(backend);
-        assert_eq!(d.max_batch_size(), 1);
-        assert_eq!(d.queue_capacity(), 1);
-        // The declarative path makes the same degenerate input a typed error.
-        let cfg = ServingConfig {
-            workers: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            DispatcherBuilder::from_config(&cfg).unwrap_err(),
-            TfheError::InvalidServingConfig {
-                field: "workers",
-                ..
-            }
-        ));
     }
 
     mod percentile_properties {

@@ -40,11 +40,13 @@
 //!   [`CircuitBreaker`] (fail-fast admission while a backend is sick),
 //!   and the degraded-mode [`FailoverBootstrapper`] that walks an ordered
 //!   backend stack and restores the primary via half-open probes;
-//! - a unified, JSON-serializable [`ServingConfig`] covering every
-//!   serving knob ([`Dispatcher::from_config`](dispatch::Dispatcher::from_config)
-//!   consumes it), and a simulator-in-the-loop [`autotune`]r that
-//!   searches the config space for a target arrival rate and p99 SLO and
-//!   validates its recommendation against the real dispatcher.
+//! - a unified, JSON-serializable [`ServingConfig`] — the one owner of
+//!   every serving knob
+//!   ([`Dispatcher::from_config`](dispatch::Dispatcher::from_config)
+//!   consumes it) — and a simulator-in-the-loop [`autotune`]r that
+//!   searches the config space for a target arrival rate and p99 SLO by
+//!   running the dispatcher's own batching policy (one crate-private
+//!   state machine, `policy.rs`) on virtual time.
 //!
 //! # Quickstart
 //!
@@ -91,6 +93,7 @@ mod multivalue;
 pub mod noise;
 pub mod ops;
 mod params;
+mod policy;
 pub mod radix;
 pub mod resilience;
 pub mod serialize;

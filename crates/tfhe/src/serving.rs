@@ -1,11 +1,11 @@
 //! Unified, serializable serving configuration.
 //!
-//! Serving knobs used to be scattered across [`DispatcherBuilder`]
-//! (batch/linger/queue), [`RetryPolicy`] (backoff), `CircuitBreakerBuilder`
-//! (shedding), and [`KeyStore`](crate::KeyStore) (byte budget) with no
-//! single value an autotuner could emit or a deployment could pin.
-//! [`ServingConfig`] is that value: a plain-data struct covering every
-//! knob, JSON-serializable without serde ([`to_json`](ServingConfig::to_json)
+//! [`ServingConfig`] is the one owner of the serving knobs — batch size,
+//! linger, queue depth and deadline slack of the
+//! [`Dispatcher`](crate::Dispatcher), [`RetryPolicy`] backoff,
+//! circuit-breaker shedding, the [`KeyStore`](crate::KeyStore) byte
+//! budget — so there is a single value an autotuner can emit and a
+//! deployment can pin: a plain-data struct covering every knob, JSON-serializable without serde ([`to_json`](ServingConfig::to_json)
 //! / [`from_json`](ServingConfig::from_json), following the same
 //! no-panic / typed-error conventions as [`crate::serialize`]), validated
 //! loudly ([`validate`](ServingConfig::validate)), and consumed directly
@@ -36,7 +36,7 @@
 //! let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
 //! let sk = Arc::new(ServerKey::new(&ck, &mut rng));
 //! let dispatcher = Dispatcher::from_config(&restored, sk).unwrap();
-//! assert_eq!(dispatcher.max_batch_size(), 8);
+//! assert_eq!(dispatcher.config().max_batch_size, 8);
 //! ```
 //!
 //! Durations serialize at **microsecond** granularity (`*_us` fields);
@@ -108,7 +108,7 @@ impl From<RetryPolicy> for RetryConfig {
 /// [`ServingConfig`] means "gate admission behind a fresh breaker built
 /// from these knobs"; runtime-only wiring (a *shared* breaker instance, a
 /// health probe, a shared journal) stays on
-/// [`DispatcherBuilder::circuit_breaker`].
+/// [`DispatcherBuilder::circuit_breaker`](crate::DispatcherBuilder::circuit_breaker).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BreakerConfig {
     /// Rolling-window size in outcomes.
@@ -183,8 +183,8 @@ pub struct ServingConfig {
 
 impl Default for ServingConfig {
     fn default() -> Self {
-        // Mirrors the historical `DispatcherBuilder` defaults (batch ≤ 32,
-        // linger ≤ 2 ms, queue 1024, slack 500 µs, no retry, no breaker).
+        // Batch ≤ 32, linger ≤ 2 ms, queue 1024, slack 500 µs, no retry,
+        // no breaker.
         Self {
             workers: 1,
             max_batch_size: 32,
@@ -545,8 +545,8 @@ impl ServingConfigBuilder {
         self
     }
 
-    /// Validate and return the config. Unlike the clamping
-    /// [`DispatcherBuilder`], degenerate knobs are rejected loudly here.
+    /// Validate and return the config: degenerate knobs are rejected
+    /// loudly here, never clamped.
     ///
     /// # Errors
     ///
@@ -976,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_build_is_fallible_unlike_the_clamping_dispatcher_builder() {
+    fn builder_build_rejects_degenerate_knobs() {
         assert!(matches!(
             ServingConfig::builder().workers(0).build(),
             Err(TfheError::InvalidServingConfig {

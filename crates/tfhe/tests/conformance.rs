@@ -22,8 +22,9 @@
 use std::sync::{Arc, OnceLock};
 
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, Dispatcher, FailoverBootstrapper,
-    FaultPlan, Lut, LweCiphertext, ParallelServerKey, ParamSet, RetryPolicy, ServerKey, TfheError,
+    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, Dispatcher, DispatcherBuilder,
+    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParallelServerKey, ParamSet, RetryPolicy,
+    ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,10 +152,13 @@ fn bootstrap_engine_conforms() {
 
 #[test]
 fn dispatcher_conforms() {
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(std::time::Duration::from_millis(1))
-        .build(Arc::clone(&fixture().server));
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher =
+        Dispatcher::from_config(&config, Arc::clone(&fixture().server)).expect("validated above");
     assert_conforms(&dispatcher, "Dispatcher");
 }
 
@@ -244,9 +248,13 @@ fn tenant_keyed_dispatch_matches_direct_server_keys() {
     // Room for two resident keys: the third tenant forces eviction.
     let one_key = params.bsk_total_bytes_fourier() + params.ksk_total_bytes();
     let store = Arc::new(KeyStore::new(backend, 2 * one_key));
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(std::time::Duration::from_millis(1))
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
         .key_store(Arc::clone(&store))
         .build(KeyStoreBootstrapper::new(Arc::clone(&store)));
 

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, BreakerState, CircuitBreaker, ClientKey,
-    Dispatcher, FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, ResilienceJournal,
-    RetryPolicy, ServerKey, TfheError,
+    Dispatcher, DispatcherBuilder, FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet,
+    ResilienceJournal, RetryPolicy, ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,11 +79,13 @@ fn dispatch_chaos_accounts_for_every_request() {
         .build(Arc::clone(&sk))
         .expect("spawn pool");
 
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(2))
         .queue_capacity(64)
-        .build(engine);
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = Dispatcher::from_config(&config, engine).expect("validated above");
 
     let total = 40usize;
     let mut tickets = Vec::with_capacity(total);
@@ -195,11 +197,13 @@ fn dispatch_chaos_backpressure_is_loud_and_lossless() {
     };
 
     let capacity = 3usize;
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(1)
         .max_linger(Duration::ZERO)
         .queue_capacity(capacity)
-        .build(backend);
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = Dispatcher::from_config(&config, backend).expect("validated above");
 
     // First request is popped by the batcher and wedges in the backend.
     let first_ct = ck.encrypt(1, &mut rng);
@@ -267,10 +271,13 @@ fn dispatch_chaos_shutdown_drains_without_loss() {
     let (ck, sk, mut rng) = setup(0xD0E5);
     let poly = sk.params().poly_size;
     let lut = Arc::new(Lut::identity(poly, 4));
-    let mut dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(8)
         .max_linger(Duration::from_millis(50))
-        .build(Arc::clone(&sk));
+        .build()
+        .expect("valid serving knobs");
+    let mut dispatcher =
+        Dispatcher::from_config(&config, Arc::clone(&sk)).expect("validated above");
 
     let tickets: Vec<_> = (0..6u64)
         .map(|m| {
@@ -350,9 +357,13 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
             .expect("two tiers"),
     );
 
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
         .resilience_journal(Arc::clone(&journal))
         .build(Arc::clone(&stack));
 
@@ -453,9 +464,13 @@ fn dispatch_chaos_breaker_cycle_loses_no_tickets() {
     // where it exceeds 2) enough that the first half-open probe fails and
     // re-opens it, exercising the reopen edge too.
     let fail_first = 2 + seed % 3;
-    let dispatcher = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(1) // one backend call per request: exact accounting
         .max_linger(Duration::ZERO)
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
         .circuit_breaker(Arc::clone(&breaker))
         .resilience_journal(Arc::clone(&journal))
         .build(SickThenHealed {

@@ -30,7 +30,9 @@ use morphling_tfhe::faults;
 use morphling_tfhe::keystore::{
     KeyBackend, KeyEventKind, KeyStore, KeyStoreBootstrapper, MemoryBackend, TenantId,
 };
-use morphling_tfhe::{ClientKey, Dispatcher, Lut, ParamSet, ServerKey, TfheError, TfheParams};
+use morphling_tfhe::{
+    ClientKey, DispatcherBuilder, Lut, ParamSet, ServerKey, ServingConfig, TfheError, TfheParams,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -343,9 +345,13 @@ fn dispatcher_over_chaotic_keystore_loses_nothing() {
         attempts: AtomicU64::new(0),
     });
     let store = Arc::new(KeyStore::new(backend, 2 * one_key_bytes(&params)));
-    let d = Dispatcher::builder()
+    let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
+        .build()
+        .expect("valid serving knobs");
+    let d = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
         .key_store(Arc::clone(&store))
         .build(KeyStoreBootstrapper::new(Arc::clone(&store)));
 
