@@ -30,7 +30,7 @@
 //! results land in `BENCH_transform.json` (committed; CI regenerates and
 //! checks that the kernel is no slower than the reference for one
 //! polynomial at every size, and the fused CMUX no slower than the staged
-//! one at N ≥ 1024).
+//! one at N ≥ 1024), with the vector ISA the kernel ran on as `"isa"`.
 
 use std::time::Instant;
 
@@ -431,8 +431,11 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
+    // Every size above gets the same ISA from detection.
+    let isa = NegacyclicFft::new(2048).isa();
+    println!("transform_kernel: measured on {isa}");
     let json = format!(
-        "{{\n  \"bench\": \"transform_kernel\",\n  \"min_speedup_one_poly\": {min_speedup:.3},\n  \"entries\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"transform_kernel\",\n  \"isa\": \"{isa}\",\n  \"min_speedup_one_poly\": {min_speedup:.3},\n  \"entries\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     if let Err(e) = std::fs::write("BENCH_transform.json", json) {

@@ -87,6 +87,10 @@ fn run_artifacts(args: &[String]) {
     let all = targets.is_empty() && trace_path.is_none();
     let want = |name: &str| all || targets.contains(&name);
 
+    // A number must name the ISA it was measured on (every paper size
+    // gets the same one).
+    let isa = morphling_transform::NegacyclicFft::new(2048).isa();
+    println!("transform kernel ISA: {isa}");
     if want("fig1") {
         println!("{}", reports::fig1_report());
     }

@@ -7,7 +7,7 @@
 //! order. (An earlier layout interleaved the lanes — coefficient `j` of
 //! every lane adjacent — and ran all lanes in lockstep; that multiplied
 //! the kernel's working set by the lane count and lost to the scalar path
-//! below four lanes. See `DESIGN.md` §10.)
+//! for batches of fewer than four polynomials. See `DESIGN.md` §10.)
 
 use morphling_math::Polynomial;
 

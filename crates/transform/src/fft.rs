@@ -15,7 +15,7 @@
 
 use morphling_math::Complex64;
 
-use crate::simd::{cmul, Isa, Simd};
+use crate::simd::{cmul, Aligned, Isa, Simd};
 
 /// A reusable FFT plan for one transform size.
 ///
@@ -51,8 +51,8 @@ pub struct FftPlan {
     n: usize,
     // Planar twiddle ROM: the stage with half-block size h keeps
     // e^(-2πi k / 2h), k < h, at index h + k (index 0 is unused).
-    tw_re: Vec<f64>,
-    tw_im: Vec<f64>,
+    tw_re: Aligned,
+    tw_im: Aligned,
     // Where the kernel's first pass puts its blocks: 4·bitrev(r) over
     // log2(n) − 2 bits, for r < n/4.
     rev4: Vec<u32>,
@@ -212,7 +212,15 @@ impl FftPlan {
         // Stages with half-block sizes h, 2h, …, n/2 remain; the last
         // pass hands its results to the sink.
         while 8 * h <= n {
-            self.radix4_pass::<I, INV>(isa, re, im, h, &mut store);
+            if h < I::LANES {
+                // The first pass left runs of four points, half an
+                // eight-lane vector; n ≥ 4·LANES, so a later pass feeds
+                // the sink.
+                let half = isa.half();
+                self.radix4_pass::<I::Half, INV>(half, re, im, h, store_back(half));
+            } else {
+                self.radix4_pass::<I, INV>(isa, re, im, h, &mut store);
+            }
             h *= 4;
         }
         if h == n {
@@ -563,8 +571,33 @@ mod tests {
 
     #[test]
     fn plans_pick_an_isa_their_size_can_fill() {
+        struct Lanes;
+        impl Kernel for Lanes {
+            type Out = usize;
+            fn run<I: Isa>(self, _: I) -> usize {
+                I::LANES
+            }
+        }
         assert!(matches!(FftPlan::new(8).simd(), Simd::Narrow));
         assert!(!matches!(FftPlan::new(16).simd(), Simd::Narrow));
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
+            let simd = FftPlan::new(n).simd();
+            let lanes = simd.run(Lanes);
+            // The first pass walks a quarter of the points a vector at a
+            // time.
+            assert!(lanes <= (n / 4).max(1), "n={n}: {}", simd.name());
+        }
+    }
+
+    #[test]
+    fn the_twiddle_rom_starts_on_a_cache_line() {
+        for n in [2usize, 16, 64, 1024] {
+            let plan = FftPlan::new(n);
+            for rom in [&plan.tw_re, &plan.tw_im, &plan.clone().tw_re] {
+                assert_eq!((rom.len(), rom.as_ptr() as usize % 64), (n, 0), "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -35,13 +35,17 @@
 //! lanes. It bit-reverses, then runs radix-2² passes (two butterfly stages
 //! fused per sweep), with the negacyclic twist folded into the first pass
 //! and the untwist, scaling and round-to-torus into the last. It is
-//! written once, generically over a four-lane vector type (`simd.rs`), and
-//! instantiated for portable `[f64; 4]` arithmetic and for AVX2
-//! (`std::arch`); which one runs is decided once, from CPU detection, when
-//! a plan is built.
+//! written once, generically over a vector type and its lane count
+//! (`simd.rs`), and instantiated for portable `[f64; 4]` arithmetic, for
+//! AVX2 (four lanes) and for AVX-512 (eight, `std::arch` both); which one
+//! runs is decided once, from CPU detection, when a plan is built —
+//! [`NegacyclicFft::isa`] names it, nothing sets it. Every plane a vector
+//! is loaded from (spectra, work planes, twiddle and twist tables) starts
+//! on a 64-byte boundary, so that a load as wide as a cache line touches
+//! one line.
 //!
-//! **Bits do not depend on that choice.** Per element, both
-//! instantiations perform exactly the f64 operation sequence of the scalar
+//! **Bits do not depend on that choice.** Per element, every
+//! instantiation performs exactly the f64 operation sequence of the scalar
 //! reference — IEEE `add`/`sub`/`mul` only, never a fused multiply-add,
 //! and a rounding step that reproduces `f64::round` (half away from zero)
 //! where the hardware instruction would round half to even — so kernel
@@ -50,9 +54,9 @@
 //! in-crate identity tests). [`PolyBatch`]/[`SpectrumBatch`] and the
 //! `*_batch_into` entry points run that same kernel once per lane.
 //!
-//! `unsafe` is denied crate-wide and allowed in exactly one module,
-//! `simd::avx2`, whose intrinsics are reachable only through a token that
-//! CPU detection hands out.
+//! `unsafe` is denied crate-wide and allowed in exactly two modules,
+//! `simd::avx2` and `simd::avx512`, whose intrinsics are reachable only
+//! through a token that CPU detection hands out.
 //!
 //! # Example: negacyclic product via the transform domain
 //!

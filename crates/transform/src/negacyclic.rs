@@ -29,14 +29,17 @@ use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
 use crate::fft::{store_back, FftPlan};
-use crate::simd::{cmul, DigitOf, Isa, Kernel};
+use crate::simd::{cache_line_offset, cmul, Aligned, DigitOf, Isa, Kernel, SPARE};
 use crate::spectrum::Spectrum;
 
 /// Negacyclic transform engine for polynomials of one size `N`.
 ///
-/// See the [module documentation](self) for the math. All methods are
-/// `&self` and allocation costs are limited to the output buffers, so one
-/// engine can be shared (it is `Send + Sync`).
+/// Evaluation at the odd `2N`-th roots of unity diagonalizes the product
+/// in `R[X]/(X^N + 1)`; one real polynomial takes an `N/2`-point complex
+/// FFT (folding), two take one `N`-point FFT (merge-split) — see the
+/// [crate documentation](crate). All methods are `&self` and allocation
+/// costs are limited to the output buffers, so one engine can be shared
+/// (it is `Send + Sync`).
 #[derive(Clone, Debug)]
 pub struct NegacyclicFft {
     n: usize,
@@ -44,11 +47,11 @@ pub struct NegacyclicFft {
     full_plan: FftPlan,
     /// `ζ^j` for `j < N`, `ζ = e^(-iπ/N)`, planar; the folded path reads
     /// the first half, the merge-split path all of it.
-    twist_re: Vec<f64>,
-    twist_im: Vec<f64>,
+    twist_re: Aligned,
+    twist_im: Aligned,
     /// `ζ^(-j)` for `j < N`.
-    untwist_re: Vec<f64>,
-    untwist_im: Vec<f64>,
+    untwist_re: Aligned,
+    untwist_im: Aligned,
 }
 
 /// The real coefficients the forward transform reads, a vector at a
@@ -174,15 +177,16 @@ impl Output for Torus32 {
     }
 }
 
-/// Two work planes of `n` points each inside `scratch`, which grows to the
-/// largest request seen and stays there. Contents are unspecified: the
-/// kernel's first pass overwrites every point.
+/// Two work planes of `n` points each inside `scratch`, starting on a
+/// cache line; `scratch` grows to the largest request seen (and the 7
+/// elements that leaves room for) and stays there. Contents are
+/// unspecified: the kernel's first pass overwrites every point.
 fn work_planes(scratch: &mut Vec<f64>, n: usize) -> (&mut [f64], &mut [f64]) {
-    if scratch.len() < 2 * n {
-        scratch.resize(2 * n, 0.0);
+    if scratch.len() < 2 * n + SPARE {
+        scratch.resize(2 * n + SPARE, 0.0);
     }
-    let (re, im) = scratch.split_at_mut(n);
-    (re, &mut im[..n])
+    let start = cache_line_offset(scratch);
+    scratch[start..start + 2 * n].split_at_mut(n)
 }
 
 impl NegacyclicFft {
@@ -214,6 +218,13 @@ impl NegacyclicFft {
     #[inline]
     pub fn poly_len(&self) -> usize {
         self.n
+    }
+
+    /// The vector ISA CPU detection gave this size's kernel — `"one-lane"`,
+    /// `"portable"`, `"avx2"` or `"avx512"` — for a measurement to name
+    /// what it ran on. Results do not depend on it and nothing sets it.
+    pub fn isa(&self) -> &'static str {
+        self.half_plan.simd().name()
     }
 
     /// Forward transform of a real polynomial given as `f64` coefficients,
@@ -316,8 +327,9 @@ impl NegacyclicFft {
 
     /// [`inverse_torus`](Self::inverse_torus) into a caller-owned
     /// polynomial. `scratch` is the kernel's work area (the software Coef
-    /// buffer): it grows to `N` values on first use and is reused across
-    /// calls without reallocating.
+    /// buffer): it grows to `N + 7` values on first use (two planes that
+    /// start on a cache line) and is reused across calls without
+    /// reallocating.
     ///
     /// # Panics
     ///
@@ -851,6 +863,37 @@ mod tests {
     }
 
     #[test]
+    fn tables_and_work_planes_start_on_a_cache_line() {
+        let on_a_line = |plane: &[f64]| (plane.as_ptr() as usize).is_multiple_of(64);
+        for n in [4usize, 16, 256, 2048] {
+            let fft = NegacyclicFft::new(n);
+            for table in [
+                &fft.twist_re,
+                &fft.twist_im,
+                &fft.untwist_re,
+                &fft.clone().untwist_im,
+            ] {
+                assert!(table.len() == n && on_a_line(table), "n={n}");
+            }
+        }
+        // One scratch through growing, shrinking and regrowing requests,
+        // from whatever the allocator hands out after odd-sized
+        // allocations.
+        let mut kept = Vec::new();
+        for i in 0..16usize {
+            let mut scratch = vec![f64::NAN; i];
+            for n in [8usize, 1024, 16, 2048] {
+                let (re, im) = work_planes(&mut scratch, n);
+                assert!(on_a_line(re) && on_a_line(im), "n={n} #{i}");
+                assert_eq!((re.len(), im.len()), (n, n));
+            }
+            // The largest request and the spare 7, no more.
+            assert_eq!(scratch.len(), 2 * 2048 + 7);
+            kept.push((vec![0u8; 8 + 24 * i], scratch));
+        }
+    }
+
+    #[test]
     fn transform_product_matches_exact_oracle() {
         let n = 256;
         let fft = NegacyclicFft::new(n);
@@ -1280,28 +1323,32 @@ mod tests {
                 f64::NAN,
             ]);
         }
-        while values.len() % 4 != 0 {
+        while values.len() % 8 != 0 {
             values.push(7.5);
+        }
+        struct RoundAll<'a, const ADD: bool>(&'a [f64]);
+        impl<const ADD: bool> Kernel for RoundAll<'_, ADD> {
+            type Out = Vec<Torus32>;
+            #[inline(always)]
+            fn run<I: Isa>(self, isa: I) -> Vec<Torus32> {
+                let mut out = vec![Torus32::HALF; self.0.len()];
+                for at in (0..self.0.len()).step_by(I::LANES) {
+                    isa.round_wrap_put::<ADD>(&mut out, at, isa.load(self.0, at));
+                }
+                out
+            }
         }
         // Rotate so that every value visits every lane, and so that
         // in-range and out-of-range values share a vector.
-        for shift in 0..4 {
+        for shift in 0..8 {
             values.rotate_left(shift);
             let want = round_all(&values);
-            struct RoundAll<'a>(&'a [f64]);
-            impl Kernel for RoundAll<'_> {
-                type Out = Vec<Torus32>;
-                #[inline(always)]
-                fn run<I: Isa>(self, isa: I) -> Vec<Torus32> {
-                    let mut out = vec![Torus32::HALF; self.0.len()];
-                    for at in (0..self.0.len()).step_by(I::LANES) {
-                        isa.round_wrap_put::<false>(&mut out, at, isa.load(self.0, at));
-                    }
-                    out
-                }
-            }
-            for (name, simd) in Simd::every(4) {
-                assert_eq!(simd.run(RoundAll(&values)), want, "{name} shift {shift}");
+            let want_added: Vec<Torus32> = want.iter().map(|&r| Torus32::HALF + r).collect();
+            for (name, simd) in Simd::every(8) {
+                let put = simd.run(RoundAll::<false>(&values));
+                assert_eq!(put, want, "{name} shift {shift}");
+                let added = simd.run(RoundAll::<true>(&values));
+                assert_eq!(added, want_added, "add {name} shift {shift}");
             }
         }
     }
@@ -1517,11 +1564,11 @@ mod tests {
                     ]);
                 }
                 raws.extend((0..16).map(|_| rng.gen::<u32>()));
-                while raws.len() % 4 != 0 {
+                while raws.len() % 8 != 0 {
                     raws.push(rng.gen());
                 }
                 // Rotate so that every value visits every lane.
-                for shift in 0..4 {
+                for shift in 0..8 {
                     raws.rotate_left(shift);
                     let xs: Vec<Torus32> = raws.iter().map(|&r| Torus32::from_raw(r)).collect();
                     let mut digits = vec![0i64; l];
@@ -1533,7 +1580,7 @@ mod tests {
                                 (digits[level] as f64).to_bits()
                             })
                             .collect();
-                        for (name, simd) in Simd::every(4) {
+                        for (name, simd) in Simd::every(8) {
                             assert_eq!(
                                 simd.run(DigitsOf(&xs, DigitOf::new(decomp, level))),
                                 want,

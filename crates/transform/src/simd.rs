@@ -2,22 +2,25 @@
 //!
 //! The kernel in [`crate::fft`] and the spectrum MAC are written once,
 //! generically over [`Isa`]: a fixed-width vector of `f64` lanes laid
-//! along the *coefficient axis* of one planar polynomial. Two
-//! implementations exist:
+//! along the *coefficient axis* of one planar polynomial. Three
+//! implementations exist; [`Simd::detect`] picks the widest one the CPU
+//! has (`is_x86_feature_detected!`) and the run length can fill, when a
+//! plan is built:
 //!
 //! - [`Portable<L>`]: plain `[f64; L]` arithmetic (`L = 4` normally,
 //!   `L = 1` for transforms too short to fill a vector);
-//! - [`avx2::Avx2`]: `std::arch` AVX2, selected by
-//!   `is_x86_feature_detected!` when a plan is built.
+//! - [`avx2::Avx2`]: four lanes of `std::arch` AVX2;
+//! - [`avx512::Avx512`]: eight lanes of `std::arch` AVX-512 (F + DQ),
+//!   loaded from planes that start on a cache line ([`Aligned`]).
 //!
 //! **Results never depend on the ISA.** Every operation here is an exact
 //! IEEE-754 `add`/`sub`/`mul`/negate per lane — no fused multiply-add, no
 //! reassociation — so each lane replays the scalar reference's operation
 //! sequence bit for bit, and the one inexact-looking step, rounding to the
 //! torus, reproduces [`round_wrap_u32`] exactly (see
-//! [`Isa::round_wrap_store`]).
+//! [`Isa::round_wrap_put`]).
 //!
-//! `unsafe` is confined to the [`avx2`] submodule.
+//! `unsafe` is confined to the [`avx2`] and [`avx512`] submodules.
 
 use morphling_math::{DecompParams, Torus32};
 
@@ -67,15 +70,85 @@ impl DigitOf {
     }
 }
 
+/// What a plane is over-allocated by, in elements, so that it can start on
+/// a 64-byte boundary wherever the allocator put it.
+pub(crate) const SPARE: usize = 64 / size_of::<f64>() - 1;
+
+/// How many elements into `buf` the first cache line starts. Where
+/// vectors are as wide as a line, every load from an unaligned plane
+/// straddles two of them; results do not depend on the answer.
+pub(crate) fn cache_line_offset(buf: &[f64]) -> usize {
+    // `align_offset` may decline to answer (`usize::MAX`).
+    buf.as_ptr().align_offset(64).min(SPARE)
+}
+
+/// A plane of `f64` (or several, back to back) that starts on a cache
+/// line: every buffer the kernels load vectors from. Collected from its
+/// values, which are `buf[start..]`; a clone is aligned afresh.
+#[derive(Default)]
+pub(crate) struct Aligned {
+    buf: Vec<f64>,
+    start: usize,
+}
+
+impl FromIterator<f64> for Aligned {
+    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
+        // The spare room in front, then the values move down to the line.
+        let mut buf: Vec<f64> = std::iter::repeat_n(0.0, SPARE).chain(iter).collect();
+        let start = cache_line_offset(&buf);
+        buf.copy_within(SPARE.., start);
+        buf.truncate(buf.len() - (SPARE - start));
+        Self { buf, start }
+    }
+}
+
+impl std::ops::Deref for Aligned {
+    type Target = [f64];
+    #[inline(always)]
+    fn deref(&self) -> &[f64] {
+        &self.buf[self.start..]
+    }
+}
+
+impl std::ops::DerefMut for Aligned {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.buf[self.start..]
+    }
+}
+
+impl Clone for Aligned {
+    fn clone(&self) -> Self {
+        self.iter().copied().collect()
+    }
+}
+
+impl PartialEq for Aligned {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Aligned {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A vector of [`Isa::LANES`] consecutive `f64` elements and the exact
 /// lane-wise operations the kernels need.
 pub(crate) trait Isa: Copy {
     /// The vector register type.
     type V: Copy;
+    /// The same operations on vectors half as wide (or this ISA itself,
+    /// where there is none): what the one pass whose runs are shorter than
+    /// `LANES` goes through (see `FftPlan::transform`).
+    type Half: Isa;
     /// Elements per vector. Every slice length and offset handed to the
     /// kernels is a multiple of this.
     const LANES: usize;
 
+    fn half(self) -> Self::Half;
     fn splat(self, x: f64) -> Self::V;
     /// Lane `i` is `f(i)` — how integer and torus coefficients are widened.
     fn lanes(self, f: impl FnMut(usize) -> f64) -> Self::V;
@@ -110,9 +183,9 @@ pub(crate) fn cmul<I: Isa>(isa: I, a: (I::V, I::V), b: (I::V, I::V)) -> (I::V, I
 /// implementation [`Simd`] selected.
 pub(crate) trait Kernel {
     type Out;
-    /// Implementations are `#[inline(always)]` so that the AVX2
-    /// instantiation is compiled inside the `target_feature` frame of
-    /// [`avx2::Avx2::run`].
+    /// Implementations are `#[inline(always)]` so that the AVX2 and
+    /// AVX-512 instantiations are compiled inside the `target_feature`
+    /// frames of [`avx2::Avx2::run`] and [`avx512::Avx512::run`].
     fn run<I: Isa>(self, isa: I) -> Self::Out;
 }
 
@@ -122,8 +195,14 @@ pub(crate) enum Simd {
     /// One lane: for runs shorter than a vector.
     Narrow,
     Portable,
+    /// Eight portable lanes over a four-lane half: the control flow of
+    /// the widest ISA, for the identity tests of a host without it.
+    #[cfg(test)]
+    Portable8,
     #[cfg(target_arch = "x86_64")]
     Avx2(avx2::Avx2),
+    #[cfg(target_arch = "x86_64")]
+    Avx512(avx512::Avx512),
 }
 
 impl Simd {
@@ -134,23 +213,46 @@ impl Simd {
             return Self::Narrow;
         }
         #[cfg(target_arch = "x86_64")]
+        if let Some(isa) = avx512::Avx512::detect().filter(|_| width >= 8) {
+            return Self::Avx512(isa);
+        }
+        #[cfg(target_arch = "x86_64")]
         if let Some(isa) = avx2::Avx2::detect() {
             return Self::Avx2(isa);
         }
         Self::Portable
     }
 
+    /// What a measurement names the ISA it ran on by.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Self::Narrow => "one-lane",
+            Self::Portable => "portable",
+            #[cfg(test)]
+            Self::Portable8 => "portable8",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2(_) => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512(_) => "avx512",
+        }
+    }
+
     /// Every ISA this CPU can run on runs of `width` elements, named: what
     /// the identity tests iterate instead of trusting detection.
     #[cfg(test)]
     pub(crate) fn every(width: usize) -> Vec<(&'static str, Self)> {
-        let mut all = vec![("one lane", Self::Narrow)];
+        let mut all = vec![Self::Narrow];
         if width >= 4 {
-            all.push(("portable", Self::Portable));
+            all.push(Self::Portable);
             #[cfg(target_arch = "x86_64")]
-            all.extend(avx2::Avx2::detect().map(|isa| ("avx2", Self::Avx2(isa))));
+            all.extend(avx2::Avx2::detect().map(Self::Avx2));
         }
-        all
+        if width >= 8 {
+            all.push(Self::Portable8);
+            #[cfg(target_arch = "x86_64")]
+            all.extend(avx512::Avx512::detect().map(Self::Avx512));
+        }
+        all.into_iter().map(|simd| (simd.name(), simd)).collect()
     }
 
     #[inline]
@@ -158,8 +260,12 @@ impl Simd {
         match self {
             Self::Narrow => k.run(Portable::<1>),
             Self::Portable => k.run(Portable::<4>),
+            #[cfg(test)]
+            Self::Portable8 => k.run(Portable::<8, 4>),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2(isa) => isa.run(k),
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512(isa) => isa.run(k),
         }
     }
 }
@@ -191,14 +297,19 @@ pub(crate) fn round_wrap_u32(v: f64) -> u32 {
 }
 
 /// `[f64; L]` arithmetic — the fallback on every target and the narrow
-/// path on all of them.
+/// path on all of them. `H` is the width of its [`Isa::Half`].
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Portable<const L: usize>;
+pub(crate) struct Portable<const L: usize, const H: usize = L>;
 
-impl<const L: usize> Isa for Portable<L> {
+impl<const L: usize, const H: usize> Isa for Portable<L, H> {
     type V = [f64; L];
+    type Half = Portable<H>;
     const LANES: usize = L;
 
+    #[inline(always)]
+    fn half(self) -> Portable<H> {
+        Portable
+    }
     #[inline(always)]
     fn splat(self, x: f64) -> [f64; L] {
         [x; L]
@@ -255,7 +366,8 @@ impl<const L: usize> Isa for Portable<L> {
     }
 }
 
-/// The AVX2 implementation — the crate's only `unsafe` code.
+/// The AVX2 implementation — with [`avx512`], the crate's only `unsafe`
+/// code.
 ///
 /// Soundness rests on one invariant: an [`Avx2`](avx2::Avx2) value can
 /// only be obtained from [`Avx2::detect`](avx2::Avx2::detect), which
@@ -297,16 +409,21 @@ pub(crate) mod avx2 {
 
     /// Largest f64 below one half: `trunc(x + copysign(C, x))` is
     /// `x.round()` (half away from zero) for every finite `x`.
-    const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+    pub(super) const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
     /// 2^52 + 2^51: adding it to an integer `|r| < 2^51` leaves `r`'s
     /// two's-complement low bits in the low mantissa bits.
-    const MAGIC: f64 = 6_755_399_441_055_744.0;
-    const TWO_51: f64 = 2_251_799_813_685_248.0;
+    pub(super) const MAGIC: f64 = 6_755_399_441_055_744.0;
+    pub(super) const TWO_51: f64 = 2_251_799_813_685_248.0;
 
     impl Isa for Avx2 {
         type V = __m256d;
+        type Half = Self;
         const LANES: usize = 4;
 
+        #[inline(always)]
+        fn half(self) -> Self {
+            self
+        }
         #[inline(always)]
         fn splat(self, x: f64) -> __m256d {
             // SAFETY: AVX2 is available (see the module invariant).
@@ -420,5 +537,256 @@ pub(crate) mod avx2 {
                 *slot = if ADD { *slot + rounded } else { rounded };
             }
         }
+    }
+}
+
+/// The AVX-512 implementation: [`avx2`]'s discipline at twice the width.
+///
+/// An [`Avx512`](avx512::Avx512) value can only be obtained from
+/// [`Avx512::detect`](avx512::Avx512::detect), which returns one only
+/// after `is_x86_feature_detected!` of `avx512f` and `avx512dq` on top of
+/// an [`Avx2`](avx2::Avx2) token, its [`Isa::Half`]. Every intrinsic call
+/// below, 512 or 256 bits wide, is therefore executed on a CPU that has
+/// the instruction; every memory access goes through a bounds-checked
+/// slice first.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) mod avx512 {
+    use std::arch::x86_64::*;
+
+    use morphling_math::Torus32;
+
+    use super::avx2::{Avx2, BELOW_HALF, MAGIC, TWO_51};
+    use super::{round_wrap_u32, DigitOf, Isa, Kernel};
+
+    /// Proof that the running CPU has AVX-512 F and DQ, and AVX2 (the
+    /// field is private: the only constructor is [`Avx512::detect`]).
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Avx512(Avx2);
+
+    impl Avx512 {
+        pub(crate) fn detect() -> Option<Self> {
+            let half = Avx2::detect()?;
+            (is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq"))
+                .then_some(Self(half))
+        }
+
+        /// Run `k` with AVX-512 code generation enabled for everything
+        /// inlined into it, the half-width pass's [`Avx2`] calls included.
+        /// (To rustc `avx512f` implies `fma`; it never contracts a
+        /// multiply and an add written apart, so the bits stay put.)
+        #[inline]
+        pub(crate) fn run<K: Kernel>(self, k: K) -> K::Out {
+            #[target_feature(enable = "avx512f,avx512dq,avx2")]
+            fn frame<K: Kernel>(isa: Avx512, k: K) -> K::Out {
+                k.run(isa)
+            }
+            // SAFETY: `self` exists, so `detect` saw all three on this CPU.
+            unsafe { frame(self, k) }
+        }
+    }
+
+    impl Isa for Avx512 {
+        type V = __m512d;
+        type Half = Avx2;
+        const LANES: usize = 8;
+
+        #[inline(always)]
+        fn half(self) -> Avx2 {
+            self.0
+        }
+        #[inline(always)]
+        fn splat(self, x: f64) -> __m512d {
+            // SAFETY: AVX-512F is available (see the module invariant).
+            unsafe { _mm512_set1_pd(x) }
+        }
+        #[inline(always)]
+        fn lanes(self, f: impl FnMut(usize) -> f64) -> __m512d {
+            let a: [f64; 8] = std::array::from_fn(f);
+            // SAFETY: AVX-512F is available; `a` is eight readable f64.
+            unsafe { _mm512_loadu_pd(a.as_ptr()) }
+        }
+        #[inline(always)]
+        fn load(self, src: &[f64], at: usize) -> __m512d {
+            let s = &src[at..at + 8];
+            // SAFETY: AVX-512F is available; `s` is eight readable f64.
+            unsafe { _mm512_loadu_pd(s.as_ptr()) }
+        }
+        #[inline(always)]
+        fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> __m512d {
+            let s = &src[at..at + 8];
+            let raw: [u32; 8] = std::array::from_fn(|i| s[i].into_raw());
+            // SAFETY: AVX2 and AVX-512F are available; `raw` is 32
+            // readable bytes. The integer steps are `DigitOf::of` per
+            // 32-bit lane, and an `i32` converts to `f64` exactly.
+            unsafe {
+                let x = _mm256_loadu_si256(raw.as_ptr().cast());
+                let biased = _mm256_add_epi32(x, _mm256_set1_epi32(digit.bias as i32));
+                let field = _mm256_and_si256(
+                    _mm256_srl_epi32(biased, _mm_cvtsi32_si128(digit.shift as i32)),
+                    _mm256_set1_epi32(digit.mask as i32),
+                );
+                let half_beta = _mm256_set1_epi32(digit.half_beta as i32);
+                _mm512_cvtepi32_pd(_mm256_sub_epi32(field, half_beta))
+            }
+        }
+        #[inline(always)]
+        fn store(self, dst: &mut [f64], at: usize, v: __m512d) {
+            let d = &mut dst[at..at + 8];
+            // SAFETY: AVX-512F is available; `d` is eight writable f64.
+            unsafe { _mm512_storeu_pd(d.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m512d, b: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is available.
+            unsafe { _mm512_add_pd(a, b) }
+        }
+        #[inline(always)]
+        fn sub(self, a: __m512d, b: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is available.
+            unsafe { _mm512_sub_pd(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m512d, b: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is available.
+            unsafe { _mm512_mul_pd(a, b) }
+        }
+        #[inline(always)]
+        fn neg(self, a: __m512d) -> __m512d {
+            // SAFETY: AVX-512DQ is available. A sign-bit flip is f64 `-x`.
+            unsafe { _mm512_xor_pd(a, _mm512_set1_pd(-0.0)) }
+        }
+        #[inline(always)]
+        fn scatter4(self, dst: &mut [f64], pos: &[u32], y: [__m512d; 4]) {
+            // SAFETY: AVX-512F is available; these are register shuffles.
+            // Each result holds two finished blocks, a 256-bit half each.
+            let blocks = unsafe {
+                let t0 = _mm512_unpacklo_pd(y[0], y[1]);
+                let t1 = _mm512_unpackhi_pd(y[0], y[1]);
+                let t2 = _mm512_unpacklo_pd(y[2], y[3]);
+                let t3 = _mm512_unpackhi_pd(y[2], y[3]);
+                let low = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+                let high = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+                [
+                    (0, 2, _mm512_permutex2var_pd(t0, low, t2)),
+                    (1, 3, _mm512_permutex2var_pd(t1, low, t3)),
+                    (4, 6, _mm512_permutex2var_pd(t0, high, t2)),
+                    (5, 7, _mm512_permutex2var_pd(t1, high, t3)),
+                ]
+            };
+            let pos = &pos[..8];
+            for (first, second, pair) in blocks {
+                // SAFETY: AVX-512F is available; register moves.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm512_castpd512_pd256(pair),
+                        _mm512_extractf64x4_pd::<1>(pair),
+                    )
+                };
+                self.0.store(dst, pos[first] as usize, lo);
+                self.0.store(dst, pos[second] as usize, hi);
+            }
+        }
+        #[inline(always)]
+        fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: __m512d) {
+            let out = &mut dst[at..at + 8];
+            let mut raw = [0u32; 8];
+            // SAFETY: AVX-512F and DQ are available; `raw` is 32 writable
+            // bytes. The steps are `Avx2`'s: `roundscale` with no scale
+            // and toward zero is `trunc`.
+            let in_range = unsafe {
+                let sign = _mm512_set1_pd(-0.0);
+                let nudge = _mm512_or_pd(_mm512_set1_pd(BELOW_HALF), _mm512_and_pd(v, sign));
+                let r = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(
+                    _mm512_add_pd(v, nudge),
+                );
+                // Not-less-than, unordered: also set for NaN.
+                let big = _mm512_cmp_pd_mask::<_CMP_NLT_UQ>(
+                    _mm512_andnot_pd(sign, r),
+                    _mm512_set1_pd(TWO_51),
+                );
+                let bits = _mm512_castpd_si512(_mm512_add_pd(r, _mm512_set1_pd(MAGIC)));
+                _mm256_storeu_si256(raw.as_mut_ptr().cast(), _mm512_cvtepi64_epi32(bits));
+                big == 0
+            };
+            if !in_range {
+                let mut lanes = [0.0f64; 8];
+                self.store(&mut lanes, 0, v);
+                raw = lanes.map(round_wrap_u32);
+            }
+            for (slot, r) in out.iter_mut().zip(raw) {
+                let rounded = Torus32::from_raw(r);
+                *slot = if ADD { *slot + rounded } else { rounded };
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What CI prints (`--nocapture`) so that a runner without an ISA
+    /// says so in its log: the identity suites in `fft.rs`,
+    /// `negacyclic.rs` and `spectrum.rs` iterate this list.
+    #[test]
+    fn identity_suites_cover_every_isa_of_this_cpu() {
+        let names: Vec<&str> = Simd::every(8).into_iter().map(|(name, _)| name).collect();
+        println!("identity ran on: {}", names.join(", "));
+        assert_eq!(names[..2], ["one-lane", "portable"]);
+        assert!(names.contains(&"portable8"));
+        // What detection picks is on the list, and narrower runs get a
+        // narrower ISA.
+        assert!(names.contains(&Simd::detect(8).name()));
+        assert!(names.contains(&Simd::detect(4).name()));
+        assert!(!["portable8", "avx512"].contains(&Simd::detect(4).name()));
+        assert_eq!(Simd::detect(2).name(), "one-lane");
+        assert!(Simd::every(4).iter().all(|(name, _)| *name != "avx512"));
+    }
+
+    #[test]
+    fn scatter4_transposes_distinct_values_on_every_isa() {
+        struct Scatter<'a>(&'a [u32]);
+        impl Kernel for Scatter<'_> {
+            type Out = Vec<f64>;
+            #[inline(always)]
+            fn run<I: Isa>(self, isa: I) -> Vec<f64> {
+                let mut dst = vec![f64::NAN; 4 * self.0.len()];
+                for at in (0..self.0.len()).step_by(I::LANES) {
+                    let y = std::array::from_fn(|row| isa.lanes(|i| (100 * row + at + i) as f64));
+                    isa.scatter4(&mut dst, &self.0[at..at + I::LANES], y);
+                }
+                dst
+            }
+        }
+        // Sixteen blocks in bit-reversed order, as the first pass has them.
+        let pos: Vec<u32> = (0..16u32).map(|r| 4 * (r.reverse_bits() >> 28)).collect();
+        let mut want = vec![f64::NAN; 64];
+        for (i, &p) in pos.iter().enumerate() {
+            for row in 0..4 {
+                want[p as usize + row] = (100 * row + i) as f64;
+            }
+        }
+        for (name, simd) in Simd::every(8) {
+            assert_eq!(simd.run(Scatter(&pos)), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn aligned_planes_hold_their_values_on_a_cache_line() {
+        let collected: Aligned = (0..37).map(f64::from).collect();
+        let want: Vec<f64> = (0..37).map(f64::from).collect();
+        let mut copy = collected.clone();
+        let zeros: Aligned = std::iter::repeat_n(0.0, 5).collect();
+        for plane in [&collected, &copy, &zeros, &std::iter::empty().collect()] {
+            assert_eq!(plane.as_ptr() as usize % 64, 0);
+        }
+        assert_eq!((&collected[..], &copy[..]), (&want[..], &want[..]));
+        assert_eq!(copy, collected);
+        copy[36] = -1.0;
+        assert_ne!(copy, collected);
+        assert_eq!(&zeros[..], &[0.0; 5]);
+        assert!(Aligned::default().is_empty());
+        assert_eq!(format!("{zeros:?}"), "[0.0, 0.0, 0.0, 0.0, 0.0]");
     }
 }

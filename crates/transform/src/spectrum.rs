@@ -5,7 +5,7 @@ use std::ops::{Add, AddAssign};
 
 use morphling_math::Complex64;
 
-use crate::simd::{cmul, Isa, Kernel, Simd};
+use crate::simd::{cmul, Aligned, Isa, Kernel, Simd};
 
 /// The negacyclic spectrum of a size-`N` real polynomial: its `N/2`
 /// evaluations at the odd `2N`-th roots of unity `e^(-iπ(4m+1)/N)`.
@@ -20,7 +20,7 @@ use crate::simd::{cmul, Isa, Kernel, Simd};
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Spectrum {
     /// `re[0..points]` followed by `im[0..points]`.
-    planes: Vec<f64>,
+    planes: Aligned,
 }
 
 impl Spectrum {
@@ -35,7 +35,7 @@ impl Spectrum {
             "polynomial size must be a power of two ≥ 2"
         );
         Self {
-            planes: vec![0.0; n],
+            planes: std::iter::repeat_n(0.0, n).collect(),
         }
     }
 
@@ -174,7 +174,7 @@ impl AddAssign<&Spectrum> for Spectrum {
             rhs.planes.len(),
             "spectrum size mismatch"
         );
-        for (a, &b) in self.planes.iter_mut().zip(&rhs.planes) {
+        for (a, &b) in self.planes.iter_mut().zip(rhs.planes.iter()) {
             *a += b;
         }
     }
@@ -183,7 +183,6 @@ impl AddAssign<&Spectrum> for Spectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::Portable;
 
     #[test]
     fn zero_has_half_the_points() {
@@ -197,6 +196,34 @@ mod tests {
         let s = Spectrum::from_values(values.clone());
         assert_eq!((s.re(), s.im()), (&[1.0, -1.0][..], &[2.0, 0.5][..]));
         assert_eq!((0..2).map(|m| s.point(m)).collect::<Vec<_>>(), values);
+    }
+
+    #[test]
+    fn planes_start_on_a_cache_line_and_clones_realign() {
+        // Odd-sized allocations in between, so that the allocator hands
+        // the planes every offset within a line it can.
+        let mut kept: Vec<(Vec<u8>, Spectrum)> = Vec::new();
+        for i in 0..64usize {
+            let pad = vec![0u8; 8 + 24 * i];
+            let n = 2usize << (i % 11);
+            let source = if i % 2 == 0 {
+                Spectrum::zero(n)
+            } else {
+                Spectrum::from_values((0..n / 2).map(|m| Complex64::new(m as f64, -1.5)).collect())
+            };
+            let copy = source.clone();
+            assert_eq!(copy, source);
+            for s in [&source, &copy] {
+                assert_eq!(s.re().as_ptr() as usize % 64, 0, "n={n} #{i}");
+                assert_eq!((s.re().len(), s.im().len()), (n / 2, n / 2));
+            }
+            kept.push((pad, copy));
+        }
+        assert_eq!(Spectrum::default().poly_len(), 0);
+        assert_eq!(
+            format!("{:?}", Spectrum::zero(2)),
+            "Spectrum { planes: [0.0, 0.0] }"
+        );
     }
 
     #[test]
@@ -227,7 +254,7 @@ mod tests {
         // Awkward values on purpose: signed zeros, a subnormal, a huge
         // magnitude, and products whose difference cancels.
         let awkward = [0.0, -0.0, 5e-324, -1.5, 3.0e300, 1.0 / 3.0, -7.25, 1e-160];
-        for points in [4usize, 8, 64] {
+        for points in [4usize, 8, 64, 1024] {
             let mk = |salt: usize| {
                 Spectrum::from_values(
                     (0..points)
@@ -245,31 +272,14 @@ mod tests {
             mul_acc_reference(&mut want, &a, &b);
             let want = bits(&Spectrum::from_values(want));
 
-            let mut narrow = start.clone();
-            MulAcc {
-                acc: &mut narrow,
-                a: &a,
-                b: &b,
-            }
-            .run(Portable::<1>);
-            assert_eq!(bits(&narrow), want, "one lane, {points} points");
-            let mut portable = start.clone();
-            MulAcc {
-                acc: &mut portable,
-                a: &a,
-                b: &b,
-            }
-            .run(Portable::<4>);
-            assert_eq!(bits(&portable), want, "portable, {points} points");
-            #[cfg(target_arch = "x86_64")]
-            if let Some(isa) = crate::simd::avx2::Avx2::detect() {
-                let mut avx2 = start.clone();
-                isa.run(MulAcc {
-                    acc: &mut avx2,
+            for (name, simd) in Simd::every(points) {
+                let mut acc = start.clone();
+                simd.run(MulAcc {
+                    acc: &mut acc,
                     a: &a,
                     b: &b,
                 });
-                assert_eq!(bits(&avx2), want, "avx2, {points} points");
+                assert_eq!(bits(&acc), want, "{name}, {points} points");
             }
         }
     }

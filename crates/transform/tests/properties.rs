@@ -4,7 +4,8 @@
 //! scalar reference schedule around [`FftPlan::forward`] /
 //! [`FftPlan::inverse`].
 //!
-//! The identity tests that name each ISA (portable, AVX2, one-lane) call
+//! The identity tests that name each ISA (one-lane, portable, AVX2,
+//! AVX-512, and eight portable lanes for hosts without the last) call
 //! the kernels through crate-private entry points and therefore live in
 //! the crate (`src/fft.rs`, `src/negacyclic.rs`, `src/spectrum.rs`); there
 //! is deliberately no public switch to force an ISA from here.
