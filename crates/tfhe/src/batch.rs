@@ -3,12 +3,12 @@
 //! TFHE bootstraps are embarrassingly parallel across ciphertexts — the
 //! very property Morphling's 16 bootstrapping cores exploit, and the
 //! reason the paper's CPU baseline runs on a 64-core Xeon. This module
-//! provides the per-call software equivalent: the batch is split into
-//! contiguous chunks, each scoped thread writes its chunk through a
-//! disjoint `split_at_mut` slice of the output (no per-slot locks), and
-//! results come back in input order. Fanout (multi-value) requests slot
-//! in naturally: an input producing `k` outputs owns `k` consecutive
-//! output positions.
+//! provides the per-call software equivalent: the batch is split into one
+//! contiguous chunk per thread, each scoped thread bootstraps its chunk as
+//! a whole ([`ServerKey::try_bootstrap_chunk`]: every key operand fetched
+//! once per chunk), and the chunks' outputs are concatenated in input
+//! order. Fanout (multi-value) requests slot in naturally: an input
+//! producing `k` outputs owns `k` consecutive output positions.
 //!
 //! These threads spawn and join on **every call**. For a stream of
 //! batches, prefer [`BootstrapEngine`](crate::BootstrapEngine), which
@@ -19,19 +19,18 @@
 //! [`ParallelServerKey`](crate::ParallelServerKey)'s
 //! [`Bootstrapper`](crate::Bootstrapper) impl.
 
+use std::ops::Range;
+
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
-use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
 use crate::server::ServerKey;
 
 /// Split `n` items into `parts` contiguous ranges whose lengths differ by
-/// at most one (the same plan the engine's chunker and the scoped threads
-/// below both rely on for ordered, disjoint output).
-pub(crate) fn balanced_chunks(
-    n: usize,
-    parts: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
+/// at most one: the chunk plan of the engine (one chunk per worker) and of
+/// the scoped threads below (one per thread), both of which rely on it for
+/// ordered, disjoint output.
+pub(crate) fn balanced_chunks(n: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
     let parts = parts.min(n).max(1);
     let base = n / parts;
     let extra = n % parts;
@@ -45,101 +44,73 @@ pub(crate) fn balanced_chunks(
 }
 
 /// Run `counts.len()` items across `threads` scoped threads in balanced
-/// contiguous chunks, each thread writing its chunk through a disjoint
-/// `split_at_mut` view of the flattened output. Item `i` owns
-/// `counts[i]` consecutive output slots — 1 for a plain bootstrap, `k`
-/// for a fanout input evaluated through `k` LUTs.
-///
-/// `mk_state` runs once per thread (e.g. to build a per-thread
-/// [`BootstrapWorkspace`](crate::BootstrapWorkspace)); `run_item` maps an
-/// input index to its `counts[i]` outputs through that state.
+/// contiguous chunks and concatenate the chunks' outputs in order. Item
+/// `i` owns `counts[i]` consecutive outputs — 1 for a plain bootstrap, `k`
+/// for a fanout input evaluated through `k` LUTs; `run_chunk` maps a range
+/// of items to their outputs.
 ///
 /// Every chunk's join handle is inspected individually, so a panic is
 /// attributed to the chunk (= worker) that actually raised it — this is
 /// where `WorkerPanicked { worker }` gets its real index. The first
-/// panicking chunk wins; absent panics, the earliest chunk's item error
-/// wins. An item returning the wrong number of outputs surfaces as
-/// [`TfheError::OutputCheckFailed`] naming the item — a silent mismatch
-/// would shear every later slot out of alignment.
-pub(crate) fn run_chunked_scoped<S, MkS, F>(
+/// panicking chunk wins; absent panics, the earliest chunk's error wins. A
+/// chunk returning the wrong number of outputs surfaces as
+/// [`TfheError::OutputCheckFailed`] naming its first item — a silent
+/// mismatch would shear every later output out of alignment.
+pub(crate) fn run_chunked_scoped<F>(
     counts: &[usize],
     threads: usize,
-    placeholder: LweCiphertext,
-    mk_state: MkS,
-    run_item: F,
+    run_chunk: F,
 ) -> Result<Vec<LweCiphertext>, TfheError>
 where
-    MkS: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> Result<Vec<LweCiphertext>, TfheError> + Sync,
+    F: Fn(Range<usize>) -> Result<Vec<LweCiphertext>, TfheError> + Sync,
 {
-    let n = counts.len();
-    let total: usize = counts.iter().sum();
-    let mut out = vec![placeholder; total];
-    let mk_state = &mk_state;
-    let run_item = &run_item;
+    let run_chunk = &run_chunk;
     let joined = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads.min(n));
-        let mut rest: &mut [LweCiphertext] = &mut out;
-        for range in balanced_chunks(n, threads) {
-            let chunk_outputs: usize = counts[range.clone()].iter().sum();
-            let (chunk, tail) = rest.split_at_mut(chunk_outputs);
-            rest = tail;
-            handles.push(scope.spawn(move |_| -> Result<(), TfheError> {
-                let mut state = mk_state();
-                let mut offset = 0;
-                for i in range {
-                    let outputs = run_item(i, &mut state)?;
-                    if outputs.len() != counts[i] {
-                        return Err(TfheError::OutputCheckFailed { index: i });
+        let handles: Vec<_> = balanced_chunks(counts.len(), threads)
+            .map(|range| {
+                scope.spawn(move |_| {
+                    let want: usize = counts[range.clone()].iter().sum();
+                    let index = range.start;
+                    let outputs = run_chunk(range)?;
+                    if outputs.len() != want {
+                        return Err(TfheError::OutputCheckFailed { index });
                     }
-                    for (slot, o) in chunk[offset..offset + counts[i]].iter_mut().zip(outputs) {
-                        *slot = o;
-                    }
-                    offset += counts[i];
-                }
-                Ok(())
-            }));
-        }
+                    Ok(outputs)
+                })
+            })
+            .collect();
         // Join each chunk's handle individually: a panic surfaces as that
         // handle's `Err`, carrying the chunk index with it instead of
         // collapsing every failure onto chunk 0.
+        let mut out = Vec::with_capacity(counts.iter().sum());
         let mut first_panic: Option<usize> = None;
         let mut first_error: Option<TfheError> = None;
         for (chunk_idx, handle) in handles.into_iter().enumerate() {
             match handle.join() {
-                Ok(Ok(())) => {}
+                Ok(Ok(outputs)) => out.extend(outputs),
                 Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+                    first_error.get_or_insert(e);
                 }
                 Err(_) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(chunk_idx);
-                    }
+                    first_panic.get_or_insert(chunk_idx);
                 }
             }
         }
         match (first_panic, first_error) {
             (Some(worker), _) => Err(TfheError::WorkerPanicked { worker }),
             (None, Some(e)) => Err(e),
-            (None, None) => Ok(()),
+            (None, None) => Ok(out),
         }
     });
-    match joined {
-        Ok(result) => result?,
-        // Unreachable in practice — every handle above is joined, so the
-        // scope itself cannot re-raise — but keep a safe fallback.
-        Err(_) => return Err(TfheError::WorkerPanicked { worker: 0 }),
-    }
-    Ok(out)
+    // Unreachable in practice — every handle above is joined, so the scope
+    // itself cannot re-raise — but keep a safe fallback.
+    joined.unwrap_or(Err(TfheError::WorkerPanicked { worker: 0 }))
 }
 
 /// The scoped-thread batch bootstrap behind
 /// [`ParallelServerKey`](crate::ParallelServerKey): validate once, then
-/// fan the request out over `threads` chunks with a per-thread workspace.
-/// Fanout inputs run the multi-value path (one rotation, `k` extracted
-/// outputs) inside their owning thread.
+/// fan the request out over `threads` chunks, each through the shared
+/// chunk path with a workspace of its own.
 pub(crate) fn bootstrap_scoped_parallel(
     server: &ServerKey,
     req: &BatchRequest,
@@ -156,35 +127,17 @@ pub(crate) fn bootstrap_scoped_parallel(
         // Inputs are pre-validated; run the sequential trait path.
         return server.try_bootstrap_batch(req);
     }
-    let placeholder =
-        LweCiphertext::trivial(morphling_math::Torus32::ZERO, server.params().lwe_dim);
     let counts: Vec<usize> = (0..req.len()).map(|i| req.output_count(i)).collect();
-    run_chunked_scoped(
-        &counts,
-        threads,
-        placeholder,
-        || server.workspace(),
-        |i, ws| {
-            let ct = &req.ciphertexts()[i];
-            match req.fanout() {
-                Some(_) => {
-                    let luts: Vec<&Lut> = req.luts_for(i);
-                    server.try_bootstrap_many_refs(ct, &luts, ws)
-                }
-                None => Ok(vec![server.try_programmable_bootstrap_with(
-                    ct,
-                    req.lut_for(i),
-                    ws,
-                )?]),
-            }
-        },
-    )
+    run_chunked_scoped(&counts, threads, |range| {
+        server.try_bootstrap_chunk(&req.items(range), &mut server.workspace())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::ClientKey;
+    use crate::lut::Lut;
     use crate::params::ParamSet;
     use morphling_math::Torus32;
     use rand::rngs::StdRng;
@@ -210,6 +163,14 @@ mod tests {
         LweCiphertext::trivial(Torus32::from_raw(tag), 4)
     }
 
+    /// A chunk function that maps every item to one `tagged(0)`, after
+    /// `check` has seen the item's index.
+    fn each_item(
+        check: impl Fn(usize) -> Result<(), TfheError> + Sync,
+    ) -> impl Fn(Range<usize>) -> Result<Vec<LweCiphertext>, TfheError> + Sync {
+        move |range| range.map(|i| check(i).map(|()| tagged(0))).collect()
+    }
+
     #[test]
     fn panics_are_attributed_to_the_real_chunk() {
         // 8 items on 4 threads: chunks 0..2, 2..4, 4..6, 6..8. Panic in
@@ -219,12 +180,10 @@ mod tests {
             let got = run_chunked_scoped(
                 &[1; 8],
                 4,
-                tagged(0),
-                || (),
-                |i, ()| {
+                each_item(|i| {
                     assert!(i != panic_at, "injected panic at item {i}");
-                    Ok(vec![tagged(0)])
-                },
+                    Ok(())
+                }),
             );
             assert_eq!(
                 got.unwrap_err(),
@@ -239,12 +198,10 @@ mod tests {
         let got = run_chunked_scoped(
             &[1; 8],
             4,
-            tagged(0),
-            || (),
-            |i, ()| {
+            each_item(|i| {
                 assert!(i < 2, "everything past chunk 0 panics");
-                Ok(vec![tagged(0)])
-            },
+                Ok(())
+            }),
         );
         assert_eq!(got.unwrap_err(), TfheError::WorkerPanicked { worker: 1 });
     }
@@ -254,15 +211,10 @@ mod tests {
         let got = run_chunked_scoped(
             &[1; 6],
             3,
-            tagged(0),
-            || (),
-            |i, ()| {
-                if i == 4 {
-                    Err(TfheError::EngineShutDown)
-                } else {
-                    Ok(vec![tagged(0)])
-                }
-            },
+            each_item(|i| match i {
+                4 => Err(TfheError::EngineShutDown),
+                _ => Ok(()),
+            }),
         );
         assert_eq!(got.unwrap_err(), TfheError::EngineShutDown);
     }
@@ -273,17 +225,11 @@ mod tests {
         // the tag 10·i + k and must land at the flattened offset even
         // though the chunk boundary falls mid-layout.
         let counts = [2usize, 1, 3, 1];
-        let out = run_chunked_scoped(
-            &counts,
-            2,
-            tagged(99),
-            || (),
-            |i, ()| {
-                Ok((0..counts[i])
-                    .map(|k| tagged((10 * i + k) as u32))
-                    .collect())
-            },
-        )
+        let out = run_chunked_scoped(&counts, 2, |range| {
+            Ok(range
+                .flat_map(|i| (0..counts[i]).map(move |k| tagged((10 * i + k) as u32)))
+                .collect())
+        })
         .unwrap();
         let tags: Vec<u32> = out.iter().map(|ct| ct.body().into_raw()).collect();
         assert_eq!(tags, vec![0, 1, 10, 20, 21, 22, 30]);
@@ -291,15 +237,10 @@ mod tests {
 
     #[test]
     fn wrong_output_count_is_caught() {
-        let got = run_chunked_scoped(
-            &[1, 2, 1],
-            2,
-            tagged(0),
-            || (),
-            // Item 1 should produce two outputs but yields one.
-            |_i, ()| Ok(vec![tagged(0)]),
-        );
-        assert_eq!(got.unwrap_err(), TfheError::OutputCheckFailed { index: 1 });
+        // Chunks 0..2 and 2..3; item 1 should produce two outputs but
+        // yields one, which its chunk (starting at item 0) reports.
+        let got = run_chunked_scoped(&[1, 2, 1], 2, each_item(|_| Ok(())));
+        assert_eq!(got.unwrap_err(), TfheError::OutputCheckFailed { index: 0 });
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::error::TfheError;
 use crate::keystore::TenantId;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
-use crate::server::ServerKey;
+use crate::server::{ChunkItem, ServerKey};
 
 /// A self-describing batch-bootstrap request: the one argument every
 /// [`Bootstrapper`] takes.
@@ -204,6 +204,12 @@ impl BatchRequest {
             Some(map) => map[i].iter().map(|&j| &self.luts[j]).collect(),
             None => vec![self.lut_for(i)],
         }
+    }
+
+    /// The ciphertexts of `range`, each with [`luts_for`](Self::luts_for)
+    /// it: what [`ServerKey::try_bootstrap_chunk`] takes.
+    pub(crate) fn items(&self, range: std::ops::Range<usize>) -> Vec<ChunkItem<'_>> {
+        range.map(|i| (&self.cts[i], self.luts_for(i))).collect()
     }
 
     /// The LUT ciphertext `i` goes through.
@@ -478,11 +484,11 @@ impl ServerKey {
     }
 }
 
-/// The single-core CPU baseline: one bootstrap after another through a
-/// single reused [`BootstrapWorkspace`](crate::BootstrapWorkspace) — zero
-/// steady-state allocations, deterministic order. On the FFT backends,
-/// a non-fanout batch advances its blind rotations together, one CMUX
-/// step at a time, so that each `BSK_i` is read once for the whole batch
+/// The single-core CPU baseline: the whole request as one chunk through a
+/// single [`BootstrapWorkspace`](crate::BootstrapWorkspace), deterministic
+/// order. On the FFT backend its blind rotations advance together, one
+/// CMUX step at a time, and its key switches share one pass over the KSK,
+/// so that each key operand is read once for the whole batch
 /// (bit-identical to the per-item loop — see
 /// [`blind_rotate_assign_many`](crate::bootstrap::blind_rotate_assign_many)).
 impl Bootstrapper for ServerKey {
@@ -491,26 +497,7 @@ impl Bootstrapper for ServerKey {
             return Ok(Vec::new());
         }
         self.validate_request(req)?;
-        let mut ws = self.workspace();
-        let mut out = Vec::with_capacity(req.output_len());
-        match req.fanout() {
-            Some(map) => {
-                for (ct, indices) in req.ciphertexts().iter().zip(map) {
-                    let luts: Vec<&Lut> = indices.iter().map(|&j| &req.luts()[j]).collect();
-                    out.extend(self.try_bootstrap_many_refs(ct, &luts, &mut ws)?);
-                }
-            }
-            None => {
-                let items: Vec<(&LweCiphertext, &Lut)> = req
-                    .ciphertexts()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ct)| (ct, req.lut_for(i)))
-                    .collect();
-                out.extend(self.try_bootstrap_chunk(&items, &mut ws)?);
-            }
-        }
-        Ok(out)
+        self.try_bootstrap_chunk(&req.items(0..req.len()), &mut self.workspace())
     }
 }
 

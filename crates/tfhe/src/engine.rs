@@ -12,9 +12,12 @@
 //!   lifetime, sharing the process-global transform caches (one FFT per
 //!   polynomial size for the whole pool, the way Morphling banks one set
 //!   of twiddles for all 16 cores);
-//! - a batch is split into contiguous chunks, each chunk is bootstrapped
-//!   into a chunk-owned output vector, and the chunks are reassembled in
-//!   index order — no per-slot locks anywhere on the result path;
+//! - a batch is split into one contiguous chunk per worker, each chunk is
+//!   bootstrapped as a whole into a chunk-owned output vector (every key
+//!   operand — `BSK_i`, each KSK row — is fetched once per chunk, so the
+//!   longest chunks the batch allows give the most reuse), and the chunks
+//!   are reassembled in index order — no per-slot locks anywhere on the
+//!   result path;
 //! - every job is timed, and the engine exposes the totals as
 //!   [`EngineStats`] so benches and the CPU cost model can calibrate from
 //!   real measurements.
@@ -93,11 +96,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 
+use crate::batch::balanced_chunks;
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::faults::{corrupt_ciphertext, fault_key, FaultInjector, FaultPlan, FaultSite};
 use crate::journal::Ring;
-use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
 use crate::server::ServerKey;
@@ -369,15 +372,7 @@ struct Job {
     batch: u64,
     /// Dispatch attempt (0 = first; retries re-roll injected faults).
     attempt: u32,
-    cts: Arc<Vec<LweCiphertext>>,
-    luts: Arc<Vec<Lut>>,
-    /// `lut_of[i]` selects the LUT for ciphertext `i`; `None` means all
-    /// ciphertexts use `luts[0]`.
-    lut_of: Option<Arc<Vec<usize>>>,
-    /// `fanout[i]` lists the LUT indices ciphertext `i` fans out to (one
-    /// output per index, multi-value bootstrapped from a single
-    /// rotation). Mutually exclusive with `lut_of`.
-    fanout: Option<Arc<Vec<Vec<usize>>>>,
+    req: Arc<BatchRequest>,
     range: Range<usize>,
     reply: Sender<Chunk>,
 }
@@ -404,10 +399,8 @@ struct WorkerShared {
 /// Faults stay keyed per ciphertext: each one's `WorkerPanic` and
 /// `WedgedJob` sites fire, in ciphertext order, before the chunk's work
 /// starts, and its `CorruptOutput` site marks that ciphertext's outputs.
-/// A non-fanout chunk then goes through
-/// [`ServerKey::try_bootstrap_chunk`] as a whole — one fetch of each
-/// `BSK_i` for the chunk — and a fanout chunk through one multi-value
-/// bootstrap per ciphertext.
+/// The chunk then goes through [`ServerKey::try_bootstrap_chunk`] as a
+/// whole, whatever its items' LUT lists look like.
 fn run_job(
     shared: &WorkerShared,
     job: &Job,
@@ -428,44 +421,16 @@ fn run_job(
         }
         corrupt.push(injector.fires(FaultSite::CorruptOutput, key, job.attempt));
     }
-    let tamper = |out: LweCiphertext, corrupt: bool| {
+    let items = job.req.items(job.range.clone());
+    let mut outs = shared.server.try_bootstrap_chunk(&items, ws)?;
+    let mut rest = outs.as_mut_slice();
+    for ((_, luts), corrupt) in items.iter().zip(corrupt) {
+        let (of_item, tail) = rest.split_at_mut(luts.len());
+        rest = tail;
         if corrupt {
-            corrupt_ciphertext(&out)
-        } else {
-            out
-        }
-    };
-    let mut outs = Vec::with_capacity(job.range.len());
-    match &job.fanout {
-        Some(map) => {
-            // Multi-value path: one rotation, map[i].len() outputs.
-            for (i, &corrupt) in job.range.clone().zip(&corrupt) {
-                let luts: Vec<&Lut> = map[i].iter().map(|&j| &job.luts[j]).collect();
-                let item = shared
-                    .server
-                    .try_bootstrap_many_refs(&job.cts[i], &luts, ws)?;
-                outs.extend(item.into_iter().map(|out| tamper(out, corrupt)));
+            for out in of_item {
+                *out = corrupt_ciphertext(out);
             }
-        }
-        None => {
-            let items: Vec<(&LweCiphertext, &Lut)> = job
-                .range
-                .clone()
-                .map(|i| {
-                    let lut = match &job.lut_of {
-                        Some(sel) => &job.luts[sel[i]],
-                        None => &job.luts[0],
-                    };
-                    (&job.cts[i], lut)
-                })
-                .collect();
-            let chunk = shared.server.try_bootstrap_chunk(&items, ws)?;
-            outs.extend(
-                chunk
-                    .into_iter()
-                    .zip(&corrupt)
-                    .map(|(out, &corrupt)| tamper(out, corrupt)),
-            );
         }
     }
     Ok(outs)
@@ -633,8 +598,12 @@ impl BootstrapEngineBuilder {
     }
 
     /// Force a fixed chunk size (ciphertexts per job). By default the
-    /// engine splits each batch into about two jobs per worker, which
-    /// balances load without flooding the queue.
+    /// engine splits each batch into one chunk per worker, lengths
+    /// differing by at most one (16 over 2 workers → 8 + 8, 5 over 4 →
+    /// 2 + 1 + 1 + 1): every key operand is fetched once per chunk, so the
+    /// longest chunks the batch allows cost the least memory traffic per
+    /// bootstrap. A smaller fixed size trades that reuse for shorter jobs
+    /// (finer watchdog and retry granularity).
     pub fn chunk_size(mut self, n: usize) -> Self {
         self.chunk_size = Some(n.max(1));
         self
@@ -643,7 +612,9 @@ impl BootstrapEngineBuilder {
     /// Watchdog timeout per job: a chunk with no reply within this window
     /// is presumed wedged and re-dispatched (up to the retry budget).
     /// Disabled by default — set it comfortably above the worst-case
-    /// honest chunk time, or the watchdog will duplicate live work.
+    /// honest chunk time, or the watchdog will duplicate live work. A
+    /// default chunk is `⌈batch / workers⌉` bootstraps long: size the
+    /// timeout for that many, not for one.
     pub fn job_timeout(mut self, timeout: Duration) -> Self {
         self.job_timeout = Some(timeout);
         self
@@ -651,7 +622,8 @@ impl BootstrapEngineBuilder {
 
     /// Maximum re-dispatches per chunk after transient failures (panics,
     /// watchdog timeouts, failed output checks). Default
-    /// [`Self::DEFAULT_MAX_RETRIES`].
+    /// [`Self::DEFAULT_MAX_RETRIES`]. A retry re-runs its whole chunk —
+    /// by default a worker's full share of the batch.
     pub fn max_retries(mut self, n: u32) -> Self {
         self.max_retries = Some(n);
         self
@@ -914,13 +886,16 @@ impl BootstrapEngine {
         }
     }
 
-    fn chunk_len(&self, n: usize) -> usize {
+    /// The fixed chunk plan of a batch of `n`: disjoint contiguous ranges
+    /// in ascending order — one per worker unless a chunk size was forced.
+    /// A chunk shares every key fetch among its ciphertexts, so the
+    /// default makes chunks as long as the batch allows while still giving
+    /// every worker one; [`EngineStats::busy`] against wall time says what
+    /// a straggler chunk idles (a few percent, EXPERIMENTS.md).
+    fn chunk_plan(&self, n: usize) -> Vec<Range<usize>> {
         match self.chunk_size {
-            Some(c) => c,
-            // About two jobs per worker: coarse enough that channel
-            // traffic is negligible next to a bootstrap, fine enough
-            // that a straggler chunk can't idle half the pool.
-            None => n.div_ceil(self.spawned * 2).max(1),
+            Some(c) => (0..n).step_by(c).map(|s| s..(s + c).min(n)).collect(),
+            None => balanced_chunks(n, self.spawned).collect(),
         }
     }
 
@@ -935,14 +910,8 @@ impl BootstrapEngine {
             .find_map(|(j, ct)| (!check(out_start + j, ct)).then_some(out_start + j))
     }
 
-    fn submit(
-        &self,
-        cts: Vec<LweCiphertext>,
-        luts: Vec<Lut>,
-        lut_of: Option<Vec<usize>>,
-        fanout: Option<Vec<Vec<usize>>>,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let n = cts.len();
+    fn submit(&self, req: Arc<BatchRequest>) -> Result<Vec<LweCiphertext>, TfheError> {
+        let n = req.len();
         if n == 0 {
             return Ok(Vec::new());
         }
@@ -956,23 +925,7 @@ impl BootstrapEngine {
             return Err(TfheError::EngineShutDown);
         }
         // Validate eagerly so errors surface here, not inside the pool.
-        let params = self.server.params();
-        for ct in &cts {
-            if ct.dim() != params.lwe_dim {
-                return Err(TfheError::LweDimensionMismatch {
-                    expected: params.lwe_dim,
-                    got: ct.dim(),
-                });
-            }
-        }
-        for lut in &luts {
-            if lut.polynomial().len() != params.poly_size {
-                return Err(TfheError::LutSizeMismatch {
-                    lut: lut.polynomial().len(),
-                    poly_size: params.poly_size,
-                });
-            }
-        }
+        self.server.validate_request(&req)?;
 
         // Flat output offset of each ciphertext (identity without fanout):
         // the ordered-assembly and output-check index space.
@@ -980,40 +933,25 @@ impl BootstrapEngine {
         let mut total_outputs = 0usize;
         for i in 0..n {
             out_offsets.push(total_outputs);
-            total_outputs += fanout.as_ref().map_or(1, |m| m[i].len());
+            total_outputs += req.output_count(i);
         }
         out_offsets.push(total_outputs);
 
-        let cts = Arc::new(cts);
-        let luts = Arc::new(luts);
-        let lut_of = lut_of.map(Arc::new);
-        let fanout = fanout.map(Arc::new);
-        let chunk = self.chunk_len(n);
         // Count only batches that actually reach the pool — rejected
         // submissions must not inflate the calibration denominator. The
         // pre-increment value doubles as the batch's fault-injection id.
         let batch = self.counters.batches.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = channel::unbounded::<Chunk>();
 
-        // The fixed chunk plan: disjoint contiguous ranges in ascending
-        // order. Retries re-dispatch a range verbatim, so the plan (and
-        // with it the fault-injection keys) never shifts mid-batch.
-        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(n.div_ceil(chunk));
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            ranges.push(start..end);
-            start = end;
-        }
+        // Retries re-dispatch a range of the plan verbatim, so the plan
+        // (and with it the fault-injection keys) never shifts mid-batch.
+        let ranges = self.chunk_plan(n);
 
         let dispatch = |slot: usize, attempt: u32| -> Result<(), TfheError> {
             let job = Job {
                 batch,
                 attempt,
-                cts: Arc::clone(&cts),
-                luts: Arc::clone(&luts),
-                lut_of: lut_of.clone(),
-                fanout: fanout.clone(),
+                req: Arc::clone(&req),
                 range: ranges[slot].clone(),
                 reply: reply_tx.clone(),
             };
@@ -1158,12 +1096,7 @@ impl BootstrapEngine {
 /// deadline-aware batching).
 impl Bootstrapper for BootstrapEngine {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-        self.submit(
-            req.ciphertexts().to_vec(),
-            req.luts().to_vec(),
-            req.selectors().map(|s| s.to_vec()),
-            req.fanout().map(|m| m.to_vec()),
-        )
+        self.submit(Arc::new(req.clone()))
     }
 }
 
@@ -1177,6 +1110,7 @@ impl Drop for BootstrapEngine {
 mod tests {
     use super::*;
     use crate::keys::ClientKey;
+    use crate::lut::Lut;
     use crate::params::ParamSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1465,6 +1399,44 @@ mod tests {
         engine.reset_stats();
         assert!(engine.job_spans().is_empty());
         assert!(engine.fault_events().is_empty());
+    }
+
+    #[test]
+    fn default_plan_is_one_balanced_chunk_per_worker() {
+        let (_ck, sk, _rng) = setup(709);
+        for workers in 1..=4usize {
+            let engine = BootstrapEngine::builder()
+                .workers(workers)
+                .build(Arc::clone(&sk))
+                .unwrap();
+            for n in 1..=3 * workers + 1 {
+                let plan = engine.chunk_plan(n);
+                // Every index exactly once, in order.
+                let covered: Vec<usize> = plan.iter().cloned().flatten().collect();
+                assert_eq!(
+                    covered,
+                    (0..n).collect::<Vec<_>>(),
+                    "n={n} workers={workers}"
+                );
+                assert_eq!(plan.len(), workers.min(n), "n={n} workers={workers}");
+                let lens: Vec<usize> = plan.iter().map(Range::len).collect();
+                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(max - min <= 1, "n={n} workers={workers} lens={lens:?}");
+                assert_eq!(*max, n.div_ceil(workers), "n={n} workers={workers}");
+            }
+        }
+        // 16 over 2 → 8 + 8; 5 over 4 → 2 + 1 + 1 + 1; a forced size keeps
+        // its meaning.
+        let engine = |workers: usize, chunk: Option<usize>| {
+            let b = BootstrapEngine::builder().workers(workers);
+            chunk
+                .map_or(b.clone(), |c| b.chunk_size(c))
+                .build(Arc::clone(&sk))
+                .unwrap()
+        };
+        assert_eq!(engine(2, None).chunk_plan(16), [0..8, 8..16]);
+        assert_eq!(engine(4, None).chunk_plan(5), [0..2, 2..3, 3..4, 4..5]);
+        assert_eq!(engine(2, Some(3)).chunk_plan(7), [0..3, 3..6, 6..7]);
     }
 
     #[test]

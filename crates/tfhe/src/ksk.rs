@@ -1,7 +1,10 @@
 //! Key switching (Algorithm 1, line 6) — the memory-intensive stage the
-//! paper assigns to the VPU with prioritized HBM channels (§IV-C).
+//! paper assigns to the VPU with prioritized HBM channels (§IV-C): a pure
+//! stream over the key, which is why the key is one flat buffer in the
+//! order the switch reads it and a chunk of ciphertexts shares each pass.
 
-use morphling_math::{SignedDecomposer, Torus32, TorusScalar};
+use morphling_math::{DecompParams, SignedDecomposer, Torus32, TorusScalar};
+use morphling_transform::sub_scaled_rows;
 use rand::Rng;
 
 use crate::error::TfheError;
@@ -13,8 +16,9 @@ use crate::params::TfheParams;
 /// key, where `KSK_(i,j)` encrypts `s_in_i · q/β^(j+1)`.
 #[derive(Clone, Debug)]
 pub struct KeySwitchKey {
-    /// `rows[i][j]` = KSK for input mask `i`, level `j`.
-    rows: Vec<Vec<LweCiphertext>>,
+    /// Every `KSK_(i,j)` as `dim_out + 1` words, mask then body, in
+    /// streaming order `[i][j]` — byte for byte the wire payload.
+    words: Vec<Torus32>,
     decomposer: SignedDecomposer<Torus32>,
     dim_out: usize,
 }
@@ -29,64 +33,83 @@ impl KeySwitchKey {
         params: &TfheParams,
         rng: &mut R,
     ) -> Self {
-        let decomposer = SignedDecomposer::new(params.ksk_decomp);
         let base_log = params.ksk_decomp.base_log();
         let l = params.ksk_decomp.level();
-        let rows = key_in
-            .bits()
-            .iter()
-            .map(|&s| {
-                (0..l)
-                    .map(|j| {
-                        let g = Torus32::from_raw(1u32 << (32 - base_log * (j as u32 + 1)));
-                        LweCiphertext::encrypt(g.scalar_mul(s), key_out, params.lwe_noise_std, rng)
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut words = Vec::with_capacity(key_in.dim() * l * (key_out.dim() + 1));
+        for &s in key_in.bits() {
+            for j in 0..l {
+                let g = Torus32::from_raw(1u32 << (32 - base_log * (j as u32 + 1)));
+                let ct =
+                    LweCiphertext::encrypt(g.scalar_mul(s), key_out, params.lwe_noise_std, rng);
+                words.extend_from_slice(ct.mask());
+                words.push(ct.body());
+            }
+        }
         Self {
-            rows,
-            decomposer,
+            words,
+            decomposer: SignedDecomposer::new(params.ksk_decomp),
             dim_out: key_out.dim(),
         }
     }
 
-    /// Rebuild from explicit rows (deserialization path).
+    /// Rebuild from the flat key (deserialization path): every `KSK_(i,j)`
+    /// as `dim_out + 1` words, in the order of [`row`](Self::row).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any row's level count or ciphertext dimension disagrees
-    /// with `decomp`/`dim_out`.
-    pub fn from_rows(
-        rows: Vec<Vec<LweCiphertext>>,
-        decomp: morphling_math::DecompParams,
+    /// [`TfheError::KeyCorrupted`] if `decomp` keeps more than 32 bits or
+    /// `words` is not a whole number of input-mask rows.
+    pub fn from_words(
+        words: Vec<Torus32>,
+        decomp: DecompParams,
         dim_out: usize,
-    ) -> Self {
-        assert!(
-            rows.iter()
-                .all(|r| r.len() == decomp.level() && r.iter().all(|c| c.dim() == dim_out)),
-            "KSK row shape mismatch"
-        );
-        Self {
-            rows,
-            decomposer: SignedDecomposer::new(decomp),
-            dim_out,
+    ) -> Result<Self, TfheError> {
+        let per_input = dim_out
+            .checked_add(1)
+            .and_then(|width| width.checked_mul(decomp.level()));
+        match per_input {
+            Some(n) if decomp.total_bits() <= Torus32::BITS && words.len().is_multiple_of(n) => {
+                Ok(Self {
+                    words,
+                    decomposer: SignedDecomposer::new(decomp),
+                    dim_out,
+                })
+            }
+            _ => Err(TfheError::KeyCorrupted {
+                detail: format!(
+                    "KSK of {} words does not fit {decomp:?} and output dimension {dim_out}",
+                    words.len()
+                ),
+            }),
         }
     }
 
-    /// The KSK rows: `rows()[i][j]` is input mask `i`, level `j`.
-    pub fn rows(&self) -> &[Vec<LweCiphertext>] {
-        &self.rows
+    /// `KSK_(i,j)` — input mask `i`, level `j` — as `dim_out` mask words
+    /// followed by the body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= dim_in()` or `j >= level()`.
+    pub fn row(&self, i: usize, j: usize) -> &[Torus32] {
+        assert!(j < self.level(), "KSK level {j} out of range");
+        let width = self.dim_out + 1;
+        &self.words[(i * self.level() + j) * width..][..width]
+    }
+
+    /// The whole key in streaming order: [`row`](Self::row)`(0, 0)`,
+    /// `(0, 1)`, … back to back.
+    pub(crate) fn words(&self) -> &[Torus32] {
+        &self.words
     }
 
     /// The decomposition parameters (base log + level).
-    pub fn decomp_params(&self) -> morphling_math::DecompParams {
+    pub fn decomp_params(&self) -> DecompParams {
         self.decomposer.params()
     }
 
     /// Input dimension (`k·N` for a post-extraction switch).
     pub fn dim_in(&self) -> usize {
-        self.rows.len()
+        self.words.len() / (self.level() * (self.dim_out + 1))
     }
 
     /// Output dimension `n`.
@@ -102,7 +125,7 @@ impl KeySwitchKey {
     /// Total size in bytes (`dim_in · l_k · (dim_out+1)` 32-bit words) —
     /// the KSK traffic the paper's DMA prioritization is about.
     pub fn bytes(&self) -> u64 {
-        (self.dim_in() as u64) * (self.level() as u64) * (self.dim_out as u64 + 1) * 4
+        self.words.len() as u64 * 4
     }
 
     /// Switch `ct` (under `key_in`) to the output key:
@@ -119,36 +142,66 @@ impl KeySwitchKey {
         }
     }
 
-    /// Fallible [`key_switch`](Self::key_switch).
+    /// Fallible [`key_switch`](Self::key_switch): a chunk of one through
+    /// [`try_key_switch_many`](Self::try_key_switch_many).
     ///
     /// # Errors
     ///
     /// [`TfheError::KeySwitchDimensionMismatch`] if `ct.dim() != dim_in()`.
     pub fn try_key_switch(&self, ct: &LweCiphertext) -> Result<LweCiphertext, TfheError> {
-        if ct.dim() != self.dim_in() {
+        let mut out = self.try_key_switch_many(std::slice::from_ref(ct))?;
+        Ok(out.swap_remove(0))
+    }
+
+    /// Switch a chunk of ciphertexts in one pass over the key, row outer
+    /// and ciphertext inner: each `KSK_(i,j)` is fetched once and
+    /// subtracted, scaled by that ciphertext's digit, from every
+    /// accumulator of the chunk while it is in cache — the key-side twin of
+    /// the chunk's `BSK_i` reuse. Torus arithmetic wraps exactly, so every
+    /// output is bit-identical to switching its ciphertext alone.
+    ///
+    /// # Errors
+    ///
+    /// [`TfheError::KeySwitchDimensionMismatch`] for the first ciphertext
+    /// with `dim() != dim_in()`; nothing is switched then.
+    pub fn try_key_switch_many(
+        &self,
+        cts: &[LweCiphertext],
+    ) -> Result<Vec<LweCiphertext>, TfheError> {
+        if let Some(bad) = cts.iter().find(|ct| ct.dim() != self.dim_in()) {
             return Err(TfheError::KeySwitchDimensionMismatch {
                 expected: self.dim_in(),
-                got: ct.dim(),
+                got: bad.dim(),
             });
         }
-        // Accumulated in place, `out −= d·KSK_(i,j)` word by word: the
-        // output is the only allocation.
-        let mut mask = vec![Torus32::ZERO; self.dim_out];
-        let mut body = ct.body();
-        let mut digits = [0i64; Torus32::BITS as usize];
-        let digits = &mut digits[..self.level()];
-        for (a_i, row) in ct.mask().iter().zip(&self.rows) {
-            self.decomposer.decompose_scalar_into(*a_i, digits);
-            for (&d, ksk_ij) in digits.iter().zip(row) {
-                if d != 0 {
-                    for (o, k) in mask.iter_mut().zip(ksk_ij.mask()) {
-                        *o -= k.scalar_mul(d);
-                    }
-                    body -= ksk_ij.body().scalar_mul(d);
+        if cts.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (l, width) = (self.level(), self.dim_out + 1);
+        // One accumulator per ciphertext, back to back, starting from
+        // `(0, …, 0, b)`.
+        let mut outs = vec![Torus32::ZERO; cts.len() * width];
+        for (out, ct) in outs.chunks_exact_mut(width).zip(cts) {
+            out[self.dim_out] = ct.body();
+        }
+        // The chunk's digits of input mask `i`, level-major.
+        let mut digits = vec![0i32; l * cts.len()];
+        let mut of_one = [0i64; Torus32::BITS as usize];
+        let of_one = &mut of_one[..l];
+        for (i, rows) in self.words.chunks_exact(l * width).enumerate() {
+            for (c, ct) in cts.iter().enumerate() {
+                self.decomposer.decompose_scalar_into(ct.mask()[i], of_one);
+                for (j, &d) in of_one.iter().enumerate() {
+                    // Balanced digits lie in [−β/2, β/2) with β ≤ 2³².
+                    digits[j * cts.len() + c] = d as i32;
                 }
             }
+            sub_scaled_rows(&mut outs, &digits, rows, width);
         }
-        Ok(LweCiphertext::from_parts(mask, body))
+        Ok(outs
+            .chunks_exact(width)
+            .map(|out| LweCiphertext::from_parts(out[..self.dim_out].to_vec(), out[self.dim_out]))
+            .collect())
     }
 }
 
@@ -176,23 +229,129 @@ mod tests {
         }
     }
 
+    /// `c'' = (0, …, 0, b) − Σ_i Σ_j ⟨a_i⟩_j · KSK_(i,j)`, spelled with
+    /// whole-ciphertext operations in that order.
+    fn by_ciphertext_algebra(ksk: &KeySwitchKey, ct: &LweCiphertext) -> LweCiphertext {
+        let n = ksk.dim_out();
+        let mut want = LweCiphertext::trivial(ct.body(), n);
+        for (i, a_i) in ct.mask().iter().enumerate() {
+            for (j, d) in ksk.decomposer.decompose_scalar(*a_i).iter().enumerate() {
+                let row = ksk.row(i, j);
+                let ksk_ij = LweCiphertext::from_parts(row[..n].to_vec(), row[n]);
+                want = want.sub(&ksk_ij.scalar_mul(*d));
+            }
+        }
+        want
+    }
+
     #[test]
     fn in_place_accumulation_equals_the_ciphertext_algebra() {
-        // c'' = (0, …, 0, b) − Σ_i Σ_j ⟨a_i⟩_j · KSK_(i,j), spelled with
-        // whole-ciphertext operations in the same order.
         let mut rng = StdRng::seed_from_u64(54);
         let params = ParamSet::TestMedium.params();
         let key_in = LweSecretKey::generate(96, &mut rng);
         let key_out = LweSecretKey::generate(params.lwe_dim, &mut rng);
         let ksk = KeySwitchKey::generate(&key_in, &key_out, &params, &mut rng);
         let ct = LweCiphertext::encrypt(Torus32::encode(3, 8), &key_in, 0.0, &mut rng);
-        let mut want = LweCiphertext::trivial(ct.body(), ksk.dim_out());
-        for (a_i, row) in ct.mask().iter().zip(ksk.rows()) {
-            for (d, ksk_ij) in ksk.decomposer.decompose_scalar(*a_i).iter().zip(row) {
-                want = want.sub(&ksk_ij.scalar_mul(*d));
+        assert_eq!(ksk.key_switch(&ct), by_ciphertext_algebra(&ksk, &ct));
+    }
+
+    #[test]
+    fn a_chunk_switches_like_its_ciphertexts_one_by_one() {
+        // Rows of 593 words (the paper sets' n + 1: odd, so every vector
+        // width leaves a tail) and of 3 (shorter than any vector); masks
+        // built from the digits where the balanced decomposition turns —
+        // 0, ±1, −β/2, and β/2, which carries into the level above — then
+        // random ones. The kernel itself is checked per ISA in
+        // `morphling_transform`; this is the loop around it.
+        let mut rng = StdRng::seed_from_u64(55);
+        let params = ParamSet::Test.params();
+        let beta = params.ksk_decomp.base() as i64;
+        let level = params.ksk_decomp.level();
+        let turning = [0, 1, -1, -beta / 2, beta / 2];
+        let key_in = LweSecretKey::generate(40, &mut rng);
+        for dim_out in [592usize, 2] {
+            let key_out = LweSecretKey::generate(dim_out, &mut rng);
+            let ksk = KeySwitchKey::generate(&key_in, &key_out, &params, &mut rng);
+            assert_eq!(
+                (ksk.dim_in(), ksk.dim_out(), ksk.level()),
+                (40, dim_out, level)
+            );
+            let cts: Vec<LweCiphertext> = (0..5usize)
+                .map(|c| {
+                    let mask = (0..key_in.dim())
+                        .map(|i| match c {
+                            0..=2 => {
+                                let digits: Vec<i64> = (0..level)
+                                    .map(|j| turning[(i + c * j + j) % turning.len()])
+                                    .collect();
+                                ksk.decomposer.recompose_scalar(&digits)
+                            }
+                            _ => morphling_math::sampling::uniform_torus(&mut rng),
+                        })
+                        .collect();
+                    LweCiphertext::from_parts(mask, Torus32::encode(c as u64, 8))
+                })
+                .collect();
+            let seen: std::collections::BTreeSet<i64> = cts
+                .iter()
+                .flat_map(|ct| ct.mask())
+                .flat_map(|a| ksk.decomposer.decompose_scalar(*a))
+                .collect();
+            assert!([0, 1, -1, -beta / 2].iter().all(|d| seen.contains(d)));
+            let chunk = ksk.try_key_switch_many(&cts).unwrap();
+            assert_eq!(chunk.len(), cts.len());
+            for (c, (ct, out)) in cts.iter().zip(&chunk).enumerate() {
+                assert_eq!(out, &ksk.key_switch(ct), "dim_out={dim_out} c={c}");
+                assert_eq!(
+                    out,
+                    &by_ciphertext_algebra(&ksk, ct),
+                    "dim_out={dim_out} c={c}"
+                );
             }
         }
-        assert_eq!(ksk.key_switch(&ct), want);
+    }
+
+    #[test]
+    fn a_chunk_with_a_misfit_switches_nothing_and_an_empty_one_is_empty() {
+        let mut rng = StdRng::seed_from_u64(56);
+        let params = ParamSet::Test.params();
+        let key_in = LweSecretKey::generate(16, &mut rng);
+        let key_out = LweSecretKey::generate(8, &mut rng);
+        let ksk = KeySwitchKey::generate(&key_in, &key_out, &params, &mut rng);
+        let good = LweCiphertext::trivial(Torus32::ZERO, 16);
+        let bad = LweCiphertext::trivial(Torus32::ZERO, 15);
+        assert_eq!(
+            ksk.try_key_switch_many(&[good, bad]).unwrap_err(),
+            TfheError::KeySwitchDimensionMismatch {
+                expected: 16,
+                got: 15
+            }
+        );
+        assert_eq!(ksk.try_key_switch_many(&[]).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn from_words_takes_whole_rows_only() {
+        let mut rng = StdRng::seed_from_u64(57);
+        let params = ParamSet::Test.params();
+        let key_in = LweSecretKey::generate(6, &mut rng);
+        let key_out = LweSecretKey::generate(4, &mut rng);
+        let ksk = KeySwitchKey::generate(&key_in, &key_out, &params, &mut rng);
+        let rebuilt = KeySwitchKey::from_words(ksk.words().to_vec(), params.ksk_decomp, 4).unwrap();
+        assert_eq!(rebuilt.words(), ksk.words());
+        assert_eq!(rebuilt.dim_in(), 6);
+        assert_eq!(rebuilt.row(5, 3), &ksk.words()[ksk.words().len() - 5..]);
+        for (words, decomp, dim_out) in [
+            (ksk.words()[1..].to_vec(), params.ksk_decomp, 4),
+            (ksk.words().to_vec(), params.ksk_decomp, 6),
+            (ksk.words().to_vec(), DecompParams::new(11, 3), 4),
+            (ksk.words().to_vec(), params.ksk_decomp, usize::MAX),
+        ] {
+            assert!(matches!(
+                KeySwitchKey::from_words(words, decomp, dim_out),
+                Err(TfheError::KeyCorrupted { .. })
+            ));
+        }
     }
 
     #[test]

@@ -5,19 +5,27 @@
 //!
 //! ```text
 //! magic   b"MPHK"                      4 bytes
-//! version u16 little-endian            2 bytes   (currently 1)
+//! version u16 little-endian            2 bytes   (currently 2)
 //! kind    u8                           1 byte    (which key type follows)
 //! length  u64 little-endian            8 bytes   (payload byte count)
 //! payload length bytes
-//! check   u64 little-endian            8 bytes   (FNV-1a-64 over all
-//!                                                 preceding bytes)
+//! check   u64 little-endian            8 bytes   (over all preceding
+//!                                                 bytes; see below)
 //! ```
 //!
 //! All multi-byte integers are little-endian; torus values travel as raw
 //! `u32` words; noise parameters as IEEE-754 `f64` bit patterns; secret
 //! key bits are packed eight to a byte. The bootstrapping key is
 //! serialized in the **coefficient domain** only — the transform-domain
-//! form is recomputed on load, never trusted from the wire.
+//! form is recomputed on load, never trusted from the wire. The
+//! key-switching key's payload is its in-memory layout: a shape header,
+//! then every `KSK_(i,j)` as `dim_out + 1` words in the order the key
+//! switch streams them.
+//!
+//! The version selects the checksum and nothing else. Version 2 (written)
+//! folds eight bytes per multiply (`fnv1a_words`); version 1 (still read)
+//! is byte-wise FNV-1a-64, whose one multiply per byte was half to two
+//! thirds of a cold key load.
 //!
 //! Deserialization never panics on malformed input: every framing,
 //! bounds, checksum, or shape violation surfaces as
@@ -33,14 +41,15 @@ use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweCiphertext;
 use crate::keys::{GlweSecretKey, LweSecretKey};
 use crate::ksk::KeySwitchKey;
-use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
 use crate::server::{MulBackend, ServerKey};
 
 /// Frame magic: "MPHK" (Morphling key).
 const MAGIC: [u8; 4] = *b"MPHK";
-/// Current wire-format version.
-const VERSION: u16 = 1;
+/// Current wire-format version: what [`Writer::frame`] writes.
+const VERSION: u16 = 2;
+/// Bytes in front of a frame's payload: magic, version, kind, length.
+const HEADER: usize = 15;
 
 /// Frame kind tags, one per serializable key type. The variants
 /// intentionally mirror the key type names they tag.
@@ -61,16 +70,34 @@ const KNOWN_NAMES: [&str; 11] = [
     "I", "II", "III", "IV", "A", "B", "C", "FIG1", "TEST", "TEST-M", "CUSTOM",
 ];
 
-/// FNV-1a 64-bit over `bytes` — cheap, dependency-free, and plenty to
-/// catch truncation and bit flips (malice is out of scope: blobs come
-/// from the operator's own key backend).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit over `bytes`, continuing from `h` — cheap,
+/// dependency-free, and plenty to catch truncation and bit flips (malice
+/// is out of scope: blobs come from the operator's own key backend). The
+/// checksum of version-1 frames.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// The checksum of version-2 frames: FNV-1a taking a little-endian `u64`
+/// per step where the original takes a byte, with a fold of the high half
+/// into the low one after each multiply (a multiply only carries upwards),
+/// and plain [`fnv1a`] over the last `len % 8` bytes. Every step — xor
+/// with the data, multiply by an odd constant, xor-shift — is a bijection
+/// of `h`, so any corruption confined to one word changes the result.
+fn fnv1a_words(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = FNV_OFFSET;
+    for w in &mut words {
+        let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        h = (h ^ w).wrapping_mul(FNV_PRIME);
+        h ^= h >> 32;
     }
-    h
+    fnv1a(h, words.remainder())
 }
 
 fn corrupt(detail: impl Into<String>) -> TfheError {
@@ -88,8 +115,39 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+    /// Start a frame of `kind` in a buffer with room for `payload` bytes
+    /// of payload (a hint: the length field is filled in by
+    /// [`finish`](Self::finish)).
+    fn frame(kind: Kind, payload: usize) -> Self {
+        let mut w = Self {
+            buf: Vec::with_capacity(HEADER + payload + 8),
+        };
+        w.bytes(&MAGIC);
+        w.bytes(&VERSION.to_le_bytes());
+        w.u8(kind as u8);
+        w.open_len();
+        w
+    }
+
+    /// Close the frame: payload length, then the checksum of everything
+    /// before it.
+    fn finish(mut self) -> Vec<u8> {
+        self.close_len(HEADER - 8);
+        let check = fnv1a_words(&self.buf);
+        self.u64(check);
+        self.buf
+    }
+
+    /// A length field counting what follows it, up to the matching
+    /// [`close_len`](Self::close_len): returns where it sits.
+    fn open_len(&mut self) -> usize {
+        self.u64(0);
+        self.buf.len() - 8
+    }
+
+    fn close_len(&mut self, at: usize) {
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     fn u8(&mut self, v: u8) {
@@ -127,23 +185,18 @@ impl Writer {
         }
     }
 
-    fn torus_poly(&mut self, p: &Polynomial<Torus32>) {
-        for &c in p.coeffs() {
-            self.u32(c.into_raw());
+    fn torus_words(&mut self, words: &[Torus32]) {
+        let at = self.buf.len();
+        self.buf.resize(at + 4 * words.len(), 0);
+        for (dst, w) in self.buf[at..].chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.into_raw().to_le_bytes());
         }
     }
 
     fn glwe(&mut self, ct: &GlweCiphertext) {
         for comp in ct.components() {
-            self.torus_poly(comp);
+            self.torus_words(comp.coeffs());
         }
-    }
-
-    fn lwe(&mut self, ct: &LweCiphertext) {
-        for &a in ct.mask() {
-            self.u32(a.into_raw());
-        }
-        self.u32(ct.body().into_raw());
     }
 }
 
@@ -214,12 +267,19 @@ impl<'a> Reader<'a> {
         Ok(bits)
     }
 
+    /// `n` torus words, taken as one bounds-checked run of `4·n` bytes.
+    fn torus_words(&mut self, n: usize) -> Result<Vec<Torus32>, TfheError> {
+        let len = n
+            .checked_mul(4)
+            .ok_or_else(|| corrupt(format!("{n} torus words overflow usize")))?;
+        let words = self.take(len)?.chunks_exact(4);
+        Ok(words
+            .map(|b| Torus32::from_raw(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect())
+    }
+
     fn torus_poly(&mut self, n: usize) -> Result<Polynomial<Torus32>, TfheError> {
-        let mut coeffs = Vec::with_capacity(n);
-        for _ in 0..n {
-            coeffs.push(Torus32::from_raw(self.u32()?));
-        }
-        Ok(Polynomial::from_coeffs(coeffs))
+        Ok(Polynomial::from_coeffs(self.torus_words(n)?))
     }
 
     fn glwe(&mut self, k: usize, n: usize) -> Result<GlweCiphertext, TfheError> {
@@ -231,20 +291,16 @@ impl<'a> Reader<'a> {
         Ok(GlweCiphertext::from_parts(masks, body))
     }
 
-    fn lwe(&mut self, dim: usize) -> Result<LweCiphertext, TfheError> {
-        let mut mask = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            mask.push(Torus32::from_raw(self.u32()?));
-        }
-        let body = Torus32::from_raw(self.u32()?);
-        Ok(LweCiphertext::from_parts(mask, body))
+    /// Bytes not yet taken.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn done(&self) -> Result<(), TfheError> {
-        if self.pos != self.buf.len() {
+        if self.remaining() != 0 {
             return Err(corrupt(format!(
                 "trailing garbage: {} unread payload bytes",
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         Ok(())
@@ -254,18 +310,6 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
-
-fn frame(kind: Kind, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 23);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind as u8);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let check = fnv1a(&out);
-    out.extend_from_slice(&check.to_le_bytes());
-    out
-}
 
 fn unframe(bytes: &[u8], want: Kind) -> Result<&[u8], TfheError> {
     let mut r = Reader::new(bytes);
@@ -277,11 +321,15 @@ fn unframe(bytes: &[u8], want: Kind) -> Result<&[u8], TfheError> {
         let b = r.take(2)?;
         u16::from_le_bytes([b[0], b[1]])
     };
-    if version != VERSION {
-        return Err(corrupt(format!(
-            "unsupported version {version} (expected {VERSION})"
-        )));
-    }
+    let checksum: fn(&[u8]) -> u64 = match version {
+        1 => |bytes: &[u8]| fnv1a(FNV_OFFSET, bytes),
+        VERSION => fnv1a_words,
+        _ => {
+            return Err(corrupt(format!(
+                "unsupported version {version} (expected 1 or {VERSION})"
+            )))
+        }
+    };
     let kind = r.u8()?;
     if kind != want as u8 {
         return Err(corrupt(format!(
@@ -294,7 +342,7 @@ fn unframe(bytes: &[u8], want: Kind) -> Result<&[u8], TfheError> {
     let check = r.u64()?;
     r.done()
         .map_err(|_| corrupt("trailing bytes after checksum"))?;
-    let computed = fnv1a(&bytes[..bytes.len() - 8]);
+    let computed = checksum(&bytes[..bytes.len() - 8]);
     if check != computed {
         return Err(corrupt(format!(
             "checksum mismatch: stored {check:#018x}, computed {computed:#018x}"
@@ -384,13 +432,6 @@ fn read_params(r: &mut Reader<'_>) -> Result<TfheParams, TfheError> {
 // Per-type payloads
 // ---------------------------------------------------------------------
 
-fn lwe_secret_key_payload(key: &LweSecretKey) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize(key.dim());
-    w.packed_bits(key.bits());
-    w.buf
-}
-
 fn read_lwe_secret_key(r: &mut Reader<'_>) -> Result<LweSecretKey, TfheError> {
     let n = r.len_field("LWE key dimension")?;
     let bits = r.packed_bits(n)?;
@@ -399,7 +440,10 @@ fn read_lwe_secret_key(r: &mut Reader<'_>) -> Result<LweSecretKey, TfheError> {
 
 /// Serialize an [`LweSecretKey`].
 pub fn serialize_lwe_secret_key(key: &LweSecretKey) -> Vec<u8> {
-    frame(Kind::LweSecretKey, lwe_secret_key_payload(key))
+    let mut w = Writer::frame(Kind::LweSecretKey, 8 + key.dim().div_ceil(8));
+    w.usize(key.dim());
+    w.packed_bits(key.bits());
+    w.finish()
 }
 
 /// Deserialize an [`LweSecretKey`].
@@ -413,16 +457,6 @@ pub fn deserialize_lwe_secret_key(bytes: &[u8]) -> Result<LweSecretKey, TfheErro
     let key = read_lwe_secret_key(&mut r)?;
     r.done()?;
     Ok(key)
-}
-
-fn glwe_secret_key_payload(key: &GlweSecretKey) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize(key.dim());
-    w.usize(key.poly_size());
-    for p in key.polys() {
-        w.packed_bits(p.coeffs());
-    }
-    w.buf
 }
 
 fn read_glwe_secret_key(r: &mut Reader<'_>) -> Result<GlweSecretKey, TfheError> {
@@ -440,7 +474,16 @@ fn read_glwe_secret_key(r: &mut Reader<'_>) -> Result<GlweSecretKey, TfheError> 
 
 /// Serialize a [`GlweSecretKey`].
 pub fn serialize_glwe_secret_key(key: &GlweSecretKey) -> Vec<u8> {
-    frame(Kind::GlweSecretKey, glwe_secret_key_payload(key))
+    let mut w = Writer::frame(
+        Kind::GlweSecretKey,
+        16 + key.dim() * key.poly_size().div_ceil(8),
+    );
+    w.usize(key.dim());
+    w.usize(key.poly_size());
+    for p in key.polys() {
+        w.packed_bits(p.coeffs());
+    }
+    w.finish()
 }
 
 /// Deserialize a [`GlweSecretKey`].
@@ -456,8 +499,15 @@ pub fn deserialize_glwe_secret_key(bytes: &[u8]) -> Result<GlweSecretKey, TfheEr
     Ok(key)
 }
 
-fn bootstrap_key_payload(key: &BootstrapKey) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Payload bytes of a [`BootstrapKey`]: what [`write_bootstrap_key`]
+/// appends.
+fn bootstrap_key_len(key: &BootstrapKey) -> usize {
+    let first = key.coefficient(0);
+    let polys = (first.glwe_dim() + 1) * first.level() * (first.glwe_dim() + 1);
+    32 + 4 * key.lwe_dim() * polys * first.poly_size()
+}
+
+fn write_bootstrap_key(w: &mut Writer, key: &BootstrapKey) {
     let n_ggsw = key.lwe_dim();
     let first = key.coefficient(0);
     w.usize(n_ggsw);
@@ -469,7 +519,6 @@ fn bootstrap_key_payload(key: &BootstrapKey) -> Vec<u8> {
             w.glwe(row);
         }
     }
-    w.buf
 }
 
 fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
@@ -495,7 +544,9 @@ fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
 /// Serialize a [`BootstrapKey`] (coefficient domain only — the Fourier
 /// form is recomputed on load).
 pub fn serialize_bootstrap_key(key: &BootstrapKey) -> Vec<u8> {
-    frame(Kind::BootstrapKey, bootstrap_key_payload(key))
+    let mut w = Writer::frame(Kind::BootstrapKey, bootstrap_key_len(key));
+    write_bootstrap_key(&mut w, key);
+    w.finish()
 }
 
 /// Deserialize a [`BootstrapKey`], regenerating its transform-domain
@@ -512,18 +563,18 @@ pub fn deserialize_bootstrap_key(bytes: &[u8]) -> Result<BootstrapKey, TfheError
     Ok(key)
 }
 
-fn key_switch_key_payload(key: &KeySwitchKey) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Payload bytes of a [`KeySwitchKey`]: what [`write_key_switch_key`]
+/// appends.
+fn key_switch_key_len(key: &KeySwitchKey) -> usize {
+    28 + 4 * key.words().len()
+}
+
+fn write_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     w.usize(key.dim_in());
     w.usize(key.dim_out());
     w.u32(key.decomp_params().base_log());
     w.usize(key.decomp_params().level());
-    for row in key.rows() {
-        for ct in row {
-            w.lwe(ct);
-        }
-    }
-    w.buf
+    w.torus_words(key.words());
 }
 
 fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
@@ -534,24 +585,30 @@ fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
     if base_log == 0 || base_log > 32 || level == 0 || base_log as usize * level > 32 {
         return Err(corrupt("KSK decomposition parameters out of range"));
     }
-    let mut rows = Vec::with_capacity(dim_in);
-    for _ in 0..dim_in {
-        let mut row = Vec::with_capacity(level);
-        for _ in 0..level {
-            row.push(r.lwe(dim_out)?);
-        }
-        rows.push(row);
-    }
-    Ok(KeySwitchKey::from_rows(
-        rows,
+    // The header must account for exactly the words that are there,
+    // before anything is allocated for them.
+    let words = (dim_out.checked_add(1))
+        .and_then(|width| width.checked_mul(level))
+        .and_then(|per_input| per_input.checked_mul(dim_in))
+        .filter(|&words| words.checked_mul(4) == Some(r.remaining()))
+        .ok_or_else(|| {
+            corrupt(format!(
+                "KSK header {dim_in}×{level}×({dim_out}+1) words disagrees with {} payload bytes",
+                r.remaining()
+            ))
+        })?;
+    KeySwitchKey::from_words(
+        r.torus_words(words)?,
         DecompParams::new(base_log, level),
         dim_out,
-    ))
+    )
 }
 
 /// Serialize a [`KeySwitchKey`].
 pub fn serialize_key_switch_key(key: &KeySwitchKey) -> Vec<u8> {
-    frame(Kind::KeySwitchKey, key_switch_key_payload(key))
+    let mut w = Writer::frame(Kind::KeySwitchKey, key_switch_key_len(key));
+    write_key_switch_key(&mut w, key);
+    w.finish()
 }
 
 /// Deserialize a [`KeySwitchKey`].
@@ -588,20 +645,28 @@ fn backend_from_tag(tag: u8) -> Result<MulBackend, TfheError> {
 
 /// Serialize a [`ServerKey`]: parameter block, backend + engine flags,
 /// then the embedded BSK and KSK payloads.
+///
+/// Everything is written once, into one buffer sized up front (the
+/// payload is 58 MB at Set III).
 pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
-    let mut w = Writer::new();
+    let (bsk, ksk) = (key.bootstrap_key(), key.key_switch_key());
+    // 128 bytes cover the parameter block, the flags and the two lengths.
+    let mut w = Writer::frame(
+        Kind::ServerKey,
+        128 + bootstrap_key_len(bsk) + key_switch_key_len(ksk),
+    );
     write_params(&mut w, key.params());
     w.u8(backend_tag(key.backend()));
     // Reserved: earlier writers stored two transform-path flags here.
     w.u8(0);
     w.u8(0);
-    let bsk = bootstrap_key_payload(key.bootstrap_key());
-    w.usize(bsk.len());
-    w.bytes(&bsk);
-    let ksk = key_switch_key_payload(key.key_switch_key());
-    w.usize(ksk.len());
-    w.bytes(&ksk);
-    frame(Kind::ServerKey, w.buf)
+    let at = w.open_len();
+    write_bootstrap_key(&mut w, bsk);
+    w.close_len(at);
+    let at = w.open_len();
+    write_key_switch_key(&mut w, ksk);
+    w.close_len(at);
+    w.finish()
 }
 
 /// Deserialize a [`ServerKey`], rebuilding its transform engine (and the
@@ -655,9 +720,32 @@ mod tests {
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Canonical FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn word_wise_checksum_is_fnv1a_on_the_tail_and_sees_every_byte() {
+        // Shorter than a word, it is FNV-1a itself.
+        assert_eq!(fnv1a_words(b"foobar"), fnv1a(FNV_OFFSET, b"foobar"));
+        // One word is one step; the tail continues from it byte-wise.
+        let step = (FNV_OFFSET ^ u64::from_le_bytes(*b"morphlin")).wrapping_mul(FNV_PRIME);
+        let step = step ^ (step >> 32);
+        assert_eq!(fnv1a_words(b"morphlin"), step);
+        assert_eq!(fnv1a_words(b"morphling"), fnv1a(step, b"g"));
+        // Every bit of every byte, in whole words and in the tail, and
+        // every length, moves the result.
+        let data: Vec<u8> = (0..29u8).map(|i| i.wrapping_mul(37)).collect();
+        let clean = fnv1a_words(&data);
+        for pos in 0..data.len() {
+            for bit in 0..8 {
+                let mut bad = data.clone();
+                bad[pos] ^= 1 << bit;
+                assert_ne!(fnv1a_words(&bad), clean, "byte {pos} bit {bit}");
+            }
+            assert_ne!(fnv1a_words(&data[..pos]), clean, "cut at {pos}");
+        }
     }
 
     #[test]
@@ -692,6 +780,8 @@ mod tests {
         let ck = ClientKey::generate(params, &mut rng);
         let sk = ServerKey::new(&ck, &mut rng);
         let blob = serialize_server_key(&sk);
+        // Written once into a buffer sized up front: it never regrew.
+        assert!(blob.capacity() - blob.len() < 128, "{}", blob.capacity());
         let back = deserialize_server_key(&blob).unwrap();
         assert_eq!(back.params(), sk.params());
         assert_eq!(back.backend(), sk.backend());
@@ -703,7 +793,7 @@ mod tests {
                 "BSK_{i}"
             );
         }
-        assert_eq!(back.key_switch_key().rows(), sk.key_switch_key().rows());
+        assert_eq!(back.key_switch_key().words(), sk.key_switch_key().words());
         // ...and so does a bootstrap through the reloaded key.
         let lut = crate::Lut::identity(sk.params().poly_size, 4);
         let ct = ck.encrypt(3, &mut rng);

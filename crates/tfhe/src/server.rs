@@ -1,12 +1,12 @@
 //! The server key: all public material and homomorphic operations,
 //! including programmable bootstrapping and bootstrapped boolean gates.
 
-use morphling_math::{Polynomial, Torus32, TorusScalar};
+use morphling_math::{Torus32, TorusScalar};
 use rand::Rng;
 
 use crate::bootstrap::{
-    blind_rotate_assign, blind_rotate_assign_many, blind_rotate_exact, blind_rotate_ntt,
-    initial_accumulator, modulus_switch, sample_extract,
+    blind_rotate_assign_many, blind_rotate_exact, blind_rotate_ntt, initial_accumulator,
+    modulus_switch, sample_extract,
 };
 use crate::bootstrap_key::BootstrapKey;
 use crate::error::TfheError;
@@ -141,6 +141,12 @@ impl ServerKeyBuilder {
         ServerKey::from_parts(params, bsk, ksk, self.backend)
     }
 }
+
+/// One item of a bootstrap chunk: a ciphertext and the LUTs it is
+/// evaluated through, in output order. One LUT is a plain bootstrap;
+/// several are a multi-value bootstrap (one rotation when they share a
+/// factor); none produce nothing.
+pub(crate) type ChunkItem<'a> = (&'a LweCiphertext, Vec<&'a Lut>);
 
 /// Public evaluation key material: bootstrapping key, key-switching key,
 /// and the transform engine.
@@ -349,7 +355,8 @@ impl ServerKey {
     /// The configurable bootstrap every `try_programmable_bootstrap*`
     /// variant delegates to: modulus switch, blind rotation, sample
     /// extraction, and — per [`BootstrapOptions`] — the final key switch,
-    /// optionally through a caller-owned workspace.
+    /// optionally through a caller-owned workspace. A chunk of one item
+    /// with one LUT.
     ///
     /// # Errors
     ///
@@ -362,25 +369,15 @@ impl ServerKey {
         lut: &Lut,
         opts: BootstrapOptions<'_>,
     ) -> Result<LweCiphertext, TfheError> {
-        self.validate_bootstrap_inputs(ct, lut)?;
-        // MS: rescale the ciphertext to exponents mod 2N.
-        let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
-        let extracted = match opts.workspace {
-            Some(ws) => {
-                let acc = self.rotate_accumulator(lut.polynomial(), &mask, b_tilde, ws);
-                sample_extract(&acc)
-            }
-            None => {
-                let mut ws = self.workspace();
-                let acc = self.rotate_accumulator(lut.polynomial(), &mask, b_tilde, &mut ws);
-                sample_extract(&acc)
-            }
+        let items = [(ct, vec![lut])];
+        let mut extracted = match opts.workspace {
+            Some(ws) => self.extract_chunk(&items, ws)?,
+            None => self.extract_chunk(&items, &mut self.workspace())?,
         };
         if opts.keyswitch {
-            self.ksk.try_key_switch(&extracted)
-        } else {
-            Ok(extracted)
+            extracted = self.ksk.try_key_switch_many(&extracted)?;
         }
+        Ok(extracted.swap_remove(0))
     }
 
     fn validate_bootstrap_inputs(&self, ct: &LweCiphertext, lut: &Lut) -> Result<(), TfheError> {
@@ -399,38 +396,41 @@ impl ServerKey {
         Ok(())
     }
 
-    /// BR: n external products starting from `X^(−b̃)·tp`, updating the
-    /// accumulator in place through the workspace on the FFT backends.
-    fn rotate_accumulator(
+    /// BR: `n` external products per accumulator, each starting from its
+    /// `X^(−b̃)·tp`. On the FFT backend the rotations advance together, one
+    /// CMUX step at a time ([`blind_rotate_assign_many`]), so that each
+    /// `BSK_i` is fetched from memory once for all of them; the exact
+    /// backends take them one after another.
+    fn rotate_accumulators(
         &self,
-        tp: &Polynomial<Torus32>,
-        mask: &[u64],
-        b_tilde: u64,
+        accs: &mut [GlweCiphertext],
+        masks: &[Vec<u64>],
         ws: &mut BootstrapWorkspace,
-    ) -> GlweCiphertext {
-        let mut acc = initial_accumulator(tp, self.params.glwe_dim, b_tilde);
+    ) {
         match self.backend {
-            MulBackend::Fft => {
-                blind_rotate_assign(&self.engine, &self.bsk, &mut acc, mask, ws);
-            }
+            MulBackend::Fft => blind_rotate_assign_many(&self.engine, &self.bsk, accs, masks, ws),
             MulBackend::Ntt => {
                 let ntt = crate::fft_cache::ntt_for(self.params.poly_size);
-                acc = blind_rotate_ntt(&self.params, &self.bsk, acc, mask, &ntt);
+                for (acc, mask) in accs.iter_mut().zip(masks) {
+                    *acc = blind_rotate_ntt(&self.params, &self.bsk, acc.clone(), mask, &ntt);
+                }
             }
             MulBackend::Exact => {
-                acc = blind_rotate_exact(&self.params, &self.bsk, acc, mask);
+                for (acc, mask) in accs.iter_mut().zip(masks) {
+                    *acc = blind_rotate_exact(&self.params, &self.bsk, acc.clone(), mask);
+                }
             }
         }
-        acc
     }
 
-    /// Bootstrap a chunk of independent `(ciphertext, LUT)` items. On the
-    /// FFT backends the chunk's blind rotations advance together, one
-    /// CMUX step at a time ([`blind_rotate_assign_many`]), so that each
-    /// `BSK_i` is fetched from memory once for the whole chunk — the batch
-    /// BSK reuse of §IV-C; the exact backends take the items one after
-    /// another. Either way the outputs are bit-identical to bootstrapping
-    /// each item separately.
+    /// Bootstrap a chunk of independent items, each a ciphertext and the
+    /// LUTs it goes through (outputs in item order, then LUT order): the
+    /// one path behind every bootstrap entry point and every backend. The
+    /// chunk's accumulators play Private-A1, and each key operand is
+    /// fetched once for all of them — `BSK_i` by
+    /// [`rotate_accumulators`](Self::rotate_accumulators), each KSK row by
+    /// [`KeySwitchKey::try_key_switch_many`] — the batch reuse of §IV-C.
+    /// Every output is bit-identical to bootstrapping its item alone.
     ///
     /// # Errors
     ///
@@ -438,33 +438,67 @@ impl ServerKey {
     /// for the first offending item; no item is bootstrapped then.
     pub(crate) fn try_bootstrap_chunk(
         &self,
-        items: &[(&LweCiphertext, &Lut)],
+        items: &[ChunkItem<'_>],
         ws: &mut BootstrapWorkspace,
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        for (ct, lut) in items {
-            self.validate_bootstrap_inputs(ct, lut)?;
-        }
-        if self.backend != MulBackend::Fft {
-            return items
-                .iter()
-                .map(|(ct, lut)| self.try_programmable_bootstrap_with(ct, lut, ws))
-                .collect();
+        self.ksk
+            .try_key_switch_many(&self.extract_chunk(items, ws)?)
+    }
+
+    /// [`try_bootstrap_chunk`](Self::try_bootstrap_chunk) up to the key
+    /// switch: the outputs under the extracted `k·N` key.
+    fn extract_chunk(
+        &self,
+        items: &[ChunkItem<'_>],
+        ws: &mut BootstrapWorkspace,
+    ) -> Result<Vec<LweCiphertext>, TfheError> {
+        for (ct, luts) in items {
+            for lut in luts {
+                self.validate_bootstrap_inputs(ct, lut)?;
+            }
         }
         let mut accs = Vec::with_capacity(items.len());
         let mut masks = Vec::with_capacity(items.len());
-        for (ct, lut) in items {
+        let mut plans = Vec::with_capacity(items.len());
+        for (ct, luts) in items {
+            // MS: rescale the ciphertext to exponents mod 2N.
             let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
-            accs.push(initial_accumulator(
-                lut.polynomial(),
-                self.params.glwe_dim,
-                b_tilde,
-            ));
-            masks.push(mask);
+            // One LUT has nothing to amortize, and its rotation is the
+            // plain bootstrap's. Several share one rotation of their
+            // common factor (see [`MultiLutPlan`]) — or, with no common
+            // power of two to extract (adversarial raw-torus LUTs), fall
+            // back to a rotation each.
+            let plan = match luts.len() {
+                0 | 1 => None,
+                _ => MultiLutPlan::build(luts.iter().copied()),
+            };
+            let test_polys = match &plan {
+                Some(plan) => vec![plan.common()],
+                None => luts.iter().map(|lut| lut.polynomial()).collect(),
+            };
+            for tp in test_polys {
+                accs.push(initial_accumulator(tp, self.params.glwe_dim, b_tilde));
+                masks.push(mask.clone());
+            }
+            plans.push(plan);
         }
-        blind_rotate_assign_many(&self.engine, &self.bsk, &mut accs, &masks, ws);
-        accs.iter()
-            .map(|acc| self.ksk.try_key_switch(&sample_extract(acc)))
-            .collect()
+        self.rotate_accumulators(&mut accs, &masks, ws);
+        let mut extracted = Vec::with_capacity(items.iter().map(|(_, luts)| luts.len()).sum());
+        let mut at = 0;
+        for ((_, luts), plan) in items.iter().zip(&plans) {
+            match plan {
+                Some(plan) => {
+                    let derived = (0..luts.len()).map(|i| plan.derive(i, &accs[at]));
+                    extracted.extend(derived.map(|acc| sample_extract(&acc)));
+                    at += 1;
+                }
+                None => {
+                    extracted.extend(accs[at..at + luts.len()].iter().map(sample_extract));
+                    at += luts.len();
+                }
+            }
+        }
+        Ok(extracted)
     }
 
     /// Multi-value bootstrapping: evaluate `k` LUTs of the same input for
@@ -513,7 +547,7 @@ impl ServerKey {
 
     /// [`try_programmable_bootstrap_many`]
     /// (Self::try_programmable_bootstrap_many) through a caller-owned
-    /// workspace.
+    /// workspace: a chunk of one item.
     ///
     /// # Errors
     ///
@@ -525,56 +559,7 @@ impl ServerKey {
         luts: &[Lut],
         ws: &mut BootstrapWorkspace,
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let refs: Vec<&Lut> = luts.iter().collect();
-        self.try_bootstrap_many_refs(ct, &refs, ws)
-    }
-
-    /// The multi-value core shared by every backend: validate, plan, one
-    /// rotation, k derivations. Takes LUT references so fanout batches can
-    /// borrow from a shared LUT pool without cloning.
-    pub(crate) fn try_bootstrap_many_refs(
-        &self,
-        ct: &LweCiphertext,
-        luts: &[&Lut],
-        ws: &mut BootstrapWorkspace,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        for lut in luts {
-            self.validate_bootstrap_inputs(ct, lut)?;
-        }
-        match luts {
-            [] => Ok(Vec::new()),
-            // One LUT has nothing to amortize; the plain path keeps k = 1
-            // bit-identical to `try_programmable_bootstrap`.
-            [lut] => Ok(vec![self.bootstrap_with_options(
-                ct,
-                lut,
-                BootstrapOptions::new().workspace(ws),
-            )?]),
-            _ => match MultiLutPlan::build(luts.iter().copied()) {
-                Some(plan) => {
-                    let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
-                    let acc = self.rotate_accumulator(plan.common(), &mask, b_tilde, ws);
-                    (0..luts.len())
-                        .map(|i| {
-                            self.ksk
-                                .try_key_switch(&sample_extract(&plan.derive(i, &acc)))
-                        })
-                        .collect()
-                }
-                // No common power of two to extract (adversarial raw-torus
-                // LUTs): fall back to one rotation per LUT.
-                None => luts
-                    .iter()
-                    .map(|lut| {
-                        self.bootstrap_with_options(
-                            ct,
-                            lut,
-                            BootstrapOptions::new().workspace(&mut *ws),
-                        )
-                    })
-                    .collect(),
-            },
-        }
+        self.try_bootstrap_chunk(&[(ct, luts.iter().collect())], ws)
     }
 
     /// The deterministic reference for multi-value bootstrapping: the same
@@ -583,7 +568,8 @@ impl ServerKey {
     /// blind rotation per LUT** instead of reusing a single rotation.
     /// Because the rotation is deterministic, outputs are bit-identical to
     /// the fused path — this is what tests and the `multivalue_bootstrap`
-    /// bench compare against.
+    /// bench compare against. Fewer than two LUTs, or LUTs with no common
+    /// factor, share nothing on the fused path either, and take it.
     ///
     /// # Errors
     ///
@@ -594,42 +580,22 @@ impl ServerKey {
         ct: &LweCiphertext,
         luts: &[Lut],
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let refs: Vec<&Lut> = luts.iter().collect();
-        for lut in &refs {
+        for lut in luts {
             self.validate_bootstrap_inputs(ct, lut)?;
         }
-        let mut ws = self.workspace();
-        match refs.as_slice() {
-            [] => Ok(Vec::new()),
-            [lut] => Ok(vec![self.bootstrap_with_options(
-                ct,
-                lut,
-                BootstrapOptions::new().workspace(&mut ws),
-            )?]),
-            _ => match MultiLutPlan::build(refs.iter().copied()) {
-                Some(plan) => {
-                    let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
-                    (0..refs.len())
-                        .map(|i| {
-                            let acc =
-                                self.rotate_accumulator(plan.common(), &mask, b_tilde, &mut ws);
-                            self.ksk
-                                .try_key_switch(&sample_extract(&plan.derive(i, &acc)))
-                        })
-                        .collect()
-                }
-                None => refs
-                    .iter()
-                    .map(|lut| {
-                        self.bootstrap_with_options(
-                            ct,
-                            lut,
-                            BootstrapOptions::new().workspace(&mut ws),
-                        )
-                    })
-                    .collect(),
-            },
-        }
+        let Some(plan) = MultiLutPlan::build(luts).filter(|_| luts.len() > 1) else {
+            return self.try_programmable_bootstrap_many(ct, luts);
+        };
+        let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
+        let common = initial_accumulator(plan.common(), self.params.glwe_dim, b_tilde);
+        let mut accs = vec![common; luts.len()];
+        self.rotate_accumulators(&mut accs, &vec![mask; luts.len()], &mut self.workspace());
+        let extracted: Vec<LweCiphertext> = accs
+            .iter()
+            .enumerate()
+            .map(|(i, acc)| sample_extract(&plan.derive(i, acc)))
+            .collect();
+        self.ksk.try_key_switch_many(&extracted)
     }
 
     /// Tree bootstrapping: evaluate `f(m_0, …, m_(d−1))` over `d`
@@ -999,6 +965,67 @@ mod tests {
                 assert_eq!(ck.decrypt(out), ck.decrypt(&plain), "m={m}");
             }
         }
+    }
+
+    #[test]
+    fn a_chunk_of_mixed_items_equals_each_item_alone() {
+        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let p = sk.params().plaintext_modulus;
+        let n = sk.params().poly_size;
+        let luts = [
+            Lut::identity(n, p),
+            Lut::from_fn(n, p, |m| (3 * m + 1) % p),
+            Lut::from_fn(n, p, |m| m / 2),
+        ];
+        // Odd raw-torus steps: no power of two to factor out.
+        let odd = [3u32, 5].map(|step| {
+            Lut::try_from_torus_fn(n, p, |m| Torus32::from_raw(m as u32 * step + 1)).unwrap()
+        });
+        assert!(MultiLutPlan::build(&odd).is_none());
+        let cts: Vec<LweCiphertext> = (0..5).map(|m| ck.encrypt(m % p, &mut rng)).collect();
+        let items: Vec<ChunkItem<'_>> = vec![
+            (&cts[0], luts.iter().collect()),
+            (&cts[1], vec![&luts[1]]),
+            (&cts[2], vec![]),
+            (&cts[3], odd.iter().collect()),
+            (&cts[4], vec![&luts[2], &luts[0]]),
+        ];
+        let mut ws = sk.workspace();
+        let chunk = sk.try_bootstrap_chunk(&items, &mut ws).unwrap();
+        let mut alone = sk.try_programmable_bootstrap_many(&cts[0], &luts).unwrap();
+        // A single-LUT item is the plain bootstrap, bit for bit; an empty
+        // list produces nothing; no common factor is a rotation per LUT.
+        alone.push(sk.try_programmable_bootstrap(&cts[1], &luts[1]).unwrap());
+        alone.extend(
+            odd.iter()
+                .map(|lut| sk.programmable_bootstrap(&cts[3], lut)),
+        );
+        let last = [luts[2].clone(), luts[0].clone()];
+        alone.extend(sk.try_programmable_bootstrap_many(&cts[4], &last).unwrap());
+        assert_eq!(chunk, alone);
+        assert_eq!(sk.try_bootstrap_chunk(&[], &mut ws).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn a_chunk_validates_every_item_before_bootstrapping_any() {
+        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let n = sk.params().poly_size;
+        let (good, wrong_size) = (Lut::identity(n, 4), Lut::identity(2 * n, 4));
+        let ct = ck.encrypt(1, &mut rng);
+        let wrong_dim = LweCiphertext::trivial(Torus32::ZERO, 3);
+        let mut ws = sk.workspace();
+        // The offender is the last LUT of the last (fanout) item.
+        let items: Vec<ChunkItem<'_>> =
+            vec![(&ct, vec![&good]), (&ct, vec![&good, &good, &wrong_size])];
+        assert!(matches!(
+            sk.try_bootstrap_chunk(&items, &mut ws),
+            Err(TfheError::LutSizeMismatch { .. })
+        ));
+        let items: Vec<ChunkItem<'_>> = vec![(&ct, vec![&good]), (&wrong_dim, vec![&good, &good])];
+        assert!(matches!(
+            sk.try_bootstrap_chunk(&items, &mut ws),
+            Err(TfheError::LweDimensionMismatch { .. })
+        ));
     }
 
     #[test]

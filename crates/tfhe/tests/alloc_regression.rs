@@ -96,25 +96,28 @@ fn warm_workspace_blind_rotation_is_allocation_free() {
         after - before
     );
 
-    // The key switch accumulates in place: its output ciphertext is the
-    // one allocation, whatever the digits are.
+    // The key switch accumulates in place, whatever the digits are and
+    // however long the key: a chunk's accumulators, its digit scratch and
+    // the output vector, then one mask per output ciphertext.
     let ksk = KeySwitchKey::generate(
         &ck.glwe_key().to_extracted_lwe_key(),
         ck.lwe_key(),
         &params,
         &mut rng,
     );
-    let extracted = sample_extract(&acc);
+    let extracted = vec![sample_extract(&acc); 3];
     let before = ALLOCS.load(Ordering::SeqCst);
-    let switched = ksk.try_key_switch(&extracted).expect("matching dimensions");
+    let switched = ksk
+        .try_key_switch_many(&extracted)
+        .expect("matching dimensions");
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
-        1,
-        "key switch allocated {} time(s), not just its output",
+        3 + extracted.len() as u64,
+        "key switch of a chunk allocated {} time(s), not just its buffers and outputs",
         after - before
     );
-    assert_eq!(switched.dim(), params.lwe_dim);
+    assert!(switched.iter().all(|ct| ct.dim() == params.lwe_dim));
 
     // The accumulator still decrypts to *something* sane (phases on the
     // torus): the zero-allocation loop did real work, not a no-op.

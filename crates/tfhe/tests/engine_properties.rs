@@ -151,6 +151,117 @@ fn chunked_bootstraps_are_bit_identical_to_one_at_a_time() {
     }
 }
 
+/// A LUT table with three LUTs that share a factor and two raw-torus ones
+/// (odd steps) that share none, and a fanout map over it that mixes list
+/// lengths: multi-value items, single-LUT items (the plain bootstrap) and
+/// no-common-factor items (one rotation per LUT).
+fn mixed_fanout(n: usize, inputs: usize) -> (Vec<Lut>, Vec<Vec<usize>>) {
+    let mut luts = vec![
+        Lut::identity(n, 4),
+        Lut::from_fn(n, 4, |m| (3 * m + 1) % 4),
+        Lut::from_fn(n, 4, |m| m / 2),
+    ];
+    for step in [3u32, 5] {
+        let raw = |m: u64| morphling_math::Torus32::from_raw(m as u32 * step + 1);
+        luts.push(Lut::try_from_torus_fn(n, 4, raw).expect("p divides N"));
+    }
+    let lists = [vec![0, 1, 2], vec![1], vec![3, 4], vec![2, 0], vec![0, 3]];
+    let map = (0..inputs)
+        .map(|i| lists[i % lists.len()].clone())
+        .collect();
+    (luts, map)
+}
+
+/// The default plan, seen from outside: every batch of `n` runs as at most
+/// `workers` jobs whose sizes differ by at most one and add up to `n`, and
+/// the results equal the sequential backend's — with and without fanout,
+/// for every `n` up to three chunks and one more.
+#[test]
+fn default_plan_is_balanced_and_matches_sequential_for_every_batch_size() {
+    let f = fixture();
+    let n_poly = f.server.params().poly_size;
+    let lut = Lut::from_fn(n_poly, 4, |m| (m + 1) % 4);
+    for workers in 1..=3usize {
+        let engine = BootstrapEngine::builder()
+            .workers(workers)
+            .build(Arc::clone(&f.server))
+            .expect("workers >= 1");
+        for n in 1..=3 * workers + 1 {
+            let msgs: Vec<u64> = (0..n as u64).collect();
+            let cts = encrypt_batch(&msgs);
+            let (luts, map) = mixed_fanout(n_poly, n);
+            let requests = [
+                BatchRequest::shared(cts.clone(), lut.clone()),
+                BatchRequest::fanned_out(cts, luts, map).expect("valid fanout"),
+            ];
+            for (fanout, request) in requests.iter().enumerate() {
+                engine.reset_stats();
+                let out = engine.try_bootstrap_batch(request).expect("engine batch");
+                let seq = f.server.try_bootstrap_batch(request).expect("sequential");
+                assert_eq!(out, seq, "workers={workers} n={n} fanout={fanout}");
+                let jobs: Vec<usize> = engine.job_spans().iter().map(|s| s.bootstraps).collect();
+                assert_eq!(jobs.len(), workers.min(n), "workers={workers} n={n}");
+                assert_eq!(jobs.iter().sum::<usize>(), n, "workers={workers} n={n}");
+                let (min, max) = (jobs.iter().min().unwrap(), jobs.iter().max().unwrap());
+                assert!(max - min <= 1, "workers={workers} n={n} jobs={jobs:?}");
+                assert_eq!(engine.stats().extractions as usize, request.output_len());
+            }
+        }
+    }
+}
+
+/// A fanout chunk — its items' rotations advancing together, its outputs
+/// key-switched together — against one multi-value bootstrap per
+/// ciphertext, under forced chunk sizes 1 and 3 and the default plan, on
+/// every backend that chunks.
+#[test]
+fn fanout_chunks_are_bit_identical_to_per_ciphertext_multi_value_bootstraps() {
+    for set in [ParamSet::Test, ParamSet::TestMedium] {
+        let mut rng = StdRng::seed_from_u64(0xFA40);
+        let client = ClientKey::generate(set.params(), &mut rng);
+        let server = Arc::new(ServerKey::new(&client, &mut rng));
+        let cts: Vec<LweCiphertext> = (0..11).map(|m| client.encrypt(m % 4, &mut rng)).collect();
+        let (luts, map) = mixed_fanout(server.params().poly_size, cts.len());
+        let mut per_ciphertext = Vec::new();
+        for (ct, list) in cts.iter().zip(&map) {
+            let of_item: Vec<Lut> = list.iter().map(|&j| luts[j].clone()).collect();
+            let outs = server
+                .try_programmable_bootstrap_many(ct, &of_item)
+                .expect("multi-value bootstrap");
+            if let [lut] = &of_item[..] {
+                assert_eq!(outs, [server.programmable_bootstrap(ct, lut)]);
+            }
+            per_ciphertext.extend(outs);
+        }
+        let request = BatchRequest::fanned_out(cts, luts, map).expect("valid fanout");
+        assert_eq!(
+            server.try_bootstrap_batch(&request).expect("server key"),
+            per_ciphertext,
+            "server key, set={set:?}"
+        );
+        let scoped = ParallelServerKey::new(Arc::clone(&server), 3).expect("threads");
+        assert_eq!(
+            scoped
+                .try_bootstrap_batch(&request)
+                .expect("scoped threads"),
+            per_ciphertext,
+            "scoped threads, set={set:?}"
+        );
+        for chunk in [Some(1usize), Some(3), None] {
+            let builder = BootstrapEngine::builder().workers(2);
+            let engine = chunk
+                .map_or(builder.clone(), |c| builder.chunk_size(c))
+                .build(Arc::clone(&server))
+                .expect("workers");
+            assert_eq!(
+                engine.try_bootstrap_batch(&request).expect("engine batch"),
+                per_ciphertext,
+                "engine, set={set:?} chunk={chunk:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn stats_reset_zeroes_every_counter() {
     let f = fixture();

@@ -13,7 +13,10 @@
 //!   partial key;
 //! - **corruption**: flipping any single bit of a valid blob fails
 //!   (magic, version, kind, length, payload, and checksum bytes are all
-//!   covered by the frame's FNV-1a checksum or its field validation).
+//!   covered by the frame's checksum or its field validation);
+//! - **versions**: frames are written as version 2 (word-wise checksum)
+//!   and version-1 frames (byte-wise FNV-1a) still load, with the same
+//!   guarantees.
 
 use std::sync::OnceLock;
 
@@ -86,17 +89,29 @@ fn server_key_round_trips_for_both_test_param_sets() {
     }
 }
 
-/// A server key as earlier writers framed it — backend tag 1 (the FFT
-/// path without merge-split) and the merge-split flag set — still loads:
-/// both spellings meant the one FFT path there is now, and re-encoding
-/// writes the tag and the flag as zero.
+/// `blob` as a version-1 writer framed it (or a damaged version-1 frame
+/// resealed): the version field says 1 and the trailer is byte-wise
+/// FNV-1a-64 over everything before it.
+fn as_version_1(blob: &[u8]) -> Vec<u8> {
+    let mut old = blob.to_vec();
+    old[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let body = old.len() - 8;
+    let check = old[..body]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    old[body..].copy_from_slice(&check.to_le_bytes());
+    old
+}
+
+/// A server key as earlier writers framed it — version 1, backend tag 1
+/// (the FFT path without merge-split) and the merge-split flag set —
+/// still loads: both spellings meant the one FFT path there is now, and
+/// re-encoding writes the current version and the tag and the flag as
+/// zero.
 #[test]
 fn frames_with_the_retired_transform_flags_still_load() {
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
     let mut rng = StdRng::seed_from_u64(0x33);
     let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
     let sk = ServerKey::new(&ck, &mut rng);
@@ -105,12 +120,11 @@ fn frames_with_the_retired_transform_flags_still_load() {
     // block: name length 1, name, and 77 bytes of fixed-width fields.
     let tag_at = 15 + 1 + usize::from(blob[15]) + 77;
     assert_eq!(blob[tag_at..tag_at + 2], [0, 0]);
+    assert_eq!(blob[4..6], 2u16.to_le_bytes());
     let mut old = blob.clone();
     old[tag_at] = 1;
     old[tag_at + 1] = 1;
-    let body = old.len() - 8;
-    let check = fnv1a(&old[..body]);
-    old[body..].copy_from_slice(&check.to_le_bytes());
+    let old = as_version_1(&old);
 
     let back = deserialize_server_key(&old).expect("an old frame loads");
     assert_eq!(back.backend(), MulBackend::Fft);
@@ -127,10 +141,111 @@ fn every_blob_round_trips_and_rejects_the_empty_input() {
     for (kind, blob) in blobs() {
         assert!(try_parse(kind, blob).is_ok(), "{kind}: round trip");
         assert!(
+            try_parse(kind, &as_version_1(blob)).is_ok(),
+            "{kind}: version 1"
+        );
+        assert!(
             matches!(try_parse(kind, &[]), Err(TfheError::KeyCorrupted { .. })),
             "{kind}: empty input must be KeyCorrupted"
         );
     }
+}
+
+/// One flipped bit at every byte is rejected, under both checksums. Every
+/// byte of the two Test-set secret keys and of a server key shrunk until
+/// a quadratic sweep is affordable (it has every field a real one has);
+/// the Test-set server key at a stride coprime to the checksum's word, so
+/// that every offset within a word and every region of the payload is hit.
+#[test]
+fn a_flipped_bit_at_every_byte_is_rejected_in_both_versions() {
+    let mut rng = StdRng::seed_from_u64(0x44);
+    let mut params = ParamSet::Test.params();
+    params.poly_size = 32;
+    params.lwe_dim = 3;
+    let ck = ClientKey::generate(params, &mut rng);
+    let small = serialize_server_key(&ServerKey::new(&ck, &mut rng));
+    assert!(deserialize_server_key(&small).is_ok());
+    let [lwe, glwe, _, _, server] = &blobs()[..] else {
+        unreachable!("five blobs")
+    };
+    let sweeps = [
+        (lwe.0, &lwe.1, 1),
+        (glwe.0, &glwe.1, 1),
+        ("server", &small, 1),
+        (server.0, &server.1, 1021),
+    ];
+    for (kind, blob, stride) in sweeps {
+        for blob in [blob.clone(), as_version_1(blob)] {
+            for pos in (0..blob.len()).step_by(stride) {
+                let mut bad = blob.clone();
+                bad[pos] ^= 1 << (pos % 8);
+                assert!(
+                    matches!(try_parse(kind, &bad), Err(TfheError::KeyCorrupted { .. })),
+                    "{kind} v{}: bit {} of byte {pos} flipped and the blob still parsed",
+                    blob[4],
+                    pos % 8
+                );
+            }
+        }
+    }
+}
+
+/// The key-switching key's payload is its in-memory layout: decoding it is
+/// one bulk read, and what comes back is the generated key row for row.
+#[test]
+fn flat_decoded_ksk_equals_the_generated_one() {
+    let mut rng = StdRng::seed_from_u64(0x55);
+    let params = ParamSet::Test.params();
+    let ck = ClientKey::generate(params.clone(), &mut rng);
+    let ksk = KeySwitchKey::generate(
+        &ck.glwe_key().to_extracted_lwe_key(),
+        ck.lwe_key(),
+        &params,
+        &mut rng,
+    );
+    let blob = serialize_key_switch_key(&ksk);
+    // Frame header 15, shape header 28, then the rows; checksum 8.
+    let payload = &blob[15 + 28..blob.len() - 8];
+    assert_eq!(payload.len() as u64, ksk.bytes());
+    let back = deserialize_key_switch_key(&blob).expect("round trip");
+    assert_eq!(
+        (back.dim_in(), back.dim_out(), back.decomp_params()),
+        (ksk.dim_in(), ksk.dim_out(), ksk.decomp_params())
+    );
+    let mut streamed = payload.chunks_exact(4);
+    for i in 0..ksk.dim_in() {
+        for j in 0..ksk.level() {
+            assert_eq!(back.row(i, j), ksk.row(i, j), "KSK_({i},{j})");
+            for (word, bytes) in ksk.row(i, j).iter().zip(&mut streamed) {
+                assert_eq!(word.into_raw().to_le_bytes(), bytes, "KSK_({i},{j})");
+            }
+        }
+    }
+    let ct = ck.encrypt(1, &mut rng);
+    let extracted = morphling_tfhe::LweCiphertext::trivial(ct.body(), ksk.dim_in());
+    assert_eq!(back.key_switch(&extracted), ksk.key_switch(&extracted));
+}
+
+/// A shape header that disagrees with the bytes behind it — here a frame
+/// resealed after its input dimension was changed — is a corrupted key,
+/// found before anything is allocated for it, not a panic.
+#[test]
+fn ksk_header_that_miscounts_its_words_is_rejected() {
+    let (_, blob) = &blobs()[3];
+    for dim_in in [0u64, 255, 257, 1 << 33, u64::MAX] {
+        let mut bad = blob.clone();
+        bad[15..23].copy_from_slice(&dim_in.to_le_bytes());
+        let err = deserialize_key_switch_key(&as_version_1(&bad)).unwrap_err();
+        assert!(
+            matches!(err, TfheError::KeyCorrupted { .. }),
+            "{dim_in}: {err}"
+        );
+    }
+    // The output dimension sets the row width: the same count of words no
+    // longer divides into rows.
+    let mut bad = blob.clone();
+    bad[23..31].copy_from_slice(&15u64.to_le_bytes());
+    assert!(deserialize_key_switch_key(&as_version_1(&bad)).is_err());
 }
 
 proptest! {
@@ -177,8 +292,8 @@ proptest! {
     }
 
     /// Flipping any single bit of a valid blob is rejected: either a
-    /// framing field stops matching or the FNV-1a checksum catches the
-    /// payload damage.
+    /// framing field stops matching or the checksum catches the payload
+    /// damage.
     #[test]
     fn any_bitflip_is_rejected(which in 0usize..5, pos_frac in 0.0f64..1.0, bit in 0u8..8) {
         let (kind, blob) = &blobs()[which];

@@ -107,6 +107,7 @@ pub use batch::{BatchScratch, PolyBatch, SpectrumBatch};
 pub use fft::FftPlan;
 pub use negacyclic::NegacyclicFft;
 pub use ntt::NegacyclicNtt;
+pub use simd::sub_scaled_rows;
 pub use spectrum::Spectrum;
 
 // The TFHE crate shares one transform engine per polynomial size across

@@ -22,7 +22,7 @@
 //!
 //! `unsafe` is confined to the [`avx2`] and [`avx512`] submodules.
 
-use morphling_math::{DecompParams, Torus32};
+use morphling_math::{DecompParams, Torus32, TorusScalar};
 
 /// One level of the signed gadget decomposition of a [`Torus32`], as the
 /// carry-free closed form of `SignedDecomposer::decompose_poly_into`:
@@ -266,6 +266,34 @@ impl Simd {
             Self::Avx2(isa) => isa.run(k),
             #[cfg(target_arch = "x86_64")]
             Self::Avx512(isa) => isa.run(k),
+        }
+    }
+}
+
+/// The key switch's inner loop, `out ← out − d·row` on the 32-bit torus: for
+/// each row of `rows` and each accumulator of `outs` (`width` words each,
+/// back to back), with `d` from `digits`, row-major; other shapes panic.
+pub fn sub_scaled_rows(outs: &mut [Torus32], digits: &[i32], rows: &[Torus32], width: usize) {
+    assert_eq!(outs.len() / width * (rows.len() / width), digits.len());
+    Simd::detect(width).run(SubScaledRows(outs, digits, rows, width));
+}
+
+/// [`sub_scaled_rows`] as a kernel: plain wrapping loops — exact on any ISA,
+/// in any row order — which the compiler vectorizes at its frame's width.
+struct SubScaledRows<'a>(&'a mut [Torus32], &'a [i32], &'a [Torus32], usize);
+
+impl Kernel for SubScaledRows<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, _isa: I) {
+        let Self(outs, digits, rows, width) = self;
+        let of_rows = digits.chunks_exact(outs.len() / width);
+        for (row, ds) in rows.chunks_exact(width).zip(of_rows) {
+            for (out, &d) in outs.chunks_exact_mut(width).zip(ds) {
+                for (o, k) in out.iter_mut().zip(row) {
+                    *o -= k.scalar_mul(i64::from(d));
+                }
+            }
         }
     }
 }
@@ -728,7 +756,8 @@ mod tests {
 
     /// What CI prints (`--nocapture`) so that a runner without an ISA
     /// says so in its log: the identity suites in `fft.rs`,
-    /// `negacyclic.rs` and `spectrum.rs` iterate this list.
+    /// `negacyclic.rs` and `spectrum.rs`, and the integer kernel's below,
+    /// iterate this list.
     #[test]
     fn identity_suites_cover_every_isa_of_this_cpu() {
         let names: Vec<&str> = Simd::every(8).into_iter().map(|(name, _)| name).collect();
@@ -742,6 +771,60 @@ mod tests {
         assert!(!["portable8", "avx512"].contains(&Simd::detect(4).name()));
         assert_eq!(Simd::detect(2).name(), "one-lane");
         assert!(Simd::every(4).iter().all(|(name, _)| *name != "avx512"));
+    }
+
+    #[test]
+    fn sub_scaled_rows_is_exact_on_every_isa() {
+        // Rows of 593 words (the paper sets' n + 1: odd, so every vector
+        // width leaves a tail), of 16 and of 3 (shorter than any vector);
+        // digits where the balanced decomposition turns, for β = 2⁵ and
+        // for the widest base there is; two rows, the second with the
+        // digits in another order.
+        let of_first = [0, 1, -1, 16, -16, 15, i32::MAX, i32::MIN];
+        let digits: Vec<i32> = of_first
+            .iter()
+            .chain(of_first.iter().rev())
+            .copied()
+            .collect();
+        for width in [593usize, 16, 3] {
+            let word = |i: usize| Torus32::from_raw((i as u32).wrapping_mul(0x9E37_79B9) ^ 0x5bd1);
+            let rows: Vec<Torus32> = (0..2 * width).map(word).collect();
+            let start: Vec<Torus32> = (0..of_first.len() * width).map(|i| word(i + 7)).collect();
+            // The same algebra on raw words: one wrapping multiply and
+            // one wrapping subtraction per word and row.
+            let mut want = start.clone();
+            for (row, of_row) in rows.chunks(width).zip(digits.chunks(of_first.len())) {
+                for (out, &d) in want.chunks_mut(width).zip(of_row) {
+                    for (o, k) in out.iter_mut().zip(row) {
+                        let scaled = k.into_raw().wrapping_mul(d as u32);
+                        *o = Torus32::from_raw(o.into_raw().wrapping_sub(scaled));
+                    }
+                }
+            }
+            let ran_on: Vec<&str> = Simd::every(width)
+                .into_iter()
+                .map(|(name, simd)| {
+                    let mut outs = start.clone();
+                    simd.run(SubScaledRows(&mut outs, &digits, &rows, width));
+                    assert_eq!(outs, want, "{name} width={width}");
+                    name
+                })
+                .collect();
+            println!(
+                "integer kernel, rows of {width}, ran on: {}",
+                ran_on.join(", ")
+            );
+            // What detection picks, through the public entry point.
+            let mut outs = start.clone();
+            sub_scaled_rows(&mut outs, &digits, &rows, width);
+            assert_eq!(outs, want, "detected, width={width}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn sub_scaled_rows_wants_one_digit_per_row_and_accumulator() {
+        sub_scaled_rows(&mut [Torus32::ZERO; 5], &[1, 2], &[Torus32::ZERO; 3], 3);
     }
 
     #[test]
