@@ -29,8 +29,8 @@
 //!   simulator re-costs instead of crashing on, plus re-exports of the
 //!   engine-side fault machinery.
 //! - [`hwmodel`]: the 28 nm area/power model (Table IV).
-//! - [`reference`]: published baseline numbers (CPU/GPU/FPGA/ASIC rows of
-//!   Table V) with provenance.
+//! - [`reference`](mod@reference): published baseline numbers
+//!   (CPU/GPU/FPGA/ASIC rows of Table V) with provenance.
 //!
 //! # Example: reproduce the headline throughput
 //!

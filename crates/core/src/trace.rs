@@ -9,19 +9,16 @@
 //!   dispatched instruction (unit, group, start/end cycle, stall cause);
 //! - the [simulator](crate::sim::SimReport) emits its per-stage latency
 //!   spans with bottleneck/stall attribution;
-//! - the software [`BootstrapEngine`](morphling_tfhe::BootstrapEngine)
-//!   worker pool's job spans convert via
-//!   [`ExecutionTrace::from_engine_spans`].
+//! - the software serving stack — engine, dispatcher, resilience layer,
+//!   key store — journals [`Event`]s on one process-wide time base, and
+//!   [`ExecutionTrace::add_events`] renders any slice of them.
 //!
 //! Everything is plain data — no I/O here; the `report` binary writes the
 //! JSON produced by [`ExecutionTrace::to_chrome_json`] to disk.
 
 use std::fmt::Write as _;
 
-use morphling_tfhe::{
-    AutotuneReport, DispatchSpan, FaultEvent, FaultEventKind, JobSpan, KeyEvent, KeyEventKind,
-    ResilienceEvent, ResilienceEventKind, SearchPoint,
-};
+use morphling_tfhe::{AutotuneReport, Event, EventKind, SearchPoint, Who};
 
 /// Why an instruction did not start the moment it became ready.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -227,236 +224,163 @@ impl ExecutionTrace {
         }
     }
 
-    /// Convert a [`BootstrapEngine`](morphling_tfhe::BootstrapEngine)
-    /// worker pool's job journal into a trace (one thread track per
-    /// worker, nanosecond stamps).
-    pub fn from_engine_spans(spans: &[JobSpan], workers: usize) -> Self {
-        let mut trace = ExecutionTrace::new(1e3);
-        let mut busy_ns = 0u64;
-        let mut jobs = 0u64;
-        for w in 0..workers {
-            // Pre-register so idle workers still show an (empty) track.
-            trace.track("BootstrapEngine", &format!("worker-{w}"));
-        }
-        for s in spans {
-            let track = trace.track("BootstrapEngine", &format!("worker-{}", s.worker));
-            // Multi-value jobs extract more outputs than they rotate; make
-            // that reuse visible in the span name (`job x2->x6`) and args.
-            let name = if s.extractions != s.bootstraps {
-                format!("job x{}->x{}", s.bootstraps, s.extractions)
-            } else {
-                format!("job x{}", s.bootstraps)
+    /// Render journal [`Event`]s (nanosecond stamps on the process epoch:
+    /// build the trace with `ExecutionTrace::new(1e3)`), whichever
+    /// journals they came from and in whatever order they were
+    /// concatenated:
+    ///
+    /// | who | kind | track | name | `cat` | args |
+    /// |---|---|---|---|---|---|
+    /// | `Worker(i)` | `Job` | `BootstrapEngine/worker-i` | `job xN` (`job xN->xM` for a fanout chunk) | `engine` | `bootstraps`, `extractions` |
+    /// | `Worker(i)` / `Engine` | fault and recovery instants | `BootstrapEngine/faults` | label | `fault` | `worker`; `batch`, `chunk_start`, `index`, `attempt` |
+    /// | `Dispatcher` | `Request` | `Dispatcher/queue`, plus one span per batch on `Dispatcher/execute` | `req ID`, `batch B xN` | `dispatch` | `batch`; `requests` |
+    /// | `Scope(name)` | retry, shed, breaker and failover instants | `Resilience/name` | label | `resilience` | `attempt`; `from`, `to` |
+    /// | `Tenant(t)` | cache transitions | `KeyStore/tenant-t` | label | `keystore` | `bytes` |
+    ///
+    /// Instants are one tick wide; an instant's name is its
+    /// [`EventKind::label`]. A batch's `execute` span is drawn once, at
+    /// the first of the adjacent request events that share its id, `xN`
+    /// counting them. Job spans set the `engine-pool` unit counters
+    /// (engines = worker tracks seen) and request spans the `dispatcher`
+    /// ones (busy = batch execution, stall = queueing).
+    pub fn add_events(&mut self, events: &[Event]) {
+        let batch_of = |e: &Event| match e.kind {
+            EventKind::Request { batch, .. } => Some(batch),
+            _ => None,
+        };
+        let mut pool = UnitCounters::default();
+        let mut dispatcher = UnitCounters {
+            engines: 1,
+            ..UnitCounters::default()
+        };
+        let mut open_batch = None;
+        let arg = |k: &str, v: &dyn ToString| (k.to_string(), v.to_string());
+        for (i, e) in events.iter().enumerate() {
+            let label = e.kind.label();
+            let (process, thread, name, cat, args) = match (&e.who, &e.kind) {
+                (
+                    Who::Worker(w),
+                    EventKind::Job {
+                        bootstraps,
+                        extractions,
+                    },
+                ) => {
+                    pool.instructions += 1;
+                    pool.busy += e.dur_ns;
+                    pool.engines = pool.engines.max(*w as u64 + 1);
+                    // Multi-value jobs extract more outputs than they
+                    // rotate; make that reuse visible in the span name.
+                    let name = if extractions != bootstraps {
+                        format!("job x{bootstraps}->x{extractions}")
+                    } else {
+                        format!("job x{bootstraps}")
+                    };
+                    let args = vec![
+                        arg("bootstraps", bootstraps),
+                        arg("extractions", extractions),
+                    ];
+                    (
+                        "BootstrapEngine",
+                        format!("worker-{w}"),
+                        name,
+                        "engine",
+                        args,
+                    )
+                }
+                (Who::Dispatcher, EventKind::Request { id, batch, exec_ns }) => {
+                    dispatcher.instructions += 1;
+                    dispatcher.stall += e.dur_ns;
+                    if open_batch != Some(*batch) {
+                        open_batch = Some(*batch);
+                        dispatcher.busy += exec_ns;
+                        let mates = events[i..].iter().filter_map(batch_of);
+                        let size = mates.take_while(|b| b == batch).count();
+                        let execute = self.track("Dispatcher", "execute");
+                        self.span_with_args(
+                            execute,
+                            &format!("batch {batch} x{size}"),
+                            "dispatch",
+                            e.at_ns + e.dur_ns,
+                            (*exec_ns).max(1),
+                            vec![arg("requests", &size)],
+                        );
+                    }
+                    let args = vec![arg("batch", batch)];
+                    (
+                        "Dispatcher",
+                        "queue".into(),
+                        format!("req {id}"),
+                        "dispatch",
+                        args,
+                    )
+                }
+                (Who::Tenant(t), kind) => {
+                    let args = match kind {
+                        EventKind::Load { bytes } | EventKind::Evict { bytes } => {
+                            vec![arg("bytes", bytes)]
+                        }
+                        _ => Vec::new(),
+                    };
+                    (
+                        "KeyStore",
+                        format!("tenant-{t}"),
+                        label.into(),
+                        "keystore",
+                        args,
+                    )
+                }
+                (Who::Scope(scope), kind) => {
+                    let args = match kind {
+                        EventKind::Retry { attempt } => vec![arg("attempt", attempt)],
+                        EventKind::Failover { from } => vec![arg("from", from), arg("to", scope)],
+                        _ => Vec::new(),
+                    };
+                    (
+                        "Resilience",
+                        scope.to_string(),
+                        label.into(),
+                        "resilience",
+                        args,
+                    )
+                }
+                (who, kind) => {
+                    let mut args = Vec::new();
+                    if let Who::Worker(w) = who {
+                        args.push(arg("worker", w));
+                    }
+                    match kind {
+                        EventKind::WatchdogTimeout { batch, chunk_start } => {
+                            args.push(arg("batch", batch));
+                            args.push(arg("chunk_start", chunk_start));
+                        }
+                        EventKind::OutputCheckFailed { index } => args.push(arg("index", index)),
+                        EventKind::ChunkRetry {
+                            chunk_start,
+                            attempt,
+                        } => {
+                            args.push(arg("chunk_start", chunk_start));
+                            args.push(arg("attempt", attempt));
+                        }
+                        _ => {}
+                    }
+                    (
+                        "BootstrapEngine",
+                        "faults".into(),
+                        label.into(),
+                        "fault",
+                        args,
+                    )
+                }
             };
-            trace.span_with_args(
-                track,
-                &name,
-                "engine",
-                s.start.as_nanos() as u64,
-                (s.dur.as_nanos() as u64).max(1),
-                vec![
-                    ("bootstraps".into(), s.bootstraps.to_string()),
-                    ("extractions".into(), s.extractions.to_string()),
-                ],
-            );
-            busy_ns += s.dur.as_nanos() as u64;
-            jobs += 1;
+            let track = self.track(process, &thread);
+            self.span_with_args(track, &name, cat, e.at_ns, e.dur_ns.max(1), args);
         }
-        trace.set_counters(
-            "engine-pool",
-            UnitCounters {
-                instructions: jobs,
-                busy: busy_ns,
-                stall: 0,
-                engines: workers.max(1) as u64,
-            },
-        );
-        trace
-    }
-
-    /// Append a [`BootstrapEngine`](morphling_tfhe::BootstrapEngine)
-    /// fault/recovery journal as instant-style spans on a dedicated
-    /// `faults` track (nanosecond stamps — the same epoch as the job
-    /// spans, so the incidents line up under the worker timelines).
-    pub fn add_engine_fault_events(&mut self, events: &[FaultEvent]) {
-        if events.is_empty() {
-            return;
+        if pool.instructions > 0 {
+            self.set_counters("engine-pool", pool);
         }
-        let track = self.track("BootstrapEngine", "faults");
-        for e in events {
-            let mut args: Vec<(String, String)> = Vec::new();
-            if let Some(w) = e.worker {
-                args.push(("worker".into(), w.to_string()));
-            }
-            match e.kind {
-                FaultEventKind::WatchdogTimeout { batch, chunk_start } => {
-                    args.push(("batch".into(), batch.to_string()));
-                    args.push(("chunk_start".into(), chunk_start.to_string()));
-                }
-                FaultEventKind::OutputCheckFailed { index } => {
-                    args.push(("index".into(), index.to_string()));
-                }
-                FaultEventKind::Retry {
-                    chunk_start,
-                    attempt,
-                } => {
-                    args.push(("chunk_start".into(), chunk_start.to_string()));
-                    args.push(("attempt".into(), attempt.to_string()));
-                }
-                _ => {}
-            }
-            self.span_with_args(
-                track,
-                e.kind.label(),
-                "fault",
-                e.at.as_nanos() as u64,
-                1,
-                args,
-            );
+        if dispatcher.instructions > 0 {
+            self.set_counters("dispatcher", dispatcher);
         }
-    }
-
-    /// Convert an engine's full journal — job spans *and* fault events —
-    /// into one trace: worker tracks from
-    /// [`from_engine_spans`](Self::from_engine_spans) plus a `faults`
-    /// track carrying every recovery incident.
-    pub fn from_engine(spans: &[JobSpan], events: &[FaultEvent], workers: usize) -> Self {
-        let mut trace = Self::from_engine_spans(spans, workers);
-        trace.add_engine_fault_events(events);
-        trace
-    }
-
-    /// Append a [`Dispatcher`](morphling_tfhe::Dispatcher) request
-    /// journal: one `queue` track span per request (its time waiting for
-    /// a batch), one `execute` track span per micro-batch (deduplicated
-    /// by batch id), nanosecond stamps measured from the dispatcher's
-    /// epoch. Merge with an engine trace from the same run to see batch
-    /// formation sitting above the worker-pool timeline.
-    pub fn add_dispatch_spans(&mut self, spans: &[DispatchSpan]) {
-        if spans.is_empty() {
-            return;
-        }
-        let queue = self.track("Dispatcher", "queue");
-        let execute = self.track("Dispatcher", "execute");
-        let mut queued_ns = 0u64;
-        let mut exec_ns = 0u64;
-        let mut seen_batches: Vec<u64> = Vec::new();
-        for s in spans {
-            self.span_with_args(
-                queue,
-                &format!("req {}", s.id),
-                "dispatch",
-                s.enqueued.as_nanos() as u64,
-                (s.queued.as_nanos() as u64).max(1),
-                vec![("batch".into(), s.batch.to_string())],
-            );
-            queued_ns += s.queued.as_nanos() as u64;
-            if !seen_batches.contains(&s.batch) {
-                seen_batches.push(s.batch);
-                let size = spans.iter().filter(|o| o.batch == s.batch).count();
-                self.span_with_args(
-                    execute,
-                    &format!("batch {} x{}", s.batch, size),
-                    "dispatch",
-                    s.exec_start.as_nanos() as u64,
-                    (s.exec.as_nanos() as u64).max(1),
-                    vec![("requests".into(), size.to_string())],
-                );
-                exec_ns += s.exec.as_nanos() as u64;
-            }
-        }
-        self.set_counters(
-            "dispatcher",
-            UnitCounters {
-                instructions: spans.len() as u64,
-                busy: exec_ns,
-                stall: queued_ns,
-                engines: 1,
-            },
-        );
-    }
-
-    /// Build a trace holding just a dispatcher journal (nanosecond
-    /// stamps), ready to [`merge`](Self::merge) with engine traces.
-    pub fn from_dispatcher(spans: &[DispatchSpan]) -> Self {
-        let mut trace = ExecutionTrace::new(1e3);
-        trace.add_dispatch_spans(spans);
-        trace
-    }
-
-    /// Append a [`ResilienceJournal`](morphling_tfhe::ResilienceJournal)
-    /// timeline as instant-style spans under a `Resilience` process — one
-    /// track per scope (tier, breaker, dispatcher), span names from the
-    /// event labels (`retry`, `breaker_open`, `failover`, …), `cat`
-    /// `"resilience"`, nanosecond stamps from the journal's epoch. Merge
-    /// with dispatcher/engine traces sharing that epoch and the retries
-    /// line up under the queue/execute tracks they rescued.
-    pub fn add_resilience_events(&mut self, events: &[ResilienceEvent]) {
-        for e in events {
-            let track = self.track("Resilience", &e.scope);
-            let mut args: Vec<(String, String)> = Vec::new();
-            match &e.kind {
-                ResilienceEventKind::Retry { attempt } => {
-                    args.push(("attempt".into(), attempt.to_string()));
-                }
-                ResilienceEventKind::Failover { from, to } => {
-                    args.push(("from".into(), from.clone()));
-                    args.push(("to".into(), to.clone()));
-                }
-                _ => {}
-            }
-            self.span_with_args(
-                track,
-                e.kind.label(),
-                "resilience",
-                e.at.as_nanos() as u64,
-                1,
-                args,
-            );
-        }
-    }
-
-    /// Build a trace holding just a resilience timeline (nanosecond
-    /// stamps), ready to [`merge`](Self::merge) with serving traces.
-    pub fn from_resilience(events: &[ResilienceEvent]) -> Self {
-        let mut trace = ExecutionTrace::new(1e3);
-        trace.add_resilience_events(events);
-        trace
-    }
-
-    /// Append a [`KeyStore`](morphling_tfhe::KeyStore) journal as
-    /// instant-style spans under a `KeyStore` process — one track per
-    /// tenant (`tenant-<id>`), span names from the event labels (`hit`,
-    /// `miss`, `load`, `evict`, `pin`, `unpin`, `corrupt`), `cat`
-    /// `"keystore"`, nanosecond stamps from the store's epoch. Merge with
-    /// dispatcher/engine traces sharing that epoch to see key loads and
-    /// evictions line up under the batches that triggered them.
-    pub fn add_keystore_events(&mut self, events: &[KeyEvent]) {
-        for e in events {
-            let track = self.track("KeyStore", &format!("tenant-{}", e.tenant));
-            let mut args: Vec<(String, String)> = Vec::new();
-            match e.kind {
-                KeyEventKind::Load { bytes } | KeyEventKind::Evict { bytes } => {
-                    args.push(("bytes".into(), bytes.to_string()));
-                }
-                _ => {}
-            }
-            self.span_with_args(
-                track,
-                e.kind.label(),
-                "keystore",
-                e.at.as_nanos() as u64,
-                1,
-                args,
-            );
-        }
-    }
-
-    /// Build a trace holding just a key-store journal (nanosecond
-    /// stamps), ready to [`merge`](Self::merge) with serving traces.
-    pub fn from_keystore(events: &[KeyEvent]) -> Self {
-        let mut trace = ExecutionTrace::new(1e3);
-        trace.add_keystore_events(events);
-        trace
     }
 
     /// Journal an autotune search trajectory
@@ -619,7 +543,6 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn tracks_deduplicate_and_spans_accumulate() {
@@ -696,215 +619,192 @@ mod tests {
         assert_eq!(a.makespan_ticks(), 6);
     }
 
+    /// One event of every kind — two requests sharing a batch, a third
+    /// alone, a plain and a fanout job — and what each must render as:
+    /// (process, thread, name, `cat`, args).
     #[test]
-    fn engine_spans_become_worker_tracks() {
-        let spans = vec![
-            JobSpan {
-                worker: 0,
-                start: Duration::from_nanos(100),
-                dur: Duration::from_nanos(50),
-                bootstraps: 3,
-                extractions: 3,
-            },
-            JobSpan {
-                worker: 1,
-                start: Duration::from_nanos(120),
-                dur: Duration::from_nanos(40),
-                bootstraps: 2,
-                extractions: 6,
-            },
+    fn every_event_kind_renders_on_its_track() {
+        type Row = (
+            Who,
+            EventKind,
+            [&'static str; 4],
+            Vec<(&'static str, &'static str)>,
+        );
+        let scope = |name: &str| Who::Scope(name.into());
+        let fault = |name| ["BootstrapEngine", "faults", name, "fault"];
+        let key = |thread, name| ["KeyStore", thread, name, "keystore"];
+        let res = |thread, name| ["Resilience", thread, name, "resilience"];
+        let job = |bootstraps, extractions| EventKind::Job {
+            bootstraps,
+            extractions,
+        };
+        let request = |id, batch, exec_ns| EventKind::Request { id, batch, exec_ns };
+        #[rustfmt::skip]
+        let table: Vec<Row> = vec![
+            (Who::Worker(0), job(3, 3), ["BootstrapEngine", "worker-0", "job x3", "engine"],
+                vec![("bootstraps", "3"), ("extractions", "3")]),
+            (Who::Worker(1), job(2, 6), ["BootstrapEngine", "worker-1", "job x2->x6", "engine"],
+                vec![("bootstraps", "2"), ("extractions", "6")]),
+            (Who::Worker(0), EventKind::WorkerPanic, fault("worker_panic"), vec![("worker", "0")]),
+            (Who::Worker(0), EventKind::WorkerRespawn, fault("worker_respawn"), vec![("worker", "0")]),
+            (Who::Worker(1), EventKind::RespawnExhausted, fault("respawn_exhausted"),
+                vec![("worker", "1")]),
+            (Who::Engine, EventKind::WatchdogTimeout { batch: 7, chunk_start: 4 },
+                fault("watchdog_timeout"), vec![("batch", "7"), ("chunk_start", "4")]),
+            (Who::Engine, EventKind::OutputCheckFailed { index: 5 }, fault("output_check_failed"),
+                vec![("index", "5")]),
+            (Who::Engine, EventKind::ChunkRetry { chunk_start: 4, attempt: 1 }, fault("retry"),
+                vec![("chunk_start", "4"), ("attempt", "1")]),
+            (Who::Dispatcher, request(1, 0, 200), ["Dispatcher", "queue", "req 1", "dispatch"],
+                vec![("batch", "0")]),
+            (Who::Dispatcher, request(2, 0, 200), ["Dispatcher", "queue", "req 2", "dispatch"],
+                vec![("batch", "0")]),
+            (Who::Dispatcher, request(3, 1, 90), ["Dispatcher", "queue", "req 3", "dispatch"],
+                vec![("batch", "1")]),
+            (scope("dispatcher"), EventKind::Retry { attempt: 1 }, res("dispatcher", "retry"),
+                vec![("attempt", "1")]),
+            (scope("engine"), EventKind::BreakerOpen, res("engine", "breaker_open"), vec![]),
+            (scope("engine"), EventKind::BreakerHalfOpen, res("engine", "breaker_half_open"), vec![]),
+            (scope("engine"), EventKind::BreakerClose, res("engine", "breaker_close"), vec![]),
+            (scope("engine"), EventKind::TierSkipped, res("engine", "tier_skipped"), vec![]),
+            (scope("fallback"), EventKind::Failover { from: "engine".into() },
+                res("fallback", "failover"), vec![("from", "engine"), ("to", "fallback")]),
+            (scope("dispatcher"), EventKind::Shed, res("dispatcher", "shed"), vec![]),
+            (Who::Tenant(1), EventKind::Hit, key("tenant-1", "hit"), vec![]),
+            (Who::Tenant(1), EventKind::Miss, key("tenant-1", "miss"), vec![]),
+            (Who::Tenant(1), EventKind::Load { bytes: 4096 }, key("tenant-1", "load"),
+                vec![("bytes", "4096")]),
+            (Who::Tenant(2), EventKind::Evict { bytes: 4096 }, key("tenant-2", "evict"),
+                vec![("bytes", "4096")]),
+            (Who::Tenant(1), EventKind::Pin, key("tenant-1", "pin"), vec![]),
+            (Who::Tenant(1), EventKind::Unpin, key("tenant-1", "unpin"), vec![]),
+            (Who::Tenant(9), EventKind::Corrupt, key("tenant-9", "corrupt"), vec![]),
         ];
-        let trace = ExecutionTrace::from_engine_spans(&spans, 2);
-        assert_eq!(trace.spans().len(), 2);
+        // A kind added to the enum does not compile here until it has a
+        // row above.
+        let row_of = |kind: &EventKind| match kind {
+            EventKind::Job { .. } => 0,
+            EventKind::WorkerPanic => 1,
+            EventKind::WorkerRespawn => 2,
+            EventKind::RespawnExhausted => 3,
+            EventKind::WatchdogTimeout { .. } => 4,
+            EventKind::OutputCheckFailed { .. } => 5,
+            EventKind::ChunkRetry { .. } => 6,
+            EventKind::Request { .. } => 7,
+            EventKind::Retry { .. } => 8,
+            EventKind::BreakerOpen => 9,
+            EventKind::BreakerHalfOpen => 10,
+            EventKind::BreakerClose => 11,
+            EventKind::TierSkipped => 12,
+            EventKind::Failover { .. } => 13,
+            EventKind::Shed => 14,
+            EventKind::Hit => 15,
+            EventKind::Miss => 16,
+            EventKind::Load { .. } => 17,
+            EventKind::Evict { .. } => 18,
+            EventKind::Pin => 19,
+            EventKind::Unpin => 20,
+            EventKind::Corrupt => 21,
+        };
+        let mut covered: Vec<usize> = table.iter().map(|row| row_of(&row.1)).collect();
+        covered.sort_unstable();
+        covered.dedup();
+        assert_eq!(covered, (0..22).collect::<Vec<_>>());
+
+        // Event `i` starts at tick 100·(i + 1); spans last 50 + i ticks,
+        // instants none.
+        let events: Vec<Event> = table
+            .iter()
+            .enumerate()
+            .map(|(i, (who, kind, ..))| Event {
+                at_ns: 100 * (i as u64 + 1),
+                dur_ns: match kind {
+                    EventKind::Job { .. } | EventKind::Request { .. } => 50 + i as u64,
+                    _ => 0,
+                },
+                who: who.clone(),
+                kind: kind.clone(),
+            })
+            .collect();
+        let mut trace = ExecutionTrace::new(1e3);
+        trace.add_events(&events);
+
+        let track = |s: &TraceSpan| {
+            let t = &trace.tracks[s.track.0];
+            (t.process.clone(), t.thread.clone())
+        };
+        let (execute, rendered): (Vec<_>, Vec<_>) =
+            trace.spans().iter().partition(|s| track(s).1 == "execute");
+        assert_eq!(rendered.len(), table.len(), "one span per event");
+        for ((span, event), (.., [process, thread, name, cat], args)) in
+            rendered.iter().zip(&events).zip(&table)
+        {
+            assert_eq!(track(span), (process.to_string(), thread.to_string()));
+            assert_eq!((span.name.as_str(), span.cat.as_str()), (*name, *cat));
+            let want: Vec<(String, String)> = args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            assert_eq!(span.args, want, "{name}");
+            assert_eq!((span.start, span.dur), (event.at_ns, event.dur_ns.max(1)));
+        }
+        // One execute span per batch, drawn where its first request's
+        // queue span ends, as wide as the batch ran.
+        let drawn: Vec<_> = execute
+            .iter()
+            .map(|s| (s.name.as_str(), s.cat.as_str(), s.start, s.dur, &s.args[..]))
+            .collect();
+        let requests = |n: &str| [("requests".to_string(), n.to_string())];
+        assert_eq!(
+            drawn,
+            [
+                ("batch 0 x2", "dispatch", 900 + 58, 200, &requests("2")[..]),
+                ("batch 1 x1", "dispatch", 1100 + 60, 90, &requests("1")[..]),
+            ]
+        );
+        assert!(execute.iter().all(|s| track(s).0 == "Dispatcher"));
+
         let pool = trace.unit_counters("engine-pool").unwrap();
-        assert_eq!(pool.instructions, 2);
-        assert_eq!(pool.busy, 90);
-        assert_eq!(pool.engines, 2);
-        // Plain jobs render `job xN`; multi-value jobs expose the fan-out.
-        assert_eq!(trace.spans()[0].name, "job x3");
-        assert_eq!(trace.spans()[1].name, "job x2->x6");
-        assert!(trace.spans()[1]
-            .args
-            .iter()
-            .any(|(k, v)| k == "extractions" && v == "6"));
-    }
-
-    #[test]
-    fn dispatch_spans_become_queue_and_batch_tracks() {
-        use morphling_tfhe::DispatchSpan;
-        // Two requests coalesced into batch 0, one alone in batch 1.
-        let spans = vec![
-            DispatchSpan {
-                id: 1,
-                batch: 0,
-                enqueued: Duration::from_nanos(100),
-                queued: Duration::from_nanos(50),
-                exec_start: Duration::from_nanos(150),
-                exec: Duration::from_nanos(200),
-            },
-            DispatchSpan {
-                id: 2,
-                batch: 0,
-                enqueued: Duration::from_nanos(120),
-                queued: Duration::from_nanos(30),
-                exec_start: Duration::from_nanos(150),
-                exec: Duration::from_nanos(200),
-            },
-            DispatchSpan {
-                id: 3,
-                batch: 1,
-                enqueued: Duration::from_nanos(400),
-                queued: Duration::from_nanos(10),
-                exec_start: Duration::from_nanos(410),
-                exec: Duration::from_nanos(90),
-            },
-        ];
-        let trace = ExecutionTrace::from_dispatcher(&spans);
-        // 3 queue spans + 2 batch execution spans.
-        assert_eq!(trace.spans().len(), 5);
+        assert_eq!(
+            (pool.instructions, pool.busy, pool.stall, pool.engines),
+            (2, 50 + 51, 0, 2)
+        );
         let d = trace.unit_counters("dispatcher").unwrap();
-        assert_eq!(d.instructions, 3);
-        assert_eq!(d.busy, 290);
-        assert_eq!(d.stall, 90);
+        assert_eq!(
+            (d.instructions, d.busy, d.stall, d.engines),
+            (3, 200 + 90, 58 + 59 + 60, 1)
+        );
         let json = trace.to_chrome_json();
-        assert!(json.contains("\"Dispatcher\""));
-        assert!(json.contains("batch 0 x2"));
-    }
-
-    #[test]
-    fn fault_events_land_on_their_own_track() {
-        let spans = vec![JobSpan {
-            worker: 0,
-            start: Duration::from_nanos(100),
-            dur: Duration::from_nanos(50),
-            bootstraps: 3,
-            extractions: 3,
-        }];
-        let events = vec![
-            FaultEvent {
-                at: Duration::from_nanos(110),
-                worker: Some(0),
-                kind: FaultEventKind::WorkerPanic,
-            },
-            FaultEvent {
-                at: Duration::from_nanos(130),
-                worker: None,
-                kind: FaultEventKind::Retry {
-                    chunk_start: 4,
-                    attempt: 1,
-                },
-            },
-        ];
-        let trace = ExecutionTrace::from_engine(&spans, &events, 1);
-        assert_eq!(trace.spans().len(), 3);
-        let faults: Vec<_> = trace.spans().iter().filter(|s| s.cat == "fault").collect();
-        assert_eq!(faults.len(), 2);
-        assert_eq!(faults[0].name, "worker_panic");
-        assert!(faults[1]
-            .args
-            .iter()
-            .any(|(k, v)| k == "attempt" && v == "1"));
-        let json = trace.to_chrome_json();
-        assert!(json.contains("\"fault\""));
-        // An empty journal adds nothing — zero-fault traces stay identical.
-        let mut clean = ExecutionTrace::from_engine_spans(&spans, 1);
-        let before = clean.spans().len();
-        clean.add_engine_fault_events(&[]);
-        assert_eq!(clean.spans().len(), before);
-    }
-
-    #[test]
-    fn keystore_events_land_on_per_tenant_tracks() {
-        let events = vec![
-            KeyEvent {
-                at: Duration::from_nanos(100),
-                tenant: 1,
-                kind: KeyEventKind::Miss,
-            },
-            KeyEvent {
-                at: Duration::from_nanos(250),
-                tenant: 1,
-                kind: KeyEventKind::Load { bytes: 4096 },
-            },
-            KeyEvent {
-                at: Duration::from_nanos(300),
-                tenant: 2,
-                kind: KeyEventKind::Evict { bytes: 4096 },
-            },
-        ];
-        let trace = ExecutionTrace::from_keystore(&events);
-        assert_eq!(trace.spans().len(), 3);
-        assert!(trace.spans().iter().all(|s| s.cat == "keystore"));
-        let names: Vec<&str> = trace.spans().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["miss", "load", "evict"]);
-        assert!(trace.spans()[1]
-            .args
-            .iter()
-            .any(|(k, v)| k == "bytes" && v == "4096"));
-        let json = trace.to_chrome_json();
-        assert!(json.contains("\"KeyStore\""));
-        assert!(json.contains("tenant-1"));
-        assert!(json.contains("tenant-2"));
-        // Keystore events merge onto the shared timeline with dispatch
-        // spans, sharing the nanosecond base.
-        let mut merged = ExecutionTrace::from_keystore(&events);
-        merged.add_dispatch_spans(&[DispatchSpan {
-            id: 1,
-            batch: 0,
-            enqueued: Duration::from_nanos(50),
-            queued: Duration::from_nanos(40),
-            exec_start: Duration::from_nanos(90),
-            exec: Duration::from_nanos(60),
-        }]);
-        assert!(merged.spans().iter().any(|s| s.cat == "dispatch"));
-        assert!(merged.spans().iter().any(|s| s.cat == "keystore"));
-    }
-
-    #[test]
-    fn resilience_events_land_on_per_scope_tracks() {
-        let events = vec![
-            ResilienceEvent {
-                at: Duration::from_nanos(100),
-                scope: "dispatcher".into(),
-                kind: ResilienceEventKind::Retry { attempt: 1 },
-            },
-            ResilienceEvent {
-                at: Duration::from_nanos(200),
-                scope: "engine".into(),
-                kind: ResilienceEventKind::BreakerOpen,
-            },
-            ResilienceEvent {
-                at: Duration::from_nanos(300),
-                scope: "fallback".into(),
-                kind: ResilienceEventKind::Failover {
-                    from: "engine".into(),
-                    to: "fallback".into(),
-                },
-            },
-        ];
-        let trace = ExecutionTrace::from_resilience(&events);
-        assert_eq!(trace.spans().len(), 3);
-        assert!(trace.spans().iter().all(|s| s.cat == "resilience"));
-        let names: Vec<&str> = trace.spans().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["retry", "breaker_open", "failover"]);
-        assert!(trace.spans()[2]
-            .args
-            .iter()
-            .any(|(k, v)| k == "from" && v == "engine"));
-        let json = trace.to_chrome_json();
-        assert!(json.contains("\"resilience\""));
-        assert!(json.contains("\"Resilience\""));
-        // Merging with a dispatch trace keeps both categories.
-        let mut merged = ExecutionTrace::from_resilience(&events);
-        merged.add_dispatch_spans(&[DispatchSpan {
-            id: 1,
-            batch: 0,
-            enqueued: Duration::from_nanos(50),
-            queued: Duration::from_nanos(40),
-            exec_start: Duration::from_nanos(90),
-            exec: Duration::from_nanos(60),
-        }]);
-        assert!(merged.spans().iter().any(|s| s.cat == "dispatch"));
-        assert!(merged.spans().iter().any(|s| s.cat == "resilience"));
+        for needle in [
+            "\"BootstrapEngine\"",
+            "\"Dispatcher\"",
+            "\"Resilience\"",
+            "\"KeyStore\"",
+            "\"fault\"",
+            "\"resilience\"",
+            "batch 0 x2",
+            "tenant-1",
+            "tenant-2",
+        ] {
+            assert!(json.contains(needle), "{needle} missing from the JSON");
+        }
+        // No events add nothing — not a span, a track or a counter.
+        let before = (
+            trace.spans().len(),
+            trace.tracks.len(),
+            trace.counters.len(),
+        );
+        trace.add_events(&[]);
+        assert_eq!(
+            (
+                trace.spans().len(),
+                trace.tracks.len(),
+                trace.counters.len()
+            ),
+            before
+        );
+        let mut empty = ExecutionTrace::new(1e3);
+        empty.add_events(&[]);
+        assert!(empty.spans().is_empty() && empty.counters().is_empty());
     }
 }

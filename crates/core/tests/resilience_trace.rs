@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use morphling_core::trace::ExecutionTrace;
 use morphling_tfhe::{
-    BatchRequest, Bootstrapper, ClientKey, DispatcherBuilder, FailoverBootstrapper, Lut,
-    LweCiphertext, ParamSet, ResilienceJournal, RetryPolicy, ServerKey, ServingConfig, TfheError,
+    BatchRequest, Bootstrapper, ClientKey, DispatcherBuilder, FailoverBootstrapper, Journal, Lut,
+    LweCiphertext, ParamSet, RetryConfig, ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ fn resilience_trace_roundtrips_to_disk() {
     let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
     let lut = Arc::new(Lut::identity(sk.params().poly_size, 4));
 
-    let journal = Arc::new(ResilienceJournal::new());
+    let journal = Arc::new(Journal::new());
     // The primary fails its first three calls: with a one-retry budget
     // the stack journals an in-place retry, then a failover to the
     // sequential tier — both event kinds are guaranteed on the timeline.
@@ -54,7 +54,7 @@ fn resilience_trace_roundtrips_to_disk() {
                 },
             )
             .tier("server", Arc::clone(&sk))
-            .retry_policy(RetryPolicy::new(1).with_base_backoff(Duration::ZERO))
+            .retry_policy(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
             .journal(Arc::clone(&journal))
             .build()
             .expect("two tiers"),
@@ -64,6 +64,10 @@ fn resilience_trace_roundtrips_to_disk() {
         .max_linger(Duration::from_millis(1))
         .build()
         .expect("valid serving knobs");
+    // A journal older than the dispatcher it is wired into: its stamps
+    // must still land on the dispatcher's timeline (CI checks every retry
+    // against the dispatch spans of the archived trace).
+    std::thread::sleep(Duration::from_millis(50));
     let dispatcher = DispatcherBuilder::from_config(&config)
         .expect("validated above")
         .resilience_journal(Arc::clone(&journal))
@@ -89,9 +93,11 @@ fn resilience_trace_roundtrips_to_disk() {
     assert!(stack.retries() >= 1, "the flaky primary must be retried");
     assert!(stack.failovers() >= 1, "the stack must fail over");
 
-    // Merge the dispatcher's batch spans with the resilience timeline.
-    let mut trace = ExecutionTrace::from_resilience(&journal.events());
-    trace.add_dispatch_spans(&dispatcher.spans());
+    // The resilience timeline and the dispatcher's request spans, in one
+    // trace.
+    let mut trace = ExecutionTrace::new(1e3);
+    trace.add_events(&journal.events());
+    trace.add_events(&dispatcher.request_journal().events());
     let names: Vec<_> = trace
         .spans()
         .iter()

@@ -16,7 +16,8 @@ use morphling_core::sim::Simulator;
 use morphling_core::trace::ExecutionTrace;
 use morphling_core::ArchConfig;
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, Lut, ParamSet, ServerKey,
+    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, EventKind, Lut, ParamSet,
+    ServerKey,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,10 +152,14 @@ fn chaos_trace_roundtrips_to_disk() {
         engine.health(),
         EngineHealth::Healthy | EngineHealth::Degraded
     ));
-    let events = engine.fault_events();
-    assert!(!events.is_empty(), "seed 0xABBA at 25% must fire");
+    let events = engine.journal().events();
+    assert!(
+        events.iter().any(|e| e.kind == EventKind::WorkerPanic),
+        "seed 0xABBA at 25% must fire"
+    );
 
-    let trace = ExecutionTrace::from_engine(&engine.job_spans(), &events, engine.workers());
+    let mut trace = ExecutionTrace::new(1e3);
+    trace.add_events(&events);
     assert!(trace.spans().iter().any(|s| s.cat == "fault"));
     let json = trace.to_chrome_json();
     let depth = json.chars().fold(0i64, |d, c| match c {

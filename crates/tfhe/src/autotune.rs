@@ -8,7 +8,7 @@
 //! the cycle-accurate accelerator simulator in `morphling-core`, which
 //! can emit one from a `SimReport`) — supplies batch service times, and
 //! [`simulate`] replays a seeded open-loop arrival process through the
-//! [`Dispatcher`](crate::Dispatcher)'s batching policy **itself**: the
+//! [`Dispatcher`]'s batching policy **itself**: the
 //! state machine in `policy.rs` that the batcher thread drives with the
 //! wall clock is driven here with virtual time, so there is no second
 //! copy of the policy to keep honest. [`autotune`] grid-searches worker

@@ -1,11 +1,14 @@
 //! The unified batch-bootstrap API surface: [`BatchRequest`] and the
 //! [`Bootstrapper`] trait.
 //!
-//! Four bootstrap backends share this one operator interface — the
+//! Six bootstrap backends share this one operator interface — the
 //! sequential [`ServerKey`] loop, the per-call scoped-thread
 //! [`ParallelServerKey`] path, the persistent
-//! [`BootstrapEngine`](crate::BootstrapEngine) pool, and the
-//! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher). Callers
+//! [`BootstrapEngine`](crate::BootstrapEngine) pool, the
+//! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher), the
+//! degraded-mode [`FailoverBootstrapper`](crate::FailoverBootstrapper)
+//! stack and the per-tenant
+//! [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper). Callers
 //! describe *what* to bootstrap in a [`BatchRequest`] (ciphertexts, how
 //! LUTs map onto them, an optional thread hint and deadline) and any
 //! [`Bootstrapper`] decides *how*, the way single-kernel TFHE designs
@@ -239,9 +242,10 @@ impl BatchRequest {
     }
 
     /// The tenant whose key material should serve this request, if any.
-    /// Tenant-aware backends ([`KeyStoreBootstrapper`]
-    /// (crate::KeyStoreBootstrapper)) resolve the key through their
-    /// [`KeyStore`](crate::KeyStore); single-key backends ignore it.
+    /// Tenant-aware backends
+    /// ([`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper)) resolve the
+    /// key through their [`KeyStore`](crate::KeyStore); single-key
+    /// backends ignore it.
     pub fn tenant(&self) -> Option<TenantId> {
         self.tenant
     }
@@ -429,6 +433,7 @@ impl BatchRequestBuilder {
 /// | [`BootstrapEngine`](crate::BootstrapEngine) | persistent self-healing pool |
 /// | [`Dispatcher`](crate::dispatch::Dispatcher) | dynamic micro-batching front-end |
 /// | [`FailoverBootstrapper`](crate::resilience::FailoverBootstrapper) | breaker-guarded tier stack, degraded-mode failover |
+/// | [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) | each batch under its tenant's key, pinned in a [`KeyStore`](crate::KeyStore) |
 ///
 /// All implementations return results in input order, bit-identical to
 /// the sequential [`ServerKey`] path, so backends are swappable anywhere

@@ -4,7 +4,8 @@
 //! The paper's throughput comes from two places: a fast datapath, and a
 //! scheduler that keeps 16 bootstrapping cores saturated with *large
 //! batches* formed from an incoming request stream (§V, with the batch
-//! size driven by HBM bandwidth). The [`BootstrapEngine`] is the fast
+//! size driven by HBM bandwidth). The
+//! [`BootstrapEngine`](crate::BootstrapEngine) is the fast
 //! datapath; this module is the batch-forming layer in front of it:
 //!
 //! - callers [`submit`](Dispatcher::submit) individual
@@ -37,8 +38,9 @@
 //!   batcher — no request is silently lost, and a batcher that dies
 //!   (a panicking backend) closes admission and fails what it still
 //!   held with [`TfheError::DispatcherShutDown`] on its way out;
-//! - every request's queue/execute timeline is journaled as a
-//!   [`DispatchSpan`] (rendered into the Chrome trace by
+//! - every request's queue/execute timeline is journaled as an
+//!   [`EventKind::Request`] span (read back as [`DispatchSpan`]s by
+//!   [`Dispatcher::spans`], rendered into the Chrome trace by
 //!   `morphling_core::trace`), and [`DispatcherStats`] exposes
 //!   p50/p95/p99 latency plus throughput — sampled by a fixed-size
 //!   deterministic reservoir, so week-long runs keep bounded memory and
@@ -53,16 +55,16 @@
 //!   the key cache's hit/miss/eviction counters when a store is wired in
 //!   via [`DispatcherBuilder::key_store`];
 //! - the front-end is fault-aware (see [`crate::resilience`]): an
-//!   optional [`RetryPolicy`] re-dispatches requests that hit retryable
+//!   optional [`RetryConfig`](crate::RetryConfig) re-dispatches requests that hit retryable
 //!   backend faults with jittered backoff, an optional [`CircuitBreaker`]
 //!   sheds admissions with [`TfheError::Overloaded`] while the backend is
-//!   sick, and every retry/shed lands in a [`ResilienceJournal`] next to
-//!   the breaker's own transitions.
+//!   sick, and every retry/shed lands in a [`Journal`] next to the
+//!   breaker's own transitions.
 //!
 //! The backend is anything implementing [`Bootstrapper`], so the same
 //! dispatcher fronts a [`ServerKey`](crate::ServerKey), a
 //! [`ParallelServerKey`](crate::ParallelServerKey), or — the intended
-//! production shape — a [`BootstrapEngine`]. The dispatcher itself
+//! production shape — a [`BootstrapEngine`](crate::BootstrapEngine). The dispatcher itself
 //! implements [`Bootstrapper`] too, so whole-batch callers and
 //! single-request callers share one service.
 //!
@@ -100,18 +102,13 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::faults;
-use crate::journal::Ring;
+use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::keystore::{KeyStore, TenantId};
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
-use crate::policy::{dur_ns, BatchPolicy, Dropped, Entry, Poll};
-use crate::resilience::{
-    CircuitBreaker, ResilienceEvent, ResilienceEventKind, ResilienceJournal, RetryPolicy,
-};
+use crate::policy::{BatchPolicy, Dropped, Entry, Poll};
+use crate::resilience::CircuitBreaker;
 use crate::serving::ServingConfig;
-
-/// Journal scope for dispatcher-originated resilience events.
-const DISPATCHER_SCOPE: &str = "dispatcher";
 
 /// Ignore a poisoned lock: the dispatcher's shared state stays consistent
 /// across panics (counters are atomics; the queue is drained defensively).
@@ -129,12 +126,12 @@ struct Pending {
     ct: LweCiphertext,
     luts: Vec<Arc<Lut>>,
     cancelled: Arc<AtomicBool>,
-    reply: Sender<Result<Vec<LweCiphertext>, TfheError>>,
+    reply: Sender<Resolution>,
 }
 
 struct QueueState {
-    /// The admission queue and the forming batch (`policy.rs`), on ns
-    /// since [`Shared::epoch`].
+    /// The admission queue and the forming batch (`policy.rs`), on
+    /// [`journal::now`]'s nanoseconds.
     policy: BatchPolicy<Pending>,
     /// `false` once shutdown begins: admission closed, batcher draining.
     open: bool,
@@ -228,13 +225,12 @@ struct DispatchCounters {
     batched: AtomicU64,
     retries: AtomicU64,
     shed: AtomicU64,
-    /// First submission / last completion, ns since the epoch (`u64::MAX`
-    /// / `0` while unset) — the throughput window.
+    /// First submission / last completion on [`journal::now`]'s clock
+    /// (`u64::MAX` / `0` while unset) — the throughput window.
     first_ns: AtomicU64,
     last_ns: AtomicU64,
     latencies: Mutex<LatencyReservoir>,
     per_tenant: Mutex<HashMap<u64, TenantCounters>>,
-    spans: Mutex<Ring<DispatchSpan>>,
 }
 
 struct Shared {
@@ -242,20 +238,21 @@ struct Shared {
     /// queue/slack went into the policy, retry and breaker into the
     /// fields below, at build time).
     config: ServingConfig,
-    epoch: Instant,
     state: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
     counters: DispatchCounters,
-    /// Per-request retry policy applied by the batcher on retryable
-    /// backend faults ([`RetryPolicy::none`] by default).
-    retry: RetryPolicy,
     /// Optional admission gate; when open, submissions are shed with
     /// [`TfheError::Overloaded`] instead of queueing doomed work.
     breaker: Option<Arc<CircuitBreaker>>,
-    /// Timeline of retry/shed events (shared with the breaker's journal
-    /// when the caller wires one in).
-    journal: Arc<ResilienceJournal>,
+    /// One [`EventKind::Request`] span per completed request. A journal
+    /// of its own, so that no flood of instants in `journal` can evict a
+    /// request span.
+    requests: Journal,
+    /// Retry/shed instants (shared with the breaker's journal when the
+    /// caller wires one in), recorded under `scope`.
+    journal: Arc<Journal>,
+    scope: Arc<str>,
     /// The key store serving the backend, when the backend is a
     /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) — lets
     /// [`Dispatcher::stats`] fold cache hit/miss/eviction counters into
@@ -264,14 +261,15 @@ struct Shared {
 }
 
 impl Shared {
-    fn now_ns(&self) -> u64 {
-        dur_ns(self.epoch.elapsed())
+    fn record(&self, kind: EventKind) {
+        let who = Who::Scope(Arc::clone(&self.scope));
+        self.journal.record(Event::instant(who, kind));
     }
 
     /// Deliver a terminal result to a request and bump the matching
     /// counter. The reply channel holds one slot and sees one send ever,
     /// so this never blocks; a dropped ticket just discards the send.
-    fn resolve(&self, p: Pending, result: Result<Vec<LweCiphertext>, TfheError>) {
+    fn resolve(&self, p: Pending, result: Resolution) {
         let counter = match &result {
             Ok(_) => &self.counters.completed,
             Err(TfheError::Cancelled) => &self.counters.cancelled,
@@ -282,7 +280,7 @@ impl Shared {
         if result.is_ok() {
             self.counters
                 .last_ns
-                .fetch_max(self.now_ns(), Ordering::Relaxed);
+                .fetch_max(journal::now(), Ordering::Relaxed);
         }
         let _ = p.reply.send(result);
     }
@@ -297,31 +295,67 @@ impl Shared {
     }
 }
 
-/// Outcome ticket for one submitted request.
-///
-/// Hold it to [`wait`](Self::wait) for the result, poll with
-/// [`try_wait`](Self::try_wait), or [`cancel`](Self::cancel) the request.
-/// Dropping the ticket abandons the result (the request still executes
-/// unless cancelled first).
-pub struct Ticket {
+/// What a request resolves to: one output per LUT it was submitted with.
+type Resolution = Result<Vec<LweCiphertext>, TfheError>;
+
+/// What both ticket types are: the request's id, its cancellation flag
+/// and the one-shot channel its resolution arrives on.
+struct TicketCore {
     id: u64,
     cancelled: Arc<AtomicBool>,
-    reply: Receiver<Result<Vec<LweCiphertext>, TfheError>>,
+    reply: Receiver<Resolution>,
 }
 
-impl std::fmt::Debug for Ticket {
+impl std::fmt::Debug for TicketCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket")
+        f.debug_struct("TicketCore")
             .field("id", &self.id)
             .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
+impl TicketCore {
+    fn cancel(&self) {
+        self.cancelled.store(true, Ordering::SeqCst);
+    }
+
+    fn wait(self) -> Resolution {
+        self.reply
+            .recv()
+            .unwrap_or(Err(TfheError::DispatcherShutDown))
+    }
+
+    fn try_wait(&self) -> Option<Resolution> {
+        match self.reply.try_recv() {
+            Ok(result) => Some(result),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(TfheError::DispatcherShutDown)),
+        }
+    }
+
+    fn wait_timeout(&self, timeout: Duration) -> Resolution {
+        match self.reply.recv_timeout(timeout) {
+            Ok(result) => result,
+            Err(RecvTimeoutError::Timeout) => Err(TfheError::WaitTimedOut { timeout }),
+            Err(RecvTimeoutError::Disconnected) => Err(TfheError::DispatcherShutDown),
+        }
+    }
+}
+
+/// Outcome ticket for one submitted request.
+///
+/// Hold it to [`wait`](Self::wait) for the result, poll with
+/// [`try_wait`](Self::try_wait), or [`cancel`](Self::cancel) the request.
+/// Dropping the ticket abandons the result (the request still executes
+/// unless cancelled first).
+#[derive(Debug)]
+pub struct Ticket(TicketCore);
+
 impl Ticket {
     /// The dispatcher-assigned request id (monotonic per dispatcher).
     pub fn id(&self) -> u64 {
-        self.id
+        self.0.id
     }
 
     /// Request cancellation. Best-effort: a request still queued (or
@@ -329,7 +363,7 @@ impl Ticket {
     /// [`TfheError::Cancelled`]; one already executing completes
     /// normally.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
+        self.0.cancel();
     }
 
     /// Block until the request resolves.
@@ -341,19 +375,12 @@ impl Ticket {
     /// [`TfheError::DispatcherShutDown`] if the batcher died without
     /// resolving it.
     pub fn wait(self) -> Result<LweCiphertext, TfheError> {
-        match self.reply.recv() {
-            Ok(result) => single(result),
-            Err(_) => Err(TfheError::DispatcherShutDown),
-        }
+        single(self.0.wait())
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
     pub fn try_wait(&self) -> Option<Result<LweCiphertext, TfheError>> {
-        match self.reply.try_recv() {
-            Ok(result) => Some(single(result)),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(TfheError::DispatcherShutDown)),
-        }
+        self.0.try_wait().map(single)
     }
 
     /// Bounded [`wait`](Self::wait): block at most `timeout` for the
@@ -369,18 +396,14 @@ impl Ticket {
     /// [`TfheError::WaitTimedOut`] (retryable) if `timeout` elapses
     /// first; otherwise as [`wait`](Self::wait).
     pub fn wait_timeout(&self, timeout: Duration) -> Result<LweCiphertext, TfheError> {
-        match self.reply.recv_timeout(timeout) {
-            Ok(result) => single(result),
-            Err(RecvTimeoutError::Timeout) => Err(TfheError::WaitTimedOut { timeout }),
-            Err(RecvTimeoutError::Disconnected) => Err(TfheError::DispatcherShutDown),
-        }
+        single(self.0.wait_timeout(timeout))
     }
 }
 
 /// Unwrap a single-LUT request's resolution: exactly one output. A
 /// different shape is a backend contract violation, surfaced as the same
 /// dead-service error the batcher uses for malformed backend replies.
-fn single(result: Result<Vec<LweCiphertext>, TfheError>) -> Result<LweCiphertext, TfheError> {
+fn single(result: Resolution) -> Result<LweCiphertext, TfheError> {
     let mut outs = result?;
     match (outs.pop(), outs.is_empty()) {
         (Some(out), true) => Ok(out),
@@ -391,31 +414,19 @@ fn single(result: Result<Vec<LweCiphertext>, TfheError>) -> Result<LweCiphertext
 /// Outcome ticket for a multi-LUT request
 /// ([`Dispatcher::submit_many`]): resolves to one output per submitted
 /// LUT, in LUT order.
-pub struct MultiTicket {
-    id: u64,
-    cancelled: Arc<AtomicBool>,
-    reply: Receiver<Result<Vec<LweCiphertext>, TfheError>>,
-}
-
-impl std::fmt::Debug for MultiTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiTicket")
-            .field("id", &self.id)
-            .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
+#[derive(Debug)]
+pub struct MultiTicket(TicketCore);
 
 impl MultiTicket {
     /// The dispatcher-assigned request id (monotonic per dispatcher).
     pub fn id(&self) -> u64 {
-        self.id
+        self.0.id
     }
 
     /// Request cancellation, with [`Ticket::cancel`]'s best-effort
     /// semantics.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
+        self.0.cancel();
     }
 
     /// Block until the request resolves; on success the outputs follow
@@ -425,19 +436,12 @@ impl MultiTicket {
     ///
     /// As [`Ticket::wait`].
     pub fn wait(self) -> Result<Vec<LweCiphertext>, TfheError> {
-        match self.reply.recv() {
-            Ok(result) => result,
-            Err(_) => Err(TfheError::DispatcherShutDown),
-        }
+        self.0.wait()
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
     pub fn try_wait(&self) -> Option<Result<Vec<LweCiphertext>, TfheError>> {
-        match self.reply.try_recv() {
-            Ok(result) => Some(result),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(TfheError::DispatcherShutDown)),
-        }
+        self.0.try_wait()
     }
 
     /// Bounded [`wait`](Self::wait), with [`Ticket::wait_timeout`]'s
@@ -448,17 +452,13 @@ impl MultiTicket {
     ///
     /// As [`Ticket::wait_timeout`].
     pub fn wait_timeout(&self, timeout: Duration) -> Result<Vec<LweCiphertext>, TfheError> {
-        match self.reply.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(TfheError::WaitTimedOut { timeout }),
-            Err(RecvTimeoutError::Disconnected) => Err(TfheError::DispatcherShutDown),
-        }
+        self.0.wait_timeout(timeout)
     }
 }
 
-/// One request's life through the dispatcher, journaled for the Chrome
-/// trace. All instants are durations since the dispatcher's construction
-/// (its epoch).
+/// One request's life through the dispatcher: an
+/// [`EventKind::Request`] event, read back. All instants are durations
+/// since the process epoch ([`journal::now`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchSpan {
     /// Request id (see [`Ticket::id`]).
@@ -473,6 +473,23 @@ pub struct DispatchSpan {
     pub exec_start: Duration,
     /// Batch execution time.
     pub exec: Duration,
+}
+
+impl DispatchSpan {
+    /// The span a request event describes (`None` for any other kind).
+    fn from_event(e: &Event) -> Option<Self> {
+        let EventKind::Request { id, batch, exec_ns } = e.kind else {
+            return None;
+        };
+        Some(Self {
+            id,
+            batch,
+            enqueued: Duration::from_nanos(e.at_ns),
+            queued: Duration::from_nanos(e.dur_ns),
+            exec_start: Duration::from_nanos(e.at_ns + e.dur_ns),
+            exec: Duration::from_nanos(exec_ns),
+        })
+    }
 }
 
 /// Aggregate dispatcher metrics (see [`Dispatcher::stats`]).
@@ -524,9 +541,6 @@ pub struct DispatcherStats {
     pub key_evictions: u64,
     /// Key bytes currently resident in the cache.
     pub key_bytes_resident: u64,
-    /// Request spans the bounded journal behind [`Dispatcher::spans`]
-    /// has overwritten.
-    pub spans_dropped: u64,
 }
 
 /// One tenant's slice of [`DispatcherStats`]: completion count and
@@ -571,7 +585,7 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> Duration {
 pub struct DispatcherBuilder {
     config: ServingConfig,
     breaker: Option<Arc<CircuitBreaker>>,
-    journal: Option<Arc<ResilienceJournal>>,
+    journal: Option<Arc<Journal>>,
     key_store: Option<Arc<KeyStore>>,
 }
 
@@ -603,9 +617,11 @@ impl DispatcherBuilder {
 
     /// Journal retry/shed events into `journal` — share one journal
     /// across the breaker, a [`FailoverBootstrapper`](crate::FailoverBootstrapper)
-    /// backend, and this dispatcher for a single merged timeline.
-    /// Default: a fresh private journal.
-    pub fn resilience_journal(mut self, journal: Arc<ResilienceJournal>) -> Self {
+    /// backend, and this dispatcher and their incidents interleave in
+    /// record order. Default: a fresh private journal. Request spans never
+    /// go here: they have a journal of their own behind
+    /// [`Dispatcher::spans`].
+    pub fn resilience_journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
         self
     }
@@ -642,9 +658,7 @@ impl DispatcherBuilder {
                 )
             })
         });
-        let retry = self.config.retry.policy();
         let shared = Arc::new(Shared {
-            epoch: Instant::now(),
             state: Mutex::new(QueueState {
                 policy: BatchPolicy::new(&self.config),
                 open: true,
@@ -657,9 +671,10 @@ impl DispatcherBuilder {
                 first_ns: AtomicU64::new(u64::MAX),
                 ..DispatchCounters::default()
             },
-            retry,
             breaker,
+            requests: Journal::new(),
             journal,
+            scope: "dispatcher".into(),
             key_store: self.key_store,
         });
         let backend: Arc<dyn Bootstrapper + Send + Sync> = Arc::new(backend);
@@ -736,12 +751,8 @@ impl Dispatcher {
         lut: Arc<Lut>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
-        let (id, cancelled, reply) = self.enqueue(ct, vec![lut], None, deadline, true)?;
-        Ok(Ticket {
-            id,
-            cancelled,
-            reply,
-        })
+        self.enqueue(ct, vec![lut], None, deadline, true)
+            .map(Ticket)
     }
 
     /// [`submit`](Self::submit) on behalf of `tenant`: the batcher only
@@ -760,12 +771,8 @@ impl Dispatcher {
         lut: Arc<Lut>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
-        let (id, cancelled, reply) = self.enqueue(ct, vec![lut], Some(tenant), deadline, true)?;
-        Ok(Ticket {
-            id,
-            cancelled,
-            reply,
-        })
+        self.enqueue(ct, vec![lut], Some(tenant), deadline, true)
+            .map(Ticket)
     }
 
     /// Submit one ciphertext to be evaluated through **several** LUTs —
@@ -786,12 +793,8 @@ impl Dispatcher {
         luts: Vec<Arc<Lut>>,
         deadline: Option<Instant>,
     ) -> Result<MultiTicket, TfheError> {
-        let (id, cancelled, reply) = self.enqueue(ct, luts, None, deadline, true)?;
-        Ok(MultiTicket {
-            id,
-            cancelled,
-            reply,
-        })
+        self.enqueue(ct, luts, None, deadline, true)
+            .map(MultiTicket)
     }
 
     /// [`submit_many`](Self::submit_many) on behalf of `tenant`, with
@@ -807,12 +810,8 @@ impl Dispatcher {
         luts: Vec<Arc<Lut>>,
         deadline: Option<Instant>,
     ) -> Result<MultiTicket, TfheError> {
-        let (id, cancelled, reply) = self.enqueue(ct, luts, Some(tenant), deadline, true)?;
-        Ok(MultiTicket {
-            id,
-            cancelled,
-            reply,
-        })
+        self.enqueue(ct, luts, Some(tenant), deadline, true)
+            .map(MultiTicket)
     }
 
     /// Non-blocking [`submit`](Self::submit): rejects with
@@ -829,12 +828,8 @@ impl Dispatcher {
         lut: Arc<Lut>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
-        let (id, cancelled, reply) = self.enqueue(ct, vec![lut], None, deadline, false)?;
-        Ok(Ticket {
-            id,
-            cancelled,
-            reply,
-        })
+        self.enqueue(ct, vec![lut], None, deadline, false)
+            .map(Ticket)
     }
 
     /// [`try_submit`](Self::try_submit) on behalf of `tenant`, with
@@ -850,15 +845,10 @@ impl Dispatcher {
         lut: Arc<Lut>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
-        let (id, cancelled, reply) = self.enqueue(ct, vec![lut], Some(tenant), deadline, false)?;
-        Ok(Ticket {
-            id,
-            cancelled,
-            reply,
-        })
+        self.enqueue(ct, vec![lut], Some(tenant), deadline, false)
+            .map(Ticket)
     }
 
-    #[allow(clippy::type_complexity)]
     fn enqueue(
         &self,
         ct: LweCiphertext,
@@ -866,14 +856,7 @@ impl Dispatcher {
         tenant: Option<TenantId>,
         deadline: Option<Instant>,
         block: bool,
-    ) -> Result<
-        (
-            u64,
-            Arc<AtomicBool>,
-            Receiver<Result<Vec<LweCiphertext>, TfheError>>,
-        ),
-        TfheError,
-    > {
+    ) -> Result<TicketCore, TfheError> {
         if luts.is_empty() {
             return Err(TfheError::NoLutProvided);
         }
@@ -883,9 +866,7 @@ impl Dispatcher {
         if let Some(b) = &shared.breaker {
             if let Err(e) = b.try_acquire() {
                 shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .journal
-                    .record(DISPATCHER_SCOPE, ResilienceEventKind::Shed);
+                shared.record(EventKind::Shed);
                 return Err(e);
             }
         }
@@ -913,7 +894,7 @@ impl Dispatcher {
         let cancelled = Arc::new(AtomicBool::new(false));
         // Stamped at admission: a `submit` that blocked on a full queue
         // lingers from when it got in, not from when it was called.
-        let enqueued_ns = shared.now_ns();
+        let enqueued_ns = journal::now();
         let entry = Entry {
             item: Pending {
                 id,
@@ -925,7 +906,7 @@ impl Dispatcher {
             affinity: tenant,
             enqueued_ns,
             // Instants before the epoch are 0: expired from the start.
-            deadline_ns: deadline.map(|d| dur_ns(d.saturating_duration_since(shared.epoch))),
+            deadline_ns: deadline.map(journal::since_epoch),
         };
         st.policy.offer(entry).map_err(|_| queue_full())?;
         st.next_id += 1;
@@ -936,7 +917,11 @@ impl Dispatcher {
             .first_ns
             .fetch_min(enqueued_ns, Ordering::Relaxed);
         shared.not_empty.notify_one();
-        Ok((id, cancelled, reply_rx))
+        Ok(TicketCore {
+            id,
+            cancelled,
+            reply: reply_rx,
+        })
     }
 
     /// Aggregate metrics since construction.
@@ -1000,39 +985,31 @@ impl Dispatcher {
             key_misses: key.misses,
             key_evictions: key.evictions,
             key_bytes_resident: key.bytes_resident,
-            spans_dropped: lock(&c.spans).dropped(),
         }
     }
 
-    /// The key store wired in via [`DispatcherBuilder::key_store`], if
-    /// any — for journal access (event reconciliation, trace export).
-    pub fn key_store(&self) -> Option<&Arc<KeyStore>> {
-        self.shared.key_store.as_ref()
+    /// The per-request queue/execute journal: one
+    /// [`EventKind::Request`] span for each of the newest 16 384 completed
+    /// requests, oldest first (`request_journal().dropped()` counts the
+    /// rest). Nothing else is recorded here, so no flood of other events
+    /// can evict a request.
+    pub fn request_journal(&self) -> &Journal {
+        &self.shared.requests
     }
 
-    /// Snapshot of the per-request queue/execute journal: the newest
-    /// 16 384 completed requests, oldest first
-    /// ([`DispatcherStats::spans_dropped`] counts the rest).
+    /// [`request_journal`](Self::request_journal), read back as
+    /// [`DispatchSpan`]s.
     pub fn spans(&self) -> Vec<DispatchSpan> {
-        lock(&self.shared.counters.spans).snapshot()
+        let events = self.shared.requests.events();
+        events.iter().filter_map(DispatchSpan::from_event).collect()
     }
 
-    /// Snapshot of the resilience timeline: retries and sheds journaled
-    /// by this dispatcher, plus whatever else shares the journal (breaker
+    /// The resilience journal: retries and sheds of this dispatcher
+    /// (scope `"dispatcher"`), plus whatever else shares it (breaker
     /// transitions, failover events) when one was wired in via
     /// [`DispatcherBuilder::resilience_journal`].
-    pub fn resilience_events(&self) -> Vec<ResilienceEvent> {
-        self.shared.journal.events()
-    }
-
-    /// The journal behind [`resilience_events`](Self::resilience_events).
-    pub fn resilience_journal(&self) -> &Arc<ResilienceJournal> {
+    pub fn resilience_journal(&self) -> &Arc<Journal> {
         &self.shared.journal
-    }
-
-    /// The instant request/span timestamps are measured from.
-    pub fn epoch(&self) -> Instant {
-        self.shared.epoch
     }
 
     /// The serving knobs this dispatcher runs under: the caller's config
@@ -1088,76 +1065,30 @@ impl Bootstrapper for Dispatcher {
             return Ok(Vec::new());
         }
         let luts: Vec<Arc<Lut>> = req.luts().iter().cloned().map(Arc::new).collect();
-        let tenant = req.tenant();
-        if let Some(map) = req.fanout() {
-            // Each fanout input becomes one multi-LUT submission, so the
-            // batcher keeps the input's LUTs together (one rotation per
-            // input downstream) while still coalescing across inputs.
-            // The request's tenant rides along on every submission, so
-            // key affinity holds across the split.
-            let mut tickets = Vec::with_capacity(req.len());
-            for (ct, list) in req.ciphertexts().iter().zip(map) {
-                let picked: Vec<Arc<Lut>> = list.iter().map(|&j| Arc::clone(&luts[j])).collect();
-                let (id, cancelled, reply) =
-                    self.enqueue(ct.clone(), picked, tenant, req.deadline(), true)?;
-                tickets.push(MultiTicket {
-                    id,
-                    cancelled,
-                    reply,
-                });
-            }
-            let mut out = Vec::with_capacity(req.output_len());
-            let mut first_err: Option<TfheError> = None;
-            for ticket in tickets {
-                match ticket.wait() {
-                    Ok(item) => out.extend(item),
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(out),
-            };
-        }
+        // One submission per input, carrying the indices of its LUTs —
+        // a plain item is a fanout of one — so the batcher keeps an
+        // input's LUTs together (one rotation per input downstream) while
+        // still coalescing across inputs. The request's tenant rides
+        // along on every submission, so key affinity holds across the
+        // split.
         let mut tickets = Vec::with_capacity(req.len());
         for (i, ct) in req.ciphertexts().iter().enumerate() {
-            let lut = match req.selectors() {
-                Some(sel) => &luts[sel[i]],
-                None => &luts[0],
+            let picked = match (req.fanout(), req.selectors()) {
+                (Some(map), _) => map[i].iter().map(|&j| Arc::clone(&luts[j])).collect(),
+                (None, Some(sel)) => vec![Arc::clone(&luts[sel[i]])],
+                (None, None) => vec![Arc::clone(&luts[0])],
             };
-            let (id, cancelled, reply) = self.enqueue(
-                ct.clone(),
-                vec![Arc::clone(lut)],
-                tenant,
-                req.deadline(),
-                true,
-            )?;
-            tickets.push(Ticket {
-                id,
-                cancelled,
-                reply,
-            });
+            tickets.push(self.enqueue(ct.clone(), picked, req.tenant(), req.deadline(), true)?);
         }
-        let mut out = Vec::with_capacity(tickets.len());
-        let mut first_err: Option<TfheError> = None;
+        let mut out = Vec::with_capacity(req.output_len());
+        let mut first_err = None;
         for ticket in tickets {
             match ticket.wait() {
-                Ok(ct) => out.push(ct),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+                Ok(item) => out.extend(item),
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        first_err.map_or(Ok(out), Err)
     }
 }
 
@@ -1170,7 +1101,7 @@ fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
     let _fail_leftovers_on_exit = ExitGuard(shared);
     let mut st = lock(&shared.state);
     loop {
-        let now = shared.now_ns();
+        let now = journal::now();
         let draining = !st.open;
         match st
             .policy
@@ -1247,7 +1178,7 @@ fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, mut live: Vec<Entr
         .counters
         .batched
         .fetch_add(live.len() as u64, Ordering::Relaxed);
-    let exec_start = shared.now_ns();
+    let exec_start = journal::now();
     match run_as_batch(backend, &live) {
         Ok(outs) => {
             shared.record_breaker(true);
@@ -1276,7 +1207,7 @@ fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, mut live: Vec<Entr
 }
 
 /// Run one request alone until it resolves: success distributes, a
-/// retryable fault retries within [`Shared::retry`]'s budget (journaled,
+/// retryable fault retries within [`ServingConfig::retry`]'s budget (journaled,
 /// counted, backed off with deterministic jitter), anything else — or an
 /// exhausted budget — surfaces to the caller. `first_err` carries a
 /// failure the caller already observed for this request, consumed as
@@ -1307,13 +1238,12 @@ fn finish_single(
                 }
             },
         };
-        if shared.retry.should_retry(&err, attempt) {
+        let retry = &shared.config.retry;
+        if retry.should_retry(&err, attempt) {
             attempt += 1;
             shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-            shared
-                .journal
-                .record(DISPATCHER_SCOPE, ResilienceEventKind::Retry { attempt });
-            let backoff = shared.retry.backoff(p.item.id, attempt);
+            shared.record(EventKind::Retry { attempt });
+            let backoff = retry.backoff(p.item.id, attempt);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -1388,10 +1318,9 @@ fn distribute(
     live: Vec<Entry<Pending>>,
     outs: Vec<LweCiphertext>,
 ) {
-    let exec_end = shared.now_ns();
-    let exec = Duration::from_nanos(exec_end.saturating_sub(exec_start));
+    let exec_end = journal::now();
+    let exec_ns = exec_end.saturating_sub(exec_start);
     {
-        let mut spans = lock(&shared.counters.spans);
         let mut lats = lock(&shared.counters.latencies);
         let mut per_tenant = lock(&shared.counters.per_tenant);
         for p in &live {
@@ -1407,13 +1336,15 @@ fn distribute(
                 tc.completed += 1;
                 tc.reservoir.push(ns);
             }
-            spans.push(DispatchSpan {
-                id: p.item.id,
-                batch: batch_id,
-                enqueued: Duration::from_nanos(p.enqueued_ns),
-                queued: Duration::from_nanos(exec_start.saturating_sub(p.enqueued_ns)),
-                exec_start: Duration::from_nanos(exec_start),
-                exec,
+            shared.requests.record(Event {
+                at_ns: p.enqueued_ns,
+                dur_ns: exec_start.saturating_sub(p.enqueued_ns),
+                who: Who::Dispatcher,
+                kind: EventKind::Request {
+                    id: p.item.id,
+                    batch: batch_id,
+                    exec_ns,
+                },
             });
         }
     }
@@ -1431,6 +1362,7 @@ mod tests {
     use super::*;
     use crate::keys::ClientKey;
     use crate::params::ParamSet;
+    use crate::resilience::RetryConfig;
     use crate::server::ServerKey;
     use crate::serving::ServingConfigBuilder;
     use rand::rngs::StdRng;
@@ -1893,7 +1825,10 @@ mod tests {
         let (spans, stats) = (d.spans(), d.stats());
         assert_eq!(stats.completed, ops);
         assert_eq!(spans.len(), JOURNAL_CAPACITY);
-        assert_eq!(spans.len() as u64 + stats.spans_dropped, stats.completed);
+        assert_eq!(
+            spans.len() as u64 + d.request_journal().dropped(),
+            stats.completed
+        );
         // The newest requests are the ones kept, oldest first.
         assert_eq!(spans.last().map(|s| s.id), Some(ops - 1));
         assert!(spans.windows(2).all(|w| w[0].exec_start <= w[1].exec_start));
@@ -2143,11 +2078,10 @@ mod tests {
 
     #[test]
     fn retry_policy_rescues_transient_faults() {
-        use crate::resilience::RetryPolicy;
         let d = dispatcher(
             ServingConfig::builder()
                 .max_batch_size(1)
-                .retry(RetryPolicy::new(3).with_base_backoff(Duration::ZERO).into()),
+                .retry(RetryConfig::new(3).with_base_backoff(Duration::ZERO)),
             FlakyEcho::new(2),
         );
         let t = d.submit(dummy_ct(5), dummy_lut(), None).unwrap();
@@ -2157,21 +2091,22 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.retries, 2, "two faults absorbed by the budget");
         // Counters and journal agree.
-        let events = d.resilience_events();
+        let events = d.resilience_journal().events();
         assert_eq!(
             events.iter().filter(|e| e.kind.label() == "retry").count(),
             2
         );
-        assert!(events.iter().all(|e| e.scope == "dispatcher"));
+        assert!(events
+            .iter()
+            .all(|e| e.who == Who::Scope("dispatcher".into())));
     }
 
     #[test]
     fn exhausted_retry_budget_surfaces_the_fault() {
-        use crate::resilience::RetryPolicy;
         let d = dispatcher(
             ServingConfig::builder()
                 .max_batch_size(1)
-                .retry(RetryPolicy::new(1).with_base_backoff(Duration::ZERO).into()),
+                .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO)),
             FlakyEcho::new(u64::MAX),
         );
         let t = d.submit(dummy_ct(0), dummy_lut(), None).unwrap();
@@ -2233,7 +2168,8 @@ mod tests {
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.submitted, 0, "shed requests never enter the queue");
         assert_eq!(
-            d2.resilience_events()
+            d2.resilience_journal()
+                .events()
                 .iter()
                 .filter(|e| e.kind.label() == "shed")
                 .count(),
@@ -2460,7 +2396,7 @@ mod tests {
         assert_eq!(stats.key_hits, ks.hits);
         assert_eq!(stats.key_misses, ks.misses);
         // All pins were released once the batches finished.
-        let events = store.events();
+        let events = store.journal().events();
         let pins = events.iter().filter(|e| e.kind.label() == "pin").count();
         let unpins = events.iter().filter(|e| e.kind.label() == "unpin").count();
         assert_eq!(pins, unpins);

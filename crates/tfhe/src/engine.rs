@@ -54,10 +54,11 @@
 //!   full strength, serving on reduced capacity, or dead. Submissions
 //!   fail fast with [`TfheError::EngineShutDown`] only at `Failed`.
 //!
-//! Every fault and recovery action is journaled as a [`FaultEvent`];
-//! `morphling_core::trace` renders the journal (together with the
-//! [`JobSpan`] timeline) as a Chrome-trace file, so a chaos run produces
-//! a readable timeline of what failed and how the engine recovered.
+//! Every executed chunk and every fault and recovery action is an
+//! [`Event`] in the engine's [`journal`](BootstrapEngine::journal);
+//! `morphling_core::trace` renders it as a Chrome-trace file, so a chaos
+//! run produces a readable timeline of what failed and how the engine
+//! recovered.
 //!
 //! Deterministic fault *injection* for tests lives in [`crate::faults`];
 //! a zero-rate [`FaultPlan`] (the default) makes every hook a no-op.
@@ -91,7 +92,7 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
@@ -100,7 +101,7 @@ use crate::batch::balanced_chunks;
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::faults::{corrupt_ciphertext, fault_key, FaultInjector, FaultPlan, FaultSite};
-use crate::journal::Ring;
+use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
 use crate::server::ServerKey;
@@ -123,17 +124,6 @@ pub enum EngineHealth {
     /// No live workers (every worker retired, or the engine shut down);
     /// submissions fail fast with [`TfheError::EngineShutDown`].
     Failed,
-}
-
-impl EngineHealth {
-    /// Short lower-case label for trace args and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineHealth::Healthy => "healthy",
-            EngineHealth::Degraded => "degraded",
-            EngineHealth::Failed => "failed",
-        }
-    }
 }
 
 /// A cloneable handle onto one engine's health, detached from the engine's
@@ -176,66 +166,6 @@ impl EngineHealthHandle {
     }
 }
 
-/// What happened in one fault/recovery incident.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultEventKind {
-    /// A worker's job panicked (caught; the chunk was reported back as
-    /// [`TfheError::WorkerPanicked`]).
-    WorkerPanic,
-    /// A panicked worker re-entered its receive loop (in-place respawn).
-    WorkerRespawn,
-    /// A worker exhausted its respawn budget and retired.
-    RespawnExhausted,
-    /// The watchdog declared a chunk wedged (no reply within the job
-    /// timeout).
-    WatchdogTimeout {
-        /// Engine-wide batch sequence number.
-        batch: u64,
-        /// Batch-relative index of the chunk's first ciphertext.
-        chunk_start: usize,
-    },
-    /// An output failed the sanity check.
-    OutputCheckFailed {
-        /// Batch-relative index of the offending ciphertext.
-        index: usize,
-    },
-    /// A chunk was re-dispatched (after a panic, timeout, or failed
-    /// check).
-    Retry {
-        /// Batch-relative index of the chunk's first ciphertext.
-        chunk_start: usize,
-        /// The attempt number of the re-dispatch (1 = first retry).
-        attempt: u32,
-    },
-}
-
-impl FaultEventKind {
-    /// Short lower-case label for trace span names.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultEventKind::WorkerPanic => "worker_panic",
-            FaultEventKind::WorkerRespawn => "worker_respawn",
-            FaultEventKind::RespawnExhausted => "respawn_exhausted",
-            FaultEventKind::WatchdogTimeout { .. } => "watchdog_timeout",
-            FaultEventKind::OutputCheckFailed { .. } => "output_check_failed",
-            FaultEventKind::Retry { .. } => "retry",
-        }
-    }
-}
-
-/// One fault or recovery incident, stamped relative to the engine's
-/// construction instant (the same epoch as [`JobSpan`], so the two
-/// journals merge into one timeline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When the incident was recorded, measured from engine construction.
-    pub at: Duration,
-    /// The worker involved, if the incident is worker-local.
-    pub worker: Option<usize>,
-    /// What happened.
-    pub kind: FaultEventKind,
-}
-
 /// Running totals across everything an engine has executed.
 ///
 /// `busy` sums the wall time each worker spent inside jobs, so
@@ -273,9 +203,6 @@ pub struct EngineStats {
     pub watchdog_timeouts: u64,
     /// Outputs rejected by the sanity-check hook.
     pub check_failures: u64,
-    /// Job spans the bounded journal behind
-    /// [`BootstrapEngine::job_spans`] has overwritten.
-    pub spans_dropped: u64,
 }
 
 impl EngineStats {
@@ -298,26 +225,6 @@ impl EngineStats {
     }
 }
 
-/// One worker's execution of one job, stamped relative to the engine's
-/// construction instant — the raw material for per-worker trace tracks
-/// (`morphling-core`'s `trace` module converts a slice of these into a
-/// Chrome-trace timeline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobSpan {
-    /// Index of the worker thread that ran the job.
-    pub worker: usize,
-    /// Job start, measured from engine construction.
-    pub start: Duration,
-    /// Time the worker spent inside the job.
-    pub dur: Duration,
-    /// Bootstraps (input ciphertexts, = blind rotations) the job
-    /// completed.
-    pub bootstraps: usize,
-    /// Sample extractions (outputs) the job produced; exceeds
-    /// `bootstraps` for fanout jobs.
-    pub extractions: usize,
-}
-
 #[derive(Default)]
 struct Counters {
     batches: AtomicU64,
@@ -333,23 +240,10 @@ struct Counters {
     /// (every worker retired or the engine shut down) and submissions
     /// must fail fast.
     alive: AtomicUsize,
-    /// Per-job execution spans (coarse-grained: one entry per chunk, so
-    /// the mutex is uncontended relative to the bootstrap work itself).
-    spans: Mutex<Ring<JobSpan>>,
-    /// Fault/recovery incident journal, same epoch as `spans`.
-    events: Mutex<Vec<FaultEvent>>,
-}
-
-impl Counters {
-    fn record(&self, epoch: Instant, worker: Option<usize>, kind: FaultEventKind) {
-        if let Ok(mut events) = self.events.lock() {
-            events.push(FaultEvent {
-                at: epoch.elapsed(),
-                worker,
-                kind,
-            });
-        }
-    }
+    /// One [`EventKind::Job`] span per executed chunk (coarse-grained, so
+    /// the lock is uncontended relative to the bootstrap work itself) and
+    /// one instant per fault or recovery action.
+    journal: Journal,
 }
 
 /// Decrements the alive-worker count when a worker thread exits — via
@@ -387,7 +281,6 @@ struct WorkerShared {
     server: Arc<ServerKey>,
     counters: Arc<Counters>,
     injector: FaultInjector,
-    epoch: Instant,
 }
 
 /// Execute one job's bootstraps, with fault-injection hooks. Runs under
@@ -451,13 +344,11 @@ fn worker_loop(
     ws: &mut BootstrapWorkspace,
 ) -> WorkerExit {
     while let Ok(job) = rx.recv() {
-        let t0 = Instant::now();
+        let at_ns = journal::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| run_job(shared, &job, ws)));
-        let dur = t0.elapsed();
+        let dur_ns = journal::now().saturating_sub(at_ns);
         let counters = &shared.counters;
-        counters
-            .busy_nanos
-            .fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
+        counters.busy_nanos.fetch_add(dur_ns, Ordering::Relaxed);
         match outcome {
             Ok(result) => {
                 // `bootstraps` counts input ciphertexts (blind rotations);
@@ -471,15 +362,15 @@ fn worker_loop(
                 counters
                     .extractions
                     .fetch_add(extracted as u64, Ordering::Relaxed);
-                if let Ok(mut spans) = counters.spans.lock() {
-                    spans.push(JobSpan {
-                        worker,
-                        start: t0.duration_since(shared.epoch),
-                        dur,
+                counters.journal.record(Event {
+                    at_ns,
+                    dur_ns,
+                    who: Who::Worker(worker),
+                    kind: EventKind::Job {
                         bootstraps: rotations,
                         extractions: extracted,
-                    });
-                }
+                    },
+                });
                 // The submitter may have bailed early; a closed reply
                 // channel is not the worker's problem.
                 let _ = job.reply.send(Chunk {
@@ -489,7 +380,9 @@ fn worker_loop(
             }
             Err(_) => {
                 counters.panics.fetch_add(1, Ordering::Relaxed);
-                counters.record(shared.epoch, Some(worker), FaultEventKind::WorkerPanic);
+                counters
+                    .journal
+                    .record(Event::instant(Who::Worker(worker), EventKind::WorkerPanic));
                 // Report the chunk as failed so the submitter can retry
                 // it immediately (no reply is ever lost to a panic), then
                 // hand control to the respawn loop.
@@ -520,18 +413,18 @@ fn worker_thread(worker: usize, shared: WorkerShared, rx: Receiver<Job>, respawn
             WorkerExit::ChannelClosed => break,
             WorkerExit::Panicked => {
                 if respawns_left == 0 {
-                    shared.counters.record(
-                        shared.epoch,
-                        Some(worker),
-                        FaultEventKind::RespawnExhausted,
-                    );
+                    shared.counters.journal.record(Event::instant(
+                        Who::Worker(worker),
+                        EventKind::RespawnExhausted,
+                    ));
                     break;
                 }
                 respawns_left -= 1;
                 shared.counters.respawns.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .record(shared.epoch, Some(worker), FaultEventKind::WorkerRespawn);
+                shared.counters.journal.record(Event::instant(
+                    Who::Worker(worker),
+                    EventKind::WorkerRespawn,
+                ));
                 // The panic may have left the workspace mid-operation;
                 // rebuild it so the respawned loop starts from clean state.
                 ws = shared.server.workspace();
@@ -688,7 +581,6 @@ impl BootstrapEngineBuilder {
         let (tx, rx) = channel::unbounded::<Job>();
         let counters = Arc::new(Counters::default());
         counters.alive.store(workers, Ordering::SeqCst);
-        let epoch = Instant::now();
         let injector = FaultInjector::new(self.fault_plan);
         let respawn_budget = self.respawn_budget.unwrap_or(Self::DEFAULT_RESPAWN_BUDGET);
         let handles = (0..workers)
@@ -697,7 +589,6 @@ impl BootstrapEngineBuilder {
                     server: Arc::clone(&server),
                     counters: Arc::clone(&counters),
                     injector,
-                    epoch,
                 };
                 let rx = rx.clone();
                 std::thread::Builder::new()
@@ -712,7 +603,6 @@ impl BootstrapEngineBuilder {
             handles,
             spawned: workers,
             counters,
-            epoch,
             chunk_size: self.chunk_size,
             job_timeout: self.job_timeout,
             max_retries: self.max_retries.unwrap_or(Self::DEFAULT_MAX_RETRIES),
@@ -723,8 +613,9 @@ impl BootstrapEngineBuilder {
 }
 
 /// A persistent, self-healing pool of bootstrap workers fed over a
-/// channel — spawn once, submit many batches. See the
-/// [module docs](self) for the recovery machinery and an example.
+/// channel — spawn once, submit many batches. The recovery machinery
+/// (panic isolation and respawn, watchdog, bounded retry, output checks)
+/// is configured on [`BootstrapEngineBuilder`].
 pub struct BootstrapEngine {
     server: Arc<ServerKey>,
     /// `Some` until drop; taken there to close the channel and stop the
@@ -735,7 +626,6 @@ pub struct BootstrapEngine {
     /// detection; `handles` is drained by shutdown).
     spawned: usize,
     counters: Arc<Counters>,
-    epoch: Instant,
     chunk_size: Option<usize>,
     job_timeout: Option<Duration>,
     max_retries: u32,
@@ -796,7 +686,6 @@ impl BootstrapEngine {
             retries: self.counters.retries.load(Ordering::Relaxed),
             watchdog_timeouts: self.counters.watchdog_timeouts.load(Ordering::Relaxed),
             check_failures: self.counters.check_failures.load(Ordering::Relaxed),
-            spans_dropped: self.counters.spans.lock().map_or(0, |s| s.dropped()),
         }
     }
 
@@ -814,7 +703,7 @@ impl BootstrapEngine {
         }
     }
 
-    /// Zero the counters and the job/fault journals (e.g. between bench
+    /// Zero the counters and clear the journal (e.g. between bench
     /// warm-up and measurement).
     pub fn reset_stats(&self) {
         self.counters.batches.store(0, Ordering::Relaxed);
@@ -826,34 +715,16 @@ impl BootstrapEngine {
         self.counters.retries.store(0, Ordering::Relaxed);
         self.counters.watchdog_timeouts.store(0, Ordering::Relaxed);
         self.counters.check_failures.store(0, Ordering::Relaxed);
-        if let Ok(mut spans) = self.counters.spans.lock() {
-            spans.clear();
-        }
-        if let Ok(mut events) = self.counters.events.lock() {
-            events.clear();
-        }
+        self.counters.journal.clear();
     }
 
-    /// Snapshot of the per-worker job journal (one [`JobSpan`] per
-    /// executed chunk) since construction or the last
-    /// [`reset_stats`](Self::reset_stats): the newest 16 384 spans,
-    /// oldest first ([`EngineStats::spans_dropped`] counts the rest).
-    pub fn job_spans(&self) -> Vec<JobSpan> {
-        self.counters
-            .spans
-            .lock()
-            .map(|s| s.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of the fault/recovery incident journal since construction
-    /// or the last [`reset_stats`](Self::reset_stats).
-    pub fn fault_events(&self) -> Vec<FaultEvent> {
-        self.counters
-            .events
-            .lock()
-            .map(|e| e.clone())
-            .unwrap_or_default()
+    /// The engine's journal since construction or the last
+    /// [`reset_stats`](Self::reset_stats): one [`EventKind::Job`] span per
+    /// executed chunk ([`Who::Worker`]) and one instant per fault or
+    /// recovery action (worker-local ones under [`Who::Worker`], the
+    /// submitting side's under [`Who::Engine`]).
+    pub fn journal(&self) -> &Journal {
+        &self.counters.journal
     }
 
     /// Workers still running their receive loop. Drops below
@@ -980,14 +851,13 @@ impl BootstrapEngine {
             attempts[slot] += 1;
             let attempt = attempts[slot];
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            self.counters.record(
-                self.epoch,
-                None,
-                FaultEventKind::Retry {
+            self.counters.journal.record(Event::instant(
+                Who::Engine,
+                EventKind::ChunkRetry {
                     chunk_start: ranges[slot].start,
                     attempt,
                 },
-            );
+            ));
             let backoff = self
                 .retry_backoff
                 .saturating_mul(1u32 << (attempt - 1).min(16));
@@ -1022,11 +892,10 @@ impl BootstrapEngine {
                                 self.rejected_output(out_offsets[ranges[slot].start], &outs)
                             {
                                 self.counters.check_failures.fetch_add(1, Ordering::Relaxed);
-                                self.counters.record(
-                                    self.epoch,
-                                    None,
-                                    FaultEventKind::OutputCheckFailed { index },
-                                );
+                                self.counters.journal.record(Event::instant(
+                                    Who::Engine,
+                                    EventKind::OutputCheckFailed { index },
+                                ));
                                 if retry(slot, &mut attempts, &mut sent_at)?.is_none() {
                                     return Err(TfheError::OutputCheckFailed { index });
                                 }
@@ -1057,14 +926,13 @@ impl BootstrapEngine {
                             self.counters
                                 .watchdog_timeouts
                                 .fetch_add(1, Ordering::Relaxed);
-                            self.counters.record(
-                                self.epoch,
-                                None,
-                                FaultEventKind::WatchdogTimeout {
+                            self.counters.journal.record(Event::instant(
+                                Who::Engine,
+                                EventKind::WatchdogTimeout {
                                     batch,
                                     chunk_start: ranges[slot].start,
                                 },
-                            );
+                            ));
                             if retry(slot, &mut attempts, &mut sent_at)?.is_none() {
                                 return Err(TfheError::JobTimedOut {
                                     chunk_start: ranges[slot].start,
@@ -1136,6 +1004,19 @@ mod tests {
             luts.to_vec(),
             lut_of.to_vec(),
         )?)
+    }
+
+    /// `(bootstraps, extractions)` of every job span in the journal.
+    fn jobs(engine: &BootstrapEngine) -> Vec<(usize, usize)> {
+        let events = engine.journal().events();
+        let jobs = events.iter().filter_map(|e| match e.kind {
+            EventKind::Job {
+                bootstraps,
+                extractions,
+            } => Some((bootstraps, extractions)),
+            _ => None,
+        });
+        jobs.collect()
     }
 
     fn setup(seed: u64) -> (ClientKey, Arc<ServerKey>, StdRng) {
@@ -1236,9 +1117,9 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.bootstraps, 5, "one rotation per input");
         assert_eq!(stats.extractions, 15, "one extraction per output");
-        let spans = engine.job_spans();
-        assert_eq!(spans.iter().map(|s| s.bootstraps).sum::<usize>(), 5);
-        assert_eq!(spans.iter().map(|s| s.extractions).sum::<usize>(), 15);
+        let jobs = jobs(&engine);
+        assert_eq!(jobs.iter().map(|j| j.0).sum::<usize>(), 5);
+        assert_eq!(jobs.iter().map(|j| j.1).sum::<usize>(), 15);
     }
 
     #[test]
@@ -1389,16 +1270,15 @@ mod tests {
             .build(Arc::clone(&sk))
             .unwrap();
         bb(&engine, &cts, &lut).unwrap();
-        let spans = engine.job_spans();
-        assert_eq!(spans.len(), 3, "one span per 2-ciphertext chunk");
-        assert_eq!(spans.iter().map(|s| s.bootstraps).sum::<usize>(), 6);
-        for s in &spans {
-            assert!(s.worker < 2);
-            assert!(s.dur > Duration::ZERO);
+        let events = engine.journal().events();
+        assert_eq!(events.len(), 3, "one span per 2-ciphertext chunk");
+        assert_eq!(jobs(&engine).iter().map(|j| j.0).sum::<usize>(), 6);
+        for e in &events {
+            assert!(matches!(e.who, Who::Worker(w) if w < 2), "{e:?}");
+            assert!(e.dur_ns > 0);
         }
         engine.reset_stats();
-        assert!(engine.job_spans().is_empty());
-        assert!(engine.fault_events().is_empty());
+        assert!(engine.journal().events().is_empty());
     }
 
     #[test]
@@ -1474,9 +1354,10 @@ mod tests {
         assert_eq!(stats.retries, stats.panics, "every panic retried");
         assert_eq!(stats.health, EngineHealth::Healthy);
         assert!(engine
-            .fault_events()
+            .journal()
+            .events()
             .iter()
-            .any(|e| e.kind == FaultEventKind::WorkerPanic));
+            .any(|e| e.kind == EventKind::WorkerPanic));
     }
 
     #[test]

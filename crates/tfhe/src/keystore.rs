@@ -26,20 +26,19 @@
 //!   trait by resolving [`BatchRequest::tenant`] through the cache and
 //!   holding the pin for the duration of the batch.
 //!
-//! Every cache transition is journaled as a [`KeyEvent`] with a
-//! store-epoch timestamp, mirroring the resilience journal, so the
-//! shared Chrome-trace export can render a `keystore` track and tests
-//! can reconcile counters against events.
+//! Every cache transition is an [`Event`] under [`Who::Tenant`] in the
+//! store's [`journal`](KeyStore::journal), so the shared Chrome-trace
+//! export can render a track per tenant and tests can reconcile counters
+//! against events.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
-use crate::journal::Ring;
+use crate::journal::{Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 use crate::serialize::deserialize_server_key;
 use crate::server::ServerKey;
@@ -188,77 +187,9 @@ impl KeyBackend for DirBackend {
     }
 }
 
-/// What happened to a tenant's cache entry (see [`KeyEvent`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyEventKind {
-    /// A serve hit an already-resident key.
-    Hit,
-    /// A serve missed; a backend load was started (or joined).
-    Miss,
-    /// A backend load + deserialize completed and the key became
-    /// resident.
-    Load {
-        /// Resident bytes the key accounts for.
-        bytes: u64,
-    },
-    /// An unpinned resident was evicted to make room.
-    Evict {
-        /// Bytes released.
-        bytes: u64,
-    },
-    /// A pin was taken (key in use by an in-flight batch).
-    Pin,
-    /// A pin was released.
-    Unpin,
-    /// A backend blob failed deserialization ([`TfheError::KeyCorrupted`]).
-    Corrupt,
-}
-
-impl KeyEventKind {
-    /// Short stable label (trace span names, journal reconciliation).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Hit => "hit",
-            Self::Miss => "miss",
-            Self::Load { .. } => "load",
-            Self::Evict { .. } => "evict",
-            Self::Pin => "pin",
-            Self::Unpin => "unpin",
-            Self::Corrupt => "corrupt",
-        }
-    }
-}
-
-/// One journaled keystore transition, timestamped against
-/// [`KeyStore::epoch`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KeyEvent {
-    /// When it happened, relative to the store's epoch.
-    pub at: Duration,
-    /// The tenant involved.
-    pub tenant: u64,
-    /// What happened.
-    pub kind: KeyEventKind,
-}
-
-/// The journal shared by the store and every outstanding [`PinnedKey`]
-/// (pins outlive `get` calls, so unpin events need a handle of their
-/// own).
-#[derive(Debug)]
-struct KeyJournal {
-    epoch: Instant,
-    events: Mutex<Ring<KeyEvent>>,
-}
-
-impl KeyJournal {
-    fn record(&self, tenant: TenantId, kind: KeyEventKind) {
-        let at = self.epoch.elapsed();
-        lock(&self.events).push(KeyEvent {
-            at,
-            tenant: tenant.raw(),
-            kind,
-        });
-    }
+/// Journal one cache transition of `tenant`'s entry, stamped now.
+fn record(journal: &Journal, tenant: TenantId, kind: EventKind) {
+    journal.record(Event::instant(Who::Tenant(tenant.raw()), kind));
 }
 
 /// A snapshot of the store's counters (all monotonic except
@@ -279,9 +210,6 @@ pub struct KeyStoreStats {
     pub bytes_resident: u64,
     /// Keys currently resident.
     pub resident_keys: u64,
-    /// Cache events the bounded journal behind [`KeyStore::events`] has
-    /// overwritten.
-    pub events_dropped: u64,
 }
 
 /// A resident cache entry.
@@ -329,7 +257,9 @@ pub struct KeyStore {
     budget: u64,
     inner: Mutex<Inner>,
     loaded: Condvar,
-    journal: Arc<KeyJournal>,
+    /// Shared with every outstanding [`PinnedKey`]: pins outlive `get`
+    /// calls, so unpin events need a handle of their own.
+    journal: Arc<Journal>,
     hits: AtomicU64,
     misses: AtomicU64,
     loads: AtomicU64,
@@ -365,10 +295,7 @@ impl KeyStore {
                 bytes: 0,
             }),
             loaded: Condvar::new(),
-            journal: Arc::new(KeyJournal {
-                epoch: Instant::now(),
-                events: Mutex::default(),
-            }),
+            journal: Arc::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             loads: AtomicU64::new(0),
@@ -382,16 +309,10 @@ impl KeyStore {
         self.budget
     }
 
-    /// The journal's epoch (timestamps in [`events`](Self::events) are
-    /// relative to this instant).
-    pub fn epoch(&self) -> Instant {
-        self.journal.epoch
-    }
-
-    /// Snapshot of the journaled cache transitions: the newest 16 384,
-    /// oldest first ([`KeyStoreStats::events_dropped`] counts the rest).
-    pub fn events(&self) -> Vec<KeyEvent> {
-        lock(&self.journal.events).snapshot()
+    /// The journaled cache transitions (`hit`, `miss`, `load`, `evict`,
+    /// `pin`, `unpin`, `corrupt`), each under its [`Who::Tenant`].
+    pub fn journal(&self) -> &Journal {
+        &self.journal
     }
 
     /// Snapshot of the counters.
@@ -413,7 +334,6 @@ impl KeyStore {
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_resident,
             resident_keys,
-            events_dropped: lock(&self.journal.events).dropped(),
         }
     }
 
@@ -447,7 +367,7 @@ impl KeyStore {
                         r.last_used = tick;
                         let pinned = self.pin(tenant, r);
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.journal.record(tenant, KeyEventKind::Hit);
+                        record(&self.journal, tenant, EventKind::Hit);
                         return Ok(pinned);
                     }
                     Some(Entry::Loading) => {
@@ -460,7 +380,7 @@ impl KeyStore {
                     }
                     None => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
-                        self.journal.record(tenant, KeyEventKind::Miss);
+                        record(&self.journal, tenant, EventKind::Miss);
                         inner.map.insert(t, Entry::Loading);
                         break;
                     }
@@ -477,7 +397,7 @@ impl KeyStore {
             Err(e) => {
                 self.load_failures.fetch_add(1, Ordering::Relaxed);
                 if matches!(e, TfheError::KeyCorrupted { .. }) {
-                    self.journal.record(tenant, KeyEventKind::Corrupt);
+                    record(&self.journal, tenant, EventKind::Corrupt);
                 }
                 let mut inner = lock(&self.inner);
                 inner.map.remove(&t);
@@ -506,8 +426,7 @@ impl KeyStore {
         inner.bytes += need;
         inner.map.insert(t, Entry::Ready(resident));
         self.loads.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(tenant, KeyEventKind::Load { bytes: need });
+        record(&self.journal, tenant, EventKind::Load { bytes: need });
         self.loaded.notify_all();
         Ok(pinned)
     }
@@ -515,7 +434,7 @@ impl KeyStore {
     /// Take a pin on `r` and build the guard.
     fn pin(&self, tenant: TenantId, r: &mut Resident) -> PinnedKey {
         r.pins.fetch_add(1, Ordering::SeqCst);
-        self.journal.record(tenant, KeyEventKind::Pin);
+        record(&self.journal, tenant, EventKind::Pin);
         PinnedKey {
             key: Arc::clone(&r.key),
             pins: Arc::clone(&r.pins),
@@ -555,10 +474,8 @@ impl KeyStore {
             if let Some(Entry::Ready(r)) = inner.map.remove(&victim) {
                 inner.bytes -= r.bytes;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.journal.record(
-                    TenantId::new(victim),
-                    KeyEventKind::Evict { bytes: r.bytes },
-                );
+                let evict = EventKind::Evict { bytes: r.bytes };
+                record(&self.journal, TenantId::new(victim), evict);
             }
         }
         Ok(())
@@ -572,7 +489,7 @@ pub struct PinnedKey {
     key: Arc<ServerKey>,
     pins: Arc<AtomicUsize>,
     tenant: TenantId,
-    journal: Arc<KeyJournal>,
+    journal: Arc<Journal>,
 }
 
 impl PinnedKey {
@@ -604,7 +521,7 @@ impl Drop for PinnedKey {
         // balance is exactly zero at each of its evict events. Chaos
         // tests reconstruct that balance to prove pinned keys are never
         // evicted.
-        self.journal.record(self.tenant, KeyEventKind::Unpin);
+        record(&self.journal, self.tenant, EventKind::Unpin);
         self.pins.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -712,13 +629,9 @@ mod tests {
         drop(store.get(TenantId::new(2)).unwrap());
         assert_eq!(store.stats().loads, 4);
         // The evict event named tenant 2.
-        let evicts: Vec<u64> = store
-            .events()
-            .iter()
-            .filter(|e| e.kind.label() == "evict")
-            .map(|e| e.tenant)
-            .collect();
-        assert!(evicts.contains(&2));
+        let events = store.journal().events();
+        let mut evicts = events.iter().filter(|e| e.kind.label() == "evict");
+        assert!(evicts.any(|e| e.who == Who::Tenant(2)));
     }
 
     #[test]
@@ -770,6 +683,7 @@ mod tests {
         assert_eq!(stats.load_failures, 2);
         assert_eq!(
             store
+                .journal()
                 .events()
                 .iter()
                 .filter(|e| e.kind.label() == "corrupt")
@@ -866,7 +780,12 @@ mod tests {
         drop(store.get(TenantId::new(1)).unwrap());
         drop(store.get(TenantId::new(2)).unwrap());
         drop(store.get(TenantId::new(1)).unwrap());
-        let events = store.events();
+        let events = store.journal().events();
+        assert_eq!(
+            store.journal().dropped(),
+            0,
+            "the journal holds every event"
+        );
         let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
         let stats = store.stats();
         assert_eq!(count("hit"), stats.hits);
@@ -874,9 +793,9 @@ mod tests {
         assert_eq!(count("load"), stats.loads);
         assert_eq!(count("evict"), stats.evictions);
         assert_eq!(count("pin"), count("unpin"), "all pins released");
-        // Timestamps are monotone against the epoch.
+        // Timestamps are monotone on the process epoch.
         for w in events.windows(2) {
-            assert!(w[0].at <= w[1].at);
+            assert!(w[0].at_ns <= w[1].at_ns);
         }
     }
 }

@@ -33,10 +33,10 @@
 //!   [`Bootstrapper`] trait over [`BatchRequest`], implemented by
 //!   [`ServerKey`] (sequential), [`ParallelServerKey`] (scoped threads),
 //!   [`BootstrapEngine`] (pooled), and the deadline-aware dynamic-batching
-//!   [`Dispatcher`](dispatch::Dispatcher) — the software analogue of the
+//!   [`Dispatcher`] — the software analogue of the
 //!   paper's SW scheduler that keeps the cores fed with large batches;
 //! - a service-level [`resilience`] layer on top of the backends:
-//!   [`RetryPolicy`] (bounded backoff with seeded jitter),
+//!   [`RetryConfig`] (bounded backoff with seeded jitter),
 //!   [`CircuitBreaker`] (fail-fast admission while a backend is sick),
 //!   and the degraded-mode [`FailoverBootstrapper`] that walks an ordered
 //!   backend stack and restores the primary via half-open probes;
@@ -83,7 +83,7 @@ pub mod faults;
 mod fft_cache;
 mod ggsw;
 mod glwe;
-mod journal;
+pub mod journal;
 mod keys;
 pub mod keystore;
 mod ksk;
@@ -115,17 +115,18 @@ pub use dispatch::{
 };
 pub use engine::{
     BootstrapEngine, BootstrapEngineBuilder, EngineHealth, EngineHealthHandle, EngineStats,
-    FaultEvent, FaultEventKind, JobSpan, OutputCheck,
+    OutputCheck,
 };
 pub use error::TfheError;
 pub use external_product::{cmux, external_product, ExternalProductEngine};
 pub use faults::{FaultInjector, FaultPlan, FaultSite};
 pub use ggsw::{FourierGgsw, GgswCiphertext};
 pub use glwe::GlweCiphertext;
+pub use journal::{Event, EventKind, Journal, Who};
 pub use keys::{ClientKey, GlweSecretKey, LweSecretKey};
 pub use keystore::{
-    DirBackend, KeyBackend, KeyEvent, KeyEventKind, KeyStore, KeyStoreBootstrapper, KeyStoreStats,
-    MemoryBackend, PinnedKey, TenantId,
+    DirBackend, KeyBackend, KeyStore, KeyStoreBootstrapper, KeyStoreStats, MemoryBackend,
+    PinnedKey, TenantId,
 };
 pub use ksk::KeySwitchKey;
 pub use lut::Lut;
@@ -133,9 +134,8 @@ pub use lwe::LweCiphertext;
 pub use multivalue::MultiLutPlan;
 pub use params::{ParamSet, TfheParams, ALL_PAPER_SETS};
 pub use resilience::{
-    BreakerState, CircuitBreaker, CircuitBreakerBuilder, FailoverBootstrapper,
-    FailoverBootstrapperBuilder, ResilienceEvent, ResilienceEventKind, ResilienceJournal,
-    RetryPolicy,
+    BreakerConfig, BreakerState, CircuitBreaker, CircuitBreakerBuilder, FailoverBootstrapper,
+    FailoverBootstrapperBuilder, RetryConfig,
 };
 pub use serialize::{
     deserialize_bootstrap_key, deserialize_glwe_secret_key, deserialize_key_switch_key,
@@ -144,5 +144,5 @@ pub use serialize::{
     serialize_server_key,
 };
 pub use server::{BootstrapOptions, MulBackend, ServerKey, ServerKeyBuilder};
-pub use serving::{BreakerConfig, RetryConfig, ServingConfig, ServingConfigBuilder};
+pub use serving::{ServingConfig, ServingConfigBuilder};
 pub use workspace::BootstrapWorkspace;

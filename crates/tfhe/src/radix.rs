@@ -3,7 +3,7 @@
 //!
 //! The paper's §I motivates exactly this: "To keep the ciphertext
 //! parameter small, the TFHE scheme encrypts large-precision plaintext
-//! into multiple ciphertexts [18]. From a hardware perspective, the
+//! into multiple ciphertexts \[18\]. From a hardware perspective, the
 //! operation can be seen as the computation of multiple small-parameter
 //! ciphertexts" — the independent per-digit bootstraps are what Morphling
 //! batches across its VPE rows.

@@ -5,7 +5,7 @@
 //! survive faults (watchdog, respawn, bounded retry inside the pool); this
 //! module makes the *service* survive them. Three pieces compose:
 //!
-//! - [`RetryPolicy`]: bounded re-dispatch with exponential backoff and
+//! - [`RetryConfig`]: bounded re-dispatch with exponential backoff and
 //!   **deterministic seeded jitter** (the same SplitMix64 stream the fault
 //!   injector uses, so a chaos run's backoff schedule replays exactly).
 //!   What is worth retrying is decided by
@@ -27,11 +27,11 @@
 //!   bit-identical on the same request (the conformance contract), a
 //!   failover is invisible to the caller except in latency.
 //!
-//! Every retry, breaker transition, and failover is journaled as a
-//! [`ResilienceEvent`] into a [`ResilienceJournal`] (shareable across
-//! components so one timeline covers the whole serving stack) and
-//! rendered into the Chrome trace by
-//! `morphling_core::trace::ExecutionTrace::add_resilience_events`.
+//! Every retry, breaker transition, and failover is an [`Event`] in a
+//! [`Journal`] (shareable across components so their incidents
+//! interleave in the order they happened), under a [`Who::Scope`] named
+//! after the tier or breaker, and rendered into the Chrome trace by
+//! `morphling_core::trace::ExecutionTrace::add_events`.
 //!
 //! # Degraded-mode serving in one picture
 //!
@@ -52,6 +52,7 @@ use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::engine::EngineHealth;
 use crate::error::TfheError;
 use crate::faults::unit_sample;
+use crate::journal::{Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 
 /// Hash-domain separator for retry jitter (disjoint from the fault
@@ -65,33 +66,42 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Retry policy
+// Retry knobs
 // ---------------------------------------------------------------------------
 
-/// Bounded retry with exponential backoff and deterministic seeded jitter.
+/// Bounded retry with exponential backoff and deterministic seeded jitter,
+/// as plain data: the `retry` section of a
+/// [`ServingConfig`](crate::ServingConfig) and the policy a
+/// [`FailoverBootstrapper`] applies per tier.
 ///
-/// `max_retries` counts *re*-dispatches: a policy of 2 allows three total
-/// attempts. Backoff for attempt `a` (1-based) is
-/// `min(base · 2^(a−1), max)`, scaled by a jitter factor drawn
-/// deterministically from `(seed, key, attempt)` — two runs with the same
-/// seed and request keys back off identically, which keeps chaos tests
-/// reproducible while still de-synchronizing concurrent retriers.
+/// Backoff for attempt `a` (1-based) is `min(base · 2^(a−1), max)`, scaled
+/// by a jitter factor drawn deterministically from `(seed, key, attempt)` —
+/// two runs with the same seed and request keys back off identically,
+/// which keeps chaos tests reproducible while still de-synchronizing
+/// concurrent retriers.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    max_retries: u32,
-    base_backoff: Duration,
-    max_backoff: Duration,
-    jitter: f64,
-    seed: u64,
+pub struct RetryConfig {
+    /// Re-dispatches allowed after the first attempt (0 = fail fast; 2
+    /// allows three attempts in total).
+    pub max_retries: u32,
+    /// Backoff before the first retry (doubles per further attempt).
+    pub base_backoff: Duration,
+    /// Cap on the exponential backoff.
+    pub max_backoff: Duration,
+    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a factor in
+    /// `[1 − jitter, 1]`, drawn deterministically from `seed`.
+    pub jitter: f64,
+    /// Seed for the deterministic jitter draws.
+    pub seed: u64,
 }
 
-impl Default for RetryPolicy {
+impl Default for RetryConfig {
     fn default() -> Self {
         Self::none()
     }
 }
 
-impl RetryPolicy {
+impl RetryConfig {
     /// No retries at all — every failure surfaces immediately.
     pub fn none() -> Self {
         Self {
@@ -129,38 +139,12 @@ impl RetryPolicy {
         self
     }
 
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a factor in
-    /// `[1 − jitter, 1]`, drawn deterministically from the seed.
+    /// Set the jitter fraction and the seed its draws come from.
     #[must_use]
     pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        self.jitter = jitter.clamp(0.0, 1.0);
+        self.jitter = jitter;
         self.seed = seed;
         self
-    }
-
-    /// The retry budget (re-dispatches after the first attempt).
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
-    /// The first-retry backoff (doubles each further attempt).
-    pub fn base_backoff(&self) -> Duration {
-        self.base_backoff
-    }
-
-    /// The exponential-backoff cap.
-    pub fn max_backoff(&self) -> Duration {
-        self.max_backoff
-    }
-
-    /// The jitter fraction in `[0, 1]`.
-    pub fn jitter(&self) -> f64 {
-        self.jitter
-    }
-
-    /// The seed the deterministic jitter draws from.
-    pub fn jitter_seed(&self) -> u64 {
-        self.seed
     }
 
     /// Should a request that failed with `err` after `attempt` completed
@@ -171,7 +155,8 @@ impl RetryPolicy {
     }
 
     /// Backoff before retry `attempt` (1-based) of the request identified
-    /// by `key`. Pure function of `(policy, key, attempt)`.
+    /// by `key`. Pure function of `(self, key, attempt)`; a `jitter`
+    /// outside `[0, 1]` is read as the nearer bound (NaN as 0).
     pub fn backoff(&self, key: u64, attempt: u32) -> Duration {
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
@@ -181,124 +166,12 @@ impl RetryPolicy {
             .base_backoff
             .saturating_mul(1u32 << shift)
             .min(self.max_backoff.max(self.base_backoff));
-        if self.jitter <= 0.0 {
+        let jitter = self.jitter.min(1.0);
+        if jitter.is_nan() || jitter <= 0.0 {
             return exp;
         }
         let unit = unit_sample(self.seed, JITTER_DOMAIN, key, attempt);
-        exp.mul_f64(1.0 - self.jitter * unit)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Event journal
-// ---------------------------------------------------------------------------
-
-/// What happened in one resilience incident.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ResilienceEventKind {
-    /// A request was re-dispatched after a retryable failure.
-    Retry {
-        /// Retry number (1 = first re-dispatch).
-        attempt: u32,
-    },
-    /// A breaker tripped open: admission now fails fast.
-    BreakerOpen,
-    /// A breaker's cooldown elapsed; probe traffic is being admitted.
-    BreakerHalfOpen,
-    /// A half-open probe succeeded and the breaker closed (recovered).
-    BreakerClose,
-    /// A failover tier was skipped because its breaker refused admission.
-    TierSkipped,
-    /// A request moved to a lower tier after the one before it failed.
-    Failover {
-        /// Tier that failed the request.
-        from: String,
-        /// Tier that received it instead.
-        to: String,
-    },
-    /// An admission was shed at the front door (dispatcher breaker open).
-    Shed,
-}
-
-impl ResilienceEventKind {
-    /// Short lower-case label used as the trace span name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ResilienceEventKind::Retry { .. } => "retry",
-            ResilienceEventKind::BreakerOpen => "breaker_open",
-            ResilienceEventKind::BreakerHalfOpen => "breaker_half_open",
-            ResilienceEventKind::BreakerClose => "breaker_close",
-            ResilienceEventKind::TierSkipped => "tier_skipped",
-            ResilienceEventKind::Failover { .. } => "failover",
-            ResilienceEventKind::Shed => "shed",
-        }
-    }
-}
-
-/// One timestamped resilience incident: when, which component, what.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResilienceEvent {
-    /// When the incident happened, measured from the journal's epoch.
-    pub at: Duration,
-    /// The component it happened in (a tier name, a breaker name, or
-    /// `"dispatcher"`).
-    pub scope: String,
-    /// What happened.
-    pub kind: ResilienceEventKind,
-}
-
-/// A shared, append-only timeline of [`ResilienceEvent`]s.
-///
-/// One journal can be threaded through a breaker, a failover stack, and a
-/// dispatcher so all their incidents share a single epoch — the property
-/// that lets the Chrome trace line retries up under breaker transitions.
-#[derive(Debug)]
-pub struct ResilienceJournal {
-    epoch: Instant,
-    events: Mutex<Vec<ResilienceEvent>>,
-}
-
-impl Default for ResilienceJournal {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResilienceJournal {
-    /// An empty journal with its epoch at now.
-    pub fn new() -> Self {
-        Self {
-            epoch: Instant::now(),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The instant event timestamps are measured from.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// Append one incident, stamped now.
-    pub fn record(&self, scope: &str, kind: ResilienceEventKind) {
-        let at = Instant::now().saturating_duration_since(self.epoch);
-        lock(&self.events).push(ResilienceEvent {
-            at,
-            scope: scope.to_string(),
-            kind,
-        });
-    }
-
-    /// Snapshot of every event so far, in record order.
-    pub fn events(&self) -> Vec<ResilienceEvent> {
-        lock(&self.events).clone()
-    }
-
-    /// Events of one kind-label (`"retry"`, `"failover"`, …), counted.
-    pub fn count(&self, label: &str) -> usize {
-        lock(&self.events)
-            .iter()
-            .filter(|e| e.kind.label() == label)
-            .count()
+        exp.mul_f64(1.0 - jitter * unit)
     }
 }
 
@@ -320,14 +193,50 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// Short lower-case label for traces and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
+/// Circuit-breaker knobs in plain-data form: the `breaker` section of a
+/// [`ServingConfig`](crate::ServingConfig) (where `Some` means "gate
+/// admission behind a fresh breaker built from these knobs") and what a
+/// [`CircuitBreakerBuilder`] collects. Runtime-only wiring — a name, a
+/// health probe, a shared journal — stays on the builder.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BreakerConfig {
+    /// Rolling-window size in outcomes.
+    pub window: usize,
+    /// Failure fraction of the window that trips the breaker, in `(0, 1]`.
+    pub failure_threshold: f64,
+    /// Outcomes required in the window before the rate is trusted.
+    pub min_samples: usize,
+    /// How long an open breaker rejects before admitting probes.
+    pub cooldown: Duration,
+    /// Consecutive probe successes required to close from half-open.
+    pub probes_to_close: u32,
+}
+
+impl Default for BreakerConfig {
+    /// Window 32, threshold 0.5, min 8 samples, 100 ms cooldown, 1 probe
+    /// to close.
+    fn default() -> Self {
+        Self {
+            window: 32,
+            failure_threshold: 0.5,
+            min_samples: 8,
+            cooldown: Duration::from_millis(100),
+            probes_to_close: 1,
         }
+    }
+}
+
+impl BreakerConfig {
+    /// A [`CircuitBreakerBuilder`] pre-loaded with these knobs (through
+    /// its clamping setters) — add runtime wiring (name, health probe,
+    /// shared journal) and `build()`.
+    pub fn to_builder(&self) -> CircuitBreakerBuilder {
+        CircuitBreaker::builder()
+            .window(self.window)
+            .failure_threshold(self.failure_threshold)
+            .min_samples(self.min_samples)
+            .cooldown(self.cooldown)
+            .probes_to_close(self.probes_to_close)
     }
 }
 
@@ -335,24 +244,16 @@ impl BreakerState {
 /// [`build`](Self::build) is infallible.
 pub struct CircuitBreakerBuilder {
     name: String,
-    window: usize,
-    failure_threshold: f64,
-    min_samples: usize,
-    cooldown: Duration,
-    probes_to_close: u32,
+    config: BreakerConfig,
     health: Option<Arc<dyn Fn() -> EngineHealth + Send + Sync>>,
-    journal: Option<Arc<ResilienceJournal>>,
+    journal: Option<Arc<Journal>>,
 }
 
 impl Default for CircuitBreakerBuilder {
     fn default() -> Self {
         Self {
             name: "breaker".to_string(),
-            window: 32,
-            failure_threshold: 0.5,
-            min_samples: 8,
-            cooldown: Duration::from_millis(100),
-            probes_to_close: 1,
+            config: BreakerConfig::default(),
             health: None,
             journal: None,
         }
@@ -363,18 +264,13 @@ impl std::fmt::Debug for CircuitBreakerBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CircuitBreakerBuilder")
             .field("name", &self.name)
-            .field("window", &self.window)
-            .field("failure_threshold", &self.failure_threshold)
-            .field("min_samples", &self.min_samples)
-            .field("cooldown", &self.cooldown)
-            .field("probes_to_close", &self.probes_to_close)
+            .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
 
 impl CircuitBreakerBuilder {
-    /// Defaults: window 32, threshold 0.5, min 8 samples, 100 ms
-    /// cooldown, 1 probe to close.
+    /// Start from [`BreakerConfig::default`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -389,7 +285,7 @@ impl CircuitBreakerBuilder {
     /// Rolling-window size in outcomes (clamped to ≥ 1).
     #[must_use]
     pub fn window(mut self, outcomes: usize) -> Self {
-        self.window = outcomes.max(1);
+        self.config.window = outcomes.max(1);
         self
     }
 
@@ -397,7 +293,7 @@ impl CircuitBreakerBuilder {
     /// `(0, 1]`).
     #[must_use]
     pub fn failure_threshold(mut self, fraction: f64) -> Self {
-        self.failure_threshold = fraction.clamp(f64::MIN_POSITIVE, 1.0);
+        self.config.failure_threshold = fraction.clamp(f64::MIN_POSITIVE, 1.0);
         self
     }
 
@@ -406,14 +302,14 @@ impl CircuitBreakerBuilder {
     /// breaker.
     #[must_use]
     pub fn min_samples(mut self, samples: usize) -> Self {
-        self.min_samples = samples.max(1);
+        self.config.min_samples = samples.max(1);
         self
     }
 
     /// How long an open breaker rejects before admitting probes.
     #[must_use]
     pub fn cooldown(mut self, cooldown: Duration) -> Self {
-        self.cooldown = cooldown;
+        self.config.cooldown = cooldown;
         self
     }
 
@@ -421,7 +317,7 @@ impl CircuitBreakerBuilder {
     /// (clamped to ≥ 1).
     #[must_use]
     pub fn probes_to_close(mut self, probes: u32) -> Self {
-        self.probes_to_close = probes.max(1);
+        self.config.probes_to_close = probes.max(1);
         self
     }
 
@@ -439,10 +335,10 @@ impl CircuitBreakerBuilder {
     }
 
     /// Journal state transitions into `journal` (shared with other
-    /// components for one merged timeline). Without this, the breaker
-    /// creates its own private journal.
+    /// components so their incidents interleave in record order).
+    /// Without this, the breaker creates its own private journal.
     #[must_use]
-    pub fn journal(mut self, journal: Arc<ResilienceJournal>) -> Self {
+    pub fn journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
         self
     }
@@ -450,12 +346,8 @@ impl CircuitBreakerBuilder {
     /// Build the breaker (infallible — every knob clamps).
     pub fn build(self) -> CircuitBreaker {
         CircuitBreaker {
-            name: self.name,
-            window: self.window,
-            failure_threshold: self.failure_threshold,
-            min_samples: self.min_samples,
-            cooldown: self.cooldown,
-            probes_to_close: self.probes_to_close,
+            name: self.name.into(),
+            config: self.config,
             health: self.health,
             journal: self.journal.unwrap_or_default(),
             inner: Mutex::new(BreakerInner {
@@ -488,14 +380,10 @@ struct BreakerInner {
 /// *retryable* faults should be recorded as failures — a validation error
 /// says nothing about backend health.
 pub struct CircuitBreaker {
-    name: String,
-    window: usize,
-    failure_threshold: f64,
-    min_samples: usize,
-    cooldown: Duration,
-    probes_to_close: u32,
+    name: Arc<str>,
+    config: BreakerConfig,
     health: Option<Arc<dyn Fn() -> EngineHealth + Send + Sync>>,
-    journal: Arc<ResilienceJournal>,
+    journal: Arc<Journal>,
     inner: Mutex<BreakerInner>,
     opens: AtomicU64,
     closes: AtomicU64,
@@ -553,8 +441,13 @@ impl CircuitBreaker {
     }
 
     /// The journal this breaker's transitions land in.
-    pub fn journal(&self) -> &Arc<ResilienceJournal> {
+    pub fn journal(&self) -> &Arc<Journal> {
         &self.journal
+    }
+
+    fn journal_transition(&self, kind: EventKind) {
+        let who = Who::Scope(Arc::clone(&self.name));
+        self.journal.record(Event::instant(who, kind));
     }
 
     /// Ask to admit one request.
@@ -585,16 +478,15 @@ impl CircuitBreaker {
                     .opened_at
                     .map(|t| t.elapsed())
                     .unwrap_or(Duration::ZERO);
-                if elapsed >= self.cooldown {
+                if elapsed >= self.config.cooldown {
                     inner.state = BreakerState::HalfOpen;
                     inner.probe_successes = 0;
-                    self.journal
-                        .record(&self.name, ResilienceEventKind::BreakerHalfOpen);
+                    self.journal_transition(EventKind::BreakerHalfOpen);
                     Ok(())
                 } else {
                     self.rejections.fetch_add(1, Ordering::Relaxed);
                     Err(TfheError::Overloaded {
-                        retry_after: self.cooldown - elapsed,
+                        retry_after: self.config.cooldown - elapsed,
                     })
                 }
             }
@@ -608,7 +500,7 @@ impl CircuitBreaker {
         let mut inner = lock(&self.inner);
         match inner.state {
             BreakerState::Closed => {
-                if inner.outcomes.len() == self.window {
+                if inner.outcomes.len() == self.config.window {
                     if let Some(old) = inner.outcomes.pop_front() {
                         if old {
                             inner.failures -= 1;
@@ -620,8 +512,8 @@ impl CircuitBreaker {
                     inner.failures += 1;
                 }
                 let n = inner.outcomes.len();
-                if n >= self.min_samples
-                    && inner.failures as f64 / n as f64 >= self.failure_threshold
+                if n >= self.config.min_samples
+                    && inner.failures as f64 / n as f64 >= self.config.failure_threshold
                 {
                     self.trip(&mut inner);
                 }
@@ -629,15 +521,14 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => {
                 if success {
                     inner.probe_successes += 1;
-                    if inner.probe_successes >= self.probes_to_close {
+                    if inner.probe_successes >= self.config.probes_to_close {
                         inner.state = BreakerState::Closed;
                         inner.outcomes.clear();
                         inner.failures = 0;
                         inner.opened_at = None;
                         inner.probe_successes = 0;
                         self.closes.fetch_add(1, Ordering::Relaxed);
-                        self.journal
-                            .record(&self.name, ResilienceEventKind::BreakerClose);
+                        self.journal_transition(EventKind::BreakerClose);
                     }
                 } else {
                     self.trip(&mut inner);
@@ -657,8 +548,7 @@ impl CircuitBreaker {
         inner.failures = 0;
         inner.probe_successes = 0;
         self.opens.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .record(&self.name, ResilienceEventKind::BreakerOpen);
+        self.journal_transition(EventKind::BreakerOpen);
     }
 }
 
@@ -673,7 +563,7 @@ impl Default for CircuitBreaker {
 // ---------------------------------------------------------------------------
 
 struct Tier {
-    name: String,
+    name: Arc<str>,
     backend: Arc<dyn Bootstrapper + Send + Sync>,
     breaker: Arc<CircuitBreaker>,
     served: AtomicU64,
@@ -691,8 +581,8 @@ type TierSpec = (
 #[derive(Default)]
 pub struct FailoverBootstrapperBuilder {
     tiers: Vec<TierSpec>,
-    retry: RetryPolicy,
-    journal: Option<Arc<ResilienceJournal>>,
+    retry: RetryConfig,
+    journal: Option<Arc<Journal>>,
 }
 
 impl std::fmt::Debug for FailoverBootstrapperBuilder {
@@ -744,15 +634,15 @@ impl FailoverBootstrapperBuilder {
 
     /// Per-tier retry policy (applied before failing over).
     #[must_use]
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
+    pub fn retry_policy(mut self, retry: RetryConfig) -> Self {
         self.retry = retry;
         self
     }
 
     /// Journal events into `journal` instead of a fresh private one —
-    /// share it with a dispatcher for a single merged timeline.
+    /// share it with a dispatcher so both record into one ring.
     #[must_use]
-    pub fn journal(mut self, journal: Arc<ResilienceJournal>) -> Self {
+    pub fn journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
         self
     }
@@ -780,7 +670,7 @@ impl FailoverBootstrapperBuilder {
                     )
                 });
                 Tier {
-                    name,
+                    name: name.into(),
                     backend,
                     breaker,
                     served: AtomicU64::new(0),
@@ -803,8 +693,8 @@ impl FailoverBootstrapperBuilder {
 /// restore upward via half-open probes. See the [module docs](self).
 pub struct FailoverBootstrapper {
     tiers: Vec<Tier>,
-    retry: RetryPolicy,
-    journal: Arc<ResilienceJournal>,
+    retry: RetryConfig,
+    journal: Arc<Journal>,
     failovers: AtomicU64,
     retries: AtomicU64,
     /// Request sequence number — the jitter key, so each request's
@@ -831,14 +721,14 @@ impl FailoverBootstrapper {
 
     /// Tier names in priority order.
     pub fn tier_names(&self) -> Vec<&str> {
-        self.tiers.iter().map(|t| t.name.as_str()).collect()
+        self.tiers.iter().map(|t| &*t.name).collect()
     }
 
     /// Requests served per tier, in priority order.
     pub fn served(&self) -> Vec<(String, u64)> {
         self.tiers
             .iter()
-            .map(|t| (t.name.clone(), t.served.load(Ordering::Relaxed)))
+            .map(|t| (t.name.to_string(), t.served.load(Ordering::Relaxed)))
             .collect()
     }
 
@@ -859,13 +749,8 @@ impl FailoverBootstrapper {
 
     /// The shared event journal (tiers' breakers journal here too unless
     /// caller-supplied with their own).
-    pub fn journal(&self) -> &Arc<ResilienceJournal> {
+    pub fn journal(&self) -> &Arc<Journal> {
         &self.journal
-    }
-
-    /// Snapshot of the journal.
-    pub fn events(&self) -> Vec<ResilienceEvent> {
-        self.journal.events()
     }
 }
 
@@ -879,26 +764,20 @@ impl Bootstrapper for FailoverBootstrapper {
         // rejection — the former says what is actually wrong.
         let mut last_fault: Option<TfheError> = None;
         let mut last_reject: Option<TfheError> = None;
-        let mut failed_from: Option<String> = None;
+        let mut failed_from: Option<Arc<str>> = None;
         for tier in &self.tiers {
-            match tier.breaker.try_acquire() {
-                Ok(()) => {}
-                Err(e) => {
-                    self.journal
-                        .record(&tier.name, ResilienceEventKind::TierSkipped);
-                    last_reject = Some(e);
-                    continue;
-                }
+            let record = |kind| {
+                let who = Who::Scope(Arc::clone(&tier.name));
+                self.journal.record(Event::instant(who, kind));
+            };
+            if let Err(e) = tier.breaker.try_acquire() {
+                record(EventKind::TierSkipped);
+                last_reject = Some(e);
+                continue;
             }
             if let Some(from) = failed_from.take() {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
-                self.journal.record(
-                    &tier.name,
-                    ResilienceEventKind::Failover {
-                        from,
-                        to: tier.name.clone(),
-                    },
-                );
+                record(EventKind::Failover { from });
             }
             let mut attempt: u32 = 0;
             loop {
@@ -918,8 +797,7 @@ impl Bootstrapper for FailoverBootstrapper {
                         {
                             attempt += 1;
                             self.retries.fetch_add(1, Ordering::Relaxed);
-                            self.journal
-                                .record(&tier.name, ResilienceEventKind::Retry { attempt });
+                            record(EventKind::Retry { attempt });
                             let backoff = self.retry.backoff(key, attempt);
                             if !backoff.is_zero() {
                                 std::thread::sleep(backoff);
@@ -927,7 +805,7 @@ impl Bootstrapper for FailoverBootstrapper {
                             continue;
                         }
                         last_fault = Some(e);
-                        failed_from = Some(tier.name.clone());
+                        failed_from = Some(Arc::clone(&tier.name));
                         break;
                     }
                     // Permanent: the request is at fault; every tier
@@ -1008,19 +886,19 @@ mod tests {
 
     #[test]
     fn retry_policy_honors_taxonomy_and_budget() {
-        let p = RetryPolicy::new(2);
+        let p = RetryConfig::new(2);
         let transient = TfheError::WorkerPanicked { worker: 1 };
         let permanent = TfheError::NoLutProvided;
         assert!(p.should_retry(&transient, 0));
         assert!(p.should_retry(&transient, 1));
         assert!(!p.should_retry(&transient, 2), "budget exhausted");
         assert!(!p.should_retry(&permanent, 0), "permanent never retries");
-        assert!(!RetryPolicy::none().should_retry(&transient, 0));
+        assert!(!RetryConfig::none().should_retry(&transient, 0));
     }
 
     #[test]
     fn backoff_doubles_caps_and_jitters_deterministically() {
-        let p = RetryPolicy::new(8)
+        let p = RetryConfig::new(8)
             .with_base_backoff(Duration::from_millis(1))
             .with_max_backoff(Duration::from_millis(8))
             .with_jitter(0.0, 0);
@@ -1040,7 +918,7 @@ mod tests {
         // Different keys de-synchronize.
         assert_ne!(j.backoff(5, 2), j.backoff(6, 2));
         // Zero-base policies never sleep.
-        assert_eq!(RetryPolicy::none().backoff(0, 1), Duration::ZERO);
+        assert_eq!(RetryConfig::none().backoff(0, 1), Duration::ZERO);
     }
 
     #[test]
@@ -1083,12 +961,8 @@ mod tests {
         b.record(true);
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.closes(), 1);
-        let labels: Vec<&str> = b
-            .journal()
-            .events()
-            .iter()
-            .map(|e| e.kind.label())
-            .collect();
+        let events = b.journal().events();
+        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
         assert_eq!(
             labels,
             vec!["breaker_open", "breaker_half_open", "breaker_close"]
@@ -1130,7 +1004,7 @@ mod tests {
         let stack = FailoverBootstrapper::builder()
             .tier("primary", FlakyBackend::new(u64::MAX))
             .tier("fallback", FlakyBackend::new(0))
-            .retry_policy(RetryPolicy::new(1).with_base_backoff(Duration::ZERO))
+            .retry_policy(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
             .build()
             .expect("two tiers");
         let req = one_request();
@@ -1140,7 +1014,8 @@ mod tests {
         assert_eq!(stack.retries(), 1, "one in-place retry before failover");
         assert_eq!(stack.served()[0].1, 0);
         assert_eq!(stack.served()[1].1, 1);
-        let labels: Vec<&str> = stack.events().iter().map(|e| e.kind.label()).collect();
+        let events = stack.journal().events();
+        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
         assert!(labels.contains(&"retry"));
         assert!(labels.contains(&"failover"));
     }
@@ -1223,23 +1098,5 @@ mod tests {
             .expect("one tier");
         let empty = BatchRequest::shared(Vec::new(), Lut::identity(64, 4));
         assert_eq!(stack.try_bootstrap_batch(&empty), Ok(Vec::new()));
-    }
-
-    #[test]
-    fn journal_counts_by_label() {
-        let j = ResilienceJournal::new();
-        j.record("x", ResilienceEventKind::Retry { attempt: 1 });
-        j.record("x", ResilienceEventKind::Retry { attempt: 2 });
-        j.record(
-            "y",
-            ResilienceEventKind::Failover {
-                from: "x".into(),
-                to: "y".into(),
-            },
-        );
-        assert_eq!(j.count("retry"), 2);
-        assert_eq!(j.count("failover"), 1);
-        assert_eq!(j.count("shed"), 0);
-        assert_eq!(j.events().len(), 3);
     }
 }

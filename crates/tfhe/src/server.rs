@@ -275,9 +275,8 @@ impl ServerKey {
     }
 
     /// A [`BootstrapWorkspace`] sized for this key — allocate once, then
-    /// pass to [`try_programmable_bootstrap_with`]
-    /// (Self::try_programmable_bootstrap_with) for allocation-free
-    /// bootstraps.
+    /// pass to [`try_programmable_bootstrap_with`](Self::try_programmable_bootstrap_with)
+    /// for allocation-free bootstraps.
     pub fn workspace(&self) -> BootstrapWorkspace {
         self.engine.workspace(self.params.glwe_dim)
     }
@@ -329,27 +328,6 @@ impl ServerKey {
         lut: &Lut,
     ) -> Result<LweCiphertext, TfheError> {
         self.bootstrap_with_options(ct, lut, BootstrapOptions::new().keyswitch(false))
-    }
-
-    /// [`try_programmable_bootstrap_no_ks`]
-    /// (Self::try_programmable_bootstrap_no_ks) through a caller-owned
-    /// workspace (see
-    /// [`try_programmable_bootstrap_with`](Self::try_programmable_bootstrap_with)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap).
-    pub fn try_programmable_bootstrap_no_ks_with(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        ws: &mut BootstrapWorkspace,
-    ) -> Result<LweCiphertext, TfheError> {
-        self.bootstrap_with_options(
-            ct,
-            lut,
-            BootstrapOptions::new().keyswitch(false).workspace(ws),
-        )
     }
 
     /// The configurable bootstrap every `try_programmable_bootstrap*`
@@ -509,11 +487,10 @@ impl ServerKey {
     /// Outputs decode identically to `k` plain bootstraps but carry more
     /// noise (amplified by [`MultiLutPlan::factor_weight`]); the
     /// bit-identical-but-slow reference is
-    /// [`try_programmable_bootstrap_many_separate`]
-    /// (Self::try_programmable_bootstrap_many_separate). With `k = 1` this
-    /// is exactly [`try_programmable_bootstrap`]
-    /// (Self::try_programmable_bootstrap); LUTs that admit no common
-    /// factor fall back to one rotation per LUT.
+    /// [`try_programmable_bootstrap_many_separate`](Self::try_programmable_bootstrap_many_separate).
+    /// With `k = 1` this is exactly
+    /// [`try_programmable_bootstrap`](Self::try_programmable_bootstrap);
+    /// LUTs that admit no common factor fall back to one rotation per LUT.
     ///
     /// # Errors
     ///
@@ -528,31 +505,12 @@ impl ServerKey {
         self.try_programmable_bootstrap_many_with(ct, luts, &mut ws)
     }
 
-    /// Infallible [`try_programmable_bootstrap_many`]
-    /// (Self::try_programmable_bootstrap_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or LUT-size mismatch.
-    pub fn programmable_bootstrap_many(
-        &self,
-        ct: &LweCiphertext,
-        luts: &[Lut],
-    ) -> Vec<LweCiphertext> {
-        match self.try_programmable_bootstrap_many(ct, luts) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`try_programmable_bootstrap_many`]
-    /// (Self::try_programmable_bootstrap_many) through a caller-owned
-    /// workspace: a chunk of one item.
+    /// [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many)
+    /// through a caller-owned workspace: a chunk of one item.
     ///
     /// # Errors
     ///
-    /// Same as [`try_programmable_bootstrap_many`]
-    /// (Self::try_programmable_bootstrap_many).
+    /// Same as [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many).
     pub fn try_programmable_bootstrap_many_with(
         &self,
         ct: &LweCiphertext,
@@ -563,9 +521,10 @@ impl ServerKey {
     }
 
     /// The deterministic reference for multi-value bootstrapping: the same
-    /// common-factor derivation as [`try_programmable_bootstrap_many`]
-    /// (Self::try_programmable_bootstrap_many), but paying one **full
-    /// blind rotation per LUT** instead of reusing a single rotation.
+    /// common-factor derivation as
+    /// [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many),
+    /// but paying one **full blind rotation per LUT** instead of reusing a
+    /// single rotation.
     /// Because the rotation is deterministic, outputs are bit-identical to
     /// the fused path — this is what tests and the `multivalue_bootstrap`
     /// bench compare against. Fewer than two LUTs, or LUTs with no common
@@ -573,8 +532,7 @@ impl ServerKey {
     ///
     /// # Errors
     ///
-    /// Same as [`try_programmable_bootstrap_many`]
-    /// (Self::try_programmable_bootstrap_many).
+    /// Same as [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many).
     pub fn try_programmable_bootstrap_many_separate(
         &self,
         ct: &LweCiphertext,
@@ -610,8 +568,7 @@ impl ServerKey {
     /// # Errors
     ///
     /// [`TfheError::PlaintextModulusTooLarge`] if `p^d > N/2` (or
-    /// overflows); otherwise as [`try_programmable_bootstrap`]
-    /// (Self::try_programmable_bootstrap).
+    /// overflows); otherwise as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap).
     pub fn try_tree_bootstrap<F>(
         &self,
         cts: &[LweCiphertext],

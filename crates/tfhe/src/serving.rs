@@ -2,10 +2,11 @@
 //!
 //! [`ServingConfig`] is the one owner of the serving knobs — batch size,
 //! linger, queue depth and deadline slack of the
-//! [`Dispatcher`](crate::Dispatcher), [`RetryPolicy`] backoff,
+//! [`Dispatcher`](crate::Dispatcher), [`RetryConfig`] backoff,
 //! circuit-breaker shedding, the [`KeyStore`](crate::KeyStore) byte
 //! budget — so there is a single value an autotuner can emit and a
-//! deployment can pin: a plain-data struct covering every knob, JSON-serializable without serde ([`to_json`](ServingConfig::to_json)
+//! deployment can pin: a plain-data struct covering every knob,
+//! JSON-serializable without serde ([`to_json`](ServingConfig::to_json)
 //! / [`from_json`](ServingConfig::from_json), following the same
 //! no-panic / typed-error conventions as [`crate::serialize`]), validated
 //! loudly ([`validate`](ServingConfig::validate)), and consumed directly
@@ -47,110 +48,15 @@ use std::time::Duration;
 
 use crate::engine::{BootstrapEngine, BootstrapEngineBuilder};
 use crate::error::TfheError;
-use crate::resilience::{CircuitBreaker, CircuitBreakerBuilder, RetryPolicy};
+use crate::resilience::{BreakerConfig, RetryConfig};
 use crate::server::ServerKey;
 
 /// Wire-format version stamped into (and required from) the JSON form.
 pub const SERVING_CONFIG_VERSION: u64 = 1;
 
-/// Retry knobs in plain-data form — the serializable twin of
-/// [`RetryPolicy`] (which it converts [to](RetryConfig::policy) and
-/// [from](RetryConfig::from) losslessly).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryConfig {
-    /// Re-dispatches allowed after the first attempt (0 = fail fast).
-    pub max_retries: u32,
-    /// Backoff before the first retry (doubles per further attempt).
-    pub base_backoff: Duration,
-    /// Cap on the exponential backoff.
-    pub max_backoff: Duration,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a factor in
-    /// `[1 − jitter, 1]`, drawn deterministically from `seed`.
-    pub jitter: f64,
-    /// Seed for the deterministic jitter draws.
-    pub seed: u64,
-}
-
-impl RetryConfig {
-    /// No retries at all — every failure surfaces immediately.
-    pub fn none() -> Self {
-        Self::from(RetryPolicy::none())
-    }
-
-    /// The equivalent [`RetryPolicy`].
-    pub fn policy(&self) -> RetryPolicy {
-        RetryPolicy::new(self.max_retries)
-            .with_base_backoff(self.base_backoff)
-            .with_max_backoff(self.max_backoff)
-            .with_jitter(self.jitter, self.seed)
-    }
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-impl From<RetryPolicy> for RetryConfig {
-    fn from(p: RetryPolicy) -> Self {
-        Self {
-            max_retries: p.max_retries(),
-            base_backoff: p.base_backoff(),
-            max_backoff: p.max_backoff(),
-            jitter: p.jitter(),
-            seed: p.jitter_seed(),
-        }
-    }
-}
-
-/// Circuit-breaker knobs in plain-data form. `Some(BreakerConfig)` in a
-/// [`ServingConfig`] means "gate admission behind a fresh breaker built
-/// from these knobs"; runtime-only wiring (a *shared* breaker instance, a
-/// health probe, a shared journal) stays on
-/// [`DispatcherBuilder::circuit_breaker`](crate::DispatcherBuilder::circuit_breaker).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BreakerConfig {
-    /// Rolling-window size in outcomes.
-    pub window: usize,
-    /// Failure fraction of the window that trips the breaker, in `(0, 1]`.
-    pub failure_threshold: f64,
-    /// Outcomes required in the window before the rate is trusted.
-    pub min_samples: usize,
-    /// How long an open breaker rejects before admitting probes.
-    pub cooldown: Duration,
-    /// Consecutive probe successes required to close from half-open.
-    pub probes_to_close: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        // Mirrors `CircuitBreakerBuilder`'s defaults.
-        Self {
-            window: 32,
-            failure_threshold: 0.5,
-            min_samples: 8,
-            cooldown: Duration::from_millis(100),
-            probes_to_close: 1,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// A [`CircuitBreakerBuilder`] pre-loaded with these knobs — add
-    /// runtime wiring (name, health probe, shared journal) and `build()`.
-    pub fn to_builder(&self) -> CircuitBreakerBuilder {
-        CircuitBreaker::builder()
-            .window(self.window)
-            .failure_threshold(self.failure_threshold)
-            .min_samples(self.min_samples)
-            .cooldown(self.cooldown)
-            .probes_to_close(self.probes_to_close)
-    }
-}
-
 /// Every serving knob in one plain-data, JSON-serializable value: the
-/// type the autotuner emits and [`Dispatcher::from_config`] consumes.
+/// type the autotuner emits and
+/// [`Dispatcher::from_config`](crate::Dispatcher::from_config) consumes.
 /// See the [module docs](self).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServingConfig {
@@ -176,7 +82,8 @@ pub struct ServingConfig {
     pub breaker: Option<BreakerConfig>,
     /// Byte budget for a tenant [`KeyStore`](crate::KeyStore), when the
     /// deployment serves multi-tenant traffic. Advisory for
-    /// [`Dispatcher::from_config`] (a store needs a key *backend*, which
+    /// [`Dispatcher::from_config`](crate::Dispatcher::from_config) (a
+    /// store needs a key *backend*, which
     /// is runtime wiring); consumed by capacity-planning tooling.
     pub key_budget_bytes: Option<u64>,
 }
@@ -261,11 +168,6 @@ impl ServingConfig {
             });
         }
         Ok(())
-    }
-
-    /// The [`RetryPolicy`] these knobs describe.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.policy()
     }
 
     /// Build a [`BootstrapEngine`] sized by [`workers`](Self::workers)
@@ -984,16 +886,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn retry_config_converts_losslessly() {
-        let policy = RetryPolicy::new(4)
-            .with_base_backoff(Duration::from_micros(150))
-            .with_max_backoff(Duration::from_millis(20))
-            .with_jitter(0.3, 99);
-        let cfg = RetryConfig::from(policy);
-        assert_eq!(cfg.policy(), policy);
     }
 
     #[test]

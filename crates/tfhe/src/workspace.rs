@@ -18,9 +18,9 @@ use crate::params::TfheParams;
 /// [`rotate_cmux_into`](crate::ExternalProductEngine::rotate_cmux_into)
 /// and [`blind_rotate_assign`](crate::bootstrap::blind_rotate_assign).
 ///
-/// One workspace serves one thread; the [`BootstrapEngine`]
-/// (`crate::BootstrapEngine`) gives each worker a long-lived workspace
-/// reused across jobs and batches. After the first use no method that
+/// One workspace serves one thread; the
+/// [`BootstrapEngine`](crate::BootstrapEngine) gives each worker a
+/// long-lived workspace reused across jobs and batches. After the first use no method that
 /// takes a workspace heap-allocates (asserted by the
 /// `alloc_regression` integration test).
 #[derive(Clone, Debug)]

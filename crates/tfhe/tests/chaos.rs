@@ -20,8 +20,8 @@ use morphling_math::TorusScalar;
 
 use morphling_tfhe::faults::{corrupt_ciphertext, fault_key};
 use morphling_tfhe::{
-    noise, BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, FaultInjector,
-    FaultPlan, FaultSite, Lut, LweCiphertext, ParamSet, ServerKey, TfheError,
+    noise, BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, Event, EventKind,
+    FaultInjector, FaultPlan, FaultSite, Lut, LweCiphertext, ParamSet, ServerKey, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,6 +31,14 @@ fn setup(seed: u64) -> (ClientKey, Arc<ServerKey>, StdRng) {
     let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
     let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
     (ck, sk, rng)
+}
+
+/// The fault and recovery incidents in the engine's journal: everything
+/// but the job spans.
+fn incidents(engine: &BootstrapEngine) -> Vec<Event> {
+    let mut events = engine.journal().events();
+    events.retain(|e| !matches!(e.kind, EventKind::Job { .. }));
+    events
 }
 
 /// Shared-LUT batch through any [`Bootstrapper`] backend.
@@ -79,8 +87,8 @@ fn chaos_worker_panics_survive_bit_identical() {
         stats.health
     );
     assert!(
-        !engine.fault_events().is_empty(),
-        "fault journal must record the incidents"
+        !incidents(&engine).is_empty(),
+        "the journal must record the incidents"
     );
 }
 
@@ -248,7 +256,7 @@ fn chaos_zero_rate_plan_is_a_noop() {
         ),
         (0, 0, 0, 0)
     );
-    assert!(chaos.fault_events().is_empty());
+    assert!(incidents(&chaos).is_empty());
     assert_eq!(stats.health, EngineHealth::Healthy);
 }
 
@@ -288,7 +296,7 @@ fn chaos_full_pool_death_errors_instead_of_hanging() {
         bb(&engine, &cts, &lut).err(),
         Some(TfheError::EngineShutDown)
     );
-    let events = engine.fault_events();
+    let events = incidents(&engine);
     assert!(events.len() >= 2, "both workers journaled their demise");
 }
 

@@ -23,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, Dispatcher, DispatcherBuilder,
-    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParallelServerKey, ParamSet, RetryPolicy,
+    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParallelServerKey, ParamSet, RetryConfig,
     ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
@@ -198,7 +198,7 @@ fn failover_with_dead_primary_matches_healthy_reference() {
     let stack = FailoverBootstrapper::builder()
         .tier("engine", engine)
         .tier("server", Arc::clone(&f.server))
-        .retry_policy(RetryPolicy::new(1).with_base_backoff(std::time::Duration::ZERO))
+        .retry_policy(RetryConfig::new(1).with_base_backoff(std::time::Duration::ZERO))
         .build()
         .expect("two tiers");
 
@@ -220,7 +220,8 @@ fn failover_with_dead_primary_matches_healthy_reference() {
     let served = stack.served();
     assert_eq!(served[0].1, 0, "dead primary served nothing");
     assert_eq!(served[1].1, 1, "fallback served the batch");
-    assert!(stack.events().iter().any(|e| e.kind.label() == "failover"));
+    let events = stack.journal().events();
+    assert!(events.iter().any(|e| e.kind.label() == "failover"));
 }
 
 /// Tenant-keyed dispatch conformance: a mixed-tenant workload pushed
@@ -290,7 +291,12 @@ fn tenant_keyed_dispatch_matches_direct_server_keys() {
         assert_eq!(s.completed, 8, "tenant {t}");
         assert!(s.p50_latency <= s.p99_latency);
     }
-    let events = store.events();
+    let events = store.journal().events();
+    assert_eq!(
+        store.journal().dropped(),
+        0,
+        "the journal holds every event"
+    );
     let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
     assert_eq!(stats.key_hits, count("hit"));
     assert_eq!(stats.key_misses, count("miss"));

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, BreakerState, CircuitBreaker, ClientKey,
-    Dispatcher, DispatcherBuilder, FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet,
-    ResilienceJournal, RetryPolicy, ServerKey, ServingConfig, TfheError,
+    Dispatcher, DispatcherBuilder, FailoverBootstrapper, FaultPlan, Journal, Lut, LweCiphertext,
+    ParamSet, RetryConfig, ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,6 +163,7 @@ fn dispatch_chaos_accounts_for_every_request() {
     assert!(stats.batches > 0);
     assert!(stats.mean_batch_size >= 1.0);
     // The journal covers exactly the requests that reached a batch.
+    assert_eq!(dispatcher.request_journal().dropped(), 0);
     assert_eq!(dispatcher.spans().len() as u64, stats.batched);
 }
 
@@ -312,7 +313,7 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
     let poly = sk.params().poly_size;
     let lut = Arc::new(Lut::from_fn(poly, 4, |m| (m + 1) % 4));
 
-    let journal = Arc::new(ResilienceJournal::new());
+    let journal = Arc::new(Journal::new());
     // Primary: one worker, no respawn budget, every job either panics or
     // wedges past the watchdog — dead on first contact.
     let engine = BootstrapEngine::builder()
@@ -348,7 +349,7 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
             .tier_with_breaker("engine", engine, Arc::clone(&primary_breaker))
             .tier("server", Arc::clone(&sk))
             .retry_policy(
-                RetryPolicy::new(1)
+                RetryConfig::new(1)
                     .with_base_backoff(Duration::from_micros(50))
                     .with_jitter(0.5, seed),
             )
@@ -407,6 +408,7 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
 
     // Counters must match the journal, event for event.
     let events = journal.events();
+    assert_eq!(journal.dropped(), 0, "the journal holds every event");
     let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
     assert_eq!(stack.failovers(), count("failover"));
     assert_eq!(stack.retries() + stats.retries, count("retry"));
@@ -448,7 +450,7 @@ fn dispatch_chaos_breaker_cycle_loses_no_tickets() {
     let poly = sk.params().poly_size;
     let lut = Arc::new(Lut::identity(poly, 4));
 
-    let journal = Arc::new(ResilienceJournal::new());
+    let journal = Arc::new(Journal::new());
     let cooldown = Duration::from_millis(20);
     let breaker = Arc::new(
         CircuitBreaker::builder()
@@ -485,13 +487,17 @@ fn dispatch_chaos_breaker_cycle_loses_no_tickets() {
     let mut failed = 0u64;
     for i in 0..40u64 {
         let ct = ck.encrypt(i % 4, &mut rng);
-        let expected = sk.programmable_bootstrap(&ct, &lut);
-        match dispatcher.submit(ct, Arc::clone(&lut), None) {
+        match dispatcher.submit(ct.clone(), Arc::clone(&lut), None) {
             Ok(t) => {
                 assert!(ids.insert(t.id()), "ticket ids must be unique");
                 // Resolve immediately: exactly-once, success or loud fault.
                 match t.wait() {
                     Ok(out) => {
+                        // The reference is computed after admission: a
+                        // debug-build bootstrap outlasts the cooldown, and
+                        // computing it first would let every open breaker
+                        // cool down unobserved.
+                        let expected = sk.programmable_bootstrap(&ct, &lut);
                         assert_eq!(out, expected, "served requests stay bit-identical");
                         completed += 1;
                     }
@@ -557,6 +563,7 @@ fn dispatch_chaos_breaker_cycle_loses_no_tickets() {
     assert!(breaker.closes() >= 1);
     assert_eq!(breaker.state(), BreakerState::Closed);
     let events = journal.events();
+    assert_eq!(journal.dropped(), 0, "the journal holds every event");
     let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
     assert_eq!(count("breaker_open"), breaker.opens());
     assert_eq!(count("breaker_close"), breaker.closes());

@@ -7,8 +7,8 @@
 use std::sync::{Arc, OnceLock};
 
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, Lut, LweCiphertext, ParallelServerKey,
-    ParamSet, ServerKey,
+    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EventKind, Lut, LweCiphertext,
+    ParallelServerKey, ParamSet, ServerKey,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -199,7 +199,14 @@ fn default_plan_is_balanced_and_matches_sequential_for_every_batch_size() {
                 let out = engine.try_bootstrap_batch(request).expect("engine batch");
                 let seq = f.server.try_bootstrap_batch(request).expect("sequential");
                 assert_eq!(out, seq, "workers={workers} n={n} fanout={fanout}");
-                let jobs: Vec<usize> = engine.job_spans().iter().map(|s| s.bootstraps).collect();
+                let events = engine.journal().events();
+                let jobs: Vec<usize> = events
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        EventKind::Job { bootstraps, .. } => Some(bootstraps),
+                        _ => None,
+                    })
+                    .collect();
                 assert_eq!(jobs.len(), workers.min(n), "workers={workers} n={n}");
                 assert_eq!(jobs.iter().sum::<usize>(), n, "workers={workers} n={n}");
                 let (min, max) = (jobs.iter().min().unwrap(), jobs.iter().max().unwrap());

@@ -28,10 +28,11 @@ use std::time::Duration;
 
 use morphling_tfhe::faults;
 use morphling_tfhe::keystore::{
-    KeyBackend, KeyEventKind, KeyStore, KeyStoreBootstrapper, MemoryBackend, TenantId,
+    KeyBackend, KeyStore, KeyStoreBootstrapper, MemoryBackend, TenantId,
 };
 use morphling_tfhe::{
-    ClientKey, DispatcherBuilder, Lut, ParamSet, ServerKey, ServingConfig, TfheError, TfheParams,
+    ClientKey, DispatcherBuilder, Event, EventKind, Lut, ParamSet, ServerKey, ServingConfig,
+    TfheError, TfheParams, Who,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,22 +69,32 @@ fn populate(n: u64, rng: &mut StdRng) -> (Arc<MemoryBackend>, Vec<ClientKey>) {
     (backend, clients)
 }
 
+/// The store's whole journal — the replays below are only proofs if
+/// nothing was overwritten.
+fn whole_journal(store: &KeyStore) -> Vec<Event> {
+    let events = store.journal().events();
+    assert_eq!(store.journal().dropped(), 0, "the journal overflowed");
+    events
+}
+
 /// Replay the journal and panic if any tenant is evicted while its
 /// pin/unpin balance is nonzero. Returns the number of evict events.
 fn assert_no_pinned_eviction(store: &KeyStore) -> usize {
     let mut balance: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
     let mut evictions = 0;
-    for (i, e) in store.events().iter().enumerate() {
+    for (i, e) in whole_journal(store).iter().enumerate() {
+        let Who::Tenant(tenant) = e.who else {
+            panic!("journal event {i} names no tenant: {e:?}");
+        };
         match e.kind {
-            KeyEventKind::Pin => *balance.entry(e.tenant).or_default() += 1,
-            KeyEventKind::Unpin => *balance.entry(e.tenant).or_default() -= 1,
-            KeyEventKind::Evict { .. } => {
+            EventKind::Pin => *balance.entry(tenant).or_default() += 1,
+            EventKind::Unpin => *balance.entry(tenant).or_default() -= 1,
+            EventKind::Evict { .. } => {
                 evictions += 1;
-                let b = balance.get(&e.tenant).copied().unwrap_or(0);
+                let b = balance.get(&tenant).copied().unwrap_or(0);
                 assert_eq!(
                     b, 0,
-                    "journal event {i}: tenant {} evicted with pin balance {b}",
-                    e.tenant
+                    "journal event {i}: tenant {tenant} evicted with pin balance {b}"
                 );
             }
             _ => {}
@@ -95,7 +106,7 @@ fn assert_no_pinned_eviction(store: &KeyStore) -> usize {
 /// Counters must be derivable from the journal: same event counts, and
 /// resident bytes = loaded − evicted bytes.
 fn assert_counters_reconcile(store: &KeyStore) {
-    let events = store.events();
+    let events = whole_journal(store);
     let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
     let stats = store.stats();
     assert_eq!(stats.hits, count("hit"), "hits vs journal");
@@ -106,14 +117,14 @@ fn assert_counters_reconcile(store: &KeyStore) {
     let loaded: u64 = events
         .iter()
         .filter_map(|e| match e.kind {
-            KeyEventKind::Load { bytes } => Some(bytes),
+            EventKind::Load { bytes } => Some(bytes),
             _ => None,
         })
         .sum();
     let evicted: u64 = events
         .iter()
         .filter_map(|e| match e.kind {
-            KeyEventKind::Evict { bytes } => Some(bytes),
+            EventKind::Evict { bytes } => Some(bytes),
             _ => None,
         })
         .sum();
@@ -279,8 +290,7 @@ fn corrupt_loads_surface_typed_errors_and_do_not_wedge() {
         stats.load_failures >= corrupted.load(Ordering::SeqCst),
         "every surfaced corruption is a counted load failure"
     );
-    let corrupt_events = store
-        .events()
+    let corrupt_events = whole_journal(&store)
         .iter()
         .filter(|e| e.kind.label() == "corrupt")
         .count() as u64;

@@ -48,9 +48,9 @@ pub use morphling_transform as transform;
 /// [`BootstrapEngine`] with its health/fault-plan surface, and the
 /// deadline-aware dynamic-batching [`Dispatcher`] — plus the multi-value
 /// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`],
-/// [`MultiTicket`]), the service-resilience layer ([`RetryPolicy`],
+/// [`MultiTicket`]), the service-resilience layer ([`RetryConfig`],
 /// [`CircuitBreaker`], the degraded-mode [`FailoverBootstrapper`]), the
-/// multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
+/// one event [`Journal`] they all record into, the multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
 /// [`TenantId`] and the in-memory/directory backends), the unified
 /// serving surface ([`ServingConfig`] with [`Dispatcher::from_config`],
 /// and the simulator-in-the-loop autotuner's [`ServiceModel`] /
@@ -65,10 +65,10 @@ pub mod prelude {
         AutotuneReport, AutotuneRequest, BatchRequest, BootstrapEngine, BootstrapEngineBuilder,
         BootstrapOptions, BootstrapWorkspace, Bootstrapper, BreakerConfig, BreakerState,
         CircuitBreaker, ClientKey, DirBackend, Dispatcher, DispatcherStats, EngineHealth,
-        EngineHealthHandle, EngineStats, FailoverBootstrapper, FaultPlan, KeyBackend, KeyStore,
-        KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut, LweCiphertext, MemoryBackend,
-        MulBackend, MultiLutPlan, MultiTicket, ParallelServerKey, ParamSet, ResilienceJournal,
-        RetryConfig, RetryPolicy, ServerKey, ServerKeyBuilder, ServiceModel, ServingConfig,
-        SloTarget, TenantId, TfheError, TfheParams, Ticket,
+        EngineHealthHandle, EngineStats, FailoverBootstrapper, FaultPlan, Journal, KeyBackend,
+        KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut, LweCiphertext, MemoryBackend,
+        MulBackend, MultiLutPlan, MultiTicket, ParallelServerKey, ParamSet, RetryConfig, ServerKey,
+        ServerKeyBuilder, ServiceModel, ServingConfig, SloTarget, TenantId, TfheError, TfheParams,
+        Ticket,
     };
 }
