@@ -102,8 +102,7 @@ impl<'a> EncryptedMlp<'a> {
     /// [`infer`](Self::infer) with all hidden-layer ReLU bootstraps
     /// submitted to any [`Bootstrapper`] backend as one batch — the wave
     /// shape Morphling's scheduler feeds its cores. Works identically
-    /// over a [`ServerKey`], a `ParallelServerKey`, a `BootstrapEngine`
-    /// pool, or a `Dispatcher`; the backend must wrap a server key
+    /// over a [`ServerKey`], a `BootstrapEngine` pool, or a `Dispatcher`; the backend must wrap a server key
     /// derived from the same client key as `self`. Results are
     /// bit-identical to [`infer`](Self::infer).
     ///

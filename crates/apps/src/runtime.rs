@@ -207,7 +207,6 @@ pub fn estimate(workload: &Workload, runtime: &AppRuntime) -> Estimate {
 ///
 /// Generic over any [`Bootstrapper`] backend: a bare
 /// [`ServerKey`](morphling_tfhe::ServerKey) (sequential reference), a
-/// [`ParallelServerKey`](morphling_tfhe::ParallelServerKey), a
 /// [`BootstrapEngine`](morphling_tfhe::BootstrapEngine) pool, or a
 /// [`Dispatcher`](morphling_tfhe::Dispatcher). All paths produce
 /// bit-identical ciphertexts.

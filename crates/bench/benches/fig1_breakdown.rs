@@ -4,7 +4,7 @@
 //! implementation at the Fig 1 parameters.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use morphling_tfhe::{ClientKey, Lut, ParamSet, ServerKey};
+use morphling_tfhe::{BootstrapOptions, ClientKey, Lut, ParamSet, ServerKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,10 +20,14 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("fig1");
     g.sample_size(10);
+    let no_ks = |ct| {
+        sk.bootstrap_with_options(ct, &lut, BootstrapOptions::new().keyswitch(false))
+            .expect("bootstrap without the key switch")
+    };
     g.bench_function("cpu_blind_rotation_and_extract", |b| {
-        b.iter(|| sk.programmable_bootstrap_no_ks(std::hint::black_box(&ct), &lut))
+        b.iter(|| no_ks(std::hint::black_box(&ct)))
     });
-    let extracted = sk.programmable_bootstrap_no_ks(&ct, &lut);
+    let extracted = no_ks(&ct);
     g.bench_function("cpu_key_switch", |b| {
         b.iter(|| {
             sk.key_switch_key()

@@ -1,6 +1,6 @@
 //! Regenerate the paper's evaluation artifacts and run capacity planning.
 //!
-//! Structured subcommands:
+//! Subcommands (anything else is a usage error):
 //!
 //! ```text
 //! cargo run -p morphling-bench --release --bin report -- artifacts            # everything
@@ -18,11 +18,6 @@
 //! dispatcher and reports measured next to predicted p99 and their
 //! ratio (DESIGN.md §15). `--trace <path>` additionally writes the
 //! search trajectory as a Chrome-trace `autotune` track.
-//!
-//! The legacy positional invocations keep working: bare `report` renders
-//! every artifact, `report table5 --measure-cpu` renders one, and
-//! `report --trace trace.json` writes the scheduler timeline — exactly
-//! as before the subcommands existed.
 
 use std::time::Duration;
 
@@ -37,7 +32,7 @@ const ARTIFACTS: &[&str] = &[
 
 fn usage() -> String {
     format!(
-        "usage: report [artifacts] [{}] [--measure-cpu] [--trace <out.json>]\n\
+        "usage: report artifacts [{}] [--measure-cpu]\n\
          \x20      report trace <out.json>\n\
          \x20      report autotune --rate <req/s> --p99 <ms> [--workers <n>] [--requests <n>]\n\
          \x20             [--set <I|II|III|IV|TEST>] [--validate [<n>]] [--no-validate]\n\
@@ -61,20 +56,14 @@ fn write_or_die(path: &str, payload: &str, what: &str) {
     eprintln!("wrote {what} ({} bytes) to {path}", payload.len());
 }
 
-/// The legacy artifact renderer: positional artifact names, optional
-/// `--measure-cpu`, optional `--trace <path>` for the scheduler timeline.
+/// The artifact renderer: positional artifact names (none = all of
+/// them), optional `--measure-cpu`.
 fn run_artifacts(args: &[String]) {
     let mut measure_cpu = false;
-    let mut trace_path: Option<String> = None;
     let mut targets: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--measure-cpu" => measure_cpu = true,
-            "--trace" => match it.next() {
-                Some(path) => trace_path = Some(path.clone()),
-                None => fail("--trace requires an output path"),
-            },
             flag if flag.starts_with("--") => fail(&format!("unknown flag `{flag}`")),
             target => targets.push(target),
         }
@@ -84,8 +73,7 @@ fn run_artifacts(args: &[String]) {
             "unknown artifact `{unknown}`; known artifacts: {ARTIFACTS:?}"
         ));
     }
-    let all = targets.is_empty() && trace_path.is_none();
-    let want = |name: &str| all || targets.contains(&name);
+    let want = |name: &str| targets.is_empty() || targets.contains(&name);
 
     // A number must name the ISA it was measured on (every paper size
     // gets the same one).
@@ -123,10 +111,6 @@ fn run_artifacts(args: &[String]) {
     }
     if want("summary") {
         println!("{}", reports::summary_report());
-    }
-    if let Some(path) = trace_path {
-        write_or_die(&path, &reports::deepcnn_trace_json(20), "execution trace");
-        eprintln!("open in chrome://tracing or ui.perfetto.dev");
     }
 }
 
@@ -286,10 +270,13 @@ fn main() {
         Some("artifacts") => run_artifacts(&args[1..]),
         Some("autotune") => run_autotune(&args[1..]),
         Some("trace") => match args.get(1) {
-            Some(path) => write_or_die(path, &reports::deepcnn_trace_json(20), "execution trace"),
+            Some(path) => {
+                write_or_die(path, &reports::deepcnn_trace_json(20), "execution trace");
+                eprintln!("open in chrome://tracing or ui.perfetto.dev");
+            }
             None => fail("trace requires an output path"),
         },
-        // Legacy positional form: artifact names and flags directly.
-        _ => run_artifacts(&args),
+        Some(unknown) => fail(&format!("unknown subcommand `{unknown}`")),
+        None => fail("a subcommand is required"),
     }
 }

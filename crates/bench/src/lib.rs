@@ -21,8 +21,8 @@ use morphling_core::sched::{HwScheduler, SwScheduler, Workload};
 use morphling_core::sim::Simulator;
 use morphling_core::{hwmodel, ArchConfig, ReuseMode};
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineStats, ParallelServerKey,
-    ParamSet, ServerKey, TfheParams,
+    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineStats, ParamSet, ServerKey,
+    TfheParams,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,31 +59,6 @@ pub fn measure_cpu_bootstrap(set: ParamSet, iters: u32) -> (f64, f64) {
     }
     let elapsed = start.elapsed().as_secs_f64() / iters as f64;
     (elapsed * 1e3, 1.0 / elapsed)
-}
-
-/// Measure multi-threaded CPU bootstrap throughput (BS/s) over a batch —
-/// the software analogue of the paper's 64-core CPU baseline.
-pub fn measure_cpu_bootstrap_parallel(set: ParamSet, batch: usize, threads: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(7778);
-    let params = set.params();
-    let p = params.plaintext_modulus;
-    let ck = ClientKey::generate(params.clone(), &mut rng);
-    let sk = ServerKey::new(&ck, &mut rng);
-    let lut = morphling_tfhe::Lut::identity(params.poly_size, p);
-    let psk = ParallelServerKey::new(std::sync::Arc::new(sk), threads).expect("nonzero threads");
-    let cts: Vec<_> = (0..batch)
-        .map(|i| ck.encrypt(i as u64 % p, &mut rng))
-        .collect();
-    // Warm-up one round.
-    let warm = BatchRequest::shared(cts[..threads.min(batch)].to_vec(), lut.clone());
-    let _ = psk.try_bootstrap_batch(&warm);
-    let start = Instant::now();
-    let out = psk
-        .try_bootstrap_batch(&BatchRequest::shared(cts, lut))
-        .expect("validated batch");
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(out.len(), batch);
-    batch as f64 / elapsed
 }
 
 /// Measure the persistent [`BootstrapEngine`]'s throughput (BS/s) over a
@@ -290,12 +265,6 @@ pub fn table5_report(measured_cpu: bool) -> String {
         let threads = std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(4);
-        let tput = measure_cpu_bootstrap_parallel(ParamSet::I, 2 * threads, threads);
-        let _ = writeln!(
-            s,
-            "  {:<24} {:>4}  {:>12} {:>14.1}   [measured: our CPU impl, {threads} threads]",
-            "ours (CPU functional)", "I", "-", tput
-        );
         let (engine_tput, stats) = measure_engine_bootstrap(ParamSet::I, 2 * threads, threads);
         let _ = writeln!(
             s,
@@ -509,7 +478,7 @@ pub fn dataflow_ablation_report() -> String {
     s
 }
 
-/// **Execution trace** (`report --trace <out.json>`): schedule `workload`
+/// **Execution trace** (`report trace <out.json>`): schedule `workload`
 /// through the SW → HW scheduler pair with tracing on, merge in the
 /// simulator's per-stage latency spans (same cycle time base), and return
 /// the combined Chrome-trace JSON (loadable in `chrome://tracing` or

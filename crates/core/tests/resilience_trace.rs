@@ -40,21 +40,20 @@ fn resilience_trace_roundtrips_to_disk() {
     let lut = Arc::new(Lut::identity(sk.params().poly_size, 4));
 
     let journal = Arc::new(Journal::new());
-    // The primary fails its first three calls: with a one-retry budget
-    // the stack journals an in-place retry, then a failover to the
-    // sequential tier — both event kinds are guaranteed on the timeline.
+    // The primary fails its first three calls and the fallback its first
+    // one: the first batch fails on both tiers and the dispatcher, with a
+    // one-retry budget, runs it again; that run and the next fail over to
+    // the sequential tier — both event kinds are guaranteed on the
+    // timeline.
+    let flaky = |fail_first| FlakyPrimary {
+        inner: Arc::clone(&sk),
+        fail_first,
+        calls: AtomicU64::new(0),
+    };
     let stack = Arc::new(
         FailoverBootstrapper::builder()
-            .tier(
-                "flaky",
-                FlakyPrimary {
-                    inner: Arc::clone(&sk),
-                    fail_first: 3,
-                    calls: AtomicU64::new(0),
-                },
-            )
-            .tier("server", Arc::clone(&sk))
-            .retry_policy(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
+            .tier("flaky", flaky(3))
+            .tier("server", flaky(1))
             .journal(Arc::clone(&journal))
             .build()
             .expect("two tiers"),
@@ -62,6 +61,7 @@ fn resilience_trace_roundtrips_to_disk() {
     let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
+        .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
         .build()
         .expect("valid serving knobs");
     // A journal older than the dispatcher it is wired into: its stamps
@@ -90,7 +90,10 @@ fn resilience_trace_roundtrips_to_disk() {
             "degraded-mode output must be bit-identical"
         );
     }
-    assert!(stack.retries() >= 1, "the flaky primary must be retried");
+    assert!(
+        dispatcher.stats().retries >= 1,
+        "the failed batch must be retried"
+    );
     assert!(stack.failovers() >= 1, "the stack must fail over");
 
     // The resilience timeline and the dispatcher's request spans, in one

@@ -9,7 +9,6 @@
 //! archive and validate it.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use morphling_core::faults::{FaultPlan, SimFaultKind, SimFaultPlan};
 use morphling_core::sim::Simulator;
@@ -141,7 +140,6 @@ fn chaos_trace_roundtrips_to_disk() {
         .chunk_size(2)
         .respawn_budget(32)
         .max_retries(8)
-        .retry_backoff(Duration::from_micros(100))
         .fault_plan(FaultPlan::seeded(0xABBA).with_worker_panic(0.25))
         .build(Arc::clone(&sk))
         .expect("spawn pool");

@@ -8,10 +8,10 @@
 //! the cycle-accurate accelerator simulator in `morphling-core`, which
 //! can emit one from a `SimReport`) — supplies batch service times, and
 //! [`simulate`] replays a seeded open-loop arrival process through the
-//! [`Dispatcher`]'s batching policy **itself**: the
-//! state machine in `policy.rs` that the batcher thread drives with the
-//! wall clock is driven here with virtual time, so there is no second
-//! copy of the policy to keep honest. [`autotune`] grid-searches worker
+//! [`Dispatcher`]'s serving core **itself**: the state machine in
+//! `policy.rs` that the batcher thread drives with the wall clock is
+//! driven here with virtual time — by the same loop the chaos sweep uses —
+//! so there is no second copy of the policy to keep honest. [`autotune`] grid-searches worker
 //! count, `max_batch_size`, `max_linger`, queue depth, and deadline
 //! slack over such simulations and emits the cheapest [`ServingConfig`]
 //! that meets the SLO — plus the full search [trajectory](SearchPoint),
@@ -55,7 +55,7 @@ use crate::error::TfheError;
 use crate::faults;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
-use crate::policy::{dur_ns, BatchPolicy, Entry, Poll};
+use crate::policy::{drive, dur_ns, Arrival, Done, Poll, ServingCore, Step};
 use crate::serving::ServingConfig;
 
 /// Hash domain separating arrival-time draws from the fault injector's
@@ -244,14 +244,11 @@ pub struct PredictedProfile {
 /// policy under `cfg` on virtual time, with batch service times from
 /// `model`. Deterministic: same inputs, same profile.
 ///
-/// This drives the policy the way the batcher thread does, with jumps
-/// where the thread waits: every arrival due by `t` is offered (one the
-/// bounded queue refuses is shed, like `try_submit`), then the policy is
-/// polled at `t`. A flushed batch occupies the single batcher for
-/// [`ServiceModel::batch_service_ns`], a forming batch jumps `t` to its
-/// flush time or the next arrival, whichever is first, and an idle
-/// policy jumps to the next arrival. Requests the policy drops on their
-/// deadline (only with [`LoadSpec::deadline`]) count as expired.
+/// This is the core's one virtual-time driver (`policy::drive`) under a
+/// backend that never fails and keeps the single batcher busy for
+/// [`ServiceModel::batch_service_ns`] per batch: an arrival the bounded
+/// queue refuses is shed, like `try_submit`, and a request the sweep drops
+/// on its deadline (only with [`LoadSpec::deadline`]) counts as expired.
 ///
 /// # Errors
 ///
@@ -263,50 +260,39 @@ pub fn simulate(
 ) -> Result<PredictedProfile, TfheError> {
     cfg.validate()?;
     spec.validate()?;
-    let arr = spec.arrival_schedule_ns();
     let budget = spec.deadline.map(dur_ns);
-    let mut policy = BatchPolicy::new(cfg);
-    let mut next = 0usize;
-    let mut t = 0u64;
-    let mut latencies: Vec<u64> = Vec::with_capacity(arr.len());
+    let arrive = |at: u64| Arrival {
+        at,
+        deadline: budget.map(|b| at.saturating_add(b)),
+        ..Arrival::default()
+    };
+    let arrivals: Vec<Arrival> = spec.arrival_schedule_ns().into_iter().map(arrive).collect();
+    let mut latencies: Vec<u64> = Vec::with_capacity(arrivals.len());
     let (mut shed, mut expired, mut batches, mut busy_ns, mut end_ns) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    loop {
-        while next < arr.len() && arr[next] <= t {
-            let entry = Entry {
-                item: (),
-                affinity: None,
-                enqueued_ns: arr[next],
-                deadline_ns: budget.map(|b| arr[next].saturating_add(b)),
-            };
-            if policy.offer(entry).is_err() {
-                shed += 1;
+    drive(
+        &mut ServingCore::new(cfg, None, Arc::default()),
+        &arrivals,
+        None,
+        |_, batch| {
+            let service_ns = model.batch_service_ns(batch.len(), cfg.workers);
+            busy_ns += service_ns;
+            batches += 1;
+            (service_ns, Ok(()))
+        },
+        |now, _, step| match step {
+            Step::Offered(Err(_)) => shed += 1,
+            Step::Polled(Poll::Flush { dropped, .. }) => expired += dropped.len() as u64,
+            Step::Completed(Done::Served(batch)) => {
+                end_ns = now;
+                latencies.extend(batch.iter().map(|e| now.saturating_sub(e.enqueued_ns)));
             }
-            next += 1;
-        }
-        match policy.poll(t, false, |_| false) {
-            Poll::Flush { batch, dropped } => {
-                expired += dropped.len() as u64;
-                if batch.is_empty() {
-                    continue;
-                }
-                let svc = model.batch_service_ns(batch.len(), cfg.workers);
-                t = t.saturating_add(svc);
-                end_ns = t;
-                busy_ns += svc;
-                batches += 1;
-                latencies.extend(batch.iter().map(|e| t.saturating_sub(e.enqueued_ns)));
-            }
-            Poll::WaitUntil(flush_at) => t = arr.get(next).map_or(flush_at, |&a| a.min(flush_at)),
-            Poll::Idle => match arr.get(next) {
-                Some(&a) => t = a,
-                None => break,
-            },
-        }
-    }
+            _ => {}
+        },
+    );
     latencies.sort_unstable();
     let completed = latencies.len() as u64;
-    let window_ns = end_ns.saturating_sub(arr.first().copied().unwrap_or(0));
+    let window_ns = end_ns.saturating_sub(arrivals.first().map_or(0, |a| a.at));
     let window_s = window_ns as f64 / 1e9;
     Ok(PredictedProfile {
         p50: percentile(&latencies, 0.50),

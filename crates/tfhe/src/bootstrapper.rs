@@ -1,16 +1,15 @@
 //! The unified batch-bootstrap API surface: [`BatchRequest`] and the
 //! [`Bootstrapper`] trait.
 //!
-//! Six bootstrap backends share this one operator interface — the
-//! sequential [`ServerKey`] loop, the per-call scoped-thread
-//! [`ParallelServerKey`] path, the persistent
+//! Five bootstrap backends share this one operator interface — the
+//! sequential [`ServerKey`] loop, the persistent
 //! [`BootstrapEngine`](crate::BootstrapEngine) pool, the
 //! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher), the
 //! degraded-mode [`FailoverBootstrapper`](crate::FailoverBootstrapper)
 //! stack and the per-tenant
 //! [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper). Callers
 //! describe *what* to bootstrap in a [`BatchRequest`] (ciphertexts, how
-//! LUTs map onto them, an optional thread hint and deadline) and any
+//! LUTs map onto them, an optional deadline and tenant) and any
 //! [`Bootstrapper`] decides *how*, the way single-kernel TFHE designs
 //! define one configurable entry point.
 //!
@@ -44,7 +43,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::batch;
 use crate::error::TfheError;
 use crate::keystore::TenantId;
 use crate::lut::Lut;
@@ -65,7 +63,6 @@ pub struct BatchRequest {
     luts: Vec<Lut>,
     lut_of: Option<Vec<usize>>,
     fanout: Option<Vec<Vec<usize>>>,
-    threads: Option<usize>,
     deadline: Option<Instant>,
     tenant: Option<TenantId>,
 }
@@ -84,7 +81,6 @@ impl BatchRequest {
             luts: vec![lut],
             lut_of: None,
             fanout: None,
-            threads: None,
             deadline: None,
             tenant: None,
         }
@@ -228,12 +224,6 @@ impl BatchRequest {
         }
     }
 
-    /// Thread-count hint for scoped-thread backends (advisory; pooled
-    /// backends size themselves at construction and ignore it).
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// Latest acceptable *start* time. Only deadline-aware backends (the
     /// dispatcher) act on it; immediate backends start right away and
     /// ignore it.
@@ -276,7 +266,6 @@ pub struct BatchRequestBuilder {
     luts: Vec<Lut>,
     lut_of: Option<Vec<usize>>,
     fanout: Option<Vec<Vec<usize>>>,
-    threads: Option<usize>,
     deadline: Option<Instant>,
     tenant: Option<TenantId>,
 }
@@ -320,12 +309,6 @@ impl BatchRequestBuilder {
     /// [`selectors`](Self::selectors).
     pub fn fanout(mut self, fanout: Vec<Vec<usize>>) -> Self {
         self.fanout = Some(fanout);
-        self
-    }
-
-    /// Thread-count hint for scoped-thread backends.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -416,7 +399,6 @@ impl BatchRequestBuilder {
             luts: self.luts,
             lut_of: self.lut_of,
             fanout: self.fanout,
-            threads: self.threads,
             deadline: self.deadline,
             tenant: self.tenant,
         })
@@ -429,7 +411,6 @@ impl BatchRequestBuilder {
 /// | backend | strategy |
 /// |---|---|
 /// | [`ServerKey`] | sequential, one reused workspace |
-/// | [`ParallelServerKey`] | per-call scoped threads, chunked |
 /// | [`BootstrapEngine`](crate::BootstrapEngine) | persistent self-healing pool |
 /// | [`Dispatcher`](crate::dispatch::Dispatcher) | dynamic micro-batching front-end |
 /// | [`FailoverBootstrapper`](crate::resilience::FailoverBootstrapper) | breaker-guarded tier stack, degraded-mode failover |
@@ -503,50 +484,6 @@ impl Bootstrapper for ServerKey {
         }
         self.validate_request(req)?;
         self.try_bootstrap_chunk(&req.items(0..req.len()), &mut self.workspace())
-    }
-}
-
-/// The per-call scoped-thread backend: splits each request into
-/// contiguous chunks across `threads` OS threads (spawned and joined
-/// every call — for a stream of batches prefer the pooled
-/// [`BootstrapEngine`](crate::BootstrapEngine)).
-///
-/// A request's [`threads`](BatchRequest::threads) hint overrides the
-/// default set here.
-#[derive(Clone, Debug)]
-pub struct ParallelServerKey {
-    server: Arc<ServerKey>,
-    threads: usize,
-}
-
-impl ParallelServerKey {
-    /// Wrap `server` with a default thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::ZeroThreads`] if `threads == 0`.
-    pub fn new(server: Arc<ServerKey>, threads: usize) -> Result<Self, TfheError> {
-        if threads == 0 {
-            return Err(TfheError::ZeroThreads);
-        }
-        Ok(Self { server, threads })
-    }
-
-    /// The wrapped server key.
-    pub fn server(&self) -> &Arc<ServerKey> {
-        &self.server
-    }
-
-    /// The default thread count (overridable per request).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Bootstrapper for ParallelServerKey {
-    fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-        let threads = req.threads().unwrap_or(self.threads);
-        batch::bootstrap_scoped_parallel(&self.server, req, threads)
     }
 }
 
@@ -712,30 +649,6 @@ mod tests {
             };
             assert_eq!(ck.decrypt(o), want, "i={i}");
         }
-    }
-
-    #[test]
-    fn parallel_backend_matches_sequential_and_honors_hint() {
-        let (_, sk, lut, cts) = fixture();
-        let sk = Arc::new(sk);
-        let par = ParallelServerKey::new(Arc::clone(&sk), 3).unwrap();
-        let req = BatchRequest::shared(cts.clone(), lut.clone());
-        let want = sk.try_bootstrap_batch(&req).unwrap();
-        assert_eq!(par.try_bootstrap_batch(&req).unwrap(), want);
-
-        // A request-level hint of 1 thread must still agree.
-        let hinted = BatchRequest::builder()
-            .ciphertexts(cts)
-            .lut(lut)
-            .threads(1)
-            .build()
-            .unwrap();
-        assert_eq!(par.try_bootstrap_batch(&hinted).unwrap(), want);
-
-        assert_eq!(
-            ParallelServerKey::new(sk, 0).unwrap_err(),
-            TfheError::ZeroThreads
-        );
     }
 
     #[test]

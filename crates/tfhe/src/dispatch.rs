@@ -21,10 +21,11 @@
 //!   [`max_linger`](ServingConfig::max_linger) policy: a batch is
 //!   flushed as soon as it is full, or when its oldest member has waited
 //!   `max_linger`, whichever comes first — bounded latency at low load,
-//!   full batches at high load. The policy itself is the pure state
-//!   machine in `policy.rs`; the batcher thread only drives it with the
-//!   wall clock, and the [autotuner](crate::autotune) drives the same
-//!   code with virtual time;
+//!   full batches at high load. The policy itself — and admission, and
+//!   what a failed batch does next — is the pure state machine in
+//!   `policy.rs`; the batcher thread only drives it with the wall clock,
+//!   and the [autotuner](crate::autotune) drives the same code with
+//!   virtual time;
 //! - admission runs through a **bounded queue**:
 //!   [`try_submit`](Dispatcher::try_submit) rejects with
 //!   [`TfheError::QueueFull`] instead of queueing unboundedly
@@ -54,19 +55,24 @@
 //!   breaks latency out [per tenant](TenantDispatchStats) and folds in
 //!   the key cache's hit/miss/eviction counters when a store is wired in
 //!   via [`DispatcherBuilder::key_store`];
-//! - the front-end is fault-aware (see [`crate::resilience`]): an
-//!   optional [`RetryConfig`](crate::RetryConfig) re-dispatches requests that hit retryable
-//!   backend faults with jittered backoff, an optional [`CircuitBreaker`]
-//!   sheds admissions with [`TfheError::Overloaded`] while the backend is
-//!   sick, and every retry/shed lands in a [`Journal`] next to the
-//!   breaker's own transitions.
+//! - the front-end is fault-aware (see [`crate::resilience`]), and it is
+//!   the one layer that retries a *request*: under an optional
+//!   [`RetryConfig`](crate::RetryConfig) the members of a batch that hit a
+//!   retryable backend fault go back into the queue, ready again after a
+//!   jittered backoff — the batcher never sleeps one out, so other
+//!   tenants' traffic runs meanwhile, and a cancellation or a deadline
+//!   ends the retries; a batch that fails *permanently* is split so each
+//!   member runs once alone and only the malformed one sees the error; an
+//!   optional [`CircuitBreaker`] sheds admissions with
+//!   [`TfheError::Overloaded`] while the backend is sick, and every
+//!   retry/shed lands in a [`Journal`] next to the breaker's own
+//!   transitions.
 //!
 //! The backend is anything implementing [`Bootstrapper`], so the same
-//! dispatcher fronts a [`ServerKey`](crate::ServerKey), a
-//! [`ParallelServerKey`](crate::ParallelServerKey), or — the intended
-//! production shape — a [`BootstrapEngine`](crate::BootstrapEngine). The dispatcher itself
-//! implements [`Bootstrapper`] too, so whole-batch callers and
-//! single-request callers share one service.
+//! dispatcher fronts a [`ServerKey`](crate::ServerKey) or — the intended
+//! production shape — a [`BootstrapEngine`](crate::BootstrapEngine). The
+//! dispatcher itself implements [`Bootstrapper`] too, so whole-batch
+//! callers and single-request callers share one service.
 //!
 //! # Quickstart
 //!
@@ -106,7 +112,7 @@ use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::keystore::{KeyStore, TenantId};
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
-use crate::policy::{BatchPolicy, Dropped, Entry, Poll};
+use crate::policy::{Done, Entry, Poll, ServingCore};
 use crate::resilience::CircuitBreaker;
 use crate::serving::ServingConfig;
 
@@ -119,24 +125,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One queued request: one input ciphertext through one or more LUTs
 /// (`luts.len()` outputs, in LUT order). Multi-LUT requests become fanout
 /// entries of the formed batch and cost a single blind rotation on a
-/// multi-value-capable backend. Its tenant (key affinity), enqueue time
-/// and deadline travel beside it in the policy's [`Entry`].
+/// multi-value-capable backend. Its id, tenant (key affinity), enqueue
+/// time and deadline travel beside it in the core's [`Entry`].
 struct Pending {
-    id: u64,
     ct: LweCiphertext,
-    luts: Vec<Arc<Lut>>,
+    luts: Box<[Arc<Lut>]>,
     cancelled: Arc<AtomicBool>,
     reply: Sender<Resolution>,
 }
 
-struct QueueState {
-    /// The admission queue and the forming batch (`policy.rs`), on
-    /// [`journal::now`]'s nanoseconds.
-    policy: BatchPolicy<Pending>,
-    /// `false` once shutdown begins: admission closed, batcher draining.
-    open: bool,
-    next_id: u64,
-}
+// The core builds each batch under the dispatcher's lock, and the usual
+// allocator serves a request of up to 1 032 bytes from a per-thread cache
+// without taking a lock of its own. A batch of eight stays under that
+// only while an entry is 128 bytes; at 136 the submitters found the lock
+// taken twice as often and a request through a no-op backend cost
+// +0.7 µs (EXPERIMENTS.md "one serving core").
+const _: () = assert!(std::mem::size_of::<Entry<Pending>>() <= 128);
 
 /// Latency samples kept per reservoir. 4096 points give sub-percent
 /// error on p99 while bounding memory at 32 KiB per reservoir no matter
@@ -234,25 +238,21 @@ struct DispatchCounters {
 }
 
 struct Shared {
-    /// The serving knobs this dispatcher was built from (batch/linger/
-    /// queue/slack went into the policy, retry and breaker into the
-    /// fields below, at build time).
+    /// The serving knobs this dispatcher was built from.
     config: ServingConfig,
-    state: Mutex<QueueState>,
+    /// Admission, queue, forming batch, retries and the breaker's feed
+    /// (`policy.rs`), on [`journal::now`]'s nanoseconds.
+    core: Mutex<ServingCore<Pending>>,
     not_empty: Condvar,
     not_full: Condvar,
     counters: DispatchCounters,
-    /// Optional admission gate; when open, submissions are shed with
-    /// [`TfheError::Overloaded`] instead of queueing doomed work.
-    breaker: Option<Arc<CircuitBreaker>>,
     /// One [`EventKind::Request`] span per completed request. A journal
     /// of its own, so that no flood of instants in `journal` can evict a
     /// request span.
     requests: Journal,
-    /// Retry/shed instants (shared with the breaker's journal when the
-    /// caller wires one in), recorded under `scope`.
+    /// Where the core records retry/shed instants (shared with the
+    /// breaker's journal when the caller wires one in).
     journal: Arc<Journal>,
-    scope: Arc<str>,
     /// The key store serving the backend, when the backend is a
     /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) — lets
     /// [`Dispatcher::stats`] fold cache hit/miss/eviction counters into
@@ -261,11 +261,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn record(&self, kind: EventKind) {
-        let who = Who::Scope(Arc::clone(&self.scope));
-        self.journal.record(Event::instant(who, kind));
-    }
-
     /// Deliver a terminal result to a request and bump the matching
     /// counter. The reply channel holds one slot and sees one send ever,
     /// so this never blocks; a dropped ticket just discards the send.
@@ -283,15 +278,6 @@ impl Shared {
                 .fetch_max(journal::now(), Ordering::Relaxed);
         }
         let _ = p.reply.send(result);
-    }
-
-    /// Feed one backend-call outcome to the admission breaker, if any.
-    /// Only service-health signals are recorded (successes and retryable
-    /// faults); validation errors and cancellations never reach here.
-    fn record_breaker(&self, success: bool) {
-        if let Some(b) = &self.breaker {
-            b.record(success);
-        }
     }
 }
 
@@ -507,12 +493,15 @@ pub struct DispatcherStats {
     pub completed: u64,
     /// Requests that resolved to a backend error.
     pub failed: u64,
-    /// Micro-batches executed.
+    /// Micro-batches executed: one per backend call, so a batch that is
+    /// retried, or split to isolate a permanent error, counts each time
+    /// it runs.
     pub batches: u64,
-    /// Requests that entered a micro-batch (completed + failed).
+    /// Requests that entered a micro-batch, once per backend call they
+    /// were part of (completed + failed when nothing had to run twice).
     pub batched: u64,
-    /// Single-request re-dispatches after retryable backend faults
-    /// (see [`ServingConfig::retry`]).
+    /// Requests put back into the queue after a retryable backend fault
+    /// (see [`ServingConfig::retry`]); a batch of n counts n.
     pub retries: u64,
     /// Submissions shed at admission by an open circuit breaker
     /// (see [`DispatcherBuilder::circuit_breaker`]).
@@ -658,12 +647,9 @@ impl DispatcherBuilder {
                 )
             })
         });
+        let core = ServingCore::new(&self.config, breaker, Arc::clone(&journal));
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                policy: BatchPolicy::new(&self.config),
-                open: true,
-                next_id: 0,
-            }),
+            core: Mutex::new(core),
             config: self.config,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -671,10 +657,8 @@ impl DispatcherBuilder {
                 first_ns: AtomicU64::new(u64::MAX),
                 ..DispatchCounters::default()
             },
-            breaker,
             requests: Journal::new(),
             journal,
-            scope: "dispatcher".into(),
             key_store: self.key_store,
         });
         let backend: Arc<dyn Bootstrapper + Send + Sync> = Arc::new(backend);
@@ -861,56 +845,43 @@ impl Dispatcher {
             return Err(TfheError::NoLutProvided);
         }
         let shared = &self.shared;
-        // Breaker-gated admission: an open breaker sheds the request at
-        // the front door (fail fast) rather than queueing doomed work.
-        if let Some(b) = &shared.breaker {
-            if let Err(e) = b.try_acquire() {
-                shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                shared.record(EventKind::Shed);
-                return Err(e);
-            }
-        }
-        let mut st = lock(&shared.state);
-        let queue_full = || {
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            TfheError::QueueFull {
-                capacity: shared.config.queue_capacity,
-            }
-        };
-        while st.open && st.policy.is_full() {
-            if !block {
-                return Err(queue_full());
-            }
-            st = shared
-                .not_full
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if !st.open {
-            return Err(TfheError::DispatcherShutDown);
-        }
-        let id = st.next_id;
         let (reply_tx, reply_rx) = channel::bounded(1);
         let cancelled = Arc::new(AtomicBool::new(false));
-        // Stamped at admission: a `submit` that blocked on a full queue
-        // lingers from when it got in, not from when it was called.
-        let enqueued_ns = journal::now();
-        let entry = Entry {
-            item: Pending {
-                id,
-                ct,
-                luts,
-                cancelled: Arc::clone(&cancelled),
-                reply: reply_tx,
-            },
-            affinity: tenant,
-            enqueued_ns,
-            // Instants before the epoch are 0: expired from the start.
-            deadline_ns: deadline.map(journal::since_epoch),
+        let mut item = Pending {
+            ct,
+            luts: luts.into_boxed_slice(),
+            cancelled: Arc::clone(&cancelled),
+            reply: reply_tx,
         };
-        st.policy.offer(entry).map_err(|_| queue_full())?;
-        st.next_id += 1;
-        drop(st);
+        // Instants before the epoch are 0: expired from the start.
+        let deadline_ns = deadline.map(journal::since_epoch);
+        let mut core = lock(&shared.core);
+        let (id, enqueued_ns) = loop {
+            // Stamped at admission: a `submit` that blocked on a full
+            // queue lingers from when it got in, not from when it was
+            // called.
+            let now = journal::now();
+            let (why, back) = match core.admit(now, tenant, deadline_ns, item) {
+                Ok(id) => break (id, now),
+                Err(refused) => refused,
+            };
+            let refusals = match why {
+                TfheError::QueueFull { .. } if block => {
+                    item = back;
+                    core = shared
+                        .not_full
+                        .wait(core)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    continue;
+                }
+                TfheError::QueueFull { .. } => &shared.counters.rejected,
+                TfheError::Overloaded { .. } => &shared.counters.shed,
+                _ => return Err(why),
+            };
+            refusals.fetch_add(1, Ordering::Relaxed);
+            return Err(why);
+        };
+        drop(core);
         shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
         shared
             .counters
@@ -1023,10 +994,7 @@ impl Dispatcher {
     /// Idempotent; also run by `Drop`. Later submissions fail with
     /// [`TfheError::DispatcherShutDown`].
     pub fn shutdown(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.open = false;
-        }
+        lock(&self.shared.core).close();
         // Wake the batcher (to notice the close) and any blocked
         // submitters (to fail fast).
         self.shared.not_empty.notify_all();
@@ -1092,52 +1060,46 @@ impl Bootstrapper for Dispatcher {
     }
 }
 
-/// The batcher thread: drive the batching policy (`policy.rs`) with the
-/// wall clock. One clock read per poll; `Flush` runs the batch outside
-/// the lock, `WaitUntil` becomes a timed wait that a new submission cuts
+/// The batcher thread: drive the serving core (`policy.rs`) with the wall
+/// clock. One clock read per poll; `Flush` runs the batch outside the
+/// lock and reports its outcome back, `WaitUntil` — a lingering batch or
+/// a retry backing off — becomes a timed wait that a new submission cuts
 /// short, `Idle` waits for a submission — or, once admission is closed
-/// and everything queued has drained, ends the thread.
+/// and everything queued has drained, ends the thread. Nothing here
+/// sleeps.
 fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
     let _fail_leftovers_on_exit = ExitGuard(shared);
-    let mut st = lock(&shared.state);
+    let mut core = lock(&shared.core);
     loop {
         let now = journal::now();
-        let draining = !st.open;
-        match st
-            .policy
-            .poll(now, draining, |p| p.cancelled.load(Ordering::SeqCst))
-        {
+        match core.poll(now, |p| p.cancelled.load(Ordering::SeqCst)) {
             Poll::Flush { batch, dropped } => {
-                drop(st);
+                drop(core);
                 shared.not_full.notify_all();
                 for (e, why) in dropped {
-                    let err = match why {
-                        Dropped::Cancelled => TfheError::Cancelled,
-                        Dropped::Expired => TfheError::DeadlineExceeded,
-                    };
-                    shared.resolve(e.item, Err(err));
+                    shared.resolve(e.item, Err(why));
                 }
                 if !batch.is_empty() {
                     execute_batch(shared, backend, batch);
                 }
-                st = lock(&shared.state);
+                core = lock(&shared.core);
             }
             Poll::WaitUntil(t) => {
                 // Joiners left the queue for the forming batch: a
                 // submitter blocked on a full queue may fit now.
                 shared.not_full.notify_all();
                 let wait = Duration::from_nanos(t.saturating_sub(now));
-                st = shared
+                core = shared
                     .not_empty
-                    .wait_timeout(st, wait)
+                    .wait_timeout(core, wait)
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
-            Poll::Idle if draining => return,
+            Poll::Idle if !core.is_open() => return,
             Poll::Idle => {
-                st = shared
+                core = shared
                     .not_empty
-                    .wait(st)
+                    .wait(core)
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
@@ -1146,18 +1108,19 @@ fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
 
 /// However the batcher thread ends — drained after `shutdown`, or
 /// unwinding out of a panicking backend — nobody is left waiting on it:
-/// admission closes, whatever is still queued or forming fails with
-/// [`TfheError::DispatcherShutDown`], and blocked submitters wake to see
-/// the closed door. (A batch already handed to the backend unwinds with
-/// it; dropping its reply senders reports the same error.)
+/// admission closes, whatever the core still holds (queued, forming,
+/// backing off) fails with [`TfheError::DispatcherShutDown`], and blocked
+/// submitters wake to see the closed door. (A batch already handed to the
+/// backend unwinds with it; dropping its reply senders reports the same
+/// error.)
 struct ExitGuard<'a>(&'a Shared);
 
 impl Drop for ExitGuard<'_> {
     fn drop(&mut self) {
         let leftovers = {
-            let mut st = lock(&self.0.state);
-            st.open = false;
-            st.policy.take_all()
+            let mut core = lock(&self.0.core);
+            core.close();
+            core.take_all()
         };
         for e in leftovers {
             self.0.resolve(e.item, Err(TfheError::DispatcherShutDown));
@@ -1166,91 +1129,33 @@ impl Drop for ExitGuard<'_> {
     }
 }
 
-/// Execute one formed micro-batch (live and single-tenant, as the policy
-/// flushed it): LUT deduplication by `Arc` identity, one backend call,
-/// then result distribution and journaling. If a multi-request batch
-/// fails as a whole, each member is rerun alone so one malformed request
-/// cannot poison its batch-mates; single-request failures then go
-/// through the retry policy before surfacing.
-fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, mut live: Vec<Entry<Pending>>) {
-    let batch_id = shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
+/// Execute one formed micro-batch (live and single-tenant, as the core
+/// flushed it): LUT deduplication by `Arc` identity, one backend call, and
+/// the core's verdict on its outcome — served members get their outputs
+/// and spans, failed ones their error; whoever is to run again is already
+/// back in the core.
+fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, batch: Vec<Entry<Pending>>) {
+    let counters = &shared.counters;
+    let batch_id = counters.batches.fetch_add(1, Ordering::Relaxed);
+    counters
         .batched
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
+        .fetch_add(batch.len() as u64, Ordering::Relaxed);
     let exec_start = journal::now();
-    match run_as_batch(backend, &live) {
-        Ok(outs) => {
-            shared.record_breaker(true);
-            distribute(shared, batch_id, exec_start, live, outs);
-        }
-        Err(e) => {
-            if e.is_retryable() {
-                shared.record_breaker(false);
-            }
-            if live.len() > 1 {
-                // Poison-pill isolation: rerun each member alone so
-                // only the malformed (or genuinely failing) requests
-                // see the error; `finish_single` layers the retry
-                // policy on top.
-                for p in live {
-                    finish_single(shared, backend, batch_id, exec_start, p, None);
-                }
-            } else if let Some(p) = live.pop() {
-                // The lone member already observed this failure —
-                // hand it to the retry loop instead of re-executing
-                // to rediscover the same error.
-                finish_single(shared, backend, batch_id, exec_start, p, Some(e));
+    let (outs, outcome) = match run_as_batch(backend, &batch) {
+        Ok(outs) => (outs, Ok(())),
+        Err(e) => (Vec::new(), Err(e)),
+    };
+    let done = lock(&shared.core).complete(journal::now(), batch, outcome);
+    match done {
+        Done::Served(batch) => distribute(shared, batch_id, exec_start, batch, outs),
+        Done::Failed { resolved, retried } => {
+            counters
+                .retries
+                .fetch_add(retried as u64, Ordering::Relaxed);
+            for (e, err) in resolved {
+                shared.resolve(e.item, Err(err));
             }
         }
-    }
-}
-
-/// Run one request alone until it resolves: success distributes, a
-/// retryable fault retries within [`ServingConfig::retry`]'s budget (journaled,
-/// counted, backed off with deterministic jitter), anything else — or an
-/// exhausted budget — surfaces to the caller. `first_err` carries a
-/// failure the caller already observed for this request, consumed as
-/// attempt zero so the work is not repeated just to rediscover it.
-fn finish_single(
-    shared: &Shared,
-    backend: &dyn Bootstrapper,
-    batch_id: u64,
-    exec_start: u64,
-    p: Entry<Pending>,
-    mut first_err: Option<TfheError>,
-) {
-    let mut attempt: u32 = 0;
-    loop {
-        let err = match first_err.take() {
-            Some(e) => e,
-            None => match run_as_batch(backend, std::slice::from_ref(&p)) {
-                Ok(outs) => {
-                    shared.record_breaker(true);
-                    distribute(shared, batch_id, exec_start, vec![p], outs);
-                    return;
-                }
-                Err(e) => {
-                    if e.is_retryable() {
-                        shared.record_breaker(false);
-                    }
-                    e
-                }
-            },
-        };
-        let retry = &shared.config.retry;
-        if retry.should_retry(&err, attempt) {
-            attempt += 1;
-            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-            shared.record(EventKind::Retry { attempt });
-            let backoff = retry.backoff(p.item.id, attempt);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            continue;
-        }
-        shared.resolve(p.item, Err(err));
-        return;
     }
 }
 
@@ -1265,7 +1170,7 @@ fn run_as_batch(
     let mut lists: Vec<Vec<usize>> = Vec::with_capacity(live.len());
     for p in live {
         let mut list = Vec::with_capacity(p.item.luts.len());
-        for lut in &p.item.luts {
+        for lut in p.item.luts.iter() {
             let idx = match luts.iter().position(|l| Arc::ptr_eq(l, lut)) {
                 Some(idx) => idx,
                 None => {
@@ -1310,7 +1215,9 @@ fn run_as_batch(
 
 /// Hand each member its output and journal the batch's spans. The whole
 /// batch shares one execution window; each request's queue time runs from
-/// its own enqueue to that window's start.
+/// its own enqueue to that window's start — for a request that was
+/// retried, the window of the run that served it, so what it spent failing
+/// and backing off reads as queue wait.
 fn distribute(
     shared: &Shared,
     batch_id: u64,
@@ -1341,7 +1248,7 @@ fn distribute(
                 dur_ns: exec_start.saturating_sub(p.enqueued_ns),
                 who: Who::Dispatcher,
                 kind: EventKind::Request {
-                    id: p.item.id,
+                    id: p.id,
                     batch: batch_id,
                     exec_ns,
                 },
@@ -1370,8 +1277,10 @@ mod tests {
 
     /// Echo backend: returns the inputs unchanged, recording each batch's
     /// size and optionally blocking on a gate until released — the
-    /// deterministic scaffolding for batching/backpressure tests.
+    /// deterministic scaffolding for batching/backpressure tests. Its
+    /// first `fail_first` calls answer a retryable fault instead.
     struct EchoBackend {
+        fail_first: usize,
         sizes: Mutex<Vec<usize>>,
         /// The tenant each backend call was made for, in call order.
         tenants: Mutex<Vec<Option<u64>>>,
@@ -1381,10 +1290,18 @@ mod tests {
     }
 
     fn echo(gated: bool) -> (Arc<EchoBackend>, Receiver<()>, Sender<()>) {
+        echo_failing(gated, 0)
+    }
+
+    fn echo_failing(
+        gated: bool,
+        fail_first: usize,
+    ) -> (Arc<EchoBackend>, Receiver<()>, Sender<()>) {
         let (started_tx, started_rx) = channel::unbounded();
         let (gate_tx, gate_rx) = channel::unbounded();
         (
             Arc::new(EchoBackend {
+                fail_first,
                 sizes: Mutex::new(Vec::new()),
                 tenants: Mutex::new(Vec::new()),
                 started: started_tx,
@@ -1398,11 +1315,18 @@ mod tests {
 
     impl Bootstrapper for EchoBackend {
         fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-            lock(&self.sizes).push(req.len());
+            let call = {
+                let mut sizes = lock(&self.sizes);
+                sizes.push(req.len());
+                sizes.len()
+            };
             lock(&self.tenants).push(req.tenant().map(TenantId::raw));
             let _ = self.started.send(());
             if self.gated {
                 let _ = self.gate.recv();
+            }
+            if call <= self.fail_first {
+                return Err(TfheError::WorkerPanicked { worker: 0 });
             }
             // Echo each input once per output it owes (fanout-aware).
             let mut out = Vec::with_capacity(req.output_len());
@@ -1464,33 +1388,31 @@ mod tests {
         assert!((stats.mean_batch_size - 8.0 / 3.0).abs() < 1e-9);
     }
 
-    /// Batch membership, by request id, that the policy forms on virtual
-    /// time when each wave is offered whole and then polled dry.
+    /// Batch membership, by request id, that the core forms on virtual
+    /// time when each wave arrives whole, a second after the one before,
+    /// and the backend answers at once.
     fn virtual_batches(cfg: &ServingConfig, waves: &[Vec<Option<u64>>]) -> Vec<Vec<u64>> {
-        let mut policy = BatchPolicy::new(cfg);
-        let (mut t, mut id, mut batches) = (0u64, 0u64, Vec::new());
-        for wave in waves {
-            for &tenant in wave {
-                let entry = Entry {
-                    item: id,
-                    affinity: tenant.map(TenantId::new),
-                    enqueued_ns: t,
-                    deadline_ns: None,
-                };
-                policy.offer(entry).unwrap();
-                id += 1;
-                t += 1;
-            }
-            loop {
-                match policy.poll(t, false, |_| false) {
-                    Poll::Flush { batch, .. } => {
-                        batches.push(batch.iter().map(|e| e.item).collect())
-                    }
-                    Poll::WaitUntil(at) => t = at,
-                    Poll::Idle => break,
-                }
-            }
-        }
+        use crate::policy::{drive, Arrival};
+        let second = |wave: usize| wave as u64 * 1_000_000_000;
+        let arrivals: Vec<Arrival> = (waves.iter().enumerate())
+            .flat_map(|(w, wave)| wave.iter().zip(second(w)..))
+            .map(|(&tenant, at)| Arrival {
+                at,
+                affinity: tenant.map(TenantId::new),
+                ..Arrival::default()
+            })
+            .collect();
+        let mut batches = Vec::new();
+        drive(
+            &mut ServingCore::new(cfg, None, Arc::default()),
+            &arrivals,
+            None,
+            |_, batch| {
+                batches.push(batch.iter().map(|e| e.id).collect());
+                (0, Ok(()))
+            },
+            |_, _, _| {},
+        );
         batches
     }
 
@@ -2047,134 +1969,108 @@ mod tests {
         );
     }
 
-    /// Backend that fails its first `fail_first` calls with a retryable
-    /// fault, then echoes — the scaffolding for retry/breaker tests.
-    struct FlakyEcho {
-        fail_first: u64,
-        calls: AtomicU64,
-    }
-
-    impl FlakyEcho {
-        fn new(fail_first: u64) -> Arc<Self> {
-            Arc::new(Self {
-                fail_first,
-                calls: AtomicU64::new(0),
-            })
-        }
-    }
-
-    impl Bootstrapper for FlakyEcho {
-        fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-            if self.calls.fetch_add(1, Ordering::SeqCst) < self.fail_first {
-                return Err(TfheError::WorkerPanicked { worker: 0 });
-            }
-            let mut out = Vec::with_capacity(req.output_len());
-            for (i, ct) in req.ciphertexts().iter().enumerate() {
-                out.extend(std::iter::repeat_with(|| ct.clone()).take(req.output_count(i)));
-            }
-            Ok(out)
-        }
+    /// Retry up to three times, 60 ms, then 120 ms, then 150 ms apart.
+    fn slow_retry() -> RetryConfig {
+        RetryConfig::new(3)
+            .with_base_backoff(Duration::from_millis(60))
+            .with_max_backoff(Duration::from_millis(150))
+            .with_jitter(0.0, 0)
     }
 
     #[test]
-    fn retry_policy_rescues_transient_faults() {
+    fn a_request_backing_off_does_not_hold_up_another_tenant() {
+        let (backend, started, _gate) = echo_failing(false, 1);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_linger(Duration::ZERO)
+                .retry(slow_retry()),
+            Arc::clone(&backend),
+        );
+        let lut = dummy_lut();
+        let sick = d
+            .submit_for(TenantId::new(1), dummy_ct(1), Arc::clone(&lut), None)
+            .unwrap();
+        started.recv().unwrap(); // the call that fails
+        let submitted = Instant::now();
+        let healthy = d
+            .submit_for(TenantId::new(2), dummy_ct(2), lut, None)
+            .unwrap();
+        assert_eq!(healthy.wait().unwrap(), dummy_ct(2));
+        // Served inside the other request's backoff, which is still running.
+        assert!(submitted.elapsed() < Duration::from_millis(60));
+        assert!(sick.try_wait().is_none());
+        assert_eq!(sick.wait().unwrap(), dummy_ct(1));
+        let served_for = lock(&backend.tenants).clone();
+        assert_eq!(served_for, vec![Some(1), Some(2), Some(1)]);
+    }
+
+    #[test]
+    fn a_retry_ends_with_its_deadline_or_its_cancellation() {
+        let (backend, started, _gate) = echo_failing(false, 4);
         let d = dispatcher(
             ServingConfig::builder()
                 .max_batch_size(1)
-                .retry(RetryConfig::new(3).with_base_backoff(Duration::ZERO)),
-            FlakyEcho::new(2),
+                .max_linger(Duration::ZERO)
+                .retry(slow_retry()),
+            Arc::clone(&backend),
         );
-        let t = d.submit(dummy_ct(5), dummy_lut(), None).unwrap();
-        assert_eq!(t.wait().unwrap(), dummy_ct(5));
+        // A deadline that the first backoff outlasts: one call, no retry.
+        let deadline = Instant::now() + Duration::from_millis(30);
+        let late = d.submit(dummy_ct(0), dummy_lut(), Some(deadline)).unwrap();
+        assert_eq!(late.wait().unwrap_err(), TfheError::DeadlineExceeded);
+        assert_eq!(lock(&backend.sizes).len(), 1);
+        // Cancelled once its first call is under way: not run again.
+        let gone = d.submit(dummy_ct(1), dummy_lut(), None).unwrap();
+        started.recv().unwrap();
+        started.recv().unwrap();
+        gone.cancel();
+        assert_eq!(gone.wait().unwrap_err(), TfheError::Cancelled);
+        assert_eq!(lock(&backend.sizes).len(), 2);
         let stats = d.stats();
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.retries, 2, "two faults absorbed by the budget");
-        // Counters and journal agree.
-        let events = d.resilience_journal().events();
-        assert_eq!(
-            events.iter().filter(|e| e.kind.label() == "retry").count(),
-            2
-        );
-        assert!(events
-            .iter()
-            .all(|e| e.who == Who::Scope("dispatcher".into())));
+        assert_eq!((stats.expired, stats.cancelled, stats.retries), (1, 1, 1));
     }
 
     #[test]
-    fn exhausted_retry_budget_surfaces_the_fault() {
-        let d = dispatcher(
-            ServingConfig::builder()
-                .max_batch_size(1)
-                .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO)),
-            FlakyEcho::new(u64::MAX),
-        );
-        let t = d.submit(dummy_ct(0), dummy_lut(), None).unwrap();
-        assert_eq!(
-            t.wait().unwrap_err(),
-            TfheError::WorkerPanicked { worker: 0 }
-        );
-        let stats = d.stats();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.retries, 1);
-    }
-
-    #[test]
-    fn open_breaker_sheds_submissions_and_recovers() {
-        use crate::resilience::{BreakerState, CircuitBreaker};
-        let breaker = Arc::new(
-            CircuitBreaker::builder()
-                .min_samples(1)
-                .failure_threshold(0.5)
-                .cooldown(Duration::ZERO)
-                .build(),
-        );
-        let (backend, _started, _gate) = echo(false);
-        let d = DispatcherBuilder::from_config(
-            &ServingConfig::builder().max_batch_size(1).build().unwrap(),
-        )
-        .unwrap()
-        .circuit_breaker(Arc::clone(&breaker))
-        .build(backend);
-        // Trip the breaker out-of-band (as a failing backend would).
-        breaker.record(false);
-        assert_eq!(breaker.state(), BreakerState::Open);
-        // Cooldown is zero, so this admission is the half-open probe; its
-        // success (recorded by the batcher) closes the breaker.
-        let probe = d.submit(dummy_ct(1), dummy_lut(), None).unwrap();
-        assert_eq!(probe.wait().unwrap(), dummy_ct(1));
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert_eq!(d.stats().shed, 0);
-
-        // Re-trip with a long cooldown path: shed is observable.
-        let slow = Arc::new(
-            CircuitBreaker::builder()
-                .min_samples(1)
-                .failure_threshold(0.5)
-                .cooldown(Duration::from_secs(60))
-                .build(),
-        );
-        let (backend2, _s2, _g2) = echo(false);
-        let d2 = DispatcherBuilder::from_config(
-            &ServingConfig::builder().max_batch_size(1).build().unwrap(),
-        )
-        .unwrap()
-        .circuit_breaker(Arc::clone(&slow))
-        .build(backend2);
-        slow.record(false);
-        let err = d2.submit(dummy_ct(2), dummy_lut(), None).unwrap_err();
-        assert!(matches!(err, TfheError::Overloaded { .. }));
-        let stats = d2.stats();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.submitted, 0, "shed requests never enter the queue");
-        assert_eq!(
-            d2.resilience_journal()
-                .events()
-                .iter()
-                .filter(|e| e.kind.label() == "shed")
-                .count(),
-            1
-        );
+    fn a_transient_fault_reruns_the_batch_as_a_batch() {
+        let once = RetryConfig::new(1).with_base_backoff(Duration::ZERO);
+        for (retry, calls) in [(once, vec![16, 16]), (RetryConfig::none(), vec![16])] {
+            let (backend, _started, _gate) = echo_failing(false, 1);
+            let d = dispatcher(
+                ServingConfig::builder()
+                    .max_batch_size(16)
+                    .max_linger(Duration::from_secs(5))
+                    .retry(retry),
+                Arc::clone(&backend),
+            );
+            let lut = dummy_lut();
+            let tickets: Vec<Ticket> = (0..16)
+                .map(|i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
+                .collect();
+            let answers: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+            assert_eq!(lock(&backend.sizes).clone(), calls);
+            let stats = d.stats();
+            let events = d.resilience_journal().events();
+            if retry.max_retries == 1 {
+                // Nobody's fault: all sixteen go round again, together.
+                let echoed: Vec<_> = (0..16).map(|i| Ok(dummy_ct(i))).collect();
+                assert_eq!(answers, echoed);
+                assert_eq!((stats.completed, stats.retries), (16, 16));
+                assert_eq!((stats.batches, stats.batched), (2, 32));
+                assert_eq!(events.len(), 16);
+                assert!(
+                    events
+                        .iter()
+                        .all(|e| e.kind.label() == "retry"
+                            && e.who == Who::Scope("dispatcher".into()))
+                );
+            } else {
+                // Without a budget each sees the fault, as a batch of one does.
+                let fault = Err(TfheError::WorkerPanicked { worker: 0 });
+                assert_eq!(answers, vec![fault; 16]);
+                assert_eq!((stats.failed, stats.retries), (16, 0));
+                assert!(events.is_empty());
+            }
+        }
     }
 
     #[test]

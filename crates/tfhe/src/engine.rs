@@ -2,10 +2,9 @@
 //! Morphling's always-resident bootstrapping cores, hardened for
 //! production serving.
 //!
-//! The scoped-thread path ([`ParallelServerKey`](crate::ParallelServerKey))
-//! spawns a fresh set of OS threads for every call — fine for one large
-//! batch, wasteful for the steady stream of medium batches that inference
-//! workloads produce. [`BootstrapEngine`] instead spawns its worker pool
+//! Spawning a fresh set of OS threads for every call is fine for one large
+//! batch and wasteful for the steady stream of medium batches that
+//! inference workloads produce. [`BootstrapEngine`] spawns its worker pool
 //! **once** and feeds it through a channel:
 //!
 //! - workers hold an `Arc<ServerKey>` and stay warm for the engine's
@@ -39,12 +38,14 @@
 //!   wedged and re-dispatched to another worker; a late reply from the
 //!   original worker is deduplicated (bootstrapping is deterministic, so
 //!   either copy is bit-identical).
-//! - **Bounded retry with exponential backoff** — transient failures
-//!   (panics, timeouts, failed output checks) are retried up to
-//!   [`max_retries`](BootstrapEngineBuilder::max_retries) times with
-//!   [`retry_backoff`](BootstrapEngineBuilder::retry_backoff) doubling
-//!   per attempt. [`noise_adaptive_retries`](BootstrapEngineBuilder::noise_adaptive_retries)
+//! - **Bounded chunk re-dispatch** — a chunk that fails transiently
+//!   (panic, timeout, failed output check) goes straight back to the pool,
+//!   up to [`max_retries`](BootstrapEngineBuilder::max_retries) times.
+//!   [`noise_adaptive_retries`](BootstrapEngineBuilder::noise_adaptive_retries)
 //!   derives the budget from [`noise::failure_probability`](crate::noise).
+//!   This recovers a *chunk inside one call*; retrying a *request*, with
+//!   backoff and under its deadline, is the
+//!   [`Dispatcher`](crate::dispatch::Dispatcher)'s.
 //! - **Output sanity checks** — an optional
 //!   [hook](BootstrapEngineBuilder::output_check) vets every output;
 //!   failures are retried like any transient fault.
@@ -93,17 +94,17 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 
-use crate::batch::balanced_chunks;
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::faults::{corrupt_ciphertext, fault_key, FaultInjector, FaultPlan, FaultSite};
 use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
+use crate::policy::dur_ns;
 use crate::server::ServerKey;
 use crate::workspace::BootstrapWorkspace;
 
@@ -111,6 +112,22 @@ use crate::workspace::BootstrapWorkspace;
 /// configured: often enough that a dead pool is detected promptly, rare
 /// enough to cost nothing.
 const LIVENESS_TICK: Duration = Duration::from_millis(100);
+
+/// Split `n` items into `parts` contiguous ranges whose lengths differ by
+/// at most one — the default chunk plan, which ordered reassembly relies
+/// on being disjoint and ascending.
+fn balanced_chunks(n: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
+    let parts = parts.min(n).max(1);
+    let base = n / parts;
+    let extra = n % parts;
+    let mut start = 0;
+    (0..parts).map(move |t| {
+        let len = base + usize::from(t < extra);
+        let range = start..start + len;
+        start += len;
+        range
+    })
+}
 
 /// The engine's serving state — the degraded-mode contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -444,7 +461,6 @@ pub struct BootstrapEngineBuilder {
     chunk_size: Option<usize>,
     job_timeout: Option<Duration>,
     max_retries: Option<u32>,
-    retry_backoff: Option<Duration>,
     respawn_budget: Option<u32>,
     fault_plan: FaultPlan,
     output_check: Option<OutputCheck>,
@@ -457,7 +473,6 @@ impl std::fmt::Debug for BootstrapEngineBuilder {
             .field("chunk_size", &self.chunk_size)
             .field("job_timeout", &self.job_timeout)
             .field("max_retries", &self.max_retries)
-            .field("retry_backoff", &self.retry_backoff)
             .field("respawn_budget", &self.respawn_budget)
             .field("fault_plan", &self.fault_plan)
             .field(
@@ -471,8 +486,6 @@ impl std::fmt::Debug for BootstrapEngineBuilder {
 impl BootstrapEngineBuilder {
     /// Default number of retries per chunk.
     pub const DEFAULT_MAX_RETRIES: u32 = 3;
-    /// Default backoff before the first retry (doubles per attempt).
-    pub const DEFAULT_RETRY_BACKOFF: Duration = Duration::from_micros(200);
     /// Default respawn budget per worker.
     pub const DEFAULT_RESPAWN_BUDGET: u32 = 2;
 
@@ -531,13 +544,6 @@ impl BootstrapEngineBuilder {
         let p_fail = crate::noise::bootstrap_failure_probability(params);
         let budget = crate::faults::retry_budget_for(p_fail, 2f64.powi(-40));
         self.max_retries = Some(budget.clamp(1, 8));
-        self
-    }
-
-    /// Backoff before the first retry; doubles on each subsequent attempt
-    /// of the same chunk. Default [`Self::DEFAULT_RETRY_BACKOFF`].
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = Some(backoff);
         self
     }
 
@@ -606,7 +612,6 @@ impl BootstrapEngineBuilder {
             chunk_size: self.chunk_size,
             job_timeout: self.job_timeout,
             max_retries: self.max_retries.unwrap_or(Self::DEFAULT_MAX_RETRIES),
-            retry_backoff: self.retry_backoff.unwrap_or(Self::DEFAULT_RETRY_BACKOFF),
             output_check: self.output_check,
         })
     }
@@ -629,7 +634,6 @@ pub struct BootstrapEngine {
     chunk_size: Option<usize>,
     job_timeout: Option<Duration>,
     max_retries: u32,
-    retry_backoff: Duration,
     output_check: Option<OutputCheck>,
 }
 
@@ -831,19 +835,19 @@ impl BootstrapEngine {
 
         let mut slots: Vec<Option<Vec<LweCiphertext>>> = vec![None; ranges.len()];
         let mut attempts = vec![0u32; ranges.len()];
-        let mut sent_at: Vec<Instant> = Vec::with_capacity(ranges.len());
+        let mut sent_at: Vec<u64> = Vec::with_capacity(ranges.len());
         for slot in 0..ranges.len() {
             dispatch(slot, 0)?;
-            sent_at.push(Instant::now());
+            sent_at.push(journal::now());
         }
         let mut pending = ranges.len();
 
-        // Re-dispatch `slot` after a transient failure, with exponential
-        // backoff. Returns the new attempt number, or `None` if the
-        // retry budget is exhausted (caller converts to its error).
+        // Re-dispatch `slot` at once after a transient failure. Returns
+        // the new attempt number, or `None` if the retry budget is
+        // exhausted (caller converts to its error).
         let retry = |slot: usize,
                      attempts: &mut [u32],
-                     sent_at: &mut [Instant]|
+                     sent_at: &mut [u64]|
          -> Result<Option<u32>, TfheError> {
             if attempts[slot] >= self.max_retries {
                 return Ok(None);
@@ -858,14 +862,8 @@ impl BootstrapEngine {
                     attempt,
                 },
             ));
-            let backoff = self
-                .retry_backoff
-                .saturating_mul(1u32 << (attempt - 1).min(16));
-            if backoff > Duration::ZERO {
-                std::thread::sleep(backoff);
-            }
             dispatch(slot, attempt)?;
-            sent_at[slot] = Instant::now();
+            sent_at[slot] = journal::now();
             Ok(Some(attempt))
         };
 
@@ -918,11 +916,12 @@ impl BootstrapEngine {
                     if self.counters.alive.load(Ordering::SeqCst) == 0 {
                         return Err(TfheError::EngineShutDown);
                     }
-                    let Some(limit) = self.job_timeout else {
+                    let Some(limit) = self.job_timeout.map(dur_ns) else {
                         continue;
                     };
+                    let now = journal::now();
                     for slot in 0..ranges.len() {
-                        if slots[slot].is_none() && sent_at[slot].elapsed() >= limit {
+                        if slots[slot].is_none() && now.saturating_sub(sent_at[slot]) >= limit {
                             self.counters
                                 .watchdog_timeouts
                                 .fetch_add(1, Ordering::Relaxed);
@@ -957,9 +956,8 @@ impl BootstrapEngine {
 }
 
 /// The pooled backend: requests route through the persistent self-healing
-/// worker pool. [`BatchRequest::threads`] and
-/// [`BatchRequest::deadline`] are ignored — the pool was sized at
-/// construction and executes immediately (put a
+/// worker pool. [`BatchRequest::deadline`] is ignored — the pool executes
+/// immediately (put a
 /// [`Dispatcher`](crate::dispatch::Dispatcher) in front for
 /// deadline-aware batching).
 impl Bootstrapper for BootstrapEngine {
@@ -1135,7 +1133,6 @@ mod tests {
             .workers(1)
             .chunk_size(1)
             .max_retries(1)
-            .retry_backoff(Duration::ZERO)
             .output_check(|i, _| i != 3)
             .build(Arc::clone(&sk))
             .unwrap();
@@ -1371,7 +1368,6 @@ mod tests {
             .workers(1)
             .respawn_budget(0)
             .max_retries(1)
-            .retry_backoff(Duration::ZERO)
             .fault_plan(FaultPlan::seeded(1).with_worker_panic(1.0))
             .build(Arc::clone(&sk))
             .unwrap();
@@ -1404,7 +1400,6 @@ mod tests {
         let engine = BootstrapEngine::builder()
             .workers(1)
             .max_retries(2)
-            .retry_backoff(Duration::ZERO)
             .output_check(|_, _| false)
             .build(Arc::clone(&sk))
             .unwrap();

@@ -4,7 +4,7 @@
 //! MATCHA and BTS both budget a per-bootstrap failure probability, and a
 //! production serving pool must survive wedged workers, panics, and the
 //! occasional corrupted result. This module provides the *injection* half
-//! of that story; the recovery half (watchdog, retry/backoff, respawn,
+//! of that story; the recovery half (watchdog, chunk re-dispatch, respawn,
 //! degraded mode) lives in [`BootstrapEngine`](crate::BootstrapEngine).
 //!
 //! Injection is **deterministic**: every decision is a pure function of

@@ -206,8 +206,13 @@ pub struct Event {
 impl Event {
     /// An instant, stamped [`now`].
     pub fn instant(who: Who, kind: EventKind) -> Self {
+        Self::at(now(), who, kind)
+    }
+
+    /// An instant at `at_ns` — for a recorder that is told the time.
+    pub(crate) fn at(at_ns: u64, who: Who, kind: EventKind) -> Self {
         Self {
-            at_ns: now(),
+            at_ns,
             dur_ns: 0,
             who,
             kind,

@@ -25,16 +25,16 @@
 //!   FFT path the hardware accelerates, or the exact integer path used as
 //!   a correctness oracle;
 //! - noise utilities ([`noise`]) that measure and predict ciphertext error;
-//! - a persistent, self-healing [`BootstrapEngine`] (watchdog, retry with
-//!   backoff, panic isolation with bounded respawn, degraded-mode
-//!   serving) plus deterministic seeded fault injection ([`faults`]) for
+//! - a persistent, self-healing [`BootstrapEngine`] (watchdog, bounded
+//!   chunk re-dispatch, panic isolation with bounded respawn,
+//!   degraded-mode serving) plus deterministic seeded fault injection ([`faults`]) for
 //!   chaos testing it;
 //! - one batch-bootstrap entry point for all of the above: the
 //!   [`Bootstrapper`] trait over [`BatchRequest`], implemented by
-//!   [`ServerKey`] (sequential), [`ParallelServerKey`] (scoped threads),
-//!   [`BootstrapEngine`] (pooled), and the deadline-aware dynamic-batching
-//!   [`Dispatcher`] — the software analogue of the
-//!   paper's SW scheduler that keeps the cores fed with large batches;
+//!   [`ServerKey`] (sequential), [`BootstrapEngine`] (pooled), and the
+//!   deadline-aware dynamic-batching [`Dispatcher`] — the software
+//!   analogue of the paper's SW scheduler that keeps the cores fed with
+//!   large batches;
 //! - a service-level [`resilience`] layer on top of the backends:
 //!   [`RetryConfig`] (bounded backoff with seeded jitter),
 //!   [`CircuitBreaker`] (fail-fast admission while a backend is sick),
@@ -71,7 +71,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod autotune;
-mod batch;
 mod bootstrap;
 mod bootstrap_key;
 mod bootstrapper;
@@ -109,7 +108,7 @@ pub use bootstrap::{
     blind_rotate, blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,
 };
 pub use bootstrap_key::BootstrapKey;
-pub use bootstrapper::{BatchRequest, BatchRequestBuilder, Bootstrapper, ParallelServerKey};
+pub use bootstrapper::{BatchRequest, BatchRequestBuilder, Bootstrapper};
 pub use dispatch::{
     DispatchSpan, Dispatcher, DispatcherBuilder, DispatcherStats, MultiTicket, Ticket,
 };

@@ -1,38 +1,54 @@
-//! The batch-formation policy — the paper's §V software scheduler — as a
-//! pure state machine.
+//! The serving core — the paper's §V software scheduler and everything
+//! that happens to a request around it — as a pure state machine.
 //!
-//! [`BatchPolicy`] owns the bounded admission queue and the batch being
-//! formed, and nothing else: it reads no clock, takes no lock and never
-//! waits. Time is an argument (`u64` nanoseconds since an epoch the caller
-//! picks; every sum and difference saturates), cancellation is a predicate
-//! the caller passes, and each decision comes back as a value for the
-//! caller to act on. Two drivers call it: the dispatcher's batcher, which
-//! passes the wall clock and turns [`Poll::WaitUntil`] into a timed wait
-//! (`dispatch.rs`), and the autotuner's simulation, which passes virtual
-//! time and turns it into a jump (`autotune.rs`). They run the same code,
-//! so what the autotuner predicts and what the dispatcher does cannot
-//! drift apart.
+//! [`ServingCore`] owns the front door, the admission queue, the batch
+//! being formed, and what a backend outcome does to a batch that ran. It
+//! reads no clock, takes no lock of its own and never waits. Time is an
+//! argument (`u64` nanoseconds since an epoch the caller picks; every sum
+//! and difference saturates), cancellation is a predicate the caller
+//! passes, and each decision comes back as a value for the caller to act
+//! on. The dispatcher's batcher passes the wall clock and turns
+//! [`Poll::WaitUntil`] into a timed wait (`dispatch.rs`); [`drive`], the
+//! one virtual-time loop, runs the same code under the autotuner's
+//! simulation (`autotune.rs`) and under the tests' scripted backends — so
+//! what the autotuner predicts, what the chaos sweep checks and what the
+//! dispatcher does cannot drift apart.
 //!
-//! The policy (DESIGN.md §8):
+//! The rules (DESIGN.md §8 has them as one transition table):
 //!
-//! - a batch is **seeded** by the oldest live request;
-//! - **joiners** are the live requests of the seed's affinity class (its
-//!   tenant; tenantless is a class of its own), in queue order, up to
-//!   `max_batch_size` — so one server key serves the whole batch and a
-//!   key-store backend pins once per backend call. Requests of other
+//! - **admission**: a closed door refuses, then an open breaker sheds,
+//!   then a full queue refuses; only an admitted request gets an id;
+//! - a batch is **seeded** by the oldest live, ready request; **joiners**
+//!   are the live, ready requests of its affinity class (its tenant;
+//!   tenantless is a class of its own), in queue order, up to
+//!   `max_batch_size` — so one server key serves the whole batch. Other
 //!   classes stay queued in order;
-//! - the batch **flushes** when it is full, when `flush_at` arrives — the
-//!   seed's arrival plus `max_linger`, lowered by every member's deadline
-//!   minus `deadline_slack` — or when the caller is draining;
-//! - at flush time **one sweep** over queue and batch hands back, tagged,
-//!   every entry that was cancelled or whose deadline is not after `now`.
-//!   A deadline is the latest acceptable execution *start*, so
-//!   `deadline == now` is already too late.
+//! - the batch **flushes** when it is full, when `flush_at` arrives — its
+//!   oldest member's arrival plus `max_linger`, lowered by every member's
+//!   deadline minus `deadline_slack` — or when the door is closed
+//!   (draining);
+//! - at flush time **one sweep** over queue and batch hands back every
+//!   entry that was cancelled or whose deadline is not after `now` (the
+//!   latest acceptable execution *start*: `deadline == now` is too late);
+//! - **completion**: success serves the batch. A *permanent* error on
+//!   n > 1 members is somebody's fault: they run once more, each alone, at
+//!   once and in order, so only the culprit keeps the error. A *retryable*
+//!   error is nobody's: whatever n is, each member within
+//!   [`ServingConfig::retry`]'s budget goes back into the queue at its
+//!   place in admission order — never refused by `queue_capacity`, not
+//!   ready before its backoff ends, expired at once if that would be at
+//!   or after its deadline. Such an entry is queue content like any
+//!   other: the sweep, [`take_all`](ServingCore::take_all) and a drain
+//!   see it, and a drain runs it without waiting out the backoff.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
+use crate::error::TfheError;
+use crate::journal::{Event, EventKind, Journal, Who};
 use crate::keystore::TenantId;
+use crate::resilience::CircuitBreaker;
 use crate::serving::ServingConfig;
 
 /// `d` in whole nanoseconds, saturating (a `Duration` holds up to 2^64 s).
@@ -40,116 +56,193 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One request as the policy sees it. `item` is the caller's own payload.
-#[derive(Debug)]
+/// One admitted request as the core sees it. `item` is the caller's own
+/// payload.
+#[derive(Clone, Debug)]
 pub(crate) struct Entry<T> {
     pub(crate) item: T,
+    /// Minted at admission, ascending; also the retry-jitter key.
+    pub(crate) id: u64,
     /// Only entries of equal affinity share a batch.
     pub(crate) affinity: Option<TenantId>,
+    /// When it was admitted. A retry keeps it: time spent failing and
+    /// backing off is queue wait.
     pub(crate) enqueued_ns: u64,
     pub(crate) deadline_ns: Option<u64>,
+    /// Retries so far.
+    pub(crate) attempt: u32,
+    /// Not seeded or joined before this (0 until a retry backs it off).
+    pub(crate) ready_at: u64,
 }
-
-/// Why the flush-time sweep dropped an entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Dropped {
-    Cancelled,
-    Expired,
-}
-
-/// [`BatchPolicy::offer`] refused: the queue is at `queue_capacity`.
-#[derive(Debug)]
-pub(crate) struct Full;
 
 /// What the caller should do next.
 #[derive(Debug)]
 pub(crate) enum Poll<T> {
-    /// Nothing queued, nothing forming: wait for an [`offer`](BatchPolicy::offer).
+    /// Nothing queued, nothing forming: wait for an
+    /// [`admit`](ServingCore::admit).
     Idle,
-    /// A batch is forming; poll again at this time or after the next
-    /// offer, whichever is first.
+    /// A batch is forming or a retry is backing off; poll again at this
+    /// time or after the next admission, whichever is first.
     WaitUntil(u64),
     /// Run `batch` (in order; it can be empty when the sweep took every
-    /// member) and resolve each of `dropped` as tagged.
+    /// member), report the outcome to [`complete`](ServingCore::complete),
+    /// and resolve each of `dropped` as tagged: [`TfheError::Cancelled`]
+    /// or [`TfheError::DeadlineExceeded`].
     Flush {
         batch: Vec<Entry<T>>,
-        dropped: Vec<(Entry<T>, Dropped)>,
+        dropped: Vec<(Entry<T>, TfheError)>,
     },
 }
 
-pub(crate) struct BatchPolicy<T> {
-    max_batch_size: usize,
-    max_linger_ns: u64,
-    queue_capacity: usize,
-    deadline_slack_ns: u64,
+/// What a backend outcome did to the batch that ran.
+#[derive(Debug)]
+pub(crate) enum Done<T> {
+    /// Served: hand each member its output.
+    Served(Vec<Entry<T>>),
+    /// Failed. Resolve each of `resolved` with its error; `retried` more
+    /// went back into the queue, and the rest (a permanent error on more
+    /// than one member) run next, each alone.
+    Failed {
+        resolved: Vec<(Entry<T>, TfheError)>,
+        retried: usize,
+    },
+}
+
+#[cfg_attr(test, derive(Clone))]
+pub(crate) struct ServingCore<T> {
+    cfg: ServingConfig,
+    /// Sheds admissions while open; hears one outcome per backend call.
+    breaker: Option<Arc<CircuitBreaker>>,
+    /// Where sheds and retries are recorded, under `scope`.
+    journal: Arc<Journal>,
+    scope: Arc<str>,
+    /// `false` once shutdown begins: admission closed, queue draining.
+    open: bool,
+    next_id: u64,
+    /// Admitted and waiting, in admission order.
     queue: VecDeque<Entry<T>>,
-    /// The batch being formed; `forming[0]` is its seed. Members no
-    /// longer count against `queue_capacity`.
+    /// The batch being formed, in admission order. Members no longer
+    /// count against `queue_capacity`.
     forming: Vec<Entry<T>>,
     /// When `forming` flushes even if it is not full.
     flush_at: u64,
+    /// Members of a batch that failed permanently, each about to run alone.
+    isolating: VecDeque<Entry<T>>,
 }
 
-impl<T> BatchPolicy<T> {
-    pub(crate) fn new(cfg: &ServingConfig) -> Self {
+impl<T> ServingCore<T> {
+    /// A core under `cfg`'s knobs, shedding behind `breaker` and recording
+    /// its sheds and retries into `journal`.
+    pub(crate) fn new(
+        cfg: &ServingConfig,
+        breaker: Option<Arc<CircuitBreaker>>,
+        journal: Arc<Journal>,
+    ) -> Self {
         Self {
-            max_batch_size: cfg.max_batch_size,
-            max_linger_ns: dur_ns(cfg.max_linger),
-            queue_capacity: cfg.queue_capacity,
-            deadline_slack_ns: dur_ns(cfg.deadline_slack),
+            cfg: cfg.clone(),
+            breaker,
+            journal,
+            scope: "dispatcher".into(),
+            open: true,
+            next_id: 0,
             queue: VecDeque::new(),
             forming: Vec::new(),
             flush_at: 0,
+            isolating: VecDeque::new(),
         }
     }
 
-    pub(crate) fn is_full(&self) -> bool {
-        self.queue.len() >= self.queue_capacity
+    fn record(&self, at_ns: u64, kind: EventKind) {
+        let who = Who::Scope(Arc::clone(&self.scope));
+        self.journal.record(Event::at(at_ns, who, kind));
     }
 
-    /// Bounded-queue admission.
-    pub(crate) fn offer(&mut self, entry: Entry<T>) -> Result<(), Full> {
-        if self.is_full() {
-            return Err(Full);
-        }
-        self.queue.push_back(entry);
-        Ok(())
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
     }
 
-    /// Advance the policy to `now`. Only `Flush` removes anything, so a
-    /// repeated poll at the same `now` repeats `Idle` / `WaitUntil`.
-    pub(crate) fn poll(
+    /// Close admission for good; what is queued drains.
+    pub(crate) fn close(&mut self) {
+        self.open = false;
+    }
+
+    /// The front door at `now`: admit `item` and mint its id, or hand it
+    /// back with the reason — [`TfheError::DispatcherShutDown`] behind a
+    /// closed door, the breaker's [`TfheError::Overloaded`] when it sheds,
+    /// [`TfheError::QueueFull`] (refuse, or wait for room) at capacity.
+    pub(crate) fn admit(
         &mut self,
         now: u64,
-        draining: bool,
-        is_cancelled: impl Fn(&T) -> bool,
-    ) -> Poll<T> {
+        affinity: Option<TenantId>,
+        deadline_ns: Option<u64>,
+        item: T,
+    ) -> Result<u64, (TfheError, T)> {
+        if !self.open {
+            return Err((TfheError::DispatcherShutDown, item));
+        }
+        if let Some(Err(overloaded)) = self.breaker.as_ref().map(|b| b.try_acquire_at(now)) {
+            self.record(now, EventKind::Shed);
+            return Err((overloaded, item));
+        }
+        let capacity = self.cfg.queue_capacity;
+        if self.queue.len() >= capacity {
+            return Err((TfheError::QueueFull { capacity }, item));
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.queue.push_back(Entry {
+            item,
+            id,
+            affinity,
+            enqueued_ns: now,
+            deadline_ns,
+            attempt: 0,
+            ready_at: 0,
+        });
+        Ok(id)
+    }
+
+    /// Advance the core to `now`. Only `Flush` removes anything, so a
+    /// repeated poll at the same `now` repeats `Idle` / `WaitUntil`.
+    pub(crate) fn poll(&mut self, now: u64, is_cancelled: impl Fn(&T) -> bool) -> Poll<T> {
+        let draining = !self.open;
         let doom = |e: &Entry<T>| {
             if is_cancelled(&e.item) {
-                Some(Dropped::Cancelled)
+                Some(TfheError::Cancelled)
             } else if e.deadline_ns.is_some_and(|d| d <= now) {
-                Some(Dropped::Expired)
+                Some(TfheError::DeadlineExceeded)
             } else {
                 None
             }
         };
+        // A drain does not wait out a backoff.
+        let ready = |e: &Entry<T>| draining || e.ready_at <= now;
+        if let Some(alone) = self.isolating.pop_front() {
+            let (mut batch, mut dropped) = (Vec::new(), Vec::new());
+            match doom(&alone) {
+                Some(why) => dropped.push((alone, why)),
+                None => batch.push(alone),
+            }
+            return Poll::Flush { batch, dropped };
+        }
         if self.forming.is_empty() {
             if self.queue.is_empty() {
                 return Poll::Idle;
             }
-            // With only doomed entries queued nothing seeds, and the
-            // sweep below hands them back with an empty batch.
-            let oldest_live = self.queue.iter().position(|e| doom(e).is_none());
-            if let Some(seed) = oldest_live.and_then(|i| self.queue.remove(i)) {
-                self.flush_at = seed.enqueued_ns.saturating_add(self.max_linger_ns);
+            let oldest = self
+                .queue
+                .iter()
+                .position(|e| doom(e).is_none() && ready(e));
+            if let Some(seed) = oldest.and_then(|i| self.queue.remove(i)) {
+                self.flush_at = u64::MAX;
                 self.join(seed);
             }
         }
-        if let Some(affinity) = self.forming.first().map(|seed| seed.affinity) {
+        if let Some(affinity) = self.forming.first().map(|member| member.affinity) {
             let mut i = 0;
-            while self.forming.len() < self.max_batch_size && i < self.queue.len() {
+            while self.forming.len() < self.cfg.max_batch_size && i < self.queue.len() {
                 let e = &self.queue[i];
-                if e.affinity == affinity && doom(e).is_none() {
+                if e.affinity == affinity && doom(e).is_none() && ready(e) {
                     if let Some(e) = self.queue.remove(i) {
                         self.join(e);
                     }
@@ -157,9 +250,13 @@ impl<T> BatchPolicy<T> {
                     i += 1;
                 }
             }
-            if self.forming.len() < self.max_batch_size && !draining && now < self.flush_at {
-                return Poll::WaitUntil(self.flush_at);
+            if self.forming.len() < self.cfg.max_batch_size && !draining && now < self.flush_at {
+                return Poll::WaitUntil(self.flush_at.min(self.next_ready(now)));
             }
+        } else if !self.queue.iter().any(|e| doom(e).is_some()) {
+            // Everything queued is live and backing off; with a doomed
+            // entry among them the sweep below hands it back at once.
+            return Poll::WaitUntil(self.next_ready(now));
         }
         let mut dropped = Vec::new();
         if self.queue.iter().any(|e| doom(e).is_some()) {
@@ -181,64 +278,267 @@ impl<T> BatchPolicy<T> {
     }
 
     fn join(&mut self, e: Entry<T>) {
-        if let Some(d) = e.deadline_ns {
-            let rescue_by = d.saturating_sub(self.deadline_slack_ns);
-            self.flush_at = self.flush_at.min(rescue_by);
-        }
-        self.forming.push(e);
+        let lingered = e.enqueued_ns.saturating_add(dur_ns(self.cfg.max_linger));
+        let slack = dur_ns(self.cfg.deadline_slack);
+        let rescue_by = e.deadline_ns.map_or(u64::MAX, |d| d.saturating_sub(slack));
+        self.flush_at = self.flush_at.min(lingered).min(rescue_by);
+        let place = self.forming.partition_point(|member| member.id < e.id);
+        self.forming.insert(place, e);
     }
 
-    /// Everything still forming or queued, oldest batch first — for a
-    /// caller that is going away and must resolve what it holds.
+    /// When the next backoff after `now` ends (`u64::MAX` if none is
+    /// running).
+    fn next_ready(&self, now: u64) -> u64 {
+        let pending = self.queue.iter().map(|e| e.ready_at);
+        pending.filter(|&at| at > now).min().unwrap_or(u64::MAX)
+    }
+
+    /// The backend answered `outcome` for `batch` — a batch
+    /// [`poll`](Self::poll) flushed — at `now`.
+    pub(crate) fn complete(
+        &mut self,
+        now: u64,
+        batch: Vec<Entry<T>>,
+        outcome: Result<(), TfheError>,
+    ) -> Done<T> {
+        // The breaker hears service health only: successes and retryable
+        // faults. A permanent error says nothing about the backend.
+        let health = match &outcome {
+            Ok(()) => Some(true),
+            Err(e) => e.is_retryable().then_some(false),
+        };
+        if let (Some(breaker), Some(healthy)) = (&self.breaker, health) {
+            breaker.record_at(now, healthy);
+        }
+        let err = match outcome {
+            Ok(()) => return Done::Served(batch),
+            Err(e) => e,
+        };
+        let (mut resolved, mut retried) = (Vec::new(), 0);
+        if !err.is_retryable() && batch.len() > 1 {
+            self.isolating.extend(batch);
+            return Done::Failed { resolved, retried };
+        }
+        for mut e in batch {
+            if !self.cfg.retry.should_retry(&err, e.attempt) {
+                resolved.push((e, err.clone()));
+                continue;
+            }
+            let backoff = dur_ns(self.cfg.retry.backoff(e.id, e.attempt + 1));
+            let ready_at = now.saturating_add(backoff);
+            if e.deadline_ns.is_some_and(|d| d <= ready_at) {
+                resolved.push((e, TfheError::DeadlineExceeded));
+                continue;
+            }
+            e.attempt += 1;
+            e.ready_at = ready_at;
+            self.record(now, EventKind::Retry { attempt: e.attempt });
+            retried += 1;
+            let place = self.queue.partition_point(|q| q.id < e.id);
+            self.queue.insert(place, e);
+        }
+        Done::Failed { resolved, retried }
+    }
+
+    /// Everything still held, next to run first — for a caller that is
+    /// going away and must resolve what it holds.
     pub(crate) fn take_all(&mut self) -> Vec<Entry<T>> {
-        let mut all = std::mem::take(&mut self.forming);
+        let mut all: Vec<Entry<T>> = self.isolating.drain(..).collect();
+        all.append(&mut self.forming);
         all.extend(self.queue.drain(..));
         all
+    }
+}
+
+/// One scripted request of a virtual-time run; its index in the script is
+/// its `item`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Arrival {
+    pub(crate) at: u64,
+    pub(crate) affinity: Option<TenantId>,
+    pub(crate) deadline: Option<u64>,
+    pub(crate) cancel_at: Option<u64>,
+}
+
+/// What [`drive`] shows its observer, as it happens.
+pub(crate) enum Step<'a> {
+    /// The next arrival of the script was offered, at its own time: its
+    /// id, or why not.
+    Offered(&'a Result<u64, TfheError>),
+    /// What the poll said.
+    Polled(&'a Poll<usize>),
+    /// What the core made of the backend's answer, at the time it came.
+    Completed(&'a Done<usize>),
+}
+
+/// The one virtual-time driver: run `core` through `arrivals` (ascending
+/// `at`) the way the batcher drives it, with jumps where the batcher
+/// waits. Every arrival due is offered at its own time — those that come
+/// while a batch runs, before its outcome is known — then the core is
+/// polled; a flushed batch keeps the single batcher busy for as long as
+/// `backend` (given the start time and the batch) says, a quiet poll jumps
+/// to the next arrival, `drain_at` or the poll's wake-up time, whichever
+/// is first, and the run ends when
+/// nothing is left to wake for. A request is cancelled from its
+/// `cancel_at` on, noticed when a poll looks. `see` is told each step,
+/// with the time and the core as it stands.
+pub(crate) fn drive(
+    core: &mut ServingCore<usize>,
+    arrivals: &[Arrival],
+    drain_at: Option<u64>,
+    mut backend: impl FnMut(u64, &[Entry<usize>]) -> (u64, Result<(), TfheError>),
+    mut see: impl FnMut(u64, &ServingCore<usize>, Step<'_>),
+) {
+    let (mut t, mut next) = (0u64, 0usize);
+    // The batch the backend is busy with, and what it will answer.
+    let mut running = None;
+    loop {
+        while let Some(a) = arrivals.get(next).filter(|a| a.at <= t) {
+            if drain_at.is_some_and(|d| d < a.at) {
+                core.close();
+            }
+            let offered = core.admit(a.at, a.affinity, a.deadline, next);
+            let offered = offered.map_err(|(why, _)| why);
+            see(a.at, core, Step::Offered(&offered));
+            next += 1;
+        }
+        if let Some((batch, outcome)) = running.take() {
+            let done = core.complete(t, batch, outcome);
+            see(t, core, Step::Completed(&done));
+        }
+        if drain_at.is_some_and(|d| d <= t) {
+            core.close();
+        }
+        let polled = core.poll(t, |&i| arrivals[i].cancel_at.is_some_and(|c| c <= t));
+        see(t, core, Step::Polled(&polled));
+        match polled {
+            Poll::Flush { batch, .. } if batch.is_empty() => {}
+            Poll::Flush { batch, .. } => {
+                let (service_ns, outcome) = backend(t, &batch);
+                t = t.saturating_add(service_ns);
+                running = Some((batch, outcome));
+            }
+            quiet => {
+                let wake = [
+                    arrivals.get(next).map(|a| a.at),
+                    drain_at.filter(|&d| d > t),
+                    match quiet {
+                        Poll::WaitUntil(at) => Some(at),
+                        _ => None,
+                    },
+                ];
+                match wake.into_iter().flatten().min() {
+                    Some(at) => t = at,
+                    None => return,
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults;
+    use crate::resilience::{BreakerConfig, BreakerState, RetryConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
 
-    /// One request of a scripted schedule; its index is its `item`.
-    #[derive(Clone, Debug)]
-    struct Arrival {
-        at: u64,
-        affinity: Option<TenantId>,
-        deadline: Option<u64>,
-        cancel_at: Option<u64>,
-    }
+    const TRANSIENT: TfheError = TfheError::WorkerPanicked { worker: 0 };
+    const PERMANENT: TfheError = TfheError::LweDimensionMismatch {
+        expected: 16,
+        got: 8,
+    };
 
     fn arrival(at: u64, tenant: Option<u64>) -> Arrival {
         Arrival {
             at,
             affinity: tenant.map(TenantId::new),
-            deadline: None,
-            cancel_at: None,
+            ..Arrival::default()
         }
     }
 
-    /// Everything that happens to the policy, on virtual time: arrivals,
-    /// cancellations, how long each flushed batch keeps the caller busy
-    /// (cycled), and when the caller starts draining.
+    /// The scripted backend. A call that holds a `poison` request fails
+    /// permanently; otherwise call number `i` answers `script[i]` if there
+    /// is one, a transient fault with probability `sick` if it starts
+    /// before `heal_at`, and success if not. Call `i` takes
+    /// `service[i % len]`.
+    #[derive(Clone, Debug, Default)]
+    struct Backend {
+        script: Vec<Option<TfheError>>,
+        sick: f64,
+        heal_at: u64,
+        seed: u64,
+        service: Vec<u64>,
+    }
+
+    /// Everything that happens to the core, on virtual time.
     #[derive(Clone, Debug)]
     struct Schedule {
         cfg: ServingConfig,
         arrivals: Vec<Arrival>,
-        service: Vec<u64>,
+        /// Arrivals no backend call survives.
+        poison: Vec<usize>,
+        backend: Backend,
         drain_at: Option<u64>,
+    }
+
+    fn schedule(cfg: ServingConfig, arrivals: Vec<Arrival>, service: u64) -> Schedule {
+        Schedule {
+            cfg,
+            arrivals,
+            poison: Vec::new(),
+            backend: Backend {
+                service: vec![service],
+                ..Backend::default()
+            },
+            drain_at: None,
+        }
+    }
+
+    /// How a request left.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Left {
+        Completed,
+        Failed(TfheError),
+        Cancelled,
+        Expired,
+        Refused(TfheError),
     }
 
     #[derive(Debug, Default, PartialEq)]
     struct Outcome {
-        /// `(flush time, member ids)` of every non-empty batch.
-        batches: Vec<(u64, Vec<usize>)>,
-        cancelled: Vec<usize>,
-        expired: Vec<usize>,
-        refused: Vec<usize>,
+        /// `(start time, members)` of every backend call.
+        calls: Vec<(u64, Vec<usize>)>,
+        /// Per arrival: when and how it left.
+        left: Vec<Option<(u64, Left)>>,
+        /// Re-admissions after a retryable fault.
+        retried: usize,
+        /// Batches split to isolate a permanent error.
+        isolated: usize,
+        /// The breaker's `(opens, closes)`, and its state at the end.
+        breaker: Option<(u64, u64, BreakerState)>,
+    }
+
+    impl Outcome {
+        fn who(&self, how: impl Fn(&Left) -> bool) -> Vec<usize> {
+            let left = self.left.iter().enumerate();
+            let who = left.filter(|(_, l)| l.as_ref().is_some_and(|(_, l)| how(l)));
+            who.map(|(i, _)| i).collect()
+        }
+        fn left_as(&self, how: Left) -> Vec<usize> {
+            self.who(|l| *l == how)
+        }
+        fn failed(&self) -> Vec<usize> {
+            self.who(|l| matches!(l, Left::Failed(_)))
+        }
+        fn shed(&self) -> Vec<usize> {
+            self.who(|l| matches!(l, Left::Refused(TfheError::Overloaded { .. })))
+        }
+        fn sizes(&self) -> Vec<usize> {
+            self.calls.iter().map(|(_, m)| m.len()).collect()
+        }
     }
 
     fn knobs(max_batch_size: usize, max_linger: Duration) -> ServingConfig {
@@ -249,181 +549,352 @@ mod tests {
         }
     }
 
-    fn ids<'a>(entries: impl Iterator<Item = &'a Entry<usize>>) -> Vec<usize> {
-        entries.map(|e| e.item).collect()
+    fn items<'a>(entries: impl IntoIterator<Item = &'a Entry<usize>>) -> Vec<usize> {
+        entries.into_iter().map(|e| e.item).collect()
     }
 
-    /// Drive the policy through `s` the way both real drivers do — offer
-    /// what has arrived, poll, act — and check every invariant of the
-    /// module docs at every step.
-    fn run(s: &Schedule) -> Outcome {
-        let cap = s.cfg.max_batch_size.max(1);
-        let linger = dur_ns(s.cfg.max_linger);
-        let slack = dur_ns(s.cfg.deadline_slack);
-        let mut policy = BatchPolicy::new(&s.cfg);
-        let mut out = Outcome::default();
-        let (mut t, mut next, mut flushes) = (0u64, 0usize, 0usize);
-        loop {
-            while next < s.arrivals.len() && s.arrivals[next].at <= t {
-                let a = &s.arrivals[next];
-                let was_full = policy.queue.len() >= s.cfg.queue_capacity;
-                let entry = Entry {
-                    item: next,
-                    affinity: a.affinity,
-                    enqueued_ns: a.at,
-                    deadline_ns: a.deadline,
-                };
-                assert_eq!(policy.offer(entry).is_err(), was_full, "refuses iff full");
-                if was_full {
-                    out.refused.push(next);
-                }
-                next += 1;
-            }
+    /// The scripted backend and the observer of one run: every rule of the
+    /// module docs and every accounting contract of the serving path,
+    /// checked step by step.
+    struct Checker<'a> {
+        s: &'a Schedule,
+        out: Outcome,
+        /// Arrivals offered, and how many of them got an id.
+        offered: usize,
+        admitted: u64,
+        /// The core as the last step left it, which is how the next poll
+        /// finds it: `(item, ready_at)` of the queue, the forming batch,
+        /// who is to run alone next.
+        queue: Vec<(usize, u64)>,
+        forming: Vec<usize>,
+        alone: Option<usize>,
+        /// Times each request ran, and the last call's members and answer.
+        runs: Vec<u32>,
+        last_call: (Vec<usize>, Result<(), TfheError>),
+    }
+
+    impl Checker<'_> {
+        fn cancelled(&self, i: usize, t: u64) -> bool {
+            self.s.arrivals[i].cancel_at.is_some_and(|c| c <= t)
+        }
+
+        fn dead(&self, i: usize, t: u64) -> bool {
+            self.cancelled(i, t) || self.s.arrivals[i].deadline.is_some_and(|d| d <= t)
+        }
+
+        fn leave(&mut self, i: usize, t: u64, how: Left) {
+            assert_eq!(self.out.left[i], None, "request {i} left twice");
+            self.out.left[i] = Some((t, how));
+        }
+
+        fn call(&mut self, t: u64, batch: &[Entry<usize>]) -> (u64, Result<(), TfheError>) {
+            let (s, b) = (self.s, &self.s.backend);
             let draining = s.drain_at.is_some_and(|d| d <= t);
-            let cancelled = |id: &usize| s.arrivals[*id].cancel_at.is_some_and(|c| c <= t);
-            let dead =
-                |id: usize| cancelled(&id) || s.arrivals[id].deadline.is_some_and(|d| d <= t);
-            let queue_before = ids(policy.queue.iter());
-            let forming_before = ids(policy.forming.iter());
+            for e in batch {
+                assert!(!self.dead(e.item, t), "ran dead request {} at {t}", e.item);
+                assert!(e.ready_at <= t || draining, "ran {} too early", e.item);
+                assert!(e.attempt <= s.cfg.retry.max_retries);
+                self.runs[e.item] += 1;
+                // One first run, one per retry, one alone after a split.
+                assert!(self.runs[e.item] <= 2 + s.cfg.retry.max_retries);
+            }
+            let members = items(batch);
+            let call = self.out.calls.len();
+            let outcome = if members.iter().any(|i| s.poison.contains(i)) {
+                Err(PERMANENT)
+            } else if let Some(scripted) = b.script.get(call) {
+                scripted.clone().map_or(Ok(()), Err)
+            } else if t < b.heal_at && faults::unit_sample(b.seed, 0, call as u64, 0) < b.sick {
+                Err(TRANSIENT)
+            } else {
+                Ok(())
+            };
+            self.out.calls.push((t, members.clone()));
+            self.last_call = (members, outcome.clone());
+            (b.service[call % b.service.len()], outcome)
+        }
 
-            let polled = policy.poll(t, draining, cancelled);
+        fn see(&mut self, t: u64, core: &ServingCore<usize>, step: Step<'_>) {
+            match step {
+                Step::Offered(Ok(id)) => {
+                    assert_eq!(*id, self.admitted, "ids are minted in admission order");
+                    assert_eq!(core.queue.back().map(|e| e.item), Some(self.offered));
+                    self.admitted += 1;
+                    self.offered += 1;
+                }
+                Step::Offered(Err(why)) => {
+                    match why {
+                        TfheError::DispatcherShutDown => {
+                            assert!(self.s.drain_at.is_some_and(|d| d < t))
+                        }
+                        TfheError::QueueFull { capacity } => {
+                            assert_eq!(*capacity, self.s.cfg.queue_capacity);
+                            assert!(core.queue.len() >= *capacity);
+                        }
+                        shed => assert!(matches!(shed, TfheError::Overloaded { .. })),
+                    }
+                    self.leave(self.offered, t, Left::Refused(why.clone()));
+                    self.offered += 1;
+                }
+                Step::Polled(polled) => self.polled(t, core, polled),
+                Step::Completed(done) => self.completed(t, core, done),
+            }
+            self.queue = (core.queue.iter().map(|e| (e.item, e.ready_at))).collect();
+            self.forming = items(&core.forming);
+            self.alone = core.isolating.front().map(|e| e.item);
+            let ids: Vec<u64> = core.queue.iter().map(|e| e.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "queue out of order");
+        }
 
-            let queue_after = ids(policy.queue.iter());
-            let forming_after = ids(policy.forming.iter());
+        fn polled(&mut self, t: u64, core: &ServingCore<usize>, polled: &Poll<usize>) {
+            assert_eq!(!core.open, self.s.drain_at.is_some_and(|d| d <= t));
+            let (queue_after, forming_after) = (items(&core.queue), items(&core.forming));
             // Whoever stays queued keeps its place relative to the others.
+            let queue_before: Vec<usize> = self.queue.iter().map(|q| q.0).collect();
             let mut rest = queue_before.iter();
+            let in_order = queue_after.iter().all(|i| rest.any(|b| b == i));
             assert!(
-                queue_after.iter().all(|id| rest.any(|b| b == id)),
+                in_order,
                 "queue reordered: {queue_before:?} -> {queue_after:?}"
             );
-            // The batch as it stood when the policy decided: what was
-            // forming, then this poll's joiners (all live, so on a flush
-            // they are all in `batch`).
-            let flushed: Vec<usize> = match &polled {
-                Poll::Flush { batch, .. } => batch.iter().map(|e| e.item).collect(),
-                _ => Vec::new(),
+            let (flushed, swept) = match polled {
+                Poll::Flush { batch, dropped } => (items(batch), dropped.as_slice()),
+                _ => (Vec::new(), [].as_slice()),
             };
-            let members: Vec<usize> = match &polled {
-                Poll::Flush { .. } => {
-                    let joined = flushed.iter().filter(|id| !forming_before.contains(id));
-                    forming_before.iter().chain(joined).copied().collect()
-                }
-                _ => forming_after.clone(),
-            };
-            assert!(
-                members.starts_with(&forming_before),
-                "a forming batch only grows"
-            );
-            assert!(
-                members.len() <= cap,
-                "{members:?} over max_batch_size {cap}"
-            );
-            if let Some(&seed) = members.first() {
-                let class = s.arrivals[seed].affinity;
-                if forming_before.is_empty() {
-                    let older = queue_before.iter().take_while(|&&id| id != seed);
-                    assert!(older.clone().all(|&id| dead(id)), "seed is the oldest live");
-                }
-                let mut passed_over = queue_before.iter().filter(|&&id| {
-                    s.arrivals[id].affinity == class && !dead(id) && !members.contains(&id)
-                });
-                if members.len() < cap {
-                    assert_eq!(
-                        passed_over.next(),
-                        None,
-                        "live same-class request not joined"
-                    );
-                }
-                for w in members.windows(2) {
-                    assert!(w[0] < w[1], "members out of arrival order: {members:?}");
-                    assert_eq!(s.arrivals[w[1]].affinity, class, "mixed batch {members:?}");
-                }
-                let flush_at = members
-                    .iter()
-                    .filter_map(|&id| s.arrivals[id].deadline)
-                    .map(|d| d.saturating_sub(slack))
-                    .fold(s.arrivals[seed].at.saturating_add(linger), u64::min);
-                let due = members.len() >= cap || draining || flush_at <= t;
-                match &polled {
-                    Poll::WaitUntil(at) => {
-                        assert!(!due, "full, draining or past flush_at must flush now");
-                        assert_eq!(*at, flush_at);
-                    }
-                    Poll::Flush { .. } => assert!(due, "flushed {members:?} early at {t}"),
-                    Poll::Idle => panic!("idle with {members:?} forming"),
-                }
+            if let Some(alone) = self.alone {
+                // A member of a split batch runs alone, before anything
+                // else, unless the sweep takes it — and it alone.
+                let swept = items(swept.iter().map(|(e, _)| e));
+                assert_eq!([flushed.clone(), swept].concat(), [alone], "{polled:?}");
+                assert_eq!(
+                    (&queue_after, &forming_after),
+                    (&queue_before, &self.forming)
+                );
+            } else {
+                self.formed(t, core, polled, &flushed);
             }
             match polled {
-                Poll::Flush { batch, dropped } => {
+                Poll::Flush { .. } => {
                     assert!(forming_after.is_empty());
+                    let dead_left = queue_after.iter().any(|&i| self.dead(i, t));
                     assert!(
-                        !queue_after.iter().any(|&id| dead(id)),
+                        self.alone.is_some() || !dead_left,
                         "sweep left a dead entry"
                     );
-                    assert!(!batch.is_empty() || !dropped.is_empty(), "empty flush");
-                    for (e, why) in dropped {
-                        assert!(dead(e.item));
-                        match why {
-                            Dropped::Cancelled => {
-                                assert!(cancelled(&e.item));
-                                out.cancelled.push(e.item);
-                            }
-                            Dropped::Expired => {
-                                assert!(!cancelled(&e.item), "cancellation wins the tag");
-                                out.expired.push(e.item);
-                            }
-                        }
-                    }
-                    assert!(!flushed.iter().any(|&id| dead(id)), "flushed a dead member");
-                    if !flushed.is_empty() {
-                        out.batches.push((t, flushed));
-                        t = t.saturating_add(s.service[flushes % s.service.len()]);
-                        flushes += 1;
+                    assert!(!flushed.is_empty() || !swept.is_empty(), "empty flush");
+                    assert!(
+                        !flushed.iter().any(|&i| self.dead(i, t)),
+                        "flushed the dead"
+                    );
+                    for (e, why) in swept {
+                        assert!(self.dead(e.item, t));
+                        // Cancellation wins the tag.
+                        let how = match self.cancelled(e.item, t) {
+                            true => (TfheError::Cancelled, Left::Cancelled),
+                            false => (TfheError::DeadlineExceeded, Left::Expired),
+                        };
+                        assert_eq!(*why, how.0);
+                        self.leave(e.item, t, how.1);
                     }
                 }
                 quiet => {
                     // Nothing left, so polling again changes nothing.
-                    let again = policy.poll(t, draining, cancelled);
+                    let mut twin = core.clone();
+                    let again = twin.poll(t, |&i| self.cancelled(i, t));
                     assert_eq!(format!("{quiet:?}"), format!("{again:?}"));
-                    assert_eq!(ids(policy.queue.iter()), queue_after);
-                    assert_eq!(ids(policy.forming.iter()), forming_after);
-                    let wake = [
-                        s.arrivals.get(next).map(|a| a.at),
-                        s.drain_at.filter(|&d| d > t),
-                        match quiet {
-                            Poll::WaitUntil(at) => Some(at),
-                            _ => None,
-                        },
-                    ];
-                    if matches!(quiet, Poll::Idle) {
-                        assert!(queue_after.is_empty() && forming_after.is_empty());
-                    }
-                    match wake.into_iter().flatten().min() {
-                        Some(at) => {
-                            assert!(at > t, "time must advance");
-                            t = at;
-                        }
-                        None => break,
-                    }
+                    assert_eq!(items(&twin.queue), queue_after);
+                    assert_eq!(items(&twin.forming), forming_after);
                 }
             }
         }
-        // Conservation: every request left exactly once.
-        let mut left: Vec<usize> = out.batches.iter().flat_map(|(_, b)| b.clone()).collect();
-        left.extend(out.cancelled.iter().chain(&out.expired).chain(&out.refused));
-        left.sort_unstable();
-        assert_eq!(left, (0..s.arrivals.len()).collect::<Vec<_>>(), "{out:?}");
-        out
+
+        /// A poll with nobody to run alone: batch formation.
+        fn formed(
+            &self,
+            t: u64,
+            core: &ServingCore<usize>,
+            polled: &Poll<usize>,
+            flushed: &[usize],
+        ) {
+            let s = self.s;
+            let (cap, draining) = (s.cfg.max_batch_size, !core.open);
+            let ready = |&(_, at): &(usize, u64)| draining || at <= t;
+            // The batch as it stood when the core decided: what was forming
+            // and this poll's joiners (all live, so on a flush they are all
+            // in `batch`).
+            let mut members = items(&core.forming);
+            if let Poll::Flush { .. } = polled {
+                members = self.forming.clone();
+                members.extend(flushed.iter().filter(|i| !self.forming.contains(i)));
+                members.sort_unstable();
+            }
+            let grew = self.forming.iter().all(|i| members.contains(i));
+            assert!(grew, "a forming batch only grows");
+            assert!(
+                members.len() <= cap,
+                "{members:?} over max_batch_size {cap}"
+            );
+            let backing_off = core.queue.iter().map(|e| e.ready_at).filter(|&at| at > t);
+            let next_ready = backing_off.min().unwrap_or(u64::MAX);
+            let Some(&oldest) = members.first() else {
+                match polled {
+                    Poll::Idle => assert!(self.queue.is_empty()),
+                    // Nothing to seed and nothing to sweep: every queued
+                    // request is backing off.
+                    Poll::WaitUntil(at) => {
+                        assert!(self.queue.iter().all(|q| !self.dead(q.0, t) && !ready(q)));
+                        assert_eq!(*at, next_ready);
+                    }
+                    Poll::Flush { dropped, .. } => assert!(!dropped.is_empty()),
+                }
+                return;
+            };
+            let class = s.arrivals[oldest].affinity;
+            if self.forming.is_empty() {
+                let mut older = self.queue.iter().take_while(|(i, _)| *i != oldest);
+                let none_fit = older.all(|q| self.dead(q.0, t) || !ready(q));
+                assert!(none_fit, "seed is the oldest live, ready request");
+            }
+            let joins = |q: &&(usize, u64)| {
+                s.arrivals[q.0].affinity == class && !self.dead(q.0, t) && ready(q)
+            };
+            let mut passed_over = self.queue.iter().filter(joins);
+            let passed_over = passed_over.find(|q| !members.contains(&q.0));
+            assert!(
+                members.len() == cap || passed_over.is_none(),
+                "{passed_over:?} not joined"
+            );
+            for w in members.windows(2) {
+                assert!(w[0] < w[1], "members out of arrival order: {members:?}");
+                assert_eq!(s.arrivals[w[1]].affinity, class, "mixed batch {members:?}");
+            }
+            let slack = dur_ns(s.cfg.deadline_slack);
+            let rescue_by = members.iter().filter_map(|&i| s.arrivals[i].deadline);
+            let lingered = s.arrivals[oldest]
+                .at
+                .saturating_add(dur_ns(s.cfg.max_linger));
+            let flush_at = rescue_by.fold(lingered, |at, d| at.min(d.saturating_sub(slack)));
+            let due = members.len() >= cap || draining || flush_at <= t;
+            match polled {
+                Poll::WaitUntil(at) => {
+                    assert!(!due, "full, draining or past flush_at must flush now");
+                    assert_eq!(*at, flush_at.min(next_ready));
+                }
+                Poll::Flush { .. } => assert!(due, "flushed {members:?} early at {t}"),
+                Poll::Idle => panic!("idle with {members:?} forming"),
+            }
+        }
+
+        fn completed(&mut self, t: u64, core: &ServingCore<usize>, done: &Done<usize>) {
+            let (members, outcome) = self.last_call.clone();
+            let retry = &self.s.cfg.retry;
+            match (done, &outcome) {
+                (Done::Served(batch), Ok(())) => {
+                    assert_eq!(items(batch), members);
+                    for i in members {
+                        self.leave(i, t, Left::Completed);
+                    }
+                }
+                (Done::Failed { resolved, retried }, Err(err)) => {
+                    let split = !err.is_retryable() && members.len() > 1;
+                    self.out.isolated += usize::from(split);
+                    self.out.retried += retried;
+                    // A batch forms only once nothing is left to run alone,
+                    // so a split finds that list empty.
+                    let alone = items(&core.isolating);
+                    assert_eq!(split, alone == members);
+                    assert_eq!(split, alone.iter().any(|i| members.contains(i)));
+                    // Every member went exactly one way.
+                    let kept = if split { members.len() } else { *retried };
+                    assert_eq!(resolved.len() + kept, members.len());
+                    for (e, why) in resolved {
+                        // Out of budget, or the backoff would outlast the
+                        // deadline.
+                        if why == err {
+                            assert!(!retry.should_retry(err, e.attempt));
+                            self.leave(e.item, t, Left::Failed(why.clone()));
+                        } else {
+                            assert_eq!(*why, TfheError::DeadlineExceeded);
+                            let backoff = dur_ns(retry.backoff(e.id, e.attempt + 1));
+                            let ends = t.saturating_add(backoff);
+                            assert!(e.deadline_ns.is_some_and(|d| d <= ends));
+                            self.leave(e.item, t, Left::Expired);
+                        }
+                    }
+                    for e in core.queue.iter().filter(|e| members.contains(&e.item)) {
+                        assert!((1..=retry.max_retries).contains(&e.attempt));
+                        let backoff = dur_ns(retry.backoff(e.id, e.attempt));
+                        assert_eq!(e.ready_at, t.saturating_add(backoff));
+                        assert_eq!(e.enqueued_ns, self.s.arrivals[e.item].at);
+                        assert!(e.deadline_ns.is_none_or(|d| d > e.ready_at));
+                    }
+                }
+                (done, outcome) => panic!("{outcome:?} became {done:?}"),
+            }
+        }
     }
 
-    /// Base seed, overridable via `MORPHLING_CHAOS_SEED` like the chaos
-    /// suites under `tests/` (CI sweeps a few).
-    fn chaos_seed(default: u64) -> u64 {
-        std::env::var("MORPHLING_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(|s| s.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ default)
-            .unwrap_or(default)
+    /// Drive the core through `s` with the one virtual-time driver, under
+    /// a [`Checker`], and reconcile what it saw with journal and breaker.
+    fn run(s: &Schedule) -> Outcome {
+        let journal = Arc::new(Journal::new());
+        let breaker = s.cfg.breaker.map(|b| {
+            let named = b.to_builder().name("serving");
+            Arc::new(named.journal(Arc::clone(&journal)).build())
+        });
+        let mut core = ServingCore::new(&s.cfg, breaker.clone(), Arc::clone(&journal));
+        let checker = RefCell::new(Checker {
+            s,
+            out: Outcome::default(),
+            offered: 0,
+            admitted: 0,
+            queue: Vec::new(),
+            forming: Vec::new(),
+            alone: None,
+            runs: vec![0; s.arrivals.len()],
+            last_call: (Vec::new(), Ok(())),
+        });
+        checker.borrow_mut().out.left = vec![None; s.arrivals.len()];
+        drive(
+            &mut core,
+            &s.arrivals,
+            s.drain_at,
+            |t, batch| checker.borrow_mut().call(t, batch),
+            |t, core, step| checker.borrow_mut().see(t, core, step),
+        );
+        let Checker {
+            mut out, admitted, ..
+        } = checker.into_inner();
+
+        assert!(
+            core.take_all().is_empty(),
+            "the run ended with requests held"
+        );
+        // Conservation: every request left exactly once, and the ones that
+        // got an id are the ones that completed, failed, were cancelled or
+        // expired.
+        assert!(out.left.iter().all(Option::is_some), "{out:?}");
+        let refused = out.who(|l| matches!(l, Left::Refused(_))).len() as u64;
+        assert_eq!(admitted + refused, s.arrivals.len() as u64);
+        // The journal holds every shed, retry and breaker transition.
+        assert_eq!(journal.dropped(), 0);
+        let events = journal.events();
+        let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count();
+        let in_order = events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns);
+        assert!(in_order, "journal out of order");
+        assert_eq!(count("retry"), out.retried);
+        let shed = out.shed().len();
+        assert_eq!(count("shed"), shed);
+        if let Some(b) = &breaker {
+            assert_eq!(b.rejections(), shed as u64);
+            assert_eq!(count("breaker_open") as u64, b.opens());
+            assert_eq!(count("breaker_close") as u64, b.closes());
+            assert!(count("breaker_half_open") as u64 >= b.closes());
+            out.breaker = Some((b.opens(), b.closes(), b.state()));
+        } else {
+            assert_eq!(shed, 0);
+        }
+        out
     }
 
     fn random_schedule(rng: &mut StdRng) -> Schedule {
@@ -435,7 +906,7 @@ mod tests {
         };
         let tenants = rng.gen_range(1..=8u64);
         let mut at = 0u64;
-        let arrivals = (0..rng.gen_range(1..60))
+        let mut arrivals: Vec<Arrival> = (0..rng.gen_range(1..60))
             .map(|_| {
                 at += [0, 0, rng.gen_range(1..50u64), rng.gen_range(50..2_500u64)]
                     [rng.gen_range(0..4usize)];
@@ -448,37 +919,102 @@ mod tests {
                 }
             })
             .collect();
+        let poison = (0..arrivals.len()).filter(|_| rng.gen_bool(0.04)).collect();
+        let backoff = Duration::from_nanos([0, rng.gen_range(1..3_000)][rng.gen_range(0..2usize)]);
+        let retry = RetryConfig::new(rng.gen_range(0..=3))
+            .with_base_backoff(backoff)
+            .with_max_backoff(backoff * rng.gen_range(1..4))
+            .with_jitter([0.0, 0.5][rng.gen_range(0..2usize)], rng.gen());
+        let breaker = rng.gen_bool(0.5).then(|| BreakerConfig {
+            window: rng.gen_range(2..=8),
+            failure_threshold: 0.5,
+            min_samples: rng.gen_range(1..=3),
+            cooldown: Duration::from_nanos(rng.gen_range(0..5_000)),
+            probes_to_close: rng.gen_range(1..=2),
+        });
+        let drain_at = match rng.gen_range(0..4) {
+            0 => Some(0),
+            1 => Some(rng.gen_range(0..at + 2)),
+            _ => None,
+        };
+        // Long after the faults have stopped and every backoff has ended,
+        // a trickle of healthy traffic: what a breaker needs to recover.
+        if drain_at.is_none() {
+            let gap = breaker.map_or(0, |b| dur_ns(b.cooldown)) + 10_000;
+            arrivals.extend((0..4).map(|i| arrival(at + 1_000_000 + i * gap, None)));
+        }
         Schedule {
             cfg: ServingConfig {
                 max_batch_size: rng.gen_range(1..=32),
                 max_linger: span(rng),
                 queue_capacity: rng.gen_range(1..=12),
                 deadline_slack: span(rng),
+                retry,
+                breaker,
                 ..ServingConfig::default()
             },
             arrivals,
-            service: (0..7).map(|_| rng.gen_range(0..3_000)).collect(),
-            drain_at: match rng.gen_range(0..3) {
-                0 => None,
-                1 => Some(0),
-                _ => Some(rng.gen_range(0..at + 2)),
+            poison,
+            backend: Backend {
+                script: Vec::new(),
+                sick: [0.0, 0.3, 0.7][rng.gen_range(0..3usize)],
+                heal_at: rng.gen_range(0..at + 2),
+                seed: rng.gen(),
+                service: (0..7).map(|_| rng.gen_range(0..3_000)).collect(),
             },
+            drain_at,
         }
     }
 
+    /// The chaos sweep: 1 000 seeds of random arrivals, tenants, deadlines,
+    /// cancellations, capacities and drains against a backend that fails
+    /// transiently, fails permanently on poisoned requests and heals,
+    /// under retry budgets 0–3 with and without a breaker. `run` checks
+    /// the contracts; this checks that the seeds reach every way out and
+    /// that a seed replays exactly.
     #[test]
-    fn random_schedules_keep_every_invariant() {
-        let mut rng = StdRng::seed_from_u64(chaos_seed(0x5EED_B47C));
-        let (mut batches, mut dropped, mut refused) = (0, 0, 0);
-        for _ in 0..2_000 {
-            let s = random_schedule(&mut rng);
+    fn a_thousand_seeds_keep_every_contract() {
+        let mut reached = [0usize; 11];
+        for seed in 0..1_000u64 {
+            let s = random_schedule(&mut StdRng::seed_from_u64(0x5EED_B47C ^ seed));
             let out = run(&s);
-            batches += out.batches.len();
-            dropped += out.cancelled.len() + out.expired.len();
-            refused += out.refused.len();
+            assert_eq!(out, run(&s), "seed {seed} did not replay");
+            let (opens, closes, state) = out.breaker.unwrap_or_default();
+            if let (None, Some(b)) = (s.drain_at, s.cfg.breaker) {
+                // Calls made of nothing but the healthy trickle: enough of
+                // them close a breaker that had opened.
+                let trickle = s.arrivals.len() - 4..;
+                let healthy = |(_, m): &&(u64, Vec<usize>)| m.iter().all(|i| trickle.contains(i));
+                if out.calls.iter().filter(healthy).count() >= b.probes_to_close as usize {
+                    assert_eq!(state, BreakerState::Closed, "seed {seed}: healed");
+                }
+            }
+            for (i, left) in out.left.iter().enumerate() {
+                if let Some((_, Left::Failed(e))) = left {
+                    assert_eq!(*e == PERMANENT, s.poison.contains(&i), "seed {seed}: {i}");
+                }
+            }
+            let closed = out.left_as(Left::Refused(TfheError::DispatcherShutDown));
+            let tally = [
+                out.calls.len(),
+                out.left_as(Left::Completed).len(),
+                out.failed().len(),
+                out.left_as(Left::Cancelled).len(),
+                out.left_as(Left::Expired).len(),
+                out.who(|l| matches!(l, Left::Refused(TfheError::QueueFull { .. })))
+                    .len(),
+                closed.len(),
+                out.shed().len(),
+                out.isolated,
+                out.retried,
+                opens.min(closes) as usize,
+            ];
+            for (sum, n) in reached.iter_mut().zip(tally) {
+                *sum += n;
+            }
         }
         // The generator reaches every way out, not only the happy one.
-        assert!(batches > 2_000 && dropped > 2_000 && refused > 2_000);
+        assert!(reached.iter().all(|&n| n > 50), "{reached:?}");
     }
 
     #[test]
@@ -488,14 +1024,9 @@ mod tests {
         let mut arrivals = vec![arrival(0, None), arrival(10, None), arrival(20, None)];
         arrivals[1].deadline = Some(100);
         arrivals[2].deadline = Some(101);
-        let out = run(&Schedule {
-            cfg: knobs(1, Duration::ZERO),
-            arrivals,
-            service: vec![100],
-            drain_at: None,
-        });
-        assert_eq!(out.batches, vec![(0, vec![0]), (100, vec![2])]);
-        assert_eq!(out.expired, vec![1]);
+        let out = run(&schedule(knobs(1, Duration::ZERO), arrivals, 100));
+        assert_eq!(out.calls, vec![(0, vec![0]), (100, vec![2])]);
+        assert_eq!(out.left_as(Left::Expired), vec![1]);
     }
 
     #[test]
@@ -504,24 +1035,23 @@ mod tests {
         // runs (10 µs), tenants interleave behind it: 1 2 1 2 1.
         let (a, b) = (Some(1), Some(2));
         let mut arrivals = vec![arrival(0, a)];
-        arrivals.extend(
-            [a, b, a, b, a]
-                .into_iter()
-                .zip(51_000..)
-                .map(|(t, at)| arrival(at, t)),
-        );
-        let out = run(&Schedule {
-            cfg: knobs(8, Duration::from_micros(50)),
+        let behind = [a, b, a, b, a].into_iter().zip(51_000..);
+        arrivals.extend(behind.map(|(t, at)| arrival(at, t)));
+        let out = run(&schedule(
+            knobs(8, Duration::from_micros(50)),
             arrivals,
-            service: vec![10_000],
-            drain_at: None,
-        });
+            10_000,
+        ));
         // Tenant 1's three wait out *their* seed's linger window; tenant
         // 2's two are overdue by then and go at once, in their own order.
-        let batches: Vec<Vec<usize>> = out.batches.iter().map(|(_, b)| b.clone()).collect();
-        assert_eq!(batches, vec![vec![0], vec![1, 3, 5], vec![2, 4]]);
-        assert_eq!(out.batches[1].0, 51_000 + 50_000);
-        assert_eq!(out.batches[2].0, 51_000 + 50_000 + 10_000);
+        assert_eq!(
+            out.calls,
+            vec![
+                (50_000, vec![0]),
+                (51_000 + 50_000, vec![1, 3, 5]),
+                (51_000 + 50_000 + 10_000, vec![2, 4])
+            ]
+        );
     }
 
     #[test]
@@ -535,17 +1065,16 @@ mod tests {
         // window, just without it.
         arrivals[1].cancel_at = Some(60_500);
         arrivals.push(arrival(51_002, None));
-        let out = run(&Schedule {
-            cfg: knobs(8, Duration::from_micros(50)),
+        let out = run(&schedule(
+            knobs(8, Duration::from_micros(50)),
             arrivals,
-            service: vec![10_000],
-            drain_at: None,
-        });
+            10_000,
+        ));
         assert_eq!(
-            out.batches,
+            out.calls,
             vec![(50_000, vec![0]), (101_000, vec![3]), (111_000, vec![2])]
         );
-        assert_eq!(out.cancelled, vec![1]);
+        assert_eq!(out.left_as(Left::Cancelled), vec![1]);
     }
 
     #[test]
@@ -553,19 +1082,182 @@ mod tests {
         // `Duration::MAX` is a valid `max_linger`: the batch waits for
         // its second member however long that takes, and flushes when it
         // is full.
-        let out = run(&Schedule {
-            cfg: knobs(2, Duration::MAX),
-            arrivals: vec![
-                arrival(5, None),
-                arrival(1_000_000_000, None),
-                arrival(2_000_000_000, None),
-            ],
-            service: vec![1],
-            drain_at: Some(3_000_000_000),
-        });
+        let arrivals = [5, 1_000_000_000, 2_000_000_000].map(|at| arrival(at, None));
+        let mut s = schedule(knobs(2, Duration::MAX), arrivals.to_vec(), 1);
+        s.drain_at = Some(3_000_000_000);
         assert_eq!(
-            out.batches,
+            run(&s).calls,
             vec![(1_000_000_000, vec![0, 1]), (3_000_000_000, vec![2])]
         );
+    }
+
+    const MS: u64 = 1_000_000;
+
+    /// Retry up to `max_retries` times, 20 ms then 40 ms then 50 ms apart.
+    fn retrying(mut cfg: ServingConfig, max_retries: u32) -> ServingConfig {
+        cfg.retry = RetryConfig::new(max_retries)
+            .with_base_backoff(Duration::from_millis(20))
+            .with_jitter(0.0, 0);
+        cfg
+    }
+
+    fn fails(calls: usize, err: &TfheError) -> Vec<Option<TfheError>> {
+        vec![Some(err.clone()); calls]
+    }
+
+    #[test]
+    fn a_request_backing_off_holds_nobody_up() {
+        // Tenant 1's request fails at 50 µs + 10 µs and is ready again
+        // 20 ms later; tenant 2 arrives at 1 ms and is served on its own
+        // linger window, while the first waits.
+        let cfg = retrying(knobs(8, Duration::from_micros(50)), 3);
+        let mut s = schedule(cfg, vec![arrival(0, Some(1)), arrival(MS, Some(2))], 10_000);
+        s.backend.script = fails(1, &TRANSIENT);
+        let out = run(&s);
+        assert_eq!(
+            out.calls,
+            vec![
+                (50_000, vec![0]),
+                (MS + 50_000, vec![1]),
+                (20 * MS + 60_000, vec![0])
+            ]
+        );
+        assert_eq!(out.left[1], Some((MS + 60_000, Left::Completed)));
+        assert_eq!(out.left[0], Some((20 * MS + 70_000, Left::Completed)));
+        assert_eq!(out.retried, 1);
+    }
+
+    #[test]
+    fn a_retry_respects_its_request() {
+        let cfg = retrying(knobs(1, Duration::ZERO), 3);
+        // A 5 ms deadline against a 20 ms backoff: one call, expired the
+        // moment it fails.
+        let mut late = arrival(0, None);
+        late.deadline = Some(5 * MS);
+        let mut s = schedule(cfg.clone(), vec![late], 1_000);
+        s.backend.script = fails(4, &TRANSIENT);
+        let out = run(&s);
+        assert_eq!((out.calls.len(), out.retried), (1, 0));
+        assert_eq!(out.left[0], Some((1_000, Left::Expired)));
+        // Cancelled 5 ms into the backoff: one call, and the next look at
+        // the queue — the backoff's end at the latest — says so.
+        let mut gone = arrival(0, None);
+        gone.cancel_at = Some(5 * MS);
+        s.arrivals = vec![gone];
+        let out = run(&s);
+        assert_eq!((out.calls.len(), out.retried), (1, 1));
+        assert_eq!(out.left[0], Some((20 * MS + 1_000, Left::Cancelled)));
+        // A budget is spent only while the deadline allows: calls at 0 and
+        // at 1.5 + 20 ms, and the 40 ms backoff after that outlasts a
+        // 50 ms deadline.
+        let mut bounded = arrival(0, None);
+        bounded.deadline = Some(50 * MS);
+        let mut s = schedule(cfg, vec![bounded], 3 * MS / 2);
+        s.backend.script = fails(4, &TRANSIENT);
+        let out = run(&s);
+        assert_eq!(out.calls, vec![(0, vec![0]), (43 * MS / 2, vec![0])]);
+        assert_eq!(out.left[0], Some((23 * MS, Left::Expired)));
+    }
+
+    #[test]
+    fn a_transient_fault_is_answered_the_same_way_whatever_the_batch() {
+        let sixteen: Vec<Arrival> = (0..16).map(|_| arrival(0, None)).collect();
+        let all: Vec<usize> = (0..16).collect();
+        // Hit once, the batch runs again as a batch.
+        let mut s = schedule(retrying(knobs(16, Duration::ZERO), 1), sixteen, 1_000);
+        s.backend.script = fails(1, &TRANSIENT);
+        let out = run(&s);
+        assert_eq!(
+            out.calls,
+            vec![(0, all.clone()), (20 * MS + 1_000, all.clone())]
+        );
+        assert_eq!(
+            (out.retried, out.left_as(Left::Completed)),
+            (16, all.clone())
+        );
+        // Without a budget all sixteen see the fault, as a batch of one does.
+        s.cfg.retry = RetryConfig::none();
+        let out = run(&s);
+        assert_eq!((out.sizes(), out.failed()), (vec![16], all.clone()));
+        s.arrivals.truncate(1);
+        let out = run(&s);
+        assert_eq!((out.sizes(), out.failed()), (vec![1], vec![0]));
+        // A permanent fault is somebody's: each member runs once alone and
+        // only the culprit keeps the error.
+        let mut s = schedule(knobs(16, Duration::ZERO), s.arrivals.repeat(16), 1_000);
+        s.poison = vec![11];
+        let out = run(&s);
+        assert_eq!(out.sizes(), [vec![16], vec![1; 16]].concat());
+        assert_eq!((out.isolated, out.failed()), (1, vec![11]));
+        assert_eq!(out.left[11], Some((13_000, Left::Failed(PERMANENT))));
+    }
+
+    #[test]
+    fn retries_rescue_within_budget_and_surface_the_fault_beyond_it() {
+        let zero_backoff = |n| RetryConfig::new(n).with_base_backoff(Duration::ZERO);
+        let mut s = schedule(knobs(1, Duration::ZERO), vec![arrival(0, None)], 10);
+        s.cfg.retry = zero_backoff(3);
+        s.backend.script = fails(2, &TRANSIENT);
+        let out = run(&s);
+        assert_eq!(out.calls, vec![(0, vec![0]), (10, vec![0]), (20, vec![0])]);
+        assert_eq!((out.retried, out.left_as(Left::Completed)), (2, vec![0]));
+        s.cfg.retry = zero_backoff(1);
+        let out = run(&s);
+        assert_eq!((out.calls.len(), out.retried), (2, 1));
+        assert_eq!(out.left[0], Some((20, Left::Failed(TRANSIENT))));
+    }
+
+    #[test]
+    fn backpressure_is_loud_and_lossless() {
+        // Request 0 keeps the batcher busy for 1 ms; three fill the queue
+        // behind it, the fifth is refused, and every accepted one is
+        // served once there is room — the sixth included.
+        let mut cfg = knobs(1, Duration::ZERO);
+        cfg.queue_capacity = 3;
+        let arrivals = [0, 10, 20, 30, 40, MS + 10].map(|at| arrival(at, None));
+        let out = run(&schedule(cfg, arrivals.to_vec(), MS));
+        let full = TfheError::QueueFull { capacity: 3 };
+        assert_eq!(out.left_as(Left::Refused(full)), vec![4]);
+        assert_eq!(out.left_as(Left::Completed), vec![0, 1, 2, 3, 5]);
+    }
+
+    #[test]
+    fn breaker_sheds_while_the_backend_is_sick_and_closes_when_it_heals() {
+        // One request every 10 µs against a backend whose first three
+        // calls fail; two failures open the breaker for 25 µs.
+        let mut cfg = knobs(1, Duration::ZERO);
+        cfg.breaker = Some(BreakerConfig {
+            window: 8,
+            min_samples: 2,
+            cooldown: Duration::from_micros(25),
+            ..BreakerConfig::default()
+        });
+        let arrivals: Vec<Arrival> = (0..12).map(|i| arrival(i * 10_000, None)).collect();
+        let mut s = schedule(cfg, arrivals, 1_000);
+        s.backend.script = fails(3, &TRANSIENT);
+        let out = run(&s);
+        // Open at 11 µs: 20 and 30 are shed, 40 probes and fails (open
+        // again at 41 µs), 50 and 60 are shed, 70 probes and closes it.
+        assert_eq!(out.failed(), vec![0, 1, 4]);
+        assert_eq!(out.shed(), vec![2, 3, 5, 6]);
+        assert_eq!(out.left_as(Left::Completed), vec![7, 8, 9, 10, 11]);
+        assert_eq!(out.breaker, Some((2, 1, BreakerState::Closed)));
+        let hint = Duration::from_nanos(11_000 + 25_000 - 20_000);
+        let overloaded = TfheError::Overloaded { retry_after: hint };
+        assert_eq!(out.left[2], Some((20_000, Left::Refused(overloaded))));
+    }
+
+    #[test]
+    fn a_drain_runs_a_backing_off_request_at_once() {
+        let mut s = schedule(
+            retrying(knobs(1, Duration::ZERO), 1),
+            vec![arrival(0, None)],
+            1_000,
+        );
+        s.backend.script = fails(1, &TRANSIENT);
+        s.drain_at = Some(5 * MS);
+        let out = run(&s);
+        assert_eq!(out.calls, vec![(0, vec![0]), (5 * MS, vec![0])]);
+        assert_eq!(out.left_as(Left::Completed), vec![0]);
     }
 }

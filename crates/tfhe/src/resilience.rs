@@ -1,14 +1,16 @@
 //! Service-level resilience: retry policy, circuit breaking, and
 //! degraded-mode failover across [`Bootstrapper`] backends.
 //!
-//! PR 3's [`BootstrapEngine`](crate::BootstrapEngine) made the *engine*
-//! survive faults (watchdog, respawn, bounded retry inside the pool); this
-//! module makes the *service* survive them. Three pieces compose:
+//! The [`BootstrapEngine`](crate::BootstrapEngine) makes the *engine*
+//! survive faults (watchdog, respawn, bounded chunk re-dispatch inside one
+//! call); this module makes the *service* survive them. Three pieces
+//! compose:
 //!
-//! - [`RetryConfig`]: bounded re-dispatch with exponential backoff and
-//!   **deterministic seeded jitter** (the same SplitMix64 stream the fault
-//!   injector uses, so a chaos run's backoff schedule replays exactly).
-//!   What is worth retrying is decided by
+//! - [`RetryConfig`]: the [`Dispatcher`](crate::Dispatcher)'s bounded
+//!   re-dispatch of a *request* — the one retry that knows a deadline —
+//!   with exponential backoff and **deterministic seeded jitter** (the same
+//!   SplitMix64 stream the fault injector uses, so a chaos run's backoff
+//!   schedule replays exactly). What is worth retrying is decided by
 //!   [`TfheError::is_retryable`] — transient infrastructure faults
 //!   (worker panics, wedged jobs, corrupted outputs, dead engines) retry;
 //!   permanent request errors (validation) never do.
@@ -19,10 +21,11 @@
 //!   after a cooldown, half-open probe traffic decides between closing
 //!   (recovered) and re-opening (still sick).
 //! - [`FailoverBootstrapper`]: an ordered list of backends (e.g.
-//!   `BootstrapEngine` → `ParallelServerKey` → `ServerKey`), each behind
-//!   its own breaker. Requests are served by the first admitting tier;
+//!   `BootstrapEngine` → `ServerKey`), each behind its own breaker.
+//!   Requests are served by the first admitting tier; a tier that fails
+//!   retryably is failed over at once — the stack retries nothing — and
 //!   when the primary's breaker opens the service *degrades* to the next
-//!   tier instead of failing, and half-open probes restore the primary
+//!   tier instead of failing, with half-open probes restoring the primary
 //!   once it recovers. Because every [`Bootstrapper`] backend is
 //!   bit-identical on the same request (the conformance contract), a
 //!   failover is invisible to the caller except in latency.
@@ -36,24 +39,24 @@
 //! # Degraded-mode serving in one picture
 //!
 //! ```text
-//!            ┌────────────── FailoverBootstrapper ──────────────┐
-//! request ──▶│ tier 0: BootstrapEngine   [breaker: Open]   skip │
-//!            │ tier 1: ParallelServerKey [breaker: Closed] serve│──▶ result
-//!            │ tier 2: ServerKey         [breaker: Closed]      │
-//!            └──────────────────────────────────────────────────┘
+//!            ┌──────────── FailoverBootstrapper ────────────┐
+//! request ──▶│ tier 0: BootstrapEngine [breaker: Open]   skip │
+//!            │ tier 1: ServerKey       [breaker: Closed] serve│──▶ result
+//!            └────────────────────────────────────────────────┘
 //! ```
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::engine::EngineHealth;
 use crate::error::TfheError;
 use crate::faults::unit_sample;
-use crate::journal::{Event, EventKind, Journal, Who};
+use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
+use crate::policy::dur_ns;
 
 /// Hash-domain separator for retry jitter (disjoint from the fault
 /// injector's site domains, so jitter never aliases injection decisions).
@@ -71,8 +74,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Bounded retry with exponential backoff and deterministic seeded jitter,
 /// as plain data: the `retry` section of a
-/// [`ServingConfig`](crate::ServingConfig) and the policy a
-/// [`FailoverBootstrapper`] applies per tier.
+/// [`ServingConfig`](crate::ServingConfig), applied by the dispatcher to
+/// each request of a batch that failed retryably.
 ///
 /// Backoff for attempt `a` (1-based) is `min(base · 2^(a−1), max)`, scaled
 /// by a jitter factor drawn deterministically from `(seed, key, attempt)` —
@@ -354,7 +357,7 @@ impl CircuitBreakerBuilder {
                 state: BreakerState::Closed,
                 outcomes: VecDeque::new(),
                 failures: 0,
-                opened_at: None,
+                opened_at: 0,
                 probe_successes: 0,
             }),
             opens: AtomicU64::new(0),
@@ -369,7 +372,8 @@ struct BreakerInner {
     /// Rolling outcome window; `true` = failure.
     outcomes: VecDeque<bool>,
     failures: usize,
-    opened_at: Option<Instant>,
+    /// When the breaker last tripped, on [`journal::now`]'s nanoseconds.
+    opened_at: u64,
     probe_successes: u32,
 }
 
@@ -445,9 +449,9 @@ impl CircuitBreaker {
         &self.journal
     }
 
-    fn journal_transition(&self, kind: EventKind) {
+    fn journal_transition(&self, at_ns: u64, kind: EventKind) {
         let who = Who::Scope(Arc::clone(&self.name));
-        self.journal.record(Event::instant(who, kind));
+        self.journal.record(Event::at(at_ns, who, kind));
     }
 
     /// Ask to admit one request.
@@ -463,30 +467,34 @@ impl CircuitBreaker {
     /// [`TfheError::Overloaded`] while open, with the remaining cooldown
     /// as the retry hint.
     pub fn try_acquire(&self) -> Result<(), TfheError> {
+        self.try_acquire_at(journal::now())
+    }
+
+    /// [`try_acquire`](Self::try_acquire) at `now` (nanoseconds on
+    /// [`journal::now`]'s clock, or on a driver's virtual one).
+    pub(crate) fn try_acquire_at(&self, now: u64) -> Result<(), TfheError> {
         let mut inner = lock(&self.inner);
         if inner.state == BreakerState::Closed {
             if let Some(health) = &self.health {
                 if health() == EngineHealth::Failed {
-                    self.trip(&mut inner);
+                    self.trip(now, &mut inner);
                 }
             }
         }
         match inner.state {
             BreakerState::Closed | BreakerState::HalfOpen => Ok(()),
             BreakerState::Open => {
-                let elapsed = inner
-                    .opened_at
-                    .map(|t| t.elapsed())
-                    .unwrap_or(Duration::ZERO);
-                if elapsed >= self.config.cooldown {
+                let cooldown = dur_ns(self.config.cooldown);
+                let elapsed = now.saturating_sub(inner.opened_at);
+                if elapsed >= cooldown {
                     inner.state = BreakerState::HalfOpen;
                     inner.probe_successes = 0;
-                    self.journal_transition(EventKind::BreakerHalfOpen);
+                    self.journal_transition(now, EventKind::BreakerHalfOpen);
                     Ok(())
                 } else {
                     self.rejections.fetch_add(1, Ordering::Relaxed);
                     Err(TfheError::Overloaded {
-                        retry_after: self.config.cooldown - elapsed,
+                        retry_after: Duration::from_nanos(cooldown - elapsed),
                     })
                 }
             }
@@ -497,6 +505,12 @@ impl CircuitBreaker {
     /// service outcomes: successes and *retryable* failures. Permanent
     /// request errors and cancellations are not health signals.
     pub fn record(&self, success: bool) {
+        self.record_at(journal::now(), success);
+    }
+
+    /// [`record`](Self::record) at `now`, on
+    /// [`try_acquire_at`](Self::try_acquire_at)'s clock.
+    pub(crate) fn record_at(&self, now: u64, success: bool) {
         let mut inner = lock(&self.inner);
         match inner.state {
             BreakerState::Closed => {
@@ -515,7 +529,7 @@ impl CircuitBreaker {
                 if n >= self.config.min_samples
                     && inner.failures as f64 / n as f64 >= self.config.failure_threshold
                 {
-                    self.trip(&mut inner);
+                    self.trip(now, &mut inner);
                 }
             }
             BreakerState::HalfOpen => {
@@ -525,13 +539,12 @@ impl CircuitBreaker {
                         inner.state = BreakerState::Closed;
                         inner.outcomes.clear();
                         inner.failures = 0;
-                        inner.opened_at = None;
                         inner.probe_successes = 0;
                         self.closes.fetch_add(1, Ordering::Relaxed);
-                        self.journal_transition(EventKind::BreakerClose);
+                        self.journal_transition(now, EventKind::BreakerClose);
                     }
                 } else {
-                    self.trip(&mut inner);
+                    self.trip(now, &mut inner);
                 }
             }
             // A late result from before the trip: the window is already
@@ -541,14 +554,14 @@ impl CircuitBreaker {
     }
 
     /// Transition to Open: stamp the cooldown clock, condemn the window.
-    fn trip(&self, inner: &mut BreakerInner) {
+    fn trip(&self, now: u64, inner: &mut BreakerInner) {
         inner.state = BreakerState::Open;
-        inner.opened_at = Some(Instant::now());
+        inner.opened_at = now;
         inner.outcomes.clear();
         inner.failures = 0;
         inner.probe_successes = 0;
         self.opens.fetch_add(1, Ordering::Relaxed);
-        self.journal_transition(EventKind::BreakerOpen);
+        self.journal_transition(now, EventKind::BreakerOpen);
     }
 }
 
@@ -576,12 +589,11 @@ type TierSpec = (
     Option<Arc<CircuitBreaker>>,
 );
 
-/// Configures a [`FailoverBootstrapper`]: ordered tiers plus a shared
-/// retry policy.
+/// Configures a [`FailoverBootstrapper`]: ordered tiers and where their
+/// events go.
 #[derive(Default)]
 pub struct FailoverBootstrapperBuilder {
     tiers: Vec<TierSpec>,
-    retry: RetryConfig,
     journal: Option<Arc<Journal>>,
 }
 
@@ -592,7 +604,6 @@ impl std::fmt::Debug for FailoverBootstrapperBuilder {
                 "tiers",
                 &self.tiers.iter().map(|(n, _, _)| n).collect::<Vec<_>>(),
             )
-            .field("retry", &self.retry)
             .finish_non_exhaustive()
     }
 }
@@ -629,13 +640,6 @@ impl FailoverBootstrapperBuilder {
     {
         self.tiers
             .push((name.into(), Arc::new(backend), Some(breaker)));
-        self
-    }
-
-    /// Per-tier retry policy (applied before failing over).
-    #[must_use]
-    pub fn retry_policy(mut self, retry: RetryConfig) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -679,11 +683,8 @@ impl FailoverBootstrapperBuilder {
             .collect();
         Ok(FailoverBootstrapper {
             tiers,
-            retry: self.retry,
             journal,
             failovers: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
         })
     }
 }
@@ -693,22 +694,15 @@ impl FailoverBootstrapperBuilder {
 /// restore upward via half-open probes. See the [module docs](self).
 pub struct FailoverBootstrapper {
     tiers: Vec<Tier>,
-    retry: RetryConfig,
     journal: Arc<Journal>,
     failovers: AtomicU64,
-    retries: AtomicU64,
-    /// Request sequence number — the jitter key, so each request's
-    /// backoff schedule is distinct but deterministic.
-    seq: AtomicU64,
 }
 
 impl std::fmt::Debug for FailoverBootstrapper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailoverBootstrapper")
             .field("tiers", &self.tier_names())
-            .field("retry", &self.retry)
             .field("failovers", &self.failovers.load(Ordering::Relaxed))
-            .field("retries", &self.retries.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -737,11 +731,6 @@ impl FailoverBootstrapper {
         self.failovers.load(Ordering::Relaxed)
     }
 
-    /// Same-tier re-dispatches across all tiers.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
     /// The breaker guarding tier `index` (priority order).
     pub fn breaker(&self, index: usize) -> Option<&Arc<CircuitBreaker>> {
         self.tiers.get(index).map(|t| &t.breaker)
@@ -759,7 +748,6 @@ impl Bootstrapper for FailoverBootstrapper {
         if req.is_empty() {
             return Ok(Vec::new());
         }
-        let key = self.seq.fetch_add(1, Ordering::Relaxed);
         // Prefer reporting a real backend failure over an admission
         // rejection — the former says what is actually wrong.
         let mut last_fault: Option<TfheError> = None;
@@ -779,40 +767,24 @@ impl Bootstrapper for FailoverBootstrapper {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
                 record(EventKind::Failover { from });
             }
-            let mut attempt: u32 = 0;
-            loop {
-                match tier.backend.try_bootstrap_batch(req) {
-                    Ok(out) => {
-                        tier.breaker.record(true);
-                        tier.served.fetch_add(1, Ordering::Relaxed);
-                        return Ok(out);
-                    }
-                    Err(e) if e.is_retryable() => {
-                        tier.breaker.record(false);
-                        // Retry in place while budget remains and the
-                        // breaker (which just absorbed the failure) still
-                        // admits; otherwise fail over.
-                        if self.retry.should_retry(&e, attempt)
-                            && tier.breaker.try_acquire().is_ok()
-                        {
-                            attempt += 1;
-                            self.retries.fetch_add(1, Ordering::Relaxed);
-                            record(EventKind::Retry { attempt });
-                            let backoff = self.retry.backoff(key, attempt);
-                            if !backoff.is_zero() {
-                                std::thread::sleep(backoff);
-                            }
-                            continue;
-                        }
-                        last_fault = Some(e);
-                        failed_from = Some(Arc::clone(&tier.name));
-                        break;
-                    }
-                    // Permanent: the request is at fault; every tier
-                    // would answer identically, so don't fail over and
-                    // don't penalize this tier's health.
-                    Err(e) => return Err(e),
+            match tier.backend.try_bootstrap_batch(req) {
+                Ok(out) => {
+                    tier.breaker.record(true);
+                    tier.served.fetch_add(1, Ordering::Relaxed);
+                    return Ok(out);
                 }
+                // Nothing is retried here: the next tier gets the
+                // request now, and whether the *request* runs again is
+                // the dispatcher's call — it knows the deadline.
+                Err(e) if e.is_retryable() => {
+                    tier.breaker.record(false);
+                    last_fault = Some(e);
+                    failed_from = Some(Arc::clone(&tier.name));
+                }
+                // Permanent: the request is at fault; every tier would
+                // answer identically, so don't fail over and don't
+                // penalize this tier's health.
+                Err(e) => return Err(e),
             }
         }
         Err(last_fault
@@ -921,76 +893,86 @@ mod tests {
         assert_eq!(RetryConfig::none().backoff(0, 1), Duration::ZERO);
     }
 
-    #[test]
-    fn breaker_trips_at_threshold_and_rejects_while_open() {
-        let b = CircuitBreaker::builder()
-            .window(8)
-            .min_samples(4)
+    /// Cooldown of the breakers below, in nanoseconds.
+    const COOLDOWN_NS: u64 = 100_000_000;
+
+    fn breaker(min_samples: usize) -> CircuitBreakerBuilder {
+        CircuitBreaker::builder()
+            .min_samples(min_samples)
             .failure_threshold(0.5)
-            .cooldown(Duration::from_secs(60))
-            .build();
+            .cooldown(Duration::from_nanos(COOLDOWN_NS))
+    }
+
+    #[test]
+    fn breaker_trips_at_threshold_and_rejects_until_the_cooldown_ends() {
+        let b = breaker(4).window(8).build();
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record(true);
-        b.record(false);
-        b.record(true);
+        b.record_at(10, true);
+        b.record_at(20, false);
+        b.record_at(30, true);
         assert_eq!(b.state(), BreakerState::Closed, "below min_samples");
-        b.record(false);
+        b.record_at(40, false);
         assert_eq!(b.state(), BreakerState::Open, "2/4 failures at 0.5");
         assert_eq!(b.opens(), 1);
-        let err = b.try_acquire().unwrap_err();
-        assert!(matches!(err, TfheError::Overloaded { .. }));
+        // Open from 40: refused up to the last nanosecond of the cooldown,
+        // with what is left of it as the hint.
+        let err = b.try_acquire_at(40 + COOLDOWN_NS - 1).unwrap_err();
+        let retry_after = Duration::from_nanos(1);
+        assert_eq!(err, TfheError::Overloaded { retry_after });
         assert!(err.is_retryable());
+        assert_eq!(b.rejections(), 1);
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(b.try_acquire_at(40 + COOLDOWN_NS).is_ok());
+        assert_eq!(b.state(), BreakerState::HalfOpen);
         assert_eq!(b.rejections(), 1);
     }
 
     #[test]
     fn breaker_recovers_through_half_open_probes() {
-        let b = CircuitBreaker::builder()
-            .min_samples(1)
-            .failure_threshold(0.5)
-            .cooldown(Duration::ZERO)
-            .probes_to_close(2)
-            .build();
-        b.record(false); // trip
+        let b = breaker(1).probes_to_close(2).build();
+        b.record_at(5, false); // trip
         assert_eq!(b.state(), BreakerState::Open);
-        // Zero cooldown: next acquire transitions to half-open.
-        assert!(b.try_acquire().is_ok());
+        let cooled = 5 + COOLDOWN_NS;
+        assert!(b.try_acquire_at(cooled).is_ok());
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record(true);
+        b.record_at(cooled + 1, true);
         assert_eq!(b.state(), BreakerState::HalfOpen, "needs 2 probes");
-        b.record(true);
+        b.record_at(cooled + 2, true);
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.closes(), 1);
+        // Each transition is stamped with the time it was told.
         let events = b.journal().events();
-        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
+        let seen: Vec<(u64, &str)> = events.iter().map(|e| (e.at_ns, e.kind.label())).collect();
         assert_eq!(
-            labels,
-            vec!["breaker_open", "breaker_half_open", "breaker_close"]
+            seen,
+            vec![
+                (5, "breaker_open"),
+                (cooled, "breaker_half_open"),
+                (cooled + 2, "breaker_close")
+            ]
         );
     }
 
     #[test]
-    fn half_open_probe_failure_reopens() {
-        let b = CircuitBreaker::builder()
-            .min_samples(1)
-            .failure_threshold(0.5)
-            .cooldown(Duration::ZERO)
-            .build();
-        b.record(false);
-        assert!(b.try_acquire().is_ok());
+    fn half_open_probe_failure_reopens_for_a_full_cooldown() {
+        let b = breaker(1).build();
+        b.record_at(0, false);
+        assert!(b.try_acquire_at(COOLDOWN_NS).is_ok());
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record(false);
+        b.record_at(COOLDOWN_NS + 7, false);
         assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
         assert_eq!(b.opens(), 2);
+        // The cooldown runs from the re-trip, not from the first one.
+        assert!(b.try_acquire_at(2 * COOLDOWN_NS + 6).is_err());
+        assert!(b.try_acquire_at(2 * COOLDOWN_NS + 7).is_ok());
     }
 
     #[test]
     fn health_probe_failed_forces_open() {
-        let b = CircuitBreaker::builder()
-            .cooldown(Duration::from_secs(60))
-            .health_probe(|| EngineHealth::Failed)
-            .build();
-        assert!(matches!(b.try_acquire(), Err(TfheError::Overloaded { .. })));
+        let b = breaker(8).health_probe(|| EngineHealth::Failed).build();
+        let err = b.try_acquire_at(3).unwrap_err();
+        let retry_after = Duration::from_nanos(COOLDOWN_NS);
+        assert_eq!(err, TfheError::Overloaded { retry_after });
         assert_eq!(b.state(), BreakerState::Open);
 
         let healthy = CircuitBreaker::builder()
@@ -1004,20 +986,18 @@ mod tests {
         let stack = FailoverBootstrapper::builder()
             .tier("primary", FlakyBackend::new(u64::MAX))
             .tier("fallback", FlakyBackend::new(0))
-            .retry_policy(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
             .build()
             .expect("two tiers");
         let req = one_request();
         let out = stack.try_bootstrap_batch(&req).expect("fallback serves");
         assert_eq!(out.len(), 1);
         assert_eq!(stack.failovers(), 1);
-        assert_eq!(stack.retries(), 1, "one in-place retry before failover");
         assert_eq!(stack.served()[0].1, 0);
         assert_eq!(stack.served()[1].1, 1);
+        // One call to the primary, none retried in place.
         let events = stack.journal().events();
         let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
-        assert!(labels.contains(&"retry"));
-        assert!(labels.contains(&"failover"));
+        assert_eq!(labels, ["failover"]);
     }
 
     #[test]

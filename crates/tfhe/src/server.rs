@@ -35,8 +35,8 @@ pub enum MulBackend {
 }
 
 /// Per-call knobs for [`ServerKey::bootstrap_with_options`] — the single
-/// entry point the `try_programmable_bootstrap{,_with,_no_ks,_no_ks_with}`
-/// family delegates to.
+/// entry point `programmable_bootstrap` and `try_programmable_bootstrap`
+/// delegate to.
 ///
 /// Defaults match `try_programmable_bootstrap`: key switch on, a fresh
 /// workspace allocated internally.
@@ -275,59 +275,11 @@ impl ServerKey {
     }
 
     /// A [`BootstrapWorkspace`] sized for this key — allocate once, then
-    /// pass to [`try_programmable_bootstrap_with`](Self::try_programmable_bootstrap_with)
-    /// for allocation-free bootstraps.
+    /// pass to [`bootstrap_with_options`](Self::bootstrap_with_options)
+    /// through [`BootstrapOptions::workspace`] for allocation-free
+    /// bootstraps.
     pub fn workspace(&self) -> BootstrapWorkspace {
         self.engine.workspace(self.params.glwe_dim)
-    }
-
-    /// [`try_programmable_bootstrap`](Self::try_programmable_bootstrap)
-    /// through a caller-owned workspace: on the FFT backends a warm `ws`
-    /// makes the blind rotation allocation-free. Results are bit-identical
-    /// to the plain method.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap).
-    pub fn try_programmable_bootstrap_with(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        ws: &mut BootstrapWorkspace,
-    ) -> Result<LweCiphertext, TfheError> {
-        self.bootstrap_with_options(ct, lut, BootstrapOptions::new().workspace(ws))
-    }
-
-    /// Programmable bootstrapping *without* the final key switch: the
-    /// result is under the extracted `k·N` key. Exposed because schedules
-    /// sometimes fuse the key switch elsewhere (and for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or LUT-size mismatch; use
-    /// [`try_programmable_bootstrap_no_ks`](Self::try_programmable_bootstrap_no_ks)
-    /// for a `Result`.
-    pub fn programmable_bootstrap_no_ks(&self, ct: &LweCiphertext, lut: &Lut) -> LweCiphertext {
-        match self.try_programmable_bootstrap_no_ks(ct, lut) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible
-    /// [`programmable_bootstrap_no_ks`](Self::programmable_bootstrap_no_ks).
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::LweDimensionMismatch`] if `ct` is not under the small
-    /// LWE key; [`TfheError::LutSizeMismatch`] if `lut` was built for a
-    /// different polynomial size.
-    pub fn try_programmable_bootstrap_no_ks(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-    ) -> Result<LweCiphertext, TfheError> {
-        self.bootstrap_with_options(ct, lut, BootstrapOptions::new().keyswitch(false))
     }
 
     /// The configurable bootstrap every `try_programmable_bootstrap*`
@@ -834,9 +786,8 @@ mod tests {
             let plain = sk.try_programmable_bootstrap(&ct, &lut).unwrap();
             // Reuse the same workspace across all messages — state left
             // over from one bootstrap must not leak into the next.
-            let with_ws = sk
-                .try_programmable_bootstrap_with(&ct, &lut, &mut ws)
-                .unwrap();
+            let opts = BootstrapOptions::new().workspace(&mut ws);
+            let with_ws = sk.bootstrap_with_options(&ct, &lut, opts).unwrap();
             assert_eq!(with_ws, plain, "m={m}");
         }
     }

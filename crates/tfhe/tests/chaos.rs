@@ -69,7 +69,6 @@ fn chaos_worker_panics_survive_bit_identical() {
         .chunk_size(2)
         .respawn_budget(64)
         .max_retries(8)
-        .retry_backoff(Duration::from_micros(100))
         .fault_plan(FaultPlan::seeded(0xC0FFEE).with_worker_panic(0.25))
         .build(Arc::clone(&sk))
         .expect("spawn pool");
@@ -106,7 +105,6 @@ fn chaos_wedged_jobs_are_rescued_by_the_watchdog() {
         .workers(3)
         .chunk_size(1)
         .max_retries(16)
-        .retry_backoff(Duration::from_micros(100))
         .job_timeout(Duration::from_millis(250))
         .fault_plan(FaultPlan::seeded(0xBEEF).with_wedged_job(0.3, Duration::from_millis(1500)))
         .build(Arc::clone(&sk))
@@ -138,7 +136,6 @@ fn chaos_corrupted_outputs_are_caught_by_the_sanity_check() {
         .workers(2)
         .chunk_size(3)
         .max_retries(16)
-        .retry_backoff(Duration::from_micros(100))
         .fault_plan(FaultPlan::seeded(0xDEAD).with_corrupt_output(0.3))
         .output_check(move |i, ct| ct == &check_ref[i])
         .build(Arc::clone(&sk))
@@ -212,7 +209,6 @@ fn chaos_fault_keys_stay_per_ciphertext_on_the_chunked_path() {
         .chunk_size(4)
         .respawn_budget(64)
         .max_retries(32)
-        .retry_backoff(Duration::from_micros(100))
         .fault_plan(plan)
         .build(Arc::clone(&sk))
         .expect("spawn pool");
@@ -273,7 +269,6 @@ fn chaos_full_pool_death_errors_instead_of_hanging() {
         .workers(2)
         .respawn_budget(0)
         .max_retries(2)
-        .retry_backoff(Duration::ZERO)
         .fault_plan(FaultPlan::seeded(0xF00D).with_worker_panic(1.0))
         .build(Arc::clone(&sk))
         .expect("spawn pool");

@@ -1,8 +1,7 @@
-//! One conformance suite, five backends.
+//! One conformance suite, four backends.
 //!
 //! Every [`Bootstrapper`] implementation — the sequential [`ServerKey`],
-//! the scoped-thread [`ParallelServerKey`], the persistent
-//! [`BootstrapEngine`] pool, the dynamic-batching [`Dispatcher`], and
+//! the persistent [`BootstrapEngine`] pool, the dynamic-batching [`Dispatcher`], and
 //! the breaker-guarded [`FailoverBootstrapper`] — must satisfy the same
 //! contract:
 //!
@@ -23,8 +22,8 @@ use std::sync::{Arc, OnceLock};
 
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, Dispatcher, DispatcherBuilder,
-    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParallelServerKey, ParamSet, RetryConfig,
-    ServerKey, ServingConfig, TfheError,
+    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, ServerKey, ServingConfig,
+    TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,12 +134,6 @@ fn server_key_conforms() {
 }
 
 #[test]
-fn parallel_server_key_conforms() {
-    let psk = ParallelServerKey::new(Arc::clone(&fixture().server), 3).expect("nonzero threads");
-    assert_conforms(&psk, "ParallelServerKey");
-}
-
-#[test]
 fn bootstrap_engine_conforms() {
     let engine = BootstrapEngine::builder()
         .workers(2)
@@ -167,8 +160,11 @@ fn failover_bootstrapper_conforms() {
     let f = fixture();
     let stack = FailoverBootstrapper::builder()
         .tier(
-            "parallel",
-            ParallelServerKey::new(Arc::clone(&f.server), 2).expect("nonzero threads"),
+            "engine",
+            BootstrapEngine::builder()
+                .workers(2)
+                .build(Arc::clone(&f.server))
+                .expect("spawn pool"),
         )
         .tier("sequential", Arc::clone(&f.server))
         .build()
@@ -198,7 +194,6 @@ fn failover_with_dead_primary_matches_healthy_reference() {
     let stack = FailoverBootstrapper::builder()
         .tier("engine", engine)
         .tier("server", Arc::clone(&f.server))
-        .retry_policy(RetryConfig::new(1).with_base_backoff(std::time::Duration::ZERO))
         .build()
         .expect("two tiers");
 

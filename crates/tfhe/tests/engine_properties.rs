@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EventKind, Lut, LweCiphertext,
-    ParallelServerKey, ParamSet, ServerKey,
+    ParamSet, ServerKey,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -70,7 +70,7 @@ proptest! {
     }
 
     #[test]
-    fn engine_matches_parallel_baseline_and_counts_exactly(
+    fn engine_matches_sequential_baseline_and_counts_exactly(
         sizes in prop::collection::vec(0usize..9, 4),
         workers in 1usize..4,
     ) {
@@ -85,10 +85,7 @@ proptest! {
             let msgs: Vec<u64> = (0..size as u64).map(|i| (i + round as u64) % 4).collect();
             let cts = encrypt_batch(&msgs);
             let eng = bb(&engine, &cts, &lut);
-            let psk = ParallelServerKey::new(Arc::clone(&f.server), workers.max(2))
-                .expect("nonzero threads");
-            let par = bb(&psk, &cts, &lut);
-            prop_assert_eq!(&eng, &par);
+            prop_assert_eq!(&eng, &bb(&*f.server, &cts, &lut));
             expected_bootstraps += size as u64;
         }
         let stats = engine.stats();
@@ -245,14 +242,6 @@ fn fanout_chunks_are_bit_identical_to_per_ciphertext_multi_value_bootstraps() {
             server.try_bootstrap_batch(&request).expect("server key"),
             per_ciphertext,
             "server key, set={set:?}"
-        );
-        let scoped = ParallelServerKey::new(Arc::clone(&server), 3).expect("threads");
-        assert_eq!(
-            scoped
-                .try_bootstrap_batch(&request)
-                .expect("scoped threads"),
-            per_ciphertext,
-            "scoped threads, set={set:?}"
         );
         for chunk in [Some(1usize), Some(3), None] {
             let builder = BootstrapEngine::builder().workers(2);

@@ -2,7 +2,7 @@
 //! parameter sets.
 
 use morphling_math::{Torus32, TorusScalar};
-use morphling_tfhe::{noise, ClientKey, Lut, MulBackend, ParamSet, ServerKey};
+use morphling_tfhe::{noise, BootstrapOptions, ClientKey, Lut, MulBackend, ParamSet, ServerKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -107,7 +107,9 @@ fn pbs_without_ks_is_under_the_extracted_key() {
     let sk = ServerKey::new(&ck, &mut rng);
     let lut = Lut::identity(params.poly_size, 4);
     let ct = ck.encrypt(2, &mut rng);
-    let extracted = sk.programmable_bootstrap_no_ks(&ct, &lut);
+    let extracted = sk
+        .bootstrap_with_options(&ct, &lut, BootstrapOptions::new().keyswitch(false))
+        .expect("bootstrap without the key switch");
     assert_eq!(extracted.dim(), params.extracted_lwe_dim());
     assert_eq!(ck.decrypt_extracted(&extracted), 2);
 }

@@ -153,9 +153,11 @@ fn components_built_apart_write_one_timeline() {
         });
     std::thread::sleep(gap);
 
-    // One request: enqueued, its batch started, the backend failed, the
-    // dispatcher retried, the key store pinned the tenant's key for the
-    // second call and released it, the batch ended.
+    // One request: enqueued, the backend failed its first batch, the
+    // dispatcher put it back in the queue, the batch that served it
+    // started, the key store pinned the tenant's key and released it, the
+    // batch ended. (The span reports the run that served the request; what
+    // it spent failing is queue wait.)
     let lut = Arc::new(Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4));
     let ticket = dispatcher
         .submit_for(tenant, ck.encrypt(2, &mut rng), lut, None)
@@ -180,8 +182,8 @@ fn components_built_apart_write_one_timeline() {
     assert_eq!(at("pin").who, Who::Tenant(3));
     let happened = [
         ("enqueue", request.at_ns),
-        ("batch start", batch_start),
         ("retry", at("retry").at_ns),
+        ("batch start", batch_start),
         ("miss", at("miss").at_ns),
         ("pin", at("pin").at_ns),
         ("unpin", at("unpin").at_ns),

@@ -44,9 +44,9 @@ pub use morphling_transform as transform;
 ///
 /// Client/server key material, the unified [`Bootstrapper`] batch API
 /// with its [`BatchRequest`] and every backend — sequential
-/// [`ServerKey`], scoped-thread [`ParallelServerKey`], the persistent
-/// [`BootstrapEngine`] with its health/fault-plan surface, and the
-/// deadline-aware dynamic-batching [`Dispatcher`] — plus the multi-value
+/// [`ServerKey`], the persistent [`BootstrapEngine`] with its
+/// health/fault-plan surface, and the deadline-aware dynamic-batching
+/// [`Dispatcher`] — plus the multi-value
 /// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`],
 /// [`MultiTicket`]), the service-resilience layer ([`RetryConfig`],
 /// [`CircuitBreaker`], the degraded-mode [`FailoverBootstrapper`]), the
@@ -67,8 +67,7 @@ pub mod prelude {
         CircuitBreaker, ClientKey, DirBackend, Dispatcher, DispatcherStats, EngineHealth,
         EngineHealthHandle, EngineStats, FailoverBootstrapper, FaultPlan, Journal, KeyBackend,
         KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut, LweCiphertext, MemoryBackend,
-        MulBackend, MultiLutPlan, MultiTicket, ParallelServerKey, ParamSet, RetryConfig, ServerKey,
-        ServerKeyBuilder, ServiceModel, ServingConfig, SloTarget, TenantId, TfheError, TfheParams,
-        Ticket,
+        MulBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig, ServerKey, ServerKeyBuilder,
+        ServiceModel, ServingConfig, SloTarget, TenantId, TfheError, TfheParams, Ticket,
     };
 }

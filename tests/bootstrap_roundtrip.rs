@@ -35,8 +35,9 @@ fn bootstrap_round_trip_across_all_paths() {
     // bit-identical outputs.
     let mut ws = server.workspace();
     for (ct, want) in cts.iter().zip(&plain) {
+        let opts = BootstrapOptions::new().workspace(&mut ws);
         let out = server
-            .try_programmable_bootstrap_with(ct, &lut, &mut ws)
+            .bootstrap_with_options(ct, &lut, opts)
             .expect("workspace bootstrap");
         assert_eq!(&out, want, "workspace path diverged from plain path");
     }
