@@ -2,7 +2,10 @@
 //! parameter sets.
 
 use morphling_math::{Torus32, TorusScalar};
-use morphling_tfhe::{noise, BootstrapOptions, ClientKey, Lut, MulBackend, ParamSet, ServerKey};
+use morphling_tfhe::{
+    cmux, modulus_switch, noise, BootstrapOptions, ClientKey, ExternalProductEngine,
+    GlweCiphertext, Lut, LweCiphertext, MulBackend, ParamSet, ServerKey,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,25 +79,89 @@ fn noise_stays_bounded_across_a_chain() {
     }
 }
 
-/// The exact (integer oracle) backend and the FFT backend produce
-/// ciphertexts that decode identically through a full PBS.
-#[test]
-fn exact_and_fft_backends_decode_identically() {
-    let params = ParamSet::Test.params();
-    let lut = Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4);
-    for backend in [MulBackend::Fft, MulBackend::Ntt, MulBackend::Exact] {
+/// Where the `Fft` blind rotation of `ct` first leaves the exact one:
+/// every step starts from the exact accumulator, so the answer names the
+/// CMUX that rounded wrongly, not the first one downstream of it.
+fn first_differing_cmux(sk: &ServerKey, ct: &LweCiphertext, lut: &Lut) -> String {
+    let params = sk.params();
+    let engine = ExternalProductEngine::new(params);
+    let (mask, b_tilde) = modulus_switch(ct, params.two_n());
+    let mut acc = GlweCiphertext::trivial(lut.polynomial().clone(), params.glwe_dim)
+        .monomial_mul(-(b_tilde as i64));
+    for (i, &a_tilde) in mask.iter().enumerate().filter(|(_, &a)| a != 0) {
+        let bsk = sk.bootstrap_key();
+        let got = engine.rotate_cmux(bsk.fourier(i), &acc, a_tilde as i64);
+        let rotated = acc.monomial_mul(a_tilde as i64);
+        acc = cmux(bsk.coefficient(i), &acc, &rotated, params);
+        let differing = got
+            .components()
+            .zip(acc.components())
+            .position(|(g, w)| g != w);
+        if let Some(c) = differing {
+            return format!("first differing CMUX: step {i}, GLWE component {c}");
+        }
+    }
+    "every CMUX equals the exact one: the difference is outside the blind rotation".into()
+}
+
+/// Same seed, same bits: the three backends return equal ciphertexts
+/// through a PBS of each of `messages` (the f64 transform is exact on the
+/// 32-bit torus at these sets — a change of its rounding that costs a
+/// ciphertext bit fails here, and says at which CMUX).
+fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64], backends: &[MulBackend]) {
+    let params = set.params();
+    let p = params.plaintext_modulus;
+    let lut = Lut::from_fn(params.poly_size, p, |m| (m + 1) % p);
+    let outputs = backends.iter().map(|&backend| {
         let mut rng = StdRng::seed_from_u64(1004);
         let ck = ClientKey::generate(params.clone(), &mut rng);
         let sk = ServerKey::with_backend(&ck, backend, &mut rng);
-        for m in 0..4 {
-            let ct = ck.encrypt(m, &mut rng);
-            assert_eq!(
-                ck.decrypt(&sk.programmable_bootstrap(&ct, &lut)),
-                (m + 1) % 4,
-                "backend={backend:?} m={m}"
+        let cts: Vec<_> = messages.iter().map(|&m| ck.encrypt(m, &mut rng)).collect();
+        let outs: Vec<_> = cts
+            .iter()
+            .map(|ct| sk.programmable_bootstrap(ct, &lut))
+            .collect();
+        for (&m, out) in messages.iter().zip(&outs) {
+            assert_eq!(ck.decrypt(out), (m + 1) % p, "{set:?} {backend:?} m={m}");
+        }
+        (sk, cts, outs)
+    });
+    let outputs: Vec<_> = outputs.collect();
+    let (sk, cts, want) = &outputs[0];
+    for ((_, _, got), backend) in outputs.iter().zip(backends).skip(1) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g == w,
+                "{set:?} m={}: {backend:?} differs from {:?} — {}",
+                messages[i],
+                backends[0],
+                first_differing_cmux(sk, &cts[i], &lut)
             );
         }
     }
+}
+
+/// The exact (integer oracle) backends and the FFT backend produce the
+/// same ciphertexts, bit for bit, through a full PBS.
+#[test]
+fn exact_and_fft_backends_decode_identically() {
+    let all = [MulBackend::Fft, MulBackend::Ntt, MulBackend::Exact];
+    assert_backends_are_bit_identical(ParamSet::Test, &[0, 1, 2, 3], &all);
+    // The O(N²) oracle is a quarter of a minute per message here in a
+    // debug build.
+    assert_backends_are_bit_identical(ParamSet::TestMedium, &[1, 6], &all);
+}
+
+/// The same at Set I, against the NTT (the O(N²) oracle takes minutes
+/// there). Minutes in a debug build too: the release CI job runs it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
+fn set_i_fft_and_ntt_backends_are_bit_identical() {
+    assert_backends_are_bit_identical(
+        ParamSet::I,
+        &[0, 1, 2, 3],
+        &[MulBackend::Fft, MulBackend::Ntt],
+    );
 }
 
 /// The extracted (pre-key-switch) ciphertext decrypts under the extracted

@@ -12,10 +12,17 @@
 //! and rounding) into the first and last — but per element it performs
 //! *exactly* the reference's f64 operation sequence, so the two agree bit
 //! for bit on every input.
+//!
+//! That sequence is written in `add`/`sub`/`mul` and the fused
+//! multiply-add (the VPE's multiply-accumulator), each rounded once. A
+//! butterfly is `lo = a + b·w` as two nested fused operations per
+//! component and `hi = 2a − lo` as one — six operations where the unfused
+//! form takes ten; [`mul_add_fused`] and [`butterfly_fused`] are the
+//! scalar statement of it, on `f64::mul_add`.
 
 use morphling_math::Complex64;
 
-use crate::simd::{cmul, Aligned, Isa, Simd};
+use crate::simd::{cmul_add, Aligned, Isa, Simd, C};
 
 /// A reusable FFT plan for one transform size.
 ///
@@ -53,8 +60,8 @@ pub struct FftPlan {
     // e^(-2πi k / 2h), k < h, at index h + k (index 0 is unused).
     tw_re: Aligned,
     tw_im: Aligned,
-    // Where the kernel's first pass puts its blocks: 4·bitrev(r) over
-    // log2(n) − 2 bits, for r < n/4.
+    // Which four-point block the kernel's first pass finishes at step r:
+    // bitrev(r) over log2(n) − 2 bits, for r < n/4.
     rev4: Vec<u32>,
     simd: Simd,
 }
@@ -94,7 +101,7 @@ impl FftPlan {
             tw_re: tw.iter().map(|w| w.re).collect(),
             tw_im: tw.iter().map(|w| w.im).collect(),
             rev4: (0..n / 4)
-                .map(|r| 4 * bit_reverse(r, quarter_bits) as u32)
+                .map(|r| bit_reverse(r, quarter_bits) as u32)
                 .collect(),
             simd: Simd::detect(n / 4),
         }
@@ -148,10 +155,9 @@ impl FftPlan {
                 for k in 0..half {
                     let w = Complex64::new(self.tw_re[half + k], self.tw_im[half + k]);
                     let w = if inverse { w.conj() } else { w };
-                    let a = data[start + k];
-                    let b = data[start + k + half] * w;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
+                    let (lo, hi) = butterfly_fused(data[start + k], data[start + k + half], w);
+                    data[start + k] = lo;
+                    data[start + k + half] = hi;
                 }
             }
             half *= 2;
@@ -167,50 +173,55 @@ impl FftPlan {
     /// twiddles) of the planar sequence `source` yields, worked in place
     /// in `re`/`im`, whose results go to `sink`.
     ///
-    /// `source(j)` returns points `j..j + COLS·LANES` as `COLS` adjacent
-    /// vectors and is called once per such run, by the first pass; more
-    /// than one vector a call pays for a source whose every call has a
-    /// fixed cost to spread (the external product's MAC, which gathers
-    /// from two dozen arrays). `sink(re, im, j, vr, vi)` receives
-    /// output points `j..j + LANES` once each, from the last pass, with
-    /// the work planes handed back to it: [`store_back`] writes them there
-    /// (`re`/`im` then hold the result); any other sink may leave the
-    /// planes as scratch and put its output elsewhere.
+    /// Both ends see the sequence as `P` equal parts of `n / P` points —
+    /// four quarters (`P` is 4 unless `n` is 2), the runs the first pass
+    /// reads side by side and the last pass writes side by side — so that
+    /// each can cut its own planes into parts once ([`parts`]) and index
+    /// them with the loop counters it is handed, bounds checks gone.
+    ///
+    /// `source(k)` returns points `k·LANES..(k + 1)·LANES` of every part
+    /// and is called once per `k`, in order, by the first pass — all the
+    /// parts at once, so that a source whose every call has a fixed cost
+    /// (the external product's MAC, which gathers from two dozen arrays)
+    /// spreads it over four vectors. `sink(re, im, t, k, vr, vi)` receives
+    /// the output
+    /// points `k·LANES..(k + 1)·LANES` of part `t` once each, from the
+    /// last pass, with the blocks of the work planes they were computed
+    /// in: [`store_back`] writes them there (`re`/`im` then hold the
+    /// result); any other sink may leave the planes as scratch and put its
+    /// output elsewhere.
     ///
     /// `isa` must be the one [`Self::simd`] dispatches to.
     #[inline(always)]
-    pub(crate) fn transform<I: Isa, const INV: bool, const COLS: usize>(
+    pub(crate) fn transform<I: Isa, const INV: bool, const P: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize) -> [C<I>; COLS],
-        mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
+        source: impl Fn(usize) -> [C<I>; P],
+        mut sink: impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
     ) {
-        let n = self.n;
+        let n = re.len();
         assert!(
-            n >= 2 && re.len() == n && im.len() == n,
+            n >= 2 && n == self.n && im.len() == n,
             "work planes do not match the FFT plan"
         );
-        assert!(
-            COLS == 1 || n >= 4 * COLS * I::LANES,
-            "a quarter of the transform is shorter than one source run"
-        );
-        let mut store = store_back(isa);
-        let mut h = if n == 2 {
+        assert_eq!(P, n.min(4), "the ends of a transform see quarters");
+        if P == 2 {
             // Two points are their own bit reversal (and only the
             // one-lane ISA is this narrow).
-            for j in 0..2 {
-                let (vr, vi) = source(j)[0];
-                store(re, im, j, vr, vi);
-            }
-            1
-        } else {
-            self.first_pass::<I, INV, COLS>(isa, re, im, &source);
-            4
-        };
-        // Stages with half-block sizes h, 2h, …, n/2 remain; the last
+            let x = source(0);
+            let w = self.twiddle_splat(isa, 1);
+            let (lo, hi) = butterfly2::<I, INV>(isa, x[0], x[1], w);
+            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            sink(&mut re[0], &mut im[0], 0, 0, lo.0, lo.1);
+            sink(&mut re[1], &mut im[1], 1, 0, hi.0, hi.1);
+            return;
+        }
+        self.first_pass::<I, INV, P>(isa, re, im, &source);
+        // Stages with half-block sizes h = 4, 4h, …, n/2 remain; the last
         // pass hands its results to the sink.
+        let mut h = 4;
         while 8 * h <= n {
             if h < I::LANES {
                 // The first pass left runs of four points, half an
@@ -219,14 +230,16 @@ impl FftPlan {
                 let half = isa.half();
                 self.radix4_pass::<I::Half, INV>(half, re, im, h, store_back(half));
             } else {
-                self.radix4_pass::<I, INV>(isa, re, im, h, &mut store);
+                self.radix4_pass::<I, INV>(isa, re, im, h, store_back(isa));
             }
             h *= 4;
         }
         if h == n {
-            for j in (0..n).step_by(I::LANES) {
-                let (vr, vi) = (isa.load(re, j), isa.load(im, j));
-                sink(re, im, j, vr, vi);
+            // Four points, a lane each: the first pass was the transform.
+            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            for (t, (re, im)) in re.iter_mut().zip(im).enumerate() {
+                let (vr, vi) = (isa.load(re), isa.load(im));
+                sink(re, im, t, 0, vr, vi);
             }
         } else if 2 * h == n {
             self.radix2_pass::<I, INV>(isa, re, im, sink);
@@ -235,65 +248,44 @@ impl FftPlan {
         }
     }
 
-    /// Twiddles `at..at + LANES` of the ROM.
-    #[inline(always)]
-    fn twiddles<I: Isa, const INV: bool>(&self, isa: I, at: usize) -> (I::V, I::V) {
-        let im = isa.load(&self.tw_im, at);
-        (
-            isa.load(&self.tw_re, at),
-            if INV { isa.neg(im) } else { im },
-        )
-    }
-
     /// Twiddle `at` of the ROM in every lane.
     #[inline(always)]
-    fn twiddle_splat<I: Isa, const INV: bool>(&self, isa: I, at: usize) -> (I::V, I::V) {
-        let im = self.tw_im[at];
-        (
-            isa.splat(self.tw_re[at]),
-            isa.splat(if INV { -im } else { im }),
-        )
+    fn twiddle_splat<I: Isa>(&self, isa: I, at: usize) -> C<I> {
+        (isa.splat(self.tw_re[at]), isa.splat(self.tw_im[at]))
     }
 
     /// Input, bit reversal and stages 0–1 in one pass. After the
     /// reversal, block `b` (points `4b..4b + 4`) holds source points
     /// `r, r + n/2, r + n/4, r + 3n/4` with `r = bitrev(b)`; walking `r`
     /// instead of `b` makes all four reads contiguous runs, and the
-    /// transposing store puts each finished block where it belongs. All
-    /// `COLS` vectors of a source run are read before the next run's: a
-    /// gathering source is then done with each cache line before the
-    /// other runs' lines — a multiple of 4 KB away at N = 2048, the same
-    /// L1 set — can evict it.
+    /// transposing store puts each finished block where it belongs.
     #[inline(always)]
-    fn first_pass<I: Isa, const INV: bool, const COLS: usize>(
+    fn first_pass<I: Isa, const INV: bool, const P: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: &impl Fn(usize) -> [C<I>; COLS],
+        source: &impl Fn(usize) -> [C<I>; P],
     ) {
-        let q = self.n / 4;
         // Stage 0's twiddle and stage 1's two, the same for every block.
         let w = [
-            self.twiddle_splat::<I, INV>(isa, 1),
-            self.twiddle_splat::<I, INV>(isa, 2),
-            self.twiddle_splat::<I, INV>(isa, 3),
+            self.twiddle_splat(isa, 1),
+            self.twiddle_splat(isa, 2),
+            self.twiddle_splat(isa, 3),
         ];
-        for r in (0..q).step_by(COLS * I::LANES) {
-            let (x0, x1) = (source(r), source(r + 2 * q));
-            let (x2, x3) = (source(r + q), source(r + 3 * q));
-            let columns = x0.into_iter().zip(x1).zip(x2).zip(x3);
-            for (c, (((p0, p1), p2), p3)) in columns.enumerate() {
-                let at = r + c * I::LANES;
-                let y = butterfly4(isa, [p0, p1, p2, p3], w);
-                let pos = &self.rev4[at..at + I::LANES];
-                isa.scatter4(re, pos, [y[0].0, y[1].0, y[2].0, y[3].0]);
-                isa.scatter4(im, pos, [y[0].1, y[1].1, y[2].1, y[3].1]);
-            }
+        let (re, _) = re.as_chunks_mut::<4>();
+        let (im, _) = im.as_chunks_mut::<4>();
+        for (k, pos) in isa.blocks(&self.rev4).iter().enumerate() {
+            let x = source(k);
+            let y = butterfly4::<I, INV>(isa, [x[0], x[2], x[1], x[3]], w);
+            isa.scatter4(re, pos, [y[0].0, y[1].0, y[2].0, y[3].0]);
+            isa.scatter4(im, pos, [y[0].1, y[1].1, y[2].1, y[3].1]);
         }
     }
 
-    /// The stages with half-block sizes `h` and `2h`, fused.
+    /// The stages with half-block sizes `h` and `2h`, fused, in every run
+    /// of `4h` points; `sink` gets the quarter of its run and the vector
+    /// within it that each output is.
     #[inline(always)]
     fn radix4_pass<I: Isa, const INV: bool>(
         &self,
@@ -301,70 +293,158 @@ impl FftPlan {
         re: &mut [f64],
         im: &mut [f64],
         h: usize,
-        mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
+        mut sink: impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
     ) {
-        for base in (0..self.n).step_by(4 * h) {
-            for k in (0..h).step_by(I::LANES) {
-                let at = [base + k, base + k + h, base + k + 2 * h, base + k + 3 * h];
+        let m = h / I::LANES;
+        // Stage h's twiddles, then stage 2h's for k and for k + h.
+        let tw_re = parts::<_, 3>(isa.blocks(&self.tw_re[h..4 * h]), m);
+        let tw_im = parts::<_, 3>(isa.blocks(&self.tw_im[h..4 * h]), m);
+        for (re, im) in re.chunks_exact_mut(4 * h).zip(im.chunks_exact_mut(4 * h)) {
+            let re = parts_mut::<_, 4>(isa.blocks_mut(re), m);
+            let im = parts_mut::<_, 4>(isa.blocks_mut(im), m);
+            for k in 0..m {
                 let x = [
-                    (isa.load(re, at[0]), isa.load(im, at[0])),
-                    (isa.load(re, at[1]), isa.load(im, at[1])),
-                    (isa.load(re, at[2]), isa.load(im, at[2])),
-                    (isa.load(re, at[3]), isa.load(im, at[3])),
+                    (isa.load(&re[0][k]), isa.load(&im[0][k])),
+                    (isa.load(&re[1][k]), isa.load(&im[1][k])),
+                    (isa.load(&re[2][k]), isa.load(&im[2][k])),
+                    (isa.load(&re[3][k]), isa.load(&im[3][k])),
                 ];
                 let w = [
-                    self.twiddles::<I, INV>(isa, h + k),
-                    self.twiddles::<I, INV>(isa, 2 * h + k),
-                    self.twiddles::<I, INV>(isa, 3 * h + k),
+                    (isa.load(&tw_re[0][k]), isa.load(&tw_im[0][k])),
+                    (isa.load(&tw_re[1][k]), isa.load(&tw_im[1][k])),
+                    (isa.load(&tw_re[2][k]), isa.load(&tw_im[2][k])),
                 ];
-                let y = butterfly4(isa, x, w);
-                sink(re, im, at[0], y[0].0, y[0].1);
-                sink(re, im, at[1], y[1].0, y[1].1);
-                sink(re, im, at[2], y[2].0, y[2].1);
-                sink(re, im, at[3], y[3].0, y[3].1);
+                let y = butterfly4::<I, INV>(isa, x, w);
+                sink(&mut re[0][k], &mut im[0][k], 0, k, y[0].0, y[0].1);
+                sink(&mut re[1][k], &mut im[1][k], 1, k, y[1].0, y[1].1);
+                sink(&mut re[2][k], &mut im[2][k], 2, k, y[2].0, y[2].1);
+                sink(&mut re[3][k], &mut im[3][k], 3, k, y[3].0, y[3].1);
             }
         }
     }
 
-    /// The last stage on its own, when the stage count is odd.
+    /// The last stage on its own, when the stage count is odd: points `j`
+    /// and `j + n/2` meet, quarter `s` with quarter `s + 2`.
     #[inline(always)]
     fn radix2_pass<I: Isa, const INV: bool>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        mut sink: impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V),
+        mut sink: impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
     ) {
-        let h = self.n / 2;
-        for k in (0..h).step_by(I::LANES) {
-            let a = (isa.load(re, k), isa.load(im, k));
-            let b = (isa.load(re, k + h), isa.load(im, k + h));
-            let (lo, hi) = butterfly2(isa, a, b, self.twiddles::<I, INV>(isa, h + k));
-            sink(re, im, k, lo.0, lo.1);
-            sink(re, im, k + h, hi.0, hi.1);
-        }
+        let (n, m) = (re.len(), re.len() / 4 / I::LANES);
+        let [w0_re, w1_re] = parts::<_, 2>(isa.blocks(&self.tw_re[n / 2..]), m);
+        let [w0_im, w1_im] = parts::<_, 2>(isa.blocks(&self.tw_im[n / 2..]), m);
+        let [re0, re1, re2, re3] = parts_mut::<_, 4>(isa.blocks_mut(re), m);
+        let [im0, im1, im2, im3] = parts_mut::<_, 4>(isa.blocks_mut(im), m);
+        let sink = &mut sink;
+        radix2_quarters::<I, INV>(isa, 0, (re0, im0), (re2, im2), (w0_re, w0_im), sink);
+        radix2_quarters::<I, INV>(isa, 1, (re1, im1), (re3, im3), (w1_re, w1_im), sink);
     }
+}
+
+/// [`FftPlan::radix2_pass`] for quarters `s` (`a`) and `s + 2` (`b`) — a
+/// function called with each `s`, not a loop over it: a sink handed a
+/// variable quarter would check its bounds again.
+#[inline(always)]
+fn radix2_quarters<I: Isa, const INV: bool>(
+    isa: I,
+    s: usize,
+    a: (&mut [I::Block<f64>], &mut [I::Block<f64>]),
+    b: (&mut [I::Block<f64>], &mut [I::Block<f64>]),
+    w: (&[I::Block<f64>], &[I::Block<f64>]),
+    sink: &mut impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
+) {
+    let m = w.0.len();
+    assert!([a.0.len(), a.1.len(), b.0.len(), b.1.len(), w.1.len()] == [m; 5]);
+    for k in 0..m {
+        let x = (isa.load(&a.0[k]), isa.load(&a.1[k]));
+        let y = (isa.load(&b.0[k]), isa.load(&b.1[k]));
+        let w = (isa.load(&w.0[k]), isa.load(&w.1[k]));
+        let (lo, hi) = butterfly2::<I, INV>(isa, x, y, w);
+        sink(&mut a.0[k], &mut a.1[k], s, k, lo.0, lo.1);
+        sink(&mut b.0[k], &mut b.1[k], s + 2, k, hi.0, hi.1);
+    }
+}
+
+/// `s` as `P` runs of `len` elements each: the one length check of every
+/// access a pass then makes through them with indices below `len`.
+///
+/// # Panics
+///
+/// Panics if `s` is not `P · len` elements long.
+#[inline(always)]
+pub(crate) fn parts<T, const P: usize>(s: &[T], len: usize) -> [&[T]; P] {
+    assert_eq!(s.len(), P * len, "a plane does not match the transform");
+    // Plain loops here and below: a closure handed to `array::from_fn`
+    // is compiled with it, outside the caller's `target_feature` frame.
+    let mut out = [s; P];
+    for (p, part) in out.iter_mut().enumerate() {
+        *part = &s[p * len..(p + 1) * len];
+    }
+    out
+}
+
+/// [`parts`], to store into.
+#[inline(always)]
+pub(crate) fn parts_mut<T, const P: usize>(s: &mut [T], len: usize) -> [&mut [T]; P] {
+    assert_eq!(s.len(), P * len, "a plane does not match the transform");
+    let mut out: [&mut [T]; P] = std::array::from_fn(|_| Default::default());
+    let mut rest = s;
+    for part in &mut out {
+        let (head, tail) = rest.split_at_mut(len);
+        (*part, rest) = (head, tail);
+    }
+    out
 }
 
 /// The sink that keeps a transform's output in its work planes.
 #[inline(always)]
-pub(crate) fn store_back<I: Isa>(isa: I) -> impl FnMut(&mut [f64], &mut [f64], usize, I::V, I::V) {
+pub(crate) fn store_back<I: Isa>(
+    isa: I,
+) -> impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V) {
     #[inline(always)]
-    move |re, im, at, vr, vi| {
-        isa.store(re, at, vr);
-        isa.store(im, at, vi);
+    move |re, im, _, _, vr, vi| {
+        isa.store(re, vr);
+        isa.store(im, vi);
     }
 }
 
-type C<I> = (<I as Isa>::V, <I as Isa>::V);
+/// `x · w` as the kernel multiplies (`simd::cmul`): two products, and the
+/// second product of each component fused into the sum.
+#[cfg(test)]
+pub(crate) fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
+    Complex64::new(
+        (-x.im).mul_add(w.im, x.re * w.re),
+        x.im.mul_add(w.re, x.re * w.im),
+    )
+}
 
-/// The reference butterfly: `(a + b·w, a − b·w)`.
+/// `acc + x · w` as the kernel accumulates (`simd::cmul_add`): four fused
+/// operations, `x.re`'s products first. `Complex64`'s own operators keep
+/// their unfused meaning; the reference says where a product is fused.
+pub(crate) fn mul_add_fused(acc: Complex64, x: Complex64, w: Complex64) -> Complex64 {
+    let (re, im) = (x.re.mul_add(w.re, acc.re), x.re.mul_add(w.im, acc.im));
+    Complex64::new((-x.im).mul_add(w.im, re), x.im.mul_add(w.re, im))
+}
+
+/// The reference butterfly: `lo = a + b·w`, then `hi = 2a − lo` — which is
+/// `a − b·w` up to the rounding `lo` already carries.
+fn butterfly_fused(a: Complex64, b: Complex64, w: Complex64) -> (Complex64, Complex64) {
+    let lo = mul_add_fused(a, b, w);
+    let hi = Complex64::new(2.0f64.mul_add(a.re, -lo.re), 2.0f64.mul_add(a.im, -lo.im));
+    (lo, hi)
+}
+
+/// [`butterfly_fused`] on vectors; `INV` conjugates `w`.
 #[inline(always)]
-fn butterfly2<I: Isa>(isa: I, a: C<I>, b: C<I>, w: C<I>) -> (C<I>, C<I>) {
-    let t = cmul(isa, b, w);
+fn butterfly2<I: Isa, const INV: bool>(isa: I, a: C<I>, b: C<I>, w: C<I>) -> (C<I>, C<I>) {
+    let lo = cmul_add::<I, INV>(isa, a, b, w);
+    let two = isa.splat(2.0);
     (
-        (isa.add(a.0, t.0), isa.add(a.1, t.1)),
-        (isa.sub(a.0, t.0), isa.sub(a.1, t.1)),
+        lo,
+        (isa.mul_sub(two, a.0, lo.0), isa.mul_sub(two, a.1, lo.1)),
     )
 }
 
@@ -373,11 +453,11 @@ fn butterfly2<I: Isa>(isa: I, a: C<I>, b: C<I>, w: C<I>) -> (C<I>, C<I>) {
 /// twiddle k+h]`. The same butterflies the reference runs, in an order
 /// that keeps all four points in registers.
 #[inline(always)]
-fn butterfly4<I: Isa>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C<I>; 4] {
-    let (a0, a1) = butterfly2(isa, x[0], x[1], w[0]);
-    let (a2, a3) = butterfly2(isa, x[2], x[3], w[0]);
-    let (y0, y2) = butterfly2(isa, a0, a2, w[1]);
-    let (y1, y3) = butterfly2(isa, a1, a3, w[2]);
+fn butterfly4<I: Isa, const INV: bool>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C<I>; 4] {
+    let (a0, a1) = butterfly2::<I, INV>(isa, x[0], x[1], w[0]);
+    let (a2, a3) = butterfly2::<I, INV>(isa, x[2], x[3], w[0]);
+    let (y0, y2) = butterfly2::<I, INV>(isa, a0, a2, w[1]);
+    let (y1, y3) = butterfly2::<I, INV>(isa, a1, a3, w[2]);
     [y0, y1, y2, y3]
 }
 
@@ -475,29 +555,47 @@ mod tests {
 
         #[inline(always)]
         fn run<I: Isa>(self, isa: I) -> Vec<Complex64> {
+            if self.plan.len() == 2 {
+                self.ends_see::<I, 2>(isa)
+            } else {
+                self.ends_see::<I, 4>(isa)
+            }
+        }
+    }
+
+    impl<const INV: bool> Plain<'_, INV> {
+        #[inline(always)]
+        fn ends_see<I: Isa, const P: usize>(self, isa: I) -> Vec<Complex64> {
             let n = self.plan.len();
+            let m = n / P / I::LANES;
             let in_re: Vec<f64> = self.input.iter().map(|z| z.re).collect();
             let in_im: Vec<f64> = self.input.iter().map(|z| z.im).collect();
+            let in_re = parts::<_, P>(isa.blocks(&in_re), m);
+            let in_im = parts::<_, P>(isa.blocks(&in_im), m);
             let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            let scale = isa.splat(1.0 / n as f64);
-            self.plan.transform::<I, INV, 1>(
-                isa,
-                &mut re,
-                &mut im,
-                #[inline(always)]
-                |j| [(isa.load(&in_re, j), isa.load(&in_im, j))],
-                #[inline(always)]
-                |_, _, j, vr, vi| {
-                    let (vr, vi) = if INV {
-                        (isa.mul(vr, scale), isa.mul(vi, scale))
-                    } else {
-                        (vr, vi)
-                    };
-                    isa.store(&mut out_re, j, vr);
-                    isa.store(&mut out_im, j, vi);
-                },
-            );
+            {
+                let mut out_re = parts_mut::<_, P>(isa.blocks_mut(&mut out_re), m);
+                let mut out_im = parts_mut::<_, P>(isa.blocks_mut(&mut out_im), m);
+                let scale = isa.splat(1.0 / n as f64);
+                self.plan.transform::<I, INV, P>(
+                    isa,
+                    &mut re,
+                    &mut im,
+                    #[inline(always)]
+                    |k| std::array::from_fn(|t| (isa.load(&in_re[t][k]), isa.load(&in_im[t][k]))),
+                    #[inline(always)]
+                    |_, _, t, k, vr, vi| {
+                        let (vr, vi) = if INV {
+                            (isa.mul(vr, scale), isa.mul(vi, scale))
+                        } else {
+                            (vr, vi)
+                        };
+                        isa.store(&mut out_re[t][k], vr);
+                        isa.store(&mut out_im[t][k], vi);
+                    },
+                );
+            }
             out_re
                 .into_iter()
                 .zip(out_im)

@@ -28,8 +28,8 @@
 use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
-use crate::fft::{store_back, FftPlan};
-use crate::simd::{cache_line_offset, cmul, Aligned, DigitOf, Isa, Kernel, SPARE};
+use crate::fft::{parts, parts_mut, store_back, FftPlan};
+use crate::simd::{cache_line_offset, cmul, cmul_add, Aligned, DigitOf, Isa, Kernel, C, SPARE};
 use crate::spectrum::Spectrum;
 
 /// Negacyclic transform engine for polynomials of one size `N`.
@@ -55,31 +55,56 @@ pub struct NegacyclicFft {
 }
 
 /// The real coefficients the forward transform reads, a vector at a
-/// time: `load` returns coefficients `at..at + LANES` as `f64`.
+/// time: `widen` returns the coefficients of one block as `f64`.
 trait Coefficients {
-    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V;
+    type Elem: 'static;
+    fn elems(&self) -> &[Self::Elem];
+    fn widen<I: Isa>(&self, isa: I, block: &I::Block<Self::Elem>) -> I::V;
 }
 
 impl Coefficients for [f64] {
+    type Elem = f64;
     #[inline(always)]
-    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
-        isa.load(self, at)
+    fn elems(&self) -> &[f64] {
+        self
+    }
+    #[inline(always)]
+    fn widen<I: Isa>(&self, isa: I, block: &I::Block<f64>) -> I::V {
+        isa.load(block)
     }
 }
 
 impl Coefficients for [i64] {
+    type Elem = i64;
     #[inline(always)]
-    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
-        isa.lanes(|i| self[at + i] as f64)
+    fn elems(&self) -> &[i64] {
+        self
+    }
+    #[inline(always)]
+    fn widen<I: Isa>(&self, isa: I, block: &I::Block<i64>) -> I::V {
+        isa.widen(
+            block,
+            #[inline(always)]
+            |c| c as f64,
+        )
     }
 }
 
 /// The centered signed representative (the standard TFHE convention —
 /// keeping magnitudes ≤ q/2 preserves f64 precision).
 impl Coefficients for [Torus32] {
+    type Elem = Torus32;
     #[inline(always)]
-    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
-        isa.lanes(|i| self[at + i].to_signed() as f64)
+    fn elems(&self) -> &[Torus32] {
+        self
+    }
+    #[inline(always)]
+    fn widen<I: Isa>(&self, isa: I, block: &I::Block<Torus32>) -> I::V {
+        isa.widen(
+            block,
+            #[inline(always)]
+            |c| c.to_signed() as f64,
+        )
     }
 }
 
@@ -91,27 +116,36 @@ struct Digits<'a> {
 }
 
 impl Coefficients for Digits<'_> {
+    type Elem = Torus32;
     #[inline(always)]
-    fn load<I: Isa>(&self, isa: I, at: usize) -> I::V {
-        isa.load_digits(self.coeffs, at, self.digit)
+    fn elems(&self) -> &[Torus32] {
+        self.coeffs
+    }
+    #[inline(always)]
+    fn widen<I: Isa>(&self, isa: I, block: &I::Block<Torus32>) -> I::V {
+        isa.load_digits(block, self.digit)
     }
 }
 
-/// The spectrum points the inverse transform reads: `load` returns
-/// points `j..j + RUN·LANES` as `RUN` adjacent vectors.
+/// The spectrum points the inverse transform reads, as the source of its
+/// first pass (see `FftPlan::transform`): `P` parts of `m` vectors each.
 trait Points: Copy {
-    fn load<I: Isa, const RUN: usize>(self, isa: I, j: usize) -> [C<I>; RUN];
+    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P];
 }
 
 impl Points for &Spectrum {
     #[inline(always)]
-    fn load<I: Isa, const RUN: usize>(self, isa: I, j: usize) -> [C<I>; RUN] {
-        let mut run = [(isa.splat(0.0), isa.splat(0.0)); RUN];
-        for (c, point) in run.iter_mut().enumerate() {
-            let at = j + c * I::LANES;
-            *point = (isa.load(self.re(), at), isa.load(self.im(), at));
+    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
+        let re = parts::<_, P>(isa.blocks(self.re()), m);
+        let im = parts::<_, P>(isa.blocks(self.im()), m);
+        #[inline(always)]
+        move |k| {
+            let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
+            for t in 0..P {
+                x[t] = (isa.load(&re[t][k]), isa.load(&im[t][k]));
+            }
+            x
         }
-        run
     }
 }
 
@@ -126,45 +160,42 @@ struct Mac<'a> {
 }
 
 impl Points for Mac<'_> {
-    /// Row outer, vector inner: what it costs to find a row's four
-    /// planes is paid once per run.
+    /// Row outer, part inner: what it costs to find a row's planes — there
+    /// is nowhere to keep them cut between calls — is paid once per vector
+    /// of every part.
     #[inline(always)]
-    fn load<I: Isa, const RUN: usize>(self, isa: I, j: usize) -> [C<I>; RUN] {
-        let run = j..j + RUN * I::LANES;
-        let mut acc = [(isa.splat(0.0), isa.splat(0.0)); RUN];
-        for (digit, row) in self.digits.iter().zip(self.rows) {
-            let row = &row[self.column];
-            let (d_re, d_im) = (&digit.re()[run.clone()], &digit.im()[run.clone()]);
-            let (b_re, b_im) = (&row.re()[run.clone()], &row.im()[run.clone()]);
-            for (c, acc) in acc.iter_mut().enumerate() {
-                let at = c * I::LANES;
-                let p = cmul(
-                    isa,
-                    (isa.load(d_re, at), isa.load(d_im, at)),
-                    (isa.load(b_re, at), isa.load(b_im, at)),
-                );
-                *acc = (isa.add(acc.0, p.0), isa.add(acc.1, p.1));
+    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
+        #[inline(always)]
+        move |k| {
+            let mut acc = [(isa.splat(0.0), isa.splat(0.0)); P];
+            for (digit, row) in self.digits.iter().zip(self.rows) {
+                // Both planes of a spectrum as one slice of 2·P parts:
+                // one check per vector.
+                let d = isa.blocks(digit.planes());
+                let b = isa.blocks(row[self.column].planes());
+                for t in 0..P {
+                    let (re, im) = (t * m + k, (P + t) * m + k);
+                    let d = (isa.load(&d[re]), isa.load(&d[im]));
+                    let b = (isa.load(&b[re]), isa.load(&b[im]));
+                    acc[t] = cmul_add::<I, false>(isa, acc[t], d, b);
+                }
             }
+            acc
         }
-        acc
     }
 }
 
 /// A coefficient type the inverse transform writes; with `ADD` it adds
 /// into what is there instead of overwriting it.
-trait Output: Copy {
-    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut [Self], at: usize, v: I::V);
+trait Output: Copy + 'static {
+    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<Self>, v: I::V);
 }
 
 impl Output for f64 {
     #[inline(always)]
-    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut [f64], at: usize, v: I::V) {
-        let v = if ADD {
-            isa.add(isa.load(dst, at), v)
-        } else {
-            v
-        };
-        isa.store(dst, at, v);
+    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<f64>, v: I::V) {
+        let v = if ADD { isa.add(isa.load(dst), v) } else { v };
+        isa.store(dst, v);
     }
 }
 
@@ -172,8 +203,8 @@ impl Output for f64 {
 /// (where addition wraps too).
 impl Output for Torus32 {
     #[inline(always)]
-    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut [Torus32], at: usize, v: I::V) {
-        isa.round_wrap_put::<ADD>(dst, at, v);
+    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<Torus32>, v: I::V) {
+        isa.round_wrap_put::<ADD>(dst, v);
     }
 }
 
@@ -350,7 +381,7 @@ impl NegacyclicFft {
             self.n,
             "spectrum size must equal the engine size"
         );
-        self.inverse_folded::<_, 1, false>(spectrum, out, scratch);
+        self.inverse_folded::<_, false>(spectrum, out, scratch);
     }
 
     /// `acc += round(IFFT(Σ_r digits[r] · rows[r][column]))`, one output
@@ -384,19 +415,18 @@ impl NegacyclicFft {
             rows,
             column,
         };
-        self.inverse_folded::<_, 2, true>(mac, acc.coeffs_mut(), scratch);
+        self.inverse_folded::<_, true>(mac, acc.coeffs_mut(), scratch);
     }
 
-    /// `RUN`: how many adjacent vectors the first pass asks `spectrum`
-    /// for at a time (see `FftPlan::transform`); `ADD`: add into `out`.
-    fn inverse_folded<T: Output, const RUN: usize, const ADD: bool>(
+    /// `ADD`: add into `out`.
+    fn inverse_folded<T: Output, const ADD: bool>(
         &self,
         spectrum: impl Points,
         out: &mut [T],
         scratch: &mut Vec<f64>,
     ) {
         assert_eq!(out.len(), self.n, "output polynomial size mismatch");
-        self.half_plan.simd().run(InverseFolded::<_, _, RUN, ADD> {
+        self.half_plan.simd().run(InverseFolded::<_, _, ADD> {
             fft: self,
             spectrum,
             out,
@@ -533,25 +563,6 @@ impl NegacyclicFft {
     }
 }
 
-type C<I> = (<I as Isa>::V, <I as Isa>::V);
-
-impl NegacyclicFft {
-    /// `v · ζ^j` for points `j..j + LANES`.
-    #[inline(always)]
-    fn twisted<I: Isa>(&self, isa: I, j: usize, v: C<I>) -> C<I> {
-        let twist = (isa.load(&self.twist_re, j), isa.load(&self.twist_im, j));
-        cmul(isa, v, twist)
-    }
-
-    /// `(v · scale) · ζ^(-j)` for points `j..j + LANES` — the reference
-    /// scales first (`FftPlan::inverse`), then untwists.
-    #[inline(always)]
-    fn untwisted<I: Isa>(&self, isa: I, j: usize, v: C<I>, scale: I::V) -> C<I> {
-        let untwist = (isa.load(&self.untwist_re, j), isa.load(&self.untwist_im, j));
-        cmul(isa, (isa.mul(v.0, scale), isa.mul(v.1, scale)), untwist)
-    }
-}
-
 /// Folded forward: point `j < N/2` enters as `(c_j − i·c_(j+N/2))·ζ^j`.
 struct ForwardFolded<'a, C: ?Sized> {
     fft: &'a NegacyclicFft,
@@ -564,17 +575,42 @@ impl<C: Coefficients + ?Sized> Kernel for ForwardFolded<'_, C> {
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
+        if self.fft.n == 4 {
+            self.read::<I, 2>(isa);
+        } else {
+            self.read::<I, 4>(isa);
+        }
+    }
+}
+
+impl<C: Coefficients + ?Sized> ForwardFolded<'_, C> {
+    /// `P`: the parts the transform's ends see (`FftPlan::transform`).
+    #[inline(always)]
+    fn read<I: Isa, const P: usize>(self, isa: I) {
         let Self { fft, coeffs, out } = self;
-        let half = fft.n / 2;
         let (re, im) = out.planes_mut();
-        fft.half_plan.transform::<I, false, 1>(
+        let (half, runs) = (re.len(), re.len() / P / I::LANES);
+        let (lo, hi) = coeffs.elems().split_at(half);
+        let lo = parts::<_, P>(isa.blocks(lo), runs);
+        let hi = parts::<_, P>(isa.blocks(hi), runs);
+        let twist_re = parts::<_, P>(isa.blocks(&fft.twist_re[..half]), runs);
+        let twist_im = parts::<_, P>(isa.blocks(&fft.twist_im[..half]), runs);
+        fft.half_plan.transform::<I, false, P>(
             isa,
             re,
             im,
             #[inline(always)]
-            |j| {
-                let folded = (coeffs.load(isa, j), isa.neg(coeffs.load(isa, j + half)));
-                [fft.twisted(isa, j, folded)]
+            |k| {
+                let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
+                for t in 0..P {
+                    let folded = (
+                        coeffs.widen(isa, &lo[t][k]),
+                        isa.neg(coeffs.widen(isa, &hi[t][k])),
+                    );
+                    let twist = (isa.load(&twist_re[t][k]), isa.load(&twist_im[t][k]));
+                    x[t] = cmul(isa, folded, twist);
+                }
+                x
             },
             store_back(isa),
         );
@@ -584,48 +620,53 @@ impl<C: Coefficients + ?Sized> Kernel for ForwardFolded<'_, C> {
 /// Folded inverse: output point `j < N/2`, scaled by `2/N` and untwisted
 /// by `ζ^(-j)`, carries coefficient `j` in its real part and `j + N/2` in
 /// its negated imaginary part.
-struct InverseFolded<'a, S, T, const RUN: usize, const ADD: bool> {
+struct InverseFolded<'a, S, T, const ADD: bool> {
     fft: &'a NegacyclicFft,
     spectrum: S,
     out: &'a mut [T],
     scratch: &'a mut Vec<f64>,
 }
 
-impl<S: Points, T: Output, const RUN: usize, const ADD: bool> Kernel
-    for InverseFolded<'_, S, T, RUN, ADD>
-{
+impl<S: Points, T: Output, const ADD: bool> Kernel for InverseFolded<'_, S, T, ADD> {
     type Out = ();
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        // A transform too short for `RUN` vectors a quarter reads one.
-        if self.fft.n / 2 >= 4 * RUN * I::LANES {
-            self.read::<I, RUN>(isa);
+        if self.fft.n == 4 {
+            self.read::<I, 2>(isa);
         } else {
-            self.read::<I, 1>(isa);
+            self.read::<I, 4>(isa);
         }
     }
 }
 
-impl<S: Points, T: Output, const RUN: usize, const ADD: bool> InverseFolded<'_, S, T, RUN, ADD> {
+impl<S: Points, T: Output, const ADD: bool> InverseFolded<'_, S, T, ADD> {
+    /// `P`: the parts the transform's ends see (`FftPlan::transform`).
     #[inline(always)]
-    fn read<I: Isa, const COLS: usize>(self, isa: I) {
+    fn read<I: Isa, const P: usize>(self, isa: I) {
         let Self { fft, spectrum, .. } = self;
         let half = fft.n / 2;
         let (out_lo, out_hi) = self.out.split_at_mut(half);
         let (re, im) = work_planes(self.scratch, half);
+        let m = re.len() / P / I::LANES;
+        let untwist_re = parts::<_, P>(isa.blocks(&fft.untwist_re[..half]), m);
+        let untwist_im = parts::<_, P>(isa.blocks(&fft.untwist_im[..half]), m);
+        let mut out_lo = parts_mut::<_, P>(isa.blocks_mut(out_lo), m);
+        let mut out_hi = parts_mut::<_, P>(isa.blocks_mut(out_hi), m);
         let scale = isa.splat(1.0 / half as f64);
-        fft.half_plan.transform::<I, true, COLS>(
+        fft.half_plan.transform::<I, true, P>(
             isa,
             re,
             im,
+            spectrum.source::<I, P>(isa, m),
             #[inline(always)]
-            |j| spectrum.load::<I, COLS>(isa, j),
-            #[inline(always)]
-            |_, _, j, vr, vi| {
-                let u = fft.untwisted(isa, j, (vr, vi), scale);
-                T::put::<I, ADD>(isa, out_lo, j, u.0);
-                T::put::<I, ADD>(isa, out_hi, j, isa.neg(u.1));
+            |_, _, t, k, vr, vi| {
+                // The reference scales first (`FftPlan::inverse`), then
+                // untwists.
+                let untwist = (isa.load(&untwist_re[t][k]), isa.load(&untwist_im[t][k]));
+                let u = cmul(isa, (isa.mul(vr, scale), isa.mul(vi, scale)), untwist);
+                T::put::<I, ADD>(isa, &mut out_lo[t][k], u.0);
+                T::put::<I, ADD>(isa, &mut out_hi[t][k], isa.neg(u.1));
             },
         );
     }
@@ -649,20 +690,26 @@ impl Kernel for ForwardPair<'_> {
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        let Self { fft, p, q, .. } = self;
-        let n = fft.n;
-        let (re, im) = work_planes(self.scratch, n);
-        fft.full_plan.transform::<I, false, 1>(
+        let fft = self.fft;
+        let (re, im) = work_planes(self.scratch, fft.n);
+        let runs = re.len() / 4 / I::LANES;
+        let p = parts::<_, 4>(isa.blocks(self.p), runs);
+        let q = parts::<_, 4>(isa.blocks(self.q), runs);
+        let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re), runs);
+        let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im), runs);
+        fft.full_plan.transform::<I, false, 4>(
             isa,
             re,
             im,
             #[inline(always)]
-            |j| {
-                let merged = (
-                    isa.lanes(|i| p[j + i] as f64),
-                    isa.lanes(|i| q[j + i] as f64),
-                );
-                [fft.twisted(isa, j, merged)]
+            |k| {
+                let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
+                for t in 0..4 {
+                    let merged = (self.p.widen(isa, &p[t][k]), self.q.widen(isa, &q[t][k]));
+                    let twist = (isa.load(&twist_re[t][k]), isa.load(&twist_im[t][k]));
+                    x[t] = cmul(isa, merged, twist);
+                }
+                x
             },
             store_back(isa),
         );
@@ -707,9 +754,7 @@ impl Kernel for InversePair<'_> {
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        let Self {
-            fft, out_p, out_q, ..
-        } = self;
+        let fft = self.fft;
         let n = fft.n;
         let (p_re, p_im) = (self.ps.re(), self.ps.im());
         let (q_re, q_im) = (self.qs.re(), self.qs.im());
@@ -730,23 +775,34 @@ impl Kernel for InversePair<'_> {
             }
         };
         let (re, im) = work_planes(self.scratch, n);
+        let m = re.len() / 4 / I::LANES;
+        let untwist_re = parts::<_, 4>(isa.blocks(&fft.untwist_re), m);
+        let untwist_im = parts::<_, 4>(isa.blocks(&fft.untwist_im), m);
+        let mut out_p = parts_mut::<_, 4>(isa.blocks_mut(self.out_p), m);
+        let mut out_q = parts_mut::<_, 4>(isa.blocks_mut(self.out_q), m);
         let scale = isa.splat(1.0 / n as f64);
-        fft.full_plan.transform::<I, true, 1>(
+        fft.full_plan.transform::<I, true, 4>(
             isa,
             re,
             im,
             #[inline(always)]
-            |j| {
-                [(
-                    isa.lanes(|i| merged_re(j + i)),
-                    isa.lanes(|i| merged_im(j + i)),
-                )]
+            |k| {
+                let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
+                for t in 0..4 {
+                    let j = (t * m + k) * I::LANES;
+                    x[t] = (
+                        isa.lanes(|i| merged_re(j + i)),
+                        isa.lanes(|i| merged_im(j + i)),
+                    );
+                }
+                x
             },
             #[inline(always)]
-            |_, _, j, vr, vi| {
-                let u = fft.untwisted(isa, j, (vr, vi), scale);
-                isa.round_wrap_put::<false>(out_p, j, u.0);
-                isa.round_wrap_put::<false>(out_q, j, u.1);
+            |_, _, t, k, vr, vi| {
+                let untwist = (isa.load(&untwist_re[t][k]), isa.load(&untwist_im[t][k]));
+                let u = cmul(isa, (isa.mul(vr, scale), isa.mul(vi, scale)), untwist);
+                isa.round_wrap_put::<false>(&mut out_p[t][k], u.0);
+                isa.round_wrap_put::<false>(&mut out_q[t][k], u.1);
             },
         );
     }
@@ -756,6 +812,7 @@ impl Kernel for InversePair<'_> {
 mod tests {
     use super::*;
     use crate::dft::naive_negacyclic_eval;
+    use crate::fft::mul_fused;
     use crate::simd::{round_wrap_u32, Simd};
     use morphling_math::negacyclic::mul_int_torus32;
     use morphling_math::Complex64;
@@ -1002,7 +1059,7 @@ mod tests {
     fn reference_forward(fft: &NegacyclicFft, c: &[f64]) -> Spectrum {
         let half = fft.n / 2;
         let mut vals: Vec<Complex64> = (0..half)
-            .map(|j| Complex64::new(c[j], -c[j + half]) * twist(fft, j))
+            .map(|j| mul_fused(Complex64::new(c[j], -c[j + half]), twist(fft, j)))
             .collect();
         fft.half_plan.forward(&mut vals);
         Spectrum::from_values(vals)
@@ -1015,7 +1072,7 @@ mod tests {
         fft.half_plan.inverse(&mut buf);
         let mut out = vec![0.0; fft.n];
         for j in 0..half {
-            let u = buf[j] * untwist(fft, j);
+            let u = mul_fused(buf[j], untwist(fft, j));
             out[j] = u.re;
             out[j + half] = -u.im;
         }
@@ -1025,7 +1082,7 @@ mod tests {
     fn reference_forward_pair(fft: &NegacyclicFft, p: &[i64], q: &[i64]) -> (Spectrum, Spectrum) {
         let n = fft.n;
         let mut buf: Vec<Complex64> = (0..n)
-            .map(|j| Complex64::new(p[j] as f64, q[j] as f64) * twist(fft, j))
+            .map(|j| mul_fused(Complex64::new(p[j] as f64, q[j] as f64), twist(fft, j)))
             .collect();
         fft.full_plan.forward(&mut buf);
         let (mut ps, mut qs) = (Vec::new(), Vec::new());
@@ -1058,7 +1115,7 @@ mod tests {
         fft.full_plan.inverse(&mut buf);
         (0..n)
             .map(|j| {
-                let u = buf[j] * untwist(fft, j);
+                let u = mul_fused(buf[j], untwist(fft, j));
                 (u.re, u.im)
             })
             .unzip()
@@ -1086,7 +1143,7 @@ mod tests {
     /// disagree. The rest: signed zeros, subnormals, magnitudes around
     /// 2^51–2^53 where the fast conversion's range ends, and — release
     /// builds only, since `round_wrap_u32` debug-asserts the documented
-    /// bound — at and beyond 2^63, where it must take the `rem_euclid`
+    /// bound — at and beyond 2^63, where it must take the exact-residue
     /// path.
     fn awkward_spectra(n: usize, rng: &mut StdRng) -> Vec<Spectrum> {
         let constant =
@@ -1228,7 +1285,7 @@ mod tests {
                 let want_torus = round_all(&want_real);
                 for (name, simd) in Simd::every(n / 8) {
                     let mut real = vec![f64::NAN; n];
-                    simd.run(InverseFolded::<_, _, 1, false> {
+                    simd.run(InverseFolded::<_, _, false> {
                         fft: &fft,
                         spectrum: spec,
                         out: &mut real[..],
@@ -1237,7 +1294,7 @@ mod tests {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&real), bits(&want_real), "real #{i} n={n} {name}");
                     let mut torus = vec![Torus32::HALF; n];
-                    simd.run(InverseFolded::<_, _, 1, false> {
+                    simd.run(InverseFolded::<_, _, false> {
                         fft: &fft,
                         spectrum: spec,
                         out: &mut torus[..],
@@ -1332,8 +1389,8 @@ mod tests {
             #[inline(always)]
             fn run<I: Isa>(self, isa: I) -> Vec<Torus32> {
                 let mut out = vec![Torus32::HALF; self.0.len()];
-                for at in (0..self.0.len()).step_by(I::LANES) {
-                    isa.round_wrap_put::<ADD>(&mut out, at, isa.load(self.0, at));
+                for (out, v) in isa.blocks_mut(&mut out).iter_mut().zip(isa.blocks(self.0)) {
+                    isa.round_wrap_put::<ADD>(out, isa.load(v));
                 }
                 out
             }
@@ -1386,7 +1443,7 @@ mod tests {
         // One dirty scratch through every call.
         let mut scratch = vec![f64::NAN; 3];
         for (column, acc_u) in acc.iter_mut().enumerate() {
-            simd.run(InverseFolded::<_, _, 2, true> {
+            simd.run(InverseFolded::<_, _, true> {
                 fft,
                 spectrum: Mac {
                     digits,
@@ -1522,8 +1579,8 @@ mod tests {
             #[inline(always)]
             fn run<I: Isa>(self, isa: I) -> Vec<u64> {
                 let mut out = vec![f64::NAN; self.0.len()];
-                for at in (0..self.0.len()).step_by(I::LANES) {
-                    isa.store(&mut out, at, isa.load_digits(self.0, at, self.1));
+                for (out, x) in isa.blocks_mut(&mut out).iter_mut().zip(isa.blocks(self.0)) {
+                    isa.store(out, isa.load_digits(x, self.1));
                 }
                 out.into_iter().map(f64::to_bits).collect()
             }
@@ -1593,6 +1650,68 @@ mod tests {
         }
     }
 
+    /// How far from an integer the transform leaves a coefficient before
+    /// it is rounded — the whole f64 error of an external product, since
+    /// everything after the rounding is integer arithmetic: one
+    /// `mul_acc` accumulation of `rows` (digit polynomial in ±β/2) ·
+    /// (full-range torus polynomial) products, inverted unrounded, against
+    /// the exact negacyclic sum. Half a unit would flip a ciphertext bit.
+    #[test]
+    fn pre_rounding_error_leaves_margin_at_every_functional_set() {
+        // (set, N, rows = (k+1)·l_b, β/2, functional) of the paper's sets.
+        let shapes = [
+            ("I", 1024usize, 4usize, 1i64 << 7, true),
+            ("II", 1024, 6, 1 << 6, true),
+            ("III", 2048, 6, 1 << 7, true),
+            ("B", 1024, 6, 1 << 7, true),
+            ("C", 512, 12, 1 << 6, true),
+            ("IV", 2048, 2, 1 << 15, false),
+            ("A", 4096, 2, 1 << 15, false),
+        ];
+        let mut rng = StdRng::seed_from_u64(2022);
+        for (set, n, rows, half_beta, functional) in shapes {
+            let fft = NegacyclicFft::new(n);
+            let (mut max, mut sum_sq) = (0.0f64, 0.0f64);
+            let trials = 4;
+            for _ in 0..trials {
+                let mut acc = Spectrum::zero(n);
+                let mut exact = vec![0i128; n];
+                for _ in 0..rows {
+                    let d = Polynomial::from_fn(n, |_| rng.gen_range(-half_beta..=half_beta));
+                    let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+                    acc.mul_acc(&fft.forward_int(&d), &fft.forward_torus(&t));
+                    for (i, &di) in d.iter().enumerate() {
+                        for (j, tj) in t.iter().enumerate() {
+                            let term = i128::from(di) * i128::from(tj.to_signed());
+                            if i + j < n {
+                                exact[i + j] += term;
+                            } else {
+                                exact[i + j - n] -= term;
+                            }
+                        }
+                    }
+                }
+                for (got, want) in fft.inverse_real(&acc).iter().zip(&exact) {
+                    // Integer part apart: `want` may pass 2^53.
+                    let err = (got.trunc() as i128 - want) as f64 + got.fract();
+                    max = max.max(err.abs());
+                    sum_sq += err * err;
+                }
+            }
+            let rms = (sum_sq / (trials * n) as f64).sqrt();
+            println!(
+                "pre-rounding error, set {set} (N={n}, {rows} rows, β/2={half_beta}): \
+                 max {max:.4} rms {rms:.5}{}",
+                if functional {
+                    ""
+                } else {
+                    " (not functional on this torus: printed only)"
+                }
+            );
+            assert!(!functional || max < 0.125, "set {set}: max |err| = {max}");
+        }
+    }
+
     #[test]
     fn round_wrap_is_exact_for_large_in_range_values() {
         // 2^35 + 7 ≡ 7 (mod 2^32): the fast path must wrap, not clamp.
@@ -1610,6 +1729,29 @@ mod tests {
     fn round_wrap_regression_out_of_range_wraps_exactly() {
         assert_eq!(round_wrap_u32(OUT_OF_RANGE), 10_240);
         assert_eq!(round_wrap_u32(-OUT_OF_RANGE), 0u32.wrapping_sub(10_240));
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn round_wrap_out_of_range_is_the_euclidean_residue() {
+        // What the bits say against what `%` on integer-valued f64 says
+        // (exact, but a libm call): every exponent from 2^63 up, both
+        // signs, mantissas with low, high and scattered bits.
+        const TWO_32: f64 = 4_294_967_296.0;
+        let mut rng = StdRng::seed_from_u64(63);
+        for exponent in 63..=1023u64 {
+            let mut mantissas = vec![0, 1, 5 << 9, (1 << 52) - 1, 1 << 51, 0xFFFF_FFFF];
+            mantissas.extend((0..8).map(|_| rng.gen::<u64>() >> 12));
+            for mantissa in mantissas {
+                let x = f64::from_bits(((exponent + 1023) << 52) | mantissa);
+                for v in [x, -x] {
+                    assert_eq!(round_wrap_u32(v), v.rem_euclid(TWO_32) as u32, "{v:e}");
+                }
+            }
+        }
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(round_wrap_u32(v), 0, "{v}");
+        }
     }
 
     #[cfg(debug_assertions)]

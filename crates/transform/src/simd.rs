@@ -13,12 +13,19 @@
 //! - [`avx512::Avx512`]: eight lanes of `std::arch` AVX-512 (F + DQ),
 //!   loaded from planes that start on a cache line ([`Aligned`]).
 //!
-//! **Results never depend on the ISA.** Every operation here is an exact
-//! IEEE-754 `add`/`sub`/`mul`/negate per lane — no fused multiply-add, no
-//! reassociation — so each lane replays the scalar reference's operation
-//! sequence bit for bit, and the one inexact-looking step, rounding to the
-//! torus, reproduces [`round_wrap_u32`] exactly (see
-//! [`Isa::round_wrap_put`]).
+//! **Results never depend on the ISA.** Every operation here is a
+//! correctly rounded IEEE-754 `add`/`sub`/`mul`/negate or fused
+//! multiply-add per lane (`f64::mul_add` on the portable path, `vfmadd` and
+//! its kin in the frames: one rounding either way) — no reassociation, and
+//! a product is fused with a sum exactly where the scalar reference fuses
+//! it — so each lane replays the reference's operation sequence bit for
+//! bit, and the one inexact-looking step, rounding to the torus,
+//! reproduces [`round_wrap_u32`] exactly (see [`Isa::round_wrap_put`]).
+//!
+//! **Memory is checked once per pass.** A kernel views each plane it
+//! touches as whole vectors ([`Isa::blocks`], which checks the length) and
+//! hands [`Isa::load`] and [`Isa::store`] one [`Isa::Block`] at a time, so
+//! the inner loops carry no bounds checks and no slice arithmetic.
 //!
 //! `unsafe` is confined to the [`avx2`] and [`avx512`] submodules.
 
@@ -135,48 +142,116 @@ impl std::fmt::Debug for Aligned {
     }
 }
 
+/// `s` as whole `L`-element vectors.
+///
+/// # Panics
+///
+/// Panics if `L` does not divide its length.
+#[inline(always)]
+fn as_blocks<T, const L: usize>(s: &[T]) -> &[[T; L]] {
+    let (blocks, rest) = s.as_chunks();
+    assert!(rest.is_empty(), "a plane must be whole vectors");
+    blocks
+}
+
+/// [`as_blocks`], mutably.
+#[inline(always)]
+fn as_blocks_mut<T, const L: usize>(s: &mut [T]) -> &mut [[T; L]] {
+    let (blocks, rest) = s.as_chunks_mut();
+    assert!(rest.is_empty(), "a plane must be whole vectors");
+    blocks
+}
+
 /// A vector of [`Isa::LANES`] consecutive `f64` elements and the exact
 /// lane-wise operations the kernels need.
 pub(crate) trait Isa: Copy {
     /// The vector register type.
     type V: Copy;
+    /// Where a vector lives in memory: `[T; LANES]`.
+    type Block<T: 'static>: AsRef<[T]> + 'static;
     /// The same operations on vectors half as wide (or this ISA itself,
     /// where there is none): what the one pass whose runs are shorter than
     /// `LANES` goes through (see `FftPlan::transform`).
     type Half: Isa;
-    /// Elements per vector. Every slice length and offset handed to the
-    /// kernels is a multiple of this.
+    /// Elements per vector.
     const LANES: usize;
 
     fn half(self) -> Self::Half;
+    /// `s` as the vectors it holds, back to back: the one length check of
+    /// everything a pass then loads from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `LANES` does not divide its length.
+    fn blocks<T: 'static>(self, s: &[T]) -> &[Self::Block<T>];
+    /// [`blocks`](Self::blocks), to store into.
+    fn blocks_mut<T: 'static>(self, s: &mut [T]) -> &mut [Self::Block<T>];
     fn splat(self, x: f64) -> Self::V;
-    /// Lane `i` is `f(i)` — how integer and torus coefficients are widened.
+    /// Lane `i` is `f(i)`.
     fn lanes(self, f: impl FnMut(usize) -> f64) -> Self::V;
-    fn load(self, src: &[f64], at: usize) -> Self::V;
-    /// Lane `i` is `digit.of(src[at + i]) as f64`.
-    fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> Self::V;
-    fn store(self, dst: &mut [f64], at: usize, v: Self::V);
+    /// Lane `i` is `f(src[i])` — how integer and torus coefficients are
+    /// widened.
+    #[inline(always)]
+    fn widen<T: Copy + 'static>(
+        self,
+        src: &Self::Block<T>,
+        mut f: impl FnMut(T) -> f64,
+    ) -> Self::V {
+        let src = src.as_ref();
+        self.lanes(
+            #[inline(always)]
+            |i| f(src[i]),
+        )
+    }
+    fn load(self, src: &Self::Block<f64>) -> Self::V;
+    /// Lane `i` is `digit.of(src[i]) as f64`.
+    fn load_digits(self, src: &Self::Block<Torus32>, digit: DigitOf) -> Self::V;
+    fn store(self, dst: &mut Self::Block<f64>, v: Self::V);
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
-    fn sub(self, a: Self::V, b: Self::V) -> Self::V;
     fn mul(self, a: Self::V, b: Self::V) -> Self::V;
     fn neg(self, a: Self::V) -> Self::V;
-    /// Transposing store: lane `i` of `y[0..4]` lands in the four
-    /// consecutive slots starting at `dst[pos[i]]` (`pos` has `LANES`
-    /// entries).
-    fn scatter4(self, dst: &mut [f64], pos: &[u32], y: [Self::V; 4]);
-    /// `dst[at + i] = round_wrap_u32(v[i])`, exactly — or, with `ADD`,
-    /// `dst[at + i] += round_wrap_u32(v[i])` on the torus (wrapping).
-    fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: Self::V);
+    /// `a·b + c`, rounded once.
+    fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `a·b − c`, rounded once.
+    fn mul_sub(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `c − a·b`, rounded once.
+    fn neg_mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// Transposing store: lane `i` of `y[0..4]` becomes the four-element
+    /// block `dst[pos[i]]`.
+    fn scatter4(self, dst: &mut [[f64; 4]], pos: &Self::Block<u32>, y: [Self::V; 4]);
+    /// `dst[i] = round_wrap_u32(v[i])`, exactly — or, with `ADD`,
+    /// `dst[i] += round_wrap_u32(v[i])` on the torus (wrapping).
+    fn round_wrap_put<const ADD: bool>(self, dst: &mut Self::Block<Torus32>, v: Self::V);
 }
 
-/// Complex product `a · b` on split re/im vectors: the operation sequence
-/// of `Complex64::mul`, `(a.re·b.re − a.im·b.im, a.re·b.im + a.im·b.re)`.
+/// A complex vector, split: `(re, im)`.
+pub(crate) type C<I> = (<I as Isa>::V, <I as Isa>::V);
+
+/// Complex product `a · b` on split re/im vectors, two multiplies and two
+/// fused: `(a.re·b.re − a.im·b.im, a.re·b.im + a.im·b.re)` with the second
+/// product of each component fused into the sum.
 #[inline(always)]
-pub(crate) fn cmul<I: Isa>(isa: I, a: (I::V, I::V), b: (I::V, I::V)) -> (I::V, I::V) {
+pub(crate) fn cmul<I: Isa>(isa: I, a: C<I>, b: C<I>) -> C<I> {
     (
-        isa.sub(isa.mul(a.0, b.0), isa.mul(a.1, b.1)),
-        isa.add(isa.mul(a.0, b.1), isa.mul(a.1, b.0)),
+        isa.neg_mul_add(a.1, b.1, isa.mul(a.0, b.0)),
+        isa.mul_add(a.1, b.0, isa.mul(a.0, b.1)),
     )
+}
+
+/// `acc + x · w` in four fused operations, `x.re`'s products first — the
+/// multiply-accumulate, and the half of a butterfly that adds. With
+/// `CONJ`, `acc + x · conj(w)`: the same four with the sign of `w.im`
+/// moved into the choice of operation.
+#[inline(always)]
+pub(crate) fn cmul_add<I: Isa, const CONJ: bool>(isa: I, acc: C<I>, x: C<I>, w: C<I>) -> C<I> {
+    let re = isa.mul_add(x.0, w.0, acc.0);
+    if CONJ {
+        let im = isa.neg_mul_add(x.0, w.1, acc.1);
+        (isa.mul_add(x.1, w.1, re), isa.mul_add(x.1, w.0, im))
+    } else {
+        let im = isa.mul_add(x.0, w.1, acc.1);
+        (isa.neg_mul_add(x.1, w.1, re), isa.mul_add(x.1, w.0, im))
+    }
 }
 
 /// A computation written once over [`Isa`] and run on whichever
@@ -306,11 +381,13 @@ impl Kernel for SubScaledRows<'_> {
 /// float→int casts *saturate* rather than wrap, so a value at or beyond
 /// 2^63 must not take that path — it would silently collapse to
 /// `0xFFFF_FFFF` instead of its mod-2³² residue. Out-of-range values trip
-/// the `debug_assert` in debug builds and take an exact `rem_euclid`
-/// reduction in release builds (`%` on integer-valued f64 is exact).
+/// the `debug_assert` in debug builds and are reduced exactly, from their
+/// bits, in release builds — without a call, so that the vector kernels,
+/// which fall back to this function a lane at a time, keep their
+/// registers across the branch that never happens.
+#[inline(always)]
 pub(crate) fn round_wrap_u32(v: f64) -> u32 {
     const TWO_63: f64 = 9_223_372_036_854_775_808.0;
-    const TWO_32: f64 = 4_294_967_296.0;
     let r = v.round();
     debug_assert!(
         r.abs() < TWO_63,
@@ -319,8 +396,17 @@ pub(crate) fn round_wrap_u32(v: f64) -> u32 {
     if r.abs() < TWO_63 {
         r as i64 as u32
     } else {
-        // Checked fallback: exact mod-2^32 residue (NaN saturates to 0).
-        r.rem_euclid(TWO_32) as u32
+        // |r| = m·2^e with a 53-bit m and e ≥ 11: below 2^32 it has the
+        // low bits of m shifted up, and nothing once e ≥ 32 — which takes
+        // in ±∞ and NaN, as 0.
+        let bits = r.to_bits();
+        let e = ((bits >> 52) & 0x7ff) as u32 - 1075;
+        let low = if e < 32 { (bits as u32) << e } else { 0 };
+        if r < 0.0 {
+            low.wrapping_neg()
+        } else {
+            low
+        }
     }
 }
 
@@ -331,12 +417,21 @@ pub(crate) struct Portable<const L: usize, const H: usize = L>;
 
 impl<const L: usize, const H: usize> Isa for Portable<L, H> {
     type V = [f64; L];
+    type Block<T: 'static> = [T; L];
     type Half = Portable<H>;
     const LANES: usize = L;
 
     #[inline(always)]
     fn half(self) -> Portable<H> {
         Portable
+    }
+    #[inline(always)]
+    fn blocks<T: 'static>(self, s: &[T]) -> &[[T; L]] {
+        as_blocks(s)
+    }
+    #[inline(always)]
+    fn blocks_mut<T: 'static>(self, s: &mut [T]) -> &mut [[T; L]] {
+        as_blocks_mut(s)
     }
     #[inline(always)]
     fn splat(self, x: f64) -> [f64; L] {
@@ -347,26 +442,20 @@ impl<const L: usize, const H: usize> Isa for Portable<L, H> {
         std::array::from_fn(f)
     }
     #[inline(always)]
-    fn load(self, src: &[f64], at: usize) -> [f64; L] {
-        let s = &src[at..at + L];
-        std::array::from_fn(|i| s[i])
+    fn load(self, src: &[f64; L]) -> [f64; L] {
+        *src
     }
     #[inline(always)]
-    fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> [f64; L] {
-        let s = &src[at..at + L];
-        std::array::from_fn(|i| f64::from(digit.of(s[i])))
+    fn load_digits(self, src: &[Torus32; L], digit: DigitOf) -> [f64; L] {
+        src.map(|x| f64::from(digit.of(x)))
     }
     #[inline(always)]
-    fn store(self, dst: &mut [f64], at: usize, v: [f64; L]) {
-        dst[at..at + L].copy_from_slice(&v);
+    fn store(self, dst: &mut [f64; L], v: [f64; L]) {
+        *dst = v;
     }
     #[inline(always)]
     fn add(self, a: [f64; L], b: [f64; L]) -> [f64; L] {
         std::array::from_fn(|i| a[i] + b[i])
-    }
-    #[inline(always)]
-    fn sub(self, a: [f64; L], b: [f64; L]) -> [f64; L] {
-        std::array::from_fn(|i| a[i] - b[i])
     }
     #[inline(always)]
     fn mul(self, a: [f64; L], b: [f64; L]) -> [f64; L] {
@@ -377,17 +466,26 @@ impl<const L: usize, const H: usize> Isa for Portable<L, H> {
         a.map(|x| -x)
     }
     #[inline(always)]
-    fn scatter4(self, dst: &mut [f64], pos: &[u32], y: [[f64; L]; 4]) {
-        for (i, &p) in pos[..L].iter().enumerate() {
-            let block = &mut dst[p as usize..p as usize + 4];
-            for (slot, row) in block.iter_mut().zip(&y) {
-                *slot = row[i];
-            }
+    fn mul_add(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
+        std::array::from_fn(|i| a[i].mul_add(b[i], c[i]))
+    }
+    #[inline(always)]
+    fn mul_sub(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
+        std::array::from_fn(|i| a[i].mul_add(b[i], -c[i]))
+    }
+    #[inline(always)]
+    fn neg_mul_add(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
+        std::array::from_fn(|i| (-a[i]).mul_add(b[i], c[i]))
+    }
+    #[inline(always)]
+    fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; L], y: [[f64; L]; 4]) {
+        for (i, &p) in pos.iter().enumerate() {
+            dst[p as usize] = y.map(|row| row[i]);
         }
     }
     #[inline(always)]
-    fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: [f64; L]) {
-        for (slot, x) in dst[at..at + L].iter_mut().zip(v) {
+    fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32; L], v: [f64; L]) {
+        for (slot, x) in dst.iter_mut().zip(v) {
             let rounded = Torus32::from_raw(round_wrap_u32(x));
             *slot = if ADD { *slot + rounded } else { rounded };
         }
@@ -399,10 +497,10 @@ impl<const L: usize, const H: usize> Isa for Portable<L, H> {
 ///
 /// Soundness rests on one invariant: an [`Avx2`](avx2::Avx2) value can
 /// only be obtained from [`Avx2::detect`](avx2::Avx2::detect), which
-/// returns one only after `is_x86_feature_detected!("avx2")`. Every
-/// intrinsic call below is therefore executed on a CPU that has the
-/// instruction; every memory access goes through a bounds-checked slice
-/// first.
+/// returns one only after `is_x86_feature_detected!` of `avx2` and of
+/// `fma`. Every intrinsic call below is therefore executed on a CPU that
+/// has the instruction; every memory access is to a whole
+/// [`Block`](Isa::Block), an array behind a reference.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
@@ -410,27 +508,31 @@ pub(crate) mod avx2 {
 
     use morphling_math::Torus32;
 
-    use super::{round_wrap_u32, DigitOf, Isa, Kernel};
+    use super::{as_blocks, as_blocks_mut, round_wrap_u32, DigitOf, Isa, Kernel};
 
-    /// Proof that the running CPU has AVX2 (the field is private: the
-    /// only constructor is [`Avx2::detect`]).
+    /// Proof that the running CPU has AVX2 and FMA (the field is private:
+    /// the only constructor is [`Avx2::detect`]).
     #[derive(Clone, Copy, Debug)]
     pub(crate) struct Avx2(());
 
     impl Avx2 {
+        /// Both features or no token: the frame issues `vfmadd`, which an
+        /// AVX2 CPU without FMA would fault on.
         pub(crate) fn detect() -> Option<Self> {
-            is_x86_feature_detected!("avx2").then_some(Self(()))
+            (is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
+                .then_some(Self(()))
         }
 
-        /// Run `k` with AVX2 code generation enabled for everything
-        /// inlined into it.
+        /// Run `k` with AVX2 and FMA code generation enabled for
+        /// everything inlined into it.
         #[inline]
         pub(crate) fn run<K: Kernel>(self, k: K) -> K::Out {
-            #[target_feature(enable = "avx2")]
+            #[target_feature(enable = "avx2,fma")]
             fn frame<K: Kernel>(isa: Avx2, k: K) -> K::Out {
                 k.run(isa)
             }
-            // SAFETY: `self` exists, so `detect` saw AVX2 on this CPU.
+            // SAFETY: `self` exists, so `detect` saw AVX2 and FMA on this
+            // CPU.
             unsafe { frame(self, k) }
         }
     }
@@ -445,6 +547,7 @@ pub(crate) mod avx2 {
 
     impl Isa for Avx2 {
         type V = __m256d;
+        type Block<T: 'static> = [T; 4];
         type Half = Self;
         const LANES: usize = 4;
 
@@ -453,26 +556,30 @@ pub(crate) mod avx2 {
             self
         }
         #[inline(always)]
+        fn blocks<T: 'static>(self, s: &[T]) -> &[[T; 4]] {
+            as_blocks(s)
+        }
+        #[inline(always)]
+        fn blocks_mut<T: 'static>(self, s: &mut [T]) -> &mut [[T; 4]] {
+            as_blocks_mut(s)
+        }
+        #[inline(always)]
         fn splat(self, x: f64) -> __m256d {
             // SAFETY: AVX2 is available (see the module invariant).
             unsafe { _mm256_set1_pd(x) }
         }
         #[inline(always)]
         fn lanes(self, f: impl FnMut(usize) -> f64) -> __m256d {
-            let a: [f64; 4] = std::array::from_fn(f);
-            // SAFETY: AVX2 is available; `a` is four readable f64.
-            unsafe { _mm256_loadu_pd(a.as_ptr()) }
+            self.load(&std::array::from_fn(f))
         }
         #[inline(always)]
-        fn load(self, src: &[f64], at: usize) -> __m256d {
-            let s = &src[at..at + 4];
-            // SAFETY: AVX2 is available; `s` is four readable f64.
-            unsafe { _mm256_loadu_pd(s.as_ptr()) }
+        fn load(self, src: &[f64; 4]) -> __m256d {
+            // SAFETY: AVX2 is available; `src` is four readable f64.
+            unsafe { _mm256_loadu_pd(src.as_ptr()) }
         }
         #[inline(always)]
-        fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> __m256d {
-            let s = &src[at..at + 4];
-            let raw = [s[0], s[1], s[2], s[3]].map(Torus32::into_raw);
+        fn load_digits(self, src: &[Torus32; 4], digit: DigitOf) -> __m256d {
+            let raw: [u32; 4] = std::array::from_fn(|i| src[i].into_raw());
             // SAFETY: AVX2 is available; `raw` is 16 readable bytes. The
             // integer steps are `DigitOf::of` per 32-bit lane, and the
             // conversion of an `i32` to `f64` is exact.
@@ -487,20 +594,14 @@ pub(crate) mod avx2 {
             }
         }
         #[inline(always)]
-        fn store(self, dst: &mut [f64], at: usize, v: __m256d) {
-            let d = &mut dst[at..at + 4];
-            // SAFETY: AVX2 is available; `d` is four writable f64.
-            unsafe { _mm256_storeu_pd(d.as_mut_ptr(), v) }
+        fn store(self, dst: &mut [f64; 4], v: __m256d) {
+            // SAFETY: AVX2 is available; `dst` is four writable f64.
+            unsafe { _mm256_storeu_pd(dst.as_mut_ptr(), v) }
         }
         #[inline(always)]
         fn add(self, a: __m256d, b: __m256d) -> __m256d {
             // SAFETY: AVX2 is available.
             unsafe { _mm256_add_pd(a, b) }
-        }
-        #[inline(always)]
-        fn sub(self, a: __m256d, b: __m256d) -> __m256d {
-            // SAFETY: AVX2 is available.
-            unsafe { _mm256_sub_pd(a, b) }
         }
         #[inline(always)]
         fn mul(self, a: __m256d, b: __m256d) -> __m256d {
@@ -513,7 +614,23 @@ pub(crate) mod avx2 {
             unsafe { _mm256_xor_pd(a, _mm256_set1_pd(-0.0)) }
         }
         #[inline(always)]
-        fn scatter4(self, dst: &mut [f64], pos: &[u32], y: [__m256d; 4]) {
+        fn mul_add(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            // SAFETY: FMA is available: `detect` saw `fma`, not only `avx2`.
+            unsafe { _mm256_fmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn mul_sub(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            // SAFETY: FMA is available: `detect` saw `fma`, not only `avx2`.
+            unsafe { _mm256_fmsub_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn neg_mul_add(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            // SAFETY: FMA is available: `detect` saw `fma`, not only `avx2`.
+            // `vfnmadd` is `−(a·b) + c`, rounded once.
+            unsafe { _mm256_fnmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; 4], y: [__m256d; 4]) {
             // SAFETY: AVX2 is available; these are register shuffles.
             let rows = unsafe {
                 let t0 = _mm256_unpacklo_pd(y[0], y[1]);
@@ -527,13 +644,12 @@ pub(crate) mod avx2 {
                     _mm256_permute2f128_pd(t1, t3, 0x31),
                 ]
             };
-            for (&p, row) in pos[..4].iter().zip(rows) {
-                self.store(dst, p as usize, row);
+            for (&p, row) in pos.iter().zip(rows) {
+                self.store(&mut dst[p as usize], row);
             }
         }
         #[inline(always)]
-        fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: __m256d) {
-            let out = &mut dst[at..at + 4];
+        fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32; 4], v: __m256d) {
             let mut raw = [0u32; 4];
             // SAFETY: AVX2 is available; `raw` is 16 writable bytes.
             let in_range = unsafe {
@@ -557,10 +673,12 @@ pub(crate) mod avx2 {
             };
             if !in_range {
                 let mut lanes = [0.0f64; 4];
-                self.store(&mut lanes, 0, v);
-                raw = lanes.map(round_wrap_u32);
+                self.store(&mut lanes, v);
+                for (r, x) in raw.iter_mut().zip(lanes) {
+                    *r = round_wrap_u32(x);
+                }
             }
-            for (slot, r) in out.iter_mut().zip(raw) {
+            for (slot, r) in dst.iter_mut().zip(raw) {
                 let rounded = Torus32::from_raw(r);
                 *slot = if ADD { *slot + rounded } else { rounded };
             }
@@ -573,10 +691,10 @@ pub(crate) mod avx2 {
 /// An [`Avx512`](avx512::Avx512) value can only be obtained from
 /// [`Avx512::detect`](avx512::Avx512::detect), which returns one only
 /// after `is_x86_feature_detected!` of `avx512f` and `avx512dq` on top of
-/// an [`Avx2`](avx2::Avx2) token, its [`Isa::Half`]. Every intrinsic call
-/// below, 512 or 256 bits wide, is therefore executed on a CPU that has
-/// the instruction; every memory access goes through a bounds-checked
-/// slice first.
+/// an [`Avx2`](avx2::Avx2) token (AVX2 and FMA), its [`Isa::Half`]. Every
+/// intrinsic call below, 512 or 256 bits wide, is therefore executed on a
+/// CPU that has the instruction; every memory access is to a whole
+/// [`Block`](Isa::Block), an array behind a reference.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx512 {
@@ -585,9 +703,9 @@ pub(crate) mod avx512 {
     use morphling_math::Torus32;
 
     use super::avx2::{Avx2, BELOW_HALF, MAGIC, TWO_51};
-    use super::{round_wrap_u32, DigitOf, Isa, Kernel};
+    use super::{as_blocks, as_blocks_mut, round_wrap_u32, DigitOf, Isa, Kernel};
 
-    /// Proof that the running CPU has AVX-512 F and DQ, and AVX2 (the
+    /// Proof that the running CPU has AVX-512 F and DQ, AVX2 and FMA (the
     /// field is private: the only constructor is [`Avx512::detect`]).
     #[derive(Clone, Copy, Debug)]
     pub(crate) struct Avx512(Avx2);
@@ -600,22 +718,22 @@ pub(crate) mod avx512 {
         }
 
         /// Run `k` with AVX-512 code generation enabled for everything
-        /// inlined into it, the half-width pass's [`Avx2`] calls included.
-        /// (To rustc `avx512f` implies `fma`; it never contracts a
-        /// multiply and an add written apart, so the bits stay put.)
+        /// inlined into it, the half-width pass's [`Avx2`] calls included:
+        /// every feature either token stands for, by name.
         #[inline]
         pub(crate) fn run<K: Kernel>(self, k: K) -> K::Out {
-            #[target_feature(enable = "avx512f,avx512dq,avx2")]
+            #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
             fn frame<K: Kernel>(isa: Avx512, k: K) -> K::Out {
                 k.run(isa)
             }
-            // SAFETY: `self` exists, so `detect` saw all three on this CPU.
+            // SAFETY: `self` exists, so `detect` saw all four on this CPU.
             unsafe { frame(self, k) }
         }
     }
 
     impl Isa for Avx512 {
         type V = __m512d;
+        type Block<T: 'static> = [T; 8];
         type Half = Avx2;
         const LANES: usize = 8;
 
@@ -624,26 +742,30 @@ pub(crate) mod avx512 {
             self.0
         }
         #[inline(always)]
+        fn blocks<T: 'static>(self, s: &[T]) -> &[[T; 8]] {
+            as_blocks(s)
+        }
+        #[inline(always)]
+        fn blocks_mut<T: 'static>(self, s: &mut [T]) -> &mut [[T; 8]] {
+            as_blocks_mut(s)
+        }
+        #[inline(always)]
         fn splat(self, x: f64) -> __m512d {
             // SAFETY: AVX-512F is available (see the module invariant).
             unsafe { _mm512_set1_pd(x) }
         }
         #[inline(always)]
         fn lanes(self, f: impl FnMut(usize) -> f64) -> __m512d {
-            let a: [f64; 8] = std::array::from_fn(f);
-            // SAFETY: AVX-512F is available; `a` is eight readable f64.
-            unsafe { _mm512_loadu_pd(a.as_ptr()) }
+            self.load(&std::array::from_fn(f))
         }
         #[inline(always)]
-        fn load(self, src: &[f64], at: usize) -> __m512d {
-            let s = &src[at..at + 8];
-            // SAFETY: AVX-512F is available; `s` is eight readable f64.
-            unsafe { _mm512_loadu_pd(s.as_ptr()) }
+        fn load(self, src: &[f64; 8]) -> __m512d {
+            // SAFETY: AVX-512F is available; `src` is eight readable f64.
+            unsafe { _mm512_loadu_pd(src.as_ptr()) }
         }
         #[inline(always)]
-        fn load_digits(self, src: &[Torus32], at: usize, digit: DigitOf) -> __m512d {
-            let s = &src[at..at + 8];
-            let raw: [u32; 8] = std::array::from_fn(|i| s[i].into_raw());
+        fn load_digits(self, src: &[Torus32; 8], digit: DigitOf) -> __m512d {
+            let raw: [u32; 8] = std::array::from_fn(|i| src[i].into_raw());
             // SAFETY: AVX2 and AVX-512F are available; `raw` is 32
             // readable bytes. The integer steps are `DigitOf::of` per
             // 32-bit lane, and an `i32` converts to `f64` exactly.
@@ -659,20 +781,14 @@ pub(crate) mod avx512 {
             }
         }
         #[inline(always)]
-        fn store(self, dst: &mut [f64], at: usize, v: __m512d) {
-            let d = &mut dst[at..at + 8];
-            // SAFETY: AVX-512F is available; `d` is eight writable f64.
-            unsafe { _mm512_storeu_pd(d.as_mut_ptr(), v) }
+        fn store(self, dst: &mut [f64; 8], v: __m512d) {
+            // SAFETY: AVX-512F is available; `dst` is eight writable f64.
+            unsafe { _mm512_storeu_pd(dst.as_mut_ptr(), v) }
         }
         #[inline(always)]
         fn add(self, a: __m512d, b: __m512d) -> __m512d {
             // SAFETY: AVX-512F is available.
             unsafe { _mm512_add_pd(a, b) }
-        }
-        #[inline(always)]
-        fn sub(self, a: __m512d, b: __m512d) -> __m512d {
-            // SAFETY: AVX-512F is available.
-            unsafe { _mm512_sub_pd(a, b) }
         }
         #[inline(always)]
         fn mul(self, a: __m512d, b: __m512d) -> __m512d {
@@ -685,7 +801,23 @@ pub(crate) mod avx512 {
             unsafe { _mm512_xor_pd(a, _mm512_set1_pd(-0.0)) }
         }
         #[inline(always)]
-        fn scatter4(self, dst: &mut [f64], pos: &[u32], y: [__m512d; 4]) {
+        fn mul_add(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is available; its fused forms are part of F.
+            unsafe { _mm512_fmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn mul_sub(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is available; its fused forms are part of F.
+            unsafe { _mm512_fmsub_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn neg_mul_add(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is available; its fused forms are part of F.
+            // `vfnmadd` is `−(a·b) + c`, rounded once.
+            unsafe { _mm512_fnmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; 8], y: [__m512d; 4]) {
             // SAFETY: AVX-512F is available; these are register shuffles.
             // Each result holds two finished blocks, a 256-bit half each.
             let blocks = unsafe {
@@ -702,7 +834,6 @@ pub(crate) mod avx512 {
                     (5, 7, _mm512_permutex2var_pd(t1, high, t3)),
                 ]
             };
-            let pos = &pos[..8];
             for (first, second, pair) in blocks {
                 // SAFETY: AVX-512F is available; register moves.
                 let (lo, hi) = unsafe {
@@ -711,13 +842,12 @@ pub(crate) mod avx512 {
                         _mm512_extractf64x4_pd::<1>(pair),
                     )
                 };
-                self.0.store(dst, pos[first] as usize, lo);
-                self.0.store(dst, pos[second] as usize, hi);
+                self.0.store(&mut dst[pos[first] as usize], lo);
+                self.0.store(&mut dst[pos[second] as usize], hi);
             }
         }
         #[inline(always)]
-        fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32], at: usize, v: __m512d) {
-            let out = &mut dst[at..at + 8];
+        fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32; 8], v: __m512d) {
             let mut raw = [0u32; 8];
             // SAFETY: AVX-512F and DQ are available; `raw` is 32 writable
             // bytes. The steps are `Avx2`'s: `roundscale` with no scale
@@ -739,10 +869,12 @@ pub(crate) mod avx512 {
             };
             if !in_range {
                 let mut lanes = [0.0f64; 8];
-                self.store(&mut lanes, 0, v);
-                raw = lanes.map(round_wrap_u32);
+                self.store(&mut lanes, v);
+                for (r, x) in raw.iter_mut().zip(lanes) {
+                    *r = round_wrap_u32(x);
+                }
             }
-            for (slot, r) in out.iter_mut().zip(raw) {
+            for (slot, r) in dst.iter_mut().zip(raw) {
                 let rounded = Torus32::from_raw(r);
                 *slot = if ADD { *slot + rounded } else { rounded };
             }
@@ -834,20 +966,21 @@ mod tests {
             type Out = Vec<f64>;
             #[inline(always)]
             fn run<I: Isa>(self, isa: I) -> Vec<f64> {
-                let mut dst = vec![f64::NAN; 4 * self.0.len()];
-                for at in (0..self.0.len()).step_by(I::LANES) {
+                let mut dst = vec![[f64::NAN; 4]; self.0.len()];
+                for (b, pos) in isa.blocks(self.0).iter().enumerate() {
+                    let at = b * I::LANES;
                     let y = std::array::from_fn(|row| isa.lanes(|i| (100 * row + at + i) as f64));
-                    isa.scatter4(&mut dst, &self.0[at..at + I::LANES], y);
+                    isa.scatter4(&mut dst, pos, y);
                 }
-                dst
+                dst.concat()
             }
         }
         // Sixteen blocks in bit-reversed order, as the first pass has them.
-        let pos: Vec<u32> = (0..16u32).map(|r| 4 * (r.reverse_bits() >> 28)).collect();
+        let pos: Vec<u32> = (0..16u32).map(|r| r.reverse_bits() >> 28).collect();
         let mut want = vec![f64::NAN; 64];
         for (i, &p) in pos.iter().enumerate() {
             for row in 0..4 {
-                want[p as usize + row] = (100 * row + i) as f64;
+                want[4 * p as usize + row] = (100 * row + i) as f64;
             }
         }
         for (name, simd) in Simd::every(8) {

@@ -5,7 +5,7 @@ use std::ops::{Add, AddAssign};
 
 use morphling_math::Complex64;
 
-use crate::simd::{cmul, Aligned, Isa, Kernel, Simd};
+use crate::simd::{cmul_add, Aligned, Isa, Kernel, Simd};
 
 /// The negacyclic spectrum of a size-`N` real polynomial: its `N/2`
 /// evaluations at the odd `2N`-th roots of unity `e^(-iπ(4m+1)/N)`.
@@ -79,6 +79,12 @@ impl Spectrum {
         &self.planes[self.planes.len() / 2..]
     }
 
+    /// Both planes as they are stored: `re` then `im`.
+    #[inline]
+    pub(crate) fn planes(&self) -> &[f64] {
+        &self.planes
+    }
+
     /// Both planes, mutably: `(re, im)`.
     #[inline]
     pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
@@ -117,9 +123,12 @@ impl Spectrum {
     /// Multiply-accumulate: `self += a * b` pointwise. This is exactly the
     /// VPE inner loop with POLY-ACC-REG as `self` (§V-A.2), and the
     /// external product's hot loop: it runs on the vector ISA the CPU
-    /// offers, with the per-point operation sequence of
-    /// `acc += Complex64::mul(a, b)` — multiplies and adds only, never
-    /// fused — so its bits do not depend on that choice.
+    /// offers, as four fused multiply-adds per point — `acc.re + a.re·b.re`
+    /// then `− a.im·b.im`, `acc.im + a.re·b.im` then `+ a.im·b.re`, each
+    /// rounded once, as a multiply-accumulator does — on every one of
+    /// them, so its bits do not depend on that choice. (`acc + a * b` in
+    /// `Complex64`'s operators rounds each product and sum on its own and
+    /// differs in the last bits.)
     pub fn mul_acc(&mut self, a: &Self, b: &Self) {
         assert_eq!(self.planes.len(), a.planes.len(), "spectrum size mismatch");
         assert_eq!(self.planes.len(), b.planes.len(), "spectrum size mismatch");
@@ -144,16 +153,22 @@ impl Kernel for MulAcc<'_> {
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        let (a_re, a_im, b_re, b_im) = (self.a.re(), self.a.im(), self.b.re(), self.b.im());
         let (acc_re, acc_im) = self.acc.planes_mut();
-        for m in (0..acc_re.len()).step_by(I::LANES) {
-            let p = cmul(
+        let (acc_re, acc_im) = (isa.blocks_mut(acc_re), isa.blocks_mut(acc_im));
+        let (a_re, a_im) = (isa.blocks(self.a.re()), isa.blocks(self.a.im()));
+        let (b_re, b_im) = (isa.blocks(self.b.re()), isa.blocks(self.b.im()));
+        let acc = acc_re.iter_mut().zip(acc_im);
+        for (((acc, a_re), a_im), (b_re, b_im)) in
+            acc.zip(a_re).zip(a_im).zip(b_re.iter().zip(b_im))
+        {
+            let sum = cmul_add::<I, false>(
                 isa,
-                (isa.load(a_re, m), isa.load(a_im, m)),
-                (isa.load(b_re, m), isa.load(b_im, m)),
+                (isa.load(acc.0), isa.load(acc.1)),
+                (isa.load(a_re), isa.load(a_im)),
+                (isa.load(b_re), isa.load(b_im)),
             );
-            isa.store(acc_re, m, isa.add(isa.load(acc_re, m), p.0));
-            isa.store(acc_im, m, isa.add(isa.load(acc_im, m), p.1));
+            isa.store(acc.0, sum.0);
+            isa.store(acc.1, sum.1);
         }
     }
 }
@@ -238,10 +253,11 @@ mod tests {
         assert_eq!(acc, doubled);
     }
 
-    /// The per-point reference: `acc += a * b` in `Complex64` arithmetic.
+    /// The per-point reference: `acc ← acc + a · b`, fused as the scalar
+    /// reference of the transform fuses it.
     fn mul_acc_reference(acc: &mut [Complex64], a: &Spectrum, b: &Spectrum) {
         for (m, v) in acc.iter_mut().enumerate() {
-            *v += a.point(m) * b.point(m);
+            *v = crate::fft::mul_add_fused(*v, a.point(m), b.point(m));
         }
     }
 
