@@ -13,12 +13,11 @@
 //! *exactly* the reference's f64 operation sequence, so the two agree bit
 //! for bit on every input.
 //!
-//! That sequence is written in `add`/`sub`/`mul` and the fused
-//! multiply-add (the VPE's multiply-accumulator), each rounded once. A
-//! butterfly is `lo = a + b·w` as two nested fused operations per
-//! component and `hi = 2a − lo` as one — six operations where the unfused
-//! form takes ten; [`mul_add_fused`] and [`butterfly_fused`] are the
-//! scalar statement of it, on `f64::mul_add`.
+//! That sequence is written in `mul` and the fused multiply-add (the
+//! VPE's multiply-accumulator), each rounded once: a butterfly is
+//! `lo = a + b·w` as two nested fused operations per component and
+//! `hi = 2a − lo` as one — six where the unfused form takes ten.
+//! [`butterfly_fused`] states it in scalars, on `f64::mul_add`.
 
 use morphling_math::Complex64;
 
@@ -173,52 +172,36 @@ impl FftPlan {
     /// twiddles) of the planar sequence `source` yields, worked in place
     /// in `re`/`im`, whose results go to `sink`.
     ///
-    /// Both ends see the sequence as `P` equal parts of `n / P` points —
-    /// four quarters (`P` is 4 unless `n` is 2), the runs the first pass
-    /// reads side by side and the last pass writes side by side — so that
-    /// each can cut its own planes into parts once ([`parts`]) and index
-    /// them with the loop counters it is handed, bounds checks gone.
-    ///
-    /// `source(k)` returns points `k·LANES..(k + 1)·LANES` of every part
-    /// and is called once per `k`, in order, by the first pass — all the
-    /// parts at once, so that a source whose every call has a fixed cost
-    /// (the external product's MAC, which gathers from two dozen arrays)
-    /// spreads it over four vectors. `sink(re, im, t, k, vr, vi)` receives
-    /// the output
-    /// points `k·LANES..(k + 1)·LANES` of part `t` once each, from the
-    /// last pass, with the blocks of the work planes they were computed
-    /// in: [`store_back`] writes them there (`re`/`im` then hold the
-    /// result); any other sink may leave the planes as scratch and put its
-    /// output elsewhere.
+    /// Both ends see the sequence as its four quarters — the runs the
+    /// first pass reads side by side and the last pass writes side by
+    /// side — so that each can cut its own planes once ([`parts`]) and
+    /// index them with the counters it is handed, bounds checks gone.
+    /// `source(k)` returns points `k·LANES..(k + 1)·LANES` of every
+    /// quarter and is called once per `k`, in order, by the first pass —
+    /// all four at once, which spreads the fixed cost of a call over four
+    /// vectors (the external product's MAC gathers from two dozen
+    /// arrays). `sink(re, im, t, k, vr, vi)` receives those points of
+    /// quarter `t` once each, from the last pass, with the blocks of the
+    /// work planes they were computed in: [`store_back`] writes them there
+    /// (`re`/`im` then hold the result); any other sink may leave the
+    /// planes as scratch and put its output elsewhere.
     ///
     /// `isa` must be the one [`Self::simd`] dispatches to.
     #[inline(always)]
-    pub(crate) fn transform<I: Isa, const INV: bool, const P: usize>(
+    pub(crate) fn transform<I: Isa, const INV: bool>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize) -> [C<I>; P],
-        mut sink: impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
+        source: impl Fn(usize) -> [C<I>; 4],
+        mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
     ) {
         let n = re.len();
         assert!(
-            n >= 2 && n == self.n && im.len() == n,
+            n >= 4 && n == self.n && im.len() == n,
             "work planes do not match the FFT plan"
         );
-        assert_eq!(P, n.min(4), "the ends of a transform see quarters");
-        if P == 2 {
-            // Two points are their own bit reversal (and only the
-            // one-lane ISA is this narrow).
-            let x = source(0);
-            let w = self.twiddle_splat(isa, 1);
-            let (lo, hi) = butterfly2::<I, INV>(isa, x[0], x[1], w);
-            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            sink(&mut re[0], &mut im[0], 0, 0, lo.0, lo.1);
-            sink(&mut re[1], &mut im[1], 1, 0, hi.0, hi.1);
-            return;
-        }
-        self.first_pass::<I, INV, P>(isa, re, im, &source);
+        self.first_pass::<I, INV>(isa, re, im, source);
         // Stages with half-block sizes h = 4, 4h, …, n/2 remain; the last
         // pass hands its results to the sink.
         let mut h = 4;
@@ -242,7 +225,10 @@ impl FftPlan {
                 sink(re, im, t, 0, vr, vi);
             }
         } else if 2 * h == n {
-            self.radix2_pass::<I, INV>(isa, re, im, sink);
+            // The last stage on its own, when the stage count is odd:
+            // quarter s meets quarter s + 2.
+            self.radix2_pass::<I, INV>(isa, re, im, 0, &mut sink);
+            self.radix2_pass::<I, INV>(isa, re, im, 1, &mut sink);
         } else {
             self.radix4_pass::<I, INV>(isa, re, im, h, sink);
         }
@@ -260,12 +246,12 @@ impl FftPlan {
     /// instead of `b` makes all four reads contiguous runs, and the
     /// transposing store puts each finished block where it belongs.
     #[inline(always)]
-    fn first_pass<I: Isa, const INV: bool, const P: usize>(
+    fn first_pass<I: Isa, const INV: bool>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: &impl Fn(usize) -> [C<I>; P],
+        source: impl Fn(usize) -> [C<I>; 4],
     ) {
         // Stage 0's twiddle and stage 1's two, the same for every block.
         let w = [
@@ -293,7 +279,7 @@ impl FftPlan {
         re: &mut [f64],
         im: &mut [f64],
         h: usize,
-        mut sink: impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
+        mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
     ) {
         let m = h / I::LANES;
         // Stage h's twiddles, then stage 2h's for k and for k + h.
@@ -323,57 +309,38 @@ impl FftPlan {
         }
     }
 
-    /// The last stage on its own, when the stage count is odd: points `j`
-    /// and `j + n/2` meet, quarter `s` with quarter `s + 2`.
+    /// Stage `n/2` for the points of quarter `s` and those of quarter
+    /// `s + 2`, `n/2` further on. Called with each `s`, not looping over
+    /// it: a sink handed a variable quarter would check its bounds again.
     #[inline(always)]
     fn radix2_pass<I: Isa, const INV: bool>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        mut sink: impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
+        s: usize,
+        sink: &mut impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
     ) {
         let (n, m) = (re.len(), re.len() / 4 / I::LANES);
-        let [w0_re, w1_re] = parts::<_, 2>(isa.blocks(&self.tw_re[n / 2..]), m);
-        let [w0_im, w1_im] = parts::<_, 2>(isa.blocks(&self.tw_im[n / 2..]), m);
-        let [re0, re1, re2, re3] = parts_mut::<_, 4>(isa.blocks_mut(re), m);
-        let [im0, im1, im2, im3] = parts_mut::<_, 4>(isa.blocks_mut(im), m);
-        let sink = &mut sink;
-        radix2_quarters::<I, INV>(isa, 0, (re0, im0), (re2, im2), (w0_re, w0_im), sink);
-        radix2_quarters::<I, INV>(isa, 1, (re1, im1), (re3, im3), (w1_re, w1_im), sink);
+        let tw_re = parts::<_, 2>(isa.blocks(&self.tw_re[n / 2..]), m)[s];
+        let tw_im = parts::<_, 2>(isa.blocks(&self.tw_im[n / 2..]), m)[s];
+        let mut re = parts_mut::<_, 4>(isa.blocks_mut(re), m);
+        let mut im = parts_mut::<_, 4>(isa.blocks_mut(im), m);
+        let [re_a, re_b] = re.get_disjoint_mut([s, s + 2]).expect("s is 0 or 1");
+        let [im_a, im_b] = im.get_disjoint_mut([s, s + 2]).expect("s is 0 or 1");
+        for k in 0..m {
+            let a = (isa.load(&re_a[k]), isa.load(&im_a[k]));
+            let b = (isa.load(&re_b[k]), isa.load(&im_b[k]));
+            let w = (isa.load(&tw_re[k]), isa.load(&tw_im[k]));
+            let (lo, hi) = butterfly2::<I, INV>(isa, a, b, w);
+            sink(&mut re_a[k], &mut im_a[k], s, k, lo.0, lo.1);
+            sink(&mut re_b[k], &mut im_b[k], s + 2, k, hi.0, hi.1);
+        }
     }
 }
 
-/// [`FftPlan::radix2_pass`] for quarters `s` (`a`) and `s + 2` (`b`) — a
-/// function called with each `s`, not a loop over it: a sink handed a
-/// variable quarter would check its bounds again.
-#[inline(always)]
-fn radix2_quarters<I: Isa, const INV: bool>(
-    isa: I,
-    s: usize,
-    a: (&mut [I::Block<f64>], &mut [I::Block<f64>]),
-    b: (&mut [I::Block<f64>], &mut [I::Block<f64>]),
-    w: (&[I::Block<f64>], &[I::Block<f64>]),
-    sink: &mut impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V),
-) {
-    let m = w.0.len();
-    assert!([a.0.len(), a.1.len(), b.0.len(), b.1.len(), w.1.len()] == [m; 5]);
-    for k in 0..m {
-        let x = (isa.load(&a.0[k]), isa.load(&a.1[k]));
-        let y = (isa.load(&b.0[k]), isa.load(&b.1[k]));
-        let w = (isa.load(&w.0[k]), isa.load(&w.1[k]));
-        let (lo, hi) = butterfly2::<I, INV>(isa, x, y, w);
-        sink(&mut a.0[k], &mut a.1[k], s, k, lo.0, lo.1);
-        sink(&mut b.0[k], &mut b.1[k], s + 2, k, hi.0, hi.1);
-    }
-}
-
-/// `s` as `P` runs of `len` elements each: the one length check of every
-/// access a pass then makes through them with indices below `len`.
-///
-/// # Panics
-///
-/// Panics if `s` is not `P · len` elements long.
+/// `s` as `P` runs of `len` elements each: the one length check (it
+/// panics) of every access a pass then makes with indices below `len`.
 #[inline(always)]
 pub(crate) fn parts<T, const P: usize>(s: &[T], len: usize) -> [&[T]; P] {
     assert_eq!(s.len(), P * len, "a plane does not match the transform");
@@ -399,11 +366,15 @@ pub(crate) fn parts_mut<T, const P: usize>(s: &mut [T], len: usize) -> [&mut [T]
     out
 }
 
+/// A vector's worth of a work plane.
+type Plane<I> = <I as Isa>::Block<f64>;
+
 /// The sink that keeps a transform's output in its work planes.
 #[inline(always)]
+#[allow(clippy::type_complexity)] // a sink's signature, spelled once more
 pub(crate) fn store_back<I: Isa>(
     isa: I,
-) -> impl FnMut(&mut I::Block<f64>, &mut I::Block<f64>, usize, usize, I::V, I::V) {
+) -> impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V) {
     #[inline(always)]
     move |re, im, _, _, vr, vi| {
         isa.store(re, vr);
@@ -411,19 +382,9 @@ pub(crate) fn store_back<I: Isa>(
     }
 }
 
-/// `x · w` as the kernel multiplies (`simd::cmul`): two products, and the
-/// second product of each component fused into the sum.
-#[cfg(test)]
-pub(crate) fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
-    Complex64::new(
-        (-x.im).mul_add(w.im, x.re * w.re),
-        x.im.mul_add(w.re, x.re * w.im),
-    )
-}
-
 /// `acc + x · w` as the kernel accumulates (`simd::cmul_add`): four fused
-/// operations, `x.re`'s products first. `Complex64`'s own operators keep
-/// their unfused meaning; the reference says where a product is fused.
+/// operations, `x.re`'s products first (`Complex64`'s own operators keep
+/// their unfused meaning).
 pub(crate) fn mul_add_fused(acc: Complex64, x: Complex64, w: Complex64) -> Complex64 {
     let (re, im) = (x.re.mul_add(w.re, acc.re), x.re.mul_add(w.im, acc.im));
     Complex64::new((-x.im).mul_add(w.im, re), x.im.mul_add(w.re, im))
@@ -555,30 +516,19 @@ mod tests {
 
         #[inline(always)]
         fn run<I: Isa>(self, isa: I) -> Vec<Complex64> {
-            if self.plan.len() == 2 {
-                self.ends_see::<I, 2>(isa)
-            } else {
-                self.ends_see::<I, 4>(isa)
-            }
-        }
-    }
-
-    impl<const INV: bool> Plain<'_, INV> {
-        #[inline(always)]
-        fn ends_see<I: Isa, const P: usize>(self, isa: I) -> Vec<Complex64> {
             let n = self.plan.len();
-            let m = n / P / I::LANES;
+            let m = n / 4 / I::LANES;
             let in_re: Vec<f64> = self.input.iter().map(|z| z.re).collect();
             let in_im: Vec<f64> = self.input.iter().map(|z| z.im).collect();
-            let in_re = parts::<_, P>(isa.blocks(&in_re), m);
-            let in_im = parts::<_, P>(isa.blocks(&in_im), m);
+            let in_re = parts::<_, 4>(isa.blocks(&in_re), m);
+            let in_im = parts::<_, 4>(isa.blocks(&in_im), m);
             let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             {
-                let mut out_re = parts_mut::<_, P>(isa.blocks_mut(&mut out_re), m);
-                let mut out_im = parts_mut::<_, P>(isa.blocks_mut(&mut out_im), m);
+                let mut out_re = parts_mut::<_, 4>(isa.blocks_mut(&mut out_re), m);
+                let mut out_im = parts_mut::<_, 4>(isa.blocks_mut(&mut out_im), m);
                 let scale = isa.splat(1.0 / n as f64);
-                self.plan.transform::<I, INV, P>(
+                self.plan.transform::<I, INV>(
                     isa,
                     &mut re,
                     &mut im,
@@ -612,12 +562,17 @@ mod tests {
 
     /// Random points salted with the values that expose a kernel taking a
     /// shortcut the reference does not: signed zeros (a skipped trivial
-    /// twiddle multiply flips them), subnormals, and magnitudes around
-    /// 2^52 and 2^63 where f64 spacing reaches and passes one.
+    /// twiddle multiply flips them), subnormals, magnitudes around 2^52
+    /// and 2^63 where f64 spacing reaches and passes one, and neighbours
+    /// of one and of 2^52, on which a product rounded before it is added
+    /// and a product fused into the sum part ways.
     fn awkward_points(n: usize, seed: u64) -> Vec<Complex64> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        const SALT: [f64; 10] = [
+        const SALT: [f64; 13] = [
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            4_503_599_627_370_497.0,
             0.0,
             -0.0,
             5e-324,
@@ -642,7 +597,8 @@ mod tests {
 
     #[test]
     fn kernel_is_bit_identical_to_the_reference_on_every_isa() {
-        for log_n in 1..=12 {
+        // From four points up: the kernel's ends see quarters.
+        for log_n in 2..=12 {
             let n = 1usize << log_n;
             let plan = FftPlan::new(n);
             for seed in 0..4 {
@@ -664,6 +620,75 @@ mod tests {
                     assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
                 }
             }
+        }
+    }
+
+    /// The network the reference ran before it fused: `Complex64`'s own
+    /// operators, every product and sum rounded on its own.
+    fn unfused_forward(plan: &FftPlan, data: &mut [Complex64]) {
+        let n = plan.len();
+        for i in 0..n {
+            let j = bit_reverse(i, n.trailing_zeros());
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut half = 1usize;
+        while half < n {
+            for start in (0..n).step_by(2 * half) {
+                for k in 0..half {
+                    let w = Complex64::new(plan.tw_re[half + k], plan.tw_im[half + k]);
+                    let (a, b) = (data[start + k], data[start + k + half] * w);
+                    (data[start + k], data[start + k + half]) = (a + b, a - b);
+                }
+            }
+            half *= 2;
+        }
+    }
+
+    #[test]
+    fn the_reference_fuses_and_the_awkward_points_show_it() {
+        // One butterfly where a product rounded before the sum and a
+        // product fused into it part ways: the second product of the real
+        // part is 1 + 2^-53 − 2^-105, which rounds to the first (1), so the
+        // unfused difference is zero and the fused one is the residual…
+        let (eps, one) = (f64::EPSILON, Complex64::new(1.0, 0.0));
+        let b = Complex64::new(1.0, 1.0 + eps);
+        let w = Complex64::new(1.0, 1.0 - eps / 2.0);
+        let (lo, _) = butterfly_fused(Complex64::ZERO, b, w);
+        assert_eq!(((b * w).re, lo.re), (0.0, -eps / 2.0 + eps * eps / 2.0));
+        // …one near 2^52, where the fused sum sees the half the rounded
+        // product lost…
+        let big = Complex64::new(4_503_599_627_370_497.0, 0.0);
+        let (lo, _) = butterfly_fused(Complex64::new(0.5, 0.0), big, one.scale(1.0 + eps));
+        let unfused = Complex64::new(0.5, 0.0) + big * one.scale(1.0 + eps);
+        assert_eq!(
+            (unfused.re, lo.re),
+            (4_503_599_627_370_498.0, 4_503_599_627_370_499.0)
+        );
+        // …and one whose product overflows on its own and not in the sum.
+        let huge = Complex64::new(1.5e154, 0.0);
+        let acc = Complex64::new(-1.0e308, 0.0);
+        assert_eq!((acc + huge * huge).re, f64::INFINITY);
+        assert_eq!(
+            mul_add_fused(acc, huge, huge).re,
+            1.5e154f64.mul_add(1.5e154, -1.0e308)
+        );
+        assert!(mul_add_fused(acc, huge, huge).re.is_finite());
+        // So the identity suite cannot be passed by a kernel that fuses
+        // where the reference does not, or the reverse: on its own inputs
+        // the two networks differ, at every size.
+        for log_n in 2..=12 {
+            let n = 1usize << log_n;
+            let plan = FftPlan::new(n);
+            let differing = (0..4).filter(|seed| {
+                let input = awkward_points(n, seed + 100 * log_n);
+                let (mut fused, mut unfused) = (input.clone(), input);
+                plan.forward(&mut fused);
+                unfused_forward(&plan, &mut unfused);
+                bits(&fused) != bits(&unfused)
+            });
+            assert_eq!(differing.count(), 4, "n={n}");
         }
     }
 

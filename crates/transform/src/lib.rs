@@ -46,11 +46,13 @@
 //!
 //! **Bits do not depend on that choice.** Per element, every
 //! instantiation performs exactly the f64 operation sequence of the scalar
-//! reference — IEEE `add`/`sub`/`mul` only, never a fused multiply-add,
-//! and a rounding step that reproduces `f64::round` (half away from zero)
-//! where the hardware instruction would round half to even — so kernel
-//! output equals [`FftPlan::forward`]/[`FftPlan::inverse`] plus the scalar
-//! twist bit for bit, on every input (`tests/properties.rs` and the
+//! reference — IEEE `mul` and fused multiply-add, each rounded once, a
+//! product fused with a sum exactly where the reference (written on
+//! `f64::mul_add`) fuses it, and a rounding step that reproduces
+//! `f64::round` (half away from zero) where the hardware instruction
+//! would round half to even — so kernel output equals
+//! [`FftPlan::forward`]/[`FftPlan::inverse`] plus the scalar twist bit for
+//! bit, on every input (`tests/properties.rs` and the
 //! in-crate identity tests). [`PolyBatch`]/[`SpectrumBatch`] and the
 //! `*_batch_into` entry points run that same kernel once per lane.
 //!

@@ -54,6 +54,34 @@ pub struct NegacyclicFft {
     untwist_im: Aligned,
 }
 
+/// A coefficient the forward transform reads, as the `f64` it enters as.
+trait Widen: Copy + 'static {
+    fn widen(self) -> f64;
+}
+
+impl Widen for f64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+impl Widen for i64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+}
+
+/// The centered signed representative (the standard TFHE convention —
+/// keeping magnitudes ≤ q/2 preserves f64 precision).
+impl Widen for Torus32 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self.to_signed() as f64
+    }
+}
+
 /// The real coefficients the forward transform reads, a vector at a
 /// time: `widen` returns the coefficients of one block as `f64`.
 trait Coefficients {
@@ -62,49 +90,15 @@ trait Coefficients {
     fn widen<I: Isa>(&self, isa: I, block: &I::Block<Self::Elem>) -> I::V;
 }
 
-impl Coefficients for [f64] {
-    type Elem = f64;
+impl<E: Widen> Coefficients for [E] {
+    type Elem = E;
     #[inline(always)]
-    fn elems(&self) -> &[f64] {
+    fn elems(&self) -> &[E] {
         self
     }
     #[inline(always)]
-    fn widen<I: Isa>(&self, isa: I, block: &I::Block<f64>) -> I::V {
-        isa.load(block)
-    }
-}
-
-impl Coefficients for [i64] {
-    type Elem = i64;
-    #[inline(always)]
-    fn elems(&self) -> &[i64] {
-        self
-    }
-    #[inline(always)]
-    fn widen<I: Isa>(&self, isa: I, block: &I::Block<i64>) -> I::V {
-        isa.widen(
-            block,
-            #[inline(always)]
-            |c| c as f64,
-        )
-    }
-}
-
-/// The centered signed representative (the standard TFHE convention —
-/// keeping magnitudes ≤ q/2 preserves f64 precision).
-impl Coefficients for [Torus32] {
-    type Elem = Torus32;
-    #[inline(always)]
-    fn elems(&self) -> &[Torus32] {
-        self
-    }
-    #[inline(always)]
-    fn widen<I: Isa>(&self, isa: I, block: &I::Block<Torus32>) -> I::V {
-        isa.widen(
-            block,
-            #[inline(always)]
-            |c| c.to_signed() as f64,
-        )
+    fn widen<I: Isa>(&self, isa: I, block: &I::Block<E>) -> I::V {
+        isa.widen(block, E::widen)
     }
 }
 
@@ -123,28 +117,33 @@ impl Coefficients for Digits<'_> {
     }
     #[inline(always)]
     fn widen<I: Isa>(&self, isa: I, block: &I::Block<Torus32>) -> I::V {
-        isa.load_digits(block, self.digit)
+        isa.widen(
+            block,
+            #[inline(always)]
+            |x| f64::from(self.digit.of(x)),
+        )
     }
 }
 
 /// The spectrum points the inverse transform reads, as the source of its
-/// first pass (see `FftPlan::transform`): `P` parts of `m` vectors each.
+/// first pass (see `FftPlan::transform`): four quarters of `m` vectors.
 trait Points: Copy {
-    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P];
+    fn source<I: Isa>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; 4];
 }
 
 impl Points for &Spectrum {
     #[inline(always)]
-    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
-        let re = parts::<_, P>(isa.blocks(self.re()), m);
-        let im = parts::<_, P>(isa.blocks(self.im()), m);
+    fn source<I: Isa>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; 4] {
+        let re = parts::<_, 4>(isa.blocks(self.re()), m);
+        let im = parts::<_, 4>(isa.blocks(self.im()), m);
         #[inline(always)]
         move |k| {
-            let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
-            for t in 0..P {
-                x[t] = (isa.load(&re[t][k]), isa.load(&im[t][k]));
-            }
-            x
+            [
+                (isa.load(&re[0][k]), isa.load(&im[0][k])),
+                (isa.load(&re[1][k]), isa.load(&im[1][k])),
+                (isa.load(&re[2][k]), isa.load(&im[2][k])),
+                (isa.load(&re[3][k]), isa.load(&im[3][k])),
+            ]
         }
     }
 }
@@ -160,24 +159,22 @@ struct Mac<'a> {
 }
 
 impl Points for Mac<'_> {
-    /// Row outer, part inner: what it costs to find a row's planes — there
-    /// is nowhere to keep them cut between calls — is paid once per vector
-    /// of every part.
+    /// Row outer, quarter inner: what it costs to find a row's planes —
+    /// there is nowhere to keep them cut between calls — is paid once
+    /// per vector of every quarter.
     #[inline(always)]
-    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
+    fn source<I: Isa>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; 4] {
         #[inline(always)]
         move |k| {
-            let mut acc = [(isa.splat(0.0), isa.splat(0.0)); P];
+            let mut acc = [(isa.splat(0.0), isa.splat(0.0)); 4];
             for (digit, row) in self.digits.iter().zip(self.rows) {
-                // Both planes of a spectrum as one slice of 2·P parts:
-                // one check per vector.
-                let d = isa.blocks(digit.planes());
-                let b = isa.blocks(row[self.column].planes());
-                for t in 0..P {
-                    let (re, im) = (t * m + k, (P + t) * m + k);
-                    let d = (isa.load(&d[re]), isa.load(&d[im]));
-                    let b = (isa.load(&b[re]), isa.load(&b[im]));
-                    acc[t] = cmul_add::<I, false>(isa, acc[t], d, b);
+                // Both planes of a spectrum as one slice: eight quarters.
+                let d = parts::<_, 8>(isa.blocks(digit.planes()), m);
+                let b = parts::<_, 8>(isa.blocks(row[self.column].planes()), m);
+                for (t, acc) in acc.iter_mut().enumerate() {
+                    let x = (isa.load(&d[t][k]), isa.load(&d[4 + t][k]));
+                    let w = (isa.load(&b[t][k]), isa.load(&b[4 + t][k]));
+                    *acc = cmul_add::<I, false>(isa, *acc, x, w);
                 }
             }
             acc
@@ -194,7 +191,7 @@ trait Output: Copy + 'static {
 impl Output for f64 {
     #[inline(always)]
     fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<f64>, v: I::V) {
-        let v = if ADD { isa.add(isa.load(dst), v) } else { v };
+        const { assert!(!ADD, "unrounded coefficients are written, never added to") };
         isa.store(dst, v);
     }
 }
@@ -225,11 +222,12 @@ impl NegacyclicFft {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two or `n < 4`.
+    /// Panics if `n` is not a power of two or `n < 8` (the kernel's ends
+    /// see a transform — of `n/2` points — as its four quarters).
     pub fn new(n: usize) -> Self {
         assert!(
-            n.is_power_of_two() && n >= 4,
-            "polynomial size must be a power of two ≥ 4, got {n}"
+            n.is_power_of_two() && n >= 8,
+            "polynomial size must be a power of two ≥ 8, got {n}"
         );
         let step = -std::f64::consts::PI / n as f64;
         let twist = |j: usize| step * j as f64;
@@ -575,34 +573,22 @@ impl<C: Coefficients + ?Sized> Kernel for ForwardFolded<'_, C> {
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        if self.fft.n == 4 {
-            self.read::<I, 2>(isa);
-        } else {
-            self.read::<I, 4>(isa);
-        }
-    }
-}
-
-impl<C: Coefficients + ?Sized> ForwardFolded<'_, C> {
-    /// `P`: the parts the transform's ends see (`FftPlan::transform`).
-    #[inline(always)]
-    fn read<I: Isa, const P: usize>(self, isa: I) {
         let Self { fft, coeffs, out } = self;
         let (re, im) = out.planes_mut();
-        let (half, runs) = (re.len(), re.len() / P / I::LANES);
+        let (half, m) = (re.len(), re.len() / 4 / I::LANES);
         let (lo, hi) = coeffs.elems().split_at(half);
-        let lo = parts::<_, P>(isa.blocks(lo), runs);
-        let hi = parts::<_, P>(isa.blocks(hi), runs);
-        let twist_re = parts::<_, P>(isa.blocks(&fft.twist_re[..half]), runs);
-        let twist_im = parts::<_, P>(isa.blocks(&fft.twist_im[..half]), runs);
-        fft.half_plan.transform::<I, false, P>(
+        let lo = parts::<_, 4>(isa.blocks(lo), m);
+        let hi = parts::<_, 4>(isa.blocks(hi), m);
+        let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re[..half]), m);
+        let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im[..half]), m);
+        fft.half_plan.transform::<I, false>(
             isa,
             re,
             im,
             #[inline(always)]
             |k| {
-                let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
-                for t in 0..P {
+                let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
+                for t in 0..4 {
                     let folded = (
                         coeffs.widen(isa, &lo[t][k]),
                         isa.neg(coeffs.widen(isa, &hi[t][k])),
@@ -632,33 +618,21 @@ impl<S: Points, T: Output, const ADD: bool> Kernel for InverseFolded<'_, S, T, A
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        if self.fft.n == 4 {
-            self.read::<I, 2>(isa);
-        } else {
-            self.read::<I, 4>(isa);
-        }
-    }
-}
-
-impl<S: Points, T: Output, const ADD: bool> InverseFolded<'_, S, T, ADD> {
-    /// `P`: the parts the transform's ends see (`FftPlan::transform`).
-    #[inline(always)]
-    fn read<I: Isa, const P: usize>(self, isa: I) {
         let Self { fft, spectrum, .. } = self;
         let half = fft.n / 2;
         let (out_lo, out_hi) = self.out.split_at_mut(half);
         let (re, im) = work_planes(self.scratch, half);
-        let m = re.len() / P / I::LANES;
-        let untwist_re = parts::<_, P>(isa.blocks(&fft.untwist_re[..half]), m);
-        let untwist_im = parts::<_, P>(isa.blocks(&fft.untwist_im[..half]), m);
-        let mut out_lo = parts_mut::<_, P>(isa.blocks_mut(out_lo), m);
-        let mut out_hi = parts_mut::<_, P>(isa.blocks_mut(out_hi), m);
+        let m = re.len() / 4 / I::LANES;
+        let untwist_re = parts::<_, 4>(isa.blocks(&fft.untwist_re[..half]), m);
+        let untwist_im = parts::<_, 4>(isa.blocks(&fft.untwist_im[..half]), m);
+        let mut out_lo = parts_mut::<_, 4>(isa.blocks_mut(out_lo), m);
+        let mut out_hi = parts_mut::<_, 4>(isa.blocks_mut(out_hi), m);
         let scale = isa.splat(1.0 / half as f64);
-        fft.half_plan.transform::<I, true, P>(
+        fft.half_plan.transform::<I, true>(
             isa,
             re,
             im,
-            spectrum.source::<I, P>(isa, m),
+            spectrum.source(isa, m),
             #[inline(always)]
             |_, _, t, k, vr, vi| {
                 // The reference scales first (`FftPlan::inverse`), then
@@ -692,12 +666,12 @@ impl Kernel for ForwardPair<'_> {
     fn run<I: Isa>(self, isa: I) {
         let fft = self.fft;
         let (re, im) = work_planes(self.scratch, fft.n);
-        let runs = re.len() / 4 / I::LANES;
-        let p = parts::<_, 4>(isa.blocks(self.p), runs);
-        let q = parts::<_, 4>(isa.blocks(self.q), runs);
-        let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re), runs);
-        let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im), runs);
-        fft.full_plan.transform::<I, false, 4>(
+        let m = re.len() / 4 / I::LANES;
+        let p = parts::<_, 4>(isa.blocks(self.p), m);
+        let q = parts::<_, 4>(isa.blocks(self.q), m);
+        let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re), m);
+        let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im), m);
+        fft.full_plan.transform::<I, false>(
             isa,
             re,
             im,
@@ -781,16 +755,16 @@ impl Kernel for InversePair<'_> {
         let mut out_p = parts_mut::<_, 4>(isa.blocks_mut(self.out_p), m);
         let mut out_q = parts_mut::<_, 4>(isa.blocks_mut(self.out_q), m);
         let scale = isa.splat(1.0 / n as f64);
-        fft.full_plan.transform::<I, true, 4>(
+        fft.full_plan.transform::<I, true>(
             isa,
             re,
             im,
             #[inline(always)]
             |k| {
                 let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
-                for t in 0..4 {
+                for (t, x) in x.iter_mut().enumerate() {
                     let j = (t * m + k) * I::LANES;
-                    x[t] = (
+                    *x = (
                         isa.lanes(|i| merged_re(j + i)),
                         isa.lanes(|i| merged_im(j + i)),
                     );
@@ -812,7 +786,6 @@ impl Kernel for InversePair<'_> {
 mod tests {
     use super::*;
     use crate::dft::naive_negacyclic_eval;
-    use crate::fft::mul_fused;
     use crate::simd::{round_wrap_u32, Simd};
     use morphling_math::negacyclic::mul_int_torus32;
     use morphling_math::Complex64;
@@ -922,7 +895,7 @@ mod tests {
     #[test]
     fn tables_and_work_planes_start_on_a_cache_line() {
         let on_a_line = |plane: &[f64]| (plane.as_ptr() as usize).is_multiple_of(64);
-        for n in [4usize, 16, 256, 2048] {
+        for n in [8usize, 16, 256, 2048] {
             let fft = NegacyclicFft::new(n);
             for table in [
                 &fft.twist_re,
@@ -1048,6 +1021,15 @@ mod tests {
     // run, against the scalar schedule it replaced (AoS `Complex64`
     // arithmetic around `FftPlan::{forward, inverse}`), bit for bit. ---
 
+    /// `x · w` as the kernel multiplies (`simd::cmul`): two products, and
+    /// the second product of each component fused into the sum.
+    fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
+        Complex64::new(
+            (-x.im).mul_add(w.im, x.re * w.re),
+            x.im.mul_add(w.re, x.re * w.im),
+        )
+    }
+
     fn twist(fft: &NegacyclicFft, j: usize) -> Complex64 {
         Complex64::new(fft.twist_re[j], fft.twist_im[j])
     }
@@ -1131,7 +1113,7 @@ mod tests {
             .collect()
     }
 
-    const SIZES: [usize; 11] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+    const SIZES: [usize; 10] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
     /// Spectra whose inverse must round awkwardly. A constant real
     /// spectrum `c` inverts to exactly `c` at coefficient 0 (every
@@ -1579,8 +1561,12 @@ mod tests {
             #[inline(always)]
             fn run<I: Isa>(self, isa: I) -> Vec<u64> {
                 let mut out = vec![f64::NAN; self.0.len()];
+                let digits = Digits {
+                    coeffs: self.0,
+                    digit: self.1,
+                };
                 for (out, x) in isa.blocks_mut(&mut out).iter_mut().zip(isa.blocks(self.0)) {
-                    isa.store(out, isa.load_digits(x, self.1));
+                    isa.store(out, digits.widen(isa, x));
                 }
                 out.into_iter().map(f64::to_bits).collect()
             }

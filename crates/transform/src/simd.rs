@@ -14,18 +14,17 @@
 //!   loaded from planes that start on a cache line ([`Aligned`]).
 //!
 //! **Results never depend on the ISA.** Every operation here is a
-//! correctly rounded IEEE-754 `add`/`sub`/`mul`/negate or fused
-//! multiply-add per lane (`f64::mul_add` on the portable path, `vfmadd` and
-//! its kin in the frames: one rounding either way) — no reassociation, and
-//! a product is fused with a sum exactly where the scalar reference fuses
-//! it — so each lane replays the reference's operation sequence bit for
-//! bit, and the one inexact-looking step, rounding to the torus,
-//! reproduces [`round_wrap_u32`] exactly (see [`Isa::round_wrap_put`]).
+//! correctly rounded IEEE-754 `mul`, negate or fused multiply-add
+//! per lane (`f64::mul_add` on the portable path, `vfmadd` and its kin in
+//! the frames: one rounding either way) — no reassociation, and a product
+//! fused with a sum exactly where the scalar reference fuses it — so each
+//! lane replays the reference's operation sequence bit for bit, and the
+//! one inexact-looking step, rounding to the torus, reproduces
+//! [`round_wrap_u32`] exactly (see [`Isa::round_wrap_put`]).
 //!
-//! **Memory is checked once per pass.** A kernel views each plane it
-//! touches as whole vectors ([`Isa::blocks`], which checks the length) and
-//! hands [`Isa::load`] and [`Isa::store`] one [`Isa::Block`] at a time, so
-//! the inner loops carry no bounds checks and no slice arithmetic.
+//! **Memory is checked once per pass**: a kernel cuts each plane into
+//! whole vectors ([`Isa::blocks`]) and loads and stores a [`Isa::Block`]
+//! at a time, so the inner loops carry no bounds checks.
 //!
 //! `unsafe` is confined to the [`avx2`] and [`avx512`] submodules.
 
@@ -142,11 +141,7 @@ impl std::fmt::Debug for Aligned {
     }
 }
 
-/// `s` as whole `L`-element vectors.
-///
-/// # Panics
-///
-/// Panics if `L` does not divide its length.
+/// `s` as the `L`-element vectors it holds; panics if there is a rest.
 #[inline(always)]
 fn as_blocks<T, const L: usize>(s: &[T]) -> &[[T; L]] {
     let (blocks, rest) = s.as_chunks();
@@ -154,7 +149,6 @@ fn as_blocks<T, const L: usize>(s: &[T]) -> &[[T; L]] {
     blocks
 }
 
-/// [`as_blocks`], mutably.
 #[inline(always)]
 fn as_blocks_mut<T, const L: usize>(s: &mut [T]) -> &mut [[T; L]] {
     let (blocks, rest) = s.as_chunks_mut();
@@ -178,13 +172,9 @@ pub(crate) trait Isa: Copy {
 
     fn half(self) -> Self::Half;
     /// `s` as the vectors it holds, back to back: the one length check of
-    /// everything a pass then loads from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `LANES` does not divide its length.
+    /// everything a pass then loads from it. Panics if `LANES` does not
+    /// divide its length.
     fn blocks<T: 'static>(self, s: &[T]) -> &[Self::Block<T>];
-    /// [`blocks`](Self::blocks), to store into.
     fn blocks_mut<T: 'static>(self, s: &mut [T]) -> &mut [Self::Block<T>];
     fn splat(self, x: f64) -> Self::V;
     /// Lane `i` is `f(i)`.
@@ -192,11 +182,7 @@ pub(crate) trait Isa: Copy {
     /// Lane `i` is `f(src[i])` — how integer and torus coefficients are
     /// widened.
     #[inline(always)]
-    fn widen<T: Copy + 'static>(
-        self,
-        src: &Self::Block<T>,
-        mut f: impl FnMut(T) -> f64,
-    ) -> Self::V {
+    fn widen<T: Copy + 'static>(self, src: &Self::Block<T>, f: impl Fn(T) -> f64) -> Self::V {
         let src = src.as_ref();
         self.lanes(
             #[inline(always)]
@@ -204,18 +190,21 @@ pub(crate) trait Isa: Copy {
         )
     }
     fn load(self, src: &Self::Block<f64>) -> Self::V;
-    /// Lane `i` is `digit.of(src[i]) as f64`.
-    fn load_digits(self, src: &Self::Block<Torus32>, digit: DigitOf) -> Self::V;
     fn store(self, dst: &mut Self::Block<f64>, v: Self::V);
-    fn add(self, a: Self::V, b: Self::V) -> Self::V;
     fn mul(self, a: Self::V, b: Self::V) -> Self::V;
     fn neg(self, a: Self::V) -> Self::V;
     /// `a·b + c`, rounded once.
     fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
-    /// `a·b − c`, rounded once.
-    fn mul_sub(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `a·b − c`, rounded once (a sign flip is exact).
+    #[inline(always)]
+    fn mul_sub(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        self.mul_add(a, b, self.neg(c))
+    }
     /// `c − a·b`, rounded once.
-    fn neg_mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    #[inline(always)]
+    fn neg_mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        self.mul_add(self.neg(a), b, c)
+    }
     /// Transposing store: lane `i` of `y[0..4]` becomes the four-element
     /// block `dst[pos[i]]`.
     fn scatter4(self, dst: &mut [[f64; 4]], pos: &Self::Block<u32>, y: [Self::V; 4]);
@@ -227,9 +216,8 @@ pub(crate) trait Isa: Copy {
 /// A complex vector, split: `(re, im)`.
 pub(crate) type C<I> = (<I as Isa>::V, <I as Isa>::V);
 
-/// Complex product `a · b` on split re/im vectors, two multiplies and two
-/// fused: `(a.re·b.re − a.im·b.im, a.re·b.im + a.im·b.re)` with the second
-/// product of each component fused into the sum.
+/// Complex product `a · b` on split re/im vectors: two multiplies, and
+/// the second product of each component fused into the sum.
 #[inline(always)]
 pub(crate) fn cmul<I: Isa>(isa: I, a: C<I>, b: C<I>) -> C<I> {
     (
@@ -239,9 +227,8 @@ pub(crate) fn cmul<I: Isa>(isa: I, a: C<I>, b: C<I>) -> C<I> {
 }
 
 /// `acc + x · w` in four fused operations, `x.re`'s products first — the
-/// multiply-accumulate, and the half of a butterfly that adds. With
-/// `CONJ`, `acc + x · conj(w)`: the same four with the sign of `w.im`
-/// moved into the choice of operation.
+/// multiply-accumulate, and the half of a butterfly that adds. `CONJ`
+/// conjugates `w` by the choice of operation, not by negating it.
 #[inline(always)]
 pub(crate) fn cmul_add<I: Isa, const CONJ: bool>(isa: I, acc: C<I>, x: C<I>, w: C<I>) -> C<I> {
     let re = isa.mul_add(x.0, w.0, acc.0);
@@ -446,16 +433,8 @@ impl<const L: usize, const H: usize> Isa for Portable<L, H> {
         *src
     }
     #[inline(always)]
-    fn load_digits(self, src: &[Torus32; L], digit: DigitOf) -> [f64; L] {
-        src.map(|x| f64::from(digit.of(x)))
-    }
-    #[inline(always)]
     fn store(self, dst: &mut [f64; L], v: [f64; L]) {
         *dst = v;
-    }
-    #[inline(always)]
-    fn add(self, a: [f64; L], b: [f64; L]) -> [f64; L] {
-        std::array::from_fn(|i| a[i] + b[i])
     }
     #[inline(always)]
     fn mul(self, a: [f64; L], b: [f64; L]) -> [f64; L] {
@@ -468,14 +447,6 @@ impl<const L: usize, const H: usize> Isa for Portable<L, H> {
     #[inline(always)]
     fn mul_add(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
         std::array::from_fn(|i| a[i].mul_add(b[i], c[i]))
-    }
-    #[inline(always)]
-    fn mul_sub(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
-        std::array::from_fn(|i| a[i].mul_add(b[i], -c[i]))
-    }
-    #[inline(always)]
-    fn neg_mul_add(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
-        std::array::from_fn(|i| (-a[i]).mul_add(b[i], c[i]))
     }
     #[inline(always)]
     fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; L], y: [[f64; L]; 4]) {
@@ -508,7 +479,7 @@ pub(crate) mod avx2 {
 
     use morphling_math::Torus32;
 
-    use super::{as_blocks, as_blocks_mut, round_wrap_u32, DigitOf, Isa, Kernel};
+    use super::{as_blocks, as_blocks_mut, round_wrap_u32, Isa, Kernel};
 
     /// Proof that the running CPU has AVX2 and FMA (the field is private:
     /// the only constructor is [`Avx2::detect`]).
@@ -578,30 +549,9 @@ pub(crate) mod avx2 {
             unsafe { _mm256_loadu_pd(src.as_ptr()) }
         }
         #[inline(always)]
-        fn load_digits(self, src: &[Torus32; 4], digit: DigitOf) -> __m256d {
-            let raw: [u32; 4] = std::array::from_fn(|i| src[i].into_raw());
-            // SAFETY: AVX2 is available; `raw` is 16 readable bytes. The
-            // integer steps are `DigitOf::of` per 32-bit lane, and the
-            // conversion of an `i32` to `f64` is exact.
-            unsafe {
-                let x = _mm_loadu_si128(raw.as_ptr().cast());
-                let biased = _mm_add_epi32(x, _mm_set1_epi32(digit.bias as i32));
-                let field = _mm_and_si128(
-                    _mm_srl_epi32(biased, _mm_cvtsi32_si128(digit.shift as i32)),
-                    _mm_set1_epi32(digit.mask as i32),
-                );
-                _mm256_cvtepi32_pd(_mm_sub_epi32(field, _mm_set1_epi32(digit.half_beta as i32)))
-            }
-        }
-        #[inline(always)]
         fn store(self, dst: &mut [f64; 4], v: __m256d) {
             // SAFETY: AVX2 is available; `dst` is four writable f64.
             unsafe { _mm256_storeu_pd(dst.as_mut_ptr(), v) }
-        }
-        #[inline(always)]
-        fn add(self, a: __m256d, b: __m256d) -> __m256d {
-            // SAFETY: AVX2 is available.
-            unsafe { _mm256_add_pd(a, b) }
         }
         #[inline(always)]
         fn mul(self, a: __m256d, b: __m256d) -> __m256d {
@@ -703,7 +653,7 @@ pub(crate) mod avx512 {
     use morphling_math::Torus32;
 
     use super::avx2::{Avx2, BELOW_HALF, MAGIC, TWO_51};
-    use super::{as_blocks, as_blocks_mut, round_wrap_u32, DigitOf, Isa, Kernel};
+    use super::{as_blocks, as_blocks_mut, round_wrap_u32, Isa, Kernel};
 
     /// Proof that the running CPU has AVX-512 F and DQ, AVX2 and FMA (the
     /// field is private: the only constructor is [`Avx512::detect`]).
@@ -764,31 +714,9 @@ pub(crate) mod avx512 {
             unsafe { _mm512_loadu_pd(src.as_ptr()) }
         }
         #[inline(always)]
-        fn load_digits(self, src: &[Torus32; 8], digit: DigitOf) -> __m512d {
-            let raw: [u32; 8] = std::array::from_fn(|i| src[i].into_raw());
-            // SAFETY: AVX2 and AVX-512F are available; `raw` is 32
-            // readable bytes. The integer steps are `DigitOf::of` per
-            // 32-bit lane, and an `i32` converts to `f64` exactly.
-            unsafe {
-                let x = _mm256_loadu_si256(raw.as_ptr().cast());
-                let biased = _mm256_add_epi32(x, _mm256_set1_epi32(digit.bias as i32));
-                let field = _mm256_and_si256(
-                    _mm256_srl_epi32(biased, _mm_cvtsi32_si128(digit.shift as i32)),
-                    _mm256_set1_epi32(digit.mask as i32),
-                );
-                let half_beta = _mm256_set1_epi32(digit.half_beta as i32);
-                _mm512_cvtepi32_pd(_mm256_sub_epi32(field, half_beta))
-            }
-        }
-        #[inline(always)]
         fn store(self, dst: &mut [f64; 8], v: __m512d) {
             // SAFETY: AVX-512F is available; `dst` is eight writable f64.
             unsafe { _mm512_storeu_pd(dst.as_mut_ptr(), v) }
-        }
-        #[inline(always)]
-        fn add(self, a: __m512d, b: __m512d) -> __m512d {
-            // SAFETY: AVX-512F is available.
-            unsafe { _mm512_add_pd(a, b) }
         }
         #[inline(always)]
         fn mul(self, a: __m512d, b: __m512d) -> __m512d {

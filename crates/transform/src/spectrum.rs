@@ -123,12 +123,11 @@ impl Spectrum {
     /// Multiply-accumulate: `self += a * b` pointwise. This is exactly the
     /// VPE inner loop with POLY-ACC-REG as `self` (§V-A.2), and the
     /// external product's hot loop: it runs on the vector ISA the CPU
-    /// offers, as four fused multiply-adds per point — `acc.re + a.re·b.re`
+    /// offers, as four fused multiply-adds per point (`acc.re + a.re·b.re`
     /// then `− a.im·b.im`, `acc.im + a.re·b.im` then `+ a.im·b.re`, each
-    /// rounded once, as a multiply-accumulator does — on every one of
-    /// them, so its bits do not depend on that choice. (`acc + a * b` in
-    /// `Complex64`'s operators rounds each product and sum on its own and
-    /// differs in the last bits.)
+    /// rounded once, as a multiply-accumulator does) on every one of them,
+    /// so its bits do not depend on that choice — and differ in the last
+    /// place from `acc + a * b` in `Complex64`'s unfused operators.
     pub fn mul_acc(&mut self, a: &Self, b: &Self) {
         assert_eq!(self.planes.len(), a.planes.len(), "spectrum size mismatch");
         assert_eq!(self.planes.len(), b.planes.len(), "spectrum size mismatch");
@@ -268,7 +267,8 @@ mod tests {
     #[test]
     fn mul_acc_is_bit_identical_on_every_isa() {
         // Awkward values on purpose: signed zeros, a subnormal, a huge
-        // magnitude, and products whose difference cancels.
+        // magnitude, products whose difference cancels — and, below,
+        // points where fusing changes the answer.
         let awkward = [0.0, -0.0, 5e-324, -1.5, 3.0e300, 1.0 / 3.0, -7.25, 1e-160];
         for points in [4usize, 8, 64, 1024] {
             let mk = |salt: usize| {
@@ -283,9 +283,37 @@ mod tests {
                         .collect(),
                 )
             };
-            let (a, b, start) = (mk(0), mk(1), mk(2));
+            let (mut a, mut b, mut start) = (mk(0), mk(1), mk(2));
+            // Three points on which a product rounded before it is added
+            // and a product fused into the sum part ways: one whose
+            // second product rounds to the first (unfused: zero; fused:
+            // the residual), one near 2^52 (the fused sum sees the half the
+            // rounded product lost), one whose product overflows on its
+            // own and not in the sum.
+            let eps = f64::EPSILON;
+            let crafted = [
+                ((0.0, 0.0), (1.0, 1.0 + eps), (1.0, 1.0 - eps / 2.0)),
+                ((0.5, 0.0), (4_503_599_627_370_497.0, 0.0), (1.0 + eps, 0.0)),
+                ((-1.0e308, 0.0), (1.5e154, 0.0), (1.5e154, 0.0)),
+            ];
+            for (m, (s, x, w)) in crafted.into_iter().enumerate() {
+                for (spec, v) in [(&mut start, s), (&mut a, x), (&mut b, w)] {
+                    let (re, im) = spec.planes_mut();
+                    (re[m], im[m]) = v;
+                }
+            }
             let mut want: Vec<Complex64> = (0..points).map(|m| start.point(m)).collect();
             mul_acc_reference(&mut want, &a, &b);
+            // The reference fuses, and these inputs show it: a kernel
+            // that fused where the reference does not (or the reverse)
+            // could not pass by luck.
+            for (m, fused) in want.iter().enumerate().take(crafted.len()) {
+                let unfused = start.point(m) + a.point(m) * b.point(m);
+                assert_ne!(fused.re.to_bits(), unfused.re.to_bits(), "point {m}");
+            }
+            assert_eq!(want[0].re, -eps / 2.0 + eps * eps / 2.0);
+            assert_eq!(want[1].re, 4_503_599_627_370_499.0);
+            assert!(want[2].re.is_finite());
             let want = bits(&Spectrum::from_values(want));
 
             for (name, simd) in Simd::every(points) {
