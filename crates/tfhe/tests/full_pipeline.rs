@@ -112,7 +112,7 @@ fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64], backends: 
     let params = set.params();
     let p = params.plaintext_modulus;
     let lut = Lut::from_fn(params.poly_size, p, |m| (m + 1) % p);
-    let outputs = backends.iter().map(|&backend| {
+    let keyed = |&backend: &MulBackend| {
         let mut rng = StdRng::seed_from_u64(1004);
         let ck = ClientKey::generate(params.clone(), &mut rng);
         let sk = ServerKey::with_backend(&ck, backend, &mut rng);
@@ -125,8 +125,8 @@ fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64], backends: 
             assert_eq!(ck.decrypt(out), (m + 1) % p, "{set:?} {backend:?} m={m}");
         }
         (sk, cts, outs)
-    });
-    let outputs: Vec<_> = outputs.collect();
+    };
+    let outputs: Vec<_> = backends.iter().map(keyed).collect();
     let (sk, cts, want) = &outputs[0];
     for ((_, _, got), backend) in outputs.iter().zip(backends).skip(1) {
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -147,8 +147,7 @@ fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64], backends: 
 fn exact_and_fft_backends_decode_identically() {
     let all = [MulBackend::Fft, MulBackend::Ntt, MulBackend::Exact];
     assert_backends_are_bit_identical(ParamSet::Test, &[0, 1, 2, 3], &all);
-    // The O(N²) oracle is a quarter of a minute per message here in a
-    // debug build.
+    // The O(N²) oracle is ten seconds a message here in a debug build.
     assert_backends_are_bit_identical(ParamSet::TestMedium, &[1, 6], &all);
 }
 
