@@ -44,7 +44,9 @@ use rand::{Rng, SeedableRng};
 const DIGIT_SET: usize = 6;
 
 /// `x · w` as the kernel twists: two products, and the second product of
-/// each component fused into the sum (`f64::mul_add` rounds once).
+/// each component fused into the sum (`f64::mul_add` rounds once). A copy
+/// of the crate's own reference (`fft::mul_fused`, not public), held to the
+/// kernel by the "must equal the reference" assertions before timing.
 fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
     Complex64::new(
         (-x.im).mul_add(w.im, x.re * w.re),

@@ -172,10 +172,11 @@ impl FftPlan {
     /// twiddles) of the planar sequence `source` yields, worked in place
     /// in `re`/`im`, whose results go to `sink`.
     ///
-    /// Both ends see the sequence as its four quarters — the runs the
-    /// first pass reads side by side and the last pass writes side by
-    /// side — so that each can cut its own planes once ([`parts`]) and
-    /// index them with the counters it is handed, bounds checks gone.
+    /// Both ends see the sequence as `P` parts, its four quarters (of two
+    /// points: `P = 2`, each one) — the runs the first pass reads and the
+    /// last pass writes side by side — so that each can cut its own planes
+    /// once ([`parts`]) and index them with the counters it is handed,
+    /// bounds checks gone.
     /// `source(k)` returns points `k·LANES..(k + 1)·LANES` of every
     /// quarter and is called once per `k`, in order, by the first pass —
     /// all four at once, which spreads the fixed cost of a call over four
@@ -188,20 +189,29 @@ impl FftPlan {
     ///
     /// `isa` must be the one [`Self::simd`] dispatches to.
     #[inline(always)]
-    pub(crate) fn transform<I: Isa, const INV: bool>(
+    pub(crate) fn transform<I: Isa, const INV: bool, const P: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize) -> [C<I>; 4],
+        source: impl Fn(usize) -> [C<I>; P],
         mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
     ) {
         let n = re.len();
         assert!(
-            n >= 4 && n == self.n && im.len() == n,
+            P == n.min(4) && n == self.n && im.len() == n,
             "work planes do not match the FFT plan"
         );
-        self.first_pass::<I, INV>(isa, re, im, source);
+        if P == 2 {
+            // Two points, their own bit reversal, a lane each: one butterfly.
+            let (x, w) = (source(0), self.twiddle_splat(isa, 1));
+            let (lo, hi) = butterfly2::<I, INV>(isa, x[0], x[1], w);
+            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            sink(&mut re[0], &mut im[0], 0, 0, lo.0, lo.1);
+            sink(&mut re[1], &mut im[1], 1, 0, hi.0, hi.1);
+            return;
+        }
+        self.first_pass::<I, INV, P>(isa, re, im, source);
         // Stages with half-block sizes h = 4, 4h, …, n/2 remain; the last
         // pass hands its results to the sink.
         let mut h = 4;
@@ -246,12 +256,12 @@ impl FftPlan {
     /// instead of `b` makes all four reads contiguous runs, and the
     /// transposing store puts each finished block where it belongs.
     #[inline(always)]
-    fn first_pass<I: Isa, const INV: bool>(
+    fn first_pass<I: Isa, const INV: bool, const P: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize) -> [C<I>; 4],
+        source: impl Fn(usize) -> [C<I>; P],
     ) {
         // Stage 0's twiddle and stage 1's two, the same for every block.
         let w = [
@@ -423,6 +433,19 @@ fn butterfly4<I: Isa, const INV: bool>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C
 }
 
 #[cfg(test)]
+/// `x · w` as the kernel twists (`simd::cmul`): two products, and the
+/// second product of each component fused into the sum. The scalar
+/// reference of every in-crate identity suite; the copies outside the
+/// crate (`tests/properties.rs`, the `transform_batch` bench) are each
+/// held to the kernel by an identity assertion of their own.
+pub(crate) fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
+    Complex64::new(
+        (-x.im).mul_add(w.im, x.re * w.re),
+        x.im.mul_add(w.re, x.re * w.im),
+    )
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dft::naive_dft;
@@ -506,34 +529,41 @@ mod tests {
 
     /// The kernel as a plain FFT: planar input in, planar output out,
     /// `1/n` applied by the sink on the inverse as `FftPlan::inverse` does.
-    struct Plain<'a, const INV: bool> {
+    /// `P`: the parts its ends see, `n.min(4)`.
+    struct Plain<'a, const INV: bool, const P: usize> {
         plan: &'a FftPlan,
         input: &'a [Complex64],
     }
 
-    impl<const INV: bool> Kernel for Plain<'_, INV> {
+    impl<const INV: bool, const P: usize> Kernel for Plain<'_, INV, P> {
         type Out = Vec<Complex64>;
 
         #[inline(always)]
         fn run<I: Isa>(self, isa: I) -> Vec<Complex64> {
             let n = self.plan.len();
-            let m = n / 4 / I::LANES;
+            let m = n / P / I::LANES;
             let in_re: Vec<f64> = self.input.iter().map(|z| z.re).collect();
             let in_im: Vec<f64> = self.input.iter().map(|z| z.im).collect();
-            let in_re = parts::<_, 4>(isa.blocks(&in_re), m);
-            let in_im = parts::<_, 4>(isa.blocks(&in_im), m);
+            let in_re = parts::<_, P>(isa.blocks(&in_re), m);
+            let in_im = parts::<_, P>(isa.blocks(&in_im), m);
             let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             {
-                let mut out_re = parts_mut::<_, 4>(isa.blocks_mut(&mut out_re), m);
-                let mut out_im = parts_mut::<_, 4>(isa.blocks_mut(&mut out_im), m);
+                let mut out_re = parts_mut::<_, P>(isa.blocks_mut(&mut out_re), m);
+                let mut out_im = parts_mut::<_, P>(isa.blocks_mut(&mut out_im), m);
                 let scale = isa.splat(1.0 / n as f64);
-                self.plan.transform::<I, INV>(
+                self.plan.transform::<I, INV, P>(
                     isa,
                     &mut re,
                     &mut im,
                     #[inline(always)]
-                    |k| std::array::from_fn(|t| (isa.load(&in_re[t][k]), isa.load(&in_im[t][k]))),
+                    |k| {
+                        let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
+                        for (t, x) in x.iter_mut().enumerate() {
+                            *x = (isa.load(&in_re[t][k]), isa.load(&in_im[t][k]));
+                        }
+                        x
+                    },
                     #[inline(always)]
                     |_, _, t, k, vr, vi| {
                         let (vr, vi) = if INV {
@@ -597,26 +627,26 @@ mod tests {
 
     #[test]
     fn kernel_is_bit_identical_to_the_reference_on_every_isa() {
-        // From four points up: the kernel's ends see quarters.
-        for log_n in 2..=12 {
+        for log_n in 1..=12 {
             let n = 1usize << log_n;
-            let plan = FftPlan::new(n);
+            let plan = &FftPlan::new(n);
             for seed in 0..4 {
-                let input = awkward_points(n, seed + 100 * log_n);
+                let input = &awkward_points(n, seed + 100 * log_n);
                 let mut forward = input.clone();
                 plan.forward(&mut forward);
                 let mut inverse = input.clone();
                 plan.inverse(&mut inverse);
                 for (name, simd) in Simd::every(n / 4) {
-                    let got = simd.run(Plain::<false> {
-                        plan: &plan,
-                        input: &input,
-                    });
+                    // The ends of the two-point transform see its points.
+                    let got = match n {
+                        2 => simd.run(Plain::<false, 2> { plan, input }),
+                        _ => simd.run(Plain::<false, 4> { plan, input }),
+                    };
                     assert_eq!(bits(&got), bits(&forward), "forward n={n} {name}");
-                    let got = simd.run(Plain::<true> {
-                        plan: &plan,
-                        input: &input,
-                    });
+                    let got = match n {
+                        2 => simd.run(Plain::<true, 2> { plan, input }),
+                        _ => simd.run(Plain::<true, 4> { plan, input }),
+                    };
                     assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
                 }
             }

@@ -126,24 +126,23 @@ impl Coefficients for Digits<'_> {
 }
 
 /// The spectrum points the inverse transform reads, as the source of its
-/// first pass (see `FftPlan::transform`): four quarters of `m` vectors.
+/// first pass (see `FftPlan::transform`): `P` parts of `m` vectors.
 trait Points: Copy {
-    fn source<I: Isa>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; 4];
+    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P];
 }
 
 impl Points for &Spectrum {
     #[inline(always)]
-    fn source<I: Isa>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; 4] {
-        let re = parts::<_, 4>(isa.blocks(self.re()), m);
-        let im = parts::<_, 4>(isa.blocks(self.im()), m);
+    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
+        let re = parts::<_, P>(isa.blocks(self.re()), m);
+        let im = parts::<_, P>(isa.blocks(self.im()), m);
         #[inline(always)]
         move |k| {
-            [
-                (isa.load(&re[0][k]), isa.load(&im[0][k])),
-                (isa.load(&re[1][k]), isa.load(&im[1][k])),
-                (isa.load(&re[2][k]), isa.load(&im[2][k])),
-                (isa.load(&re[3][k]), isa.load(&im[3][k])),
-            ]
+            let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
+            for (t, x) in x.iter_mut().enumerate() {
+                *x = (isa.load(&re[t][k]), isa.load(&im[t][k]));
+            }
+            x
         }
     }
 }
@@ -159,21 +158,23 @@ struct Mac<'a> {
 }
 
 impl Points for Mac<'_> {
-    /// Row outer, quarter inner: what it costs to find a row's planes —
+    /// Row outer, part inner: what it costs to find a row's planes —
     /// there is nowhere to keep them cut between calls — is paid once
-    /// per vector of every quarter.
+    /// per vector of every part.
     #[inline(always)]
-    fn source<I: Isa>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; 4] {
+    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
         #[inline(always)]
         move |k| {
-            let mut acc = [(isa.splat(0.0), isa.splat(0.0)); 4];
+            let mut acc = [(isa.splat(0.0), isa.splat(0.0)); P];
             for (digit, row) in self.digits.iter().zip(self.rows) {
-                // Both planes of a spectrum as one slice: eight quarters.
-                let d = parts::<_, 8>(isa.blocks(digit.planes()), m);
-                let b = parts::<_, 8>(isa.blocks(row[self.column].planes()), m);
+                // Both planes as one slice: one length check cuts all 2·P parts.
+                let d = parts::<_, 2>(isa.blocks(digit.planes()), P * m);
+                let b = parts::<_, 2>(isa.blocks(row[self.column].planes()), P * m);
+                let d = [parts::<_, P>(d[0], m), parts::<_, P>(d[1], m)];
+                let b = [parts::<_, P>(b[0], m), parts::<_, P>(b[1], m)];
                 for (t, acc) in acc.iter_mut().enumerate() {
-                    let x = (isa.load(&d[t][k]), isa.load(&d[4 + t][k]));
-                    let w = (isa.load(&b[t][k]), isa.load(&b[4 + t][k]));
+                    let x = (isa.load(&d[0][t][k]), isa.load(&d[1][t][k]));
+                    let w = (isa.load(&b[0][t][k]), isa.load(&b[1][t][k]));
                     *acc = cmul_add::<I, false>(isa, *acc, x, w);
                 }
             }
@@ -222,12 +223,11 @@ impl NegacyclicFft {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two or `n < 8` (the kernel's ends
-    /// see a transform — of `n/2` points — as its four quarters).
+    /// Panics if `n` is not a power of two or `n < 4`.
     pub fn new(n: usize) -> Self {
         assert!(
-            n.is_power_of_two() && n >= 8,
-            "polynomial size must be a power of two ≥ 8, got {n}"
+            n.is_power_of_two() && n >= 4,
+            "polynomial size must be a power of two ≥ 4, got {n}"
         );
         let step = -std::f64::consts::PI / n as f64;
         let twist = |j: usize| step * j as f64;
@@ -339,11 +339,12 @@ impl NegacyclicFft {
     ) {
         assert_eq!(len, self.n, "polynomial size must equal the engine size");
         assert_eq!(out.poly_len(), self.n, "output spectrum size mismatch");
-        self.half_plan.simd().run(ForwardFolded {
-            fft: self,
-            coeffs,
-            out,
-        });
+        // The transform's ends see its quarters, or its two points at N = 4.
+        let (simd, fft) = (self.half_plan.simd(), self);
+        match self.n {
+            4 => simd.run(ForwardFolded::<_, 2> { fft, coeffs, out }),
+            _ => simd.run(ForwardFolded::<_, 4> { fft, coeffs, out }),
+        }
     }
 
     /// Inverse transform, rounding each coefficient to the nearest integer
@@ -374,11 +375,7 @@ impl NegacyclicFft {
     }
 
     fn inverse_plain<T: Output>(&self, spectrum: &Spectrum, out: &mut [T], scratch: &mut Vec<f64>) {
-        assert_eq!(
-            spectrum.poly_len(),
-            self.n,
-            "spectrum size must equal the engine size"
-        );
+        assert_eq!(spectrum.poly_len(), self.n, "spectrum size mismatch");
         self.inverse_folded::<_, false>(spectrum, out, scratch);
     }
 
@@ -424,12 +421,21 @@ impl NegacyclicFft {
         scratch: &mut Vec<f64>,
     ) {
         assert_eq!(out.len(), self.n, "output polynomial size mismatch");
-        self.half_plan.simd().run(InverseFolded::<_, _, ADD> {
-            fft: self,
-            spectrum,
-            out,
-            scratch,
-        });
+        let (simd, fft) = (self.half_plan.simd(), self);
+        match self.n {
+            4 => simd.run(InverseFolded::<_, _, ADD, 2> {
+                fft,
+                spectrum,
+                out,
+                scratch,
+            }),
+            _ => simd.run(InverseFolded::<_, _, ADD, 4> {
+                fft,
+                spectrum,
+                out,
+                scratch,
+            }),
+        }
     }
 
     /// **Merge-split forward**: transform *two* integer polynomials with
@@ -450,18 +456,8 @@ impl NegacyclicFft {
         out_q: &mut Spectrum,
         scratch: &mut Vec<f64>,
     ) {
-        assert_eq!(p.len(), self.n, "first polynomial size mismatch");
-        assert_eq!(q.len(), self.n, "second polynomial size mismatch");
-        assert_eq!(
-            out_p.poly_len(),
-            self.n,
-            "first output spectrum size mismatch"
-        );
-        assert_eq!(
-            out_q.poly_len(),
-            self.n,
-            "second output spectrum size mismatch"
-        );
+        let sizes = [p.len(), q.len(), out_p.poly_len(), out_q.poly_len()];
+        assert_eq!(sizes, [self.n; 4], "polynomial or spectrum size mismatch");
         self.full_plan.simd().run(ForwardPair {
             fft: self,
             p: p.coeffs(),
@@ -488,14 +484,8 @@ impl NegacyclicFft {
         out_q: &mut Polynomial<Torus32>,
         scratch: &mut Vec<f64>,
     ) {
-        assert_eq!(ps.poly_len(), self.n, "first spectrum size mismatch");
-        assert_eq!(qs.poly_len(), self.n, "second spectrum size mismatch");
-        assert_eq!(out_p.len(), self.n, "first output polynomial size mismatch");
-        assert_eq!(
-            out_q.len(),
-            self.n,
-            "second output polynomial size mismatch"
-        );
+        let sizes = [ps.poly_len(), qs.poly_len(), out_p.len(), out_q.len()];
+        assert_eq!(sizes, [self.n; 4], "spectrum or polynomial size mismatch");
         self.full_plan.simd().run(InversePair {
             fft: self,
             ps,
@@ -562,33 +552,34 @@ impl NegacyclicFft {
 }
 
 /// Folded forward: point `j < N/2` enters as `(c_j − i·c_(j+N/2))·ζ^j`.
-struct ForwardFolded<'a, C: ?Sized> {
+/// `P`: the parts the transform's ends see (`FftPlan::transform`).
+struct ForwardFolded<'a, C: ?Sized, const P: usize> {
     fft: &'a NegacyclicFft,
     coeffs: &'a C,
     out: &'a mut Spectrum,
 }
 
-impl<C: Coefficients + ?Sized> Kernel for ForwardFolded<'_, C> {
+impl<C: Coefficients + ?Sized, const P: usize> Kernel for ForwardFolded<'_, C, P> {
     type Out = ();
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
         let Self { fft, coeffs, out } = self;
         let (re, im) = out.planes_mut();
-        let (half, m) = (re.len(), re.len() / 4 / I::LANES);
+        let (half, m) = (re.len(), re.len() / P / I::LANES);
         let (lo, hi) = coeffs.elems().split_at(half);
-        let lo = parts::<_, 4>(isa.blocks(lo), m);
-        let hi = parts::<_, 4>(isa.blocks(hi), m);
-        let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re[..half]), m);
-        let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im[..half]), m);
-        fft.half_plan.transform::<I, false>(
+        let lo = parts::<_, P>(isa.blocks(lo), m);
+        let hi = parts::<_, P>(isa.blocks(hi), m);
+        let twist_re = parts::<_, P>(isa.blocks(&fft.twist_re[..half]), m);
+        let twist_im = parts::<_, P>(isa.blocks(&fft.twist_im[..half]), m);
+        fft.half_plan.transform::<I, false, P>(
             isa,
             re,
             im,
             #[inline(always)]
             |k| {
-                let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
-                for t in 0..4 {
+                let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
+                for t in 0..P {
                     let folded = (
                         coeffs.widen(isa, &lo[t][k]),
                         isa.neg(coeffs.widen(isa, &hi[t][k])),
@@ -606,14 +597,16 @@ impl<C: Coefficients + ?Sized> Kernel for ForwardFolded<'_, C> {
 /// Folded inverse: output point `j < N/2`, scaled by `2/N` and untwisted
 /// by `ζ^(-j)`, carries coefficient `j` in its real part and `j + N/2` in
 /// its negated imaginary part.
-struct InverseFolded<'a, S, T, const ADD: bool> {
+struct InverseFolded<'a, S, T, const ADD: bool, const P: usize> {
     fft: &'a NegacyclicFft,
     spectrum: S,
     out: &'a mut [T],
     scratch: &'a mut Vec<f64>,
 }
 
-impl<S: Points, T: Output, const ADD: bool> Kernel for InverseFolded<'_, S, T, ADD> {
+impl<S: Points, T: Output, const ADD: bool, const P: usize> Kernel
+    for InverseFolded<'_, S, T, ADD, P>
+{
     type Out = ();
 
     #[inline(always)]
@@ -622,17 +615,17 @@ impl<S: Points, T: Output, const ADD: bool> Kernel for InverseFolded<'_, S, T, A
         let half = fft.n / 2;
         let (out_lo, out_hi) = self.out.split_at_mut(half);
         let (re, im) = work_planes(self.scratch, half);
-        let m = re.len() / 4 / I::LANES;
-        let untwist_re = parts::<_, 4>(isa.blocks(&fft.untwist_re[..half]), m);
-        let untwist_im = parts::<_, 4>(isa.blocks(&fft.untwist_im[..half]), m);
-        let mut out_lo = parts_mut::<_, 4>(isa.blocks_mut(out_lo), m);
-        let mut out_hi = parts_mut::<_, 4>(isa.blocks_mut(out_hi), m);
+        let m = re.len() / P / I::LANES;
+        let untwist_re = parts::<_, P>(isa.blocks(&fft.untwist_re[..half]), m);
+        let untwist_im = parts::<_, P>(isa.blocks(&fft.untwist_im[..half]), m);
+        let mut out_lo = parts_mut::<_, P>(isa.blocks_mut(out_lo), m);
+        let mut out_hi = parts_mut::<_, P>(isa.blocks_mut(out_hi), m);
         let scale = isa.splat(1.0 / half as f64);
-        fft.half_plan.transform::<I, true>(
+        fft.half_plan.transform::<I, true, P>(
             isa,
             re,
             im,
-            spectrum.source(isa, m),
+            spectrum.source::<I, P>(isa, m),
             #[inline(always)]
             |_, _, t, k, vr, vi| {
                 // The reference scales first (`FftPlan::inverse`), then
@@ -671,7 +664,7 @@ impl Kernel for ForwardPair<'_> {
         let q = parts::<_, 4>(isa.blocks(self.q), m);
         let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re), m);
         let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im), m);
-        fft.full_plan.transform::<I, false>(
+        fft.full_plan.transform::<I, false, 4>(
             isa,
             re,
             im,
@@ -755,7 +748,7 @@ impl Kernel for InversePair<'_> {
         let mut out_p = parts_mut::<_, 4>(isa.blocks_mut(self.out_p), m);
         let mut out_q = parts_mut::<_, 4>(isa.blocks_mut(self.out_q), m);
         let scale = isa.splat(1.0 / n as f64);
-        fft.full_plan.transform::<I, true>(
+        fft.full_plan.transform::<I, true, 4>(
             isa,
             re,
             im,
@@ -786,6 +779,7 @@ impl Kernel for InversePair<'_> {
 mod tests {
     use super::*;
     use crate::dft::naive_negacyclic_eval;
+    use crate::fft::mul_fused;
     use crate::simd::{round_wrap_u32, Simd};
     use morphling_math::negacyclic::mul_int_torus32;
     use morphling_math::Complex64;
@@ -895,7 +889,7 @@ mod tests {
     #[test]
     fn tables_and_work_planes_start_on_a_cache_line() {
         let on_a_line = |plane: &[f64]| (plane.as_ptr() as usize).is_multiple_of(64);
-        for n in [8usize, 16, 256, 2048] {
+        for n in [4usize, 16, 256, 2048] {
             let fft = NegacyclicFft::new(n);
             for table in [
                 &fft.twist_re,
@@ -969,6 +963,56 @@ mod tests {
     }
 
     #[test]
+    fn the_smallest_engine_takes_every_entry_point() {
+        // N = 4: the folded paths run a two-point transform, whose ends
+        // see two parts instead of four quarters.
+        use morphling_math::SignedDecomposer;
+        let n = 4;
+        let fft = NegacyclicFft::new(n);
+        assert_eq!(fft.isa(), "one-lane");
+        let mut rng = StdRng::seed_from_u64(4);
+        let decomp = DecompParams::new(8, 3);
+        for _ in 0..32 {
+            let digits = Polynomial::from_fn(n, |_| rng.gen_range(-128i64..128));
+            let more = Polynomial::from_fn(n, |_| rng.gen_range(-128i64..128));
+            let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+            let exact = mul_int_torus32(&digits, &t);
+            assert_eq!(fft.mul_int_torus(&digits, &t), exact);
+
+            let as_torus = |d: &Polynomial<i64>| d.map(|&c| Torus32::from_raw(c as u32));
+            let as_f64: Vec<f64> = digits.iter().map(|&c| c as f64).collect();
+            assert_eq!(fft.forward_real(&as_f64), fft.forward_int(&digits));
+            let back = fft.inverse_real(&fft.forward_int(&digits));
+            assert_eq!(round_all(&back), as_torus(&digits).coeffs());
+
+            // The digit-slicing forward pass against decompose-then-transform.
+            let mut levels = vec![Polynomial::<i64>::zero(n); 3];
+            SignedDecomposer::<Torus32>::new(decomp).decompose_poly_into(&t, &mut levels);
+            let mut sliced = Spectrum::zero(n);
+            for (level, want) in levels.iter().enumerate() {
+                fft.forward_digit_into(&t, decomp, level, &mut sliced);
+                assert_eq!(sliced, fft.forward_int(want), "level {level}");
+            }
+
+            // The MAC-sourced inverse against its staged composition.
+            let specs = [fft.forward_int(&digits), fft.forward_int(&more)];
+            let rows = vec![vec![fft.forward_torus(&t)], vec![fft.forward_torus(&exact)]];
+            let (mut fused, mut staged) = (vec![t.clone()], vec![t.clone()]);
+            fft.inverse_mac_add_into(&specs, &rows, 0, &mut fused[0], &mut Vec::new());
+            staged_mac_add(&fft, &specs, &rows, &mut staged);
+            assert_eq!(fused, staged);
+
+            // Merge-split, whose four-point transform has a lane a quarter.
+            let (mut sp, mut sq) = (Spectrum::zero(n), Spectrum::zero(n));
+            let mut scratch = Vec::new();
+            fft.forward_pair_int_into(&digits, &more, &mut sp, &mut sq, &mut scratch);
+            let (mut p, mut q) = (Polynomial::zero(n), Polynomial::zero(n));
+            fft.inverse_pair_torus_into(&sp, &sq, &mut p, &mut q, &mut scratch);
+            assert_eq!((p, q), (as_torus(&digits), as_torus(&more)));
+        }
+    }
+
+    #[test]
     fn batch_entry_points_run_the_kernel_per_lane() {
         let n = 64;
         let fft = NegacyclicFft::new(n);
@@ -1021,13 +1065,42 @@ mod tests {
     // run, against the scalar schedule it replaced (AoS `Complex64`
     // arithmetic around `FftPlan::{forward, inverse}`), bit for bit. ---
 
-    /// `x · w` as the kernel multiplies (`simd::cmul`): two products, and
-    /// the second product of each component fused into the sum.
-    fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
-        Complex64::new(
-            (-x.im).mul_add(w.im, x.re * w.re),
-            x.im.mul_add(w.re, x.re * w.im),
-        )
+    /// The folded forward kernel on `simd`, as `forward_folded` runs it on
+    /// the detected ISA: the ends of the `N = 4` transform see two parts.
+    fn forward_on<C: Coefficients + ?Sized>(
+        simd: Simd,
+        fft: &NegacyclicFft,
+        coeffs: &C,
+        out: &mut Spectrum,
+    ) {
+        match fft.n {
+            4 => simd.run(ForwardFolded::<_, 2> { fft, coeffs, out }),
+            _ => simd.run(ForwardFolded::<_, 4> { fft, coeffs, out }),
+        }
+    }
+
+    /// The folded inverse kernel on `simd`, as `inverse_folded` runs it.
+    fn inverse_on<S: Points, T: Output, const ADD: bool>(
+        simd: Simd,
+        fft: &NegacyclicFft,
+        spectrum: S,
+        out: &mut [T],
+        scratch: &mut Vec<f64>,
+    ) {
+        match fft.n {
+            4 => simd.run(InverseFolded::<_, _, ADD, 2> {
+                fft,
+                spectrum,
+                out,
+                scratch,
+            }),
+            _ => simd.run(InverseFolded::<_, _, ADD, 4> {
+                fft,
+                spectrum,
+                out,
+                scratch,
+            }),
+        }
     }
 
     fn twist(fft: &NegacyclicFft, j: usize) -> Complex64 {
@@ -1113,7 +1186,7 @@ mod tests {
             .collect()
     }
 
-    const SIZES: [usize; 10] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+    const SIZES: [usize; 11] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
     /// Spectra whose inverse must round awkwardly. A constant real
     /// spectrum `c` inverts to exactly `c` at coefficient 0 (every
@@ -1192,37 +1265,19 @@ mod tests {
                     coeffs(&mut out);
                     spectrum_bits(&out)
                 };
-                let got = run(&|out| {
-                    simd.run(ForwardFolded {
-                        fft: &fft,
-                        coeffs: ints.coeffs(),
-                        out,
-                    })
-                });
+                let got = run(&|out| forward_on(simd, &fft, ints.coeffs(), out));
                 assert_eq!(
                     got,
                     spectrum_bits(&reference_forward(&fft, &as_f64(&ints))),
                     "int n={n} {name}"
                 );
-                let got = run(&|out| {
-                    simd.run(ForwardFolded {
-                        fft: &fft,
-                        coeffs: torus.coeffs(),
-                        out,
-                    })
-                });
+                let got = run(&|out| forward_on(simd, &fft, torus.coeffs(), out));
                 assert_eq!(
                     got,
                     spectrum_bits(&reference_forward(&fft, &torus_f64)),
                     "torus n={n} {name}"
                 );
-                let got = run(&|out| {
-                    simd.run(ForwardFolded {
-                        fft: &fft,
-                        coeffs: &reals[..],
-                        out,
-                    })
-                });
+                let got = run(&|out| forward_on(simd, &fft, &reals[..], out));
                 assert_eq!(
                     got,
                     spectrum_bits(&reference_forward(&fft, &reals)),
@@ -1267,21 +1322,11 @@ mod tests {
                 let want_torus = round_all(&want_real);
                 for (name, simd) in Simd::every(n / 8) {
                     let mut real = vec![f64::NAN; n];
-                    simd.run(InverseFolded::<_, _, false> {
-                        fft: &fft,
-                        spectrum: spec,
-                        out: &mut real[..],
-                        scratch: &mut Vec::new(),
-                    });
+                    inverse_on::<_, _, false>(simd, &fft, spec, &mut real[..], &mut Vec::new());
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&real), bits(&want_real), "real #{i} n={n} {name}");
                     let mut torus = vec![Torus32::HALF; n];
-                    simd.run(InverseFolded::<_, _, false> {
-                        fft: &fft,
-                        spectrum: spec,
-                        out: &mut torus[..],
-                        scratch: &mut Vec::new(),
-                    });
+                    inverse_on::<_, _, false>(simd, &fft, spec, &mut torus[..], &mut Vec::new());
                     assert_eq!(torus, want_torus, "torus #{i} n={n} {name}");
                 }
                 let other = &spectra[(i + 3) % spectra.len()];
@@ -1425,16 +1470,12 @@ mod tests {
         // One dirty scratch through every call.
         let mut scratch = vec![f64::NAN; 3];
         for (column, acc_u) in acc.iter_mut().enumerate() {
-            simd.run(InverseFolded::<_, _, true> {
-                fft,
-                spectrum: Mac {
-                    digits,
-                    rows,
-                    column,
-                },
-                out: acc_u.coeffs_mut(),
-                scratch: &mut scratch,
-            });
+            let mac = Mac {
+                digits,
+                rows,
+                column,
+            };
+            inverse_on::<_, _, true>(simd, fft, mac, acc_u.coeffs_mut(), &mut scratch);
         }
     }
 
@@ -1492,14 +1533,11 @@ mod tests {
                         for (comp, specs) in acc.iter().zip(digits.chunks_mut(l)) {
                             let lambda = comp.monomial_mul_minus_one(*a_tilde as i64);
                             for (level, out) in specs.iter_mut().enumerate() {
-                                simd.run(ForwardFolded {
-                                    fft: &fft,
-                                    coeffs: &Digits {
-                                        coeffs: lambda.coeffs(),
-                                        digit: DigitOf::new(decomp, level),
-                                    },
-                                    out,
-                                });
+                                let digits = Digits {
+                                    coeffs: lambda.coeffs(),
+                                    digit: DigitOf::new(decomp, level),
+                                };
+                                forward_on(simd, &fft, &digits, out);
                             }
                         }
                         let at = format!("n={n} k={k} l={l} b={b} ã={a_tilde} {name}");

@@ -897,7 +897,12 @@ mod tests {
                 let mut dst = vec![[f64::NAN; 4]; self.0.len()];
                 for (b, pos) in isa.blocks(self.0).iter().enumerate() {
                     let at = b * I::LANES;
-                    let y = std::array::from_fn(|row| isa.lanes(|i| (100 * row + at + i) as f64));
+                    // A plain loop: `array::from_fn` would take the closure
+                    // outside the `target_feature` frame with it.
+                    let mut y = [isa.splat(0.0); 4];
+                    for (row, y) in y.iter_mut().enumerate() {
+                        *y = isa.lanes(|i| (100 * row + at + i) as f64);
+                    }
                     isa.scatter4(&mut dst, pos, y);
                 }
                 dst.concat()
