@@ -33,22 +33,32 @@ pub fn binary_poly<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Polynomial<i64> {
 /// (expressed as a fraction of the torus, e.g. `2^-25`), rounded to the
 /// nearest representable element.
 ///
-/// Uses the Box–Muller transform; one normal deviate per call.
+/// Uses the Box–Muller transform; one normal deviate per call (the
+/// transform's second one is dropped: a polynomial's worth goes through
+/// [`gaussian_torus_poly`], which keeps both).
 pub fn gaussian_torus<T: TorusScalar, R: Rng + ?Sized>(std: f64, rng: &mut R) -> T {
-    T::from_f64(std * standard_normal(rng))
+    T::from_f64(std * standard_normal_pair(rng).0)
 }
 
-/// Sample a torus polynomial with i.i.d. Gaussian coefficients.
+/// Sample a torus polynomial with i.i.d. Gaussian coefficients, two per
+/// Box–Muller transform.
 pub fn gaussian_torus_poly<T: TorusScalar, R: Rng + ?Sized>(
     n: usize,
     std: f64,
     rng: &mut R,
 ) -> Polynomial<T> {
-    Polynomial::from_fn(n, |_| gaussian_torus(std, rng))
+    let mut coeffs = Vec::with_capacity(n + 1);
+    while coeffs.len() < n {
+        let (a, b) = standard_normal_pair(rng);
+        coeffs.extend([T::from_f64(std * a), T::from_f64(std * b)]);
+    }
+    coeffs.truncate(n);
+    Polynomial::from_coeffs(coeffs)
 }
 
-/// A standard normal deviate via Box–Muller.
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// Two independent standard normal deviates via Box–Muller: one radius,
+/// the cosine and the sine of one angle.
+fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     // Avoid u1 == 0 which would make ln(0) = -inf.
     let u1: f64 = loop {
         let u = rng.gen::<f64>();
@@ -57,7 +67,9 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         }
     };
     let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    let radius = (-2.0 * u1.ln()).sqrt();
+    let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
+    (radius * cos, radius * sin)
 }
 
 #[cfg(test)]
@@ -98,6 +110,39 @@ mod tests {
         );
         let ratio = var.sqrt() / std;
         assert!((0.95..1.05).contains(&ratio), "std ratio = {ratio}");
+    }
+
+    #[test]
+    fn gaussian_poly_keeps_both_deviates_and_they_are_independent() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let std = 2f64.powi(-10);
+        let n = 32_768;
+        let p: Polynomial<Torus32> = gaussian_torus_poly(n, std, &mut rng);
+        assert_eq!(p.len(), n);
+        // The one odd size: the transform's second deviate is dropped.
+        assert_eq!(gaussian_torus_poly::<Torus32, _>(1, std, &mut rng).len(), 1);
+        let x: Vec<f64> = p.iter().map(|c| c.to_f64_signed() / std).collect();
+        let var = x.iter().map(|v| v * v).sum::<f64>() / n as f64;
+        assert!(
+            (0.95..1.05).contains(&var.sqrt()),
+            "std ratio = {}",
+            var.sqrt()
+        );
+        // The cosine and sine halves of one transform, and neighbours
+        // across two, are uncorrelated.
+        for lag in [1usize, 2] {
+            let pairs = x.iter().zip(&x[lag..]);
+            let cov = pairs.map(|(a, b)| a * b).sum::<f64>() / (n - lag) as f64;
+            assert!(cov.abs() < 0.03, "lag {lag}: covariance {cov}");
+        }
+        // Half the uniform draws of one deviate per call: the stream after
+        // 16 coefficients is where 8 transforms leave it.
+        let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        let _: Polynomial<Torus32> = gaussian_torus_poly(16, std, &mut a);
+        for _ in 0..8 {
+            let _: Torus32 = gaussian_torus(std, &mut b);
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

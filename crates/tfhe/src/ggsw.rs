@@ -45,17 +45,20 @@ impl GgswCiphertext {
         let l = params.bsk_decomp.level();
         let base_log = params.bsk_decomp.base_log();
         let zero = Polynomial::<Torus32>::zero(n);
+        // The key enters the transform domain once, not once per row.
+        let fft = crate::fft_cache::fft_for(n);
+        let key_spectra = key.spectra(&fft);
         let mut rows = Vec::with_capacity((k + 1) * l);
         for comp in 0..=k {
             for level in 0..l {
-                let mut row = GlweCiphertext::encrypt(&zero, key, params.glwe_noise_std, rng);
+                let noise = params.glwe_noise_std;
+                let mut row = GlweCiphertext::encrypt_under(&zero, &key_spectra, &fft, noise, rng);
                 // Gadget element: m · q / β^(level+1) added to component
                 // `comp` (a mask for comp < k, the body for comp = k).
                 let shift = 32 - base_log * (level as u32 + 1);
                 let g = Torus32::from_raw(1u32 << shift).scalar_mul(m);
-                let mut comps: Vec<Polynomial<Torus32>> = row.components().cloned().collect();
-                comps[comp][0] += g;
-                row = GlweCiphertext::from_components(comps);
+                let gadget_comp = row.components_mut().nth(comp);
+                gadget_comp.expect("comp <= k, and a row has k + 1 components")[0] += g;
                 rows.push(row);
             }
         }

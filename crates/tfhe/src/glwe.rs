@@ -1,6 +1,7 @@
 //! GLWE ciphertexts: `(A_1(X), …, A_k(X), B(X)) ∈ T_(q,N)[X]^(k+1)` (§II-A).
 
 use morphling_math::{sampling, Polynomial, Torus32};
+use morphling_transform::{NegacyclicFft, Spectrum};
 use rand::Rng;
 
 use crate::keys::GlweSecretKey;
@@ -25,9 +26,22 @@ impl GlweCiphertext {
         noise_std: f64,
         rng: &mut R,
     ) -> Self {
-        assert_eq!(message.len(), key.poly_size(), "message size must equal N");
-        let n = key.poly_size();
-        let masks: Vec<Polynomial<Torus32>> = (0..key.dim())
+        let fft = crate::fft_cache::fft_for(key.poly_size());
+        Self::encrypt_under(message, &key.spectra(&fft), &fft, noise_std, rng)
+    }
+
+    /// [`encrypt`](Self::encrypt) under a key already in the transform
+    /// domain ([`GlweSecretKey::spectra`]): a GGSW's rows share one.
+    pub(crate) fn encrypt_under<R: Rng + ?Sized>(
+        message: &Polynomial<Torus32>,
+        key: &[Spectrum],
+        fft: &NegacyclicFft,
+        noise_std: f64,
+        rng: &mut R,
+    ) -> Self {
+        let n = fft.poly_len();
+        assert_eq!(message.len(), n, "message size must equal N");
+        let masks: Vec<Polynomial<Torus32>> = (0..key.len())
             .map(|_| sampling::uniform_torus_poly(n, rng))
             .collect();
         let mut body = message.clone();
@@ -35,12 +49,13 @@ impl GlweCiphertext {
             body += &sampling::gaussian_torus_poly(n, noise_std, rng);
         }
         // Binary key × uniform mask is exact through the f64 FFT (products
-        // stay far below the 53-bit mantissa); the FFT path keeps key
-        // generation fast at N = 1024–4096.
-        let fft = crate::fft_cache::fft_for(n);
-        for (a, s) in masks.iter().zip(key.polys()) {
-            body += &fft.mul_int_torus(s, a);
+        // stay far below the 53-bit mantissa, summed over the k masks
+        // too); the FFT path keeps key generation fast at N = 1024–4096.
+        let mut sum = Spectrum::zero(n);
+        for (a, s) in masks.iter().zip(key) {
+            sum.mul_acc(s, &fft.forward_torus(a));
         }
+        body += &fft.inverse_torus(&sum);
         Self { masks, body }
     }
 

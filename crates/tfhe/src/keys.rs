@@ -1,6 +1,7 @@
 //! Secret keys and the client-side API (encrypt/decrypt).
 
 use morphling_math::{sampling, Polynomial, Torus32, TorusScalar};
+use morphling_transform::{NegacyclicFft, Spectrum};
 use rand::Rng;
 
 use crate::glwe::GlweCiphertext;
@@ -107,6 +108,13 @@ impl GlweSecretKey {
     /// The key polynomials.
     pub fn polys(&self) -> &[Polynomial<i64>] {
         &self.polys
+    }
+
+    /// The key polynomials in the transform domain — what an encryption
+    /// multiplies its masks by; a caller encrypting many rows under one
+    /// key (a GGSW) takes them once.
+    pub(crate) fn spectra(&self, fft: &NegacyclicFft) -> Vec<Spectrum> {
+        self.polys.iter().map(|s| fft.forward_int(s)).collect()
     }
 
     /// Compute the phase `B − Σ A_i · S_i` of a GLWE ciphertext.
