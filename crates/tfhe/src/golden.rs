@@ -1,0 +1,151 @@
+//! Known-answer vectors: the output ciphertexts of seeded keys and inputs,
+//! through every bootstrap path, as committed digests.
+//!
+//! Ciphertext bits depend on nothing but the seed — not on the host, not
+//! on the vector ISA the transform kernel picked, not on how spectra are
+//! laid out or which butterfly network produced them — because the f64
+//! transform is exact on this torus (`full_pipeline.rs` holds `Fft` ≡
+//! `Ntt` ≡ `Exact`). That is only ever *compared* between the kernels one
+//! host can run; a constant in the tree holds every host, every ISA and
+//! every future kernel to the same bits. A change that moves them on
+//! purpose (a new sampler, a new noise parameter) re-baselines this table
+//! and says so; a transform change must pass it unedited.
+
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use crate::serialize::fnv1a_words;
+use crate::{
+    BatchRequest, BootstrapEngine, BootstrapOptions, Bootstrapper, ClientKey, Lut, LweCiphertext,
+    ParamSet, ServerKey,
+};
+
+/// The word-wise FNV of key frames, over `mask ‖ body` of every ciphertext
+/// in order.
+fn digest(cts: &[LweCiphertext]) -> u64 {
+    let words = cts
+        .iter()
+        .flat_map(|ct| ct.mask().iter().copied().chain([ct.body()]));
+    let bytes: Vec<u8> = words.flat_map(|w| w.into_raw().to_le_bytes()).collect();
+    fnv1a_words(&bytes)
+}
+
+/// `[plain, no key switch, multi-value (3 LUTs), tree, engine batch]` at
+/// `set`, every output decrypted and checked on the way.
+fn digests(set: ParamSet) -> [u64; 5] {
+    let mut rng = StdRng::seed_from_u64(0x0060_1DE2 + set as u64);
+    let params = set.params();
+    let (n, p) = (params.poly_size, params.plaintext_modulus);
+    let ck = ClientKey::generate(params, &mut rng);
+    let sk = Arc::new(ServerKey::new(&ck, &mut rng));
+    let messages = [0, 1, p - 1, 2];
+    let cts: Vec<LweCiphertext> = messages.iter().map(|&m| ck.encrypt(m, &mut rng)).collect();
+    let luts = vec![
+        Lut::from_fn(n, p, |m| (m + 1) % p),
+        Lut::from_fn(n, p, |m| (3 * m) % p),
+        Lut::identity(n, p),
+    ];
+    let want = |j: usize, m: u64| [(m + 1) % p, (3 * m) % p, m][j];
+
+    let plain: Vec<_> = (cts.iter())
+        .map(|ct| sk.programmable_bootstrap(ct, &luts[0]))
+        .collect();
+    for (out, &m) in plain.iter().zip(&messages) {
+        assert_eq!(ck.decrypt(out), want(0, m), "{set:?} plain m={m}");
+    }
+
+    let extracted: Vec<_> = (cts.iter())
+        .map(|ct| {
+            sk.bootstrap_with_options(ct, &luts[1], BootstrapOptions::new().keyswitch(false))
+                .expect("bootstrap without the key switch")
+        })
+        .collect();
+    for (out, &m) in extracted.iter().zip(&messages) {
+        assert_eq!(ck.decrypt_extracted(out), want(1, m), "{set:?} no-ks m={m}");
+    }
+
+    let mut multi = Vec::new();
+    for (ct, &m) in cts.iter().zip(&messages) {
+        let outs = (sk.try_programmable_bootstrap_many(ct, &luts)).expect("multi-value");
+        for (j, out) in outs.iter().enumerate() {
+            assert_eq!(
+                ck.decrypt(out),
+                want(j, m),
+                "{set:?} multi-value m={m} #{j}"
+            );
+        }
+        multi.extend(outs);
+    }
+
+    // Two digits in, their sum and their product out.
+    let tree_of = [|d: &[u64]| d[0] + d[1], |d: &[u64]| d[0] * d[1]];
+    let tree = (sk.try_tree_bootstrap_many(&cts[1..3], &tree_of)).expect("tree bootstrap");
+    let (a, b) = (messages[1], messages[2]);
+    assert_eq!(ck.decrypt(&tree[0]), (a + b) % p, "{set:?} tree sum");
+    assert_eq!(ck.decrypt(&tree[1]), (a * b) % p, "{set:?} tree product");
+
+    // Five ciphertexts over two workers: chunks of three and two.
+    let engine = (BootstrapEngine::builder().workers(2))
+        .build(Arc::clone(&sk))
+        .expect("two workers");
+    let batch: Vec<_> = cts.iter().chain(&cts[..1]).cloned().collect();
+    let engine_out = engine
+        .try_bootstrap_batch(&BatchRequest::shared(batch, luts[0].clone()))
+        .expect("engine batch");
+    assert_eq!(engine_out[..4], plain[..], "{set:?} engine ≠ sequential");
+
+    [&plain, &extracted, &multi, &tree, &engine_out].map(|outs| digest(outs))
+}
+
+/// Holds `set`'s digests to the committed ones, printing both as written
+/// here.
+fn assert_digests(set: ParamSet, committed: [u64; 5]) {
+    let got = digests(set);
+    assert!(
+        got == committed,
+        "{set:?} [plain, no-ks, multi-value, tree, engine]: got {got:#018X?}, \
+         committed {committed:#018X?}"
+    );
+}
+
+#[test]
+fn golden_digests_at_the_test_sets() {
+    assert_digests(
+        ParamSet::Test,
+        [
+            0x6E6C_9053_8A7D_DC6F,
+            0xD897_55EB_0CB3_32F2,
+            0x3210_40B4_73CA_19B7,
+            0xBF5F_82A0_4B8B_EE8C,
+            0x9E98_E51A_157C_1CC6,
+        ],
+    );
+    assert_digests(
+        ParamSet::TestMedium,
+        [
+            0x850E_9F75_B662_C307,
+            0x5784_621F_E555_E4A1,
+            0xF97C_16DB_85BD_DB45,
+            0x1F0C_8758_64E1_AE35,
+            0x26FA_F663_A7BA_5366,
+        ],
+    );
+}
+
+/// Minutes in a debug build: the release CI job runs it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
+fn golden_digests_at_set_i() {
+    assert_digests(
+        ParamSet::I,
+        [
+            0xD3A8_9B8F_9A8F_3B59,
+            0x5463_A859_0863_5286,
+            0x6419_77B6_6970_9C93,
+            0xF450_C779_BE7C_E102,
+            0x685D_F9AC_84F5_C5AF,
+        ],
+    );
+}

@@ -82,6 +82,8 @@ pub mod faults;
 mod fft_cache;
 mod ggsw;
 mod glwe;
+#[cfg(test)]
+mod golden;
 pub mod journal;
 mod keys;
 pub mod keystore;

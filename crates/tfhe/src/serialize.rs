@@ -89,7 +89,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// and plain [`fnv1a`] over the last `len % 8` bytes. Every step — xor
 /// with the data, multiply by an odd constant, xor-shift — is a bijection
 /// of `h`, so any corruption confined to one word changes the result.
-fn fnv1a_words(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     let mut h = FNV_OFFSET;
     for w in &mut words {
