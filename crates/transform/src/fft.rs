@@ -1,40 +1,68 @@
 //! The transform kernel: one planar polynomial, vectorized along its
 //! coefficient axis, plus the scalar AoS reference it is tested against.
 //!
-//! Both are the decimation-in-time radix-2 network over one twiddle ROM
-//! (the hardware's Twiddle-Buffer; §V-A.3's multi-delay-commutator
-//! pipeline is its streaming form, timed separately in
-//! [`crate::pipeline`]). The reference ([`FftPlan::forward`] /
-//! [`FftPlan::inverse`]) walks it one stage and one complex point at a
-//! time. The kernel (`FftPlan::transform`) fuses two stages per pass
-//! (radix-2²), folds the bit-reversal into the first pass and lets the
-//! caller fold its own pre- and post-processing (negacyclic twist, untwist
-//! and rounding) into the first and last — but per element it performs
-//! *exactly* the reference's f64 operation sequence, so the two agree bit
-//! for bit on every input.
+//! A plan transforms `n` complex points between the ring
+//! `C[Y]/(Y^n − ρ)` — `ρ = −i` for the folded negacyclic transform,
+//! `ρ = −1` for the merge-split pair — and the values at its `n` roots,
+//! and it **never reorders**:
+//!
+//! - the **forward** is the merged Cooley–Tukey network: `Y^2h − ω²`
+//!   splits into `Y^h − ω` and `Y^h + ω`, so a stage is one butterfly
+//!   `lo = a + b·ω`, `hi = a − b·ω` per pair with one twiddle per *block*
+//!   — the negacyclic twist lives in the twiddles, there is no twist pass
+//!   — natural order in, the order the butterflies leave out;
+//! - the **inverse** is the decimation-in-time network of the plain
+//!   inverse DFT, which wants exactly that order in and leaves natural
+//!   order out, followed by the `1/n` scaling and the untwist.
+//!
+//! Both are written once as the scalar reference ([`FftPlan::forward`] /
+//! [`FftPlan::inverse`]: one stage and one complex point at a time) and
+//! once as the kernel (`FftPlan::run_forward` / `run_inverse`), which
+//! fuses stages into passes — two at a time across runs of vectors, up to
+//! six inside a 64-point tile held in registers and transposed once — and
+//! lets the caller fold its own reading (digit slicing, multiply-
+//! accumulate) and writing (untwist, rounding, adding) into the first and
+//! last pass. Per element the kernel performs *exactly* the reference's
+//! f64 operation sequence, so the two agree bit for bit on every input.
 //!
 //! That sequence is written in `mul` and the fused multiply-add (the
 //! VPE's multiply-accumulator), each rounded once: a butterfly is
 //! `lo = a + b·w` as two nested fused operations per component and
 //! `hi = 2a − lo` as one — six where the unfused form takes ten.
 //! [`butterfly_fused`] states it in scalars, on `f64::mul_add`.
+//!
+//! # The stored order
+//!
+//! A function of `n` alone ([`slot`]), the same on every ISA. The
+//! butterflies leave point `m` at index `bitrev(m)`; from `n = 64` on,
+//! every run of 64 is then stored as the transpose of the 8×8 matrix it
+//! is — the last three stages work across the registers of a transposed
+//! tile, and nothing transposes it back.
 
 use morphling_math::Complex64;
 
 use crate::simd::{cmul_add, Aligned, Isa, Simd, C};
 
-/// A reusable FFT plan for one transform size.
+/// The points of a tile. Shorter transforms are the scalar reference
+/// itself, on one lane, and store plain bit-reversed order.
+pub(crate) const TILE: usize = 64;
+
+/// A reusable plan for one transform size.
 ///
-/// Construction precomputes the twiddle factors and the block permutation
-/// and picks the vector ISA from CPU detection; the transforms then run
-/// allocation-free on caller buffers.
+/// Construction precomputes the twiddle tables and picks the vector ISA
+/// from CPU detection; the transforms then run allocation-free on caller
+/// buffers.
 ///
-/// Conventions: `forward` computes `X_k = Σ_j x_j e^(-2πi jk/n)` (no
-/// scaling); `inverse` computes `x_j = (1/n) Σ_k X_k e^(+2πi jk/n)`.
+/// [`new`](Self::new) plans the folded negacyclic transform of `n`
+/// complex points: with `θ = e^(-iπ/2n)`,
+/// [`forward`](Self::forward) computes `X_m = Σ_j x_j θ^(j(4m+1))` — the
+/// values of `Σ x_j Y^j` at the roots of `Y^n = −i` — stored in the order
+/// the butterflies leave them in ([`Spectrum::point`](crate::Spectrum::point)
+/// finds point `m`), and [`inverse`](Self::inverse) takes that order back
+/// to `x`.
 ///
-/// [`forward`](Self::forward) and [`inverse`](Self::inverse) are the
-/// scalar **reference**: the hot paths of this workspace go through
-/// [`NegacyclicFft`](crate::NegacyclicFft), whose kernel is tested
+/// Both are the scalar **reference**: the hot paths of this workspace go
+/// through [`NegacyclicFft`](crate::NegacyclicFft), whose kernel is tested
 /// bit-identical to them.
 ///
 /// # Example
@@ -55,13 +83,23 @@ use crate::simd::{cmul_add, Aligned, Isa, Simd, C};
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     n: usize,
-    // Planar twiddle ROM: the stage with half-block size h keeps
-    // e^(-2πi k / 2h), k < h, at index h + k (index 0 is unused).
+    // Forward twiddles, planar: the stage with `2^s` blocks keeps block
+    // q's at index 2^s + q (index 0 is unused).
+    fw_re: Aligned,
+    fw_im: Aligned,
+    // The last three forward stages' twiddles again, as a transposed tile
+    // reads them: per tile seven runs of eight — half-block 4; 2, twice;
+    // 1, four times — lane r of each for the tile's r-th run of eight
+    // points.
+    tile_re: Aligned,
+    tile_im: Aligned,
+    // Inverse twiddle ROM, conjugated as it is used: the stage with
+    // half-block size h keeps e^(-2πi k / 2h), k < h, at index h + k.
     tw_re: Aligned,
     tw_im: Aligned,
-    // Which four-point block the kernel's first pass finishes at step r:
-    // bitrev(r) over log2(n) − 2 bits, for r < n/4.
-    rev4: Vec<u32>,
+    // θ^(-j) for j < n.
+    untwist_re: Aligned,
+    untwist_im: Aligned,
     simd: Simd,
 }
 
@@ -74,17 +112,72 @@ fn bit_reverse(i: usize, bits: u32) -> usize {
     }
 }
 
+/// `index` with its two lowest octal digits swapped: where element
+/// `index` of a run of 64 is once the run's 8×8 matrix is transposed.
+fn transposed(index: usize) -> usize {
+    (index & !63) | ((index & 7) << 3) | ((index >> 3) & 7)
+}
+
+/// Where a transform of `points` points stores point `m`.
+pub(crate) fn slot(points: usize, m: usize) -> usize {
+    let left_at = bit_reverse(m, points.trailing_zeros());
+    if points < TILE {
+        left_at
+    } else {
+        transposed(left_at)
+    }
+}
+
+/// Which point a transform of `points` points stores at `slot`.
+pub(crate) fn point_at(points: usize, slot: usize) -> usize {
+    let left_at = if points < TILE {
+        slot
+    } else {
+        transposed(slot)
+    };
+    bit_reverse(left_at, points.trailing_zeros())
+}
+
 impl FftPlan {
-    /// Create a plan for transforms of `n` points.
+    /// Create a plan for the folded negacyclic transform of `n` points
+    /// (a real polynomial of size `2n`).
     ///
     /// # Panics
     ///
     /// Panics if `n` is not a power of two or is zero.
     pub fn new(n: usize) -> Self {
+        Self::with_roots(n, 4)
+    }
+
+    /// A plan whose point `m` is the value at `θ^(1 + spacing·m)`,
+    /// `θ = e^(-2πi/(spacing·n))`: the roots of `Y^n = −i` for `spacing`
+    /// 4, of `Y^n = −1` for 2.
+    pub(crate) fn with_roots(n: usize, spacing: usize) -> Self {
         assert!(
             n.is_power_of_two() && n > 0,
             "FFT size must be a positive power of two, got {n}"
         );
+        // Exponents stay below spacing·n/2, angles within half a turn.
+        let theta = |e: usize| {
+            Complex64::from_polar_unit(-std::f64::consts::TAU * e as f64 / (spacing * n) as f64)
+        };
+        // Block q of the stage with half-block h holds the residue modulo
+        // Y^2h − θ^(2h·(1 + spacing·bitrev(q))): its twiddle is the root.
+        let mut fw = vec![Complex64::ZERO; n];
+        for s in 0..n.trailing_zeros() {
+            let (blocks, half) = (1usize << s, n >> (s + 1));
+            for q in 0..blocks {
+                fw[blocks + q] = theta(half * (1 + spacing * bit_reverse(q, s)));
+            }
+        }
+        let mut tile = Vec::new();
+        for run in (0..n / 8).step_by(8).filter(|_| n >= TILE) {
+            for (half, of_run) in [(4, 0), (2, 0), (2, 1), (1, 0), (1, 1), (1, 2), (1, 3)] {
+                // A run of eight is 4/half blocks of this stage.
+                let block = |r: usize| n / (2 * half) + (run + r) * (4 / half) + of_run;
+                tile.extend((0..8).map(|r| fw[block(r)]));
+            }
+        }
         let mut tw = vec![Complex64::ZERO; n];
         let mut half = 1usize;
         while half < n {
@@ -94,15 +187,30 @@ impl FftPlan {
             }
             half *= 2;
         }
-        let quarter_bits = n.trailing_zeros().saturating_sub(2);
+        let untwist: Vec<Complex64> = (0..n).map(|j| theta(j).conj()).collect();
+        let planes = |v: &[Complex64]| -> (Aligned, Aligned) {
+            (
+                v.iter().map(|w| w.re).collect(),
+                v.iter().map(|w| w.im).collect(),
+            )
+        };
+        let ((fw_re, fw_im), (tile_re, tile_im)) = (planes(&fw), planes(&tile));
+        let ((tw_re, tw_im), (untwist_re, untwist_im)) = (planes(&tw), planes(&untwist));
         Self {
             n,
-            tw_re: tw.iter().map(|w| w.re).collect(),
-            tw_im: tw.iter().map(|w| w.im).collect(),
-            rev4: (0..n / 4)
-                .map(|r| bit_reverse(r, quarter_bits) as u32)
-                .collect(),
-            simd: Simd::detect(n / 4),
+            fw_re,
+            fw_im,
+            tile_re,
+            tile_im,
+            tw_re,
+            tw_im,
+            untwist_re,
+            untwist_im,
+            simd: if n < TILE {
+                Simd::Narrow
+            } else {
+                Simd::detect(8)
+            },
         }
     }
 
@@ -116,51 +224,65 @@ impl FftPlan {
         self.n
     }
 
-    /// In-place forward FFT (scalar reference).
+    /// In-place forward transform (scalar reference): natural order in,
+    /// stored order out.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` differs from the plan size.
     pub fn forward(&self, data: &mut [Complex64]) {
-        self.reference(data, false);
+        assert_eq!(data.len(), self.n, "buffer size does not match FFT plan");
+        let (mut blocks, mut half) = (1usize, self.n / 2);
+        while half > 0 {
+            for (q, block) in data.chunks_exact_mut(2 * half).enumerate() {
+                let w = Complex64::new(self.fw_re[blocks + q], self.fw_im[blocks + q]);
+                for k in 0..half {
+                    (block[k], block[k + half]) = butterfly_fused(block[k], block[k + half], w);
+                }
+            }
+            (blocks, half) = (2 * blocks, half / 2);
+        }
+        transpose_tiles(data);
     }
 
-    /// In-place inverse FFT including the `1/n` scaling (scalar
-    /// reference).
+    /// In-place inverse transform (scalar reference), the `1/n` scaling
+    /// and the untwist included: stored order in, natural order out.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` differs from the plan size.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        self.reference(data, true);
+        self.inverse_unscaled(data);
         let scale = 1.0 / self.n as f64;
-        for v in data.iter_mut() {
-            *v = v.scale(scale);
+        for (j, v) in data.iter_mut().enumerate() {
+            *v = mul_fused(v.scale(scale), self.untwist(j));
         }
     }
 
-    fn reference(&self, data: &mut [Complex64], inverse: bool) {
+    /// The inverse's butterflies alone: the decimation-in-time network.
+    fn inverse_unscaled(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "buffer size does not match FFT plan");
-        let bits = self.n.trailing_zeros();
-        for i in 0..self.n {
-            let j = bit_reverse(i, bits);
-            if i < j {
-                data.swap(i, j);
-            }
-        }
+        transpose_tiles(data);
         let mut half = 1usize;
         while half < self.n {
-            for start in (0..self.n).step_by(2 * half) {
+            for block in data.chunks_exact_mut(2 * half) {
                 for k in 0..half {
-                    let w = Complex64::new(self.tw_re[half + k], self.tw_im[half + k]);
-                    let w = if inverse { w.conj() } else { w };
-                    let (lo, hi) = butterfly_fused(data[start + k], data[start + k + half], w);
-                    data[start + k] = lo;
-                    data[start + k + half] = hi;
+                    let w = Complex64::new(self.tw_re[half + k], -self.tw_im[half + k]);
+                    (block[k], block[k + half]) = butterfly_fused(block[k], block[k + half], w);
                 }
             }
             half *= 2;
         }
+    }
+
+    /// `θ^(-j)`: what output point `j` of the inverse is multiplied by.
+    fn untwist(&self, j: usize) -> Complex64 {
+        Complex64::new(self.untwist_re[j], self.untwist_im[j])
+    }
+
+    /// The untwist table, planar, for a kernel's last pass.
+    pub(crate) fn untwist_planes(&self) -> (&[f64], &[f64]) {
+        (&self.untwist_re, &self.untwist_im)
     }
 
     /// The ISA this plan's kernel runs on.
@@ -168,122 +290,375 @@ impl FftPlan {
         self.simd
     }
 
-    /// The kernel: an unscaled `n`-point transform (`INV` conjugates the
-    /// twiddles) of the planar sequence `source` yields, worked in place
-    /// in `re`/`im`, whose results go to `sink`.
+    /// Every ISA of this CPU the kernel could run on at this size, named:
+    /// what the identity tests iterate instead of trusting detection.
+    #[cfg(test)]
+    pub(crate) fn every_simd(&self) -> Vec<(&'static str, Simd)> {
+        Simd::every(if self.n < TILE { 1 } else { 8 })
+    }
+
+    /// How many of the stages with half-blocks 8, 16, 32 the tile pass
+    /// takes on top of its own three, so that an even number is left to
+    /// the passes that fuse two.
+    fn absorbed(&self) -> usize {
+        match self.n.trailing_zeros() {
+            6 => 1,
+            odd if odd % 2 == 1 => 2,
+            _ => 3,
+        }
+    }
+
+    /// The forward kernel: the transform of the planar sequence `source`
+    /// yields, into `re`/`im`, in stored order.
     ///
-    /// Both ends see the sequence as `P` parts, its four quarters (of two
-    /// points: `P = 2`, each one) — the runs the first pass reads and the
-    /// last pass writes side by side — so that each can cut its own planes
-    /// once ([`parts`]) and index them with the counters it is handed,
-    /// bounds checks gone.
-    /// `source(k)` returns points `k·LANES..(k + 1)·LANES` of every
-    /// quarter and is called once per `k`, in order, by the first pass —
-    /// all four at once, which spreads the fixed cost of a call over four
-    /// vectors (the external product's MAC gathers from two dozen
-    /// arrays). `sink(re, im, t, k, vr, vi)` receives those points of
-    /// quarter `t` once each, from the last pass, with the blocks of the
-    /// work planes they were computed in: [`store_back`] writes them there
-    /// (`re`/`im` then hold the result); any other sink may leave the
-    /// planes as scratch and put its output elsewhere.
+    /// `source(k)` returns points `k·LANES..(k + 1)·LANES` of each of the
+    /// sequence's `P` parts, its four quarters (of two points: `P = 2`,
+    /// each one) — the runs the first pass reads side by side — and is
+    /// called once per `k`, in order; a source cuts its own planes once
+    /// ([`parts`]) and indexes them with the counter it is handed, bounds
+    /// checks gone.
     ///
     /// `isa` must be the one [`Self::simd`] dispatches to.
     #[inline(always)]
-    pub(crate) fn transform<I: Isa, const INV: bool, const P: usize>(
+    pub(crate) fn run_forward<I: Isa, const P: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
         source: impl Fn(usize) -> [C<I>; P],
+    ) {
+        let n = self.check::<P>(re, im);
+        if n < TILE {
+            let m = self.parts_of_one_lane::<I, P>();
+            let (re_b, im_b) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            for k in 0..m {
+                for (t, x) in source(k).into_iter().enumerate() {
+                    isa.store(&mut re_b[t * m + k], x.0);
+                    isa.store(&mut im_b[t * m + k], x.1);
+                }
+            }
+            return self.reference_in_planes(re, im, Self::forward);
+        }
+        // Stages 0 and 1, reading: quarter t meets t + 2, then 0 meets 1
+        // and 2 meets 3.
+        let w = [
+            self.forward_splat(isa, 1),
+            self.forward_splat(isa, 2),
+            self.forward_splat(isa, 3),
+        ];
+        let m = n / 4 / I::LANES;
+        let re_q = parts_mut::<_, 4>(isa.blocks_mut(re), m);
+        let im_q = parts_mut::<_, 4>(isa.blocks_mut(im), m);
+        for k in 0..m {
+            let x = source(k);
+            let y = butterfly4::<I, false>(isa, [x[0], x[2], x[1], x[3]], w);
+            // A literal quarter each: a variable one would be checked.
+            isa.store(&mut re_q[0][k], y[0].0);
+            isa.store(&mut im_q[0][k], y[0].1);
+            isa.store(&mut re_q[1][k], y[2].0);
+            isa.store(&mut im_q[1][k], y[2].1);
+            isa.store(&mut re_q[2][k], y[1].0);
+            isa.store(&mut im_q[2][k], y[1].1);
+            isa.store(&mut re_q[3][k], y[3].0);
+            isa.store(&mut im_q[3][k], y[3].1);
+        }
+        // Two stages a pass while more are left than the tiles take.
+        let vertical = n.trailing_zeros() as usize - 3;
+        let mut s = 2;
+        while vertical - s > self.absorbed() {
+            self.forward_pass(isa, re, im, s);
+            s += 2;
+        }
+        match self.absorbed() {
+            1 => self.forward_tiles::<I, 1>(isa, re, im),
+            2 => self.forward_tiles::<I, 2>(isa, re, im),
+            _ => self.forward_tiles::<I, 3>(isa, re, im),
+        }
+    }
+
+    /// The inverse kernel: the unscaled decimation-in-time network over
+    /// the points `source` yields in stored order, worked in the scratch
+    /// planes `re`/`im`, whose results go to `sink`.
+    ///
+    /// `source(at, out)` fills `out` with the vectors `at..at + out.len()`
+    /// of the stored sequence — a tile at a time, which spreads the fixed
+    /// cost of a call over its vectors (the external product's MAC gathers
+    /// from two dozen arrays). `sink(re, im, t, k, vr, vi)` receives points
+    /// `k·LANES..(k + 1)·LANES` of part `t` (parts as
+    /// [`run_forward`](Self::run_forward)'s) once each, from the last
+    /// pass, with the blocks of the work planes they were computed in.
+    ///
+    /// `isa` must be the one [`Self::simd`] dispatches to.
+    #[inline(always)]
+    pub(crate) fn run_inverse<I: Isa, const P: usize>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        source: impl Fn(usize, &mut [C<I>]),
         mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
     ) {
+        let n = self.check::<P>(re, im);
+        if n < TILE {
+            let m = self.parts_of_one_lane::<I, P>();
+            let (re_b, im_b) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            for (at, (re, im)) in re_b.iter_mut().zip(im_b.iter_mut()).enumerate() {
+                let mut x = [(isa.splat(0.0), isa.splat(0.0))];
+                source(at, &mut x);
+                isa.store(re, x[0].0);
+                isa.store(im, x[0].1);
+            }
+            self.reference_in_planes(re, im, Self::inverse_unscaled);
+            let (re_b, im_b) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            for (at, (re, im)) in re_b.iter_mut().zip(im_b).enumerate() {
+                let (vr, vi) = (isa.load(re), isa.load(im));
+                sink(re, im, at / m, at % m, vr, vi);
+            }
+            return;
+        }
+        match self.absorbed() {
+            1 => self.inverse_tiles::<I, 1>(isa, re, im, source),
+            2 => self.inverse_tiles::<I, 2>(isa, re, im, source),
+            _ => self.inverse_tiles::<I, 3>(isa, re, im, source),
+        }
+        // Two stages a pass from there; the last one feeds the sink.
+        let mut h = 8 << self.absorbed();
+        while 4 * h < n {
+            self.radix4_pass(isa, re, im, h, store_back(isa));
+            h *= 4;
+        }
+        self.radix4_pass(isa, re, im, h, sink);
+    }
+
+    /// The size checks of both kernels.
+    #[inline(always)]
+    fn check<const P: usize>(&self, re: &[f64], im: &[f64]) -> usize {
         let n = re.len();
         assert!(
             P == n.min(4) && n == self.n && im.len() == n,
             "work planes do not match the FFT plan"
         );
-        if P == 2 {
-            // Two points, their own bit reversal, a lane each: one butterfly.
-            let (x, w) = (source(0), self.twiddle_splat(isa, 1));
-            let (lo, hi) = butterfly2::<I, INV>(isa, x[0], x[1], w);
-            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            sink(&mut re[0], &mut im[0], 0, 0, lo.0, lo.1);
-            sink(&mut re[1], &mut im[1], 1, 0, hi.0, hi.1);
-            return;
+        n
+    }
+
+    /// The points of each of the `P` parts of a transform shorter than a
+    /// tile, which runs on one lane.
+    #[inline(always)]
+    fn parts_of_one_lane<I: Isa, const P: usize>(&self) -> usize {
+        assert!(I::LANES == 1, "a transform below a tile runs on one lane");
+        self.n / P
+    }
+
+    /// The scalar reference `run` on planar data, below a tile.
+    fn reference_in_planes(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        run: fn(&Self, &mut [Complex64]),
+    ) {
+        let mut data = [Complex64::ZERO; TILE];
+        let data = &mut data[..self.n];
+        for (v, (re, im)) in data.iter_mut().zip(re.iter().zip(&*im)) {
+            *v = Complex64::new(*re, *im);
         }
-        self.first_pass::<I, INV, P>(isa, re, im, source);
-        // Stages with half-block sizes h = 4, 4h, …, n/2 remain; the last
-        // pass hands its results to the sink.
-        let mut h = 4;
-        while 8 * h <= n {
-            if h < I::LANES {
-                // The first pass left runs of four points, half an
-                // eight-lane vector; n ≥ 4·LANES, so a later pass feeds
-                // the sink.
-                let half = isa.half();
-                self.radix4_pass::<I::Half, INV>(half, re, im, h, store_back(half));
-            } else {
-                self.radix4_pass::<I, INV>(isa, re, im, h, store_back(isa));
-            }
-            h *= 4;
-        }
-        if h == n {
-            // Four points, a lane each: the first pass was the transform.
-            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            for (t, (re, im)) in re.iter_mut().zip(im).enumerate() {
-                let (vr, vi) = (isa.load(re), isa.load(im));
-                sink(re, im, t, 0, vr, vi);
-            }
-        } else if 2 * h == n {
-            // The last stage on its own, when the stage count is odd:
-            // quarter s meets quarter s + 2.
-            self.radix2_pass::<I, INV>(isa, re, im, 0, &mut sink);
-            self.radix2_pass::<I, INV>(isa, re, im, 1, &mut sink);
-        } else {
-            self.radix4_pass::<I, INV>(isa, re, im, h, sink);
+        run(self, data);
+        for (v, (re, im)) in data.iter().zip(re.iter_mut().zip(im)) {
+            (*re, *im) = (v.re, v.im);
         }
     }
 
-    /// Twiddle `at` of the ROM in every lane.
+    /// Forward twiddle `at` in every lane.
     #[inline(always)]
-    fn twiddle_splat<I: Isa>(&self, isa: I, at: usize) -> C<I> {
-        (isa.splat(self.tw_re[at]), isa.splat(self.tw_im[at]))
+    fn forward_splat<I: Isa>(&self, isa: I, at: usize) -> C<I> {
+        splat(isa, (&self.fw_re, &self.fw_im), at)
     }
 
-    /// Input, bit reversal and stages 0–1 in one pass. After the
-    /// reversal, block `b` (points `4b..4b + 4`) holds source points
-    /// `r, r + n/2, r + n/4, r + 3n/4` with `r = bitrev(b)`; walking `r`
-    /// instead of `b` makes all four reads contiguous runs, and the
-    /// transposing store puts each finished block where it belongs.
+    /// Forward stages `s` and `s + 1`, fused, in each of the `2^s` blocks
+    /// of stage `s`: as the first pass, with the block's three twiddles.
     #[inline(always)]
-    fn first_pass<I: Isa, const INV: bool, const P: usize>(
+    fn forward_pass<I: Isa>(&self, isa: I, re: &mut [f64], im: &mut [f64], s: usize) {
+        let (blocks, quarter) = (1usize << s, self.n >> (s + 2));
+        let m = quarter / I::LANES;
+        let of_blocks = re
+            .chunks_exact_mut(4 * quarter)
+            .zip(im.chunks_exact_mut(4 * quarter));
+        for (q, (re, im)) in of_blocks.enumerate() {
+            let w = [
+                self.forward_splat(isa, blocks + q),
+                self.forward_splat(isa, 2 * (blocks + q)),
+                self.forward_splat(isa, 2 * (blocks + q) + 1),
+            ];
+            let re = parts_mut::<_, 4>(isa.blocks_mut(re), m);
+            let im = parts_mut::<_, 4>(isa.blocks_mut(im), m);
+            for k in 0..m {
+                let x = [
+                    (isa.load(&re[0][k]), isa.load(&im[0][k])),
+                    (isa.load(&re[2][k]), isa.load(&im[2][k])),
+                    (isa.load(&re[1][k]), isa.load(&im[1][k])),
+                    (isa.load(&re[3][k]), isa.load(&im[3][k])),
+                ];
+                let y = butterfly4::<I, false>(isa, x, w);
+                isa.store(&mut re[0][k], y[0].0);
+                isa.store(&mut im[0][k], y[0].1);
+                isa.store(&mut re[1][k], y[2].0);
+                isa.store(&mut im[1][k], y[2].1);
+                isa.store(&mut re[2][k], y[1].0);
+                isa.store(&mut im[2][k], y[1].1);
+                isa.store(&mut re[3][k], y[3].0);
+                isa.store(&mut im[3][k], y[3].1);
+            }
+        }
+    }
+
+    /// The forward's last pass, a tile at a time: the `ABSORBED` stages
+    /// still pairing whole rows of the tile (half-blocks 8·2^e: row `a`
+    /// meets `a + 2^e`, one twiddle per block), one transpose, and the
+    /// last three stages across the registers of the transposed tile,
+    /// with a lane per run of eight — stored as it stands.
+    #[inline(always)]
+    fn forward_tiles<I: Isa, const ABSORBED: usize>(&self, isa: I, re: &mut [f64], im: &mut [f64]) {
+        let g = 8 / I::LANES;
+        let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
+        let tables = (self.tile_re.chunks_exact(56)).zip(self.tile_im.chunks_exact(56));
+        for (b, ((re, im), (tw_re, tw_im))) in tiles.zip(tables).enumerate() {
+            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            let (tw_re, tw_im) = (isa.blocks(tw_re), isa.blocks(tw_im));
+            let mut tile = isa.tile();
+            for (v, (re, im)) in tile.as_mut().iter_mut().zip(re.iter().zip(&*im)) {
+                *v = (isa.load(re), isa.load(im));
+            }
+            // Calls spelled out, here and below: a loop over the stages
+            // is not always unrolled, and then the tile lives in memory.
+            if ABSORBED > 2 {
+                self.forward_rows::<I, 4>(isa, tile.as_mut(), b);
+            }
+            if ABSORBED > 1 {
+                self.forward_rows::<I, 2>(isa, tile.as_mut(), b);
+            }
+            self.forward_rows::<I, 1>(isa, tile.as_mut(), b);
+            isa.transpose(&mut tile);
+            let w = (tw_re, tw_im);
+            tile_stage::<I, false, 4>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |_, j| load(isa, w, j),
+            );
+            tile_stage::<I, false, 2>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |a, j| load(isa, w, (1 + a / 4) * g + j),
+            );
+            tile_stage::<I, false, 1>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |a, j| load(isa, w, (3 + a / 2) * g + j),
+            );
+            for (v, (re, im)) in tile.as_mut().iter().zip(re.iter_mut().zip(im)) {
+                isa.store(re, v.0);
+                isa.store(im, v.1);
+            }
+        }
+    }
+
+    /// The forward stage with half-block `8·D` in tile `b`, which is `4/D`
+    /// of its blocks: row `a` meets row `a + D`, one twiddle per block.
+    #[inline(always)]
+    fn forward_rows<I: Isa, const D: usize>(&self, isa: I, tile: &mut [C<I>], b: usize) {
+        let first = self.n / (16 * D) + b * (4 / D);
+        let w_re = &self.fw_re[first..first + 4 / D];
+        let w_im = &self.fw_im[first..first + 4 / D];
+        tile_stage::<I, false, D>(
+            isa,
+            tile,
+            #[inline(always)]
+            |a, _| splat(isa, (w_re, w_im), a / (2 * D)),
+        );
+    }
+
+    /// The inverse's first pass, [`forward_tiles`](Self::forward_tiles)
+    /// backwards: a tile from the source, the three stages with constant
+    /// twiddles across its registers, one transpose, `ABSORBED` stages
+    /// more between its rows.
+    #[inline(always)]
+    fn inverse_tiles<I: Isa, const ABSORBED: usize>(
         &self,
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize) -> [C<I>; P],
+        source: impl Fn(usize, &mut [C<I>]),
     ) {
-        // Stage 0's twiddle and stage 1's two, the same for every block.
-        let w = [
-            self.twiddle_splat(isa, 1),
-            self.twiddle_splat(isa, 2),
-            self.twiddle_splat(isa, 3),
-        ];
-        let (re, _) = re.as_chunks_mut::<4>();
-        let (im, _) = im.as_chunks_mut::<4>();
-        for (k, pos) in isa.blocks(&self.rev4).iter().enumerate() {
-            let x = source(k);
-            let y = butterfly4::<I, INV>(isa, [x[0], x[2], x[1], x[3]], w);
-            isa.scatter4(re, pos, [y[0].0, y[1].0, y[2].0, y[3].0]);
-            isa.scatter4(im, pos, [y[0].1, y[1].1, y[2].1, y[3].1]);
+        let g = 8 / I::LANES;
+        // Half-blocks up to 32: the ROM's first 64 twiddles, of which the
+        // first eight go one to a register.
+        let (one_re, one_im) = (&self.tw_re[..8], &self.tw_im[..8]);
+        let tw_re = &isa.blocks(&self.tw_re)[..8 * g];
+        let tw_im = &isa.blocks(&self.tw_im)[..8 * g];
+        let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
+        for (b, (re, im)) in tiles.enumerate() {
+            let mut tile = isa.tile();
+            source(b * 8 * g, tile.as_mut());
+            // Twiddle k of the stage with half-block d is the ROM's d + k:
+            // one to a register while a row is one point of eight runs…
+            let one = (one_re, one_im);
+            tile_stage::<I, true, 1>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |_, _| splat(isa, one, 1),
+            );
+            tile_stage::<I, true, 2>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |a, _| splat(isa, one, 2 + (a & 1)),
+            );
+            tile_stage::<I, true, 4>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |a, _| splat(isa, one, 4 + (a & 3)),
+            );
+            isa.transpose(&mut tile);
+            // …and eight to a row of vectors once a row is a run of eight.
+            let rows = (tw_re, tw_im);
+            tile_stage::<I, true, 1>(
+                isa,
+                tile.as_mut(),
+                #[inline(always)]
+                |_, j| load(isa, rows, g + j),
+            );
+            if ABSORBED > 1 {
+                tile_stage::<I, true, 2>(
+                    isa,
+                    tile.as_mut(),
+                    #[inline(always)]
+                    |a, j| load(isa, rows, (2 + (a & 1)) * g + j),
+                );
+            }
+            if ABSORBED > 2 {
+                tile_stage::<I, true, 4>(
+                    isa,
+                    tile.as_mut(),
+                    #[inline(always)]
+                    |a, j| load(isa, rows, (4 + (a & 3)) * g + j),
+                );
+            }
+            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            for (v, (re, im)) in tile.as_mut().iter().zip(re.iter_mut().zip(im)) {
+                isa.store(re, v.0);
+                isa.store(im, v.1);
+            }
         }
     }
 
-    /// The stages with half-block sizes `h` and `2h`, fused, in every run
-    /// of `4h` points; `sink` gets the quarter of its run and the vector
-    /// within it that each output is.
+    /// The inverse stages with half-block sizes `h` and `2h`, fused, in
+    /// every run of `4h` points; `sink` gets the quarter of its run and
+    /// the vector within it that each output is.
     #[inline(always)]
-    fn radix4_pass<I: Isa, const INV: bool>(
+    fn radix4_pass<I: Isa>(
         &self,
         isa: I,
         re: &mut [f64],
@@ -310,7 +685,7 @@ impl FftPlan {
                     (isa.load(&tw_re[1][k]), isa.load(&tw_im[1][k])),
                     (isa.load(&tw_re[2][k]), isa.load(&tw_im[2][k])),
                 ];
-                let y = butterfly4::<I, INV>(isa, x, w);
+                let y = butterfly4::<I, true>(isa, x, w);
                 sink(&mut re[0][k], &mut im[0][k], 0, k, y[0].0, y[0].1);
                 sink(&mut re[1][k], &mut im[1][k], 1, k, y[1].0, y[1].1);
                 sink(&mut re[2][k], &mut im[2][k], 2, k, y[2].0, y[2].1);
@@ -318,33 +693,47 @@ impl FftPlan {
             }
         }
     }
+}
 
-    /// Stage `n/2` for the points of quarter `s` and those of quarter
-    /// `s + 2`, `n/2` further on. Called with each `s`, not looping over
-    /// it: a sink handed a variable quarter would check its bounds again.
-    #[inline(always)]
-    fn radix2_pass<I: Isa, const INV: bool>(
-        &self,
-        isa: I,
-        re: &mut [f64],
-        im: &mut [f64],
-        s: usize,
-        sink: &mut impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
-    ) {
-        let (n, m) = (re.len(), re.len() / 4 / I::LANES);
-        let tw_re = parts::<_, 2>(isa.blocks(&self.tw_re[n / 2..]), m)[s];
-        let tw_im = parts::<_, 2>(isa.blocks(&self.tw_im[n / 2..]), m)[s];
-        let mut re = parts_mut::<_, 4>(isa.blocks_mut(re), m);
-        let mut im = parts_mut::<_, 4>(isa.blocks_mut(im), m);
-        let [re_a, re_b] = re.get_disjoint_mut([s, s + 2]).expect("s is 0 or 1");
-        let [im_a, im_b] = im.get_disjoint_mut([s, s + 2]).expect("s is 0 or 1");
-        for k in 0..m {
-            let a = (isa.load(&re_a[k]), isa.load(&im_a[k]));
-            let b = (isa.load(&re_b[k]), isa.load(&im_b[k]));
-            let w = (isa.load(&tw_re[k]), isa.load(&tw_im[k]));
-            let (lo, hi) = butterfly2::<I, INV>(isa, a, b, w);
-            sink(&mut re_a[k], &mut im_a[k], s, k, lo.0, lo.1);
-            sink(&mut re_b[k], &mut im_b[k], s + 2, k, hi.0, hi.1);
+/// Every run of 64 of `data` as the transpose of the 8×8 matrix it is —
+/// between the order the butterflies leave and the stored one, either way.
+fn transpose_tiles(data: &mut [Complex64]) {
+    for tile in data.chunks_exact_mut(TILE) {
+        for index in 0..TILE {
+            if index < transposed(index) {
+                tile.swap(index, transposed(index));
+            }
+        }
+    }
+}
+
+/// Twiddle `at` of planar `(re, im)` tables in every lane.
+#[inline(always)]
+fn splat<I: Isa>(isa: I, w: (&[f64], &[f64]), at: usize) -> C<I> {
+    (isa.splat(w.0[at]), isa.splat(w.1[at]))
+}
+
+/// Vector `at` of planar `(re, im)` tables.
+#[inline(always)]
+fn load<I: Isa>(isa: I, w: (&[Plane<I>], &[Plane<I>]), at: usize) -> C<I> {
+    (isa.load(&w.0[at]), isa.load(&w.1[at]))
+}
+
+/// One butterfly stage inside a tile: row `a` of its matrix meets row
+/// `a + D`, for the four `a` without bit `D`, in each of a row's vectors
+/// `j`, under the twiddle `w(a, j)`.
+#[inline(always)]
+fn tile_stage<I: Isa, const INV: bool, const D: usize>(
+    isa: I,
+    tile: &mut [C<I>],
+    w: impl Fn(usize, usize) -> C<I>,
+) {
+    let g = 8 / I::LANES;
+    for i in 0..4 {
+        let a = i + (i & !(D - 1));
+        for j in 0..g {
+            let (lo, hi) = (a * g + j, (a + D) * g + j);
+            (tile[lo], tile[hi]) = butterfly2::<I, INV>(isa, tile[lo], tile[hi], w(a, j));
         }
     }
 }
@@ -379,10 +768,10 @@ pub(crate) fn parts_mut<T, const P: usize>(s: &mut [T], len: usize) -> [&mut [T]
 /// A vector's worth of a work plane.
 type Plane<I> = <I as Isa>::Block<f64>;
 
-/// The sink that keeps a transform's output in its work planes.
+/// The sink that keeps a pass's output in its work planes.
 #[inline(always)]
 #[allow(clippy::type_complexity)] // a sink's signature, spelled once more
-pub(crate) fn store_back<I: Isa>(
+fn store_back<I: Isa>(
     isa: I,
 ) -> impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V) {
     #[inline(always)]
@@ -398,6 +787,15 @@ pub(crate) fn store_back<I: Isa>(
 pub(crate) fn mul_add_fused(acc: Complex64, x: Complex64, w: Complex64) -> Complex64 {
     let (re, im) = (x.re.mul_add(w.re, acc.re), x.re.mul_add(w.im, acc.im));
     Complex64::new((-x.im).mul_add(w.im, re), x.im.mul_add(w.re, im))
+}
+
+/// `x · w` as the kernel untwists (`simd::cmul`): two products, and the
+/// second product of each component fused into the sum.
+fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
+    Complex64::new(
+        (-x.im).mul_add(w.im, x.re * w.re),
+        x.im.mul_add(w.re, x.re * w.im),
+    )
 }
 
 /// The reference butterfly: `lo = a + b·w`, then `hi = 2a − lo` — which is
@@ -419,9 +817,11 @@ fn butterfly2<I: Isa, const INV: bool>(isa: I, a: C<I>, b: C<I>, w: C<I>) -> (C<
     )
 }
 
-/// Two consecutive stages on the points `k, k+h, k+2h, k+3h` of a
-/// `4h`-block: `w = [stage-h twiddle k, stage-2h twiddle k, stage-2h
-/// twiddle k+h]`. The same butterflies the reference runs, in an order
+/// Two consecutive stages on four points held in registers, as the
+/// inverse pairs them — `x[0]` with `x[1]` and `x[2]` with `x[3]` under
+/// `w[0]`, then the sums under `w[1]` and the differences under `w[2]`;
+/// the forward hands in `x[1]` and `x[2]` swapped and takes `y[1]`, `y[2]`
+/// back swapped. The same butterflies the reference runs, in an order
 /// that keeps all four points in registers.
 #[inline(always)]
 fn butterfly4<I: Isa, const INV: bool>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C<I>; 4] {
@@ -433,22 +833,8 @@ fn butterfly4<I: Isa, const INV: bool>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C
 }
 
 #[cfg(test)]
-/// `x · w` as the kernel twists (`simd::cmul`): two products, and the
-/// second product of each component fused into the sum. The scalar
-/// reference of every in-crate identity suite; the copies outside the
-/// crate (`tests/properties.rs`, the `transform_batch` bench) are each
-/// held to the kernel by an identity assertion of their own.
-pub(crate) fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
-    Complex64::new(
-        (-x.im).mul_add(w.im, x.re * w.re),
-        x.im.mul_add(w.re, x.re * w.im),
-    )
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dft::naive_dft;
     use crate::simd::Kernel;
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
@@ -464,26 +850,65 @@ mod tests {
             .collect()
     }
 
+    /// `Σ_j x_j θ^(j(1 + spacing·m))`, `θ = e^(-2πi/(spacing·n))`, for
+    /// every `m`, in natural order: the O(n²) oracle of both plans.
+    fn naive_values(input: &[Complex64], spacing: usize) -> Vec<Complex64> {
+        let n = input.len();
+        (0..n)
+            .map(|m| {
+                let mut acc = Complex64::ZERO;
+                for (j, &x) in input.iter().enumerate() {
+                    let turns = (j * (1 + spacing * m)) as f64 / (spacing * n) as f64;
+                    acc += x * Complex64::from_polar_unit(-std::f64::consts::TAU * turns);
+                }
+                acc
+            })
+            .collect()
+    }
+
     #[test]
-    fn matches_naive_dft() {
-        for n in [1usize, 2, 4, 8, 16, 64, 256] {
-            let input = ramp(n);
-            let mut fft_out = input.clone();
-            FftPlan::new(n).forward(&mut fft_out);
-            let dft_out = naive_dft(&input);
-            assert_close(&fft_out, &dft_out, 1e-7 * n as f64);
+    fn forward_matches_naive_evaluation_through_the_slot_map() {
+        for n in [1usize, 2, 4, 8, 16, 64, 128, 256] {
+            for spacing in [4, 2] {
+                let input = ramp(n);
+                let mut out = input.clone();
+                FftPlan::with_roots(n, spacing).forward(&mut out);
+                let natural: Vec<Complex64> = (0..n).map(|m| out[slot(n, m)]).collect();
+                assert_close(&natural, &naive_values(&input, spacing), 1e-7 * n as f64);
+            }
         }
+    }
+
+    #[test]
+    fn the_slot_map_is_a_permutation_and_point_at_inverts_it() {
+        for log_n in 0..=12 {
+            let n = 1usize << log_n;
+            let mut seen = vec![false; n];
+            for m in 0..n {
+                let at = slot(n, m);
+                assert!(!std::mem::replace(&mut seen[at], true), "n={n} m={m}");
+                assert_eq!(point_at(n, at), m, "n={n}");
+            }
+        }
+        // Plain bit reversal below a tile; from there on, tiles transposed.
+        assert_eq!(
+            (0..8).map(|m| slot(8, m)).collect::<Vec<_>>(),
+            [0, 4, 2, 6, 1, 5, 3, 7]
+        );
+        assert_eq!((slot(64, 1), slot(64, 8), slot(128, 1)), (4, 32, 64));
     }
 
     #[test]
     fn forward_inverse_roundtrip() {
         for n in [2usize, 8, 128, 1024] {
-            let input = ramp(n);
-            let mut data = input.clone();
-            let plan = FftPlan::new(n);
-            plan.forward(&mut data);
-            plan.inverse(&mut data);
-            assert_close(&data, &input, 1e-8 * n as f64);
+            for spacing in [4, 2] {
+                let input = ramp(n);
+                let mut data = input.clone();
+                let plan = FftPlan::with_roots(n, spacing);
+                plan.forward(&mut data);
+                plan.inverse(&mut data);
+                assert_close(&data, &input, 1e-8 * n as f64);
+            }
         }
     }
 
@@ -527,8 +952,9 @@ mod tests {
         assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy);
     }
 
-    /// The kernel as a plain FFT: planar input in, planar output out,
-    /// `1/n` applied by the sink on the inverse as `FftPlan::inverse` does.
+    /// The kernel between planar input and planar output, as
+    /// `FftPlan::forward` / `FftPlan::inverse` (`INV`) transform AoS data:
+    /// `1/n` and the untwist applied by the inverse's sink.
     /// `P`: the parts its ends see, `n.min(4)`.
     struct Plain<'a, const INV: bool, const P: usize> {
         plan: &'a FftPlan,
@@ -540,19 +966,46 @@ mod tests {
 
         #[inline(always)]
         fn run<I: Isa>(self, isa: I) -> Vec<Complex64> {
-            let n = self.plan.len();
+            let plan = self.plan;
+            let n = plan.len();
             let m = n / P / I::LANES;
             let in_re: Vec<f64> = self.input.iter().map(|z| z.re).collect();
             let in_im: Vec<f64> = self.input.iter().map(|z| z.im).collect();
-            let in_re = parts::<_, P>(isa.blocks(&in_re), m);
-            let in_im = parts::<_, P>(isa.blocks(&in_im), m);
             let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            {
-                let mut out_re = parts_mut::<_, P>(isa.blocks_mut(&mut out_re), m);
-                let mut out_im = parts_mut::<_, P>(isa.blocks_mut(&mut out_im), m);
-                let scale = isa.splat(1.0 / n as f64);
-                self.plan.transform::<I, INV, P>(
+            if INV {
+                let (in_re, in_im) = (isa.blocks(&in_re), isa.blocks(&in_im));
+                let (mut out_re, mut out_im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                {
+                    let mut out_re = parts_mut::<_, P>(isa.blocks_mut(&mut out_re), m);
+                    let mut out_im = parts_mut::<_, P>(isa.blocks_mut(&mut out_im), m);
+                    let untwist_re = parts::<_, P>(isa.blocks(&plan.untwist_re), m);
+                    let untwist_im = parts::<_, P>(isa.blocks(&plan.untwist_im), m);
+                    let scale = isa.splat(1.0 / n as f64);
+                    plan.run_inverse::<I, P>(
+                        isa,
+                        &mut re,
+                        &mut im,
+                        #[inline(always)]
+                        |at, out| {
+                            for (i, x) in out.iter_mut().enumerate() {
+                                *x = (isa.load(&in_re[at + i]), isa.load(&in_im[at + i]));
+                            }
+                        },
+                        #[inline(always)]
+                        |_, _, t, k, vr, vi| {
+                            let w = (isa.load(&untwist_re[t][k]), isa.load(&untwist_im[t][k]));
+                            let scaled = (isa.mul(vr, scale), isa.mul(vi, scale));
+                            let u = crate::simd::cmul(isa, scaled, w);
+                            isa.store(&mut out_re[t][k], u.0);
+                            isa.store(&mut out_im[t][k], u.1);
+                        },
+                    );
+                }
+                (re, im) = (out_re, out_im);
+            } else {
+                let in_re = parts::<_, P>(isa.blocks(&in_re), m);
+                let in_im = parts::<_, P>(isa.blocks(&in_im), m);
+                plan.run_forward::<I, P>(
                     isa,
                     &mut re,
                     &mut im,
@@ -564,21 +1017,10 @@ mod tests {
                         }
                         x
                     },
-                    #[inline(always)]
-                    |_, _, t, k, vr, vi| {
-                        let (vr, vi) = if INV {
-                            (isa.mul(vr, scale), isa.mul(vi, scale))
-                        } else {
-                            (vr, vi)
-                        };
-                        isa.store(&mut out_re[t][k], vr);
-                        isa.store(&mut out_im[t][k], vi);
-                    },
                 );
             }
-            out_re
-                .into_iter()
-                .zip(out_im)
+            re.into_iter()
+                .zip(im)
                 .map(|(r, i)| Complex64::new(r, i))
                 .collect()
         }
@@ -629,25 +1071,30 @@ mod tests {
     fn kernel_is_bit_identical_to_the_reference_on_every_isa() {
         for log_n in 1..=12 {
             let n = 1usize << log_n;
-            let plan = &FftPlan::new(n);
-            for seed in 0..4 {
-                let input = &awkward_points(n, seed + 100 * log_n);
-                let mut forward = input.clone();
-                plan.forward(&mut forward);
-                let mut inverse = input.clone();
-                plan.inverse(&mut inverse);
-                for (name, simd) in Simd::every(n / 4) {
-                    // The ends of the two-point transform see its points.
-                    let got = match n {
-                        2 => simd.run(Plain::<false, 2> { plan, input }),
-                        _ => simd.run(Plain::<false, 4> { plan, input }),
-                    };
-                    assert_eq!(bits(&got), bits(&forward), "forward n={n} {name}");
-                    let got = match n {
-                        2 => simd.run(Plain::<true, 2> { plan, input }),
-                        _ => simd.run(Plain::<true, 4> { plan, input }),
-                    };
-                    assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
+            for spacing in [4, 2] {
+                let plan = &FftPlan::with_roots(n, spacing);
+                let ran_on: Vec<&str> = plan.every_simd().iter().map(|(name, _)| *name).collect();
+                // Every ISA of the CPU from a tile up; one lane below.
+                assert_eq!(n < TILE, ran_on == ["one-lane"], "n={n}: {ran_on:?}");
+                for seed in 0..4 {
+                    let input = &awkward_points(n, seed + 100 * log_n);
+                    let mut forward = input.clone();
+                    plan.forward(&mut forward);
+                    let mut inverse = input.clone();
+                    plan.inverse(&mut inverse);
+                    for (name, simd) in plan.every_simd() {
+                        // The ends of the two-point transform see its points.
+                        let got = match n {
+                            2 => simd.run(Plain::<false, 2> { plan, input }),
+                            _ => simd.run(Plain::<false, 4> { plan, input }),
+                        };
+                        assert_eq!(bits(&got), bits(&forward), "forward n={n} {name}");
+                        let got = match n {
+                            2 => simd.run(Plain::<true, 2> { plan, input }),
+                            _ => simd.run(Plain::<true, 4> { plan, input }),
+                        };
+                        assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
+                    }
                 }
             }
         }
@@ -656,24 +1103,18 @@ mod tests {
     /// The network the reference ran before it fused: `Complex64`'s own
     /// operators, every product and sum rounded on its own.
     fn unfused_forward(plan: &FftPlan, data: &mut [Complex64]) {
-        let n = plan.len();
-        for i in 0..n {
-            let j = bit_reverse(i, n.trailing_zeros());
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-        let mut half = 1usize;
-        while half < n {
-            for start in (0..n).step_by(2 * half) {
+        let (mut blocks, mut half) = (1usize, plan.len() / 2);
+        while half > 0 {
+            for (q, block) in data.chunks_exact_mut(2 * half).enumerate() {
+                let w = Complex64::new(plan.fw_re[blocks + q], plan.fw_im[blocks + q]);
                 for k in 0..half {
-                    let w = Complex64::new(plan.tw_re[half + k], plan.tw_im[half + k]);
-                    let (a, b) = (data[start + k], data[start + k + half] * w);
-                    (data[start + k], data[start + k + half]) = (a + b, a - b);
+                    let (a, b) = (block[k], block[k + half] * w);
+                    (block[k], block[k + half]) = (a + b, a - b);
                 }
             }
-            half *= 2;
+            (blocks, half) = (2 * blocks, half / 2);
         }
+        transpose_tiles(data);
     }
 
     #[test]
@@ -723,32 +1164,40 @@ mod tests {
     }
 
     #[test]
-    fn plans_pick_an_isa_their_size_can_fill() {
-        struct Lanes;
-        impl Kernel for Lanes {
-            type Out = usize;
-            fn run<I: Isa>(self, _: I) -> usize {
-                I::LANES
-            }
-        }
-        assert!(matches!(FftPlan::new(8).simd(), Simd::Narrow));
-        assert!(!matches!(FftPlan::new(16).simd(), Simd::Narrow));
-        for log_n in 1..=12 {
+    fn plans_run_one_lane_below_a_tile_and_the_widest_isa_from_there() {
+        for log_n in 0..=12 {
             let n = 1usize << log_n;
-            let simd = FftPlan::new(n).simd();
-            let lanes = simd.run(Lanes);
-            // The first pass walks a quarter of the points a vector at a
-            // time.
-            assert!(lanes <= (n / 4).max(1), "n={n}: {}", simd.name());
+            let name = FftPlan::new(n).simd().name();
+            if n < TILE {
+                assert_eq!(name, "one-lane", "n={n}");
+            } else {
+                assert_eq!(name, Simd::detect(8).name(), "n={n}");
+            }
         }
     }
 
     #[test]
-    fn the_twiddle_rom_starts_on_a_cache_line() {
+    fn every_table_starts_on_a_cache_line() {
         for n in [2usize, 16, 64, 1024] {
-            let plan = FftPlan::new(n);
-            for rom in [&plan.tw_re, &plan.tw_im, &plan.clone().tw_re] {
-                assert_eq!((rom.len(), rom.as_ptr() as usize % 64), (n, 0), "n={n}");
+            let (plan, copy) = (FftPlan::new(n), FftPlan::with_roots(n, 2).clone());
+            for plan in [&plan, &copy] {
+                let tile = if n < TILE { 0 } else { 7 * n / 8 };
+                for (table, len) in [
+                    (&plan.fw_re, n),
+                    (&plan.fw_im, n),
+                    (&plan.tile_re, tile),
+                    (&plan.tile_im, tile),
+                    (&plan.tw_re, n),
+                    (&plan.tw_im, n),
+                    (&plan.untwist_re, n),
+                    (&plan.untwist_im, n),
+                ] {
+                    assert_eq!(
+                        (table.len(), table.as_ptr() as usize % 64),
+                        (len, 0),
+                        "n={n}"
+                    );
+                }
             }
         }
     }

@@ -18,18 +18,19 @@
 //! the rest of the system is agnostic to which one produced the data.
 //!
 //! Every entry point is the one kernel of [`crate::fft`] with a different
-//! first and last pass: the twist (or merge) rides on the pass that reads
-//! the coefficients, the untwist, `1/n` scaling and rounding on the pass
-//! that writes them. The external product goes one step further on each
-//! side (`forward_digit_into`, `inverse_mac_add_into`): the pass that
-//! reads also decomposes, or multiply-accumulates; the pass that writes
-//! also adds into the accumulator.
+//! first and last pass: the fold (or merge) rides on the pass that reads
+//! the coefficients — the twist is in the forward network's twiddles —
+//! and the untwist, `1/n` scaling and rounding on the pass that writes
+//! them. The external product goes one step further on each side
+//! (`forward_digit_into`, `inverse_mac_add_into`): the pass that reads
+//! also decomposes, or multiply-accumulates; the pass that writes also
+//! adds into the accumulator.
 
 use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
-use crate::fft::{parts, parts_mut, store_back, FftPlan};
-use crate::simd::{cache_line_offset, cmul, cmul_add, Aligned, DigitOf, Isa, Kernel, C, SPARE};
+use crate::fft::{parts, parts_mut, point_at, slot, FftPlan};
+use crate::simd::{cache_line_offset, cmul, cmul_add, DigitOf, Isa, Kernel, C, SPARE};
 use crate::spectrum::Spectrum;
 
 /// Negacyclic transform engine for polynomials of one size `N`.
@@ -43,15 +44,10 @@ use crate::spectrum::Spectrum;
 #[derive(Clone, Debug)]
 pub struct NegacyclicFft {
     n: usize,
+    /// `N/2` points over `Y^(N/2) = −i`: the folded path.
     half_plan: FftPlan,
+    /// `N` points over `Y^N = −1`: the merge-split path.
     full_plan: FftPlan,
-    /// `ζ^j` for `j < N`, `ζ = e^(-iπ/N)`, planar; the folded path reads
-    /// the first half, the merge-split path all of it.
-    twist_re: Aligned,
-    twist_im: Aligned,
-    /// `ζ^(-j)` for `j < N`.
-    untwist_re: Aligned,
-    untwist_im: Aligned,
 }
 
 /// A coefficient the forward transform reads, as the `f64` it enters as.
@@ -125,24 +121,22 @@ impl Coefficients for Digits<'_> {
     }
 }
 
-/// The spectrum points the inverse transform reads, as the source of its
-/// first pass (see `FftPlan::transform`): `P` parts of `m` vectors.
+/// The spectrum points the inverse transform reads, in stored order, as
+/// the source of its first pass (see `FftPlan::run_inverse`).
 trait Points: Copy {
-    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P];
+    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, &mut [C<I>]);
 }
 
 impl Points for &Spectrum {
     #[inline(always)]
-    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
-        let re = parts::<_, P>(isa.blocks(self.re()), m);
-        let im = parts::<_, P>(isa.blocks(self.im()), m);
+    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, &mut [C<I>]) {
+        let (re, im) = (isa.blocks(self.re()), isa.blocks(self.im()));
         #[inline(always)]
-        move |k| {
-            let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
-            for (t, x) in x.iter_mut().enumerate() {
-                *x = (isa.load(&re[t][k]), isa.load(&im[t][k]));
+        move |at, out| {
+            let (re, im) = (&re[at..at + out.len()], &im[at..at + out.len()]);
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = (isa.load(&re[i]), isa.load(&im[i]));
             }
-            x
         }
     }
 }
@@ -158,27 +152,24 @@ struct Mac<'a> {
 }
 
 impl Points for Mac<'_> {
-    /// Row outer, part inner: what it costs to find a row's planes —
+    /// Row outer, vector inner: what it costs to find a row's planes —
     /// there is nowhere to keep them cut between calls — is paid once
-    /// per vector of every part.
+    /// per tile.
     #[inline(always)]
-    fn source<I: Isa, const P: usize>(self, isa: I, m: usize) -> impl Fn(usize) -> [C<I>; P] {
+    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, &mut [C<I>]) {
         #[inline(always)]
-        move |k| {
-            let mut acc = [(isa.splat(0.0), isa.splat(0.0)); P];
+        move |at, out| {
+            out.fill((isa.splat(0.0), isa.splat(0.0)));
             for (digit, row) in self.digits.iter().zip(self.rows) {
-                // Both planes as one slice: one length check cuts all 2·P parts.
-                let d = parts::<_, 2>(isa.blocks(digit.planes()), P * m);
-                let b = parts::<_, 2>(isa.blocks(row[self.column].planes()), P * m);
-                let d = [parts::<_, P>(d[0], m), parts::<_, P>(d[1], m)];
-                let b = [parts::<_, P>(b[0], m), parts::<_, P>(b[1], m)];
-                for (t, acc) in acc.iter_mut().enumerate() {
-                    let x = (isa.load(&d[0][t][k]), isa.load(&d[1][t][k]));
-                    let w = (isa.load(&b[0][t][k]), isa.load(&b[1][t][k]));
+                let (d, b) = (digit, &row[self.column]);
+                let d = [isa.blocks(d.re()), isa.blocks(d.im())].map(|p| &p[at..at + out.len()]);
+                let b = [isa.blocks(b.re()), isa.blocks(b.im())].map(|p| &p[at..at + out.len()]);
+                for (i, acc) in out.iter_mut().enumerate() {
+                    let x = (isa.load(&d[0][i]), isa.load(&d[1][i]));
+                    let w = (isa.load(&b[0][i]), isa.load(&b[1][i]));
                     *acc = cmul_add::<I, false>(isa, *acc, x, w);
                 }
             }
-            acc
         }
     }
 }
@@ -229,17 +220,10 @@ impl NegacyclicFft {
             n.is_power_of_two() && n >= 4,
             "polynomial size must be a power of two ≥ 4, got {n}"
         );
-        let step = -std::f64::consts::PI / n as f64;
-        let twist = |j: usize| step * j as f64;
-        let untwist = |j: usize| -step * j as f64;
         Self {
             n,
-            half_plan: FftPlan::new(n / 2),
-            full_plan: FftPlan::new(n),
-            twist_re: (0..n).map(|j| twist(j).cos()).collect(),
-            twist_im: (0..n).map(|j| twist(j).sin()).collect(),
-            untwist_re: (0..n).map(|j| untwist(j).cos()).collect(),
-            untwist_im: (0..n).map(|j| untwist(j).sin()).collect(),
+            half_plan: FftPlan::with_roots(n / 2, 4),
+            full_plan: FftPlan::with_roots(n, 2),
         }
     }
 
@@ -287,9 +271,8 @@ impl NegacyclicFft {
     }
 
     /// [`forward_int`](Self::forward_int) into a caller-owned spectrum —
-    /// allocation-free: the digits are widened to `f64` and twisted on the
-    /// fly by the kernel's first pass, and the rest runs in place in
-    /// `out`.
+    /// allocation-free: the digits are widened to `f64` on the fly by the
+    /// kernel's first pass, and the rest runs in place in `out`.
     ///
     /// # Panics
     ///
@@ -551,8 +534,9 @@ impl NegacyclicFft {
     }
 }
 
-/// Folded forward: point `j < N/2` enters as `(c_j − i·c_(j+N/2))·ζ^j`.
-/// `P`: the parts the transform's ends see (`FftPlan::transform`).
+/// Folded forward: point `j < N/2` enters as `c_j − i·c_(j+N/2)`, the
+/// residue of the polynomial modulo `Y^(N/2) + i`.
+/// `P`: the parts the transform's first pass sees (`FftPlan::run_forward`).
 struct ForwardFolded<'a, C: ?Sized, const P: usize> {
     fft: &'a NegacyclicFft,
     coeffs: &'a C,
@@ -570,9 +554,7 @@ impl<C: Coefficients + ?Sized, const P: usize> Kernel for ForwardFolded<'_, C, P
         let (lo, hi) = coeffs.elems().split_at(half);
         let lo = parts::<_, P>(isa.blocks(lo), m);
         let hi = parts::<_, P>(isa.blocks(hi), m);
-        let twist_re = parts::<_, P>(isa.blocks(&fft.twist_re[..half]), m);
-        let twist_im = parts::<_, P>(isa.blocks(&fft.twist_im[..half]), m);
-        fft.half_plan.transform::<I, false, P>(
+        fft.half_plan.run_forward::<I, P>(
             isa,
             re,
             im,
@@ -580,16 +562,13 @@ impl<C: Coefficients + ?Sized, const P: usize> Kernel for ForwardFolded<'_, C, P
             |k| {
                 let mut x = [(isa.splat(0.0), isa.splat(0.0)); P];
                 for t in 0..P {
-                    let folded = (
+                    x[t] = (
                         coeffs.widen(isa, &lo[t][k]),
                         isa.neg(coeffs.widen(isa, &hi[t][k])),
                     );
-                    let twist = (isa.load(&twist_re[t][k]), isa.load(&twist_im[t][k]));
-                    x[t] = cmul(isa, folded, twist);
                 }
                 x
             },
-            store_back(isa),
         );
     }
 }
@@ -616,16 +595,17 @@ impl<S: Points, T: Output, const ADD: bool, const P: usize> Kernel
         let (out_lo, out_hi) = self.out.split_at_mut(half);
         let (re, im) = work_planes(self.scratch, half);
         let m = re.len() / P / I::LANES;
-        let untwist_re = parts::<_, P>(isa.blocks(&fft.untwist_re[..half]), m);
-        let untwist_im = parts::<_, P>(isa.blocks(&fft.untwist_im[..half]), m);
+        let (untwist_re, untwist_im) = fft.half_plan.untwist_planes();
+        let untwist_re = parts::<_, P>(isa.blocks(untwist_re), m);
+        let untwist_im = parts::<_, P>(isa.blocks(untwist_im), m);
         let mut out_lo = parts_mut::<_, P>(isa.blocks_mut(out_lo), m);
         let mut out_hi = parts_mut::<_, P>(isa.blocks_mut(out_hi), m);
         let scale = isa.splat(1.0 / half as f64);
-        fft.half_plan.transform::<I, true, P>(
+        fft.half_plan.run_inverse::<I, P>(
             isa,
             re,
             im,
-            spectrum.source::<I, P>(isa, m),
+            spectrum.source(isa),
             #[inline(always)]
             |_, _, t, k, vr, vi| {
                 // The reference scales first (`FftPlan::inverse`), then
@@ -639,7 +619,7 @@ impl<S: Points, T: Output, const ADD: bool, const P: usize> Kernel
     }
 }
 
-/// Merge-split forward: point `j < N` enters as `(p_j + i·q_j)·ζ^j`; the
+/// Merge-split forward: point `j < N` enters as `p_j + i·q_j`; the
 /// `N`-point result `R_m = P(t_m) + i·Q(t_m)`, `t_m = ζ^(2m+1)`, is split
 /// with `P(t_(N−1−m)) = conj(P(t_m))` (`p`, `q` real), keeping the even
 /// `m` — exactly the `ζ^(4m'+1)` grid of the folded path.
@@ -657,14 +637,12 @@ impl Kernel for ForwardPair<'_> {
 
     #[inline(always)]
     fn run<I: Isa>(self, isa: I) {
-        let fft = self.fft;
-        let (re, im) = work_planes(self.scratch, fft.n);
+        let n = self.fft.n;
+        let (re, im) = work_planes(self.scratch, n);
         let m = re.len() / 4 / I::LANES;
         let p = parts::<_, 4>(isa.blocks(self.p), m);
         let q = parts::<_, 4>(isa.blocks(self.q), m);
-        let twist_re = parts::<_, 4>(isa.blocks(&fft.twist_re), m);
-        let twist_im = parts::<_, 4>(isa.blocks(&fft.twist_im), m);
-        fft.full_plan.transform::<I, false, 4>(
+        self.fft.full_plan.run_forward::<I, 4>(
             isa,
             re,
             im,
@@ -672,33 +650,26 @@ impl Kernel for ForwardPair<'_> {
             |k| {
                 let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
                 for t in 0..4 {
-                    let merged = (self.p.widen(isa, &p[t][k]), self.q.widen(isa, &q[t][k]));
-                    let twist = (isa.load(&twist_re[t][k]), isa.load(&twist_im[t][k]));
-                    x[t] = cmul(isa, merged, twist);
+                    x[t] = (self.p.widen(isa, &p[t][k]), self.q.widen(isa, &q[t][k]));
                 }
                 x
             },
-            store_back(isa),
         );
-        // Output point m' pairs R at the even index 2m' (first of the
-        // m'-th pair from the front) with its mirror at N − 1 − 2m' (second
-        // of the m'-th pair from the back).
+        // Output point m' pairs R at the even index 2m' with its mirror at
+        // N − 1 − 2m', each where its own transform's order stores it.
         let (p_re, p_im) = self.out_p.planes_mut();
         let (q_re, q_im) = self.out_q.planes_mut();
-        let pairs_re = re.chunks_exact(2).zip(re.rchunks_exact(2));
-        let pairs_im = im.chunks_exact(2).zip(im.rchunks_exact(2));
-        let outs = (p_re.iter_mut().zip(p_im)).zip(q_re.iter_mut().zip(q_im));
-        for (((front_re, back_re), (front_im, back_im)), ((p_re, p_im), (q_re, q_im))) in
-            pairs_re.zip(pairs_im).zip(outs)
-        {
-            let (r_re, r_im) = (front_re[0], front_im[0]);
-            let (rc_re, rc_im) = (back_re[1], -back_im[1]);
-            *p_re = (r_re + rc_re) * 0.5;
-            *p_im = (r_im + rc_im) * 0.5;
+        for at in 0..n / 2 {
+            let m = 2 * point_at(n / 2, at);
+            let (r, mirror) = (slot(n, m), slot(n, n - 1 - m));
+            let (r_re, r_im) = (re[r], im[r]);
+            let (rc_re, rc_im) = (re[mirror], -im[mirror]);
+            p_re[at] = (r_re + rc_re) * 0.5;
+            p_im[at] = (r_im + rc_im) * 0.5;
             // (r − rc) / 2i = −i·(r − rc) / 2.
             let (d_re, d_im) = (r_re - rc_re, r_im - rc_im);
-            *q_re = (-d_im) * -0.5;
-            *q_im = d_re * -0.5;
+            q_re[at] = (-d_im) * -0.5;
+            q_im[at] = d_re * -0.5;
         }
     }
 }
@@ -725,44 +696,40 @@ impl Kernel for InversePair<'_> {
         let n = fft.n;
         let (p_re, p_im) = (self.ps.re(), self.ps.im());
         let (q_re, q_im) = (self.qs.re(), self.qs.im());
-        // R_m = P + i·Q at the even m, conj(P) + i·conj(Q) mirrored at
-        // the odd ones.
-        let merged_re = |m: usize| {
+        // What the `N`-point order stores at `at`: R_m = P + i·Q at the
+        // even m, conj(P) + i·conj(Q) mirrored at the odd ones — P and Q
+        // from where the `N/2`-point order stores them.
+        let merged = |at: usize| {
+            let m = point_at(n, at);
             if m.is_multiple_of(2) {
-                p_re[m / 2] + -q_im[m / 2]
+                let k = slot(n / 2, m / 2);
+                (p_re[k] + -q_im[k], p_im[k] + q_re[k])
             } else {
-                p_re[(n - 1 - m) / 2] + q_im[(n - 1 - m) / 2]
-            }
-        };
-        let merged_im = |m: usize| {
-            if m.is_multiple_of(2) {
-                p_im[m / 2] + q_re[m / 2]
-            } else {
-                -p_im[(n - 1 - m) / 2] + q_re[(n - 1 - m) / 2]
+                let k = slot(n / 2, (n - 1 - m) / 2);
+                (p_re[k] + q_im[k], -p_im[k] + q_re[k])
             }
         };
         let (re, im) = work_planes(self.scratch, n);
         let m = re.len() / 4 / I::LANES;
-        let untwist_re = parts::<_, 4>(isa.blocks(&fft.untwist_re), m);
-        let untwist_im = parts::<_, 4>(isa.blocks(&fft.untwist_im), m);
+        let (untwist_re, untwist_im) = fft.full_plan.untwist_planes();
+        let untwist_re = parts::<_, 4>(isa.blocks(untwist_re), m);
+        let untwist_im = parts::<_, 4>(isa.blocks(untwist_im), m);
         let mut out_p = parts_mut::<_, 4>(isa.blocks_mut(self.out_p), m);
         let mut out_q = parts_mut::<_, 4>(isa.blocks_mut(self.out_q), m);
         let scale = isa.splat(1.0 / n as f64);
-        fft.full_plan.transform::<I, true, 4>(
+        fft.full_plan.run_inverse::<I, 4>(
             isa,
             re,
             im,
             #[inline(always)]
-            |k| {
-                let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
-                for (t, x) in x.iter_mut().enumerate() {
-                    let j = (t * m + k) * I::LANES;
+            |at, out| {
+                for (i, x) in out.iter_mut().enumerate() {
+                    let first = (at + i) * I::LANES;
                     *x = (
-                        isa.lanes(|i| merged_re(j + i)),
-                        isa.lanes(|i| merged_im(j + i)),
+                        isa.lanes(|lane| merged(first + lane).0),
+                        isa.lanes(|lane| merged(first + lane).1),
                     );
                 }
-                x
             },
             #[inline(always)]
             |_, _, t, k, vr, vi| {
@@ -779,7 +746,6 @@ impl Kernel for InversePair<'_> {
 mod tests {
     use super::*;
     use crate::dft::naive_negacyclic_eval;
-    use crate::fft::mul_fused;
     use crate::simd::{round_wrap_u32, Simd};
     use morphling_math::negacyclic::mul_int_torus32;
     use morphling_math::Complex64;
@@ -888,32 +854,55 @@ mod tests {
 
     #[test]
     fn tables_and_work_planes_start_on_a_cache_line() {
-        let on_a_line = |plane: &[f64]| (plane.as_ptr() as usize).is_multiple_of(64);
-        for n in [4usize, 16, 256, 2048] {
-            let fft = NegacyclicFft::new(n);
-            for table in [
-                &fft.twist_re,
-                &fft.twist_im,
-                &fft.untwist_re,
-                &fft.clone().untwist_im,
-            ] {
-                assert!(table.len() == n && on_a_line(table), "n={n}");
+        // Every plane a pass loads from or stores to starts on a line —
+        // a vector as wide as a line then touches one — and so any two of
+        // them are a whole number of lines apart. That second half is the
+        // 4 KiB alias trap, pinned: a load whose address matches an
+        // earlier store's in its low twelve bits waits for that store
+        // until the full addresses are compared, and two planes walked in
+        // step that sit 4096·k + 16 bytes apart put every next-iteration
+        // load of one just behind the last store to the other (a
+        // prototype of this kernel lost a third of its middle passes to
+        // two `Vec`s placed so). Whole lines apart, a vector of one plane
+        // aliases at worst the *same* vector of another: the one whose
+        // store its own iteration has already waited for.
+        let lines_apart = |planes: &[&[f64]], what: &str| {
+            for plane in planes {
+                let from_first = (plane.as_ptr() as usize).abs_diff(planes[0].as_ptr() as usize);
+                assert!(
+                    (plane.as_ptr() as usize).is_multiple_of(64) && from_first.is_multiple_of(64),
+                    "{what}"
+                );
             }
+        };
+        let mut kept = Vec::new();
+        for (i, n) in [16usize, 256, 2048, 128, 4096].into_iter().enumerate() {
+            let fft = NegacyclicFft::new(n);
+            let odd_sized = vec![0u8; 8 + 24 * i];
+            let spectrum = fft.forward_real(&vec![1.0; n]);
+            let copy = fft.clone();
+            for plan in [&fft.half_plan, &fft.full_plan, &copy.half_plan] {
+                let (untwist_re, untwist_im) = plan.untwist_planes();
+                lines_apart(
+                    &[spectrum.re(), spectrum.im(), untwist_re, untwist_im],
+                    &format!("n={n}"),
+                );
+            }
+            kept.push((odd_sized, spectrum));
         }
         // One scratch through growing, shrinking and regrowing requests,
         // from whatever the allocator hands out after odd-sized
         // allocations.
-        let mut kept = Vec::new();
         for i in 0..16usize {
             let mut scratch = vec![f64::NAN; i];
             for n in [8usize, 1024, 16, 2048] {
                 let (re, im) = work_planes(&mut scratch, n);
-                assert!(on_a_line(re) && on_a_line(im), "n={n} #{i}");
+                lines_apart(&[re, im], &format!("n={n} #{i}"));
                 assert_eq!((re.len(), im.len()), (n, n));
             }
             // The largest request and the spare 7, no more.
             assert_eq!(scratch.len(), 2 * 2048 + 7);
-            kept.push((vec![0u8; 8 + 24 * i], scratch));
+            kept.push((vec![0u8; 8 + 24 * i], Spectrum::zero(2)));
         }
     }
 
@@ -1103,33 +1092,40 @@ mod tests {
         }
     }
 
-    fn twist(fft: &NegacyclicFft, j: usize) -> Complex64 {
-        Complex64::new(fft.twist_re[j], fft.twist_im[j])
+    /// A spectrum holding `values` as they are, in stored order.
+    fn stored(values: &[Complex64]) -> Spectrum {
+        let mut spec = Spectrum::zero(2 * values.len());
+        let (re, im) = spec.planes_mut();
+        for (i, v) in values.iter().enumerate() {
+            (re[i], im[i]) = (v.re, v.im);
+        }
+        spec
     }
 
-    fn untwist(fft: &NegacyclicFft, j: usize) -> Complex64 {
-        Complex64::new(fft.untwist_re[j], fft.untwist_im[j])
+    /// The values a spectrum holds, in stored order.
+    fn as_stored(spec: &Spectrum) -> Vec<Complex64> {
+        let points = spec.re().iter().zip(spec.im());
+        points.map(|(&re, &im)| Complex64::new(re, im)).collect()
     }
 
     fn reference_forward(fft: &NegacyclicFft, c: &[f64]) -> Spectrum {
         let half = fft.n / 2;
         let mut vals: Vec<Complex64> = (0..half)
-            .map(|j| mul_fused(Complex64::new(c[j], -c[j + half]), twist(fft, j)))
+            .map(|j| Complex64::new(c[j], -c[j + half]))
             .collect();
         fft.half_plan.forward(&mut vals);
-        Spectrum::from_values(vals)
+        stored(&vals)
     }
 
     /// Unrounded coefficients of the folded inverse.
     fn reference_inverse(fft: &NegacyclicFft, spec: &Spectrum) -> Vec<f64> {
         let half = fft.n / 2;
-        let mut buf: Vec<Complex64> = (0..half).map(|m| spec.point(m)).collect();
+        let mut buf = as_stored(spec);
         fft.half_plan.inverse(&mut buf);
         let mut out = vec![0.0; fft.n];
         for j in 0..half {
-            let u = mul_fused(buf[j], untwist(fft, j));
-            out[j] = u.re;
-            out[j + half] = -u.im;
+            out[j] = buf[j].re;
+            out[j + half] = -buf[j].im;
         }
         out
     }
@@ -1137,13 +1133,13 @@ mod tests {
     fn reference_forward_pair(fft: &NegacyclicFft, p: &[i64], q: &[i64]) -> (Spectrum, Spectrum) {
         let n = fft.n;
         let mut buf: Vec<Complex64> = (0..n)
-            .map(|j| mul_fused(Complex64::new(p[j] as f64, q[j] as f64), twist(fft, j)))
+            .map(|j| Complex64::new(p[j] as f64, q[j] as f64))
             .collect();
         fft.full_plan.forward(&mut buf);
         let (mut ps, mut qs) = (Vec::new(), Vec::new());
         for m in (0..n).step_by(2) {
-            let r = buf[m];
-            let rc = buf[n - 1 - m].conj();
+            let r = buf[slot(n, m)];
+            let rc = buf[slot(n, n - 1 - m)].conj();
             ps.push((r + rc).scale(0.5));
             qs.push((r - rc).mul_i().scale(-0.5));
         }
@@ -1158,7 +1154,8 @@ mod tests {
     ) -> (Vec<f64>, Vec<f64>) {
         let n = fft.n;
         let mut buf: Vec<Complex64> = (0..n)
-            .map(|m| {
+            .map(|at| {
+                let m = point_at(n, at);
                 if m.is_multiple_of(2) {
                     ps.point(m / 2) + qs.point(m / 2).mul_i()
                 } else {
@@ -1168,12 +1165,7 @@ mod tests {
             })
             .collect();
         fft.full_plan.inverse(&mut buf);
-        (0..n)
-            .map(|j| {
-                let u = mul_fused(buf[j], untwist(fft, j));
-                (u.re, u.im)
-            })
-            .unzip()
+        buf.iter().map(|u| (u.re, u.im)).unzip()
     }
 
     fn spectrum_bits(s: &Spectrum) -> Vec<u64> {
@@ -1259,7 +1251,7 @@ mod tests {
             let as_f64 = |p: &Polynomial<i64>| p.iter().map(|&c| c as f64).collect::<Vec<_>>();
             let torus_f64: Vec<f64> = torus.iter().map(|c| c.to_signed() as f64).collect();
 
-            for (name, simd) in Simd::every(n / 8) {
+            for (name, simd) in fft.half_plan.every_simd() {
                 let run = |coeffs: &dyn Fn(&mut Spectrum)| {
                     let mut out = Spectrum::from_values(vec![Complex64::new(f64::NAN, 1.0); n / 2]);
                     coeffs(&mut out);
@@ -1284,7 +1276,7 @@ mod tests {
                     "real n={n} {name}"
                 );
             }
-            for (name, simd) in Simd::every(n / 4) {
+            for (name, simd) in fft.full_plan.every_simd() {
                 for (p, q) in [(&ints, &digits), (&digits, &digits)] {
                     let (mut sp, mut sq) = (Spectrum::zero(n), Spectrum::zero(n));
                     simd.run(ForwardPair {
@@ -1320,7 +1312,7 @@ mod tests {
             for (i, spec) in spectra.iter().enumerate() {
                 let want_real = reference_inverse(&fft, spec);
                 let want_torus = round_all(&want_real);
-                for (name, simd) in Simd::every(n / 8) {
+                for (name, simd) in fft.half_plan.every_simd() {
                     let mut real = vec![f64::NAN; n];
                     inverse_on::<_, _, false>(simd, &fft, spec, &mut real[..], &mut Vec::new());
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1331,7 +1323,7 @@ mod tests {
                 }
                 let other = &spectra[(i + 3) % spectra.len()];
                 let (wp, wq) = reference_inverse_pair(&fft, spec, other);
-                for (name, simd) in Simd::every(n / 4) {
+                for (name, simd) in fft.full_plan.every_simd() {
                     let (mut p, mut q) = (vec![Torus32::HALF; n], vec![Torus32::HALF; n]);
                     simd.run(InversePair {
                         fft: &fft,
@@ -1526,7 +1518,7 @@ mod tests {
                     steps.push((digits, acc.clone()));
                 }
 
-                for (name, simd) in Simd::every(n / 8) {
+                for (name, simd) in fft.half_plan.every_simd() {
                     let mut acc = start.clone();
                     let mut digits = vec![Spectrum::zero(n); (k + 1) * l];
                     for (a_tilde, (want_digits, want_acc)) in rotations.iter().zip(&steps) {
@@ -1580,7 +1572,7 @@ mod tests {
                 for (c, (digits, rows)) in cases.iter().enumerate() {
                     let mut want = start.clone();
                     staged_mac_add(&fft, digits, rows, &mut want);
-                    for (name, simd) in Simd::every(n / 8) {
+                    for (name, simd) in fft.half_plan.every_simd() {
                         let mut got = start.clone();
                         fused_mac_add(&fft, simd, digits, rows, &mut got);
                         assert_eq!(got, want, "#{i} case {c} n={n} {name}");

@@ -163,14 +163,17 @@ pub(crate) trait Isa: Copy {
     type V: Copy;
     /// Where a vector lives in memory: `[T; LANES]`.
     type Block<T: 'static>: AsRef<[T]> + 'static;
-    /// The same operations on vectors half as wide (or this ISA itself,
-    /// where there is none): what the one pass whose runs are shorter than
-    /// `LANES` goes through (see `FftPlan::transform`).
-    type Half: Isa;
+    /// A tile of the transform in registers: 64 complex points as
+    /// `[C<Self>; 64 / LANES]`, an 8×8 matrix row by row (each row
+    /// `8 / LANES` vectors).
+    type Tile: AsMut<[C<Self>]>;
     /// Elements per vector.
     const LANES: usize;
 
-    fn half(self) -> Self::Half;
+    /// A tile of zeros.
+    fn tile(self) -> Self::Tile;
+    /// Transposes the 8×8 matrix a tile is, real and imaginary parts alike.
+    fn transpose(self, tile: &mut Self::Tile);
     /// `s` as the vectors it holds, back to back: the one length check of
     /// everything a pass then loads from it. Panics if `LANES` does not
     /// divide its length.
@@ -205,9 +208,6 @@ pub(crate) trait Isa: Copy {
     fn neg_mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
         self.mul_add(self.neg(a), b, c)
     }
-    /// Transposing store: lane `i` of `y[0..4]` becomes the four-element
-    /// block `dst[pos[i]]`.
-    fn scatter4(self, dst: &mut [[f64; 4]], pos: &Self::Block<u32>, y: [Self::V; 4]);
     /// `dst[i] = round_wrap_u32(v[i])`, exactly — or, with `ADD`,
     /// `dst[i] += round_wrap_u32(v[i])` on the torus (wrapping).
     fn round_wrap_put<const ADD: bool>(self, dst: &mut Self::Block<Torus32>, v: Self::V);
@@ -257,8 +257,8 @@ pub(crate) enum Simd {
     /// One lane: for runs shorter than a vector.
     Narrow,
     Portable,
-    /// Eight portable lanes over a four-lane half: the control flow of
-    /// the widest ISA, for the identity tests of a host without it.
+    /// Eight portable lanes: the control flow of the widest ISA, for the
+    /// identity tests of a host without it.
     #[cfg(test)]
     Portable8,
     #[cfg(target_arch = "x86_64")]
@@ -320,10 +320,10 @@ impl Simd {
     #[inline]
     pub(crate) fn run<K: Kernel>(self, k: K) -> K::Out {
         match self {
-            Self::Narrow => k.run(Portable::<1>),
-            Self::Portable => k.run(Portable::<4>),
+            Self::Narrow => k.run(Portable::<1, 64>),
+            Self::Portable => k.run(Portable::<4, 16>),
             #[cfg(test)]
-            Self::Portable8 => k.run(Portable::<8, 4>),
+            Self::Portable8 => k.run(Portable::<8, 8>),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2(isa) => isa.run(k),
             #[cfg(target_arch = "x86_64")]
@@ -398,19 +398,33 @@ pub(crate) fn round_wrap_u32(v: f64) -> u32 {
 }
 
 /// `[f64; L]` arithmetic — the fallback on every target and the narrow
-/// path on all of them. `H` is the width of its [`Isa::Half`].
+/// path on all of them. `R = 64 / L`: the vectors of its [`Isa::Tile`].
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Portable<const L: usize, const H: usize = L>;
+pub(crate) struct Portable<const L: usize, const R: usize>;
 
-impl<const L: usize, const H: usize> Isa for Portable<L, H> {
+impl<const L: usize, const R: usize> Isa for Portable<L, R> {
     type V = [f64; L];
     type Block<T: 'static> = [T; L];
-    type Half = Portable<H>;
+    type Tile = [C<Self>; R];
     const LANES: usize = L;
 
     #[inline(always)]
-    fn half(self) -> Portable<H> {
-        Portable
+    fn tile(self) -> [C<Self>; R] {
+        const { assert!(L * R == 64, "a tile is 64 points") };
+        [([0.0; L], [0.0; L]); R]
+    }
+    #[inline(always)]
+    fn transpose(self, tile: &mut [C<Self>; R]) {
+        let from = *tile;
+        // Element (a, b) of the matrix: lane b % L of vector a·(8/L) + b / L.
+        let at = |a: usize, b: usize| (a * (8 / L) + b / L, b % L);
+        for a in 0..8 {
+            for b in 0..8 {
+                let ((to, lane), (src, src_lane)) = (at(a, b), at(b, a));
+                tile[to].0[lane] = from[src].0[src_lane];
+                tile[to].1[lane] = from[src].1[src_lane];
+            }
+        }
     }
     #[inline(always)]
     fn blocks<T: 'static>(self, s: &[T]) -> &[[T; L]] {
@@ -447,12 +461,6 @@ impl<const L: usize, const H: usize> Isa for Portable<L, H> {
     #[inline(always)]
     fn mul_add(self, a: [f64; L], b: [f64; L], c: [f64; L]) -> [f64; L] {
         std::array::from_fn(|i| a[i].mul_add(b[i], c[i]))
-    }
-    #[inline(always)]
-    fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; L], y: [[f64; L]; 4]) {
-        for (i, &p) in pos.iter().enumerate() {
-            dst[p as usize] = y.map(|row| row[i]);
-        }
     }
     #[inline(always)]
     fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32; L], v: [f64; L]) {
@@ -516,15 +524,51 @@ pub(crate) mod avx2 {
     pub(super) const MAGIC: f64 = 6_755_399_441_055_744.0;
     pub(super) const TWO_51: f64 = 2_251_799_813_685_248.0;
 
+    /// The 4×4 transpose of four rows.
+    #[inline(always)]
+    fn transpose4(_: Avx2, y: [__m256d; 4]) -> [__m256d; 4] {
+        // SAFETY: AVX2 is available (see the module invariant); these are
+        // register shuffles.
+        unsafe {
+            let t0 = _mm256_unpacklo_pd(y[0], y[1]);
+            let t1 = _mm256_unpackhi_pd(y[0], y[1]);
+            let t2 = _mm256_unpacklo_pd(y[2], y[3]);
+            let t3 = _mm256_unpackhi_pd(y[2], y[3]);
+            [
+                _mm256_permute2f128_pd(t0, t2, 0x20),
+                _mm256_permute2f128_pd(t1, t3, 0x20),
+                _mm256_permute2f128_pd(t0, t2, 0x31),
+                _mm256_permute2f128_pd(t1, t3, 0x31),
+            ]
+        }
+    }
+
     impl Isa for Avx2 {
         type V = __m256d;
         type Block<T: 'static> = [T; 4];
-        type Half = Self;
+        type Tile = [(__m256d, __m256d); 16];
         const LANES: usize = 4;
 
         #[inline(always)]
-        fn half(self) -> Self {
-            self
+        fn tile(self) -> Self::Tile {
+            [(self.splat(0.0), self.splat(0.0)); 16]
+        }
+        #[inline(always)]
+        fn transpose(self, tile: &mut Self::Tile) {
+            // Row a is vectors 2a (columns 0–3) and 2a + 1 (columns 4–7):
+            // four 4×4 blocks, each transposed into its mirror's place.
+            let from = *tile;
+            for (rows, cols) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let mut re = [self.splat(0.0); 4];
+                let mut im = re;
+                for i in 0..4 {
+                    (re[i], im[i]) = from[2 * (4 * rows + i) + cols];
+                }
+                let (re, im) = (transpose4(self, re), transpose4(self, im));
+                for i in 0..4 {
+                    tile[2 * (4 * cols + i) + rows] = (re[i], im[i]);
+                }
+            }
         }
         #[inline(always)]
         fn blocks<T: 'static>(self, s: &[T]) -> &[[T; 4]] {
@@ -580,25 +624,6 @@ pub(crate) mod avx2 {
             unsafe { _mm256_fnmadd_pd(a, b, c) }
         }
         #[inline(always)]
-        fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; 4], y: [__m256d; 4]) {
-            // SAFETY: AVX2 is available; these are register shuffles.
-            let rows = unsafe {
-                let t0 = _mm256_unpacklo_pd(y[0], y[1]);
-                let t1 = _mm256_unpackhi_pd(y[0], y[1]);
-                let t2 = _mm256_unpacklo_pd(y[2], y[3]);
-                let t3 = _mm256_unpackhi_pd(y[2], y[3]);
-                [
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                ]
-            };
-            for (&p, row) in pos.iter().zip(rows) {
-                self.store(&mut dst[p as usize], row);
-            }
-        }
-        #[inline(always)]
         fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32; 4], v: __m256d) {
             let mut raw = [0u32; 4];
             // SAFETY: AVX2 is available; `raw` is 16 writable bytes.
@@ -641,7 +666,7 @@ pub(crate) mod avx2 {
 /// An [`Avx512`](avx512::Avx512) value can only be obtained from
 /// [`Avx512::detect`](avx512::Avx512::detect), which returns one only
 /// after `is_x86_feature_detected!` of `avx512f` and `avx512dq` on top of
-/// an [`Avx2`](avx2::Avx2) token (AVX2 and FMA), its [`Isa::Half`]. Every
+/// what an [`Avx2`](avx2::Avx2) token stands for (AVX2 and FMA). Every
 /// intrinsic call below, 512 or 256 bits wide, is therefore executed on a
 /// CPU that has the instruction; every memory access is to a whole
 /// [`Block`](Isa::Block), an array behind a reference.
@@ -658,18 +683,18 @@ pub(crate) mod avx512 {
     /// Proof that the running CPU has AVX-512 F and DQ, AVX2 and FMA (the
     /// field is private: the only constructor is [`Avx512::detect`]).
     #[derive(Clone, Copy, Debug)]
-    pub(crate) struct Avx512(Avx2);
+    pub(crate) struct Avx512(());
 
     impl Avx512 {
         pub(crate) fn detect() -> Option<Self> {
-            let half = Avx2::detect()?;
+            Avx2::detect()?;
             (is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq"))
-                .then_some(Self(half))
+                .then_some(Self(()))
         }
 
         /// Run `k` with AVX-512 code generation enabled for everything
-        /// inlined into it, the half-width pass's [`Avx2`] calls included:
-        /// every feature either token stands for, by name.
+        /// inlined into it: every feature `detect` saw, by name (the
+        /// rounding step stores 256 bits).
         #[inline]
         pub(crate) fn run<K: Kernel>(self, k: K) -> K::Out {
             #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
@@ -681,15 +706,57 @@ pub(crate) mod avx512 {
         }
     }
 
+    /// The 8×8 transpose of eight rows: pairs of rows interleaved, then
+    /// the 128-bit quarters of four registers transposed in two rounds.
+    #[inline(always)]
+    fn transpose8(_: Avx512, r: [__m512d; 8]) -> [__m512d; 8] {
+        // SAFETY: AVX-512F is available (see the module invariant); these
+        // are register shuffles.
+        unsafe {
+            // Quarter q of t[2i] holds column 2q of rows 2i, 2i + 1; of
+            // t[2i + 1], column 2q + 1.
+            let mut t = r;
+            for i in 0..4 {
+                t[2 * i] = _mm512_unpacklo_pd(r[2 * i], r[2 * i + 1]);
+                t[2 * i + 1] = _mm512_unpackhi_pd(r[2 * i], r[2 * i + 1]);
+            }
+            let mut out = r;
+            for odd in 0..2 {
+                // Quarters 0, 2 of two registers, then 1, 3.
+                let u0 = _mm512_shuffle_f64x2::<0x88>(t[odd], t[2 + odd]);
+                let u1 = _mm512_shuffle_f64x2::<0xdd>(t[odd], t[2 + odd]);
+                let u2 = _mm512_shuffle_f64x2::<0x88>(t[4 + odd], t[6 + odd]);
+                let u3 = _mm512_shuffle_f64x2::<0xdd>(t[4 + odd], t[6 + odd]);
+                out[odd] = _mm512_shuffle_f64x2::<0x88>(u0, u2);
+                out[4 + odd] = _mm512_shuffle_f64x2::<0xdd>(u0, u2);
+                out[2 + odd] = _mm512_shuffle_f64x2::<0x88>(u1, u3);
+                out[6 + odd] = _mm512_shuffle_f64x2::<0xdd>(u1, u3);
+            }
+            out
+        }
+    }
+
     impl Isa for Avx512 {
         type V = __m512d;
         type Block<T: 'static> = [T; 8];
-        type Half = Avx2;
+        type Tile = [(__m512d, __m512d); 8];
         const LANES: usize = 8;
 
         #[inline(always)]
-        fn half(self) -> Avx2 {
-            self.0
+        fn tile(self) -> Self::Tile {
+            [(self.splat(0.0), self.splat(0.0)); 8]
+        }
+        #[inline(always)]
+        fn transpose(self, tile: &mut Self::Tile) {
+            let mut re = [self.splat(0.0); 8];
+            let mut im = re;
+            for (i, v) in tile.iter().enumerate() {
+                (re[i], im[i]) = *v;
+            }
+            let (re, im) = (transpose8(self, re), transpose8(self, im));
+            for (i, v) in tile.iter_mut().enumerate() {
+                *v = (re[i], im[i]);
+            }
         }
         #[inline(always)]
         fn blocks<T: 'static>(self, s: &[T]) -> &[[T; 8]] {
@@ -743,36 +810,6 @@ pub(crate) mod avx512 {
             // SAFETY: AVX-512F is available; its fused forms are part of F.
             // `vfnmadd` is `−(a·b) + c`, rounded once.
             unsafe { _mm512_fnmadd_pd(a, b, c) }
-        }
-        #[inline(always)]
-        fn scatter4(self, dst: &mut [[f64; 4]], pos: &[u32; 8], y: [__m512d; 4]) {
-            // SAFETY: AVX-512F is available; these are register shuffles.
-            // Each result holds two finished blocks, a 256-bit half each.
-            let blocks = unsafe {
-                let t0 = _mm512_unpacklo_pd(y[0], y[1]);
-                let t1 = _mm512_unpackhi_pd(y[0], y[1]);
-                let t2 = _mm512_unpacklo_pd(y[2], y[3]);
-                let t3 = _mm512_unpackhi_pd(y[2], y[3]);
-                let low = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
-                let high = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
-                [
-                    (0, 2, _mm512_permutex2var_pd(t0, low, t2)),
-                    (1, 3, _mm512_permutex2var_pd(t1, low, t3)),
-                    (4, 6, _mm512_permutex2var_pd(t0, high, t2)),
-                    (5, 7, _mm512_permutex2var_pd(t1, high, t3)),
-                ]
-            };
-            for (first, second, pair) in blocks {
-                // SAFETY: AVX-512F is available; register moves.
-                let (lo, hi) = unsafe {
-                    (
-                        _mm512_castpd512_pd256(pair),
-                        _mm512_extractf64x4_pd::<1>(pair),
-                    )
-                };
-                self.0.store(&mut dst[pos[first] as usize], lo);
-                self.0.store(&mut dst[pos[second] as usize], hi);
-            }
         }
         #[inline(always)]
         fn round_wrap_put<const ADD: bool>(self, dst: &mut [Torus32; 8], v: __m512d) {
@@ -888,37 +925,40 @@ mod tests {
     }
 
     #[test]
-    fn scatter4_transposes_distinct_values_on_every_isa() {
-        struct Scatter<'a>(&'a [u32]);
-        impl Kernel for Scatter<'_> {
-            type Out = Vec<f64>;
+    fn tiles_transpose_distinct_values_on_every_isa() {
+        /// Loads a tile from 64 + 64 values, transposes it, stores it.
+        struct Transpose<'a>(&'a [f64], &'a [f64]);
+        impl Kernel for Transpose<'_> {
+            type Out = (Vec<f64>, Vec<f64>);
             #[inline(always)]
-            fn run<I: Isa>(self, isa: I) -> Vec<f64> {
-                let mut dst = vec![[f64::NAN; 4]; self.0.len()];
-                for (b, pos) in isa.blocks(self.0).iter().enumerate() {
-                    let at = b * I::LANES;
-                    // A plain loop: `array::from_fn` would take the closure
-                    // outside the `target_feature` frame with it.
-                    let mut y = [isa.splat(0.0); 4];
-                    for (row, y) in y.iter_mut().enumerate() {
-                        *y = isa.lanes(|i| (100 * row + at + i) as f64);
-                    }
-                    isa.scatter4(&mut dst, pos, y);
+            fn run<I: Isa>(self, isa: I) -> Self::Out {
+                let mut tile = isa.tile();
+                let (re, im) = (isa.blocks(self.0), isa.blocks(self.1));
+                for (i, v) in tile.as_mut().iter_mut().enumerate() {
+                    *v = (isa.load(&re[i]), isa.load(&im[i]));
                 }
-                dst.concat()
+                isa.transpose(&mut tile);
+                let (mut out_re, mut out_im) = (vec![f64::NAN; 64], vec![f64::NAN; 64]);
+                for (i, v) in tile.as_mut().iter().enumerate() {
+                    isa.store(&mut isa.blocks_mut(&mut out_re)[i], v.0);
+                    isa.store(&mut isa.blocks_mut(&mut out_im)[i], v.1);
+                }
+                (out_re, out_im)
             }
         }
-        // Sixteen blocks in bit-reversed order, as the first pass has them.
-        let pos: Vec<u32> = (0..16u32).map(|r| r.reverse_bits() >> 28).collect();
-        let mut want = vec![f64::NAN; 64];
-        for (i, &p) in pos.iter().enumerate() {
-            for row in 0..4 {
-                want[4 * p as usize + row] = (100 * row + i) as f64;
-            }
-        }
-        for (name, simd) in Simd::every(8) {
-            assert_eq!(simd.run(Scatter(&pos)), want, "{name}");
-        }
+        let re: Vec<f64> = (0..64).map(f64::from).collect();
+        let im: Vec<f64> = (0..64).map(|i| -f64::from(i) - 0.5).collect();
+        let transposed =
+            |v: &[f64]| -> Vec<f64> { (0..64).map(|i| v[i % 8 * 8 + i / 8]).collect() };
+        let names: Vec<&str> = Simd::every(8)
+            .into_iter()
+            .map(|(name, simd)| {
+                let got = simd.run(Transpose(&re, &im));
+                assert_eq!(got, (transposed(&re), transposed(&im)), "{name}");
+                name
+            })
+            .collect();
+        assert!(names.len() >= 3, "{names:?}");
     }
 
     #[test]

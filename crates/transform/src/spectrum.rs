@@ -5,6 +5,7 @@ use std::ops::{Add, AddAssign};
 
 use morphling_math::Complex64;
 
+use crate::fft::slot;
 use crate::simd::{cmul_add, Aligned, Isa, Kernel, Simd};
 
 /// The negacyclic spectrum of a size-`N` real polynomial: its `N/2`
@@ -12,7 +13,13 @@ use crate::simd::{cmul_add, Aligned, Isa, Kernel, Simd};
 ///
 /// Stored planar — all real parts, then all imaginary parts — so that the
 /// transform kernel and the multiply-accumulate below are straight vector
-/// loops along the point axis.
+/// loops along the point axis, and **in the order the forward transform's
+/// butterflies leave the points in** (a fixed permutation, a function of
+/// `N` alone: see [`FftPlan`](crate::FftPlan)), which is the order the
+/// inverse reads them in. Everything between the two transforms is
+/// pointwise and never needs to know; [`point`](Self::point) and
+/// [`from_values`](Self::from_values) find evaluation point `m` for those
+/// who do.
 ///
 /// Spectra form a module: they can be added (IFFT linearity — the heart of
 /// *output* transform-domain reuse, §IV-B) and multiplied pointwise
@@ -39,20 +46,20 @@ impl Spectrum {
         }
     }
 
-    /// Build from evaluation points (must be `N/2` points of a size-`N`
-    /// polynomial).
+    /// Build from evaluation points: `values[m]` at `e^(-iπ(4m+1)/N)`
+    /// (must be `N/2` points of a size-`N` polynomial).
     pub fn from_values(values: Vec<Complex64>) -> Self {
+        let points = values.len();
         assert!(
-            values.len().is_power_of_two(),
+            points.is_power_of_two(),
             "spectrum length must be a power of two"
         );
-        Self {
-            planes: values
-                .iter()
-                .map(|v| v.re)
-                .chain(values.iter().map(|v| v.im))
-                .collect(),
+        let mut planes: Aligned = std::iter::repeat_n(0.0, 2 * points).collect();
+        for (m, v) in values.iter().enumerate() {
+            planes[slot(points, m)] = v.re;
+            planes[points + slot(points, m)] = v.im;
         }
+        Self { planes }
     }
 
     /// Number of evaluation points, `N/2`.
@@ -67,35 +74,30 @@ impl Spectrum {
         self.planes.len()
     }
 
-    /// The real parts of the evaluation points.
+    /// The real parts of the evaluation points, in stored order.
     #[inline]
     pub fn re(&self) -> &[f64] {
         &self.planes[..self.planes.len() / 2]
     }
 
-    /// The imaginary parts of the evaluation points.
+    /// The imaginary parts of the evaluation points, in stored order.
     #[inline]
     pub fn im(&self) -> &[f64] {
         &self.planes[self.planes.len() / 2..]
     }
 
-    /// Both planes as they are stored: `re` then `im`.
-    #[inline]
-    pub(crate) fn planes(&self) -> &[f64] {
-        &self.planes
-    }
-
-    /// Both planes, mutably: `(re, im)`.
+    /// Both planes, mutably, in stored order: `(re, im)`.
     #[inline]
     pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         let points = self.planes.len() / 2;
         self.planes.split_at_mut(points)
     }
 
-    /// Evaluation point `m`.
+    /// Evaluation point `m`: the value at `e^(-iπ(4m+1)/N)`.
     #[inline]
     pub fn point(&self, m: usize) -> Complex64 {
-        Complex64::new(self.re()[m], self.im()[m])
+        let at = slot(self.points(), m);
+        Complex64::new(self.re()[at], self.im()[at])
     }
 
     /// Reset every point to zero in place — how POLY-ACC-REG is cleared
@@ -113,11 +115,13 @@ impl Spectrum {
             rhs.planes.len(),
             "spectrum size mismatch"
         );
-        Self::from_values(
-            (0..self.points())
-                .map(|m| self.point(m) * rhs.point(m))
-                .collect(),
-        )
+        // Pointwise: in stored order, whatever it is.
+        let at = |s: &Self, i: usize| Complex64::new(s.re()[i], s.im()[i]);
+        let product = (0..self.points()).map(|i| at(self, i) * at(rhs, i));
+        let (re, im): (Vec<f64>, Vec<f64>) = product.map(|v| (v.re, v.im)).unzip();
+        Self {
+            planes: re.into_iter().chain(im).collect(),
+        }
     }
 
     /// Multiply-accumulate: `self += a * b` pointwise. This is exactly the
@@ -299,7 +303,7 @@ mod tests {
             for (m, (s, x, w)) in crafted.into_iter().enumerate() {
                 for (spec, v) in [(&mut start, s), (&mut a, x), (&mut b, w)] {
                     let (re, im) = spec.planes_mut();
-                    (re[m], im[m]) = v;
+                    (re[slot(points, m)], im[slot(points, m)]) = v;
                 }
             }
             let mut want: Vec<Complex64> = (0..points).map(|m| start.point(m)).collect();

@@ -1,8 +1,8 @@
 //! Property-based tests: the FFT path must agree exactly with the integer
 //! oracle under realistic TFHE operand distributions, and — through the
 //! public API, on whichever ISA this CPU selected — bit for bit with the
-//! scalar reference schedule around [`FftPlan::forward`] /
-//! [`FftPlan::inverse`].
+//! scalar reference, [`FftPlan::forward`] / [`FftPlan::inverse`] between a
+//! fold and an unfold.
 //!
 //! The identity tests that name each ISA (one-lane, portable, AVX2,
 //! AVX-512, and eight portable lanes for hosts without the last) call
@@ -197,11 +197,12 @@ proptest! {
             prop_assert_eq!(bits(got.re()), bits(&want.0), "forward re n={}", n);
             prop_assert_eq!(bits(got.im()), bits(&want.1), "forward im n={}", n);
 
-            let spectrum = Spectrum::from_values(
-                (0..n / 2)
-                    .map(|m| Complex64::new(reals[m], reals[m + n / 2]))
-                    .collect(),
-            );
+            // The same values as a spectrum, in whatever order it stores
+            // them: the inverse of both reads that order.
+            let mut spectrum = Spectrum::zero(n);
+            let (re, im) = spectrum.planes_mut();
+            re.copy_from_slice(&reals[..n / 2]);
+            im.copy_from_slice(&reals[n / 2..]);
             let want = reference_inverse(n, &spectrum);
             prop_assert_eq!(bits(&fft.inverse_real(&spectrum)), bits(&want), "inverse n={}", n);
         }
@@ -212,43 +213,28 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn twist(n: usize, j: usize, sign: f64) -> Complex64 {
-    Complex64::from_polar_unit(sign * (-std::f64::consts::PI / n as f64) * j as f64)
-}
-
-/// `x · w` as the kernel twists: two products, and the second product of
-/// each component fused into the sum (`f64::mul_add` rounds once). A copy
-/// of the crate's own reference (`fft::mul_fused`, not public), held to the
-/// kernel by `selected_kernel_is_bit_identical_to_the_scalar_reference`.
-fn mul_fused(x: Complex64, w: Complex64) -> Complex64 {
-    Complex64::new(
-        (-x.im).mul_add(w.im, x.re * w.re),
-        x.im.mul_add(w.re, x.re * w.im),
-    )
-}
-
-/// The folded forward transform as scalar AoS arithmetic: fold, twist,
-/// reference FFT. Returns the `(re, im)` planes.
+/// The folded forward transform as scalar AoS arithmetic: fold, then the
+/// reference network. Returns the `(re, im)` planes, in stored order.
 fn reference_forward(n: usize, c: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let half = n / 2;
     let mut vals: Vec<Complex64> = (0..half)
-        .map(|j| mul_fused(Complex64::new(c[j], -c[j + half]), twist(n, j, 1.0)))
+        .map(|j| Complex64::new(c[j], -c[j + half]))
         .collect();
     FftPlan::new(half).forward(&mut vals);
     vals.iter().map(|v| (v.re, v.im)).unzip()
 }
 
-/// The folded inverse as scalar AoS arithmetic: reference inverse FFT,
-/// untwist, unfold.
+/// The folded inverse as scalar AoS arithmetic: the reference inverse
+/// (network, scaling, untwist) of the stored points, then unfold.
 fn reference_inverse(n: usize, spectrum: &Spectrum) -> Vec<f64> {
     let half = n / 2;
-    let mut buf: Vec<Complex64> = (0..half).map(|m| spectrum.point(m)).collect();
+    let stored = spectrum.re().iter().zip(spectrum.im());
+    let mut buf: Vec<Complex64> = stored.map(|(&re, &im)| Complex64::new(re, im)).collect();
     FftPlan::new(half).inverse(&mut buf);
     let mut out = vec![0.0; n];
     for j in 0..half {
-        let u = mul_fused(buf[j], twist(n, j, -1.0));
-        out[j] = u.re;
-        out[j + half] = -u.im;
+        out[j] = buf[j].re;
+        out[j + half] = -buf[j].im;
     }
     out
 }
