@@ -1,22 +1,6 @@
-//! Naive O(n²) reference transforms, used as oracles in tests and in the
-//! transform-accuracy ablation bench.
+//! The naive O(n²) reference transform, the oracle of the tests.
 
 use morphling_math::Complex64;
-
-/// Naive forward DFT: `X_k = Σ_j x_j e^(-2πi jk/n)`.
-pub fn naive_dft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = input.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex64::ZERO;
-            for (j, &x) in input.iter().enumerate() {
-                let angle = -std::f64::consts::TAU * (j as f64) * (k as f64) / n as f64;
-                acc += x * Complex64::from_polar_unit(angle);
-            }
-            acc
-        })
-        .collect()
-}
 
 /// Naive evaluation of a real polynomial at the odd 2N-th roots of unity
 /// `e^(-iπ(4m+1)/N)` for `m = 0..N/2` — the exact point set of the
@@ -39,16 +23,6 @@ pub fn naive_negacyclic_eval(coeffs: &[f64]) -> Vec<Complex64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dft_of_constant_is_impulse() {
-        let input = vec![Complex64::ONE; 8];
-        let out = naive_dft(&input);
-        assert!((out[0] - Complex64::new(8.0, 0.0)).abs() < 1e-9);
-        for v in &out[1..] {
-            assert!(v.abs() < 1e-9);
-        }
-    }
 
     #[test]
     fn negacyclic_eval_of_x_is_the_roots() {

@@ -1,10 +1,9 @@
 //! The transform kernel: one planar polynomial, vectorized along its
 //! coefficient axis, plus the scalar AoS reference it is tested against.
 //!
-//! A plan transforms `n` complex points between the ring
-//! `C[Y]/(Y^n − ρ)` — `ρ = −i` for the folded negacyclic transform,
-//! `ρ = −1` for the merge-split pair — and the values at its `n` roots,
-//! and it **never reorders**:
+//! A plan takes `n` complex points between the ring `C[Y]/(Y^n − ρ)` —
+//! `ρ = −i` for the folded negacyclic transform, `−1` for the merge-split
+//! pair — and the values at its `n` roots, and it **never reorders**:
 //!
 //! - the **forward** is the merged Cooley–Tukey network: `Y^2h − ω²`
 //!   splits into `Y^h − ω` and `Y^h + ω`, so a stage is one butterfly
@@ -18,12 +17,12 @@
 //! Both are written once as the scalar reference ([`FftPlan::forward`] /
 //! [`FftPlan::inverse`]: one stage and one complex point at a time) and
 //! once as the kernel (`FftPlan::run_forward` / `run_inverse`), which
-//! fuses stages into passes — two at a time across runs of vectors, up to
-//! six inside a 64-point tile held in registers and transposed once — and
-//! lets the caller fold its own reading (digit slicing, multiply-
-//! accumulate) and writing (untwist, rounding, adding) into the first and
-//! last pass. Per element the kernel performs *exactly* the reference's
-//! f64 operation sequence, so the two agree bit for bit on every input.
+//! fuses stages into passes — two across runs of vectors, up to six on a
+//! band of eight vectors held in registers and transposed once — and lets
+//! the caller fold its own reading (digit slicing, multiply-accumulate)
+//! and writing (untwist, rounding, adding) into the first and last pass.
+//! Per element the kernel performs *exactly* the reference's f64
+//! operation sequence, so the two agree bit for bit on every input.
 //!
 //! That sequence is written in `mul` and the fused multiply-add (the
 //! VPE's multiply-accumulator), each rounded once: a butterfly is
@@ -36,8 +35,8 @@
 //! A function of `n` alone ([`slot`]), the same on every ISA. The
 //! butterflies leave point `m` at index `bitrev(m)`; from `n = 64` on,
 //! every run of 64 is then stored as the transpose of the 8×8 matrix it
-//! is — the last three stages work across the registers of a transposed
-//! tile, and nothing transposes it back.
+//! is — the last three stages work across the registers of transposed
+//! bands, and nothing transposes them back.
 
 use morphling_math::Complex64;
 
@@ -54,12 +53,11 @@ pub(crate) const TILE: usize = 64;
 /// buffers.
 ///
 /// [`new`](Self::new) plans the folded negacyclic transform of `n`
-/// complex points: with `θ = e^(-iπ/2n)`,
-/// [`forward`](Self::forward) computes `X_m = Σ_j x_j θ^(j(4m+1))` — the
-/// values of `Σ x_j Y^j` at the roots of `Y^n = −i` — stored in the order
-/// the butterflies leave them in ([`Spectrum::point`](crate::Spectrum::point)
-/// finds point `m`), and [`inverse`](Self::inverse) takes that order back
-/// to `x`.
+/// complex points: with `θ = e^(-iπ/2n)`, [`forward`](Self::forward)
+/// computes `X_m = Σ_j x_j θ^(j(4m+1))` — the values of `Σ x_j Y^j` at the
+/// roots of `Y^n = −i` — stored in the order the butterflies leave them in
+/// ([`Spectrum::point`](crate::Spectrum::point) finds point `m`), and
+/// [`inverse`](Self::inverse) takes that order back to `x`.
 ///
 /// Both are the scalar **reference**: the hot paths of this workspace go
 /// through [`NegacyclicFft`](crate::NegacyclicFft), whose kernel is tested
@@ -85,21 +83,17 @@ pub struct FftPlan {
     n: usize,
     // Forward twiddles, planar: the stage with `2^s` blocks keeps block
     // q's at index 2^s + q (index 0 is unused).
-    fw_re: Aligned,
-    fw_im: Aligned,
-    // The last three forward stages' twiddles again, as a transposed tile
+    fw: [Aligned; 2],
+    // The last three forward stages' twiddles again, as a transposed band
     // reads them: per tile seven runs of eight — half-block 4; 2, twice;
     // 1, four times — lane r of each for the tile's r-th run of eight
     // points.
-    tile_re: Aligned,
-    tile_im: Aligned,
+    tile: [Aligned; 2],
     // Inverse twiddle ROM, conjugated as it is used: the stage with
     // half-block size h keeps e^(-2πi k / 2h), k < h, at index h + k.
-    tw_re: Aligned,
-    tw_im: Aligned,
+    tw: [Aligned; 2],
     // θ^(-j) for j < n.
-    untwist_re: Aligned,
-    untwist_im: Aligned,
+    untwist: [Aligned; 2],
     simd: Simd,
 }
 
@@ -112,30 +106,35 @@ fn bit_reverse(i: usize, bits: u32) -> usize {
     }
 }
 
-/// `index` with its two lowest octal digits swapped: where element
-/// `index` of a run of 64 is once the run's 8×8 matrix is transposed.
-fn transposed(index: usize) -> usize {
-    (index & !63) | ((index & 7) << 3) | ((index >> 3) & 7)
+/// Between the index the butterflies of a `points`-point transform leave
+/// a point at and the slot that stores it, either way: the same below a
+/// tile; from there on its two lowest octal digits swapped, which is where
+/// an element of a run of 64 is once the run's 8×8 matrix is transposed.
+pub(crate) fn tiled(points: usize, index: usize) -> usize {
+    if points < TILE {
+        index
+    } else {
+        (index & !63) | ((index & 7) << 3) | ((index >> 3) & 7)
+    }
 }
 
 /// Where a transform of `points` points stores point `m`.
 pub(crate) fn slot(points: usize, m: usize) -> usize {
-    let left_at = bit_reverse(m, points.trailing_zeros());
-    if points < TILE {
-        left_at
-    } else {
-        transposed(left_at)
-    }
+    tiled(points, bit_reverse(m, points.trailing_zeros()))
 }
 
 /// Which point a transform of `points` points stores at `slot`.
+#[cfg(test)]
 pub(crate) fn point_at(points: usize, slot: usize) -> usize {
-    let left_at = if points < TILE {
-        slot
-    } else {
-        transposed(slot)
-    };
-    bit_reverse(left_at, points.trailing_zeros())
+    bit_reverse(tiled(points, slot), points.trailing_zeros())
+}
+
+/// `(re, im)` planes of a twiddle table.
+fn planes(v: &[Complex64]) -> [Aligned; 2] {
+    [
+        v.iter().map(|w| w.re).collect(),
+        v.iter().map(|w| w.im).collect(),
+    ]
 }
 
 impl FftPlan {
@@ -188,24 +187,12 @@ impl FftPlan {
             half *= 2;
         }
         let untwist: Vec<Complex64> = (0..n).map(|j| theta(j).conj()).collect();
-        let planes = |v: &[Complex64]| -> (Aligned, Aligned) {
-            (
-                v.iter().map(|w| w.re).collect(),
-                v.iter().map(|w| w.im).collect(),
-            )
-        };
-        let ((fw_re, fw_im), (tile_re, tile_im)) = (planes(&fw), planes(&tile));
-        let ((tw_re, tw_im), (untwist_re, untwist_im)) = (planes(&tw), planes(&untwist));
         Self {
             n,
-            fw_re,
-            fw_im,
-            tile_re,
-            tile_im,
-            tw_re,
-            tw_im,
-            untwist_re,
-            untwist_im,
+            fw: planes(&fw),
+            tile: planes(&tile),
+            tw: planes(&tw),
+            untwist: planes(&untwist),
             simd: if n < TILE {
                 Simd::Narrow
             } else {
@@ -235,7 +222,7 @@ impl FftPlan {
         let (mut blocks, mut half) = (1usize, self.n / 2);
         while half > 0 {
             for (q, block) in data.chunks_exact_mut(2 * half).enumerate() {
-                let w = Complex64::new(self.fw_re[blocks + q], self.fw_im[blocks + q]);
+                let w = Complex64::new(self.fw[0][blocks + q], self.fw[1][blocks + q]);
                 for k in 0..half {
                     (block[k], block[k + half]) = butterfly_fused(block[k], block[k + half], w);
                 }
@@ -255,7 +242,8 @@ impl FftPlan {
         self.inverse_unscaled(data);
         let scale = 1.0 / self.n as f64;
         for (j, v) in data.iter_mut().enumerate() {
-            *v = mul_fused(v.scale(scale), self.untwist(j));
+            let untwist = Complex64::new(self.untwist[0][j], self.untwist[1][j]);
+            *v = mul_fused(v.scale(scale), untwist);
         }
     }
 
@@ -267,7 +255,7 @@ impl FftPlan {
         while half < self.n {
             for block in data.chunks_exact_mut(2 * half) {
                 for k in 0..half {
-                    let w = Complex64::new(self.tw_re[half + k], -self.tw_im[half + k]);
+                    let w = Complex64::new(self.tw[0][half + k], -self.tw[1][half + k]);
                     (block[k], block[k + half]) = butterfly_fused(block[k], block[k + half], w);
                 }
             }
@@ -275,14 +263,10 @@ impl FftPlan {
         }
     }
 
-    /// `θ^(-j)`: what output point `j` of the inverse is multiplied by.
-    fn untwist(&self, j: usize) -> Complex64 {
-        Complex64::new(self.untwist_re[j], self.untwist_im[j])
-    }
-
-    /// The untwist table, planar, for a kernel's last pass.
+    /// `θ^(-j)` for `j < n`, planar: what a kernel's last pass multiplies
+    /// output point `j` by.
     pub(crate) fn untwist_planes(&self) -> (&[f64], &[f64]) {
-        (&self.untwist_re, &self.untwist_im)
+        (&self.untwist[0], &self.untwist[1])
     }
 
     /// The ISA this plan's kernel runs on.
@@ -297,15 +281,16 @@ impl FftPlan {
         Simd::every(if self.n < TILE { 1 } else { 8 })
     }
 
-    /// How many of the stages with half-blocks 8, 16, 32 the tile pass
-    /// takes on top of its own three, so that an even number is left to
-    /// the passes that fuse two.
-    fn absorbed(&self) -> usize {
-        match self.n.trailing_zeros() {
-            6 => 1,
-            odd if odd % 2 == 1 => 2,
-            _ => 3,
-        }
+    /// How a kernel fuses the stages with half-blocks of 8 and up, of
+    /// which there are `log2(n) − 3`: how many the band pass takes on top
+    /// of its own three — those whose pairs of rows a band of `LANES` rows
+    /// holds, leaving two at least — and whether what is left to the
+    /// passes that fuse two is odd. What a pass fuses moves no bit.
+    #[inline(always)]
+    fn fusing<I: Isa>(&self) -> (usize, bool) {
+        let vertical = self.n.trailing_zeros() as usize - 3;
+        let absorbed = (I::LANES.trailing_zeros() as usize).min(vertical - 2);
+        (absorbed, (vertical - absorbed) % 2 == 1)
     }
 
     /// The forward kernel: the transform of the planar sequence `source`
@@ -327,64 +312,53 @@ impl FftPlan {
         im: &mut [f64],
         source: impl Fn(usize) -> [C<I>; P],
     ) {
-        let n = self.check::<P>(re, im);
+        let n = self.check::<I, P>(re, im);
         if n < TILE {
-            let m = self.parts_of_one_lane::<I, P>();
             let (re_b, im_b) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            for k in 0..m {
+            for k in 0..n / P {
                 for (t, x) in source(k).into_iter().enumerate() {
-                    isa.store(&mut re_b[t * m + k], x.0);
-                    isa.store(&mut im_b[t * m + k], x.1);
+                    isa.store(&mut re_b[t * (n / P) + k], x.0);
+                    isa.store(&mut im_b[t * (n / P) + k], x.1);
                 }
             }
             return self.reference_in_planes(re, im, Self::forward);
         }
-        // Stages 0 and 1, reading: quarter t meets t + 2, then 0 meets 1
-        // and 2 meets 3.
-        let w = [
-            self.forward_splat(isa, 1),
-            self.forward_splat(isa, 2),
-            self.forward_splat(isa, 3),
-        ];
-        let m = n / 4 / I::LANES;
-        let re_q = parts_mut::<_, 4>(isa.blocks_mut(re), m);
-        let im_q = parts_mut::<_, 4>(isa.blocks_mut(im), m);
-        for k in 0..m {
-            let x = source(k);
-            let y = butterfly4::<I, false>(isa, [x[0], x[2], x[1], x[3]], w);
-            // A literal quarter each: a variable one would be checked.
-            isa.store(&mut re_q[0][k], y[0].0);
-            isa.store(&mut im_q[0][k], y[0].1);
-            isa.store(&mut re_q[1][k], y[2].0);
-            isa.store(&mut im_q[1][k], y[2].1);
-            isa.store(&mut re_q[2][k], y[1].0);
-            isa.store(&mut im_q[2][k], y[1].1);
-            isa.store(&mut re_q[3][k], y[3].0);
-            isa.store(&mut im_q[3][k], y[3].1);
+        // Stages 0 and 1, reading; then one on its own if an odd number is
+        // left, and two a pass down to those the bands take.
+        let (absorbed, odd) = self.fusing::<I>();
+        self.pass::<I, false, false>(
+            isa,
+            re,
+            im,
+            n / 4,
+            #[inline(always)]
+            |k, _| {
+                let x = source(k);
+                [x[0], x[1], x[2], x[3]]
+            },
+            store_back(isa),
+        );
+        let mut quarter = n / 16;
+        if odd {
+            self.pass::<I, false, true>(isa, re, im, quarter, loaded::<I>, store_back(isa));
+            quarter /= 2;
         }
-        // Two stages a pass while more are left than the tiles take.
-        let vertical = n.trailing_zeros() as usize - 3;
-        let mut s = 2;
-        while vertical - s > self.absorbed() {
-            self.forward_pass(isa, re, im, s);
-            s += 2;
+        while quarter > 4 << absorbed {
+            self.pass::<I, false, false>(isa, re, im, quarter, loaded::<I>, store_back(isa));
+            quarter /= 4;
         }
-        match self.absorbed() {
-            1 => self.forward_tiles::<I, 1>(isa, re, im),
-            2 => self.forward_tiles::<I, 2>(isa, re, im),
-            _ => self.forward_tiles::<I, 3>(isa, re, im),
-        }
+        self.forward_bands(isa, re, im, absorbed);
     }
 
     /// The inverse kernel: the unscaled decimation-in-time network over
     /// the points `source` yields in stored order, worked in the scratch
     /// planes `re`/`im`, whose results go to `sink`.
     ///
-    /// `source(at, out)` fills `out` with the vectors `at..at + out.len()`
-    /// of the stored sequence — a tile at a time, which spreads the fixed
-    /// cost of a call over its vectors (the external product's MAC gathers
-    /// from two dozen arrays). `sink(re, im, t, k, vr, vi)` receives points
-    /// `k·LANES..(k + 1)·LANES` of part `t` (parts as
+    /// `source(at, stride, out)` fills `out` with the stored sequence's
+    /// vectors `at`, `at + stride`, … — a band at a time, which spreads
+    /// the fixed cost of a call over eight vectors (the external product's
+    /// MAC gathers from two dozen arrays). `sink(re, im, t, k, vr, vi)`
+    /// receives points `k·LANES..(k + 1)·LANES` of part `t` (parts as
     /// [`run_forward`](Self::run_forward)'s) once each, from the last
     /// pass, with the blocks of the work planes they were computed in.
     ///
@@ -395,58 +369,51 @@ impl FftPlan {
         isa: I,
         re: &mut [f64],
         im: &mut [f64],
-        source: impl Fn(usize, &mut [C<I>]),
+        source: impl Fn(usize, usize, &mut [C<I>]),
         mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
     ) {
-        let n = self.check::<P>(re, im);
+        let n = self.check::<I, P>(re, im);
         if n < TILE {
-            let m = self.parts_of_one_lane::<I, P>();
+            let mut points = [(isa.splat(0.0), isa.splat(0.0)); TILE];
+            source(0, 1, &mut points[..n]);
             let (re_b, im_b) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            for (at, (re, im)) in re_b.iter_mut().zip(im_b.iter_mut()).enumerate() {
-                let mut x = [(isa.splat(0.0), isa.splat(0.0))];
-                source(at, &mut x);
-                isa.store(re, x[0].0);
-                isa.store(im, x[0].1);
+            for (x, (re, im)) in points.iter().zip(re_b.iter_mut().zip(im_b)) {
+                isa.store(re, x.0);
+                isa.store(im, x.1);
             }
             self.reference_in_planes(re, im, Self::inverse_unscaled);
             let (re_b, im_b) = (isa.blocks_mut(re), isa.blocks_mut(im));
             for (at, (re, im)) in re_b.iter_mut().zip(im_b).enumerate() {
                 let (vr, vi) = (isa.load(re), isa.load(im));
-                sink(re, im, at / m, at % m, vr, vi);
+                sink(re, im, at / (n / P), at % (n / P), vr, vi);
             }
             return;
         }
-        match self.absorbed() {
-            1 => self.inverse_tiles::<I, 1>(isa, re, im, source),
-            2 => self.inverse_tiles::<I, 2>(isa, re, im, source),
-            _ => self.inverse_tiles::<I, 3>(isa, re, im, source),
+        // The bands' stages; then one on its own if an odd number is left,
+        // and two a pass, the last of which feeds the sink.
+        let (absorbed, odd) = self.fusing::<I>();
+        self.inverse_bands(isa, re, im, absorbed, source);
+        let mut quarter = 8 << absorbed;
+        if odd {
+            self.pass::<I, true, true>(isa, re, im, quarter / 2, loaded::<I>, store_back(isa));
+            quarter *= 2;
         }
-        // Two stages a pass from there; the last one feeds the sink.
-        let mut h = 8 << self.absorbed();
-        while 4 * h < n {
-            self.radix4_pass(isa, re, im, h, store_back(isa));
-            h *= 4;
+        while 4 * quarter < n {
+            self.pass::<I, true, false>(isa, re, im, quarter, loaded::<I>, store_back(isa));
+            quarter *= 4;
         }
-        self.radix4_pass(isa, re, im, h, sink);
+        self.pass::<I, true, false>(isa, re, im, quarter, loaded::<I>, sink);
     }
 
     /// The size checks of both kernels.
     #[inline(always)]
-    fn check<const P: usize>(&self, re: &[f64], im: &[f64]) -> usize {
+    fn check<I: Isa, const P: usize>(&self, re: &[f64], im: &[f64]) -> usize {
         let n = re.len();
         assert!(
-            P == n.min(4) && n == self.n && im.len() == n,
-            "work planes do not match the FFT plan"
+            P == n.min(4) && n == self.n && im.len() == n && (n >= TILE || I::LANES == 1),
+            "work planes or ISA do not match the FFT plan"
         );
         n
-    }
-
-    /// The points of each of the `P` parts of a transform shorter than a
-    /// tile, which runs on one lane.
-    #[inline(always)]
-    fn parts_of_one_lane<I: Isa, const P: usize>(&self) -> usize {
-        assert!(I::LANES == 1, "a transform below a tile runs on one lane");
-        self.n / P
     }
 
     /// The scalar reference `run` on planar data, below a tile.
@@ -467,229 +434,166 @@ impl FftPlan {
         }
     }
 
-    /// Forward twiddle `at` in every lane.
+    /// One pass over the work planes: in every run of `4·quarter` points,
+    /// the butterflies of two consecutive stages — of one, with `SINGLE` —
+    /// on its four quarters ([`butterfly4`]). `source(k, x)` is what
+    /// enters for the points `x` loaded at vector `k` of the quarters;
+    /// `sink` gets the quarter and the vector within it that each output
+    /// is. The forward's run is one block of its first stage, one twiddle
+    /// a butterfly pair; the inverse's twiddles are a ROM vector each.
     #[inline(always)]
-    fn forward_splat<I: Isa>(&self, isa: I, at: usize) -> C<I> {
-        splat(isa, (&self.fw_re, &self.fw_im), at)
-    }
-
-    /// Forward stages `s` and `s + 1`, fused, in each of the `2^s` blocks
-    /// of stage `s`: as the first pass, with the block's three twiddles.
-    #[inline(always)]
-    fn forward_pass<I: Isa>(&self, isa: I, re: &mut [f64], im: &mut [f64], s: usize) {
-        let (blocks, quarter) = (1usize << s, self.n >> (s + 2));
+    fn pass<I: Isa, const INV: bool, const SINGLE: bool>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        quarter: usize,
+        source: impl Fn(usize, [C<I>; 4]) -> [C<I>; 4],
+        mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
+    ) {
         let m = quarter / I::LANES;
-        let of_blocks = re
+        // Half-block `quarter`'s twiddles, then the next stage's for k and
+        // for k + quarter.
+        let rom_re = parts::<_, 3>(isa.blocks(&self.tw[0][quarter..4 * quarter]), m);
+        let rom_im = parts::<_, 3>(isa.blocks(&self.tw[1][quarter..4 * quarter]), m);
+        let of_runs = re
             .chunks_exact_mut(4 * quarter)
             .zip(im.chunks_exact_mut(4 * quarter));
-        for (q, (re, im)) in of_blocks.enumerate() {
-            let w = [
-                self.forward_splat(isa, blocks + q),
-                self.forward_splat(isa, 2 * (blocks + q)),
-                self.forward_splat(isa, 2 * (blocks + q) + 1),
+        for (q, (re, im)) in of_runs.enumerate() {
+            let block = self.n / (4 * quarter) + q;
+            let fw = (&self.fw[0][block..2 * block + 2], &self.fw[1][block..]);
+            let of_block = [
+                splat(isa, fw, 0),
+                splat(isa, fw, block),
+                splat(isa, fw, block + 1),
             ];
             let re = parts_mut::<_, 4>(isa.blocks_mut(re), m);
             let im = parts_mut::<_, 4>(isa.blocks_mut(im), m);
             for k in 0..m {
                 let x = [
                     (isa.load(&re[0][k]), isa.load(&im[0][k])),
-                    (isa.load(&re[2][k]), isa.load(&im[2][k])),
-                    (isa.load(&re[1][k]), isa.load(&im[1][k])),
-                    (isa.load(&re[3][k]), isa.load(&im[3][k])),
-                ];
-                let y = butterfly4::<I, false>(isa, x, w);
-                isa.store(&mut re[0][k], y[0].0);
-                isa.store(&mut im[0][k], y[0].1);
-                isa.store(&mut re[1][k], y[2].0);
-                isa.store(&mut im[1][k], y[2].1);
-                isa.store(&mut re[2][k], y[1].0);
-                isa.store(&mut im[2][k], y[1].1);
-                isa.store(&mut re[3][k], y[3].0);
-                isa.store(&mut im[3][k], y[3].1);
-            }
-        }
-    }
-
-    /// The forward's last pass, a tile at a time: the `ABSORBED` stages
-    /// still pairing whole rows of the tile (half-blocks 8·2^e: row `a`
-    /// meets `a + 2^e`, one twiddle per block), one transpose, and the
-    /// last three stages across the registers of the transposed tile,
-    /// with a lane per run of eight — stored as it stands.
-    #[inline(always)]
-    fn forward_tiles<I: Isa, const ABSORBED: usize>(&self, isa: I, re: &mut [f64], im: &mut [f64]) {
-        let g = 8 / I::LANES;
-        let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
-        let tables = (self.tile_re.chunks_exact(56)).zip(self.tile_im.chunks_exact(56));
-        for (b, ((re, im), (tw_re, tw_im))) in tiles.zip(tables).enumerate() {
-            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            let (tw_re, tw_im) = (isa.blocks(tw_re), isa.blocks(tw_im));
-            let mut tile = isa.tile();
-            for (v, (re, im)) in tile.as_mut().iter_mut().zip(re.iter().zip(&*im)) {
-                *v = (isa.load(re), isa.load(im));
-            }
-            // Calls spelled out, here and below: a loop over the stages
-            // is not always unrolled, and then the tile lives in memory.
-            if ABSORBED > 2 {
-                self.forward_rows::<I, 4>(isa, tile.as_mut(), b);
-            }
-            if ABSORBED > 1 {
-                self.forward_rows::<I, 2>(isa, tile.as_mut(), b);
-            }
-            self.forward_rows::<I, 1>(isa, tile.as_mut(), b);
-            isa.transpose(&mut tile);
-            let w = (tw_re, tw_im);
-            tile_stage::<I, false, 4>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |_, j| load(isa, w, j),
-            );
-            tile_stage::<I, false, 2>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |a, j| load(isa, w, (1 + a / 4) * g + j),
-            );
-            tile_stage::<I, false, 1>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |a, j| load(isa, w, (3 + a / 2) * g + j),
-            );
-            for (v, (re, im)) in tile.as_mut().iter().zip(re.iter_mut().zip(im)) {
-                isa.store(re, v.0);
-                isa.store(im, v.1);
-            }
-        }
-    }
-
-    /// The forward stage with half-block `8·D` in tile `b`, which is `4/D`
-    /// of its blocks: row `a` meets row `a + D`, one twiddle per block.
-    #[inline(always)]
-    fn forward_rows<I: Isa, const D: usize>(&self, isa: I, tile: &mut [C<I>], b: usize) {
-        let first = self.n / (16 * D) + b * (4 / D);
-        let w_re = &self.fw_re[first..first + 4 / D];
-        let w_im = &self.fw_im[first..first + 4 / D];
-        tile_stage::<I, false, D>(
-            isa,
-            tile,
-            #[inline(always)]
-            |a, _| splat(isa, (w_re, w_im), a / (2 * D)),
-        );
-    }
-
-    /// The inverse's first pass, [`forward_tiles`](Self::forward_tiles)
-    /// backwards: a tile from the source, the three stages with constant
-    /// twiddles across its registers, one transpose, `ABSORBED` stages
-    /// more between its rows.
-    #[inline(always)]
-    fn inverse_tiles<I: Isa, const ABSORBED: usize>(
-        &self,
-        isa: I,
-        re: &mut [f64],
-        im: &mut [f64],
-        source: impl Fn(usize, &mut [C<I>]),
-    ) {
-        let g = 8 / I::LANES;
-        // Half-blocks up to 32: the ROM's first 64 twiddles, of which the
-        // first eight go one to a register.
-        let (one_re, one_im) = (&self.tw_re[..8], &self.tw_im[..8]);
-        let tw_re = &isa.blocks(&self.tw_re)[..8 * g];
-        let tw_im = &isa.blocks(&self.tw_im)[..8 * g];
-        let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
-        for (b, (re, im)) in tiles.enumerate() {
-            let mut tile = isa.tile();
-            source(b * 8 * g, tile.as_mut());
-            // Twiddle k of the stage with half-block d is the ROM's d + k:
-            // one to a register while a row is one point of eight runs…
-            let one = (one_re, one_im);
-            tile_stage::<I, true, 1>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |_, _| splat(isa, one, 1),
-            );
-            tile_stage::<I, true, 2>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |a, _| splat(isa, one, 2 + (a & 1)),
-            );
-            tile_stage::<I, true, 4>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |a, _| splat(isa, one, 4 + (a & 3)),
-            );
-            isa.transpose(&mut tile);
-            // …and eight to a row of vectors once a row is a run of eight.
-            let rows = (tw_re, tw_im);
-            tile_stage::<I, true, 1>(
-                isa,
-                tile.as_mut(),
-                #[inline(always)]
-                |_, j| load(isa, rows, g + j),
-            );
-            if ABSORBED > 1 {
-                tile_stage::<I, true, 2>(
-                    isa,
-                    tile.as_mut(),
-                    #[inline(always)]
-                    |a, j| load(isa, rows, (2 + (a & 1)) * g + j),
-                );
-            }
-            if ABSORBED > 2 {
-                tile_stage::<I, true, 4>(
-                    isa,
-                    tile.as_mut(),
-                    #[inline(always)]
-                    |a, j| load(isa, rows, (4 + (a & 3)) * g + j),
-                );
-            }
-            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
-            for (v, (re, im)) in tile.as_mut().iter().zip(re.iter_mut().zip(im)) {
-                isa.store(re, v.0);
-                isa.store(im, v.1);
-            }
-        }
-    }
-
-    /// The inverse stages with half-block sizes `h` and `2h`, fused, in
-    /// every run of `4h` points; `sink` gets the quarter of its run and
-    /// the vector within it that each output is.
-    #[inline(always)]
-    fn radix4_pass<I: Isa>(
-        &self,
-        isa: I,
-        re: &mut [f64],
-        im: &mut [f64],
-        h: usize,
-        mut sink: impl FnMut(&mut Plane<I>, &mut Plane<I>, usize, usize, I::V, I::V),
-    ) {
-        let m = h / I::LANES;
-        // Stage h's twiddles, then stage 2h's for k and for k + h.
-        let tw_re = parts::<_, 3>(isa.blocks(&self.tw_re[h..4 * h]), m);
-        let tw_im = parts::<_, 3>(isa.blocks(&self.tw_im[h..4 * h]), m);
-        for (re, im) in re.chunks_exact_mut(4 * h).zip(im.chunks_exact_mut(4 * h)) {
-            let re = parts_mut::<_, 4>(isa.blocks_mut(re), m);
-            let im = parts_mut::<_, 4>(isa.blocks_mut(im), m);
-            for k in 0..m {
-                let x = [
-                    (isa.load(&re[0][k]), isa.load(&im[0][k])),
                     (isa.load(&re[1][k]), isa.load(&im[1][k])),
                     (isa.load(&re[2][k]), isa.load(&im[2][k])),
                     (isa.load(&re[3][k]), isa.load(&im[3][k])),
                 ];
-                let w = [
-                    (isa.load(&tw_re[0][k]), isa.load(&tw_im[0][k])),
-                    (isa.load(&tw_re[1][k]), isa.load(&tw_im[1][k])),
-                    (isa.load(&tw_re[2][k]), isa.load(&tw_im[2][k])),
-                ];
-                let y = butterfly4::<I, true>(isa, x, w);
+                let w = if INV {
+                    [
+                        (isa.load(&rom_re[0][k]), isa.load(&rom_im[0][k])),
+                        (isa.load(&rom_re[1][k]), isa.load(&rom_im[1][k])),
+                        (isa.load(&rom_re[2][k]), isa.load(&rom_im[2][k])),
+                    ]
+                } else {
+                    of_block
+                };
+                let y = butterfly4::<I, INV, SINGLE>(isa, source(k, x), w);
                 sink(&mut re[0][k], &mut im[0][k], 0, k, y[0].0, y[0].1);
                 sink(&mut re[1][k], &mut im[1][k], 1, k, y[1].0, y[1].1);
                 sink(&mut re[2][k], &mut im[2][k], 2, k, y[2].0, y[2].1);
                 sink(&mut re[3][k], &mut im[3][k], 3, k, y[3].0, y[3].1);
+            }
+        }
+    }
+
+    /// The forward's last pass, a band at a time — eight consecutive
+    /// vectors, `LANES` rows of a tile's 8×8 matrix: the `absorbed` stages
+    /// still pairing whole rows (half-block `8·d`: row `a` meets `a + d`,
+    /// one twiddle per block), one transpose, and the last three stages
+    /// across the registers that now hold a column each, with a lane per
+    /// run of eight — stored where the transposed tile has them, which is
+    /// where its other bands are still to be read: a tile of several is
+    /// put together on the stack.
+    #[inline(always)]
+    fn forward_bands<I: Isa>(&self, isa: I, re: &mut [f64], im: &mut [f64], absorbed: usize) {
+        let (n, l, g) = (self.n, I::LANES, 8 / I::LANES);
+        let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
+        let tables = (self.tile[0].chunks_exact(56)).zip(self.tile[1].chunks_exact(56));
+        for (b, ((re_tile, im_tile), (tw_re, tw_im))) in tiles.zip(tables).enumerate() {
+            let (mut done_re, mut done_im) = ([0.0; TILE], [0.0; TILE]);
+            let (tw_re, tw_im) = (isa.blocks(tw_re), isa.blocks(tw_im));
+            for band in 0..g {
+                let (re, im) = (isa.blocks_mut(re_tile), isa.blocks_mut(im_tile));
+                let mut v = [(isa.splat(0.0), isa.splat(0.0)); 8];
+                for (i, v) in v.iter_mut().enumerate() {
+                    *v = (isa.load(&re[8 * band + i]), isa.load(&im[8 * band + i]));
+                }
+                // Calls spelled out, here and below: a loop over the stages
+                // is not always unrolled, and then the band lives in memory.
+                // Row a of the band is row band·l + a of the tile, which is
+                // 4/d blocks of the stage that pairs rows d apart.
+                let rows = |d: usize| n / (16 * d) + (8 * b + band * l) / (2 * d)..n;
+                if absorbed > 2 {
+                    stage::<I, false>(isa, &mut v, 4 * g, splats(isa, &self.fw, rows(4)));
+                }
+                if absorbed > 1 {
+                    stage::<I, false>(isa, &mut v, 2 * g, splats(isa, &self.fw, rows(2)));
+                }
+                if absorbed > 0 {
+                    stage::<I, false>(isa, &mut v, g, splats(isa, &self.fw, rows(1)));
+                }
+                let mut v = isa.transpose::<false>(v);
+                let columns = (tw_re, tw_im, g, band);
+                stage::<I, false>(isa, &mut v, 4, loads(isa, columns, 0));
+                stage::<I, false>(isa, &mut v, 2, loads(isa, columns, 1));
+                stage::<I, false>(isa, &mut v, 1, loads(isa, columns, 3));
+                let (to_re, to_im) = match g {
+                    1 => (re, im),
+                    _ => (isa.blocks_mut(&mut done_re), isa.blocks_mut(&mut done_im)),
+                };
+                for (c, v) in v.iter().enumerate() {
+                    isa.store(&mut to_re[c * g + band], v.0);
+                    isa.store(&mut to_im[c * g + band], v.1);
+                }
+            }
+            if g > 1 {
+                re_tile.copy_from_slice(&done_re);
+                im_tile.copy_from_slice(&done_im);
+            }
+        }
+    }
+
+    /// The inverse's first pass, [`forward_bands`](Self::forward_bands)
+    /// backwards: a band of columns from the source, the three stages with
+    /// constant twiddles across its registers, one transpose, `absorbed`
+    /// stages more between the rows it then holds.
+    #[inline(always)]
+    fn inverse_bands<I: Isa>(
+        &self,
+        isa: I,
+        re: &mut [f64],
+        im: &mut [f64],
+        absorbed: usize,
+        source: impl Fn(usize, usize, &mut [C<I>]),
+    ) {
+        let g = 8 / I::LANES;
+        // Half-blocks up to 32: the ROM's first 64 twiddles. Twiddle k of
+        // the stage with half-block h is the ROM's h + k: one to a register
+        // while a register is one point of several runs, a ROM vector each
+        // once it is part of one run.
+        let (rom_re, rom_im) = (isa.blocks(&self.tw[0]), isa.blocks(&self.tw[1]));
+        let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
+        for (b, (re, im)) in tiles.enumerate() {
+            let (re, im) = (isa.blocks_mut(re), isa.blocks_mut(im));
+            for band in 0..g {
+                let mut v = [(isa.splat(0.0), isa.splat(0.0)); 8];
+                source(8 * g * b + band, g, &mut v);
+                stage::<I, true>(isa, &mut v, 1, splats(isa, &self.tw, 1..8));
+                stage::<I, true>(isa, &mut v, 2, splats(isa, &self.tw, 2..8));
+                stage::<I, true>(isa, &mut v, 4, splats(isa, &self.tw, 4..8));
+                let mut v = isa.transpose::<true>(v);
+                let rows = (&rom_re[..8 * g], &rom_im[..8 * g], 1, 0);
+                if absorbed > 0 {
+                    stage::<I, true>(isa, &mut v, g, loads(isa, rows, g));
+                }
+                if absorbed > 1 {
+                    stage::<I, true>(isa, &mut v, 2 * g, loads(isa, rows, 2 * g));
+                }
+                if absorbed > 2 {
+                    stage::<I, true>(isa, &mut v, 4 * g, loads(isa, rows, 4 * g));
+                }
+                for (i, v) in v.iter().enumerate() {
+                    isa.store(&mut re[8 * band + i], v.0);
+                    isa.store(&mut im[8 * band + i], v.1);
+                }
             }
         }
     }
@@ -700,10 +604,23 @@ impl FftPlan {
 fn transpose_tiles(data: &mut [Complex64]) {
     for tile in data.chunks_exact_mut(TILE) {
         for index in 0..TILE {
-            if index < transposed(index) {
-                tile.swap(index, transposed(index));
+            if index < tiled(TILE, index) {
+                tile.swap(index, tiled(TILE, index));
             }
         }
+    }
+}
+
+/// One butterfly stage on a band: vector `x` meets `x + s`, for the four
+/// `x` without bit `s`, under twiddle `w(k)` — the pair's place among its
+/// block's, `x mod s`, on the way back (`INV`); its block, `x / 2s`, on
+/// the way out.
+#[inline(always)]
+fn stage<I: Isa, const INV: bool>(isa: I, v: &mut [C<I>; 8], s: usize, w: impl Fn(usize) -> C<I>) {
+    for i in 0..4 {
+        let x = i + (i & !(s - 1));
+        let k = if INV { x & (s - 1) } else { x / (2 * s) };
+        (v[x], v[x + s]) = butterfly2::<I, INV>(isa, v[x], v[x + s], w(k));
     }
 }
 
@@ -713,28 +630,31 @@ fn splat<I: Isa>(isa: I, w: (&[f64], &[f64]), at: usize) -> C<I> {
     (isa.splat(w.0[at]), isa.splat(w.1[at]))
 }
 
-/// Vector `at` of planar `(re, im)` tables.
+/// The twiddles in `range` of planar tables, one to a register.
 #[inline(always)]
-fn load<I: Isa>(isa: I, w: (&[Plane<I>], &[Plane<I>]), at: usize) -> C<I> {
-    (isa.load(&w.0[at]), isa.load(&w.1[at]))
+fn splats<'a, I: Isa + 'a>(
+    isa: I,
+    table: &'a [Aligned; 2],
+    range: std::ops::Range<usize>,
+) -> impl Fn(usize) -> C<I> + 'a {
+    let w = (&table[0][range.clone()], &table[1][range]);
+    #[inline(always)]
+    move |k| splat(isa, w, k)
 }
 
-/// One butterfly stage inside a tile: row `a` of its matrix meets row
-/// `a + D`, for the four `a` without bit `D`, in each of a row's vectors
-/// `j`, under the twiddle `w(a, j)`.
+/// Twiddle vectors of planar `(re, im, stride, offset)` tables from
+/// vector `first·stride` on: number `k` is `stride` vectors, of which a
+/// band takes the one at `offset`.
 #[inline(always)]
-fn tile_stage<I: Isa, const INV: bool, const D: usize>(
+fn loads<'a, I: Isa + 'a>(
     isa: I,
-    tile: &mut [C<I>],
-    w: impl Fn(usize, usize) -> C<I>,
-) {
-    let g = 8 / I::LANES;
-    for i in 0..4 {
-        let a = i + (i & !(D - 1));
-        for j in 0..g {
-            let (lo, hi) = (a * g + j, (a + D) * g + j);
-            (tile[lo], tile[hi]) = butterfly2::<I, INV>(isa, tile[lo], tile[hi], w(a, j));
-        }
+    (re, im, stride, offset): (&'a [Plane<I>], &'a [Plane<I>], usize, usize),
+    first: usize,
+) -> impl Fn(usize) -> C<I> + 'a {
+    #[inline(always)]
+    move |k| {
+        let at = (first + k) * stride + offset;
+        (isa.load(&re[at]), isa.load(&im[at]))
     }
 }
 
@@ -781,6 +701,12 @@ fn store_back<I: Isa>(
     }
 }
 
+/// The source of a pass that works on what its planes hold.
+#[inline(always)]
+fn loaded<I: Isa>(_: usize, x: [C<I>; 4]) -> [C<I>; 4] {
+    x
+}
+
 /// `acc + x · w` as the kernel accumulates (`simd::cmul_add`): four fused
 /// operations, `x.re`'s products first (`Complex64`'s own operators keep
 /// their unfused meaning).
@@ -817,19 +743,34 @@ fn butterfly2<I: Isa, const INV: bool>(isa: I, a: C<I>, b: C<I>, w: C<I>) -> (C<
     )
 }
 
-/// Two consecutive stages on four points held in registers, as the
-/// inverse pairs them — `x[0]` with `x[1]` and `x[2]` with `x[3]` under
-/// `w[0]`, then the sums under `w[1]` and the differences under `w[2]`;
-/// the forward hands in `x[1]` and `x[2]` swapped and takes `y[1]`, `y[2]`
-/// back swapped. The same butterflies the reference runs, in an order
-/// that keeps all four points in registers.
+/// Two consecutive stages on the four quarters `x` of a run, kept in
+/// registers: the same butterflies the reference runs. The inverse pairs
+/// neighbours under `w[0]`, then the sums under `w[1]` and the differences
+/// under `w[2]`; the forward pairs quarter t with t + 2 under `w[0]`, then
+/// 0 with 1 under `w[1]` and 2 with 3 under `w[2]`. `SINGLE`: the stage
+/// that pairs t with t + 2 alone.
 #[inline(always)]
-fn butterfly4<I: Isa, const INV: bool>(isa: I, x: [C<I>; 4], w: [C<I>; 3]) -> [C<I>; 4] {
-    let (a0, a1) = butterfly2::<I, INV>(isa, x[0], x[1], w[0]);
-    let (a2, a3) = butterfly2::<I, INV>(isa, x[2], x[3], w[0]);
-    let (y0, y2) = butterfly2::<I, INV>(isa, a0, a2, w[1]);
-    let (y1, y3) = butterfly2::<I, INV>(isa, a1, a3, w[2]);
-    [y0, y1, y2, y3]
+fn butterfly4<I: Isa, const INV: bool, const SINGLE: bool>(
+    isa: I,
+    x: [C<I>; 4],
+    w: [C<I>; 3],
+) -> [C<I>; 4] {
+    let bf = butterfly2::<I, INV>;
+    if INV {
+        let ((a0, a1), (a2, a3)) = match SINGLE {
+            true => ((x[0], x[1]), (x[2], x[3])),
+            false => (bf(isa, x[0], x[1], w[0]), bf(isa, x[2], x[3], w[0])),
+        };
+        let ((y0, y2), (y1, y3)) = (bf(isa, a0, a2, w[1]), bf(isa, a1, a3, w[2]));
+        [y0, y1, y2, y3]
+    } else {
+        let ((a0, a2), (a1, a3)) = (bf(isa, x[0], x[2], w[0]), bf(isa, x[1], x[3], w[0]));
+        if SINGLE {
+            return [a0, a1, a2, a3];
+        }
+        let ((y0, y1), (y2, y3)) = (bf(isa, a0, a1, w[1]), bf(isa, a2, a3, w[2]));
+        [y0, y1, y2, y3]
+    }
 }
 
 #[cfg(test)]
@@ -978,17 +919,18 @@ mod tests {
                 {
                     let mut out_re = parts_mut::<_, P>(isa.blocks_mut(&mut out_re), m);
                     let mut out_im = parts_mut::<_, P>(isa.blocks_mut(&mut out_im), m);
-                    let untwist_re = parts::<_, P>(isa.blocks(&plan.untwist_re), m);
-                    let untwist_im = parts::<_, P>(isa.blocks(&plan.untwist_im), m);
+                    let untwist_re = parts::<_, P>(isa.blocks(&plan.untwist[0]), m);
+                    let untwist_im = parts::<_, P>(isa.blocks(&plan.untwist[1]), m);
                     let scale = isa.splat(1.0 / n as f64);
                     plan.run_inverse::<I, P>(
                         isa,
                         &mut re,
                         &mut im,
                         #[inline(always)]
-                        |at, out| {
+                        |at, stride, out| {
                             for (i, x) in out.iter_mut().enumerate() {
-                                *x = (isa.load(&in_re[at + i]), isa.load(&in_im[at + i]));
+                                let from = at + i * stride;
+                                *x = (isa.load(&in_re[from]), isa.load(&in_im[from]));
                             }
                         },
                         #[inline(always)]
@@ -1106,7 +1048,7 @@ mod tests {
         let (mut blocks, mut half) = (1usize, plan.len() / 2);
         while half > 0 {
             for (q, block) in data.chunks_exact_mut(2 * half).enumerate() {
-                let w = Complex64::new(plan.fw_re[blocks + q], plan.fw_im[blocks + q]);
+                let w = Complex64::new(plan.fw[0][blocks + q], plan.fw[1][blocks + q]);
                 for k in 0..half {
                     let (a, b) = (block[k], block[k + half] * w);
                     (block[k], block[k + half]) = (a + b, a - b);
@@ -1182,21 +1124,20 @@ mod tests {
             let (plan, copy) = (FftPlan::new(n), FftPlan::with_roots(n, 2).clone());
             for plan in [&plan, &copy] {
                 let tile = if n < TILE { 0 } else { 7 * n / 8 };
-                for (table, len) in [
-                    (&plan.fw_re, n),
-                    (&plan.fw_im, n),
-                    (&plan.tile_re, tile),
-                    (&plan.tile_im, tile),
-                    (&plan.tw_re, n),
-                    (&plan.tw_im, n),
-                    (&plan.untwist_re, n),
-                    (&plan.untwist_im, n),
-                ] {
-                    assert_eq!(
-                        (table.len(), table.as_ptr() as usize % 64),
-                        (len, 0),
-                        "n={n}"
-                    );
+                let tables = [
+                    (&plan.fw, n),
+                    (&plan.tile, tile),
+                    (&plan.tw, n),
+                    (&plan.untwist, n),
+                ];
+                for (planes, len) in tables {
+                    for table in planes {
+                        assert_eq!(
+                            (table.len(), table.as_ptr() as usize % 64),
+                            (len, 0),
+                            "n={n}"
+                        );
+                    }
                 }
             }
         }

@@ -29,7 +29,7 @@
 use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
-use crate::fft::{parts, parts_mut, point_at, slot, FftPlan};
+use crate::fft::{parts, parts_mut, tiled, FftPlan};
 use crate::simd::{cache_line_offset, cmul, cmul_add, DigitOf, Isa, Kernel, C, SPARE};
 use crate::spectrum::Spectrum;
 
@@ -124,18 +124,26 @@ impl Coefficients for Digits<'_> {
 /// The spectrum points the inverse transform reads, in stored order, as
 /// the source of its first pass (see `FftPlan::run_inverse`).
 trait Points: Copy {
-    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, &mut [C<I>]);
+    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, usize, &mut [C<I>]);
+}
+
+/// The vectors `at`, `at + stride`, … of `plane`, `count` of them: one
+/// length check for what a source then loads with `i·stride`, `i < count`.
+#[inline(always)]
+fn strided<T>(plane: &[T], at: usize, stride: usize, count: usize) -> &[T] {
+    &plane[at..at + (count - 1) * stride + 1]
 }
 
 impl Points for &Spectrum {
     #[inline(always)]
-    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, &mut [C<I>]) {
+    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, usize, &mut [C<I>]) {
         let (re, im) = (isa.blocks(self.re()), isa.blocks(self.im()));
         #[inline(always)]
-        move |at, out| {
-            let (re, im) = (&re[at..at + out.len()], &im[at..at + out.len()]);
+        move |at, stride, out| {
+            let re = strided(re, at, stride, out.len());
+            let im = strided(im, at, stride, out.len());
             for (i, x) in out.iter_mut().enumerate() {
-                *x = (isa.load(&re[i]), isa.load(&im[i]));
+                *x = (isa.load(&re[i * stride]), isa.load(&im[i * stride]));
             }
         }
     }
@@ -154,19 +162,19 @@ struct Mac<'a> {
 impl Points for Mac<'_> {
     /// Row outer, vector inner: what it costs to find a row's planes —
     /// there is nowhere to keep them cut between calls — is paid once
-    /// per tile.
+    /// per band.
     #[inline(always)]
-    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, &mut [C<I>]) {
+    fn source<I: Isa>(self, isa: I) -> impl Fn(usize, usize, &mut [C<I>]) {
         #[inline(always)]
-        move |at, out| {
+        move |at, stride, out| {
             out.fill((isa.splat(0.0), isa.splat(0.0)));
             for (digit, row) in self.digits.iter().zip(self.rows) {
                 let (d, b) = (digit, &row[self.column]);
-                let d = [isa.blocks(d.re()), isa.blocks(d.im())].map(|p| &p[at..at + out.len()]);
-                let b = [isa.blocks(b.re()), isa.blocks(b.im())].map(|p| &p[at..at + out.len()]);
+                let cut = |plane| strided(isa.blocks(plane), at, stride, out.len());
+                let (d, b) = ([cut(d.re()), cut(d.im())], [cut(b.re()), cut(b.im())]);
                 for (i, acc) in out.iter_mut().enumerate() {
-                    let x = (isa.load(&d[0][i]), isa.load(&d[1][i]));
-                    let w = (isa.load(&b[0][i]), isa.load(&b[1][i]));
+                    let x = (isa.load(&d[0][i * stride]), isa.load(&d[1][i * stride]));
+                    let w = (isa.load(&b[0][i * stride]), isa.load(&b[1][i * stride]));
                     *acc = cmul_add::<I, false>(isa, *acc, x, w);
                 }
             }
@@ -656,12 +664,15 @@ impl Kernel for ForwardPair<'_> {
             },
         );
         // Output point m' pairs R at the even index 2m' with its mirror at
-        // N − 1 − 2m', each where its own transform's order stores it.
+        // N − 1 − 2m'. The butterflies leave R_2m' where those of the
+        // N/2-point transform leave point m' — one more bit to reverse, a
+        // zero, in front — and its mirror, every bit flipped, as far from
+        // the other end.
         let (p_re, p_im) = self.out_p.planes_mut();
         let (q_re, q_im) = self.out_q.planes_mut();
         for at in 0..n / 2 {
-            let m = 2 * point_at(n / 2, at);
-            let (r, mirror) = (slot(n, m), slot(n, n - 1 - m));
+            let r = tiled(n, tiled(n / 2, at));
+            let mirror = n - 1 - r;
             let (r_re, r_im) = (re[r], im[r]);
             let (rc_re, rc_im) = (re[mirror], -im[mirror]);
             p_re[at] = (r_re + rc_re) * 0.5;
@@ -697,15 +708,16 @@ impl Kernel for InversePair<'_> {
         let (p_re, p_im) = (self.ps.re(), self.ps.im());
         let (q_re, q_im) = (self.qs.re(), self.qs.im());
         // What the `N`-point order stores at `at`: R_m = P + i·Q at the
-        // even m, conj(P) + i·conj(Q) mirrored at the odd ones — P and Q
-        // from where the `N/2`-point order stores them.
+        // even m — left in the first half, where the `N/2`-point
+        // butterflies leave point m/2 — and conj(P) + i·conj(Q) mirrored
+        // at the odd ones.
         let merged = |at: usize| {
-            let m = point_at(n, at);
-            if m.is_multiple_of(2) {
-                let k = slot(n / 2, m / 2);
+            let left_at = tiled(n, at);
+            if left_at < n / 2 {
+                let k = tiled(n / 2, left_at);
                 (p_re[k] + -q_im[k], p_im[k] + q_re[k])
             } else {
-                let k = slot(n / 2, (n - 1 - m) / 2);
+                let k = tiled(n / 2, n - 1 - left_at);
                 (p_re[k] + q_im[k], -p_im[k] + q_re[k])
             }
         };
@@ -722,9 +734,9 @@ impl Kernel for InversePair<'_> {
             re,
             im,
             #[inline(always)]
-            |at, out| {
+            |at, stride, out| {
                 for (i, x) in out.iter_mut().enumerate() {
-                    let first = (at + i) * I::LANES;
+                    let first = (at + i * stride) * I::LANES;
                     *x = (
                         isa.lanes(|lane| merged(first + lane).0),
                         isa.lanes(|lane| merged(first + lane).1),
@@ -746,6 +758,7 @@ impl Kernel for InversePair<'_> {
 mod tests {
     use super::*;
     use crate::dft::naive_negacyclic_eval;
+    use crate::fft::{point_at, slot};
     use crate::simd::{round_wrap_u32, Simd};
     use morphling_math::negacyclic::mul_int_torus32;
     use morphling_math::Complex64;
@@ -1225,6 +1238,54 @@ mod tests {
             ));
         }
         out
+    }
+
+    #[test]
+    fn the_stored_order_is_a_function_of_n_alone_on_every_isa() {
+        let mut rng = StdRng::seed_from_u64(64);
+        for n in SIZES {
+            let fft = NegacyclicFft::new(n);
+            let half = n / 2;
+            let root = |m: usize| {
+                Complex64::from_polar_unit(-std::f64::consts::PI * (4 * m + 1) as f64 / n as f64)
+            };
+            // X evaluates to the sample points themselves.
+            let mut x = vec![0.0; n];
+            x[1] = 1.0;
+            let digits = Polynomial::from_fn(n, |_| rng.gen_range(-128i64..128));
+            let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
+            let exact = mul_int_torus32(&digits, &t);
+            let mut stored = Vec::new();
+            for (name, simd) in fft.half_plan.every_simd() {
+                let mut spec = Spectrum::zero(n);
+                forward_on(simd, &fft, &x[..], &mut spec);
+                let mut found = vec![false; half];
+                for (at, v) in as_stored(&spec).into_iter().enumerate() {
+                    // ζ^(4m+1) is (4m+1)/2N of a turn clockwise.
+                    let turns = (-v.im).atan2(v.re).rem_euclid(std::f64::consts::TAU)
+                        / std::f64::consts::TAU;
+                    let m = ((turns * 2.0 * n as f64 - 1.0) / 4.0).round() as usize % half;
+                    assert!((v - root(m)).abs() < 1e-12, "n={n} {name} slot {at}: {v:?}");
+                    assert!(
+                        !std::mem::replace(&mut found[m], true),
+                        "n={n} {name} m={m}"
+                    );
+                    assert_eq!((slot(half, m), point_at(half, at)), (at, m), "n={n} {name}");
+                    assert_eq!(spec.point(m), v, "n={n} {name} m={m}");
+                }
+                stored.push(spectrum_bits(&spec));
+
+                let (mut a, mut b) = (Spectrum::zero(n), Spectrum::zero(n));
+                forward_on(simd, &fft, digits.coeffs(), &mut a);
+                forward_on(simd, &fft, t.coeffs(), &mut b);
+                let mut product = vec![Torus32::HALF; n];
+                let spectrum = &a.pointwise_mul(&b);
+                inverse_on::<_, _, false>(simd, &fft, spectrum, &mut product[..], &mut Vec::new());
+                assert_eq!(product, exact.coeffs(), "n={n} {name}");
+            }
+            assert!(stored.windows(2).all(|w| w[0] == w[1]), "n={n}");
+            assert_eq!(stored.len() > 1, half >= 64, "n={n}");
+        }
     }
 
     #[test]

@@ -163,17 +163,13 @@ pub(crate) trait Isa: Copy {
     type V: Copy;
     /// Where a vector lives in memory: `[T; LANES]`.
     type Block<T: 'static>: AsRef<[T]> + 'static;
-    /// A tile of the transform in registers: 64 complex points as
-    /// `[C<Self>; 64 / LANES]`, an 8×8 matrix row by row (each row
-    /// `8 / LANES` vectors).
-    type Tile: AsMut<[C<Self>]>;
     /// Elements per vector.
     const LANES: usize;
 
-    /// A tile of zeros.
-    fn tile(self) -> Self::Tile;
-    /// Transposes the 8×8 matrix a tile is, real and imaginary parts alike.
-    fn transpose(self, tile: &mut Self::Tile);
+    /// Eight vectors holding `LANES` rows of eight columns, row by row
+    /// (a row is `8 / LANES` vectors), become the eight columns, a vector
+    /// each; `BACK`: the columns become the rows again.
+    fn transpose<const BACK: bool>(self, band: [C<Self>; 8]) -> [C<Self>; 8];
     /// `s` as the vectors it holds, back to back: the one length check of
     /// everything a pass then loads from it. Panics if `LANES` does not
     /// divide its length.
@@ -320,10 +316,10 @@ impl Simd {
     #[inline]
     pub(crate) fn run<K: Kernel>(self, k: K) -> K::Out {
         match self {
-            Self::Narrow => k.run(Portable::<1, 64>),
-            Self::Portable => k.run(Portable::<4, 16>),
+            Self::Narrow => k.run(Portable::<1>),
+            Self::Portable => k.run(Portable::<4>),
             #[cfg(test)]
-            Self::Portable8 => k.run(Portable::<8, 8>),
+            Self::Portable8 => k.run(Portable::<8>),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2(isa) => isa.run(k),
             #[cfg(target_arch = "x86_64")]
@@ -398,33 +394,32 @@ pub(crate) fn round_wrap_u32(v: f64) -> u32 {
 }
 
 /// `[f64; L]` arithmetic — the fallback on every target and the narrow
-/// path on all of them. `R = 64 / L`: the vectors of its [`Isa::Tile`].
+/// path on all of them.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Portable<const L: usize, const R: usize>;
+pub(crate) struct Portable<const L: usize>;
 
-impl<const L: usize, const R: usize> Isa for Portable<L, R> {
+impl<const L: usize> Isa for Portable<L> {
     type V = [f64; L];
     type Block<T: 'static> = [T; L];
-    type Tile = [C<Self>; R];
     const LANES: usize = L;
 
     #[inline(always)]
-    fn tile(self) -> [C<Self>; R] {
-        const { assert!(L * R == 64, "a tile is 64 points") };
-        [([0.0; L], [0.0; L]); R]
-    }
-    #[inline(always)]
-    fn transpose(self, tile: &mut [C<Self>; R]) {
-        let from = *tile;
-        // Element (a, b) of the matrix: lane b % L of vector a·(8/L) + b / L.
-        let at = |a: usize, b: usize| (a * (8 / L) + b / L, b % L);
-        for a in 0..8 {
-            for b in 0..8 {
-                let ((to, lane), (src, src_lane)) = (at(a, b), at(b, a));
-                tile[to].0[lane] = from[src].0[src_lane];
-                tile[to].1[lane] = from[src].1[src_lane];
+    fn transpose<const BACK: bool>(self, band: [C<Self>; 8]) -> [C<Self>; 8] {
+        let mut out = band;
+        for col in 0..8 {
+            for row in 0..L {
+                // Where the rows keep element (row, col).
+                let (vector, lane) = (row * (8 / L) + col / L, col % L);
+                if BACK {
+                    out[vector].0[lane] = band[col].0[row];
+                    out[vector].1[lane] = band[col].1[row];
+                } else {
+                    out[col].0[row] = band[vector].0[lane];
+                    out[col].1[row] = band[vector].1[lane];
+                }
             }
         }
+        out
     }
     #[inline(always)]
     fn blocks<T: 'static>(self, s: &[T]) -> &[[T; L]] {
@@ -487,7 +482,7 @@ pub(crate) mod avx2 {
 
     use morphling_math::Torus32;
 
-    use super::{as_blocks, as_blocks_mut, round_wrap_u32, Isa, Kernel};
+    use super::{as_blocks, as_blocks_mut, round_wrap_u32, Isa, Kernel, C};
 
     /// Proof that the running CPU has AVX2 and FMA (the field is private:
     /// the only constructor is [`Avx2::detect`]).
@@ -546,29 +541,24 @@ pub(crate) mod avx2 {
     impl Isa for Avx2 {
         type V = __m256d;
         type Block<T: 'static> = [T; 4];
-        type Tile = [(__m256d, __m256d); 16];
         const LANES: usize = 4;
 
         #[inline(always)]
-        fn tile(self) -> Self::Tile {
-            [(self.splat(0.0), self.splat(0.0)); 16]
-        }
-        #[inline(always)]
-        fn transpose(self, tile: &mut Self::Tile) {
-            // Row a is vectors 2a (columns 0–3) and 2a + 1 (columns 4–7):
-            // four 4×4 blocks, each transposed into its mirror's place.
-            let from = *tile;
-            for (rows, cols) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                let mut re = [self.splat(0.0); 4];
-                let mut im = re;
+        fn transpose<const BACK: bool>(self, band: [C<Self>; 8]) -> [C<Self>; 8] {
+            // Four rows of two vectors: the left halves are a 4×4 matrix
+            // whose transpose is columns 0–3, the right halves 4–7.
+            let mut out = band;
+            for half in 0..2 {
+                let (mut re, mut im) = ([self.splat(0.0); 4], [self.splat(0.0); 4]);
                 for i in 0..4 {
-                    (re[i], im[i]) = from[2 * (4 * rows + i) + cols];
+                    (re[i], im[i]) = band[if BACK { 4 * half + i } else { 2 * i + half }];
                 }
                 let (re, im) = (transpose4(self, re), transpose4(self, im));
                 for i in 0..4 {
-                    tile[2 * (4 * cols + i) + rows] = (re[i], im[i]);
+                    out[if BACK { 2 * i + half } else { 4 * half + i }] = (re[i], im[i]);
                 }
             }
+            out
         }
         #[inline(always)]
         fn blocks<T: 'static>(self, s: &[T]) -> &[[T; 4]] {
@@ -678,7 +668,7 @@ pub(crate) mod avx512 {
     use morphling_math::Torus32;
 
     use super::avx2::{Avx2, BELOW_HALF, MAGIC, TWO_51};
-    use super::{as_blocks, as_blocks_mut, round_wrap_u32, Isa, Kernel};
+    use super::{as_blocks, as_blocks_mut, round_wrap_u32, Isa, Kernel, C};
 
     /// Proof that the running CPU has AVX-512 F and DQ, AVX2 and FMA (the
     /// field is private: the only constructor is [`Avx512::detect`]).
@@ -739,24 +729,21 @@ pub(crate) mod avx512 {
     impl Isa for Avx512 {
         type V = __m512d;
         type Block<T: 'static> = [T; 8];
-        type Tile = [(__m512d, __m512d); 8];
         const LANES: usize = 8;
 
         #[inline(always)]
-        fn tile(self) -> Self::Tile {
-            [(self.splat(0.0), self.splat(0.0)); 8]
-        }
-        #[inline(always)]
-        fn transpose(self, tile: &mut Self::Tile) {
-            let mut re = [self.splat(0.0); 8];
-            let mut im = re;
-            for (i, v) in tile.iter().enumerate() {
-                (re[i], im[i]) = *v;
+        fn transpose<const BACK: bool>(self, band: [C<Self>; 8]) -> [C<Self>; 8] {
+            // Eight rows of one vector: its own inverse.
+            let (mut re, mut im) = ([self.splat(0.0); 8], [self.splat(0.0); 8]);
+            for i in 0..8 {
+                (re[i], im[i]) = band[i];
             }
             let (re, im) = (transpose8(self, re), transpose8(self, im));
-            for (i, v) in tile.iter_mut().enumerate() {
-                *v = (re[i], im[i]);
+            let mut out = band;
+            for i in 0..8 {
+                out[i] = (re[i], im[i]);
             }
+            out
         }
         #[inline(always)]
         fn blocks<T: 'static>(self, s: &[T]) -> &[[T; 8]] {
@@ -925,40 +912,48 @@ mod tests {
     }
 
     #[test]
-    fn tiles_transpose_distinct_values_on_every_isa() {
-        /// Loads a tile from 64 + 64 values, transposes it, stores it.
-        struct Transpose<'a>(&'a [f64], &'a [f64]);
-        impl Kernel for Transpose<'_> {
+    fn bands_transpose_distinct_values_on_every_isa_and_back() {
+        /// Loads a band from its eight vectors, transposes it, stores it.
+        struct Transpose<'a, const BACK: bool>(&'a [f64], &'a [f64]);
+        impl<const BACK: bool> Kernel for Transpose<'_, BACK> {
             type Out = (Vec<f64>, Vec<f64>);
             #[inline(always)]
             fn run<I: Isa>(self, isa: I) -> Self::Out {
-                let mut tile = isa.tile();
                 let (re, im) = (isa.blocks(self.0), isa.blocks(self.1));
-                for (i, v) in tile.as_mut().iter_mut().enumerate() {
+                let mut band = [(isa.splat(0.0), isa.splat(0.0)); 8];
+                for (i, v) in band.iter_mut().enumerate() {
                     *v = (isa.load(&re[i]), isa.load(&im[i]));
                 }
-                isa.transpose(&mut tile);
-                let (mut out_re, mut out_im) = (vec![f64::NAN; 64], vec![f64::NAN; 64]);
-                for (i, v) in tile.as_mut().iter().enumerate() {
+                let band = isa.transpose::<BACK>(band);
+                let (mut out_re, mut out_im) = (vec![f64::NAN; re.len() * I::LANES], vec![]);
+                out_im.clone_from(&out_re);
+                for (i, v) in band.iter().enumerate() {
                     isa.store(&mut isa.blocks_mut(&mut out_re)[i], v.0);
                     isa.store(&mut isa.blocks_mut(&mut out_im)[i], v.1);
                 }
                 (out_re, out_im)
             }
         }
-        let re: Vec<f64> = (0..64).map(f64::from).collect();
-        let im: Vec<f64> = (0..64).map(|i| -f64::from(i) - 0.5).collect();
-        let transposed =
-            |v: &[f64]| -> Vec<f64> { (0..64).map(|i| v[i % 8 * 8 + i / 8]).collect() };
-        let names: Vec<&str> = Simd::every(8)
-            .into_iter()
-            .map(|(name, simd)| {
-                let got = simd.run(Transpose(&re, &im));
-                assert_eq!(got, (transposed(&re), transposed(&im)), "{name}");
-                name
-            })
-            .collect();
-        assert!(names.len() >= 3, "{names:?}");
+        for (name, simd) in Simd::every(8) {
+            // Lanes rows of eight columns; element (row, col) is 8·row + col.
+            struct Lanes;
+            impl Kernel for Lanes {
+                type Out = usize;
+                fn run<I: Isa>(self, _: I) -> usize {
+                    I::LANES
+                }
+            }
+            let lanes = simd.run(Lanes);
+            let rows: Vec<f64> = (0..8 * lanes).map(|i| i as f64).collect();
+            let columns: Vec<f64> = (0..8 * lanes)
+                .map(|i| (i % lanes * 8 + i / lanes) as f64)
+                .collect();
+            let negated = |v: &[f64]| -> Vec<f64> { v.iter().map(|x| -x - 0.5).collect() };
+            let got = simd.run(Transpose::<false>(&rows, &negated(&rows)));
+            assert_eq!(got, (columns.clone(), negated(&columns)), "{name}");
+            let got = simd.run(Transpose::<true>(&columns, &negated(&columns)));
+            assert_eq!(got, (rows.clone(), negated(&rows)), "back, {name}");
+        }
     }
 
     #[test]
