@@ -398,9 +398,18 @@ fn bench(c: &mut Criterion) {
             .map(|(name, ns)| format!("{name} {ns:.0}"))
             .collect();
         let s_cmux = cmux.staged_hot / cmux.fused_hot;
+        // What one CMUX's transforms — one forward per digit polynomial,
+        // one inverse per GLWE component — cost beside the hot staged CMUX
+        // of the same run, whose other stages (rotate, decompose, MAC,
+        // add) are plain loops that calibrate the host: the guard that
+        // "kernel ≥ reference" stopped being when the reference began to
+        // pay a libm `fma` per operation.
+        let comps = (GLWE_DIM + 1) as f64;
+        let transform_share = (comps * LEVEL as f64 * ker_fwd + comps * ker_inv) / cmux.staged_hot;
         println!(
             "cmux/n{n}: stages [{}] sum {stage_sum:.0} ns; hot staged {:.0} → fused {:.0} ns \
-             ({s_cmux:.2}x); streamed staged {:.0} → fused {:.0} ns ({:.2}x)",
+             ({s_cmux:.2}x); streamed staged {:.0} → fused {:.0} ns ({:.2}x); \
+             transforms {transform_share:.2} of the hot staged CMUX",
             stages.join(", "),
             cmux.staged_hot,
             cmux.fused_hot,
@@ -417,6 +426,7 @@ fn bench(c: &mut Criterion) {
              \"digit_set\": {DIGIT_SET}, \
              \"reference_digit_set_ns\": {ref_set:.1}, \"kernel_digit_set_ns\": {ker_set:.1}, \
              \"speedup_digit_set\": {s_set:.3}, \
+             \"transform_share_of_staged_cmux\": {transform_share:.3}, \
              \"cmux_stage_sum_ns\": {stage_sum:.1}, \
              \"staged_cmux_ns\": {:.1}, \"fused_cmux_ns\": {:.1}, \"speedup_cmux\": {s_cmux:.3}, \
              \"staged_cmux_streamed_ns\": {:.1}, \"fused_cmux_streamed_ns\": {:.1}}}",

@@ -29,7 +29,7 @@
 use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
-use crate::fft::{parts, parts_mut, tiled, FftPlan};
+use crate::fft::{parts, parts_mut, tiled, FftPlan, TILE};
 use crate::simd::{cache_line_offset, cmul, cmul_add, DigitOf, Isa, Kernel, C, SPARE};
 use crate::spectrum::Spectrum;
 
@@ -667,11 +667,12 @@ impl Kernel for ForwardPair<'_> {
         // N − 1 − 2m'. The butterflies leave R_2m' where those of the
         // N/2-point transform leave point m' — one more bit to reverse, a
         // zero, in front — and its mirror, every bit flipped, as far from
-        // the other end.
+        // the other end; and both orders store a point where it is left
+        // or both tile, save at N = 64, where the N-point one tiles alone.
         let (p_re, p_im) = self.out_p.planes_mut();
         let (q_re, q_im) = self.out_q.planes_mut();
         for at in 0..n / 2 {
-            let r = tiled(n, tiled(n / 2, at));
+            let r = if n == TILE { tiled(n, at) } else { at };
             let mirror = n - 1 - r;
             let (r_re, r_im) = (re[r], im[r]);
             let (rc_re, rc_im) = (re[mirror], -im[mirror]);
@@ -708,16 +709,15 @@ impl Kernel for InversePair<'_> {
         let (p_re, p_im) = (self.ps.re(), self.ps.im());
         let (q_re, q_im) = (self.qs.re(), self.qs.im());
         // What the `N`-point order stores at `at`: R_m = P + i·Q at the
-        // even m — left in the first half, where the `N/2`-point
-        // butterflies leave point m/2 — and conj(P) + i·conj(Q) mirrored
+        // even m — in the first half, where the `N/2`-point order stores
+        // point m/2 (see `ForwardPair`) — and conj(P) + i·conj(Q) mirrored
         // at the odd ones.
         let merged = |at: usize| {
-            let left_at = tiled(n, at);
-            if left_at < n / 2 {
-                let k = tiled(n / 2, left_at);
-                (p_re[k] + -q_im[k], p_im[k] + q_re[k])
+            let at = if n == TILE { tiled(n, at) } else { at };
+            if at < n / 2 {
+                (p_re[at] + -q_im[at], p_im[at] + q_re[at])
             } else {
-                let k = tiled(n / 2, n - 1 - left_at);
+                let k = n - 1 - at;
                 (p_re[k] + q_im[k], -p_im[k] + q_re[k])
             }
         };
@@ -737,10 +737,13 @@ impl Kernel for InversePair<'_> {
             |at, stride, out| {
                 for (i, x) in out.iter_mut().enumerate() {
                     let first = (at + i * stride) * I::LANES;
-                    *x = (
-                        isa.lanes(|lane| merged(first + lane).0),
-                        isa.lanes(|lane| merged(first + lane).1),
-                    );
+                    let mut im = [0.0; 8];
+                    let re = isa.lanes(|lane| {
+                        let merged = merged(first + lane);
+                        im[lane] = merged.1;
+                        merged.0
+                    });
+                    *x = (re, isa.lanes(|lane| im[lane]));
                 }
             },
             #[inline(always)]
