@@ -14,29 +14,22 @@
 //!   inverse DFT, which wants exactly that order in and leaves natural
 //!   order out, followed by the `1/n` scaling and the untwist.
 //!
-//! Both are written once as the scalar reference ([`FftPlan::forward`] /
-//! [`FftPlan::inverse`]: one stage and one complex point at a time) and
-//! once as the kernel (`FftPlan::run_forward` / `run_inverse`), which
-//! fuses stages into passes — two across runs of vectors, up to six on a
-//! band of eight vectors held in registers and transposed once — and lets
-//! the caller fold its own reading (digit slicing, multiply-accumulate)
-//! and writing (untwist, rounding, adding) into the first and last pass.
-//! Per element the kernel performs *exactly* the reference's f64
-//! operation sequence, so the two agree bit for bit on every input.
+//! That order ([`slot`]) is a function of `n` alone, the same on every
+//! ISA: point `m` at index `bitrev(m)`, and from `n = 64` on every run of
+//! 64 stored as the transpose of the 8×8 matrix it is — the last three
+//! stages work across the registers of transposed bands, and nothing
+//! transposes them back.
 //!
-//! That sequence is written in `mul` and the fused multiply-add (the
-//! VPE's multiply-accumulator), each rounded once: a butterfly is
+//! Both networks are written once as the scalar reference
+//! ([`FftPlan::forward`] / [`FftPlan::inverse`]: one stage and one point
+//! at a time) and once as the kernel (`run_forward` / `run_inverse`),
+//! which fuses stages into passes and lets the caller fold its own
+//! reading and writing into the first and last one. Per element the
+//! kernel performs *exactly* the reference's f64 operation sequence —
+//! `mul` and the fused multiply-add, each rounded once: a butterfly is
 //! `lo = a + b·w` as two nested fused operations per component and
-//! `hi = 2a − lo` as one — six where the unfused form takes ten.
-//! [`butterfly_fused`] states it in scalars, on `f64::mul_add`.
-//!
-//! # The stored order
-//!
-//! A function of `n` alone ([`slot`]), the same on every ISA. The
-//! butterflies leave point `m` at index `bitrev(m)`; from `n = 64` on,
-//! every run of 64 is then stored as the transpose of the 8×8 matrix it
-//! is — the last three stages work across the registers of transposed
-//! bands, and nothing transposes them back.
+//! `hi = 2a − lo` as one ([`butterfly_fused`]) — so the two agree bit for
+//! bit on every input.
 
 use morphling_math::Complex64;
 
@@ -121,12 +114,6 @@ pub(crate) fn tiled(points: usize, index: usize) -> usize {
 /// Where a transform of `points` points stores point `m`.
 pub(crate) fn slot(points: usize, m: usize) -> usize {
     tiled(points, bit_reverse(m, points.trailing_zeros()))
-}
-
-/// Which point a transform of `points` points stores at `slot`.
-#[cfg(test)]
-pub(crate) fn point_at(points: usize, slot: usize) -> usize {
-    bit_reverse(tiled(points, slot), points.trailing_zeros())
 }
 
 /// `(re, im)` planes of a twiddle table.
@@ -272,13 +259,6 @@ impl FftPlan {
     /// The ISA this plan's kernel runs on.
     pub(crate) fn simd(&self) -> Simd {
         self.simd
-    }
-
-    /// Every ISA of this CPU the kernel could run on at this size, named:
-    /// what the identity tests iterate instead of trusting detection.
-    #[cfg(test)]
-    pub(crate) fn every_simd(&self) -> Vec<(&'static str, Simd)> {
-        Simd::every(if self.n < TILE { 1 } else { 8 })
     }
 
     /// How a kernel fuses the stages with half-blocks of 8 and up, of
@@ -770,6 +750,30 @@ fn butterfly4<I: Isa, const INV: bool, const SINGLE: bool>(
         }
         let ((y0, y1), (y2, y3)) = (bf(isa, a0, a1, w[1]), bf(isa, a2, a3, w[2]));
         [y0, y1, y2, y3]
+    }
+}
+
+/// Which point a transform of `points` points stores at `slot`.
+#[cfg(test)]
+pub(crate) fn point_at(points: usize, slot: usize) -> usize {
+    bit_reverse(tiled(points, slot), points.trailing_zeros())
+}
+
+#[cfg(test)]
+impl FftPlan {
+    /// Every ISA of this CPU the kernel could run on at this size, named:
+    /// what the identity tests iterate instead of trusting detection.
+    pub(crate) fn every_simd(&self) -> Vec<(&'static str, Simd)> {
+        Simd::every(if self.n < TILE { 1 } else { 8 })
+    }
+
+    /// Every table a pass loads from, both planes of each.
+    pub(crate) fn tables(&self) -> Vec<&[f64]> {
+        let tables = [&self.fw, &self.tile, &self.tw, &self.untwist];
+        tables
+            .iter()
+            .flat_map(|t| t.iter().map(|p| &p[..]))
+            .collect()
     }
 }
 

@@ -20,10 +20,11 @@
 //!   stage-by-stage composition.
 //! - [`Spectrum`]: transform-domain data (what Morphling keeps in
 //!   POLY-ACC-REG and the Private-A2 buffer), with the pointwise
-//!   multiply-accumulate the VPEs perform.
-//! - [`FftPlan`]: the twiddle ROM and block permutation of one transform
-//!   size, plus the scalar radix-2 FFT every kernel result is tested
-//!   against.
+//!   multiply-accumulate the VPEs perform — stored in the order the
+//!   forward butterflies leave the points in.
+//! - [`FftPlan`]: the twiddle tables of one transform size, plus the
+//!   scalar reference — the same two networks, one stage and one point at
+//!   a time — every kernel result is tested against.
 //! - [`pipeline::PipelinedFftModel`]: the cycle/occupancy model of the
 //!   hardware FFT unit used by the simulator.
 //!
@@ -32,17 +33,26 @@
 //! Every transform above is a single kernel (`fft.rs`): one polynomial held
 //! planar (a plane of real parts, a plane of imaginary parts), vectorized
 //! **along the coefficient axis** — the software image of a VPE row's
-//! lanes. It bit-reverses, then runs radix-2² passes (two butterfly stages
-//! fused per sweep), with the negacyclic twist folded into the first pass
-//! and the untwist, scaling and round-to-torus into the last. It is
+//! lanes — and it **never reorders**, as the hardware's streaming FFT
+//! units never do. The forward is the merged Cooley–Tukey network over
+//! `Y^(N/2) = −i` — the negacyclic twist is in its twiddles, one per
+//! block — natural-order coefficients in, spectrum points out in the
+//! order its butterflies leave them: bit-reversed, every run of 64
+//! stored as the transposed 8×8 matrix the last three stages work on. The
+//! inverse is the decimation-in-time network, which takes exactly that
+//! order, with the untwist, scaling and round-to-torus in its last pass.
+//! Only pointwise work happens in between, so nothing ever needs natural
+//! order ([`Spectrum::point`] finds a point for whoever asks). Passes fuse
+//! two stages across runs of vectors and up to six on a band of eight
+//! vectors held in registers and transposed once. The kernel is
 //! written once, generically over a vector type and its lane count
 //! (`simd.rs`), and instantiated for portable `[f64; 4]` arithmetic, for
 //! AVX2 (four lanes) and for AVX-512 (eight, `std::arch` both); which one
 //! runs is decided once, from CPU detection, when a plan is built —
 //! [`NegacyclicFft::isa`] names it, nothing sets it. Every plane a vector
-//! is loaded from (spectra, work planes, twiddle and twist tables) starts
-//! on a 64-byte boundary, so that a load as wide as a cache line touches
-//! one line.
+//! is loaded from (spectra, work planes, twiddle and untwist tables)
+//! starts on a 64-byte boundary, so that a load as wide as a cache line
+//! touches one line and any two planes are whole lines apart.
 //!
 //! **Bits do not depend on that choice.** Per element, every
 //! instantiation performs exactly the f64 operation sequence of the scalar
@@ -51,9 +61,9 @@
 //! `f64::mul_add`) fuses it, and a rounding step that reproduces
 //! `f64::round` (half away from zero) where the hardware instruction
 //! would round half to even — so kernel output equals
-//! [`FftPlan::forward`]/[`FftPlan::inverse`] plus the scalar twist bit for
-//! bit, on every input (`tests/properties.rs` and the
-//! in-crate identity tests). [`PolyBatch`]/[`SpectrumBatch`] and the
+//! [`FftPlan::forward`]/[`FftPlan::inverse`] between a fold and an unfold,
+//! bit for bit and in the same stored order, on every input and every ISA
+//! (`tests/properties.rs` and the in-crate identity tests). [`PolyBatch`]/[`SpectrumBatch`] and the
 //! `*_batch_into` entry points run that same kernel once per lane.
 //!
 //! `unsafe` is denied crate-wide and allowed in exactly two modules,

@@ -898,11 +898,10 @@ mod tests {
             let spectrum = fft.forward_real(&vec![1.0; n]);
             let copy = fft.clone();
             for plan in [&fft.half_plan, &fft.full_plan, &copy.half_plan] {
-                let (untwist_re, untwist_im) = plan.untwist_planes();
-                lines_apart(
-                    &[spectrum.re(), spectrum.im(), untwist_re, untwist_im],
-                    &format!("n={n}"),
-                );
+                let mut planes = vec![spectrum.re(), spectrum.im()];
+                planes.extend(plan.tables());
+                assert_eq!(planes.len(), 10);
+                lines_apart(&planes, &format!("n={n}"));
             }
             kept.push((odd_sized, spectrum));
         }
