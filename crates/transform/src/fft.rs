@@ -487,8 +487,8 @@ impl FftPlan {
         let (n, l, g) = (self.n, I::LANES, 8 / I::LANES);
         let tiles = re.chunks_exact_mut(TILE).zip(im.chunks_exact_mut(TILE));
         let tables = (self.tile[0].chunks_exact(56)).zip(self.tile[1].chunks_exact(56));
+        let (mut done_re, mut done_im) = ([0.0; TILE], [0.0; TILE]);
         for (b, ((re_tile, im_tile), (tw_re, tw_im))) in tiles.zip(tables).enumerate() {
-            let (mut done_re, mut done_im) = ([0.0; TILE], [0.0; TILE]);
             let (tw_re, tw_im) = (isa.blocks(tw_re), isa.blocks(tw_im));
             for band in 0..g {
                 let (re, im) = (isa.blocks_mut(re_tile), isa.blocks_mut(im_tile));

@@ -35,24 +35,21 @@
 //! **along the coefficient axis** — the software image of a VPE row's
 //! lanes — and it **never reorders**, as the hardware's streaming FFT
 //! units never do. The forward is the merged Cooley–Tukey network over
-//! `Y^(N/2) = −i` — the negacyclic twist is in its twiddles, one per
-//! block — natural-order coefficients in, spectrum points out in the
-//! order its butterflies leave them: bit-reversed, every run of 64
-//! stored as the transposed 8×8 matrix the last three stages work on. The
-//! inverse is the decimation-in-time network, which takes exactly that
-//! order, with the untwist, scaling and round-to-torus in its last pass.
-//! Only pointwise work happens in between, so nothing ever needs natural
-//! order ([`Spectrum::point`] finds a point for whoever asks). Passes fuse
-//! two stages across runs of vectors and up to six on a band of eight
-//! vectors held in registers and transposed once. The kernel is
+//! `Y^(N/2) = −i` (the negacyclic twist is in its twiddles, one per
+//! block): natural-order coefficients in, spectrum points out in the
+//! order its butterflies leave them. The inverse is the decimation-in-time
+//! network, which takes exactly that order, with the untwist, scaling and
+//! round-to-torus in its last pass; only pointwise work happens in
+//! between ([`Spectrum::point`] finds a point for whoever asks). Passes
+//! fuse two stages across runs of vectors and up to six on a band of
+//! eight vectors held in registers and transposed once. The kernel is
 //! written once, generically over a vector type and its lane count
 //! (`simd.rs`), and instantiated for portable `[f64; 4]` arithmetic, for
 //! AVX2 (four lanes) and for AVX-512 (eight, `std::arch` both); which one
 //! runs is decided once, from CPU detection, when a plan is built —
 //! [`NegacyclicFft::isa`] names it, nothing sets it. Every plane a vector
-//! is loaded from (spectra, work planes, twiddle and untwist tables)
-//! starts on a 64-byte boundary, so that a load as wide as a cache line
-//! touches one line and any two planes are whole lines apart.
+//! is loaded from starts on a 64-byte boundary, so that a load as wide as
+//! a cache line touches one line and any two planes are whole lines apart.
 //!
 //! **Bits do not depend on that choice.** Per element, every
 //! instantiation performs exactly the f64 operation sequence of the scalar

@@ -56,8 +56,8 @@ impl Spectrum {
         );
         let mut planes: Aligned = std::iter::repeat_n(0.0, 2 * points).collect();
         for (m, v) in values.iter().enumerate() {
-            planes[slot(points, m)] = v.re;
-            planes[points + slot(points, m)] = v.im;
+            let at = slot(points, m);
+            (planes[at], planes[points + at]) = (v.re, v.im);
         }
         Self { planes }
     }
