@@ -124,7 +124,7 @@ impl XpuCosim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morphling_tfhe::{BootstrapOptions, ClientKey, MulBackend, ParamSet, ServerKey};
+    use morphling_tfhe::{BootstrapOptions, ClientKey, ParamSet, ServerKey};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -133,7 +133,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(500);
         let params = ParamSet::Test.params();
         let ck = ClientKey::generate(params.clone(), &mut rng);
-        let sk = ServerKey::with_backend(&ck, MulBackend::Fft, &mut rng);
+        let sk = ServerKey::new(&ck, &mut rng);
         let cfg = ArchConfig::morphling_default();
         let cosim = XpuCosim::new(cfg.clone(), &params);
         let lut = Lut::from_fn(params.poly_size, 4, |m| (3 * m) % 4);

@@ -109,8 +109,8 @@ pub fn blind_rotate_assign_many(
     }
 }
 
-/// Blind rotation through the exact integer-domain oracle (no FFT) — used
-/// to validate the transform path.
+/// Blind rotation through the exact integer-domain oracle (no floating
+/// point: every product is the NTT's) — used to validate the transform path.
 pub fn blind_rotate_exact(
     params: &TfheParams,
     bsk: &BootstrapKey,
@@ -128,35 +128,6 @@ pub fn blind_rotate_exact(
         }
         let rotated = acc.monomial_mul(a_tilde as i64);
         acc = cmux(bsk.coefficient(i), &acc, &rotated, params);
-    }
-    acc
-}
-
-/// Blind rotation through the exact NTT backend — O(N log N) like the FFT
-/// path but with integer arithmetic throughout (no rounding at all).
-pub fn blind_rotate_ntt(
-    params: &TfheParams,
-    bsk: &BootstrapKey,
-    mut acc: GlweCiphertext,
-    mask_exponents: &[u64],
-    ntt: &morphling_transform::NegacyclicNtt,
-) -> GlweCiphertext {
-    assert_eq!(
-        mask_exponents.len(),
-        bsk.lwe_dim(),
-        "mask length must equal the LWE dimension"
-    );
-    for (i, &a_tilde) in mask_exponents.iter().enumerate() {
-        if a_tilde == 0 {
-            continue;
-        }
-        let lambda = acc.monomial_mul_minus_one(a_tilde as i64);
-        acc = acc.add(&crate::external_product::external_product_ntt(
-            bsk.coefficient(i),
-            &lambda,
-            params,
-            ntt,
-        ));
     }
     acc
 }

@@ -14,15 +14,16 @@
 //!   ACC-output-stationary dataflow. There is one implementation: the
 //!   allocating entry points run it in a workspace of their own.
 //! - [`external_product`] (free function): an exact integer-domain oracle
-//!   with no floating point, used to validate the FFT path.
+//!   with no floating point — every product is the two-prime NTT's, itself
+//!   held to the schoolbook in `morphling-transform` — used to validate
+//!   the FFT path.
 
 use std::sync::Arc;
 
-use morphling_math::negacyclic::mul_int_torus32;
 use morphling_math::{DecompParams, Polynomial, SignedDecomposer, Torus32};
 use morphling_transform::NegacyclicFft;
 
-use crate::fft_cache::fft_for;
+use crate::fft_cache::{fft_for, ntt_for};
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
 use crate::glwe::GlweCiphertext;
 use crate::params::TfheParams;
@@ -161,11 +162,14 @@ impl ExternalProductEngine {
     }
 }
 
-/// Exact integer-domain external product (correctness oracle).
+/// Exact integer-domain external product (correctness oracle), O(N log N)
+/// through the process-wide NTT engine.
 ///
 /// # Panics
 ///
-/// Panics if dimensions disagree.
+/// Panics if dimensions disagree, or if `params.bsk_decomp`'s digits leave
+/// the NTT's exact range at this `N` (no [`ParamSet`](crate::ParamSet)
+/// does).
 pub fn external_product(
     ggsw: &GgswCiphertext,
     ct: &GlweCiphertext,
@@ -179,10 +183,11 @@ pub fn external_product(
     }
     let k1 = ct.dim() + 1;
     let n = ct.poly_size();
+    let ntt = ntt_for(n);
     let mut out: Vec<Polynomial<Torus32>> = vec![Polynomial::zero(n); k1];
     for (r, digits) in digit_polys.iter().enumerate() {
         for (u, row_comp) in ggsw.rows()[r].components().enumerate() {
-            out[u] += &mul_int_torus32(digits, row_comp);
+            out[u] += &ntt.mul_int_torus(digits, row_comp);
         }
     }
     GlweCiphertext::from_components(out)
@@ -196,32 +201,6 @@ pub fn cmux(
     params: &TfheParams,
 ) -> GlweCiphertext {
     ct0.add(&external_product(ggsw, &ct1.sub(ct0), params))
-}
-
-/// Exact external product through the NTT backend (O(N log N) and
-/// bit-identical to [`external_product`]; the "or NTT" path of §III).
-pub fn external_product_ntt(
-    ggsw: &GgswCiphertext,
-    ct: &GlweCiphertext,
-    params: &TfheParams,
-    ntt: &morphling_transform::NegacyclicNtt,
-) -> GlweCiphertext {
-    assert_eq!(ggsw.glwe_dim(), ct.dim(), "GLWE dimension mismatch");
-    assert_eq!(ntt.poly_len(), ct.poly_size(), "NTT engine size mismatch");
-    let decomposer = SignedDecomposer::<Torus32>::new(params.bsk_decomp);
-    let mut digit_polys: Vec<Polynomial<i64>> = Vec::new();
-    for comp in ct.components() {
-        digit_polys.extend(decomposer.decompose_poly(comp));
-    }
-    let k1 = ct.dim() + 1;
-    let n = ct.poly_size();
-    let mut out: Vec<Polynomial<Torus32>> = vec![Polynomial::zero(n); k1];
-    for (r, digits) in digit_polys.iter().enumerate() {
-        for (u, row_comp) in ggsw.rows()[r].components().enumerate() {
-            out[u] += &ntt.mul_int_torus(digits, row_comp);
-        }
-    }
-    GlweCiphertext::from_components(out)
 }
 
 #[cfg(test)]

@@ -55,7 +55,10 @@ pub(crate) fn fft_for(n: usize) -> Arc<NegacyclicFft> {
     get_or_build(&FFT_CACHE, n, NegacyclicFft::new)
 }
 
-/// Fetch (or build) the process-wide NTT engine for polynomial size `n`.
+/// Fetch (or build) the process-wide NTT engine for polynomial size `n`:
+/// the multiplier of the exact oracle
+/// ([`external_product`](crate::external_product), and through it
+/// [`MulBackend::Exact`](crate::MulBackend::Exact)).
 pub(crate) fn ntt_for(n: usize) -> Arc<NegacyclicNtt> {
     get_or_build(&NTT_CACHE, n, NegacyclicNtt::new)
 }

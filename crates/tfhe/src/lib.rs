@@ -21,9 +21,10 @@
 //!   common-factor plan ([`MultiLutPlan`]) — and
 //!   [tree bootstrapping](ServerKey::try_tree_bootstrap) chaining LUT
 //!   stages to evaluate wider-input functions;
-//! - a pluggable polynomial-multiplication backend ([`MulBackend`]): the
-//!   FFT path the hardware accelerates, or the exact integer path used as
-//!   a correctness oracle;
+//! - two polynomial-multiplication backends ([`MulBackend`]): the FFT
+//!   path the hardware accelerates, and an exact integer path (a two-prime
+//!   NTT, several times slower) used as the correctness oracle — on this
+//!   32-bit torus the two return the same ciphertexts bit for bit;
 //! - noise utilities ([`noise`]) that measure and predict ciphertext error;
 //! - a persistent, self-healing [`BootstrapEngine`] (watchdog, bounded
 //!   chunk re-dispatch, panic isolation with bounded respawn,

@@ -296,6 +296,14 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The product of a shape header's `dims`, if that many torus words
+    /// are exactly what is left: a header must account for the bytes
+    /// behind it before anything is sized by it.
+    fn words_left(&self, dims: &[usize]) -> Option<usize> {
+        (dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)))
+            .filter(|&words| words.checked_mul(4) == Some(self.remaining()))
+    }
+
     fn done(&self) -> Result<(), TfheError> {
         if self.remaining() != 0 {
             return Err(corrupt(format!(
@@ -397,8 +405,10 @@ fn read_params(r: &mut Reader<'_>) -> Result<TfheParams, TfheError> {
     let plaintext_modulus = r.u64()?;
     let security_bits = r.u32()?;
     let functional = r.u8()? != 0;
-    if poly_size == 0 || !poly_size.is_power_of_two() {
-        return Err(corrupt(format!("poly_size {poly_size} not a power of two")));
+    if poly_size < 4 || !poly_size.is_power_of_two() {
+        return Err(corrupt(format!(
+            "poly_size {poly_size} not a power of two ≥ 4"
+        )));
     }
     if bsk_base_log == 0 || bsk_base_log > 32 || ksk_base_log == 0 || ksk_base_log > 32 {
         return Err(corrupt("decomposition base_log out of range"));
@@ -526,10 +536,18 @@ fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
     let k = r.len_field("BSK GLWE dimension")?;
     let level = r.len_field("BSK level")?;
     let n = r.len_field("BSK poly size")?;
-    if n_ggsw == 0 || level == 0 || n == 0 || !n.is_power_of_two() {
+    // No transform engine exists below N = 4.
+    if n_ggsw == 0 || level == 0 || n < 4 || !n.is_power_of_two() {
         return Err(corrupt("BSK shape header is degenerate"));
     }
-    let rows_per = (k + 1) * level;
+    let k1 = k.saturating_add(1);
+    if r.words_left(&[n_ggsw, k1, level, k1, n]).is_none() {
+        return Err(corrupt(format!(
+            "BSK header {n_ggsw}×({k}+1)·{level}×({k}+1)×{n} words disagrees with {} payload bytes",
+            r.remaining()
+        )));
+    }
+    let rows_per = k1 * level;
     let mut coefficient = Vec::with_capacity(n_ggsw);
     for _ in 0..n_ggsw {
         let mut rows = Vec::with_capacity(rows_per);
@@ -585,12 +603,8 @@ fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
     if base_log == 0 || base_log > 32 || level == 0 || base_log as usize * level > 32 {
         return Err(corrupt("KSK decomposition parameters out of range"));
     }
-    // The header must account for exactly the words that are there,
-    // before anything is allocated for them.
-    let words = (dim_out.checked_add(1))
-        .and_then(|width| width.checked_mul(level))
-        .and_then(|per_input| per_input.checked_mul(dim_in))
-        .filter(|&words| words.checked_mul(4) == Some(r.remaining()))
+    let words = r
+        .words_left(&[dim_in, level, dim_out.saturating_add(1)])
         .ok_or_else(|| {
             corrupt(format!(
                 "KSK header {dim_in}×{level}×({dim_out}+1) words disagrees with {} payload bytes",
@@ -627,7 +641,6 @@ pub fn deserialize_key_switch_key(bytes: &[u8]) -> Result<KeySwitchKey, TfheErro
 fn backend_tag(b: MulBackend) -> u8 {
     match b {
         MulBackend::Fft => 0,
-        MulBackend::Ntt => 2,
         MulBackend::Exact => 3,
     }
 }
@@ -635,10 +648,10 @@ fn backend_tag(b: MulBackend) -> u8 {
 fn backend_from_tag(tag: u8) -> Result<MulBackend, TfheError> {
     Ok(match tag {
         // Tag 1 was `FftPlain`, the FFT path without merge_split: the one
-        // FFT path there is now.
+        // FFT path there is now. Tag 2 was `Ntt`, the exact backend's
+        // multiplier before it was the only one.
         0 | 1 => MulBackend::Fft,
-        2 => MulBackend::Ntt,
-        3 => MulBackend::Exact,
+        2 | 3 => MulBackend::Exact,
         other => return Err(corrupt(format!("unknown MulBackend tag {other}"))),
     })
 }
@@ -690,11 +703,18 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
     let ksk = read_key_switch_key(&mut ksk_r)?;
     ksk_r.done()?;
     r.done()?;
-    if bsk.lwe_dim() != params.lwe_dim {
+    let first = bsk.coefficient(0);
+    let bsk_shape = (
+        bsk.lwe_dim(),
+        first.glwe_dim(),
+        first.level(),
+        first.poly_size(),
+    );
+    let level = params.bsk_decomp.level();
+    let params_shape = (params.lwe_dim, params.glwe_dim, level, params.poly_size);
+    if bsk_shape != params_shape {
         return Err(corrupt(format!(
-            "BSK has {} GGSWs but params.lwe_dim is {}",
-            bsk.lwe_dim(),
-            params.lwe_dim
+            "BSK shape (n, k, level, N) = {bsk_shape:?} disagrees with params {params_shape:?}"
         )));
     }
     if ksk.dim_out() != params.lwe_dim || ksk.dim_in() != params.extracted_lwe_dim() {
@@ -706,6 +726,7 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
             params.lwe_dim
         )));
     }
+    backend.check(&params).map_err(corrupt)?;
     Ok(ServerKey::from_parts(params, bsk, ksk, backend))
 }
 

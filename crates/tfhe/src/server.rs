@@ -2,11 +2,12 @@
 //! including programmable bootstrapping and bootstrapped boolean gates.
 
 use morphling_math::{Torus32, TorusScalar};
+use morphling_transform::NegacyclicNtt;
 use rand::Rng;
 
 use crate::bootstrap::{
-    blind_rotate_assign_many, blind_rotate_exact, blind_rotate_ntt, initial_accumulator,
-    modulus_switch, sample_extract,
+    blind_rotate_assign_many, blind_rotate_exact, initial_accumulator, modulus_switch,
+    sample_extract,
 };
 use crate::bootstrap_key::BootstrapKey;
 use crate::error::TfheError;
@@ -27,11 +28,26 @@ pub enum MulBackend {
     /// Default.
     #[default]
     Fft,
-    /// Exact number-theoretic transform over two CRT primes — O(N log N)
-    /// with no rounding at all (the paper's "or NTT" alternative, §III).
-    Ntt,
-    /// Exact integer arithmetic (slow; correctness oracle).
+    /// Exact integer arithmetic through the two-prime CRT NTT (the paper's
+    /// "or NTT" alternative, §III) — no rounding at all; several times
+    /// slower, the correctness oracle.
     Exact,
+}
+
+impl MulBackend {
+    /// Whether this backend computes at `params`, or why not: the exact
+    /// one needs the BSK digits (at most `β/2` in magnitude) inside its
+    /// NTT's CRT range.
+    pub(crate) fn check(self, params: &TfheParams) -> Result<(), String> {
+        let (n, decomp) = (params.poly_size, params.bsk_decomp);
+        if self == Self::Exact && !NegacyclicNtt::supports(n, decomp.base() / 2) {
+            return Err(format!(
+                "Exact backend: N = {n} with BSK base 2^{} is outside the NTT's exact range",
+                decomp.base_log()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Per-call knobs for [`ServerKey::bootstrap_with_options`] — the single
@@ -186,26 +202,23 @@ impl ServerKey {
         Self::builder().build(client, rng)
     }
 
-    /// Derive with an explicit multiplication backend.
-    ///
-    /// Deprecated-in-docs: prefer
-    /// [`ServerKey::builder`]`.backend(backend).build(client, rng)`.
-    pub fn with_backend<R: Rng + ?Sized>(
-        client: &ClientKey,
-        backend: MulBackend,
-        rng: &mut R,
-    ) -> Self {
-        Self::builder().backend(backend).build(client, rng)
-    }
-
     /// Reassemble a server key from its public parts (deserialization
     /// path): the transform engine is rebuilt locally from `params`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is [`MulBackend::Exact`] and `params` put the
+    /// BSK digits outside its NTT's exact range (`N·(β/2)·2³¹ ≥ 2^58.8`;
+    /// every [`ParamSet`](crate::ParamSet) is inside).
     pub fn from_parts(
         params: TfheParams,
         bsk: BootstrapKey,
         ksk: KeySwitchKey,
         backend: MulBackend,
     ) -> Self {
+        if let Err(why) = backend.check(&params) {
+            panic!("{why}");
+        }
         let engine = ExternalProductEngine::new(&params);
         Self {
             params,
@@ -330,7 +343,7 @@ impl ServerKey {
     /// `X^(−b̃)·tp`. On the FFT backend the rotations advance together, one
     /// CMUX step at a time ([`blind_rotate_assign_many`]), so that each
     /// `BSK_i` is fetched from memory once for all of them; the exact
-    /// backends take them one after another.
+    /// backend takes them one after another.
     fn rotate_accumulators(
         &self,
         accs: &mut [GlweCiphertext],
@@ -339,12 +352,6 @@ impl ServerKey {
     ) {
         match self.backend {
             MulBackend::Fft => blind_rotate_assign_many(&self.engine, &self.bsk, accs, masks, ws),
-            MulBackend::Ntt => {
-                let ntt = crate::fft_cache::ntt_for(self.params.poly_size);
-                for (acc, mask) in accs.iter_mut().zip(masks) {
-                    *acc = blind_rotate_ntt(&self.params, &self.bsk, acc.clone(), mask, &ntt);
-                }
-            }
             MulBackend::Exact => {
                 for (acc, mask) in accs.iter_mut().zip(masks) {
                     *acc = blind_rotate_exact(&self.params, &self.bsk, acc.clone(), mask);
@@ -695,7 +702,7 @@ mod tests {
     fn setup(backend: MulBackend) -> (ClientKey, ServerKey, StdRng) {
         let mut rng = StdRng::seed_from_u64(80);
         let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-        let sk = ServerKey::with_backend(&ck, backend, &mut rng);
+        let sk = ServerKey::builder().backend(backend).build(&ck, &mut rng);
         (ck, sk, rng)
     }
 
@@ -794,22 +801,51 @@ mod tests {
 
     #[test]
     fn exact_backend_agrees_with_fft_backend() {
-        let mut rng = StdRng::seed_from_u64(81);
-        let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-        let sk_fft = ServerKey::with_backend(&ck, MulBackend::Fft, &mut rng);
-        for m in 0..4 {
-            let ct = ck.encrypt(m, &mut rng);
-            assert_eq!(ck.decrypt(&sk_fft.bootstrap(&ct)), m);
+        // Same seed, same keys and inputs: the outputs are equal
+        // ciphertexts, not just equal messages.
+        let [fft, exact] = [MulBackend::Fft, MulBackend::Exact].map(|backend| {
+            let (ck, sk, mut rng) = setup(backend);
+            (0..4)
+                .map(|m| {
+                    let out = sk.bootstrap(&ck.encrypt(m, &mut rng));
+                    assert_eq!(ck.decrypt(&out), m, "{backend:?}");
+                    out
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(exact, fft);
+    }
+
+    #[test]
+    fn every_paper_set_is_inside_the_exact_backends_range() {
+        // IV and A are the largest: 2¹²·2¹⁵·2³¹ = 2⁵⁸ < M/2 ≈ 2^58.8.
+        for set in crate::params::ALL_PAPER_SETS.into_iter().chain([
+            ParamSet::Fig1,
+            ParamSet::Test,
+            ParamSet::TestMedium,
+        ]) {
+            assert!(MulBackend::Exact.check(&set.params()).is_ok(), "{set:?}");
         }
-        for backend in [MulBackend::Exact, MulBackend::Ntt] {
-            let mut rng2 = StdRng::seed_from_u64(81);
-            let ck2 = ClientKey::generate(ParamSet::Test.params(), &mut rng2);
-            let sk2 = ServerKey::with_backend(&ck2, backend, &mut rng2);
-            for m in 0..4 {
-                let ct = ck2.encrypt(m, &mut rng2);
-                assert_eq!(ck2.decrypt(&sk2.bootstrap(&ct)), m, "{backend:?}");
-            }
-        }
+        let mut wide = ParamSet::I.params();
+        wide.bsk_decomp = morphling_math::DecompParams::new(19, 1);
+        assert!(MulBackend::Exact.check(&wide).is_err());
+        assert!(MulBackend::Fft.check(&wide).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the NTT's exact range")]
+    fn an_exact_key_outside_the_ntt_range_fails_where_it_is_built() {
+        // 2⁵·2²³·2³¹ = 2⁵⁹ ≥ M/2: the first bootstrap would panic in the
+        // multiplier; the builder says so first.
+        let mut rng = StdRng::seed_from_u64(82);
+        let mut params = ParamSet::Test.params();
+        params.poly_size = 32;
+        params.lwe_dim = 3;
+        params.bsk_decomp = morphling_math::DecompParams::new(24, 1);
+        let ck = ClientKey::generate(params, &mut rng);
+        let _ = ServerKey::builder()
+            .backend(MulBackend::Exact)
+            .build(&ck, &mut rng);
     }
 
     #[test]

@@ -104,18 +104,18 @@ fn first_differing_cmux(sk: &ServerKey, ct: &LweCiphertext, lut: &Lut) -> String
     "every CMUX equals the exact one: the difference is outside the blind rotation".into()
 }
 
-/// Same seed, same bits: the three backends return equal ciphertexts
-/// through a PBS of each of `messages` (the f64 transform is exact on the
-/// 32-bit torus at these sets — a change of its rounding that costs a
-/// ciphertext bit fails here, and says at which CMUX).
-fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64], backends: &[MulBackend]) {
+/// Same seed, same bits: the `Exact` backend returns the ciphertexts the
+/// `Fft` one does through a PBS of each of `messages` (the f64 transform
+/// is exact on the 32-bit torus at these sets — a change of its rounding
+/// that costs a ciphertext bit fails here, and says at which CMUX).
+fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64]) {
     let params = set.params();
     let p = params.plaintext_modulus;
     let lut = Lut::from_fn(params.poly_size, p, |m| (m + 1) % p);
-    let keyed = |&backend: &MulBackend| {
+    let [(sk, cts, want), (_, _, got)] = [MulBackend::Fft, MulBackend::Exact].map(|backend| {
         let mut rng = StdRng::seed_from_u64(1004);
         let ck = ClientKey::generate(params.clone(), &mut rng);
-        let sk = ServerKey::with_backend(&ck, backend, &mut rng);
+        let sk = ServerKey::builder().backend(backend).build(&ck, &mut rng);
         let cts: Vec<_> = messages.iter().map(|&m| ck.encrypt(m, &mut rng)).collect();
         let outs: Vec<_> = cts
             .iter()
@@ -125,42 +125,39 @@ fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64], backends: 
             assert_eq!(ck.decrypt(out), (m + 1) % p, "{set:?} {backend:?} m={m}");
         }
         (sk, cts, outs)
-    };
-    let outputs: Vec<_> = backends.iter().map(keyed).collect();
-    let (sk, cts, want) = &outputs[0];
-    for ((_, _, got), backend) in outputs.iter().zip(backends).skip(1) {
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            assert!(
-                g == w,
-                "{set:?} m={}: {backend:?} differs from {:?} — {}",
-                messages[i],
-                backends[0],
-                first_differing_cmux(sk, &cts[i], &lut)
-            );
-        }
+    });
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert!(
+            g == w,
+            "{set:?} m={}: Exact differs from Fft — {}",
+            messages[i],
+            first_differing_cmux(&sk, &cts[i], &lut)
+        );
     }
 }
 
-/// The exact (integer oracle) backends and the FFT backend produce the
+/// The exact (integer oracle) backend and the FFT backend produce the
 /// same ciphertexts, bit for bit, through a full PBS.
 #[test]
 fn exact_and_fft_backends_decode_identically() {
-    let all = [MulBackend::Fft, MulBackend::Ntt, MulBackend::Exact];
-    assert_backends_are_bit_identical(ParamSet::Test, &[0, 1, 2, 3], &all);
-    // The O(N²) oracle is ten seconds a message here in a debug build.
-    assert_backends_are_bit_identical(ParamSet::TestMedium, &[1, 6], &all);
+    assert_backends_are_bit_identical(ParamSet::Test, &[0, 1, 2, 3]);
+    assert_backends_are_bit_identical(ParamSet::TestMedium, &[1, 6]);
 }
 
-/// The same at Set I, against the NTT (the O(N²) oracle takes minutes
-/// there). Minutes in a debug build too: the release CI job runs it.
+/// The same at every functional paper set — k = 2 (B) and k = 3, N = 512
+/// (C) included. Minutes in a debug build: the release CI job runs it.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
-fn set_i_fft_and_ntt_backends_are_bit_identical() {
-    assert_backends_are_bit_identical(
+fn paper_set_backends_are_bit_identical() {
+    for set in [
         ParamSet::I,
-        &[0, 1, 2, 3],
-        &[MulBackend::Fft, MulBackend::Ntt],
-    );
+        ParamSet::II,
+        ParamSet::III,
+        ParamSet::B,
+        ParamSet::C,
+    ] {
+        assert_backends_are_bit_identical(set, &[1, 2]);
+    }
 }
 
 /// The extracted (pre-key-switch) ciphertext decrypts under the extracted

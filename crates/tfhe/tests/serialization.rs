@@ -105,20 +105,28 @@ fn as_version_1(blob: &[u8]) -> Vec<u8> {
     old
 }
 
+/// Where a server-key frame keeps what: the frame header is magic 4,
+/// version 2, kind 1, payload length 8; the parameter block is name
+/// length 1, the name, then 77 bytes of fixed-width fields (`N`, `n`, `k`
+/// 8 each, BSK base_log 4, BSK level 8, …), and the backend tag and the
+/// two reserved bytes follow it.
+fn param_fields_at(blob: &[u8]) -> usize {
+    15 + 1 + usize::from(blob[15])
+}
+
 /// A server key as earlier writers framed it — version 1, backend tag 1
 /// (the FFT path without merge-split) and the merge-split flag set —
 /// still loads: both spellings meant the one FFT path there is now, and
 /// re-encoding writes the current version and the tag and the flag as
-/// zero.
+/// zero. Likewise tag 2 (the NTT backend) is the exact backend, written
+/// back as tag 3; a tag nobody ever wrote is a corrupted key.
 #[test]
 fn frames_with_the_retired_transform_flags_still_load() {
     let mut rng = StdRng::seed_from_u64(0x33);
     let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
     let sk = ServerKey::new(&ck, &mut rng);
     let blob = serialize_server_key(&sk);
-    // Magic 4, version 2, kind 1, payload length 8; then the parameter
-    // block: name length 1, name, and 77 bytes of fixed-width fields.
-    let tag_at = 15 + 1 + usize::from(blob[15]) + 77;
+    let tag_at = param_fields_at(&blob) + 77;
     assert_eq!(blob[tag_at..tag_at + 2], [0, 0]);
     assert_eq!(blob[4..6], 2u16.to_le_bytes());
     let mut old = blob.clone();
@@ -133,6 +141,108 @@ fn frames_with_the_retired_transform_flags_still_load() {
     for m in 0..4 {
         let out = back.programmable_bootstrap(&ck.encrypt(m, &mut rng), &lut);
         assert_eq!(ck.decrypt(&out), (m + 1) % 4, "m={m}");
+    }
+
+    let with_tag = |tag: u8| {
+        let mut frame = blob.clone();
+        frame[tag_at] = tag;
+        deserialize_server_key(&as_version_1(&frame))
+    };
+    let [ntt, exact] = [2, 3].map(|tag| with_tag(tag).expect("an exact-backend frame loads"));
+    assert_eq!(ntt.backend(), MulBackend::Exact);
+    assert_eq!(exact.backend(), MulBackend::Exact);
+    let reencoded = serialize_server_key(&ntt);
+    assert_eq!(reencoded[tag_at], 3);
+    assert_eq!(reencoded, serialize_server_key(&exact));
+    let ct = ck.encrypt(2, &mut rng);
+    let out = ntt.programmable_bootstrap(&ct, &lut);
+    assert_eq!(out, exact.programmable_bootstrap(&ct, &lut));
+    assert_eq!(out, sk.programmable_bootstrap(&ct, &lut));
+    assert!(matches!(with_tag(4), Err(TfheError::KeyCorrupted { .. })));
+}
+
+/// A bootstrapping-key frame whose shape header no transform engine
+/// exists for (`N = 2` passes the power-of-two test), or whose header
+/// counts more polynomials than `usize` holds, is a corrupted key — not a
+/// panic in the engine's constructor or in the arithmetic sizing the rows.
+#[test]
+fn bsk_shape_headers_nothing_can_compute_with_are_rejected() {
+    // (GGSW count, k, level, N), then the words the header promises.
+    let frame = |shape: [u64; 4], words: usize| {
+        let mut blob = b"MPHK\x01\x00\x03".to_vec();
+        blob.extend((32 + 4 * words as u64).to_le_bytes());
+        blob.extend(shape.iter().flat_map(|v| v.to_le_bytes()));
+        blob.resize(blob.len() + 4 * words + 8, 0);
+        as_version_1(&blob)
+    };
+    let well_formed = frame([1, 1, 1, 4], 16);
+    assert!(deserialize_bootstrap_key(&well_formed).is_ok());
+    for (shape, words) in [
+        ([1, 1, 1, 2], 8),
+        ([1, 1, 1, 4], 15),
+        ([1, 1 << 33, 1 << 33, 4], 16),
+        ([1 << 33, 1 << 32, 1, 4], 16),
+    ] {
+        let err = deserialize_bootstrap_key(&frame(shape, words)).unwrap_err();
+        assert!(
+            matches!(err, TfheError::KeyCorrupted { .. }),
+            "{shape:?}: {err}"
+        );
+    }
+}
+
+/// A server-key frame whose parameter block disagrees with the keys
+/// behind it fails where it is loaded, not at its first bootstrap: a BSK
+/// of another gadget level than the block says (only `n` and the KSK's
+/// dimensions used to be compared), a polynomial size no transform engine
+/// exists for, and an exact-backend key whose digits leave the NTT's
+/// exact range.
+#[test]
+fn server_key_frames_that_could_not_bootstrap_are_rejected() {
+    let (_, blob) = &blobs()[4];
+    let fields = param_fields_at(blob);
+    let patched = |at: usize, bytes: &[u8]| {
+        let mut bad = blob.clone();
+        bad[at..at + bytes.len()].copy_from_slice(bytes);
+        deserialize_server_key(&as_version_1(&bad))
+    };
+    let level_at = fields + 28;
+    assert_eq!(blob[level_at..level_at + 8], 3u64.to_le_bytes());
+    for (at, value, why) in [
+        (
+            level_at,
+            2u64,
+            "BSK shape (n, k, level, N) = (16, 1, 3, 256)",
+        ),
+        (fields, 2, "not a power of two ≥ 4"),
+    ] {
+        match patched(at, &value.to_le_bytes()).map(|_| ()) {
+            Err(TfheError::KeyCorrupted { detail }) => {
+                assert!(detail.contains(why), "unexpected detail: {detail}")
+            }
+            other => panic!("{why}: must be KeyCorrupted, got {other:?}"),
+        }
+    }
+
+    // N = 32 with β/2 = 2²³: 2⁵·2²³·2³¹ = 2⁵⁹ is past the NTT's 2^58.8.
+    let mut rng = StdRng::seed_from_u64(0x66);
+    let mut params = ParamSet::Test.params();
+    params.poly_size = 32;
+    params.lwe_dim = 3;
+    params.bsk_decomp = morphling_math::DecompParams::new(24, 1);
+    let ck = ClientKey::generate(params, &mut rng);
+    let mut wide = serialize_server_key(&ServerKey::new(&ck, &mut rng));
+    assert!(deserialize_server_key(&wide).is_ok(), "fine on the FFT");
+    let tag_at = param_fields_at(&wide) + 77;
+    wide[tag_at] = 3;
+    match deserialize_server_key(&as_version_1(&wide)).map(|_| ()) {
+        Err(TfheError::KeyCorrupted { detail }) => {
+            assert!(
+                detail.contains("exact range"),
+                "unexpected detail: {detail}"
+            )
+        }
+        other => panic!("an out-of-range exact key must be KeyCorrupted, got {other:?}"),
     }
 }
 

@@ -25,6 +25,10 @@
 //! - [`FftPlan`]: the twiddle tables of one transform size, plus the
 //!   scalar reference — the same two networks, one stage and one point at
 //!   a time — every kernel result is tested against.
+//! - [`NegacyclicNtt`]: the exact multiplier — a two-prime CRT NTT, no
+//!   floating point — behind `morphling-tfhe`'s exact backend, the oracle
+//!   the FFT is held to through whole bootstraps; itself held to the
+//!   schoolbook product per multiplication.
 //! - [`pipeline::PipelinedFftModel`]: the cycle/occupancy model of the
 //!   hardware FFT unit used by the simulator.
 //!

@@ -3,11 +3,14 @@
 //!
 //! Unlike the floating-point FFT, the NTT is *exact by construction*: the
 //! negacyclic product is computed modulo two 30-bit NTT-friendly primes
-//! and reconstructed by the CRT, which covers the full coefficient range
-//! of TFHE external products (`|c| ≤ N·(β/2)·2³² < 2⁵²` at the largest
-//! parameters). It is slower than the FFT on CPUs (see the
-//! `poly_mul_ablation` bench) but serves as a second independent oracle
-//! and models NTT-based accelerator datapaths.
+//! and reconstructed by the CRT, which covers the coefficient range of
+//! TFHE external products as long as `N·max|digit|·2³¹ < M/2 ≈ 2^58.8`
+//! ([`NegacyclicNtt::supports`]; `2⁵⁸` at the paper's largest sets, IV and
+//! A). It is several times slower than the FFT on CPUs and O(N log N)
+//! where the schoolbook `morphling_math::negacyclic::mul_int_torus32` is
+//! O(N²): it is the multiplier of `morphling-tfhe`'s exact backend — the
+//! oracle the FFT is held to through a whole bootstrap — and is itself
+//! held to the schoolbook per product, here and in `tests/properties.rs`.
 
 use morphling_math::{Polynomial, Torus32};
 
@@ -15,6 +18,9 @@ use morphling_math::{Polynomial, Torus32};
 pub const PRIME_1: u64 = 998_244_353;
 /// Second CRT prime: `479·2²¹ + 1`.
 pub const PRIME_2: u64 = 1_004_535_809;
+/// The CRT modulus `M`: a product is reconstructed exactly while its
+/// magnitude stays below `M/2`.
+const CRT_MODULUS: u128 = PRIME_1 as u128 * PRIME_2 as u128;
 
 fn mod_pow(mut base: u64, mut exp: u64, p: u64) -> u64 {
     let mut acc = 1u64;
@@ -33,12 +39,8 @@ fn mod_inv(x: u64, p: u64) -> u64 {
     mod_pow(x, p - 2, p)
 }
 
-/// A primitive root of the multiplicative group for our two primes.
-fn generator(p: u64) -> u64 {
-    // 3 is a primitive root of both 998244353 and 1004535809.
-    debug_assert!(p == PRIME_1 || p == PRIME_2);
-    3
-}
+/// A primitive root of the multiplicative group of both primes.
+const GENERATOR: u64 = 3;
 
 /// One prime's negacyclic NTT plan: twiddles for the cyclic NTT plus the
 /// ψ-powers implementing the negacyclic twist (`ψ² = ω`, `ψ^N = −1`).
@@ -66,7 +68,7 @@ impl PrimePlan {
             "prime does not support 2N-th roots"
         );
         // ψ = g^((p−1)/2N) is a primitive 2N-th root of unity mod p.
-        let psi_root = mod_pow(generator(p), (p - 1) / (2 * n as u64), p);
+        let psi_root = mod_pow(GENERATOR, (p - 1) / (2 * n as u64), p);
         let omega = psi_root * psi_root % p;
         let inv_omega = mod_inv(omega, p);
         let inv_psi = mod_inv(psi_root, p);
@@ -142,12 +144,12 @@ impl PrimePlan {
         }
     }
 
-    /// Forward negacyclic transform: twist by ψ^j, then cyclic NTT.
-    fn forward(&self, coeffs: &[u64]) -> Vec<u64> {
+    /// Forward negacyclic transform of signed coefficients: reduce, twist
+    /// by ψ^j, then cyclic NTT.
+    fn forward(&self, coeffs: impl Iterator<Item = i64>) -> Vec<u64> {
         let mut data: Vec<u64> = coeffs
-            .iter()
             .zip(&self.psi)
-            .map(|(&c, &t)| c % self.p * t % self.p)
+            .map(|(c, &t)| c.rem_euclid(self.p as i64) as u64 * t % self.p)
             .collect();
         self.permute(&mut data);
         self.butterflies(&mut data, false);
@@ -164,8 +166,10 @@ impl PrimePlan {
         data
     }
 
-    fn pointwise(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        a.iter().zip(b).map(|(&x, &y)| x * y % self.p).collect()
+    /// The negacyclic product of two signed polynomials, modulo `p`.
+    fn mul(&self, a: impl Iterator<Item = i64>, b: impl Iterator<Item = i64>) -> Vec<u64> {
+        let (a, b) = (self.forward(a), self.forward(b));
+        self.inverse(a.iter().zip(&b).map(|(&x, &y)| x * y % self.p).collect())
     }
 }
 
@@ -200,9 +204,26 @@ impl NegacyclicNtt {
         self.plan1.n
     }
 
+    /// Whether a size-`n` engine exists and its products with digit
+    /// polynomials of magnitude at most `max_digit` are exact: a
+    /// coefficient of the true product is at most `N·max_digit·2³¹` in
+    /// magnitude (centered torus words), and the CRT reconstructs what
+    /// stays below `M/2 ≈ 2^58.8`.
+    pub fn supports(n: usize, max_digit: u64) -> bool {
+        n.is_power_of_two()
+            && (4..=1 << 20).contains(&n)
+            && (n as u128 * u128::from(max_digit)) << 31 < CRT_MODULUS / 2
+    }
+
     /// Exact negacyclic product `digits(X) · t(X) mod (X^N + 1)` over the
     /// 32-bit torus — bit-identical to the schoolbook oracle, computed in
     /// O(N log N).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a size mismatch, or if a digit is too large for the CRT
+    /// range ([`supports`](Self::supports)) — the product would be wrong,
+    /// not approximate.
     pub fn mul_int_torus(
         &self,
         digits: &Polynomial<i64>,
@@ -211,33 +232,20 @@ impl NegacyclicNtt {
         let n = self.poly_len();
         assert_eq!(digits.len(), n, "digit polynomial size mismatch");
         assert_eq!(t.len(), n, "torus polynomial size mismatch");
-        let m = (PRIME_1 as u128) * (PRIME_2 as u128);
+        let max_digit = digits.iter().map(|d| d.unsigned_abs()).max().unwrap_or(0);
+        assert!(
+            Self::supports(n, max_digit),
+            "digit magnitude {max_digit} leaves the CRT range at N = {n}: \
+             N·max|digit|·2³¹ must stay below M/2 = {}",
+            CRT_MODULUS / 2
+        );
 
         // Centered (signed) representatives keep the true product magnitude
-        // below N·(β/2)·2³¹ ≤ 2⁵⁸ < M/2 for every supported parameter set,
-        // so the CRT reconstruction is always exact.
-        let to_res = |p: u64| -> (Vec<u64>, Vec<u64>) {
-            let d: Vec<u64> = digits
-                .iter()
-                .map(|&v| (v.rem_euclid(p as i64)) as u64)
-                .collect();
-            let tt: Vec<u64> = t
-                .iter()
-                .map(|&c| (i64::from(c.to_signed())).rem_euclid(p as i64) as u64)
-                .collect();
-            (d, tt)
-        };
-
-        let (d1, t1) = to_res(PRIME_1);
-        let (d2, t2) = to_res(PRIME_2);
-        let r1 = self.plan1.inverse(
-            self.plan1
-                .pointwise(&self.plan1.forward(&d1), &self.plan1.forward(&t1)),
-        );
-        let r2 = self.plan2.inverse(
-            self.plan2
-                .pointwise(&self.plan2.forward(&d2), &self.plan2.forward(&t2)),
-        );
+        // below the N·max|digit|·2³¹ < M/2 just checked, so the CRT
+        // reconstruction is exact.
+        let signed = || t.iter().map(|c| i64::from(c.to_signed()));
+        let r1 = self.plan1.mul(digits.iter().copied(), signed());
+        let r2 = self.plan2.mul(digits.iter().copied(), signed());
 
         // CRT: c ≡ r1 (mod p1), c ≡ r2 (mod p2); center into (−M/2, M/2),
         // then reduce mod 2³².
@@ -249,8 +257,8 @@ impl NegacyclicNtt {
                 let diff = (b + PRIME_2 - a % PRIME_2) % PRIME_2;
                 let k = diff * p1_inv_mod_p2 % PRIME_2;
                 let c = a as u128 + (k as u128) * (PRIME_1 as u128); // in [0, M)
-                let signed: i128 = if c >= m / 2 {
-                    c as i128 - m as i128
+                let signed: i128 = if c >= CRT_MODULUS / 2 {
+                    c as i128 - CRT_MODULUS as i128
                 } else {
                     c as i128
                 };
@@ -309,6 +317,36 @@ mod tests {
                 mul_int_torus32(&digits, &t),
                 "n={n}"
             );
+        }
+    }
+
+    /// Past the bound the CRT wraps and the product is silently wrong, so
+    /// the multiplier refuses the input.
+    #[test]
+    #[should_panic(expected = "leaves the CRT range at N = 1024")]
+    fn digits_beyond_the_crt_range_are_refused() {
+        let n = 1024;
+        let digits = Polynomial::from_fn(n, |_| 1i64 << 18);
+        let t = Polynomial::from_fn(n, |_| Torus32::from_raw(0x7fff_ffff));
+        NegacyclicNtt::new(n).mul_int_torus(&digits, &t);
+    }
+
+    #[test]
+    fn the_crt_range_ends_where_the_product_stops_being_exact() {
+        // N = 1024: 2¹⁷ is the last power of two in range, and at it the
+        // input refused above at 2¹⁸ (coefficient N − 1 sums N products of
+        // one sign) is still exact.
+        assert!(NegacyclicNtt::supports(1024, 1 << 17));
+        assert!(!NegacyclicNtt::supports(1024, 1 << 18));
+        let digits = Polynomial::from_fn(1024, |_| 1i64 << 17);
+        let t = Polynomial::from_fn(1024, |_| Torus32::from_raw(0x7fff_ffff));
+        assert_eq!(
+            NegacyclicNtt::new(1024).mul_int_torus(&digits, &t),
+            mul_int_torus32(&digits, &t)
+        );
+        // Sizes no engine exists for are not supported at any digit.
+        for n in [0, 2, 3, 1000, 1 << 21] {
+            assert!(!NegacyclicNtt::supports(n, 0), "n={n}");
         }
     }
 
