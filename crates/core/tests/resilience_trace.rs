@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use morphling_core::trace::ExecutionTrace;
 use morphling_tfhe::{
-    BatchRequest, Bootstrapper, ClientKey, DispatcherBuilder, FailoverBootstrapper, Journal, Lut,
+    BatchRequest, Bootstrapper, BreakerConfig, ClientKey, Dispatcher, FailoverBootstrapper, Lut,
     LweCiphertext, ParamSet, RetryConfig, ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
@@ -39,7 +39,6 @@ fn resilience_trace_roundtrips_to_disk() {
     let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
     let lut = Arc::new(Lut::identity(sk.params().poly_size, 4));
 
-    let journal = Arc::new(Journal::new());
     // The primary fails its first three calls and the fallback its first
     // one: the first batch fails on both tiers and the dispatcher, with a
     // one-retry budget, runs it again; that run and the next fail over to
@@ -52,9 +51,8 @@ fn resilience_trace_roundtrips_to_disk() {
     };
     let stack = Arc::new(
         FailoverBootstrapper::builder()
-            .tier("flaky", flaky(3))
-            .tier("server", flaky(1))
-            .journal(Arc::clone(&journal))
+            .tier("flaky", flaky(3), BreakerConfig::default())
+            .tier("server", flaky(1), BreakerConfig::default())
             .build()
             .expect("two tiers"),
     );
@@ -64,14 +62,7 @@ fn resilience_trace_roundtrips_to_disk() {
         .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
         .build()
         .expect("valid serving knobs");
-    // A journal older than the dispatcher it is wired into: its stamps
-    // must still land on the dispatcher's timeline (CI checks every retry
-    // against the dispatch spans of the archived trace).
-    std::thread::sleep(Duration::from_millis(50));
-    let dispatcher = DispatcherBuilder::from_config(&config)
-        .expect("validated above")
-        .resilience_journal(Arc::clone(&journal))
-        .build(Arc::clone(&stack));
+    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&stack)).expect("validated above");
 
     let tickets: Vec<_> = (0..8u64)
         .map(|m| {
@@ -96,10 +87,12 @@ fn resilience_trace_roundtrips_to_disk() {
     );
     assert!(stack.failovers() >= 1, "the stack must fail over");
 
-    // The resilience timeline and the dispatcher's request spans, in one
-    // trace.
+    // The stack's and the dispatcher's resilience journals and the
+    // dispatcher's request spans, in one trace (CI checks every retry
+    // against the dispatch spans of the archived trace).
     let mut trace = ExecutionTrace::new(1e3);
-    trace.add_events(&journal.events());
+    trace.add_events(&stack.journal().events());
+    trace.add_events(&dispatcher.resilience_journal().events());
     trace.add_events(&dispatcher.request_journal().events());
     let names: Vec<_> = trace
         .spans()

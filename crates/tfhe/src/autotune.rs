@@ -249,6 +249,8 @@ pub struct PredictedProfile {
 /// [`ServiceModel::batch_service_ns`] per batch: an arrival the bounded
 /// queue refuses is shed, like `try_submit`, and a request the sweep drops
 /// on its deadline (only with [`LoadSpec::deadline`]) counts as expired.
+/// The core runs `cfg`'s breaker, as the dispatcher does; against a backend
+/// that never fails it never opens.
 ///
 /// # Errors
 ///
@@ -271,7 +273,7 @@ pub fn simulate(
     let (mut shed, mut expired, mut batches, mut busy_ns, mut end_ns) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     drive(
-        &mut ServingCore::new(cfg, None, Arc::default()),
+        &mut ServingCore::new(cfg, Arc::default()),
         &arrivals,
         None,
         |_, batch| {

@@ -43,6 +43,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::engine::EngineHealth;
 use crate::error::TfheError;
 use crate::keystore::TenantId;
 use crate::lut::Lut;
@@ -432,17 +433,34 @@ pub trait Bootstrapper {
     /// dispatcher: [`TfheError::DeadlineExceeded`] /
     /// [`TfheError::DispatcherShutDown`]; …).
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError>;
+
+    /// This backend's serving state, read by a failover tier's breaker on
+    /// every admission: [`EngineHealth::Failed`] benches the tier before
+    /// it is called. `Healthy` unless the backend knows better — a
+    /// [`BootstrapEngine`](crate::BootstrapEngine) reports its pool's
+    /// [`health`](crate::BootstrapEngine::health).
+    fn health(&self) -> EngineHealth {
+        EngineHealth::Healthy
+    }
 }
 
 impl<B: Bootstrapper + ?Sized> Bootstrapper for &B {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
         (**self).try_bootstrap_batch(req)
     }
+
+    fn health(&self) -> EngineHealth {
+        (**self).health()
+    }
 }
 
 impl<B: Bootstrapper + ?Sized> Bootstrapper for Arc<B> {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
         (**self).try_bootstrap_batch(req)
+    }
+
+    fn health(&self) -> EngineHealth {
+        (**self).health()
     }
 }
 

@@ -63,10 +63,10 @@
 //!   tenants' traffic runs meanwhile, and a cancellation or a deadline
 //!   ends the retries; a batch that fails *permanently* is split so each
 //!   member runs once alone and only the malformed one sees the error; an
-//!   optional [`CircuitBreaker`] sheds admissions with
-//!   [`TfheError::Overloaded`] while the backend is sick, and every
-//!   retry/shed lands in a [`Journal`] next to the breaker's own
-//!   transitions.
+//!   optional circuit breaker ([`ServingConfig::breaker`]) sheds
+//!   admissions with [`TfheError::Overloaded`] while the backend is sick,
+//!   and every retry, shed and breaker transition lands in the
+//!   dispatcher's [resilience journal](Dispatcher::resilience_journal).
 //!
 //! The backend is anything implementing [`Bootstrapper`], so the same
 //! dispatcher fronts a [`ServerKey`](crate::ServerKey) or — the intended
@@ -113,7 +113,6 @@ use crate::keystore::{KeyStore, TenantId};
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
 use crate::policy::{Done, Entry, Poll, ServingCore};
-use crate::resilience::CircuitBreaker;
 use crate::serving::ServingConfig;
 
 /// Ignore a poisoned lock: the dispatcher's shared state stays consistent
@@ -250,8 +249,8 @@ struct Shared {
     /// of its own, so that no flood of instants in `journal` can evict a
     /// request span.
     requests: Journal,
-    /// Where the core records retry/shed instants (shared with the
-    /// breaker's journal when the caller wires one in).
+    /// Where the core records its retries, sheds and breaker
+    /// transitions.
     journal: Arc<Journal>,
     /// The key store serving the backend, when the backend is a
     /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) — lets
@@ -504,7 +503,7 @@ pub struct DispatcherStats {
     /// (see [`ServingConfig::retry`]); a batch of n counts n.
     pub retries: u64,
     /// Submissions shed at admission by an open circuit breaker
-    /// (see [`DispatcherBuilder::circuit_breaker`]).
+    /// (see [`ServingConfig::breaker`]).
     pub shed: u64,
     /// `batched / batches` — the dynamic-batching figure of merit.
     pub mean_batch_size: f64,
@@ -564,17 +563,13 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> Duration {
 }
 
 /// Runtime wiring for a [`Dispatcher`]: what a [`ServingConfig`] cannot
-/// carry because it is a live object — a shared
-/// [`circuit_breaker`](Self::circuit_breaker) instance, a shared
-/// [`resilience_journal`](Self::resilience_journal), a
-/// [`key_store`](Self::key_store). Every knob lives in the config
+/// carry because it is a live object — a [`key_store`](Self::key_store).
+/// Every knob, the breaker's included, lives in the config
 /// ([`from_config`](Self::from_config)); [`Dispatcher::builder`] starts
 /// from [`ServingConfig::default`].
 #[derive(Clone, Debug, Default)]
 pub struct DispatcherBuilder {
     config: ServingConfig,
-    breaker: Option<Arc<CircuitBreaker>>,
-    journal: Option<Arc<Journal>>,
     key_store: Option<Arc<KeyStore>>,
 }
 
@@ -594,27 +589,6 @@ impl DispatcherBuilder {
         })
     }
 
-    /// Gate admission behind `breaker`: while it is open, `submit` /
-    /// `try_submit` fail fast with [`TfheError::Overloaded`] instead of
-    /// queueing work a sick backend will drop. Execution outcomes feed
-    /// the breaker (successes and retryable faults), so half-open probe
-    /// traffic can close it again.
-    pub fn circuit_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// Journal retry/shed events into `journal` — share one journal
-    /// across the breaker, a [`FailoverBootstrapper`](crate::FailoverBootstrapper)
-    /// backend, and this dispatcher and their incidents interleave in
-    /// record order. Default: a fresh private journal. Request spans never
-    /// go here: they have a journal of their own behind
-    /// [`Dispatcher::spans`].
-    pub fn resilience_journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
     /// Surface `store`'s cache counters through [`Dispatcher::stats`]
     /// (key hits/misses/evictions/resident bytes). Purely observational:
     /// pass the same store's
@@ -626,28 +600,12 @@ impl DispatcherBuilder {
     }
 
     /// Spawn the batcher thread over `backend` and start serving.
-    ///
-    /// A declarative [`ServingConfig::breaker`] (reached via
-    /// [`from_config`](Self::from_config)) is materialized into a fresh
-    /// [`CircuitBreaker`] here, journaling into the dispatcher's journal;
-    /// an explicit [`circuit_breaker`](Self::circuit_breaker) instance
-    /// takes precedence.
     pub fn build<B>(self, backend: B) -> Dispatcher
     where
         B: Bootstrapper + Send + Sync + 'static,
     {
-        let journal = self.journal.unwrap_or_default();
-        let breaker = self.breaker.or_else(|| {
-            self.config.breaker.as_ref().map(|b| {
-                Arc::new(
-                    b.to_builder()
-                        .name("dispatcher-breaker")
-                        .journal(Arc::clone(&journal))
-                        .build(),
-                )
-            })
-        });
-        let core = ServingCore::new(&self.config, breaker, Arc::clone(&journal));
+        let journal = Arc::new(Journal::new());
+        let core = ServingCore::new(&self.config, Arc::clone(&journal));
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
             config: self.config,
@@ -678,8 +636,8 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Default policy plus runtime wiring (breaker, journal, key store);
-    /// for other knobs start from [`DispatcherBuilder::from_config`].
+    /// Default policy plus runtime wiring (a key store); for other knobs
+    /// start from [`DispatcherBuilder::from_config`].
     pub fn builder() -> DispatcherBuilder {
         DispatcherBuilder::default()
     }
@@ -699,10 +657,8 @@ impl Dispatcher {
     ///
     /// `config.workers` does not spawn anything here (the dispatcher
     /// fronts whatever `backend` it is given); pair with
-    /// [`ServingConfig::build_engine`] to size the backend too. A
-    /// `config.breaker` section materializes into a fresh
-    /// [`CircuitBreaker`]; use [`DispatcherBuilder::from_config`] when
-    /// runtime wiring (shared breaker/journal/key store) is needed.
+    /// [`ServingConfig::build_engine`] to size the backend too. Use
+    /// [`DispatcherBuilder::from_config`] to wire in a key store.
     ///
     /// # Errors
     ///
@@ -975,11 +931,11 @@ impl Dispatcher {
         events.iter().filter_map(DispatchSpan::from_event).collect()
     }
 
-    /// The resilience journal: retries and sheds of this dispatcher
-    /// (scope `"dispatcher"`), plus whatever else shares it (breaker
-    /// transitions, failover events) when one was wired in via
-    /// [`DispatcherBuilder::resilience_journal`].
-    pub fn resilience_journal(&self) -> &Arc<Journal> {
+    /// The resilience journal: this dispatcher's retries, sheds and
+    /// breaker transitions (scope `"dispatcher"`). A journal of its own:
+    /// a backend's incidents stay in the backend's
+    /// (e.g. [`FailoverBootstrapper::journal`](crate::FailoverBootstrapper::journal)).
+    pub fn resilience_journal(&self) -> &Journal {
         &self.shared.journal
     }
 
@@ -1404,7 +1360,7 @@ mod tests {
             .collect();
         let mut batches = Vec::new();
         drive(
-            &mut ServingCore::new(cfg, None, Arc::default()),
+            &mut ServingCore::new(cfg, Arc::default()),
             &arrivals,
             None,
             |_, batch| {

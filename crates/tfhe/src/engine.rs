@@ -51,9 +51,11 @@
 //!   failures are retried like any transient fault.
 //! - **Degraded-mode serving** — [`EngineHealth`] (`Healthy` /
 //!   `Degraded` / `Failed`), exposed via [`EngineStats`] and
-//!   [`BootstrapEngine::health`], tells callers whether the pool is at
-//!   full strength, serving on reduced capacity, or dead. Submissions
-//!   fail fast with [`TfheError::EngineShutDown`] only at `Failed`.
+//!   [`BootstrapEngine::health`] (also the engine's
+//!   [`Bootstrapper::health`], which a failover tier's breaker reads),
+//!   tells callers whether the pool is at full strength, serving on
+//!   reduced capacity, or dead. Submissions fail fast with
+//!   [`TfheError::EngineShutDown`] only at `Failed`.
 //!
 //! Every executed chunk and every fault and recovery action is an
 //! [`Event`] in the engine's [`journal`](BootstrapEngine::journal);
@@ -141,46 +143,6 @@ pub enum EngineHealth {
     /// No live workers (every worker retired, or the engine shut down);
     /// submissions fail fast with [`TfheError::EngineShutDown`].
     Failed,
-}
-
-/// A cloneable handle onto one engine's health, detached from the engine's
-/// lifetime (see [`BootstrapEngine::health_handle`]). Computed from the
-/// live-worker count alone: shutdown joins every worker, driving the count
-/// to zero, so a dropped or shut-down engine reads
-/// [`EngineHealth::Failed`] here too (with at most a join's worth of lag
-/// versus [`BootstrapEngine::health`]).
-#[derive(Clone)]
-pub struct EngineHealthHandle {
-    counters: Arc<Counters>,
-    spawned: usize,
-}
-
-impl std::fmt::Debug for EngineHealthHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineHealthHandle")
-            .field("spawned", &self.spawned)
-            .field("health", &self.health())
-            .finish_non_exhaustive()
-    }
-}
-
-impl EngineHealthHandle {
-    /// The pool's current serving state.
-    pub fn health(&self) -> EngineHealth {
-        let alive = self.counters.alive.load(Ordering::SeqCst);
-        if alive == 0 {
-            EngineHealth::Failed
-        } else if alive < self.spawned {
-            EngineHealth::Degraded
-        } else {
-            EngineHealth::Healthy
-        }
-    }
-
-    /// Workers still running their receive loop.
-    pub fn alive_workers(&self) -> usize {
-        self.counters.alive.load(Ordering::SeqCst)
-    }
 }
 
 /// Running totals across everything an engine has executed.
@@ -738,17 +700,6 @@ impl BootstrapEngine {
         self.counters.alive.load(Ordering::SeqCst)
     }
 
-    /// A cloneable, engine-independent handle reporting this pool's
-    /// [`EngineHealth`] — the probe a
-    /// [`CircuitBreaker`](crate::resilience::CircuitBreakerBuilder::health_probe)
-    /// polls without borrowing the engine itself.
-    pub fn health_handle(&self) -> EngineHealthHandle {
-        EngineHealthHandle {
-            counters: Arc::clone(&self.counters),
-            spawned: self.spawned,
-        }
-    }
-
     /// Gracefully stop the pool: close the job channel, join every
     /// worker. Subsequent submissions return
     /// [`TfheError::EngineShutDown`]. Idempotent; also run by `Drop`.
@@ -963,6 +914,10 @@ impl BootstrapEngine {
 impl Bootstrapper for BootstrapEngine {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
         self.submit(Arc::new(req.clone()))
+    }
+
+    fn health(&self) -> EngineHealth {
+        BootstrapEngine::health(self)
     }
 }
 
@@ -1228,6 +1183,8 @@ mod tests {
         engine.shutdown();
         assert_eq!(engine.alive_workers(), 0);
         assert_eq!(engine.health(), EngineHealth::Failed);
+        // It reports so as a backend too, through a reference.
+        assert_eq!(Bootstrapper::health(&&engine), EngineHealth::Failed);
         // Submitting to the dead pool errors instead of hanging.
         assert_eq!(
             bb(&engine, &cts, &lut).err(),
@@ -1236,24 +1193,6 @@ mod tests {
         assert_eq!(engine.stats().batches, 1, "failed submit was counted");
         // Shutdown is idempotent.
         engine.shutdown();
-    }
-
-    #[test]
-    fn health_handle_outlives_the_engine() {
-        let (_ck, sk, _rng) = setup(711);
-        let mut engine = BootstrapEngine::builder()
-            .workers(2)
-            .build(Arc::clone(&sk))
-            .unwrap();
-        let handle = engine.health_handle();
-        assert_eq!(handle.health(), EngineHealth::Healthy);
-        assert_eq!(handle.alive_workers(), 2);
-        engine.shutdown();
-        assert_eq!(handle.health(), EngineHealth::Failed);
-        drop(engine);
-        // Detached from the engine's lifetime: still answers after drop.
-        assert_eq!(handle.health(), EngineHealth::Failed);
-        assert_eq!(handle.alive_workers(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! on the vector ISA the transform kernel picked, not on how spectra are
 //! laid out or which butterfly network produced them — because the f64
 //! transform is exact on this torus (`full_pipeline.rs` holds `Fft` ≡
-//! `Ntt` ≡ `Exact`). That is only ever *compared* between the kernels one
+//! `Exact`). That is only ever *compared* between the kernels one
 //! host can run; a constant in the tree holds every host, every ISA and
 //! every future kernel to the same bits. A change that moves them on
 //! purpose (a new sampler, a new noise parameter) re-baselines this table

@@ -18,7 +18,7 @@
 //!   ([`Journal::dropped`]): a flood — an open breaker refusing millions
 //!   of submissions a second — turns the ring over and costs no memory.
 //!   What must survive such a flood lives in a journal of its own (the
-//!   dispatcher's request spans do).
+//!   dispatcher's request spans do, and a failover stack's incidents).
 //!
 //! `morphling_core::trace::ExecutionTrace::add_events` renders any slice
 //! of events into a Chrome trace.
@@ -59,8 +59,9 @@ pub enum Who {
     Dispatcher,
     /// A tenant's entry in a [`KeyStore`](crate::KeyStore).
     Tenant(u64),
-    /// A named resilience scope: a breaker, a failover tier, or
-    /// `"dispatcher"` for a dispatcher's own retries and sheds.
+    /// A named resilience scope: a failover tier, or `"dispatcher"` for a
+    /// dispatcher's own retries and sheds — each with its breaker's
+    /// transitions.
     Scope(Arc<str>),
 }
 
@@ -228,10 +229,9 @@ struct Ring {
 
 /// The newest [`JOURNAL_CAPACITY`] [`Event`]s recorded, in record order.
 ///
-/// Share one (`Arc<Journal>`) between a dispatcher, its breaker and a
-/// failover stack and their incidents interleave in the order they
-/// happened; journals that were not shared merge just as well, because
-/// every stamp is on the process epoch.
+/// Each component owns its own; concatenate the `events()` of several and
+/// they describe one timeline, because every stamp is on the process
+/// epoch.
 #[derive(Debug, Default)]
 pub struct Journal {
     ring: Mutex<Ring>,

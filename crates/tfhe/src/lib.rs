@@ -38,9 +38,12 @@
 //!   large batches;
 //! - a service-level [`resilience`] layer on top of the backends:
 //!   [`RetryConfig`] (bounded backoff with seeded jitter),
-//!   [`CircuitBreaker`] (fail-fast admission while a backend is sick),
-//!   and the degraded-mode [`FailoverBootstrapper`] that walks an ordered
-//!   backend stack and restores the primary via half-open probes;
+//!   [`BreakerConfig`] (a circuit breaker — fail-fast admission while a
+//!   backend is sick — owned by the dispatcher or the failover tier it
+//!   guards), and the degraded-mode [`FailoverBootstrapper`] that walks an
+//!   ordered backend stack, benches a tier whose backend reports itself
+//!   [failed](Bootstrapper::health), and restores the primary via
+//!   half-open probes;
 //! - a unified, JSON-serializable [`ServingConfig`] — the one owner of
 //!   every serving knob
 //!   ([`Dispatcher::from_config`](dispatch::Dispatcher::from_config)
@@ -115,10 +118,7 @@ pub use bootstrapper::{BatchRequest, BatchRequestBuilder, Bootstrapper};
 pub use dispatch::{
     DispatchSpan, Dispatcher, DispatcherBuilder, DispatcherStats, MultiTicket, Ticket,
 };
-pub use engine::{
-    BootstrapEngine, BootstrapEngineBuilder, EngineHealth, EngineHealthHandle, EngineStats,
-    OutputCheck,
-};
+pub use engine::{BootstrapEngine, BootstrapEngineBuilder, EngineHealth, EngineStats, OutputCheck};
 pub use error::TfheError;
 pub use external_product::{cmux, external_product, ExternalProductEngine};
 pub use faults::{FaultInjector, FaultPlan, FaultSite};
@@ -136,8 +136,7 @@ pub use lwe::LweCiphertext;
 pub use multivalue::MultiLutPlan;
 pub use params::{ParamSet, TfheParams, ALL_PAPER_SETS};
 pub use resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, CircuitBreakerBuilder, FailoverBootstrapper,
-    FailoverBootstrapperBuilder, RetryConfig,
+    BreakerConfig, FailoverBootstrapper, FailoverBootstrapperBuilder, RetryConfig,
 };
 pub use serialize::{
     deserialize_bootstrap_key, deserialize_glwe_secret_key, deserialize_key_switch_key,

@@ -45,6 +45,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::engine::EngineHealth;
 use crate::error::TfheError;
 use crate::journal::{Event, EventKind, Journal, Who};
 use crate::keystore::TenantId;
@@ -111,9 +112,11 @@ pub(crate) enum Done<T> {
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct ServingCore<T> {
     cfg: ServingConfig,
-    /// Sheds admissions while open; hears one outcome per backend call.
-    breaker: Option<Arc<CircuitBreaker>>,
-    /// Where sheds and retries are recorded, under `scope`.
+    /// Built from `cfg.breaker`: sheds admissions while open, hears one
+    /// outcome per backend call.
+    breaker: Option<CircuitBreaker>,
+    /// Where sheds, retries and breaker transitions are recorded, under
+    /// `scope`.
     journal: Arc<Journal>,
     scope: Arc<str>,
     /// `false` once shutdown begins: admission closed, queue draining.
@@ -131,16 +134,12 @@ pub(crate) struct ServingCore<T> {
 }
 
 impl<T> ServingCore<T> {
-    /// A core under `cfg`'s knobs, shedding behind `breaker` and recording
-    /// its sheds and retries into `journal`.
-    pub(crate) fn new(
-        cfg: &ServingConfig,
-        breaker: Option<Arc<CircuitBreaker>>,
-        journal: Arc<Journal>,
-    ) -> Self {
+    /// A core under `cfg`'s knobs, its breaker included, recording its
+    /// sheds, retries and breaker transitions into `journal`.
+    pub(crate) fn new(cfg: &ServingConfig, journal: Arc<Journal>) -> Self {
         Self {
             cfg: cfg.clone(),
-            breaker,
+            breaker: cfg.breaker.map(CircuitBreaker::new),
             journal,
             scope: "dispatcher".into(),
             open: true,
@@ -180,7 +179,15 @@ impl<T> ServingCore<T> {
         if !self.open {
             return Err((TfheError::DispatcherShutDown, item));
         }
-        if let Some(Err(overloaded)) = self.breaker.as_ref().map(|b| b.try_acquire_at(now)) {
+        // No health report reaches the core: only outcomes move its breaker.
+        let (admitted, moved) = match &mut self.breaker {
+            Some(breaker) => breaker.admit(now, EngineHealth::Healthy),
+            None => (Ok(()), None),
+        };
+        if let Some(kind) = moved {
+            self.record(now, kind);
+        }
+        if let Err(overloaded) = admitted {
             self.record(now, EventKind::Shed);
             return Err((overloaded, item));
         }
@@ -307,8 +314,12 @@ impl<T> ServingCore<T> {
             Ok(()) => Some(true),
             Err(e) => e.is_retryable().then_some(false),
         };
-        if let (Some(breaker), Some(healthy)) = (&self.breaker, health) {
-            breaker.record_at(now, healthy);
+        let moved = match (&mut self.breaker, health) {
+            (Some(breaker), Some(healthy)) => breaker.record(now, healthy),
+            _ => None,
+        };
+        if let Some(kind) = moved {
+            self.record(now, kind);
         }
         let err = match outcome {
             Ok(()) => return Done::Served(batch),
@@ -838,11 +849,7 @@ mod tests {
     /// a [`Checker`], and reconcile what it saw with journal and breaker.
     fn run(s: &Schedule) -> Outcome {
         let journal = Arc::new(Journal::new());
-        let breaker = s.cfg.breaker.map(|b| {
-            let named = b.to_builder().name("serving");
-            Arc::new(named.journal(Arc::clone(&journal)).build())
-        });
-        let mut core = ServingCore::new(&s.cfg, breaker.clone(), Arc::clone(&journal));
+        let mut core = ServingCore::new(&s.cfg, Arc::clone(&journal));
         let checker = RefCell::new(Checker {
             s,
             out: Outcome::default(),
@@ -885,12 +892,12 @@ mod tests {
         assert_eq!(count("retry"), out.retried);
         let shed = out.shed().len();
         assert_eq!(count("shed"), shed);
-        if let Some(b) = &breaker {
-            assert_eq!(b.rejections(), shed as u64);
-            assert_eq!(count("breaker_open") as u64, b.opens());
-            assert_eq!(count("breaker_close") as u64, b.closes());
-            assert!(count("breaker_half_open") as u64 >= b.closes());
-            out.breaker = Some((b.opens(), b.closes(), b.state()));
+        if let Some(b) = &core.breaker {
+            assert_eq!(b.rejections, shed as u64);
+            assert_eq!(count("breaker_open") as u64, b.opens);
+            assert_eq!(count("breaker_close") as u64, b.closes);
+            assert!(count("breaker_half_open") as u64 >= b.closes);
+            out.breaker = Some((b.opens, b.closes, b.state));
         } else {
             assert_eq!(shed, 0);
         }

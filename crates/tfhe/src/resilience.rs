@@ -14,14 +14,18 @@
 //!   [`TfheError::is_retryable`] — transient infrastructure faults
 //!   (worker panics, wedged jobs, corrupted outputs, dead engines) retry;
 //!   permanent request errors (validation) never do.
-//! - [`CircuitBreaker`]: a Closed → Open → HalfOpen state machine driven
-//!   by a rolling failure-rate window and (optionally) a polled
-//!   [`EngineHealth`] probe. While open, admission fails fast with
-//!   [`TfheError::Overloaded`] instead of queueing work that will die;
-//!   after a cooldown, half-open probe traffic decides between closing
-//!   (recovered) and re-opening (still sick).
+//! - [`BreakerConfig`]: the knobs of a Closed → Open → HalfOpen circuit
+//!   breaker driven by a rolling failure-rate window. While open,
+//!   admission fails fast with [`TfheError::Overloaded`] instead of
+//!   queueing work that will die; after a cooldown, half-open probe
+//!   traffic decides between closing (recovered) and re-opening (still
+//!   sick). A breaker is plain state owned by what it guards — a
+//!   dispatcher ([`ServingConfig::breaker`](crate::ServingConfig::breaker))
+//!   or a failover tier — which passes the time in and journals each
+//!   transition under its own scope.
 //! - [`FailoverBootstrapper`]: an ordered list of backends (e.g.
-//!   `BootstrapEngine` → `ServerKey`), each behind its own breaker.
+//!   `BootstrapEngine` → `ServerKey`), each behind its own breaker, which
+//!   also reads the backend's own [`Bootstrapper::health`] on admission.
 //!   Requests are served by the first admitting tier; a tier that fails
 //!   retryably is failed over at once — the stack retries nothing — and
 //!   when the primary's breaker opens the service *degrades* to the next
@@ -30,10 +34,11 @@
 //!   bit-identical on the same request (the conformance contract), a
 //!   failover is invisible to the caller except in latency.
 //!
-//! Every retry, breaker transition, and failover is an [`Event`] in a
-//! [`Journal`] (shareable across components so their incidents
-//! interleave in the order they happened), under a [`Who::Scope`] named
-//! after the tier or breaker, and rendered into the Chrome trace by
+//! Every retry, breaker transition, and failover is an [`Event`] in the
+//! [`Journal`] of the component it happened in —
+//! [`Dispatcher::resilience_journal`](crate::Dispatcher::resilience_journal),
+//! [`FailoverBootstrapper::journal`] — under a [`Who::Scope`] named after
+//! the tier (or `"dispatcher"`), and rendered into the Chrome trace by
 //! `morphling_core::trace::ExecutionTrace::add_events`.
 //!
 //! # Degraded-mode serving in one picture
@@ -57,13 +62,13 @@ use crate::faults::unit_sample;
 use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 use crate::policy::dur_ns;
+use crate::serving::at_least_one;
 
 /// Hash-domain separator for retry jitter (disjoint from the fault
 /// injector's site domains, so jitter never aliases injection decisions).
 const JITTER_DOMAIN: u64 = 0x6a_69_74_74;
 
-/// Ignore lock poisoning: resilience state stays consistent across panics
-/// (counters are atomics; the window/journal are repaired by later calls).
+/// Ignore lock poisoning: a breaker is valid after every step.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -182,32 +187,18 @@ impl RetryConfig {
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
-/// The breaker's admission state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum BreakerState {
-    /// Normal service: everything admitted, outcomes feed the window.
-    #[default]
-    Closed,
-    /// Tripped: admission fails fast with [`TfheError::Overloaded`] until
-    /// the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: requests are admitted as probes; enough
-    /// successes close the breaker, any failure re-opens it.
-    HalfOpen,
-}
-
-/// Circuit-breaker knobs in plain-data form: the `breaker` section of a
-/// [`ServingConfig`](crate::ServingConfig) (where `Some` means "gate
-/// admission behind a fresh breaker built from these knobs") and what a
-/// [`CircuitBreakerBuilder`] collects. Runtime-only wiring — a name, a
-/// health probe, a shared journal — stays on the builder.
+/// Circuit-breaker knobs, the one way to configure a breaker: the
+/// `breaker` section of a [`ServingConfig`](crate::ServingConfig) (where
+/// `Some` gates the dispatcher's admission) and the third argument of
+/// [`FailoverBootstrapperBuilder::tier`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BreakerConfig {
     /// Rolling-window size in outcomes.
     pub window: usize,
     /// Failure fraction of the window that trips the breaker, in `(0, 1]`.
     pub failure_threshold: f64,
-    /// Outcomes required in the window before the rate is trusted.
+    /// Outcomes required in the window before the rate is trusted; at
+    /// most `window`.
     pub min_samples: usize,
     /// How long an open breaker rejects before admitting probes.
     pub cooldown: Duration,
@@ -230,344 +221,163 @@ impl Default for BreakerConfig {
 }
 
 impl BreakerConfig {
-    /// A [`CircuitBreakerBuilder`] pre-loaded with these knobs (through
-    /// its clamping setters) — add runtime wiring (name, health probe,
-    /// shared journal) and `build()`.
-    pub fn to_builder(&self) -> CircuitBreakerBuilder {
-        CircuitBreaker::builder()
-            .window(self.window)
-            .failure_threshold(self.failure_threshold)
-            .min_samples(self.min_samples)
-            .cooldown(self.cooldown)
-            .probes_to_close(self.probes_to_close)
+    /// Reject knobs under which a breaker misbehaves or can never open,
+    /// naming the field: a zero `window` / `min_samples` /
+    /// `probes_to_close`, `min_samples` above `window` (the window never
+    /// holds that many outcomes), or a `failure_threshold` outside
+    /// `(0, 1]`.
+    pub(crate) fn validate(&self) -> Result<(), TfheError> {
+        at_least_one("breaker.window", self.window)?;
+        at_least_one("breaker.min_samples", self.min_samples)?;
+        at_least_one("breaker.probes_to_close", self.probes_to_close as usize)?;
+        if self.min_samples > self.window {
+            return Err(TfheError::InvalidServingConfig {
+                field: "breaker.min_samples",
+                detail: format!(
+                    "must not exceed breaker.window ({}), or the breaker can never open (got {})",
+                    self.window, self.min_samples
+                ),
+            });
+        }
+        let threshold = self.failure_threshold;
+        if !threshold.is_finite() || threshold <= 0.0 || threshold > 1.0 {
+            return Err(TfheError::InvalidServingConfig {
+                field: "breaker.failure_threshold",
+                detail: format!("must be a finite fraction in (0, 1] (got {threshold})"),
+            });
+        }
+        Ok(())
     }
 }
 
-/// Configures a [`CircuitBreaker`]. All knobs clamp to sane minimums, so
-/// [`build`](Self::build) is infallible.
-pub struct CircuitBreakerBuilder {
-    name: String,
+/// Where a [`CircuitBreaker`] stands.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum BreakerState {
+    /// Normal service: everything admitted, outcomes feed the window.
+    #[default]
+    Closed,
+    /// Tripped at `since`: admission fails fast until the cooldown ends.
+    Open { since: u64 },
+    /// Cooldown over: every admission is a probe; `successes` in a row
+    /// so far.
+    HalfOpen { successes: u32 },
+}
+
+/// A Closed → Open → HalfOpen admission gate over a rolling failure-rate
+/// window, as plain data (DESIGN.md §8 has the transition table). Its
+/// owner — a serving core or a failover tier — passes the time in (`u64`
+/// ns on [`journal::now`]'s clock, or on a driver's virtual one) and
+/// journals the transition each call returns under its own scope.
+#[derive(Clone, Debug)]
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
-    health: Option<Arc<dyn Fn() -> EngineHealth + Send + Sync>>,
-    journal: Option<Arc<Journal>>,
-}
-
-impl Default for CircuitBreakerBuilder {
-    fn default() -> Self {
-        Self {
-            name: "breaker".to_string(),
-            config: BreakerConfig::default(),
-            health: None,
-            journal: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for CircuitBreakerBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CircuitBreakerBuilder")
-            .field("name", &self.name)
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CircuitBreakerBuilder {
-    /// Start from [`BreakerConfig::default`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Name used as the journal scope for this breaker's transitions.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Rolling-window size in outcomes (clamped to ≥ 1).
-    #[must_use]
-    pub fn window(mut self, outcomes: usize) -> Self {
-        self.config.window = outcomes.max(1);
-        self
-    }
-
-    /// Failure fraction of the window that trips the breaker (clamped to
-    /// `(0, 1]`).
-    #[must_use]
-    pub fn failure_threshold(mut self, fraction: f64) -> Self {
-        self.config.failure_threshold = fraction.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
-    /// Outcomes required in the window before the rate is trusted
-    /// (clamped to ≥ 1) — keeps one early failure from tripping a cold
-    /// breaker.
-    #[must_use]
-    pub fn min_samples(mut self, samples: usize) -> Self {
-        self.config.min_samples = samples.max(1);
-        self
-    }
-
-    /// How long an open breaker rejects before admitting probes.
-    #[must_use]
-    pub fn cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.cooldown = cooldown;
-        self
-    }
-
-    /// Consecutive probe successes required to close from half-open
-    /// (clamped to ≥ 1).
-    #[must_use]
-    pub fn probes_to_close(mut self, probes: u32) -> Self {
-        self.config.probes_to_close = probes.max(1);
-        self
-    }
-
-    /// Poll a health source on admission: a [`EngineHealth::Failed`]
-    /// report force-opens the breaker without waiting for the failure
-    /// rate to climb (use
-    /// [`BootstrapEngine::health_handle`](crate::BootstrapEngine::health_handle)).
-    #[must_use]
-    pub fn health_probe(
-        mut self,
-        probe: impl Fn() -> EngineHealth + Send + Sync + 'static,
-    ) -> Self {
-        self.health = Some(Arc::new(probe));
-        self
-    }
-
-    /// Journal state transitions into `journal` (shared with other
-    /// components so their incidents interleave in record order).
-    /// Without this, the breaker creates its own private journal.
-    #[must_use]
-    pub fn journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Build the breaker (infallible — every knob clamps).
-    pub fn build(self) -> CircuitBreaker {
-        CircuitBreaker {
-            name: self.name.into(),
-            config: self.config,
-            health: self.health,
-            journal: self.journal.unwrap_or_default(),
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                outcomes: VecDeque::new(),
-                failures: 0,
-                opened_at: 0,
-                probe_successes: 0,
-            }),
-            opens: AtomicU64::new(0),
-            closes: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
-        }
-    }
-}
-
-struct BreakerInner {
-    state: BreakerState,
+    pub(crate) state: BreakerState,
     /// Rolling outcome window; `true` = failure.
     outcomes: VecDeque<bool>,
     failures: usize,
-    /// When the breaker last tripped, on [`journal::now`]'s nanoseconds.
-    opened_at: u64,
-    probe_successes: u32,
-}
-
-/// Failure-rate-driven admission gate: Closed → Open → HalfOpen.
-///
-/// Feed it one [`record`](Self::record) per backend call outcome and ask
-/// [`try_acquire`](Self::try_acquire) before each submission. Only
-/// *retryable* faults should be recorded as failures — a validation error
-/// says nothing about backend health.
-pub struct CircuitBreaker {
-    name: Arc<str>,
-    config: BreakerConfig,
-    health: Option<Arc<dyn Fn() -> EngineHealth + Send + Sync>>,
-    journal: Arc<Journal>,
-    inner: Mutex<BreakerInner>,
-    opens: AtomicU64,
-    closes: AtomicU64,
-    rejections: AtomicU64,
-}
-
-impl std::fmt::Debug for CircuitBreaker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CircuitBreaker")
-            .field("name", &self.name)
-            .field("state", &self.state())
-            .field("opens", &self.opens.load(Ordering::Relaxed))
-            .field("closes", &self.closes.load(Ordering::Relaxed))
-            .field("rejections", &self.rejections.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
+    /// Times it tripped open, closed from half-open, refused admission.
+    pub(crate) opens: u64,
+    pub(crate) closes: u64,
+    pub(crate) rejections: u64,
 }
 
 impl CircuitBreaker {
-    /// Configure window, threshold, cooldown, and probes before building.
-    pub fn builder() -> CircuitBreakerBuilder {
-        CircuitBreakerBuilder::new()
-    }
-
-    /// A breaker with default policy.
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// The breaker's name (its journal scope).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current state. `Open` is reported until traffic actually probes
-    /// it — transitions are driven by [`try_acquire`](Self::try_acquire)
-    /// and [`record`](Self::record), not by the clock alone.
-    pub fn state(&self) -> BreakerState {
-        lock(&self.inner).state
-    }
-
-    /// Times the breaker tripped open.
-    pub fn opens(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
-    }
-
-    /// Times the breaker closed from half-open (recoveries).
-    pub fn closes(&self) -> u64 {
-        self.closes.load(Ordering::Relaxed)
-    }
-
-    /// Admissions refused while open.
-    pub fn rejections(&self) -> u64 {
-        self.rejections.load(Ordering::Relaxed)
-    }
-
-    /// The journal this breaker's transitions land in.
-    pub fn journal(&self) -> &Arc<Journal> {
-        &self.journal
-    }
-
-    fn journal_transition(&self, at_ns: u64, kind: EventKind) {
-        let who = Who::Scope(Arc::clone(&self.name));
-        self.journal.record(Event::at(at_ns, who, kind));
-    }
-
-    /// Ask to admit one request.
-    ///
-    /// Closed admits (after polling the health probe, if any — a `Failed`
-    /// report force-opens). Open admits nothing until the cooldown
-    /// elapses, then transitions to half-open and admits probes. Every
-    /// half-open admission is a probe whose [`record`](Self::record)ed
-    /// outcome decides the breaker's fate.
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::Overloaded`] while open, with the remaining cooldown
-    /// as the retry hint.
-    pub fn try_acquire(&self) -> Result<(), TfheError> {
-        self.try_acquire_at(journal::now())
-    }
-
-    /// [`try_acquire`](Self::try_acquire) at `now` (nanoseconds on
-    /// [`journal::now`]'s clock, or on a driver's virtual one).
-    pub(crate) fn try_acquire_at(&self, now: u64) -> Result<(), TfheError> {
-        let mut inner = lock(&self.inner);
-        if inner.state == BreakerState::Closed {
-            if let Some(health) = &self.health {
-                if health() == EngineHealth::Failed {
-                    self.trip(now, &mut inner);
-                }
-            }
+    /// A closed breaker under `config`, which its owner has validated.
+    pub(crate) fn new(config: BreakerConfig) -> Self {
+        Self {
+            config,
+            state: BreakerState::Closed,
+            outcomes: VecDeque::with_capacity(config.window),
+            failures: 0,
+            opens: 0,
+            closes: 0,
+            rejections: 0,
         }
-        match inner.state {
-            BreakerState::Closed | BreakerState::HalfOpen => Ok(()),
-            BreakerState::Open => {
-                let cooldown = dur_ns(self.config.cooldown);
-                let elapsed = now.saturating_sub(inner.opened_at);
+    }
+
+    /// Ask at `now` to admit one request to a backend reporting `health`,
+    /// and say which transition that made, if any.
+    ///
+    /// Closed admits unless `health` is [`EngineHealth::Failed`], which
+    /// trips the breaker and refuses. Open refuses until the cooldown
+    /// ends, then turns half-open and admits. Every half-open admission is
+    /// a probe whose [`record`](Self::record)ed outcome decides the
+    /// breaker's fate. A refusal is [`TfheError::Overloaded`], with what
+    /// is left of the cooldown as the retry hint.
+    pub(crate) fn admit(
+        &mut self,
+        now: u64,
+        health: EngineHealth,
+    ) -> (Result<(), TfheError>, Option<EventKind>) {
+        let cooldown = dur_ns(self.config.cooldown);
+        let refuse = |left: u64| {
+            Err(TfheError::Overloaded {
+                retry_after: Duration::from_nanos(left),
+            })
+        };
+        match self.state {
+            BreakerState::Closed if health == EngineHealth::Failed => {
+                self.rejections += 1;
+                (refuse(cooldown), Some(self.trip(now)))
+            }
+            BreakerState::Closed | BreakerState::HalfOpen { .. } => (Ok(()), None),
+            BreakerState::Open { since } => {
+                let elapsed = now.saturating_sub(since);
                 if elapsed >= cooldown {
-                    inner.state = BreakerState::HalfOpen;
-                    inner.probe_successes = 0;
-                    self.journal_transition(now, EventKind::BreakerHalfOpen);
-                    Ok(())
+                    self.state = BreakerState::HalfOpen { successes: 0 };
+                    (Ok(()), Some(EventKind::BreakerHalfOpen))
                 } else {
-                    self.rejections.fetch_add(1, Ordering::Relaxed);
-                    Err(TfheError::Overloaded {
-                        retry_after: Duration::from_nanos(cooldown - elapsed),
-                    })
+                    self.rejections += 1;
+                    (refuse(cooldown - elapsed), None)
                 }
             }
         }
     }
 
-    /// Report the outcome of one admitted backend call. Record only
-    /// service outcomes: successes and *retryable* failures. Permanent
-    /// request errors and cancellations are not health signals.
-    pub fn record(&self, success: bool) {
-        self.record_at(journal::now(), success);
-    }
-
-    /// [`record`](Self::record) at `now`, on
-    /// [`try_acquire_at`](Self::try_acquire_at)'s clock.
-    pub(crate) fn record_at(&self, now: u64, success: bool) {
-        let mut inner = lock(&self.inner);
-        match inner.state {
+    /// Hear at `now` the outcome of one admitted backend call, and say
+    /// which transition that made, if any. Record only service outcomes:
+    /// successes and *retryable* failures — a permanent request error or a
+    /// cancellation says nothing about the backend.
+    pub(crate) fn record(&mut self, now: u64, ok: bool) -> Option<EventKind> {
+        match self.state {
             BreakerState::Closed => {
-                if inner.outcomes.len() == self.config.window {
-                    if let Some(old) = inner.outcomes.pop_front() {
-                        if old {
-                            inner.failures -= 1;
-                        }
-                    }
-                }
-                inner.outcomes.push_back(!success);
-                if !success {
-                    inner.failures += 1;
-                }
-                let n = inner.outcomes.len();
-                if n >= self.config.min_samples
-                    && inner.failures as f64 / n as f64 >= self.config.failure_threshold
+                if self.outcomes.len() == self.config.window
+                    && self.outcomes.pop_front() == Some(true)
                 {
-                    self.trip(now, &mut inner);
+                    self.failures -= 1;
                 }
+                self.outcomes.push_back(!ok);
+                self.failures += usize::from(!ok);
+                let n = self.outcomes.len();
+                let rate = self.failures as f64 / n as f64;
+                (n >= self.config.min_samples && rate >= self.config.failure_threshold)
+                    .then(|| self.trip(now))
             }
-            BreakerState::HalfOpen => {
-                if success {
-                    inner.probe_successes += 1;
-                    if inner.probe_successes >= self.config.probes_to_close {
-                        inner.state = BreakerState::Closed;
-                        inner.outcomes.clear();
-                        inner.failures = 0;
-                        inner.probe_successes = 0;
-                        self.closes.fetch_add(1, Ordering::Relaxed);
-                        self.journal_transition(now, EventKind::BreakerClose);
-                    }
-                } else {
-                    self.trip(now, &mut inner);
+            BreakerState::HalfOpen { successes } if ok => {
+                if successes + 1 < self.config.probes_to_close {
+                    self.state = BreakerState::HalfOpen {
+                        successes: successes + 1,
+                    };
+                    return None;
                 }
+                self.state = BreakerState::Closed;
+                self.closes += 1;
+                Some(EventKind::BreakerClose)
             }
+            BreakerState::HalfOpen { .. } => Some(self.trip(now)),
             // A late result from before the trip: the window is already
             // condemned, nothing to learn.
-            BreakerState::Open => {}
+            BreakerState::Open { .. } => None,
         }
     }
 
-    /// Transition to Open: stamp the cooldown clock, condemn the window.
-    fn trip(&self, now: u64, inner: &mut BreakerInner) {
-        inner.state = BreakerState::Open;
-        inner.opened_at = now;
-        inner.outcomes.clear();
-        inner.failures = 0;
-        inner.probe_successes = 0;
-        self.opens.fetch_add(1, Ordering::Relaxed);
-        self.journal_transition(now, EventKind::BreakerOpen);
-    }
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        Self::new()
+    /// Open at `now` and condemn the window.
+    fn trip(&mut self, now: u64) -> EventKind {
+        self.state = BreakerState::Open { since: now };
+        self.outcomes.clear();
+        self.failures = 0;
+        self.opens += 1;
+        EventKind::BreakerOpen
     }
 }
 
@@ -578,23 +388,14 @@ impl Default for CircuitBreaker {
 struct Tier {
     name: Arc<str>,
     backend: Arc<dyn Bootstrapper + Send + Sync>,
-    breaker: Arc<CircuitBreaker>,
+    breaker: Mutex<CircuitBreaker>,
     served: AtomicU64,
 }
 
-/// A tier as configured: name, backend, optional caller-supplied breaker.
-type TierSpec = (
-    String,
-    Arc<dyn Bootstrapper + Send + Sync>,
-    Option<Arc<CircuitBreaker>>,
-);
-
-/// Configures a [`FailoverBootstrapper`]: ordered tiers and where their
-/// events go.
+/// Configures a [`FailoverBootstrapper`]: its tiers, in priority order.
 #[derive(Default)]
 pub struct FailoverBootstrapperBuilder {
-    tiers: Vec<TierSpec>,
-    journal: Option<Arc<Journal>>,
+    tiers: Vec<(String, Arc<dyn Bootstrapper + Send + Sync>, BreakerConfig)>,
 }
 
 impl std::fmt::Debug for FailoverBootstrapperBuilder {
@@ -614,40 +415,16 @@ impl FailoverBootstrapperBuilder {
         Self::default()
     }
 
-    /// Append a tier with a default breaker (named after the tier,
-    /// journaling into the stack's shared journal).
+    /// Append a tier guarded by a breaker under `breaker`, journaling into
+    /// the stack's journal under `name`. On admission the breaker also
+    /// reads the backend's own [`Bootstrapper::health`]: a backend that
+    /// reports [`EngineHealth::Failed`] is benched before it is called.
     #[must_use]
-    pub fn tier<B>(mut self, name: impl Into<String>, backend: B) -> Self
+    pub fn tier<B>(mut self, name: impl Into<String>, backend: B, breaker: BreakerConfig) -> Self
     where
         B: Bootstrapper + Send + Sync + 'static,
     {
-        self.tiers.push((name.into(), Arc::new(backend), None));
-        self
-    }
-
-    /// Append a tier guarded by a caller-configured breaker (e.g. one
-    /// with a [health probe](CircuitBreakerBuilder::health_probe) wired
-    /// to the tier's engine).
-    #[must_use]
-    pub fn tier_with_breaker<B>(
-        mut self,
-        name: impl Into<String>,
-        backend: B,
-        breaker: Arc<CircuitBreaker>,
-    ) -> Self
-    where
-        B: Bootstrapper + Send + Sync + 'static,
-    {
-        self.tiers
-            .push((name.into(), Arc::new(backend), Some(breaker)));
-        self
-    }
-
-    /// Journal events into `journal` instead of a fresh private one —
-    /// share it with a dispatcher so both record into one ring.
-    #[must_use]
-    pub fn journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
+        self.tiers.push((name.into(), Arc::new(backend), breaker));
         self
     }
 
@@ -655,35 +432,27 @@ impl FailoverBootstrapperBuilder {
     ///
     /// # Errors
     ///
-    /// [`TfheError::NoBackendProvided`] if no tier was added.
+    /// [`TfheError::NoBackendProvided`] if no tier was added;
+    /// [`TfheError::InvalidServingConfig`] if a tier's [`BreakerConfig`]
+    /// breaks the rules [`ServingConfig::validate`](crate::ServingConfig::validate)
+    /// holds a dispatcher's to.
     pub fn build(self) -> Result<FailoverBootstrapper, TfheError> {
         if self.tiers.is_empty() {
             return Err(TfheError::NoBackendProvided);
         }
-        let journal = self.journal.unwrap_or_default();
-        let tiers = self
-            .tiers
-            .into_iter()
-            .map(|(name, backend, breaker)| {
-                let breaker = breaker.unwrap_or_else(|| {
-                    Arc::new(
-                        CircuitBreaker::builder()
-                            .name(name.clone())
-                            .journal(Arc::clone(&journal))
-                            .build(),
-                    )
-                });
-                Tier {
-                    name: name.into(),
-                    backend,
-                    breaker,
-                    served: AtomicU64::new(0),
-                }
-            })
-            .collect();
+        let mut tiers = Vec::with_capacity(self.tiers.len());
+        for (name, backend, breaker) in self.tiers {
+            breaker.validate()?;
+            tiers.push(Tier {
+                name: name.into(),
+                backend,
+                breaker: Mutex::new(CircuitBreaker::new(breaker)),
+                served: AtomicU64::new(0),
+            });
+        }
         Ok(FailoverBootstrapper {
             tiers,
-            journal,
+            journal: Journal::new(),
             failovers: AtomicU64::new(0),
         })
     }
@@ -694,7 +463,7 @@ impl FailoverBootstrapperBuilder {
 /// restore upward via half-open probes. See the [module docs](self).
 pub struct FailoverBootstrapper {
     tiers: Vec<Tier>,
-    journal: Arc<Journal>,
+    journal: Journal,
     failovers: AtomicU64,
 }
 
@@ -731,14 +500,9 @@ impl FailoverBootstrapper {
         self.failovers.load(Ordering::Relaxed)
     }
 
-    /// The breaker guarding tier `index` (priority order).
-    pub fn breaker(&self, index: usize) -> Option<&Arc<CircuitBreaker>> {
-        self.tiers.get(index).map(|t| &t.breaker)
-    }
-
-    /// The shared event journal (tiers' breakers journal here too unless
-    /// caller-supplied with their own).
-    pub fn journal(&self) -> &Arc<Journal> {
+    /// The stack's journal: each tier's breaker transitions, skips and
+    /// failovers, under the tier's name.
+    pub fn journal(&self) -> &Journal {
         &self.journal
     }
 }
@@ -754,37 +518,54 @@ impl Bootstrapper for FailoverBootstrapper {
         let mut last_reject: Option<TfheError> = None;
         let mut failed_from: Option<Arc<str>> = None;
         for tier in &self.tiers {
-            let record = |kind| {
+            let note = |at, kind| {
                 let who = Who::Scope(Arc::clone(&tier.name));
-                self.journal.record(Event::instant(who, kind));
+                self.journal.record(Event::at(at, who, kind));
             };
-            if let Err(e) = tier.breaker.try_acquire() {
-                record(EventKind::TierSkipped);
+            let health = tier.backend.health();
+            // Transitions are journaled under the breaker's lock, so that
+            // they land in the order they happened.
+            let mut breaker = lock(&tier.breaker);
+            let now = journal::now();
+            let (admitted, moved) = breaker.admit(now, health);
+            if let Some(kind) = moved {
+                note(now, kind);
+            }
+            drop(breaker);
+            if let Err(e) = admitted {
+                note(now, EventKind::TierSkipped);
                 last_reject = Some(e);
                 continue;
             }
             if let Some(from) = failed_from.take() {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
-                record(EventKind::Failover { from });
+                note(now, EventKind::Failover { from });
             }
-            match tier.backend.try_bootstrap_batch(req) {
+            let outcome = tier.backend.try_bootstrap_batch(req);
+            // Permanent: the request is at fault; every tier would answer
+            // identically, so don't fail over and don't penalize this
+            // tier's health.
+            if matches!(&outcome, Err(e) if !e.is_retryable()) {
+                return outcome;
+            }
+            let mut breaker = lock(&tier.breaker);
+            let now = journal::now();
+            if let Some(kind) = breaker.record(now, outcome.is_ok()) {
+                note(now, kind);
+            }
+            drop(breaker);
+            match outcome {
                 Ok(out) => {
-                    tier.breaker.record(true);
                     tier.served.fetch_add(1, Ordering::Relaxed);
                     return Ok(out);
                 }
                 // Nothing is retried here: the next tier gets the
                 // request now, and whether the *request* runs again is
                 // the dispatcher's call — it knows the deadline.
-                Err(e) if e.is_retryable() => {
-                    tier.breaker.record(false);
+                Err(e) => {
                     last_fault = Some(e);
                     failed_from = Some(Arc::clone(&tier.name));
                 }
-                // Permanent: the request is at fault; every tier would
-                // answer identically, so don't fail over and don't
-                // penalize this tier's health.
-                Err(e) => return Err(e),
             }
         }
         Err(last_fault
@@ -895,97 +676,112 @@ mod tests {
 
     /// Cooldown of the breakers below, in nanoseconds.
     const COOLDOWN_NS: u64 = 100_000_000;
+    const HEALTHY: EngineHealth = EngineHealth::Healthy;
 
-    fn breaker(min_samples: usize) -> CircuitBreakerBuilder {
-        CircuitBreaker::builder()
-            .min_samples(min_samples)
-            .failure_threshold(0.5)
-            .cooldown(Duration::from_nanos(COOLDOWN_NS))
+    fn breaker(min_samples: usize, window: usize, probes_to_close: u32) -> CircuitBreaker {
+        CircuitBreaker::new(BreakerConfig {
+            window,
+            failure_threshold: 0.5,
+            min_samples,
+            cooldown: Duration::from_nanos(COOLDOWN_NS),
+            probes_to_close,
+        })
     }
 
     #[test]
     fn breaker_trips_at_threshold_and_rejects_until_the_cooldown_ends() {
-        let b = breaker(4).window(8).build();
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record_at(10, true);
-        b.record_at(20, false);
-        b.record_at(30, true);
-        assert_eq!(b.state(), BreakerState::Closed, "below min_samples");
-        b.record_at(40, false);
-        assert_eq!(b.state(), BreakerState::Open, "2/4 failures at 0.5");
-        assert_eq!(b.opens(), 1);
+        let mut b = breaker(4, 8, 1);
+        assert_eq!(b.record(10, true), None);
+        assert_eq!(b.record(20, false), None);
+        assert_eq!(b.record(30, true), None);
+        assert_eq!(b.state, BreakerState::Closed, "below min_samples");
+        let tripped = b.record(40, false);
+        assert_eq!(tripped, Some(EventKind::BreakerOpen), "2/4 failures at 0.5");
+        assert_eq!((b.state, b.opens), (BreakerState::Open { since: 40 }, 1));
         // Open from 40: refused up to the last nanosecond of the cooldown,
         // with what is left of it as the hint.
-        let err = b.try_acquire_at(40 + COOLDOWN_NS - 1).unwrap_err();
         let retry_after = Duration::from_nanos(1);
-        assert_eq!(err, TfheError::Overloaded { retry_after });
-        assert!(err.is_retryable());
-        assert_eq!(b.rejections(), 1);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.try_acquire_at(40 + COOLDOWN_NS).is_ok());
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert_eq!(b.rejections(), 1);
+        let refused = (Err(TfheError::Overloaded { retry_after }), None);
+        assert_eq!(b.admit(40 + COOLDOWN_NS - 1, HEALTHY), refused);
+        assert_eq!(b.rejections, 1);
+        let probe = (Ok(()), Some(EventKind::BreakerHalfOpen));
+        assert_eq!(b.admit(40 + COOLDOWN_NS, HEALTHY), probe);
+        assert_eq!(b.state, BreakerState::HalfOpen { successes: 0 });
+        assert_eq!(b.rejections, 1);
     }
 
     #[test]
     fn breaker_recovers_through_half_open_probes() {
-        let b = breaker(1).probes_to_close(2).build();
-        b.record_at(5, false); // trip
-        assert_eq!(b.state(), BreakerState::Open);
+        let mut b = breaker(1, 8, 2);
         let cooled = 5 + COOLDOWN_NS;
-        assert!(b.try_acquire_at(cooled).is_ok());
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record_at(cooled + 1, true);
-        assert_eq!(b.state(), BreakerState::HalfOpen, "needs 2 probes");
-        b.record_at(cooled + 2, true);
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.closes(), 1);
-        // Each transition is stamped with the time it was told.
-        let events = b.journal().events();
-        let seen: Vec<(u64, &str)> = events.iter().map(|e| (e.at_ns, e.kind.label())).collect();
-        assert_eq!(
-            seen,
-            vec![
-                (5, "breaker_open"),
-                (cooled, "breaker_half_open"),
-                (cooled + 2, "breaker_close")
-            ]
-        );
+        // Each step says which transition it made, for its owner to
+        // journal at the time it was told.
+        let steps = [
+            b.record(5, false),
+            b.admit(cooled, HEALTHY).1,
+            b.record(cooled + 1, true),
+            b.record(cooled + 2, true),
+        ];
+        let open = EventKind::BreakerOpen;
+        let (half_open, close) = (EventKind::BreakerHalfOpen, EventKind::BreakerClose);
+        assert_eq!(steps, [Some(open), Some(half_open), None, Some(close)]);
+        assert_eq!((b.state, b.opens, b.closes), (BreakerState::Closed, 1, 1));
     }
 
     #[test]
     fn half_open_probe_failure_reopens_for_a_full_cooldown() {
-        let b = breaker(1).build();
-        b.record_at(0, false);
-        assert!(b.try_acquire_at(COOLDOWN_NS).is_ok());
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record_at(COOLDOWN_NS + 7, false);
-        assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
-        assert_eq!(b.opens(), 2);
+        let mut b = breaker(1, 8, 1);
+        b.record(0, false);
+        assert!(b.admit(COOLDOWN_NS, HEALTHY).0.is_ok());
+        let reopened = b.record(COOLDOWN_NS + 7, false);
+        assert_eq!(
+            reopened,
+            Some(EventKind::BreakerOpen),
+            "failed probe re-opens"
+        );
+        assert_eq!(b.opens, 2);
         // The cooldown runs from the re-trip, not from the first one.
-        assert!(b.try_acquire_at(2 * COOLDOWN_NS + 6).is_err());
-        assert!(b.try_acquire_at(2 * COOLDOWN_NS + 7).is_ok());
+        assert!(b.admit(2 * COOLDOWN_NS + 6, HEALTHY).0.is_err());
+        assert!(b.admit(2 * COOLDOWN_NS + 7, HEALTHY).0.is_ok());
     }
 
     #[test]
-    fn health_probe_failed_forces_open() {
-        let b = breaker(8).health_probe(|| EngineHealth::Failed).build();
-        let err = b.try_acquire_at(3).unwrap_err();
+    fn a_failed_backend_trips_a_closed_breaker_on_admission() {
+        let mut b = breaker(8, 32, 1);
         let retry_after = Duration::from_nanos(COOLDOWN_NS);
-        assert_eq!(err, TfheError::Overloaded { retry_after });
-        assert_eq!(b.state(), BreakerState::Open);
+        let tripped = (
+            Err(TfheError::Overloaded { retry_after }),
+            Some(EventKind::BreakerOpen),
+        );
+        assert_eq!(b.admit(3, EngineHealth::Failed), tripped);
+        assert_eq!(b.state, BreakerState::Open { since: 3 });
+        let mut degraded = breaker(8, 32, 1);
+        let served = degraded.admit(3, EngineHealth::Degraded);
+        assert_eq!(served, (Ok(()), None), "degraded still serves");
+    }
 
-        let healthy = CircuitBreaker::builder()
-            .health_probe(|| EngineHealth::Degraded)
-            .build();
-        assert!(healthy.try_acquire().is_ok(), "degraded still serves");
+    fn state(stack: &FailoverBootstrapper, tier: usize) -> BreakerState {
+        lock(&stack.tiers[tier].breaker).state
+    }
+
+    fn labels(stack: &FailoverBootstrapper) -> Vec<&'static str> {
+        stack
+            .journal()
+            .events()
+            .iter()
+            .map(|e| e.kind.label())
+            .collect()
     }
 
     #[test]
     fn failover_serves_from_fallback_when_primary_fails() {
         let stack = FailoverBootstrapper::builder()
-            .tier("primary", FlakyBackend::new(u64::MAX))
-            .tier("fallback", FlakyBackend::new(0))
+            .tier(
+                "primary",
+                FlakyBackend::new(u64::MAX),
+                BreakerConfig::default(),
+            )
+            .tier("fallback", FlakyBackend::new(0), BreakerConfig::default())
             .build()
             .expect("two tiers");
         let req = one_request();
@@ -995,61 +791,57 @@ mod tests {
         assert_eq!(stack.served()[0].1, 0);
         assert_eq!(stack.served()[1].1, 1);
         // One call to the primary, none retried in place.
-        let events = stack.journal().events();
-        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
-        assert_eq!(labels, ["failover"]);
+        assert_eq!(labels(&stack), ["failover"]);
     }
 
     #[test]
     fn open_primary_is_skipped_and_probed_back() {
+        let sensitive = BreakerConfig {
+            min_samples: 2,
+            cooldown: Duration::ZERO,
+            ..BreakerConfig::default()
+        };
         let stack = FailoverBootstrapper::builder()
-            .tier_with_breaker(
-                "primary",
-                FlakyBackend::new(2),
-                Arc::new(
-                    CircuitBreaker::builder()
-                        .name("primary")
-                        .min_samples(2)
-                        .failure_threshold(0.5)
-                        .cooldown(Duration::ZERO)
-                        .build(),
-                ),
-            )
-            .tier("fallback", FlakyBackend::new(0))
+            .tier("primary", FlakyBackend::new(2), sensitive)
+            .tier("fallback", FlakyBackend::new(0), BreakerConfig::default())
             .build()
             .expect("two tiers");
         let req = one_request();
         // Two failing requests trip the primary's breaker (no retries).
         assert_eq!(stack.try_bootstrap_batch(&req).expect("served").len(), 1);
         assert_eq!(stack.try_bootstrap_batch(&req).expect("served").len(), 1);
-        assert_eq!(
-            stack.breaker(0).expect("tier 0").state(),
-            BreakerState::Open
-        );
+        assert!(matches!(state(&stack, 0), BreakerState::Open { .. }));
         // Cooldown is zero, so the next request probes the (now healed)
         // primary, succeeds, and closes the breaker — primary restored.
         assert_eq!(stack.try_bootstrap_batch(&req).expect("probe").len(), 1);
-        assert_eq!(
-            stack.breaker(0).expect("tier 0").state(),
-            BreakerState::Closed
-        );
+        assert_eq!(state(&stack, 0), BreakerState::Closed);
         assert_eq!(stack.served()[0].1, 1, "probe served by primary");
         assert_eq!(stack.failovers(), 2);
+        assert_eq!(
+            labels(&stack),
+            [
+                "failover",
+                "breaker_open",
+                "failover",
+                "breaker_half_open",
+                "breaker_close"
+            ]
+        );
     }
 
     #[test]
     fn permanent_errors_do_not_fail_over() {
         let stack = FailoverBootstrapper::builder()
-            .tier("primary", PermanentlyWrong)
-            .tier("fallback", FlakyBackend::new(0))
+            .tier("primary", PermanentlyWrong, BreakerConfig::default())
+            .tier("fallback", FlakyBackend::new(0), BreakerConfig::default())
             .build()
             .expect("two tiers");
         let err = stack.try_bootstrap_batch(&one_request()).unwrap_err();
         assert!(matches!(err, TfheError::LweDimensionMismatch { .. }));
         assert_eq!(stack.failovers(), 0);
-        assert_eq!(
-            stack.breaker(0).expect("tier 0").state(),
-            BreakerState::Closed,
+        let primary = lock(&stack.tiers[0].breaker).clone();
+        assert!(
+            primary.outcomes.is_empty(),
             "validation errors are not health signals"
         );
     }
@@ -1057,8 +849,8 @@ mod tests {
     #[test]
     fn all_tiers_down_surfaces_the_backend_fault() {
         let stack = FailoverBootstrapper::builder()
-            .tier("a", FlakyBackend::new(u64::MAX))
-            .tier("b", FlakyBackend::new(u64::MAX))
+            .tier("a", FlakyBackend::new(u64::MAX), BreakerConfig::default())
+            .tier("b", FlakyBackend::new(u64::MAX), BreakerConfig::default())
             .build()
             .expect("two tiers");
         let err = stack.try_bootstrap_batch(&one_request()).unwrap_err();
@@ -1067,13 +859,33 @@ mod tests {
     }
 
     #[test]
-    fn empty_stack_is_rejected_and_empty_batch_is_a_noop() {
+    fn degenerate_stacks_are_rejected_and_empty_batch_is_a_noop() {
         assert_eq!(
             FailoverBootstrapper::builder().build().err(),
             Some(TfheError::NoBackendProvided)
         );
+        // The rules a dispatcher's breaker is held to, per tier.
+        let never_opens = BreakerConfig {
+            window: 4,
+            min_samples: 8,
+            ..BreakerConfig::default()
+        };
+        let refused = FailoverBootstrapper::builder()
+            .tier("only", FlakyBackend::new(0), never_opens)
+            .build();
+        assert!(matches!(
+            refused,
+            Err(TfheError::InvalidServingConfig {
+                field: "breaker.min_samples",
+                ..
+            })
+        ));
         let stack = FailoverBootstrapper::builder()
-            .tier("only", FlakyBackend::new(u64::MAX))
+            .tier(
+                "only",
+                FlakyBackend::new(u64::MAX),
+                BreakerConfig::default(),
+            )
             .build()
             .expect("one tier");
         let empty = BatchRequest::shared(Vec::new(), Lut::identity(64, 4));

@@ -54,6 +54,17 @@ use crate::server::ServerKey;
 /// Wire-format version stamped into (and required from) the JSON form.
 pub const SERVING_CONFIG_VERSION: u64 = 1;
 
+/// Reject a zero `n` as the value of `field`.
+pub(crate) fn at_least_one(field: &'static str, n: usize) -> Result<(), TfheError> {
+    if n == 0 {
+        return Err(TfheError::InvalidServingConfig {
+            field,
+            detail: "must be at least 1 (got 0)".into(),
+        });
+    }
+    Ok(())
+}
+
 /// Every serving knob in one plain-data, JSON-serializable value: the
 /// type the autotuner emits and
 /// [`Dispatcher::from_config`](crate::Dispatcher::from_config) consumes.
@@ -78,7 +89,8 @@ pub struct ServingConfig {
     pub deadline_slack: Duration,
     /// Retry policy for retryable backend faults.
     pub retry: RetryConfig,
-    /// Admission circuit breaker; `None` admits unconditionally.
+    /// The dispatcher's admission circuit breaker — the only way to give
+    /// it one; `None` admits unconditionally.
     pub breaker: Option<BreakerConfig>,
     /// Byte budget for a tenant [`KeyStore`](crate::KeyStore), when the
     /// deployment serves multi-tenant traffic. Advisory for
@@ -119,19 +131,11 @@ impl ServingConfig {
     ///
     /// [`TfheError::InvalidServingConfig`] on the first violated
     /// constraint: zero `workers` / `max_batch_size` / `queue_capacity`,
-    /// a zero breaker window / `min_samples` / `probes_to_close`, a
-    /// non-finite or out-of-range `retry.jitter` or
-    /// `breaker.failure_threshold`, or a zero key budget.
+    /// a non-finite or out-of-range `retry.jitter`, a breaker that could
+    /// misbehave or never open (a zero `window` / `min_samples` /
+    /// `probes_to_close`, `min_samples` above `window`, a
+    /// `failure_threshold` outside `(0, 1]`), or a zero key budget.
     pub fn validate(&self) -> Result<(), TfheError> {
-        fn at_least_one(field: &'static str, n: usize) -> Result<(), TfheError> {
-            if n == 0 {
-                return Err(TfheError::InvalidServingConfig {
-                    field,
-                    detail: "must be at least 1 (got 0)".into(),
-                });
-            }
-            Ok(())
-        }
         at_least_one("workers", self.workers)?;
         at_least_one("max_batch_size", self.max_batch_size)?;
         at_least_one("queue_capacity", self.queue_capacity)?;
@@ -145,21 +149,7 @@ impl ServingConfig {
             });
         }
         if let Some(b) = &self.breaker {
-            at_least_one("breaker.window", b.window)?;
-            at_least_one("breaker.min_samples", b.min_samples)?;
-            at_least_one("breaker.probes_to_close", b.probes_to_close as usize)?;
-            if !b.failure_threshold.is_finite()
-                || b.failure_threshold <= 0.0
-                || b.failure_threshold > 1.0
-            {
-                return Err(TfheError::InvalidServingConfig {
-                    field: "breaker.failure_threshold",
-                    detail: format!(
-                        "must be a finite fraction in (0, 1] (got {})",
-                        b.failure_threshold
-                    ),
-                });
-            }
+            b.validate()?;
         }
         if self.key_budget_bytes == Some(0) {
             return Err(TfheError::InvalidServingConfig {

@@ -21,9 +21,9 @@
 use std::sync::{Arc, OnceLock};
 
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, Dispatcher, DispatcherBuilder,
-    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, ServerKey, ServingConfig,
-    TfheError,
+    BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
+    DispatcherBuilder, FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, ServerKey,
+    ServingConfig, TfheError, Who,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,15 +158,17 @@ fn dispatcher_conforms() {
 #[test]
 fn failover_bootstrapper_conforms() {
     let f = fixture();
+    let engine = BootstrapEngine::builder()
+        .workers(2)
+        .build(Arc::clone(&f.server))
+        .expect("spawn pool");
     let stack = FailoverBootstrapper::builder()
+        .tier("engine", engine, BreakerConfig::default())
         .tier(
-            "engine",
-            BootstrapEngine::builder()
-                .workers(2)
-                .build(Arc::clone(&f.server))
-                .expect("spawn pool"),
+            "sequential",
+            Arc::clone(&f.server),
+            BreakerConfig::default(),
         )
-        .tier("sequential", Arc::clone(&f.server))
         .build()
         .expect("two tiers");
     assert_conforms(&stack, "FailoverBootstrapper");
@@ -192,8 +194,8 @@ fn failover_with_dead_primary_matches_healthy_reference() {
         .build(Arc::clone(&f.server))
         .expect("spawn pool");
     let stack = FailoverBootstrapper::builder()
-        .tier("engine", engine)
-        .tier("server", Arc::clone(&f.server))
+        .tier("engine", engine, BreakerConfig::default())
+        .tier("server", Arc::clone(&f.server), BreakerConfig::default())
         .build()
         .expect("two tiers");
 
@@ -217,6 +219,50 @@ fn failover_with_dead_primary_matches_healthy_reference() {
     assert_eq!(served[1].1, 1, "fallback served the batch");
     let events = stack.journal().events();
     assert!(events.iter().any(|e| e.kind.label() == "failover"));
+}
+
+/// A tier over an engine that is already shut down is benched on the
+/// first request — its breaker reads the engine's own health on admission,
+/// with nothing wired — and the engine is never called.
+#[test]
+fn a_tier_over_a_shut_down_engine_is_benched_on_the_first_request() {
+    let f = fixture();
+    let mut engine = BootstrapEngine::builder()
+        .workers(1)
+        .build(Arc::clone(&f.server))
+        .expect("spawn pool");
+    engine.shutdown();
+    let stack = FailoverBootstrapper::builder()
+        .tier("engine", engine, BreakerConfig::default())
+        .tier("server", Arc::clone(&f.server), BreakerConfig::default())
+        .build()
+        .expect("two tiers");
+
+    let lut = Lut::identity(f.server.params().poly_size, 4);
+    let req = BatchRequest::shared(encrypt_batch(3, 0x5D0E), lut);
+    let want = f.server.try_bootstrap_batch(&req).expect("reference");
+    assert_eq!(stack.try_bootstrap_batch(&req), Ok(want));
+    let engine_tier = Who::Scope("engine".into());
+    let events: Vec<_> = stack
+        .journal()
+        .events()
+        .into_iter()
+        .map(|e| (e.who, e.kind.label()))
+        .collect();
+    assert_eq!(
+        events,
+        [
+            (engine_tier.clone(), "breaker_open"),
+            (engine_tier, "tier_skipped")
+        ]
+    );
+    assert_eq!(stack.failovers(), 0);
+    let served = stack.served();
+    assert_eq!(
+        (served[0].1, served[1].1),
+        (0, 1),
+        "the engine served nothing"
+    );
 }
 
 /// Tenant-keyed dispatch conformance: a mixed-tenant workload pushed

@@ -21,9 +21,9 @@ use std::time::{Duration, Instant};
 
 use morphling_tfhe::journal;
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, BreakerState, CircuitBreaker, ClientKey,
-    Dispatcher, DispatcherBuilder, FailoverBootstrapper, FaultPlan, Journal, Lut, LweCiphertext,
-    ParamSet, RetryConfig, ServerKey, ServingConfig, TfheError,
+    BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
+    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, RetryConfig, ServerKey,
+    ServingConfig, TfheError, Who,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,10 +134,11 @@ fn dispatch_chaos_shutdown_drains_without_loss() {
 }
 
 /// Killed primary behind a failover stack: workers panic or wedge on
-/// every job and never respawn, the primary breaker opens (helped by its
-/// `EngineHealthHandle` probe reading `Failed`), and the sequential
-/// fallback serves **every** request bit-identically — zero loss, with
-/// the stats counters matching the resilience journal event for event.
+/// every job and never respawn, the primary breaker opens (helped by the
+/// engine's own health reading `Failed`), and the sequential fallback
+/// serves **every** request bit-identically — zero loss, with the stats
+/// counters matching the stack's and the dispatcher's journals event for
+/// event.
 #[test]
 fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
     let seed = 0x0FA1_10E4;
@@ -145,7 +146,6 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
     let poly = sk.params().poly_size;
     let lut = Arc::new(Lut::from_fn(poly, 4, |m| (m + 1) % 4));
 
-    let journal = Arc::new(Journal::new());
     // Primary: one worker, no respawn budget, every job either panics or
     // wedges past the watchdog — dead on first contact.
     let engine = BootstrapEngine::builder()
@@ -163,24 +163,18 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
         )
         .build(Arc::clone(&sk))
         .expect("spawn pool");
-    let health = engine.health_handle();
-    let primary_breaker = Arc::new(
-        CircuitBreaker::builder()
-            .name("engine")
-            .min_samples(2)
-            .failure_threshold(0.5)
-            // Long cooldown: once open, the primary stays benched for the
-            // rest of the run — this test is about the fallback path.
-            .cooldown(Duration::from_secs(60))
-            .health_probe(move || health.health())
-            .journal(Arc::clone(&journal))
-            .build(),
-    );
+    let primary_breaker = BreakerConfig {
+        min_samples: 2,
+        failure_threshold: 0.5,
+        // Long cooldown: once open, the primary stays benched for the
+        // rest of the run — this test is about the fallback path.
+        cooldown: Duration::from_secs(60),
+        ..BreakerConfig::default()
+    };
     let stack = Arc::new(
         FailoverBootstrapper::builder()
-            .tier_with_breaker("engine", engine, Arc::clone(&primary_breaker))
-            .tier("server", Arc::clone(&sk))
-            .journal(Arc::clone(&journal))
+            .tier("engine", engine, primary_breaker)
+            .tier("server", Arc::clone(&sk), BreakerConfig::default())
             .build()
             .expect("two tiers"),
     );
@@ -190,10 +184,7 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
         .max_linger(Duration::from_millis(1))
         .build()
         .expect("valid serving knobs");
-    let dispatcher = DispatcherBuilder::from_config(&config)
-        .expect("validated above")
-        .resilience_journal(Arc::clone(&journal))
-        .build(Arc::clone(&stack));
+    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&stack)).expect("validated above");
 
     let total = 24u64;
     let mut tickets = Vec::with_capacity(total as usize);
@@ -223,28 +214,32 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
     assert_eq!(stats.completed, total, "zero lost requests");
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.shed, 0, "the dispatcher itself never sheds");
-    // The killed primary tripped its breaker and stayed benched...
-    assert!(primary_breaker.opens() >= 1, "breaker must open");
-    assert_eq!(primary_breaker.state(), BreakerState::Open);
     assert!(stack.failovers() >= 1, "traffic must fail over");
-    // ...and only the fallback actually served batches.
+    // Only the fallback actually served batches.
     let served = stack.served();
     assert_eq!(served[0].0, "engine");
     assert_eq!(served[0].1, 0, "the dead primary served nothing");
     assert!(served[1].1 >= 1, "the fallback carried the load");
 
-    // Counters must match the journal, event for event.
-    let events = journal.events();
-    assert_eq!(journal.dropped(), 0, "the journal holds every event");
+    // Counters must match the journals, event for event.
+    let mut events = stack.journal().events();
+    events.extend(dispatcher.resilience_journal().events());
+    let dropped = stack.journal().dropped() + dispatcher.resilience_journal().dropped();
+    assert_eq!(dropped, 0, "the journals hold every event");
     let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
     assert_eq!(stack.failovers(), count("failover"));
     assert_eq!(stats.retries, count("retry"));
     assert_eq!(stats.shed, count("shed"));
+    // The killed primary tripped its breaker and stayed benched.
+    let engine = Who::Scope("engine".into());
+    let mut breaker = events.iter().filter(|e| e.who == engine);
+    let last = breaker.rfind(|e| e.kind.label().starts_with("breaker_"));
+    let last = last.map(|e| e.kind.label());
     assert_eq!(
-        primary_breaker.opens() + stack.breaker(1).expect("fallback tier").opens(),
-        count("breaker_open")
+        last,
+        Some("breaker_open"),
+        "the primary's breaker must stay open"
     );
-    assert!(count("breaker_open") >= 1);
 }
 
 /// Notes when each call to the engine behind it starts.
@@ -282,7 +277,7 @@ fn dispatch_chaos_budgets_stop_at_the_deadline() {
         starts: Mutex::new(Vec::new()),
     });
     let stack = FailoverBootstrapper::builder()
-        .tier("engine", Arc::clone(&stamped))
+        .tier("engine", Arc::clone(&stamped), BreakerConfig::default())
         .build()
         .expect("one tier");
     let config = ServingConfig::builder()

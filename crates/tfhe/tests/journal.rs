@@ -2,24 +2,39 @@
 //! service flooding it, and several components built at different times
 //! writing one timeline.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use morphling_tfhe::journal::JOURNAL_CAPACITY;
 use morphling_tfhe::{
-    BatchRequest, Bootstrapper, CircuitBreaker, ClientKey, DispatcherBuilder, Event, EventKind,
+    BatchRequest, Bootstrapper, BreakerConfig, ClientKey, Dispatcher, Event, EventKind,
     FailoverBootstrapper, Journal, KeyStore, KeyStoreBootstrapper, Lut, LweCiphertext,
     MemoryBackend, ParamSet, RetryConfig, ServerKey, ServingConfig, TenantId, TfheError, Who,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Returns each input once per output it owes.
-struct Echo;
+/// Returns each input once per output it owes — until it is made sick,
+/// and then fails every call retryably.
+#[derive(Default)]
+struct Echo {
+    sick: AtomicBool,
+}
+
+impl Echo {
+    fn sick() -> Self {
+        Self {
+            sick: AtomicBool::new(true),
+        }
+    }
+}
 
 impl Bootstrapper for Echo {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
+        if self.sick.load(Ordering::SeqCst) {
+            return Err(TfheError::WorkerPanicked { worker: 0 });
+        }
         let mut out = Vec::with_capacity(req.output_len());
         for (i, ct) in req.ciphertexts().iter().enumerate() {
             out.extend(std::iter::repeat_with(|| ct.clone()).take(req.output_count(i)));
@@ -32,18 +47,15 @@ fn dummy_ct(tag: u32) -> LweCiphertext {
     LweCiphertext::trivial(morphling_math::Torus32::from_raw(tag), 4)
 }
 
-/// A breaker journaling into `journal` that its first recorded failure
-/// opens, whatever came before, and that nothing closes again within the
-/// test.
-fn brittle_breaker(name: &str, journal: &Arc<Journal>) -> Arc<CircuitBreaker> {
-    let breaker = CircuitBreaker::builder()
-        .name(name)
-        .min_samples(1)
-        .failure_threshold(0.0)
-        .cooldown(Duration::from_secs(3600))
-        .journal(Arc::clone(journal));
-    Arc::new(breaker.build())
-}
+/// A breaker that its first failure opens, whatever came before, and
+/// that nothing closes again within the test.
+const BRITTLE: BreakerConfig = BreakerConfig {
+    window: 1,
+    failure_threshold: 1.0,
+    min_samples: 1,
+    cooldown: Duration::from_secs(3600),
+    probes_to_close: 1,
+};
 
 /// `journal` holds at most its capacity, its newest events are the flood,
 /// and `dropped` accounts exactly for the rest of `recorded`.
@@ -58,14 +70,13 @@ const FLOOD: u64 = 100_000;
 
 #[test]
 fn a_flood_of_refusals_is_bounded_and_evicts_no_request_span() {
-    let journal = Arc::new(Journal::new());
-    let breaker = brittle_breaker("front-door", &journal);
-    let config = ServingConfig::builder().max_batch_size(4).build().unwrap();
-    let dispatcher = DispatcherBuilder::from_config(&config)
-        .unwrap()
-        .circuit_breaker(Arc::clone(&breaker))
-        .resilience_journal(Arc::clone(&journal))
-        .build(Echo);
+    let config = ServingConfig::builder()
+        .max_batch_size(4)
+        .breaker(BRITTLE)
+        .build()
+        .unwrap();
+    let backend = Arc::new(Echo::default());
+    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&backend)).unwrap();
     let lut = Arc::new(Lut::identity(256, 4));
     let served: Vec<_> = (0..8)
         .map(|i| dispatcher.submit(dummy_ct(i), Arc::clone(&lut), None))
@@ -76,27 +87,29 @@ fn a_flood_of_refusals_is_bounded_and_evicts_no_request_span() {
     let spans = dispatcher.spans();
     assert_eq!(spans.len(), 8);
 
-    breaker.record(false);
+    // The backend falls sick: the next request fails and opens the
+    // breaker.
+    backend.sick.store(true, Ordering::SeqCst);
+    let failed = dispatcher.submit(dummy_ct(8), Arc::clone(&lut), None);
+    let failed = failed.unwrap().wait();
+    assert_eq!(failed, Err(TfheError::WorkerPanicked { worker: 0 }));
+    let journal = dispatcher.resilience_journal();
     for i in 0..FLOOD {
         let refused = dispatcher.try_submit(dummy_ct(i as u32), Arc::clone(&lut), None);
         assert!(matches!(refused, Err(TfheError::Overloaded { .. })));
     }
     assert_eq!(dispatcher.stats().shed, FLOOD);
     // One `breaker_open`, then the sheds.
-    assert_bounded(&journal, 1 + FLOOD, "shed");
+    assert_bounded(journal, 1 + FLOOD, "shed");
     assert_eq!(dispatcher.spans(), spans, "request spans survive the flood");
     assert_eq!(dispatcher.request_journal().dropped(), 0);
 }
 
 #[test]
 fn serving_from_the_second_tier_is_bounded() {
-    let journal = Arc::new(Journal::new());
-    let primary = brittle_breaker("primary", &journal);
-    primary.record(false);
     let stack = FailoverBootstrapper::builder()
-        .tier_with_breaker("primary", Echo, primary)
-        .tier("fallback", Echo)
-        .journal(Arc::clone(&journal))
+        .tier("primary", Echo::sick(), BRITTLE)
+        .tier("fallback", Echo::default(), BreakerConfig::default())
         .build()
         .unwrap();
     let req = BatchRequest::shared(vec![dummy_ct(7)], Lut::identity(256, 4));
@@ -104,8 +117,9 @@ fn serving_from_the_second_tier_is_bounded() {
         assert_eq!(stack.try_bootstrap_batch(&req).unwrap().len(), 1);
     }
     assert_eq!(stack.served()[1], ("fallback".to_string(), FLOOD));
-    // One `breaker_open`, then a `tier_skipped` per served request.
-    assert_bounded(&journal, 1 + FLOOD, "tier_skipped");
+    // The first request's `breaker_open` and `failover`, then a
+    // `tier_skipped` per further request.
+    assert_bounded(stack.journal(), 1 + FLOOD, "tier_skipped");
 }
 
 /// Fails its first call with a retryable fault, then serves through the
@@ -133,25 +147,19 @@ fn components_built_apart_write_one_timeline() {
     let backend = Arc::new(MemoryBackend::new());
     backend.insert_server_key(tenant, &ServerKey::new(&ck, &mut rng));
 
-    // The shared journal is 50 ms older than the dispatcher and the key
-    // store, and they are 50 ms older than the request.
-    let gap = Duration::from_millis(50);
-    let journal = Arc::new(Journal::new());
-    std::thread::sleep(gap);
+    // The dispatcher and the key store are 50 ms older than the request.
     let config = ServingConfig::builder()
         .max_batch_size(1)
         .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
         .build()
         .unwrap();
     let store = Arc::new(KeyStore::new(backend, u64::MAX));
-    let dispatcher = DispatcherBuilder::from_config(&config)
-        .unwrap()
-        .resilience_journal(Arc::clone(&journal))
-        .build(FailsOnce {
-            inner: KeyStoreBootstrapper::new(Arc::clone(&store)),
-            calls: AtomicU64::new(0),
-        });
-    std::thread::sleep(gap);
+    let backend = FailsOnce {
+        inner: KeyStoreBootstrapper::new(Arc::clone(&store)),
+        calls: AtomicU64::new(0),
+    };
+    let dispatcher = Dispatcher::from_config(&config, backend).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
 
     // One request: enqueued, the backend failed its first batch, the
     // dispatcher put it back in the queue, the batch that served it
@@ -164,7 +172,7 @@ fn components_built_apart_write_one_timeline() {
         .unwrap();
     assert_eq!(ck.decrypt(&ticket.wait().unwrap()), 3);
 
-    let mut timeline: Vec<Event> = journal.events();
+    let mut timeline: Vec<Event> = dispatcher.resilience_journal().events();
     timeline.extend(dispatcher.request_journal().events());
     timeline.extend(store.journal().events());
     let at = |label: &str| {

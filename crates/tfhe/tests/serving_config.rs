@@ -30,19 +30,18 @@ fn breaker_strategy() -> impl Strategy<Value = BreakerConfig> {
         1usize..512,
         // The validator requires a threshold in (0, 1].
         0.001f64..1.0,
-        1usize..128,
+        // ...and `min_samples` in 1..=window.
+        0usize..128,
         0u64..60_000_000,
         1u32..8,
     )
         .prop_map(
-            |(window, failure_threshold, min_samples, cooldown_us, probes_to_close)| {
-                BreakerConfig {
-                    window,
-                    failure_threshold,
-                    min_samples,
-                    cooldown: Duration::from_micros(cooldown_us),
-                    probes_to_close,
-                }
+            |(window, failure_threshold, samples, cooldown_us, probes_to_close)| BreakerConfig {
+                window,
+                failure_threshold,
+                min_samples: 1 + samples % window,
+                cooldown: Duration::from_micros(cooldown_us),
+                probes_to_close,
             },
         )
 }
@@ -190,6 +189,32 @@ fn unknown_fields_and_wrong_versions_are_rejected() {
         ServingConfig::from_json(&wrong_version),
         Err(TfheError::ConfigCorrupted { .. })
     ));
+}
+
+/// The window keeps at most `window` outcomes and the breaker trusts the
+/// rate only from `min_samples` on, so `min_samples > window` could never
+/// open: a config that says so is refused, not served.
+#[test]
+fn a_breaker_that_could_never_open_is_rejected() {
+    let never_opens = ServingConfig {
+        breaker: Some(BreakerConfig {
+            window: 4,
+            min_samples: 8,
+            ..BreakerConfig::default()
+        }),
+        ..ServingConfig::default()
+    };
+    match ServingConfig::from_json(&never_opens.to_json()) {
+        Err(TfheError::InvalidServingConfig { field, .. }) => {
+            assert_eq!(field, "breaker.min_samples")
+        }
+        other => panic!("expected InvalidServingConfig, got {other:?}"),
+    }
+    let mut at_the_limit = never_opens;
+    at_the_limit.breaker = at_the_limit
+        .breaker
+        .map(|b| BreakerConfig { window: 8, ..b });
+    assert!(ServingConfig::from_json(&at_the_limit.to_json()).is_ok());
 }
 
 #[test]

@@ -49,7 +49,7 @@ pub use morphling_transform as transform;
 /// [`Dispatcher`] — plus the multi-value
 /// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`],
 /// [`MultiTicket`]), the service-resilience layer ([`RetryConfig`],
-/// [`CircuitBreaker`], the degraded-mode [`FailoverBootstrapper`]), the
+/// [`BreakerConfig`], the degraded-mode [`FailoverBootstrapper`]), the
 /// one event [`Journal`] they all record into, the multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
 /// [`TenantId`] and the in-memory/directory backends), the unified
 /// serving surface ([`ServingConfig`] with [`Dispatcher::from_config`],
@@ -63,11 +63,11 @@ pub mod prelude {
     pub use morphling_core::{sim::Simulator, ArchConfig, ReuseMode};
     pub use morphling_tfhe::{
         AutotuneReport, AutotuneRequest, BatchRequest, BootstrapEngine, BootstrapEngineBuilder,
-        BootstrapOptions, BootstrapWorkspace, Bootstrapper, BreakerConfig, BreakerState,
-        CircuitBreaker, ClientKey, DirBackend, Dispatcher, DispatcherStats, EngineHealth,
-        EngineHealthHandle, EngineStats, FailoverBootstrapper, FaultPlan, Journal, KeyBackend,
-        KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut, LweCiphertext, MemoryBackend,
-        MulBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig, ServerKey, ServerKeyBuilder,
-        ServiceModel, ServingConfig, SloTarget, TenantId, TfheError, TfheParams, Ticket,
+        BootstrapOptions, BootstrapWorkspace, Bootstrapper, BreakerConfig, ClientKey, DirBackend,
+        Dispatcher, DispatcherStats, EngineHealth, EngineStats, FailoverBootstrapper, FaultPlan,
+        Journal, KeyBackend, KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut,
+        LweCiphertext, MemoryBackend, MulBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig,
+        ServerKey, ServerKeyBuilder, ServiceModel, ServingConfig, SloTarget, TenantId, TfheError,
+        TfheParams, Ticket,
     };
 }
