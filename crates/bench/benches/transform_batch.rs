@@ -11,10 +11,8 @@
 //!   vectorized along the coefficient axis, two to six stages per pass,
 //!   fold and rounding folded into the first and last pass.
 //!
-//! Measured for one polynomial (forward and inverse) and for one CMUX's
-//! digit set — six digit polynomials, the `(k+1)·l_b` of Set III — as
-//! three merge-split pairs (the paper's MS-FFT, §V-A.3). Outputs are
-//! asserted equal before timing.
+//! Measured for one polynomial, forward and inverse. Outputs are asserted
+//! equal before timing.
 //!
 //! Then one whole CMUX step `ACC ← ACC + G ⊡ (X^ã·ACC − ACC)` at the Set
 //! III shape (k = 1, l_b = 3, β = 2^8), two ways that must agree bit for
@@ -43,9 +41,6 @@ use morphling_math::{Complex64, DecompParams, Polynomial, SignedDecomposer, Toru
 use morphling_transform::{FftPlan, NegacyclicFft, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// `(k+1)·l_b` at Set III (k = 1, l_b = 3).
-const DIGIT_SET: usize = 6;
 
 /// The scalar schedule, with its own staging buffer.
 struct Reference {
@@ -315,22 +310,19 @@ fn bench(c: &mut Criterion) {
         let fft = NegacyclicFft::new(n);
         let mut reference = Reference::new(n);
         // Set III digit range (β = 2^7) against a uniform torus polynomial.
-        let digits: Vec<Polynomial<i64>> = (0..DIGIT_SET)
-            .map(|_| Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64)))
-            .collect();
+        let digits = Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64));
         let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
-        let mut spectra = vec![Spectrum::zero(n); DIGIT_SET];
+        let mut spectrum = Spectrum::zero(n);
         let mut scratch = Vec::new();
         let mut product = Spectrum::zero(n);
-        product.mul_acc(&fft.forward_int(&digits[0]), &fft.forward_torus(&t));
+        product.mul_acc(&fft.forward_int(&digits), &fft.forward_torus(&t));
         let (mut out, mut out_ref) = (Polynomial::zero(n), Polynomial::zero(n));
 
         // Same bits both ways, or the comparison means nothing.
-        fft.forward_int_into(&digits[0], &mut spectra[0]);
-        let want = reference.forward(&digits[0]);
+        fft.forward_int_into(&digits, &mut spectrum);
+        let want = reference.forward(&digits);
         assert!(
-            (0..n / 2)
-                .all(|i| (spectra[0].re()[i], spectra[0].im()[i]) == (want[i].re, want[i].im)),
+            (0..n / 2).all(|i| (spectrum.re()[i], spectrum.im()[i]) == (want[i].re, want[i].im)),
             "n={n}: forward kernel must equal the reference"
         );
         fft.inverse_torus_into(&product, &mut out, &mut scratch);
@@ -340,33 +332,26 @@ fn bench(c: &mut Criterion) {
             "n={n}: inverse kernel must equal the reference"
         );
 
-        let kernel_digit_set = |spectra: &mut [Spectrum], scratch: &mut Vec<f64>| {
-            for (pair, out) in digits.chunks_exact(2).zip(spectra.chunks_exact_mut(2)) {
-                let (s0, s1) = out.split_at_mut(1);
-                fft.forward_pair_int_into(&pair[0], &pair[1], &mut s0[0], &mut s1[0], scratch);
-            }
-        };
-
         g.bench_with_input(BenchmarkId::new("reference_forward", n), &n, |b, _| {
             b.iter(|| {
-                std::hint::black_box(reference.forward(std::hint::black_box(&digits[0])));
+                std::hint::black_box(reference.forward(std::hint::black_box(&digits)));
             })
         });
         g.bench_with_input(BenchmarkId::new("kernel_forward", n), &n, |b, _| {
-            b.iter(|| fft.forward_int_into(std::hint::black_box(&digits[0]), &mut spectra[0]))
+            b.iter(|| fft.forward_int_into(std::hint::black_box(&digits), &mut spectrum))
         });
 
         // Direct measurement for the JSON artifact.
         let (runs, rounds) = (200u32, 9usize);
         let ref_fwd = time_ns(
             || {
-                std::hint::black_box(reference.forward(std::hint::black_box(&digits[0])));
+                std::hint::black_box(reference.forward(std::hint::black_box(&digits)));
             },
             runs,
             rounds,
         );
         let ker_fwd = time_ns(
-            || fft.forward_int_into(std::hint::black_box(&digits[0]), &mut spectra[0]),
+            || fft.forward_int_into(std::hint::black_box(&digits), &mut spectrum),
             runs,
             rounds,
         );
@@ -380,26 +365,11 @@ fn bench(c: &mut Criterion) {
             runs,
             rounds,
         );
-        let ref_set = time_ns(
-            || {
-                for d in &digits {
-                    std::hint::black_box(reference.forward(std::hint::black_box(d)));
-                }
-            },
-            runs,
-            rounds,
-        );
-        let ker_set = time_ns(
-            || kernel_digit_set(std::hint::black_box(&mut spectra), &mut scratch),
-            runs,
-            rounds,
-        );
-        let (s_fwd, s_inv, s_set) = (ref_fwd / ker_fwd, ref_inv / ker_inv, ref_set / ker_set);
+        let (s_fwd, s_inv) = (ref_fwd / ker_fwd, ref_inv / ker_inv);
         min_speedup = min_speedup.min(s_fwd).min(s_inv);
         println!(
             "transform_kernel/n{n}: forward {ref_fwd:.0} → {ker_fwd:.0} ns ({s_fwd:.2}x), \
-             inverse {ref_inv:.0} → {ker_inv:.0} ns ({s_inv:.2}x), \
-             digit set of {DIGIT_SET} {ref_set:.0} → {ker_set:.0} ns ({s_set:.2}x)"
+             inverse {ref_inv:.0} → {ker_inv:.0} ns ({s_inv:.2}x)"
         );
         let cmux = time_cmux(n, &mut rng);
         let stage_sum: f64 = cmux.stages.iter().map(|(_, ns)| ns).sum();
@@ -432,9 +402,6 @@ fn bench(c: &mut Criterion) {
              \"speedup_forward\": {s_fwd:.3}, \
              \"reference_inverse_ns\": {ref_inv:.1}, \"kernel_inverse_ns\": {ker_inv:.1}, \
              \"speedup_inverse\": {s_inv:.3}, \
-             \"digit_set\": {DIGIT_SET}, \
-             \"reference_digit_set_ns\": {ref_set:.1}, \"kernel_digit_set_ns\": {ker_set:.1}, \
-             \"speedup_digit_set\": {s_set:.3}, \
              \"transform_share_of_staged_cmux\": {transform_share:.3}, \
              \"cmux_stage_sum_ns\": {stage_sum:.1}, \
              \"staged_cmux_ns\": {:.1}, \"fused_cmux_ns\": {:.1}, \"speedup_cmux\": {s_cmux:.3}, \

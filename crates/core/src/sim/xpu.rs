@@ -180,6 +180,20 @@ mod tests {
     }
 
     #[test]
+    fn a_partial_merge_split_pass_occupies_a_whole_one() {
+        // One row at Set III: 6 forward polys over 2 merge-split units is
+        // 1.5 passes of N/2/lanes = 128 cycles, so 2; 3 without merge-split.
+        let cfg = ArchConfig {
+            vpe_rows: 1,
+            ..ArchConfig::morphling_default()
+        };
+        let params = ParamSet::III.params();
+        assert_eq!(IterProfile::compute(&cfg, &params).fft, 2 * 128);
+        let without = IterProfile::compute(&cfg.with_merge_split(false), &params);
+        assert_eq!(without.fft, 3 * 128);
+    }
+
+    #[test]
     fn vpe_occupancy_counts_all_products() {
         // Set C: 4 rows × 48 products = 192 over 16 VPEs = 12 passes × 32.
         let p = profile(ParamSet::C);

@@ -1,11 +1,12 @@
-//! The naive O(n²) reference transform, the oracle of the tests.
+//! The naive O(n²) reference transform, the oracle of the tests (built
+//! only for them).
 
 use morphling_math::Complex64;
 
 /// Naive evaluation of a real polynomial at the odd 2N-th roots of unity
 /// `e^(-iπ(4m+1)/N)` for `m = 0..N/2` — the exact point set of the
 /// negacyclic transform ([`crate::NegacyclicFft`]). O(n²) oracle.
-pub fn naive_negacyclic_eval(coeffs: &[f64]) -> Vec<Complex64> {
+pub(crate) fn naive_negacyclic_eval(coeffs: &[f64]) -> Vec<Complex64> {
     let n = coeffs.len();
     let half = n / 2;
     (0..half)
@@ -20,7 +21,6 @@ pub fn naive_negacyclic_eval(coeffs: &[f64]) -> Vec<Complex64> {
         .collect()
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

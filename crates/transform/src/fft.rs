@@ -1,9 +1,9 @@
 //! The transform kernel: one planar polynomial, vectorized along its
 //! coefficient axis, plus the scalar AoS reference it is tested against.
 //!
-//! A plan takes `n` complex points between the ring `C[Y]/(Y^n − ρ)` —
-//! `ρ = −i` for the folded negacyclic transform, `−1` for the merge-split
-//! pair — and the values at its `n` roots, and it **never reorders**:
+//! A plan takes `n` complex points between the ring `C[Y]/(Y^n + i)` —
+//! the residue of the folded negacyclic transform — and the values at its
+//! `n` roots, and it **never reorders**:
 //!
 //! - the **forward** is the merged Cooley–Tukey network: `Y^2h − ω²`
 //!   splits into `Y^h − ω` and `Y^h + ω`, so a stage is one butterfly
@@ -37,7 +37,7 @@ use crate::simd::{cmul_add, Aligned, Isa, Simd, C};
 
 /// The points of a tile. Shorter transforms are the scalar reference
 /// itself, on one lane, and store plain bit-reversed order.
-pub(crate) const TILE: usize = 64;
+const TILE: usize = 64;
 
 /// A reusable plan for one transform size.
 ///
@@ -103,7 +103,7 @@ fn bit_reverse(i: usize, bits: u32) -> usize {
 /// a point at and the slot that stores it, either way: the same below a
 /// tile; from there on its two lowest octal digits swapped, which is where
 /// an element of a run of 64 is once the run's 8×8 matrix is transposed.
-pub(crate) fn tiled(points: usize, index: usize) -> usize {
+fn tiled(points: usize, index: usize) -> usize {
     if points < TILE {
         index
     } else {
@@ -132,28 +132,22 @@ impl FftPlan {
     ///
     /// Panics if `n` is not a power of two or is zero.
     pub fn new(n: usize) -> Self {
-        Self::with_roots(n, 4)
-    }
-
-    /// A plan whose point `m` is the value at `θ^(1 + spacing·m)`,
-    /// `θ = e^(-2πi/(spacing·n))`: the roots of `Y^n = −i` for `spacing`
-    /// 4, of `Y^n = −1` for 2.
-    pub(crate) fn with_roots(n: usize, spacing: usize) -> Self {
         assert!(
             n.is_power_of_two() && n > 0,
             "FFT size must be a positive power of two, got {n}"
         );
-        // Exponents stay below spacing·n/2, angles within half a turn.
+        // Point m is the value at θ^(1 + 4m), θ = e^(-2πi/4n): the roots of
+        // Y^n = −i. Exponents stay below 2n, angles within half a turn.
         let theta = |e: usize| {
-            Complex64::from_polar_unit(-std::f64::consts::TAU * e as f64 / (spacing * n) as f64)
+            Complex64::from_polar_unit(-std::f64::consts::TAU * e as f64 / (4 * n) as f64)
         };
         // Block q of the stage with half-block h holds the residue modulo
-        // Y^2h − θ^(2h·(1 + spacing·bitrev(q))): its twiddle is the root.
+        // Y^2h − θ^(2h·(1 + 4·bitrev(q))): its twiddle is the root.
         let mut fw = vec![Complex64::ZERO; n];
         for s in 0..n.trailing_zeros() {
             let (blocks, half) = (1usize << s, n >> (s + 1));
             for q in 0..blocks {
-                fw[blocks + q] = theta(half * (1 + spacing * bit_reverse(q, s)));
+                fw[blocks + q] = theta(half * (1 + 4 * bit_reverse(q, s)));
             }
         }
         let mut tile = Vec::new();
@@ -795,15 +789,15 @@ mod tests {
             .collect()
     }
 
-    /// `Σ_j x_j θ^(j(1 + spacing·m))`, `θ = e^(-2πi/(spacing·n))`, for
-    /// every `m`, in natural order: the O(n²) oracle of both plans.
-    fn naive_values(input: &[Complex64], spacing: usize) -> Vec<Complex64> {
+    /// `Σ_j x_j θ^(j(1 + 4m))`, `θ = e^(-2πi/4n)`, for every `m`, in
+    /// natural order: the O(n²) oracle of the plan.
+    fn naive_values(input: &[Complex64]) -> Vec<Complex64> {
         let n = input.len();
         (0..n)
             .map(|m| {
                 let mut acc = Complex64::ZERO;
                 for (j, &x) in input.iter().enumerate() {
-                    let turns = (j * (1 + spacing * m)) as f64 / (spacing * n) as f64;
+                    let turns = (j * (1 + 4 * m)) as f64 / (4 * n) as f64;
                     acc += x * Complex64::from_polar_unit(-std::f64::consts::TAU * turns);
                 }
                 acc
@@ -814,13 +808,11 @@ mod tests {
     #[test]
     fn forward_matches_naive_evaluation_through_the_slot_map() {
         for n in [1usize, 2, 4, 8, 16, 64, 128, 256] {
-            for spacing in [4, 2] {
-                let input = ramp(n);
-                let mut out = input.clone();
-                FftPlan::with_roots(n, spacing).forward(&mut out);
-                let natural: Vec<Complex64> = (0..n).map(|m| out[slot(n, m)]).collect();
-                assert_close(&natural, &naive_values(&input, spacing), 1e-7 * n as f64);
-            }
+            let input = ramp(n);
+            let mut out = input.clone();
+            FftPlan::new(n).forward(&mut out);
+            let natural: Vec<Complex64> = (0..n).map(|m| out[slot(n, m)]).collect();
+            assert_close(&natural, &naive_values(&input), 1e-7 * n as f64);
         }
     }
 
@@ -846,14 +838,12 @@ mod tests {
     #[test]
     fn forward_inverse_roundtrip() {
         for n in [2usize, 8, 128, 1024] {
-            for spacing in [4, 2] {
-                let input = ramp(n);
-                let mut data = input.clone();
-                let plan = FftPlan::with_roots(n, spacing);
-                plan.forward(&mut data);
-                plan.inverse(&mut data);
-                assert_close(&data, &input, 1e-8 * n as f64);
-            }
+            let input = ramp(n);
+            let mut data = input.clone();
+            let plan = FftPlan::new(n);
+            plan.forward(&mut data);
+            plan.inverse(&mut data);
+            assert_close(&data, &input, 1e-8 * n as f64);
         }
     }
 
@@ -1017,30 +1007,28 @@ mod tests {
     fn kernel_is_bit_identical_to_the_reference_on_every_isa() {
         for log_n in 1..=12 {
             let n = 1usize << log_n;
-            for spacing in [4, 2] {
-                let plan = &FftPlan::with_roots(n, spacing);
-                let ran_on: Vec<&str> = plan.every_simd().iter().map(|(name, _)| *name).collect();
-                // Every ISA of the CPU from a tile up; one lane below.
-                assert_eq!(n < TILE, ran_on == ["one-lane"], "n={n}: {ran_on:?}");
-                for seed in 0..4 {
-                    let input = &awkward_points(n, seed + 100 * log_n);
-                    let mut forward = input.clone();
-                    plan.forward(&mut forward);
-                    let mut inverse = input.clone();
-                    plan.inverse(&mut inverse);
-                    for (name, simd) in plan.every_simd() {
-                        // The ends of the two-point transform see its points.
-                        let got = match n {
-                            2 => simd.run(Plain::<false, 2> { plan, input }),
-                            _ => simd.run(Plain::<false, 4> { plan, input }),
-                        };
-                        assert_eq!(bits(&got), bits(&forward), "forward n={n} {name}");
-                        let got = match n {
-                            2 => simd.run(Plain::<true, 2> { plan, input }),
-                            _ => simd.run(Plain::<true, 4> { plan, input }),
-                        };
-                        assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
-                    }
+            let plan = &FftPlan::new(n);
+            let ran_on: Vec<&str> = plan.every_simd().iter().map(|(name, _)| *name).collect();
+            // Every ISA of the CPU from a tile up; one lane below.
+            assert_eq!(n < TILE, ran_on == ["one-lane"], "n={n}: {ran_on:?}");
+            for seed in 0..4 {
+                let input = &awkward_points(n, seed + 100 * log_n);
+                let mut forward = input.clone();
+                plan.forward(&mut forward);
+                let mut inverse = input.clone();
+                plan.inverse(&mut inverse);
+                for (name, simd) in plan.every_simd() {
+                    // The ends of the two-point transform see its points.
+                    let got = match n {
+                        2 => simd.run(Plain::<false, 2> { plan, input }),
+                        _ => simd.run(Plain::<false, 4> { plan, input }),
+                    };
+                    assert_eq!(bits(&got), bits(&forward), "forward n={n} {name}");
+                    let got = match n {
+                        2 => simd.run(Plain::<true, 2> { plan, input }),
+                        _ => simd.run(Plain::<true, 4> { plan, input }),
+                    };
+                    assert_eq!(bits(&got), bits(&inverse), "inverse n={n} {name}");
                 }
             }
         }
@@ -1125,7 +1113,8 @@ mod tests {
     #[test]
     fn every_table_starts_on_a_cache_line() {
         for n in [2usize, 16, 64, 1024] {
-            let (plan, copy) = (FftPlan::new(n), FftPlan::with_roots(n, 2).clone());
+            let plan = FftPlan::new(n);
+            let copy = plan.clone();
             for plan in [&plan, &copy] {
                 let tile = if n < TILE { 0 } else { 7 * n / 8 };
                 let tables = [

@@ -6,13 +6,8 @@
 //!
 //! - [`NegacyclicFft`]: the negacyclic ("twisted") transform of Klemsa
 //!   that evaluates a real polynomial of size `N` at the odd `2N`-th roots
-//!   of unity using a single `N/2`-point complex FFT, and the
-//!   **merge-split FFT**
-//!   ([`forward_pair_int_into`](NegacyclicFft::forward_pair_int_into),
-//!   [`inverse_pair_torus_into`](NegacyclicFft::inverse_pair_torus_into)):
-//!   *two* real polynomials through one `N`-point FFT, packed as real and
-//!   imaginary components and split via conjugate symmetry — the paper's
-//!   MS-FFT (§V-A.3). And the two fused passes the external product
+//!   of unity using a single `N/2`-point complex FFT, and the two fused
+//!   passes the external product
 //!   runs, [`forward_digit_into`](NegacyclicFft::forward_digit_into)
 //!   (decompose → transform) and
 //!   [`inverse_mac_add_into`](NegacyclicFft::inverse_mac_add_into)
@@ -29,8 +24,10 @@
 //!   floating point — behind `morphling-tfhe`'s exact backend, the oracle
 //!   the FFT is held to through whole bootstraps; itself held to the
 //!   schoolbook product per multiplication.
-//! - [`pipeline::PipelinedFftModel`]: the cycle/occupancy model of the
-//!   hardware FFT unit used by the simulator.
+//!
+//! The paper's merge-split FFT (two real polynomials per `N`-point pass,
+//! §V-A.3) is a hardware trick and is modelled there, by `morphling-core`'s
+//! `ArchConfig::merge_split`; in software it lost to folding.
 //!
 //! # One kernel
 //!
@@ -71,20 +68,6 @@
 //! `simd::avx2` and `simd::avx512`, whose intrinsics are reachable only
 //! through a token that CPU detection hands out.
 //!
-//! # Example: negacyclic product via the transform domain
-//!
-//! ```
-//! use morphling_math::{Polynomial, Torus32};
-//! use morphling_transform::NegacyclicFft;
-//!
-//! let fft = NegacyclicFft::new(64);
-//! let digits = Polynomial::from_fn(64, |j| (j as i64 % 7) - 3);
-//! let t = Polynomial::from_fn(64, |j| Torus32::from_raw((j as u32) << 20));
-//! let product = fft.mul_int_torus(&digits, &t);
-//! let exact = morphling_math::negacyclic::mul_int_torus32(&digits, &t);
-//! assert_eq!(product, exact);
-//! ```
-//!
 //! # Example: accumulate in the transform domain, invert once
 //!
 //! ```
@@ -108,11 +91,9 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod batch;
-pub mod dft;
 mod fft;
 mod negacyclic;
 pub mod ntt;
-pub mod pipeline;
 mod simd;
 mod spectrum;
 
@@ -137,3 +118,8 @@ const _: () = {
     assert_send_sync::<SpectrumBatch>();
     assert_send_sync::<BatchScratch>();
 };
+
+// The naive-DFT oracle of the tests, last: CI counts a file up to its
+// first `#[cfg(test)]`.
+#[cfg(test)]
+mod dft;

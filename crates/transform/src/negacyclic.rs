@@ -1,24 +1,17 @@
-//! The negacyclic transform and the merge-split FFT (§V-A.3).
+//! The negacyclic transform, folded (Klemsa).
 //!
 //! A size-`N` real polynomial multiplied in `R[X]/(X^N + 1)` is diagonalized
-//! by evaluation at the odd `2N`-th roots of unity. Two classical tricks
-//! make this cheap, and Morphling uses both:
-//!
-//! 1. **Folding (Klemsa)**: for one real polynomial, conjugate symmetry
-//!    lets an `N/2`-point complex FFT produce the `N/2` independent
-//!    evaluation points — "the N-point FFT calculation using only one
-//!    N/2-point FFT unit".
-//! 2. **Merge-split**: *two* real polynomials are packed as the real and
-//!    imaginary halves of one complex sequence; a single FFT transforms
-//!    both, and an O(N) split using conjugate symmetry separates the
-//!    spectra. This doubles the throughput of an FFT unit at the cost of
-//!    the small Coef buffer + adder/shifter the paper describes.
-//!
-//! Both paths produce identical [`Spectrum`] values (asserted by tests), so
-//! the rest of the system is agnostic to which one produced the data.
+//! by evaluation at the odd `2N`-th roots of unity. For one real
+//! polynomial, conjugate symmetry lets an `N/2`-point complex FFT produce
+//! the `N/2` independent evaluation points — "the N-point FFT calculation
+//! using only one N/2-point FFT unit". The paper's other trick, the
+//! merge-split FFT (two real polynomials through one `N`-point FFT,
+//! §V-A.3), halves FFT-unit occupancy in hardware and is modelled there
+//! (`morphling-core`'s `ArchConfig::merge_split`); in software it lost to
+//! folding and was retired.
 //!
 //! Every entry point is the one kernel of [`crate::fft`] with a different
-//! first and last pass: the fold (or merge) rides on the pass that reads
+//! first and last pass: the fold rides on the pass that reads
 //! the coefficients — the twist is in the forward network's twiddles —
 //! and the untwist, `1/n` scaling and rounding on the pass that writes
 //! them. The external product goes one step further on each side
@@ -29,7 +22,7 @@
 use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::batch::{BatchScratch, PolyBatch, SpectrumBatch};
-use crate::fft::{parts, parts_mut, tiled, FftPlan, TILE};
+use crate::fft::{parts, parts_mut, FftPlan};
 use crate::simd::{cache_line_offset, cmul, cmul_add, DigitOf, Isa, Kernel, C, SPARE};
 use crate::spectrum::Spectrum;
 
@@ -37,29 +30,19 @@ use crate::spectrum::Spectrum;
 ///
 /// Evaluation at the odd `2N`-th roots of unity diagonalizes the product
 /// in `R[X]/(X^N + 1)`; one real polynomial takes an `N/2`-point complex
-/// FFT (folding), two take one `N`-point FFT (merge-split) — see the
-/// [crate documentation](crate). All methods are `&self` and allocation
-/// costs are limited to the output buffers, so one engine can be shared
-/// (it is `Send + Sync`).
+/// FFT (folding) — see the [crate documentation](crate). All methods are
+/// `&self` and allocation costs are limited to the output buffers, so one
+/// engine can be shared (it is `Send + Sync`).
 #[derive(Clone, Debug)]
 pub struct NegacyclicFft {
     n: usize,
-    /// `N/2` points over `Y^(N/2) = −i`: the folded path.
+    /// `N/2` points over `Y^(N/2) = −i`.
     half_plan: FftPlan,
-    /// `N` points over `Y^N = −1`: the merge-split path.
-    full_plan: FftPlan,
 }
 
 /// A coefficient the forward transform reads, as the `f64` it enters as.
 trait Widen: Copy + 'static {
     fn widen(self) -> f64;
-}
-
-impl Widen for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
 }
 
 impl Widen for i64 {
@@ -188,14 +171,6 @@ trait Output: Copy + 'static {
     fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<Self>, v: I::V);
 }
 
-impl Output for f64 {
-    #[inline(always)]
-    fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<f64>, v: I::V) {
-        const { assert!(!ADD, "unrounded coefficients are written, never added to") };
-        isa.store(dst, v);
-    }
-}
-
 /// Rounded to the nearest integer and wrapped into the 32-bit torus
 /// (where addition wraps too).
 impl Output for Torus32 {
@@ -230,8 +205,7 @@ impl NegacyclicFft {
         );
         Self {
             n,
-            half_plan: FftPlan::with_roots(n / 2, 4),
-            full_plan: FftPlan::with_roots(n, 2),
+            half_plan: FftPlan::new(n / 2),
         }
     }
 
@@ -246,29 +220,6 @@ impl NegacyclicFft {
     /// what it ran on. Results do not depend on it and nothing sets it.
     pub fn isa(&self) -> &'static str {
         self.half_plan.simd().name()
-    }
-
-    /// Forward transform of a real polynomial given as `f64` coefficients,
-    /// via the folded `N/2`-point FFT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != N`.
-    pub fn forward_real(&self, coeffs: &[f64]) -> Spectrum {
-        let mut out = Spectrum::zero(self.n);
-        self.forward_folded(coeffs, coeffs.len(), &mut out);
-        out
-    }
-
-    /// Inverse transform back to real coefficients (unrounded `f64`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spectrum size does not match the engine.
-    pub fn inverse_real(&self, spectrum: &Spectrum) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.n];
-        self.inverse_plain(spectrum, &mut out, &mut Vec::new());
-        out
     }
 
     /// Forward transform of an integer (digit) polynomial.
@@ -362,12 +313,8 @@ impl NegacyclicFft {
         out: &mut Polynomial<Torus32>,
         scratch: &mut Vec<f64>,
     ) {
-        self.inverse_plain(spectrum, out.coeffs_mut(), scratch);
-    }
-
-    fn inverse_plain<T: Output>(&self, spectrum: &Spectrum, out: &mut [T], scratch: &mut Vec<f64>) {
         assert_eq!(spectrum.poly_len(), self.n, "spectrum size mismatch");
-        self.inverse_folded::<_, false>(spectrum, out, scratch);
+        self.inverse_folded::<false>(spectrum, out, scratch);
     }
 
     /// `acc += round(IFFT(Σ_r digits[r] · rows[r][column]))`, one output
@@ -401,17 +348,18 @@ impl NegacyclicFft {
             rows,
             column,
         };
-        self.inverse_folded::<_, true>(mac, acc.coeffs_mut(), scratch);
+        self.inverse_folded::<true>(mac, acc, scratch);
     }
 
     /// `ADD`: add into `out`.
-    fn inverse_folded<T: Output, const ADD: bool>(
+    fn inverse_folded<const ADD: bool>(
         &self,
         spectrum: impl Points,
-        out: &mut [T],
+        out: &mut Polynomial<Torus32>,
         scratch: &mut Vec<f64>,
     ) {
         assert_eq!(out.len(), self.n, "output polynomial size mismatch");
+        let out = out.coeffs_mut();
         let (simd, fft) = (self.half_plan.simd(), self);
         match self.n {
             4 => simd.run(InverseFolded::<_, _, ADD, 2> {
@@ -427,77 +375,6 @@ impl NegacyclicFft {
                 scratch,
             }),
         }
-    }
-
-    /// **Merge-split forward**: transform *two* integer polynomials with
-    /// one `N`-point FFT (the paper's MS-FFT) into caller-owned spectra,
-    /// equal (up to f64 round-off) to what two
-    /// [`forward_int_into`](Self::forward_int_into) calls produce.
-    /// `scratch` holds the merged `N`-point sequence and is reused across
-    /// calls — allocation-free once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input or output size differs from the engine size.
-    pub fn forward_pair_int_into(
-        &self,
-        p: &Polynomial<i64>,
-        q: &Polynomial<i64>,
-        out_p: &mut Spectrum,
-        out_q: &mut Spectrum,
-        scratch: &mut Vec<f64>,
-    ) {
-        let sizes = [p.len(), q.len(), out_p.poly_len(), out_q.poly_len()];
-        assert_eq!(sizes, [self.n; 4], "polynomial or spectrum size mismatch");
-        self.full_plan.simd().run(ForwardPair {
-            fft: self,
-            p: p.coeffs(),
-            q: q.coeffs(),
-            out_p,
-            out_q,
-            scratch,
-        });
-    }
-
-    /// **Merge-split inverse**: reconstruct two torus polynomials from
-    /// their spectra using one `N`-point inverse FFT, rounding as
-    /// [`inverse_torus_into`](Self::inverse_torus_into) does. `scratch` is
-    /// reused across calls — allocation-free once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any spectrum or output size differs from the engine size.
-    pub fn inverse_pair_torus_into(
-        &self,
-        ps: &Spectrum,
-        qs: &Spectrum,
-        out_p: &mut Polynomial<Torus32>,
-        out_q: &mut Polynomial<Torus32>,
-        scratch: &mut Vec<f64>,
-    ) {
-        let sizes = [ps.poly_len(), qs.poly_len(), out_p.len(), out_q.len()];
-        assert_eq!(sizes, [self.n; 4], "spectrum or polynomial size mismatch");
-        self.full_plan.simd().run(InversePair {
-            fft: self,
-            ps,
-            qs,
-            out_p: out_p.coeffs_mut(),
-            out_q: out_q.coeffs_mut(),
-            scratch,
-        });
-    }
-
-    /// Convenience: full negacyclic product `digits(X) · t(X)` through the
-    /// transform domain (forward ×2, pointwise, inverse) — the operation
-    /// one VPE performs per (digit, BSK) pair.
-    pub fn mul_int_torus(
-        &self,
-        digits: &Polynomial<i64>,
-        t: &Polynomial<Torus32>,
-    ) -> Polynomial<Torus32> {
-        let a = self.forward_int(digits);
-        let b = self.forward_torus(t);
-        self.inverse_torus(&a.pointwise_mul(&b))
     }
 
     /// [`forward_int_into`](Self::forward_int_into) for every polynomial
@@ -627,136 +504,6 @@ impl<S: Points, T: Output, const ADD: bool, const P: usize> Kernel
     }
 }
 
-/// Merge-split forward: point `j < N` enters as `p_j + i·q_j`; the
-/// `N`-point result `R_m = P(t_m) + i·Q(t_m)`, `t_m = ζ^(2m+1)`, is split
-/// with `P(t_(N−1−m)) = conj(P(t_m))` (`p`, `q` real), keeping the even
-/// `m` — exactly the `ζ^(4m'+1)` grid of the folded path.
-struct ForwardPair<'a> {
-    fft: &'a NegacyclicFft,
-    p: &'a [i64],
-    q: &'a [i64],
-    out_p: &'a mut Spectrum,
-    out_q: &'a mut Spectrum,
-    scratch: &'a mut Vec<f64>,
-}
-
-impl Kernel for ForwardPair<'_> {
-    type Out = ();
-
-    #[inline(always)]
-    fn run<I: Isa>(self, isa: I) {
-        let n = self.fft.n;
-        let (re, im) = work_planes(self.scratch, n);
-        let m = re.len() / 4 / I::LANES;
-        let p = parts::<_, 4>(isa.blocks(self.p), m);
-        let q = parts::<_, 4>(isa.blocks(self.q), m);
-        self.fft.full_plan.run_forward::<I, 4>(
-            isa,
-            re,
-            im,
-            #[inline(always)]
-            |k| {
-                let mut x = [(isa.splat(0.0), isa.splat(0.0)); 4];
-                for t in 0..4 {
-                    x[t] = (self.p.widen(isa, &p[t][k]), self.q.widen(isa, &q[t][k]));
-                }
-                x
-            },
-        );
-        // Output point m' pairs R at the even index 2m' with its mirror at
-        // N − 1 − 2m'. The butterflies leave R_2m' where those of the
-        // N/2-point transform leave point m' — one more bit to reverse, a
-        // zero, in front — and its mirror, every bit flipped, as far from
-        // the other end; and both orders store a point where it is left
-        // or both tile, save at N = 64, where the N-point one tiles alone.
-        let (p_re, p_im) = self.out_p.planes_mut();
-        let (q_re, q_im) = self.out_q.planes_mut();
-        for at in 0..n / 2 {
-            let r = if n == TILE { tiled(n, at) } else { at };
-            let mirror = n - 1 - r;
-            let (r_re, r_im) = (re[r], im[r]);
-            let (rc_re, rc_im) = (re[mirror], -im[mirror]);
-            p_re[at] = (r_re + rc_re) * 0.5;
-            p_im[at] = (r_im + rc_im) * 0.5;
-            // (r − rc) / 2i = −i·(r − rc) / 2.
-            let (d_re, d_im) = (r_re - rc_re, r_im - rc_im);
-            q_re[at] = (-d_im) * -0.5;
-            q_im[at] = d_re * -0.5;
-        }
-    }
-}
-
-/// Merge-split inverse: the two spectra are merged back into the
-/// `N`-point sequence `R_m` (conjugate symmetry supplies the odd `m`);
-/// output point `j`, scaled by `1/N` and untwisted, carries `p_j` in its
-/// real part and `q_j` in its imaginary part.
-struct InversePair<'a> {
-    fft: &'a NegacyclicFft,
-    ps: &'a Spectrum,
-    qs: &'a Spectrum,
-    out_p: &'a mut [Torus32],
-    out_q: &'a mut [Torus32],
-    scratch: &'a mut Vec<f64>,
-}
-
-impl Kernel for InversePair<'_> {
-    type Out = ();
-
-    #[inline(always)]
-    fn run<I: Isa>(self, isa: I) {
-        let fft = self.fft;
-        let n = fft.n;
-        let (p_re, p_im) = (self.ps.re(), self.ps.im());
-        let (q_re, q_im) = (self.qs.re(), self.qs.im());
-        // What the `N`-point order stores at `at`: R_m = P + i·Q at the
-        // even m — in the first half, where the `N/2`-point order stores
-        // point m/2 (see `ForwardPair`) — and conj(P) + i·conj(Q) mirrored
-        // at the odd ones.
-        let merged = |at: usize| {
-            let at = if n == TILE { tiled(n, at) } else { at };
-            if at < n / 2 {
-                (p_re[at] + -q_im[at], p_im[at] + q_re[at])
-            } else {
-                let k = n - 1 - at;
-                (p_re[k] + q_im[k], -p_im[k] + q_re[k])
-            }
-        };
-        let (re, im) = work_planes(self.scratch, n);
-        let m = re.len() / 4 / I::LANES;
-        let (untwist_re, untwist_im) = fft.full_plan.untwist_planes();
-        let untwist_re = parts::<_, 4>(isa.blocks(untwist_re), m);
-        let untwist_im = parts::<_, 4>(isa.blocks(untwist_im), m);
-        let mut out_p = parts_mut::<_, 4>(isa.blocks_mut(self.out_p), m);
-        let mut out_q = parts_mut::<_, 4>(isa.blocks_mut(self.out_q), m);
-        let scale = isa.splat(1.0 / n as f64);
-        fft.full_plan.run_inverse::<I, 4>(
-            isa,
-            re,
-            im,
-            #[inline(always)]
-            |at, stride, out| {
-                for (i, x) in out.iter_mut().enumerate() {
-                    let first = (at + i * stride) * I::LANES;
-                    let mut im = [0.0; 8];
-                    let re = isa.lanes(|lane| {
-                        let merged = merged(first + lane);
-                        im[lane] = merged.1;
-                        merged.0
-                    });
-                    *x = (re, isa.lanes(|lane| im[lane]));
-                }
-            },
-            #[inline(always)]
-            |_, _, t, k, vr, vi| {
-                let untwist = (isa.load(&untwist_re[t][k]), isa.load(&untwist_im[t][k]));
-                let u = cmul(isa, (isa.mul(vr, scale), isa.mul(vi, scale)), untwist);
-                isa.round_wrap_put::<false>(&mut out_p[t][k], u.0);
-                isa.round_wrap_put::<false>(&mut out_q[t][k], u.1);
-            },
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,24 +522,47 @@ mod tests {
         }
     }
 
-    fn forward_pair(
-        fft: &NegacyclicFft,
-        p: &Polynomial<i64>,
-        q: &Polynomial<i64>,
-    ) -> (Spectrum, Spectrum) {
-        let (mut sp, mut sq) = (Spectrum::zero(fft.n), Spectrum::zero(fft.n));
-        fft.forward_pair_int_into(p, q, &mut sp, &mut sq, &mut Vec::new());
-        (sp, sq)
+    /// Unrounded `f64` coefficients in and out: the kernel with nothing
+    /// folded into its ends, for the identity tests and the precision
+    /// probes.
+    impl Widen for f64 {
+        #[inline(always)]
+        fn widen(self) -> f64 {
+            self
+        }
     }
 
-    fn inverse_pair(
+    impl Output for f64 {
+        #[inline(always)]
+        fn put<I: Isa, const ADD: bool>(isa: I, dst: &mut I::Block<f64>, v: I::V) {
+            const { assert!(!ADD, "unrounded coefficients are written, never added to") };
+            isa.store(dst, v);
+        }
+    }
+
+    /// The folded forward of real coefficients on the detected ISA.
+    fn forward_real(fft: &NegacyclicFft, coeffs: &[f64]) -> Spectrum {
+        let mut out = Spectrum::zero(fft.n);
+        forward_on(fft.half_plan.simd(), fft, coeffs, &mut out);
+        out
+    }
+
+    /// The folded inverse, unrounded, on the detected ISA.
+    fn inverse_real(fft: &NegacyclicFft, spectrum: &Spectrum) -> Vec<f64> {
+        let mut out = vec![0.0; fft.n];
+        let simd = fft.half_plan.simd();
+        inverse_on::<_, _, false>(simd, fft, spectrum, &mut out[..], &mut Vec::new());
+        out
+    }
+
+    /// `digits · t` through the transform domain: forward both, multiply
+    /// pointwise, invert.
+    fn product(
         fft: &NegacyclicFft,
-        ps: &Spectrum,
-        qs: &Spectrum,
-    ) -> (Polynomial<Torus32>, Polynomial<Torus32>) {
-        let (mut p, mut q) = (Polynomial::zero(fft.n), Polynomial::zero(fft.n));
-        fft.inverse_pair_torus_into(ps, qs, &mut p, &mut q, &mut Vec::new());
-        (p, q)
+        digits: &Polynomial<i64>,
+        t: &Polynomial<Torus32>,
+    ) -> Polynomial<Torus32> {
+        fft.inverse_torus(&fft.forward_int(digits).pointwise_mul(&fft.forward_torus(t)))
     }
 
     #[test]
@@ -800,7 +570,7 @@ mod tests {
         let n = 32;
         let fft = NegacyclicFft::new(n);
         let coeffs: Vec<f64> = (0..n).map(|j| ((j * 7 + 3) % 23) as f64 - 11.0).collect();
-        let spec = fft.forward_real(&coeffs);
+        let spec = forward_real(&fft, &coeffs);
         let oracle = Spectrum::from_values(naive_negacyclic_eval(&coeffs));
         assert_spec_close(&spec, &oracle, 1e-8);
     }
@@ -810,33 +580,10 @@ mod tests {
         let n = 64;
         let fft = NegacyclicFft::new(n);
         let coeffs: Vec<f64> = (0..n).map(|j| (j as f64) * 3.5 - 100.0).collect();
-        let back = fft.inverse_real(&fft.forward_real(&coeffs));
+        let back = inverse_real(&fft, &forward_real(&fft, &coeffs));
         for (a, b) in coeffs.iter().zip(&back) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn merge_split_forward_matches_single() {
-        let n = 64;
-        let fft = NegacyclicFft::new(n);
-        let mut rng = StdRng::seed_from_u64(11);
-        let p = Polynomial::from_fn(n, |_| rng.gen_range(-1000i64..1000));
-        let q = Polynomial::from_fn(n, |_| rng.gen_range(-1000i64..1000));
-        let (ps, qs) = forward_pair(&fft, &p, &q);
-        assert_spec_close(&ps, &fft.forward_int(&p), 1e-7);
-        assert_spec_close(&qs, &fft.forward_int(&q), 1e-7);
-    }
-
-    #[test]
-    fn merge_split_inverse_matches_single() {
-        let n = 32;
-        let fft = NegacyclicFft::new(n);
-        let mut rng = StdRng::seed_from_u64(12);
-        let p = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
-        let q = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
-        let (p2, q2) = inverse_pair(&fft, &fft.forward_torus(&p), &fft.forward_torus(&q));
-        assert_eq!((p2, q2), (p, q));
     }
 
     #[test]
@@ -847,25 +594,18 @@ mod tests {
         let p = Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64));
         let q = Polynomial::from_fn(n, |_| rng.gen_range(-64i64..64));
         let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
-        // One scratch through every call, in shrinking and growing order.
-        let mut scratch = Vec::new();
+        // One dirty scratch through every call.
+        let mut scratch = vec![f64::NAN; 3];
 
         let mut spec = fft.forward_int(&q);
         fft.forward_int_into(&p, &mut spec);
         assert_eq!(spec, fft.forward_int(&p));
 
-        let (mut sp, mut sq) = (spec.clone(), spec.clone());
-        fft.forward_pair_int_into(&p, &q, &mut sp, &mut sq, &mut scratch);
-        assert_eq!((sp.clone(), sq.clone()), forward_pair(&fft, &p, &q));
-
-        let tspec = fft.forward_torus(&t);
         let mut out = t.clone();
-        fft.inverse_torus_into(&sp, &mut out, &mut scratch);
-        assert_eq!(out, fft.inverse_torus(&sp));
-
-        let (mut op, mut oq) = (t.clone(), t.clone());
-        fft.inverse_pair_torus_into(&tspec, &sq, &mut op, &mut oq, &mut scratch);
-        assert_eq!((op, oq), inverse_pair(&fft, &tspec, &sq));
+        for s in [&spec, &fft.forward_torus(&t)] {
+            fft.inverse_torus_into(s, &mut out, &mut scratch);
+            assert_eq!(out, fft.inverse_torus(s));
+        }
     }
 
     #[test]
@@ -895,9 +635,9 @@ mod tests {
         for (i, n) in [16usize, 256, 2048, 128, 4096].into_iter().enumerate() {
             let fft = NegacyclicFft::new(n);
             let odd_sized = vec![0u8; 8 + 24 * i];
-            let spectrum = fft.forward_real(&vec![1.0; n]);
+            let spectrum = forward_real(&fft, &vec![1.0; n]);
             let copy = fft.clone();
-            for plan in [&fft.half_plan, &fft.full_plan, &copy.half_plan] {
+            for plan in [&fft.half_plan, &copy.half_plan] {
                 let mut planes = vec![spectrum.re(), spectrum.im()];
                 planes.extend(plan.tables());
                 assert_eq!(planes.len(), 10);
@@ -930,7 +670,7 @@ mod tests {
         // full-range torus polynomial.
         let digits = Polynomial::from_fn(n, |_| rng.gen_range(-32i64..32));
         let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
-        assert_eq!(fft.mul_int_torus(&digits, &t), mul_int_torus32(&digits, &t));
+        assert_eq!(product(&fft, &digits, &t), mul_int_torus32(&digits, &t));
     }
 
     #[test]
@@ -959,7 +699,7 @@ mod tests {
             let digits = Polynomial::from_fn(n, |_| rng.gen_range(-8i64..8));
             let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
             assert_eq!(
-                fft.mul_int_torus(&digits, &t),
+                product(&fft, &digits, &t),
                 mul_int_torus32(&digits, &t),
                 "n={n}"
             );
@@ -981,13 +721,13 @@ mod tests {
             let more = Polynomial::from_fn(n, |_| rng.gen_range(-128i64..128));
             let t = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
             let exact = mul_int_torus32(&digits, &t);
-            assert_eq!(fft.mul_int_torus(&digits, &t), exact);
+            assert_eq!(product(&fft, &digits, &t), exact);
 
-            let as_torus = |d: &Polynomial<i64>| d.map(|&c| Torus32::from_raw(c as u32));
             let as_f64: Vec<f64> = digits.iter().map(|&c| c as f64).collect();
-            assert_eq!(fft.forward_real(&as_f64), fft.forward_int(&digits));
-            let back = fft.inverse_real(&fft.forward_int(&digits));
-            assert_eq!(round_all(&back), as_torus(&digits).coeffs());
+            assert_eq!(forward_real(&fft, &as_f64), fft.forward_int(&digits));
+            let back = inverse_real(&fft, &fft.forward_int(&digits));
+            let as_torus = digits.map(|&c| Torus32::from_raw(c as u32));
+            assert_eq!(round_all(&back), as_torus.coeffs());
 
             // The digit-slicing forward pass against decompose-then-transform.
             let mut levels = vec![Polynomial::<i64>::zero(n); 3];
@@ -1005,14 +745,6 @@ mod tests {
             fft.inverse_mac_add_into(&specs, &rows, 0, &mut fused[0], &mut Vec::new());
             staged_mac_add(&fft, &specs, &rows, &mut staged);
             assert_eq!(fused, staged);
-
-            // Merge-split, whose four-point transform has a lane a quarter.
-            let (mut sp, mut sq) = (Spectrum::zero(n), Spectrum::zero(n));
-            let mut scratch = Vec::new();
-            fft.forward_pair_int_into(&digits, &more, &mut sp, &mut sq, &mut scratch);
-            let (mut p, mut q) = (Polynomial::zero(n), Polynomial::zero(n));
-            fft.inverse_pair_torus_into(&sp, &sq, &mut p, &mut q, &mut scratch);
-            assert_eq!((p, q), (as_torus(&digits), as_torus(&more)));
         }
     }
 
@@ -1058,7 +790,7 @@ mod tests {
         a[n - 1] = 1;
         let mut b = Polynomial::<Torus32>::zero(n);
         b[1] = Torus32::from_raw(1 << 16);
-        let prod = fft.mul_int_torus(&a, &b);
+        let prod = product(&fft, &a, &b);
         assert_eq!(prod[0], Torus32::from_raw(0u32.wrapping_sub(1 << 16)));
         for j in 1..n {
             assert_eq!(prod[j], Torus32::ZERO, "j={j}");
@@ -1143,44 +875,6 @@ mod tests {
             out[j + half] = -buf[j].im;
         }
         out
-    }
-
-    fn reference_forward_pair(fft: &NegacyclicFft, p: &[i64], q: &[i64]) -> (Spectrum, Spectrum) {
-        let n = fft.n;
-        let mut buf: Vec<Complex64> = (0..n)
-            .map(|j| Complex64::new(p[j] as f64, q[j] as f64))
-            .collect();
-        fft.full_plan.forward(&mut buf);
-        let (mut ps, mut qs) = (Vec::new(), Vec::new());
-        for m in (0..n).step_by(2) {
-            let r = buf[slot(n, m)];
-            let rc = buf[slot(n, n - 1 - m)].conj();
-            ps.push((r + rc).scale(0.5));
-            qs.push((r - rc).mul_i().scale(-0.5));
-        }
-        (Spectrum::from_values(ps), Spectrum::from_values(qs))
-    }
-
-    /// Unrounded coefficients of the merge-split inverse.
-    fn reference_inverse_pair(
-        fft: &NegacyclicFft,
-        ps: &Spectrum,
-        qs: &Spectrum,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let n = fft.n;
-        let mut buf: Vec<Complex64> = (0..n)
-            .map(|at| {
-                let m = point_at(n, at);
-                if m.is_multiple_of(2) {
-                    ps.point(m / 2) + qs.point(m / 2).mul_i()
-                } else {
-                    let k = (n - 1 - m) / 2;
-                    ps.point(k).conj() + qs.point(k).conj().mul_i()
-                }
-            })
-            .collect();
-        fft.full_plan.inverse(&mut buf);
-        buf.iter().map(|u| (u.re, u.im)).unzip()
     }
 
     fn spectrum_bits(s: &Spectrum) -> Vec<u64> {
@@ -1301,13 +995,15 @@ mod tests {
                 2 => i64::MIN,
                 _ => rng.gen_range(-(1i64 << 40)..(1i64 << 40)),
             });
-            let digits = Polynomial::from_fn(n, |_| rng.gen_range(-512i64..512));
             let torus = Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()));
             let reals: Vec<f64> = (0..n)
-                .map(|j| match j % 5 {
+                .map(|j| match j % 8 {
                     0 => -0.0,
                     1 => 5e-324,
                     2 => 9_223_372_036_854_775_808.0,
+                    3 => -2.0e-308,
+                    4 => 4_503_599_627_370_496.5,
+                    5 => -9.3e18,
                     _ => rng.gen_range(-1.0e9..1.0e9),
                 })
                 .collect();
@@ -1339,30 +1035,6 @@ mod tests {
                     "real n={n} {name}"
                 );
             }
-            for (name, simd) in fft.full_plan.every_simd() {
-                for (p, q) in [(&ints, &digits), (&digits, &digits)] {
-                    let (mut sp, mut sq) = (Spectrum::zero(n), Spectrum::zero(n));
-                    simd.run(ForwardPair {
-                        fft: &fft,
-                        p: p.coeffs(),
-                        q: q.coeffs(),
-                        out_p: &mut sp,
-                        out_q: &mut sq,
-                        scratch: &mut Vec::new(),
-                    });
-                    let (wp, wq) = reference_forward_pair(&fft, p.coeffs(), q.coeffs());
-                    assert_eq!(
-                        spectrum_bits(&sp),
-                        spectrum_bits(&wp),
-                        "pair p n={n} {name}"
-                    );
-                    assert_eq!(
-                        spectrum_bits(&sq),
-                        spectrum_bits(&wq),
-                        "pair q n={n} {name}"
-                    );
-                }
-            }
         }
     }
 
@@ -1384,21 +1056,6 @@ mod tests {
                     inverse_on::<_, _, false>(simd, &fft, spec, &mut torus[..], &mut Vec::new());
                     assert_eq!(torus, want_torus, "torus #{i} n={n} {name}");
                 }
-                let other = &spectra[(i + 3) % spectra.len()];
-                let (wp, wq) = reference_inverse_pair(&fft, spec, other);
-                for (name, simd) in fft.full_plan.every_simd() {
-                    let (mut p, mut q) = (vec![Torus32::HALF; n], vec![Torus32::HALF; n]);
-                    simd.run(InversePair {
-                        fft: &fft,
-                        ps: spec,
-                        qs: other,
-                        out_p: &mut p,
-                        out_q: &mut q,
-                        scratch: &mut Vec::new(),
-                    });
-                    assert_eq!(p, round_all(&wp), "pair p #{i} n={n} {name}");
-                    assert_eq!(q, round_all(&wq), "pair q #{i} n={n} {name}");
-                }
             }
         }
     }
@@ -1409,7 +1066,7 @@ mod tests {
         // cases above would silently test nothing.
         let fft = NegacyclicFft::new(64);
         let spec = Spectrum::from_values(vec![Complex64::new(2.5, -0.5); 32]);
-        let real = fft.inverse_real(&spec);
+        let real = inverse_real(&fft, &spec);
         assert_eq!((real[0], real[32]), (2.5, 0.5));
         let torus = fft.inverse_torus(&spec);
         assert_eq!((torus[0].into_raw(), torus[32].into_raw()), (3, 1));
@@ -1770,7 +1427,7 @@ mod tests {
                         }
                     }
                 }
-                for (got, want) in fft.inverse_real(&acc).iter().zip(&exact) {
+                for (got, want) in inverse_real(&fft, &acc).iter().zip(&exact) {
                     // Integer part apart: `want` may pass 2^53.
                     let err = (got.trunc() as i128 - want) as f64 + got.fract();
                     max = max.max(err.abs());

@@ -137,12 +137,6 @@ impl Spectrum {
         assert_eq!(self.planes.len(), b.planes.len(), "spectrum size mismatch");
         Simd::detect(self.points()).run(MulAcc { acc: self, a, b });
     }
-
-    /// Largest absolute component over all points — used by the precision
-    /// tests that bound f64 round-off against the 53-bit mantissa budget.
-    pub fn max_abs(&self) -> f64 {
-        self.planes.iter().map(|x| x.abs()).fold(0.0, f64::max)
-    }
 }
 
 struct MulAcc<'a> {

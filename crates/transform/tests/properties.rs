@@ -26,49 +26,30 @@ fn torus_poly(n: usize) -> impl Strategy<Value = Polynomial<Torus32>> {
         .prop_map(|v| Polynomial::from_coeffs(v.into_iter().map(Torus32::from_raw).collect()))
 }
 
+/// `d · t` through the transform domain: forward both, multiply
+/// pointwise, invert.
+fn product(
+    fft: &NegacyclicFft,
+    d: &Polynomial<i64>,
+    t: &Polynomial<Torus32>,
+) -> Polynomial<Torus32> {
+    fft.inverse_torus(&fft.forward_int(d).pointwise_mul(&fft.forward_torus(t)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn fft_product_is_exact_n256(d in digit_poly(256, 64), t in torus_poly(256)) {
         let fft = NegacyclicFft::new(256);
-        prop_assert_eq!(fft.mul_int_torus(&d, &t), mul_int_torus32(&d, &t));
+        prop_assert_eq!(product(&fft, &d, &t), mul_int_torus32(&d, &t));
     }
 
     #[test]
     fn fft_product_is_exact_n1024_base_2_6(d in digit_poly(1024, 32), t in torus_poly(1024)) {
         // Paper set I/II digit range (β up to 2^6).
         let fft = NegacyclicFft::new(1024);
-        prop_assert_eq!(fft.mul_int_torus(&d, &t), mul_int_torus32(&d, &t));
-    }
-
-    #[test]
-    fn merge_split_equals_two_singles(d1 in digit_poly(128, 512), d2 in digit_poly(128, 512)) {
-        let fft = NegacyclicFft::new(128);
-        let (mut s1, mut s2) = (Spectrum::zero(128), Spectrum::zero(128));
-        fft.forward_pair_int_into(&d1, &d2, &mut s1, &mut s2, &mut Vec::new());
-        let r1 = fft.forward_int(&d1);
-        let r2 = fft.forward_int(&d2);
-        for m in 0..64 {
-            prop_assert!((s1.point(m) - r1.point(m)).abs() < 1e-6);
-            prop_assert!((s2.point(m) - r2.point(m)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn merged_inverse_equals_two_inverses(
-        d1 in digit_poly(128, 16),
-        d2 in digit_poly(128, 16),
-        t in torus_poly(128),
-    ) {
-        let fft = NegacyclicFft::new(128);
-        let tb = fft.forward_torus(&t);
-        let s1 = fft.forward_int(&d1).pointwise_mul(&tb);
-        let s2 = fft.forward_int(&d2).pointwise_mul(&tb);
-        let (mut p1, mut p2) = (Polynomial::zero(128), Polynomial::zero(128));
-        fft.inverse_pair_torus_into(&s1, &s2, &mut p1, &mut p2, &mut Vec::new());
-        prop_assert_eq!(p1, fft.inverse_torus(&s1));
-        prop_assert_eq!(p2, fft.inverse_torus(&s2));
+        prop_assert_eq!(product(&fft, &d, &t), mul_int_torus32(&d, &t));
     }
 
     #[test]
@@ -95,11 +76,8 @@ proptest! {
     fn spectrum_addition_is_ifft_linear(d1 in digit_poly(64, 100), d2 in digit_poly(64, 100)) {
         let fft = NegacyclicFft::new(64);
         let sum_spec = &fft.forward_int(&d1) + &fft.forward_int(&d2);
-        let sum_poly = fft.inverse_real(&sum_spec);
-        for (j, v) in sum_poly.iter().enumerate() {
-            let expect = (d1[j] + d2[j]) as f64;
-            prop_assert!((v - expect).abs() < 1e-6);
-        }
+        let sum = Polynomial::from_fn(64, |j| Torus32::from_raw((d1[j] + d2[j]) as u32));
+        prop_assert_eq!(fft.inverse_torus(&sum_spec), sum);
     }
 
     #[test]
@@ -178,33 +156,44 @@ proptest! {
 
     #[test]
     fn selected_kernel_is_bit_identical_to_the_scalar_reference(seed in any::<u64>()) {
-        // Every power-of-two polynomial size, random coefficients salted
-        // with signed zeros, subnormals and magnitudes where f64 spacing
-        // reaches one: a kernel that skips a trivial twiddle multiply,
-        // reassociates, or fuses a multiply-add where the reference does
-        // not (or the reverse) shows up here as a flipped bit.
+        // Every power-of-two polynomial size, through the public entry
+        // points: integer coefficients salted with the ends of `i64` and
+        // zero; spectrum points salted with signed zeros, subnormals and
+        // magnitudes where f64 spacing reaches one. A kernel that skips a
+        // trivial twiddle multiply, reassociates, or fuses a multiply-add
+        // where the reference does not (or the reverse) shows up here as a
+        // flipped bit.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for log_n in 2..=12 {
             let n = 1usize << log_n;
             let fft = NegacyclicFft::new(n);
-            let salt = [0.0, -0.0, 5e-324, -2.0e-308, 4_503_599_627_370_496.5, -9.3e18];
-            let reals: Vec<f64> = (0..n)
-                .map(|_| if rng.gen_range(0..4) == 0 { salt[rng.gen_range(0..salt.len())] } else { rng.gen_range(-1.0e9..1.0e9) })
-                .collect();
-            let want = reference_forward(n, &reals);
-            let got = fft.forward_real(&reals);
+            let salt = [i64::MIN, i64::MAX, 0];
+            let ints = Polynomial::from_fn(n, |_| {
+                if rng.gen_range(0..4) == 0 { salt[rng.gen_range(0..salt.len())] } else { rng.gen_range(-(1i64 << 40)..1i64 << 40) }
+            });
+            let as_f64: Vec<f64> = ints.iter().map(|&c| c as f64).collect();
+            let want = reference_forward(n, &as_f64);
+            let got = fft.forward_int(&ints);
             prop_assert_eq!(bits(got.re()), bits(&want.0), "forward re n={}", n);
             prop_assert_eq!(bits(got.im()), bits(&want.1), "forward im n={}", n);
 
-            // The same values as a spectrum, in whatever order it stores
-            // them: the inverse of both reads that order.
+            // Points in whatever order a spectrum stores them: the inverse
+            // of both reads that order. Rounded as the kernel rounds below
+            // 2^63, which these magnitudes stay under.
+            let salt = [0.0, -0.0, 5e-324, -2.0e-308, 4_503_599_627_370_496.5];
+            let reals: Vec<f64> = (0..n)
+                .map(|_| if rng.gen_range(0..4) == 0 { salt[rng.gen_range(0..salt.len())] } else { rng.gen_range(-1.0e9..1.0e9) })
+                .collect();
             let mut spectrum = Spectrum::zero(n);
             let (re, im) = spectrum.planes_mut();
             re.copy_from_slice(&reals[..n / 2]);
             im.copy_from_slice(&reals[n / 2..]);
-            let want = reference_inverse(n, &spectrum);
-            prop_assert_eq!(bits(&fft.inverse_real(&spectrum)), bits(&want), "inverse n={}", n);
+            let want: Vec<Torus32> = reference_inverse(n, &spectrum)
+                .iter()
+                .map(|x| Torus32::from_raw(x.round() as i64 as u32))
+                .collect();
+            prop_assert_eq!(fft.inverse_torus(&spectrum).coeffs(), &want[..], "inverse n={}", n);
         }
     }
 }

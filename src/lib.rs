@@ -7,7 +7,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`math`] | `morphling-math` | torus & negacyclic polynomial arithmetic, gadget decomposition |
-//! | [`transform`] | `morphling-transform` | FFT, negacyclic transform, merge-split FFT, pipelined-FFT model |
+//! | [`transform`] | `morphling-transform` | FFT, negacyclic transform, fused external-product passes, exact NTT multiplier |
 //! | [`tfhe`] | `morphling-tfhe` | the full TFHE scheme: ciphertexts, keys, programmable bootstrapping, gates |
 //! | [`core`] | `morphling-core` | the accelerator: reuse analysis, ISA, schedulers, cycle simulator, cost model |
 //! | [`apps`] | `morphling-apps` | evaluation workloads (XG-Boost, DeepCNN, VGG-9) + functional encrypted inference |
