@@ -14,31 +14,28 @@
 //! - [`KeyBackend`]: where serialized keys live ([`MemoryBackend`] for
 //!   tests, [`DirBackend`] for a key directory on disk). Blobs use the
 //!   checksummed wire format of [`crate::serialize`].
-//! - [`KeyStore`]: the cache. `get(tenant)` returns a [`PinnedKey`] —
-//!   a clone-cheap handle that holds a pin for its lifetime. Concurrent
-//!   misses for one tenant coalesce into a single backend load (the same
-//!   double-checked discipline as the crate's transform-engine cache,
-//!   plus a condvar because backend loads are slow and fallible).
+//! - `KeyCache`: the cache as plain data on caller time, private to this
+//!   module — resident keys with their pins and recency, the budget, the
+//!   loads in flight, the [`KeyStoreStats`] — journaling each transition as
+//!   an [`Event`] under [`Who::Tenant`] in [`KeyStore::journal`].
+//! - [`KeyStore`]: the cache under a mutex, a condvar and the backend.
+//!   `get(tenant)` returns a [`PinnedKey`], which unpins when dropped;
+//!   concurrent misses for one tenant share one backend load, done
+//!   outside the lock.
 //! - Eviction: strict LRU over *unpinned* residents. A key that cannot
-//!   fit even after evicting every unpinned resident fails loudly with
-//!   [`TfheError::KeyBudgetExceeded`] — never a livelock, never thrash.
+//!   fit even after evicting all of them fails loudly with
+//!   [`TfheError::KeyBudgetExceeded`] and evicts nothing: no livelock.
 //! - [`KeyStoreBootstrapper`]: adapts a store to the [`Bootstrapper`]
 //!   trait by resolving [`BatchRequest::tenant`] through the cache and
 //!   holding the pin for the duration of the batch.
-//!
-//! Every cache transition is an [`Event`] under [`Who::Tenant`] in the
-//! store's [`journal`](KeyStore::journal), so the shared Chrome-trace
-//! export can render a track per tenant and tests can reconcile counters
-//! against events.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
-use crate::journal::{Event, EventKind, Journal, Who};
+use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 use crate::serialize::deserialize_server_key;
 use crate::server::ServerKey;
@@ -187,22 +184,20 @@ impl KeyBackend for DirBackend {
     }
 }
 
-/// Journal one cache transition of `tenant`'s entry, stamped now.
-fn record(journal: &Journal, tenant: TenantId, kind: EventKind) {
-    journal.record(Event::instant(Who::Tenant(tenant.raw()), kind));
-}
-
 /// A snapshot of the store's counters (all monotonic except
 /// `bytes_resident`/`resident_keys`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KeyStoreStats {
-    /// Serves satisfied by a resident key.
+    /// `get`s served by a resident key, including callers that waited on
+    /// another caller's load and were served by the key it published.
     pub hits: u64,
-    /// Serves that had to load (or join a load in flight).
+    /// `get`s that found the key neither resident nor loading, and so
+    /// started a backend load.
     pub misses: u64,
-    /// Completed backend loads.
+    /// Loads that published their key.
     pub loads: u64,
-    /// Backend loads that failed (missing or corrupt blobs).
+    /// Loads that did not: a missing or corrupt blob, a panicked backend,
+    /// or a key refused at publish time ([`TfheError::KeyBudgetExceeded`]).
     pub load_failures: u64,
     /// Keys evicted to make room.
     pub evictions: u64,
@@ -212,25 +207,151 @@ pub struct KeyStoreStats {
     pub resident_keys: u64,
 }
 
-/// A resident cache entry.
-struct Resident {
-    key: Arc<ServerKey>,
+/// What [`KeyCache::lookup`] tells its caller to do.
+enum Lookup<K> {
+    /// Resident: the key, now pinned for the caller.
+    Hit(K),
+    /// The caller now owns the load and reports it to [`KeyCache::loaded`].
+    Load,
+    /// Another caller's load is in flight: look again once it resolves.
+    Wait,
+}
+
+enum Slot<K> {
+    Loading,
+    Ready(Resident<K>),
+}
+
+struct Resident<K> {
+    key: K,
     bytes: u64,
     last_used: u64,
-    pins: Arc<AtomicUsize>,
+    pins: u32,
 }
 
-enum Entry {
-    /// A load is in flight; waiters sleep on the store condvar.
-    Loading,
-    Ready(Resident),
-}
+/// A load's outcome: the key and the bytes it keeps resident, or why not.
+type Loaded<K> = Result<(K, u64), TfheError>;
 
-struct Inner {
-    map: HashMap<u64, Entry>,
+/// The key cache as plain data on caller time: [`KeyStore`] wraps it in a
+/// mutex and a condvar, and its tests drive it on virtual time.
+struct KeyCache<K> {
+    budget: u64,
+    slots: HashMap<TenantId, Slot<K>>,
     /// LRU clock: bumped on every touch.
     tick: u64,
-    bytes: u64,
+    stats: KeyStoreStats,
+    journal: Arc<Journal>,
+}
+
+impl<K: Clone> KeyCache<K> {
+    /// An empty cache of `budget` bytes, journaling into `journal`.
+    fn new(budget: u64, journal: Arc<Journal>) -> Self {
+        Self {
+            budget,
+            slots: HashMap::new(),
+            tick: 0,
+            stats: KeyStoreStats::default(),
+            journal,
+        }
+    }
+
+    fn record(&self, now: u64, tenant: TenantId, kind: EventKind) {
+        let event = Event::at(now, Who::Tenant(tenant.raw()), kind);
+        self.journal.record(event);
+    }
+
+    /// A `get` of `t` at `now`: pin its key, claim its load, or wait.
+    fn lookup(&mut self, now: u64, t: TenantId) -> Lookup<K> {
+        match self.slots.get_mut(&t) {
+            Some(Slot::Ready(r)) => {
+                self.tick += 1;
+                r.last_used = self.tick;
+                r.pins += 1;
+                let key = r.key.clone();
+                self.stats.hits += 1;
+                self.record(now, t, EventKind::Hit);
+                self.record(now, t, EventKind::Pin);
+                Lookup::Hit(key)
+            }
+            Some(Slot::Loading) => Lookup::Wait,
+            None => {
+                self.slots.insert(t, Slot::Loading);
+                self.stats.misses += 1;
+                self.record(now, t, EventKind::Miss);
+                Lookup::Load
+            }
+        }
+    }
+
+    /// Resolve the load of `t` its caller claimed: publish the key pinned
+    /// for that caller, evicting LRU unpinned residents to make room, or
+    /// clear the slot and count the failure — the load's own, or
+    /// [`TfheError::KeyBudgetExceeded`] when evicting cannot make room.
+    fn loaded(&mut self, now: u64, t: TenantId, load: Loaded<K>) -> Result<K, TfheError> {
+        match load.and_then(|(key, bytes)| self.evict_for(now, bytes).map(|()| (key, bytes))) {
+            Ok((key, bytes)) => {
+                self.tick += 1;
+                let resident = Resident {
+                    key: key.clone(),
+                    bytes,
+                    last_used: self.tick,
+                    pins: 1,
+                };
+                self.slots.insert(t, Slot::Ready(resident));
+                self.stats.bytes_resident += bytes;
+                self.stats.resident_keys += 1;
+                self.stats.loads += 1;
+                self.record(now, t, EventKind::Load { bytes });
+                self.record(now, t, EventKind::Pin);
+                Ok(key)
+            }
+            Err(e) => {
+                self.slots.remove(&t);
+                self.stats.load_failures += 1;
+                if matches!(e, TfheError::KeyCorrupted { .. }) {
+                    self.record(now, t, EventKind::Corrupt);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Release one pin on `t`'s resident key.
+    fn unpin(&mut self, now: u64, t: TenantId) {
+        if let Some(Slot::Ready(r)) = self.slots.get_mut(&t) {
+            r.pins -= 1;
+            self.record(now, t, EventKind::Unpin);
+        }
+    }
+
+    /// Evict LRU unpinned residents until `need` more bytes fit, or evict
+    /// nothing and fail if evicting them all would not do. Never wait on a
+    /// pin: its holder may itself be waiting on this load (livelock).
+    fn evict_for(&mut self, now: u64, need: u64) -> Result<(), TfheError> {
+        let mut unpinned: Vec<(u64, TenantId, u64)> = (self.slots.iter())
+            .filter_map(|(&t, slot)| match slot {
+                Slot::Ready(r) if r.pins == 0 => Some((r.last_used, t, r.bytes)),
+                _ => None,
+            })
+            .collect();
+        let evictable: u64 = unpinned.iter().map(|&(_, _, bytes)| bytes).sum();
+        if self.stats.bytes_resident - evictable + need > self.budget {
+            let budget = self.budget;
+            return Err(TfheError::KeyBudgetExceeded { budget, need });
+        }
+        unpinned.sort_unstable();
+        for (_, t, bytes) in unpinned {
+            if self.stats.bytes_resident + need <= self.budget {
+                break;
+            }
+            self.slots.remove(&t);
+            self.stats.bytes_resident -= bytes;
+            self.stats.resident_keys -= 1;
+            self.stats.evictions += 1;
+            self.record(now, t, EventKind::Evict { bytes });
+        }
+        Ok(())
+    }
 }
 
 /// A byte-budget LRU cache of deserialized [`ServerKey`]s over a
@@ -254,23 +375,17 @@ struct Inner {
 /// ```
 pub struct KeyStore {
     backend: Arc<dyn KeyBackend>,
-    budget: u64,
-    inner: Mutex<Inner>,
+    /// Shared with every outstanding [`PinnedKey`], which unpins through it.
+    cache: Arc<Mutex<KeyCache<Arc<ServerKey>>>>,
+    /// Notified whenever a load resolves.
     loaded: Condvar,
-    /// Shared with every outstanding [`PinnedKey`]: pins outlive `get`
-    /// calls, so unpin events need a handle of their own.
     journal: Arc<Journal>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    loads: AtomicU64,
-    load_failures: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for KeyStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyStore")
-            .field("budget", &self.budget)
+            .field("budget", &self.budget_bytes())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -286,27 +401,19 @@ impl KeyStore {
     /// A store serving from `backend` under `budget_bytes` of resident
     /// key material.
     pub fn new(backend: Arc<dyn KeyBackend>, budget_bytes: u64) -> Self {
+        let journal = Arc::new(Journal::new());
+        let cache = KeyCache::new(budget_bytes, Arc::clone(&journal));
         Self {
             backend,
-            budget: budget_bytes,
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-                bytes: 0,
-            }),
+            cache: Arc::new(Mutex::new(cache)),
             loaded: Condvar::new(),
-            journal: Arc::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            loads: AtomicU64::new(0),
-            load_failures: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            journal,
         }
     }
 
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> u64 {
-        self.budget
+        lock(&self.cache).budget
     }
 
     /// The journaled cache transitions (`hit`, `miss`, `load`, `evict`,
@@ -317,34 +424,16 @@ impl KeyStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> KeyStoreStats {
-        let (bytes_resident, resident_keys) = {
-            let inner = lock(&self.inner);
-            let keys = inner
-                .map
-                .values()
-                .filter(|e| matches!(e, Entry::Ready(_)))
-                .count() as u64;
-            (inner.bytes, keys)
-        };
-        KeyStoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            loads: self.loads.load(Ordering::Relaxed),
-            load_failures: self.load_failures.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes_resident,
-            resident_keys,
-        }
+        lock(&self.cache).stats
     }
 
     /// Serve `tenant`'s key, loading (and possibly evicting) as needed.
     /// The returned [`PinnedKey`] holds a pin: the key cannot be evicted
     /// until every pin is dropped.
     ///
-    /// Concurrent misses for the same tenant coalesce: exactly one
-    /// caller performs the backend load and deserialization; the rest
-    /// wait and share the result (or observe the same failure and
-    /// retry-or-fail on their own).
+    /// Concurrent misses for the same tenant coalesce: one caller loads
+    /// and deserializes, outside the lock; the rest wait and share the
+    /// key or, if the load failed, look again and load it themselves.
     ///
     /// # Errors
     ///
@@ -352,133 +441,52 @@ impl KeyStore {
     /// backend or deserializer; [`TfheError::KeyBudgetExceeded`] if the
     /// key cannot fit even after evicting every unpinned resident.
     pub fn get(&self, tenant: TenantId) -> Result<PinnedKey, TfheError> {
-        let t = tenant.raw();
-        // Phase 1: hit, join an in-flight load, or claim the load slot.
-        {
-            let mut inner = lock(&self.inner);
-            loop {
-                match inner.map.get(&t) {
-                    Some(Entry::Ready(_)) => {
-                        inner.tick += 1;
-                        let tick = inner.tick;
-                        let Some(Entry::Ready(r)) = inner.map.get_mut(&t) else {
-                            unreachable!("entry vanished while locked");
-                        };
-                        r.last_used = tick;
-                        let pinned = self.pin(tenant, r);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        record(&self.journal, tenant, EventKind::Hit);
-                        return Ok(pinned);
-                    }
-                    Some(Entry::Loading) => {
-                        // Coalesce: sleep until the loader resolves this
-                        // entry (Ready or removed), then re-check.
-                        inner = self
-                            .loaded
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        record(&self.journal, tenant, EventKind::Miss);
-                        inner.map.insert(t, Entry::Loading);
-                        break;
-                    }
+        let mut cache = lock(&self.cache);
+        let key = loop {
+            match cache.lookup(journal::now(), tenant) {
+                Lookup::Hit(key) => break key,
+                Lookup::Wait => {
+                    cache = (self.loaded.wait(cache)).unwrap_or_else(PoisonError::into_inner);
+                }
+                Lookup::Load => {
+                    drop(cache);
+                    break Claim(self, tenant).load()?;
                 }
             }
-        }
-        // Phase 2: we own the Loading slot — do the slow work unlocked.
-        let loaded = self
-            .backend
-            .load(tenant)
-            .and_then(|blob| deserialize_server_key(&blob));
-        let key = match loaded {
-            Ok(key) => Arc::new(key),
-            Err(e) => {
-                self.load_failures.fetch_add(1, Ordering::Relaxed);
-                if matches!(e, TfheError::KeyCorrupted { .. }) {
-                    record(&self.journal, tenant, EventKind::Corrupt);
-                }
-                let mut inner = lock(&self.inner);
-                inner.map.remove(&t);
-                self.loaded.notify_all();
-                return Err(e);
-            }
         };
-        let need = server_key_bytes(&key);
-        // Phase 3: make room and publish.
-        let mut inner = lock(&self.inner);
-        if let Err(e) = self.evict_for(&mut inner, need) {
-            inner.map.remove(&t);
-            self.loaded.notify_all();
-            self.load_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let mut resident = Resident {
-            key,
-            bytes: need,
-            last_used: tick,
-            pins: Arc::new(AtomicUsize::new(0)),
-        };
-        let pinned = self.pin(tenant, &mut resident);
-        inner.bytes += need;
-        inner.map.insert(t, Entry::Ready(resident));
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        record(&self.journal, tenant, EventKind::Load { bytes: need });
-        self.loaded.notify_all();
-        Ok(pinned)
+        let cache = Arc::clone(&self.cache);
+        Ok(PinnedKey { key, tenant, cache })
     }
+}
 
-    /// Take a pin on `r` and build the guard.
-    fn pin(&self, tenant: TenantId, r: &mut Resident) -> PinnedKey {
-        r.pins.fetch_add(1, Ordering::SeqCst);
-        record(&self.journal, tenant, EventKind::Pin);
-        PinnedKey {
-            key: Arc::clone(&r.key),
-            pins: Arc::clone(&r.pins),
-            tenant,
-            journal: Arc::clone(&self.journal),
-        }
-    }
+/// The load a [`KeyStore::get`] claimed. Dropped before it is resolved —
+/// the backend or the deserializer unwound — it resolves as a failed
+/// load, so the tenant's waiters wake and the next `get` loads again.
+struct Claim<'a>(&'a KeyStore, TenantId);
 
-    /// Evict LRU unpinned residents until `need` more bytes fit the
-    /// budget. Fails loudly — never waits on a pin (that way lies
-    /// livelock when the pin holder is itself waiting on this load).
-    fn evict_for(&self, inner: &mut Inner, need: u64) -> Result<(), TfheError> {
-        if need > self.budget {
-            return Err(TfheError::KeyBudgetExceeded {
-                budget: self.budget,
-                need,
+impl Claim<'_> {
+    /// Load and deserialize the key outside the lock, then publish it.
+    fn load(self) -> Result<Arc<ServerKey>, TfheError> {
+        let load = (self.0.backend.load(self.1))
+            .and_then(|blob| deserialize_server_key(&blob))
+            .map(|key| {
+                let bytes = server_key_bytes(&key);
+                (Arc::new(key), bytes)
             });
-        }
-        while inner.bytes + need > self.budget {
-            let victim = inner
-                .map
-                .iter()
-                .filter_map(|(&t, e)| match e {
-                    Entry::Ready(r) if r.pins.load(Ordering::SeqCst) == 0 => Some((t, r.last_used)),
-                    _ => None,
-                })
-                .min_by_key(|&(_, last_used)| last_used)
-                .map(|(t, _)| t);
-            let Some(victim) = victim else {
-                // Everything resident is pinned (or loading): evicting
-                // nothing more can ever free the bytes, so fail now.
-                return Err(TfheError::KeyBudgetExceeded {
-                    budget: self.budget.saturating_sub(inner.bytes),
-                    need,
-                });
-            };
-            if let Some(Entry::Ready(r)) = inner.map.remove(&victim) {
-                inner.bytes -= r.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                let evict = EventKind::Evict { bytes: r.bytes };
-                record(&self.journal, TenantId::new(victim), evict);
-            }
-        }
-        Ok(())
+        let key = lock(&self.0.cache).loaded(journal::now(), self.1, load);
+        self.0.loaded.notify_all();
+        std::mem::forget(self);
+        key
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // Only the counters see this error: the loader's caller is unwinding.
+        let tenant = self.1.raw();
+        let unwound = Err(TfheError::KeyNotFound { tenant });
+        let _ = lock(&self.0.cache).loaded(journal::now(), self.1, unwound);
+        self.0.loaded.notify_all();
     }
 }
 
@@ -487,9 +495,8 @@ impl KeyStore {
 /// any `PinnedKey` for it is alive.
 pub struct PinnedKey {
     key: Arc<ServerKey>,
-    pins: Arc<AtomicUsize>,
     tenant: TenantId,
-    journal: Arc<Journal>,
+    cache: Arc<Mutex<KeyCache<Arc<ServerKey>>>>,
 }
 
 impl PinnedKey {
@@ -515,14 +522,7 @@ impl std::ops::Deref for PinnedKey {
 
 impl Drop for PinnedKey {
     fn drop(&mut self) {
-        // Journal BEFORE releasing the pin: the store only evicts at pin
-        // count zero, and every count-zero observation happens after the
-        // release below — so in journal order, every tenant's pin/unpin
-        // balance is exactly zero at each of its evict events. Chaos
-        // tests reconstruct that balance to prove pinned keys are never
-        // evicted.
-        record(&self.journal, self.tenant, EventKind::Unpin);
-        self.pins.fetch_sub(1, Ordering::SeqCst);
+        lock(&self.cache).unpin(journal::now(), self.tenant);
     }
 }
 
@@ -589,7 +589,7 @@ mod tests {
     use crate::keys::ClientKey;
     use crate::params::ParamSet;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn seeded_backend(tenants: &[u64], seed: u64) -> (Arc<MemoryBackend>, Vec<ClientKey>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -628,10 +628,12 @@ mod tests {
         assert_eq!(store.stats().hits, 2);
         drop(store.get(TenantId::new(2)).unwrap());
         assert_eq!(store.stats().loads, 4);
-        // The evict event named tenant 2.
+        // The evict event named tenant 2, and the shell stamped every event
+        // in order on the process clock.
         let events = store.journal().events();
         let mut evicts = events.iter().filter(|e| e.kind.label() == "evict");
         assert!(evicts.any(|e| e.who == Who::Tenant(2)));
+        assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
     }
 
     #[test]
@@ -639,31 +641,20 @@ mod tests {
         let (backend, _) = seeded_backend(&[1, 2], 0xA1);
         let store = KeyStore::new(backend, one_key_bytes());
         let pinned = store.get(TenantId::new(1)).unwrap();
-        // Loading tenant 2 cannot evict the pinned key: loud failure.
-        let err = store.get(TenantId::new(2)).unwrap_err();
-        assert!(matches!(err, TfheError::KeyBudgetExceeded { .. }), "{err}");
+        // Loading tenant 2 cannot evict the pinned key: loud failure,
+        // naming the configured budget.
+        assert_eq!(
+            store.get(TenantId::new(2)).unwrap_err(),
+            TfheError::KeyBudgetExceeded {
+                budget: one_key_bytes(),
+                need: one_key_bytes(),
+            }
+        );
         assert_eq!(store.stats().evictions, 0);
         drop(pinned);
         // With the pin gone the same load succeeds by evicting tenant 1.
         drop(store.get(TenantId::new(2)).unwrap());
         assert_eq!(store.stats().evictions, 1);
-    }
-
-    #[test]
-    fn key_larger_than_budget_fails_loudly() {
-        let (backend, _) = seeded_backend(&[1], 0xA2);
-        let store = KeyStore::new(backend, one_key_bytes() - 1);
-        let err = store.get(TenantId::new(1)).unwrap_err();
-        assert_eq!(
-            err,
-            TfheError::KeyBudgetExceeded {
-                budget: one_key_bytes() - 1,
-                need: one_key_bytes(),
-            }
-        );
-        // The Loading slot was cleaned up: a retry fails the same way
-        // rather than deadlocking on a stale entry.
-        assert!(store.get(TenantId::new(1)).is_err());
     }
 
     #[test]
@@ -710,6 +701,44 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.loads, 1, "all misses coalesced into one load");
         assert_eq!(stats.hits + stats.misses, 8);
+    }
+
+    /// Panics on its first load, then serves from `inner`.
+    struct PanicsOnce {
+        inner: Arc<MemoryBackend>,
+        panicked: Mutex<bool>,
+    }
+
+    impl KeyBackend for PanicsOnce {
+        fn load(&self, tenant: TenantId) -> Result<Vec<u8>, TfheError> {
+            if !std::mem::replace(&mut *lock(&self.panicked), true) {
+                panic!("key backend bug (injected by the test)");
+            }
+            self.inner.load(tenant)
+        }
+    }
+
+    #[test]
+    fn a_loader_that_unwinds_does_not_wedge_its_tenant() {
+        let (inner, _) = seeded_backend(&[1], 0xA8);
+        let panicked = Mutex::new(false);
+        let backend = Arc::new(PanicsOnce { inner, panicked });
+        let store = Arc::new(KeyStore::new(backend, 4 * one_key_bytes()));
+        let first = Arc::clone(&store);
+        let unwound = std::thread::spawn(move || first.get(TenantId::new(1)).map(drop)).join();
+        assert!(unwound.is_err(), "the first load panics");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = Arc::clone(&store);
+        let waiter = std::thread::spawn(move || tx.send(second.get(TenantId::new(1)).map(drop)));
+        let served = rx.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(
+            served,
+            Ok(Ok(())),
+            "a later get loads again instead of waiting"
+        );
+        waiter.join().unwrap().unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.misses, stats.loads, stats.load_failures), (2, 1, 1));
     }
 
     #[test]
@@ -773,29 +802,249 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn journal_reconciles_with_counters() {
-        let (backend, _) = seeded_backend(&[1, 2], 0xA7);
-        let store = KeyStore::new(backend, one_key_bytes());
-        drop(store.get(TenantId::new(1)).unwrap());
-        drop(store.get(TenantId::new(2)).unwrap());
-        drop(store.get(TenantId::new(1)).unwrap());
-        let events = store.journal().events();
-        assert_eq!(
-            store.journal().dropped(),
-            0,
-            "the journal holds every event"
-        );
-        let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
-        let stats = store.stats();
-        assert_eq!(count("hit"), stats.hits);
-        assert_eq!(count("miss"), stats.misses);
-        assert_eq!(count("load"), stats.loads);
-        assert_eq!(count("evict"), stats.evictions);
-        assert_eq!(count("pin"), count("unpin"), "all pins released");
-        // Timestamps are monotone on the process epoch.
-        for w in events.windows(2) {
-            assert!(w[0].at_ns <= w[1].at_ns);
+    /// One virtual client of the sweep: at most one pin or one load.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Client {
+        Idle,
+        Waiting(TenantId),
+        Loading(TenantId),
+        Holding(TenantId),
+    }
+
+    /// What the sweep counts: hit, miss, wait, evict, budget refusal,
+    /// not found, corrupt.
+    type Reached = [u64; 7];
+
+    /// A `KeyCache<u64>` driven on virtual time by its clients, beside the
+    /// reference model it is checked against after every step.
+    struct Sweep {
+        seed: u64,
+        cache: KeyCache<u64>,
+        size: Vec<u64>,
+        clients: Vec<Client>,
+        /// The model: resident tenants, least recently used first, and the
+        /// key each one's load published.
+        lru: Vec<TenantId>,
+        keys: HashMap<TenantId, u64>,
+        reached: Reached,
+        /// After each step: the counters and the pins held.
+        steps: Vec<(KeyStoreStats, u64)>,
+    }
+
+    impl Sweep {
+        fn count(&self, state: Client) -> usize {
+            self.clients.iter().filter(|&&c| c == state).count()
         }
+
+        /// Clients in `state` over every tenant.
+        fn all(&self, state: fn(TenantId) -> Client) -> u64 {
+            let tenants = 0..self.size.len() as u64;
+            tenants
+                .map(|t| self.count(state(TenantId::new(t))) as u64)
+                .sum()
+        }
+
+        fn bytes(&self, tenants: &[TenantId]) -> u64 {
+            tenants.iter().map(|t| self.size[t.raw() as usize]).sum()
+        }
+
+        /// Client `c` looks up `t`: a hit if the model has it resident, a
+        /// wait if some client is loading it, else the load.
+        fn look(&mut self, now: u64, c: usize, t: TenantId) {
+            let loading = self.count(Client::Loading(t)) > 0;
+            let resident = self.lru.iter().position(|&u| u == t);
+            self.clients[c] = match (self.cache.lookup(now, t), resident) {
+                (Lookup::Hit(key), Some(i)) => {
+                    assert_eq!(Some(&key), self.keys.get(&t), "seed {}", self.seed);
+                    self.lru.remove(i);
+                    self.lru.push(t);
+                    self.reached[0] += 1;
+                    Client::Holding(t)
+                }
+                (Lookup::Load, None) if !loading => {
+                    self.reached[1] += 1;
+                    Client::Loading(t)
+                }
+                (Lookup::Wait, None) if loading => {
+                    self.reached[2] += 1;
+                    Client::Waiting(t)
+                }
+                _ => panic!(
+                    "seed {}: {t} resident {resident:?}, loading {loading}",
+                    self.seed
+                ),
+            };
+        }
+
+        /// Client `c`'s load of `t` completes as `outcome`; then every
+        /// waiter on `t` looks again, as the store's condvar wakes them.
+        fn resolve(&mut self, now: u64, c: usize, t: TenantId, outcome: u32) {
+            let (budget, need) = (self.cache.budget, self.size[t.raw() as usize]);
+            let load = match outcome {
+                0 => Err(TfheError::KeyNotFound { tenant: t.raw() }),
+                1 => Err(TfheError::KeyCorrupted {
+                    detail: String::new(),
+                }),
+                _ => Ok((now, need)),
+            };
+            let pinned: Vec<TenantId> = (self.lru.iter().copied())
+                .filter(|&u| self.count(Client::Holding(u)) > 0)
+                .collect();
+            let refused = self.bytes(&pinned) + need > budget;
+            self.clients[c] = match (load.clone(), self.cache.loaded(now, t, load)) {
+                (Ok(_), Err(e)) => {
+                    assert!(refused, "seed {}: {e}", self.seed);
+                    assert_eq!(e, TfheError::KeyBudgetExceeded { budget, need });
+                    self.reached[4] += 1;
+                    Client::Idle
+                }
+                (Ok((key, _)), Ok(got)) => {
+                    assert!(!refused && got == key, "seed {}", self.seed);
+                    // The reference evicts unpinned residents, LRU first,
+                    // until the key fits.
+                    let mut i = 0;
+                    while self.bytes(&self.lru) + need > budget {
+                        if pinned.contains(&self.lru[i]) {
+                            i += 1;
+                        } else {
+                            self.lru.remove(i);
+                            self.reached[3] += 1;
+                        }
+                    }
+                    self.lru.push(t);
+                    self.keys.insert(t, key);
+                    Client::Holding(t)
+                }
+                (Err(e), got) => {
+                    assert_eq!(got, Err(e.clone()), "seed {}", self.seed);
+                    self.reached[if outcome == 0 { 5 } else { 6 }] += 1;
+                    Client::Idle
+                }
+            };
+            for w in 0..self.clients.len() {
+                if self.clients[w] == Client::Waiting(t) {
+                    self.look(now, w, t);
+                }
+            }
+        }
+
+        /// Every contract of the cache, read off its state.
+        fn check(&self) {
+            let (cache, seed) = (&self.cache, self.seed);
+            let mut by_recency = Vec::new();
+            for (i, &size) in self.size.iter().enumerate() {
+                let t = TenantId::new(i as u64);
+                let held = self.count(Client::Holding(t));
+                let loading = self.count(Client::Loading(t));
+                let waiting = self.count(Client::Waiting(t));
+                match cache.slots.get(&t) {
+                    // Its pins are its holders': a pinned key stays.
+                    Some(Slot::Ready(r)) => {
+                        let entry = (r.pins as usize, loading, waiting, r.bytes, Some(&r.key));
+                        let want = (held, 0, 0, size, self.keys.get(&t));
+                        assert_eq!(entry, want, "seed {seed}: {t}");
+                        by_recency.push((r.last_used, t));
+                    }
+                    // One load in flight, and only while its loader is.
+                    Some(Slot::Loading) => assert_eq!((held, loading), (0, 1), "seed {seed}: {t}"),
+                    // Resolving a load released every waiter.
+                    None => assert_eq!((held, loading, waiting), (0, 0, 0), "seed {seed}: {t}"),
+                }
+            }
+            by_recency.sort_unstable();
+            let order: Vec<TenantId> = by_recency.into_iter().map(|(_, t)| t).collect();
+            assert_eq!(order, self.lru, "seed {seed}: residents by recency");
+            let s = cache.stats;
+            let bytes = self.bytes(&self.lru);
+            assert!(bytes <= cache.budget, "seed {seed}: over budget");
+            // What the counters are documented to count.
+            let r = self.reached;
+            let unresolved = s.misses - s.loads - s.load_failures;
+            let got = [s.bytes_resident, s.resident_keys, s.hits, s.misses];
+            let want = [bytes, order.len() as u64, r[0], r[1]];
+            assert_eq!(got, want, "seed {seed}");
+            let got = [s.evictions, s.load_failures, unresolved];
+            let want = [r[3], r[4] + r[5] + r[6], self.all(Client::Loading)];
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    /// Run one seed: tenants 2–6 with their own key sizes, a budget from
+    /// half the smallest key to all of them, 1–8 clients, loads that
+    /// complete out of order as `Ok`, `KeyNotFound` or `KeyCorrupted`.
+    /// Returns the journal and the outcomes reached.
+    fn sweep(seed: u64) -> (Vec<Event>, Reached) {
+        let mut rng = StdRng::seed_from_u64(0x4B_E7CA ^ seed);
+        let tenants = rng.gen_range(2..=6u64);
+        let size: Vec<u64> = (0..tenants)
+            .map(|_| rng.gen_range(1..=16u64) * 64)
+            .collect();
+        let smallest = size.iter().min().expect("two tenants or more");
+        let budget = rng.gen_range(smallest / 2..=size.iter().sum());
+        let journal = Arc::new(Journal::new());
+        let mut s = Sweep {
+            seed,
+            cache: KeyCache::new(budget, Arc::clone(&journal)),
+            size,
+            clients: vec![Client::Idle; rng.gen_range(1..=8)],
+            lru: Vec::new(),
+            keys: HashMap::new(),
+            reached: [0; 7],
+            steps: Vec::new(),
+        };
+        for now in 0..rng.gen_range(1..100u64) {
+            let c = rng.gen_range(0..s.clients.len());
+            match s.clients[c] {
+                Client::Idle => s.look(now, c, TenantId::new(rng.gen_range(0..tenants))),
+                // Woken before the load resolved: still a wait.
+                Client::Waiting(t) => s.look(now, c, t),
+                Client::Loading(t) => s.resolve(now, c, t, rng.gen_range(0..8)),
+                Client::Holding(t) => {
+                    s.cache.unpin(now, t);
+                    s.clients[c] = Client::Idle;
+                }
+            }
+            s.check();
+            s.steps.push((s.cache.stats, s.all(Client::Holding)));
+        }
+        // The counters equal the journal's event counts after every step
+        // (each step journals at its own `now`).
+        assert_eq!(journal.dropped(), 0);
+        let events = journal.events();
+        let mut counted: HashMap<&str, u64> = HashMap::new();
+        let mut next = events.iter().peekable();
+        for (now, &(stats, held)) in s.steps.iter().enumerate() {
+            while let Some(e) = next.next_if(|e| e.at_ns == now as u64) {
+                *counted.entry(e.kind.label()).or_default() += 1;
+            }
+            let n = |label| counted.get(label).copied().unwrap_or(0);
+            let want = [stats.hits, stats.misses, stats.loads, stats.evictions, held];
+            let got = [
+                n("hit"),
+                n("miss"),
+                n("load"),
+                n("evict"),
+                n("pin") - n("unpin"),
+            ];
+            assert_eq!(got, want, "seed {seed}, step {now}");
+        }
+        assert_eq!(counted.get("corrupt").copied().unwrap_or(0), s.reached[6]);
+        (events, s.reached)
+    }
+
+    /// The cache's contracts over 1 000 seeds on virtual time (`Sweep::check`
+    /// after every step); the seeds reach every outcome, and each replays
+    /// exactly.
+    #[test]
+    fn a_thousand_seeds_keep_every_contract() {
+        let mut reached: Reached = [0; 7];
+        for seed in 0..1_000 {
+            let out = sweep(seed);
+            assert!(out == sweep(seed), "seed {seed} did not replay");
+            for (sum, n) in reached.iter_mut().zip(out.1) {
+                *sum += n;
+            }
+        }
+        assert!(reached.iter().all(|&n| n > 50), "{reached:?}");
     }
 }
