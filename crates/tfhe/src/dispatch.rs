@@ -52,9 +52,10 @@
 //!   [`KeyStore`]-backed backend
 //!   ([`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper)) serves each
 //!   micro-batch under exactly one pinned key; [`DispatcherStats`]
-//!   breaks latency out [per tenant](TenantDispatchStats) and folds in
-//!   the key cache's hit/miss/eviction counters when a store is wired in
-//!   via [`DispatcherBuilder::key_store`];
+//!   breaks latency out [per tenant](TenantDispatchStats); a store wired
+//!   in via [`DispatcherBuilder::key_store`] hears the queue's tenant
+//!   order on every flush, to evict by next queued use, and its
+//!   hit/miss/eviction counters fold into the stats;
 //! - the front-end is fault-aware (see [`crate::resilience`]), and it is
 //!   the one layer that retries a *request*: under an optional
 //!   [`RetryConfig`](crate::RetryConfig) the members of a batch that hit a
@@ -255,7 +256,8 @@ struct Shared {
     /// The key store serving the backend, when the backend is a
     /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) — lets
     /// [`Dispatcher::stats`] fold cache hit/miss/eviction counters into
-    /// one serving snapshot.
+    /// one serving snapshot, and hears the queue's tenant order on every
+    /// flush.
     key_store: Option<Arc<KeyStore>>,
 }
 
@@ -590,10 +592,14 @@ impl DispatcherBuilder {
     }
 
     /// Surface `store`'s cache counters through [`Dispatcher::stats`]
-    /// (key hits/misses/evictions/resident bytes). Purely observational:
-    /// pass the same store's
+    /// (key hits/misses/evictions/resident bytes), and on every flush hand
+    /// `store` the tenants still queued, next to run first, so that it
+    /// evicts the key needed last instead of the least recently used one.
+    /// Batch order and outputs do not change. Pass the same store's
     /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) as the
-    /// `build` backend to actually serve through it.
+    /// `build` backend to actually serve through it. Several dispatchers
+    /// may share one store: the last flush's order wins, which can cost
+    /// hits, never correctness.
     pub fn key_store(mut self, store: Arc<KeyStore>) -> Self {
         self.key_store = Some(store);
         self
@@ -1022,15 +1028,25 @@ impl Bootstrapper for Dispatcher {
 /// a retry backing off — becomes a timed wait that a new submission cuts
 /// short, `Idle` waits for a submission — or, once admission is closed
 /// and everything queued has drained, ends the thread. Nothing here
-/// sleeps.
+/// sleeps. With a key store wired in, each flush also hands it the queue's
+/// tenant order, read under the core's lock and passed on after it is
+/// dropped (the two locks never nest), so that the batch's key load evicts
+/// what is needed last.
 fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
     let _fail_leftovers_on_exit = ExitGuard(shared);
+    let mut queued = Vec::new();
     let mut core = lock(&shared.core);
     loop {
         let now = journal::now();
         match core.poll(now, |p| p.cancelled.load(Ordering::SeqCst)) {
             Poll::Flush { batch, dropped } => {
+                if shared.key_store.is_some() {
+                    core.queued_tenants(&mut queued);
+                }
                 drop(core);
+                if let Some(store) = &shared.key_store {
+                    store.set_queued(&queued);
+                }
                 shared.not_full.notify_all();
                 for (e, why) in dropped {
                     shared.resolve(e.item, Err(why));
@@ -2252,6 +2268,94 @@ mod tests {
         let pins = events.iter().filter(|e| e.kind.label() == "pin").count();
         let unpins = events.iter().filter(|e| e.kind.label() == "unpin").count();
         assert_eq!(pins, unpins);
+    }
+
+    /// Holds its first load until the test opens the gate.
+    struct GatedKeys {
+        inner: Arc<crate::keystore::MemoryBackend>,
+        entered: Sender<()>,
+        gate: Receiver<()>,
+        opened: AtomicBool,
+    }
+
+    impl crate::keystore::KeyBackend for GatedKeys {
+        fn load(&self, tenant: TenantId) -> Result<Vec<u8>, TfheError> {
+            if !self.opened.swap(true, Ordering::SeqCst) {
+                self.entered.send(()).unwrap();
+                self.gate.recv().unwrap();
+            }
+            self.inner.load(tenant)
+        }
+    }
+
+    /// Room for two of tenants 1–3's keys, batches of one. Tenant 1's load
+    /// holds the batcher while 2, 3 and 1 again queue behind it; tenant 3's
+    /// load must then evict 1 (least recently used) or 2 (not queued).
+    /// Returns the first evicted tenant and the key hits.
+    fn first_eviction(wired: bool) -> (Who, u64) {
+        use crate::keystore::{KeyStoreBootstrapper, MemoryBackend};
+
+        let mut rng = StdRng::seed_from_u64(0xD16);
+        let params = ParamSet::Test.params();
+        let inner = Arc::new(MemoryBackend::new());
+        let clients: Vec<ClientKey> = (1..=3)
+            .map(|t| {
+                let ck = ClientKey::generate(params.clone(), &mut rng);
+                inner.insert_server_key(TenantId::new(t), &ServerKey::new(&ck, &mut rng));
+                ck
+            })
+            .collect();
+        let (entered, entered_rx) = channel::unbounded();
+        let (gate_tx, gate) = channel::unbounded();
+        let keys = GatedKeys {
+            inner,
+            entered,
+            gate,
+            opened: AtomicBool::new(false),
+        };
+        let budget = 2 * (params.bsk_total_bytes_fourier() + params.ksk_total_bytes());
+        let store = Arc::new(KeyStore::new(Arc::new(keys), budget));
+        let config = ServingConfig::builder().max_batch_size(1).build().unwrap();
+        let mut builder = DispatcherBuilder::from_config(&config).unwrap();
+        if wired {
+            builder = builder.key_store(Arc::clone(&store));
+        }
+        let d = builder.build(KeyStoreBootstrapper::new(Arc::clone(&store)));
+        let lut = Arc::new(Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4));
+        let mut submit = |t: u64| {
+            let ck = &clients[t as usize - 1];
+            let ct = ck.encrypt(t, &mut rng);
+            (
+                t,
+                d.submit_for(TenantId::new(t), ct, Arc::clone(&lut), None)
+                    .unwrap(),
+            )
+        };
+        let mut tickets = vec![submit(1)];
+        entered_rx.recv().unwrap();
+        tickets.extend([2, 3, 1].map(&mut submit));
+        gate_tx.send(()).unwrap();
+        for (t, ticket) in tickets {
+            let out = ticket.wait().unwrap();
+            assert_eq!(
+                clients[t as usize - 1].decrypt(&out),
+                (t + 1) % 4,
+                "tenant {t}"
+            );
+        }
+        let events = store.journal().events();
+        let mut evicts = events.iter().filter(|e| e.kind.label() == "evict");
+        (evicts.next().unwrap().who.clone(), store.stats().hits)
+    }
+
+    #[test]
+    fn a_wired_store_evicts_the_tenant_the_queue_does_not_name() {
+        // Tenant 2 has no queued request when tenant 3 loads: it goes,
+        // though tenant 1 is older, and tenant 1's queued request hits.
+        assert_eq!(first_eviction(true), (Who::Tenant(2), 1));
+        // Without `key_store` the store never hears the queue: plain LRU
+        // evicts tenant 1, whose request then loads it again.
+        assert_eq!(first_eviction(false), (Who::Tenant(1), 0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Multi-tenant server-key management: a byte-budget LRU cache over a
-//! pluggable storage backend, with load-coalescing and pinning.
+//! Multi-tenant server-key management: a byte-budget cache over a
+//! pluggable storage backend, with load-coalescing, pinning and eviction
+//! by next queued use.
 //!
 //! Morphling's throughput case rests on keeping the bootstrapping key
 //! resident — BSKs are tens of MB and the key working set is the scarce
@@ -22,9 +23,15 @@
 //!   `get(tenant)` returns a [`PinnedKey`], which unpins when dropped;
 //!   concurrent misses for one tenant share one backend load, done
 //!   outside the lock.
-//! - Eviction: strict LRU over *unpinned* residents. A key that cannot
-//!   fit even after evicting all of them fails loudly with
-//!   [`TfheError::KeyBudgetExceeded`] and evicts nothing: no livelock.
+//! - Eviction, over *unpinned* residents only: first those the serving
+//!   queue does not name, least recently used first, then the one whose
+//!   first queued use is farthest away (Belady over the queue). The
+//!   queue's tenant order is what a [`Dispatcher`](crate::Dispatcher)
+//!   wired through [`DispatcherBuilder::key_store`](crate::DispatcherBuilder::key_store)
+//!   hands over on each flush; without one the list is empty and eviction
+//!   is plain LRU. A key that cannot fit even after evicting all of them
+//!   fails loudly with [`TfheError::KeyBudgetExceeded`] and evicts
+//!   nothing: no livelock.
 //! - [`KeyStoreBootstrapper`]: adapts a store to the [`Bootstrapper`]
 //!   trait by resolving [`BatchRequest::tenant`] through the cache and
 //!   holding the pin for the duration of the batch.
@@ -239,6 +246,8 @@ struct KeyCache<K> {
     slots: HashMap<TenantId, Slot<K>>,
     /// LRU clock: bumped on every touch.
     tick: u64,
+    /// The tenants the serving queue will ask for next, in that order.
+    queued: Vec<TenantId>,
     stats: KeyStoreStats,
     journal: Arc<Journal>,
 }
@@ -250,6 +259,7 @@ impl<K: Clone> KeyCache<K> {
             budget,
             slots: HashMap::new(),
             tick: 0,
+            queued: Vec::new(),
             stats: KeyStoreStats::default(),
             journal,
         }
@@ -284,7 +294,7 @@ impl<K: Clone> KeyCache<K> {
     }
 
     /// Resolve the load of `t` its caller claimed: publish the key pinned
-    /// for that caller, evicting LRU unpinned residents to make room, or
+    /// for that caller, evicting unpinned residents to make room, or
     /// clear the slot and count the failure — the load's own, or
     /// [`TfheError::KeyBudgetExceeded`] when evicting cannot make room.
     fn loaded(&mut self, now: u64, t: TenantId, load: Loaded<K>) -> Result<K, TfheError> {
@@ -324,23 +334,29 @@ impl<K: Clone> KeyCache<K> {
         }
     }
 
-    /// Evict LRU unpinned residents until `need` more bytes fit, or evict
-    /// nothing and fail if evicting them all would not do. Never wait on a
-    /// pin: its holder may itself be waiting on this load (livelock).
+    /// Evict unpinned residents until `need` more bytes fit — those not
+    /// `queued` first, least recently used first, then the one queued
+    /// last — or evict nothing and fail if evicting them all would not do.
+    /// Never wait on a pin: its holder may itself be waiting on this load
+    /// (livelock).
     fn evict_for(&mut self, now: u64, need: u64) -> Result<(), TfheError> {
-        let mut unpinned: Vec<(u64, TenantId, u64)> = (self.slots.iter())
+        let queued = |t| self.queued.iter().position(|&q| q == t);
+        let mut unpinned: Vec<(usize, u64, TenantId, u64)> = (self.slots.iter())
             .filter_map(|(&t, slot)| match slot {
-                Slot::Ready(r) if r.pins == 0 => Some((r.last_used, t, r.bytes)),
+                Slot::Ready(r) if r.pins == 0 => {
+                    let next_use = queued(t).map_or(0, |i| usize::MAX - i);
+                    Some((next_use, r.last_used, t, r.bytes))
+                }
                 _ => None,
             })
             .collect();
-        let evictable: u64 = unpinned.iter().map(|&(_, _, bytes)| bytes).sum();
+        let evictable: u64 = unpinned.iter().map(|&(.., bytes)| bytes).sum();
         if self.stats.bytes_resident - evictable + need > self.budget {
             let budget = self.budget;
             return Err(TfheError::KeyBudgetExceeded { budget, need });
         }
         unpinned.sort_unstable();
-        for (_, t, bytes) in unpinned {
+        for (.., t, bytes) in unpinned {
             if self.stats.bytes_resident + need <= self.budget {
                 break;
             }
@@ -354,8 +370,11 @@ impl<K: Clone> KeyCache<K> {
     }
 }
 
-/// A byte-budget LRU cache of deserialized [`ServerKey`]s over a
-/// [`KeyBackend`].
+/// A byte-budget cache of deserialized [`ServerKey`]s over a
+/// [`KeyBackend`]. It evicts by next queued use when a dispatcher hands it
+/// its queue's tenant order ([`DispatcherBuilder::key_store`](crate::DispatcherBuilder::key_store)),
+/// and by plain LRU otherwise. When several dispatchers share one store,
+/// the last flush's order wins: that can cost hits, never correctness.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -425,6 +444,14 @@ impl KeyStore {
     /// Snapshot of the counters.
     pub fn stats(&self) -> KeyStoreStats {
         lock(&self.cache).stats
+    }
+
+    /// The tenants the serving queue will ask for next, in that order:
+    /// what eviction keeps until the next call replaces it.
+    pub(crate) fn set_queued(&self, tenants: &[TenantId]) {
+        let queued = &mut lock(&self.cache).queued;
+        queued.clear();
+        queued.extend_from_slice(tenants);
     }
 
     /// Serve `tenant`'s key, loading (and possibly evicting) as needed.
@@ -812,8 +839,8 @@ mod tests {
     }
 
     /// What the sweep counts: hit, miss, wait, evict, budget refusal,
-    /// not found, corrupt.
-    type Reached = [u64; 7];
+    /// not found, corrupt, and evictions that plain LRU would not make.
+    type Reached = [u64; 8];
 
     /// A `KeyCache<u64>` driven on virtual time by its clients, beside the
     /// reference model it is checked against after every step.
@@ -825,6 +852,8 @@ mod tests {
         /// The model: resident tenants, least recently used first, and the
         /// key each one's load published.
         lru: Vec<TenantId>,
+        /// The queued-tenant list the cache holds, as the model sees it.
+        queued: Vec<TenantId>,
         keys: HashMap<TenantId, u64>,
         reached: Reached,
         /// After each step: the counters and the pins held.
@@ -900,16 +929,23 @@ mod tests {
                 }
                 (Ok((key, _)), Ok(got)) => {
                     assert!(!refused && got == key, "seed {}", self.seed);
-                    // The reference evicts unpinned residents, LRU first,
-                    // until the key fits.
-                    let mut i = 0;
+                    // The reference evicts unpinned residents until the
+                    // key fits: the least recently used of those not
+                    // queued, else the one queued last.
                     while self.bytes(&self.lru) + need > budget {
-                        if pinned.contains(&self.lru[i]) {
-                            i += 1;
-                        } else {
-                            self.lru.remove(i);
-                            self.reached[3] += 1;
-                        }
+                        let unpinned: Vec<usize> = (0..self.lru.len())
+                            .filter(|&i| !pinned.contains(&self.lru[i]))
+                            .collect();
+                        let next_use =
+                            |i: usize| self.queued.iter().position(|&q| q == self.lru[i]);
+                        let victim = match unpinned.iter().find(|&&i| next_use(i).is_none()) {
+                            Some(&i) => i,
+                            None => *(unpinned.iter().max_by_key(|&&i| next_use(i)))
+                                .expect("not refused, so something is unpinned"),
+                        };
+                        self.reached[7] += u64::from(victim != unpinned[0]);
+                        self.lru.remove(victim);
+                        self.reached[3] += 1;
                     }
                     self.lru.push(t);
                     self.keys.insert(t, key);
@@ -951,6 +987,8 @@ mod tests {
                     None => assert_eq!((held, loading, waiting), (0, 0, 0), "seed {seed}: {t}"),
                 }
             }
+            // The residents are the model's, after its next-use-then-LRU
+            // victims, in the same recency order.
             by_recency.sort_unstable();
             let order: Vec<TenantId> = by_recency.into_iter().map(|(_, t)| t).collect();
             assert_eq!(order, self.lru, "seed {seed}: residents by recency");
@@ -969,9 +1007,25 @@ mod tests {
         }
     }
 
+    /// A queued-tenant list as a flush hands it over: empty a third of the
+    /// time, else distinct tenants in random order — some not resident,
+    /// some not tenants of the sweep at all.
+    fn queued(rng: &mut StdRng, tenants: u64) -> Vec<TenantId> {
+        let mut pool: Vec<TenantId> = (0..tenants + 2).map(TenantId::new).collect();
+        let len = if rng.gen_range(0..3) == 0 {
+            0
+        } else {
+            rng.gen_range(1..=pool.len())
+        };
+        (0..len)
+            .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
+            .collect()
+    }
+
     /// Run one seed: tenants 2–6 with their own key sizes, a budget from
     /// half the smallest key to all of them, 1–8 clients, loads that
-    /// complete out of order as `Ok`, `KeyNotFound` or `KeyCorrupted`.
+    /// complete out of order as `Ok`, `KeyNotFound` or `KeyCorrupted`,
+    /// and a fresh queued-tenant list before every step.
     /// Returns the journal and the outcomes reached.
     fn sweep(seed: u64) -> (Vec<Event>, Reached) {
         let mut rng = StdRng::seed_from_u64(0x4B_E7CA ^ seed);
@@ -988,11 +1042,14 @@ mod tests {
             size,
             clients: vec![Client::Idle; rng.gen_range(1..=8)],
             lru: Vec::new(),
+            queued: Vec::new(),
             keys: HashMap::new(),
-            reached: [0; 7],
+            reached: [0; 8],
             steps: Vec::new(),
         };
         for now in 0..rng.gen_range(1..100u64) {
+            s.queued = queued(&mut rng, tenants);
+            s.cache.queued.clone_from(&s.queued);
             let c = rng.gen_range(0..s.clients.len());
             match s.clients[c] {
                 Client::Idle => s.look(now, c, TenantId::new(rng.gen_range(0..tenants))),
@@ -1037,7 +1094,7 @@ mod tests {
     /// exactly.
     #[test]
     fn a_thousand_seeds_keep_every_contract() {
-        let mut reached: Reached = [0; 7];
+        let mut reached: Reached = [0; 8];
         for seed in 0..1_000 {
             let out = sweep(seed);
             assert!(out == sweep(seed), "seed {seed} did not replay");
@@ -1046,5 +1103,45 @@ mod tests {
             }
         }
         assert!(reached.iter().all(|&n| n > 50), "{reached:?}");
+    }
+
+    /// The hit rate of `trace` through a cache with room for four one-byte
+    /// keys. Each lookup sees the queue's order — the distinct tenants of
+    /// the next eight turns — or, without `sees_queue`, an empty list.
+    fn hit_rate(trace: &[TenantId], sees_queue: bool) -> f64 {
+        let mut cache = KeyCache::new(4, Arc::new(Journal::new()));
+        for (i, &t) in trace.iter().enumerate() {
+            cache.queued.clear();
+            for &u in trace[i + 1..].iter().take(8).filter(|_| sees_queue) {
+                if !cache.queued.contains(&u) {
+                    cache.queued.push(u);
+                }
+            }
+            let now = i as u64;
+            if let Lookup::Load = cache.lookup(now, t) {
+                cache.loaded(now, t, Ok((now, 1))).unwrap();
+            }
+            cache.unpin(now, t);
+        }
+        cache.stats.hits as f64 / trace.len() as f64
+    }
+
+    /// ROADMAP 5's target, on virtual time: eight tenants take turns with
+    /// room for four keys. A strict round robin is every policy's worst
+    /// case — next-use eviction reaches Belady's optimum, 3 hits in 7 —
+    /// and plain LRU hits nothing on it. With four hot tenants served
+    /// every round and the four cold ones taking the fifth turn in
+    /// rotation, every reuse is still four tenants away, so LRU still hits
+    /// nothing; the queue order keeps the hot keys and hits 3 in 5.
+    #[test]
+    fn the_queue_order_lifts_round_robin_off_the_lru_floor() {
+        let strict: Vec<TenantId> = (0..560).map(|i| TenantId::new(i % 8)).collect();
+        let hot_and_cold: Vec<TenantId> = (0..500u64)
+            .map(|i| TenantId::new(if i % 5 < 4 { i % 5 } else { 4 + i / 5 % 4 }))
+            .collect();
+        assert!(hit_rate(&strict, false) == 0.0);
+        assert!((hit_rate(&strict, true) - 3.0 / 7.0).abs() < 0.01);
+        assert!(hit_rate(&hot_and_cold, false) == 0.0);
+        assert!(hit_rate(&hot_and_cold, true) >= 0.5);
     }
 }

@@ -351,6 +351,23 @@ impl<T> ServingCore<T> {
         Done::Failed { resolved, retried }
     }
 
+    /// The distinct tenants of what is still held, next to run first, into
+    /// `out` (cleared first; it allocates only to grow) — the order in
+    /// which the key store will be asked for their keys.
+    pub(crate) fn queued_tenants(&self, out: &mut Vec<TenantId>) {
+        out.clear();
+        let held = self
+            .isolating
+            .iter()
+            .chain(&self.forming)
+            .chain(&self.queue);
+        for t in held.filter_map(|e| e.affinity) {
+            if !out.contains(&t) {
+                out.push(t);
+            }
+        }
+    }
+
     /// Everything still held, next to run first — for a caller that is
     /// going away and must resolve what it holds.
     pub(crate) fn take_all(&mut self) -> Vec<Entry<T>> {
@@ -1082,6 +1099,32 @@ mod tests {
             vec![(50_000, vec![0]), (101_000, vec![3]), (111_000, vec![2])]
         );
         assert_eq!(out.left_as(Left::Cancelled), vec![1]);
+    }
+
+    #[test]
+    fn queued_tenants_names_each_tenant_once_next_to_run_first() {
+        let mut core = ServingCore::new(&knobs(2, Duration::ZERO), Arc::new(Journal::new()));
+        let tenants = [Some(1), Some(1), None, Some(2), Some(1), Some(3)];
+        for (i, t) in tenants.into_iter().enumerate() {
+            assert!(core.admit(0, t.map(TenantId::new), None, i).is_ok());
+        }
+        let Poll::Flush { batch, .. } = core.poll(0, |_| false) else {
+            panic!("a full batch flushes");
+        };
+        let mut out = Vec::new();
+        core.queued_tenants(&mut out);
+        // Tenant 1's first two left in the batch; tenantless work is no key.
+        assert_eq!(out, [2, 1, 3].map(TenantId::new));
+        // A permanent fault splits the batch: its members run next, alone,
+        // so their tenant leads the list. The buffer is reused as it is.
+        let (ptr, capacity) = (out.as_ptr(), out.capacity());
+        assert!(matches!(
+            core.complete(0, batch, Err(PERMANENT)),
+            Done::Failed { .. }
+        ));
+        core.queued_tenants(&mut out);
+        assert_eq!(out, [1, 2, 3].map(TenantId::new));
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, capacity));
     }
 
     #[test]
