@@ -18,18 +18,18 @@ use std::time::{Duration, Instant};
 
 use morphling_core::trace::ExecutionTrace;
 use morphling_tfhe::autotune::{
-    autotune, replay_open_loop, AutotuneReport, LoadSpec, MeasuredProfile, ServiceModel, SloTarget,
+    autotune, replay_open_loop, AutotuneReport, LoadSpec, ServiceModel, SloTarget,
 };
 use morphling_tfhe::{
-    AutotuneRequest, BatchRequest, Bootstrapper, ClientKey, Dispatcher, EngineStats, Lut, ParamSet,
-    ServerKey, TfheError,
+    AutotuneRequest, BatchRequest, Bootstrapper, ClientKey, Dispatcher, DispatcherStats,
+    EngineStats, Lut, ParamSet, ServerKey, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Everything a capacity-planning run produced: the calibration
 /// measurement, the search verdict, and (when validation ran) the real
-/// dispatcher's measured profile.
+/// dispatcher's stats.
 pub struct AutotuneOutcome {
     /// Parameter set the calibration engine ran at.
     pub set: ParamSet,
@@ -42,16 +42,16 @@ pub struct AutotuneOutcome {
     pub report: AutotuneReport,
     /// Wall time the search took.
     pub search_wall: Duration,
-    /// Measured profile from replaying the recommended config through
-    /// the real dispatcher (`None` when validation was skipped).
-    pub measured: Option<MeasuredProfile>,
+    /// The real dispatcher's stats after replaying the recommended config
+    /// through it (`None` when validation was skipped).
+    pub measured: Option<DispatcherStats>,
 }
 
 impl AutotuneOutcome {
     /// Measured p99 ÷ predicted p99 (`None` when validation was skipped
     /// or nothing was predicted to complete).
     pub fn p99_ratio(&self) -> Option<f64> {
-        let measured = self.measured?.p99.as_secs_f64();
+        let measured = self.measured.as_ref()?.p99_latency.as_secs_f64();
         let predicted = self.report.predicted.p99.as_secs_f64();
         (predicted > 0.0).then(|| measured / predicted)
     }
@@ -143,7 +143,9 @@ pub fn config_json(outcome: &AutotuneOutcome) -> String {
 
 /// The `--bench-out` summary CI validates: target, calibration,
 /// recommendation, predicted profile, search size, and — when validation
-/// ran — the measured profile plus measured ÷ predicted p99.
+/// ran — the measured profile plus measured ÷ predicted p99. The measured
+/// `rejected` is every refusal at admission (the dispatcher's `rejected +
+/// shed`), as the predicted `shed` is.
 pub fn bench_json(outcome: &AutotuneOutcome) -> String {
     let r = &outcome.report;
     let mut s = String::from("{\n");
@@ -186,11 +188,11 @@ pub fn bench_json(outcome: &AutotuneOutcome) -> String {
         Some(m) => {
             s.push_str(&format!(
                 "  \"measured\": {{\"p50_ms\": {}, \"p99_ms\": {}, \"completed\": {}, \"expired\": {}, \"rejected\": {}, \"failed\": {}, \"throughput_bs\": {}}},\n",
-                m.p50.as_secs_f64() * 1e3,
-                m.p99.as_secs_f64() * 1e3,
+                m.p50_latency.as_secs_f64() * 1e3,
+                m.p99_latency.as_secs_f64() * 1e3,
                 m.completed,
                 m.expired,
-                m.rejected,
+                m.rejected + m.shed,
                 m.failed,
                 m.throughput_bs
             ));
@@ -235,10 +237,10 @@ mod tests {
             model,
             report,
             search_wall: Duration::from_millis(12),
-            measured: validate.then(|| MeasuredProfile {
-                p99: Duration::from_millis(4),
+            measured: validate.then(|| DispatcherStats {
+                p99_latency: Duration::from_millis(4),
                 completed: 64,
-                ..MeasuredProfile::default()
+                ..DispatcherStats::default()
             }),
         }
     }

@@ -236,11 +236,12 @@ fn run_autotune(args: &[String]) {
     if let (Some(m), Some(ratio)) = (&outcome.measured, outcome.p99_ratio()) {
         eprintln!(
             "replayed on the real dispatcher: measured p99 {:.2} ms, {ratio:.2}x predicted \
-             (completed {}, expired {}, rejected {}, failed {})",
-            m.p99.as_secs_f64() * 1e3,
+             (completed {}, expired {}, rejected {}, shed {}, failed {})",
+            m.p99_latency.as_secs_f64() * 1e3,
             m.completed,
             m.expired,
             m.rejected,
+            m.shed,
             m.failed
         );
     }

@@ -11,7 +11,9 @@
 //! [`Dispatcher`]'s serving core **itself**: the state machine in
 //! `policy.rs` that the batcher thread drives with the wall clock is
 //! driven here with virtual time — by the same loop the chaos sweep uses —
-//! so there is no second copy of the policy to keep honest. [`autotune`] grid-searches worker
+//! and its profile is read off the core's own counts, the ones
+//! [`Dispatcher::stats`] reports, so there is no second copy of the policy
+//! or of its bookkeeping to keep honest. [`autotune`] grid-searches worker
 //! count, `max_batch_size`, `max_linger`, queue depth, and deadline
 //! slack over such simulations and emits the cheapest [`ServingConfig`]
 //! that meets the SLO — plus the full search [trajectory](SearchPoint),
@@ -21,10 +23,10 @@
 //! [`replay_open_loop`] is the load generator for checking a
 //! recommendation on the real stack: it drives a **real** dispatcher
 //! with the *same seeded arrival schedule* the simulation used and
-//! reports what was measured. How close measured latency comes to the
-//! prediction depends on how well one calibration run captured the host
-//! (DESIGN.md §15), so `report autotune --validate` reports both and
-//! their ratio, and nothing gates on it.
+//! returns the dispatcher's [`DispatcherStats`]. How close measured
+//! latency comes to the prediction depends on how well one calibration
+//! run captured the host (DESIGN.md §15), so `report autotune --validate`
+//! reports both and their ratio, and nothing gates on it.
 //!
 //! ```
 //! use std::time::Duration;
@@ -46,16 +48,17 @@
 //! // or build the stack directly via Dispatcher::from_config.
 //! ```
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::dispatch::{percentile, Dispatcher};
+use crate::dispatch::{Dispatcher, DispatcherStats};
 use crate::engine::EngineStats;
 use crate::error::TfheError;
 use crate::faults;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
-use crate::policy::{drive, dur_ns, Arrival, Done, Poll, ServingCore, Step};
+use crate::policy::{drive, dur_ns, Arrival, ServingCore};
 use crate::serving::ServingConfig;
 
 /// Hash domain separating arrival-time draws from the fault injector's
@@ -227,14 +230,17 @@ pub struct PredictedProfile {
     pub p99: Duration,
     /// Completed bootstraps per second over the run.
     pub throughput_bs: f64,
-    /// Mean formed-batch size — the dynamic-batching figure of merit.
+    /// Batch members over batches (backend calls, counted at flush) — the
+    /// dynamic-batching figure of merit, as
+    /// [`DispatcherStats::mean_batch_size`].
     pub mean_batch_size: f64,
     /// Requests that completed.
     pub completed: u64,
     /// Requests dropped because their deadline passed before their batch
     /// started (only with [`LoadSpec::deadline`]).
     pub expired: u64,
-    /// Requests shed at admission because the queue was full.
+    /// Every refusal at admission: [`DispatcherStats`]' `rejected` (queue
+    /// full) plus its `shed` (breaker open).
     pub shed: u64,
     /// Fraction of the run the (single) batcher-server spent executing.
     pub utilization: f64,
@@ -246,9 +252,9 @@ pub struct PredictedProfile {
 ///
 /// This is the core's one virtual-time driver (`policy::drive`) under a
 /// backend that never fails and keeps the single batcher busy for
-/// [`ServiceModel::batch_service_ns`] per batch: an arrival the bounded
-/// queue refuses is shed, like `try_submit`, and a request the sweep drops
-/// on its deadline (only with [`LoadSpec::deadline`]) counts as expired.
+/// [`ServiceModel::batch_service_ns`] per batch, every arrival offered as
+/// by `try_submit`; the profile is the core's tally, read as
+/// [`Dispatcher::stats`] reads it (latencies exact below 4 096 requests).
 /// The core runs `cfg`'s breaker, as the dispatcher does; against a backend
 /// that never fails it never opens.
 ///
@@ -269,55 +275,26 @@ pub fn simulate(
         ..Arrival::default()
     };
     let arrivals: Vec<Arrival> = spec.arrival_schedule_ns().into_iter().map(arrive).collect();
-    let mut latencies: Vec<u64> = Vec::with_capacity(arrivals.len());
-    let (mut shed, mut expired, mut batches, mut busy_ns, mut end_ns) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    drive(
-        &mut ServingCore::new(cfg, Arc::default()),
-        &arrivals,
-        None,
-        |_, batch| {
-            let service_ns = model.batch_service_ns(batch.len(), cfg.workers);
-            busy_ns += service_ns;
-            batches += 1;
-            (service_ns, Ok(()))
-        },
-        |now, _, step| match step {
-            Step::Offered(Err(_)) => shed += 1,
-            Step::Polled(Poll::Flush { dropped, .. }) => expired += dropped.len() as u64,
-            Step::Completed(Done::Served(batch)) => {
-                end_ns = now;
-                latencies.extend(batch.iter().map(|e| now.saturating_sub(e.enqueued_ns)));
-            }
-            _ => {}
-        },
-    );
-    latencies.sort_unstable();
-    let completed = latencies.len() as u64;
-    let window_ns = end_ns.saturating_sub(arrivals.first().map_or(0, |a| a.at));
-    let window_s = window_ns as f64 / 1e9;
+    let mut core = ServingCore::new(cfg, Arc::default());
+    let mut busy_ns = 0u64;
+    let backend = |_, batch: &[_]| {
+        let service_ns = model.batch_service_ns(batch.len(), cfg.workers);
+        busy_ns += service_ns;
+        (service_ns, Ok(()))
+    };
+    drive(&mut core, &arrivals, None, backend, |_, _, _| {});
+    let (stats, window_ns) = (core.tally().stats(), core.tally().window_ns());
     Ok(PredictedProfile {
-        p50: percentile(&latencies, 0.50),
-        p95: percentile(&latencies, 0.95),
-        p99: percentile(&latencies, 0.99),
-        throughput_bs: if completed > 0 && window_s > 0.0 {
-            completed as f64 / window_s
-        } else {
-            0.0
-        },
-        mean_batch_size: if batches > 0 {
-            completed as f64 / batches as f64
-        } else {
-            0.0
-        },
-        completed,
-        expired,
-        shed,
-        utilization: if window_ns > 0 {
-            (busy_ns as f64 / window_ns as f64).min(1.0)
-        } else {
-            0.0
-        },
+        p50: stats.p50_latency,
+        p95: stats.p95_latency,
+        p99: stats.p99_latency,
+        throughput_bs: stats.throughput_bs,
+        mean_batch_size: stats.mean_batch_size,
+        completed: stats.completed,
+        expired: stats.expired,
+        shed: stats.rejected + stats.shed,
+        // Nothing ran in an empty window: busy is 0 there too.
+        utilization: (busy_ns as f64 / window_ns.max(1) as f64).min(1.0),
     })
 }
 
@@ -482,7 +459,11 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
     let slacks = slack_candidates(slo);
     let queues = queue_candidates(&req.target);
     let mut trajectory = Vec::new();
-    let mut best_feasible: Option<(usize, usize, Duration, usize, SearchPoint)> = None;
+    // A feasible point prefers fewer workers, then larger batches, then
+    // lower p99; a best effort fewer losses, then lower p99.
+    let rank = |p: &SearchPoint| (p.workers, Reverse(p.max_batch_size), p.predicted.p99);
+    let loss = |p: &SearchPoint| (p.predicted.shed + p.predicted.expired, p.predicted.p99);
+    let mut best_feasible: Option<SearchPoint> = None;
     let mut best_effort: Option<SearchPoint> = None;
     for workers in 1..=req.max_workers {
         for &max_batch_size in &batch_grid {
@@ -516,38 +497,10 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
                             feasible,
                         };
                         trajectory.push(point);
-                        if feasible {
-                            // Prefer fewer workers, then larger batches,
-                            // then lower p99.
-                            let better = match &best_feasible {
-                                None => true,
-                                Some((w, b, _, _, best)) => {
-                                    (workers, std::cmp::Reverse(max_batch_size), predicted.p99)
-                                        < (*w, std::cmp::Reverse(*b), best.predicted.p99)
-                                }
-                            };
-                            if better {
-                                best_feasible = Some((
-                                    workers,
-                                    max_batch_size,
-                                    max_linger,
-                                    queue_capacity,
-                                    point,
-                                ));
-                            }
+                        if feasible && best_feasible.is_none_or(|b| rank(&point) < rank(&b)) {
+                            best_feasible = Some(point);
                         }
-                        let losses = predicted.shed + predicted.expired;
-                        let effort_better = match &best_effort {
-                            None => true,
-                            Some(best) => {
-                                (losses, predicted.p99)
-                                    < (
-                                        best.predicted.shed + best.predicted.expired,
-                                        best.predicted.p99,
-                                    )
-                            }
-                        };
-                        if effort_better {
+                        if best_effort.is_none_or(|b| loss(&point) < loss(&b)) {
                             best_effort = Some(point);
                         }
                     }
@@ -556,7 +509,7 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
         }
     }
     let (winner, slo_met) = match (best_feasible, best_effort) {
-        (Some((_, _, _, _, point)), _) => (point, true),
+        (Some(point), _) => (point, true),
         (None, Some(point)) => (point, false),
         // Unreachable: every grid has at least one candidate.
         (None, None) => return Err(invalid("max_workers", "search space is empty".into())),
@@ -580,43 +533,20 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
 // End-to-end validation: replay against the real dispatcher
 // ---------------------------------------------------------------------------
 
-/// What the real dispatcher measured under a [`replay_open_loop`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MeasuredProfile {
-    /// Median end-to-end latency (enqueue → result), from
-    /// [`DispatcherStats`](crate::DispatcherStats).
-    pub p50: Duration,
-    /// 95th-percentile latency.
-    pub p95: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-    /// Requests that completed with a result.
-    pub completed: u64,
-    /// Requests that expired on their deadline.
-    pub expired: u64,
-    /// Requests shed at admission (queue full / breaker open).
-    pub rejected: u64,
-    /// Requests that resolved to any other error.
-    pub failed: u64,
-    /// Completed bootstraps per second, from the dispatcher's
-    /// first-submit → last-done window.
-    pub throughput_bs: f64,
-}
-
 /// Drive the **real** `dispatcher` with `spec`'s seeded open-loop load —
-/// the same arrival schedule [`simulate`] used — and report what was
-/// measured. Run it against a dispatcher built from
-/// [`AutotuneReport::recommended`] to see the recommendation serve real
-/// traffic; [`MeasuredProfile::p99`] over [`PredictedProfile::p99`]
-/// says how well the [`ServiceModel`] was calibrated, not whether the
-/// policy was modelled right — both sides run the same policy code.
+/// the same arrival schedule [`simulate`] used — and return its
+/// [`DispatcherStats`] once every admitted request has resolved. Run it
+/// against a dispatcher built from [`AutotuneReport::recommended`] to see
+/// the recommendation serve real traffic; its `p99_latency` over
+/// [`PredictedProfile::p99`] says how well the [`ServiceModel`] was
+/// calibrated, not whether the policy was modelled right — both sides run
+/// the same policy code and read the same counts.
 ///
 /// Submissions are non-blocking (`try_submit`), so an undersized config
 /// sheds load here exactly as it would in production (and as the
 /// simulator predicted) instead of distorting the arrival process by
-/// blocking. Latency percentiles come from the dispatcher's own bounded
-/// reservoir, so pass a **freshly built** dispatcher — prior traffic
-/// would pollute the sample.
+/// blocking. The stats cover the dispatcher's whole life, so pass a
+/// **freshly built** dispatcher — prior traffic would pollute them.
 ///
 /// # Errors
 ///
@@ -627,11 +557,10 @@ pub fn replay_open_loop(
     spec: &LoadSpec,
     ct: &LweCiphertext,
     lut: &Arc<Lut>,
-) -> Result<MeasuredProfile, TfheError> {
+) -> Result<DispatcherStats, TfheError> {
     spec.validate()?;
     let schedule = spec.arrival_schedule_ns();
     let mut tickets = Vec::with_capacity(schedule.len());
-    let mut rejected = 0u64;
     let t0 = Instant::now();
     for &offset_ns in &schedule {
         let target = t0 + Duration::from_nanos(offset_ns);
@@ -642,32 +571,16 @@ pub fn replay_open_loop(
         let deadline = spec.deadline.map(|b| Instant::now() + b);
         match dispatcher.try_submit(ct.clone(), Arc::clone(lut), deadline) {
             Ok(ticket) => tickets.push(ticket),
-            Err(TfheError::QueueFull { .. } | TfheError::Overloaded { .. }) => rejected += 1,
+            Err(TfheError::QueueFull { .. } | TfheError::Overloaded { .. }) => {}
             Err(e) => return Err(e),
         }
     }
-    let mut completed = 0u64;
-    let mut expired = 0u64;
-    let mut failed = 0u64;
     for ticket in tickets {
-        match ticket.wait() {
-            Ok(_) => completed += 1,
-            Err(TfheError::DeadlineExceeded) => expired += 1,
-            Err(TfheError::DispatcherShutDown) => return Err(TfheError::DispatcherShutDown),
-            Err(_) => failed += 1,
+        if let Err(TfheError::DispatcherShutDown) = ticket.wait() {
+            return Err(TfheError::DispatcherShutDown);
         }
     }
-    let stats = dispatcher.stats();
-    Ok(MeasuredProfile {
-        p50: stats.p50_latency,
-        p95: stats.p95_latency,
-        p99: stats.p99_latency,
-        completed,
-        expired,
-        rejected,
-        failed,
-        throughput_bs: stats.throughput_bs,
-    })
+    Ok(dispatcher.stats())
 }
 
 #[cfg(test)]
@@ -899,13 +812,14 @@ mod tests {
         };
         let ct = LweCiphertext::trivial(Torus32::from_raw(5), 4);
         let lut = Arc::new(Lut::identity(256, 4));
-        let measured = replay_open_loop(&d, &spec, &ct, &lut).unwrap();
+        let m = replay_open_loop(&d, &spec, &ct, &lut).unwrap();
         assert_eq!(
-            measured.completed + measured.expired + measured.rejected + measured.failed,
+            m.completed + m.expired + m.rejected + m.shed + m.failed,
             60,
-            "conservation: {measured:?}"
+            "conservation: {m:?}"
         );
-        assert!(measured.completed > 0);
-        assert!(measured.p99 >= Duration::from_millis(2));
+        assert_eq!(m.submitted, 60 - m.rejected - m.shed);
+        assert!(m.completed > 0);
+        assert!(m.p99_latency >= Duration::from_millis(2));
     }
 }

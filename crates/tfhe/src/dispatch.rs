@@ -42,10 +42,10 @@
 //! - every request's queue/execute timeline is journaled as an
 //!   [`EventKind::Request`] span (read back as [`DispatchSpan`]s by
 //!   [`Dispatcher::spans`], rendered into the Chrome trace by
-//!   `morphling_core::trace`), and [`DispatcherStats`] exposes
-//!   p50/p95/p99 latency plus throughput — sampled by a fixed-size
-//!   deterministic reservoir, so week-long runs keep bounded memory and
-//!   reproducible percentiles;
+//!   `morphling_core::trace`), and [`DispatcherStats`] exposes the serving
+//!   core's counts, p50/p95/p99 latency and throughput as one consistent
+//!   snapshot — latencies sampled by a fixed-size deterministic reservoir,
+//!   so week-long runs keep bounded memory and reproducible percentiles;
 //! - multi-tenant serving: a request submitted
 //!   [for a tenant](Dispatcher::submit_for) only batches with
 //!   *same-tenant* traffic (key affinity), so a
@@ -98,8 +98,7 @@
 // Tighter than the crate-wide `warn`: serving code must never unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -108,7 +107,6 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError}
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
-use crate::faults;
 use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::keystore::{KeyStore, TenantId};
 use crate::lut::Lut;
@@ -116,8 +114,8 @@ use crate::lwe::LweCiphertext;
 use crate::policy::{Done, Entry, Poll, ServingCore};
 use crate::serving::ServingConfig;
 
-/// Ignore a poisoned lock: the dispatcher's shared state stays consistent
-/// across panics (counters are atomics; the queue is drained defensively).
+/// Ignore a poisoned lock: the core is plain data whose every call leaves
+/// it consistent, and the exit guard drains it defensively.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -142,101 +140,6 @@ struct Pending {
 // +0.7 µs (EXPERIMENTS.md "one serving core").
 const _: () = assert!(std::mem::size_of::<Entry<Pending>>() <= 128);
 
-/// Latency samples kept per reservoir. 4096 points give sub-percent
-/// error on p99 while bounding memory at 32 KiB per reservoir no matter
-/// how long the dispatcher serves.
-const LATENCY_RESERVOIR_CAP: usize = 4096;
-/// Hash domain separating reservoir replacement decisions from the fault
-/// injector's other deterministic draws.
-const RESERVOIR_DOMAIN: u64 = 0x7265_7376; // "rsv"
-
-/// Fixed-size latency sample: Algorithm R with the crate's seeded hash
-/// ([`faults::unit_sample`]) in place of an RNG, so long-running servers
-/// keep bounded memory *and* byte-reproducible percentiles.
-///
-/// Below capacity the reservoir stores every sample exactly, so
-/// percentiles over small runs are identical to the unbounded history
-/// the dispatcher used to keep. Past capacity, sample `i` (1-based)
-/// replaces a hash-chosen resident with probability `cap / i` — the
-/// classic uniform reservoir, minus the nondeterminism.
-struct LatencyReservoir {
-    seed: u64,
-    samples: Vec<u64>,
-    seen: u64,
-}
-
-impl LatencyReservoir {
-    fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            samples: Vec::new(),
-            seen: 0,
-        }
-    }
-
-    fn push(&mut self, ns: u64) {
-        self.seen += 1;
-        if self.samples.len() < LATENCY_RESERVOIR_CAP {
-            self.samples.push(ns);
-            return;
-        }
-        // unit_sample is uniform on [0, 1), so j is uniform on
-        // [0, seen); the sample survives iff j lands inside the
-        // reservoir — probability cap/seen, exactly Algorithm R.
-        let j = (faults::unit_sample(self.seed, RESERVOIR_DOMAIN, self.seen, 0) * self.seen as f64)
-            as u64;
-        if (j as usize) < self.samples.len() {
-            self.samples[j as usize] = ns;
-        }
-    }
-
-    /// Samples observed over the reservoir's lifetime (not the resident
-    /// count, which caps at [`LATENCY_RESERVOIR_CAP`]).
-    #[cfg(test)]
-    fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Ascending copy of the resident samples, ready for [`percentile`].
-    fn sorted(&self) -> Vec<u64> {
-        let mut v = self.samples.clone();
-        v.sort_unstable();
-        v
-    }
-}
-
-impl Default for LatencyReservoir {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
-/// Per-tenant slice of the completion metrics.
-struct TenantCounters {
-    completed: u64,
-    reservoir: LatencyReservoir,
-}
-
-#[derive(Default)]
-struct DispatchCounters {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    expired: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    batched: AtomicU64,
-    retries: AtomicU64,
-    shed: AtomicU64,
-    /// First submission / last completion on [`journal::now`]'s clock
-    /// (`u64::MAX` / `0` while unset) — the throughput window.
-    first_ns: AtomicU64,
-    last_ns: AtomicU64,
-    latencies: Mutex<LatencyReservoir>,
-    per_tenant: Mutex<HashMap<u64, TenantCounters>>,
-}
-
 struct Shared {
     /// The serving knobs this dispatcher was built from.
     config: ServingConfig,
@@ -245,7 +148,6 @@ struct Shared {
     core: Mutex<ServingCore<Pending>>,
     not_empty: Condvar,
     not_full: Condvar,
-    counters: DispatchCounters,
     /// One [`EventKind::Request`] span per completed request. A journal
     /// of its own, so that no flood of instants in `journal` can evict a
     /// request span.
@@ -261,29 +163,17 @@ struct Shared {
     key_store: Option<Arc<KeyStore>>,
 }
 
-impl Shared {
-    /// Deliver a terminal result to a request and bump the matching
-    /// counter. The reply channel holds one slot and sees one send ever,
-    /// so this never blocks; a dropped ticket just discards the send.
-    fn resolve(&self, p: Pending, result: Resolution) {
-        let counter = match &result {
-            Ok(_) => &self.counters.completed,
-            Err(TfheError::Cancelled) => &self.counters.cancelled,
-            Err(TfheError::DeadlineExceeded) => &self.counters.expired,
-            Err(_) => &self.counters.failed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if result.is_ok() {
-            self.counters
-                .last_ns
-                .fetch_max(journal::now(), Ordering::Relaxed);
-        }
-        let _ = p.reply.send(result);
-    }
-}
-
 /// What a request resolves to: one output per LUT it was submitted with.
 type Resolution = Result<Vec<LweCiphertext>, TfheError>;
+
+impl Pending {
+    /// Deliver the request's terminal result. The reply channel holds one
+    /// slot and sees one send ever, so this never blocks; a dropped ticket
+    /// just discards the send.
+    fn resolve(self, result: Resolution) {
+        let _ = self.reply.send(result);
+    }
+}
 
 /// What both ticket types are: the request's id, its cancellation flag
 /// and the one-shot channel its resolution arrives on.
@@ -479,12 +369,17 @@ impl DispatchSpan {
     }
 }
 
-/// Aggregate dispatcher metrics (see [`Dispatcher::stats`]).
+/// Aggregate dispatcher metrics (see [`Dispatcher::stats`]). Every count
+/// but the `key_*` ones is the serving core's, and one read is one
+/// consistent snapshot: `submitted ≥ completed + failed + cancelled +
+/// expired` (equal once everything admitted has resolved) and `batched ≥
+/// completed` hold on every read.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DispatcherStats {
     /// Requests admitted to the queue.
     pub submitted: u64,
-    /// `try_submit` rejections (queue full).
+    /// Refusals at admission because the queue was full — final ones
+    /// only: a `submit` that waits for room is not rejected.
     pub rejected: u64,
     /// Requests cancelled before execution.
     pub cancelled: u64,
@@ -492,20 +387,23 @@ pub struct DispatcherStats {
     pub expired: u64,
     /// Requests that completed with a result.
     pub completed: u64,
-    /// Requests that resolved to a backend error.
+    /// Requests that resolved to a backend error, or to
+    /// [`TfheError::DispatcherShutDown`] when the batcher's exit failed
+    /// what it still held.
     pub failed: u64,
-    /// Micro-batches executed: one per backend call, so a batch that is
-    /// retried, or split to isolate a permanent error, counts each time
-    /// it runs.
+    /// Backend calls, counted at flush (before the call is made): a batch
+    /// that is retried, or split to isolate a permanent error, counts each
+    /// time it runs.
     pub batches: u64,
-    /// Requests that entered a micro-batch, once per backend call they
-    /// were part of (completed + failed when nothing had to run twice).
+    /// Members of those batches, counted at flush, once per backend call
+    /// they were part of (completed + failed by the backend when nothing
+    /// had to run twice).
     pub batched: u64,
     /// Requests put back into the queue after a retryable backend fault
     /// (see [`ServingConfig::retry`]); a batch of n counts n.
     pub retries: u64,
-    /// Submissions shed at admission by an open circuit breaker
-    /// (see [`ServingConfig::breaker`]).
+    /// Refusals at admission because the circuit breaker was open (see
+    /// [`ServingConfig::breaker`]); `rejected + shed` is every refusal.
     pub shed: u64,
     /// `batched / batches` — the dynamic-batching figure of merit.
     pub mean_batch_size: f64,
@@ -548,20 +446,6 @@ pub struct TenantDispatchStats {
     pub p95_latency: Duration,
     /// 99th-percentile end-to-end latency.
     pub p99_latency: Duration,
-}
-
-/// Nearest-rank percentile over an ascending-sorted ns array.
-///
-/// Uses the zero-based nearest-rank index `ceil((len − 1) · q)`, so the
-/// quantile is monotone in `q`, stays within `[min, max]`, is exact on
-/// singletons, and — unlike the naive `ceil(len · q)` rank — does not
-/// under-report on tiny samples (the p50 of `[a, b]` is `b`, not `a`).
-pub(crate) fn percentile(sorted: &[u64], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = (((sorted.len() - 1) as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
-    Duration::from_nanos(sorted[idx.min(sorted.len() - 1)])
 }
 
 /// Runtime wiring for a [`Dispatcher`]: what a [`ServingConfig`] cannot
@@ -617,10 +501,6 @@ impl DispatcherBuilder {
             config: self.config,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            counters: DispatchCounters {
-                first_ns: AtomicU64::new(u64::MAX),
-                ..DispatchCounters::default()
-            },
             requests: Journal::new(),
             journal,
             key_store: self.key_store,
@@ -818,37 +698,20 @@ impl Dispatcher {
         // Instants before the epoch are 0: expired from the start.
         let deadline_ns = deadline.map(journal::since_epoch);
         let mut core = lock(&shared.core);
-        let (id, enqueued_ns) = loop {
+        let id = loop {
             // Stamped at admission: a `submit` that blocked on a full
             // queue lingers from when it got in, not from when it was
             // called.
-            let now = journal::now();
-            let (why, back) = match core.admit(now, tenant, deadline_ns, item) {
-                Ok(id) => break (id, now),
-                Err(refused) => refused,
-            };
-            let refusals = match why {
-                TfheError::QueueFull { .. } if block => {
+            match core.admit(journal::now(), tenant, deadline_ns, item, block) {
+                Ok(id) => break id,
+                Err((TfheError::QueueFull { .. }, back)) if block => {
                     item = back;
-                    core = shared
-                        .not_full
-                        .wait(core)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    continue;
+                    core = (shared.not_full.wait(core)).unwrap_or_else(PoisonError::into_inner);
                 }
-                TfheError::QueueFull { .. } => &shared.counters.rejected,
-                TfheError::Overloaded { .. } => &shared.counters.shed,
-                _ => return Err(why),
-            };
-            refusals.fetch_add(1, Ordering::Relaxed);
-            return Err(why);
+                Err((why, _)) => return Err(why),
+            }
         };
         drop(core);
-        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .first_ns
-            .fetch_min(enqueued_ns, Ordering::Relaxed);
         shared.not_empty.notify_one();
         Ok(TicketCore {
             id,
@@ -857,68 +720,21 @@ impl Dispatcher {
         })
     }
 
-    /// Aggregate metrics since construction.
+    /// Aggregate metrics since construction: one consistent snapshot of
+    /// the serving core's counts, copied under its lock (sorted for the
+    /// percentiles after the lock is dropped), plus the wired key store's
+    /// counters.
     pub fn stats(&self) -> DispatcherStats {
-        let c = &self.shared.counters;
-        let lats = lock(&c.latencies).sorted();
-        let mut per_tenant: Vec<TenantDispatchStats> = {
-            let map = lock(&c.per_tenant);
-            map.iter()
-                .map(|(&tenant, tc)| {
-                    let s = tc.reservoir.sorted();
-                    TenantDispatchStats {
-                        tenant,
-                        completed: tc.completed,
-                        p50_latency: percentile(&s, 0.50),
-                        p95_latency: percentile(&s, 0.95),
-                        p99_latency: percentile(&s, 0.99),
-                    }
-                })
-                .collect()
-        };
-        per_tenant.sort_unstable_by_key(|t| t.tenant);
-        let key = self
-            .shared
-            .key_store
-            .as_ref()
-            .map(|s| s.stats())
-            .unwrap_or_default();
-        let batches = c.batches.load(Ordering::Relaxed);
-        let batched = c.batched.load(Ordering::Relaxed);
-        let completed = c.completed.load(Ordering::Relaxed);
-        let first = c.first_ns.load(Ordering::Relaxed);
-        let last = c.last_ns.load(Ordering::Relaxed);
-        let throughput_bs = if completed > 0 && last > first {
-            completed as f64 / ((last - first) as f64 / 1e9)
-        } else {
-            0.0
-        };
-        DispatcherStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            completed,
-            failed: c.failed.load(Ordering::Relaxed),
-            batches,
-            batched,
-            mean_batch_size: if batches > 0 {
-                batched as f64 / batches as f64
-            } else {
-                0.0
-            },
-            retries: c.retries.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            p50_latency: percentile(&lats, 0.50),
-            p95_latency: percentile(&lats, 0.95),
-            p99_latency: percentile(&lats, 0.99),
-            throughput_bs,
-            per_tenant,
-            key_hits: key.hits,
-            key_misses: key.misses,
-            key_evictions: key.evictions,
-            key_bytes_resident: key.bytes_resident,
+        let tally = lock(&self.shared.core).tally().clone();
+        let mut stats = tally.stats();
+        if let Some(store) = &self.shared.key_store {
+            let key = store.stats();
+            stats.key_hits = key.hits;
+            stats.key_misses = key.misses;
+            stats.key_evictions = key.evictions;
+            stats.key_bytes_resident = key.bytes_resident;
         }
+        stats
     }
 
     /// The per-request queue/execute journal: one
@@ -1043,16 +859,19 @@ fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
                 if shared.key_store.is_some() {
                     core.queued_tenants(&mut queued);
                 }
+                // The 0-based number of the backend call a non-empty
+                // batch is about to make.
+                let call = core.tally().batches().saturating_sub(1);
                 drop(core);
                 if let Some(store) = &shared.key_store {
                     store.set_queued(&queued);
                 }
                 shared.not_full.notify_all();
                 for (e, why) in dropped {
-                    shared.resolve(e.item, Err(why));
+                    e.item.resolve(Err(why));
                 }
                 if !batch.is_empty() {
-                    execute_batch(shared, backend, batch);
+                    execute_batch(shared, backend, call, batch);
                 }
                 core = lock(&shared.core);
             }
@@ -1095,37 +914,39 @@ impl Drop for ExitGuard<'_> {
             core.take_all()
         };
         for e in leftovers {
-            self.0.resolve(e.item, Err(TfheError::DispatcherShutDown));
+            e.item.resolve(Err(TfheError::DispatcherShutDown));
         }
         self.0.not_full.notify_all();
     }
 }
 
 /// Execute one formed micro-batch (live and single-tenant, as the core
-/// flushed it): LUT deduplication by `Arc` identity, one backend call, and
-/// the core's verdict on its outcome — served members get their outputs
+/// flushed it, `batch_id` its backend call's number): LUT deduplication by
+/// `Arc` identity, one backend call, and the core's verdict on its outcome
+/// at the one clock read that ends it — served members get their outputs
 /// and spans, failed ones their error; whoever is to run again is already
 /// back in the core.
-fn execute_batch(shared: &Shared, backend: &dyn Bootstrapper, batch: Vec<Entry<Pending>>) {
-    let counters = &shared.counters;
-    let batch_id = counters.batches.fetch_add(1, Ordering::Relaxed);
-    counters
-        .batched
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+fn execute_batch(
+    shared: &Shared,
+    backend: &dyn Bootstrapper,
+    batch_id: u64,
+    batch: Vec<Entry<Pending>>,
+) {
     let exec_start = journal::now();
     let (outs, outcome) = match run_as_batch(backend, &batch) {
         Ok(outs) => (outs, Ok(())),
         Err(e) => (Vec::new(), Err(e)),
     };
-    let done = lock(&shared.core).complete(journal::now(), batch, outcome);
+    let exec_end = journal::now();
+    let done = lock(&shared.core).complete(exec_end, batch, outcome);
     match done {
-        Done::Served(batch) => distribute(shared, batch_id, exec_start, batch, outs),
-        Done::Failed { resolved, retried } => {
-            counters
-                .retries
-                .fetch_add(retried as u64, Ordering::Relaxed);
+        Done::Served(batch) => {
+            let exec = (exec_start, exec_end.saturating_sub(exec_start));
+            distribute(shared, batch_id, exec, batch, outs);
+        }
+        Done::Failed(resolved) => {
             for (e, err) in resolved {
-                shared.resolve(e.item, Err(err));
+                e.item.resolve(Err(err));
             }
         }
     }
@@ -1185,54 +1006,34 @@ fn run_as_batch(
     Ok(outs)
 }
 
-/// Hand each member its output and journal the batch's spans. The whole
-/// batch shares one execution window; each request's queue time runs from
-/// its own enqueue to that window's start — for a request that was
-/// retried, the window of the run that served it, so what it spent failing
-/// and backing off reads as queue wait.
+/// Journal each member's span and hand it its output. The whole batch
+/// shares one execution window, `(start, length)`; each request's queue
+/// time runs from its own enqueue to that window's start — for a request
+/// that was retried, the window of the run that served it, so what it
+/// spent failing and backing off reads as queue wait.
 fn distribute(
     shared: &Shared,
     batch_id: u64,
-    exec_start: u64,
+    (exec_start, exec_ns): (u64, u64),
     live: Vec<Entry<Pending>>,
     outs: Vec<LweCiphertext>,
 ) {
-    let exec_end = journal::now();
-    let exec_ns = exec_end.saturating_sub(exec_start);
-    {
-        let mut lats = lock(&shared.counters.latencies);
-        let mut per_tenant = lock(&shared.counters.per_tenant);
-        for p in &live {
-            let ns = exec_end.saturating_sub(p.enqueued_ns);
-            lats.push(ns);
-            if let Some(t) = p.affinity {
-                // Seed each tenant's reservoir with its id, so tenants'
-                // replacement patterns decorrelate deterministically.
-                let tc = per_tenant.entry(t.raw()).or_insert_with(|| TenantCounters {
-                    completed: 0,
-                    reservoir: LatencyReservoir::new(t.raw()),
-                });
-                tc.completed += 1;
-                tc.reservoir.push(ns);
-            }
-            shared.requests.record(Event {
-                at_ns: p.enqueued_ns,
-                dur_ns: exec_start.saturating_sub(p.enqueued_ns),
-                who: Who::Dispatcher,
-                kind: EventKind::Request {
-                    id: p.id,
-                    batch: batch_id,
-                    exec_ns,
-                },
-            });
-        }
-    }
     // Slice the flat outputs by each member's LUT count (single-LUT
     // members take exactly one).
     let mut outs = outs.into_iter();
     for p in live {
+        shared.requests.record(Event {
+            at_ns: p.enqueued_ns,
+            dur_ns: exec_start.saturating_sub(p.enqueued_ns),
+            who: Who::Dispatcher,
+            kind: EventKind::Request {
+                id: p.id,
+                batch: batch_id,
+                exec_ns,
+            },
+        });
         let item: Vec<LweCiphertext> = outs.by_ref().take(p.item.luts.len()).collect();
-        shared.resolve(p.item, Ok(item));
+        p.item.resolve(Ok(item));
     }
 }
 
@@ -1555,6 +1356,74 @@ mod tests {
             d.submit(dummy_ct(2), lut, None).unwrap_err(),
             TfheError::DispatcherShutDown
         );
+        // The exit guard failed the queued one; the one in the backend
+        // never came back.
+        let stats = d.stats();
+        assert_eq!((stats.submitted, stats.failed), (2, 1));
+    }
+
+    #[test]
+    fn every_stats_read_is_one_consistent_snapshot() {
+        // Submitters race the batcher — blocking and non-blocking submits,
+        // deadlines already past, cancellations — while a reader, released
+        // with them, checks the audit on every snapshot it takes.
+        let (backend, _started, _gate) = echo(false);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .max_batch_size(4)
+                .max_linger(Duration::from_micros(100))
+                .queue_capacity(8),
+            backend,
+        );
+        let lut = dummy_lut();
+        let (start, done) = (std::sync::Barrier::new(4), AtomicBool::new(false));
+        let resolved = |s: &DispatcherStats| s.completed + s.failed + s.cancelled + s.expired;
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::SeqCst) {
+                    let s = d.stats();
+                    assert!(
+                        s.submitted >= resolved(&s) && s.batched >= s.completed,
+                        "{s:?}"
+                    );
+                }
+            });
+            let submitters: Vec<_> = (0..3u64)
+                .map(|k| {
+                    let (d, lut, start) = (&d, &lut, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut tickets = Vec::new();
+                        for i in 0..200u64 {
+                            let (ct, lut) = (dummy_ct(k * 1000 + i), Arc::clone(lut));
+                            let past = Instant::now() - Duration::from_millis(1);
+                            tickets.extend(match i % 4 {
+                                0 => d.submit(ct, lut, None).ok(),
+                                1 => d.try_submit(ct, lut, None).ok(),
+                                2 => d.submit(ct, lut, Some(past)).ok(),
+                                _ => d.submit(ct, lut, None).inspect(Ticket::cancel).ok(),
+                            });
+                        }
+                        for t in tickets {
+                            let _ = t.wait();
+                        }
+                    })
+                })
+                .collect();
+            for submitter in submitters {
+                submitter.join().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+            reader.join().unwrap();
+        });
+        let s = d.stats();
+        assert_eq!(
+            (s.submitted, s.batched),
+            (resolved(&s), s.completed),
+            "{s:?}"
+        );
+        assert!(s.expired > 0, "{s:?}");
     }
 
     #[test]
@@ -2046,71 +1915,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_pinned_definition_on_small_samples() {
-        // The regression this pins down: ceil(len·q) under-reported on tiny
-        // samples — the old code returned `a` for the median of [a, b].
-        assert_eq!(percentile(&[], 0.50), Duration::ZERO);
-        assert_eq!(percentile(&[7], 0.0), Duration::from_nanos(7));
-        assert_eq!(percentile(&[7], 0.50), Duration::from_nanos(7));
-        assert_eq!(percentile(&[7], 1.0), Duration::from_nanos(7));
-        assert_eq!(percentile(&[10, 20], 0.50), Duration::from_nanos(20));
-        assert_eq!(percentile(&[10, 20, 30], 0.50), Duration::from_nanos(20));
-        assert_eq!(percentile(&[10, 20], 0.0), Duration::from_nanos(10));
-        assert_eq!(percentile(&[10, 20], 1.0), Duration::from_nanos(20));
-        // p95/p99 of a small sample land on the max, never out of bounds.
-        assert_eq!(percentile(&[1, 2, 3], 0.99), Duration::from_nanos(3));
-    }
-
-    #[test]
-    fn reservoir_memory_stays_bounded_across_a_million_pushes() {
-        // The regression this pins down: `latencies` was an unbounded
-        // Vec<u64>, leaking ~8 bytes per completion for the life of the
-        // dispatcher. A week at 10k bootstraps/s is ~48 GB.
-        let mut r = LatencyReservoir::new(42);
-        for i in 0..1_000_000u64 {
-            r.push(i);
-        }
-        assert_eq!(r.seen(), 1_000_000);
-        assert!(r.samples.len() <= LATENCY_RESERVOIR_CAP);
-        // Percentiles stay inside the observed range and ordered.
-        let s = r.sorted();
-        let p50 = percentile(&s, 0.50);
-        let p99 = percentile(&s, 0.99);
-        assert!(p50 <= p99);
-        assert!(p99 <= Duration::from_nanos(999_999));
-        // Over a uniform 0..1M stream the sampled median should land
-        // near 500k — a loose sanity band, not a statistical test.
-        assert!(
-            (200_000..800_000).contains(&(p50.as_nanos() as u64)),
-            "sampled p50 {p50:?} wildly off a uniform stream's median"
-        );
-        // Determinism: the same stream reproduces the same reservoir.
-        let mut r2 = LatencyReservoir::new(42);
-        for i in 0..1_000_000u64 {
-            r2.push(i);
-        }
-        assert_eq!(r.sorted(), r2.sorted());
-    }
-
-    #[test]
-    fn reservoir_below_capacity_is_exact() {
-        // Small samples must keep every point, so percentiles are
-        // identical to the unbounded history the dispatcher used to
-        // keep.
-        let mut r = LatencyReservoir::new(7);
-        let mut exact: Vec<u64> = Vec::new();
-        for i in (0..1000u64).rev() {
-            r.push(i * 31);
-            exact.push(i * 31);
-        }
-        exact.sort_unstable();
-        assert_eq!(r.sorted(), exact);
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(percentile(&r.sorted(), q), percentile(&exact, q));
-        }
-    }
-
-    #[test]
     fn tenant_affinity_forms_single_tenant_batches() {
         let (backend, started, gate) = echo(true);
         let d = dispatcher(
@@ -2394,49 +2198,5 @@ mod tests {
             ),
             "got {err:?}"
         );
-    }
-
-    mod percentile_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            #[test]
-            fn monotone_in_q_and_bounded(
-                xs in prop::collection::vec(0u64..1_000_000, 16),
-                len in 1usize..17,
-                q1 in 0.0f64..1.0,
-                q2 in 0.0f64..1.0,
-            ) {
-                let mut xs = xs;
-                xs.truncate(len);
-                xs.sort_unstable();
-                let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-                let p_lo = percentile(&xs, lo);
-                let p_hi = percentile(&xs, hi);
-                prop_assert!(p_lo <= p_hi, "percentile not monotone: q{lo} > q{hi}");
-                prop_assert!(p_lo >= Duration::from_nanos(xs[0]));
-                prop_assert!(p_hi <= Duration::from_nanos(*xs.last().unwrap()));
-            }
-
-            #[test]
-            fn exact_on_singletons(x in any::<u64>(), q in 0.0f64..1.0) {
-                prop_assert_eq!(percentile(&[x], q), Duration::from_nanos(x));
-            }
-
-            #[test]
-            fn extremes_hit_min_and_max(
-                xs in prop::collection::vec(0u64..1_000_000, 8),
-                len in 1usize..9,
-            ) {
-                let mut xs = xs;
-                xs.truncate(len);
-                xs.sort_unstable();
-                prop_assert_eq!(percentile(&xs, 0.0), Duration::from_nanos(xs[0]));
-                prop_assert_eq!(percentile(&xs, 1.0), Duration::from_nanos(*xs.last().unwrap()));
-            }
-        }
     }
 }

@@ -107,8 +107,8 @@ pub mod serving;
 mod workspace;
 
 pub use autotune::{
-    AutotuneReport, AutotuneRequest, LoadSpec, MeasuredProfile, PredictedProfile, SearchPoint,
-    ServiceModel, SloTarget,
+    AutotuneReport, AutotuneRequest, LoadSpec, PredictedProfile, SearchPoint, ServiceModel,
+    SloTarget,
 };
 pub use bootstrap::{
     blind_rotate, blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,

@@ -40,13 +40,23 @@
 //!   or after its deadline. Such an entry is queue content like any
 //!   other: the sweep, [`take_all`](ServingCore::take_all) and a drain
 //!   see it, and a drain runs it without waiting out the backoff.
+//!
+//! The core also keeps the serving counts ([`Tally`]), each bumped where
+//! the decision it counts is made, so the dispatcher's
+//! [`DispatcherStats`] and the autotuner's prediction are one snapshot of
+//! one tally: admission counts `submitted`, `shed` and a final queue-full
+//! refusal, a flush counts the sweep's drops and the batch it hands out,
+//! `complete` counts outcomes, retries and latency samples (`now −
+//! enqueued`), and `take_all` counts what it hands back as failed.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::dispatch::{DispatcherStats, TenantDispatchStats};
 use crate::engine::EngineHealth;
 use crate::error::TfheError;
+use crate::faults;
 use crate::journal::{Event, EventKind, Journal, Who};
 use crate::keystore::TenantId;
 use crate::resilience::CircuitBreaker;
@@ -100,13 +110,161 @@ pub(crate) enum Poll<T> {
 pub(crate) enum Done<T> {
     /// Served: hand each member its output.
     Served(Vec<Entry<T>>),
-    /// Failed. Resolve each of `resolved` with its error; `retried` more
-    /// went back into the queue, and the rest (a permanent error on more
-    /// than one member) run next, each alone.
-    Failed {
-        resolved: Vec<(Entry<T>, TfheError)>,
-        retried: usize,
-    },
+    /// Failed. Resolve each of these with its error; the other members
+    /// went back into the queue or (a permanent error on more than one
+    /// member) run next, each alone.
+    Failed(Vec<(Entry<T>, TfheError)>),
+}
+
+/// Latency samples kept per reservoir. 4096 points give sub-percent
+/// error on p99 while bounding memory at 32 KiB per reservoir no matter
+/// how long the dispatcher serves.
+const LATENCY_RESERVOIR_CAP: usize = 4096;
+/// Hash domain separating reservoir replacement decisions from the fault
+/// injector's other deterministic draws.
+const RESERVOIR_DOMAIN: u64 = 0x7265_7376; // "rsv"
+
+/// Fixed-size latency sample: Algorithm R with the crate's seeded hash
+/// ([`faults::unit_sample`]) in place of an RNG, so long-running servers
+/// keep bounded memory *and* byte-reproducible percentiles.
+///
+/// Below capacity the reservoir stores every sample exactly, so
+/// percentiles over small runs are identical to the unbounded history
+/// the dispatcher used to keep. Past capacity, sample `i` (1-based)
+/// replaces a hash-chosen resident with probability `cap / i` — the
+/// classic uniform reservoir, minus the nondeterminism.
+#[derive(Clone, Default)]
+struct LatencyReservoir {
+    seed: u64,
+    samples: Vec<u64>,
+    seen: u64,
+}
+
+impl LatencyReservoir {
+    fn push(&mut self, ns: u64) {
+        self.seen += 1;
+        if self.samples.len() < LATENCY_RESERVOIR_CAP {
+            self.samples.push(ns);
+            return;
+        }
+        // unit_sample is uniform on [0, 1), so j is uniform on
+        // [0, seen); the sample survives iff j lands inside the
+        // reservoir — probability cap/seen, exactly Algorithm R.
+        let j = (faults::unit_sample(self.seed, RESERVOIR_DOMAIN, self.seen, 0) * self.seen as f64)
+            as u64;
+        if (j as usize) < self.samples.len() {
+            self.samples[j as usize] = ns;
+        }
+    }
+
+    /// Ascending copy of the resident samples, ready for [`percentile`].
+    fn sorted(&self) -> Vec<u64> {
+        let mut v = self.samples.clone();
+        v.sort_unstable();
+        v
+    }
+}
+
+/// Nearest-rank percentile over an ascending-sorted ns array.
+///
+/// Uses the zero-based nearest-rank index `ceil((len − 1) · q)`, so the
+/// quantile is monotone in `q`, stays within `[min, max]`, is exact on
+/// singletons, and — unlike the naive `ceil(len · q)` rank — does not
+/// under-report on tiny samples (the p50 of `[a, b]` is `b`, not `a`).
+fn percentile(sorted: &[u64], q: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let idx = (((sorted.len() - 1) as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
+    Duration::from_nanos(sorted[idx.min(sorted.len() - 1)])
+}
+
+/// The serving counts, each bumped by the [`ServingCore`] call that makes
+/// the decision it counts (module docs). A reservoir's `seen` is its
+/// completions.
+#[derive(Clone, Default)]
+pub(crate) struct Tally {
+    submitted: u64,
+    rejected: u64,
+    shed: u64,
+    cancelled: u64,
+    expired: u64,
+    failed: u64,
+    batches: u64,
+    batched: u64,
+    retries: u64,
+    /// First admission and last completion: the throughput window.
+    first_ns: Option<u64>,
+    last_ns: u64,
+    latencies: LatencyReservoir,
+    /// By raw tenant id, each seeded with it so that tenants' replacement
+    /// patterns decorrelate deterministically.
+    per_tenant: BTreeMap<u64, LatencyReservoir>,
+}
+
+impl Tally {
+    /// A request resolved with `why` without being served.
+    fn resolved(&mut self, why: &TfheError) {
+        *match why {
+            TfheError::Cancelled => &mut self.cancelled,
+            TfheError::DeadlineExceeded => &mut self.expired,
+            _ => &mut self.failed,
+        } += 1;
+    }
+
+    /// Backend calls made so far.
+    pub(crate) fn batches(&self) -> u64 {
+        self.batches
+    }
+
+    /// First admission to last completion, in ns (0 before both).
+    pub(crate) fn window_ns(&self) -> u64 {
+        self.first_ns
+            .map_or(0, |first| self.last_ns.saturating_sub(first))
+    }
+
+    /// The counts as [`DispatcherStats`], the `key_*` fields zero.
+    pub(crate) fn stats(&self) -> DispatcherStats {
+        let completed = self.latencies.seen;
+        let window_ns = self.window_ns();
+        let ratio = |n: u64, d: f64| if d > 0.0 { n as f64 / d } else { 0.0 };
+        let [p50, p95, p99] = quantiles(&self.latencies);
+        let per_tenant = self.per_tenant.iter().map(|(&tenant, r)| {
+            let [p50_latency, p95_latency, p99_latency] = quantiles(r);
+            TenantDispatchStats {
+                tenant,
+                completed: r.seen,
+                p50_latency,
+                p95_latency,
+                p99_latency,
+            }
+        });
+        DispatcherStats {
+            submitted: self.submitted,
+            rejected: self.rejected,
+            cancelled: self.cancelled,
+            expired: self.expired,
+            completed,
+            failed: self.failed,
+            batches: self.batches,
+            batched: self.batched,
+            retries: self.retries,
+            shed: self.shed,
+            mean_batch_size: ratio(self.batched, self.batches as f64),
+            p50_latency: p50,
+            p95_latency: p95,
+            p99_latency: p99,
+            throughput_bs: ratio(completed, window_ns as f64 / 1e9),
+            per_tenant: per_tenant.collect(),
+            ..DispatcherStats::default()
+        }
+    }
+}
+
+/// p50, p95 and p99 of a reservoir.
+fn quantiles(r: &LatencyReservoir) -> [Duration; 3] {
+    let sorted = r.sorted();
+    [0.50, 0.95, 0.99].map(|q| percentile(&sorted, q))
 }
 
 #[cfg_attr(test, derive(Clone))]
@@ -131,6 +289,7 @@ pub(crate) struct ServingCore<T> {
     flush_at: u64,
     /// Members of a batch that failed permanently, each about to run alone.
     isolating: VecDeque<Entry<T>>,
+    tally: Tally,
 }
 
 impl<T> ServingCore<T> {
@@ -148,7 +307,13 @@ impl<T> ServingCore<T> {
             forming: Vec::new(),
             flush_at: 0,
             isolating: VecDeque::new(),
+            tally: Tally::default(),
         }
+    }
+
+    /// The serving counts so far.
+    pub(crate) fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     fn record(&self, at_ns: u64, kind: EventKind) {
@@ -168,13 +333,15 @@ impl<T> ServingCore<T> {
     /// The front door at `now`: admit `item` and mint its id, or hand it
     /// back with the reason — [`TfheError::DispatcherShutDown`] behind a
     /// closed door, the breaker's [`TfheError::Overloaded`] when it sheds,
-    /// [`TfheError::QueueFull`] (refuse, or wait for room) at capacity.
+    /// [`TfheError::QueueFull`] at capacity, a refusal only unless the
+    /// caller `waits_for_room` and will offer `item` again.
     pub(crate) fn admit(
         &mut self,
         now: u64,
         affinity: Option<TenantId>,
         deadline_ns: Option<u64>,
         item: T,
+        waits_for_room: bool,
     ) -> Result<u64, (TfheError, T)> {
         if !self.open {
             return Err((TfheError::DispatcherShutDown, item));
@@ -189,14 +356,18 @@ impl<T> ServingCore<T> {
         }
         if let Err(overloaded) = admitted {
             self.record(now, EventKind::Shed);
+            self.tally.shed += 1;
             return Err((overloaded, item));
         }
         let capacity = self.cfg.queue_capacity;
         if self.queue.len() >= capacity {
+            self.tally.rejected += u64::from(!waits_for_room);
             return Err((TfheError::QueueFull { capacity }, item));
         }
         let id = self.next_id;
         self.next_id += 1;
+        self.tally.submitted += 1;
+        self.tally.first_ns.get_or_insert(now);
         self.queue.push_back(Entry {
             item,
             id,
@@ -230,7 +401,7 @@ impl<T> ServingCore<T> {
                 Some(why) => dropped.push((alone, why)),
                 None => batch.push(alone),
             }
-            return Poll::Flush { batch, dropped };
+            return self.flush(batch, dropped);
         }
         if self.forming.is_empty() {
             if self.queue.is_empty() {
@@ -281,6 +452,18 @@ impl<T> ServingCore<T> {
                 None => batch.push(e),
             }
         }
+        self.flush(batch, dropped)
+    }
+
+    /// Hand out `batch` and the sweep's `dropped`, counting both.
+    fn flush(&mut self, batch: Vec<Entry<T>>, dropped: Vec<(Entry<T>, TfheError)>) -> Poll<T> {
+        for (_, why) in &dropped {
+            self.tally.resolved(why);
+        }
+        if !batch.is_empty() {
+            self.tally.batches += 1;
+            self.tally.batched += batch.len() as u64;
+        }
         Poll::Flush { batch, dropped }
     }
 
@@ -322,13 +505,28 @@ impl<T> ServingCore<T> {
             self.record(now, kind);
         }
         let err = match outcome {
-            Ok(()) => return Done::Served(batch),
+            Ok(()) => {
+                let t = &mut self.tally;
+                t.last_ns = now;
+                for e in &batch {
+                    let ns = now.saturating_sub(e.enqueued_ns);
+                    t.latencies.push(ns);
+                    if let Some(seed) = e.affinity.map(TenantId::raw) {
+                        let new = || LatencyReservoir {
+                            seed,
+                            ..Default::default()
+                        };
+                        t.per_tenant.entry(seed).or_insert_with(new).push(ns);
+                    }
+                }
+                return Done::Served(batch);
+            }
             Err(e) => e,
         };
-        let (mut resolved, mut retried) = (Vec::new(), 0);
+        let mut resolved = Vec::new();
         if !err.is_retryable() && batch.len() > 1 {
             self.isolating.extend(batch);
-            return Done::Failed { resolved, retried };
+            return Done::Failed(resolved);
         }
         for mut e in batch {
             if !self.cfg.retry.should_retry(&err, e.attempt) {
@@ -344,11 +542,14 @@ impl<T> ServingCore<T> {
             e.attempt += 1;
             e.ready_at = ready_at;
             self.record(now, EventKind::Retry { attempt: e.attempt });
-            retried += 1;
+            self.tally.retries += 1;
             let place = self.queue.partition_point(|q| q.id < e.id);
             self.queue.insert(place, e);
         }
-        Done::Failed { resolved, retried }
+        for (_, why) in &resolved {
+            self.tally.resolved(why);
+        }
+        Done::Failed(resolved)
     }
 
     /// The distinct tenants of what is still held, next to run first, into
@@ -369,11 +570,12 @@ impl<T> ServingCore<T> {
     }
 
     /// Everything still held, next to run first — for a caller that is
-    /// going away and must resolve what it holds.
+    /// going away and must fail what it holds (counted as failed here).
     pub(crate) fn take_all(&mut self) -> Vec<Entry<T>> {
         let mut all: Vec<Entry<T>> = self.isolating.drain(..).collect();
         all.append(&mut self.forming);
         all.extend(self.queue.drain(..));
+        self.tally.failed += all.len() as u64;
         all
     }
 }
@@ -388,7 +590,9 @@ pub(crate) struct Arrival {
     pub(crate) cancel_at: Option<u64>,
 }
 
-/// What [`drive`] shows its observer, as it happens.
+/// What [`drive`] shows its observer, as it happens. Only the tests'
+/// checker looks; the autotuner reads the core's tally after the run.
+#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) enum Step<'a> {
     /// The next arrival of the script was offered, at its own time: its
     /// id, or why not.
@@ -425,7 +629,7 @@ pub(crate) fn drive(
             if drain_at.is_some_and(|d| d < a.at) {
                 core.close();
             }
-            let offered = core.admit(a.at, a.affinity, a.deadline, next);
+            let offered = core.admit(a.at, a.affinity, a.deadline, next, false);
             let offered = offered.map_err(|(why, _)| why);
             see(a.at, core, Step::Offered(&offered));
             next += 1;
@@ -599,6 +803,8 @@ mod tests {
         /// Times each request ran, and the last call's members and answer.
         runs: Vec<u32>,
         last_call: (Vec<usize>, Result<(), TfheError>),
+        /// Completions whose latency samples were last compared.
+        sampled: u64,
     }
 
     impl Checker<'_> {
@@ -627,7 +833,9 @@ mod tests {
                 assert!(self.runs[e.item] <= 2 + s.cfg.retry.max_retries);
             }
             let members = items(batch);
-            let call = self.out.calls.len();
+            // Recorded at the flush, as the core counts it.
+            assert_eq!(self.out.calls.last(), Some(&(t, members.clone())));
+            let call = self.out.calls.len() - 1;
             let outcome = if members.iter().any(|i| s.poison.contains(i)) {
                 Err(PERMANENT)
             } else if let Some(scripted) = b.script.get(call) {
@@ -637,7 +845,6 @@ mod tests {
             } else {
                 Ok(())
             };
-            self.out.calls.push((t, members.clone()));
             self.last_call = (members, outcome.clone());
             (b.service[call % b.service.len()], outcome)
         }
@@ -672,6 +879,84 @@ mod tests {
             self.alone = core.isolating.front().map(|e| e.item);
             let ids: Vec<u64> = core.queue.iter().map(|e| e.id).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "queue out of order");
+            self.tallied(core);
+        }
+
+        /// The core's tally is what the outcome so far implies. The latency
+        /// samples are compared as exact multisets (exact at these sizes)
+        /// whenever the completions moved; otherwise the equal counts say
+        /// that no reservoir changed.
+        fn tallied(&mut self, core: &ServingCore<usize>) {
+            let (out, arrivals, tally) = (&self.out, &self.s.arrivals, &core.tally);
+            // submitted, rejected, shed, completed, failed, cancelled,
+            // expired, batches, batched, retries, tenants' completions.
+            let mut implied = [0u64; 11];
+            implied[0] = self.admitted;
+            let (mut first, mut last) = (None, 0);
+            for (i, left) in out.left.iter().enumerate().take(self.offered) {
+                if !matches!(left, Some((_, Left::Refused(_)))) {
+                    first = first.or(Some(arrivals[i].at));
+                }
+                let Some((at, how)) = left else { continue };
+                let k = match how {
+                    Left::Refused(TfheError::QueueFull { .. }) => 1,
+                    Left::Refused(TfheError::Overloaded { .. }) => 2,
+                    Left::Refused(_) => continue,
+                    Left::Completed => {
+                        last = last.max(*at);
+                        implied[10] += u64::from(arrivals[i].affinity.is_some());
+                        3
+                    }
+                    Left::Failed(_) => 4,
+                    Left::Cancelled => 5,
+                    Left::Expired => 6,
+                };
+                implied[k] += 1;
+            }
+            implied[7] = out.calls.len() as u64;
+            implied[8] = out.calls.iter().map(|(_, m)| m.len() as u64).sum();
+            implied[9] = out.retried as u64;
+            let counted = [
+                tally.submitted,
+                tally.rejected,
+                tally.shed,
+                tally.latencies.seen,
+                tally.failed,
+                tally.cancelled,
+                tally.expired,
+                tally.batches,
+                tally.batched,
+                tally.retries,
+                tally.per_tenant.values().map(|r| r.seen).sum(),
+            ];
+            assert_eq!(counted, implied, "tally against the outcome");
+            assert_eq!((tally.first_ns, tally.last_ns), (first, last));
+            if tally.latencies.seen == self.sampled {
+                return;
+            }
+            let mut global = Vec::new();
+            let mut per_tenant: BTreeMap<u64, (u64, Vec<u64>)> = BTreeMap::new();
+            for (i, left) in out.left.iter().enumerate() {
+                let Some((at, Left::Completed)) = left else {
+                    continue;
+                };
+                let ns = at - arrivals[i].at;
+                global.push(ns);
+                if let Some(t) = arrivals[i].affinity {
+                    let (seen, samples) = per_tenant.entry(t.raw()).or_default();
+                    *seen += 1;
+                    samples.push(ns);
+                }
+            }
+            global.sort_unstable();
+            per_tenant.values_mut().for_each(|(_, v)| v.sort_unstable());
+            assert_eq!(tally.latencies.sorted(), global);
+            let sampled = tally
+                .per_tenant
+                .iter()
+                .map(|(&t, r)| (t, (r.seen, r.sorted())));
+            assert_eq!(sampled.collect::<BTreeMap<_, _>>(), per_tenant);
+            self.sampled = tally.latencies.seen;
         }
 
         fn polled(&mut self, t: u64, core: &ServingCore<usize>, polled: &Poll<usize>) {
@@ -703,6 +988,9 @@ mod tests {
             }
             match polled {
                 Poll::Flush { .. } => {
+                    if !flushed.is_empty() {
+                        self.out.calls.push((t, flushed.clone()));
+                    }
                     assert!(forming_after.is_empty());
                     let dead_left = queue_after.iter().any(|&i| self.dead(i, t));
                     assert!(
@@ -823,9 +1111,11 @@ mod tests {
                         self.leave(i, t, Left::Completed);
                     }
                 }
-                (Done::Failed { resolved, retried }, Err(err)) => {
+                (Done::Failed(resolved), Err(err)) => {
                     let split = !err.is_retryable() && members.len() > 1;
                     self.out.isolated += usize::from(split);
+                    let retried = core.queue.iter().filter(|e| members.contains(&e.item));
+                    let retried = retried.count();
                     self.out.retried += retried;
                     // A batch forms only once nothing is left to run alone,
                     // so a split finds that list empty.
@@ -833,7 +1123,7 @@ mod tests {
                     assert_eq!(split, alone == members);
                     assert_eq!(split, alone.iter().any(|i| members.contains(i)));
                     // Every member went exactly one way.
-                    let kept = if split { members.len() } else { *retried };
+                    let kept = if split { members.len() } else { retried };
                     assert_eq!(resolved.len() + kept, members.len());
                     for (e, why) in resolved {
                         // Out of budget, or the backoff would outlast the
@@ -877,6 +1167,7 @@ mod tests {
             alone: None,
             runs: vec![0; s.arrivals.len()],
             last_call: (Vec::new(), Ok(())),
+            sampled: 0,
         });
         checker.borrow_mut().out.left = vec![None; s.arrivals.len()];
         drive(
@@ -1106,7 +1397,7 @@ mod tests {
         let mut core = ServingCore::new(&knobs(2, Duration::ZERO), Arc::new(Journal::new()));
         let tenants = [Some(1), Some(1), None, Some(2), Some(1), Some(3)];
         for (i, t) in tenants.into_iter().enumerate() {
-            assert!(core.admit(0, t.map(TenantId::new), None, i).is_ok());
+            assert!(core.admit(0, t.map(TenantId::new), None, i, false).is_ok());
         }
         let Poll::Flush { batch, .. } = core.poll(0, |_| false) else {
             panic!("a full batch flushes");
@@ -1120,7 +1411,7 @@ mod tests {
         let (ptr, capacity) = (out.as_ptr(), out.capacity());
         assert!(matches!(
             core.complete(0, batch, Err(PERMANENT)),
-            Done::Failed { .. }
+            Done::Failed(_)
         ));
         core.queued_tenants(&mut out);
         assert_eq!(out, [1, 2, 3].map(TenantId::new));
@@ -1309,5 +1600,123 @@ mod tests {
         let out = run(&s);
         assert_eq!(out.calls, vec![(0, vec![0]), (5 * MS, vec![0])]);
         assert_eq!(out.left_as(Left::Completed), vec![0]);
+    }
+
+    #[test]
+    fn percentile_pinned_definition_on_small_samples() {
+        // The regression this pins down: ceil(len·q) under-reported on tiny
+        // samples — the old code returned `a` for the median of [a, b].
+        assert_eq!(percentile(&[], 0.50), Duration::ZERO);
+        assert_eq!(percentile(&[7], 0.0), Duration::from_nanos(7));
+        assert_eq!(percentile(&[7], 0.50), Duration::from_nanos(7));
+        assert_eq!(percentile(&[7], 1.0), Duration::from_nanos(7));
+        assert_eq!(percentile(&[10, 20], 0.50), Duration::from_nanos(20));
+        assert_eq!(percentile(&[10, 20, 30], 0.50), Duration::from_nanos(20));
+        assert_eq!(percentile(&[10, 20], 0.0), Duration::from_nanos(10));
+        assert_eq!(percentile(&[10, 20], 1.0), Duration::from_nanos(20));
+        // p95/p99 of a small sample land on the max, never out of bounds.
+        assert_eq!(percentile(&[1, 2, 3], 0.99), Duration::from_nanos(3));
+    }
+
+    #[test]
+    fn reservoir_memory_stays_bounded_across_a_million_pushes() {
+        // The regression this pins down: `latencies` was an unbounded
+        // Vec<u64>, leaking ~8 bytes per completion for the life of the
+        // dispatcher. A week at 10k bootstraps/s is ~48 GB.
+        let mut r = LatencyReservoir {
+            seed: 42,
+            ..Default::default()
+        };
+        for i in 0..1_000_000u64 {
+            r.push(i);
+        }
+        assert_eq!(r.seen, 1_000_000);
+        assert!(r.samples.len() <= LATENCY_RESERVOIR_CAP);
+        // Percentiles stay inside the observed range and ordered.
+        let s = r.sorted();
+        let p50 = percentile(&s, 0.50);
+        let p99 = percentile(&s, 0.99);
+        assert!(p50 <= p99);
+        assert!(p99 <= Duration::from_nanos(999_999));
+        // Over a uniform 0..1M stream the sampled median should land
+        // near 500k — a loose sanity band, not a statistical test.
+        assert!(
+            (200_000..800_000).contains(&(p50.as_nanos() as u64)),
+            "sampled p50 {p50:?} wildly off a uniform stream's median"
+        );
+        // Determinism: the same stream reproduces the same reservoir.
+        let mut r2 = LatencyReservoir {
+            seed: 42,
+            ..Default::default()
+        };
+        for i in 0..1_000_000u64 {
+            r2.push(i);
+        }
+        assert_eq!(r.sorted(), r2.sorted());
+    }
+
+    #[test]
+    fn reservoir_below_capacity_is_exact() {
+        // Small samples must keep every point, so percentiles are
+        // identical to the unbounded history the dispatcher used to
+        // keep.
+        let mut r = LatencyReservoir {
+            seed: 7,
+            ..Default::default()
+        };
+        let mut exact: Vec<u64> = Vec::new();
+        for i in (0..1000u64).rev() {
+            r.push(i * 31);
+            exact.push(i * 31);
+        }
+        exact.sort_unstable();
+        assert_eq!(r.sorted(), exact);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(percentile(&r.sorted(), q), percentile(&exact, q));
+        }
+    }
+
+    mod percentile_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn monotone_in_q_and_bounded(
+                xs in prop::collection::vec(0u64..1_000_000, 16),
+                len in 1usize..17,
+                q1 in 0.0f64..1.0,
+                q2 in 0.0f64..1.0,
+            ) {
+                let mut xs = xs;
+                xs.truncate(len);
+                xs.sort_unstable();
+                let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+                let p_lo = percentile(&xs, lo);
+                let p_hi = percentile(&xs, hi);
+                prop_assert!(p_lo <= p_hi, "percentile not monotone: q{lo} > q{hi}");
+                prop_assert!(p_lo >= Duration::from_nanos(xs[0]));
+                prop_assert!(p_hi <= Duration::from_nanos(*xs.last().unwrap()));
+            }
+
+            #[test]
+            fn exact_on_singletons(x in any::<u64>(), q in 0.0f64..1.0) {
+                prop_assert_eq!(percentile(&[x], q), Duration::from_nanos(x));
+            }
+
+            #[test]
+            fn extremes_hit_min_and_max(
+                xs in prop::collection::vec(0u64..1_000_000, 8),
+                len in 1usize..9,
+            ) {
+                let mut xs = xs;
+                xs.truncate(len);
+                xs.sort_unstable();
+                prop_assert_eq!(percentile(&xs, 0.0), Duration::from_nanos(xs[0]));
+                prop_assert_eq!(percentile(&xs, 1.0), Duration::from_nanos(*xs.last().unwrap()));
+            }
+        }
     }
 }
