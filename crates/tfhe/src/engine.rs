@@ -5,7 +5,7 @@
 //! Spawning a fresh set of OS threads for every call is fine for one large
 //! batch and wasteful for the steady stream of medium batches that
 //! inference workloads produce. [`BootstrapEngine`] spawns its worker pool
-//! **once** and feeds it through a channel:
+//! **once** and keeps it warm:
 //!
 //! - workers hold an `Arc<ServerKey>` and stay warm for the engine's
 //!   lifetime, sharing the process-global transform caches (one FFT per
@@ -21,41 +21,42 @@
 //!   [`EngineStats`] so benches and the CPU cost model can calibrate from
 //!   real measurements.
 //!
-//! # Fault tolerance
+//! # Fault tolerance, decided on plain data
 //!
-//! A serving pool must outlive its faults. The engine's recovery
-//! machinery (all policies configurable on the builder):
+//! Every decision the pool makes is `Supervisor`'s: crate-private plain
+//! data on a caller's `now: u64`, like the serving core (`policy.rs`) and
+//! the key cache (`keystore.rs`). It holds the batches in flight, the
+//! chunk queue, each worker's respawn budget and the [`EngineStats`]; the
+//! engine is one mutex, one condvar and the worker threads around it.
 //!
-//! - **Panic isolation + respawn** — every job runs under
-//!   `catch_unwind`; a panicking worker reports the failed chunk as
-//!   [`TfheError::WorkerPanicked`] (so the submitter retries it
-//!   elsewhere) and respawns its receive loop in place, bounded by a
-//!   per-worker [respawn budget](BootstrapEngineBuilder::respawn_budget).
-//!   A worker that exhausts the budget retires; the pool keeps serving on
-//!   the remaining workers (degraded mode).
-//! - **Watchdog** — with a [`job_timeout`](BootstrapEngineBuilder::job_timeout)
-//!   configured, a chunk that produces no reply in time is presumed
-//!   wedged and re-dispatched to another worker; a late reply from the
-//!   original worker is deduplicated (bootstrapping is deterministic, so
-//!   either copy is bit-identical).
+//! - **Panic isolation + respawn** — every job runs under `catch_unwind`;
+//!   a panic is a reply like any other: the chunk is retried and the
+//!   worker respawns its loop in place, bounded by a per-worker
+//!   [respawn budget](BootstrapEngineBuilder::respawn_budget). A worker
+//!   that exhausts it retires; the rest keep serving (degraded mode).
+//! - **Watchdog** — with a [`job_timeout`](BootstrapEngineBuilder::job_timeout),
+//!   a chunk a worker has held that long is presumed wedged and re-queued;
+//!   the first copy to reply resolves it and the other is dropped
+//!   (bootstrapping is deterministic, so either copy is bit-identical).
 //! - **Bounded chunk re-dispatch** — a chunk that fails transiently
-//!   (panic, timeout, failed output check) goes straight back to the pool,
-//!   up to [`max_retries`](BootstrapEngineBuilder::max_retries) times.
+//!   (panic, timeout, failed output check) goes straight back to the
+//!   queue, up to [`max_retries`](BootstrapEngineBuilder::max_retries)
+//!   times;
 //!   [`noise_adaptive_retries`](BootstrapEngineBuilder::noise_adaptive_retries)
 //!   derives the budget from [`noise::failure_probability`](crate::noise).
 //!   This recovers a *chunk inside one call*; retrying a *request*, with
 //!   backoff and under its deadline, is the
 //!   [`Dispatcher`](crate::dispatch::Dispatcher)'s.
 //! - **Output sanity checks** — an optional
-//!   [hook](BootstrapEngineBuilder::output_check) vets every output;
-//!   failures are retried like any transient fault.
+//!   [hook](BootstrapEngineBuilder::output_check) vets every output on the
+//!   worker that produced it; a rejection is retried like any transient
+//!   fault.
 //! - **Degraded-mode serving** — [`EngineHealth`] (`Healthy` /
-//!   `Degraded` / `Failed`), exposed via [`EngineStats`] and
+//!   `Degraded` / `Failed`), via [`EngineStats`] and
 //!   [`BootstrapEngine::health`] (also the engine's
-//!   [`Bootstrapper::health`], which a failover tier's breaker reads),
-//!   tells callers whether the pool is at full strength, serving on
-//!   reduced capacity, or dead. Submissions fail fast with
-//!   [`TfheError::EngineShutDown`] only at `Failed`.
+//!   [`Bootstrapper::health`], which a failover tier's breaker reads). When
+//!   the last worker retires, every batch in flight fails with
+//!   [`TfheError::EngineShutDown`], as does every later submission.
 //!
 //! Every executed chunk and every fault and recovery action is an
 //! [`Event`] in the engine's [`journal`](BootstrapEngine::journal);
@@ -92,13 +93,11 @@
 //! assert_eq!(engine.stats().bootstraps, 4);
 //! ```
 
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
@@ -109,11 +108,6 @@ use crate::params::TfheParams;
 use crate::policy::dur_ns;
 use crate::server::ServerKey;
 use crate::workspace::BootstrapWorkspace;
-
-/// Liveness-check period for the submit loop when no watchdog timeout is
-/// configured: often enough that a dead pool is detected promptly, rare
-/// enough to cost nothing.
-const LIVENESS_TICK: Duration = Duration::from_millis(100);
 
 /// Split `n` items into `parts` contiguous ranges whose lengths differ by
 /// at most one — the default chunk plan, which ordered reassembly relies
@@ -147,12 +141,14 @@ pub enum EngineHealth {
 
 /// Running totals across everything an engine has executed.
 ///
-/// `busy` sums the wall time each worker spent inside jobs, so
+/// `busy` sums the wall time each worker spent inside jobs (an installed
+/// output check included), so
 /// `bootstraps / busy` is the **per-core** bootstrap rate — exactly the
 /// `single_core_bs_s` input of the CPU cost model — while
 /// `bootstraps / (busy / workers)` estimates pool throughput. The fault
 /// counters summarize the engine's recovery history; `health` is the
-/// degraded-mode state at the instant of the snapshot.
+/// degraded-mode state at the instant of the snapshot. A snapshot is
+/// consistent: every count is the supervisor's, read under one lock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Number of worker threads in the pool (as spawned).
@@ -204,69 +200,391 @@ impl EngineStats {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    batches: AtomicU64,
-    bootstraps: AtomicU64,
-    extractions: AtomicU64,
-    busy_nanos: AtomicU64,
-    panics: AtomicU64,
-    respawns: AtomicU64,
-    retries: AtomicU64,
-    watchdog_timeouts: AtomicU64,
-    check_failures: AtomicU64,
-    /// Workers still inside their receive loop; 0 means the pool is dead
-    /// (every worker retired or the engine shut down) and submissions
-    /// must fail fast.
-    alive: AtomicUsize,
-    /// One [`EventKind::Job`] span per executed chunk (coarse-grained, so
-    /// the lock is uncontended relative to the bootstrap work itself) and
-    /// one instant per fault or recovery action.
-    journal: Journal,
+/// One chunk handed to a worker: the batch's request `req`, and which
+/// attempt at which of its chunks this is.
+#[derive(Debug)]
+struct Job<R> {
+    /// Engine-wide batch sequence number (fault-injection key component).
+    batch: u64,
+    chunk: usize,
+    /// 0 = first; a retry re-rolls injected faults.
+    attempt: u32,
+    range: Range<usize>,
+    req: R,
+    /// When the worker took it, for its busy time and span; the watchdog
+    /// reads the chunk's `since`, which a newer attempt has moved on.
+    started: u64,
 }
 
-/// Decrements the alive-worker count when a worker thread exits — via
-/// `Drop` so even an unexpected unwind past the respawn loop is counted
-/// out.
-struct AliveGuard(Arc<Counters>);
+/// What one attempt at a chunk came to, as its worker reports it.
+#[derive(Debug)]
+enum Ran<T> {
+    /// The chunk's outputs, and the first (batch-relative) output index
+    /// the output check rejected, if it rejected one.
+    Done(Vec<T>, Option<usize>),
+    /// A deterministic error (a validation error): retrying would
+    /// reproduce it, so the batch fails.
+    Failed(TfheError),
+    /// The job panicked; its worker's state is suspect.
+    Panicked,
+}
 
-impl Drop for AliveGuard {
-    fn drop(&mut self) {
-        self.0.alive.fetch_sub(1, Ordering::SeqCst);
+/// What a worker does after its reply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    Continue,
+    /// Rebuild its workspace (a panic may have abandoned it mid-operation)
+    /// and go on.
+    Respawn,
+    /// Its respawn budget is spent: leave the pool.
+    Retire,
+}
+
+#[derive(Debug)]
+enum State<T> {
+    Queued,
+    Running { since: u64 },
+    Done(Vec<T>),
+}
+
+/// One chunk of a batch in flight.
+#[derive(Debug)]
+struct Chunk<T> {
+    range: Range<usize>,
+    /// The attempt queued or running now (0 = first).
+    attempt: u32,
+    state: State<T>,
+}
+
+impl<T> Chunk<T> {
+    fn done(&self) -> bool {
+        matches!(self.state, State::Done(_))
     }
 }
 
-/// One contiguous chunk of a batch, self-contained: workers never borrow
-/// from the submitting call's stack (the crate forbids `unsafe`, so no
-/// lifetime laundering), they share the inputs via `Arc` and send owned
-/// results back.
-struct Job {
-    /// Engine-wide batch sequence number (fault-injection key component).
-    batch: u64,
-    /// Dispatch attempt (0 = first; retries re-roll injected faults).
-    attempt: u32,
-    req: Arc<BatchRequest>,
-    range: Range<usize>,
-    reply: Sender<Chunk>,
+#[derive(Debug)]
+struct Batch<R, T> {
+    req: R,
+    chunks: Vec<Chunk<T>>,
+    /// Set once, by the first failure that ends the batch.
+    failed: Option<TfheError>,
 }
 
-struct Chunk {
-    start: usize,
-    result: Result<Vec<LweCiphertext>, TfheError>,
+/// The pool's decisions as plain data on caller time: [`BootstrapEngine`]
+/// wraps it in a mutex and a condvar, and its tests drive it on virtual
+/// time. `R` is what a worker needs to run a chunk, `T` one output.
+#[derive(Debug)]
+struct Supervisor<R, T> {
+    max_retries: u32,
+    /// The watchdog's limit, if one is set.
+    timeout: Option<u64>,
+    /// Per worker: the respawns it has left, `None` once it retired.
+    respawns_left: Vec<Option<u32>>,
+    /// Shut down: the workers leave once the queue is empty.
+    stopped: bool,
+    next_batch: u64,
+    batches: BTreeMap<u64, Batch<R, T>>,
+    /// `(batch, chunk)` in the order workers take them.
+    queue: VecDeque<(u64, usize)>,
+    stats: EngineStats,
+    journal: Arc<Journal>,
 }
 
-/// State shared by every worker thread.
-struct WorkerShared {
+impl<R: Clone, T> Supervisor<R, T> {
+    fn new(
+        workers: usize,
+        respawn_budget: u32,
+        max_retries: u32,
+        timeout: Option<u64>,
+        journal: Arc<Journal>,
+    ) -> Self {
+        Self {
+            max_retries,
+            timeout,
+            respawns_left: vec![Some(respawn_budget); workers],
+            stopped: false,
+            next_batch: 0,
+            batches: BTreeMap::new(),
+            queue: VecDeque::new(),
+            stats: EngineStats {
+                workers,
+                ..EngineStats::default()
+            },
+            journal,
+        }
+    }
+
+    fn record(&self, now: u64, who: Who, kind: EventKind) {
+        self.journal.record(Event::at(now, who, kind));
+    }
+
+    /// Workers still in the pool; none once it shut down.
+    fn alive(&self) -> usize {
+        if self.stopped {
+            return 0;
+        }
+        self.respawns_left.iter().flatten().count()
+    }
+
+    fn health(&self) -> EngineHealth {
+        match self.alive() {
+            0 => EngineHealth::Failed,
+            n if n < self.respawns_left.len() => EngineHealth::Degraded,
+            _ => EngineHealth::Healthy,
+        }
+    }
+
+    fn stats(&self) -> EngineStats {
+        EngineStats {
+            health: self.health(),
+            ..self.stats
+        }
+    }
+
+    /// Admit a batch of `req` cut into `ranges`: its chunks join the queue.
+    fn dispatch(&mut self, req: R, ranges: Vec<Range<usize>>) -> Result<u64, TfheError> {
+        if self.alive() == 0 {
+            return Err(TfheError::EngineShutDown);
+        }
+        let id = self.next_batch;
+        self.next_batch += 1;
+        self.stats.batches += 1;
+        self.queue.extend((0..ranges.len()).map(|c| (id, c)));
+        let chunks = ranges.into_iter().map(|range| Chunk {
+            range,
+            attempt: 0,
+            state: State::Queued,
+        });
+        let batch = Batch {
+            req,
+            chunks: chunks.collect(),
+            failed: None,
+        };
+        self.batches.insert(id, batch);
+        Ok(id)
+    }
+
+    /// The next queued chunk that still needs a run, now running since
+    /// `now`.
+    fn take(&mut self, now: u64) -> Option<Job<R>> {
+        while let Some((id, c)) = self.queue.pop_front() {
+            let Some(batch) = self.batches.get_mut(&id) else {
+                continue;
+            };
+            let chunk = &mut batch.chunks[c];
+            if batch.failed.is_some() || !matches!(chunk.state, State::Queued) {
+                continue;
+            }
+            chunk.state = State::Running { since: now };
+            return Some(Job {
+                batch: id,
+                chunk: c,
+                attempt: chunk.attempt,
+                range: chunk.range.clone(),
+                req: batch.req.clone(),
+                started: now,
+            });
+        }
+        None
+    }
+
+    /// Worker `worker`'s `job` came to `ran` at `now`. A success resolves
+    /// its chunk unless a copy already did; a transient failure of the
+    /// chunk's current attempt re-queues it; a panic spends the worker's
+    /// respawn budget. Returns what the worker does next.
+    fn reply(&mut self, now: u64, worker: usize, job: &Job<R>, ran: Ran<T>) -> Fate {
+        self.stats.busy += Duration::from_nanos(now.saturating_sub(job.started));
+        let mut fate = Fate::Continue;
+        if let Ran::Panicked = ran {
+            self.stats.panics += 1;
+            self.record(now, Who::Worker(worker), EventKind::WorkerPanic);
+            let left = &mut self.respawns_left[worker];
+            *left = left.and_then(|n| n.checked_sub(1));
+            let kind = if left.is_some() {
+                self.stats.respawns += 1;
+                fate = Fate::Respawn;
+                EventKind::WorkerRespawn
+            } else {
+                fate = Fate::Retire;
+                EventKind::RespawnExhausted
+            };
+            self.record(now, Who::Worker(worker), kind);
+        } else {
+            // `bootstraps` counts input ciphertexts (blind rotations),
+            // `extractions` outputs: they differ only on fanout chunks.
+            let (bootstraps, extractions) = match &ran {
+                Ran::Done(outs, _) => (job.range.len(), outs.len()),
+                _ => (0, 0),
+            };
+            self.stats.bootstraps += bootstraps as u64;
+            self.stats.extractions += extractions as u64;
+            let kind = EventKind::Job {
+                bootstraps,
+                extractions,
+            };
+            let dur_ns = now.saturating_sub(job.started);
+            let span = Event::at(job.started, Who::Worker(worker), kind);
+            self.journal.record(Event { dur_ns, ..span });
+        }
+        if self.alive() == 0 {
+            // Nothing would ever run what is queued; a batch whose chunks
+            // all resolved keeps its outputs for its submitter.
+            for batch in self.batches.values_mut() {
+                if !batch.chunks.iter().all(Chunk::done) {
+                    batch.failed.get_or_insert(TfheError::EngineShutDown);
+                }
+            }
+            self.queue.clear();
+            return fate;
+        }
+        let Some(batch) = self.batches.get_mut(&job.batch) else {
+            return fate;
+        };
+        let chunk = &mut batch.chunks[job.chunk];
+        if batch.failed.is_some() || chunk.done() {
+            // Too late: a watchdog copy resolved it, or the batch is over.
+            return fate;
+        }
+        match ran {
+            Ran::Done(outs, None) => chunk.state = State::Done(outs),
+            // A superseded attempt's failure: the current one is still on.
+            _ if job.attempt != chunk.attempt => {}
+            Ran::Done(_, Some(index)) => {
+                self.stats.check_failures += 1;
+                self.record(now, Who::Engine, EventKind::OutputCheckFailed { index });
+                let err = TfheError::OutputCheckFailed { index };
+                self.retry(now, job.batch, job.chunk, err);
+            }
+            Ran::Panicked => {
+                let err = TfheError::WorkerPanicked { worker };
+                self.retry(now, job.batch, job.chunk, err);
+            }
+            Ran::Failed(e) => batch.failed = Some(e),
+        }
+        fate
+    }
+
+    /// Re-queue chunk `c` of batch `id` after a transient failure, or end
+    /// the batch with `err` once the chunk's retries are spent.
+    fn retry(&mut self, now: u64, id: u64, c: usize, err: TfheError) {
+        let batch = self.batches.get_mut(&id).expect("a live batch");
+        let chunk = &mut batch.chunks[c];
+        if chunk.attempt >= self.max_retries {
+            batch.failed = Some(err);
+            return;
+        }
+        chunk.attempt += 1;
+        chunk.state = State::Queued;
+        self.queue.push_back((id, c));
+        self.stats.retries += 1;
+        let kind = EventKind::ChunkRetry {
+            chunk_start: chunk.range.start,
+            attempt: chunk.attempt,
+        };
+        self.record(now, Who::Engine, kind);
+    }
+
+    /// The watchdog at `now`: every chunk a worker has held for the
+    /// timeout or longer is presumed wedged and retried (each one counts
+    /// in `watchdog_timeouts`). Returns when it has to look again (`None`:
+    /// no timeout, or nothing in flight).
+    fn tick(&mut self, now: u64) -> Option<u64> {
+        let limit = self.timeout?;
+        let (mut wedged, mut next) = (Vec::new(), None::<u64>);
+        for (&id, batch) in self.batches.iter().filter(|(_, b)| b.failed.is_none()) {
+            for (c, chunk) in batch.chunks.iter().enumerate() {
+                let due = match chunk.state {
+                    State::Running { since } => since.saturating_add(limit),
+                    // Not taken yet: due no sooner than a limit from now.
+                    State::Queued => now.saturating_add(limit.max(1)),
+                    State::Done(_) => continue,
+                };
+                if due <= now {
+                    wedged.push((id, c));
+                } else {
+                    next = Some(next.map_or(due, |n| n.min(due)));
+                }
+            }
+        }
+        for (id, c) in wedged {
+            let batch = &self.batches[&id];
+            if batch.failed.is_some() {
+                continue;
+            }
+            let chunk = &batch.chunks[c];
+            let (chunk_start, attempts) = (chunk.range.start, chunk.attempt + 1);
+            self.stats.watchdog_timeouts += 1;
+            let kind = EventKind::WatchdogTimeout {
+                batch: id,
+                chunk_start,
+            };
+            self.record(now, Who::Engine, kind);
+            let err = TfheError::JobTimedOut {
+                chunk_start,
+                attempts,
+            };
+            self.retry(now, id, c, err);
+        }
+        next
+    }
+
+    /// Batch `id`'s result once it has one, its outputs in plan order; the
+    /// batch is then forgotten.
+    fn finished(&mut self, id: u64) -> Option<Result<Vec<T>, TfheError>> {
+        let batch = &self.batches[&id];
+        if batch.failed.is_none() && !batch.chunks.iter().all(Chunk::done) {
+            return None;
+        }
+        let batch = self.batches.remove(&id)?;
+        if let Some(e) = batch.failed {
+            return Some(Err(e));
+        }
+        let outs = batch.chunks.into_iter().flat_map(|c| match c.state {
+            State::Done(outs) => outs,
+            _ => unreachable!("every chunk is done"),
+        });
+        Some(Ok(outs.collect()))
+    }
+}
+
+type Pool = Supervisor<Arc<BatchRequest>, LweCiphertext>;
+
+/// What the engine and its workers share: the supervisor under its lock,
+/// and what a worker needs to run a job.
+struct Shared {
+    supervisor: Mutex<Pool>,
+    /// Notified on every change a thread may wait for: a chunk queued, a
+    /// batch finished, the pool stopping.
+    changed: Condvar,
+    journal: Arc<Journal>,
     server: Arc<ServerKey>,
-    counters: Arc<Counters>,
     injector: FaultInjector,
+    output_check: Option<OutputCheck>,
 }
 
-/// Execute one job's bootstraps, with fault-injection hooks. Runs under
-/// `catch_unwind`: an (injected or organic) panic unwinds out of here and
-/// is handled by the caller. `ws` is the worker's long-lived
-/// [`BootstrapWorkspace`], so a warm worker's blind rotations are
-/// allocation-free.
+impl Shared {
+    /// Nothing in a supervisor call panics short of a bug or an allocation
+    /// failure, and a worker's own panics are caught outside the lock, so
+    /// a poisoned lock is still good to use.
+    fn lock(&self) -> MutexGuard<'_, Pool> {
+        self.supervisor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleep until notified or, with a `timeout`, for that many ns.
+    fn wait<'a>(&self, guard: MutexGuard<'a, Pool>, timeout: Option<u64>) -> MutexGuard<'a, Pool> {
+        let timeout = Duration::from_nanos(timeout.unwrap_or(u64::MAX));
+        let waited = self.changed.wait_timeout(guard, timeout);
+        waited.unwrap_or_else(PoisonError::into_inner).0
+    }
+}
+
+/// Execute one job's bootstraps, with fault-injection hooks, then vet the
+/// outputs. Runs under `catch_unwind`: an (injected or organic) panic
+/// unwinds out of here and is the caller's to report. `ws` is the worker's
+/// long-lived [`BootstrapWorkspace`], so a warm worker's blind rotations
+/// are allocation-free.
 ///
 /// Faults stay keyed per ciphertext: each one's `WorkerPanic` and
 /// `WedgedJob` sites fire, in ciphertext order, before the chunk's work
@@ -274,10 +592,10 @@ struct WorkerShared {
 /// The chunk then goes through [`ServerKey::try_bootstrap_chunk`] as a
 /// whole, whatever its items' LUT lists look like.
 fn run_job(
-    shared: &WorkerShared,
-    job: &Job,
+    shared: &Shared,
+    job: &Job<Arc<BatchRequest>>,
     ws: &mut BootstrapWorkspace,
-) -> Result<Vec<LweCiphertext>, TfheError> {
+) -> Ran<LweCiphertext> {
     let injector = &shared.injector;
     let mut corrupt = Vec::with_capacity(job.range.len());
     for i in job.range.clone() {
@@ -294,7 +612,10 @@ fn run_job(
         corrupt.push(injector.fires(FaultSite::CorruptOutput, key, job.attempt));
     }
     let items = job.req.items(job.range.clone());
-    let mut outs = shared.server.try_bootstrap_chunk(&items, ws)?;
+    let mut outs = match shared.server.try_bootstrap_chunk(&items, ws) {
+        Ok(outs) => outs,
+        Err(e) => return Ran::Failed(e),
+    };
     let mut rest = outs.as_mut_slice();
     for ((_, luts), corrupt) in items.iter().zip(corrupt) {
         let (of_item, tail) = rest.split_at_mut(luts.len());
@@ -305,109 +626,50 @@ fn run_job(
             }
         }
     }
-    Ok(outs)
+    // The check sees batch-relative *output* indices, which run ahead of
+    // ciphertext indices on fanout batches.
+    let rejected = shared.output_check.as_ref().and_then(|check| {
+        let first: usize = (0..job.range.start).map(|i| job.req.output_count(i)).sum();
+        (first..)
+            .zip(&outs)
+            .find_map(|(i, ct)| (!check(i, ct)).then_some(i))
+    });
+    Ran::Done(outs, rejected)
 }
 
-enum WorkerExit {
-    /// The job channel closed: the engine is shutting down.
-    ChannelClosed,
-    /// A job panicked; the worker's state is suspect and the loop
-    /// returned for a (budget-gated) respawn.
-    Panicked,
-}
-
-fn worker_loop(
-    worker: usize,
-    shared: &WorkerShared,
-    rx: &Receiver<Job>,
-    ws: &mut BootstrapWorkspace,
-) -> WorkerExit {
-    while let Ok(job) = rx.recv() {
-        let at_ns = journal::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(shared, &job, ws)));
-        let dur_ns = journal::now().saturating_sub(at_ns);
-        let counters = &shared.counters;
-        counters.busy_nanos.fetch_add(dur_ns, Ordering::Relaxed);
-        match outcome {
-            Ok(result) => {
-                // `bootstraps` counts input ciphertexts (blind rotations);
-                // `extractions` counts outputs. They differ only on
-                // fanout jobs, where one rotation feeds several LUTs.
-                let rotations = result.as_ref().map_or(0, |_| job.range.len());
-                let extracted = result.as_ref().map_or(0, Vec::len);
-                counters
-                    .bootstraps
-                    .fetch_add(rotations as u64, Ordering::Relaxed);
-                counters
-                    .extractions
-                    .fetch_add(extracted as u64, Ordering::Relaxed);
-                counters.journal.record(Event {
-                    at_ns,
-                    dur_ns,
-                    who: Who::Worker(worker),
-                    kind: EventKind::Job {
-                        bootstraps: rotations,
-                        extractions: extracted,
-                    },
-                });
-                // The submitter may have bailed early; a closed reply
-                // channel is not the worker's problem.
-                let _ = job.reply.send(Chunk {
-                    start: job.range.start,
-                    result,
-                });
-            }
-            Err(_) => {
-                counters.panics.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .journal
-                    .record(Event::instant(Who::Worker(worker), EventKind::WorkerPanic));
-                // Report the chunk as failed so the submitter can retry
-                // it immediately (no reply is ever lost to a panic), then
-                // hand control to the respawn loop.
-                let _ = job.reply.send(Chunk {
-                    start: job.range.start,
-                    result: Err(TfheError::WorkerPanicked { worker }),
-                });
-                return WorkerExit::Panicked;
-            }
-        }
-    }
-    WorkerExit::ChannelClosed
-}
-
-/// Worker thread body: run the receive loop, respawning it in place
-/// after each caught panic until the respawn budget is spent. An
-/// in-place respawn (a fresh loop over the same channel) has the same
-/// recovery semantics as replacing the OS thread — the worker holds no
-/// job-local state across iterations — at a fraction of the cost.
-fn worker_thread(worker: usize, shared: WorkerShared, rx: Receiver<Job>, respawn_budget: u32) {
-    let _alive = AliveGuard(Arc::clone(&shared.counters));
-    let mut respawns_left = respawn_budget;
+/// Worker thread body: take a job, run it, reply, until the pool stops or
+/// the supervisor retires the worker. A respawn is in place — a fresh
+/// workspace on the same thread, which has the same recovery semantics
+/// as replacing the OS thread (the worker holds no job-local state across
+/// jobs) at a fraction of the cost.
+fn worker_thread(worker: usize, shared: &Shared) {
     // One workspace for the worker's whole lifetime: after the first job
     // warms it, every later bootstrap runs allocation-free.
     let mut ws = shared.server.workspace();
     loop {
-        match worker_loop(worker, &shared, &rx, &mut ws) {
-            WorkerExit::ChannelClosed => break,
-            WorkerExit::Panicked => {
-                if respawns_left == 0 {
-                    shared.counters.journal.record(Event::instant(
-                        Who::Worker(worker),
-                        EventKind::RespawnExhausted,
-                    ));
-                    break;
+        let job = {
+            let mut supervisor = shared.lock();
+            loop {
+                if let Some(job) = supervisor.take(journal::now()) {
+                    break job;
                 }
-                respawns_left -= 1;
-                shared.counters.respawns.fetch_add(1, Ordering::Relaxed);
-                shared.counters.journal.record(Event::instant(
-                    Who::Worker(worker),
-                    EventKind::WorkerRespawn,
-                ));
-                // The panic may have left the workspace mid-operation;
-                // rebuild it so the respawned loop starts from clean state.
-                ws = shared.server.workspace();
+                if supervisor.stopped {
+                    return;
+                }
+                supervisor = shared.wait(supervisor, None);
             }
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| run_job(shared, &job, &mut ws)));
+        // Read before the lock: the job's time excludes waiting for it.
+        let now = journal::now();
+        let fate = shared
+            .lock()
+            .reply(now, worker, &job, run.unwrap_or(Ran::Panicked));
+        shared.changed.notify_all();
+        match fate {
+            Fate::Continue => {}
+            Fate::Respawn => ws = shared.server.workspace(),
+            Fate::Retire => return,
         }
     }
 }
@@ -478,7 +740,9 @@ impl BootstrapEngineBuilder {
     }
 
     /// Watchdog timeout per job: a chunk with no reply within this window
-    /// is presumed wedged and re-dispatched (up to the retry budget).
+    /// of a worker taking it is presumed wedged and re-dispatched (up to
+    /// the retry budget); time spent queued behind busy workers does not
+    /// count.
     /// Disabled by default — set it comfortably above the worst-case
     /// honest chunk time, or the watchdog will duplicate live work. A
     /// default chunk is `⌈batch / workers⌉` bootstraps long: size the
@@ -546,67 +810,55 @@ impl BootstrapEngineBuilder {
             Some(n) => n,
             None => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        let (tx, rx) = channel::unbounded::<Job>();
-        let counters = Arc::new(Counters::default());
-        counters.alive.store(workers, Ordering::SeqCst);
-        let injector = FaultInjector::new(self.fault_plan);
-        let respawn_budget = self.respawn_budget.unwrap_or(Self::DEFAULT_RESPAWN_BUDGET);
+        let journal = Arc::new(Journal::new());
+        let supervisor = Supervisor::new(
+            workers,
+            self.respawn_budget.unwrap_or(Self::DEFAULT_RESPAWN_BUDGET),
+            self.max_retries.unwrap_or(Self::DEFAULT_MAX_RETRIES),
+            self.job_timeout.map(dur_ns),
+            Arc::clone(&journal),
+        );
+        let shared = Arc::new(Shared {
+            supervisor: Mutex::new(supervisor),
+            changed: Condvar::new(),
+            journal,
+            server,
+            injector: FaultInjector::new(self.fault_plan),
+            output_check: self.output_check,
+        });
         let handles = (0..workers)
             .map(|i| {
-                let shared = WorkerShared {
-                    server: Arc::clone(&server),
-                    counters: Arc::clone(&counters),
-                    injector,
-                };
-                let rx = rx.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("bootstrap-worker-{i}"))
-                    .spawn(move || worker_thread(i, shared, rx, respawn_budget))
+                    .spawn(move || worker_thread(i, &shared))
                     .expect("spawn bootstrap worker")
             })
             .collect();
         Ok(BootstrapEngine {
-            server,
-            tx: Some(tx),
+            shared,
             handles,
-            spawned: workers,
-            counters,
             chunk_size: self.chunk_size,
-            job_timeout: self.job_timeout,
-            max_retries: self.max_retries.unwrap_or(Self::DEFAULT_MAX_RETRIES),
-            output_check: self.output_check,
         })
     }
 }
 
-/// A persistent, self-healing pool of bootstrap workers fed over a
-/// channel — spawn once, submit many batches. The recovery machinery
-/// (panic isolation and respawn, watchdog, bounded retry, output checks)
-/// is configured on [`BootstrapEngineBuilder`].
+/// A persistent, self-healing pool of bootstrap workers — spawn once,
+/// submit many batches. The recovery machinery (panic isolation and
+/// respawn, watchdog, bounded retry, output checks) is configured on
+/// [`BootstrapEngineBuilder`].
 pub struct BootstrapEngine {
-    server: Arc<ServerKey>,
-    /// `Some` until drop; taken there to close the channel and stop the
-    /// workers.
-    tx: Option<Sender<Job>>,
+    shared: Arc<Shared>,
+    /// Drained by shutdown.
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Workers spawned at construction (denominator for degraded-mode
-    /// detection; `handles` is drained by shutdown).
-    spawned: usize,
-    counters: Arc<Counters>,
     chunk_size: Option<usize>,
-    job_timeout: Option<Duration>,
-    max_retries: u32,
-    output_check: Option<OutputCheck>,
 }
 
 impl std::fmt::Debug for BootstrapEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BootstrapEngine")
-            .field("workers", &self.spawned)
+            .field("workers", &self.workers())
             .field("chunk_size", &self.chunk_size)
-            .field("job_timeout", &self.job_timeout)
-            .field("max_retries", &self.max_retries)
-            .field("health", &self.health())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -629,85 +881,63 @@ impl BootstrapEngine {
 
     /// The shared server key the pool evaluates under.
     pub fn server(&self) -> &Arc<ServerKey> {
-        &self.server
+        &self.shared.server
     }
 
     /// Number of worker threads spawned at construction.
     pub fn workers(&self) -> usize {
-        self.spawned
+        self.shared.lock().stats.workers
     }
 
     /// Totals since construction (or the last
-    /// [`reset_stats`](Self::reset_stats)).
+    /// [`reset_stats`](Self::reset_stats)), as one consistent snapshot.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            workers: self.spawned,
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            bootstraps: self.counters.bootstraps.load(Ordering::Relaxed),
-            extractions: self.counters.extractions.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.counters.busy_nanos.load(Ordering::Relaxed)),
-            health: self.health(),
-            panics: self.counters.panics.load(Ordering::Relaxed),
-            respawns: self.counters.respawns.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            watchdog_timeouts: self.counters.watchdog_timeouts.load(Ordering::Relaxed),
-            check_failures: self.counters.check_failures.load(Ordering::Relaxed),
-        }
+        self.shared.lock().stats()
     }
 
     /// The degraded-mode state machine: `Healthy` while every spawned
     /// worker is alive, `Degraded` once some (but not all) have retired,
     /// `Failed` when none remain or the engine has shut down.
     pub fn health(&self) -> EngineHealth {
-        let alive = self.counters.alive.load(Ordering::SeqCst);
-        if self.tx.is_none() || alive == 0 {
-            EngineHealth::Failed
-        } else if alive < self.spawned {
-            EngineHealth::Degraded
-        } else {
-            EngineHealth::Healthy
-        }
+        self.shared.lock().health()
     }
 
     /// Zero the counters and clear the journal (e.g. between bench
     /// warm-up and measurement).
     pub fn reset_stats(&self) {
-        self.counters.batches.store(0, Ordering::Relaxed);
-        self.counters.bootstraps.store(0, Ordering::Relaxed);
-        self.counters.extractions.store(0, Ordering::Relaxed);
-        self.counters.busy_nanos.store(0, Ordering::Relaxed);
-        self.counters.panics.store(0, Ordering::Relaxed);
-        self.counters.respawns.store(0, Ordering::Relaxed);
-        self.counters.retries.store(0, Ordering::Relaxed);
-        self.counters.watchdog_timeouts.store(0, Ordering::Relaxed);
-        self.counters.check_failures.store(0, Ordering::Relaxed);
-        self.counters.journal.clear();
+        let mut supervisor = self.shared.lock();
+        supervisor.stats = EngineStats {
+            workers: supervisor.stats.workers,
+            ..EngineStats::default()
+        };
+        self.shared.journal.clear();
     }
 
     /// The engine's journal since construction or the last
     /// [`reset_stats`](Self::reset_stats): one [`EventKind::Job`] span per
     /// executed chunk ([`Who::Worker`]) and one instant per fault or
     /// recovery action (worker-local ones under [`Who::Worker`], the
-    /// submitting side's under [`Who::Engine`]).
+    /// supervisor's decisions about chunks under [`Who::Engine`]).
     pub fn journal(&self) -> &Journal {
-        &self.counters.journal
+        &self.shared.journal
     }
 
-    /// Workers still running their receive loop. Drops below
-    /// [`workers`](Self::workers) when a worker exhausts its respawn
-    /// budget; zero means the pool is dead.
+    /// Workers still in the pool. Drops below [`workers`](Self::workers)
+    /// when a worker exhausts its respawn budget; zero means the pool is
+    /// dead.
     pub fn alive_workers(&self) -> usize {
-        self.counters.alive.load(Ordering::SeqCst)
+        self.shared.lock().alive()
     }
 
-    /// Gracefully stop the pool: close the job channel, join every
-    /// worker. Subsequent submissions return
-    /// [`TfheError::EngineShutDown`]. Idempotent; also run by `Drop`.
+    /// Gracefully stop the pool: let every worker leave, and join them.
+    /// Subsequent submissions return [`TfheError::EngineShutDown`].
+    /// Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {
-        drop(self.tx.take());
+        self.shared.lock().stopped = true;
+        self.shared.changed.notify_all();
         for handle in self.handles.drain(..) {
-            // A worker that panicked already surfaced as a failed chunk
-            // to any in-flight submitter; nothing useful in the payload.
+            // A worker's panics were caught and replied; nothing useful in
+            // the payload.
             let _ = handle.join();
         }
     }
@@ -721,188 +951,36 @@ impl BootstrapEngine {
     fn chunk_plan(&self, n: usize) -> Vec<Range<usize>> {
         match self.chunk_size {
             Some(c) => (0..n).step_by(c).map(|s| s..(s + c).min(n)).collect(),
-            None => balanced_chunks(n, self.spawned).collect(),
+            None => balanced_chunks(n, self.workers()).collect(),
         }
     }
 
-    /// Flat index of the first output (counting from `out_start`) that
-    /// the sanity check rejects, if a check is installed. Indices are
-    /// batch-relative *output* positions — they diverge from ciphertext
-    /// indices on fanout batches.
-    fn rejected_output(&self, out_start: usize, outs: &[LweCiphertext]) -> Option<usize> {
-        let check = self.output_check.as_ref()?;
-        outs.iter()
-            .enumerate()
-            .find_map(|(j, ct)| (!check(out_start + j, ct)).then_some(out_start + j))
-    }
-
+    /// Queue the batch, then wait for its result, running the watchdog
+    /// whenever it is due.
     fn submit(&self, req: Arc<BatchRequest>) -> Result<Vec<LweCiphertext>, TfheError> {
-        let n = req.len();
-        if n == 0 {
+        if req.is_empty() {
             return Ok(Vec::new());
         }
-        // Fail fast on a dead pool: the channel may still accept sends
-        // (queued jobs hold receiver clones), but with zero live workers
-        // nothing would ever reply and the submitter would hang.
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(TfheError::EngineShutDown);
-        };
-        if self.counters.alive.load(Ordering::SeqCst) == 0 {
-            return Err(TfheError::EngineShutDown);
-        }
         // Validate eagerly so errors surface here, not inside the pool.
-        self.server.validate_request(&req)?;
-
-        // Flat output offset of each ciphertext (identity without fanout):
-        // the ordered-assembly and output-check index space.
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut total_outputs = 0usize;
-        for i in 0..n {
-            out_offsets.push(total_outputs);
-            total_outputs += req.output_count(i);
-        }
-        out_offsets.push(total_outputs);
-
-        // Count only batches that actually reach the pool — rejected
-        // submissions must not inflate the calibration denominator. The
-        // pre-increment value doubles as the batch's fault-injection id.
-        let batch = self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel::unbounded::<Chunk>();
-
-        // Retries re-dispatch a range of the plan verbatim, so the plan
-        // (and with it the fault-injection keys) never shifts mid-batch.
-        let ranges = self.chunk_plan(n);
-
-        let dispatch = |slot: usize, attempt: u32| -> Result<(), TfheError> {
-            let job = Job {
-                batch,
-                attempt,
-                req: Arc::clone(&req),
-                range: ranges[slot].clone(),
-                reply: reply_tx.clone(),
-            };
-            tx.send(job).map_err(|_| TfheError::EngineShutDown)
-        };
-
-        let mut slots: Vec<Option<Vec<LweCiphertext>>> = vec![None; ranges.len()];
-        let mut attempts = vec![0u32; ranges.len()];
-        let mut sent_at: Vec<u64> = Vec::with_capacity(ranges.len());
-        for slot in 0..ranges.len() {
-            dispatch(slot, 0)?;
-            sent_at.push(journal::now());
-        }
-        let mut pending = ranges.len();
-
-        // Re-dispatch `slot` at once after a transient failure. Returns
-        // the new attempt number, or `None` if the retry budget is
-        // exhausted (caller converts to its error).
-        let retry = |slot: usize,
-                     attempts: &mut [u32],
-                     sent_at: &mut [u64]|
-         -> Result<Option<u32>, TfheError> {
-            if attempts[slot] >= self.max_retries {
-                return Ok(None);
+        self.shared.server.validate_request(&req)?;
+        let ranges = self.chunk_plan(req.len());
+        let mut supervisor = self.shared.lock();
+        let batch = supervisor.dispatch(req, ranges)?;
+        self.shared.changed.notify_all();
+        loop {
+            if let Some(result) = supervisor.finished(batch) {
+                return result;
             }
-            attempts[slot] += 1;
-            let attempt = attempts[slot];
-            self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            self.counters.journal.record(Event::instant(
-                Who::Engine,
-                EventKind::ChunkRetry {
-                    chunk_start: ranges[slot].start,
-                    attempt,
-                },
-            ));
-            dispatch(slot, attempt)?;
-            sent_at[slot] = journal::now();
-            Ok(Some(attempt))
-        };
-
-        // Liveness tick: at most the watchdog timeout, at least often
-        // enough to notice a dead pool.
-        let tick = self
-            .job_timeout
-            .map_or(LIVENESS_TICK, |t| t.min(LIVENESS_TICK));
-
-        while pending > 0 {
-            match reply_rx.recv_timeout(tick) {
-                Ok(reply) => {
-                    let Some(slot) = ranges.iter().position(|r| r.start == reply.start) else {
-                        continue;
-                    };
-                    if slots[slot].is_some() {
-                        // Late duplicate from a watchdog-rescued worker;
-                        // results are deterministic, so drop it.
-                        continue;
-                    }
-                    match reply.result {
-                        Ok(outs) => {
-                            if let Some(index) =
-                                self.rejected_output(out_offsets[ranges[slot].start], &outs)
-                            {
-                                self.counters.check_failures.fetch_add(1, Ordering::Relaxed);
-                                self.counters.journal.record(Event::instant(
-                                    Who::Engine,
-                                    EventKind::OutputCheckFailed { index },
-                                ));
-                                if retry(slot, &mut attempts, &mut sent_at)?.is_none() {
-                                    return Err(TfheError::OutputCheckFailed { index });
-                                }
-                                continue;
-                            }
-                            slots[slot] = Some(outs);
-                            pending -= 1;
-                        }
-                        Err(e @ TfheError::WorkerPanicked { .. }) => {
-                            if retry(slot, &mut attempts, &mut sent_at)?.is_none() {
-                                return Err(e);
-                            }
-                        }
-                        // Validation errors are deterministic — retrying
-                        // would reproduce them, so fail the batch.
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.counters.alive.load(Ordering::SeqCst) == 0 {
-                        return Err(TfheError::EngineShutDown);
-                    }
-                    let Some(limit) = self.job_timeout.map(dur_ns) else {
-                        continue;
-                    };
-                    let now = journal::now();
-                    for slot in 0..ranges.len() {
-                        if slots[slot].is_none() && now.saturating_sub(sent_at[slot]) >= limit {
-                            self.counters
-                                .watchdog_timeouts
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.counters.journal.record(Event::instant(
-                                Who::Engine,
-                                EventKind::WatchdogTimeout {
-                                    batch,
-                                    chunk_start: ranges[slot].start,
-                                },
-                            ));
-                            if retry(slot, &mut attempts, &mut sent_at)?.is_none() {
-                                return Err(TfheError::JobTimedOut {
-                                    chunk_start: ranges[slot].start,
-                                    attempts: attempts[slot] + 1,
-                                });
-                            }
-                        }
-                    }
-                }
-                // Unreachable while we hold `reply_tx`, but map it
-                // defensively rather than hanging.
-                Err(RecvTimeoutError::Disconnected) => return Err(TfheError::EngineShutDown),
+            let (now, timeouts) = (journal::now(), supervisor.stats.watchdog_timeouts);
+            let due = supervisor.tick(now);
+            // Wake the others only for a chunk re-queued or failed: waking
+            // them on every tick would keep two submitters waking each other.
+            if supervisor.stats.watchdog_timeouts > timeouts {
+                self.shared.changed.notify_all();
             }
+            let timeout = due.map(|at| at.saturating_sub(now));
+            supervisor = self.shared.wait(supervisor, timeout);
         }
-
-        // Ordered assembly: slots follow the ascending chunk plan, so
-        // flattening restores input order exactly.
-        let out: Vec<LweCiphertext> = slots.into_iter().flatten().flatten().collect();
-        debug_assert_eq!(out.len(), total_outputs);
-        Ok(out)
     }
 }
 
@@ -1287,7 +1365,7 @@ mod tests {
         let stats = engine.stats();
         assert!(stats.panics > 0, "seed 4242 must fire at rate 0.3");
         assert_eq!(stats.panics, stats.respawns, "every panic respawned");
-        assert_eq!(stats.retries, stats.panics, "every panic retried");
+        assert_eq!(stats.retries, stats.panics, "every panic retried once");
         assert_eq!(stats.health, EngineHealth::Healthy);
         assert!(engine
             .journal()
@@ -1301,8 +1379,9 @@ mod tests {
         let (ck, sk, mut rng) = setup(711);
         let lut = Lut::identity(sk.params().poly_size, 4);
         let cts = vec![ck.encrypt(1, &mut rng)];
-        // Every job panics; zero respawns: the single worker dies on the
-        // first job and the pool fails — without hanging the submitter.
+        // Every job panics; zero respawns: the single worker retires on
+        // the first job, and the reply that retires it fails the batch —
+        // the pool is dead by the time the submitter returns.
         let engine = BootstrapEngine::builder()
             .workers(1)
             .respawn_budget(0)
@@ -1310,23 +1389,18 @@ mod tests {
             .fault_plan(FaultPlan::seeded(1).with_worker_panic(1.0))
             .build(Arc::clone(&sk))
             .unwrap();
-        let err = bb(&engine, &cts, &lut).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                TfheError::WorkerPanicked { .. } | TfheError::EngineShutDown
-            ),
-            "got {err:?}"
-        );
-        // The pool is dead; later submissions fail fast.
-        while engine.alive_workers() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(engine.health(), EngineHealth::Failed);
         assert_eq!(
             bb(&engine, &cts, &lut).err(),
             Some(TfheError::EngineShutDown)
         );
+        assert_eq!(engine.alive_workers(), 0);
+        assert_eq!(engine.health(), EngineHealth::Failed);
+        // Later submissions fail fast.
+        assert_eq!(
+            bb(&engine, &cts, &lut).err(),
+            Some(TfheError::EngineShutDown)
+        );
+        assert_eq!(engine.stats().retries, 0, "a dead pool retries nothing");
     }
 
     #[test]
@@ -1384,6 +1458,458 @@ mod tests {
         let (_, sk, _) = setup(713);
         let b = BootstrapEngine::builder().noise_adaptive_retries(sk.params());
         let engine = b.workers(1).build(sk).unwrap();
-        assert!((1..=8).contains(&engine.max_retries));
+        assert!((1..=8).contains(&engine.shared.lock().max_retries));
+    }
+
+    // The supervisor on virtual time: a pool of virtual workers runs the
+    // fault plan's panics, wedges and corruptions against it, and every
+    // contract is checked after every step.
+
+    use rand::Rng;
+    use std::collections::BTreeMap;
+
+    /// The bit a corrupted output has flipped.
+    const FLIP: u64 = 1 << 63;
+    /// How much longer a wedged job runs, in virtual ns.
+    const WEDGE: u64 = 150;
+
+    /// What a clean run of ciphertexts `range` of batch `batch` outputs.
+    fn clean(batch: u64, range: Range<usize>) -> Vec<u64> {
+        range.map(|i| (batch << 32) | i as u64).collect()
+    }
+
+    #[derive(Debug)]
+    enum Worker {
+        Idle,
+        /// Running `job`, which comes to `ran` at `until`.
+        Busy {
+            job: Job<()>,
+            until: u64,
+            ran: Ran<u64>,
+        },
+        Retired,
+    }
+
+    /// What the sweep counts: panics, retirements, watchdog timeouts,
+    /// check failures, replies dropped as late or superseded, batches
+    /// served, batches failed, dead pools, batches served after their
+    /// pool died.
+    type Reached = [u64; 9];
+
+    struct Sweep {
+        seed: u64,
+        sup: Supervisor<(), u64>,
+        journal: Arc<Journal>,
+        injector: FaultInjector,
+        check: bool,
+        budget: u32,
+        workers: Vec<Worker>,
+        /// The model: panicked replies per worker, the chunks resolved and
+        /// their outputs, busy time, and the journal's counts so far.
+        panics: Vec<u32>,
+        resolved: BTreeMap<(u64, usize), Vec<u64>>,
+        in_flight: Vec<u64>,
+        busy: u64,
+        counted: BTreeMap<&'static str, u64>,
+        rotations: (u64, u64),
+        events: Vec<Event>,
+        reached: Reached,
+    }
+
+    impl Sweep {
+        /// What worker-side `job` comes to, and how long it takes: the
+        /// plan's decisions for its ciphertexts at its attempt, as
+        /// `run_job` makes them.
+        fn run(&self, job: &Job<()>, rng: &mut StdRng) -> (u64, Ran<u64>) {
+            let fires = |site, i| {
+                self.injector
+                    .fires(site, fault_key(job.batch, i), job.attempt)
+            };
+            let mut range = job.range.clone();
+            let wedged = range.clone().any(|i| fires(FaultSite::WedgedJob, i));
+            let cost = job.range.len() as u64 * rng.gen_range(1..=3u64) + u64::from(wedged) * WEDGE;
+            if range.any(|i| fires(FaultSite::WorkerPanic, i)) {
+                return (cost, Ran::Panicked);
+            }
+            let mut outs = clean(job.batch, job.range.clone());
+            for (i, out) in (job.range.start..).zip(&mut outs) {
+                if fires(FaultSite::CorruptOutput, i) {
+                    *out ^= FLIP;
+                }
+            }
+            let rejected = (job.range.start..)
+                .zip(&outs)
+                .find_map(|(i, &v)| (self.check && v & FLIP != 0).then_some(i));
+            (cost, Ran::Done(outs, rejected))
+        }
+
+        /// `(batch, chunk, attempt)` of every chunk a worker may take.
+        fn queued(&self) -> Vec<(u64, usize, u32)> {
+            let live = self.sup.batches.iter().filter(|(_, b)| b.failed.is_none());
+            live.flat_map(|(&id, b)| {
+                let chunks = b.chunks.iter().enumerate();
+                chunks
+                    .filter(|(_, c)| matches!(c.state, State::Queued))
+                    .map(move |(c, chunk)| (id, c, chunk.attempt))
+            })
+            .collect()
+        }
+
+        /// Idle worker `w` asks for work: it gets a queued chunk's current
+        /// attempt, or nothing only when no chunk is queued.
+        fn take(&mut self, now: u64, w: usize, rng: &mut StdRng) {
+            let (queued, seed) = (self.queued(), self.seed);
+            let Some(job) = self.sup.take(now) else {
+                assert!(queued.is_empty(), "seed {seed}: {queued:?} not handed out");
+                return;
+            };
+            let key = (job.batch, job.chunk, job.attempt);
+            assert!(queued.contains(&key), "seed {seed}: took {key:?}");
+            assert!(
+                job.attempt <= self.sup.max_retries,
+                "seed {seed}: over budget"
+            );
+            let (cost, ran) = self.run(&job, rng);
+            let until = now + cost;
+            self.workers[w] = Worker::Busy { job, until, ran };
+        }
+
+        /// The chunk `job` ran, as `(attempt, outputs if resolved)`, while
+        /// its batch is live.
+        fn chunk(&self, job: &Job<()>) -> Option<(u32, Option<Vec<u64>>)> {
+            let batch = self.sup.batches.get(&job.batch)?;
+            let chunk = &batch.chunks[job.chunk];
+            let outs = match &chunk.state {
+                State::Done(outs) => Some(outs.clone()),
+                _ => None,
+            };
+            batch.failed.is_none().then_some((chunk.attempt, outs))
+        }
+
+        /// Busy worker `w` replies at `now`.
+        fn reply(&mut self, now: u64, w: usize) {
+            let Worker::Busy { job, ran, .. } =
+                std::mem::replace(&mut self.workers[w], Worker::Idle)
+            else {
+                unreachable!("only a busy worker replies");
+            };
+            let seed = self.seed;
+            let before = self.chunk(&job);
+            let live = matches!(before, Some((attempt, None)) if attempt == job.attempt);
+            let success = matches!(ran, Ran::Done(_, None));
+            let panicked = matches!(ran, Ran::Panicked);
+            let rejected = matches!(ran, Ran::Done(_, Some(_)));
+            self.reached[3] += u64::from(live && rejected);
+            let counts = (self.sup.stats.retries, self.sup.stats.check_failures);
+            let fate = self.sup.reply(now, w, &job, ran);
+            self.busy += now - job.started;
+            let mut want = Fate::Continue;
+            if panicked {
+                self.panics[w] += 1;
+                self.reached[0] += 1;
+                want = if self.panics[w] <= self.budget {
+                    Fate::Respawn
+                } else {
+                    Fate::Retire
+                };
+            }
+            assert_eq!(fate, want, "seed {seed}: worker {w}");
+            if fate == Fate::Retire {
+                self.workers[w] = Worker::Retired;
+                self.reached[1] += 1;
+            }
+            let after = self.chunk(&job);
+            match (&before, &after) {
+                // Resolved by this reply: the first and only time, and
+                // only by a success (of any attempt: every copy is equal).
+                (Some((_, None)), Some((_, Some(outs)))) => {
+                    assert!(success, "seed {seed}: resolved by a failure");
+                    if self.check {
+                        assert_eq!(*outs, clean(job.batch, job.range.clone()), "seed {seed}");
+                    }
+                    let first = self.resolved.insert((job.batch, job.chunk), outs.clone());
+                    assert!(first.is_none(), "seed {seed}: resolved twice");
+                }
+                // A late copy changes nothing (unless it killed the pool).
+                (Some((_, Some(_))), Some(_)) => assert_eq!(before, after, "seed {seed}"),
+                _ => {}
+            }
+            // A live transient failure in a live pool is retried exactly
+            // once, or ends its batch once the chunk's retries are spent.
+            if live && (panicked || rejected) && self.sup.alive() > 0 {
+                let retried = self.sup.stats.retries - counts.0;
+                let (attempt, _) = before.expect("a live chunk");
+                if attempt < self.sup.max_retries {
+                    assert_eq!(retried, 1, "seed {seed}: not retried once");
+                    assert_eq!(after, Some((attempt + 1, None)), "seed {seed}");
+                } else {
+                    assert_eq!(retried, 0, "seed {seed}: retried past budget");
+                    assert_eq!(after, None, "seed {seed}: batch not failed");
+                }
+            }
+            if !live && !success {
+                let now_counts = (self.sup.stats.retries, self.sup.stats.check_failures);
+                assert_eq!(
+                    now_counts, counts,
+                    "seed {seed}: a dropped reply was acted on"
+                );
+                self.reached[4] += 1;
+            }
+        }
+
+        /// The watchdog at `now` times out exactly the chunks held for the
+        /// timeout or longer, in order, and retries each once — or fails
+        /// its batch once its retries are spent, which spares the batch's
+        /// later chunks.
+        fn tick(&mut self, now: u64) {
+            let (limit, seed) = (self.sup.timeout, self.seed);
+            let (mut timeouts, mut retries) = (0, 0);
+            for batch in self.sup.batches.values().filter(|b| b.failed.is_none()) {
+                for chunk in &batch.chunks {
+                    let State::Running { since } = chunk.state else {
+                        continue;
+                    };
+                    if limit.is_some_and(|l| since + l <= now) {
+                        timeouts += 1;
+                        if chunk.attempt >= self.sup.max_retries {
+                            break;
+                        }
+                        retries += 1;
+                    }
+                }
+            }
+            let counts = |s: &EngineStats| (s.watchdog_timeouts, s.retries);
+            let before = counts(&self.sup.stats);
+            let next = self.sup.tick(now);
+            let after = counts(&self.sup.stats);
+            let got = (after.0 - before.0, after.1 - before.1);
+            assert_eq!(got, (timeouts, retries), "seed {seed}");
+            assert!(next.is_none_or(|n| n > now), "seed {seed}");
+            assert!(limit.is_some() || next.is_none(), "seed {seed}");
+            self.reached[2] += timeouts;
+        }
+
+        /// The submitter of batch `id` looks for its result: there once
+        /// the batch failed or every chunk resolved, each exactly once.
+        fn poll(&mut self, id: u64) {
+            let seed = self.seed;
+            let batch = &self.sup.batches[&id];
+            let chunks = batch.chunks.len();
+            let resolved = batch.chunks.iter().all(Chunk::done);
+            let over = batch.failed.is_some() || resolved;
+            let Some(result) = self.sup.finished(id) else {
+                assert!(!over, "seed {seed}: batch {id} is over");
+                return;
+            };
+            assert!(over, "seed {seed}: batch {id} finished early");
+            self.in_flight.retain(|&b| b != id);
+            let outs: Vec<Vec<u64>> = (0..chunks)
+                .filter_map(|c| self.resolved.remove(&(id, c)))
+                .collect();
+            let dead = self.workers.iter().all(|w| matches!(w, Worker::Retired));
+            match result {
+                Ok(got) => {
+                    assert_eq!(outs.len(), chunks, "seed {seed}: a chunk unresolved");
+                    assert_eq!(got, outs.concat(), "seed {seed}: outputs out of order");
+                    if self.check {
+                        assert_eq!(got, clean(id, 0..got.len()), "seed {seed}");
+                    }
+                    self.reached[5] += 1;
+                    self.reached[8] += u64::from(dead);
+                }
+                Err(e) => {
+                    // Every chunk resolved: the pool dying since changes
+                    // nothing.
+                    assert!(!resolved, "seed {seed}: batch {id} resolved, got {e:?}");
+                    let why = match e {
+                        TfheError::WorkerPanicked { .. } => true,
+                        TfheError::OutputCheckFailed { .. } => self.check,
+                        TfheError::JobTimedOut { .. } => self.sup.timeout.is_some(),
+                        TfheError::EngineShutDown => dead,
+                        _ => false,
+                    };
+                    assert!(why, "seed {seed}: batch {id} failed with {e:?}");
+                    self.reached[6] += 1;
+                }
+            }
+        }
+
+        /// Every contract that reads off the state, after every step.
+        fn check(&mut self) {
+            let (s, seed) = (self.sup.stats(), self.seed);
+            // Health follows the respawn counts.
+            for (w, &p) in self.panics.iter().enumerate() {
+                let want = self.budget.checked_sub(p);
+                assert_eq!(self.sup.respawns_left[w], want, "seed {seed}: worker {w}");
+                let retired = matches!(self.workers[w], Worker::Retired);
+                assert_eq!(want.is_none(), retired, "seed {seed}: worker {w}");
+            }
+            let alive = self.sup.respawns_left.iter().flatten().count();
+            let health = match alive {
+                0 => EngineHealth::Failed,
+                n if n < self.workers.len() => EngineHealth::Degraded,
+                _ => EngineHealth::Healthy,
+            };
+            assert_eq!(s.health, health, "seed {seed}");
+            let respawns: u32 = self.panics.iter().map(|&p| p.min(self.budget)).sum();
+            let panics: u32 = self.panics.iter().sum();
+            assert_eq!(
+                (s.panics, s.respawns),
+                (panics.into(), respawns.into()),
+                "seed {seed}"
+            );
+            // No chunk has more attempts than the budget, and a resolved
+            // chunk holds what resolved it.
+            for (&id, batch) in &self.sup.batches {
+                for (c, chunk) in batch.chunks.iter().enumerate() {
+                    assert!(chunk.attempt <= self.sup.max_retries, "seed {seed}");
+                    if let State::Done(outs) = &chunk.state {
+                        assert_eq!(Some(outs), self.resolved.get(&(id, c)), "seed {seed}");
+                    }
+                }
+            }
+            // The counts equal the journal's.
+            let new = self.journal.events();
+            self.journal.clear();
+            for e in &new {
+                *self.counted.entry(e.kind.label()).or_default() += 1;
+                if let EventKind::Job {
+                    bootstraps,
+                    extractions,
+                } = e.kind
+                {
+                    self.rotations.0 += bootstraps as u64;
+                    self.rotations.1 += extractions as u64;
+                }
+            }
+            self.events.extend(new);
+            let n = |label| self.counted.get(label).copied().unwrap_or(0);
+            let got = [
+                s.panics,
+                s.respawns,
+                s.retries,
+                s.watchdog_timeouts,
+                s.check_failures,
+            ];
+            let want = [
+                n("worker_panic"),
+                n("worker_respawn"),
+                n("retry"),
+                n("watchdog_timeout"),
+                n("output_check_failed"),
+            ];
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(n("respawn_exhausted"), self.reached[1], "seed {seed}");
+            assert_eq!((s.bootstraps, s.extractions), self.rotations, "seed {seed}");
+            assert_eq!(s.busy, Duration::from_nanos(self.busy), "seed {seed}");
+        }
+    }
+
+    /// Run one seed: 1–4 workers with 0–3 respawns each, 0–4 retries, a
+    /// watchdog two times in three, an output check half the time, and a
+    /// fault plan of panics, wedges and corruptions at 0–30% each; up to
+    /// three batches of 1–8 ciphertexts in flight. Random steps, then a
+    /// drain that must finish every batch. Returns the journal and the
+    /// outcomes reached.
+    fn sweep(seed: u64) -> (Vec<Event>, Reached) {
+        let mut rng = StdRng::seed_from_u64(0xE9_61AE ^ seed);
+        let workers = rng.gen_range(1..=4usize);
+        let budget = rng.gen_range(0..=3);
+        let max_retries = rng.gen_range(0..=4);
+        let timeout = (rng.gen_range(0..3) > 0).then(|| rng.gen_range(20..=60));
+        let rate = |rng: &mut StdRng| f64::from(rng.gen_range(0..4u8)) * 0.1;
+        let plan = FaultPlan::seeded(seed)
+            .with_worker_panic(rate(&mut rng))
+            .with_wedged_job(rate(&mut rng), Duration::ZERO)
+            .with_corrupt_output(rate(&mut rng));
+        let chunk = rng.gen_range(0..=3usize);
+        let journal = Arc::new(Journal::new());
+        let mut s = Sweep {
+            seed,
+            sup: Supervisor::new(workers, budget, max_retries, timeout, Arc::clone(&journal)),
+            journal,
+            injector: FaultInjector::new(plan),
+            check: rng.gen(),
+            budget,
+            workers: (0..workers).map(|_| Worker::Idle).collect(),
+            panics: vec![0; workers],
+            resolved: BTreeMap::new(),
+            in_flight: Vec::new(),
+            busy: 0,
+            counted: BTreeMap::new(),
+            rotations: (0, 0),
+            events: Vec::new(),
+            reached: [0; 9],
+        };
+        let mut now = 0;
+        let (steps, mut next_id) = (rng.gen_range(10..150), 0);
+        for step in 0.. {
+            let draining = step >= steps;
+            if draining && s.in_flight.is_empty() {
+                break;
+            }
+            assert!(step < steps + 10_000, "seed {seed}: the drain hung");
+            now += rng.gen_range(0..=4u64);
+            match rng.gen_range(0..5) {
+                0 if !draining && s.in_flight.len() < 3 => {
+                    let n = rng.gen_range(1..=8);
+                    let ranges: Vec<Range<usize>> = match chunk {
+                        0 => balanced_chunks(n, workers).collect(),
+                        c => (0..n).step_by(c).map(|i| i..(i + c).min(n)).collect(),
+                    };
+                    match s.sup.dispatch((), ranges) {
+                        Ok(id) => {
+                            assert_eq!(id, next_id, "seed {seed}");
+                            s.in_flight.push(id);
+                        }
+                        Err(e) => {
+                            assert_eq!(e, TfheError::EngineShutDown, "seed {seed}");
+                            assert!(s.workers.iter().all(|w| matches!(w, Worker::Retired)));
+                            s.reached[7] += 1;
+                        }
+                    }
+                    next_id += 1;
+                }
+                1 | 2 => {
+                    let w = rng.gen_range(0..workers);
+                    match s.workers[w] {
+                        Worker::Idle => s.take(now, w, &mut rng),
+                        Worker::Busy { until, .. } if until <= now => s.reply(now, w),
+                        _ => {}
+                    }
+                }
+                3 => s.tick(now),
+                _ if !s.in_flight.is_empty() => {
+                    let id = s.in_flight[rng.gen_range(0..s.in_flight.len())];
+                    s.poll(id);
+                }
+                _ => {}
+            }
+            s.check();
+        }
+        assert_eq!(s.sup.stats.batches, next_id - s.reached[7], "seed {seed}");
+        assert!(
+            s.resolved.is_empty(),
+            "seed {seed}: outputs never collected"
+        );
+        (s.events, s.reached)
+    }
+
+    /// The supervisor's contracts over 1 000 seeds on virtual time
+    /// (`Sweep::check` after every step, and the drain finishing every
+    /// batch); the seeds reach every outcome, and each replays exactly.
+    #[test]
+    fn a_thousand_seeds_keep_every_supervisor_contract() {
+        let mut reached: Reached = [0; 9];
+        for seed in 0..1_000 {
+            let out = sweep(seed);
+            assert!(out == sweep(seed), "seed {seed} did not replay");
+            for (sum, n) in reached.iter_mut().zip(out.1) {
+                *sum += n;
+            }
+        }
+        // A batch that resolves just before its pool dies is the rare one.
+        let (common, rare) = reached.split_at(8);
+        assert!(common.iter().all(|&n| n > 20) && rare[0] > 5, "{reached:?}");
     }
 }

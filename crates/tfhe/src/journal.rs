@@ -52,7 +52,8 @@ pub fn now() -> u64 {
 pub enum Who {
     /// Worker thread `i` of a [`BootstrapEngine`](crate::BootstrapEngine).
     Worker(usize),
-    /// An engine's submitting side (watchdog, output checks, re-dispatch).
+    /// An engine's supervisor: its decisions about chunks (watchdog,
+    /// output checks, re-dispatch).
     Engine,
     /// A [`Dispatcher`](crate::Dispatcher)'s request path: queue, then
     /// batch.

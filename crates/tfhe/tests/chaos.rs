@@ -11,7 +11,9 @@
 //!   injected faults (the run was a real chaos run, not a silent no-op);
 //! - a zero-rate plan is a bit-for-bit no-op.
 //!
-//! All seeds are fixed, so CI failures replay locally.
+//! All seeds are fixed, so CI failures replay locally. These are threaded
+//! smokes of the engine's shell; the contracts its supervisor keeps under
+//! every fault mix are a 1 000-seed virtual-time sweep in `engine.rs`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,12 +81,9 @@ fn chaos_worker_panics_survive_bit_identical() {
     let stats = engine.stats();
     assert!(stats.panics > 0, "the plan must actually fire");
     assert_eq!(stats.respawns, stats.panics);
-    assert!(stats.retries >= stats.panics);
-    assert!(
-        matches!(stats.health, EngineHealth::Healthy | EngineHealth::Degraded),
-        "never Failed, never hung: {:?}",
-        stats.health
-    );
+    // No watchdog, so every panic was a live attempt's: one retry each.
+    assert_eq!(stats.retries, stats.panics);
+    assert_eq!(stats.health, EngineHealth::Healthy, "budget 64 never spent");
     assert!(
         !incidents(&engine).is_empty(),
         "the journal must record the incidents"
@@ -273,19 +272,12 @@ fn chaos_full_pool_death_errors_instead_of_hanging() {
         .build(Arc::clone(&sk))
         .expect("spawn pool");
 
+    // Each worker panics once and retires, so no chunk spends its retries:
+    // the reply that retires the last one fails the batch, and the pool is
+    // already dead when the call returns.
     let err = bb(&engine, &cts, &lut).expect_err("a fully dead pool cannot serve");
-    assert!(
-        matches!(
-            err,
-            TfheError::WorkerPanicked { .. } | TfheError::EngineShutDown
-        ),
-        "got {err:?}"
-    );
-    // Let the respawn-exhausted workers finish retiring, then verify the
-    // fail-fast path.
-    while engine.alive_workers() > 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_eq!(err, TfheError::EngineShutDown);
+    assert_eq!(engine.alive_workers(), 0);
     assert_eq!(engine.health(), EngineHealth::Failed);
     assert_eq!(
         bb(&engine, &cts, &lut).err(),
