@@ -1,5 +1,5 @@
-//! End-to-end resilience trace: drive a breaker-guarded failover stack
-//! behind the dispatcher, journal the retry/failover timeline, and write
+//! End-to-end resilience trace: drive a dispatcher over two
+//! breaker-guarded backend tiers, journal the retry/failover timeline, and write
 //! the merged Chrome trace to `CARGO_TARGET_TMPDIR` so CI can archive
 //! and validate it alongside the engine chaos trace.
 
@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use morphling_core::trace::ExecutionTrace;
 use morphling_tfhe::{
-    BatchRequest, Bootstrapper, BreakerConfig, ClientKey, Dispatcher, FailoverBootstrapper, Lut,
-    LweCiphertext, ParamSet, RetryConfig, ServerKey, ServingConfig, TfheError,
+    BatchRequest, Bootstrapper, BreakerConfig, ClientKey, DispatcherBuilder, Lut, LweCiphertext,
+    ParamSet, RetryConfig, ServerKey, ServingConfig, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,20 +49,17 @@ fn resilience_trace_roundtrips_to_disk() {
         fail_first,
         calls: AtomicU64::new(0),
     };
-    let stack = Arc::new(
-        FailoverBootstrapper::builder()
-            .tier("flaky", flaky(3), BreakerConfig::default())
-            .tier("server", flaky(1), BreakerConfig::default())
-            .build()
-            .expect("two tiers"),
-    );
     let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
         .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
+        .breaker(BreakerConfig::default())
         .build()
         .expect("valid serving knobs");
-    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&stack)).expect("validated above");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
+        .fallback("server", flaky(1))
+        .build(flaky(3));
 
     let tickets: Vec<_> = (0..8u64)
         .map(|m| {
@@ -85,13 +82,15 @@ fn resilience_trace_roundtrips_to_disk() {
         dispatcher.stats().retries >= 1,
         "the failed batch must be retried"
     );
-    assert!(stack.failovers() >= 1, "the stack must fail over");
+    assert!(
+        dispatcher.stats().failovers >= 1,
+        "the dispatcher must fail over"
+    );
 
-    // The stack's and the dispatcher's resilience journals and the
-    // dispatcher's request spans, in one trace (CI checks every retry
-    // against the dispatch spans of the archived trace).
+    // The dispatcher's resilience journal and its request spans, in one
+    // trace (CI checks every retry against the dispatch spans of the
+    // archived trace).
     let mut trace = ExecutionTrace::new(1e3);
-    trace.add_events(&stack.journal().events());
     trace.add_events(&dispatcher.resilience_journal().events());
     trace.add_events(&dispatcher.request_journal().events());
     let names: Vec<_> = trace

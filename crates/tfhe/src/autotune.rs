@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::dispatch::{Dispatcher, DispatcherStats};
-use crate::engine::EngineStats;
+use crate::engine::{EngineHealth, EngineStats};
 use crate::error::TfheError;
 use crate::faults;
 use crate::lut::Lut;
@@ -275,14 +275,21 @@ pub fn simulate(
         ..Arrival::default()
     };
     let arrivals: Vec<Arrival> = spec.arrival_schedule_ns().into_iter().map(arrive).collect();
-    let mut core = ServingCore::new(cfg, Arc::default());
+    let mut core = ServingCore::new(cfg, Arc::default(), &[]);
     let mut busy_ns = 0u64;
-    let backend = |_, batch: &[_]| {
+    let backend = |_, _, batch: &[_]| {
         let service_ns = model.batch_service_ns(batch.len(), cfg.workers);
         busy_ns += service_ns;
         (service_ns, Ok(()))
     };
-    drive(&mut core, &arrivals, None, backend, |_, _, _| {});
+    drive(
+        &mut core,
+        &arrivals,
+        None,
+        backend,
+        |_, _| EngineHealth::Healthy,
+        |_, _, _| {},
+    );
     let (stats, window_ns) = (core.tally().stats(), core.tally().window_ns());
     Ok(PredictedProfile {
         p50: stats.p50_latency,

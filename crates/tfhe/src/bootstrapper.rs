@@ -1,12 +1,11 @@
 //! The unified batch-bootstrap API surface: [`BatchRequest`] and the
 //! [`Bootstrapper`] trait.
 //!
-//! Five bootstrap backends share this one operator interface — the
+//! Four bootstrap backends share this one operator interface — the
 //! sequential [`ServerKey`] loop, the persistent
 //! [`BootstrapEngine`](crate::BootstrapEngine) pool, the
-//! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher), the
-//! degraded-mode [`FailoverBootstrapper`](crate::FailoverBootstrapper)
-//! stack and the per-tenant
+//! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher) over an
+//! ordered list of backends, and the per-tenant
 //! [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper). Callers
 //! describe *what* to bootstrap in a [`BatchRequest`] (ciphertexts, how
 //! LUTs map onto them, an optional deadline and tenant) and any
@@ -413,8 +412,7 @@ impl BatchRequestBuilder {
 /// |---|---|
 /// | [`ServerKey`] | sequential, one reused workspace |
 /// | [`BootstrapEngine`](crate::BootstrapEngine) | persistent self-healing pool |
-/// | [`Dispatcher`](crate::dispatch::Dispatcher) | dynamic micro-batching front-end |
-/// | [`FailoverBootstrapper`](crate::resilience::FailoverBootstrapper) | breaker-guarded tier stack, degraded-mode failover |
+/// | [`Dispatcher`](crate::dispatch::Dispatcher) | dynamic micro-batching front-end, failover across breaker-guarded backend tiers |
 /// | [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) | each batch under its tenant's key, pinned in a [`KeyStore`](crate::KeyStore) |
 ///
 /// All implementations return results in input order, bit-identical to
@@ -434,9 +432,9 @@ pub trait Bootstrapper {
     /// [`TfheError::DispatcherShutDown`]; …).
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError>;
 
-    /// This backend's serving state, read by a failover tier's breaker on
-    /// every admission: [`EngineHealth::Failed`] benches the tier before
-    /// it is called. `Healthy` unless the backend knows better — a
+    /// This backend's serving state, read by its dispatcher tier's breaker
+    /// whenever a batch is routed to it: [`EngineHealth::Failed`] benches
+    /// the tier before it is called. `Healthy` unless the backend knows better — a
     /// [`BootstrapEngine`](crate::BootstrapEngine) reports its pool's
     /// [`health`](crate::BootstrapEngine::health).
     fn health(&self) -> EngineHealth {

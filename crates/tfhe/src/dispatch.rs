@@ -63,11 +63,12 @@
 //!   jittered backoff — the batcher never sleeps one out, so other
 //!   tenants' traffic runs meanwhile, and a cancellation or a deadline
 //!   ends the retries; a batch that fails *permanently* is split so each
-//!   member runs once alone and only the malformed one sees the error; an
-//!   optional circuit breaker ([`ServingConfig::breaker`]) sheds
-//!   admissions with [`TfheError::Overloaded`] while the backend is sick,
-//!   and every retry, shed and breaker transition lands in the
-//!   dispatcher's [resilience journal](Dispatcher::resilience_journal).
+//!   member runs once alone and only the malformed one sees the error; a
+//!   batch that fails retryably runs at once on the next
+//!   [fallback](DispatcherBuilder::fallback) tier, and an optional
+//!   circuit breaker per tier ([`ServingConfig::breaker`]) benches a sick
+//!   one; all of it lands in the dispatcher's
+//!   [resilience journal](Dispatcher::resilience_journal).
 //!
 //! The backend is anything implementing [`Bootstrapper`], so the same
 //! dispatcher fronts a [`ServerKey`](crate::ServerKey) or — the intended
@@ -391,9 +392,9 @@ pub struct DispatcherStats {
     /// [`TfheError::DispatcherShutDown`] when the batcher's exit failed
     /// what it still held.
     pub failed: u64,
-    /// Backend calls, counted at flush (before the call is made): a batch
-    /// that is retried, or split to isolate a permanent error, counts each
-    /// time it runs.
+    /// Batches flushed to the backend tiers, counted at flush (before any
+    /// call is made): a batch that is retried, or split to isolate a
+    /// permanent error, counts each time it runs; a failover does not.
     pub batches: u64,
     /// Members of those batches, counted at flush, once per backend call
     /// they were part of (completed + failed by the backend when nothing
@@ -405,6 +406,12 @@ pub struct DispatcherStats {
     /// Refusals at admission because the circuit breaker was open (see
     /// [`ServingConfig::breaker`]); `rejected + shed` is every refusal.
     pub shed: u64,
+    /// Batches run again at once on a later tier after a retryable fault
+    /// (see [`DispatcherBuilder::fallback`]); a failover spends no retry.
+    pub failovers: u64,
+    /// Batches served by each backend tier, in order: the `build` backend,
+    /// then each fallback.
+    pub served_by_tier: Vec<u64>,
     /// `batched / batches` — the dynamic-batching figure of merit.
     pub mean_batch_size: f64,
     /// Median end-to-end latency (enqueue → result) of completed requests.
@@ -448,15 +455,30 @@ pub struct TenantDispatchStats {
     pub p99_latency: Duration,
 }
 
+/// A backend as the batcher holds it.
+type Backend = Arc<dyn Bootstrapper + Send + Sync>;
+
 /// Runtime wiring for a [`Dispatcher`]: what a [`ServingConfig`] cannot
-/// carry because it is a live object — a [`key_store`](Self::key_store).
-/// Every knob, the breaker's included, lives in the config
-/// ([`from_config`](Self::from_config)); [`Dispatcher::builder`] starts
-/// from [`ServingConfig::default`].
-#[derive(Clone, Debug, Default)]
+/// carry because it is a live object — a [`key_store`](Self::key_store),
+/// [`fallback`](Self::fallback) backends. Every knob, the breaker's
+/// included, lives in the config ([`from_config`](Self::from_config));
+/// [`Dispatcher::builder`] starts from [`ServingConfig::default`].
+#[derive(Clone, Default)]
 pub struct DispatcherBuilder {
     config: ServingConfig,
     key_store: Option<Arc<KeyStore>>,
+    fallbacks: Vec<(Arc<str>, Backend)>,
+}
+
+impl std::fmt::Debug for DispatcherBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fallbacks: Vec<_> = self.fallbacks.iter().map(|(name, _)| name).collect();
+        f.debug_struct("DispatcherBuilder")
+            .field("config", &self.config)
+            .field("key_store", &self.key_store)
+            .field("fallbacks", &fallbacks)
+            .finish()
+    }
 }
 
 impl DispatcherBuilder {
@@ -489,13 +511,29 @@ impl DispatcherBuilder {
         self
     }
 
-    /// Spawn the batcher thread over `backend` and start serving.
+    /// Append a backend tier named `name` behind `build`'s backend and the
+    /// fallbacks before it: a batch that those fail retryably, or whose
+    /// breakers refuse it, runs here at once, spending no retry. Its
+    /// breaker, if [`ServingConfig::breaker`] gives one, reads the backend's
+    /// [`Bootstrapper::health`] and benches a `Failed` one uncalled; its
+    /// events are journaled under `name`. Every tier must compute the same
+    /// function, so that a failover changes only latency.
+    pub fn fallback<B>(mut self, name: &str, backend: B) -> Self
+    where
+        B: Bootstrapper + Send + Sync + 'static,
+    {
+        self.fallbacks.push((name.into(), Arc::new(backend)));
+        self
+    }
+
+    /// Spawn the batcher thread over `backend`, tier 0, and start serving.
     pub fn build<B>(self, backend: B) -> Dispatcher
     where
         B: Bootstrapper + Send + Sync + 'static,
     {
         let journal = Arc::new(Journal::new());
-        let core = ServingCore::new(&self.config, Arc::clone(&journal));
+        let (names, fallbacks): (Vec<_>, Vec<_>) = self.fallbacks.into_iter().unzip();
+        let core = ServingCore::new(&self.config, Arc::clone(&journal), &names);
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
             config: self.config,
@@ -505,9 +543,10 @@ impl DispatcherBuilder {
             journal,
             key_store: self.key_store,
         });
-        let backend: Arc<dyn Bootstrapper + Send + Sync> = Arc::new(backend);
+        let mut tiers: Vec<Backend> = vec![Arc::new(backend)];
+        tiers.extend(fallbacks);
         let batcher_shared = Arc::clone(&shared);
-        let batcher = std::thread::spawn(move || batcher_loop(&batcher_shared, backend.as_ref()));
+        let batcher = std::thread::spawn(move || batcher_loop(&batcher_shared, &tiers));
         Dispatcher {
             shared,
             batcher: Some(batcher),
@@ -522,8 +561,8 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Default policy plus runtime wiring (a key store); for other knobs
-    /// start from [`DispatcherBuilder::from_config`].
+    /// Default policy plus runtime wiring (a key store, fallbacks); for
+    /// other knobs start from [`DispatcherBuilder::from_config`].
     pub fn builder() -> DispatcherBuilder {
         DispatcherBuilder::default()
     }
@@ -544,7 +583,8 @@ impl Dispatcher {
     /// `config.workers` does not spawn anything here (the dispatcher
     /// fronts whatever `backend` it is given); pair with
     /// [`ServingConfig::build_engine`] to size the backend too. Use
-    /// [`DispatcherBuilder::from_config`] to wire in a key store.
+    /// [`DispatcherBuilder::from_config`] to wire in a key store or
+    /// fallbacks.
     ///
     /// # Errors
     ///
@@ -753,10 +793,11 @@ impl Dispatcher {
         events.iter().filter_map(DispatchSpan::from_event).collect()
     }
 
-    /// The resilience journal: this dispatcher's retries, sheds and
-    /// breaker transitions (scope `"dispatcher"`). A journal of its own:
-    /// a backend's incidents stay in the backend's
-    /// (e.g. [`FailoverBootstrapper::journal`](crate::FailoverBootstrapper::journal)).
+    /// The resilience journal: retries and sheds, and each tier's breaker
+    /// transitions, skips and failovers (to it), under [`Who::Scope`]:
+    /// `"dispatcher"` for the front door and the `build` backend, a
+    /// [fallback](DispatcherBuilder::fallback)'s name for it. A backend's
+    /// own incidents stay in the backend's journal.
     pub fn resilience_journal(&self) -> &Journal {
         &self.shared.journal
     }
@@ -839,16 +880,16 @@ impl Bootstrapper for Dispatcher {
 }
 
 /// The batcher thread: drive the serving core (`policy.rs`) with the wall
-/// clock. One clock read per poll; `Flush` runs the batch outside the
-/// lock and reports its outcome back, `WaitUntil` — a lingering batch or
+/// clock over `tiers`. One clock read per poll; `Flush` routes the batch
+/// under the lock and runs it outside, `WaitUntil` — a lingering batch or
 /// a retry backing off — becomes a timed wait that a new submission cuts
 /// short, `Idle` waits for a submission — or, once admission is closed
 /// and everything queued has drained, ends the thread. Nothing here
 /// sleeps. With a key store wired in, each flush also hands it the queue's
 /// tenant order, read under the core's lock and passed on after it is
 /// dropped (the two locks never nest), so that the batch's key load evicts
-/// what is needed last.
-fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
+/// what is needed last. A tier's health is read under the core's lock.
+fn batcher_loop(shared: &Shared, tiers: &[Backend]) {
     let _fail_leftovers_on_exit = ExitGuard(shared);
     let mut queued = Vec::new();
     let mut core = lock(&shared.core);
@@ -856,12 +897,13 @@ fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
         let now = journal::now();
         match core.poll(now, |p| p.cancelled.load(Ordering::SeqCst)) {
             Poll::Flush { batch, dropped } => {
+                // The 0-based number of a non-empty batch.
+                let call = core.tally().batches().saturating_sub(1);
+                let health = |tier: usize| tiers[tier].health();
+                let routed = (!batch.is_empty()).then(|| core.route(now, batch, None, health));
                 if shared.key_store.is_some() {
                     core.queued_tenants(&mut queued);
                 }
-                // The 0-based number of the backend call a non-empty
-                // batch is about to make.
-                let call = core.tally().batches().saturating_sub(1);
                 drop(core);
                 if let Some(store) = &shared.key_store {
                     store.set_queued(&queued);
@@ -870,8 +912,8 @@ fn batcher_loop(shared: &Shared, backend: &dyn Bootstrapper) {
                 for (e, why) in dropped {
                     e.item.resolve(Err(why));
                 }
-                if !batch.is_empty() {
-                    execute_batch(shared, backend, call, batch);
+                if let Some(done) = routed {
+                    execute_batch(shared, tiers, call, done);
                 }
                 core = lock(&shared.core);
             }
@@ -920,33 +962,30 @@ impl Drop for ExitGuard<'_> {
     }
 }
 
-/// Execute one formed micro-batch (live and single-tenant, as the core
-/// flushed it, `batch_id` its backend call's number): LUT deduplication by
-/// `Arc` identity, one backend call, and the core's verdict on its outcome
-/// at the one clock read that ends it — served members get their outputs
-/// and spans, failed ones their error; whoever is to run again is already
-/// back in the core.
-fn execute_batch(
-    shared: &Shared,
-    backend: &dyn Bootstrapper,
-    batch_id: u64,
-    batch: Vec<Entry<Pending>>,
-) {
-    let exec_start = journal::now();
-    let (outs, outcome) = match run_as_batch(backend, &batch) {
-        Ok(outs) => (outs, Ok(())),
-        Err(e) => (Vec::new(), Err(e)),
-    };
-    let exec_end = journal::now();
-    let done = lock(&shared.core).complete(exec_end, batch, outcome);
-    match done {
-        Done::Served(batch) => {
-            let exec = (exec_start, exec_end.saturating_sub(exec_start));
-            distribute(shared, batch_id, exec, batch, outs);
-        }
-        Done::Failed(resolved) => {
-            for (e, err) in resolved {
-                e.item.resolve(Err(err));
+/// Run one routed micro-batch (live and single-tenant, as the core
+/// flushed it, `batch_id` its number) until the core settles it. Each
+/// `Run` is one backend call on the tier it names, its outcome routed back
+/// at the clock read that ends it; served members get their outputs and
+/// spans (the window of the call that served them), failed ones their
+/// error; whoever is to run again is already back in the core.
+fn execute_batch(shared: &Shared, tiers: &[Backend], batch_id: u64, mut done: Done<Pending>) {
+    let (mut outs, mut exec) = (Vec::new(), (0, 0));
+    loop {
+        match done {
+            Done::Run { tier, batch } => {
+                let start = journal::now();
+                let outcome = run_as_batch(tiers[tier].as_ref(), &batch).map(|o| outs = o);
+                let end = journal::now();
+                exec = (start, end.saturating_sub(start));
+                let health = |tier: usize| tiers[tier].health();
+                done = lock(&shared.core).route(end, batch, Some((tier, outcome)), health);
+            }
+            Done::Served(batch) => return distribute(shared, batch_id, exec, batch, outs),
+            Done::Failed(resolved) => {
+                for (e, err) in resolved {
+                    e.item.resolve(Err(err));
+                }
+                return;
             }
         }
     }
@@ -1177,13 +1216,14 @@ mod tests {
             .collect();
         let mut batches = Vec::new();
         drive(
-            &mut ServingCore::new(cfg, Arc::default()),
+            &mut ServingCore::new(cfg, Arc::default(), &[]),
             &arrivals,
             None,
-            |_, batch| {
+            |_, _, batch| {
                 batches.push(batch.iter().map(|e| e.id).collect());
                 (0, Ok(()))
             },
+            |_, _| crate::EngineHealth::Healthy,
             |_, _, _| {},
         );
         batches

@@ -54,7 +54,7 @@
 //! - **Degraded-mode serving** — [`EngineHealth`] (`Healthy` /
 //!   `Degraded` / `Failed`), via [`EngineStats`] and
 //!   [`BootstrapEngine::health`] (also the engine's
-//!   [`Bootstrapper::health`], which a failover tier's breaker reads). When
+//!   [`Bootstrapper::health`], which a dispatcher tier's breaker reads). When
 //!   the last worker retires, every batch in flight fails with
 //!   [`TfheError::EngineShutDown`], as does every later submission.
 //!

@@ -152,9 +152,6 @@ pub enum TfheError {
         /// The timeout that elapsed.
         timeout: Duration,
     },
-    /// A [`FailoverBootstrapper`](crate::FailoverBootstrapper) was built
-    /// with an empty backend list — there is nothing to serve from.
-    NoBackendProvided,
     /// The request was cancelled via its ticket before execution started.
     Cancelled,
     /// The request's deadline passed while it was still queued; the
@@ -215,7 +212,7 @@ pub enum TfheError {
 
 impl TfheError {
     /// `true` for transient infrastructure faults where a retry (same
-    /// backend, after backoff) or a failover (different backend) can
+    /// backend, after backoff) or a failover (the next backend tier) can
     /// plausibly succeed; `false` for permanent errors where the request
     /// itself is at fault and every backend would answer the same way.
     ///
@@ -341,9 +338,6 @@ impl std::fmt::Display for TfheError {
                     "wait timed out after {timeout:?}; request still in flight"
                 )
             }
-            Self::NoBackendProvided => {
-                write!(f, "failover bootstrapper needs at least one backend")
-            }
             Self::Cancelled => write!(f, "request cancelled before execution"),
             Self::DeadlineExceeded => {
                 write!(f, "request deadline passed while still queued")
@@ -461,7 +455,6 @@ mod tests {
             },
             TfheError::NoLutProvided,
             TfheError::ZeroThreads,
-            TfheError::NoBackendProvided,
             TfheError::Cancelled,
             TfheError::DeadlineExceeded,
             TfheError::DispatcherShutDown,
@@ -500,9 +493,6 @@ mod tests {
             timeout: Duration::from_secs(1),
         };
         assert!(timed_out.to_string().contains("still in flight"));
-        assert!(TfheError::NoBackendProvided
-            .to_string()
-            .contains("at least one backend"));
     }
 
     #[test]

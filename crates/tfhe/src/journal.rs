@@ -18,7 +18,7 @@
 //!   ([`Journal::dropped`]): a flood — an open breaker refusing millions
 //!   of submissions a second — turns the ring over and costs no memory.
 //!   What must survive such a flood lives in a journal of its own (the
-//!   dispatcher's request spans do, and a failover stack's incidents).
+//!   dispatcher's request spans do).
 //!
 //! `morphling_core::trace::ExecutionTrace::add_events` renders any slice
 //! of events into a Chrome trace.
@@ -60,9 +60,9 @@ pub enum Who {
     Dispatcher,
     /// A tenant's entry in a [`KeyStore`](crate::KeyStore).
     Tenant(u64),
-    /// A named resilience scope: a failover tier, or `"dispatcher"` for a
-    /// dispatcher's own retries and sheds — each with its breaker's
-    /// transitions.
+    /// A named resilience scope: a dispatcher's fallback tier, or
+    /// `"dispatcher"` for its front door's retries and sheds and its first
+    /// tier — each with its breaker's transitions.
     Scope(Arc<str>),
 }
 
@@ -128,9 +128,10 @@ pub enum EventKind {
     BreakerHalfOpen,
     /// A half-open probe succeeded and the breaker closed (recovered).
     BreakerClose,
-    /// A failover tier was skipped because its breaker refused admission.
+    /// A dispatcher's backend tier was skipped because its breaker refused
+    /// the batch.
     TierSkipped,
-    /// A request moved down to the tier named by the event's
+    /// A batch moved down to the tier named by the event's
     /// [`Who::Scope`] after a tier above it failed.
     Failover {
         /// Tier that failed the request.

@@ -36,14 +36,14 @@
 //!   deadline-aware dynamic-batching [`Dispatcher`] — the software
 //!   analogue of the paper's SW scheduler that keeps the cores fed with
 //!   large batches;
-//! - a service-level [`resilience`] layer on top of the backends:
-//!   [`RetryConfig`] (bounded backoff with seeded jitter),
-//!   [`BreakerConfig`] (a circuit breaker — fail-fast admission while a
-//!   backend is sick — owned by the dispatcher or the failover tier it
-//!   guards), and the degraded-mode [`FailoverBootstrapper`] that walks an
-//!   ordered backend stack, benches a tier whose backend reports itself
-//!   [failed](Bootstrapper::health), and restores the primary via
-//!   half-open probes;
+//! - service-level [`resilience`] in the dispatcher: [`RetryConfig`]
+//!   (bounded backoff with seeded jitter) and [`BreakerConfig`] (a
+//!   circuit breaker per backend tier), under which the dispatcher serves
+//!   degraded from an ordered backend list — a batch that fails
+//!   retryably runs at once on the next
+//!   [fallback](DispatcherBuilder::fallback), a tier whose backend reports
+//!   itself [failed](Bootstrapper::health) is benched, and half-open
+//!   probes restore the primary;
 //! - a unified, JSON-serializable [`ServingConfig`] — the one owner of
 //!   every serving knob
 //!   ([`Dispatcher::from_config`](dispatch::Dispatcher::from_config)
@@ -135,9 +135,7 @@ pub use lut::Lut;
 pub use lwe::LweCiphertext;
 pub use multivalue::MultiLutPlan;
 pub use params::{ParamSet, TfheParams, ALL_PAPER_SETS};
-pub use resilience::{
-    BreakerConfig, FailoverBootstrapper, FailoverBootstrapperBuilder, RetryConfig,
-};
+pub use resilience::{BreakerConfig, RetryConfig};
 pub use serialize::{
     deserialize_bootstrap_key, deserialize_glwe_secret_key, deserialize_key_switch_key,
     deserialize_lwe_secret_key, deserialize_server_key, serialize_bootstrap_key,

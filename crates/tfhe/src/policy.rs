@@ -16,8 +16,9 @@
 //!
 //! The rules (DESIGN.md §8 has them as one transition table):
 //!
-//! - **admission**: a closed door refuses, then an open breaker sheds,
-//!   then a full queue refuses; only an admitted request gets an id;
+//! - **admission**: a closed door refuses, then the breakers shed — only
+//!   while every tier's breaker is cooling down — then a full queue
+//!   refuses; only an admitted request gets an id;
 //! - a batch is **seeded** by the oldest live, ready request; **joiners**
 //!   are the live, ready requests of its affinity class (its tenant;
 //!   tenantless is a class of its own), in queue order, up to
@@ -33,21 +34,29 @@
 //! - **completion**: success serves the batch. A *permanent* error on
 //!   n > 1 members is somebody's fault: they run once more, each alone, at
 //!   once and in order, so only the culprit keeps the error. A *retryable*
-//!   error is nobody's: whatever n is, each member within
+//!   error is nobody's: the batch runs again at once on the next tier
+//!   that admits (a **failover**, which spends no retry); once every tier
+//!   has failed or refused, whatever n is, each member within
 //!   [`ServingConfig::retry`]'s budget goes back into the queue at its
 //!   place in admission order — never refused by `queue_capacity`, not
 //!   ready before its backoff ends, expired at once if that would be at
 //!   or after its deadline. Such an entry is queue content like any
 //!   other: the sweep, [`take_all`](ServingCore::take_all) and a drain
-//!   see it, and a drain runs it without waiting out the backoff.
+//!   see it, and a drain runs it without waiting out the backoff;
+//! - **tiers**: a batch runs on the first of the dispatcher's ordered
+//!   backends whose breaker admits it given the backend's
+//!   [`health`](crate::Bootstrapper::health), skipping the others; with
+//!   none left, the error is the last backend fault, or
+//!   [`TfheError::Overloaded`] if no call was made.
 //!
 //! The core also keeps the serving counts ([`Tally`]), each bumped where
 //! the decision it counts is made, so the dispatcher's
 //! [`DispatcherStats`] and the autotuner's prediction are one snapshot of
 //! one tally: admission counts `submitted`, `shed` and a final queue-full
 //! refusal, a flush counts the sweep's drops and the batch it hands out,
-//! `complete` counts outcomes, retries and latency samples (`now −
-//! enqueued`), and `take_all` counts what it hands back as failed.
+//! `route` counts outcomes, failovers, each tier's served batches, retries
+//! and latency samples (`now − enqueued`), and `take_all` counts what it
+//! hands back as failed.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -95,19 +104,21 @@ pub(crate) enum Poll<T> {
     /// A batch is forming or a retry is backing off; poll again at this
     /// time or after the next admission, whichever is first.
     WaitUntil(u64),
-    /// Run `batch` (in order; it can be empty when the sweep took every
-    /// member), report the outcome to [`complete`](ServingCore::complete),
-    /// and resolve each of `dropped` as tagged: [`TfheError::Cancelled`]
-    /// or [`TfheError::DeadlineExceeded`].
+    /// Hand a non-empty `batch` to [`route`](ServingCore::route) (it can be
+    /// empty when the sweep took every member), and resolve each of
+    /// `dropped` as tagged: [`TfheError::Cancelled`] or
+    /// [`TfheError::DeadlineExceeded`].
     Flush {
         batch: Vec<Entry<T>>,
         dropped: Vec<(Entry<T>, TfheError)>,
     },
 }
 
-/// What a backend outcome did to the batch that ran.
+/// Where a routed batch goes next.
 #[derive(Debug)]
 pub(crate) enum Done<T> {
+    /// Run `batch` on tier `tier` now, and route the answer back.
+    Run { tier: usize, batch: Vec<Entry<T>> },
     /// Served: hand each member its output.
     Served(Vec<Entry<T>>),
     /// Failed. Resolve each of these with its error; the other members
@@ -193,6 +204,9 @@ pub(crate) struct Tally {
     batches: u64,
     batched: u64,
     retries: u64,
+    failovers: u64,
+    /// Batches served, per tier.
+    served: Vec<u64>,
     /// First admission and last completion: the throughput window.
     first_ns: Option<u64>,
     last_ns: u64,
@@ -250,6 +264,8 @@ impl Tally {
             batched: self.batched,
             retries: self.retries,
             shed: self.shed,
+            failovers: self.failovers,
+            served_by_tier: self.served.clone(),
             mean_batch_size: ratio(self.batched, self.batches as f64),
             p50_latency: p50,
             p95_latency: p95,
@@ -267,16 +283,22 @@ fn quantiles(r: &LatencyReservoir) -> [Duration; 3] {
     [0.50, 0.95, 0.99].map(|q| percentile(&sorted, q))
 }
 
+/// One backend tier: the scope its breaker transitions, skips and
+/// failovers are recorded under, and its breaker, which hears one outcome
+/// per call to the tier.
+#[derive(Clone)]
+struct Tier {
+    scope: Arc<str>,
+    breaker: Option<CircuitBreaker>,
+}
+
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct ServingCore<T> {
     cfg: ServingConfig,
-    /// Built from `cfg.breaker`: sheds admissions while open, hears one
-    /// outcome per backend call.
-    breaker: Option<CircuitBreaker>,
-    /// Where sheds, retries and breaker transitions are recorded, under
-    /// `scope`.
+    /// In the order they are tried; tier 0's scope, `"dispatcher"`, also
+    /// holds the front door's sheds and retries.
+    tiers: Vec<Tier>,
     journal: Arc<Journal>,
-    scope: Arc<str>,
     /// `false` once shutdown begins: admission closed, queue draining.
     open: bool,
     next_id: u64,
@@ -293,21 +315,29 @@ pub(crate) struct ServingCore<T> {
 }
 
 impl<T> ServingCore<T> {
-    /// A core under `cfg`'s knobs, its breaker included, recording its
-    /// sheds, retries and breaker transitions into `journal`.
-    pub(crate) fn new(cfg: &ServingConfig, journal: Arc<Journal>) -> Self {
+    /// A core under `cfg`'s knobs, recording into `journal`, over tier 0
+    /// (the dispatcher's `build` backend) and one tier per `fallbacks`
+    /// name, each with a breaker from `cfg.breaker`.
+    pub(crate) fn new(cfg: &ServingConfig, journal: Arc<Journal>, fallbacks: &[Arc<str>]) -> Self {
+        let scopes = std::iter::once("dispatcher".into()).chain(fallbacks.iter().cloned());
+        let tier = |scope| Tier {
+            scope,
+            breaker: cfg.breaker.map(CircuitBreaker::new),
+        };
         Self {
             cfg: cfg.clone(),
-            breaker: cfg.breaker.map(CircuitBreaker::new),
+            tiers: scopes.map(tier).collect(),
             journal,
-            scope: "dispatcher".into(),
             open: true,
             next_id: 0,
             queue: VecDeque::new(),
             forming: Vec::new(),
             flush_at: 0,
             isolating: VecDeque::new(),
-            tally: Tally::default(),
+            tally: Tally {
+                served: vec![0; 1 + fallbacks.len()],
+                ..Tally::default()
+            },
         }
     }
 
@@ -316,9 +346,12 @@ impl<T> ServingCore<T> {
         &self.tally
     }
 
-    fn record(&self, at_ns: u64, kind: EventKind) {
-        let who = Who::Scope(Arc::clone(&self.scope));
-        self.journal.record(Event::at(at_ns, who, kind));
+    /// Record `kind`, if any, under tier `tier`'s scope.
+    fn record(&self, tier: usize, at_ns: u64, kind: impl Into<Option<EventKind>>) {
+        if let Some(kind) = kind.into() {
+            let who = Who::Scope(Arc::clone(&self.tiers[tier].scope));
+            self.journal.record(Event::at(at_ns, who, kind));
+        }
     }
 
     pub(crate) fn is_open(&self) -> bool {
@@ -332,7 +365,8 @@ impl<T> ServingCore<T> {
 
     /// The front door at `now`: admit `item` and mint its id, or hand it
     /// back with the reason — [`TfheError::DispatcherShutDown`] behind a
-    /// closed door, the breaker's [`TfheError::Overloaded`] when it sheds,
+    /// closed door, [`TfheError::Overloaded`] when it sheds (hinting at the
+    /// soonest end of a cooldown),
     /// [`TfheError::QueueFull`] at capacity, a refusal only unless the
     /// caller `waits_for_room` and will offer `item` again.
     pub(crate) fn admit(
@@ -346,18 +380,17 @@ impl<T> ServingCore<T> {
         if !self.open {
             return Err((TfheError::DispatcherShutDown, item));
         }
-        // No health report reaches the core: only outcomes move its breaker.
-        let (admitted, moved) = match &mut self.breaker {
-            Some(breaker) => breaker.admit(now, EngineHealth::Healthy),
-            None => (Ok(()), None),
-        };
-        if let Some(kind) = moved {
-            self.record(now, kind);
-        }
-        if let Err(overloaded) = admitted {
-            self.record(now, EventKind::Shed);
+        // Asking moves no breaker: a tier is admitted, its health read,
+        // when a batch is routed to it.
+        let cooling = self.tiers.iter().map(|t| t.breaker.as_ref()?.cooling(now));
+        if let Some(left) = cooling
+            .reduce(|a, b| a.zip(b).map(|(a, b)| a.min(b)))
+            .flatten()
+        {
+            self.record(0, now, EventKind::Shed);
             self.tally.shed += 1;
-            return Err((overloaded, item));
+            let retry_after = Duration::from_nanos(left);
+            return Err((TfheError::Overloaded { retry_after }, item));
         }
         let capacity = self.cfg.queue_capacity;
         if self.queue.len() >= capacity {
@@ -483,46 +516,82 @@ impl<T> ServingCore<T> {
         pending.filter(|&at| at > now).min().unwrap_or(u64::MAX)
     }
 
-    /// The backend answered `outcome` for `batch` — a batch
-    /// [`poll`](Self::poll) flushed — at `now`.
-    pub(crate) fn complete(
+    /// Route `batch` at `now`: fresh from a [`poll`](Self::poll) flush
+    /// (`ran` is `None`), or back from tier `ran.0` with its answer. A
+    /// success serves it and a permanent error fails it (module docs); a
+    /// retryable fault, or a fresh batch, goes to the first tier from the
+    /// failed one down that admits — its health read through `health`.
+    /// With none left the retry policy takes the batch, with the last
+    /// backend fault or, if no call was made, the last refusal.
+    pub(crate) fn route(
         &mut self,
         now: u64,
         batch: Vec<Entry<T>>,
-        outcome: Result<(), TfheError>,
+        ran: Option<(usize, Result<(), TfheError>)>,
+        health: impl Fn(usize) -> EngineHealth,
     ) -> Done<T> {
-        // The breaker hears service health only: successes and retryable
-        // faults. A permanent error says nothing about the backend.
-        let health = match &outcome {
-            Ok(()) => Some(true),
-            Err(e) => e.is_retryable().then_some(false),
-        };
-        let moved = match (&mut self.breaker, health) {
-            (Some(breaker), Some(healthy)) => breaker.record(now, healthy),
-            _ => None,
-        };
-        if let Some(kind) = moved {
-            self.record(now, kind);
-        }
-        let err = match outcome {
-            Ok(()) => {
-                let t = &mut self.tally;
-                t.last_ns = now;
-                for e in &batch {
-                    let ns = now.saturating_sub(e.enqueued_ns);
-                    t.latencies.push(ns);
-                    if let Some(seed) = e.affinity.map(TenantId::raw) {
-                        let new = || LatencyReservoir {
-                            seed,
-                            ..Default::default()
-                        };
-                        t.per_tenant.entry(seed).or_insert_with(new).push(ns);
-                    }
-                }
-                return Done::Served(batch);
+        let mut fault = None;
+        if let Some((tier, outcome)) = ran {
+            // The breaker hears service health only: successes and
+            // retryable faults. A permanent error says nothing about the
+            // backend.
+            let moved = match (&mut self.tiers[tier].breaker, &outcome) {
+                (Some(breaker), Ok(())) => breaker.record(now, true),
+                (Some(breaker), Err(e)) if e.is_retryable() => breaker.record(now, false),
+                _ => None,
+            };
+            self.record(tier, now, moved);
+            match outcome {
+                Ok(()) => return self.serve(now, tier, batch),
+                Err(e) if !e.is_retryable() => return self.fail(now, batch, e),
+                Err(e) => fault = Some((tier, e)),
             }
-            Err(e) => e,
+        }
+        let mut refused = TfheError::Overloaded {
+            retry_after: Duration::ZERO,
         };
+        for tier in fault.as_ref().map_or(0, |(failed, _)| failed + 1)..self.tiers.len() {
+            let (admitted, moved) = match &mut self.tiers[tier].breaker {
+                Some(breaker) => breaker.admit(now, health(tier)),
+                None => (Ok(()), None),
+            };
+            self.record(tier, now, moved);
+            if let Err(overloaded) = admitted {
+                self.record(tier, now, EventKind::TierSkipped);
+                refused = overloaded;
+                continue;
+            }
+            if let Some((failed, _)) = fault {
+                let from = Arc::clone(&self.tiers[failed].scope);
+                self.record(tier, now, EventKind::Failover { from });
+                self.tally.failovers += 1;
+            }
+            return Done::Run { tier, batch };
+        }
+        self.fail(now, batch, fault.map_or(refused, |(_, e)| e))
+    }
+
+    /// Tier `tier` served `batch` at `now`.
+    fn serve(&mut self, now: u64, tier: usize, batch: Vec<Entry<T>>) -> Done<T> {
+        let t = &mut self.tally;
+        t.served[tier] += 1;
+        t.last_ns = now;
+        for e in &batch {
+            let ns = now.saturating_sub(e.enqueued_ns);
+            t.latencies.push(ns);
+            if let Some(seed) = e.affinity.map(TenantId::raw) {
+                let new = || LatencyReservoir {
+                    seed,
+                    ..Default::default()
+                };
+                t.per_tenant.entry(seed).or_insert_with(new).push(ns);
+            }
+        }
+        Done::Served(batch)
+    }
+
+    /// No tier is left to run `batch`, which failed at `now` with `err`.
+    fn fail(&mut self, now: u64, batch: Vec<Entry<T>>, err: TfheError) -> Done<T> {
         let mut resolved = Vec::new();
         if !err.is_retryable() && batch.len() > 1 {
             self.isolating.extend(batch);
@@ -541,7 +610,7 @@ impl<T> ServingCore<T> {
             }
             e.attempt += 1;
             e.ready_at = ready_at;
-            self.record(now, EventKind::Retry { attempt: e.attempt });
+            self.record(0, now, EventKind::Retry { attempt: e.attempt });
             self.tally.retries += 1;
             let place = self.queue.partition_point(|q| q.id < e.id);
             self.queue.insert(place, e);
@@ -599,30 +668,34 @@ pub(crate) enum Step<'a> {
     Offered(&'a Result<u64, TfheError>),
     /// What the poll said.
     Polled(&'a Poll<usize>),
-    /// What the core made of the backend's answer, at the time it came.
-    Completed(&'a Done<usize>),
+    /// Where the core routed a flushed batch, or a batch the backend
+    /// answered, at the time it came.
+    Routed(&'a Done<usize>),
 }
 
 /// The one virtual-time driver: run `core` through `arrivals` (ascending
 /// `at`) the way the batcher drives it, with jumps where the batcher
 /// waits. Every arrival due is offered at its own time — those that come
 /// while a batch runs, before its outcome is known — then the core is
-/// polled; a flushed batch keeps the single batcher busy for as long as
-/// `backend` (given the start time and the batch) says, a quiet poll jumps
-/// to the next arrival, `drain_at` or the poll's wake-up time, whichever
-/// is first, and the run ends when
-/// nothing is left to wake for. A request is cancelled from its
-/// `cancel_at` on, noticed when a poll looks. `see` is told each step,
-/// with the time and the core as it stands.
+/// polled; a flushed batch is routed, and each call to a tier keeps the
+/// single batcher busy for as long as `backend` (given the start time, the
+/// tier and the batch) says, its answer routed when it ends — a failover
+/// calls the next tier at once. A quiet poll jumps to the next arrival,
+/// `drain_at` or the poll's wake-up time, whichever is first, and the run
+/// ends when nothing is left to wake for. Tier `i` reports `health(t, i)`
+/// at time `t`. A request is cancelled from its `cancel_at` on, noticed
+/// when a poll looks. `see` is told each step, with the time and the core
+/// as it stands.
 pub(crate) fn drive(
     core: &mut ServingCore<usize>,
     arrivals: &[Arrival],
     drain_at: Option<u64>,
-    mut backend: impl FnMut(u64, &[Entry<usize>]) -> (u64, Result<(), TfheError>),
+    mut backend: impl FnMut(u64, usize, &[Entry<usize>]) -> (u64, Result<(), TfheError>),
+    health: impl Fn(u64, usize) -> EngineHealth,
     mut see: impl FnMut(u64, &ServingCore<usize>, Step<'_>),
 ) {
     let (mut t, mut next) = (0u64, 0usize);
-    // The batch the backend is busy with, and what it will answer.
+    // The call the backend is busy with, and what it will answer.
     let mut running = None;
     loop {
         while let Some(a) = arrivals.get(next).filter(|a| a.at <= t) {
@@ -634,36 +707,46 @@ pub(crate) fn drive(
             see(a.at, core, Step::Offered(&offered));
             next += 1;
         }
-        if let Some((batch, outcome)) = running.take() {
-            let done = core.complete(t, batch, outcome);
-            see(t, core, Step::Completed(&done));
-        }
-        if drain_at.is_some_and(|d| d <= t) {
-            core.close();
-        }
-        let polled = core.poll(t, |&i| arrivals[i].cancel_at.is_some_and(|c| c <= t));
-        see(t, core, Step::Polled(&polled));
-        match polled {
-            Poll::Flush { batch, .. } if batch.is_empty() => {}
-            Poll::Flush { batch, .. } => {
-                let (service_ns, outcome) = backend(t, &batch);
-                t = t.saturating_add(service_ns);
-                running = Some((batch, outcome));
-            }
-            quiet => {
-                let wake = [
-                    arrivals.get(next).map(|a| a.at),
-                    drain_at.filter(|&d| d > t),
-                    match quiet {
-                        Poll::WaitUntil(at) => Some(at),
-                        _ => None,
-                    },
-                ];
-                match wake.into_iter().flatten().min() {
-                    Some(at) => t = at,
-                    None => return,
+        let answered = running.take();
+        let done = match answered.map(|(tier, batch, outcome)| {
+            core.route(t, batch, Some((tier, outcome)), |i| health(t, i))
+        }) {
+            Some(failover @ Done::Run { .. }) => failover,
+            settled => {
+                if let Some(done) = settled {
+                    see(t, core, Step::Routed(&done));
+                }
+                if drain_at.is_some_and(|d| d <= t) {
+                    core.close();
+                }
+                let polled = core.poll(t, |&i| arrivals[i].cancel_at.is_some_and(|c| c <= t));
+                see(t, core, Step::Polled(&polled));
+                match polled {
+                    Poll::Flush { batch, .. } if batch.is_empty() => continue,
+                    Poll::Flush { batch, .. } => core.route(t, batch, None, |i| health(t, i)),
+                    quiet => {
+                        let wake = [
+                            arrivals.get(next).map(|a| a.at),
+                            drain_at.filter(|&d| d > t),
+                            match quiet {
+                                Poll::WaitUntil(at) => Some(at),
+                                _ => None,
+                            },
+                        ];
+                        match wake.into_iter().flatten().min() {
+                            Some(at) => t = at,
+                            None => return,
+                        }
+                        continue;
+                    }
                 }
             }
+        };
+        see(t, core, Step::Routed(&done));
+        if let Done::Run { tier, batch } = done {
+            let (service_ns, outcome) = backend(t, tier, &batch);
+            t = t.saturating_add(service_ns);
+            running = Some((tier, batch, outcome));
         }
     }
 }
@@ -691,11 +774,11 @@ mod tests {
         }
     }
 
-    /// The scripted backend. A call that holds a `poison` request fails
-    /// permanently; otherwise call number `i` answers `script[i]` if there
-    /// is one, a transient fault with probability `sick` if it starts
-    /// before `heal_at`, and success if not. Call `i` takes
-    /// `service[i % len]`.
+    /// One scripted backend tier. A call that holds a `poison` request
+    /// fails permanently; otherwise the tier's call number `i` answers
+    /// `script[i]` if there is one, a transient fault with probability
+    /// `sick` if it starts before `heal_at`, and success if not. Call `i`
+    /// takes `service[i % len]`. Its health reads `Failed` within `down`.
     #[derive(Clone, Debug, Default)]
     struct Backend {
         script: Vec<Option<TfheError>>,
@@ -703,6 +786,16 @@ mod tests {
         heal_at: u64,
         seed: u64,
         service: Vec<u64>,
+        down: std::ops::Range<u64>,
+    }
+
+    impl Backend {
+        fn health(&self, t: u64) -> EngineHealth {
+            match self.down.contains(&t) {
+                true => EngineHealth::Failed,
+                false => EngineHealth::Healthy,
+            }
+        }
     }
 
     /// Everything that happens to the core, on virtual time.
@@ -712,7 +805,8 @@ mod tests {
         arrivals: Vec<Arrival>,
         /// Arrivals no backend call survives.
         poison: Vec<usize>,
-        backend: Backend,
+        /// The backend tiers, in the order the core tries them.
+        tiers: Vec<Backend>,
         drain_at: Option<u64>,
     }
 
@@ -721,10 +815,10 @@ mod tests {
             cfg,
             arrivals,
             poison: Vec::new(),
-            backend: Backend {
+            tiers: vec![Backend {
                 service: vec![service],
                 ..Backend::default()
-            },
+            }],
             drain_at: None,
         }
     }
@@ -743,6 +837,15 @@ mod tests {
     struct Outcome {
         /// `(start time, members)` of every backend call.
         calls: Vec<(u64, Vec<usize>)>,
+        /// The tier of each call.
+        tiers: Vec<usize>,
+        /// The size of each batch flushed.
+        flushed: Vec<usize>,
+        /// Batches re-run at once on a later tier, and skips of a tier.
+        failovers: u64,
+        skips: u64,
+        /// Batches served, per tier.
+        served: Vec<u64>,
         /// Per arrival: when and how it left.
         left: Vec<Option<(u64, Left)>>,
         /// Re-admissions after a retryable fault.
@@ -785,6 +888,19 @@ mod tests {
         entries.into_iter().map(|e| e.item).collect()
     }
 
+    /// `(item, attempt)` of a batch's members.
+    type Members = Vec<(usize, u32)>;
+    /// A tier's answer to a call.
+    type Answer = (usize, Result<(), TfheError>);
+
+    fn attempts(entries: &[Entry<usize>]) -> Members {
+        entries.iter().map(|e| (e.item, e.attempt)).collect()
+    }
+
+    fn breakers(core: &ServingCore<usize>) -> Vec<Option<CircuitBreaker>> {
+        core.tiers.iter().map(|tier| tier.breaker.clone()).collect()
+    }
+
     /// The scripted backend and the observer of one run: every rule of the
     /// module docs and every accounting contract of the serving path,
     /// checked step by step.
@@ -800,9 +916,16 @@ mod tests {
         queue: Vec<(usize, u64)>,
         forming: Vec<usize>,
         alone: Option<usize>,
-        /// Times each request ran, and the last call's members and answer.
+        /// Times each request ran.
         runs: Vec<u32>,
-        last_call: (Vec<usize>, Result<(), TfheError>),
+        /// The batch the core routes next: its members and the call it
+        /// comes back from, if any (tier and answer).
+        routing: Option<(Members, Option<Answer>)>,
+        /// The call the core asked for last: when, on which tier, with
+        /// whom, and whether it is a failover.
+        asked: Option<(u64, usize, Members, bool)>,
+        /// Each tier's breaker as the last step left it.
+        breakers: Vec<Option<CircuitBreaker>>,
         /// Completions whose latency samples were last compared.
         sampled: u64,
     }
@@ -821,22 +944,35 @@ mod tests {
             self.out.left[i] = Some((t, how));
         }
 
-        fn call(&mut self, t: u64, batch: &[Entry<usize>]) -> (u64, Result<(), TfheError>) {
-            let (s, b) = (self.s, &self.s.backend);
+        fn call(
+            &mut self,
+            t: u64,
+            tier: usize,
+            batch: &[Entry<usize>],
+        ) -> (u64, Result<(), TfheError>) {
+            let (s, b) = (self.s, &self.s.tiers[tier]);
+            // Every call is the one the core asked for, at once.
+            let members = attempts(batch);
+            let asked = self.asked.take().expect("a call nobody asked for");
+            let failover = asked.3;
+            assert_eq!(asked, (t, tier, members.clone(), failover));
             let draining = s.drain_at.is_some_and(|d| d <= t);
             for e in batch {
-                assert!(!self.dead(e.item, t), "ran dead request {} at {t}", e.item);
+                // A failover goes on with a call that started in time.
+                let dead = !failover && self.dead(e.item, t);
+                assert!(!dead, "ran dead request {} at {t}", e.item);
                 assert!(e.ready_at <= t || draining, "ran {} too early", e.item);
                 assert!(e.attempt <= s.cfg.retry.max_retries);
                 self.runs[e.item] += 1;
-                // One first run, one per retry, one alone after a split.
-                assert!(self.runs[e.item] <= 2 + s.cfg.retry.max_retries);
+                // On each tier: one first run, one per retry, one alone
+                // after a split.
+                let tiers = s.tiers.len() as u32;
+                assert!(self.runs[e.item] <= tiers * (2 + s.cfg.retry.max_retries));
             }
-            let members = items(batch);
-            // Recorded at the flush, as the core counts it.
-            assert_eq!(self.out.calls.last(), Some(&(t, members.clone())));
-            let call = self.out.calls.len() - 1;
-            let outcome = if members.iter().any(|i| s.poison.contains(i)) {
+            let call = self.out.tiers.iter().filter(|&&k| k == tier).count();
+            self.out.calls.push((t, items(batch)));
+            self.out.tiers.push(tier);
+            let outcome = if batch.iter().any(|e| s.poison.contains(&e.item)) {
                 Err(PERMANENT)
             } else if let Some(scripted) = b.script.get(call) {
                 scripted.clone().map_or(Ok(()), Err)
@@ -845,11 +981,15 @@ mod tests {
             } else {
                 Ok(())
             };
-            self.last_call = (members, outcome.clone());
+            self.routing = Some((members, Some((tier, outcome.clone()))));
             (b.service[call % b.service.len()], outcome)
         }
 
         fn see(&mut self, t: u64, core: &ServingCore<usize>, step: Step<'_>) {
+            // Only routing moves a breaker: the front door only asks.
+            if !matches!(step, Step::Routed(_)) {
+                assert_eq!(breakers(core), self.breakers, "a breaker moved at {t}");
+            }
             match step {
                 Step::Offered(Ok(id)) => {
                     assert_eq!(*id, self.admitted, "ids are minted in admission order");
@@ -866,14 +1006,23 @@ mod tests {
                             assert_eq!(*capacity, self.s.cfg.queue_capacity);
                             assert!(core.queue.len() >= *capacity);
                         }
-                        shed => assert!(matches!(shed, TfheError::Overloaded { .. })),
+                        shed => {
+                            // Every tier's breaker is cooling down; the hint
+                            // is the soonest end.
+                            let cooling = self.breakers.iter().map(|b| b.as_ref()?.cooling(t));
+                            let cooling: Option<Vec<u64>> = cooling.collect();
+                            let soonest = cooling.and_then(|c| c.into_iter().min());
+                            let retry_after = Duration::from_nanos(soonest.expect("a tier admits"));
+                            assert_eq!(*shed, TfheError::Overloaded { retry_after });
+                        }
                     }
                     self.leave(self.offered, t, Left::Refused(why.clone()));
                     self.offered += 1;
                 }
                 Step::Polled(polled) => self.polled(t, core, polled),
-                Step::Completed(done) => self.completed(t, core, done),
+                Step::Routed(done) => self.routed(t, core, done),
             }
+            self.breakers = breakers(core);
             self.queue = (core.queue.iter().map(|e| (e.item, e.ready_at))).collect();
             self.forming = items(&core.forming);
             self.alone = core.isolating.front().map(|e| e.item);
@@ -913,8 +1062,8 @@ mod tests {
                 };
                 implied[k] += 1;
             }
-            implied[7] = out.calls.len() as u64;
-            implied[8] = out.calls.iter().map(|(_, m)| m.len() as u64).sum();
+            implied[7] = out.flushed.len() as u64;
+            implied[8] = out.flushed.iter().map(|&n| n as u64).sum();
             implied[9] = out.retried as u64;
             let counted = [
                 tally.submitted,
@@ -930,6 +1079,10 @@ mod tests {
                 tally.per_tenant.values().map(|r| r.seen).sum(),
             ];
             assert_eq!(counted, implied, "tally against the outcome");
+            assert_eq!(
+                (tally.failovers, &tally.served),
+                (out.failovers, &out.served)
+            );
             assert_eq!((tally.first_ns, tally.last_ns), (first, last));
             if tally.latencies.seen == self.sampled {
                 return;
@@ -987,9 +1140,10 @@ mod tests {
                 self.formed(t, core, polled, &flushed);
             }
             match polled {
-                Poll::Flush { .. } => {
-                    if !flushed.is_empty() {
-                        self.out.calls.push((t, flushed.clone()));
+                Poll::Flush { batch, .. } => {
+                    if !batch.is_empty() {
+                        self.out.flushed.push(batch.len());
+                        self.routing = Some((attempts(batch), None));
                     }
                     assert!(forming_after.is_empty());
                     let dead_left = queue_after.iter().any(|&i| self.dead(i, t));
@@ -1101,62 +1255,123 @@ mod tests {
             }
         }
 
-        fn completed(&mut self, t: u64, core: &ServingCore<usize>, done: &Done<usize>) {
-            let (members, outcome) = self.last_call.clone();
+        /// A batch routed: the tier rule replayed on the breakers as the
+        /// last step left them, and the core's decision checked against it.
+        fn routed(&mut self, t: u64, core: &ServingCore<usize>, done: &Done<usize>) {
+            let (s, mut expected) = (self.s, self.breakers.clone());
+            let (members, ran) = self.routing.take().expect("routed a batch from nowhere");
+            let ids: Vec<usize> = members.iter().map(|m| m.0).collect();
+            let mut fault = None;
+            if let Some((tier, outcome)) = ran {
+                // The breaker hears successes and retryable faults only.
+                let service = match &outcome {
+                    Ok(()) => Some(true),
+                    Err(e) => e.is_retryable().then_some(false),
+                };
+                if let (Some(b), Some(ok)) = (&mut expected[tier], service) {
+                    b.record(t, ok);
+                }
+                match (outcome, done) {
+                    (Err(e), _) if e.is_retryable() => fault = Some((tier, e)),
+                    (Ok(()), Done::Served(batch)) => {
+                        assert_eq!(items(batch), ids);
+                        self.out.served[tier] += 1;
+                        ids.iter().for_each(|&i| self.leave(i, t, Left::Completed));
+                    }
+                    // A permanent error never fails over.
+                    (Err(e), _) => self.failed(t, core, &ids, &e, done),
+                    (Ok(()), done) => panic!("served, and the core said {done:?}"),
+                }
+                if fault.is_none() {
+                    assert_eq!(breakers(core), expected, "breakers after the answer at {t}");
+                    return;
+                }
+            }
+            // The tiers after the one that failed, or all of them, are asked
+            // in turn, each given its health, until one admits.
+            let mut refused = None;
+            let from = fault.as_ref().map_or(0, |(tier, _)| tier + 1);
+            let chosen = (from..s.tiers.len()).find(|&i| {
+                let Some(b) = &mut expected[i] else {
+                    return true;
+                };
+                refused = b.admit(t, s.tiers[i].health(t)).0.err();
+                refused.is_none()
+            });
+            assert_eq!(breakers(core), expected, "breakers after routing at {t}");
+            match (chosen, done) {
+                (Some(tier), Done::Run { tier: on, batch }) => {
+                    assert_eq!(*on, tier, "not the first tier that admits");
+                    // At once, and with every attempt unchanged.
+                    assert_eq!(attempts(batch), members);
+                    self.out.failovers += u64::from(fault.is_some());
+                    self.asked = Some((t, tier, members, fault.is_some()));
+                }
+                // Every tier is down: the last backend fault if a call was
+                // made, else the last refusal.
+                (None, done) => {
+                    let err = fault.map(|(_, e)| e).or(refused).expect("a tier refused");
+                    self.failed(t, core, &ids, &err, done);
+                }
+                (Some(tier), done) => panic!("tier {tier} admits, and the core said {done:?}"),
+            }
+        }
+
+        /// `members` failed at `t` with `err`, and nothing can run them now.
+        fn failed(
+            &mut self,
+            t: u64,
+            core: &ServingCore<usize>,
+            members: &[usize],
+            err: &TfheError,
+            done: &Done<usize>,
+        ) {
+            let Done::Failed(resolved) = done else {
+                panic!("{err:?} became {done:?}");
+            };
             let retry = &self.s.cfg.retry;
-            match (done, &outcome) {
-                (Done::Served(batch), Ok(())) => {
-                    assert_eq!(items(batch), members);
-                    for i in members {
-                        self.leave(i, t, Left::Completed);
-                    }
+            let split = !err.is_retryable() && members.len() > 1;
+            self.out.isolated += usize::from(split);
+            let retried = core.queue.iter().filter(|e| members.contains(&e.item));
+            let retried = retried.count();
+            self.out.retried += retried;
+            // A batch forms only once nothing is left to run alone, so a
+            // split finds that list empty.
+            let alone = items(&core.isolating);
+            assert_eq!(split, alone == members);
+            assert_eq!(split, alone.iter().any(|i| members.contains(i)));
+            // Every member went exactly one way.
+            let kept = if split { members.len() } else { retried };
+            assert_eq!(resolved.len() + kept, members.len());
+            for (e, why) in resolved {
+                // Out of budget, or the backoff would outlast the deadline.
+                if why == err {
+                    assert!(!retry.should_retry(err, e.attempt));
+                    self.leave(e.item, t, Left::Failed(why.clone()));
+                } else {
+                    assert_eq!(*why, TfheError::DeadlineExceeded);
+                    let backoff = dur_ns(retry.backoff(e.id, e.attempt + 1));
+                    let ends = t.saturating_add(backoff);
+                    assert!(e.deadline_ns.is_some_and(|d| d <= ends));
+                    self.leave(e.item, t, Left::Expired);
                 }
-                (Done::Failed(resolved), Err(err)) => {
-                    let split = !err.is_retryable() && members.len() > 1;
-                    self.out.isolated += usize::from(split);
-                    let retried = core.queue.iter().filter(|e| members.contains(&e.item));
-                    let retried = retried.count();
-                    self.out.retried += retried;
-                    // A batch forms only once nothing is left to run alone,
-                    // so a split finds that list empty.
-                    let alone = items(&core.isolating);
-                    assert_eq!(split, alone == members);
-                    assert_eq!(split, alone.iter().any(|i| members.contains(i)));
-                    // Every member went exactly one way.
-                    let kept = if split { members.len() } else { retried };
-                    assert_eq!(resolved.len() + kept, members.len());
-                    for (e, why) in resolved {
-                        // Out of budget, or the backoff would outlast the
-                        // deadline.
-                        if why == err {
-                            assert!(!retry.should_retry(err, e.attempt));
-                            self.leave(e.item, t, Left::Failed(why.clone()));
-                        } else {
-                            assert_eq!(*why, TfheError::DeadlineExceeded);
-                            let backoff = dur_ns(retry.backoff(e.id, e.attempt + 1));
-                            let ends = t.saturating_add(backoff);
-                            assert!(e.deadline_ns.is_some_and(|d| d <= ends));
-                            self.leave(e.item, t, Left::Expired);
-                        }
-                    }
-                    for e in core.queue.iter().filter(|e| members.contains(&e.item)) {
-                        assert!((1..=retry.max_retries).contains(&e.attempt));
-                        let backoff = dur_ns(retry.backoff(e.id, e.attempt));
-                        assert_eq!(e.ready_at, t.saturating_add(backoff));
-                        assert_eq!(e.enqueued_ns, self.s.arrivals[e.item].at);
-                        assert!(e.deadline_ns.is_none_or(|d| d > e.ready_at));
-                    }
-                }
-                (done, outcome) => panic!("{outcome:?} became {done:?}"),
+            }
+            for e in core.queue.iter().filter(|e| members.contains(&e.item)) {
+                assert!((1..=retry.max_retries).contains(&e.attempt));
+                let backoff = dur_ns(retry.backoff(e.id, e.attempt));
+                assert_eq!(e.ready_at, t.saturating_add(backoff));
+                assert_eq!(e.enqueued_ns, self.s.arrivals[e.item].at);
+                assert!(e.deadline_ns.is_none_or(|d| d > e.ready_at));
             }
         }
     }
 
     /// Drive the core through `s` with the one virtual-time driver, under
-    /// a [`Checker`], and reconcile what it saw with journal and breaker.
+    /// a [`Checker`], and reconcile what it saw with journal and breakers.
     fn run(s: &Schedule) -> Outcome {
         let journal = Arc::new(Journal::new());
-        let mut core = ServingCore::new(&s.cfg, Arc::clone(&journal));
+        let fallbacks: Vec<Arc<str>> = (1..s.tiers.len()).map(|i| format!("t{i}").into()).collect();
+        let mut core = ServingCore::new(&s.cfg, Arc::clone(&journal), &fallbacks);
         let checker = RefCell::new(Checker {
             s,
             out: Outcome::default(),
@@ -1166,15 +1381,19 @@ mod tests {
             forming: Vec::new(),
             alone: None,
             runs: vec![0; s.arrivals.len()],
-            last_call: (Vec::new(), Ok(())),
+            routing: None,
+            asked: None,
+            breakers: breakers(&core),
             sampled: 0,
         });
         checker.borrow_mut().out.left = vec![None; s.arrivals.len()];
+        checker.borrow_mut().out.served = vec![0; s.tiers.len()];
         drive(
             &mut core,
             &s.arrivals,
             s.drain_at,
-            |t, batch| checker.borrow_mut().call(t, batch),
+            |t, tier, batch| checker.borrow_mut().call(t, tier, batch),
+            |t, tier| s.tiers[tier].health(t),
             |t, core, step| checker.borrow_mut().see(t, core, step),
         );
         let Checker {
@@ -1191,7 +1410,8 @@ mod tests {
         assert!(out.left.iter().all(Option::is_some), "{out:?}");
         let refused = out.who(|l| matches!(l, Left::Refused(_))).len() as u64;
         assert_eq!(admitted + refused, s.arrivals.len() as u64);
-        // The journal holds every shed, retry and breaker transition.
+        // The journal holds every shed, retry, failover, skip and breaker
+        // transition, each under its tier's scope.
         assert_eq!(journal.dropped(), 0);
         let events = journal.events();
         let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count();
@@ -1200,15 +1420,35 @@ mod tests {
         assert_eq!(count("retry"), out.retried);
         let shed = out.shed().len();
         assert_eq!(count("shed"), shed);
-        if let Some(b) = &core.breaker {
-            assert_eq!(b.rejections, shed as u64);
-            assert_eq!(count("breaker_open") as u64, b.opens);
-            assert_eq!(count("breaker_close") as u64, b.closes);
-            assert!(count("breaker_half_open") as u64 >= b.closes);
-            out.breaker = Some((b.opens, b.closes, b.state));
-        } else {
+        assert_eq!(count("failover") as u64, out.failovers);
+        for (i, tier) in core.tiers.iter().enumerate() {
+            let mine = events
+                .iter()
+                .filter(|e| e.who == Who::Scope(Arc::clone(&tier.scope)));
+            let mine: Vec<&EventKind> = mine.map(|e| &e.kind).collect();
+            let count = |label| mine.iter().filter(|k| k.label() == label).count() as u64;
+            let b = tier.breaker.as_ref();
+            let (opens, closes) = b.map_or((0, 0), |b| (b.opens, b.closes));
+            let skips = b.map_or(0, |b| b.rejections);
+            let counted = [
+                count("breaker_open"),
+                count("breaker_close"),
+                count("tier_skipped"),
+            ];
+            assert_eq!(counted, [opens, closes, skips], "tier {i}");
+            assert!(count("breaker_half_open") >= closes);
+            out.skips += skips;
+            // A tier is failed over to from a tier before it.
+            for kind in mine {
+                if let EventKind::Failover { from } = kind {
+                    assert!(core.tiers[..i].iter().any(|t| t.scope == *from), "{from}");
+                }
+            }
+        }
+        if s.cfg.breaker.is_none() {
             assert_eq!(shed, 0);
         }
+        out.breaker = (core.tiers[0].breaker.as_ref()).map(|b| (b.opens, b.closes, b.state));
         out
     }
 
@@ -1270,43 +1510,56 @@ mod tests {
             },
             arrivals,
             poison,
-            backend: Backend {
-                script: Vec::new(),
-                sick: [0.0, 0.3, 0.7][rng.gen_range(0..3usize)],
-                heal_at: rng.gen_range(0..at + 2),
-                seed: rng.gen(),
-                service: (0..7).map(|_| rng.gen_range(0..3_000)).collect(),
-            },
+            tiers: (0..rng.gen_range(1..=3))
+                .map(|_| Backend {
+                    script: Vec::new(),
+                    sick: [0.0, 0.3, 0.7][rng.gen_range(0..3usize)],
+                    heal_at: rng.gen_range(0..at + 2),
+                    seed: rng.gen(),
+                    service: (0..7).map(|_| rng.gen_range(0..3_000)).collect(),
+                    // Down for a while, or never; up again before the trickle.
+                    down: match rng.gen_bool(0.3) {
+                        true => rng.gen_range(0..at + 2)..rng.gen_range(at / 2..at + 2),
+                        false => 0..0,
+                    },
+                })
+                .collect(),
             drain_at,
         }
     }
 
     /// The chaos sweep: 1 000 seeds of random arrivals, tenants, deadlines,
-    /// cancellations, capacities and drains against a backend that fails
-    /// transiently, fails permanently on poisoned requests and heals,
-    /// under retry budgets 0–3 with and without a breaker. `run` checks
-    /// the contracts; this checks that the seeds reach every way out and
-    /// that a seed replays exactly.
+    /// cancellations, capacities and drains against 1–3 backend tiers that
+    /// each fail transiently, fail permanently on poisoned requests, heal
+    /// and read `Failed` for a while, under retry budgets 0–3 with and
+    /// without breakers. `run` checks the contracts; this checks that the
+    /// seeds reach every way out and that a seed replays exactly.
     #[test]
     fn a_thousand_seeds_keep_every_contract() {
-        let mut reached = [0usize; 11];
+        let mut reached = [0usize; 13];
         for seed in 0..1_000u64 {
             let s = random_schedule(&mut StdRng::seed_from_u64(0x5EED_B47C ^ seed));
             let out = run(&s);
             assert_eq!(out, run(&s), "seed {seed} did not replay");
             let (opens, closes, state) = out.breaker.unwrap_or_default();
             if let (None, Some(b)) = (s.drain_at, s.cfg.breaker) {
-                // Calls made of nothing but the healthy trickle: enough of
-                // them close a breaker that had opened.
+                // Calls to tier 0 made of nothing but the healthy trickle:
+                // enough of them close its breaker if it had opened.
                 let trickle = s.arrivals.len() - 4..;
-                let healthy = |(_, m): &&(u64, Vec<usize>)| m.iter().all(|i| trickle.contains(i));
-                if out.calls.iter().filter(healthy).count() >= b.probes_to_close as usize {
+                let calls = out.calls.iter().zip(&out.tiers);
+                let healthy = calls
+                    .filter(|((_, m), &tier)| tier == 0 && m.iter().all(|i| trickle.contains(i)));
+                if healthy.count() >= b.probes_to_close as usize {
                     assert_eq!(state, BreakerState::Closed, "seed {seed}: healed");
                 }
             }
             for (i, left) in out.left.iter().enumerate() {
+                // A poisoned request fails permanently, unless no tier
+                // admitted its last attempt.
                 if let Some((_, Left::Failed(e))) = left {
-                    assert_eq!(*e == PERMANENT, s.poison.contains(&i), "seed {seed}: {i}");
+                    let refused = matches!(e, TfheError::Overloaded { .. });
+                    let poisoned = s.poison.contains(&i);
+                    assert_eq!(*e == PERMANENT, poisoned && !refused, "seed {seed}: {i}");
                 }
             }
             let closed = out.left_as(Left::Refused(TfheError::DispatcherShutDown));
@@ -1323,6 +1576,8 @@ mod tests {
                 out.isolated,
                 out.retried,
                 opens.min(closes) as usize,
+                out.failovers as usize,
+                out.skips as usize,
             ];
             for (sum, n) in reached.iter_mut().zip(tally) {
                 *sum += n;
@@ -1394,7 +1649,7 @@ mod tests {
 
     #[test]
     fn queued_tenants_names_each_tenant_once_next_to_run_first() {
-        let mut core = ServingCore::new(&knobs(2, Duration::ZERO), Arc::new(Journal::new()));
+        let mut core = ServingCore::new(&knobs(2, Duration::ZERO), Arc::new(Journal::new()), &[]);
         let tenants = [Some(1), Some(1), None, Some(2), Some(1), Some(3)];
         for (i, t) in tenants.into_iter().enumerate() {
             assert!(core.admit(0, t.map(TenantId::new), None, i, false).is_ok());
@@ -1410,7 +1665,9 @@ mod tests {
         // so their tenant leads the list. The buffer is reused as it is.
         let (ptr, capacity) = (out.as_ptr(), out.capacity());
         assert!(matches!(
-            core.complete(0, batch, Err(PERMANENT)),
+            core.route(0, batch, Some((0, Err(PERMANENT))), |_| {
+                EngineHealth::Healthy
+            }),
             Done::Failed(_)
         ));
         core.queued_tenants(&mut out);
@@ -1453,7 +1710,7 @@ mod tests {
         // linger window, while the first waits.
         let cfg = retrying(knobs(8, Duration::from_micros(50)), 3);
         let mut s = schedule(cfg, vec![arrival(0, Some(1)), arrival(MS, Some(2))], 10_000);
-        s.backend.script = fails(1, &TRANSIENT);
+        s.tiers[0].script = fails(1, &TRANSIENT);
         let out = run(&s);
         assert_eq!(
             out.calls,
@@ -1476,7 +1733,7 @@ mod tests {
         let mut late = arrival(0, None);
         late.deadline = Some(5 * MS);
         let mut s = schedule(cfg.clone(), vec![late], 1_000);
-        s.backend.script = fails(4, &TRANSIENT);
+        s.tiers[0].script = fails(4, &TRANSIENT);
         let out = run(&s);
         assert_eq!((out.calls.len(), out.retried), (1, 0));
         assert_eq!(out.left[0], Some((1_000, Left::Expired)));
@@ -1494,7 +1751,7 @@ mod tests {
         let mut bounded = arrival(0, None);
         bounded.deadline = Some(50 * MS);
         let mut s = schedule(cfg, vec![bounded], 3 * MS / 2);
-        s.backend.script = fails(4, &TRANSIENT);
+        s.tiers[0].script = fails(4, &TRANSIENT);
         let out = run(&s);
         assert_eq!(out.calls, vec![(0, vec![0]), (43 * MS / 2, vec![0])]);
         assert_eq!(out.left[0], Some((23 * MS, Left::Expired)));
@@ -1506,7 +1763,7 @@ mod tests {
         let all: Vec<usize> = (0..16).collect();
         // Hit once, the batch runs again as a batch.
         let mut s = schedule(retrying(knobs(16, Duration::ZERO), 1), sixteen, 1_000);
-        s.backend.script = fails(1, &TRANSIENT);
+        s.tiers[0].script = fails(1, &TRANSIENT);
         let out = run(&s);
         assert_eq!(
             out.calls,
@@ -1538,7 +1795,7 @@ mod tests {
         let zero_backoff = |n| RetryConfig::new(n).with_base_backoff(Duration::ZERO);
         let mut s = schedule(knobs(1, Duration::ZERO), vec![arrival(0, None)], 10);
         s.cfg.retry = zero_backoff(3);
-        s.backend.script = fails(2, &TRANSIENT);
+        s.tiers[0].script = fails(2, &TRANSIENT);
         let out = run(&s);
         assert_eq!(out.calls, vec![(0, vec![0]), (10, vec![0]), (20, vec![0])]);
         assert_eq!((out.retried, out.left_as(Left::Completed)), (2, vec![0]));
@@ -1575,7 +1832,7 @@ mod tests {
         });
         let arrivals: Vec<Arrival> = (0..12).map(|i| arrival(i * 10_000, None)).collect();
         let mut s = schedule(cfg, arrivals, 1_000);
-        s.backend.script = fails(3, &TRANSIENT);
+        s.tiers[0].script = fails(3, &TRANSIENT);
         let out = run(&s);
         // Open at 11 µs: 20 and 30 are shed, 40 probes and fails (open
         // again at 41 µs), 50 and 60 are shed, 70 probes and closes it.
@@ -1595,7 +1852,7 @@ mod tests {
             vec![arrival(0, None)],
             1_000,
         );
-        s.backend.script = fails(1, &TRANSIENT);
+        s.tiers[0].script = fails(1, &TRANSIENT);
         s.drain_at = Some(5 * MS);
         let out = run(&s);
         assert_eq!(out.calls, vec![(0, vec![0]), (5 * MS, vec![0])]);

@@ -1,81 +1,38 @@
-//! Service-level resilience: retry policy, circuit breaking, and
-//! degraded-mode failover across [`Bootstrapper`] backends.
+//! Service-level resilience as plain data: the retry policy and the
+//! circuit breaker that the serving core (`policy.rs`) applies on its
+//! caller's clock.
 //!
 //! The [`BootstrapEngine`](crate::BootstrapEngine) makes the *engine*
-//! survive faults (watchdog, respawn, bounded chunk re-dispatch inside one
-//! call); this module makes the *service* survive them. Three pieces
-//! compose:
+//! survive faults inside one call; the [`Dispatcher`](crate::Dispatcher)
+//! makes the *service* survive them, with two pieces from here:
 //!
-//! - [`RetryConfig`]: the [`Dispatcher`](crate::Dispatcher)'s bounded
-//!   re-dispatch of a *request* — the one retry that knows a deadline —
-//!   with exponential backoff and **deterministic seeded jitter** (the same
-//!   SplitMix64 stream the fault injector uses, so a chaos run's backoff
-//!   schedule replays exactly). What is worth retrying is decided by
-//!   [`TfheError::is_retryable`] — transient infrastructure faults
-//!   (worker panics, wedged jobs, corrupted outputs, dead engines) retry;
-//!   permanent request errors (validation) never do.
+//! - [`RetryConfig`]: bounded re-dispatch of a *request* — the one retry
+//!   that knows a deadline — with exponential backoff and **deterministic
+//!   seeded jitter** (the same SplitMix64 stream the fault injector uses,
+//!   so a chaos run's backoff schedule replays exactly). What is worth
+//!   retrying is decided by [`TfheError::is_retryable`] — transient
+//!   infrastructure faults (worker panics, wedged jobs, corrupted outputs,
+//!   dead engines) retry; permanent request errors (validation) never do.
 //! - [`BreakerConfig`]: the knobs of a Closed → Open → HalfOpen circuit
-//!   breaker driven by a rolling failure-rate window. While open,
-//!   admission fails fast with [`TfheError::Overloaded`] instead of
-//!   queueing work that will die; after a cooldown, half-open probe
-//!   traffic decides between closing (recovered) and re-opening (still
-//!   sick). A breaker is plain state owned by what it guards — a
-//!   dispatcher ([`ServingConfig::breaker`](crate::ServingConfig::breaker))
-//!   or a failover tier — which passes the time in and journals each
-//!   transition under its own scope.
-//! - [`FailoverBootstrapper`]: an ordered list of backends (e.g.
-//!   `BootstrapEngine` → `ServerKey`), each behind its own breaker, which
-//!   also reads the backend's own [`Bootstrapper::health`] on admission.
-//!   Requests are served by the first admitting tier; a tier that fails
-//!   retryably is failed over at once — the stack retries nothing — and
-//!   when the primary's breaker opens the service *degrades* to the next
-//!   tier instead of failing, with half-open probes restoring the primary
-//!   once it recovers. Because every [`Bootstrapper`] backend is
-//!   bit-identical on the same request (the conformance contract), a
-//!   failover is invisible to the caller except in latency.
-//!
-//! Every retry, breaker transition, and failover is an [`Event`] in the
-//! [`Journal`] of the component it happened in —
-//! [`Dispatcher::resilience_journal`](crate::Dispatcher::resilience_journal),
-//! [`FailoverBootstrapper::journal`] — under a [`Who::Scope`] named after
-//! the tier (or `"dispatcher"`), and rendered into the Chrome trace by
-//! `morphling_core::trace::ExecutionTrace::add_events`.
-//!
-//! # Degraded-mode serving in one picture
-//!
-//! ```text
-//!            ┌──────────── FailoverBootstrapper ────────────┐
-//! request ──▶│ tier 0: BootstrapEngine [breaker: Open]   skip │
-//!            │ tier 1: ServerKey       [breaker: Closed] serve│──▶ result
-//!            └────────────────────────────────────────────────┘
-//! ```
+//!   breaker over a rolling failure-rate window, one per backend tier of
+//!   a dispatcher. An open breaker benches its tier (a batch runs on the
+//!   next [fallback](crate::DispatcherBuilder::fallback) that admits);
+//!   after a cooldown, half-open probes decide between closing
+//!   (recovered) and re-opening (still sick).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::engine::EngineHealth;
 use crate::error::TfheError;
 use crate::faults::unit_sample;
-use crate::journal::{self, Event, EventKind, Journal, Who};
-use crate::lwe::LweCiphertext;
+use crate::journal::EventKind;
 use crate::policy::dur_ns;
 use crate::serving::at_least_one;
 
 /// Hash-domain separator for retry jitter (disjoint from the fault
 /// injector's site domains, so jitter never aliases injection decisions).
 const JITTER_DOMAIN: u64 = 0x6a_69_74_74;
-
-/// Ignore lock poisoning: a breaker is valid after every step.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-// ---------------------------------------------------------------------------
-// Retry knobs
-// ---------------------------------------------------------------------------
 
 /// Bounded retry with exponential backoff and deterministic seeded jitter,
 /// as plain data: the `retry` section of a
@@ -183,14 +140,9 @@ impl RetryConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Circuit breaker
-// ---------------------------------------------------------------------------
-
 /// Circuit-breaker knobs, the one way to configure a breaker: the
-/// `breaker` section of a [`ServingConfig`](crate::ServingConfig) (where
-/// `Some` gates the dispatcher's admission) and the third argument of
-/// [`FailoverBootstrapperBuilder::tier`].
+/// `breaker` section of a [`ServingConfig`](crate::ServingConfig), where
+/// `Some` gives each of the dispatcher's backend tiers a breaker.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BreakerConfig {
     /// Rolling-window size in outcomes.
@@ -265,17 +217,18 @@ pub(crate) enum BreakerState {
 
 /// A Closed → Open → HalfOpen admission gate over a rolling failure-rate
 /// window, as plain data (DESIGN.md §8 has the transition table). Its
-/// owner — a serving core or a failover tier — passes the time in (`u64`
-/// ns on [`journal::now`]'s clock, or on a driver's virtual one) and
-/// journals the transition each call returns under its own scope.
-#[derive(Clone, Debug)]
+/// one owner, the serving core, holds one per backend tier, passes the
+/// time in (`u64` ns on the dispatcher's clock, or on a driver's virtual
+/// one) and journals the transition each call returns under the tier's
+/// scope.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     pub(crate) state: BreakerState,
     /// Rolling outcome window; `true` = failure.
     outcomes: VecDeque<bool>,
     failures: usize,
-    /// Times it tripped open, closed from half-open, refused admission.
+    /// Times it tripped open, closed from half-open, refused a batch.
     pub(crate) opens: u64,
     pub(crate) closes: u64,
     pub(crate) rejections: u64,
@@ -321,17 +274,29 @@ impl CircuitBreaker {
                 (refuse(cooldown), Some(self.trip(now)))
             }
             BreakerState::Closed | BreakerState::HalfOpen { .. } => (Ok(()), None),
-            BreakerState::Open { since } => {
-                let elapsed = now.saturating_sub(since);
-                if elapsed >= cooldown {
+            BreakerState::Open { .. } => match self.cooling(now) {
+                Some(left) => {
+                    self.rejections += 1;
+                    (refuse(left), None)
+                }
+                None => {
                     self.state = BreakerState::HalfOpen { successes: 0 };
                     (Ok(()), Some(EventKind::BreakerHalfOpen))
-                } else {
-                    self.rejections += 1;
-                    (refuse(cooldown - elapsed), None)
                 }
-            }
+            },
         }
+    }
+
+    /// What is left at `now` of an open breaker's cooldown; `None` once it
+    /// would admit, health aside. It moves nothing: the front door asks it.
+    pub(crate) fn cooling(&self, now: u64) -> Option<u64> {
+        let BreakerState::Open { since } = self.state else {
+            return None;
+        };
+        let cooldown = dur_ns(self.config.cooldown);
+        cooldown
+            .checked_sub(now.saturating_sub(since))
+            .filter(|&left| left > 0)
     }
 
     /// Hear at `now` the outcome of one admitted backend call, and say
@@ -381,261 +346,9 @@ impl CircuitBreaker {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Failover bootstrapper
-// ---------------------------------------------------------------------------
-
-struct Tier {
-    name: Arc<str>,
-    backend: Arc<dyn Bootstrapper + Send + Sync>,
-    breaker: Mutex<CircuitBreaker>,
-    served: AtomicU64,
-}
-
-/// Configures a [`FailoverBootstrapper`]: its tiers, in priority order.
-#[derive(Default)]
-pub struct FailoverBootstrapperBuilder {
-    tiers: Vec<(String, Arc<dyn Bootstrapper + Send + Sync>, BreakerConfig)>,
-}
-
-impl std::fmt::Debug for FailoverBootstrapperBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FailoverBootstrapperBuilder")
-            .field(
-                "tiers",
-                &self.tiers.iter().map(|(n, _, _)| n).collect::<Vec<_>>(),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-impl FailoverBootstrapperBuilder {
-    /// An empty stack; add tiers in priority order.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a tier guarded by a breaker under `breaker`, journaling into
-    /// the stack's journal under `name`. On admission the breaker also
-    /// reads the backend's own [`Bootstrapper::health`]: a backend that
-    /// reports [`EngineHealth::Failed`] is benched before it is called.
-    #[must_use]
-    pub fn tier<B>(mut self, name: impl Into<String>, backend: B, breaker: BreakerConfig) -> Self
-    where
-        B: Bootstrapper + Send + Sync + 'static,
-    {
-        self.tiers.push((name.into(), Arc::new(backend), breaker));
-        self
-    }
-
-    /// Build the stack.
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::NoBackendProvided`] if no tier was added;
-    /// [`TfheError::InvalidServingConfig`] if a tier's [`BreakerConfig`]
-    /// breaks the rules [`ServingConfig::validate`](crate::ServingConfig::validate)
-    /// holds a dispatcher's to.
-    pub fn build(self) -> Result<FailoverBootstrapper, TfheError> {
-        if self.tiers.is_empty() {
-            return Err(TfheError::NoBackendProvided);
-        }
-        let mut tiers = Vec::with_capacity(self.tiers.len());
-        for (name, backend, breaker) in self.tiers {
-            breaker.validate()?;
-            tiers.push(Tier {
-                name: name.into(),
-                backend,
-                breaker: Mutex::new(CircuitBreaker::new(breaker)),
-                served: AtomicU64::new(0),
-            });
-        }
-        Ok(FailoverBootstrapper {
-            tiers,
-            journal: Journal::new(),
-            failovers: AtomicU64::new(0),
-        })
-    }
-}
-
-/// An ordered stack of [`Bootstrapper`] backends behind per-tier circuit
-/// breakers — serve from the best healthy tier, degrade down the list,
-/// restore upward via half-open probes. See the [module docs](self).
-pub struct FailoverBootstrapper {
-    tiers: Vec<Tier>,
-    journal: Journal,
-    failovers: AtomicU64,
-}
-
-impl std::fmt::Debug for FailoverBootstrapper {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FailoverBootstrapper")
-            .field("tiers", &self.tier_names())
-            .field("failovers", &self.failovers.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl FailoverBootstrapper {
-    /// Start assembling a tier stack.
-    pub fn builder() -> FailoverBootstrapperBuilder {
-        FailoverBootstrapperBuilder::new()
-    }
-
-    /// Tier names in priority order.
-    pub fn tier_names(&self) -> Vec<&str> {
-        self.tiers.iter().map(|t| &*t.name).collect()
-    }
-
-    /// Requests served per tier, in priority order.
-    pub fn served(&self) -> Vec<(String, u64)> {
-        self.tiers
-            .iter()
-            .map(|t| (t.name.to_string(), t.served.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Requests that moved down at least one tier.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    /// The stack's journal: each tier's breaker transitions, skips and
-    /// failovers, under the tier's name.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-}
-
-impl Bootstrapper for FailoverBootstrapper {
-    fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-        if req.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Prefer reporting a real backend failure over an admission
-        // rejection — the former says what is actually wrong.
-        let mut last_fault: Option<TfheError> = None;
-        let mut last_reject: Option<TfheError> = None;
-        let mut failed_from: Option<Arc<str>> = None;
-        for tier in &self.tiers {
-            let note = |at, kind| {
-                let who = Who::Scope(Arc::clone(&tier.name));
-                self.journal.record(Event::at(at, who, kind));
-            };
-            let health = tier.backend.health();
-            // Transitions are journaled under the breaker's lock, so that
-            // they land in the order they happened.
-            let mut breaker = lock(&tier.breaker);
-            let now = journal::now();
-            let (admitted, moved) = breaker.admit(now, health);
-            if let Some(kind) = moved {
-                note(now, kind);
-            }
-            drop(breaker);
-            if let Err(e) = admitted {
-                note(now, EventKind::TierSkipped);
-                last_reject = Some(e);
-                continue;
-            }
-            if let Some(from) = failed_from.take() {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-                note(now, EventKind::Failover { from });
-            }
-            let outcome = tier.backend.try_bootstrap_batch(req);
-            // Permanent: the request is at fault; every tier would answer
-            // identically, so don't fail over and don't penalize this
-            // tier's health.
-            if matches!(&outcome, Err(e) if !e.is_retryable()) {
-                return outcome;
-            }
-            let mut breaker = lock(&tier.breaker);
-            let now = journal::now();
-            if let Some(kind) = breaker.record(now, outcome.is_ok()) {
-                note(now, kind);
-            }
-            drop(breaker);
-            match outcome {
-                Ok(out) => {
-                    tier.served.fetch_add(1, Ordering::Relaxed);
-                    return Ok(out);
-                }
-                // Nothing is retried here: the next tier gets the
-                // request now, and whether the *request* runs again is
-                // the dispatcher's call — it knows the deadline.
-                Err(e) => {
-                    last_fault = Some(e);
-                    failed_from = Some(Arc::clone(&tier.name));
-                }
-            }
-        }
-        Err(last_fault
-            .or(last_reject)
-            .unwrap_or(TfheError::NoBackendProvided))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lut::Lut;
-
-    fn echo_outputs(req: &BatchRequest) -> Vec<LweCiphertext> {
-        let mut out = Vec::with_capacity(req.output_len());
-        for (i, ct) in req.ciphertexts().iter().enumerate() {
-            out.extend(std::iter::repeat_with(|| ct.clone()).take(req.output_count(i)));
-        }
-        out
-    }
-
-    /// Fails with a retryable fault for the first `fail_first` calls,
-    /// then echoes inputs — the deterministic "sick then recovered"
-    /// backend.
-    struct FlakyBackend {
-        fail_first: u64,
-        calls: AtomicU64,
-    }
-
-    impl FlakyBackend {
-        fn new(fail_first: u64) -> Self {
-            Self {
-                fail_first,
-                calls: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl Bootstrapper for FlakyBackend {
-        fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-            let call = self.calls.fetch_add(1, Ordering::SeqCst);
-            if call < self.fail_first {
-                Err(TfheError::WorkerPanicked { worker: 0 })
-            } else {
-                Ok(echo_outputs(req))
-            }
-        }
-    }
-
-    /// Always rejects with a permanent validation error.
-    struct PermanentlyWrong;
-
-    impl Bootstrapper for PermanentlyWrong {
-        fn try_bootstrap_batch(&self, _: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
-            Err(TfheError::LweDimensionMismatch {
-                expected: 16,
-                got: 8,
-            })
-        }
-    }
-
-    fn one_request() -> BatchRequest {
-        BatchRequest::shared(
-            vec![LweCiphertext::trivial(
-                morphling_math::Torus32::from_raw(7),
-                4,
-            )],
-            Lut::identity(64, 4),
-        )
-    }
 
     #[test]
     fn retry_policy_honors_taxonomy_and_budget() {
@@ -758,137 +471,5 @@ mod tests {
         let mut degraded = breaker(8, 32, 1);
         let served = degraded.admit(3, EngineHealth::Degraded);
         assert_eq!(served, (Ok(()), None), "degraded still serves");
-    }
-
-    fn state(stack: &FailoverBootstrapper, tier: usize) -> BreakerState {
-        lock(&stack.tiers[tier].breaker).state
-    }
-
-    fn labels(stack: &FailoverBootstrapper) -> Vec<&'static str> {
-        stack
-            .journal()
-            .events()
-            .iter()
-            .map(|e| e.kind.label())
-            .collect()
-    }
-
-    #[test]
-    fn failover_serves_from_fallback_when_primary_fails() {
-        let stack = FailoverBootstrapper::builder()
-            .tier(
-                "primary",
-                FlakyBackend::new(u64::MAX),
-                BreakerConfig::default(),
-            )
-            .tier("fallback", FlakyBackend::new(0), BreakerConfig::default())
-            .build()
-            .expect("two tiers");
-        let req = one_request();
-        let out = stack.try_bootstrap_batch(&req).expect("fallback serves");
-        assert_eq!(out.len(), 1);
-        assert_eq!(stack.failovers(), 1);
-        assert_eq!(stack.served()[0].1, 0);
-        assert_eq!(stack.served()[1].1, 1);
-        // One call to the primary, none retried in place.
-        assert_eq!(labels(&stack), ["failover"]);
-    }
-
-    #[test]
-    fn open_primary_is_skipped_and_probed_back() {
-        let sensitive = BreakerConfig {
-            min_samples: 2,
-            cooldown: Duration::ZERO,
-            ..BreakerConfig::default()
-        };
-        let stack = FailoverBootstrapper::builder()
-            .tier("primary", FlakyBackend::new(2), sensitive)
-            .tier("fallback", FlakyBackend::new(0), BreakerConfig::default())
-            .build()
-            .expect("two tiers");
-        let req = one_request();
-        // Two failing requests trip the primary's breaker (no retries).
-        assert_eq!(stack.try_bootstrap_batch(&req).expect("served").len(), 1);
-        assert_eq!(stack.try_bootstrap_batch(&req).expect("served").len(), 1);
-        assert!(matches!(state(&stack, 0), BreakerState::Open { .. }));
-        // Cooldown is zero, so the next request probes the (now healed)
-        // primary, succeeds, and closes the breaker — primary restored.
-        assert_eq!(stack.try_bootstrap_batch(&req).expect("probe").len(), 1);
-        assert_eq!(state(&stack, 0), BreakerState::Closed);
-        assert_eq!(stack.served()[0].1, 1, "probe served by primary");
-        assert_eq!(stack.failovers(), 2);
-        assert_eq!(
-            labels(&stack),
-            [
-                "failover",
-                "breaker_open",
-                "failover",
-                "breaker_half_open",
-                "breaker_close"
-            ]
-        );
-    }
-
-    #[test]
-    fn permanent_errors_do_not_fail_over() {
-        let stack = FailoverBootstrapper::builder()
-            .tier("primary", PermanentlyWrong, BreakerConfig::default())
-            .tier("fallback", FlakyBackend::new(0), BreakerConfig::default())
-            .build()
-            .expect("two tiers");
-        let err = stack.try_bootstrap_batch(&one_request()).unwrap_err();
-        assert!(matches!(err, TfheError::LweDimensionMismatch { .. }));
-        assert_eq!(stack.failovers(), 0);
-        let primary = lock(&stack.tiers[0].breaker).clone();
-        assert!(
-            primary.outcomes.is_empty(),
-            "validation errors are not health signals"
-        );
-    }
-
-    #[test]
-    fn all_tiers_down_surfaces_the_backend_fault() {
-        let stack = FailoverBootstrapper::builder()
-            .tier("a", FlakyBackend::new(u64::MAX), BreakerConfig::default())
-            .tier("b", FlakyBackend::new(u64::MAX), BreakerConfig::default())
-            .build()
-            .expect("two tiers");
-        let err = stack.try_bootstrap_batch(&one_request()).unwrap_err();
-        assert_eq!(err, TfheError::WorkerPanicked { worker: 0 });
-        assert_eq!(stack.failovers(), 1);
-    }
-
-    #[test]
-    fn degenerate_stacks_are_rejected_and_empty_batch_is_a_noop() {
-        assert_eq!(
-            FailoverBootstrapper::builder().build().err(),
-            Some(TfheError::NoBackendProvided)
-        );
-        // The rules a dispatcher's breaker is held to, per tier.
-        let never_opens = BreakerConfig {
-            window: 4,
-            min_samples: 8,
-            ..BreakerConfig::default()
-        };
-        let refused = FailoverBootstrapper::builder()
-            .tier("only", FlakyBackend::new(0), never_opens)
-            .build();
-        assert!(matches!(
-            refused,
-            Err(TfheError::InvalidServingConfig {
-                field: "breaker.min_samples",
-                ..
-            })
-        ));
-        let stack = FailoverBootstrapper::builder()
-            .tier(
-                "only",
-                FlakyBackend::new(u64::MAX),
-                BreakerConfig::default(),
-            )
-            .build()
-            .expect("one tier");
-        let empty = BatchRequest::shared(Vec::new(), Lut::identity(64, 4));
-        assert_eq!(stack.try_bootstrap_batch(&empty), Ok(Vec::new()));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every [`Bootstrapper`] implementation — the sequential [`ServerKey`],
 //! the persistent [`BootstrapEngine`] pool, the dynamic-batching [`Dispatcher`], and
-//! the breaker-guarded [`FailoverBootstrapper`] — must satisfy the same
+//! a dispatcher over breaker-guarded fallback tiers — must satisfy the same
 //! contract:
 //!
 //! - shared-LUT batches are **bit-identical** to the sequential
@@ -19,11 +19,12 @@
 //! A backend that passes here is a drop-in replacement for any other.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
-    DispatcherBuilder, FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, ServerKey,
-    ServingConfig, TfheError, Who,
+    DispatcherBuilder, FaultPlan, Lut, LweCiphertext, ParamSet, ServerKey, ServingConfig,
+    TfheError, Who,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,29 +156,46 @@ fn dispatcher_conforms() {
     assert_conforms(&dispatcher, "Dispatcher");
 }
 
+/// A dispatcher over `primary`, with the sequential reference as its one
+/// fallback tier, `"server"`, and a default breaker on each tier; a batch
+/// of up to `batch` forms whole before it flushes.
+fn tiered(primary: BootstrapEngine, batch: usize) -> Dispatcher {
+    let config = ServingConfig::builder()
+        .max_batch_size(batch)
+        .max_linger(Duration::from_secs(1))
+        .breaker(BreakerConfig::default())
+        .build()
+        .expect("valid serving knobs");
+    DispatcherBuilder::from_config(&config)
+        .expect("validated above")
+        .fallback("server", Arc::clone(&fixture().server))
+        .build(primary)
+}
+
 #[test]
-fn failover_bootstrapper_conforms() {
+fn tiered_dispatcher_conforms() {
     let f = fixture();
     let engine = BootstrapEngine::builder()
         .workers(2)
         .build(Arc::clone(&f.server))
         .expect("spawn pool");
-    let stack = FailoverBootstrapper::builder()
-        .tier("engine", engine, BreakerConfig::default())
-        .tier(
-            "sequential",
-            Arc::clone(&f.server),
-            BreakerConfig::default(),
-        )
+    let config = ServingConfig::builder()
+        .max_batch_size(4)
+        .max_linger(Duration::from_millis(1))
+        .breaker(BreakerConfig::default())
         .build()
-        .expect("two tiers");
-    assert_conforms(&stack, "FailoverBootstrapper");
+        .expect("valid serving knobs");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
+        .fallback("sequential", Arc::clone(&f.server))
+        .build(engine);
+    assert_conforms(&dispatcher, "tiered Dispatcher");
     // A healthy stack never leaves its primary.
-    assert_eq!(stack.failovers(), 0);
+    assert_eq!(dispatcher.stats().failovers, 0);
 }
 
 /// The degraded-mode contract: with the primary seeded to die on first
-/// contact, the stack's output must be **bit-identical** to what the
+/// contact, the dispatcher's output must be **bit-identical** to what the
 /// healthy primary would have produced — failover is invisible except in
 /// latency, because every backend computes the same function.
 #[test]
@@ -193,11 +211,7 @@ fn failover_with_dead_primary_matches_healthy_reference() {
         .fault_plan(FaultPlan::seeded(0xDEAD).with_worker_panic(1.0))
         .build(Arc::clone(&f.server))
         .expect("spawn pool");
-    let stack = FailoverBootstrapper::builder()
-        .tier("engine", engine, BreakerConfig::default())
-        .tier("server", Arc::clone(&f.server), BreakerConfig::default())
-        .build()
-        .expect("two tiers");
+    let dispatcher = tiered(engine, 6);
 
     let lut = Lut::from_fn(poly, 4, |m| (3 * m + 1) % 4);
     let cts = encrypt_batch(6, 0xF01D);
@@ -206,24 +220,25 @@ fn failover_with_dead_primary_matches_healthy_reference() {
         .server
         .try_bootstrap_batch(&req)
         .expect("healthy reference");
-    let got = stack
+    let got = dispatcher
         .try_bootstrap_batch(&req)
         .expect("fallback must serve");
     assert_eq!(
         got, want,
         "degraded-mode output must be bit-identical to the healthy primary"
     );
-    assert!(stack.failovers() >= 1, "the dead primary was failed over");
-    let served = stack.served();
-    assert_eq!(served[0].1, 0, "dead primary served nothing");
-    assert_eq!(served[1].1, 1, "fallback served the batch");
-    let events = stack.journal().events();
+    let stats = dispatcher.stats();
+    assert!(stats.failovers >= 1, "the dead primary was failed over");
+    let served = stats.served_by_tier;
+    assert_eq!(served[0], 0, "dead primary served nothing");
+    assert_eq!(served[1], 1, "fallback served the batch");
+    let events = dispatcher.resilience_journal().events();
     assert!(events.iter().any(|e| e.kind.label() == "failover"));
 }
 
 /// A tier over an engine that is already shut down is benched on the
-/// first request — its breaker reads the engine's own health on admission,
-/// with nothing wired — and the engine is never called.
+/// first request — its breaker reads the engine's own health when the
+/// batch is routed, with nothing wired — and the engine is never called.
 #[test]
 fn a_tier_over_a_shut_down_engine_is_benched_on_the_first_request() {
     let f = fixture();
@@ -232,19 +247,16 @@ fn a_tier_over_a_shut_down_engine_is_benched_on_the_first_request() {
         .build(Arc::clone(&f.server))
         .expect("spawn pool");
     engine.shutdown();
-    let stack = FailoverBootstrapper::builder()
-        .tier("engine", engine, BreakerConfig::default())
-        .tier("server", Arc::clone(&f.server), BreakerConfig::default())
-        .build()
-        .expect("two tiers");
+    let dispatcher = tiered(engine, 3);
 
     let lut = Lut::identity(f.server.params().poly_size, 4);
     let req = BatchRequest::shared(encrypt_batch(3, 0x5D0E), lut);
     let want = f.server.try_bootstrap_batch(&req).expect("reference");
-    assert_eq!(stack.try_bootstrap_batch(&req), Ok(want));
-    let engine_tier = Who::Scope("engine".into());
-    let events: Vec<_> = stack
-        .journal()
+    assert_eq!(dispatcher.try_bootstrap_batch(&req), Ok(want));
+    // The engine is tier 0, which journals under the dispatcher's scope.
+    let engine_tier = Who::Scope("dispatcher".into());
+    let events: Vec<_> = dispatcher
+        .resilience_journal()
         .events()
         .into_iter()
         .map(|e| (e.who, e.kind.label()))
@@ -256,13 +268,10 @@ fn a_tier_over_a_shut_down_engine_is_benched_on_the_first_request() {
             (engine_tier, "tier_skipped")
         ]
     );
-    assert_eq!(stack.failovers(), 0);
-    let served = stack.served();
-    assert_eq!(
-        (served[0].1, served[1].1),
-        (0, 1),
-        "the engine served nothing"
-    );
+    let stats = dispatcher.stats();
+    assert_eq!(stats.failovers, 0);
+    let served = stats.served_by_tier;
+    assert_eq!((served[0], served[1]), (0, 1), "the engine served nothing");
 }
 
 /// Tenant-keyed dispatch conformance: a mixed-tenant workload pushed

@@ -7,13 +7,14 @@
 //! `a_thousand_seeds_keep_every_contract`). What is left here needs real
 //! threads or real ciphertexts, one seed each:
 //!
-//! - **degraded mode is lossless**: with a killed primary behind a
-//!   [`FailoverBootstrapper`], every request is still served bit-identically
-//!   by a fallback tier, and the breaker/journal counters agree;
+//! - **degraded mode is lossless**: with a killed primary as a
+//!   [`Dispatcher`]'s first backend tier, every request is still served
+//!   bit-identically by its fallback tier, and the breaker/journal
+//!   counters agree;
 //! - **shutdown drains**: everything already accepted completes;
 //! - **a blocked `submit` wakes** once the full queue has room;
-//! - **budgets stop at the deadline**: a request through dispatcher →
-//!   failover → a dead engine costs a bounded number of worker panics.
+//! - **budgets stop at the deadline**: a request through dispatcher → a
+//!   dead engine costs a bounded number of worker panics.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -22,11 +23,11 @@ use std::time::{Duration, Instant};
 use morphling_tfhe::journal;
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
-    FailoverBootstrapper, FaultPlan, Lut, LweCiphertext, ParamSet, RetryConfig, ServerKey,
+    DispatcherBuilder, FaultPlan, Lut, LweCiphertext, ParamSet, RetryConfig, ServerKey,
     ServingConfig, TfheError, Who,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn setup(seed: u64) -> (ClientKey, Arc<ServerKey>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -133,12 +134,11 @@ fn dispatch_chaos_shutdown_drains_without_loss() {
     );
 }
 
-/// Killed primary behind a failover stack: workers panic or wedge on
-/// every job and never respawn, the primary breaker opens (helped by the
-/// engine's own health reading `Failed`), and the sequential fallback
-/// serves **every** request bit-identically — zero loss, with the stats
-/// counters matching the stack's and the dispatcher's journals event for
-/// event.
+/// Killed primary tier: workers panic or wedge on every job and never
+/// respawn, the primary's breaker opens (helped by the engine's own health
+/// reading `Failed`), and the sequential fallback tier serves **every**
+/// request bit-identically — zero loss, with the stats counters matching
+/// the dispatcher's resilience journal event for event.
 #[test]
 fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
     let seed = 0x0FA1_10E4;
@@ -163,7 +163,7 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
         )
         .build(Arc::clone(&sk))
         .expect("spawn pool");
-    let primary_breaker = BreakerConfig {
+    let breaker = BreakerConfig {
         min_samples: 2,
         failure_threshold: 0.5,
         // Long cooldown: once open, the primary stays benched for the
@@ -171,20 +171,16 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
         cooldown: Duration::from_secs(60),
         ..BreakerConfig::default()
     };
-    let stack = Arc::new(
-        FailoverBootstrapper::builder()
-            .tier("engine", engine, primary_breaker)
-            .tier("server", Arc::clone(&sk), BreakerConfig::default())
-            .build()
-            .expect("two tiers"),
-    );
-
     let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
+        .breaker(breaker)
         .build()
         .expect("valid serving knobs");
-    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&stack)).expect("validated above");
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .expect("validated above")
+        .fallback("server", Arc::clone(&sk))
+        .build(engine);
 
     let total = 24u64;
     let mut tickets = Vec::with_capacity(total as usize);
@@ -195,9 +191,6 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
             .submit(ct, Arc::clone(&lut), None)
             .expect("admission stays open: failover absorbs the outage");
         tickets.push((expected, t));
-        if rng.gen_range(0..3u32) == 0 {
-            std::thread::sleep(Duration::from_micros(rng.gen_range(0..300)));
-        }
     }
 
     for (i, (expected, t)) in tickets.into_iter().enumerate() {
@@ -214,24 +207,24 @@ fn dispatch_chaos_killed_primary_fails_over_with_zero_loss() {
     assert_eq!(stats.completed, total, "zero lost requests");
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.shed, 0, "the dispatcher itself never sheds");
-    assert!(stack.failovers() >= 1, "traffic must fail over");
-    // Only the fallback actually served batches.
-    let served = stack.served();
-    assert_eq!(served[0].0, "engine");
-    assert_eq!(served[0].1, 0, "the dead primary served nothing");
-    assert!(served[1].1 >= 1, "the fallback carried the load");
+    assert!(stats.failovers >= 1, "traffic must fail over");
+    // Only the fallback actually served batches: the engine is tier 0.
+    let served = &stats.served_by_tier;
+    assert_eq!(served.len(), 2);
+    assert_eq!(served[0], 0, "the dead primary served nothing");
+    assert!(served[1] >= 1, "the fallback carried the load");
 
-    // Counters must match the journals, event for event.
-    let mut events = stack.journal().events();
-    events.extend(dispatcher.resilience_journal().events());
-    let dropped = stack.journal().dropped() + dispatcher.resilience_journal().dropped();
-    assert_eq!(dropped, 0, "the journals hold every event");
+    // Counters must match the journal, event for event.
+    let events = dispatcher.resilience_journal().events();
+    let dropped = dispatcher.resilience_journal().dropped();
+    assert_eq!(dropped, 0, "the journal holds every event");
     let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
-    assert_eq!(stack.failovers(), count("failover"));
+    assert_eq!(stats.failovers, count("failover"));
     assert_eq!(stats.retries, count("retry"));
     assert_eq!(stats.shed, count("shed"));
-    // The killed primary tripped its breaker and stayed benched.
-    let engine = Who::Scope("engine".into());
+    // The killed primary tripped its breaker and stayed benched; tier 0
+    // journals under the dispatcher's scope.
+    let engine = Who::Scope("dispatcher".into());
     let mut breaker = events.iter().filter(|e| e.who == engine);
     let last = breaker.rfind(|e| e.kind.label().starts_with("breaker_"));
     let last = last.map(|e| e.kind.label());
@@ -258,8 +251,8 @@ impl Bootstrapper for Stamped {
 }
 
 /// One request with a 2 ms deadline through every layer that has a
-/// budget — the dispatcher's two retries, a failover stack, an engine with
-/// three chunk re-dispatches whose every job panics. The budgets used to
+/// budget — the dispatcher's two retries and its breaker-guarded tier, an
+/// engine with three chunk re-dispatches whose every job panics. The budgets used to
 /// multiply (32 panics, the last engine call 35 ms late); the request's
 /// deadline bounds them now.
 #[test]
@@ -276,17 +269,15 @@ fn dispatch_chaos_budgets_stop_at_the_deadline() {
         engine: Arc::new(engine),
         starts: Mutex::new(Vec::new()),
     });
-    let stack = FailoverBootstrapper::builder()
-        .tier("engine", Arc::clone(&stamped), BreakerConfig::default())
-        .build()
-        .expect("one tier");
     let config = ServingConfig::builder()
         .max_batch_size(1)
         .max_linger(Duration::ZERO)
         .retry(RetryConfig::new(2))
+        .breaker(BreakerConfig::default())
         .build()
         .expect("valid serving knobs");
-    let dispatcher = Dispatcher::from_config(&config, stack).expect("validated above");
+    let dispatcher =
+        Dispatcher::from_config(&config, Arc::clone(&stamped)).expect("validated above");
 
     let deadline = Instant::now() + Duration::from_millis(2);
     let ticket = dispatcher

@@ -8,9 +8,9 @@ use std::time::Duration;
 
 use morphling_tfhe::journal::JOURNAL_CAPACITY;
 use morphling_tfhe::{
-    BatchRequest, Bootstrapper, BreakerConfig, ClientKey, Dispatcher, Event, EventKind,
-    FailoverBootstrapper, Journal, KeyStore, KeyStoreBootstrapper, Lut, LweCiphertext,
-    MemoryBackend, ParamSet, RetryConfig, ServerKey, ServingConfig, TenantId, TfheError, Who,
+    BatchRequest, Bootstrapper, BreakerConfig, ClientKey, Dispatcher, DispatcherBuilder, Event,
+    EventKind, Journal, KeyStore, KeyStoreBootstrapper, Lut, LweCiphertext, MemoryBackend,
+    ParamSet, RetryConfig, ServerKey, ServingConfig, TenantId, TfheError, Who,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,19 +107,31 @@ fn a_flood_of_refusals_is_bounded_and_evicts_no_request_span() {
 
 #[test]
 fn serving_from_the_second_tier_is_bounded() {
-    let stack = FailoverBootstrapper::builder()
-        .tier("primary", Echo::sick(), BRITTLE)
-        .tier("fallback", Echo::default(), BreakerConfig::default())
+    // One request per batch, each tier behind a brittle breaker: the
+    // fallback never fails, so its breaker never opens.
+    let config = ServingConfig::builder()
+        .max_batch_size(1)
+        .max_linger(Duration::ZERO)
+        .breaker(BRITTLE)
         .build()
         .unwrap();
-    let req = BatchRequest::shared(vec![dummy_ct(7)], Lut::identity(256, 4));
-    for _ in 0..FLOOD {
-        assert_eq!(stack.try_bootstrap_batch(&req).unwrap().len(), 1);
+    let dispatcher = DispatcherBuilder::from_config(&config)
+        .unwrap()
+        .fallback("fallback", Echo::default())
+        .build(Echo::sick());
+    let lut = Arc::new(Lut::identity(256, 4));
+    for _ in 0..FLOOD / 1_000 {
+        let tickets: Vec<_> = (0..1_000)
+            .map(|i| dispatcher.submit(dummy_ct(i), Arc::clone(&lut), None))
+            .collect();
+        for (i, ticket) in (0..).zip(tickets) {
+            assert_eq!(ticket.unwrap().wait().unwrap(), dummy_ct(i));
+        }
     }
-    assert_eq!(stack.served()[1], ("fallback".to_string(), FLOOD));
+    assert_eq!(dispatcher.stats().served_by_tier[1], FLOOD);
     // The first request's `breaker_open` and `failover`, then a
     // `tier_skipped` per further request.
-    assert_bounded(stack.journal(), 1 + FLOOD, "tier_skipped");
+    assert_bounded(dispatcher.resilience_journal(), 1 + FLOOD, "tier_skipped");
 }
 
 /// Fails its first call with a retryable fault, then serves through the

@@ -49,8 +49,8 @@ pub use morphling_transform as transform;
 /// [`Dispatcher`] — plus the multi-value
 /// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`],
 /// [`MultiTicket`]), the service-resilience layer ([`RetryConfig`],
-/// [`BreakerConfig`], the degraded-mode [`FailoverBootstrapper`]), the
-/// one event [`Journal`] they all record into, the multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
+/// [`BreakerConfig`], the [`DispatcherBuilder`] that appends fallback
+/// tiers), the one event [`Journal`] they all record into, the multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
 /// [`TenantId`] and the in-memory/directory backends), the unified
 /// serving surface ([`ServingConfig`] with [`Dispatcher::from_config`],
 /// and the simulator-in-the-loop autotuner's [`ServiceModel`] /
@@ -64,7 +64,7 @@ pub mod prelude {
     pub use morphling_tfhe::{
         AutotuneReport, AutotuneRequest, BatchRequest, BootstrapEngine, BootstrapEngineBuilder,
         BootstrapOptions, BootstrapWorkspace, Bootstrapper, BreakerConfig, ClientKey, DirBackend,
-        Dispatcher, DispatcherStats, EngineHealth, EngineStats, FailoverBootstrapper, FaultPlan,
+        Dispatcher, DispatcherBuilder, DispatcherStats, EngineHealth, EngineStats, FaultPlan,
         Journal, KeyBackend, KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut,
         LweCiphertext, MemoryBackend, MulBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig,
         ServerKey, ServerKeyBuilder, ServiceModel, ServingConfig, SloTarget, TenantId, TfheError,
