@@ -1,11 +1,11 @@
 //! Encrypted decision-tree inference — the functional heart of the
-//! XG-Boost workload: every threshold comparison is one programmable
-//! bootstrap, and leaf selection is one more (Concrete-ML's oblivious
-//! evaluation, shrunk to demo size).
+//! XG-Boost workload: every threshold comparison is a programmable
+//! bootstrap output, and leaf selection is one more (Concrete-ML's
+//! oblivious evaluation, shrunk to demo size). The encrypted wave is
+//! [`InferenceDriver::classify_tree_wave_fused`](crate::runtime::InferenceDriver::classify_tree_wave_fused);
+//! this module holds the tree, its plaintext reference and its LUTs.
 
-use morphling_tfhe::{
-    BatchRequest, Bootstrapper, ClientKey, Lut, LweCiphertext, ServerKey, TfheError,
-};
+use morphling_tfhe::{Lut, TfheParams};
 
 /// A depth-2 binary decision tree over small integer features.
 ///
@@ -48,213 +48,31 @@ impl DecisionTree {
         }
         groups
     }
-}
 
-/// Evaluates [`DecisionTree`]s on encrypted features.
-#[derive(Debug)]
-pub struct EncryptedTreeEvaluator<'a> {
-    server: &'a ServerKey,
-}
-
-impl<'a> EncryptedTreeEvaluator<'a> {
-    /// Wrap a server key.
-    pub fn new(server: &'a ServerKey) -> Self {
-        Self { server }
+    /// The three node tests `x ↦ [x ≥ threshold]` as LUTs, in node order.
+    pub(crate) fn node_luts(&self, params: &TfheParams) -> Vec<Lut> {
+        let (n_poly, p) = (params.poly_size, params.plaintext_modulus);
+        [self.root, self.left, self.right]
+            .iter()
+            .map(|&(_, t)| Lut::from_fn(n_poly, p, move |x| u64::from(x >= t)))
+            .collect()
     }
 
-    /// Number of programmable bootstraps one classification costs: the
-    /// three oblivious comparisons plus the leaf lookup.
-    pub const BOOTSTRAPS_PER_INFERENCE: u64 = 4;
-
-    /// Classify encrypted features. All three node comparisons run
-    /// obliviously (data-independent — the batching-friendly shape the
-    /// paper schedules); the decision triple is packed into an index and a
-    /// final bootstrap reads the leaf table.
-    pub fn classify(&self, tree: &DecisionTree, features: &[LweCiphertext]) -> LweCiphertext {
-        let p = self.server.params().plaintext_modulus;
-        let n_poly = self.server.params().poly_size;
-        let ge = |threshold: u64| Lut::from_fn(n_poly, p, move |x| u64::from(x >= threshold));
-        let d0 = self
-            .server
-            .programmable_bootstrap(&features[tree.root.0], &ge(tree.root.1));
-        let d1 = self
-            .server
-            .programmable_bootstrap(&features[tree.left.0], &ge(tree.left.1));
-        let d2 = self
-            .server
-            .programmable_bootstrap(&features[tree.right.0], &ge(tree.right.1));
-        // index = 4·d0 + 2·d1 + d2 ∈ [0, 8).
-        let index = d0.scalar_mul(4).add(&d1.scalar_mul(2)).add(&d2);
-        let leaves = tree.leaves;
-        let leaf_lut = Lut::from_fn(n_poly, p, move |idx| {
+    /// The leaf table as a LUT over the packed decision index
+    /// `4·d0 + 2·d1 + d2` (node order), reading the child the root picks.
+    pub(crate) fn leaf_lut(&self, params: &TfheParams) -> Lut {
+        let leaves = self.leaves;
+        Lut::from_fn(params.poly_size, params.plaintext_modulus, move |idx| {
             let d0 = (idx >> 2) & 1;
-            let d1 = (idx >> 1) & 1;
-            let d2 = idx & 1;
-            let taken = if d0 == 1 { d2 } else { d1 };
+            let taken = if d0 == 1 { idx & 1 } else { (idx >> 1) & 1 };
             leaves[(2 * d0 + taken) as usize]
-        });
-        self.server.programmable_bootstrap(&index, &leaf_lut)
-    }
-
-    /// [`classify`](Self::classify) with the three oblivious comparisons
-    /// submitted to any [`Bootstrapper`] backend as one multi-LUT wave
-    /// (each comparison tests a different threshold, so each ciphertext
-    /// routes to its own LUT). The backend must wrap a server key derived
-    /// from the same client key as `self`. Results are bit-identical to
-    /// [`classify`](Self::classify).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`TfheError`] from the backend.
-    pub fn classify_batched<B: Bootstrapper + ?Sized>(
-        &self,
-        backend: &B,
-        tree: &DecisionTree,
-        features: &[LweCiphertext],
-    ) -> Result<LweCiphertext, TfheError> {
-        let p = self.server.params().plaintext_modulus;
-        let n_poly = self.server.params().poly_size;
-        let ge = |threshold: u64| Lut::from_fn(n_poly, p, move |x| u64::from(x >= threshold));
-        let luts = vec![ge(tree.root.1), ge(tree.left.1), ge(tree.right.1)];
-        let cts = vec![
-            features[tree.root.0].clone(),
-            features[tree.left.0].clone(),
-            features[tree.right.0].clone(),
-        ];
-        let req = BatchRequest::per_item(cts, luts, vec![0, 1, 2])?;
-        let decisions = backend.try_bootstrap_batch(&req)?;
-        let (d0, d1, d2) = (&decisions[0], &decisions[1], &decisions[2]);
-        let index = d0.scalar_mul(4).add(&d1.scalar_mul(2)).add(d2);
-        let leaves = tree.leaves;
-        let leaf_lut = Lut::from_fn(n_poly, p, move |idx| {
-            let d0 = (idx >> 2) & 1;
-            let d1 = (idx >> 1) & 1;
-            let d2 = idx & 1;
-            let taken = if d0 == 1 { d2 } else { d1 };
-            leaves[(2 * d0 + taken) as usize]
-        });
-        self.server.try_programmable_bootstrap(&index, &leaf_lut)
-    }
-
-    /// [`classify`](Self::classify) with the node comparisons grouped by
-    /// feature into a **fanout** [`BatchRequest`]: every threshold test of
-    /// one feature evaluates from a single blind rotation via multi-value
-    /// bootstrapping ([`DecisionTree::node_groups`]). The demo-shaped tree
-    /// whose children share a feature costs 2 rotations instead of 3.
-    ///
-    /// Outputs decode identically to [`classify`](Self::classify) but are
-    /// *not* bit-identical: the shared-rotation derivation carries a small
-    /// (bounded) noise amplification, which the final leaf-lookup
-    /// bootstrap absorbs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`TfheError`] from the backend.
-    pub fn classify_multivalue<B: Bootstrapper + ?Sized>(
-        &self,
-        backend: &B,
-        tree: &DecisionTree,
-        features: &[LweCiphertext],
-    ) -> Result<LweCiphertext, TfheError> {
-        let p = self.server.params().plaintext_modulus;
-        let n_poly = self.server.params().poly_size;
-        let ge = |threshold: u64| Lut::from_fn(n_poly, p, move |x| u64::from(x >= threshold));
-        let luts = vec![ge(tree.root.1), ge(tree.left.1), ge(tree.right.1)];
-        let groups = tree.node_groups();
-        let cts: Vec<LweCiphertext> = groups.iter().map(|&(f, _)| features[f].clone()).collect();
-        let fanout: Vec<Vec<usize>> = groups.iter().map(|(_, nodes)| nodes.clone()).collect();
-        let outs = backend.try_bootstrap_batch(&BatchRequest::fanned_out(cts, luts, fanout)?)?;
-        // Un-flatten the group-major outputs back into node order.
-        let mut decisions: Vec<Option<LweCiphertext>> = vec![None; 3];
-        let mut outs = outs.into_iter();
-        for (_, nodes) in &groups {
-            for &node in nodes {
-                decisions[node] = outs.next();
-            }
-        }
-        let d: Vec<LweCiphertext> = decisions
-            .into_iter()
-            .map(|o| o.expect("backend returned one output per node test"))
-            .collect();
-        let index = d[0].scalar_mul(4).add(&d[1].scalar_mul(2)).add(&d[2]);
-        let leaves = tree.leaves;
-        let leaf_lut = Lut::from_fn(n_poly, p, move |idx| {
-            let d0 = (idx >> 2) & 1;
-            let d1 = (idx >> 1) & 1;
-            let d2 = idx & 1;
-            let taken = if d0 == 1 { d2 } else { d1 };
-            leaves[(2 * d0 + taken) as usize]
-        });
-        self.server.try_programmable_bootstrap(&index, &leaf_lut)
-    }
-
-    /// Classify and decrypt (testing convenience; needs the client key).
-    pub fn classify_and_decrypt(
-        &self,
-        tree: &DecisionTree,
-        features: &[LweCiphertext],
-        client: &ClientKey,
-    ) -> u64 {
-        client.decrypt(&self.classify(tree, features))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morphling_tfhe::ParamSet;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn encrypted_tree_matches_plaintext_on_all_inputs() {
-        let mut rng = StdRng::seed_from_u64(200);
-        let params = ParamSet::TestMedium.params(); // p = 8
-        let ck = ClientKey::generate(params, &mut rng);
-        let sk = ServerKey::new(&ck, &mut rng);
-        let eval = EncryptedTreeEvaluator::new(&sk);
-        let tree = DecisionTree {
-            root: (0, 4),
-            left: (1, 2),
-            right: (1, 6),
-            leaves: [0, 1, 2, 3],
-        };
-        for x0 in [0u64, 3, 4, 7] {
-            for x1 in [0u64, 2, 5, 7] {
-                let feats = vec![ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)];
-                let got = eval.classify_and_decrypt(&tree, &feats, &ck);
-                assert_eq!(got, tree.classify_clear(&[x0, x1]), "x0={x0} x1={x1}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_classification_is_bit_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(203);
-        let params = ParamSet::TestMedium.params();
-        let ck = ClientKey::generate(params, &mut rng);
-        let sk = std::sync::Arc::new(ServerKey::new(&ck, &mut rng));
-        let engine = morphling_tfhe::BootstrapEngine::builder()
-            .workers(3)
-            .build(std::sync::Arc::clone(&sk))
-            .unwrap();
-        let eval = EncryptedTreeEvaluator::new(&sk);
-        let tree = DecisionTree {
-            root: (0, 4),
-            left: (1, 2),
-            right: (1, 6),
-            leaves: [0, 1, 2, 3],
-        };
-        for (x0, x1) in [(0u64, 0u64), (3, 5), (4, 2), (7, 7)] {
-            let feats = vec![ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)];
-            let seq = eval.classify(&tree, &feats);
-            let bat = eval.classify_batched(&engine, &tree, &feats).unwrap();
-            assert_eq!(seq, bat, "x0={x0} x1={x1}");
-            assert_eq!(ck.decrypt(&bat), tree.classify_clear(&[x0, x1]));
-        }
-        // The three oblivious comparisons per call went through the pool.
-        assert_eq!(engine.stats().bootstraps, 4 * 3);
-    }
 
     #[test]
     fn node_groups_fold_shared_features() {
@@ -272,38 +90,5 @@ mod tests {
             leaves: [0, 1, 2, 3],
         };
         assert_eq!(disjoint.node_groups().len(), 3);
-    }
-
-    #[test]
-    fn multivalue_classification_decodes_like_sequential() {
-        let mut rng = StdRng::seed_from_u64(205);
-        let params = ParamSet::TestMedium.params();
-        let ck = ClientKey::generate(params, &mut rng);
-        let sk = std::sync::Arc::new(ServerKey::new(&ck, &mut rng));
-        let engine = morphling_tfhe::BootstrapEngine::builder()
-            .workers(2)
-            .build(std::sync::Arc::clone(&sk))
-            .unwrap();
-        let eval = EncryptedTreeEvaluator::new(&sk);
-        // Both children test feature 1 → two rotations per classification.
-        let tree = DecisionTree {
-            root: (0, 4),
-            left: (1, 2),
-            right: (1, 6),
-            leaves: [0, 1, 2, 3],
-        };
-        for (x0, x1) in [(0u64, 0u64), (3, 5), (4, 2), (7, 7)] {
-            let feats = vec![ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)];
-            let fused = eval.classify_multivalue(&engine, &tree, &feats).unwrap();
-            assert_eq!(
-                ck.decrypt(&fused),
-                tree.classify_clear(&[x0, x1]),
-                "x0={x0} x1={x1}"
-            );
-        }
-        // 2 rotations (not 3) per classification, still 3 extractions.
-        let stats = engine.stats();
-        assert_eq!(stats.bootstraps, 4 * 2);
-        assert_eq!(stats.extractions, 4 * 3);
     }
 }

@@ -40,68 +40,6 @@ impl CpuModel {
         }
     }
 
-    /// Calibrate the single-core bootstrap rate from measured
-    /// [`EngineStats`](morphling_tfhe::EngineStats) — the engine's `busy`
-    /// counter sums per-worker time inside jobs, so `bootstraps / busy`
-    /// *is* the per-core rate, independent of how many workers ran.
-    /// Scaling (`cores`, `parallel_efficiency`) and the MAC rate are taken
-    /// from `baseline` so a locally measured rate can be projected onto
-    /// the paper's 64-core testbed.
-    ///
-    /// Returns `baseline` unchanged if the stats contain no completed
-    /// bootstraps (nothing to calibrate from).
-    pub fn from_engine_stats(stats: &morphling_tfhe::EngineStats, baseline: Self) -> Self {
-        let rate = stats.bootstraps_per_core_sec();
-        if rate > 0.0 {
-            Self {
-                single_core_bs_s: rate,
-                ..baseline
-            }
-        } else {
-            baseline
-        }
-    }
-
-    /// Calibrate a model of **this machine** from measured
-    /// [`EngineStats`](morphling_tfhe::EngineStats): the per-core rate
-    /// from `bootstraps / busy`, the core count from the engine's own
-    /// worker count. Unlike [`from_engine_stats`](Self::from_engine_stats)
-    /// — which projects a measured rate onto the paper's 64-core testbed —
-    /// this describes the hardware the engine actually ran on, which is
-    /// what the serving autotuner needs. The MAC rate is scaled from the
-    /// Table VI baseline proportionally to the core count.
-    ///
-    /// Returns `None` if the stats contain no completed bootstraps.
-    pub fn from_engine_stats_local(stats: &morphling_tfhe::EngineStats) -> Option<Self> {
-        let rate = stats.bootstraps_per_core_sec();
-        if rate > 0.0 && stats.workers > 0 {
-            let baseline = Self::xeon_6226r_set_iii();
-            let cores = stats.workers as u32;
-            Some(Self {
-                single_core_bs_s: rate,
-                cores,
-                // Small local worker pools scale almost linearly; the 0.5
-                // factor models 64-core memory-bandwidth collapse.
-                parallel_efficiency: 0.85,
-                mac_per_s: baseline.mac_per_s * cores as f64 / baseline.cores as f64,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Bridge into the serving autotuner: this CPU model expressed as a
-    /// [`ServiceModel`](morphling_tfhe::ServiceModel) (per-bootstrap cost
-    /// is the inverse single-core rate; the parallel efficiency carries
-    /// over; per-batch overhead keeps the autotuner's default).
-    pub fn service_model(&self) -> morphling_tfhe::ServiceModel {
-        let mut model = morphling_tfhe::ServiceModel::new(std::time::Duration::from_secs_f64(
-            (1.0 / self.single_core_bs_s).max(1e-9),
-        ));
-        model.parallel_efficiency = self.parallel_efficiency;
-        model
-    }
-
     /// Effective aggregate bootstrap throughput.
     pub fn bs_per_s(&self) -> f64 {
         self.single_core_bs_s * self.cores as f64 * self.parallel_efficiency
@@ -199,16 +137,19 @@ pub fn estimate(workload: &Workload, runtime: &AppRuntime) -> Estimate {
     }
 }
 
-/// A wave-batching serving driver: runs the functional demo models over
+/// A wave-batching serving driver: runs each functional demo model over
 /// *many* encrypted inputs at once, flattening each dependency level's
 /// bootstraps across requests into one [`BatchRequest`] wave — the
 /// software analogue of how Morphling's SW scheduler merges independent
-/// inferences to keep the cores saturated (§V).
+/// inferences to keep the cores saturated (§V). Each model is exactly one
+/// wave: [`classify_tree_wave_fused`](Self::classify_tree_wave_fused) and
+/// [`infer_mlp_wave`](Self::infer_mlp_wave); a single inference is a
+/// one-element slice.
 ///
 /// Generic over any [`Bootstrapper`] backend: a bare
-/// [`ServerKey`](morphling_tfhe::ServerKey) (sequential reference), a
+/// [`ServerKey`] (sequential reference), a
 /// [`BootstrapEngine`](morphling_tfhe::BootstrapEngine) pool, or a
-/// [`Dispatcher`](morphling_tfhe::Dispatcher). All paths produce
+/// [`Dispatcher`](morphling_tfhe::Dispatcher). All of them produce
 /// bit-identical ciphertexts.
 #[derive(Debug)]
 pub struct InferenceDriver<'a, B: Bootstrapper + ?Sized> {
@@ -233,17 +174,22 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
     /// the model's two bootstrap levels across *all* pairs: first one
     /// wave of `pairs.len() × hidden` ReLU activations, then one wave of
     /// `pairs.len()` threshold decisions. Outputs line up with `pairs`
-    /// and are bit-identical to
-    /// [`EncryptedMlp::infer`](crate::functional::EncryptedMlp::infer).
+    /// and decrypt to [`MlpModel::infer_clear`].
     ///
     /// # Errors
     ///
     /// Propagates any [`TfheError`] from the backend.
+    ///
+    /// # Panics
+    ///
+    /// If the model has no hidden neuron, or `output` does not hold
+    /// exactly one weight per hidden neuron — even for an empty wave.
     pub fn infer_mlp_wave(
         &self,
         model: &MlpModel,
         pairs: &[(LweCiphertext, LweCiphertext)],
     ) -> Result<Vec<LweCiphertext>, TfheError> {
+        model.assert_shape();
         if pairs.is_empty() {
             return Ok(Vec::new());
         }
@@ -260,6 +206,7 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
                     .hidden
                     .iter()
                     .map(move |&(w0, w1, b)| {
+                        // The bias joins the padded encoding: b / 2p on the torus.
                         ops::affine(&inputs, &[w0, w1], Torus32::encode(b, 2 * p))
                     })
                     .collect::<Vec<_>>()
@@ -276,7 +223,7 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
                     .zip(&model.output)
                     .map(|(a, &v)| a.scalar_mul(v))
                     .reduce(|acc, term| acc.add(&term))
-                    .expect("at least one hidden neuron")
+                    .expect("the shape check admits no empty hidden layer")
             })
             .collect();
         // Level 2: every threshold decision, one wave.
@@ -286,75 +233,31 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
             .try_bootstrap_batch(&BatchRequest::shared(accs, decide))
     }
 
-    /// Classify one feature vector per entry of `feature_sets`, batching
-    /// the three oblivious node comparisons of *all* requests into one
-    /// per-item-LUT wave and the leaf lookups into a second. Outputs line
-    /// up with `feature_sets` and are bit-identical to
-    /// [`EncryptedTreeEvaluator::classify`](crate::functional::EncryptedTreeEvaluator::classify).
+    /// Classify one feature vector per entry of `feature_sets` in two
+    /// waves. The first groups the node comparisons of every request by
+    /// feature into one **fanout** wave: each distinct feature of each
+    /// request blind-rotates once and all of its threshold LUTs extract
+    /// from that rotation (multi-value bootstrapping; see
+    /// [`DecisionTree::node_groups`]). The second is one leaf lookup per
+    /// request on the packed decision index. Outputs line up with
+    /// `feature_sets` and decrypt to [`DecisionTree::classify_clear`].
+    ///
+    /// A request costs `node_groups().len() + 1` rotations and 3 + 1
+    /// extractions: a tree whose children share a feature rotates twice
+    /// for its comparisons instead of three times. A fanout list of one
+    /// LUT runs as the plain bootstrap, so on a tree whose tests read
+    /// distinct features the wave is bit-identical to three per-item
+    /// comparisons; a shared rotation adds bounded noise that the leaf
+    /// lookup absorbs.
     ///
     /// # Errors
     ///
     /// Propagates any [`TfheError`] from the backend.
-    pub fn classify_tree_wave(
-        &self,
-        tree: &DecisionTree,
-        feature_sets: &[Vec<LweCiphertext>],
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        if feature_sets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let p = self.server.params().plaintext_modulus;
-        let n_poly = self.server.params().poly_size;
-        let ge = |threshold: u64| Lut::from_fn(n_poly, p, move |x| u64::from(x >= threshold));
-        let luts = vec![ge(tree.root.1), ge(tree.left.1), ge(tree.right.1)];
-        let cts: Vec<LweCiphertext> = feature_sets
-            .iter()
-            .flat_map(|f| {
-                [
-                    f[tree.root.0].clone(),
-                    f[tree.left.0].clone(),
-                    f[tree.right.0].clone(),
-                ]
-            })
-            .collect();
-        let lut_of: Vec<usize> = (0..feature_sets.len()).flat_map(|_| [0, 1, 2]).collect();
-        let decisions = self
-            .backend
-            .try_bootstrap_batch(&BatchRequest::per_item(cts, luts, lut_of)?)?;
-        // Leveled index packing per request, then one wave of leaf lookups.
-        let indices: Vec<LweCiphertext> = decisions
-            .chunks(3)
-            .map(|d| d[0].scalar_mul(4).add(&d[1].scalar_mul(2)).add(&d[2]))
-            .collect();
-        let leaves = tree.leaves;
-        let leaf_lut = Lut::from_fn(n_poly, p, move |idx| {
-            let d0 = (idx >> 2) & 1;
-            let d1 = (idx >> 1) & 1;
-            let d2 = idx & 1;
-            let taken = if d0 == 1 { d2 } else { d1 };
-            leaves[(2 * d0 + taken) as usize]
-        });
-        self.backend
-            .try_bootstrap_batch(&BatchRequest::shared(indices, leaf_lut))
-    }
-
-    /// [`classify_tree_wave`](Self::classify_tree_wave) with the node
-    /// comparisons of every request grouped by feature into one **fanout**
-    /// wave: each distinct feature of each request blind-rotates once and
-    /// all of its threshold LUTs extract from that rotation
-    /// (multi-value bootstrapping; see
-    /// [`DecisionTree::node_groups`](crate::functional::DecisionTree::node_groups)).
-    /// A tree whose children share a feature spends `2·requests` rotations
-    /// on comparisons instead of `3·requests`.
     ///
-    /// Outputs decode identically to
-    /// [`classify_tree_wave`](Self::classify_tree_wave) but are not
-    /// bit-identical (the shared-rotation derivation adds bounded noise
-    /// that the leaf-lookup wave absorbs).
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// Propagates any [`TfheError`] from the backend.
+    /// If a feature set is shorter than the tree's highest feature index
+    /// plus one (before any bootstrap is issued).
     pub fn classify_tree_wave_fused(
         &self,
         tree: &DecisionTree,
@@ -363,10 +266,6 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
         if feature_sets.is_empty() {
             return Ok(Vec::new());
         }
-        let p = self.server.params().plaintext_modulus;
-        let n_poly = self.server.params().poly_size;
-        let ge = |threshold: u64| Lut::from_fn(n_poly, p, move |x| u64::from(x >= threshold));
-        let luts = vec![ge(tree.root.1), ge(tree.left.1), ge(tree.right.1)];
         let groups = tree.node_groups();
         // One ciphertext per (request, distinct feature); its fanout list
         // names every node test reading that feature.
@@ -378,37 +277,32 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
             .iter()
             .flat_map(|_| groups.iter().map(|(_, nodes)| nodes.clone()))
             .collect();
+        let luts = tree.node_luts(self.server.params());
         let outs = self
             .backend
             .try_bootstrap_batch(&BatchRequest::fanned_out(cts, luts, fanout)?)?;
-        // Per request: three group-major outputs → node-order decisions →
-        // packed index. Then one wave of leaf lookups.
-        let mut outs = outs.into_iter();
-        let mut indices = Vec::with_capacity(feature_sets.len());
-        for _ in feature_sets {
-            let mut decisions: Vec<Option<LweCiphertext>> = vec![None; 3];
-            for (_, nodes) in &groups {
-                for &node in nodes {
-                    decisions[node] = outs.next();
+        // Per request: three group-major outputs → node order → packed
+        // index. Then one wave of leaf lookups.
+        let order: Vec<usize> = groups.iter().flat_map(|(_, n)| n.iter().copied()).collect();
+        let indices: Vec<LweCiphertext> = outs
+            .chunks(order.len())
+            .map(|outs| {
+                let mut decisions = [&outs[0]; 3];
+                for (&node, out) in order.iter().zip(outs) {
+                    decisions[node] = out;
                 }
-            }
-            let d: Vec<LweCiphertext> = decisions
-                .into_iter()
-                .map(|o| o.expect("backend returned one output per node test"))
-                .collect();
-            indices.push(d[0].scalar_mul(4).add(&d[1].scalar_mul(2)).add(&d[2]));
-        }
-        let leaves = tree.leaves;
-        let leaf_lut = Lut::from_fn(n_poly, p, move |idx| {
-            let d0 = (idx >> 2) & 1;
-            let d1 = (idx >> 1) & 1;
-            let d2 = idx & 1;
-            let taken = if d0 == 1 { d2 } else { d1 };
-            leaves[(2 * d0 + taken) as usize]
-        });
+                pack(decisions)
+            })
+            .collect();
+        let leaf_lut = tree.leaf_lut(self.server.params());
         self.backend
             .try_bootstrap_batch(&BatchRequest::shared(indices, leaf_lut))
     }
+}
+
+/// The decision index `4·d0 + 2·d1 + d2` of three node-order decisions.
+fn pack([d0, d1, d2]: [&LweCiphertext; 3]) -> LweCiphertext {
+    d0.scalar_mul(4).add(&d1.scalar_mul(2)).add(d2)
 }
 
 #[cfg(test)]
@@ -465,181 +359,186 @@ mod tests {
     }
 
     #[test]
-    fn inference_driver_waves_match_sequential_paths() {
-        use crate::functional::{EncryptedMlp, EncryptedTreeEvaluator};
-        use morphling_tfhe::{ClientKey, Dispatcher, ServingConfig};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use std::sync::Arc;
-
-        let mut rng = StdRng::seed_from_u64(204);
-        let params = ParamSet::TestMedium.params().with_plaintext_modulus(16);
-        let ck = ClientKey::generate(params, &mut rng);
-        let sk = Arc::new(ServerKey::new(&ck, &mut rng));
-        // Wave through a Dispatcher (coalescing front-end over the key)...
-        let config = ServingConfig::builder()
-            .max_batch_size(16)
-            .build()
-            .expect("valid serving knobs");
-        let dispatcher =
-            Dispatcher::from_config(&config, Arc::clone(&sk)).expect("validated above");
-        let driver = InferenceDriver::new(&sk, &dispatcher);
-
-        let model = MlpModel::demo();
-        let mlp = EncryptedMlp::new(&sk);
-        let pairs: Vec<_> = [(0u64, 0u64), (1, 3), (3, 3)]
-            .iter()
-            .map(|&(x0, x1)| (ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)))
-            .collect();
-        let outs = driver.infer_mlp_wave(&model, &pairs).unwrap();
-        assert_eq!(outs.len(), pairs.len());
-        for (out, (c0, c1)) in outs.iter().zip(&pairs) {
-            assert_eq!(*out, mlp.infer(&model, c0, c1));
-        }
-
-        // ...and a tree wave straight through the bare server key.
-        let driver_seq = InferenceDriver::new(&sk, &*sk);
-        let tree = DecisionTree {
-            root: (0, 4),
-            left: (1, 2),
-            right: (1, 6),
-            leaves: [0, 1, 2, 3],
-        };
-        let eval = EncryptedTreeEvaluator::new(&sk);
-        let feats: Vec<Vec<_>> = [(0u64, 7u64), (5, 1)]
-            .iter()
-            .map(|&(x0, x1)| vec![ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)])
-            .collect();
-        let outs = driver_seq.classify_tree_wave(&tree, &feats).unwrap();
-        for (out, f) in outs.iter().zip(&feats) {
-            assert_eq!(*out, eval.classify(&tree, f));
-        }
-        // Empty waves are no-ops.
-        assert!(driver_seq.infer_mlp_wave(&model, &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn fused_tree_wave_decodes_like_sequential_with_fewer_rotations() {
-        use crate::functional::EncryptedTreeEvaluator;
-        use morphling_tfhe::{BootstrapEngine, ClientKey};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use std::sync::Arc;
-
-        let mut rng = StdRng::seed_from_u64(207);
-        let params = ParamSet::TestMedium.params();
-        let ck = ClientKey::generate(params, &mut rng);
-        let sk = Arc::new(ServerKey::new(&ck, &mut rng));
-        let engine = BootstrapEngine::builder()
-            .workers(2)
-            .build(Arc::clone(&sk))
-            .unwrap();
-        let driver = InferenceDriver::new(&sk, &engine);
-        // Both children test feature 1 → two comparison rotations per
-        // request instead of three.
-        let tree = DecisionTree {
-            root: (0, 4),
-            left: (1, 2),
-            right: (1, 6),
-            leaves: [0, 1, 2, 3],
-        };
-        let eval = EncryptedTreeEvaluator::new(&sk);
-        let inputs = [(0u64, 7u64), (5, 1), (4, 6), (7, 0)];
-        let feats: Vec<Vec<_>> = inputs
-            .iter()
-            .map(|&(x0, x1)| vec![ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)])
-            .collect();
-        let outs = driver.classify_tree_wave_fused(&tree, &feats).unwrap();
-        assert_eq!(outs.len(), feats.len());
-        for ((out, f), &(x0, x1)) in outs.iter().zip(&feats).zip(&inputs) {
-            assert_eq!(
-                ck.decrypt(out),
-                tree.classify_clear(&[x0, x1]),
-                "x0={x0} x1={x1}"
-            );
-            assert_eq!(ck.decrypt(out), ck.decrypt(&eval.classify(&tree, f)));
-        }
-        // Comparison wave: 2 rotations / 3 extractions per request; leaf
-        // wave: 1 rotation = 1 extraction per request.
-        let stats = engine.stats();
-        assert_eq!(stats.bootstraps, 4 * 2 + 4);
-        assert_eq!(stats.extractions, 4 * 3 + 4);
-        // Empty fused waves are no-ops too.
-        assert!(driver
-            .classify_tree_wave_fused(&tree, &[])
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn cpu_model_throughput() {
         let cpu = CpuModel::xeon_6226r_set_iii();
         assert!((cpu.bs_per_s() - 384.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn cpu_model_calibrates_from_engine_stats() {
-        let stats = morphling_tfhe::EngineStats {
-            workers: 4,
-            batches: 10,
-            bootstraps: 200,
-            busy: std::time::Duration::from_secs(4),
-            ..morphling_tfhe::EngineStats::default()
-        };
-        let cpu = CpuModel::from_engine_stats(&stats, CpuModel::xeon_6226r_set_iii());
-        // 200 bootstraps over 4 busy core-seconds → 50 BS/s per core.
-        assert!((cpu.single_core_bs_s - 50.0).abs() < 1e-9);
-        assert_eq!(cpu.cores, 64);
-        assert!((cpu.bs_per_s() - 50.0 * 64.0 * 0.5).abs() < 1e-6);
+    use morphling_tfhe::{BootstrapEngine, ClientKey, Dispatcher, ServingConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
 
-        let empty = morphling_tfhe::EngineStats::default();
+    /// Children share feature 1: two comparison rotations per request.
+    const SHARED: DecisionTree = DecisionTree {
+        root: (0, 4),
+        left: (1, 2),
+        right: (1, 6),
+        leaves: [0, 1, 2, 3],
+    };
+
+    /// A client key and the three backends over one server key built from
+    /// it: the bare key, an engine pool and a dispatcher.
+    fn backends(
+        params: TfheParams,
+        rng: &mut StdRng,
+    ) -> (ClientKey, Arc<ServerKey>, BootstrapEngine, Dispatcher) {
+        let ck = ClientKey::generate(params, rng);
+        let sk = Arc::new(ServerKey::new(&ck, rng));
+        let engine = BootstrapEngine::builder()
+            .workers(2)
+            .build(Arc::clone(&sk))
+            .unwrap();
+        let config = ServingConfig::builder().max_batch_size(16).build().unwrap();
+        let dispatcher = Dispatcher::from_config(&config, Arc::clone(&sk)).unwrap();
+        (ck, sk, engine, dispatcher)
+    }
+
+    /// The tree's exhaustive 4×4 grid at TestMedium, one wave per backend:
+    /// the waves are bit-identical and decode to `classify_clear`; an empty
+    /// wave is a no-op.
+    #[test]
+    fn the_tree_is_one_wave_on_every_backend() {
+        let mut rng = StdRng::seed_from_u64(200);
+        let (ck, sk, engine, dispatcher) = backends(ParamSet::TestMedium.params(), &mut rng);
+        let table: [(&str, &dyn Bootstrapper); 3] = [
+            ("server key", &*sk),
+            ("engine", &engine),
+            ("dispatcher", &dispatcher),
+        ];
+        let grid: Vec<[u64; 2]> = [0u64, 3, 4, 7]
+            .iter()
+            .flat_map(|&x0| [0u64, 2, 5, 7].map(|x1| [x0, x1]))
+            .collect();
+        let feats: Vec<Vec<_>> = grid
+            .iter()
+            .map(|x| x.iter().map(|&v| ck.encrypt(v, &mut rng)).collect())
+            .collect();
+        let mut reference = None;
+        for (name, backend) in table {
+            let driver = InferenceDriver::new(&sk, backend);
+            let outs = driver.classify_tree_wave_fused(&SHARED, &feats).unwrap();
+            let reference = reference.get_or_insert_with(|| outs.clone());
+            assert_eq!(&outs, reference, "{name}");
+            for (out, x) in outs.iter().zip(&grid) {
+                assert_eq!(ck.decrypt(out), SHARED.classify_clear(x), "{name}: {x:?}");
+            }
+            assert!(driver
+                .classify_tree_wave_fused(&SHARED, &[])
+                .unwrap()
+                .is_empty());
+        }
+    }
+
+    /// The MLP's exhaustive 4×4 grid at p = 16, one wave per backend: the
+    /// waves are bit-identical, decode to `infer_clear` and hit both
+    /// classes; an empty wave is a no-op.
+    #[test]
+    fn the_mlp_is_one_wave_on_every_backend() {
+        let mut rng = StdRng::seed_from_u64(201);
+        let params = ParamSet::TestMedium.params().with_plaintext_modulus(16);
+        let (ck, sk, engine, dispatcher) = backends(params, &mut rng);
+        let table: [(&str, &dyn Bootstrapper); 3] = [
+            ("server key", &*sk),
+            ("engine", &engine),
+            ("dispatcher", &dispatcher),
+        ];
+        let model = MlpModel::demo();
+        assert!(model.max_hidden_acc(4) < 16, "accumulator must fit p");
+        let grid: Vec<(u64, u64)> = (0..4u64)
+            .flat_map(|x0| (0..4).map(move |x1| (x0, x1)))
+            .collect();
+        let pairs: Vec<_> = grid
+            .iter()
+            .map(|&(x0, x1)| (ck.encrypt(x0, &mut rng), ck.encrypt(x1, &mut rng)))
+            .collect();
+        let mut reference = None;
+        for (name, backend) in table {
+            let driver = InferenceDriver::new(&sk, backend);
+            let outs = driver.infer_mlp_wave(&model, &pairs).unwrap();
+            let reference = reference.get_or_insert_with(|| outs.clone());
+            assert_eq!(&outs, reference, "{name}");
+            let mut classes = [0u64; 2];
+            for (out, &(x0, x1)) in outs.iter().zip(&grid) {
+                let class = ck.decrypt(out);
+                assert_eq!(class, model.infer_clear(x0, x1), "{name}: x0={x0} x1={x1}");
+                classes[class as usize] += 1;
+            }
+            // Both classes occur — the demo model is not degenerate.
+            assert!(classes[0] > 0 && classes[1] > 0);
+            assert!(driver.infer_mlp_wave(&model, &[]).unwrap().is_empty());
+        }
+    }
+
+    /// On a tree whose tests read distinct features every fanout list holds
+    /// one LUT, which runs as the plain bootstrap: the fused wave equals a
+    /// per-item wave of the three comparisons, rotating 3 + 1 times per
+    /// request. A shared feature saves one rotation, no extraction.
+    #[test]
+    fn the_fused_tree_wave_rotates_once_per_distinct_feature() {
+        let mut rng = StdRng::seed_from_u64(207);
+        let (ck, sk, engine, _) = backends(ParamSet::TestMedium.params(), &mut rng);
+        let disjoint = DecisionTree {
+            right: (2, 6),
+            ..SHARED
+        };
+        let inputs = [[0u64, 7, 3], [5, 1, 6], [4, 6, 0], [7, 0, 7]];
+        let feats: Vec<Vec<_>> = inputs
+            .iter()
+            .map(|x| x.iter().map(|&v| ck.encrypt(v, &mut rng)).collect())
+            .collect();
+        let driver = InferenceDriver::new(&sk, &engine);
+        let fused = driver.classify_tree_wave_fused(&disjoint, &feats).unwrap();
+        let stats = engine.stats();
         assert_eq!(
-            CpuModel::from_engine_stats(&empty, CpuModel::xeon_6226r_set_iii()),
-            CpuModel::xeon_6226r_set_iii()
+            (stats.bootstraps, stats.extractions),
+            (4 * (3 + 1), 4 * (3 + 1))
         );
+
+        // The per-item wave: one comparison per node, then the leaf lookups.
+        let nodes = [disjoint.root, disjoint.left, disjoint.right];
+        let cts = feats
+            .iter()
+            .flat_map(|f| nodes.map(|(feat, _)| f[feat].clone()))
+            .collect();
+        let lut_of = feats.iter().flat_map(|_| [0, 1, 2]).collect();
+        let luts = disjoint.node_luts(sk.params());
+        let decisions = sk
+            .try_bootstrap_batch(&BatchRequest::per_item(cts, luts, lut_of).unwrap())
+            .unwrap();
+        let indices = decisions
+            .chunks(3)
+            .map(|d| pack([&d[0], &d[1], &d[2]]))
+            .collect();
+        let leaf_lut = disjoint.leaf_lut(sk.params());
+        let per_item = sk
+            .try_bootstrap_batch(&BatchRequest::shared(indices, leaf_lut))
+            .unwrap();
+        assert_eq!(fused, per_item);
+        for (out, x) in fused.iter().zip(&inputs) {
+            assert_eq!(ck.decrypt(out), disjoint.classify_clear(x), "{x:?}");
+        }
+
+        let outs = driver.classify_tree_wave_fused(&SHARED, &feats).unwrap();
+        let shared = engine.stats();
+        assert_eq!(shared.bootstraps - stats.bootstraps, 4 * (2 + 1));
+        assert_eq!(shared.extractions - stats.extractions, 4 * (3 + 1));
+        for (out, x) in outs.iter().zip(&inputs) {
+            assert_eq!(ck.decrypt(out), SHARED.classify_clear(x), "{x:?}");
+        }
     }
 
     #[test]
-    fn local_calibration_describes_the_measured_machine() {
-        let stats = morphling_tfhe::EngineStats {
-            workers: 4,
-            batches: 10,
-            bootstraps: 200,
-            busy: std::time::Duration::from_secs(4),
-            ..morphling_tfhe::EngineStats::default()
+    #[should_panic(expected = "one output weight per hidden neuron")]
+    fn an_mlp_with_a_short_output_layer_panics_at_entry() {
+        let mut rng = StdRng::seed_from_u64(208);
+        let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
+        let sk = ServerKey::new(&ck, &mut rng);
+        let model = MlpModel {
+            output: vec![1],
+            ..MlpModel::demo()
         };
-        let cpu = CpuModel::from_engine_stats_local(&stats).unwrap();
-        // 200 bootstraps over 4 busy core-seconds → 50 BS/s per core, on
-        // the 4 cores that actually ran.
-        assert!((cpu.single_core_bs_s - 50.0).abs() < 1e-9);
-        assert_eq!(cpu.cores, 4);
-        // MAC rate scales with the core count: 4/64 of the testbed.
-        assert!((cpu.mac_per_s - 5e10 / 16.0).abs() < 1.0);
-
-        // No completed bootstraps → nothing to calibrate from.
-        let empty = morphling_tfhe::EngineStats::default();
-        assert!(CpuModel::from_engine_stats_local(&empty).is_none());
-    }
-
-    #[test]
-    fn service_model_bridge_inverts_the_per_core_rate() {
-        let cpu = CpuModel {
-            single_core_bs_s: 100.0,
-            cores: 4,
-            parallel_efficiency: 0.9,
-            mac_per_s: 1e9,
-        };
-        let model = cpu.service_model();
-        // 100 BS/s per core → 10 ms per bootstrap.
-        assert_eq!(model.bootstrap_ns, 10_000_000);
-        assert!((model.parallel_efficiency - 0.9).abs() < 1e-12);
-        // The bridged capacity tracks the CPU model's own aggregate
-        // throughput to within the per-batch overhead.
-        let bridged = model.capacity_bs(cpu.cores as usize);
-        assert!(
-            (bridged - cpu.bs_per_s()).abs() / cpu.bs_per_s() < 0.05,
-            "bridged {bridged} vs cpu {}",
-            cpu.bs_per_s()
-        );
+        let pair = (ck.encrypt(1, &mut rng), ck.encrypt(2, &mut rng));
+        let _ = InferenceDriver::new(&sk, &sk).infer_mlp_wave(&model, &[pair]);
     }
 }

@@ -3,7 +3,8 @@
 //! inference on the functional substrate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use morphling_apps::functional::{DecisionTree, EncryptedTreeEvaluator};
+use morphling_apps::functional::DecisionTree;
+use morphling_apps::runtime::InferenceDriver;
 use morphling_apps::{models, runtime, xgboost::XgBoostModel};
 use morphling_tfhe::{ClientKey, ParamSet, ServerKey};
 use rand::rngs::StdRng;
@@ -27,12 +28,13 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // A real encrypted tree inference (4 programmable bootstraps).
+    // A real encrypted tree inference: one fused wave of one request
+    // (2 comparison rotations + the leaf lookup).
     g.sample_size(10);
     let mut rng = StdRng::seed_from_u64(3);
     let ck = ClientKey::generate(ParamSet::TestMedium.params(), &mut rng);
     let sk = ServerKey::new(&ck, &mut rng);
-    let eval = EncryptedTreeEvaluator::new(&sk);
+    let driver = InferenceDriver::new(&sk, &sk);
     let tree = DecisionTree {
         root: (0, 4),
         left: (1, 2),
@@ -41,7 +43,11 @@ fn bench(c: &mut Criterion) {
     };
     let feats = vec![ck.encrypt(3, &mut rng), ck.encrypt(5, &mut rng)];
     g.bench_function("encrypted_tree_inference", |b| {
-        b.iter(|| eval.classify(std::hint::black_box(&tree), &feats))
+        b.iter(|| {
+            driver
+                .classify_tree_wave_fused(std::hint::black_box(&tree), std::slice::from_ref(&feats))
+                .expect("bare server key")
+        })
     });
     g.finish();
 }

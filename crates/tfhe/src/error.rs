@@ -36,14 +36,6 @@ pub enum TfheError {
         /// The dimension of the ciphertext being switched.
         got: usize,
     },
-    /// A LUT was built (or used) with a plaintext modulus that disagrees
-    /// with the parameter set's modulus.
-    LutModulusMismatch {
-        /// The LUT's plaintext modulus.
-        lut: u64,
-        /// The parameter set's plaintext modulus.
-        params: u64,
-    },
     /// A LUT plaintext modulus that is not a power of two.
     PlaintextModulusNotPowerOfTwo {
         /// The offending modulus.
@@ -251,12 +243,6 @@ impl std::fmt::Display for TfheError {
                 write!(
                     f,
                     "key-switch input dimension mismatch: expected {expected}, got {got}"
-                )
-            }
-            Self::LutModulusMismatch { lut, params } => {
-                write!(
-                    f,
-                    "LUT plaintext modulus {lut} disagrees with parameter set modulus {params}"
                 )
             }
             Self::PlaintextModulusNotPowerOfTwo { modulus } => {
