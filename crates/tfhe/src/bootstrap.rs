@@ -111,6 +111,8 @@ pub fn blind_rotate_assign_many(
 
 /// Blind rotation through the exact integer-domain oracle (no floating
 /// point: every product is the NTT's) — used to validate the transform path.
+/// Its `BSK_i` are what [`BootstrapKey::coefficient`] derives, exactly,
+/// from the key's spectra.
 pub fn blind_rotate_exact(
     params: &TfheParams,
     bsk: &BootstrapKey,
@@ -127,7 +129,7 @@ pub fn blind_rotate_exact(
             continue;
         }
         let rotated = acc.monomial_mul(a_tilde as i64);
-        acc = cmux(bsk.coefficient(i), &acc, &rotated, params);
+        acc = cmux(&bsk.coefficient(i), &acc, &rotated, params);
     }
     acc
 }

@@ -8,12 +8,12 @@ use crate::keys::ClientKey;
 
 /// `BSK = (BSK_1, …, BSK_n)` where `BSK_i = GGSW(s_i)` under the GLWE key.
 ///
-/// Both the coefficient-domain form (for the exact oracle) and the
-/// transform-domain form (what the accelerator's Private-A2 buffer streams)
-/// are kept.
+/// Held in the transform domain only, the form the accelerator's Private-A2
+/// buffer streams: each GGSW is transformed as soon as it is sampled or
+/// decoded, and its coefficient form is dropped. The wire format and the
+/// exact oracle derive it back with [`coefficient`](Self::coefficient).
 #[derive(Clone, Debug)]
 pub struct BootstrapKey {
-    coefficient: Vec<GgswCiphertext>,
     fourier: Vec<FourierGgsw>,
 }
 
@@ -23,56 +23,30 @@ impl BootstrapKey {
     pub fn generate<R: Rng + ?Sized>(client: &ClientKey, rng: &mut R) -> Self {
         let params = client.params();
         let fft = fft_for(params.poly_size);
-        let coefficient: Vec<GgswCiphertext> = client
-            .lwe_key()
-            .bits()
-            .iter()
-            .map(|&s| GgswCiphertext::encrypt(s, client.glwe_key(), params, rng))
+        let fourier = (client.lwe_key().bits().iter())
+            .map(|&s| GgswCiphertext::encrypt(s, client.glwe_key(), params, rng).to_fourier(&fft))
             .collect();
-        let fourier = coefficient.iter().map(|g| g.to_fourier(&fft)).collect();
-        Self {
-            coefficient,
-            fourier,
-        }
+        Self { fourier }
     }
 
-    /// Rebuild from coefficient-domain GGSWs (deserialization path): the
-    /// transform-domain form is recomputed, never trusted from the wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coefficient` is empty or the GGSWs disagree on shape.
-    pub fn from_coefficient(coefficient: Vec<GgswCiphertext>) -> Self {
-        assert!(
-            !coefficient.is_empty(),
-            "bootstrap key needs at least one GGSW"
-        );
-        let n = coefficient[0].poly_size();
-        let k = coefficient[0].glwe_dim();
-        let l = coefficient[0].level();
-        assert!(
-            coefficient
-                .iter()
-                .all(|g| g.poly_size() == n && g.glwe_dim() == k && g.level() == l),
-            "bootstrap key GGSWs must share one shape"
-        );
-        let fft = fft_for(n);
-        let fourier = coefficient.iter().map(|g| g.to_fourier(&fft)).collect();
-        Self {
-            coefficient,
-            fourier,
-        }
+    /// The decoder's key: non-empty GGSWs of one shape.
+    pub(crate) fn from_fourier(fourier: Vec<FourierGgsw>) -> Self {
+        Self { fourier }
     }
 
     /// Number of GGSWs, equal to the LWE dimension `n`.
     pub fn lwe_dim(&self) -> usize {
-        self.coefficient.len()
+        self.fourier.len()
     }
 
     /// The coefficient-domain `BSK_i` (1-indexed in the paper; 0-indexed
-    /// here).
-    pub fn coefficient(&self, i: usize) -> &GgswCiphertext {
-        &self.coefficient[i]
+    /// here), derived from its spectra. Exact: the f64 round trip of a
+    /// 32-bit torus polynomial stays far below ½ before rounding at every
+    /// `N ≤ 4096` (`pre_rounding_inverse_of_forward_torus_is_exact` in the
+    /// transform crate).
+    pub fn coefficient(&self, i: usize) -> GgswCiphertext {
+        let ggsw = &self.fourier[i];
+        ggsw.to_coefficient(&fft_for(ggsw.poly_size()))
     }
 
     /// The transform-domain `BSK_i`.

@@ -179,6 +179,26 @@ impl FourierGgsw {
         self.poly_size
     }
 
+    /// The coefficient-domain GGSW these spectra are the transform of:
+    /// each polynomial inverted and rounded back onto the torus.
+    pub(crate) fn to_coefficient(&self, fft: &NegacyclicFft) -> GgswCiphertext {
+        assert_eq!(fft.poly_len(), self.poly_size, "FFT engine size mismatch");
+        let mut scratch = Vec::new();
+        let mut inverse = |s: &Spectrum| {
+            let mut p = Polynomial::zero(self.poly_size);
+            fft.inverse_torus_into(s, &mut p, &mut scratch);
+            p
+        };
+        let rows = (self.rows.iter())
+            .map(|row| {
+                let mut polys: Vec<_> = row.iter().map(&mut inverse).collect();
+                let body = polys.pop().expect("a row has k + 1 components");
+                GlweCiphertext::from_parts(polys, body)
+            })
+            .collect();
+        GgswCiphertext::from_rows(rows, self.glwe_dim, self.level)
+    }
+
     /// Bytes this ciphertext occupies in the transform domain (8 bytes per
     /// spectrum point) — the Private-A2 footprint of one `BSK_i`.
     pub fn fourier_bytes(&self) -> u64 {

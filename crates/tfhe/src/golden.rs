@@ -16,7 +16,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::serialize::fnv1a_words;
+use crate::serialize::{fnv1a_words, serialize_server_key};
 use crate::{
     BatchRequest, BootstrapEngine, BootstrapOptions, Bootstrapper, ClientKey, Lut, LweCiphertext,
     ParamSet, ServerKey,
@@ -33,13 +33,17 @@ fn digest(cts: &[LweCiphertext]) -> u64 {
 }
 
 /// `[plain, no key switch, multi-value (3 LUTs), tree, engine batch]` at
-/// `set`, every output decrypted and checked on the way.
-fn digests(set: ParamSet) -> [u64; 5] {
+/// `set`, every output decrypted and checked on the way, and the word-wise
+/// FNV of the server key's frame.
+fn digests(set: ParamSet) -> ([u64; 5], u64) {
     let mut rng = StdRng::seed_from_u64(0x0060_1DE2 + set as u64);
     let params = set.params();
     let (n, p) = (params.poly_size, params.plaintext_modulus);
     let ck = ClientKey::generate(params, &mut rng);
     let sk = Arc::new(ServerKey::new(&ck, &mut rng));
+    // A frame ends in the FNV of what precedes it: that is the digest.
+    let blob = serialize_server_key(&sk);
+    let frame = fnv1a_words(&blob[..blob.len() - 8]);
     let messages = [0, 1, p - 1, 2];
     let cts: Vec<LweCiphertext> = messages.iter().map(|&m| ck.encrypt(m, &mut rng)).collect();
     let luts = vec![
@@ -96,17 +100,24 @@ fn digests(set: ParamSet) -> [u64; 5] {
         .expect("engine batch");
     assert_eq!(engine_out[..4], plain[..], "{set:?} engine ≠ sequential");
 
-    [&plain, &extracted, &multi, &tree, &engine_out].map(|outs| digest(outs))
+    let outputs = [&plain, &extracted, &multi, &tree, &engine_out].map(|outs| digest(outs));
+    (outputs, frame)
 }
 
 /// Holds `set`'s digests to the committed ones, printing both as written
-/// here.
-fn assert_digests(set: ParamSet, committed: [u64; 5]) {
-    let got = digests(set);
+/// here. The frame digest holds the key's wire form: its coefficients are
+/// derived from the spectra the key keeps, so they must write the bytes
+/// the sampled coefficients did.
+fn assert_digests(set: ParamSet, committed: [u64; 5], committed_frame: u64) {
+    let (got, frame) = digests(set);
     assert!(
         got == committed,
         "{set:?} [plain, no-ks, multi-value, tree, engine]: got {got:#018X?}, \
          committed {committed:#018X?}"
+    );
+    assert!(
+        frame == committed_frame,
+        "{set:?} server key frame: got {frame:#018X}, committed {committed_frame:#018X}"
     );
 }
 
@@ -121,6 +132,7 @@ fn golden_digests_at_the_test_sets() {
             0xBF5F_82A0_4B8B_EE8C,
             0x9E98_E51A_157C_1CC6,
         ],
+        0xD3AB_EA92_DD5D_E6A5,
     );
     assert_digests(
         ParamSet::TestMedium,
@@ -131,6 +143,7 @@ fn golden_digests_at_the_test_sets() {
             0x1F0C_8758_64E1_AE35,
             0x26FA_F663_A7BA_5366,
         ],
+        0x1D03_76D9_F26D_23E2,
     );
 }
 
@@ -147,5 +160,6 @@ fn golden_digests_at_set_i() {
             0xF450_C779_BE7C_E102,
             0x685D_F9AC_84F5_C5AF,
         ],
+        0x87C6_425E_0703_6C12,
     );
 }

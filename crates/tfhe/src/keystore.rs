@@ -411,14 +411,15 @@ impl std::fmt::Debug for KeyStore {
 }
 
 /// Resident-size accounting for one key: the transform-domain BSK plus
-/// the KSK — the working set the paper's Fig 1 is about.
+/// the KSK — the working set the paper's Fig 1 is about. The BSK counts
+/// the paper's 8 B per spectrum point; a resident `Spectrum` holds 16 B.
 pub fn server_key_bytes(key: &ServerKey) -> u64 {
     key.bootstrap_key().fourier_bytes() + key.key_switch_key().bytes()
 }
 
 impl KeyStore {
     /// A store serving from `backend` under `budget_bytes` of resident
-    /// key material.
+    /// key material, each key counted by [`server_key_bytes`].
     pub fn new(backend: Arc<dyn KeyBackend>, budget_bytes: u64) -> Self {
         let journal = Arc::new(Journal::new());
         let cache = KeyCache::new(budget_bytes, Arc::clone(&journal));

@@ -17,7 +17,8 @@
 //! `u32` words; noise parameters as IEEE-754 `f64` bit patterns; secret
 //! key bits are packed eight to a byte. The bootstrapping key is
 //! serialized in the **coefficient domain** only — the transform-domain
-//! form is recomputed on load, never trusted from the wire. The
+//! form is recomputed on load, never trusted from the wire (and the key
+//! holds spectra only: the writer derives the coefficients back). The
 //! key-switching key's payload is its in-memory layout: a shape header,
 //! then every `KSK_(i,j)` as `dim_out + 1` words in the order the key
 //! switch streams them.
@@ -37,6 +38,7 @@ use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::bootstrap_key::BootstrapKey;
 use crate::error::TfheError;
+use crate::fft_cache::fft_for;
 use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweCiphertext;
 use crate::keys::{GlweSecretKey, LweSecretKey};
@@ -512,14 +514,14 @@ pub fn deserialize_glwe_secret_key(bytes: &[u8]) -> Result<GlweSecretKey, TfheEr
 /// Payload bytes of a [`BootstrapKey`]: what [`write_bootstrap_key`]
 /// appends.
 fn bootstrap_key_len(key: &BootstrapKey) -> usize {
-    let first = key.coefficient(0);
+    let first = key.fourier(0);
     let polys = (first.glwe_dim() + 1) * first.level() * (first.glwe_dim() + 1);
     32 + 4 * key.lwe_dim() * polys * first.poly_size()
 }
 
 fn write_bootstrap_key(w: &mut Writer, key: &BootstrapKey) {
     let n_ggsw = key.lwe_dim();
-    let first = key.coefficient(0);
+    let first = key.fourier(0);
     w.usize(n_ggsw);
     w.usize(first.glwe_dim());
     w.usize(first.level());
@@ -547,16 +549,17 @@ fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
             r.remaining()
         )));
     }
-    let rows_per = k1 * level;
-    let mut coefficient = Vec::with_capacity(n_ggsw);
+    let fft = fft_for(n);
+    let mut fourier = Vec::with_capacity(n_ggsw);
     for _ in 0..n_ggsw {
-        let mut rows = Vec::with_capacity(rows_per);
-        for _ in 0..rows_per {
-            rows.push(r.glwe(k, n)?);
-        }
-        coefficient.push(GgswCiphertext::from_rows(rows, k, level));
+        let rows = (0..k1 * level)
+            .map(|_| r.glwe(k, n))
+            .collect::<Result<_, _>>()?;
+        // Into the transform domain as it is read: the coefficient key
+        // never exists whole.
+        fourier.push(GgswCiphertext::from_rows(rows, k, level).to_fourier(&fft));
     }
-    Ok(BootstrapKey::from_coefficient(coefficient))
+    Ok(BootstrapKey::from_fourier(fourier))
 }
 
 /// Serialize a [`BootstrapKey`] (coefficient domain only — the Fourier
@@ -703,7 +706,7 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
     let ksk = read_key_switch_key(&mut ksk_r)?;
     ksk_r.done()?;
     r.done()?;
-    let first = bsk.coefficient(0);
+    let first = bsk.fourier(0);
     let bsk_shape = (
         bsk.lwe_dim(),
         first.glwe_dim(),

@@ -92,7 +92,7 @@ fn first_differing_cmux(sk: &ServerKey, ct: &LweCiphertext, lut: &Lut) -> String
         let bsk = sk.bootstrap_key();
         let got = engine.rotate_cmux(bsk.fourier(i), &acc, a_tilde as i64);
         let rotated = acc.monomial_mul(a_tilde as i64);
-        acc = cmux(bsk.coefficient(i), &acc, &rotated, params);
+        acc = cmux(&bsk.coefficient(i), &acc, &rotated, params);
         let differing = got
             .components()
             .zip(acc.components())

@@ -1448,6 +1448,49 @@ mod tests {
         }
     }
 
+    /// The inverse of a torus polynomial's forward transform gives the
+    /// polynomial back, bit for bit, at every size and on every ISA —
+    /// what lets a key held as spectra only derive its coefficients. The
+    /// worst distance from the integer before rounding is printed beside
+    /// the external product's.
+    #[test]
+    fn pre_rounding_inverse_of_forward_torus_is_exact() {
+        let mut rng = StdRng::seed_from_u64(4096);
+        for n in SIZES {
+            let fft = NegacyclicFft::new(n);
+            let extremes = [0x7FFF_FFFF, 0x8000_0000];
+            let polys = [
+                (
+                    "uniform",
+                    Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen())),
+                ),
+                ("all 0x8000_0000", Polynomial::from_fn(n, |_| Torus32::HALF)),
+                // ±2^31 as the centred representative reaches it.
+                (
+                    "alternating ±2^31",
+                    Polynomial::from_fn(n, |j| Torus32::from_raw(extremes[j % 2])),
+                ),
+            ];
+            let mut worst = 0.0f64;
+            for (name, simd) in fft.half_plan.every_simd() {
+                for (kind, p) in &polys {
+                    let mut spec = Spectrum::zero(n);
+                    forward_on(simd, &fft, p.coeffs(), &mut spec);
+                    let mut real = vec![0.0; n];
+                    inverse_on::<_, _, false>(simd, &fft, &spec, &mut real[..], &mut Vec::new());
+                    for (got, want) in real.iter().zip(p.iter()) {
+                        worst = worst.max((got - f64::from(want.to_signed())).abs());
+                    }
+                    let mut back = vec![Torus32::ZERO; n];
+                    inverse_on::<_, _, false>(simd, &fft, &spec, &mut back[..], &mut Vec::new());
+                    assert_eq!(back, p.coeffs(), "n={n} {name} {kind}");
+                }
+            }
+            println!("pre-rounding error, torus round trip (N={n}): max {worst:.2e}");
+            assert!(worst < 0.125, "n={n}: max |err| = {worst}");
+        }
+    }
+
     #[test]
     fn round_wrap_is_exact_for_large_in_range_values() {
         // 2^35 + 7 ≡ 7 (mod 2^32): the fast path must wrap, not clamp.
