@@ -142,11 +142,15 @@ macro_rules! torus_impl {
             const BITS: u32 = $bits;
             const ZERO: Self = Self(0);
 
-            #[inline]
+            // Always inlined: the Gaussian sampler's lane code calls it in
+            // a vector frame, where an out-of-line call would stop the loop
+            // from vectorizing.
+            #[inline(always)]
             fn from_f64(x: f64) -> Self {
-                // Reduce to [0,1), then scale. `rem_euclid` keeps the result
-                // non-negative even for negative inputs.
-                let frac = x.rem_euclid(1.0);
+                // Reduce to [0,1), then scale. `x − ⌊x⌋` is `rem_euclid(1.0)`
+                // to the bit but for the sign of a zero (which the scale
+                // and round below erase), and unlike `fmod` it vectorizes.
+                let frac = x - x.floor();
                 // The scale can round up to exactly 2^BITS; wrap that to 0.
                 let scaled = (frac * (2.0f64).powi($bits as i32)).round();
                 Self(scaled as $wide as $raw)
@@ -403,6 +407,72 @@ mod tests {
     fn from_f64_wraps_negative_values() {
         let a = Torus32::from_f64(-0.25);
         assert!((a.to_f64() - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn from_f64_is_the_rem_euclid_spelling_to_the_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // What `from_f64` was: the fractional part through `fmod`.
+        let old32 = |x: f64| (x.rem_euclid(1.0) * 2f64.powi(32)).round() as u64 as u32;
+        let old64 = |x: f64| (x.rem_euclid(1.0) * 2f64.powi(64)).round() as u128 as u64;
+        let two_52 = 2f64.powi(52);
+        let edges = [
+            0.0,
+            -0.0,
+            -1.0,
+            -2.0,
+            -3.0,
+            -(2f64.powi(40)),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            2f64.powi(-60),
+            -(2f64.powi(-60)),
+            -0.25,
+            0.5,
+            -0.5,
+            1.0 - f64::EPSILON / 2.0,
+            -(1.0 - f64::EPSILON / 2.0),
+            two_52,
+            -two_52,
+            two_52 + 1.0,
+            -(two_52 + 1.0),
+            two_52 - 0.5,
+            -(two_52 - 0.5),
+            2f64.powi(53),
+            -(2f64.powi(64)),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        // Random bit patterns, then as many of a magnitude near the torus's.
+        let random = (0..1_000_000).map(|i| {
+            let bits: u64 = rng.gen();
+            let x = f64::from_bits(bits);
+            if i % 2 == 0 {
+                x
+            } else {
+                // Exponent within 2^±64 of one.
+                f64::from_bits(bits & !(0x7ff << 52) | ((1023 - 64 + (bits >> 52) % 128) << 52))
+            }
+        });
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(
+                Torus32::from_f64(x).into_raw(),
+                old32(x),
+                "Torus32 of {x:e}"
+            );
+            assert_eq!(
+                Torus64::from_f64(x).into_raw(),
+                old64(x),
+                "Torus64 of {x:e}"
+            );
+        }
     }
 
     #[test]

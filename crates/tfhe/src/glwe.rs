@@ -1,7 +1,7 @@
 //! GLWE ciphertexts: `(A_1(X), …, A_k(X), B(X)) ∈ T_(q,N)[X]^(k+1)` (§II-A).
 
 use morphling_math::{sampling, Polynomial, Torus32};
-use morphling_transform::{NegacyclicFft, Spectrum};
+use morphling_transform::{gaussian_torus_fill, NegacyclicFft, Spectrum};
 use rand::Rng;
 
 use crate::keys::GlweSecretKey;
@@ -46,7 +46,10 @@ impl GlweCiphertext {
             .collect();
         let mut body = message.clone();
         if noise_std > 0.0 {
-            body += &sampling::gaussian_torus_poly(n, noise_std, rng);
+            let uniforms = sampling::box_muller_uniforms(n, rng);
+            let mut noise = Polynomial::zero(n);
+            gaussian_torus_fill(noise.coeffs_mut(), noise_std, &uniforms);
+            body += &noise;
         }
         // Binary key × uniform mask is exact through the f64 FFT (products
         // stay far below the 53-bit mantissa, summed over the k masks

@@ -28,7 +28,7 @@
 //!
 //! `unsafe` is confined to the [`avx2`] and [`avx512`] submodules.
 
-use morphling_math::{DecompParams, Torus32, TorusScalar};
+use morphling_math::{sampling, DecompParams, Torus32, TorusScalar};
 
 /// One level of the signed gadget decomposition of a [`Torus32`], as the
 /// carry-free closed form of `SignedDecomposer::decompose_poly_into`:
@@ -353,6 +353,22 @@ impl Kernel for SubScaledRows<'_> {
                 }
             }
         }
+    }
+}
+
+/// Gaussian torus noise, `morphling_math::sampling`'s lane code
+/// (`gaussian_torus_from_uniforms`) run in the widest frame this CPU has.
+pub fn gaussian_torus_fill(out: &mut [Torus32], std: f64, uniforms: &[[f64; 2]]) {
+    Simd::detect(out.len()).run(GaussianFill(out, std, uniforms));
+}
+
+struct GaussianFill<'a>(&'a mut [Torus32], f64, &'a [[f64; 2]]);
+
+impl Kernel for GaussianFill<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, _isa: I) {
+        sampling::gaussian_torus_from_uniforms(self.0, self.1, self.2);
     }
 }
 
@@ -909,6 +925,65 @@ mod tests {
     #[should_panic(expected = "left == right")]
     fn sub_scaled_rows_wants_one_digit_per_row_and_accumulator() {
         sub_scaled_rows(&mut [Torus32::ZERO; 5], &[1, 2], &[Torus32::ZERO; 3], 3);
+    }
+
+    /// The spelling the Gaussian kernel replaced: glibc's `ln`, `sin` and
+    /// `cos`, and `rem_euclid` (`fmod`) onto the torus.
+    fn libm_pair(std: f64, [u1, u2]: [f64; 2]) -> [Torus32; 2] {
+        let radius = (-2.0 * u1.ln()).sqrt();
+        let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
+        [radius * cos, radius * sin].map(|d| {
+            let scaled = ((std * d).rem_euclid(1.0) * 2f64.powi(32)).round();
+            Torus32::from_raw(scaled as u64 as u32)
+        })
+    }
+
+    #[test]
+    fn gaussian_noise_is_the_libm_spelling_on_every_isa() {
+        use rand::{rngs::StdRng, SeedableRng};
+        // Every noise std of a `ParamSet`, LWE and GLWE, Test to Set C.
+        const STDS: [i32; 8] = [15, 16, 17, 20, 26, 27, 28, 30];
+        let (per_std, chunk) = (
+            if cfg!(debug_assertions) {
+                1 << 20
+            } else {
+                1 << 24
+            },
+            1 << 16,
+        );
+        let mut isas = vec![];
+        for e in STDS {
+            let std = 2f64.powi(-e);
+            let mut rng = StdRng::seed_from_u64(e as u64);
+            for _ in 0..per_std / chunk {
+                let uniforms = sampling::box_muller_uniforms(chunk, &mut rng);
+                let want: Vec<Torus32> = uniforms.iter().flat_map(|&u| libm_pair(std, u)).collect();
+                isas = Simd::every(8)
+                    .into_iter()
+                    .map(|(name, simd)| {
+                        let mut got = vec![Torus32::ZERO; chunk];
+                        simd.run(GaussianFill(&mut got, std, &uniforms));
+                        let differ = got.iter().zip(&want).filter(|(a, b)| a != b).count();
+                        assert_eq!(differ, 0, "{name}, std 2^-{e}: samples differ from libm's");
+                        name
+                    })
+                    .collect();
+            }
+        }
+        println!(
+            "gaussian kernel, {per_std} samples at each of {} stds, ran on: {}",
+            STDS.len(),
+            isas.join(", ")
+        );
+        // An odd length, and what detection picks.
+        let uniforms = sampling::box_muller_uniforms(17, &mut StdRng::seed_from_u64(1));
+        let mut got = [Torus32::ZERO; 17];
+        gaussian_torus_fill(&mut got, 2f64.powi(-20), &uniforms);
+        let want: Vec<Torus32> = uniforms
+            .iter()
+            .flat_map(|&u| libm_pair(2f64.powi(-20), u))
+            .collect();
+        assert_eq!(got, want[..17]);
     }
 
     #[test]
