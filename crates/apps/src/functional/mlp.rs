@@ -33,16 +33,6 @@ impl MlpModel {
         }
     }
 
-    /// Largest value the hidden accumulator can reach for inputs `< x_max`
-    /// — must stay below the plaintext modulus.
-    pub fn max_hidden_acc(&self, x_max: u64) -> u64 {
-        self.hidden
-            .iter()
-            .map(|&(w0, w1, b)| (w0 as u64 + w1 as u64) * (x_max - 1) + b)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Plaintext inference (the reference): returns the class in {0, 1}.
     ///
     /// # Panics
@@ -60,12 +50,6 @@ impl MlpModel {
         u64::from(acc >= self.threshold)
     }
 
-    /// Programmable bootstraps per inference: one ReLU per hidden neuron
-    /// plus the final decision.
-    pub fn bootstraps_per_inference(&self) -> u64 {
-        self.hidden.len() as u64 + 1
-    }
-
     /// Panics unless there is a hidden neuron and one output weight per
     /// hidden neuron: the layers are zipped, so a short `output` would
     /// silently drop neurons.
@@ -77,15 +61,5 @@ impl MlpModel {
             self.hidden.len(),
             self.output.len()
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bootstrap_count() {
-        assert_eq!(MlpModel::demo().bootstraps_per_inference(), 3);
     }
 }

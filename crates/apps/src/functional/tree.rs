@@ -38,7 +38,7 @@ impl DecisionTree {
     /// every test of one feature evaluates from a *single* blind rotation,
     /// so a tree whose children share a feature costs `node_groups().len()`
     /// rotations instead of three.
-    pub fn node_groups(&self) -> Vec<(usize, Vec<usize>)> {
+    pub(crate) fn node_groups(&self) -> Vec<(usize, Vec<usize>)> {
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (node, &(feat, _)) in [self.root, self.left, self.right].iter().enumerate() {
             match groups.iter_mut().find(|(f, _)| *f == feat) {

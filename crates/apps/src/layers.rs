@@ -70,7 +70,7 @@ impl Layer {
     ///
     /// Panics if the layer does not fit the input (kernel larger than the
     /// feature map).
-    pub fn output_shape(&self, input: Shape) -> Shape {
+    pub(crate) fn output_shape(&self, input: Shape) -> Shape {
         match *self {
             Layer::Conv2d {
                 kernel,

@@ -19,7 +19,7 @@ pub struct Network {
 
 impl Network {
     /// Per-layer `(bootstraps, leveled MACs)` in order.
-    pub fn level_costs(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn level_costs(&self) -> Vec<(u64, u64)> {
         let mut shape = self.input;
         self.layers
             .iter()
@@ -55,13 +55,6 @@ impl Network {
             w.levels.push((bootstraps, macs));
         }
         w
-    }
-
-    /// Output shape of the full network.
-    pub fn output_shape(&self) -> Shape {
-        self.layers
-            .iter()
-            .fold(self.input, |s, l| l.output_shape(s))
     }
 }
 
@@ -157,6 +150,11 @@ mod tests {
     use super::*;
     use crate::layers::PBS_PER_ACTIVATION;
 
+    /// Output shape of the full network.
+    fn output_shape(net: &Network) -> Shape {
+        net.layers.iter().fold(net.input, |s, l| l.output_shape(s))
+    }
+
     #[test]
     fn deep_cnn_bootstrap_counts() {
         // 6×6×2 + 2×2×92 + X·(2×2×92) + 1×1×16 activations (none for the
@@ -165,7 +163,7 @@ mod tests {
             let net = deep_cnn(x);
             let acts = 72 + 368 + (x as u64) * 368 + 16;
             assert_eq!(net.total_bootstraps(), acts * PBS_PER_ACTIVATION, "X={x}");
-            assert_eq!(net.output_shape().elements(), 10);
+            assert_eq!(output_shape(&net).elements(), 10);
         }
     }
 
@@ -179,7 +177,7 @@ mod tests {
     #[test]
     fn vgg9_structure() {
         let net = vgg9();
-        assert_eq!(net.output_shape().elements(), 10);
+        assert_eq!(output_shape(&net).elements(), 10);
         // Six conv layers with ReLU + 2 FC ReLUs; ≈ 230k activations.
         let acts = net.total_bootstraps() / PBS_PER_ACTIVATION;
         assert!((200_000..260_000).contains(&acts), "acts = {acts}");

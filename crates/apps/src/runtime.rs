@@ -31,7 +31,7 @@ pub struct CpuModel {
 impl CpuModel {
     /// The Table VI testbed at 128-bit parameters (set III: 12 BS/s per
     /// core from Table V; 64 cores at 50% scaling).
-    pub fn xeon_6226r_set_iii() -> Self {
+    pub(crate) fn xeon_6226r_set_iii() -> Self {
         Self {
             single_core_bs_s: 12.0,
             cores: 64,
@@ -47,7 +47,7 @@ impl CpuModel {
 
     /// Seconds to run a workload (bootstrap-throughput bound; leveled MACs
     /// added at the aggregate MAC rate).
-    pub fn workload_seconds(&self, workload: &Workload) -> f64 {
+    pub(crate) fn workload_seconds(&self, workload: &Workload) -> f64 {
         let bs = workload.total_bootstraps() as f64 / self.bs_per_s();
         let macs: u64 = workload.levels.iter().map(|&(_, m)| m).sum();
         bs + macs as f64 / self.mac_per_s
@@ -444,7 +444,13 @@ mod tests {
             ("dispatcher", &dispatcher),
         ];
         let model = MlpModel::demo();
-        assert!(model.max_hidden_acc(4) < 16, "accumulator must fit p");
+        // The hidden accumulator stays below the plaintext modulus for
+        // inputs below 4.
+        let max_acc = model
+            .hidden
+            .iter()
+            .map(|&(w0, w1, b)| (w0 + w1) as u64 * 3 + b);
+        assert!(max_acc.max() < Some(16), "accumulator must fit p");
         let grid: Vec<(u64, u64)> = (0..4u64)
             .flat_map(|x0| (0..4).map(move |x1| (x0, x1)))
             .collect();

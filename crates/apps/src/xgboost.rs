@@ -28,12 +28,12 @@ impl XgBoostModel {
     }
 
     /// Internal (decision) nodes per tree: `2^depth − 1`.
-    pub fn nodes_per_tree(&self) -> u64 {
+    pub(crate) fn nodes_per_tree(&self) -> u64 {
         (1u64 << self.depth) - 1
     }
 
     /// Total encrypted comparisons (one PBS each) for one inference.
-    pub fn total_comparisons(&self) -> u64 {
+    pub(crate) fn total_comparisons(&self) -> u64 {
         self.estimators * self.nodes_per_tree()
     }
 

@@ -6,7 +6,7 @@
 //! derivations instead of k full rotations. This bench pins the amortized
 //! per-LUT speedup:
 //!
-//! - `fused`: [`ServerKey::try_programmable_bootstrap_many`] — one
+//! - `fused`: [`ServerKey::try_programmable_bootstrap_many_with`] — one
 //!   rotation, k extractions;
 //! - `separate`: [`ServerKey::try_programmable_bootstrap_many_separate`]
 //!   — the same derivation paying one rotation per LUT (bit-identical to
@@ -73,7 +73,7 @@ fn bench(c: &mut Criterion) {
         // Hold the two paths to their bit-identity contract before timing.
         let fused = f
             .server
-            .try_programmable_bootstrap_many(&f.ct, luts)
+            .try_programmable_bootstrap_many_with(&f.ct, luts, &mut f.server.workspace())
             .unwrap();
         let separate = f
             .server
@@ -84,7 +84,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fused", k), &k, |b, _| {
             b.iter(|| {
                 f.server
-                    .try_programmable_bootstrap_many(std::hint::black_box(&f.ct), luts)
+                    .try_programmable_bootstrap_many_with(
+                        std::hint::black_box(&f.ct),
+                        luts,
+                        &mut f.server.workspace(),
+                    )
                     .unwrap()
             })
         });
@@ -104,7 +108,11 @@ fn bench(c: &mut Criterion) {
             fused_ns += time_ns(
                 || {
                     f.server
-                        .try_programmable_bootstrap_many(&f.ct, luts)
+                        .try_programmable_bootstrap_many_with(
+                            &f.ct,
+                            luts,
+                            &mut f.server.workspace(),
+                        )
                         .unwrap()
                 },
                 runs,

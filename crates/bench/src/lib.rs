@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Resolve a Table III set by name.
-pub fn params_by_name(name: &str) -> TfheParams {
+pub(crate) fn params_by_name(name: &str) -> TfheParams {
     match name {
         "I" => ParamSet::I.params(),
         "II" => ParamSet::II.params(),
@@ -45,7 +45,7 @@ pub fn params_by_name(name: &str) -> TfheParams {
 /// Measure our CPU (functional TFHE) bootstrap: returns
 /// `(latency_ms, bootstraps_per_second)` for `iters` identity bootstraps
 /// at `set`, single-threaded.
-pub fn measure_cpu_bootstrap(set: ParamSet, iters: u32) -> (f64, f64) {
+pub(crate) fn measure_cpu_bootstrap(set: ParamSet, iters: u32) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(7777);
     let params = set.params();
     let ck = ClientKey::generate(params, &mut rng);
@@ -65,7 +65,11 @@ pub fn measure_cpu_bootstrap(set: ParamSet, iters: u32) -> (f64, f64) {
 /// batch, with the pool already warm — the steady-state number a stream
 /// of batches sees. Also returns the engine's own [`EngineStats`] so
 /// callers can calibrate the CPU cost model from the same run.
-pub fn measure_engine_bootstrap(set: ParamSet, batch: usize, workers: usize) -> (f64, EngineStats) {
+pub(crate) fn measure_engine_bootstrap(
+    set: ParamSet,
+    batch: usize,
+    workers: usize,
+) -> (f64, EngineStats) {
     let mut rng = StdRng::seed_from_u64(7779);
     let params = set.params();
     let p = params.plaintext_modulus;
@@ -483,7 +487,7 @@ pub fn dataflow_ablation_report() -> String {
 /// simulator's per-stage latency spans (same cycle time base), and return
 /// the combined Chrome-trace JSON (loadable in `chrome://tracing` or
 /// Perfetto). See DESIGN.md §"Execution tracing" for the format.
-pub fn scheduler_trace_json(workload: &Workload, set: ParamSet) -> String {
+pub(crate) fn scheduler_trace_json(workload: &Workload, set: ParamSet) -> String {
     let cfg = ArchConfig::morphling_default();
     let params = set.params();
     let sw = SwScheduler::new(cfg.clone());

@@ -27,7 +27,7 @@ pub enum Dataflow {
 impl Dataflow {
     /// Bytes stored in Private-A1 per ACC ciphertext, relative to the
     /// coefficient-domain polynomial size (transform-domain data is 2×).
-    pub fn acc_bytes_factor(&self) -> u64 {
+    pub(crate) fn acc_bytes_factor(&self) -> u64 {
         match self {
             Dataflow::OutputStationary => 1,
             Dataflow::InputStationary | Dataflow::BskStationary => 2,
@@ -50,12 +50,12 @@ pub struct HbmConfig {
 
 impl HbmConfig {
     /// Bandwidth of a single channel in GB/s.
-    pub fn channel_gb_s(&self) -> f64 {
+    pub(crate) fn channel_gb_s(&self) -> f64 {
         self.total_gb_s / self.channels as f64
     }
 
     /// Bandwidth of the XPU-prioritized channels in GB/s.
-    pub fn xpu_priority_gb_s(&self) -> f64 {
+    pub(crate) fn xpu_priority_gb_s(&self) -> f64 {
         self.channel_gb_s() * (self.channels - self.vpu_priority_channels) as f64
     }
 }
@@ -201,7 +201,7 @@ impl ArchConfig {
     }
 
     /// Total VPEs in one XPU.
-    pub fn vpes_per_xpu(&self) -> usize {
+    pub(crate) fn vpes_per_xpu(&self) -> usize {
         self.vpe_rows * self.vpe_cols
     }
 
@@ -211,11 +211,6 @@ impl ArchConfig {
         self.vpe_rows * self.xpus
     }
 
-    /// Total I/FFT units on the chip (paper: 24 = 4 × (2+4)).
-    pub fn total_ifft_units(&self) -> usize {
-        self.xpus * (self.ffts_per_xpu + self.iffts_per_xpu)
-    }
-
     /// Cycles per second.
     pub fn clock_hz(&self) -> f64 {
         self.clock_ghz * 1e9
@@ -223,7 +218,7 @@ impl ArchConfig {
 
     /// Number of independent BSK multicast groups ("clusters") the XPUs
     /// form; each cluster fetches its own BSK stream.
-    pub fn bsk_clusters(&self) -> usize {
+    pub(crate) fn bsk_clusters(&self) -> usize {
         self.xpus.div_ceil(self.noc.bsk_multicast_width)
     }
 
@@ -241,7 +236,8 @@ mod tests {
     fn default_matches_the_paper() {
         let c = ArchConfig::morphling_default();
         assert_eq!(c.bootstrap_cores(), 16);
-        assert_eq!(c.total_ifft_units(), 24);
+        // Total I/FFT units on the chip (paper: 24 = 4 × (2+4)).
+        assert_eq!(c.xpus * (c.ffts_per_xpu + c.iffts_per_xpu), 24);
         assert_eq!(c.vpes_per_xpu(), 16);
         assert_eq!(c.bsk_clusters(), 1);
         assert_eq!(c.hbm.channels, 8);

@@ -199,19 +199,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.instructions.is_empty()
     }
-
-    /// Instruction count per unit class: `(xpu, vpu, dma)`.
-    pub fn unit_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for i in &self.instructions {
-            match i.op.unit() {
-                UnitClass::Xpu => counts.0 += 1,
-                UnitClass::Vpu => counts.1 += 1,
-                UnitClass::Dma => counts.2 += 1,
-            }
-        }
-        counts
-    }
 }
 
 impl fmt::Display for Program {
@@ -273,6 +260,7 @@ mod tests {
         assert!(listing.contains("VPU.MS"));
         assert!(listing.contains("XPU.BR    iters=500"));
         assert!(listing.contains("waits [0]"));
-        assert_eq!(p.unit_counts(), (1, 1, 0));
+        let units: Vec<_> = p.instructions.iter().map(|i| i.op.unit()).collect();
+        assert_eq!(units, [UnitClass::Vpu, UnitClass::Xpu]);
     }
 }

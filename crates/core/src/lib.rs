@@ -24,10 +24,6 @@
 //! - [`trace`]: execution tracing — a cycle-stamped event journal with
 //!   per-unit busy/stall counters and Chrome-trace JSON export, fed by
 //!   the scheduler, the simulator, and the software bootstrap engine.
-//! - [`faults`]: deterministic seeded fault injection — transient
-//!   component outages (FFT down, DMA stall, HBM bit flip) that the
-//!   simulator re-costs instead of crashing on, plus re-exports of the
-//!   engine-side fault machinery.
 //! - [`hwmodel`]: the 28 nm area/power model (Table IV).
 //! - [`reference`](mod@reference): published baseline numbers
 //!   (CPU/GPU/FPGA/ASIC rows of Table V) with provenance.
@@ -50,7 +46,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod config;
-pub mod faults;
 pub mod hwmodel;
 pub mod isa;
 pub mod opcount;

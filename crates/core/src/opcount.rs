@@ -13,7 +13,7 @@ use crate::reuse::ReuseMode;
 
 /// Real multiplications in one `N`-point negacyclic transform (one
 /// `N/2`-point complex FFT: `(N/4)·log2(N/2)` butterflies × 4).
-pub fn mults_per_transform(poly_size: usize) -> u64 {
+pub(crate) fn mults_per_transform(poly_size: usize) -> u64 {
     let half = (poly_size / 2) as u64;
     (half / 2) * u64::from((poly_size as u64 / 2).trailing_zeros()) * 4
 }
@@ -36,16 +36,6 @@ impl OpBreakdown {
     /// Total multiplications.
     pub fn total(&self) -> u64 {
         self.transform + self.pointwise + self.key_switch + self.other
-    }
-
-    /// Fraction contributed by domain transforms (the paper's "up to 88%").
-    pub fn transform_fraction(&self) -> f64 {
-        self.transform as f64 / self.total() as f64
-    }
-
-    /// Fraction contributed by key switching.
-    pub fn key_switch_fraction(&self) -> f64 {
-        self.key_switch as f64 / self.total() as f64
     }
 }
 
@@ -158,7 +148,7 @@ mod tests {
     fn fig1_transform_share_matches_the_paper() {
         // Fig 1: I/FFT ≈ 88% of bootstrap operations at the 128-bit set.
         let ops = cpu_bootstrap_ops(&ParamSet::Fig1.params());
-        let f = ops.transform_fraction();
+        let f = ops.transform as f64 / ops.total() as f64;
         assert!((0.84..0.92).contains(&f), "transform fraction {f}");
     }
 
@@ -166,7 +156,7 @@ mod tests {
     fn fig1_key_switch_share_is_a_few_percent() {
         // Fig 1: key switching ≈ 1.9% of operations.
         let ops = cpu_bootstrap_ops(&ParamSet::Fig1.params());
-        let f = ops.key_switch_fraction();
+        let f = ops.key_switch as f64 / ops.total() as f64;
         assert!((0.005..0.05).contains(&f), "ks fraction {f}");
     }
 

@@ -31,7 +31,7 @@ impl ReuseMode {
 
     /// Forward transforms needed per blind-rotation iteration *per
     /// ciphertext* for GLWE dimension `k` and BSK level `l_b`.
-    pub fn forward_transforms_per_iter(self, k: usize, l_b: usize) -> u64 {
+    pub(crate) fn forward_transforms_per_iter(self, k: usize, l_b: usize) -> u64 {
         let k1 = (k + 1) as u64;
         let l = l_b as u64;
         match self {
@@ -45,7 +45,7 @@ impl ReuseMode {
 
     /// Inverse transforms needed per blind-rotation iteration per
     /// ciphertext.
-    pub fn inverse_transforms_per_iter(self, k: usize, l_b: usize) -> u64 {
+    pub(crate) fn inverse_transforms_per_iter(self, k: usize, l_b: usize) -> u64 {
         let k1 = (k + 1) as u64;
         let l = l_b as u64;
         match self {
@@ -59,20 +59,13 @@ impl ReuseMode {
     }
 
     /// Total domain transforms per iteration per ciphertext.
-    pub fn transforms_per_iter(self, k: usize, l_b: usize) -> u64 {
+    pub(crate) fn transforms_per_iter(self, k: usize, l_b: usize) -> u64 {
         self.forward_transforms_per_iter(k, l_b) + self.inverse_transforms_per_iter(k, l_b)
     }
 
     /// Total domain transforms for a full bootstrap (`n` iterations).
-    pub fn transforms_per_bootstrap(self, n: usize, k: usize, l_b: usize) -> u64 {
+    pub(crate) fn transforms_per_bootstrap(self, n: usize, k: usize, l_b: usize) -> u64 {
         n as u64 * self.transforms_per_iter(k, l_b)
-    }
-
-    /// Fractional reduction in domain transforms relative to
-    /// [`ReuseMode::NoReuse`] (Fig 3's y-axis).
-    pub fn reduction_vs_no_reuse(self, k: usize, l_b: usize) -> f64 {
-        let base = ReuseMode::NoReuse.transforms_per_iter(k, l_b) as f64;
-        1.0 - self.transforms_per_iter(k, l_b) as f64 / base
     }
 }
 
@@ -91,15 +84,22 @@ impl fmt::Display for ReuseMode {
 mod tests {
     use super::*;
 
+    /// Fractional reduction in domain transforms relative to
+    /// [`ReuseMode::NoReuse`] (Fig 3's y-axis).
+    fn reduction(mode: ReuseMode, k: usize, l_b: usize) -> f64 {
+        let base = ReuseMode::NoReuse.transforms_per_iter(k, l_b) as f64;
+        1.0 - mode.transforms_per_iter(k, l_b) as f64 / base
+    }
+
     #[test]
     fn paper_reduction_percentages() {
         // §III: input reuse reduces 25% at (k,l_b)=(1,1) and 37.5% at
         // (3,3); input+output reuse reduces up to 83.3% at (3,3).
-        let r = ReuseMode::InputReuse.reduction_vs_no_reuse(1, 1);
+        let r = reduction(ReuseMode::InputReuse, 1, 1);
         assert!((r - 0.25).abs() < 1e-9, "{r}");
-        let r = ReuseMode::InputReuse.reduction_vs_no_reuse(3, 3);
+        let r = reduction(ReuseMode::InputReuse, 3, 3);
         assert!((r - 0.375).abs() < 1e-9, "{r}");
-        let r = ReuseMode::InputOutputReuse.reduction_vs_no_reuse(3, 3);
+        let r = reduction(ReuseMode::InputOutputReuse, 3, 3);
         assert!((r - 5.0 / 6.0).abs() < 1e-9, "{r}");
     }
 

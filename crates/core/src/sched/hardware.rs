@@ -29,7 +29,7 @@ pub const DMA_ENGINES: usize = 2;
 
 /// Parallel engines behind one unit class (one XPU complex slot, one
 /// full-rate VPU slot, [`DMA_ENGINES`] DMA engines).
-pub fn unit_engines(unit: UnitClass) -> u64 {
+pub(crate) fn unit_engines(unit: UnitClass) -> u64 {
     match unit {
         UnitClass::Xpu | UnitClass::Vpu => 1,
         UnitClass::Dma => DMA_ENGINES as u64,
@@ -68,7 +68,7 @@ impl Timeline {
 
     /// Busy cycles of one unit class (sum of instruction durations,
     /// across all of that class's engines).
-    pub fn busy_cycles(&self, unit: UnitClass) -> u64 {
+    pub(crate) fn busy_cycles(&self, unit: UnitClass) -> u64 {
         self.entries
             .iter()
             .filter(|e| e.unit == unit)

@@ -9,5 +9,5 @@
 pub mod hardware;
 pub mod software;
 
-pub use hardware::{unit_engines, HwScheduler, Scheduled, Timeline, DMA_ENGINES};
+pub use hardware::{HwScheduler, Scheduled, Timeline, DMA_ENGINES};
 pub use software::{SwScheduler, Workload};

@@ -11,19 +11,13 @@ use crate::config::ArchConfig;
 /// ciphertext, the ACC itself plus its ping-pong copy, the staging area for
 /// the next group, and its LWE masks — modeled as `4 × acc_bytes` (the
 /// factor that places the paper's Fig 8-a knee at 4096 KiB for set A).
-pub fn stream_batch_depth(config: &ArchConfig, params: &TfheParams) -> usize {
+pub(crate) fn stream_batch_depth(config: &ArchConfig, params: &TfheParams) -> usize {
     // Non-output-stationary dataflows spill transform-domain partial sums
     // to Private-A1, doubling the per-ACC footprint (§IV-B).
     let per_ct = params.acc_bytes() * 4 * config.dataflow.acc_bytes_factor();
     let per_stream = config.bootstrap_cores() as u64 * per_ct;
     let fit = (config.private_a1_kb as u64 * 1024) / per_stream.max(1);
     (fit as usize).clamp(1, config.max_stream_batch)
-}
-
-/// Bytes of Private-A2 needed to double-buffer one `BSK_i` (the prefetch
-/// window of §V-C).
-pub fn a2_window_bytes(params: &TfheParams) -> u64 {
-    2 * params.bsk_iter_bytes_fourier()
 }
 
 /// Functional model of the Private-A1 **double-pointer rotator** (§V-C).
@@ -68,7 +62,7 @@ impl RotatorBuffer {
     /// unit walks the banks starting at `-power`, and the reorder unit
     /// aligns unaligned vector accesses; coefficients crossing the `X^N`
     /// boundary are negated on the fly.
-    pub fn read_rotated(&self, power: i64) -> Polynomial<Torus32> {
+    pub(crate) fn read_rotated(&self, power: i64) -> Polynomial<Torus32> {
         let n = self.data.len() as i64;
         let two_n = 2 * n;
         let a = power.rem_euclid(two_n);
@@ -161,10 +155,11 @@ mod tests {
 
     #[test]
     fn a2_window_holds_two_bsk_iterations() {
-        let params = ParamSet::I.params();
-        assert_eq!(a2_window_bytes(&params), 2 * 32 * 1024);
+        // Private-A2 double-buffers one `BSK_i` (the prefetch window of §V-C).
+        let window = 2 * ParamSet::I.params().bsk_iter_bytes_fourier();
+        assert_eq!(window, 2 * 32 * 1024);
         // The paper's 4 MiB Private-A2 easily covers the window.
         let cfg = ArchConfig::morphling_default();
-        assert!(a2_window_bytes(&params) <= cfg.private_a2_kb as u64 * 1024);
+        assert!(window <= cfg.private_a2_kb as u64 * 1024);
     }
 }

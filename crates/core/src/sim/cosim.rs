@@ -29,13 +29,6 @@ pub struct CosimResult {
     pub active_iterations: u64,
 }
 
-impl CosimResult {
-    /// XPU time in seconds at the configured clock.
-    pub fn xpu_seconds(&self, config: &ArchConfig) -> f64 {
-        self.xpu_cycles as f64 / config.clock_hz()
-    }
-}
-
 /// The co-simulator: one XPU slice running one ciphertext's blind rotation
 /// with the hardware dataflow.
 #[derive(Debug)]

@@ -4,9 +4,8 @@
 use morphling_tfhe::TfheParams;
 
 use crate::config::ArchConfig;
-use crate::faults::{SimFaultEvent, SimFaultKind, SimFaultPlan};
 use crate::sim::buffers::stream_batch_depth;
-use crate::sim::hbm::{bitflip_refetch_cycles, BandwidthDemand};
+use crate::sim::hbm::BandwidthDemand;
 use crate::sim::vpu::VpuCost;
 use crate::sim::xpu::IterProfile;
 use crate::trace::ExecutionTrace;
@@ -21,41 +20,17 @@ const PIPELINE_FILL_CYCLES: u64 = 200;
 #[derive(Clone, Debug)]
 pub struct Simulator {
     config: ArchConfig,
-    faults: SimFaultPlan,
 }
 
 impl Simulator {
     /// Create a simulator for one architecture configuration.
     pub fn new(config: ArchConfig) -> Self {
-        Self {
-            config,
-            faults: SimFaultPlan::default(),
-        }
-    }
-
-    /// Install a seeded transient-fault plan: sampled outages re-cost the
-    /// simulated batch (the report's `fault_cycles` / `fault_events`)
-    /// instead of crashing it. The default zero-rate plan leaves every
-    /// report bit-identical to a fault-free run.
-    #[must_use]
-    pub fn with_faults(mut self, plan: SimFaultPlan) -> Self {
-        self.faults = plan;
-        self
+        Self { config }
     }
 
     /// The architecture being simulated.
     pub fn config(&self) -> &ArchConfig {
         &self.config
-    }
-
-    /// The installed transient-fault plan (all-zero by default).
-    pub fn fault_plan(&self) -> &SimFaultPlan {
-        &self.faults
-    }
-
-    /// Per-iteration XPU resource profile for `params`.
-    pub fn iteration_profile(&self, params: &TfheParams) -> IterProfile {
-        IterProfile::compute(&self.config, params)
     }
 
     /// Simulate the steady-state execution of `n_cts` bootstrap operations
@@ -99,33 +74,6 @@ impl Simulator {
             .max(1);
         let ks_cycles = vpu.ks_latency_cycles(cfg);
 
-        // Transient component outages: sampled deterministically from the
-        // fault plan, each charged a cycle penalty against the
-        // blind-rotation window. A zero-rate plan samples nothing, so the
-        // fault-free report is reproduced bit for bit.
-        let fault_events: Vec<SimFaultEvent> = self
-            .faults
-            .sample(n)
-            .into_iter()
-            .map(|(iter, kind)| {
-                let penalty_cycles = match kind {
-                    // The pipeline drains for the outage, then pays a
-                    // refill on top.
-                    SimFaultKind::FftOutage => self.faults.fft_outage_cycles + PIPELINE_FILL_CYCLES,
-                    SimFaultKind::DmaStall => self.faults.dma_stall_cycles,
-                    // Re-fetch the iteration's BSK slice over the
-                    // XPU-priority channels.
-                    SimFaultKind::HbmBitFlip => bitflip_refetch_cycles(cfg, params),
-                };
-                SimFaultEvent {
-                    iter,
-                    kind,
-                    penalty_cycles,
-                }
-            })
-            .collect();
-        let fault_cycles = fault_events.iter().map(|e| e.penalty_cycles).sum();
-
         SimReport {
             params_name: params.name,
             n_cts,
@@ -143,8 +91,6 @@ impl Simulator {
             ms_cycles,
             se_cycles,
             ks_cycles,
-            fault_cycles,
-            fault_events,
         }
     }
 
@@ -200,11 +146,6 @@ pub struct SimReport {
     pub se_cycles: u64,
     /// Key-switch serial cycles (one VPU lane group).
     pub ks_cycles: u64,
-    /// Cycles lost to injected transient component outages (zero without
-    /// a fault plan).
-    pub fault_cycles: u64,
-    /// The outages charged to this batch, in iteration order.
-    pub fault_events: Vec<SimFaultEvent>,
 }
 
 /// What bounds a simulated bootstrap batch's steady-state throughput.
@@ -233,16 +174,9 @@ impl Bottleneck {
 }
 
 impl SimReport {
-    /// Total latency of one bootstrap in cycles (including cycles lost to
-    /// injected transient outages, which stretch the blind-rotation
-    /// window).
-    pub fn latency_cycles(&self) -> u64 {
-        self.br_cycles
-            + self.fill_cycles
-            + self.ms_cycles
-            + self.se_cycles
-            + self.ks_cycles
-            + self.fault_cycles
+    /// Total latency of one bootstrap in cycles.
+    pub(crate) fn latency_cycles(&self) -> u64 {
+        self.br_cycles + self.fill_cycles + self.ms_cycles + self.se_cycles + self.ks_cycles
     }
 
     /// Which resource bounds this batch's throughput: the larger of the
@@ -274,7 +208,7 @@ impl SimReport {
             "BlindRotate",
             "sim",
             cursor,
-            self.br_cycles + self.fill_cycles + self.fault_cycles,
+            self.br_cycles + self.fill_cycles,
             vec![
                 ("iter_cycles".into(), self.iter_cycles.to_string()),
                 ("stream_batch".into(), self.stream_batch.to_string()),
@@ -287,27 +221,7 @@ impl SimReport {
                 ("bottleneck".into(), self.bottleneck().label().into()),
             ],
         );
-        cursor += self.br_cycles + self.fill_cycles + self.fault_cycles;
-        if !self.fault_events.is_empty() {
-            // One span per outage, placed at the iteration it hit within
-            // the (stalled) blind-rotation window.
-            let faults = t.track("Simulator", "Faults");
-            let per_iter = self.iter_cycles as f64 * self.stall;
-            for e in &self.fault_events {
-                let offset = ((e.iter as f64 * per_iter).round() as u64).min(self.br_cycles);
-                t.span_with_args(
-                    faults,
-                    e.kind.label(),
-                    "fault",
-                    self.ms_cycles + offset,
-                    e.penalty_cycles.max(1),
-                    vec![
-                        ("iter".into(), e.iter.to_string()),
-                        ("penalty_cycles".into(), e.penalty_cycles.to_string()),
-                    ],
-                );
-            }
-        }
+        cursor += self.br_cycles + self.fill_cycles;
         t.span(vpu, "SampleExtract", "sim", cursor, self.se_cycles);
         cursor += self.se_cycles;
         t.span(vpu, "KeySwitch", "sim", cursor, self.ks_cycles);
@@ -315,7 +229,7 @@ impl SimReport {
     }
 
     /// Latency in seconds.
-    pub fn latency_seconds(&self) -> f64 {
+    pub(crate) fn latency_seconds(&self) -> f64 {
         self.latency_cycles() as f64 / self.clock_hz
     }
 
@@ -328,7 +242,7 @@ impl SimReport {
     /// BS/s): the in-flight ciphertexts complete every stalled
     /// blind-rotation window.
     pub fn throughput_bs_per_s(&self) -> f64 {
-        self.cores as f64 / ((self.br_cycles + self.fault_cycles) as f64 / self.clock_hz)
+        self.cores as f64 / (self.br_cycles as f64 / self.clock_hz)
     }
 
     /// Bridge into the serving autotuner: this simulated accelerator as a
@@ -366,19 +280,6 @@ impl SimReport {
     /// Table V's area/power columns comparable across accelerators.
     pub fn energy_per_bootstrap_mj(&self, chip_power_w: f64) -> f64 {
         chip_power_w / self.throughput_bs_per_s() * 1e3
-    }
-
-    /// Busy fraction of each XPU resource within an iteration:
-    /// `(rotator, decompose, fft, vpe, ifft)`.
-    pub fn xpu_busy_fractions(&self) -> (f64, f64, f64, f64, f64) {
-        let d = self.iter_cycles as f64 * self.stall;
-        (
-            self.iter.rotator as f64 / d,
-            self.iter.decompose as f64 / d,
-            self.iter.fft as f64 / d,
-            self.iter.vpe as f64 / d,
-            self.iter.ifft as f64 / d,
-        )
     }
 }
 

@@ -79,7 +79,7 @@ impl BandwidthDemand {
     /// The pipeline stall factor: ≥ 1, ≤ [`Self::MAX_STALL`]. BSK
     /// competes for the XPU-priority channels; KSK + LWE compete for the
     /// VPU-priority channels; the whole stack is the final backstop.
-    pub fn stall_factor(&self, config: &ArchConfig) -> f64 {
+    pub(crate) fn stall_factor(&self, config: &ArchConfig) -> f64 {
         let xpu_cap = config.hbm.xpu_priority_gb_s().max(0.0);
         let vpu_cap = (config.hbm.total_gb_s - xpu_cap).max(0.0);
         // A class with demand but zero capacity saturates outright.
@@ -105,34 +105,10 @@ impl BandwidthDemand {
     }
 }
 
-/// Cycles to re-fetch one iteration's BSK slice after a corrupted HBM
-/// burst (ECC/CRC-detected bit flip): the slice streams again over the
-/// XPU-priority channels at their full rate. The penalty the simulator
-/// charges per [`HbmBitFlip`](crate::faults::SimFaultKind::HbmBitFlip)
-/// fault.
-pub fn bitflip_refetch_cycles(config: &ArchConfig, params: &TfheParams) -> u64 {
-    let cap_gb_s = config.hbm.xpu_priority_gb_s().max(f64::MIN_POSITIVE);
-    let seconds = params.bsk_iter_bytes_fourier() as f64 / (cap_gb_s * 1e9);
-    ((seconds * config.clock_hz()).ceil() as u64).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use morphling_tfhe::ParamSet;
-
-    #[test]
-    fn bitflip_refetch_matches_the_channel_rate() {
-        let cfg = ArchConfig::morphling_default();
-        let params = ParamSet::I.params();
-        let cycles = bitflip_refetch_cycles(&cfg, &params);
-        // 32 KiB over 77.5 GB/s at 1.2 GHz ≈ 500 cycles: nonzero, and
-        // small against a full blind rotation.
-        assert!(cycles >= 1);
-        let expect = params.bsk_iter_bytes_fourier() as f64 / (cfg.hbm.xpu_priority_gb_s() * 1e9)
-            * cfg.clock_hz();
-        assert!((cycles as f64 - expect).abs() <= 1.0, "cycles {cycles}");
-    }
 
     #[test]
     fn default_set_i_fits_in_the_priority_channels() {

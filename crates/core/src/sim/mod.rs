@@ -32,5 +32,3 @@ pub use buffers::RotatorBuffer;
 pub use cosim::{CosimResult, XpuCosim};
 pub use engine::{Bottleneck, SimReport, Simulator};
 pub use xpu::IterProfile;
-
-pub use crate::faults::{SimFaultEvent, SimFaultKind, SimFaultPlan};

@@ -37,14 +37,14 @@ impl VpuCost {
     /// Cycles one lane group takes for this ciphertext's KS (the paper
     /// programs each group independently, one ciphertext slot per group —
     /// this is the *latency* term of the KS stage).
-    pub fn ks_latency_cycles(&self, config: &ArchConfig) -> u64 {
+    pub(crate) fn ks_latency_cycles(&self, config: &ArchConfig) -> u64 {
         let group_macs_per_cycle = (config.vpu_lanes_per_group * config.vpu_macs_per_lane) as u64;
         self.key_switch_macs.div_ceil(group_macs_per_cycle.max(1))
     }
 
     /// Cycles the whole VPU (all groups) needs per ciphertext — the
     /// *throughput* term.
-    pub fn throughput_cycles(&self, config: &ArchConfig) -> u64 {
+    pub(crate) fn throughput_cycles(&self, config: &ArchConfig) -> u64 {
         self.total_macs()
             .div_ceil(config.vpu_macs_per_cycle().max(1))
     }

@@ -148,7 +148,7 @@ impl ExecutionTrace {
     }
 
     /// Append a span carrying viewer-visible annotations.
-    pub fn span_with_args(
+    pub(crate) fn span_with_args(
         &mut self,
         track: TrackId,
         name: &str,
@@ -168,7 +168,7 @@ impl ExecutionTrace {
     }
 
     /// Record (or replace) the aggregate counters for one unit name.
-    pub fn set_counters(&mut self, unit: &str, counters: UnitCounters) {
+    pub(crate) fn set_counters(&mut self, unit: &str, counters: UnitCounters) {
         if let Some(slot) = self.counters.iter_mut().find(|(u, _)| u == unit) {
             slot.1 = counters;
         } else {
@@ -187,20 +187,11 @@ impl ExecutionTrace {
     }
 
     /// Counters for one unit name, if recorded.
-    pub fn unit_counters(&self, unit: &str) -> Option<UnitCounters> {
+    pub(crate) fn unit_counters(&self, unit: &str) -> Option<UnitCounters> {
         self.counters
             .iter()
             .find(|(u, _)| u == unit)
             .map(|(_, c)| *c)
-    }
-
-    /// Last tick covered by any span (0 for an empty trace).
-    pub fn makespan_ticks(&self) -> u64 {
-        self.spans
-            .iter()
-            .map(|s| s.start + s.dur)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Append every span and counter of `other`, re-homing its tracks
@@ -392,7 +383,7 @@ impl ExecutionTrace {
     /// every knob and the predicted profile in the args. Loading the
     /// trace shows the search walking the config space and the feasible
     /// region lighting up.
-    pub fn add_autotune_trajectory(&mut self, trajectory: &[SearchPoint]) {
+    pub(crate) fn add_autotune_trajectory(&mut self, trajectory: &[SearchPoint]) {
         let track = self.track("Autotune", "search");
         for (i, p) in trajectory.iter().enumerate() {
             self.span_with_args(
@@ -543,6 +534,17 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExecutionTrace {
+        /// Last tick covered by any span (0 for an empty trace).
+        pub(crate) fn makespan_ticks(&self) -> u64 {
+            self.spans
+                .iter()
+                .map(|s| s.start + s.dur)
+                .max()
+                .unwrap_or(0)
+        }
+    }
 
     #[test]
     fn tracks_deduplicate_and_spans_accumulate() {

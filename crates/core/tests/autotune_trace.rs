@@ -16,7 +16,7 @@ fn sim_report_bridges_to_a_consistent_service_model() {
     let report = sim.bootstrap_batch(&ParamSet::III.params(), 1);
     let model = report.service_model();
     // The bridged per-bootstrap cost is the report's own latency.
-    let latency_ns = (report.latency_seconds() * 1e9) as u64;
+    let latency_ns = (report.latency_ms() * 1e6) as u64;
     assert!(model.bootstrap_ns.abs_diff(latency_ns) <= 1);
     // Run the accelerator's in-flight slots as "workers": capacity must
     // land near the simulator's steady-state throughput. The bridge
@@ -44,7 +44,7 @@ fn autotune_on_the_simulated_accelerator_meets_a_real_slo() {
     let sim = Simulator::new(ArchConfig::morphling_default());
     let report = sim.bootstrap_batch(&ParamSet::III.params(), 16);
     let model = report.service_model();
-    let latency = Duration::from_secs_f64(report.latency_seconds());
+    let latency = Duration::from_secs_f64(report.latency_ms() / 1e3);
     let mut req = AutotuneRequest::new(SloTarget {
         rate_per_s: model.capacity_bs(16) * 0.25,
         p99: latency * 20,
@@ -82,7 +82,7 @@ fn autotune_track_merges_with_simulator_traces() {
     )
     .unwrap();
     let before = trace.spans().len();
-    trace.add_autotune_trajectory(&tuned.trajectory);
+    trace.merge(&ExecutionTrace::from_autotune(&tuned));
     assert_eq!(trace.spans().len(), before + tuned.trajectory.len());
     let json = trace.to_chrome_json();
     assert!(json.contains("\"Simulator\"") && json.contains("\"Autotune\""));

@@ -52,7 +52,10 @@ fn resilience_trace_roundtrips_to_disk() {
     let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
-        .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
+        .retry(RetryConfig {
+            base_backoff: Duration::ZERO,
+            ..RetryConfig::new(1)
+        })
         .breaker(BreakerConfig::default())
         .build()
         .expect("valid serving knobs");

@@ -60,7 +60,7 @@ impl Complex64 {
 
     /// Squared magnitude `re² + im²`.
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -68,16 +68,6 @@ impl Complex64 {
     #[inline]
     pub fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
-    }
-
-    /// Multiply by the imaginary unit (a quarter-turn), cheaper than a full
-    /// complex multiply — the FFT butterflies use this.
-    #[inline]
-    pub fn mul_i(self) -> Self {
-        Self {
-            re: -self.im,
-            im: self.re,
-        }
     }
 
     /// Scale both components by a real factor.
@@ -217,12 +207,6 @@ mod tests {
         let a = Complex64::new(3.0, 4.0);
         assert_eq!(a.conj().conj(), a);
         assert!((a * a.conj() - Complex64::from(a.norm_sqr())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_i_is_quarter_turn() {
-        let a = Complex64::new(2.0, 5.0);
-        assert_eq!(a.mul_i(), a * Complex64::I);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! against them bit-for-bit.
 
 use crate::poly::Polynomial;
-use crate::torus::{Torus32, Torus64, TorusScalar};
+use crate::torus::Torus32;
 
 /// Exact negacyclic product of an integer polynomial (e.g. decomposition
 /// digits) with a torus polynomial: `digits(X) · t(X) mod (X^N + 1)`.
@@ -42,36 +42,6 @@ pub fn mul_int_torus32(digits: &Polynomial<i64>, t: &Polynomial<Torus32>) -> Pol
     Polynomial::from_coeffs(
         acc.into_iter()
             .map(|v| Torus32::from_raw(v as u32))
-            .collect(),
-    )
-}
-
-/// Exact negacyclic product for the 64-bit torus. Accumulates in `i128`.
-///
-/// # Panics
-///
-/// Panics if the operand lengths differ.
-pub fn mul_int_torus64(digits: &Polynomial<i64>, t: &Polynomial<Torus64>) -> Polynomial<Torus64> {
-    let n = digits.len();
-    assert_eq!(n, t.len(), "negacyclic product size mismatch");
-    let mut acc = vec![0i128; n];
-    for (j, &d) in digits.iter().enumerate() {
-        if d == 0 {
-            continue;
-        }
-        for (m, &c) in t.iter().enumerate() {
-            let k = j + m;
-            let prod = (d as i128).wrapping_mul(c.to_signed() as i128);
-            if k < n {
-                acc[k] = acc[k].wrapping_add(prod);
-            } else {
-                acc[k - n] = acc[k - n].wrapping_sub(prod);
-            }
-        }
-    }
-    Polynomial::from_coeffs(
-        acc.into_iter()
-            .map(|v| Torus64::from_u64(v as u64))
             .collect(),
     )
 }
@@ -156,17 +126,5 @@ mod tests {
         let lhs = mul_int_torus32(&d, &(&t1 + &t2));
         let rhs = &mul_int_torus32(&d, &t1) + &mul_int_torus32(&d, &t2);
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn torus64_matches_torus32_on_small_values() {
-        let d = poly(&[1, -2, 3, -4]);
-        let t32 = Polynomial::from_fn(4, |j| Torus32::from_raw((j as u32 + 1) << 8));
-        let t64 = t32.map(|c| Torus64::from_u64((c.into_raw() as u64) << 32));
-        let p32 = mul_int_torus32(&d, &t32);
-        let p64 = mul_int_torus64(&d, &t64);
-        for j in 0..4 {
-            assert_eq!(p64[j].to_u64() >> 32, p32[j].into_raw() as u64, "j={j}");
-        }
     }
 }

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Neg, Sub, SubAssign};
 
-use crate::torus::TorusScalar;
-
 /// A dense polynomial of degree `< N` with coefficients of type `T`,
 /// interpreted in the quotient ring `R[X]/(X^N + 1)` (negacyclic ring).
 ///
@@ -93,12 +91,6 @@ impl<T: Copy + Default> Polynomial<T> {
         &mut self.coeffs
     }
 
-    /// Consume and return the coefficient vector.
-    #[inline]
-    pub fn into_coeffs(self) -> Vec<T> {
-        self.coeffs
-    }
-
     /// Iterate over coefficients.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.coeffs.iter()
@@ -137,7 +129,7 @@ where
     /// # Panics
     ///
     /// Panics if `out.len() != self.len()`.
-    pub fn monomial_mul_into(&self, power: i64, out: &mut Self) {
+    pub(crate) fn monomial_mul_into(&self, power: i64, out: &mut Self) {
         self.rotate_into(power, out, |rotated, _| rotated);
     }
 
@@ -193,19 +185,6 @@ where
         T: Sub<Output = T>,
     {
         self.rotate_into(power, out, |rotated, own| rotated - own);
-    }
-}
-
-impl<T: TorusScalar> Polynomial<T> {
-    /// Sum of `scalar_mul` of each coefficient: `Σ k_j * c_j` — used by
-    /// exact LWE-phase computations.
-    pub fn dot_scalars(&self, scalars: &[i64]) -> T {
-        assert_eq!(self.len(), scalars.len(), "length mismatch in dot product");
-        let mut acc = T::ZERO;
-        for (&c, &k) in self.coeffs.iter().zip(scalars) {
-            acc += c.scalar_mul(k);
-        }
-        acc
     }
 }
 
@@ -416,19 +395,6 @@ mod tests {
         let q = poly_i64(&[10, 20, 30, 40]);
         assert_eq!(&(&p + &q) - &q, p);
         assert_eq!(-(-p.clone()), p);
-    }
-
-    #[test]
-    fn dot_scalars_matches_manual_sum() {
-        let p = Polynomial::from_coeffs(vec![
-            Torus32::from_raw(100),
-            Torus32::from_raw(200),
-            Torus32::from_raw(300),
-            Torus32::from_raw(400),
-        ]);
-        let s = [1i64, 0, -1, 2];
-        let expected = Torus32::from_raw(100u32.wrapping_sub(300).wrapping_add(800));
-        assert_eq!(p.dot_scalars(&s), expected);
     }
 
     #[test]

@@ -118,24 +118,6 @@ macro_rules! torus_impl {
             pub fn to_signed(self) -> $iwide {
                 self.0 as $iwide
             }
-
-            /// Round to the closest multiple of `q / 2^keep_bits`, i.e. keep
-            /// the top `keep_bits` bits with round-to-nearest. Used by the
-            /// gadget decomposition (§II-B) and by approximate rounding in
-            /// the key switch.
-            #[inline]
-            pub fn round_to_bits(self, keep_bits: u32) -> Self {
-                debug_assert!(keep_bits <= $bits);
-                if keep_bits == $bits {
-                    return self;
-                }
-                if keep_bits == 0 {
-                    return Self(0);
-                }
-                let drop = $bits - keep_bits;
-                let half = (1 as $raw) << (drop - 1);
-                Self(self.0.wrapping_add(half) & (<$raw>::MAX << drop))
-            }
         }
 
         impl TorusScalar for $name {
@@ -393,14 +375,6 @@ mod tests {
         // A value just below wrapping rounds to 0 (mod 2N).
         let eps = Torus32::from_raw(u32::MAX);
         assert_eq!(eps.mod_switch(two_n), 0);
-    }
-
-    #[test]
-    fn round_to_bits_keeps_top_bits() {
-        let x = Torus32::from_raw(0b1010_1101 << 24);
-        assert_eq!(x.round_to_bits(4).into_raw() >> 28, 0b1011);
-        assert_eq!(x.round_to_bits(32), x);
-        assert_eq!(x.round_to_bits(0), Torus32::ZERO);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`ServiceModel`] — calibrated from measured [`EngineStats`] (or from
 //! the cycle-accurate accelerator simulator in `morphling-core`, which
 //! can emit one from a `SimReport`) — supplies batch service times, and
-//! [`simulate`] replays a seeded open-loop arrival process through the
+//! `simulate` replays a seeded open-loop arrival process through the
 //! [`Dispatcher`]'s serving core **itself**: the state machine in
 //! `policy.rs` that the batcher thread drives with the wall clock is
 //! driven here with virtual time — by the same loop the chaos sweep uses —
@@ -122,7 +122,7 @@ impl ServiceModel {
     /// workers: the batch executes in `ceil(batch / workers)` lockstep
     /// rounds of one bootstrap each, degraded by the parallel
     /// efficiency, plus the fixed per-batch overhead.
-    pub fn batch_service_ns(&self, batch: usize, workers: usize) -> u64 {
+    pub(crate) fn batch_service_ns(&self, batch: usize, workers: usize) -> u64 {
         if batch == 0 {
             return 0;
         }
@@ -151,7 +151,7 @@ impl ServiceModel {
 /// A seeded synthetic open-loop arrival process: `requests` arrivals at
 /// mean `rate_per_s`, exponentially-distributed inter-arrival times
 /// drawn deterministically from `seed`. The same spec produces the same
-/// schedule in the [`simulate`]d run and in the real
+/// schedule in the `simulate`d run and in the real
 /// [`replay_open_loop`] — prediction and measurement see identical
 /// traffic.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -199,7 +199,7 @@ impl LoadSpec {
 
     /// The deterministic arrival schedule, in nanoseconds from the start
     /// of the run. Pure function of `(rate_per_s, requests, seed)`.
-    pub fn arrival_schedule_ns(&self) -> Vec<u64> {
+    pub(crate) fn arrival_schedule_ns(&self) -> Vec<u64> {
         let mean_gap_ns = 1e9 / self.rate_per_s;
         let mut t = 0.0f64;
         (0..self.requests)
@@ -218,7 +218,7 @@ impl LoadSpec {
 // Event-driven policy simulation
 // ---------------------------------------------------------------------------
 
-/// Latency profile predicted by [`simulate`] for one config under one
+/// Latency profile predicted by `simulate` for one config under one
 /// load.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PredictedProfile {
@@ -261,7 +261,7 @@ pub struct PredictedProfile {
 /// # Errors
 ///
 /// [`TfheError::InvalidServingConfig`] if `cfg` or `spec` is degenerate.
-pub fn simulate(
+pub(crate) fn simulate(
     cfg: &ServingConfig,
     model: &ServiceModel,
     spec: &LoadSpec,
@@ -423,7 +423,7 @@ fn queue_candidates(target: &SloTarget) -> Vec<usize> {
     out
 }
 
-/// Grid-search the serving-config space against [`simulate`] for the
+/// Grid-search the serving-config space against `simulate` for the
 /// cheapest config meeting `req.target`, under service costs from
 /// `model`.
 ///
@@ -541,7 +541,7 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
 // ---------------------------------------------------------------------------
 
 /// Drive the **real** `dispatcher` with `spec`'s seeded open-loop load —
-/// the same arrival schedule [`simulate`] used — and return its
+/// the same arrival schedule `simulate` used — and return its
 /// [`DispatcherStats`] once every admitted request has resolved. Run it
 /// against a dispatcher built from [`AutotuneReport::recommended`] to see
 /// the recommendation serve real traffic; its `p99_latency` over

@@ -154,7 +154,7 @@ pub fn sample_extract(acc: &GlweCiphertext) -> LweCiphertext {
 
 /// Build the initial accumulator: the (pre-rotated) test polynomial as a
 /// trivial GLWE, rotated by `X^(−b̃)`.
-pub fn initial_accumulator(
+pub(crate) fn initial_accumulator(
     test_poly: &Polynomial<Torus32>,
     glwe_dim: usize,
     b_tilde: u64,

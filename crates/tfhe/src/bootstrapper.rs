@@ -16,7 +16,7 @@
 //! **per-item** selectors (`lut_of[i]` names ciphertext `i`'s LUT), and a
 //! **fanout** map (`fanout[i]` names *several* LUTs for ciphertext `i`,
 //! all evaluated from one blind rotation via multi-value bootstrapping —
-//! see [`ServerKey::try_programmable_bootstrap_many`]). Fanout outputs are
+//! see [`ServerKey::try_programmable_bootstrap_many_with`]). Fanout outputs are
 //! flattened in input order: first every output of ciphertext 0, then
 //! every output of ciphertext 1, and so on.
 //!
@@ -198,7 +198,7 @@ impl BatchRequest {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
-    pub fn luts_for(&self, i: usize) -> Vec<&Lut> {
+    pub(crate) fn luts_for(&self, i: usize) -> Vec<&Lut> {
         match &self.fanout {
             Some(map) => map[i].iter().map(|&j| &self.luts[j]).collect(),
             None => vec![self.lut_for(i)],
@@ -217,7 +217,7 @@ impl BatchRequest {
     ///
     /// Panics if `i >= self.len()` — construction already guaranteed
     /// every in-range selector resolves.
-    pub fn lut_for(&self, i: usize) -> &Lut {
+    pub(crate) fn lut_for(&self, i: usize) -> &Lut {
         match &self.lut_of {
             Some(sel) => &self.luts[sel[i]],
             None => &self.luts[0],
@@ -241,7 +241,7 @@ impl BatchRequest {
     }
 
     /// Attach a tenant to an already-built request (key-affinity routing).
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
+    pub(crate) fn with_tenant(mut self, tenant: TenantId) -> Self {
         self.tenant = Some(tenant);
         self
     }
@@ -614,7 +614,9 @@ mod tests {
         assert_eq!(out.len(), cts.len() * luts.len());
         let funcs: [fn(u64) -> u64; 3] = [|m| m, |m| (m + 1) % 4, |m| (3 * m) % 4];
         for (i, ct) in cts.iter().enumerate() {
-            let want = sk.try_programmable_bootstrap_many(ct, &luts).unwrap();
+            let want = sk
+                .try_programmable_bootstrap_many_with(ct, &luts, &mut sk.workspace())
+                .unwrap();
             assert_eq!(
                 &out[i * luts.len()..(i + 1) * luts.len()],
                 want.as_slice(),

@@ -663,23 +663,6 @@ impl Dispatcher {
             .map(MultiTicket)
     }
 
-    /// [`submit_many`](Self::submit_many) on behalf of `tenant`, with
-    /// [`submit_for`](Self::submit_for)'s key-affinity semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_many`](Self::submit_many).
-    pub fn submit_many_for(
-        &self,
-        tenant: TenantId,
-        ct: LweCiphertext,
-        luts: Vec<Arc<Lut>>,
-        deadline: Option<Instant>,
-    ) -> Result<MultiTicket, TfheError> {
-        self.enqueue(ct, luts, Some(tenant), deadline, true)
-            .map(MultiTicket)
-    }
-
     /// Non-blocking [`submit`](Self::submit): rejects with
     /// [`TfheError::QueueFull`] instead of waiting — the backpressure
     /// signal for callers that can shed or defer load.
@@ -1694,7 +1677,9 @@ mod tests {
             Lut::from_fn(params.poly_size, 4, |m| (3 * m) % 4),
         ];
         let ct = ck.encrypt(2, &mut rng);
-        let want = sk.try_programmable_bootstrap_many(&ct, &luts).unwrap();
+        let want = sk
+            .try_programmable_bootstrap_many_with(&ct, &luts, &mut sk.workspace())
+            .unwrap();
 
         let d = dispatcher(
             ServingConfig::builder()
@@ -1852,10 +1837,13 @@ mod tests {
 
     /// Retry up to three times, 60 ms, then 120 ms, then 150 ms apart.
     fn slow_retry() -> RetryConfig {
-        RetryConfig::new(3)
-            .with_base_backoff(Duration::from_millis(60))
-            .with_max_backoff(Duration::from_millis(150))
-            .with_jitter(0.0, 0)
+        RetryConfig {
+            base_backoff: Duration::from_millis(60),
+            max_backoff: Duration::from_millis(150),
+            jitter: 0.0,
+            seed: 0,
+            ..RetryConfig::new(3)
+        }
     }
 
     #[test]
@@ -1913,7 +1901,10 @@ mod tests {
 
     #[test]
     fn a_transient_fault_reruns_the_batch_as_a_batch() {
-        let once = RetryConfig::new(1).with_base_backoff(Duration::ZERO);
+        let once = RetryConfig {
+            base_backoff: Duration::ZERO,
+            ..RetryConfig::new(1)
+        };
         for (retry, calls) in [(once, vec![16, 16]), (RetryConfig::none(), vec![16])] {
             let (backend, _started, _gate) = echo_failing(false, 1);
             let d = dispatcher(

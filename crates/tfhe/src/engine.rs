@@ -922,13 +922,6 @@ impl BootstrapEngine {
         &self.shared.journal
     }
 
-    /// Workers still in the pool. Drops below [`workers`](Self::workers)
-    /// when a worker exhausts its respawn budget; zero means the pool is
-    /// dead.
-    pub fn alive_workers(&self) -> usize {
-        self.shared.lock().alive()
-    }
-
     /// Gracefully stop the pool: let every worker leave, and join them.
     /// Subsequent submissions return [`TfheError::EngineShutDown`].
     /// Idempotent; also run by `Drop`.
@@ -1256,10 +1249,10 @@ mod tests {
         let lut = Lut::identity(sk.params().poly_size, 4);
         let cts = vec![ck.encrypt(1, &mut rng)];
         bb(&engine, &cts, &lut).unwrap();
-        assert_eq!(engine.alive_workers(), 2);
+        assert_eq!(engine.shared.lock().alive(), 2);
         assert_eq!(engine.health(), EngineHealth::Healthy);
         engine.shutdown();
-        assert_eq!(engine.alive_workers(), 0);
+        assert_eq!(engine.shared.lock().alive(), 0);
         assert_eq!(engine.health(), EngineHealth::Failed);
         // It reports so as a backend too, through a reference.
         assert_eq!(Bootstrapper::health(&&engine), EngineHealth::Failed);
@@ -1393,7 +1386,7 @@ mod tests {
             bb(&engine, &cts, &lut).err(),
             Some(TfheError::EngineShutDown)
         );
-        assert_eq!(engine.alive_workers(), 0);
+        assert_eq!(engine.shared.lock().alive(), 0);
         assert_eq!(engine.health(), EngineHealth::Failed);
         // Later submissions fail fast.
         assert_eq!(

@@ -126,11 +126,6 @@ impl FaultPlan {
         self
     }
 
-    /// `true` if every rate is zero — the engine skips all bookkeeping.
-    pub fn is_noop(&self) -> bool {
-        self.worker_panic <= 0.0 && self.wedged_job <= 0.0 && self.corrupt_output <= 0.0
-    }
-
     /// The rate configured for one site.
     pub fn rate(&self, site: FaultSite) -> f64 {
         match site {
@@ -175,9 +170,8 @@ impl FaultInjector {
 }
 
 /// One deterministic Bernoulli decision: `true` with probability `rate`,
-/// as a pure function of `(seed, domain, key, attempt)`. Shared by the
-/// engine-side injector here and the simulator-side fault model in
-/// `morphling_core::faults`.
+/// as a pure function of `(seed, domain, key, attempt)`: what
+/// [`FaultInjector::fires`] asks for each site.
 pub fn decide(seed: u64, domain: u64, key: u64, attempt: u32, rate: f64) -> bool {
     if rate <= 0.0 {
         return false;
@@ -192,7 +186,7 @@ pub fn decide(seed: u64, domain: u64, key: u64, attempt: u32, rate: f64) -> bool
 /// `(seed, domain, key, attempt)` — the uniform variate behind
 /// [`decide`], also used by the resilience layer's seeded retry jitter
 /// (same determinism contract: identical runs back off identically).
-pub fn unit_sample(seed: u64, domain: u64, key: u64, attempt: u32) -> f64 {
+pub(crate) fn unit_sample(seed: u64, domain: u64, key: u64, attempt: u32) -> f64 {
     let h = mix3(
         seed ^ domain.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         key,
@@ -230,7 +224,7 @@ pub fn corrupt_ciphertext(ct: &LweCiphertext) -> LweCiphertext {
 /// rare as `target`. Drives the engine's
 /// [`noise_adaptive_retries`](crate::BootstrapEngineBuilder::noise_adaptive_retries)
 /// policy via [`noise::failure_probability`](crate::noise::failure_probability).
-pub fn retry_budget_for(p_fail: f64, target: f64) -> u32 {
+pub(crate) fn retry_budget_for(p_fail: f64, target: f64) -> u32 {
     if p_fail <= 0.0 || target >= 1.0 {
         return 0;
     }
@@ -255,13 +249,13 @@ mod tests {
     #[test]
     fn zero_rate_plan_is_noop() {
         let inj = FaultInjector::new(FaultPlan::seeded(42));
-        assert!(inj.plan().is_noop());
         for key in 0..1000 {
             for site in [
                 FaultSite::WorkerPanic,
                 FaultSite::WedgedJob,
                 FaultSite::CorruptOutput,
             ] {
+                assert_eq!(inj.plan().rate(site), 0.0);
                 assert!(!inj.fires(site, key, 0));
             }
         }

@@ -75,7 +75,7 @@ impl GgswCiphertext {
     ///
     /// Panics unless there are exactly `(glwe_dim + 1) · level` rows, every
     /// row has `glwe_dim` masks, and all rows share one polynomial size.
-    pub fn from_rows(rows: Vec<GlweCiphertext>, glwe_dim: usize, level: usize) -> Self {
+    pub(crate) fn from_rows(rows: Vec<GlweCiphertext>, glwe_dim: usize, level: usize) -> Self {
         assert_eq!(
             rows.len(),
             (glwe_dim + 1) * level,
@@ -160,7 +160,7 @@ impl FourierGgsw {
     }
 
     /// Number of rows, `(k+1)·l`.
-    pub fn row_count(&self) -> usize {
+    pub(crate) fn row_count(&self) -> usize {
         self.rows.len()
     }
 

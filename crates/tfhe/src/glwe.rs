@@ -82,7 +82,7 @@ impl GlweCiphertext {
     /// # Panics
     ///
     /// Panics if mask and body sizes disagree.
-    pub fn from_parts(masks: Vec<Polynomial<Torus32>>, body: Polynomial<Torus32>) -> Self {
+    pub(crate) fn from_parts(masks: Vec<Polynomial<Torus32>>, body: Polynomial<Torus32>) -> Self {
         for m in &masks {
             assert_eq!(m.len(), body.len(), "mask/body size mismatch");
         }

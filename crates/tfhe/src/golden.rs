@@ -72,7 +72,9 @@ fn digests(set: ParamSet) -> ([u64; 5], u64) {
 
     let mut multi = Vec::new();
     for (ct, &m) in cts.iter().zip(&messages) {
-        let outs = (sk.try_programmable_bootstrap_many(ct, &luts)).expect("multi-value");
+        let outs = sk
+            .try_programmable_bootstrap_many_with(ct, &luts, &mut sk.workspace())
+            .expect("multi-value");
         for (j, out) in outs.iter().enumerate() {
             assert_eq!(
                 ck.decrypt(out),

@@ -130,7 +130,7 @@ impl GlweSecretKey {
     /// Flatten into the LWE key of dimension `k·N` that sample extraction
     /// implicitly switches to (§II-B): the coefficients of each `S_i` in
     /// order.
-    pub fn to_extracted_lwe_key(&self) -> LweSecretKey {
+    pub(crate) fn to_extracted_lwe_key(&self) -> LweSecretKey {
         let mut bits = Vec::with_capacity(self.dim() * self.poly_size());
         for p in &self.polys {
             bits.extend_from_slice(p.coeffs());
@@ -170,7 +170,7 @@ impl ClientKey {
     }
 
     /// The LWE secret key (messages are encrypted under this key).
-    pub fn lwe_key(&self) -> &LweSecretKey {
+    pub(crate) fn lwe_key(&self) -> &LweSecretKey {
         &self.lwe_key
     }
 
@@ -193,7 +193,7 @@ impl ClientKey {
     }
 
     /// Encrypt an arbitrary torus value under the LWE key.
-    pub fn encrypt_torus<R: Rng + ?Sized>(&self, mu: Torus32, rng: &mut R) -> LweCiphertext {
+    pub(crate) fn encrypt_torus<R: Rng + ?Sized>(&self, mu: Torus32, rng: &mut R) -> LweCiphertext {
         LweCiphertext::encrypt(mu, &self.lwe_key, self.params.lwe_noise_std, rng)
     }
 
@@ -204,7 +204,7 @@ impl ClientKey {
     }
 
     /// Decrypt the raw torus phase (message + noise), for noise analysis.
-    pub fn decrypt_torus(&self, ct: &LweCiphertext) -> Torus32 {
+    pub(crate) fn decrypt_torus(&self, ct: &LweCiphertext) -> Torus32 {
         self.lwe_key.phase(ct)
     }
 

@@ -149,7 +149,7 @@ impl DirBackend {
     }
 
     /// The file path holding `tenant`'s blob.
-    pub fn path_for(&self, tenant: TenantId) -> PathBuf {
+    pub(crate) fn path_for(&self, tenant: TenantId) -> PathBuf {
         self.root.join(format!("tenant-{}.key", tenant.raw()))
     }
 
@@ -165,15 +165,6 @@ impl DirBackend {
         std::fs::write(self.path_for(tenant), blob).map_err(|e| TfheError::KeyCorrupted {
             detail: format!("cannot write key for {tenant}: {e}"),
         })
-    }
-
-    /// Serialize `key` and write it for `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`store`](Self::store).
-    pub fn store_server_key(&self, tenant: TenantId, key: &ServerKey) -> Result<(), TfheError> {
-        self.store(tenant, &crate::serialize::serialize_server_key(key))
     }
 }
 
@@ -432,7 +423,7 @@ impl KeyStore {
     }
 
     /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
+    pub(crate) fn budget_bytes(&self) -> u64 {
         lock(&self.cache).budget
     }
 
@@ -564,28 +555,17 @@ impl std::fmt::Debug for PinnedKey {
 
 /// Adapts a [`KeyStore`] to the [`Bootstrapper`] trait: each batch is
 /// served by the key of its [`BatchRequest::tenant`], pinned for the
-/// duration of the call. Requests without a tenant fall back to the
-/// configured default key, or fail with [`TfheError::NoTenantProvided`].
+/// duration of the call. Requests without a tenant fail with
+/// [`TfheError::NoTenantProvided`].
 #[derive(Clone, Debug)]
 pub struct KeyStoreBootstrapper {
     store: Arc<KeyStore>,
-    default: Option<Arc<ServerKey>>,
 }
 
 impl KeyStoreBootstrapper {
-    /// Serve every batch through `store` (no default key: tenant-less
-    /// requests fail).
+    /// Serve every batch through `store` (tenant-less requests fail).
     pub fn new(store: Arc<KeyStore>) -> Self {
-        Self {
-            store,
-            default: None,
-        }
-    }
-
-    /// Serve tenant-less requests with `key` instead of failing.
-    pub fn with_default(mut self, key: Arc<ServerKey>) -> Self {
-        self.default = Some(key);
-        self
+        Self { store }
     }
 
     /// The underlying store.
@@ -603,10 +583,7 @@ impl Bootstrapper for KeyStoreBootstrapper {
                 let pinned = self.store.get(tenant)?;
                 pinned.try_bootstrap_batch(req)
             }
-            None => match &self.default {
-                Some(key) => key.try_bootstrap_batch(req),
-                None => Err(TfheError::NoTenantProvided),
-            },
+            None => Err(TfheError::NoTenantProvided),
         }
     }
 }
@@ -791,20 +768,13 @@ mod tests {
             let out = boot.try_bootstrap_batch(&req).unwrap();
             assert_eq!(ck.decrypt(&out[0]), 3, "tenant {t}");
         }
-        // No tenant and no default: typed failure.
+        // No tenant: typed failure.
         let ct = clients[0].encrypt(1, &mut rng);
         let req = BatchRequest::shared(vec![ct], lut.clone());
         assert_eq!(
             boot.try_bootstrap_batch(&req).unwrap_err(),
             TfheError::NoTenantProvided
         );
-        // With a default key, tenant-less requests serve.
-        let pinned = store.get(TenantId::new(0)).unwrap();
-        let boot = boot.with_default(Arc::clone(pinned.key()));
-        let ct = clients[0].encrypt(1, &mut rng);
-        let req = BatchRequest::shared(vec![ct], lut);
-        let out = boot.try_bootstrap_batch(&req).unwrap();
-        assert_eq!(clients[0].decrypt(&out[0]), 2);
     }
 
     #[test]
@@ -814,7 +784,12 @@ mod tests {
         let sk = ServerKey::new(&ck, &mut rng);
         let dir = std::env::temp_dir().join(format!("morphling-keystore-{}", std::process::id()));
         let backend = DirBackend::new(&dir);
-        backend.store_server_key(TenantId::new(3), &sk).unwrap();
+        backend
+            .store(
+                TenantId::new(3),
+                &crate::serialize::serialize_server_key(&sk),
+            )
+            .unwrap();
         let store = KeyStore::new(Arc::new(backend.clone()), 4 * one_key_bytes());
         let pinned = store.get(TenantId::new(3)).unwrap();
         let lut = crate::Lut::identity(sk.params().poly_size, 4);

@@ -59,7 +59,7 @@ impl KeySwitchKey {
     ///
     /// [`TfheError::KeyCorrupted`] if `decomp` keeps more than 32 bits or
     /// `words` is not a whole number of input-mask rows.
-    pub fn from_words(
+    pub(crate) fn from_words(
         words: Vec<Torus32>,
         decomp: DecompParams,
         dim_out: usize,
@@ -133,8 +133,9 @@ impl KeySwitchKey {
     ///
     /// # Panics
     ///
-    /// Panics if `ct.dim() != dim_in()`; use
-    /// [`try_key_switch`](Self::try_key_switch) for a `Result`.
+    /// Panics if `ct.dim() != dim_in()`;
+    /// [`try_key_switch_many`](Self::try_key_switch_many) returns a
+    /// `Result`.
     pub fn key_switch(&self, ct: &LweCiphertext) -> LweCiphertext {
         match self.try_key_switch(ct) {
             Ok(out) => out,
@@ -148,7 +149,7 @@ impl KeySwitchKey {
     /// # Errors
     ///
     /// [`TfheError::KeySwitchDimensionMismatch`] if `ct.dim() != dim_in()`.
-    pub fn try_key_switch(&self, ct: &LweCiphertext) -> Result<LweCiphertext, TfheError> {
+    pub(crate) fn try_key_switch(&self, ct: &LweCiphertext) -> Result<LweCiphertext, TfheError> {
         let mut out = self.try_key_switch_many(std::slice::from_ref(ct))?;
         Ok(out.swap_remove(0))
     }

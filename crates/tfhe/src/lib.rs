@@ -16,10 +16,10 @@
 //! - [programmable bootstrapping](ServerKey::programmable_bootstrap) with
 //!   arbitrary lookup tables ([`Lut`]), and a bootstrapped
 //!   [boolean gate API](ServerKey::nand);
-//! - [multi-value bootstrapping](ServerKey::try_programmable_bootstrap_many)
+//! - [multi-value bootstrapping](ServerKey::try_programmable_bootstrap_many_with)
 //!   — k LUTs of one input for a *single* blind rotation via the
 //!   common-factor plan ([`MultiLutPlan`]) — and
-//!   [tree bootstrapping](ServerKey::try_tree_bootstrap) chaining LUT
+//!   [tree bootstrapping](ServerKey::try_tree_bootstrap_many) chaining LUT
 //!   stages to evaluate wider-input functions;
 //! - two polynomial-multiplication backends ([`MulBackend`]): the FFT
 //!   path the hardware accelerates, and an exact integer path (a two-prime
@@ -136,12 +136,7 @@ pub use lwe::LweCiphertext;
 pub use multivalue::MultiLutPlan;
 pub use params::{ParamSet, TfheParams, ALL_PAPER_SETS};
 pub use resilience::{BreakerConfig, RetryConfig};
-pub use serialize::{
-    deserialize_bootstrap_key, deserialize_glwe_secret_key, deserialize_key_switch_key,
-    deserialize_lwe_secret_key, deserialize_server_key, serialize_bootstrap_key,
-    serialize_glwe_secret_key, serialize_key_switch_key, serialize_lwe_secret_key,
-    serialize_server_key,
-};
+pub use serialize::{deserialize_server_key, serialize_server_key};
 pub use server::{BootstrapOptions, MulBackend, ServerKey, ServerKeyBuilder};
 pub use serving::{ServingConfig, ServingConfigBuilder};
 pub use workspace::BootstrapWorkspace;

@@ -23,8 +23,7 @@ impl Lut {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not a power of two, or `p > N/2`; use
-    /// [`try_from_fn`](Self::try_from_fn) for a `Result`.
+    /// Panics if `p` is not a power of two, or `p > N/2`.
     pub fn from_fn(poly_size: usize, p: u64, f: impl FnMut(u64) -> u64) -> Self {
         match Self::try_from_fn(poly_size, p, f) {
             Ok(lut) => lut,
@@ -38,7 +37,7 @@ impl Lut {
     ///
     /// [`TfheError::PlaintextModulusNotPowerOfTwo`] or
     /// [`TfheError::PlaintextModulusTooLarge`].
-    pub fn try_from_fn(
+    pub(crate) fn try_from_fn(
         poly_size: usize,
         p: u64,
         mut f: impl FnMut(u64) -> u64,
@@ -48,19 +47,6 @@ impl Lut {
 
     /// Build a test polynomial whose output values are arbitrary torus
     /// elements (e.g. re-scaled constants for gate bootstrapping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not a power of two, or `p > N/2`; use
-    /// [`try_from_torus_fn`](Self::try_from_torus_fn) for a `Result`.
-    pub fn from_torus_fn(poly_size: usize, p: u64, f: impl FnMut(u64) -> Torus32) -> Self {
-        match Self::try_from_torus_fn(poly_size, p, f) {
-            Ok(lut) => lut,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`from_torus_fn`](Self::from_torus_fn).
     ///
     /// # Errors
     ///
@@ -99,7 +85,7 @@ impl Lut {
     /// The constant `+1/8` test polynomial used by gate bootstrapping: the
     /// blind rotation turns it into `+1/8` for phases in `(0, 1/2)` and
     /// `−1/8` for phases in `(−1/2, 0)`.
-    pub fn bool_gate(poly_size: usize) -> Self {
+    pub(crate) fn bool_gate(poly_size: usize) -> Self {
         let eighth = Torus32::from_f64(0.125);
         Self {
             poly: Polynomial::from_fn(poly_size, |_| eighth),

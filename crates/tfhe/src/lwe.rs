@@ -51,7 +51,7 @@ impl LweCiphertext {
 
     /// Assemble from raw parts (used by sample extraction and the key
     /// switch).
-    pub fn from_parts(mask: Vec<Torus32>, body: Torus32) -> Self {
+    pub(crate) fn from_parts(mask: Vec<Torus32>, body: Torus32) -> Self {
         Self { mask, body }
     }
 
@@ -130,7 +130,7 @@ impl LweCiphertext {
     /// Add a plaintext torus constant to the encrypted message (exact, no
     /// noise growth).
     #[must_use]
-    pub fn add_plain(&self, mu: Torus32) -> Self {
+    pub(crate) fn add_plain(&self, mu: Torus32) -> Self {
         Self {
             mask: self.mask.clone(),
             body: self.body + mu,

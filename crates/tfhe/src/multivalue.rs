@@ -32,7 +32,7 @@
 //!
 //! The price of reuse is noise: the derived accumulator carries `v_i ⊙ e`
 //! instead of `e`, amplifying the rotation noise by up to
-//! `Σ_j |v_i[j]|` ([`MultiLutPlan::factor_weight`]). Outputs therefore
+//! `Σ_j |v_i[j]|`, the factor's weight. Outputs therefore
 //! decode identically to a plain bootstrap but are **not** bit-identical
 //! to it; the deterministic reference for bit-level tests is
 //! `ServerKey::try_programmable_bootstrap_many_separate`, which pays one
@@ -145,16 +145,6 @@ impl MultiLutPlan {
         self.shift
     }
 
-    /// `Σ_j |v_i[j]|` — the worst-case factor by which deriving LUT `i`
-    /// amplifies the common accumulator's rotation noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn factor_weight(&self, i: usize) -> u64 {
-        self.factors[i].iter().map(|&(_, v)| v.unsigned_abs()).sum()
-    }
-
     /// Derive LUT `i`'s rotated accumulator: `v_i ⊙ acc`, the sparse
     /// negacyclic integer-polynomial product applied to every GLWE
     /// component. `O(N · nnz(v_i))` wrapping adds — no transform.
@@ -192,6 +182,14 @@ impl MultiLutPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MultiLutPlan {
+        /// `Σ_j |v_i[j]|` — the worst-case factor by which deriving LUT `i`
+        /// amplifies the common accumulator's rotation noise.
+        fn factor_weight(&self, i: usize) -> u64 {
+            self.factors[i].iter().map(|&(_, v)| v.unsigned_abs()).sum()
+        }
+    }
 
     #[test]
     fn derived_trivial_accumulator_reconstructs_each_lut_exactly() {
@@ -238,7 +236,8 @@ mod tests {
         // A LUT with an odd coefficient step leaves no power of two to
         // extract; the plan must refuse rather than halve inexactly.
         let n = 32;
-        let odd = Lut::from_torus_fn(n, 2, |m| Torus32::from_raw(if m == 0 { 1 } else { 0 }));
+        let odd = Lut::try_from_torus_fn(n, 2, |m| Torus32::from_raw(if m == 0 { 1 } else { 0 }))
+            .unwrap();
         assert!(MultiLutPlan::build([&odd]).is_none());
         // And one bad LUT poisons the whole batch (t is global).
         let good = Lut::identity(n, 4);
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn zero_lut_gets_an_empty_factor() {
         let n = 32;
-        let zero = Lut::from_torus_fn(n, 2, |_| Torus32::ZERO);
+        let zero = Lut::try_from_torus_fn(n, 2, |_| Torus32::ZERO).unwrap();
         let plan = MultiLutPlan::build([&zero]).expect("zero LUT is trivially factorable");
         assert_eq!(plan.factor_weight(0), 0);
         let acc = GlweCiphertext::trivial(plan.common().clone(), 1);

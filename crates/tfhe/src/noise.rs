@@ -18,13 +18,6 @@ pub fn measured_error(client: &ClientKey, ct: &LweCiphertext, intended: Torus32)
     (client.decrypt_torus(ct) - intended).to_f64_signed()
 }
 
-/// Sample standard deviation of a set of measured errors.
-pub fn error_std(errors: &[f64]) -> f64 {
-    let n = errors.len() as f64;
-    let mean = errors.iter().sum::<f64>() / n;
-    (errors.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n).sqrt()
-}
-
 /// Predicted variance added by one external product (one blind-rotation
 /// step), dominated by the BSK noise term
 /// `(k+1) · l_b · N · (β/2)² · σ_bsk² / 3` plus the gadget rounding term
@@ -115,6 +108,13 @@ mod tests {
     use crate::server::ServerKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Sample standard deviation of a set of measured errors.
+    fn error_std(errors: &[f64]) -> f64 {
+        let n = errors.len() as f64;
+        let mean = errors.iter().sum::<f64>() / n;
+        (errors.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n).sqrt()
+    }
 
     #[test]
     fn functional_sets_have_noise_budget() {

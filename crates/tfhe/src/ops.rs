@@ -14,7 +14,7 @@ use crate::lwe::LweCiphertext;
 /// # Panics
 ///
 /// Panics if lengths differ or `cts` is empty.
-pub fn weighted_sum(cts: &[LweCiphertext], weights: &[i64]) -> LweCiphertext {
+pub(crate) fn weighted_sum(cts: &[LweCiphertext], weights: &[i64]) -> LweCiphertext {
     assert_eq!(
         cts.len(),
         weights.len(),

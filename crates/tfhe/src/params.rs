@@ -55,7 +55,7 @@ impl TfheParams {
 
     /// Polynomial multiplications in one external product:
     /// `(k+1)² · l_b` (§II-B).
-    pub fn polymuls_per_external_product(&self) -> u64 {
+    pub(crate) fn polymuls_per_external_product(&self) -> u64 {
         let k1 = (self.glwe_dim + 1) as u64;
         k1 * k1 * self.bsk_decomp.level() as u64
     }
@@ -94,15 +94,6 @@ impl TfheParams {
     /// 32-bit coefficients).
     pub fn acc_bytes(&self) -> u64 {
         (self.glwe_dim as u64 + 1) * self.poly_size as u64 * 4
-    }
-
-    /// Return a copy with all noise disabled — deterministic pipelines for
-    /// tests and debugging.
-    #[must_use]
-    pub fn noiseless(mut self) -> Self {
-        self.lwe_noise_std = 0.0;
-        self.glwe_noise_std = 0.0;
-        self
     }
 
     /// Return a copy with a different default plaintext modulus.
@@ -299,6 +290,17 @@ impl ParamSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TfheParams {
+        /// Return a copy with all noise disabled — deterministic pipelines
+        /// for tests.
+        #[must_use]
+        pub(crate) fn noiseless(mut self) -> Self {
+            self.lwe_noise_std = 0.0;
+            self.glwe_noise_std = 0.0;
+            self
+        }
+    }
 
     #[test]
     fn table_iii_dimensions_match_the_paper() {

@@ -1476,10 +1476,16 @@ mod tests {
             .collect();
         let poison = (0..arrivals.len()).filter(|_| rng.gen_bool(0.04)).collect();
         let backoff = Duration::from_nanos([0, rng.gen_range(1..3_000)][rng.gen_range(0..2usize)]);
-        let retry = RetryConfig::new(rng.gen_range(0..=3))
-            .with_base_backoff(backoff)
-            .with_max_backoff(backoff * rng.gen_range(1..4))
-            .with_jitter([0.0, 0.5][rng.gen_range(0..2usize)], rng.gen());
+        let max_retries = rng.gen_range(0..=3);
+        let max_backoff = backoff * rng.gen_range(1..4);
+        let jitter = [0.0, 0.5][rng.gen_range(0..2usize)];
+        let retry = RetryConfig {
+            max_retries,
+            base_backoff: backoff,
+            max_backoff,
+            jitter,
+            seed: rng.gen(),
+        };
         let breaker = rng.gen_bool(0.5).then(|| BreakerConfig {
             window: rng.gen_range(2..=8),
             failure_threshold: 0.5,
@@ -1693,9 +1699,12 @@ mod tests {
 
     /// Retry up to `max_retries` times, 20 ms then 40 ms then 50 ms apart.
     fn retrying(mut cfg: ServingConfig, max_retries: u32) -> ServingConfig {
-        cfg.retry = RetryConfig::new(max_retries)
-            .with_base_backoff(Duration::from_millis(20))
-            .with_jitter(0.0, 0);
+        cfg.retry = RetryConfig {
+            base_backoff: Duration::from_millis(20),
+            jitter: 0.0,
+            seed: 0,
+            ..RetryConfig::new(max_retries)
+        };
         cfg
     }
 
@@ -1792,7 +1801,10 @@ mod tests {
 
     #[test]
     fn retries_rescue_within_budget_and_surface_the_fault_beyond_it() {
-        let zero_backoff = |n| RetryConfig::new(n).with_base_backoff(Duration::ZERO);
+        let zero_backoff = |n| RetryConfig {
+            base_backoff: Duration::ZERO,
+            ..RetryConfig::new(n)
+        };
         let mut s = schedule(knobs(1, Duration::ZERO), vec![arrival(0, None)], 10);
         s.cfg.retry = zero_backoff(3);
         s.tiers[0].script = fails(2, &TRANSIENT);

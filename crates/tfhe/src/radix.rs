@@ -73,7 +73,7 @@ impl RadixSpec {
     }
 
     /// Largest representable value.
-    pub fn max_value(&self) -> u64 {
+    pub(crate) fn max_value(&self) -> u64 {
         if self.total_bits() >= 64 {
             u64::MAX
         } else {

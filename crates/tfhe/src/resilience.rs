@@ -90,39 +90,17 @@ impl RetryConfig {
         }
     }
 
-    /// Set the first-retry backoff (doubles each further attempt).
-    #[must_use]
-    pub fn with_base_backoff(mut self, base: Duration) -> Self {
-        self.base_backoff = base;
-        self
-    }
-
-    /// Cap the exponential backoff.
-    #[must_use]
-    pub fn with_max_backoff(mut self, max: Duration) -> Self {
-        self.max_backoff = max;
-        self
-    }
-
-    /// Set the jitter fraction and the seed its draws come from.
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        self.jitter = jitter;
-        self.seed = seed;
-        self
-    }
-
     /// Should a request that failed with `err` after `attempt` completed
     /// retries be retried once more? `true` only for
     /// [retryable](TfheError::is_retryable) faults within budget.
-    pub fn should_retry(&self, err: &TfheError, attempt: u32) -> bool {
+    pub(crate) fn should_retry(&self, err: &TfheError, attempt: u32) -> bool {
         err.is_retryable() && attempt < self.max_retries
     }
 
     /// Backoff before retry `attempt` (1-based) of the request identified
     /// by `key`. Pure function of `(self, key, attempt)`; a `jitter`
     /// outside `[0, 1]` is read as the nearer bound (NaN as 0).
-    pub fn backoff(&self, key: u64, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, key: u64, attempt: u32) -> Duration {
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
         }
@@ -364,17 +342,24 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_jitters_deterministically() {
-        let p = RetryConfig::new(8)
-            .with_base_backoff(Duration::from_millis(1))
-            .with_max_backoff(Duration::from_millis(8))
-            .with_jitter(0.0, 0);
+        let p = RetryConfig {
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(8),
+            jitter: 0.0,
+            seed: 0,
+            ..RetryConfig::new(8)
+        };
         assert_eq!(p.backoff(0, 1), Duration::from_millis(1));
         assert_eq!(p.backoff(0, 2), Duration::from_millis(2));
         assert_eq!(p.backoff(0, 3), Duration::from_millis(4));
         assert_eq!(p.backoff(0, 4), Duration::from_millis(8));
         assert_eq!(p.backoff(0, 7), Duration::from_millis(8), "capped");
 
-        let j = p.with_jitter(0.5, 99);
+        let j = RetryConfig {
+            jitter: 0.5,
+            seed: 99,
+            ..p
+        };
         let a = j.backoff(5, 2);
         // Deterministic: same (key, attempt) → same backoff; bounded by
         // the un-jittered value and its half.

@@ -1,22 +1,24 @@
-//! Compact versioned binary (de)serialization for key material — the
+//! Compact versioned binary (de)serialization of the [`ServerKey`] — the
 //! wire format a [`KeyStore`](crate::KeyStore) backend stores per tenant.
 //!
-//! Every blob is framed identically:
+//! The server-key frame is the only frame:
 //!
 //! ```text
 //! magic   b"MPHK"                      4 bytes
 //! version u16 little-endian            2 bytes   (currently 2)
-//! kind    u8                           1 byte    (which key type follows)
+//! kind    u8                           1 byte    (5: a server key)
 //! length  u64 little-endian            8 bytes   (payload byte count)
 //! payload length bytes
 //! check   u64 little-endian            8 bytes   (over all preceding
 //!                                                 bytes; see below)
 //! ```
 //!
-//! All multi-byte integers are little-endian; torus values travel as raw
-//! `u32` words; noise parameters as IEEE-754 `f64` bit patterns; secret
-//! key bits are packed eight to a byte. The bootstrapping key is
-//! serialized in the **coefficient domain** only — the transform-domain
+//! Any other kind is rejected as a kind mismatch. The payload is the
+//! parameter block, the backend tag, then the embedded bootstrapping and
+//! key-switching keys, each behind its own length. All multi-byte
+//! integers are little-endian; torus values travel as raw `u32` words;
+//! noise parameters as IEEE-754 `f64` bit patterns. The bootstrapping key
+//! is serialized in the **coefficient domain** only — the transform-domain
 //! form is recomputed on load, never trusted from the wire (and the key
 //! holds spectra only: the writer derives the coefficients back). The
 //! key-switching key's payload is its in-memory layout: a shape header,
@@ -41,7 +43,6 @@ use crate::error::TfheError;
 use crate::fft_cache::fft_for;
 use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweCiphertext;
-use crate::keys::{GlweSecretKey, LweSecretKey};
 use crate::ksk::KeySwitchKey;
 use crate::params::TfheParams;
 use crate::server::{MulBackend, ServerKey};
@@ -53,18 +54,9 @@ const VERSION: u16 = 2;
 /// Bytes in front of a frame's payload: magic, version, kind, length.
 const HEADER: usize = 15;
 
-/// Frame kind tags, one per serializable key type. The variants
-/// intentionally mirror the key type names they tag.
-#[allow(clippy::enum_variant_names)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-enum Kind {
-    LweSecretKey = 1,
-    GlweSecretKey = 2,
-    BootstrapKey = 3,
-    KeySwitchKey = 4,
-    ServerKey = 5,
-}
+/// The frame kind tag of a server key (1–4 tag other key types, which the
+/// decoder rejects).
+const SERVER_KEY: u8 = 5;
 
 /// Parameter-set names the reader can intern back to `&'static str`
 /// (matching [`crate::ParamSet`]); anything else round-trips as "CUSTOM".
@@ -117,16 +109,16 @@ struct Writer {
 }
 
 impl Writer {
-    /// Start a frame of `kind` in a buffer with room for `payload` bytes
+    /// Start a server-key frame in a buffer with room for `payload` bytes
     /// of payload (a hint: the length field is filled in by
     /// [`finish`](Self::finish)).
-    fn frame(kind: Kind, payload: usize) -> Self {
+    fn frame(payload: usize) -> Self {
         let mut w = Self {
             buf: Vec::with_capacity(HEADER + payload + 8),
         };
         w.bytes(&MAGIC);
         w.bytes(&VERSION.to_le_bytes());
-        w.u8(kind as u8);
+        w.u8(SERVER_KEY);
         w.open_len();
         w
     }
@@ -174,17 +166,6 @@ impl Writer {
 
     fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Bits (each 0 or 1) packed eight to a byte, LSB first.
-    fn packed_bits(&mut self, bits: &[i64]) {
-        for chunk in bits.chunks(8) {
-            let mut byte = 0u8;
-            for (i, &b) in chunk.iter().enumerate() {
-                byte |= (b as u8 & 1) << i;
-            }
-            self.buf.push(byte);
-        }
     }
 
     fn torus_words(&mut self, words: &[Torus32]) {
@@ -260,15 +241,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn packed_bits(&mut self, n: usize) -> Result<Vec<i64>, TfheError> {
-        let bytes = self.take(n.div_ceil(8))?;
-        let mut bits = Vec::with_capacity(n);
-        for i in 0..n {
-            bits.push(i64::from((bytes[i / 8] >> (i % 8)) & 1));
-        }
-        Ok(bits)
-    }
-
     /// `n` torus words, taken as one bounds-checked run of `4·n` bytes.
     fn torus_words(&mut self, n: usize) -> Result<Vec<Torus32>, TfheError> {
         let len = n
@@ -321,7 +293,7 @@ impl<'a> Reader<'a> {
 // Framing
 // ---------------------------------------------------------------------
 
-fn unframe(bytes: &[u8], want: Kind) -> Result<&[u8], TfheError> {
+fn unframe(bytes: &[u8]) -> Result<&[u8], TfheError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
     if magic != MAGIC {
@@ -341,10 +313,9 @@ fn unframe(bytes: &[u8], want: Kind) -> Result<&[u8], TfheError> {
         }
     };
     let kind = r.u8()?;
-    if kind != want as u8 {
+    if kind != SERVER_KEY {
         return Err(corrupt(format!(
-            "kind mismatch: frame holds kind {kind}, expected {} ({want:?})",
-            want as u8
+            "kind mismatch: frame holds kind {kind}, expected {SERVER_KEY} (server key)"
         )));
     }
     let len = r.len_field("payload")?;
@@ -425,6 +396,13 @@ fn read_params(r: &mut Reader<'_>) -> Result<TfheParams, TfheError> {
     if !lwe_noise_std.is_finite() || !glwe_noise_std.is_finite() {
         return Err(corrupt("noise parameters are not finite"));
     }
+    // What `TfheParams::with_plaintext_modulus` asserts: a LUT is built
+    // over `p` slots of a power-of-two torus grid.
+    if plaintext_modulus < 2 || !plaintext_modulus.is_power_of_two() {
+        return Err(corrupt(format!(
+            "plaintext modulus {plaintext_modulus} not a power of two ≥ 2"
+        )));
+    }
     Ok(TfheParams {
         name,
         poly_size,
@@ -441,75 +419,8 @@ fn read_params(r: &mut Reader<'_>) -> Result<TfheParams, TfheError> {
 }
 
 // ---------------------------------------------------------------------
-// Per-type payloads
+// Embedded key payloads
 // ---------------------------------------------------------------------
-
-fn read_lwe_secret_key(r: &mut Reader<'_>) -> Result<LweSecretKey, TfheError> {
-    let n = r.len_field("LWE key dimension")?;
-    let bits = r.packed_bits(n)?;
-    Ok(LweSecretKey::from_bits(bits))
-}
-
-/// Serialize an [`LweSecretKey`].
-pub fn serialize_lwe_secret_key(key: &LweSecretKey) -> Vec<u8> {
-    let mut w = Writer::frame(Kind::LweSecretKey, 8 + key.dim().div_ceil(8));
-    w.usize(key.dim());
-    w.packed_bits(key.bits());
-    w.finish()
-}
-
-/// Deserialize an [`LweSecretKey`].
-///
-/// # Errors
-///
-/// [`TfheError::KeyCorrupted`] on any framing, checksum, or shape
-/// violation.
-pub fn deserialize_lwe_secret_key(bytes: &[u8]) -> Result<LweSecretKey, TfheError> {
-    let mut r = Reader::new(unframe(bytes, Kind::LweSecretKey)?);
-    let key = read_lwe_secret_key(&mut r)?;
-    r.done()?;
-    Ok(key)
-}
-
-fn read_glwe_secret_key(r: &mut Reader<'_>) -> Result<GlweSecretKey, TfheError> {
-    let k = r.len_field("GLWE key dimension")?;
-    let n = r.len_field("GLWE key poly size")?;
-    if k == 0 || n == 0 {
-        return Err(corrupt("GLWE key must have k ≥ 1 and N ≥ 1"));
-    }
-    let mut polys = Vec::with_capacity(k);
-    for _ in 0..k {
-        polys.push(Polynomial::from_coeffs(r.packed_bits(n)?));
-    }
-    Ok(GlweSecretKey::from_polys(polys))
-}
-
-/// Serialize a [`GlweSecretKey`].
-pub fn serialize_glwe_secret_key(key: &GlweSecretKey) -> Vec<u8> {
-    let mut w = Writer::frame(
-        Kind::GlweSecretKey,
-        16 + key.dim() * key.poly_size().div_ceil(8),
-    );
-    w.usize(key.dim());
-    w.usize(key.poly_size());
-    for p in key.polys() {
-        w.packed_bits(p.coeffs());
-    }
-    w.finish()
-}
-
-/// Deserialize a [`GlweSecretKey`].
-///
-/// # Errors
-///
-/// [`TfheError::KeyCorrupted`] on any framing, checksum, or shape
-/// violation.
-pub fn deserialize_glwe_secret_key(bytes: &[u8]) -> Result<GlweSecretKey, TfheError> {
-    let mut r = Reader::new(unframe(bytes, Kind::GlweSecretKey)?);
-    let key = read_glwe_secret_key(&mut r)?;
-    r.done()?;
-    Ok(key)
-}
 
 /// Payload bytes of a [`BootstrapKey`]: what [`write_bootstrap_key`]
 /// appends.
@@ -562,28 +473,6 @@ fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
     Ok(BootstrapKey::from_fourier(fourier))
 }
 
-/// Serialize a [`BootstrapKey`] (coefficient domain only — the Fourier
-/// form is recomputed on load).
-pub fn serialize_bootstrap_key(key: &BootstrapKey) -> Vec<u8> {
-    let mut w = Writer::frame(Kind::BootstrapKey, bootstrap_key_len(key));
-    write_bootstrap_key(&mut w, key);
-    w.finish()
-}
-
-/// Deserialize a [`BootstrapKey`], regenerating its transform-domain
-/// form.
-///
-/// # Errors
-///
-/// [`TfheError::KeyCorrupted`] on any framing, checksum, or shape
-/// violation.
-pub fn deserialize_bootstrap_key(bytes: &[u8]) -> Result<BootstrapKey, TfheError> {
-    let mut r = Reader::new(unframe(bytes, Kind::BootstrapKey)?);
-    let key = read_bootstrap_key(&mut r)?;
-    r.done()?;
-    Ok(key)
-}
-
 /// Payload bytes of a [`KeySwitchKey`]: what [`write_key_switch_key`]
 /// appends.
 fn key_switch_key_len(key: &KeySwitchKey) -> usize {
@@ -621,26 +510,6 @@ fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
     )
 }
 
-/// Serialize a [`KeySwitchKey`].
-pub fn serialize_key_switch_key(key: &KeySwitchKey) -> Vec<u8> {
-    let mut w = Writer::frame(Kind::KeySwitchKey, key_switch_key_len(key));
-    write_key_switch_key(&mut w, key);
-    w.finish()
-}
-
-/// Deserialize a [`KeySwitchKey`].
-///
-/// # Errors
-///
-/// [`TfheError::KeyCorrupted`] on any framing, checksum, or shape
-/// violation.
-pub fn deserialize_key_switch_key(bytes: &[u8]) -> Result<KeySwitchKey, TfheError> {
-    let mut r = Reader::new(unframe(bytes, Kind::KeySwitchKey)?);
-    let key = read_key_switch_key(&mut r)?;
-    r.done()?;
-    Ok(key)
-}
-
 fn backend_tag(b: MulBackend) -> u8 {
     match b {
         MulBackend::Fft => 0,
@@ -667,10 +536,7 @@ fn backend_from_tag(tag: u8) -> Result<MulBackend, TfheError> {
 pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
     let (bsk, ksk) = (key.bootstrap_key(), key.key_switch_key());
     // 128 bytes cover the parameter block, the flags and the two lengths.
-    let mut w = Writer::frame(
-        Kind::ServerKey,
-        128 + bootstrap_key_len(bsk) + key_switch_key_len(ksk),
-    );
+    let mut w = Writer::frame(128 + bootstrap_key_len(bsk) + key_switch_key_len(ksk));
     write_params(&mut w, key.params());
     w.u8(backend_tag(key.backend()));
     // Reserved: earlier writers stored two transform-path flags here.
@@ -693,7 +559,7 @@ pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
 /// [`TfheError::KeyCorrupted`] on any framing, checksum, or shape
 /// violation.
 pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
-    let mut r = Reader::new(unframe(bytes, Kind::ServerKey)?);
+    let mut r = Reader::new(unframe(bytes)?);
     let params = read_params(&mut r)?;
     let backend = backend_from_tag(r.u8()?)?;
     let _reserved = [r.u8()?, r.u8()?];
@@ -770,31 +636,6 @@ mod tests {
             }
             assert_ne!(fnv1a_words(&data[..pos]), clean, "cut at {pos}");
         }
-    }
-
-    #[test]
-    fn secret_keys_round_trip() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let lwe = LweSecretKey::generate(37, &mut rng); // non-multiple of 8
-        assert_eq!(
-            deserialize_lwe_secret_key(&serialize_lwe_secret_key(&lwe)).unwrap(),
-            lwe
-        );
-        let glwe = GlweSecretKey::generate(2, 64, &mut rng);
-        assert_eq!(
-            deserialize_glwe_secret_key(&serialize_glwe_secret_key(&glwe)).unwrap(),
-            glwe
-        );
-    }
-
-    #[test]
-    fn kind_confusion_is_rejected() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let lwe = LweSecretKey::generate(16, &mut rng);
-        let blob = serialize_lwe_secret_key(&lwe);
-        let err = deserialize_glwe_secret_key(&blob).unwrap_err();
-        assert!(matches!(err, TfheError::KeyCorrupted { .. }), "{err}");
-        assert!(err.to_string().contains("kind mismatch"), "{err}");
     }
 
     #[test]

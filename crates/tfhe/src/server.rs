@@ -51,10 +51,9 @@ impl MulBackend {
 }
 
 /// Per-call knobs for [`ServerKey::bootstrap_with_options`] — the single
-/// entry point `programmable_bootstrap` and `try_programmable_bootstrap`
-/// delegate to.
+/// entry point `programmable_bootstrap` delegates to.
 ///
-/// Defaults match `try_programmable_bootstrap`: key switch on, a fresh
+/// Defaults match `programmable_bootstrap`: key switch on, a fresh
 /// workspace allocated internally.
 ///
 /// ```
@@ -193,11 +192,8 @@ impl ServerKey {
         ServerKeyBuilder::new()
     }
 
-    /// Derive the server key from a client key (generates BSK and KSK).
-    ///
-    /// Deprecated-in-docs: prefer [`ServerKey::builder`], which is the
-    /// single place the backend is chosen. `new` remains as a convenience
-    /// alias for `ServerKey::builder().build(client, rng)`.
+    /// Derive the server key from a client key (generates BSK and KSK) on
+    /// the default backend: `ServerKey::builder().build(client, rng)`.
     pub fn new<R: Rng + ?Sized>(client: &ClientKey, rng: &mut R) -> Self {
         Self::builder().build(client, rng)
     }
@@ -210,7 +206,7 @@ impl ServerKey {
     /// Panics if `backend` is [`MulBackend::Exact`] and `params` put the
     /// BSK digits outside its NTT's exact range (`N·(β/2)·2³¹ ≥ 2^58.8`;
     /// every [`ParamSet`](crate::ParamSet) is inside).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         params: TfheParams,
         bsk: BootstrapKey,
         ksk: KeySwitchKey,
@@ -263,28 +259,13 @@ impl ServerKey {
     ///
     /// Panics if the LUT was built for a different polynomial size, or on
     /// ciphertext dimension mismatch. Use
-    /// [`try_programmable_bootstrap`](Self::try_programmable_bootstrap)
-    /// for a `Result`.
+    /// [`bootstrap_with_options`](Self::bootstrap_with_options) for a
+    /// `Result`.
     pub fn programmable_bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> LweCiphertext {
-        match self.try_programmable_bootstrap(ct, lut) {
+        match self.bootstrap_with_options(ct, lut, BootstrapOptions::new()) {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Fallible [`programmable_bootstrap`](Self::programmable_bootstrap).
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::LweDimensionMismatch`] if `ct` is not under the small
-    /// LWE key; [`TfheError::LutSizeMismatch`] if `lut` was built for a
-    /// different polynomial size.
-    pub fn try_programmable_bootstrap(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-    ) -> Result<LweCiphertext, TfheError> {
-        self.bootstrap_with_options(ct, lut, BootstrapOptions::new())
     }
 
     /// A [`BootstrapWorkspace`] sized for this key — allocate once, then
@@ -295,11 +276,10 @@ impl ServerKey {
         self.engine.workspace(self.params.glwe_dim)
     }
 
-    /// The configurable bootstrap every `try_programmable_bootstrap*`
-    /// variant delegates to: modulus switch, blind rotation, sample
-    /// extraction, and — per [`BootstrapOptions`] — the final key switch,
-    /// optionally through a caller-owned workspace. A chunk of one item
-    /// with one LUT.
+    /// The configurable single-LUT bootstrap: modulus switch, blind
+    /// rotation, sample extraction, and — per [`BootstrapOptions`] — the
+    /// final key switch, optionally through a caller-owned workspace. A
+    /// chunk of one item with one LUT.
     ///
     /// # Errors
     ///
@@ -371,7 +351,7 @@ impl ServerKey {
     ///
     /// # Errors
     ///
-    /// Same as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap),
+    /// Same as [`bootstrap_with_options`](Self::bootstrap_with_options),
     /// for the first offending item; no item is bootstrapped then.
     pub(crate) fn try_bootstrap_chunk(
         &self,
@@ -438,38 +418,24 @@ impl ServerKey {
         Ok(extracted)
     }
 
-    /// Multi-value bootstrapping: evaluate `k` LUTs of the same input for
-    /// **one** blind rotation. The common factor of every test polynomial
-    /// is rotated once; each LUT's accumulator is then derived by a cheap
+    /// Multi-value bootstrapping through a caller-owned workspace (a
+    /// chunk of one item): evaluate `k` LUTs of the same input for **one**
+    /// blind rotation. The common factor of every test polynomial is
+    /// rotated once; each LUT's accumulator is then derived by a cheap
     /// sparse product and sample-extracted (see [`MultiLutPlan`]).
     ///
     /// Outputs decode identically to `k` plain bootstraps but carry more
-    /// noise (amplified by [`MultiLutPlan::factor_weight`]); the
-    /// bit-identical-but-slow reference is
+    /// noise (amplified by the weight `Σ_j |v_i[j]|` of LUT `i`'s factor);
+    /// the bit-identical-but-slow reference is
     /// [`try_programmable_bootstrap_many_separate`](Self::try_programmable_bootstrap_many_separate).
     /// With `k = 1` this is exactly
-    /// [`try_programmable_bootstrap`](Self::try_programmable_bootstrap);
-    /// LUTs that admit no common factor fall back to one rotation per LUT.
+    /// [`programmable_bootstrap`](Self::programmable_bootstrap); LUTs that
+    /// admit no common factor fall back to one rotation per LUT.
     ///
     /// # Errors
     ///
     /// [`TfheError::LweDimensionMismatch`] /
     /// [`TfheError::LutSizeMismatch`] on malformed inputs.
-    pub fn try_programmable_bootstrap_many(
-        &self,
-        ct: &LweCiphertext,
-        luts: &[Lut],
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let mut ws = self.workspace();
-        self.try_programmable_bootstrap_many_with(ct, luts, &mut ws)
-    }
-
-    /// [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many)
-    /// through a caller-owned workspace: a chunk of one item.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many).
     pub fn try_programmable_bootstrap_many_with(
         &self,
         ct: &LweCiphertext,
@@ -481,7 +447,7 @@ impl ServerKey {
 
     /// The deterministic reference for multi-value bootstrapping: the same
     /// common-factor derivation as
-    /// [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many),
+    /// [`try_programmable_bootstrap_many_with`](Self::try_programmable_bootstrap_many_with),
     /// but paying one **full blind rotation per LUT** instead of reusing a
     /// single rotation.
     /// Because the rotation is deterministic, outputs are bit-identical to
@@ -491,7 +457,7 @@ impl ServerKey {
     ///
     /// # Errors
     ///
-    /// Same as [`try_programmable_bootstrap_many`](Self::try_programmable_bootstrap_many).
+    /// Same as [`try_programmable_bootstrap_many_with`](Self::try_programmable_bootstrap_many_with).
     pub fn try_programmable_bootstrap_many_separate(
         &self,
         ct: &LweCiphertext,
@@ -501,7 +467,7 @@ impl ServerKey {
             self.validate_bootstrap_inputs(ct, lut)?;
         }
         let Some(plan) = MultiLutPlan::build(luts).filter(|_| luts.len() > 1) else {
-            return self.try_programmable_bootstrap_many(ct, luts);
+            return self.try_programmable_bootstrap_many_with(ct, luts, &mut self.workspace());
         };
         let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
         let common = initial_accumulator(plan.common(), self.params.glwe_dim, b_tilde);
@@ -515,43 +481,21 @@ impl ServerKey {
         self.ksk.try_key_switch_many(&extracted)
     }
 
-    /// Tree bootstrapping: evaluate `f(m_0, …, m_(d−1))` over `d`
+    /// Tree bootstrapping: evaluate functions `f(m_0, …, m_(d−1))` of `d`
     /// encrypted digits in `Z_p` by chaining LUT stages. Stage 1
     /// re-encodes digit `i` to `m_i · p^(d−1−i) / 2p^d` (one bootstrap
     /// each); the re-encoded ciphertexts **sum** to a single ciphertext of
-    /// the combined index `Σ m_i · p^(d−1−i)` in `Z_(p^d)`; stage 2
-    /// bootstraps that index through a LUT of the full function table.
+    /// the combined index `Σ m_i · p^(d−1−i)` in `Z_(p^d)`; stage 2 runs
+    /// every function's table through one multi-value bootstrap of that
+    /// index — `d` rotations for the index plus **one** rotation for all
+    /// outputs.
     ///
     /// Requires `p^d ≤ N/2` so the combined index keeps its padding bit.
     ///
     /// # Errors
     ///
     /// [`TfheError::PlaintextModulusTooLarge`] if `p^d > N/2` (or
-    /// overflows); otherwise as [`try_programmable_bootstrap`](Self::try_programmable_bootstrap).
-    pub fn try_tree_bootstrap<F>(
-        &self,
-        cts: &[LweCiphertext],
-        f: F,
-    ) -> Result<LweCiphertext, TfheError>
-    where
-        F: Fn(&[u64]) -> u64,
-    {
-        let mut out = self.try_tree_bootstrap_many(cts, std::slice::from_ref(&f))?;
-        match out.pop() {
-            Some(ct) => Ok(ct),
-            // Unreachable: one function in, one ciphertext out.
-            None => Err(TfheError::NoLutProvided),
-        }
-    }
-
-    /// [`try_tree_bootstrap`](Self::try_tree_bootstrap) for several output
-    /// functions of the same inputs: the final stage runs them all through
-    /// one multi-value bootstrap of the shared combined index — `d`
-    /// rotations for the index plus **one** rotation for every output.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_tree_bootstrap`](Self::try_tree_bootstrap).
+    /// overflows); otherwise as [`bootstrap_with_options`](Self::bootstrap_with_options).
     pub fn try_tree_bootstrap_many<F>(
         &self,
         cts: &[LweCiphertext],
@@ -669,26 +613,9 @@ impl ServerKey {
         self.gate_bootstrap(&lin)
     }
 
-    /// Bootstrapped XNOR.
-    pub fn xnor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        let lin = a
-            .add(b)
-            .scalar_mul(2)
-            .add_plain(Torus32::from_f64(0.25))
-            .neg();
-        self.gate_bootstrap(&lin)
-    }
-
     /// NOT — a negation, free of bootstrapping (and of noise growth).
     pub fn not(&self, a: &LweCiphertext) -> LweCiphertext {
         a.neg()
-    }
-
-    /// Bootstrapped MUX: `cond ? a : b` (three gate bootstraps).
-    pub fn mux(&self, cond: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        let t = self.and(cond, a);
-        let f = self.and(&self.not(cond), b);
-        self.or(&t, &f)
     }
 }
 
@@ -763,23 +690,7 @@ mod tests {
             assert_eq!(ck.decrypt_bool(&sk.or(&a, &b)), x || y, "or {x} {y}");
             assert_eq!(ck.decrypt_bool(&sk.nor(&a, &b)), !(x || y), "nor {x} {y}");
             assert_eq!(ck.decrypt_bool(&sk.xor(&a, &b)), x ^ y, "xor {x} {y}");
-            assert_eq!(ck.decrypt_bool(&sk.xnor(&a, &b)), !(x ^ y), "xnor {x} {y}");
             assert_eq!(ck.decrypt_bool(&sk.not(&a)), !x, "not {x}");
-        }
-    }
-
-    #[test]
-    fn mux_selects() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
-        for (c, x, y) in [
-            (true, true, false),
-            (false, true, false),
-            (true, false, true),
-        ] {
-            let cc = ck.encrypt_bool(c, &mut rng);
-            let a = ck.encrypt_bool(x, &mut rng);
-            let b = ck.encrypt_bool(y, &mut rng);
-            assert_eq!(ck.decrypt_bool(&sk.mux(&cc, &a, &b)), if c { x } else { y });
         }
     }
 
@@ -790,7 +701,7 @@ mod tests {
         let mut ws = sk.workspace();
         for m in 0..4 {
             let ct = ck.encrypt(m, &mut rng);
-            let plain = sk.try_programmable_bootstrap(&ct, &lut).unwrap();
+            let plain = sk.programmable_bootstrap(&ct, &lut);
             // Reuse the same workspace across all messages — state left
             // over from one bootstrap must not leak into the next.
             let opts = BootstrapOptions::new().workspace(&mut ws);
@@ -877,10 +788,14 @@ mod tests {
         for m in 0..p {
             let ct = ck.encrypt(m, &mut rng);
             let many = sk
-                .try_programmable_bootstrap_many(&ct, std::slice::from_ref(&lut))
+                .try_programmable_bootstrap_many_with(
+                    &ct,
+                    std::slice::from_ref(&lut),
+                    &mut sk.workspace(),
+                )
                 .unwrap();
             assert_eq!(many.len(), 1);
-            assert_eq!(many[0], sk.try_programmable_bootstrap(&ct, &lut).unwrap());
+            assert_eq!(many[0], sk.programmable_bootstrap(&ct, &lut));
         }
     }
 
@@ -897,7 +812,9 @@ mod tests {
         ];
         for m in 0..p {
             let ct = ck.encrypt(m, &mut rng);
-            let fused = sk.try_programmable_bootstrap_many(&ct, &luts).unwrap();
+            let fused = sk
+                .try_programmable_bootstrap_many_with(&ct, &luts, &mut sk.workspace())
+                .unwrap();
             // Bit-identical to the deterministic k-rotation reference...
             let separate = sk
                 .try_programmable_bootstrap_many_separate(&ct, &luts)
@@ -905,7 +822,7 @@ mod tests {
             assert_eq!(fused, separate, "m={m}");
             // ...and decode-equal to k plain programmable bootstraps.
             for (out, lut) in fused.iter().zip(&luts) {
-                let plain = sk.try_programmable_bootstrap(&ct, lut).unwrap();
+                let plain = sk.programmable_bootstrap(&ct, lut);
                 assert_eq!(ck.decrypt(out), ck.decrypt(&plain), "m={m}");
             }
         }
@@ -936,16 +853,21 @@ mod tests {
         ];
         let mut ws = sk.workspace();
         let chunk = sk.try_bootstrap_chunk(&items, &mut ws).unwrap();
-        let mut alone = sk.try_programmable_bootstrap_many(&cts[0], &luts).unwrap();
+        let mut alone = sk
+            .try_programmable_bootstrap_many_with(&cts[0], &luts, &mut sk.workspace())
+            .unwrap();
         // A single-LUT item is the plain bootstrap, bit for bit; an empty
         // list produces nothing; no common factor is a rotation per LUT.
-        alone.push(sk.try_programmable_bootstrap(&cts[1], &luts[1]).unwrap());
+        alone.push(sk.programmable_bootstrap(&cts[1], &luts[1]));
         alone.extend(
             odd.iter()
                 .map(|lut| sk.programmable_bootstrap(&cts[3], lut)),
         );
         let last = [luts[2].clone(), luts[0].clone()];
-        alone.extend(sk.try_programmable_bootstrap_many(&cts[4], &last).unwrap());
+        alone.extend(
+            sk.try_programmable_bootstrap_many_with(&cts[4], &last, &mut sk.workspace())
+                .unwrap(),
+        );
         assert_eq!(chunk, alone);
         assert_eq!(sk.try_bootstrap_chunk(&[], &mut ws).unwrap(), Vec::new());
     }
@@ -981,9 +903,9 @@ mod tests {
             for m1 in 0..p {
                 let cts = vec![ck.encrypt(m0, &mut rng), ck.encrypt(m1, &mut rng)];
                 let sum = sk
-                    .try_tree_bootstrap(&cts, |d: &[u64]| (d[0] + d[1]) % 4)
+                    .try_tree_bootstrap_many(&cts, &[|d: &[u64]| (d[0] + d[1]) % 4])
                     .unwrap();
-                assert_eq!(ck.decrypt(&sum), (m0 + m1) % 4, "m0={m0} m1={m1}");
+                assert_eq!(ck.decrypt(&sum[0]), (m0 + m1) % 4, "m0={m0} m1={m1}");
                 // Several outputs of the same digits share the stage-2
                 // rotation through the multi-value path.
                 type DigitFn = Box<dyn Fn(&[u64]) -> u64>;
@@ -1006,7 +928,7 @@ mod tests {
         let (ck, sk, mut rng) = setup(MulBackend::Fft);
         let cts: Vec<LweCiphertext> = (0..4).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
         assert!(matches!(
-            sk.try_tree_bootstrap(&cts, |d: &[u64]| d[0]),
+            sk.try_tree_bootstrap_many(&cts, &[|d: &[u64]| d[0]]),
             Err(TfheError::PlaintextModulusTooLarge { .. })
         ));
     }

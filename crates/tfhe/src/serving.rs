@@ -431,12 +431,6 @@ impl ServingConfigBuilder {
         self
     }
 
-    /// See [`ServingConfig::key_budget_bytes`].
-    pub fn key_budget_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.key_budget_bytes = Some(bytes);
-        self
-    }
-
     /// Validate and return the config: degenerate knobs are rejected
     /// loudly here, never clamped.
     ///
@@ -485,7 +479,7 @@ mod json {
     }
 
     impl Json {
-        pub fn as_obj(&self, field: &str) -> Result<&[(String, Json)], TfheError> {
+        pub(crate) fn as_obj(&self, field: &str) -> Result<&[(String, Json)], TfheError> {
             match self {
                 Json::Obj(fields) => Ok(fields),
                 other => Err(corrupt(format!(
@@ -495,7 +489,7 @@ mod json {
             }
         }
 
-        pub fn as_u64(&self, field: &str) -> Result<u64, TfheError> {
+        pub(crate) fn as_u64(&self, field: &str) -> Result<u64, TfheError> {
             match self {
                 Json::Num(raw) => raw.parse::<u64>().map_err(|_| {
                     corrupt(format!(
@@ -509,19 +503,19 @@ mod json {
             }
         }
 
-        pub fn as_u32(&self, field: &str) -> Result<u32, TfheError> {
+        pub(crate) fn as_u32(&self, field: &str) -> Result<u32, TfheError> {
             let n = self.as_u64(field)?;
             u32::try_from(n)
                 .map_err(|_| corrupt(format!("`{field}` does not fit in 32 bits (got {n})")))
         }
 
-        pub fn as_usize(&self, field: &str) -> Result<usize, TfheError> {
+        pub(crate) fn as_usize(&self, field: &str) -> Result<usize, TfheError> {
             let n = self.as_u64(field)?;
             usize::try_from(n)
                 .map_err(|_| corrupt(format!("`{field}` does not fit in usize (got {n})")))
         }
 
-        pub fn as_f64(&self, field: &str) -> Result<f64, TfheError> {
+        pub(crate) fn as_f64(&self, field: &str) -> Result<f64, TfheError> {
             match self {
                 Json::Num(raw) => raw
                     .parse::<f64>()
@@ -768,7 +762,7 @@ mod tests {
 
     #[test]
     fn fully_populated_config_round_trips() {
-        let cfg = ServingConfig::builder()
+        let built = ServingConfig::builder()
             .workers(8)
             .max_batch_size(16)
             .max_linger(Duration::from_micros(1500))
@@ -788,9 +782,12 @@ mod tests {
                 cooldown: Duration::from_millis(50),
                 probes_to_close: 2,
             })
-            .key_budget_bytes(1 << 20)
             .build()
             .unwrap();
+        let cfg = ServingConfig {
+            key_budget_bytes: Some(1 << 20),
+            ..built
+        };
         let restored = ServingConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(restored, cfg);
         // u64::MAX survives: the parser keeps raw literals instead of

@@ -51,7 +51,7 @@ impl BootstrapWorkspace {
     /// # Panics
     ///
     /// Panics if `poly_size` is not a power of two ≥ 4 or `level == 0`.
-    pub fn with_shape(glwe_dim: usize, poly_size: usize, level: usize) -> Self {
+    pub(crate) fn with_shape(glwe_dim: usize, poly_size: usize, level: usize) -> Self {
         assert!(level > 0, "gadget level must be at least 1");
         Self {
             digit_spectra: vec![Spectrum::zero(poly_size); (glwe_dim + 1) * level],

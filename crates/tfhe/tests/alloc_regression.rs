@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use morphling_math::{Polynomial, Torus32, TorusScalar};
 use morphling_tfhe::{
     blind_rotate_assign, blind_rotate_assign_many, sample_extract, BootstrapKey, ClientKey,
-    ExternalProductEngine, KeySwitchKey, ParamSet,
+    ExternalProductEngine, ParamSet, ServerKey,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,12 +99,8 @@ fn warm_workspace_blind_rotation_is_allocation_free() {
     // The key switch accumulates in place, whatever the digits are and
     // however long the key: a chunk's accumulators, its digit scratch and
     // the output vector, then one mask per output ciphertext.
-    let ksk = KeySwitchKey::generate(
-        &ck.glwe_key().to_extracted_lwe_key(),
-        ck.lwe_key(),
-        &params,
-        &mut rng,
-    );
+    let server = ServerKey::new(&ck, &mut rng);
+    let ksk = server.key_switch_key();
     let extracted = vec![sample_extract(&acc); 3];
     let before = ALLOCS.load(Ordering::SeqCst);
     let switched = ksk

@@ -230,7 +230,7 @@ fn fanout_chunks_are_bit_identical_to_per_ciphertext_multi_value_bootstraps() {
         for (ct, list) in cts.iter().zip(&map) {
             let of_item: Vec<Lut> = list.iter().map(|&j| luts[j].clone()).collect();
             let outs = server
-                .try_programmable_bootstrap_many(ct, &of_item)
+                .try_programmable_bootstrap_many_with(ct, &of_item, &mut server.workspace())
                 .expect("multi-value bootstrap");
             if let [lut] = &of_item[..] {
                 assert_eq!(outs, [server.programmable_bootstrap(ct, lut)]);

@@ -162,7 +162,10 @@ fn components_built_apart_write_one_timeline() {
     // The dispatcher and the key store are 50 ms older than the request.
     let config = ServingConfig::builder()
         .max_batch_size(1)
-        .retry(RetryConfig::new(1).with_base_backoff(Duration::ZERO))
+        .retry(RetryConfig {
+            base_backoff: Duration::ZERO,
+            ..RetryConfig::new(1)
+        })
         .build()
         .unwrap();
     let store = Arc::new(KeyStore::new(backend, u64::MAX));

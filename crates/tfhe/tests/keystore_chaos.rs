@@ -79,7 +79,8 @@ fn dispatcher_over_chaotic_keystore_loses_nothing() {
         attempts: AtomicU64::new(0),
     });
     let one_key = params.bsk_total_bytes_fourier() + params.ksk_total_bytes();
-    let store = Arc::new(KeyStore::new(backend, 2 * one_key));
+    let budget = 2 * one_key;
+    let store = Arc::new(KeyStore::new(backend, budget));
     let config = ServingConfig::builder()
         .max_batch_size(4)
         .max_linger(Duration::from_millis(1))
@@ -127,7 +128,7 @@ fn dispatcher_over_chaotic_keystore_loses_nothing() {
         (ks.hits, ks.misses, ks.evictions)
     );
     assert_eq!(stats.key_bytes_resident, ks.bytes_resident);
-    assert!(ks.bytes_resident <= store.budget_bytes(), "over budget");
+    assert!(ks.bytes_resident <= budget, "over budget");
     // The journal holds every transition, and its counts are the counters.
     let events = store.journal().events();
     assert_eq!(store.journal().dropped(), 0, "the journal overflowed");

@@ -1,13 +1,15 @@
-//! Wire-format property tests for the five key types.
+//! Wire-format property tests for the server-key frame, the one frame
+//! there is.
 //!
 //! The keystore trusts `morphling_tfhe::serialize` to be a bijection on
 //! valid blobs and a loud rejector of everything else. This suite pins
 //! both halves:
 //!
 //! - **round-trip**: serialize → deserialize is the identity for
-//!   [`LweSecretKey`], [`GlweSecretKey`], [`BootstrapKey`],
-//!   [`KeySwitchKey`], and [`ServerKey`], across random dimensions and
-//!   both checked-in parameter sets;
+//!   [`ServerKey`] at both checked-in parameter sets;
+//! - **embedded keys**: the BSK and KSK decoders inside the frame reject
+//!   degenerate shape headers, headers that disagree with their payload,
+//!   decomposition parameters out of range and trailing bytes;
 //! - **truncation**: every proper prefix of a valid blob fails with
 //!   [`TfheError::KeyCorrupted`] — never a panic, never a silent
 //!   partial key;
@@ -21,50 +23,44 @@
 use std::sync::OnceLock;
 
 use morphling_tfhe::{
-    deserialize_bootstrap_key, deserialize_glwe_secret_key, deserialize_key_switch_key,
-    deserialize_lwe_secret_key, deserialize_server_key, serialize_bootstrap_key,
-    serialize_glwe_secret_key, serialize_key_switch_key, serialize_lwe_secret_key,
-    serialize_server_key, ClientKey, GlweSecretKey, KeySwitchKey, LweSecretKey, MulBackend,
-    ParamSet, ServerKey, TfheError,
+    deserialize_server_key, serialize_server_key, ClientKey, MulBackend, ParamSet, ServerKey,
+    TfheError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One serialized blob of every key type, generated once (BSK generation
-/// dominates the suite's runtime).
-fn blobs() -> &'static Vec<(&'static str, Vec<u8>)> {
-    static BLOBS: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
-    BLOBS.get_or_init(|| {
+/// The seeded Test-set server key and its frame, generated once (BSK
+/// generation dominates the suite's runtime).
+fn fixture() -> &'static (ClientKey, ServerKey, Vec<u8>) {
+    static FIXTURE: OnceLock<(ClientKey, ServerKey, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0x5E81);
-        let params = ParamSet::Test.params();
-        let ck = ClientKey::generate(params.clone(), &mut rng);
+        let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
         let sk = ServerKey::new(&ck, &mut rng);
-        let ksk = KeySwitchKey::generate(
-            &ck.glwe_key().to_extracted_lwe_key(),
-            ck.lwe_key(),
-            &params,
-            &mut rng,
-        );
-        vec![
-            ("lwe", serialize_lwe_secret_key(ck.lwe_key())),
-            ("glwe", serialize_glwe_secret_key(ck.glwe_key())),
-            ("bsk", serialize_bootstrap_key(sk.bootstrap_key())),
-            ("ksk", serialize_key_switch_key(&ksk)),
-            ("server", serialize_server_key(&sk)),
-        ]
+        let blob = serialize_server_key(&sk);
+        (ck, sk, blob)
     })
 }
 
-/// Try to deserialize `bytes` as the key type named by `kind`.
-fn try_parse(kind: &str, bytes: &[u8]) -> Result<(), TfheError> {
-    match kind {
-        "lwe" => deserialize_lwe_secret_key(bytes).map(|_| ()),
-        "glwe" => deserialize_glwe_secret_key(bytes).map(|_| ()),
-        "bsk" => deserialize_bootstrap_key(bytes).map(|_| ()),
-        "ksk" => deserialize_key_switch_key(bytes).map(|_| ()),
-        "server" => deserialize_server_key(bytes).map(|_| ()),
-        other => unreachable!("unknown kind {other}"),
+/// The Test-set server-key frame.
+fn blob() -> &'static Vec<u8> {
+    &fixture().2
+}
+
+/// Whether `bytes` is rejected as a corrupted key.
+fn rejected(bytes: &[u8]) -> bool {
+    matches!(
+        deserialize_server_key(bytes),
+        Err(TfheError::KeyCorrupted { .. })
+    )
+}
+
+/// The detail of `bytes`' rejection.
+fn rejection(bytes: &[u8]) -> String {
+    match deserialize_server_key(bytes).map(|_| ()) {
+        Err(TfheError::KeyCorrupted { detail }) => detail,
+        other => panic!("must be KeyCorrupted, got {other:?}"),
     }
 }
 
@@ -114,6 +110,42 @@ fn param_fields_at(blob: &[u8]) -> usize {
     15 + 1 + usize::from(blob[15])
 }
 
+/// A `u64` length field of a frame.
+fn len_at(blob: &[u8], at: usize) -> usize {
+    let mut word = [0; 8];
+    word.copy_from_slice(&blob[at..at + 8]);
+    u64::from_le_bytes(word) as usize
+}
+
+/// The embedded keys of a server-key frame: each sits behind its own
+/// length, the BSK's right after the backend tag and the reserved bytes.
+fn sections(blob: &[u8]) -> (&[u8], &[u8], &[u8]) {
+    let bsk_at = param_fields_at(blob) + 77 + 3;
+    let bsk_len = len_at(blob, bsk_at);
+    let ksk_at = bsk_at + 8 + bsk_len;
+    let ksk_len = len_at(blob, ksk_at);
+    (
+        &blob[..bsk_at],
+        &blob[bsk_at + 8..ksk_at],
+        &blob[ksk_at + 8..ksk_at + 8 + ksk_len],
+    )
+}
+
+/// `blob` with its embedded BSK and KSK payloads replaced, every length
+/// field updated to match, resealed as version 1.
+fn with_sections(blob: &[u8], bsk: &[u8], ksk: &[u8]) -> Vec<u8> {
+    let (head, _, _) = sections(blob);
+    let mut frame = head.to_vec();
+    for part in [bsk, ksk] {
+        frame.extend((part.len() as u64).to_le_bytes());
+        frame.extend(part);
+    }
+    let payload = (frame.len() - 15) as u64;
+    frame[7..15].copy_from_slice(&payload.to_le_bytes());
+    frame.extend([0; 8]);
+    as_version_1(&frame)
+}
+
 /// A server key as earlier writers framed it — version 1, backend tag 1
 /// (the FFT path without merge-split) and the merge-split flag set —
 /// still loads: both spellings meant the one FFT path there is now, and
@@ -161,33 +193,33 @@ fn frames_with_the_retired_transform_flags_still_load() {
     assert!(matches!(with_tag(4), Err(TfheError::KeyCorrupted { .. })));
 }
 
-/// A bootstrapping-key frame whose shape header no transform engine
-/// exists for (`N = 2` passes the power-of-two test), or whose header
-/// counts more polynomials than `usize` holds, is a corrupted key — not a
+/// An embedded bootstrapping key whose shape header no transform engine
+/// exists for (`N = 2` passes the power-of-two test), whose header counts
+/// more or fewer words than follow it, or more polynomials than `usize`
+/// holds, or with bytes left over behind it, is a corrupted key — not a
 /// panic in the engine's constructor or in the arithmetic sizing the rows.
 #[test]
 fn bsk_shape_headers_nothing_can_compute_with_are_rejected() {
+    let (_, _, ksk) = sections(blob());
     // (GGSW count, k, level, N), then the words the header promises.
     let frame = |shape: [u64; 4], words: usize| {
-        let mut blob = b"MPHK\x01\x00\x03".to_vec();
-        blob.extend((32 + 4 * words as u64).to_le_bytes());
-        blob.extend(shape.iter().flat_map(|v| v.to_le_bytes()));
-        blob.resize(blob.len() + 4 * words + 8, 0);
-        as_version_1(&blob)
+        let mut bsk: Vec<u8> = shape.iter().flat_map(|v| v.to_le_bytes()).collect();
+        bsk.resize(bsk.len() + 4 * words, 0);
+        with_sections(blob(), &bsk, ksk)
     };
-    let well_formed = frame([1, 1, 1, 4], 16);
-    assert!(deserialize_bootstrap_key(&well_formed).is_ok());
-    for (shape, words) in [
-        ([1, 1, 1, 2], 8),
-        ([1, 1, 1, 4], 15),
-        ([1, 1 << 33, 1 << 33, 4], 16),
-        ([1 << 33, 1 << 32, 1, 4], 16),
+    // A well-formed one passes the BSK decoder and is then held to the
+    // parameter block, which it does not match.
+    let detail = rejection(&frame([1, 1, 1, 4], 16));
+    assert!(detail.contains("disagrees with params"), "{detail}");
+    for (shape, words, why) in [
+        ([1, 1, 1, 2], 8, "BSK shape header is degenerate"),
+        ([1, 1, 1, 4], 15, "BSK header"),
+        ([1, 1, 1, 4], 17, "BSK header"),
+        ([1, 1 << 33, 1 << 33, 4], 16, "BSK header"),
+        ([1 << 33, 1 << 32, 1, 4], 16, "BSK header"),
     ] {
-        let err = deserialize_bootstrap_key(&frame(shape, words)).unwrap_err();
-        assert!(
-            matches!(err, TfheError::KeyCorrupted { .. }),
-            "{shape:?}: {err}"
-        );
+        let detail = rejection(&frame(shape, words));
+        assert!(detail.contains(why), "{shape:?} {words}: {detail}");
     }
 }
 
@@ -199,7 +231,7 @@ fn bsk_shape_headers_nothing_can_compute_with_are_rejected() {
 /// exact range.
 #[test]
 fn server_key_frames_that_could_not_bootstrap_are_rejected() {
-    let (_, blob) = &blobs()[4];
+    let blob = blob();
     let fields = param_fields_at(blob);
     let patched = |at: usize, bytes: &[u8]| {
         let mut bad = blob.clone();
@@ -246,26 +278,56 @@ fn server_key_frames_that_could_not_bootstrap_are_rejected() {
     }
 }
 
+/// A plaintext modulus no LUT can be built over — not a power of two, or
+/// below 2 — is a corrupted key where it is loaded, not a panic building
+/// the LUT of the first bootstrap through it.
 #[test]
-fn every_blob_round_trips_and_rejects_the_empty_input() {
-    for (kind, blob) in blobs() {
-        assert!(try_parse(kind, blob).is_ok(), "{kind}: round trip");
-        assert!(
-            try_parse(kind, &as_version_1(blob)).is_ok(),
-            "{kind}: version 1"
-        );
-        assert!(
-            matches!(try_parse(kind, &[]), Err(TfheError::KeyCorrupted { .. })),
-            "{kind}: empty input must be KeyCorrupted"
-        );
+fn plaintext_moduli_no_lut_can_encode_are_rejected() {
+    let blob = blob();
+    let modulus_at = param_fields_at(blob) + 64;
+    assert_eq!(blob[modulus_at..modulus_at + 8], 4u64.to_le_bytes());
+    for p in [0u64, 1, 3, 6, u64::MAX] {
+        let mut bad = blob.clone();
+        bad[modulus_at..modulus_at + 8].copy_from_slice(&p.to_le_bytes());
+        let detail = rejection(&as_version_1(&bad));
+        assert!(detail.contains("plaintext modulus"), "p = {p}: {detail}");
+    }
+    let mut two = blob.clone();
+    two[modulus_at..modulus_at + 8].copy_from_slice(&2u64.to_le_bytes());
+    let back = deserialize_server_key(&as_version_1(&two)).expect("p = 2 loads");
+    assert_eq!(back.params().plaintext_modulus, 2);
+}
+
+/// A frame of another kind (1–4: the two secret keys and the bare BSK and
+/// KSK) is rejected as a kind mismatch, in both versions: the kind is
+/// read before the checksum is.
+#[test]
+fn frames_of_the_retired_per_part_kinds_are_rejected() {
+    for kind in 1..=4u8 {
+        let mut bad = blob().clone();
+        bad[6] = kind;
+        for frame in [as_version_1(&bad), bad] {
+            let detail = rejection(&frame);
+            assert!(detail.contains("kind mismatch"), "kind {kind}: {detail}");
+        }
     }
 }
 
+#[test]
+fn every_blob_round_trips_and_rejects_the_empty_input() {
+    assert!(deserialize_server_key(blob()).is_ok(), "round trip");
+    assert!(
+        deserialize_server_key(&as_version_1(blob())).is_ok(),
+        "version 1"
+    );
+    assert!(rejected(&[]), "empty input must be KeyCorrupted");
+}
+
 /// One flipped bit at every byte is rejected, under both checksums. Every
-/// byte of the two Test-set secret keys and of a server key shrunk until
-/// a quadratic sweep is affordable (it has every field a real one has);
-/// the Test-set server key at a stride coprime to the checksum's word, so
-/// that every offset within a word and every region of the payload is hit.
+/// byte of a server key shrunk until a quadratic sweep is affordable (it
+/// has every field a real one has); the Test-set server key at a stride
+/// coprime to the checksum's word, so that every offset within a word and
+/// every region of the payload is hit.
 #[test]
 fn a_flipped_bit_at_every_byte_is_rejected_in_both_versions() {
     let mut rng = StdRng::seed_from_u64(0x44);
@@ -275,22 +337,13 @@ fn a_flipped_bit_at_every_byte_is_rejected_in_both_versions() {
     let ck = ClientKey::generate(params, &mut rng);
     let small = serialize_server_key(&ServerKey::new(&ck, &mut rng));
     assert!(deserialize_server_key(&small).is_ok());
-    let [lwe, glwe, _, _, server] = &blobs()[..] else {
-        unreachable!("five blobs")
-    };
-    let sweeps = [
-        (lwe.0, &lwe.1, 1),
-        (glwe.0, &glwe.1, 1),
-        ("server", &small, 1),
-        (server.0, &server.1, 1021),
-    ];
-    for (kind, blob, stride) in sweeps {
+    for (kind, blob, stride) in [("small", &small, 1), ("test", blob(), 1021)] {
         for blob in [blob.clone(), as_version_1(blob)] {
             for pos in (0..blob.len()).step_by(stride) {
                 let mut bad = blob.clone();
                 bad[pos] ^= 1 << (pos % 8);
                 assert!(
-                    matches!(try_parse(kind, &bad), Err(TfheError::KeyCorrupted { .. })),
+                    rejected(&bad),
                     "{kind} v{}: bit {} of byte {pos} flipped and the blob still parsed",
                     blob[4],
                     pos % 8
@@ -304,20 +357,14 @@ fn a_flipped_bit_at_every_byte_is_rejected_in_both_versions() {
 /// one bulk read, and what comes back is the generated key row for row.
 #[test]
 fn flat_decoded_ksk_equals_the_generated_one() {
-    let mut rng = StdRng::seed_from_u64(0x55);
-    let params = ParamSet::Test.params();
-    let ck = ClientKey::generate(params.clone(), &mut rng);
-    let ksk = KeySwitchKey::generate(
-        &ck.glwe_key().to_extracted_lwe_key(),
-        ck.lwe_key(),
-        &params,
-        &mut rng,
-    );
-    let blob = serialize_key_switch_key(&ksk);
-    // Frame header 15, shape header 28, then the rows; checksum 8.
-    let payload = &blob[15 + 28..blob.len() - 8];
+    let (ck, sk, blob) = fixture();
+    let ksk = sk.key_switch_key();
+    let (_, _, embedded) = sections(blob);
+    // Shape header 28, then the rows.
+    let payload = &embedded[28..];
     assert_eq!(payload.len() as u64, ksk.bytes());
-    let back = deserialize_key_switch_key(&blob).expect("round trip");
+    let back = deserialize_server_key(blob).expect("round trip");
+    let back = back.key_switch_key();
     assert_eq!(
         (back.dim_in(), back.dim_out(), back.decomp_params()),
         (ksk.dim_in(), ksk.dim_out(), ksk.decomp_params())
@@ -331,71 +378,78 @@ fn flat_decoded_ksk_equals_the_generated_one() {
             }
         }
     }
-    let ct = ck.encrypt(1, &mut rng);
+    let ct = ck.encrypt(1, &mut StdRng::seed_from_u64(0x55));
     let extracted = morphling_tfhe::LweCiphertext::trivial(ct.body(), ksk.dim_in());
     assert_eq!(back.key_switch(&extracted), ksk.key_switch(&extracted));
 }
 
-/// A shape header that disagrees with the bytes behind it — here a frame
-/// resealed after its input dimension was changed — is a corrupted key,
-/// found before anything is allocated for it, not a panic.
+/// An embedded key-switching key whose shape header disagrees with the
+/// bytes behind it — its input dimension changed, or its output
+/// dimension, so that the same count of words no longer divides into rows
+/// — or whose decomposition is out of range, or with bytes left over
+/// behind it, is a corrupted key, found before anything is allocated for
+/// it, not a panic.
 #[test]
 fn ksk_header_that_miscounts_its_words_is_rejected() {
-    let (_, blob) = &blobs()[3];
+    let (_, bsk, ksk) = sections(blob());
+    let patched = |at: usize, bytes: &[u8]| {
+        let mut bad = ksk.to_vec();
+        bad[at..at + bytes.len()].copy_from_slice(bytes);
+        rejection(&with_sections(blob(), bsk, &bad))
+    };
     for dim_in in [0u64, 255, 257, 1 << 33, u64::MAX] {
-        let mut bad = blob.clone();
-        bad[15..23].copy_from_slice(&dim_in.to_le_bytes());
-        let err = deserialize_key_switch_key(&as_version_1(&bad)).unwrap_err();
+        let detail = patched(0, &dim_in.to_le_bytes());
         assert!(
-            matches!(err, TfheError::KeyCorrupted { .. }),
-            "{dim_in}: {err}"
+            detail.contains("KSK header") || detail.contains("implausible"),
+            "{dim_in}: {detail}"
         );
     }
-    // The output dimension sets the row width: the same count of words no
-    // longer divides into rows.
-    let mut bad = blob.clone();
-    bad[23..31].copy_from_slice(&15u64.to_le_bytes());
-    assert!(deserialize_key_switch_key(&as_version_1(&bad)).is_err());
+    let detail = patched(8, &15u64.to_le_bytes());
+    assert!(detail.contains("KSK header"), "{detail}");
+    // (base_log, level): a zero base, a base wider than the torus, no
+    // level, and digits past 32 bits.
+    for (base_log, level) in [(0u32, 2u64), (33, 1), (2, 0), (8, 5)] {
+        let mut header = base_log.to_le_bytes().to_vec();
+        header.extend(level.to_le_bytes());
+        let detail = patched(16, &header);
+        assert!(
+            detail.contains("KSK decomposition parameters out of range"),
+            "({base_log}, {level}): {detail}"
+        );
+    }
+    let mut long = ksk.to_vec();
+    long.extend([0; 4]);
+    let detail = rejection(&with_sections(blob(), bsk, &long));
+    assert!(detail.contains("KSK header"), "{detail}");
+    // Bytes behind an embedded key are more than its header counts;
+    // bytes behind both keys, or behind the checksum, are left over.
+    let mut trailing = bsk.to_vec();
+    trailing.push(0);
+    let detail = rejection(&with_sections(blob(), &trailing, ksk));
+    assert!(detail.contains("BSK header"), "{detail}");
+    let mut frame = with_sections(blob(), bsk, ksk);
+    let body = frame.len() - 8;
+    frame.splice(body..body, [0; 3]);
+    frame[7..15].copy_from_slice(&((body + 3 - 15) as u64).to_le_bytes());
+    let detail = rejection(&as_version_1(&frame));
+    assert!(detail.contains("trailing garbage"), "{detail}");
+    let mut after = blob().clone();
+    after.push(0);
+    assert!(rejection(&after).contains("trailing bytes after checksum"));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// LWE secret keys of any dimension (including non-multiples of 8,
-    /// exercising the bit packer's tail byte) round-trip exactly.
-    #[test]
-    fn lwe_secret_key_round_trips_any_dim(dim in 1usize..200, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let key = LweSecretKey::generate(dim, &mut rng);
-        let back = deserialize_lwe_secret_key(&serialize_lwe_secret_key(&key))
-            .expect("round trip");
-        prop_assert_eq!(back.bits(), key.bits());
-    }
-
-    /// GLWE secret keys across dimensions and polynomial sizes
-    /// round-trip exactly.
-    #[test]
-    fn glwe_secret_key_round_trips(k in 1usize..4, log_n in 3u32..9, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let key = GlweSecretKey::generate(k, 1 << log_n, &mut rng);
-        let back = deserialize_glwe_secret_key(&serialize_glwe_secret_key(&key))
-            .expect("round trip");
-        prop_assert_eq!(back.polys(), key.polys());
-    }
-
     /// Every proper prefix of a valid blob is rejected as corrupted —
     /// the length framing and checksum close the truncation hole.
     #[test]
-    fn any_truncation_is_rejected(which in 0usize..5, frac in 0.0f64..1.0) {
-        let (kind, blob) = &blobs()[which];
+    fn any_truncation_is_rejected(frac in 0.0f64..1.0) {
+        let blob = blob();
         let cut = ((blob.len() - 1) as f64 * frac) as usize;
         prop_assert!(
-            matches!(
-                try_parse(kind, &blob[..cut]),
-                Err(TfheError::KeyCorrupted { .. })
-            ),
-            "{}: prefix of {} / {} bytes must be rejected",
-            kind,
+            rejected(&blob[..cut]),
+            "prefix of {} / {} bytes must be rejected",
             cut,
             blob.len()
         );
@@ -405,33 +459,17 @@ proptest! {
     /// framing field stops matching or the checksum catches the payload
     /// damage.
     #[test]
-    fn any_bitflip_is_rejected(which in 0usize..5, pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let (kind, blob) = &blobs()[which];
+    fn any_bitflip_is_rejected(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
+        let blob = blob();
         let pos = ((blob.len() - 1) as f64 * pos_frac) as usize;
         let mut bad = blob.clone();
         bad[pos] ^= 1 << bit;
         prop_assert!(
-            matches!(
-                try_parse(kind, &bad),
-                Err(TfheError::KeyCorrupted { .. })
-            ),
-            "{}: bit {} of byte {} flipped and the blob still parsed",
-            kind,
+            rejected(&bad),
+            "bit {} of byte {} flipped and the blob still parsed",
             bit,
             pos
         );
-    }
-
-    /// Parsing a blob as the wrong key type fails on the kind byte.
-    #[test]
-    fn kind_confusion_is_rejected(a in 0usize..5, b in 0usize..5) {
-        prop_assume!(a != b);
-        let (_, blob) = &blobs()[a];
-        let (kind_b, _) = &blobs()[b];
-        prop_assert!(matches!(
-            try_parse(kind_b, blob),
-            Err(TfheError::KeyCorrupted { .. })
-        ));
     }
 }
 
@@ -439,11 +477,10 @@ proptest! {
 /// with both values, the detail an operator needs first.
 #[test]
 fn checksum_flip_reports_stored_and_computed() {
-    let (_, blob) = &blobs()[0];
-    let mut bad = blob.clone();
+    let mut bad = blob().clone();
     let last = bad.len() - 1;
     bad[last] ^= 0x01;
-    match deserialize_lwe_secret_key(&bad) {
+    match deserialize_server_key(&bad).map(|_| ()) {
         Err(TfheError::KeyCorrupted { detail }) => {
             assert!(
                 detail.contains("checksum mismatch"),

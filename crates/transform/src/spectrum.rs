@@ -17,9 +17,8 @@ use crate::simd::{cmul_add, Aligned, Isa, Kernel, Simd};
 /// butterflies leave the points in** (a fixed permutation, a function of
 /// `N` alone: see [`FftPlan`](crate::FftPlan)), which is the order the
 /// inverse reads them in. Everything between the two transforms is
-/// pointwise and never needs to know; [`point`](Self::point) and
-/// [`from_values`](Self::from_values) find evaluation point `m` for those
-/// who do.
+/// pointwise and never needs to know; [`point`](Self::point) finds
+/// evaluation point `m` for those who do.
 ///
 /// Spectra form a module: they can be added (IFFT linearity — the heart of
 /// *output* transform-domain reuse, §IV-B) and multiplied pointwise
@@ -44,22 +43,6 @@ impl Spectrum {
         Self {
             planes: std::iter::repeat_n(0.0, n).collect(),
         }
-    }
-
-    /// Build from evaluation points: `values[m]` at `e^(-iπ(4m+1)/N)`
-    /// (must be `N/2` points of a size-`N` polynomial).
-    pub fn from_values(values: Vec<Complex64>) -> Self {
-        let points = values.len();
-        assert!(
-            points.is_power_of_two(),
-            "spectrum length must be a power of two"
-        );
-        let mut planes: Aligned = std::iter::repeat_n(0.0, 2 * points).collect();
-        for (m, v) in values.iter().enumerate() {
-            let at = slot(points, m);
-            (planes[at], planes[points + at]) = (v.re, v.im);
-        }
-        Self { planes }
     }
 
     /// Number of evaluation points, `N/2`.
@@ -195,6 +178,24 @@ impl AddAssign<&Spectrum> for Spectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Spectrum {
+        /// Build from evaluation points: `values[m]` at `e^(-iπ(4m+1)/N)`
+        /// (must be `N/2` points of a size-`N` polynomial).
+        pub(crate) fn from_values(values: Vec<Complex64>) -> Self {
+            let points = values.len();
+            assert!(
+                points.is_power_of_two(),
+                "spectrum length must be a power of two"
+            );
+            let mut planes: Aligned = std::iter::repeat_n(0.0, 2 * points).collect();
+            for (m, v) in values.iter().enumerate() {
+                let at = slot(points, m);
+                (planes[at], planes[points + at]) = (v.re, v.im);
+            }
+            Self { planes }
+        }
+    }
 
     #[test]
     fn zero_has_half_the_points() {

@@ -59,7 +59,6 @@ pub use morphling_transform as transform;
 /// (schedulers, radix integers, app models, the wire-format functions in
 /// `tfhe::serialize`) stay behind their module paths.
 pub mod prelude {
-    pub use morphling_core::faults::SimFaultPlan;
     pub use morphling_core::{sim::Simulator, ArchConfig, ReuseMode};
     pub use morphling_tfhe::{
         AutotuneReport, AutotuneRequest, BatchRequest, BootstrapEngine, BootstrapEngineBuilder,
