@@ -22,7 +22,7 @@ use rand::SeedableRng;
 fn chaos_trace_roundtrips_to_disk() {
     let mut rng = StdRng::seed_from_u64(9100);
     let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-    let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
+    let sk = Arc::new(ServerKey::new(&ck, &mut rng));
     let lut = Lut::identity(sk.params().poly_size, 4);
     let cts: Vec<_> = (0..8).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
 

@@ -36,7 +36,7 @@ impl Bootstrapper for FlakyPrimary {
 fn resilience_trace_roundtrips_to_disk() {
     let mut rng = StdRng::seed_from_u64(0x7E51);
     let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-    let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
+    let sk = Arc::new(ServerKey::new(&ck, &mut rng));
     let lut = Arc::new(Lut::identity(sk.params().poly_size, 4));
 
     // The primary fails its first three calls and the fallback its first

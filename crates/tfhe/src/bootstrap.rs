@@ -4,10 +4,9 @@
 use morphling_math::{Polynomial, Torus32, TorusScalar};
 
 use crate::bootstrap_key::BootstrapKey;
-use crate::external_product::{cmux, ExternalProductEngine};
+use crate::external_product::ExternalProductEngine;
 use crate::glwe::GlweCiphertext;
 use crate::lwe::LweCiphertext;
-use crate::params::TfheParams;
 use crate::workspace::BootstrapWorkspace;
 
 /// Modulus-switch an LWE ciphertext to modulus `2N`: every mask element and
@@ -19,26 +18,12 @@ pub fn modulus_switch(ct: &LweCiphertext, two_n: u64) -> (Vec<u64>, u64) {
 }
 
 /// Blind rotation (Algorithm 1 lines 2–4) through the transform-domain
-/// engine: `n` sequential external products
-/// `ACC ← BSK_i ⊡ (X^ã_i · ACC − ACC) + ACC`.
-///
-/// `acc` must already include the initial `X^(−b̃)` rotation of the test
-/// polynomial.
-pub fn blind_rotate(
-    engine: &ExternalProductEngine,
-    bsk: &BootstrapKey,
-    mut acc: GlweCiphertext,
-    mask_exponents: &[u64],
-) -> GlweCiphertext {
-    let mut ws = engine.workspace(acc.dim());
-    blind_rotate_assign(engine, bsk, &mut acc, mask_exponents, &mut ws);
-    acc
-}
-
-/// [`blind_rotate`] in place: rotates `acc` through caller-owned workspace
-/// buffers. With a warm `ws` the whole rotation — `n` external products —
-/// touches no allocator at all (the software analogue of the paper keeping
-/// ACC resident in Private-A1 for the entire bootstrap).
+/// engine, in place: `n` sequential external products
+/// `ACC ← BSK_i ⊡ (X^ã_i · ACC − ACC) + ACC` on `acc`, which must already
+/// include the initial `X^(−b̃)` rotation of the test polynomial. With a
+/// warm `ws` the whole rotation touches no allocator at all (the software
+/// analogue of the paper keeping ACC resident in Private-A1 for the
+/// entire bootstrap).
 ///
 /// # Panics
 ///
@@ -107,31 +92,6 @@ pub fn blind_rotate_assign_many(
             }
         }
     }
-}
-
-/// Blind rotation through the exact integer-domain oracle (no floating
-/// point: every product is the NTT's) — used to validate the transform path.
-/// Its `BSK_i` are what [`BootstrapKey::coefficient`] derives, exactly,
-/// from the key's spectra.
-pub fn blind_rotate_exact(
-    params: &TfheParams,
-    bsk: &BootstrapKey,
-    mut acc: GlweCiphertext,
-    mask_exponents: &[u64],
-) -> GlweCiphertext {
-    assert_eq!(
-        mask_exponents.len(),
-        bsk.lwe_dim(),
-        "mask length must equal the LWE dimension"
-    );
-    for (i, &a_tilde) in mask_exponents.iter().enumerate() {
-        if a_tilde == 0 {
-            continue;
-        }
-        let rotated = acc.monomial_mul(a_tilde as i64);
-        acc = cmux(&bsk.coefficient(i), &acc, &rotated, params);
-    }
-    acc
 }
 
 /// Sample extraction (Algorithm 1 line 5): read the constant coefficient of
@@ -233,41 +193,36 @@ mod tests {
         let ct = ck.encrypt_torus(mu, &mut rng);
         let (mask, b_tilde) = modulus_switch(&ct, params.two_n());
         let acc0 = initial_accumulator(&tp, params.glwe_dim, b_tilde);
-        let acc = blind_rotate(&engine, &bsk, acc0, &mask);
+        let mut acc = acc0;
+        let mut ws = engine.workspace(params.glwe_dim);
+        blind_rotate_assign(&engine, &bsk, &mut acc, &mask, &mut ws);
         let extracted = sample_extract(&acc);
         let phase = ck.glwe_key().to_extracted_lwe_key().phase(&extracted);
         assert_eq!(phase.decode(8), 2);
     }
 
     #[test]
-    fn blind_rotate_assign_is_bit_identical_to_allocating_chain() {
+    fn blind_rotate_assign_equals_the_oracle_chain() {
+        // Every step through one reused workspace, a skipped (ã = 0) one
+        // among them: the rotation is the oracle's chain bit for bit.
         let mut rng = StdRng::seed_from_u64(64);
         let params = ParamSet::Test.params();
         let ck = ClientKey::generate(params.clone(), &mut rng);
-        let bsk = BootstrapKey::generate(&ck, &mut rng);
+        let sk = crate::ServerKey::new(&ck, &mut rng);
         let engine = ExternalProductEngine::new(&params);
         let tp = Polynomial::from_fn(params.poly_size, |j| Torus32::encode((j % 4) as u64, 8));
-        let mask: Vec<u64> = (0..params.lwe_dim)
+        let mut mask: Vec<u64> = (0..params.lwe_dim)
             .map(|_| sampling::uniform_torus::<Torus32, _>(&mut rng).mod_switch(params.two_n()))
             .collect();
+        mask[5] = 0;
         let acc0 = initial_accumulator(&tp, params.glwe_dim, 9);
-
-        // Reference: the pre-workspace allocating chain, one fresh
-        // ciphertext per step.
-        let mut want = acc0.clone();
-        for (i, &a_tilde) in mask.iter().enumerate() {
-            if a_tilde == 0 {
-                continue;
-            }
-            want = engine.rotate_cmux(bsk.fourier(i), &want, a_tilde as i64);
-        }
-
-        let mut acc = acc0.clone();
+        let want = (mask.iter().enumerate()).fold(acc0.clone(), |acc, (i, &a)| {
+            crate::oracle::step(&sk, i, a, &acc)
+        });
+        let mut acc = acc0;
         let mut ws = engine.workspace(params.glwe_dim);
-        blind_rotate_assign(&engine, &bsk, &mut acc, &mask, &mut ws);
+        blind_rotate_assign(&engine, sk.bootstrap_key(), &mut acc, &mask, &mut ws);
         assert_eq!(acc, want);
-        // And the wrapper delegates to the same path.
-        assert_eq!(blind_rotate(&engine, &bsk, acc0, &mask), want);
     }
 
     #[test]
@@ -317,29 +272,6 @@ mod tests {
                 blind_rotate_assign_many(&engine, &bsk, &mut accs, &masks, &mut ws);
                 assert_eq!(accs, want, "set={set:?} batch_len={batch_len}");
             }
-        }
-    }
-
-    #[test]
-    fn exact_and_fft_blind_rotation_agree() {
-        let mut rng = StdRng::seed_from_u64(63);
-        let params = ParamSet::Test.params();
-        let ck = ClientKey::generate(params.clone(), &mut rng);
-        let bsk = BootstrapKey::generate(&ck, &mut rng);
-        let engine = ExternalProductEngine::new(&params);
-        let tp = Polynomial::from_fn(params.poly_size, |j| Torus32::encode((j % 4) as u64, 8));
-        let mask: Vec<u64> = (0..params.lwe_dim)
-            .map(|_| sampling::uniform_torus::<Torus32, _>(&mut rng).mod_switch(params.two_n()))
-            .collect();
-        let acc0 = initial_accumulator(&tp, params.glwe_dim, 17);
-        let fft_acc = blind_rotate(&engine, &bsk, acc0.clone(), &mask);
-        let exact_acc = blind_rotate_exact(&params, &bsk, acc0, &mask);
-        // Both are valid encryptions of the same thing; compare phases
-        // after decryption (they decode identically on the p=8 grid).
-        let pf = ck.glwe_key().phase(&fft_acc);
-        let pe = ck.glwe_key().phase(&exact_acc);
-        for j in 0..params.poly_size {
-            assert_eq!(pf[j].decode(8), pe[j].decode(8), "j={j}");
         }
     }
 }

@@ -488,7 +488,7 @@ impl ServerKey {
 
 /// The single-core CPU baseline: the whole request as one chunk through a
 /// single [`BootstrapWorkspace`](crate::BootstrapWorkspace), deterministic
-/// order. On the FFT backend its blind rotations advance together, one
+/// order. Its blind rotations advance together, one
 /// CMUX step at a time, and its key switches share one pass over the KSK,
 /// so that each key operand is read once for the whole batch
 /// (bit-identical to the per-item loop — see

@@ -81,7 +81,7 @@
 //! let mut rng = StdRng::seed_from_u64(9);
 //! let params = ParamSet::Test.params();
 //! let client = ClientKey::generate(params.clone(), &mut rng);
-//! let server = Arc::new(ServerKey::builder().build(&client, &mut rng));
+//! let server = Arc::new(ServerKey::new(&client, &mut rng));
 //!
 //! let engine = BootstrapEngine::builder().workers(2).build(Arc::clone(&server)).unwrap();
 //! let lut = Lut::identity(params.poly_size, 4);
@@ -1046,7 +1046,7 @@ mod tests {
     fn setup(seed: u64) -> (ClientKey, Arc<ServerKey>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-        let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
+        let sk = Arc::new(ServerKey::new(&ck, &mut rng));
         (ck, sk, rng)
     }
 

@@ -2,29 +2,24 @@
 //! blind rotation (Algorithm 1, line 4) and the paper's most
 //! compute-intensive operation (97% of all bootstrapping work, §I).
 //!
-//! Two implementations are provided:
-//!
-//! - [`ExternalProductEngine`]: the transform-domain path the hardware
-//!   accelerates, as the XPU's streaming pipeline (§IV–V): decomposition
-//!   rides on the forward transform's first pass, the multiply-accumulate
-//!   against the precomputed BSK spectra on the inverse transform's
-//!   first pass and the rounding and the `+ ACC` on its last. Only the
-//!   digit spectra are parked in memory between the two. The
-//!   accumulation order mirrors the VPE array with the
-//!   ACC-output-stationary dataflow. There is one implementation: the
-//!   allocating entry points run it in a workspace of their own.
-//! - [`external_product`] (free function): an exact integer-domain oracle
-//!   with no floating point — every product is the two-prime NTT's, itself
-//!   held to the schoolbook in `morphling-transform` — used to validate
-//!   the FFT path.
+//! [`ExternalProductEngine`] is the transform-domain path the hardware
+//! accelerates, as the XPU's streaming pipeline (§IV–V): decomposition
+//! rides on the forward transform's first pass, the multiply-accumulate
+//! against the precomputed BSK spectra on the inverse transform's first
+//! pass and the rounding and the `+ ACC` on its last. Only the digit
+//! spectra are parked in memory between the two. The accumulation order
+//! mirrors the VPE array with the ACC-output-stationary dataflow. There
+//! is one implementation: the allocating entry point runs it in a
+//! workspace of its own. The exact integer-domain step it is held to is
+//! the [`oracle`](crate::oracle)'s.
 
 use std::sync::Arc;
 
-use morphling_math::{DecompParams, Polynomial, SignedDecomposer, Torus32};
+use morphling_math::DecompParams;
 use morphling_transform::NegacyclicFft;
 
-use crate::fft_cache::{fft_for, ntt_for};
-use crate::ggsw::{FourierGgsw, GgswCiphertext};
+use crate::fft_cache::fft_for;
+use crate::ggsw::FourierGgsw;
 use crate::glwe::GlweCiphertext;
 use crate::params::TfheParams;
 use crate::workspace::BootstrapWorkspace;
@@ -69,38 +64,16 @@ impl ExternalProductEngine {
         out
     }
 
-    /// CMUX: `ct0 + ggsw ⊡ (ct1 − ct0)` — selects `ct1` when the GGSW
-    /// encrypts 1 and `ct0` when it encrypts 0.
-    pub fn cmux(
-        &self,
-        ggsw: &FourierGgsw,
-        ct0: &GlweCiphertext,
-        ct1: &GlweCiphertext,
-    ) -> GlweCiphertext {
-        ct0.add(&self.external_product(ggsw, &ct1.sub(ct0)))
-    }
-
-    /// The blind-rotation step: `ACC ← BSK_i ⊡ (X^ã · ACC − ACC) + ACC`
-    /// (Algorithm 1 line 4), with the rotate-and-subtract fused as the
-    /// double-pointer read does in hardware.
-    pub fn rotate_cmux(
-        &self,
-        bsk_i: &FourierGgsw,
-        acc: &GlweCiphertext,
-        a_tilde: i64,
-    ) -> GlweCiphertext {
-        acc.add(&self.external_product(bsk_i, &acc.monomial_mul_minus_one(a_tilde)))
-    }
-
     /// A [`BootstrapWorkspace`] sized for this engine's transform and
     /// gadget, serving accumulators of GLWE dimension `glwe_dim`.
     pub fn workspace(&self, glwe_dim: usize) -> BootstrapWorkspace {
         BootstrapWorkspace::with_shape(glwe_dim, self.fft.poly_len(), self.decomp.level())
     }
 
-    /// [`rotate_cmux`](Self::rotate_cmux) in place: updates `acc` through
-    /// caller-owned workspace buffers and performs no heap allocation.
-    /// Bit-identical to the allocating path.
+    /// The blind-rotation step `ACC ← BSK_i ⊡ (X^ã · ACC − ACC) + ACC`
+    /// (Algorithm 1 line 4), in place: the rotate-and-subtract is fused
+    /// as the double-pointer read does in hardware, and `acc` is updated
+    /// through caller-owned workspace buffers with no heap allocation.
     ///
     /// # Panics
     ///
@@ -162,53 +135,13 @@ impl ExternalProductEngine {
     }
 }
 
-/// Exact integer-domain external product (correctness oracle), O(N log N)
-/// through the process-wide NTT engine.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree, or if `params.bsk_decomp`'s digits leave
-/// the NTT's exact range at this `N` (no [`ParamSet`](crate::ParamSet)
-/// does).
-pub fn external_product(
-    ggsw: &GgswCiphertext,
-    ct: &GlweCiphertext,
-    params: &TfheParams,
-) -> GlweCiphertext {
-    assert_eq!(ggsw.glwe_dim(), ct.dim(), "GLWE dimension mismatch");
-    let decomposer = SignedDecomposer::<Torus32>::new(params.bsk_decomp);
-    let mut digit_polys: Vec<Polynomial<i64>> = Vec::new();
-    for comp in ct.components() {
-        digit_polys.extend(decomposer.decompose_poly(comp));
-    }
-    let k1 = ct.dim() + 1;
-    let n = ct.poly_size();
-    let ntt = ntt_for(n);
-    let mut out: Vec<Polynomial<Torus32>> = vec![Polynomial::zero(n); k1];
-    for (r, digits) in digit_polys.iter().enumerate() {
-        for (u, row_comp) in ggsw.rows()[r].components().enumerate() {
-            out[u] += &ntt.mul_int_torus(digits, row_comp);
-        }
-    }
-    GlweCiphertext::from_components(out)
-}
-
-/// Exact CMUX built on [`external_product`].
-pub fn cmux(
-    ggsw: &GgswCiphertext,
-    ct0: &GlweCiphertext,
-    ct1: &GlweCiphertext,
-    params: &TfheParams,
-) -> GlweCiphertext {
-    ct0.add(&external_product(ggsw, &ct1.sub(ct0), params))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ggsw::GgswCiphertext;
     use crate::keys::GlweSecretKey;
     use crate::params::ParamSet;
-    use morphling_math::TorusScalar;
+    use morphling_math::{Polynomial, SignedDecomposer, Torus32, TorusScalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -306,29 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn fft_path_matches_exact_oracle() {
-        let Setup {
-            params,
-            key,
-            mut rng,
-        } = setup(false);
-        let m = coarse_msg(params.poly_size, 7);
-        let ct = GlweCiphertext::encrypt(&m, &key, params.glwe_noise_std, &mut rng);
-        let ggsw = GgswCiphertext::encrypt(1, &key, &params, &mut rng);
-        let engine = ExternalProductEngine::new(&params);
-        let fft_out = engine.external_product(&ggsw.to_fourier(engine.fft()), &ct);
-        let exact_out = external_product(&ggsw, &ct, &params);
-        // The f64 path may differ by ±1 raw unit from exact integer math;
-        // with the TEST base (2^6) it is bit-exact.
-        for (a, b) in fft_out.components().zip(exact_out.components()) {
-            for j in 0..params.poly_size {
-                let d = (a[j] - b[j]).to_signed().abs();
-                assert!(d <= 1, "j={j} diff={d}");
-            }
-        }
-    }
-
-    #[test]
     fn cmux_selects_by_the_encrypted_bit() {
         let Setup {
             params,
@@ -343,7 +253,8 @@ mod tests {
         for bit in [0i64, 1] {
             let ggsw =
                 GgswCiphertext::encrypt(bit, &key, &params, &mut rng).to_fourier(engine.fft());
-            let selected = engine.cmux(&ggsw, &c0, &c1);
+            // CMUX: `c0 + ggsw ⊡ (c1 − c0)`.
+            let selected = c0.add(&engine.external_product(&ggsw, &c1.sub(&c0)));
             let want = if bit == 1 { &m1 } else { &m0 };
             let phase = key.phase(&selected);
             for j in 0..params.poly_size {
@@ -366,7 +277,9 @@ mod tests {
         for bit in [0i64, 1] {
             let ggsw =
                 GgswCiphertext::encrypt(bit, &key, &params, &mut rng).to_fourier(engine.fft());
-            let out = engine.rotate_cmux(&ggsw, &ct, rot);
+            let mut out = ct.clone();
+            let mut ws = engine.workspace(params.glwe_dim);
+            engine.rotate_cmux_into(&ggsw, &mut out, rot, &mut ws);
             let want = if bit == 1 {
                 m.monomial_mul(rot)
             } else {
@@ -383,9 +296,8 @@ mod tests {
     fn rotate_cmux_into_is_bit_identical_to_the_staged_reference() {
         // Chained rotations through one reused workspace, k = 1 and
         // k = 2, exponents on both sides of every wrap: each step must
-        // equal the staged reference and the allocating path (a fresh
-        // workspace per step) bit for bit — nothing may leak from one
-        // external product into the next.
+        // equal the staged reference bit for bit — nothing may leak from
+        // one external product into the next.
         for set in [ParamSet::Test, ParamSet::TestMedium] {
             let params = set.params();
             let n = params.poly_size as i64;
@@ -400,11 +312,6 @@ mod tests {
             for a_tilde in [0, 1, 5, 37, 211, n - 1, n, n + 1, 2 * n - 1] {
                 let mut want = acc.clone();
                 rotate_cmux_staged(&engine, &ggsw, &mut want, a_tilde);
-                assert_eq!(
-                    engine.rotate_cmux(&ggsw, &acc, a_tilde),
-                    want,
-                    "allocating, set={set:?} a_tilde={a_tilde}"
-                );
                 engine.rotate_cmux_into(&ggsw, &mut acc, a_tilde, &mut ws);
                 assert_eq!(acc, want, "in place, set={set:?} a_tilde={a_tilde}");
             }

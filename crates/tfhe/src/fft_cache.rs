@@ -56,9 +56,7 @@ pub(crate) fn fft_for(n: usize) -> Arc<NegacyclicFft> {
 }
 
 /// Fetch (or build) the process-wide NTT engine for polynomial size `n`:
-/// the multiplier of the exact oracle
-/// ([`external_product`](crate::external_product), and through it
-/// [`MulBackend::Exact`](crate::MulBackend::Exact)).
+/// the multiplier of the exact [`oracle`](crate::oracle)'s step.
 pub(crate) fn ntt_for(n: usize) -> Arc<NegacyclicNtt> {
     get_or_build(&NTT_CACHE, n, NegacyclicNtt::new)
 }

@@ -21,10 +21,11 @@
 //!   common-factor plan ([`MultiLutPlan`]) — and
 //!   [tree bootstrapping](ServerKey::try_tree_bootstrap_many) chaining LUT
 //!   stages to evaluate wider-input functions;
-//! - two polynomial-multiplication backends ([`MulBackend`]): the FFT
-//!   path the hardware accelerates, and an exact integer path (a two-prime
-//!   NTT, several times slower) used as the correctness oracle — on this
-//!   32-bit torus the two return the same ciphertexts bit for bit;
+//! - one blind rotation, through the transform domain the hardware
+//!   accelerates, held bit for bit to the correctness [`oracle`]: the
+//!   same step written in integers through a two-prime NTT, several times
+//!   slower, which names the step and GLWE component where the two part
+//!   (on this 32-bit torus they never do);
 //! - noise utilities ([`noise`]) that measure and predict ciphertext error;
 //! - a persistent, self-healing [`BootstrapEngine`] (watchdog, bounded
 //!   chunk re-dispatch, panic isolation with bounded respawn,
@@ -97,6 +98,7 @@ mod lwe;
 mod multivalue;
 pub mod noise;
 pub mod ops;
+pub mod oracle;
 mod params;
 mod policy;
 pub mod radix;
@@ -111,7 +113,7 @@ pub use autotune::{
     SloTarget,
 };
 pub use bootstrap::{
-    blind_rotate, blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,
+    blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,
 };
 pub use bootstrap_key::BootstrapKey;
 pub use bootstrapper::{BatchRequest, BatchRequestBuilder, Bootstrapper};
@@ -120,7 +122,7 @@ pub use dispatch::{
 };
 pub use engine::{BootstrapEngine, BootstrapEngineBuilder, EngineHealth, EngineStats, OutputCheck};
 pub use error::TfheError;
-pub use external_product::{cmux, external_product, ExternalProductEngine};
+pub use external_product::ExternalProductEngine;
 pub use faults::{FaultInjector, FaultPlan, FaultSite};
 pub use ggsw::{FourierGgsw, GgswCiphertext};
 pub use glwe::GlweCiphertext;
@@ -137,6 +139,6 @@ pub use multivalue::MultiLutPlan;
 pub use params::{ParamSet, TfheParams, ALL_PAPER_SETS};
 pub use resilience::{BreakerConfig, RetryConfig};
 pub use serialize::{deserialize_server_key, serialize_server_key};
-pub use server::{BootstrapOptions, MulBackend, ServerKey, ServerKeyBuilder};
+pub use server::{BootstrapOptions, ServerKey};
 pub use serving::{ServingConfig, ServingConfigBuilder};
 pub use workspace::BootstrapWorkspace;

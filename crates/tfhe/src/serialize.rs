@@ -45,7 +45,7 @@ use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweCiphertext;
 use crate::ksk::KeySwitchKey;
 use crate::params::TfheParams;
-use crate::server::{MulBackend, ServerKey};
+use crate::server::ServerKey;
 
 /// Frame magic: "MPHK" (Morphling key).
 const MAGIC: [u8; 4] = *b"MPHK";
@@ -510,26 +510,20 @@ fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
     )
 }
 
-fn backend_tag(b: MulBackend) -> u8 {
-    match b {
-        MulBackend::Fft => 0,
-        MulBackend::Exact => 3,
+/// Checks a frame's backend byte. Tags 0–3 were the transform-path
+/// spellings (0 `Fft`, 1 `FftPlain`, the FFT path without merge-split)
+/// and the exact ones (2 `Ntt`, 3 `Exact`, the correctness oracle's
+/// multiplier); the key material never depended on them, so all four load
+/// as the one key there is now, and the writer puts 0.
+fn check_backend_tag(tag: u8) -> Result<(), TfheError> {
+    match tag {
+        0..=3 => Ok(()),
+        other => Err(corrupt(format!("unknown backend tag {other}"))),
     }
 }
 
-fn backend_from_tag(tag: u8) -> Result<MulBackend, TfheError> {
-    Ok(match tag {
-        // Tag 1 was `FftPlain`, the FFT path without merge_split: the one
-        // FFT path there is now. Tag 2 was `Ntt`, the exact backend's
-        // multiplier before it was the only one.
-        0 | 1 => MulBackend::Fft,
-        2 | 3 => MulBackend::Exact,
-        other => return Err(corrupt(format!("unknown MulBackend tag {other}"))),
-    })
-}
-
-/// Serialize a [`ServerKey`]: parameter block, backend + engine flags,
-/// then the embedded BSK and KSK payloads.
+/// Serialize a [`ServerKey`]: parameter block, backend tag (0) and two
+/// reserved bytes, then the embedded BSK and KSK payloads.
 ///
 /// Everything is written once, into one buffer sized up front (the
 /// payload is 58 MB at Set III).
@@ -538,8 +532,9 @@ pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
     // 128 bytes cover the parameter block, the flags and the two lengths.
     let mut w = Writer::frame(128 + bootstrap_key_len(bsk) + key_switch_key_len(ksk));
     write_params(&mut w, key.params());
-    w.u8(backend_tag(key.backend()));
-    // Reserved: earlier writers stored two transform-path flags here.
+    // The backend tag, then two bytes where earlier writers stored
+    // transform-path flags.
+    w.u8(0);
     w.u8(0);
     w.u8(0);
     let at = w.open_len();
@@ -561,7 +556,7 @@ pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
 pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
     let mut r = Reader::new(unframe(bytes)?);
     let params = read_params(&mut r)?;
-    let backend = backend_from_tag(r.u8()?)?;
+    check_backend_tag(r.u8()?)?;
     let _reserved = [r.u8()?, r.u8()?];
     let bsk_len = r.len_field("embedded BSK")?;
     let mut bsk_r = Reader::new(r.take(bsk_len)?);
@@ -595,8 +590,17 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
             params.lwe_dim
         )));
     }
-    backend.check(&params).map_err(corrupt)?;
-    Ok(ServerKey::from_parts(params, bsk, ksk, backend))
+    let (ksk_decomp, decomp) = (ksk.decomp_params(), params.ksk_decomp);
+    if ksk_decomp != decomp {
+        return Err(corrupt(format!(
+            "KSK decomposition (base_log, level) = ({}, {}) disagrees with params ({}, {})",
+            ksk_decomp.base_log(),
+            ksk_decomp.level(),
+            decomp.base_log(),
+            decomp.level()
+        )));
+    }
+    Ok(ServerKey::from_parts(params, bsk, ksk))
 }
 
 #[cfg(test)]
@@ -649,7 +653,6 @@ mod tests {
         assert!(blob.capacity() - blob.len() < 128, "{}", blob.capacity());
         let back = deserialize_server_key(&blob).unwrap();
         assert_eq!(back.params(), sk.params());
-        assert_eq!(back.backend(), sk.backend());
         // Key material matches exactly...
         for i in 0..sk.bootstrap_key().lwe_dim() {
             assert_eq!(

@@ -2,12 +2,10 @@
 //! including programmable bootstrapping and bootstrapped boolean gates.
 
 use morphling_math::{Torus32, TorusScalar};
-use morphling_transform::NegacyclicNtt;
 use rand::Rng;
 
 use crate::bootstrap::{
-    blind_rotate_assign_many, blind_rotate_exact, initial_accumulator, modulus_switch,
-    sample_extract,
+    blind_rotate_assign_many, initial_accumulator, modulus_switch, sample_extract,
 };
 use crate::bootstrap_key::BootstrapKey;
 use crate::error::TfheError;
@@ -20,35 +18,6 @@ use crate::lwe::LweCiphertext;
 use crate::multivalue::MultiLutPlan;
 use crate::params::TfheParams;
 use crate::workspace::BootstrapWorkspace;
-
-/// Which polynomial-multiplication backend the blind rotation uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MulBackend {
-    /// The transform-domain path — what the hardware accelerates.
-    /// Default.
-    #[default]
-    Fft,
-    /// Exact integer arithmetic through the two-prime CRT NTT (the paper's
-    /// "or NTT" alternative, §III) — no rounding at all; several times
-    /// slower, the correctness oracle.
-    Exact,
-}
-
-impl MulBackend {
-    /// Whether this backend computes at `params`, or why not: the exact
-    /// one needs the BSK digits (at most `β/2` in magnitude) inside its
-    /// NTT's CRT range.
-    pub(crate) fn check(self, params: &TfheParams) -> Result<(), String> {
-        let (n, decomp) = (params.poly_size, params.bsk_decomp);
-        if self == Self::Exact && !NegacyclicNtt::supports(n, decomp.base() / 2) {
-            return Err(format!(
-                "Exact backend: N = {n} with BSK base 2^{} is outside the NTT's exact range",
-                decomp.base_log()
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// Per-call knobs for [`ServerKey::bootstrap_with_options`] — the single
 /// entry point `programmable_bootstrap` delegates to.
@@ -102,58 +71,10 @@ impl<'a> BootstrapOptions<'a> {
     }
 
     /// Route the blind rotation through a caller-owned workspace; with a
-    /// warm workspace the FFT backends allocate nothing.
+    /// warm workspace the blind rotation allocates nothing.
     pub fn workspace(mut self, ws: &'a mut BootstrapWorkspace) -> Self {
         self.workspace = Some(ws);
         self
-    }
-}
-
-/// Configures and derives a [`ServerKey`] — the one place where the
-/// backend is chosen.
-///
-/// ```
-/// use morphling_tfhe::{ClientKey, MulBackend, ParamSet, ServerKey};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let client = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-/// let server = ServerKey::builder()
-///     .backend(MulBackend::Fft)
-///     .build(&client, &mut rng);
-/// assert_eq!(server.backend(), MulBackend::Fft);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-#[must_use = "a builder does nothing until .build() is called"]
-pub struct ServerKeyBuilder {
-    backend: MulBackend,
-}
-
-impl ServerKeyBuilder {
-    /// Start from the default: the FFT backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Choose the polynomial-multiplication backend.
-    pub fn backend(mut self, backend: MulBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Generate BSK and KSK from the client key and assemble the server
-    /// key.
-    pub fn build<R: Rng + ?Sized>(self, client: &ClientKey, rng: &mut R) -> ServerKey {
-        let params = client.params().clone();
-        let bsk = BootstrapKey::generate(client, rng);
-        let ksk = KeySwitchKey::generate(
-            &client.glwe_key().to_extracted_lwe_key(),
-            client.lwe_key(),
-            &params,
-            rng,
-        );
-        ServerKey::from_parts(params, bsk, ksk, self.backend)
     }
 }
 
@@ -177,7 +98,6 @@ pub struct ServerKey {
     bsk: BootstrapKey,
     ksk: KeySwitchKey,
     engine: ExternalProductEngine,
-    backend: MulBackend,
 }
 
 // The engine's worker pool shares one key behind an `Arc`.
@@ -187,41 +107,29 @@ const _: () = {
 };
 
 impl ServerKey {
-    /// Configure the backend before deriving the key.
-    pub fn builder() -> ServerKeyBuilder {
-        ServerKeyBuilder::new()
-    }
-
-    /// Derive the server key from a client key (generates BSK and KSK) on
-    /// the default backend: `ServerKey::builder().build(client, rng)`.
+    /// Derive the server key from a client key: generates the BSK, then
+    /// the KSK.
     pub fn new<R: Rng + ?Sized>(client: &ClientKey, rng: &mut R) -> Self {
-        Self::builder().build(client, rng)
+        let params = client.params().clone();
+        let bsk = BootstrapKey::generate(client, rng);
+        let ksk = KeySwitchKey::generate(
+            &client.glwe_key().to_extracted_lwe_key(),
+            client.lwe_key(),
+            &params,
+            rng,
+        );
+        Self::from_parts(params, bsk, ksk)
     }
 
     /// Reassemble a server key from its public parts (deserialization
     /// path): the transform engine is rebuilt locally from `params`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is [`MulBackend::Exact`] and `params` put the
-    /// BSK digits outside its NTT's exact range (`N·(β/2)·2³¹ ≥ 2^58.8`;
-    /// every [`ParamSet`](crate::ParamSet) is inside).
-    pub(crate) fn from_parts(
-        params: TfheParams,
-        bsk: BootstrapKey,
-        ksk: KeySwitchKey,
-        backend: MulBackend,
-    ) -> Self {
-        if let Err(why) = backend.check(&params) {
-            panic!("{why}");
-        }
+    pub(crate) fn from_parts(params: TfheParams, bsk: BootstrapKey, ksk: KeySwitchKey) -> Self {
         let engine = ExternalProductEngine::new(&params);
         Self {
             params,
             bsk,
             ksk,
             engine,
-            backend,
         }
     }
 
@@ -238,11 +146,6 @@ impl ServerKey {
     /// The key-switching key.
     pub fn key_switch_key(&self) -> &KeySwitchKey {
         &self.ksk
-    }
-
-    /// The active multiplication backend.
-    pub fn backend(&self) -> MulBackend {
-        self.backend
     }
 
     /// The transform engine this key computes with.
@@ -292,11 +195,14 @@ impl ServerKey {
         lut: &Lut,
         opts: BootstrapOptions<'_>,
     ) -> Result<LweCiphertext, TfheError> {
-        let items = [(ct, vec![lut])];
-        let mut extracted = match opts.workspace {
-            Some(ws) => self.extract_chunk(&items, ws)?,
-            None => self.extract_chunk(&items, &mut self.workspace())?,
+        let mut fresh = None;
+        let ws = match opts.workspace {
+            Some(ws) => ws,
+            None => fresh.insert(self.workspace()),
         };
+        let mut extracted = self.extract_chunk(&[(ct, vec![lut])], |accs, masks| {
+            blind_rotate_assign_many(&self.engine, &self.bsk, accs, masks, ws)
+        })?;
         if opts.keyswitch {
             extracted = self.ksk.try_key_switch_many(&extracted)?;
         }
@@ -319,33 +225,12 @@ impl ServerKey {
         Ok(())
     }
 
-    /// BR: `n` external products per accumulator, each starting from its
-    /// `X^(−b̃)·tp`. On the FFT backend the rotations advance together, one
-    /// CMUX step at a time ([`blind_rotate_assign_many`]), so that each
-    /// `BSK_i` is fetched from memory once for all of them; the exact
-    /// backend takes them one after another.
-    fn rotate_accumulators(
-        &self,
-        accs: &mut [GlweCiphertext],
-        masks: &[Vec<u64>],
-        ws: &mut BootstrapWorkspace,
-    ) {
-        match self.backend {
-            MulBackend::Fft => blind_rotate_assign_many(&self.engine, &self.bsk, accs, masks, ws),
-            MulBackend::Exact => {
-                for (acc, mask) in accs.iter_mut().zip(masks) {
-                    *acc = blind_rotate_exact(&self.params, &self.bsk, acc.clone(), mask);
-                }
-            }
-        }
-    }
-
     /// Bootstrap a chunk of independent items, each a ciphertext and the
     /// LUTs it goes through (outputs in item order, then LUT order): the
     /// one path behind every bootstrap entry point and every backend. The
     /// chunk's accumulators play Private-A1, and each key operand is
     /// fetched once for all of them — `BSK_i` by
-    /// [`rotate_accumulators`](Self::rotate_accumulators), each KSK row by
+    /// [`blind_rotate_assign_many`], each KSK row by
     /// [`KeySwitchKey::try_key_switch_many`] — the batch reuse of §IV-C.
     /// Every output is bit-identical to bootstrapping its item alone.
     ///
@@ -358,16 +243,23 @@ impl ServerKey {
         items: &[ChunkItem<'_>],
         ws: &mut BootstrapWorkspace,
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        self.ksk
-            .try_key_switch_many(&self.extract_chunk(items, ws)?)
+        let extracted = self.extract_chunk(items, |accs, masks| {
+            blind_rotate_assign_many(&self.engine, &self.bsk, accs, masks, ws)
+        })?;
+        self.ksk.try_key_switch_many(&extracted)
     }
 
     /// [`try_bootstrap_chunk`](Self::try_bootstrap_chunk) up to the key
-    /// switch: the outputs under the extracted `k·N` key.
-    fn extract_chunk(
+    /// switch, the outputs under the extracted `k·N` key, with `rotate` as
+    /// the blind rotation (BR): it takes every accumulator, each at its
+    /// `X^(−b̃)·tp`, and its mask exponents. Modulus switch, LUT planning
+    /// and extraction stay here whatever rotates: the product passes the
+    /// lockstep transform-domain rotation, the [`oracle`](crate::oracle)
+    /// its exact step.
+    pub(crate) fn extract_chunk(
         &self,
         items: &[ChunkItem<'_>],
-        ws: &mut BootstrapWorkspace,
+        rotate: impl FnOnce(&mut [GlweCiphertext], &[Vec<u64>]),
     ) -> Result<Vec<LweCiphertext>, TfheError> {
         for (ct, luts) in items {
             for lut in luts {
@@ -399,7 +291,7 @@ impl ServerKey {
             }
             plans.push(plan);
         }
-        self.rotate_accumulators(&mut accs, &masks, ws);
+        rotate(&mut accs, &masks);
         let mut extracted = Vec::with_capacity(items.iter().map(|(_, luts)| luts.len()).sum());
         let mut at = 0;
         for ((_, luts), plan) in items.iter().zip(&plans) {
@@ -472,7 +364,9 @@ impl ServerKey {
         let (mask, b_tilde) = modulus_switch(ct, self.params.two_n());
         let common = initial_accumulator(plan.common(), self.params.glwe_dim, b_tilde);
         let mut accs = vec![common; luts.len()];
-        self.rotate_accumulators(&mut accs, &vec![mask; luts.len()], &mut self.workspace());
+        let masks = vec![mask; luts.len()];
+        let mut ws = self.workspace();
+        blind_rotate_assign_many(&self.engine, &self.bsk, &mut accs, &masks, &mut ws);
         let extracted: Vec<LweCiphertext> = accs
             .iter()
             .enumerate()
@@ -626,16 +520,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(backend: MulBackend) -> (ClientKey, ServerKey, StdRng) {
+    fn setup() -> (ClientKey, ServerKey, StdRng) {
         let mut rng = StdRng::seed_from_u64(80);
         let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-        let sk = ServerKey::builder().backend(backend).build(&ck, &mut rng);
+        let sk = ServerKey::new(&ck, &mut rng);
         (ck, sk, rng)
     }
 
     #[test]
     fn identity_bootstrap_preserves_messages() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         for m in 0..4 {
             let ct = ck.encrypt(m, &mut rng);
             let boosted = sk.bootstrap(&ct);
@@ -645,7 +539,7 @@ mod tests {
 
     #[test]
     fn programmable_bootstrap_applies_the_lut() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let lut = Lut::from_fn(sk.params().poly_size, 4, |m| (3 * m + 1) % 4);
         for m in 0..4 {
             let ct = ck.encrypt(m, &mut rng);
@@ -656,7 +550,7 @@ mod tests {
 
     #[test]
     fn bootstrap_resets_noise() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         // Stack additions until the noise is sizable, then bootstrap.
         let ct = ck.encrypt(1, &mut rng);
         let zero = ck.encrypt(0, &mut rng);
@@ -680,7 +574,7 @@ mod tests {
 
     #[test]
     fn all_two_input_gates_truth_tables() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let cases = [(false, false), (false, true), (true, false), (true, true)];
         for (x, y) in cases {
             let a = ck.encrypt_bool(x, &mut rng);
@@ -696,7 +590,7 @@ mod tests {
 
     #[test]
     fn workspace_bootstrap_is_bit_identical_to_plain_bootstrap() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let lut = Lut::from_fn(sk.params().poly_size, 4, |m| (m + 1) % 4);
         let mut ws = sk.workspace();
         for m in 0..4 {
@@ -711,59 +605,25 @@ mod tests {
     }
 
     #[test]
-    fn exact_backend_agrees_with_fft_backend() {
-        // Same seed, same keys and inputs: the outputs are equal
+    fn the_bootstrap_equals_the_oracle() {
+        // The same key through the product and the exact oracle: equal
         // ciphertexts, not just equal messages.
-        let [fft, exact] = [MulBackend::Fft, MulBackend::Exact].map(|backend| {
-            let (ck, sk, mut rng) = setup(backend);
-            (0..4)
-                .map(|m| {
-                    let out = sk.bootstrap(&ck.encrypt(m, &mut rng));
-                    assert_eq!(ck.decrypt(&out), m, "{backend:?}");
-                    out
-                })
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(exact, fft);
-    }
-
-    #[test]
-    fn every_paper_set_is_inside_the_exact_backends_range() {
-        // IV and A are the largest: 2¹²·2¹⁵·2³¹ = 2⁵⁸ < M/2 ≈ 2^58.8.
-        for set in crate::params::ALL_PAPER_SETS.into_iter().chain([
-            ParamSet::Fig1,
-            ParamSet::Test,
-            ParamSet::TestMedium,
-        ]) {
-            assert!(MulBackend::Exact.check(&set.params()).is_ok(), "{set:?}");
+        let (ck, sk, mut rng) = setup();
+        let cts: Vec<_> = (0..4).map(|m| ck.encrypt(m, &mut rng)).collect();
+        let lut = Lut::identity(sk.params().poly_size, sk.params().plaintext_modulus);
+        let product: Vec<_> = cts.iter().map(|ct| sk.bootstrap(ct)).collect();
+        for (m, out) in product.iter().enumerate() {
+            assert_eq!(ck.decrypt(out), m as u64);
         }
-        let mut wide = ParamSet::I.params();
-        wide.bsk_decomp = morphling_math::DecompParams::new(19, 1);
-        assert!(MulBackend::Exact.check(&wide).is_err());
-        assert!(MulBackend::Fft.check(&wide).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the NTT's exact range")]
-    fn an_exact_key_outside_the_ntt_range_fails_where_it_is_built() {
-        // 2⁵·2²³·2³¹ = 2⁵⁹ ≥ M/2: the first bootstrap would panic in the
-        // multiplier; the builder says so first.
-        let mut rng = StdRng::seed_from_u64(82);
-        let mut params = ParamSet::Test.params();
-        params.poly_size = 32;
-        params.lwe_dim = 3;
-        params.bsk_decomp = morphling_math::DecompParams::new(24, 1);
-        let ck = ClientKey::generate(params, &mut rng);
-        let _ = ServerKey::builder()
-            .backend(MulBackend::Exact)
-            .build(&ck, &mut rng);
+        let req = crate::BatchRequest::shared(cts, lut);
+        assert_eq!(crate::oracle::bootstrap(&sk, &req), Ok(product));
     }
 
     #[test]
     fn gates_chain_through_many_levels() {
         // A small circuit: ((a NAND b) XOR c) OR (a AND c), evaluated
         // homomorphically and in the clear.
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         for bits in 0..8u32 {
             let (x, y, z) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
             let a = ck.encrypt_bool(x, &mut rng);
@@ -782,7 +642,7 @@ mod tests {
     fn single_lut_bootstrap_many_is_bit_identical_to_plain() {
         // The k = 1 property: `bootstrap_many(ct, [lut])` takes the plain
         // path, so its one output is bit-for-bit the single-LUT bootstrap.
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let p = sk.params().plaintext_modulus;
         let lut = Lut::from_fn(sk.params().poly_size, p, |m| (3 * m + 1) % p);
         for m in 0..p {
@@ -801,7 +661,7 @@ mod tests {
 
     #[test]
     fn multi_value_bootstrap_matches_separate_rotations_and_decodes() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let p = sk.params().plaintext_modulus;
         let n = sk.params().poly_size;
         let luts = vec![
@@ -830,7 +690,7 @@ mod tests {
 
     #[test]
     fn a_chunk_of_mixed_items_equals_each_item_alone() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let p = sk.params().plaintext_modulus;
         let n = sk.params().poly_size;
         let luts = [
@@ -874,7 +734,7 @@ mod tests {
 
     #[test]
     fn a_chunk_validates_every_item_before_bootstrapping_any() {
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let n = sk.params().poly_size;
         let (good, wrong_size) = (Lut::identity(n, 4), Lut::identity(2 * n, 4));
         let ct = ck.encrypt(1, &mut rng);
@@ -897,7 +757,7 @@ mod tests {
     #[test]
     fn tree_bootstrap_evaluates_two_digit_functions() {
         // Test params: p = 4, N = 256 → p² = 16 ≤ 128, two digits fit.
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let p = sk.params().plaintext_modulus;
         for m0 in 0..p {
             for m1 in 0..p {
@@ -925,7 +785,7 @@ mod tests {
     #[test]
     fn tree_bootstrap_rejects_oversized_digit_counts() {
         // p = 4, N = 256: four digits need p⁴ = 256 > N/2 = 128.
-        let (ck, sk, mut rng) = setup(MulBackend::Fft);
+        let (ck, sk, mut rng) = setup();
         let cts: Vec<LweCiphertext> = (0..4).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
         assert!(matches!(
             sk.try_tree_bootstrap_many(&cts, &[|d: &[u64]| d[0]]),

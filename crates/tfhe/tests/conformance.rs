@@ -5,24 +5,27 @@
 //! a dispatcher over breaker-guarded fallback tiers — must satisfy the same
 //! contract:
 //!
-//! - shared-LUT batches are **bit-identical** to the sequential
-//!   reference, element for element, in submission order;
+//! - shared-LUT batches are **bit-identical** to the exact
+//!   [`oracle`], element for element, in submission order;
 //! - per-item-LUT batches route ciphertext `i` through `luts[lut_of[i]]`
 //!   and stay bit-identical;
 //! - fanout batches (several LUTs per ciphertext, one blind rotation
 //!   each via multi-value bootstrapping) flatten outputs in input order
-//!   and stay bit-identical to the sequential reference;
+//!   and stay bit-identical to the oracle;
 //! - the empty batch is `Ok(vec![])`;
 //! - malformed inputs (foreign-key ciphertexts) surface as errors, never
 //!   panics or silent corruption.
 //!
-//! A backend that passes here is a drop-in replacement for any other.
+//! A backend that passes here is a drop-in replacement for any other. An
+//! item that differs from the oracle is reported with the blind-rotation
+//! step and GLWE component where it first leaves it
+//! ([`oracle::first_divergence`]).
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
+    oracle, BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
     DispatcherBuilder, FaultPlan, Lut, LweCiphertext, ParamSet, ServerKey, ServingConfig,
     TfheError, Who,
 };
@@ -39,7 +42,7 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0xC04F);
         let client = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-        let server = Arc::new(ServerKey::builder().build(&client, &mut rng));
+        let server = Arc::new(ServerKey::new(&client, &mut rng));
         Fixture { client, server }
     })
 }
@@ -52,44 +55,54 @@ fn encrypt_batch(n: usize, seed: u64) -> Vec<LweCiphertext> {
         .collect()
 }
 
+/// Holds `backend`'s outputs for `req`, a `shape` request, to the
+/// oracle's, bit for bit; an item that differs names the step and GLWE
+/// component where its rotation first leaves the oracle.
+fn assert_matches_oracle<B: Bootstrapper>(
+    backend: &B,
+    name: &str,
+    shape: &str,
+    req: &BatchRequest,
+) {
+    let server = &fixture().server;
+    let want = oracle::bootstrap(server, req).expect("the oracle's outputs");
+    let got = backend
+        .try_bootstrap_batch(req)
+        .unwrap_or_else(|e| panic!("{name}: {shape} batch failed: {e}"));
+    assert_eq!(got.len(), want.len(), "{name}: {shape} output count");
+    let mut at = 0;
+    for item in 0..req.len() {
+        let outputs = at..at + req.output_count(item);
+        assert!(
+            got[outputs.clone()] == want[outputs.clone()],
+            "{name}: {shape} item {item} differs from the oracle; first divergence \
+             (step, GLWE component): {:?}",
+            oracle::first_divergence(server, req, item)
+        );
+        at = outputs.end;
+    }
+}
+
 /// The full conformance contract, run against one backend.
 fn assert_conforms<B: Bootstrapper>(backend: &B, name: &str) {
     let f = fixture();
     let poly = f.server.params().poly_size;
 
-    // Shared-LUT parity with the sequential reference.
     let lut = Lut::from_fn(poly, 4, |m| (3 * m + 1) % 4);
     let cts = encrypt_batch(7, 0xA11CE);
     let req = BatchRequest::shared(cts.clone(), lut.clone());
-    let want = f
-        .server
-        .try_bootstrap_batch(&req)
-        .expect("reference shared batch");
-    let got = backend
-        .try_bootstrap_batch(&req)
-        .unwrap_or_else(|e| panic!("{name}: shared batch failed: {e}"));
-    assert_eq!(
-        got, want,
-        "{name}: shared-LUT outputs must be bit-identical"
-    );
+    assert_matches_oracle(backend, name, "shared-LUT", &req);
 
-    // Per-item-LUT parity: alternating identity / affine tables.
+    // Per-item LUTs: alternating identity / affine tables.
     let luts = vec![Lut::identity(poly, 4), lut];
     let lut_of: Vec<usize> = (0..cts.len()).map(|i| i % 2).collect();
     let req = BatchRequest::per_item(cts, luts, lut_of).expect("valid per-item request");
-    let want = f
-        .server
-        .try_bootstrap_batch(&req)
-        .expect("reference per-item batch");
-    let got = backend
-        .try_bootstrap_batch(&req)
-        .unwrap_or_else(|e| panic!("{name}: per-item batch failed: {e}"));
-    assert_eq!(got, want, "{name}: per-item outputs must be bit-identical");
+    assert_matches_oracle(backend, name, "per-item", &req);
 
-    // Fanout parity: multi-value requests (several LUTs per ciphertext)
-    // flatten in input order and match the sequential reference exactly
-    // — the per-input derivation is deterministic, so every backend is
-    // bit-identical regardless of how it chunks the batch.
+    // Fanout: multi-value requests (several LUTs per ciphertext) flatten
+    // in input order — the per-input derivation is deterministic, so
+    // every backend is bit-identical regardless of how it chunks the
+    // batch.
     let cts = encrypt_batch(5, 0xFA11);
     let luts = vec![
         Lut::identity(poly, 4),
@@ -99,15 +112,7 @@ fn assert_conforms<B: Bootstrapper>(backend: &B, name: &str) {
     let map = vec![vec![0, 1, 2], vec![1], vec![2, 0], vec![0], vec![1, 2]];
     let req = BatchRequest::fanned_out(cts, luts, map).expect("valid fanout request");
     assert_eq!(req.output_len(), 9);
-    let want = f
-        .server
-        .try_bootstrap_batch(&req)
-        .expect("reference fanout batch");
-    assert_eq!(want.len(), 9);
-    let got = backend
-        .try_bootstrap_batch(&req)
-        .unwrap_or_else(|e| panic!("{name}: fanout batch failed: {e}"));
-    assert_eq!(got, want, "{name}: fanout outputs must be bit-identical");
+    assert_matches_oracle(backend, name, "fanout", &req);
 
     // The empty batch is a no-op, not an error.
     let empty = BatchRequest::shared(Vec::new(), Lut::identity(poly, 4));
@@ -292,7 +297,7 @@ fn tenant_keyed_dispatch_matches_direct_server_keys() {
     let mut tenants = Vec::new();
     for t in 0..3u64 {
         let ck = ClientKey::generate(params.clone(), &mut rng);
-        let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
+        let sk = Arc::new(ServerKey::new(&ck, &mut rng));
         backend.insert_server_key(TenantId::new(t), &sk);
         tenants.push((ck, sk));
     }

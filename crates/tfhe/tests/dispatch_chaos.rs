@@ -32,7 +32,7 @@ use rand::SeedableRng;
 fn setup(seed: u64) -> (ClientKey, Arc<ServerKey>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-    let sk = Arc::new(ServerKey::builder().build(&ck, &mut rng));
+    let sk = Arc::new(ServerKey::new(&ck, &mut rng));
     (ck, sk, rng)
 }
 

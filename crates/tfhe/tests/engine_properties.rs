@@ -32,7 +32,7 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0x9E37);
         let client = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-        let server = Arc::new(ServerKey::builder().build(&client, &mut rng));
+        let server = Arc::new(ServerKey::new(&client, &mut rng));
         Fixture { client, server }
     })
 }

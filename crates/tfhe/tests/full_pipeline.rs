@@ -3,8 +3,7 @@
 
 use morphling_math::{Torus32, TorusScalar};
 use morphling_tfhe::{
-    cmux, modulus_switch, noise, BootstrapOptions, ClientKey, ExternalProductEngine,
-    GlweCiphertext, Lut, LweCiphertext, MulBackend, ParamSet, ServerKey,
+    noise, oracle, BatchRequest, BootstrapOptions, ClientKey, Lut, ParamSet, ServerKey,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,76 +78,51 @@ fn noise_stays_bounded_across_a_chain() {
     }
 }
 
-/// Where the `Fft` blind rotation of `ct` first leaves the exact one:
-/// every step starts from the exact accumulator, so the answer names the
-/// CMUX that rounded wrongly, not the first one downstream of it.
-fn first_differing_cmux(sk: &ServerKey, ct: &LweCiphertext, lut: &Lut) -> String {
-    let params = sk.params();
-    let engine = ExternalProductEngine::new(params);
-    let (mask, b_tilde) = modulus_switch(ct, params.two_n());
-    let mut acc = GlweCiphertext::trivial(lut.polynomial().clone(), params.glwe_dim)
-        .monomial_mul(-(b_tilde as i64));
-    for (i, &a_tilde) in mask.iter().enumerate().filter(|(_, &a)| a != 0) {
-        let bsk = sk.bootstrap_key();
-        let got = engine.rotate_cmux(bsk.fourier(i), &acc, a_tilde as i64);
-        let rotated = acc.monomial_mul(a_tilde as i64);
-        acc = cmux(&bsk.coefficient(i), &acc, &rotated, params);
-        let differing = got
-            .components()
-            .zip(acc.components())
-            .position(|(g, w)| g != w);
-        if let Some(c) = differing {
-            return format!("first differing CMUX: step {i}, GLWE component {c}");
-        }
-    }
-    "every CMUX equals the exact one: the difference is outside the blind rotation".into()
-}
-
-/// Same seed, same bits: the `Exact` backend returns the ciphertexts the
-/// `Fft` one does through a PBS of each of `messages` (the f64 transform
-/// is exact on the 32-bit torus at these sets — a change of its rounding
-/// that costs a ciphertext bit fails here, and says at which CMUX).
-fn assert_backends_are_bit_identical(set: ParamSet, messages: &[u64]) {
+/// One seeded key at `set`: its PBS of each of `messages` is the
+/// oracle's, bit for bit (the f64 transform is exact on the 32-bit torus
+/// at these sets — a change of its rounding that costs a ciphertext bit
+/// fails here, and says at which step and GLWE component).
+fn assert_pbs_equals_the_oracle(set: ParamSet, messages: &[u64]) {
     let params = set.params();
     let p = params.plaintext_modulus;
     let lut = Lut::from_fn(params.poly_size, p, |m| (m + 1) % p);
-    let [(sk, cts, want), (_, _, got)] = [MulBackend::Fft, MulBackend::Exact].map(|backend| {
-        let mut rng = StdRng::seed_from_u64(1004);
-        let ck = ClientKey::generate(params.clone(), &mut rng);
-        let sk = ServerKey::builder().backend(backend).build(&ck, &mut rng);
-        let cts: Vec<_> = messages.iter().map(|&m| ck.encrypt(m, &mut rng)).collect();
-        let outs: Vec<_> = cts
-            .iter()
-            .map(|ct| sk.programmable_bootstrap(ct, &lut))
-            .collect();
-        for (&m, out) in messages.iter().zip(&outs) {
-            assert_eq!(ck.decrypt(out), (m + 1) % p, "{set:?} {backend:?} m={m}");
-        }
-        (sk, cts, outs)
-    });
+    let mut rng = StdRng::seed_from_u64(1004);
+    let ck = ClientKey::generate(params.clone(), &mut rng);
+    let sk = ServerKey::new(&ck, &mut rng);
+    let cts: Vec<_> = messages.iter().map(|&m| ck.encrypt(m, &mut rng)).collect();
+    let got: Vec<_> = cts
+        .iter()
+        .map(|ct| sk.programmable_bootstrap(ct, &lut))
+        .collect();
+    for (&m, out) in messages.iter().zip(&got) {
+        assert_eq!(ck.decrypt(out), (m + 1) % p, "{set:?} m={m}");
+    }
+    let req = BatchRequest::shared(cts, lut);
+    let want = oracle::bootstrap(&sk, &req).expect("the oracle's PBS");
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert!(
             g == w,
-            "{set:?} m={}: Exact differs from Fft — {}",
+            "{set:?} m={}: the PBS differs from the oracle's; first divergence \
+             (step, GLWE component): {:?}",
             messages[i],
-            first_differing_cmux(&sk, &cts[i], &lut)
+            oracle::first_divergence(&sk, &req, i)
         );
     }
 }
 
-/// The exact (integer oracle) backend and the FFT backend produce the
-/// same ciphertexts, bit for bit, through a full PBS.
+/// The FFT PBS produces the oracle's ciphertexts, bit for bit, at the
+/// test sets.
 #[test]
-fn exact_and_fft_backends_decode_identically() {
-    assert_backends_are_bit_identical(ParamSet::Test, &[0, 1, 2, 3]);
-    assert_backends_are_bit_identical(ParamSet::TestMedium, &[1, 6]);
+fn fft_pbs_equals_the_oracle_at_the_test_sets() {
+    assert_pbs_equals_the_oracle(ParamSet::Test, &[0, 1, 2, 3]);
+    assert_pbs_equals_the_oracle(ParamSet::TestMedium, &[1, 6]);
 }
 
 /// The same at every functional paper set — k = 2 (B) and k = 3, N = 512
 /// (C) included. Minutes in a debug build: the release CI job runs it.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
-fn paper_set_backends_are_bit_identical() {
+fn fft_pbs_equals_the_oracle_at_the_paper_sets() {
     for set in [
         ParamSet::I,
         ParamSet::II,
@@ -156,7 +130,7 @@ fn paper_set_backends_are_bit_identical() {
         ParamSet::B,
         ParamSet::C,
     ] {
-        assert_backends_are_bit_identical(set, &[1, 2]);
+        assert_pbs_equals_the_oracle(set, &[1, 2]);
     }
 }
 

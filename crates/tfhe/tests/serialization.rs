@@ -23,8 +23,7 @@
 use std::sync::OnceLock;
 
 use morphling_tfhe::{
-    deserialize_server_key, serialize_server_key, ClientKey, MulBackend, ParamSet, ServerKey,
-    TfheError,
+    deserialize_server_key, serialize_server_key, ClientKey, ParamSet, ServerKey, TfheError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,8 +149,9 @@ fn with_sections(blob: &[u8], bsk: &[u8], ksk: &[u8]) -> Vec<u8> {
 /// (the FFT path without merge-split) and the merge-split flag set —
 /// still loads: both spellings meant the one FFT path there is now, and
 /// re-encoding writes the current version and the tag and the flag as
-/// zero. Likewise tag 2 (the NTT backend) is the exact backend, written
-/// back as tag 3; a tag nobody ever wrote is a corrupted key.
+/// zero. Likewise tags 2 (the NTT backend) and 3 (the exact one): the
+/// key material never depended on the tag, so they load as the same key
+/// and write back as tag 0. A tag nobody ever wrote is a corrupted key.
 #[test]
 fn frames_with_the_retired_transform_flags_still_load() {
     let mut rng = StdRng::seed_from_u64(0x33);
@@ -167,7 +167,6 @@ fn frames_with_the_retired_transform_flags_still_load() {
     let old = as_version_1(&old);
 
     let back = deserialize_server_key(&old).expect("an old frame loads");
-    assert_eq!(back.backend(), MulBackend::Fft);
     assert_eq!(serialize_server_key(&back), blob);
     let lut = morphling_tfhe::Lut::from_fn(sk.params().poly_size, 4, |m| (m + 1) % 4);
     for m in 0..4 {
@@ -180,16 +179,13 @@ fn frames_with_the_retired_transform_flags_still_load() {
         frame[tag_at] = tag;
         deserialize_server_key(&as_version_1(&frame))
     };
-    let [ntt, exact] = [2, 3].map(|tag| with_tag(tag).expect("an exact-backend frame loads"));
-    assert_eq!(ntt.backend(), MulBackend::Exact);
-    assert_eq!(exact.backend(), MulBackend::Exact);
-    let reencoded = serialize_server_key(&ntt);
-    assert_eq!(reencoded[tag_at], 3);
-    assert_eq!(reencoded, serialize_server_key(&exact));
     let ct = ck.encrypt(2, &mut rng);
-    let out = ntt.programmable_bootstrap(&ct, &lut);
-    assert_eq!(out, exact.programmable_bootstrap(&ct, &lut));
-    assert_eq!(out, sk.programmable_bootstrap(&ct, &lut));
+    let out = sk.programmable_bootstrap(&ct, &lut);
+    for tag in [2, 3] {
+        let key = with_tag(tag).expect("an exact-backend frame loads");
+        assert_eq!(serialize_server_key(&key), blob, "tag {tag}");
+        assert_eq!(key.programmable_bootstrap(&ct, &lut), out, "tag {tag}");
+    }
     assert!(matches!(with_tag(4), Err(TfheError::KeyCorrupted { .. })));
 }
 
@@ -226,9 +222,8 @@ fn bsk_shape_headers_nothing_can_compute_with_are_rejected() {
 /// A server-key frame whose parameter block disagrees with the keys
 /// behind it fails where it is loaded, not at its first bootstrap: a BSK
 /// of another gadget level than the block says (only `n` and the KSK's
-/// dimensions used to be compared), a polynomial size no transform engine
-/// exists for, and an exact-backend key whose digits leave the NTT's
-/// exact range.
+/// dimensions used to be compared), and a polynomial size no transform
+/// engine exists for.
 #[test]
 fn server_key_frames_that_could_not_bootstrap_are_rejected() {
     let blob = blob();
@@ -255,26 +250,27 @@ fn server_key_frames_that_could_not_bootstrap_are_rejected() {
             other => panic!("{why}: must be KeyCorrupted, got {other:?}"),
         }
     }
+}
 
-    // N = 32 with β/2 = 2²³: 2⁵·2²³·2³¹ = 2⁵⁹ is past the NTT's 2^58.8.
-    let mut rng = StdRng::seed_from_u64(0x66);
-    let mut params = ParamSet::Test.params();
-    params.poly_size = 32;
-    params.lwe_dim = 3;
-    params.bsk_decomp = morphling_math::DecompParams::new(24, 1);
-    let ck = ClientKey::generate(params, &mut rng);
-    let mut wide = serialize_server_key(&ServerKey::new(&ck, &mut rng));
-    assert!(deserialize_server_key(&wide).is_ok(), "fine on the FFT");
-    let tag_at = param_fields_at(&wide) + 77;
-    wide[tag_at] = 3;
-    match deserialize_server_key(&as_version_1(&wide)).map(|_| ()) {
-        Err(TfheError::KeyCorrupted { detail }) => {
-            assert!(
-                detail.contains("exact range"),
-                "unexpected detail: {detail}"
-            )
-        }
-        other => panic!("an out-of-range exact key must be KeyCorrupted, got {other:?}"),
+/// A frame whose parameter block names one KSK decomposition while the
+/// embedded KSK carries another is a corrupted key, with both pairs named:
+/// the noise model, the retry budget and the key's byte count read the
+/// block, the key switch the KSK.
+#[test]
+fn a_ksk_decomposition_the_parameter_block_disagrees_with_is_rejected() {
+    let (_, sk, blob) = fixture();
+    let ksk = sk.key_switch_key().decomp_params();
+    let (base_log, level) = (ksk.base_log(), ksk.level() as u64);
+    let ksk_at = param_fields_at(blob) + 36;
+    assert_eq!(blob[ksk_at..ksk_at + 4], base_log.to_le_bytes());
+    assert_eq!(blob[ksk_at + 4..ksk_at + 12], level.to_le_bytes());
+    for (b, l) in [(base_log + 1, level), (base_log, level - 1), (1, 1)] {
+        let mut bad = blob.clone();
+        bad[ksk_at..ksk_at + 4].copy_from_slice(&b.to_le_bytes());
+        bad[ksk_at + 4..ksk_at + 12].copy_from_slice(&l.to_le_bytes());
+        let detail = rejection(&as_version_1(&bad));
+        let want = format!("({base_log}, {level}) disagrees with params ({b}, {l})");
+        assert!(detail.contains(&want), "({b}, {l}): {detail}");
     }
 }
 

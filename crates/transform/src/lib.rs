@@ -21,7 +21,7 @@
 //!   scalar reference — the same two networks, one stage and one point at
 //!   a time — every kernel result is tested against.
 //! - [`NegacyclicNtt`]: the exact multiplier — a two-prime CRT NTT, no
-//!   floating point — behind `morphling-tfhe`'s exact backend, the oracle
+//!   floating point — behind `morphling-tfhe`'s `oracle`, the exact step
 //!   the FFT is held to through whole bootstraps; itself held to the
 //!   schoolbook product per multiplication.
 //!

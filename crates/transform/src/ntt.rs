@@ -8,8 +8,8 @@
 //! ([`NegacyclicNtt::supports`]; `2⁵⁸` at the paper's largest sets, IV and
 //! A). It is several times slower than the FFT on CPUs and O(N log N)
 //! where the schoolbook `morphling_math::negacyclic::mul_int_torus32` is
-//! O(N²): it is the multiplier of `morphling-tfhe`'s exact backend — the
-//! oracle the FFT is held to through a whole bootstrap — and is itself
+//! O(N²): it is the multiplier of `morphling-tfhe`'s `oracle` — the exact
+//! step the FFT is held to through a whole bootstrap — and is itself
 //! held to the schoolbook per product, here and in `tests/properties.rs`.
 
 use morphling_math::{Polynomial, Torus32};

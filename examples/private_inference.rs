@@ -30,7 +30,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let params = ParamSet::TestMedium.params();
     let client = ClientKey::generate(params, &mut rng);
-    let server = std::sync::Arc::new(ServerKey::builder().build(&client, &mut rng));
+    let server = std::sync::Arc::new(ServerKey::new(&client, &mut rng));
     // One persistent worker pool serves every wave below — the software
     // analogue of Morphling's always-resident bootstrapping cores.
     let engine = BootstrapEngine::new(std::sync::Arc::clone(&server));
@@ -63,7 +63,7 @@ fn main() {
     let mut rng2 = StdRng::seed_from_u64(12);
     let params16 = ParamSet::TestMedium.params().with_plaintext_modulus(16);
     let client16 = ClientKey::generate(params16, &mut rng2);
-    let server16 = std::sync::Arc::new(ServerKey::builder().build(&client16, &mut rng2));
+    let server16 = std::sync::Arc::new(ServerKey::new(&client16, &mut rng2));
     let engine16 = BootstrapEngine::new(std::sync::Arc::clone(&server16));
     let driver16 = InferenceDriver::new(&server16, &engine16);
     let model = MlpModel::demo();

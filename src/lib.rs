@@ -24,7 +24,7 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let client = ClientKey::generate(ParamSet::Test.params(), &mut rng);
-//! let server = ServerKey::builder().build(&client, &mut rng);
+//! let server = ServerKey::new(&client, &mut rng);
 //! let a = client.encrypt_bool(true, &mut rng);
 //! let b = client.encrypt_bool(true, &mut rng);
 //! assert!(!client.decrypt_bool(&server.nand(&a, &b)));
@@ -65,8 +65,7 @@ pub mod prelude {
         BootstrapOptions, BootstrapWorkspace, Bootstrapper, BreakerConfig, ClientKey, DirBackend,
         Dispatcher, DispatcherBuilder, DispatcherStats, EngineHealth, EngineStats, FaultPlan,
         Journal, KeyBackend, KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut,
-        LweCiphertext, MemoryBackend, MulBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig,
-        ServerKey, ServerKeyBuilder, ServiceModel, ServingConfig, SloTarget, TenantId, TfheError,
-        TfheParams, Ticket,
+        LweCiphertext, MemoryBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig, ServerKey,
+        ServiceModel, ServingConfig, SloTarget, TenantId, TfheError, TfheParams, Ticket,
     };
 }

@@ -17,7 +17,7 @@ fn bootstrap_round_trip_across_all_paths() {
     let mut rng = StdRng::seed_from_u64(11);
     let params = ParamSet::Test.params();
     let client = ClientKey::generate(params.clone(), &mut rng);
-    let server = Arc::new(ServerKey::builder().build(&client, &mut rng));
+    let server = Arc::new(ServerKey::new(&client, &mut rng));
     let lut = Lut::from_fn(params.poly_size, 4, |m| (3 * m) % 4);
 
     let cts: Vec<_> = (0..4).map(|m| client.encrypt(m, &mut rng)).collect();
