@@ -246,8 +246,8 @@ impl<'a, B: Bootstrapper + ?Sized> InferenceDriver<'a, B> {
     /// extractions: a tree whose children share a feature rotates twice
     /// for its comparisons instead of three times. A fanout list of one
     /// LUT runs as the plain bootstrap, so on a tree whose tests read
-    /// distinct features the wave is bit-identical to three per-item
-    /// comparisons; a shared rotation adds bounded noise that the leaf
+    /// distinct features the wave is bit-identical to three comparisons
+    /// in lists of one; a shared rotation adds bounded noise that the leaf
     /// lookup absorbs.
     ///
     /// # Errors
@@ -478,7 +478,7 @@ mod tests {
 
     /// On a tree whose tests read distinct features every fanout list holds
     /// one LUT, which runs as the plain bootstrap: the fused wave equals a
-    /// per-item wave of the three comparisons, rotating 3 + 1 times per
+    /// wave of the three comparisons in lists of one, rotating 3 + 1 times per
     /// request. A shared feature saves one rotation, no extraction.
     #[test]
     fn the_fused_tree_wave_rotates_once_per_distinct_feature() {
@@ -501,16 +501,19 @@ mod tests {
             (4 * (3 + 1), 4 * (3 + 1))
         );
 
-        // The per-item wave: one comparison per node, then the leaf lookups.
+        // Lists of one: one comparison per node, then the leaf lookups.
         let nodes = [disjoint.root, disjoint.left, disjoint.right];
         let cts = feats
             .iter()
             .flat_map(|f| nodes.map(|(feat, _)| f[feat].clone()))
             .collect();
-        let lut_of = feats.iter().flat_map(|_| [0, 1, 2]).collect();
+        let lists = feats
+            .iter()
+            .flat_map(|_| [vec![0], vec![1], vec![2]])
+            .collect();
         let luts = disjoint.node_luts(sk.params());
         let decisions = sk
-            .try_bootstrap_batch(&BatchRequest::per_item(cts, luts, lut_of).unwrap())
+            .try_bootstrap_batch(&BatchRequest::fanned_out(cts, luts, lists).unwrap())
             .unwrap();
         let indices = decisions
             .chunks(3)

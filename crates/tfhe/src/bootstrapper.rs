@@ -7,16 +7,16 @@
 //! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher) over an
 //! ordered list of backends, and the per-tenant
 //! [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper). Callers
-//! describe *what* to bootstrap in a [`BatchRequest`] (ciphertexts, how
-//! LUTs map onto them, an optional deadline and tenant) and any
-//! [`Bootstrapper`] decides *how*, the way single-kernel TFHE designs
-//! define one configurable entry point.
+//! describe *what* to bootstrap in a [`BatchRequest`] (ciphertexts, the
+//! LUTs each one goes through, and the tenant the dispatcher routes by)
+//! and any [`Bootstrapper`] decides *how*, the way single-kernel TFHE
+//! designs define one configurable entry point.
 //!
-//! Requests come in three shapes: a **shared** LUT for every ciphertext,
-//! **per-item** selectors (`lut_of[i]` names ciphertext `i`'s LUT), and a
-//! **fanout** map (`fanout[i]` names *several* LUTs for ciphertext `i`,
-//! all evaluated from one blind rotation via multi-value bootstrapping —
-//! see [`ServerKey::try_programmable_bootstrap_many_with`]). Fanout outputs are
+//! A request has one shape: ciphertext `i` goes through every LUT its
+//! list `lists[i]` names, all evaluated from one blind rotation via
+//! multi-value bootstrapping (see [`MultiLutPlan`](crate::MultiLutPlan)).
+//! A list of one is the plain bootstrap, bit for bit, and
+//! [`shared`](BatchRequest::shared) is every list `[0]`. Outputs are
 //! flattened in input order: first every output of ciphertext 0, then
 //! every output of ciphertext 1, and so on.
 //!
@@ -40,7 +40,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::engine::EngineHealth;
 use crate::error::TfheError;
@@ -52,98 +51,71 @@ use crate::server::{ChunkItem, ServerKey};
 /// A self-describing batch-bootstrap request: the one argument every
 /// [`Bootstrapper`] takes.
 ///
-/// Built via [`BatchRequest::builder`] (the same consuming-builder idiom
-/// as [`BootstrapEngineBuilder`](crate::BootstrapEngineBuilder)), or the
-/// [`shared`](Self::shared) / [`per_item`](Self::per_item) shortcuts.
-/// Construction validates the LUT/selector shape once, so every backend
-/// can trust `lut_for` to be in range.
+/// Ciphertext `i` goes through `luts[j]` for every `j` of its list
+/// `lists[i]`, in list order — one blind rotation and `lists[i].len()`
+/// outputs. Construction validates the lists once, so every backend can
+/// trust each index to be in range.
 #[derive(Clone, Debug)]
 pub struct BatchRequest {
     cts: Vec<LweCiphertext>,
     luts: Vec<Lut>,
-    lut_of: Option<Vec<usize>>,
-    fanout: Option<Vec<Vec<usize>>>,
-    deadline: Option<Instant>,
+    lists: Vec<Vec<usize>>,
     tenant: Option<TenantId>,
 }
 
 impl BatchRequest {
-    /// Start building a request.
-    pub fn builder() -> BatchRequestBuilder {
-        BatchRequestBuilder::new()
-    }
-
     /// Every ciphertext through the same `lut` — the common case, and
-    /// infallible (a single LUT needs no selectors).
+    /// infallible: every list is `[0]`.
     pub fn shared(cts: Vec<LweCiphertext>, lut: Lut) -> Self {
         Self {
+            lists: vec![vec![0]; cts.len()],
             cts,
             luts: vec![lut],
-            lut_of: None,
-            fanout: None,
-            deadline: None,
             tenant: None,
         }
     }
 
-    /// Every ciphertext through **all** of `luts` — the multi-value shape
-    /// (`k` outputs per input for one blind rotation each).
+    /// Ciphertext `i` through every LUT in `lists[i]` (e.g. a tree node
+    /// comparing one feature against several thresholds at once; lists
+    /// of one pick a LUT per ciphertext).
     ///
     /// # Errors
     ///
-    /// [`TfheError::NoLutProvided`] if `luts` is empty while ciphertexts
-    /// are present.
-    pub fn many(cts: Vec<LweCiphertext>, luts: Vec<Lut>) -> Result<Self, TfheError> {
-        let all: Vec<usize> = (0..luts.len()).collect();
-        let map = vec![all; cts.len()];
-        Self::builder()
-            .ciphertexts(cts)
-            .luts(luts)
-            .fanout(map)
-            .build()
-    }
-
-    /// Ciphertext `i` through every LUT in `fanout[i]` — the general
-    /// multi-value shape (e.g. a tree node comparing one feature against
-    /// several thresholds at once).
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::FanoutLengthMismatch`], [`TfheError::EmptyFanout`],
-    /// [`TfheError::LutIndexOutOfRange`], or [`TfheError::NoLutProvided`]
-    /// on a malformed map.
+    /// [`TfheError::NoLutProvided`] if there are ciphertexts but no LUT,
+    /// [`TfheError::FanoutLengthMismatch`] unless there is one list per
+    /// ciphertext, [`TfheError::EmptyFanout`] for an empty list, and
+    /// [`TfheError::LutIndexOutOfRange`] for an index past the LUTs.
     pub fn fanned_out(
         cts: Vec<LweCiphertext>,
         luts: Vec<Lut>,
-        fanout: Vec<Vec<usize>>,
+        lists: Vec<Vec<usize>>,
     ) -> Result<Self, TfheError> {
-        Self::builder()
-            .ciphertexts(cts)
-            .luts(luts)
-            .fanout(fanout)
-            .build()
-    }
-
-    /// Ciphertext `i` through `luts[lut_of[i]]` — the shape mixed
-    /// workloads produce (e.g. a tree evaluator comparing against several
-    /// thresholds in one wave).
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::LutSelectorLengthMismatch`] if
-    /// `lut_of.len() != cts.len()`, [`TfheError::LutIndexOutOfRange`] if a
-    /// selector references a missing LUT, [`TfheError::NoLutProvided`] if
-    /// `luts` is empty while ciphertexts are present.
-    pub fn per_item(
-        cts: Vec<LweCiphertext>,
-        luts: Vec<Lut>,
-        lut_of: Vec<usize>,
-    ) -> Result<Self, TfheError> {
-        Self::builder()
-            .ciphertexts(cts)
-            .luts(luts)
-            .selectors(lut_of)
-            .build()
+        if !cts.is_empty() && luts.is_empty() {
+            return Err(TfheError::NoLutProvided);
+        }
+        if lists.len() != cts.len() {
+            return Err(TfheError::FanoutLengthMismatch {
+                expected: cts.len(),
+                got: lists.len(),
+            });
+        }
+        for (input, list) in lists.iter().enumerate() {
+            if list.is_empty() {
+                return Err(TfheError::EmptyFanout { input });
+            }
+            if let Some(&index) = list.iter().find(|&&j| j >= luts.len()) {
+                return Err(TfheError::LutIndexOutOfRange {
+                    index,
+                    luts: luts.len(),
+                });
+            }
+        }
+        Ok(Self {
+            cts,
+            luts,
+            lists,
+            tenant: None,
+        })
     }
 
     /// The ciphertexts to bootstrap, in order.
@@ -156,79 +128,37 @@ impl BatchRequest {
         &self.luts
     }
 
-    /// Per-item LUT selectors, if this is a multi-LUT request.
-    pub fn selectors(&self) -> Option<&[usize]> {
-        self.lut_of.as_deref()
+    /// `lists()[i]`: the indices into [`luts`](Self::luts) ciphertext `i`
+    /// goes through, in output order.
+    pub(crate) fn lists(&self) -> &[Vec<usize>] {
+        &self.lists
     }
 
-    /// The fanout map, if this is a multi-value request: `fanout()[i]`
-    /// lists the LUT indices ciphertext `i` is evaluated through.
-    pub fn fanout(&self) -> Option<&[Vec<usize>]> {
-        self.fanout.as_deref()
-    }
-
-    /// Number of output ciphertexts input `i` produces (1 unless this is
-    /// a fanout request).
+    /// Number of output ciphertexts input `i` produces.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
     pub fn output_count(&self, i: usize) -> usize {
-        match &self.fanout {
-            Some(map) => map[i].len(),
-            None => {
-                debug_assert!(i < self.cts.len());
-                1
-            }
-        }
+        self.lists[i].len()
     }
 
     /// Total number of output ciphertexts the request produces
-    /// (`Σ output_count(i)`; equals [`len`](Self::len) unless this is a
-    /// fanout request).
+    /// (`Σ output_count(i)`; equals [`len`](Self::len) when every list
+    /// has one LUT).
     pub fn output_len(&self) -> usize {
-        match &self.fanout {
-            Some(map) => map.iter().map(Vec::len).sum(),
-            None => self.cts.len(),
-        }
+        self.lists.iter().map(Vec::len).sum()
     }
 
-    /// The LUTs ciphertext `i` goes through, in output order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub(crate) fn luts_for(&self, i: usize) -> Vec<&Lut> {
-        match &self.fanout {
-            Some(map) => map[i].iter().map(|&j| &self.luts[j]).collect(),
-            None => vec![self.lut_for(i)],
-        }
-    }
-
-    /// The ciphertexts of `range`, each with [`luts_for`](Self::luts_for)
-    /// it: what [`ServerKey::try_bootstrap_chunk`] takes.
+    /// The ciphertexts of `range`, each with the LUTs its list names: what
+    /// [`ServerKey::try_bootstrap_chunk`] takes.
     pub(crate) fn items(&self, range: std::ops::Range<usize>) -> Vec<ChunkItem<'_>> {
-        range.map(|i| (&self.cts[i], self.luts_for(i))).collect()
-    }
-
-    /// The LUT ciphertext `i` goes through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()` — construction already guaranteed
-    /// every in-range selector resolves.
-    pub(crate) fn lut_for(&self, i: usize) -> &Lut {
-        match &self.lut_of {
-            Some(sel) => &self.luts[sel[i]],
-            None => &self.luts[0],
-        }
-    }
-
-    /// Latest acceptable *start* time. Only deadline-aware backends (the
-    /// dispatcher) act on it; immediate backends start right away and
-    /// ignore it.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
+        range
+            .map(|i| {
+                let luts = self.lists[i].iter().map(|&j| &self.luts[j]).collect();
+                (&self.cts[i], luts)
+            })
+            .collect()
     }
 
     /// The tenant whose key material should serve this request, if any.
@@ -257,154 +187,6 @@ impl BatchRequest {
     }
 }
 
-/// Builder for [`BatchRequest`], mirroring
-/// [`BootstrapEngineBuilder`](crate::BootstrapEngineBuilder)'s consuming
-/// style.
-#[derive(Clone, Debug, Default)]
-pub struct BatchRequestBuilder {
-    cts: Vec<LweCiphertext>,
-    luts: Vec<Lut>,
-    lut_of: Option<Vec<usize>>,
-    fanout: Option<Vec<Vec<usize>>>,
-    deadline: Option<Instant>,
-    tenant: Option<TenantId>,
-}
-
-impl BatchRequestBuilder {
-    /// An empty request: no ciphertexts, no LUTs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The ciphertexts to bootstrap, in order.
-    pub fn ciphertexts(mut self, cts: Vec<LweCiphertext>) -> Self {
-        self.cts = cts;
-        self
-    }
-
-    /// A single LUT shared by every ciphertext (replaces any previously
-    /// set LUT table).
-    pub fn lut(mut self, lut: Lut) -> Self {
-        self.luts = vec![lut];
-        self
-    }
-
-    /// A LUT table for per-item selection (pair with
-    /// [`selectors`](Self::selectors)).
-    pub fn luts(mut self, luts: Vec<Lut>) -> Self {
-        self.luts = luts;
-        self
-    }
-
-    /// Per-item LUT selectors: ciphertext `i` goes through
-    /// `luts[lut_of[i]]`.
-    pub fn selectors(mut self, lut_of: Vec<usize>) -> Self {
-        self.lut_of = Some(lut_of);
-        self
-    }
-
-    /// A fanout map: ciphertext `i` goes through **every** LUT in
-    /// `fanout[i]` (multi-value bootstrapping — one blind rotation per
-    /// input, one output per listed LUT). Mutually exclusive with
-    /// [`selectors`](Self::selectors).
-    pub fn fanout(mut self, fanout: Vec<Vec<usize>>) -> Self {
-        self.fanout = Some(fanout);
-        self
-    }
-
-    /// Latest acceptable start time (see [`BatchRequest::deadline`]).
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// The tenant whose key serves this request (see
-    /// [`BatchRequest::tenant`]).
-    pub fn tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = Some(tenant);
-        self
-    }
-
-    /// Validate the LUT/selector shape and produce the request.
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::NoLutProvided`] if there are ciphertexts but no LUT;
-    /// [`TfheError::FanoutSelectorConflict`] if both selectors and a
-    /// fanout map were supplied; [`TfheError::FanoutLengthMismatch`] /
-    /// [`TfheError::EmptyFanout`] on a malformed fanout map;
-    /// [`TfheError::LutSelectorLengthMismatch`] if selectors are present
-    /// with the wrong length, or absent while more than one LUT was
-    /// supplied (ambiguous); [`TfheError::LutIndexOutOfRange`] if a
-    /// selector or fanout entry references a missing LUT.
-    pub fn build(self) -> Result<BatchRequest, TfheError> {
-        if !self.cts.is_empty() && self.luts.is_empty() {
-            return Err(TfheError::NoLutProvided);
-        }
-        if self.lut_of.is_some() && self.fanout.is_some() {
-            return Err(TfheError::FanoutSelectorConflict);
-        }
-        if let Some(map) = &self.fanout {
-            if map.len() != self.cts.len() {
-                return Err(TfheError::FanoutLengthMismatch {
-                    expected: self.cts.len(),
-                    got: map.len(),
-                });
-            }
-            for (input, list) in map.iter().enumerate() {
-                if list.is_empty() {
-                    return Err(TfheError::EmptyFanout { input });
-                }
-                for &s in list {
-                    if s >= self.luts.len() {
-                        return Err(TfheError::LutIndexOutOfRange {
-                            index: s,
-                            luts: self.luts.len(),
-                        });
-                    }
-                }
-            }
-        } else {
-            match &self.lut_of {
-                Some(sel) => {
-                    if sel.len() != self.cts.len() {
-                        return Err(TfheError::LutSelectorLengthMismatch {
-                            expected: self.cts.len(),
-                            got: sel.len(),
-                        });
-                    }
-                    for &s in sel {
-                        if s >= self.luts.len() {
-                            return Err(TfheError::LutIndexOutOfRange {
-                                index: s,
-                                luts: self.luts.len(),
-                            });
-                        }
-                    }
-                }
-                None => {
-                    if self.luts.len() > 1 {
-                        // More than one LUT with no selectors is ambiguous —
-                        // surfaced as a zero-length selector mismatch.
-                        return Err(TfheError::LutSelectorLengthMismatch {
-                            expected: self.cts.len(),
-                            got: 0,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(BatchRequest {
-            cts: self.cts,
-            luts: self.luts,
-            lut_of: self.lut_of,
-            fanout: self.fanout,
-            deadline: self.deadline,
-            tenant: self.tenant,
-        })
-    }
-}
-
 /// The canonical batch-bootstrap entry point, implemented by every
 /// backend in the crate:
 ///
@@ -428,8 +210,8 @@ pub trait Bootstrapper {
     /// [`TfheError::LutSizeMismatch`], …) on malformed requests, plus
     /// whatever execution errors the backend can produce (engine:
     /// [`TfheError::WorkerPanicked`] / [`TfheError::JobTimedOut`];
-    /// dispatcher: [`TfheError::DeadlineExceeded`] /
-    /// [`TfheError::DispatcherShutDown`]; …).
+    /// dispatcher: [`TfheError::Overloaded`] /
+    /// [`TfheError::DispatcherShutDown`], or its last tier's error; …).
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError>;
 
     /// This backend's serving state, read by its dispatcher tier's breaker
@@ -522,61 +304,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_selector_length() {
-        let (_, _, lut, cts) = fixture();
-        let n = cts.len();
-        let err = BatchRequest::builder()
-            .ciphertexts(cts)
-            .luts(vec![lut.clone(), lut])
-            .selectors(vec![0])
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TfheError::LutSelectorLengthMismatch {
-                expected: n,
-                got: 1
-            }
-        );
-    }
-
-    #[test]
-    fn builder_rejects_missing_lut_and_bad_index() {
-        let (_, _, lut, cts) = fixture();
-        let err = BatchRequest::builder()
-            .ciphertexts(cts.clone())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, TfheError::NoLutProvided);
-
-        let err = BatchRequest::per_item(cts.clone(), vec![lut.clone()], vec![0, 0, 0, 0, 7])
-            .unwrap_err();
-        assert_eq!(err, TfheError::LutIndexOutOfRange { index: 7, luts: 1 });
-
-        // Several LUTs with no selectors is ambiguous.
-        let err = BatchRequest::builder()
-            .ciphertexts(cts)
-            .luts(vec![lut.clone(), lut])
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            TfheError::LutSelectorLengthMismatch { got: 0, .. }
-        ));
-    }
-
-    #[test]
     fn fanout_request_validates_shape() {
         let (_, _, lut, cts) = fixture();
         let n = cts.len();
-        let err = BatchRequest::builder()
-            .ciphertexts(cts.clone())
-            .luts(vec![lut.clone()])
-            .selectors(vec![0; n])
-            .fanout(vec![vec![0]; n])
-            .build()
-            .unwrap_err();
-        assert_eq!(err, TfheError::FanoutSelectorConflict);
+        let err = BatchRequest::fanned_out(cts.clone(), Vec::new(), vec![vec![0]; n]).unwrap_err();
+        assert_eq!(err, TfheError::NoLutProvided);
 
         let err =
             BatchRequest::fanned_out(cts.clone(), vec![lut.clone()], vec![vec![0]; 3]).unwrap_err();
@@ -588,13 +320,15 @@ mod tests {
             }
         );
 
-        let mut map = vec![vec![0]; n];
-        map[2].clear();
-        let err = BatchRequest::fanned_out(cts.clone(), vec![lut.clone()], map).unwrap_err();
+        let mut lists = vec![vec![0]; n];
+        lists[2].clear();
+        let err = BatchRequest::fanned_out(cts.clone(), vec![lut.clone()], lists).unwrap_err();
         assert_eq!(err, TfheError::EmptyFanout { input: 2 });
 
-        let err = BatchRequest::fanned_out(cts, vec![lut], vec![vec![1]; n]).unwrap_err();
-        assert_eq!(err, TfheError::LutIndexOutOfRange { index: 1, luts: 1 });
+        let mut lists = vec![vec![0]; n];
+        lists[4] = vec![0, 7];
+        let err = BatchRequest::fanned_out(cts, vec![lut], lists).unwrap_err();
+        assert_eq!(err, TfheError::LutIndexOutOfRange { index: 7, luts: 1 });
     }
 
     #[test]
@@ -606,10 +340,11 @@ mod tests {
             Lut::from_fn(poly, 4, |m| (m + 1) % 4),
             Lut::from_fn(poly, 4, |m| (3 * m) % 4),
         ];
-        let req = BatchRequest::many(cts.clone(), luts.clone()).unwrap();
+        let lists = vec![(0..luts.len()).collect(); cts.len()];
+        let req = BatchRequest::fanned_out(cts.clone(), luts.clone(), lists).unwrap();
         assert_eq!(req.output_len(), cts.len() * luts.len());
         assert_eq!(req.output_count(0), luts.len());
-        assert_eq!(req.luts_for(1).len(), luts.len());
+        assert_eq!(req.items(1..2)[0].1.len(), luts.len());
         let out = sk.try_bootstrap_batch(&req).unwrap();
         assert_eq!(out.len(), cts.len() * luts.len());
         let funcs: [fn(u64) -> u64; 3] = [|m| m, |m| (m + 1) % 4, |m| (3 * m) % 4];
@@ -631,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_request_needs_no_lut() {
-        let req = BatchRequest::builder().build().unwrap();
+        let req = BatchRequest::fanned_out(Vec::new(), Vec::new(), Vec::new()).unwrap();
         assert!(req.is_empty());
         let (_, sk, _, _) = fixture();
         assert_eq!(sk.try_bootstrap_batch(&req).unwrap(), Vec::new());
@@ -650,13 +385,14 @@ mod tests {
     }
 
     #[test]
-    fn per_item_selects_the_right_lut() {
+    fn lists_of_one_select_the_right_lut() {
         let (ck, sk, _, cts) = fixture();
         let p = sk.params().clone();
         let plus1 = Lut::from_fn(p.poly_size, 4, |m| (m + 1) % 4);
         let double = Lut::from_fn(p.poly_size, 4, |m| (2 * m) % 4);
-        let sel = vec![0, 1, 0, 1, 0];
-        let req = BatchRequest::per_item(cts.clone(), vec![plus1, double], sel.clone()).unwrap();
+        let sel = [0, 1, 0, 1, 0];
+        let lists = sel.iter().map(|&j| vec![j]).collect();
+        let req = BatchRequest::fanned_out(cts.clone(), vec![plus1, double], lists).unwrap();
         let out = sk.try_bootstrap_batch(&req).unwrap();
         for (i, o) in out.iter().enumerate() {
             let m = i as u64 % 4;

@@ -10,12 +10,10 @@
 //!
 //! - callers [`submit`](Dispatcher::submit) individual
 //!   `(ciphertext, LUT)` requests, each with an optional deadline, and
-//!   get back a [`Ticket`] to wait on; a multi-value caller
-//!   [`submit_many`](Dispatcher::submit_many)s one ciphertext with
-//!   *several* LUTs and gets a [`MultiTicket`] — downstream the batcher
-//!   encodes such requests as a fanout [`BatchRequest`], so a
-//!   multi-value-capable backend pays one blind rotation for all of the
-//!   request's outputs;
+//!   get back a [`Ticket`] to wait on; a whole [`BatchRequest`] goes in
+//!   as one request per ciphertext, each with its whole LUT list, so the
+//!   backend still pays one blind rotation for all of a ciphertext's
+//!   outputs;
 //! - a batcher thread coalesces queued requests into micro-batches under
 //!   a [`max_batch_size`](ServingConfig::max_batch_size) /
 //!   [`max_linger`](ServingConfig::max_linger) policy: a batch is
@@ -122,10 +120,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One queued request: one input ciphertext through one or more LUTs
-/// (`luts.len()` outputs, in LUT order). Multi-LUT requests become fanout
-/// entries of the formed batch and cost a single blind rotation on a
-/// multi-value-capable backend. Its id, tenant (key affinity), enqueue
-/// time and deadline travel beside it in the core's [`Entry`].
+/// (`luts.len()` outputs, in LUT order), one item of the formed batch and
+/// a single blind rotation. Its id, tenant (key affinity), enqueue time
+/// and deadline travel beside it in the core's [`Entry`].
 struct Pending {
     ct: LweCiphertext,
     luts: Box<[Arc<Lut>]>,
@@ -176,64 +173,31 @@ impl Pending {
     }
 }
 
-/// What both ticket types are: the request's id, its cancellation flag
-/// and the one-shot channel its resolution arrives on.
-struct TicketCore {
-    id: u64,
-    cancelled: Arc<AtomicBool>,
-    reply: Receiver<Resolution>,
-}
-
-impl std::fmt::Debug for TicketCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TicketCore")
-            .field("id", &self.id)
-            .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl TicketCore {
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    fn wait(self) -> Resolution {
-        self.reply
-            .recv()
-            .unwrap_or(Err(TfheError::DispatcherShutDown))
-    }
-
-    fn try_wait(&self) -> Option<Resolution> {
-        match self.reply.try_recv() {
-            Ok(result) => Some(result),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(TfheError::DispatcherShutDown)),
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Resolution {
-        match self.reply.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(TfheError::WaitTimedOut { timeout }),
-            Err(RecvTimeoutError::Disconnected) => Err(TfheError::DispatcherShutDown),
-        }
-    }
-}
-
 /// Outcome ticket for one submitted request.
 ///
 /// Hold it to [`wait`](Self::wait) for the result, poll with
 /// [`try_wait`](Self::try_wait), or [`cancel`](Self::cancel) the request.
 /// Dropping the ticket abandons the result (the request still executes
 /// unless cancelled first).
-#[derive(Debug)]
-pub struct Ticket(TicketCore);
+pub struct Ticket {
+    id: u64,
+    cancelled: Arc<AtomicBool>,
+    reply: Receiver<Resolution>,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("id", &self.id)
+            .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
 
 impl Ticket {
     /// The dispatcher-assigned request id (monotonic per dispatcher).
     pub fn id(&self) -> u64 {
-        self.0.id
+        self.id
     }
 
     /// Request cancellation. Best-effort: a request still queued (or
@@ -241,7 +205,7 @@ impl Ticket {
     /// [`TfheError::Cancelled`]; one already executing completes
     /// normally.
     pub fn cancel(&self) {
-        self.0.cancel();
+        self.cancelled.store(true, Ordering::SeqCst);
     }
 
     /// Block until the request resolves.
@@ -253,12 +217,23 @@ impl Ticket {
     /// [`TfheError::DispatcherShutDown`] if the batcher died without
     /// resolving it.
     pub fn wait(self) -> Result<LweCiphertext, TfheError> {
-        single(self.0.wait())
+        single(self.outputs())
+    }
+
+    /// Every output the request owes, one per LUT it was enqueued with.
+    fn outputs(self) -> Resolution {
+        self.reply
+            .recv()
+            .unwrap_or(Err(TfheError::DispatcherShutDown))
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
     pub fn try_wait(&self) -> Option<Result<LweCiphertext, TfheError>> {
-        self.0.try_wait().map(single)
+        match self.reply.try_recv() {
+            Ok(result) => Some(single(result)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(TfheError::DispatcherShutDown)),
+        }
     }
 
     /// Bounded [`wait`](Self::wait): block at most `timeout` for the
@@ -274,7 +249,11 @@ impl Ticket {
     /// [`TfheError::WaitTimedOut`] (retryable) if `timeout` elapses
     /// first; otherwise as [`wait`](Self::wait).
     pub fn wait_timeout(&self, timeout: Duration) -> Result<LweCiphertext, TfheError> {
-        single(self.0.wait_timeout(timeout))
+        match self.reply.recv_timeout(timeout) {
+            Ok(result) => single(result),
+            Err(RecvTimeoutError::Timeout) => Err(TfheError::WaitTimedOut { timeout }),
+            Err(RecvTimeoutError::Disconnected) => Err(TfheError::DispatcherShutDown),
+        }
     }
 }
 
@@ -286,51 +265,6 @@ fn single(result: Resolution) -> Result<LweCiphertext, TfheError> {
     match (outs.pop(), outs.is_empty()) {
         (Some(out), true) => Ok(out),
         _ => Err(TfheError::DispatcherShutDown),
-    }
-}
-
-/// Outcome ticket for a multi-LUT request
-/// ([`Dispatcher::submit_many`]): resolves to one output per submitted
-/// LUT, in LUT order.
-#[derive(Debug)]
-pub struct MultiTicket(TicketCore);
-
-impl MultiTicket {
-    /// The dispatcher-assigned request id (monotonic per dispatcher).
-    pub fn id(&self) -> u64 {
-        self.0.id
-    }
-
-    /// Request cancellation, with [`Ticket::cancel`]'s best-effort
-    /// semantics.
-    pub fn cancel(&self) {
-        self.0.cancel();
-    }
-
-    /// Block until the request resolves; on success the outputs follow
-    /// the submitted LUT order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ticket::wait`].
-    pub fn wait(self) -> Result<Vec<LweCiphertext>, TfheError> {
-        self.0.wait()
-    }
-
-    /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<Vec<LweCiphertext>, TfheError>> {
-        self.0.try_wait()
-    }
-
-    /// Bounded [`wait`](Self::wait), with [`Ticket::wait_timeout`]'s
-    /// semantics: [`TfheError::WaitTimedOut`] (retryable) leaves the
-    /// request in flight and the ticket usable.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ticket::wait_timeout`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<Vec<LweCiphertext>, TfheError> {
-        self.0.wait_timeout(timeout)
     }
 }
 
@@ -618,7 +552,6 @@ impl Dispatcher {
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
         self.enqueue(ct, vec![lut], None, deadline, true)
-            .map(Ticket)
     }
 
     /// [`submit`](Self::submit) on behalf of `tenant`: the batcher only
@@ -638,29 +571,6 @@ impl Dispatcher {
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
         self.enqueue(ct, vec![lut], Some(tenant), deadline, true)
-            .map(Ticket)
-    }
-
-    /// Submit one ciphertext to be evaluated through **several** LUTs —
-    /// one output per LUT, in order. The batcher encodes the request as a
-    /// fanout entry of its micro-batch, so a multi-value-capable backend
-    /// (any [`ServerKey`](crate::ServerKey)-derived path) produces all
-    /// the outputs from a *single* blind rotation. Blocks while the
-    /// admission queue is full, like [`submit`](Self::submit); the whole
-    /// request occupies one queue slot.
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::NoLutProvided`] if `luts` is empty,
-    /// [`TfheError::DispatcherShutDown`] after [`shutdown`](Self::shutdown).
-    pub fn submit_many(
-        &self,
-        ct: LweCiphertext,
-        luts: Vec<Arc<Lut>>,
-        deadline: Option<Instant>,
-    ) -> Result<MultiTicket, TfheError> {
-        self.enqueue(ct, luts, None, deadline, true)
-            .map(MultiTicket)
     }
 
     /// Non-blocking [`submit`](Self::submit): rejects with
@@ -678,7 +588,6 @@ impl Dispatcher {
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
         self.enqueue(ct, vec![lut], None, deadline, false)
-            .map(Ticket)
     }
 
     /// [`try_submit`](Self::try_submit) on behalf of `tenant`, with
@@ -695,7 +604,6 @@ impl Dispatcher {
         deadline: Option<Instant>,
     ) -> Result<Ticket, TfheError> {
         self.enqueue(ct, vec![lut], Some(tenant), deadline, false)
-            .map(Ticket)
     }
 
     fn enqueue(
@@ -705,10 +613,7 @@ impl Dispatcher {
         tenant: Option<TenantId>,
         deadline: Option<Instant>,
         block: bool,
-    ) -> Result<TicketCore, TfheError> {
-        if luts.is_empty() {
-            return Err(TfheError::NoLutProvided);
-        }
+    ) -> Result<Ticket, TfheError> {
         let shared = &self.shared;
         let (reply_tx, reply_rx) = channel::bounded(1);
         let cancelled = Arc::new(AtomicBool::new(false));
@@ -736,7 +641,7 @@ impl Dispatcher {
         };
         drop(core);
         shared.not_empty.notify_one();
-        Ok(TicketCore {
+        Ok(Ticket {
             id,
             cancelled,
             reply: reply_rx,
@@ -825,35 +730,30 @@ impl std::fmt::Debug for Dispatcher {
 }
 
 /// Whole-batch callers can treat the dispatcher as just another backend:
-/// the request is split into individual submissions (sharing the
-/// request's deadline), which the batcher is free to coalesce with
-/// traffic from other callers — cross-request batching, the paper's
-/// SW-scheduler behavior. Results come back in input order.
+/// the request is split into individual submissions with no deadline,
+/// which the batcher is free to coalesce with traffic from other callers —
+/// cross-request batching, the paper's SW-scheduler behavior. Results come
+/// back in input order.
 impl Bootstrapper for Dispatcher {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
         if req.is_empty() {
             return Ok(Vec::new());
         }
         let luts: Vec<Arc<Lut>> = req.luts().iter().cloned().map(Arc::new).collect();
-        // One submission per input, carrying the indices of its LUTs —
-        // a plain item is a fanout of one — so the batcher keeps an
-        // input's LUTs together (one rotation per input downstream) while
-        // still coalescing across inputs. The request's tenant rides
-        // along on every submission, so key affinity holds across the
-        // split.
+        // One submission per input, carrying its LUT list, so the batcher
+        // keeps an input's LUTs together (one rotation per input
+        // downstream) while still coalescing across inputs. The request's
+        // tenant rides along on every submission, so key affinity holds
+        // across the split.
         let mut tickets = Vec::with_capacity(req.len());
-        for (i, ct) in req.ciphertexts().iter().enumerate() {
-            let picked = match (req.fanout(), req.selectors()) {
-                (Some(map), _) => map[i].iter().map(|&j| Arc::clone(&luts[j])).collect(),
-                (None, Some(sel)) => vec![Arc::clone(&luts[sel[i]])],
-                (None, None) => vec![Arc::clone(&luts[0])],
-            };
-            tickets.push(self.enqueue(ct.clone(), picked, req.tenant(), req.deadline(), true)?);
+        for (ct, list) in req.ciphertexts().iter().zip(req.lists()) {
+            let picked = list.iter().map(|&j| Arc::clone(&luts[j])).collect();
+            tickets.push(self.enqueue(ct.clone(), picked, req.tenant(), None, true)?);
         }
         let mut out = Vec::with_capacity(req.output_len());
         let mut first_err = None;
         for ticket in tickets {
-            match ticket.wait() {
+            match ticket.outputs() {
                 Ok(item) => out.extend(item),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
@@ -998,20 +898,8 @@ fn run_as_batch(
         lists.push(list);
     }
     let cts: Vec<LweCiphertext> = live.iter().map(|p| p.item.ct.clone()).collect();
-    let mut owned: Vec<Lut> = luts.iter().map(|l| (**l).clone()).collect();
-    let req = if lists.iter().any(|l| l.len() > 1) {
-        // At least one multi-LUT member: encode the whole batch as a
-        // fanout request so the backend can fuse rotations per input.
-        BatchRequest::fanned_out(cts, owned, lists)?
-    } else if owned.len() == 1 {
-        BatchRequest::shared(cts, owned.swap_remove(0))
-    } else {
-        let selectors: Vec<usize> = lists
-            .iter()
-            .map(|l| l.first().copied().unwrap_or(0))
-            .collect();
-        BatchRequest::per_item(cts, owned, selectors)?
-    };
+    let owned: Vec<Lut> = luts.iter().map(|l| (**l).clone()).collect();
+    let req = BatchRequest::fanned_out(cts, owned, lists)?;
     // The policy forms single-affinity batches, so the batch's tenant
     // is its first member's.
     let req = match live[0].affinity {
@@ -1621,7 +1509,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_many_coalesces_with_singles() {
+    fn a_fanout_item_coalesces_with_singles() {
         let (backend, started, gate) = echo(true);
         let d = dispatcher(
             ServingConfig::builder()
@@ -1629,75 +1517,31 @@ mod tests {
                 .max_linger(Duration::from_millis(50)),
             Arc::clone(&backend),
         );
-        let lut_a = dummy_lut();
-        let lut_b = dummy_lut();
-        // Wedge the batcher on a lone single, then queue one multi-LUT
-        // and one single request: they must form ONE mixed batch.
-        let t0 = d.submit(dummy_ct(0), Arc::clone(&lut_a), None).unwrap();
+        let lut = dummy_lut();
+        let two = vec![(*lut).clone(); 2];
+        let item = BatchRequest::fanned_out(vec![dummy_ct(1)], two, vec![vec![0, 1]]).unwrap();
+        // Wedge the batcher on a lone single, then queue one two-LUT item
+        // and one single: they must form ONE mixed batch.
+        let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
         started.recv().unwrap();
-        let many = d
-            .submit_many(
-                dummy_ct(1),
-                vec![Arc::clone(&lut_a), Arc::clone(&lut_b)],
-                None,
-            )
-            .unwrap();
-        let t2 = d.submit(dummy_ct(2), Arc::clone(&lut_b), None).unwrap();
-        gate.send(()).unwrap();
-        started.recv().unwrap();
-        gate.send(()).unwrap();
-        assert_eq!(t0.wait().unwrap(), dummy_ct(0));
-        assert_eq!(many.wait().unwrap(), vec![dummy_ct(1), dummy_ct(1)]);
-        assert_eq!(t2.wait().unwrap(), dummy_ct(2));
-        // Two batches of (1 request) and (2 requests) — the multi-LUT
-        // member counts once toward batch size.
+        std::thread::scope(|s| {
+            let many = s.spawn(|| d.try_bootstrap_batch(&item));
+            while d.stats().submitted < 2 {
+                std::thread::yield_now();
+            }
+            let t2 = d.submit(dummy_ct(2), lut, None).unwrap();
+            gate.send(()).unwrap();
+            started.recv().unwrap();
+            gate.send(()).unwrap();
+            assert_eq!(t0.wait().unwrap(), dummy_ct(0));
+            let outs = many.join().unwrap().unwrap();
+            assert_eq!(outs, vec![dummy_ct(1), dummy_ct(1)]);
+            assert_eq!(t2.wait().unwrap(), dummy_ct(2));
+        });
+        // Two batches of (1 request) and (2 requests) — the two-LUT item
+        // takes one queue slot and counts once toward batch size.
         assert_eq!(lock(&backend.sizes).clone(), vec![1, 2]);
         assert_eq!(d.stats().completed, 3);
-    }
-
-    #[test]
-    fn submit_many_requires_a_lut() {
-        let (backend, _started, _gate) = echo(false);
-        let d = Dispatcher::new(backend);
-        assert_eq!(
-            d.submit_many(dummy_ct(0), Vec::new(), None).unwrap_err(),
-            TfheError::NoLutProvided
-        );
-    }
-
-    #[test]
-    fn submit_many_matches_server_key_multi_value_path() {
-        let mut rng = StdRng::seed_from_u64(781);
-        let params = ParamSet::Test.params();
-        let ck = ClientKey::generate(params.clone(), &mut rng);
-        let sk = Arc::new(ServerKey::new(&ck, &mut rng));
-        let luts = [
-            Lut::identity(params.poly_size, 4),
-            Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4),
-            Lut::from_fn(params.poly_size, 4, |m| (3 * m) % 4),
-        ];
-        let ct = ck.encrypt(2, &mut rng);
-        let want = sk
-            .try_programmable_bootstrap_many_with(&ct, &luts, &mut sk.workspace())
-            .unwrap();
-
-        let d = dispatcher(
-            ServingConfig::builder()
-                .max_batch_size(4)
-                .max_linger(Duration::from_millis(5)),
-            Arc::clone(&sk),
-        );
-        let arcs: Vec<Arc<Lut>> = luts.iter().cloned().map(Arc::new).collect();
-        let got = d.submit_many(ct, arcs, None).unwrap().wait().unwrap();
-        // Per-input derivation is independent of batch-mates, so the
-        // dispatched result is bit-identical to the direct fused call.
-        assert_eq!(got, want);
-        for (out, f) in got
-            .iter()
-            .zip([|m: u64| m, |m: u64| (m + 1) % 4, |m: u64| (3 * m) % 4])
-        {
-            assert_eq!(ck.decrypt(out), f(2));
-        }
     }
 
     #[test]
@@ -1711,7 +1555,7 @@ mod tests {
             Lut::from_fn(params.poly_size, 4, |m| (m + 2) % 4),
         ];
         let cts: Vec<_> = (0..3).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
-        let req = BatchRequest::many(cts, luts).unwrap();
+        let req = BatchRequest::fanned_out(cts, luts, vec![vec![0, 1]; 3]).unwrap();
         let want = sk.try_bootstrap_batch(&req).unwrap();
         let d = Dispatcher::new(Arc::clone(&sk));
         assert_eq!(d.try_bootstrap_batch(&req).unwrap(), want);
@@ -1754,7 +1598,8 @@ mod tests {
         let plus1 = Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4);
         let double = Lut::from_fn(params.poly_size, 4, |m| (2 * m) % 4);
         let cts: Vec<_> = (0..4).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
-        let req = BatchRequest::per_item(cts, vec![plus1, double], vec![0, 1, 0, 1]).unwrap();
+        let lists = vec![vec![0], vec![1], vec![0], vec![1]];
+        let req = BatchRequest::fanned_out(cts, vec![plus1, double], lists).unwrap();
         let want = sk.try_bootstrap_batch(&req).unwrap();
         let d = Dispatcher::new(Arc::clone(&sk));
         assert_eq!(d.try_bootstrap_batch(&req).unwrap(), want);
@@ -1810,29 +1655,6 @@ mod tests {
         // same ticket delivers the result.
         gate.send(()).unwrap();
         assert_eq!(t.wait_timeout(Duration::from_secs(5)).unwrap(), dummy_ct(0));
-    }
-
-    #[test]
-    fn multi_ticket_wait_timeout_round_trips() {
-        let (backend, started, gate) = echo(true);
-        let d = dispatcher(
-            ServingConfig::builder().max_batch_size(1),
-            Arc::clone(&backend),
-        );
-        let lut = dummy_lut();
-        let t = d
-            .submit_many(dummy_ct(3), vec![Arc::clone(&lut), lut], None)
-            .unwrap();
-        started.recv().unwrap();
-        assert!(matches!(
-            t.wait_timeout(Duration::from_millis(5)),
-            Err(TfheError::WaitTimedOut { .. })
-        ));
-        gate.send(()).unwrap();
-        assert_eq!(
-            t.wait_timeout(Duration::from_secs(5)).unwrap(),
-            vec![dummy_ct(3), dummy_ct(3)]
-        );
     }
 
     /// Retry up to three times, 60 ms, then 120 ms, then 150 ms apart.

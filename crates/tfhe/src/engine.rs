@@ -978,8 +978,7 @@ impl BootstrapEngine {
 }
 
 /// The pooled backend: requests route through the persistent self-healing
-/// worker pool. [`BatchRequest::deadline`] is ignored — the pool executes
-/// immediately (put a
+/// worker pool, which executes immediately (put a
 /// [`Dispatcher`](crate::dispatch::Dispatcher) in front for
 /// deadline-aware batching).
 impl Bootstrapper for BootstrapEngine {
@@ -1016,17 +1015,19 @@ mod tests {
         b.try_bootstrap_batch(&BatchRequest::shared(cts.to_vec(), lut.clone()))
     }
 
-    /// Route a per-item-LUT batch through the trait surface.
+    /// Route a batch with a list of one LUT per ciphertext through the
+    /// trait surface.
     fn bbm(
         b: &impl Bootstrapper,
         cts: &[LweCiphertext],
         luts: &[Lut],
         lut_of: &[usize],
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        b.try_bootstrap_batch(&BatchRequest::per_item(
+        let lists = lut_of.iter().map(|&j| vec![j]).collect();
+        b.try_bootstrap_batch(&BatchRequest::fanned_out(
             cts.to_vec(),
             luts.to_vec(),
-            lut_of.to_vec(),
+            lists,
         )?)
     }
 
@@ -1127,7 +1128,8 @@ mod tests {
             Lut::from_fn(n, 4, |m| 3 - m),
         ];
         let cts: Vec<_> = (0..5).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
-        let req = BatchRequest::many(cts, luts).unwrap();
+        let lists = vec![(0..luts.len()).collect(); cts.len()];
+        let req = BatchRequest::fanned_out(cts, luts, lists).unwrap();
         let engine = BootstrapEngine::builder()
             .workers(2)
             .chunk_size(2)
@@ -1152,7 +1154,8 @@ mod tests {
         let n = sk.params().poly_size;
         let luts = vec![Lut::identity(n, 4), Lut::from_fn(n, 4, |m| (m + 1) % 4)];
         let cts: Vec<_> = (0..3).map(|m| ck.encrypt(m % 4, &mut rng)).collect();
-        let req = BatchRequest::many(cts, luts).unwrap();
+        let lists = vec![(0..luts.len()).collect(); cts.len()];
+        let req = BatchRequest::fanned_out(cts, luts, lists).unwrap();
         // Reject exactly flat output 3 (= input 1's second output): the
         // surfaced index must be in output space, not ciphertext space.
         let engine = BootstrapEngine::builder()
@@ -1196,7 +1199,7 @@ mod tests {
         ));
         assert!(matches!(
             bbm(&engine, &cts, &[good_lut], &[0, 0]),
-            Err(TfheError::LutSelectorLengthMismatch {
+            Err(TfheError::FanoutLengthMismatch {
                 expected: 1,
                 got: 2
             })

@@ -59,41 +59,27 @@ pub enum TfheError {
     },
     /// A parallel batch API was asked to run on zero threads.
     ZeroThreads,
-    /// A multi-LUT batch submission referenced a LUT index out of range.
+    /// A batch request's LUT list referenced a LUT index out of range.
     LutIndexOutOfRange {
         /// The offending index.
         index: usize,
         /// Number of LUTs supplied with the batch.
         luts: usize,
     },
-    /// A multi-LUT batch submission's selector slice length disagrees
-    /// with the number of ciphertexts (`lut_of` must name one LUT per
-    /// ciphertext).
-    LutSelectorLengthMismatch {
-        /// The batch size (`cts.len()`).
-        expected: usize,
-        /// The selector slice length (`lut_of.len()`).
-        got: usize,
-    },
-    /// A fanout batch submission listed no LUTs at all for one of its
-    /// inputs — every input of a multi-LUT request must produce at least
-    /// one output.
+    /// A batch request listed no LUTs at all for one of its inputs —
+    /// every input must produce at least one output.
     EmptyFanout {
         /// Index of the input whose LUT list is empty.
         input: usize,
     },
-    /// A fanout batch submission's outer list length disagrees with the
-    /// number of ciphertexts (`fanout` must name one LUT list per
-    /// ciphertext).
+    /// A batch request's number of LUT lists disagrees with the number of
+    /// ciphertexts (it must name one LUT list per ciphertext).
     FanoutLengthMismatch {
         /// The batch size (`cts.len()`).
         expected: usize,
-        /// The fanout list length (`fanout.len()`).
+        /// The number of LUT lists (`lists.len()`).
         got: usize,
     },
-    /// A batch request supplied both per-item selectors (`lut_of`) and a
-    /// fanout map — the two addressing schemes are mutually exclusive.
-    FanoutSelectorConflict,
     /// The bootstrap engine's worker pool has shut down (a worker
     /// panicked or the engine is mid-drop); the submitted batch was not
     /// processed.
@@ -264,12 +250,6 @@ impl std::fmt::Display for TfheError {
             Self::LutIndexOutOfRange { index, luts } => {
                 write!(f, "LUT index {index} out of range for {luts} supplied LUTs")
             }
-            Self::LutSelectorLengthMismatch { expected, got } => {
-                write!(
-                    f,
-                    "LUT selector length mismatch: {expected} ciphertexts but {got} selectors"
-                )
-            }
             Self::EmptyFanout { input } => {
                 write!(f, "fanout batch lists no LUTs for input {input}")
             }
@@ -277,12 +257,6 @@ impl std::fmt::Display for TfheError {
                 write!(
                     f,
                     "fanout length mismatch: {expected} ciphertexts but {got} fanout entries"
-                )
-            }
-            Self::FanoutSelectorConflict => {
-                write!(
-                    f,
-                    "batch request cannot mix per-item LUT selectors with a fanout map"
                 )
             }
             Self::EngineShutDown => {

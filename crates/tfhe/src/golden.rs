@@ -22,6 +22,7 @@ use rand::SeedableRng;
 
 use morphling_math::Torus32;
 
+use crate::bootstrap::{initial_accumulator, modulus_switch};
 use crate::oracle;
 use crate::serialize::{fnv1a_words, serialize_server_key};
 use crate::{
@@ -51,7 +52,8 @@ fn chain(
     lut: &Lut,
     mut step: impl FnMut(usize, u64, &mut GlweCiphertext),
 ) -> Vec<u64> {
-    let (mut acc, mask) = oracle::start(sk, ct, lut);
+    let (mask, b_tilde) = modulus_switch(ct, sk.params().two_n());
+    let mut acc = initial_accumulator(lut.polynomial(), sk.params().glwe_dim, b_tilde);
     let mut chain = Vec::new();
     for (i, &a_tilde) in mask.iter().enumerate() {
         step(i, a_tilde, &mut acc);

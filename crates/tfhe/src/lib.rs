@@ -116,10 +116,8 @@ pub use bootstrap::{
     blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,
 };
 pub use bootstrap_key::BootstrapKey;
-pub use bootstrapper::{BatchRequest, BatchRequestBuilder, Bootstrapper};
-pub use dispatch::{
-    DispatchSpan, Dispatcher, DispatcherBuilder, DispatcherStats, MultiTicket, Ticket,
-};
+pub use bootstrapper::{BatchRequest, Bootstrapper};
+pub use dispatch::{DispatchSpan, Dispatcher, DispatcherBuilder, DispatcherStats, Ticket};
 pub use engine::{BootstrapEngine, BootstrapEngineBuilder, EngineHealth, EngineStats, OutputCheck};
 pub use error::TfheError;
 pub use external_product::ExternalProductEngine;

@@ -15,14 +15,12 @@
 use morphling_math::{DecompParams, Polynomial, SignedDecomposer, Torus32};
 use morphling_transform::NegacyclicNtt;
 
-use crate::bootstrap::{initial_accumulator, modulus_switch};
 use crate::bootstrapper::BatchRequest;
 use crate::error::TfheError;
 use crate::external_product::ExternalProductEngine;
 use crate::fft_cache::ntt_for;
 use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweCiphertext;
-use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
 use crate::server::ServerKey;
@@ -103,25 +101,43 @@ pub fn bootstrap(key: &ServerKey, req: &BatchRequest) -> Result<Vec<LweCiphertex
     key.key_switch_key().try_key_switch_many(&extracted)
 }
 
-/// Where item `item` of `req` first leaves the oracle: its accumulator
-/// (the item's first LUT at `X^(−b̃)`) is stepped through the product's
+/// Where item `item` of `req` first leaves the oracle: the item goes
+/// through the key's own chunk pipeline, and every accumulator that
+/// pipeline rotates — the common factor of the item's LUTs, or one per
+/// LUT when they share none — is stepped through the product's
 /// [`rotate_cmux_into`](crate::ExternalProductEngine::rotate_cmux_into)
-/// and through [`step`] from the same value, and the first step whose
-/// results differ is returned with the first GLWE component that does —
-/// the step that rounded wrongly, not one downstream of it. `None`: every
-/// step agrees, and a difference is outside the blind rotation.
+/// and through [`step`] from the same value. The first step whose results
+/// differ is returned with the first GLWE component that does — the step
+/// that rounded wrongly, not one downstream of it. `None`: every step of
+/// every accumulator agrees, and a difference is outside the blind
+/// rotation.
 ///
 /// # Panics
 ///
-/// As [`step`]; and if `item` is out of range or its ciphertext or LUT
-/// does not fit the key.
+/// As [`step`]; and if `item` is out of range or its ciphertext or LUTs
+/// do not fit the key.
 pub fn first_divergence(
     key: &ServerKey,
     req: &BatchRequest,
     item: usize,
 ) -> Option<(usize, usize)> {
-    let (acc, mask) = start(key, &req.ciphertexts()[item], req.luts_for(item)[0]);
-    diverge(key, acc, &mask, product_step(key))
+    divergence(key, req, item, product_step(key))
+}
+
+/// [`first_divergence`] over any `product` step.
+fn divergence(
+    key: &ServerKey,
+    req: &BatchRequest,
+    item: usize,
+    mut product: impl FnMut(usize, u64, &mut GlweCiphertext),
+) -> Option<(usize, usize)> {
+    let mut first = None;
+    key.extract_chunk(&req.items(item..item + 1), |accs, masks| {
+        first = (accs.iter_mut().zip(masks))
+            .find_map(|(acc, mask)| diverge(key, acc, mask, &mut product));
+    })
+    .expect("the item fits the key");
+    first
 }
 
 /// The product's step `i` by `ã` on an accumulator, through its own
@@ -134,26 +150,17 @@ pub(crate) fn product_step(key: &ServerKey) -> impl FnMut(usize, u64, &mut GlweC
     }
 }
 
-/// The accumulator a bootstrap of `ct` through `lut` starts its rotation
-/// from, and the mask exponents it rotates by.
-pub(crate) fn start(key: &ServerKey, ct: &LweCiphertext, lut: &Lut) -> (GlweCiphertext, Vec<u64>) {
-    let (mask, b_tilde) = modulus_switch(ct, key.params().two_n());
-    (
-        initial_accumulator(lut.polynomial(), key.params().glwe_dim, b_tilde),
-        mask,
-    )
-}
-
-/// [`first_divergence`] over any `product` step, from `acc`.
+/// The first step and component at which `product` leaves [`step`] on
+/// one accumulator, from `acc`.
 fn diverge(
     key: &ServerKey,
-    mut acc: GlweCiphertext,
+    acc: &mut GlweCiphertext,
     mask: &[u64],
     mut product: impl FnMut(usize, u64, &mut GlweCiphertext),
 ) -> Option<(usize, usize)> {
     for (i, &a_tilde) in mask.iter().enumerate() {
-        let want = step(key, i, a_tilde, &acc);
-        product(i, a_tilde, &mut acc);
+        let want = step(key, i, a_tilde, acc);
+        product(i, a_tilde, acc);
         let differing = acc
             .components()
             .zip(want.components())
@@ -168,7 +175,9 @@ fn diverge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::{initial_accumulator, modulus_switch};
     use crate::keys::{ClientKey, GlweSecretKey};
+    use crate::lut::Lut;
     use crate::params::ParamSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -248,15 +257,51 @@ mod tests {
         let mut product = product_step(&sk);
         let last = sk.params().lwe_dim - 1;
         for (bad, component) in [(0, 0), (3, 1), (last, 0), (last, 1)] {
-            let (acc, mask) = start(&sk, &req.ciphertexts()[0], &req.luts()[0]);
-            let got = diverge(&sk, acc, &mask, |i, a_tilde, acc| {
+            let got = divergence(&sk, &req, 1, |i, a_tilde, acc| {
                 product(i, a_tilde, acc);
                 if i == bad {
-                    let poly = acc.components_mut().nth(component).unwrap();
-                    poly[7] = Torus32::from_raw(poly[7].into_raw() ^ 1 << 20);
+                    flip(acc, component);
                 }
             });
             assert_eq!(got, Some((bad, component)));
         }
+    }
+
+    /// One bit of one coefficient of component `c`.
+    fn flip(acc: &mut GlweCiphertext, c: usize) {
+        let poly = acc.components_mut().nth(c).unwrap();
+        poly[7] = Torus32::from_raw(poly[7].into_raw() ^ 1 << 20);
+    }
+
+    #[test]
+    fn first_divergence_checks_the_accumulator_a_fanout_item_rotates() {
+        let (ck, sk, mut rng) = setup(84);
+        let n = sk.params().poly_size;
+        let luts = vec![Lut::identity(n, 4), Lut::from_fn(n, 4, |m| (m + 1) % 4)];
+        let ct = ck.encrypt(2, &mut rng);
+        let lists = vec![vec![1, 0]];
+        let req = BatchRequest::fanned_out(vec![ct.clone()], luts.clone(), lists).unwrap();
+        // Lists [1, 0] factor: the item rotates their common factor alone.
+        let plan = crate::MultiLutPlan::build([&luts[1], &luts[0]]).expect("the LUTs factor");
+        let (mask, b_tilde) = modulus_switch(&ct, sk.params().two_n());
+        let start = |tp| initial_accumulator(tp, sk.params().glwe_dim, b_tilde);
+        let common = start(plan.common());
+        let (bad, component) = (5, 1);
+        let mut product = product_step(&sk);
+        let mut on_common = false;
+        let mut corrupt = |i: usize, a_tilde: u64, acc: &mut GlweCiphertext| {
+            on_common = if i == 0 { *acc == common } else { on_common };
+            product(i, a_tilde, acc);
+            if on_common && i == bad {
+                flip(acc, component);
+            }
+        };
+        assert_eq!(
+            divergence(&sk, &req, 0, &mut corrupt),
+            Some((bad, component))
+        );
+        // Stepping the item's first LUT instead sees nothing wrong.
+        let mut acc = start(luts[1].polynomial());
+        assert_eq!(diverge(&sk, &mut acc, &mask, &mut corrupt), None);
     }
 }

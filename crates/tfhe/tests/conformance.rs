@@ -7,8 +7,8 @@
 //!
 //! - shared-LUT batches are **bit-identical** to the exact
 //!   [`oracle`], element for element, in submission order;
-//! - per-item-LUT batches route ciphertext `i` through `luts[lut_of[i]]`
-//!   and stay bit-identical;
+//! - batches with a list of one LUT per ciphertext route ciphertext `i`
+//!   through the LUT its list names and stay bit-identical;
 //! - fanout batches (several LUTs per ciphertext, one blind rotation
 //!   each via multi-value bootstrapping) flatten outputs in input order
 //!   and stay bit-identical to the oracle;
@@ -93,11 +93,11 @@ fn assert_conforms<B: Bootstrapper>(backend: &B, name: &str) {
     let req = BatchRequest::shared(cts.clone(), lut.clone());
     assert_matches_oracle(backend, name, "shared-LUT", &req);
 
-    // Per-item LUTs: alternating identity / affine tables.
+    // Lists of one: alternating identity / affine tables.
     let luts = vec![Lut::identity(poly, 4), lut];
-    let lut_of: Vec<usize> = (0..cts.len()).map(|i| i % 2).collect();
-    let req = BatchRequest::per_item(cts, luts, lut_of).expect("valid per-item request");
-    assert_matches_oracle(backend, name, "per-item", &req);
+    let lists: Vec<Vec<usize>> = (0..cts.len()).map(|i| vec![i % 2]).collect();
+    let req = BatchRequest::fanned_out(cts, luts, lists).expect("valid lists of one");
+    assert_matches_oracle(backend, name, "lists of one", &req);
 
     // Fanout: multi-value requests (several LUTs per ciphertext) flatten
     // in input order — the per-input derivation is deterministic, so
@@ -364,7 +364,7 @@ fn tenant_keyed_dispatch_matches_direct_server_keys() {
 }
 
 /// Malformed requests are caught at construction, uniformly for every
-/// backend (the builder is the single validation point).
+/// backend ([`BatchRequest::fanned_out`] is the single validation point).
 #[test]
 fn builder_rejects_malformed_requests() {
     let f = fixture();
@@ -373,27 +373,10 @@ fn builder_rejects_malformed_requests() {
 
     // Ciphertexts but no LUT.
     assert_eq!(
-        BatchRequest::builder()
-            .ciphertexts(cts.clone())
-            .build()
-            .err(),
+        BatchRequest::fanned_out(cts.clone(), Vec::new(), vec![vec![0]; 3]).err(),
         Some(TfheError::NoLutProvided)
     );
-    // Selector list of the wrong length.
-    assert!(matches!(
-        BatchRequest::per_item(
-            cts.clone(),
-            vec![Lut::identity(poly, 4), Lut::identity(poly, 4)],
-            vec![0, 1],
-        ),
-        Err(TfheError::LutSelectorLengthMismatch { .. })
-    ));
-    // Selector out of range.
-    assert!(matches!(
-        BatchRequest::per_item(cts.clone(), vec![Lut::identity(poly, 4)], vec![0, 0, 1]),
-        Err(TfheError::LutIndexOutOfRange { .. })
-    ));
-    // Fanout map of the wrong length.
+    // Fewer lists than ciphertexts.
     assert!(matches!(
         BatchRequest::fanned_out(
             cts.clone(),

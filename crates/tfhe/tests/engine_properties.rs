@@ -114,18 +114,14 @@ fn chunked_bootstraps_are_bit_identical_to_one_at_a_time() {
         let n = server.params().poly_size;
         let luts = vec![Lut::identity(n, 4), Lut::from_fn(n, 4, |m| (3 * m + 1) % 4)];
         let cts: Vec<LweCiphertext> = (0..9).map(|m| client.encrypt(m % 4, &mut rng)).collect();
-        let lut_of: Vec<usize> = (0..cts.len()).map(|i| i % 2).collect();
+        let lists: Vec<Vec<usize>> = (0..cts.len()).map(|i| vec![i % 2]).collect();
         let one_at_a_time: Vec<LweCiphertext> = cts
             .iter()
-            .zip(&lut_of)
-            .map(|(ct, &j)| server.programmable_bootstrap(ct, &luts[j]))
+            .zip(&lists)
+            .map(|(ct, list)| server.programmable_bootstrap(ct, &luts[list[0]]))
             .collect();
-        let request = BatchRequest::builder()
-            .ciphertexts(cts.clone())
-            .luts(luts.clone())
-            .selectors(lut_of.clone())
-            .build()
-            .expect("valid request");
+        let request =
+            BatchRequest::fanned_out(cts.clone(), luts.clone(), lists).expect("valid request");
         assert_eq!(
             server
                 .try_bootstrap_batch(&request)

@@ -47,8 +47,8 @@ pub use morphling_transform as transform;
 /// [`ServerKey`], the persistent [`BootstrapEngine`] with its
 /// health/fault-plan surface, and the deadline-aware dynamic-batching
 /// [`Dispatcher`] — plus the multi-value
-/// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`],
-/// [`MultiTicket`]), the service-resilience layer ([`RetryConfig`],
+/// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`]), the
+/// service-resilience layer ([`RetryConfig`],
 /// [`BreakerConfig`], the [`DispatcherBuilder`] that appends fallback
 /// tiers), the one event [`Journal`] they all record into, the multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
 /// [`TenantId`] and the in-memory/directory backends), the unified
@@ -65,7 +65,7 @@ pub mod prelude {
         BootstrapOptions, BootstrapWorkspace, Bootstrapper, BreakerConfig, ClientKey, DirBackend,
         Dispatcher, DispatcherBuilder, DispatcherStats, EngineHealth, EngineStats, FaultPlan,
         Journal, KeyBackend, KeyStore, KeyStoreBootstrapper, KeyStoreStats, LoadSpec, Lut,
-        LweCiphertext, MemoryBackend, MultiLutPlan, MultiTicket, ParamSet, RetryConfig, ServerKey,
-        ServiceModel, ServingConfig, SloTarget, TenantId, TfheError, TfheParams, Ticket,
+        LweCiphertext, MemoryBackend, MultiLutPlan, ParamSet, RetryConfig, ServerKey, ServiceModel,
+        ServingConfig, SloTarget, TenantId, TfheError, TfheParams, Ticket,
     };
 }
