@@ -37,7 +37,7 @@ pub struct AutotuneOutcome {
     pub stats: EngineStats,
     /// The calibrated service model.
     pub model: ServiceModel,
-    /// The search verdict (recommended config, predicted profile,
+    /// The search verdict (recommended config, predicted stats,
     /// trajectory).
     pub report: AutotuneReport,
     /// Wall time the search took.
@@ -52,7 +52,7 @@ impl AutotuneOutcome {
     /// or nothing was predicted to complete).
     pub fn p99_ratio(&self) -> Option<f64> {
         let measured = self.measured.as_ref()?.p99_latency.as_secs_f64();
-        let predicted = self.report.predicted.p99.as_secs_f64();
+        let predicted = self.report.predicted.p99_latency.as_secs_f64();
         (predicted > 0.0).then(|| measured / predicted)
     }
 }
@@ -143,11 +143,11 @@ pub fn config_json(outcome: &AutotuneOutcome) -> String {
 
 /// The `--bench-out` summary CI validates: target, calibration,
 /// recommendation, predicted profile, search size, and — when validation
-/// ran — the measured profile plus measured ÷ predicted p99. The measured
-/// `rejected` is every refusal at admission (the dispatcher's `rejected +
-/// shed`), as the predicted `shed` is.
+/// ran — the measured profile plus measured ÷ predicted p99. Both are
+/// [`DispatcherStats`]; the predicted `shed` and the measured `rejected`
+/// are each every refusal at admission (`rejected + shed`).
 pub fn bench_json(outcome: &AutotuneOutcome) -> String {
-    let r = &outcome.report;
+    let (r, p) = (&outcome.report, &outcome.report.predicted);
     let mut s = String::from("{\n");
     s.push_str(&format!(
         "  \"target\": {{\"rate_per_s\": {}, \"p99_ms\": {}}},\n",
@@ -172,12 +172,12 @@ pub fn bench_json(outcome: &AutotuneOutcome) -> String {
     ));
     s.push_str(&format!(
         "  \"predicted\": {{\"p50_ms\": {}, \"p99_ms\": {}, \"throughput_bs\": {}, \"mean_batch_size\": {}, \"shed\": {}, \"expired\": {}}},\n",
-        r.predicted.p50.as_secs_f64() * 1e3,
-        r.predicted.p99.as_secs_f64() * 1e3,
-        r.predicted.throughput_bs,
-        r.predicted.mean_batch_size,
-        r.predicted.shed,
-        r.predicted.expired
+        p.p50_latency.as_secs_f64() * 1e3,
+        p.p99_latency.as_secs_f64() * 1e3,
+        p.throughput_bs,
+        p.mean_batch_size,
+        p.rejected + p.shed,
+        p.expired
     ));
     s.push_str(&format!(
         "  \"search\": {{\"candidates\": {}, \"wall_ms\": {}}},\n",

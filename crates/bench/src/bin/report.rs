@@ -231,7 +231,7 @@ fn run_autotune(args: &[String]) {
         r.recommended.max_linger,
         r.recommended.queue_capacity,
         r.recommended.deadline_slack,
-        r.predicted.p99.as_secs_f64() * 1e3
+        r.predicted.p99_latency.as_secs_f64() * 1e3
     );
     if let (Some(m), Some(ratio)) = (&outcome.measured, outcome.p99_ratio()) {
         eprintln!(

@@ -380,15 +380,17 @@ impl ExecutionTrace {
     /// one `search` track: one span per candidate, 1 µs wide, at 1 µs
     /// pitch, named `wN bM` (workers/batch), `cat` `"autotune"` for
     /// feasible candidates and `"autotune_infeasible"` otherwise, with
-    /// every knob and the predicted profile in the args. Loading the
+    /// every knob and the predicted stats in the args (`shed` is every
+    /// refusal, `rejected + shed`). Loading the
     /// trace shows the search walking the config space and the feasible
     /// region lighting up.
     pub(crate) fn add_autotune_trajectory(&mut self, trajectory: &[SearchPoint]) {
         let track = self.track("Autotune", "search");
         for (i, p) in trajectory.iter().enumerate() {
+            let (c, stats) = (&p.config, &p.predicted);
             self.span_with_args(
                 track,
-                &format!("w{} b{}", p.workers, p.max_batch_size),
+                &format!("w{} b{}", c.workers, c.max_batch_size),
                 if p.feasible {
                     "autotune"
                 } else {
@@ -397,28 +399,28 @@ impl ExecutionTrace {
                 i as u64,
                 1,
                 vec![
-                    ("workers".into(), p.workers.to_string()),
-                    ("max_batch_size".into(), p.max_batch_size.to_string()),
-                    ("max_linger_us".into(), p.max_linger.as_micros().to_string()),
-                    ("queue_capacity".into(), p.queue_capacity.to_string()),
+                    ("workers".into(), c.workers.to_string()),
+                    ("max_batch_size".into(), c.max_batch_size.to_string()),
+                    ("max_linger_us".into(), c.max_linger.as_micros().to_string()),
+                    ("queue_capacity".into(), c.queue_capacity.to_string()),
                     (
                         "deadline_slack_us".into(),
-                        p.deadline_slack.as_micros().to_string(),
+                        c.deadline_slack.as_micros().to_string(),
                     ),
                     (
                         "predicted_p99_us".into(),
-                        p.predicted.p99.as_micros().to_string(),
+                        stats.p99_latency.as_micros().to_string(),
                     ),
                     (
                         "predicted_throughput_bs".into(),
-                        format!("{:.1}", p.predicted.throughput_bs),
+                        format!("{:.1}", stats.throughput_bs),
                     ),
                     (
                         "mean_batch_size".into(),
-                        format!("{:.2}", p.predicted.mean_batch_size),
+                        format!("{:.2}", stats.mean_batch_size),
                     ),
-                    ("shed".into(), p.predicted.shed.to_string()),
-                    ("expired".into(), p.predicted.expired.to_string()),
+                    ("shed".into(), (stats.rejected + stats.shed).to_string()),
+                    ("expired".into(), stats.expired.to_string()),
                     ("feasible".into(), p.feasible.to_string()),
                 ],
             );

@@ -53,7 +53,7 @@ fn autotune_on_the_simulated_accelerator_meets_a_real_slo() {
     req.requests = 256;
     let tuned = autotune(&model, &req).unwrap();
     assert!(tuned.slo_met, "quarter-capacity load must be servable");
-    assert!(tuned.predicted.p99 <= latency * 20);
+    assert!(tuned.predicted.p99_latency <= latency * 20);
     tuned.recommended.validate().unwrap();
 
     // The search trajectory renders as an `Autotune` track.

@@ -11,19 +11,21 @@
 //! [`Dispatcher`]'s serving core **itself**: the state machine in
 //! `policy.rs` that the batcher thread drives with the wall clock is
 //! driven here with virtual time — by the same loop the chaos sweep uses —
-//! and its profile is read off the core's own counts, the ones
-//! [`Dispatcher::stats`] reports, so there is no second copy of the policy
-//! or of its bookkeeping to keep honest. [`autotune`] grid-searches worker
-//! count, `max_batch_size`, `max_linger`, queue depth, and deadline
-//! slack over such simulations and emits the cheapest [`ServingConfig`]
-//! that meets the SLO — plus the full search [trajectory](SearchPoint),
-//! which `morphling_core::trace` renders as an `autotune` track in the
-//! Chrome trace.
+//! and its prediction is the core's own tally as a [`DispatcherStats`], the
+//! type and the numbers [`Dispatcher::stats`] reports, so there is no
+//! second copy of the policy, of its bookkeeping or of its profile type to
+//! keep honest. [`autotune`] grid-searches worker count,
+//! `max_batch_size`, `max_linger`, queue depth, and deadline slack over
+//! such simulations and emits the cheapest [`ServingConfig`] that meets
+//! the SLO — plus the full search [trajectory](SearchPoint), which
+//! `morphling_core::trace` renders as an `autotune` track in the Chrome
+//! trace.
 //!
 //! [`replay_open_loop`] is the load generator for checking a
 //! recommendation on the real stack: it drives a **real** dispatcher
 //! with the *same seeded arrival schedule* the simulation used and
-//! returns the dispatcher's [`DispatcherStats`]. How close measured
+//! returns the dispatcher's [`DispatcherStats`], field for field
+//! comparable with [`AutotuneReport::predicted`]. How close measured
 //! latency comes to the prediction depends on how well one calibration
 //! run captured the host (DESIGN.md §15), so `report autotune --validate`
 //! reports both and their ratio, and nothing gates on it.
@@ -43,7 +45,7 @@
 //! )
 //! .unwrap();
 //! assert!(report.slo_met);
-//! assert!(report.predicted.p99 <= Duration::from_millis(25));
+//! assert!(report.predicted.p99_latency <= Duration::from_millis(25));
 //! // `report.recommended` is a ServingConfig: serialize it, pin it,
 //! // or build the stack directly via Dispatcher::from_config.
 //! ```
@@ -218,45 +220,18 @@ impl LoadSpec {
 // Event-driven policy simulation
 // ---------------------------------------------------------------------------
 
-/// Latency profile predicted by `simulate` for one config under one
-/// load.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PredictedProfile {
-    /// Median end-to-end latency (arrival → batch completion).
-    pub p50: Duration,
-    /// 95th-percentile latency.
-    pub p95: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-    /// Completed bootstraps per second over the run.
-    pub throughput_bs: f64,
-    /// Batch members over batches (backend calls, counted at flush) — the
-    /// dynamic-batching figure of merit, as
-    /// [`DispatcherStats::mean_batch_size`].
-    pub mean_batch_size: f64,
-    /// Requests that completed.
-    pub completed: u64,
-    /// Requests dropped because their deadline passed before their batch
-    /// started (only with [`LoadSpec::deadline`]).
-    pub expired: u64,
-    /// Every refusal at admission: [`DispatcherStats`]' `rejected` (queue
-    /// full) plus its `shed` (breaker open).
-    pub shed: u64,
-    /// Fraction of the run the (single) batcher-server spent executing.
-    pub utilization: f64,
-}
-
 /// Replay `spec`'s arrival schedule through the dispatcher's batching
 /// policy under `cfg` on virtual time, with batch service times from
-/// `model`. Deterministic: same inputs, same profile.
+/// `model`. Deterministic: same inputs, same stats.
 ///
 /// This is the core's one virtual-time driver (`policy::drive`) under a
 /// backend that never fails and keeps the single batcher busy for
 /// [`ServiceModel::batch_service_ns`] per batch, every arrival offered as
-/// by `try_submit`; the profile is the core's tally, read as
-/// [`Dispatcher::stats`] reads it (latencies exact below 4 096 requests).
-/// The core runs `cfg`'s breaker, as the dispatcher does; against a backend
-/// that never fails it never opens.
+/// by `try_submit`; the result is the core's tally as the
+/// [`DispatcherStats`] that [`Dispatcher::stats`] would report for the
+/// same run (latencies exact below 4 096 requests). The core runs `cfg`'s
+/// breaker, as the dispatcher does; against a backend that never fails it
+/// never opens.
 ///
 /// # Errors
 ///
@@ -265,7 +240,7 @@ pub(crate) fn simulate(
     cfg: &ServingConfig,
     model: &ServiceModel,
     spec: &LoadSpec,
-) -> Result<PredictedProfile, TfheError> {
+) -> Result<DispatcherStats, TfheError> {
     cfg.validate()?;
     spec.validate()?;
     let budget = spec.deadline.map(dur_ns);
@@ -276,12 +251,7 @@ pub(crate) fn simulate(
     };
     let arrivals: Vec<Arrival> = spec.arrival_schedule_ns().into_iter().map(arrive).collect();
     let mut core = ServingCore::new(cfg, Arc::default(), &[]);
-    let mut busy_ns = 0u64;
-    let backend = |_, _, batch: &[_]| {
-        let service_ns = model.batch_service_ns(batch.len(), cfg.workers);
-        busy_ns += service_ns;
-        (service_ns, Ok(()))
-    };
+    let backend = |_, _, batch: &[_]| (model.batch_service_ns(batch.len(), cfg.workers), Ok(()));
     drive(
         &mut core,
         &arrivals,
@@ -290,19 +260,7 @@ pub(crate) fn simulate(
         |_, _| EngineHealth::Healthy,
         |_, _, _| {},
     );
-    let (stats, window_ns) = (core.tally().stats(), core.tally().window_ns());
-    Ok(PredictedProfile {
-        p50: stats.p50_latency,
-        p95: stats.p95_latency,
-        p99: stats.p99_latency,
-        throughput_bs: stats.throughput_bs,
-        mean_batch_size: stats.mean_batch_size,
-        completed: stats.completed,
-        expired: stats.expired,
-        shed: stats.rejected + stats.shed,
-        // Nothing ran in an empty window: busy is 0 there too.
-        utilization: (busy_ns as f64 / window_ns.max(1) as f64).min(1.0),
-    })
+    Ok(core.tally().stats())
 }
 
 // ---------------------------------------------------------------------------
@@ -330,10 +288,6 @@ pub struct AutotuneRequest {
     pub requests: usize,
     /// Seed for the simulated arrival schedules.
     pub seed: u64,
-    /// Template config: retry / breaker / key-budget sections (and any
-    /// knob the search does not touch) are carried into the
-    /// recommendation verbatim.
-    pub base: ServingConfig,
 }
 
 impl AutotuneRequest {
@@ -345,33 +299,25 @@ impl AutotuneRequest {
             max_workers: 8,
             requests: 512,
             seed: 0xA77,
-            base: ServingConfig::default(),
         }
     }
 }
 
-/// One evaluated candidate: the knobs tried and the profile the
-/// simulator predicted for them. The ordered list of these is the search
-/// trajectory, journaled into the Chrome trace as the `autotune` track.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// One evaluated candidate: the config tried and the stats the simulator
+/// predicted for it. The ordered list of these is the search trajectory,
+/// journaled into the Chrome trace as the `autotune` track.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SearchPoint {
-    /// Worker count tried.
-    pub workers: usize,
-    /// `max_batch_size` tried.
-    pub max_batch_size: usize,
-    /// `max_linger` tried.
-    pub max_linger: Duration,
-    /// `queue_capacity` tried.
-    pub queue_capacity: usize,
-    /// `deadline_slack` tried.
-    pub deadline_slack: Duration,
+    /// The config tried: [`ServingConfig::default`] with the five searched
+    /// knobs set.
+    pub config: ServingConfig,
     /// What the simulator predicted.
-    pub predicted: PredictedProfile,
-    /// Did this candidate meet the SLO with nothing shed or expired?
+    pub predicted: DispatcherStats,
+    /// Did this candidate meet the SLO with nothing refused or expired?
     pub feasible: bool,
 }
 
-/// The autotuner's verdict: a recommended config, its predicted profile,
+/// The autotuner's verdict: a recommended config, its predicted stats,
 /// and the full search trajectory.
 #[derive(Clone, Debug)]
 pub struct AutotuneReport {
@@ -381,9 +327,9 @@ pub struct AutotuneReport {
     /// best-effort config with the lowest predicted p99 (see
     /// [`slo_met`](Self::slo_met)).
     pub recommended: ServingConfig,
-    /// The profile the simulator predicts for
+    /// The stats the simulator predicts for
     /// [`recommended`](Self::recommended).
-    pub predicted: PredictedProfile,
+    pub predicted: DispatcherStats,
     /// Whether any candidate met the SLO; `false` means
     /// [`recommended`](Self::recommended) is best-effort only.
     pub slo_met: bool,
@@ -428,7 +374,7 @@ fn queue_candidates(target: &SloTarget) -> Vec<usize> {
 /// `model`.
 ///
 /// Feasibility requires the simulated run to complete **every** request
-/// (nothing shed, nothing expired) with p99 at or under the SLO; the
+/// (nothing refused, nothing expired) with p99 at or under the SLO; the
 /// simulation carries per-request deadlines equal to the SLO, so the
 /// recommended config also bounds late work by construction. Among
 /// feasible candidates the search prefers fewer workers, then larger
@@ -438,10 +384,9 @@ fn queue_candidates(target: &SloTarget) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// [`TfheError::InvalidServingConfig`] on a degenerate base config,
-/// target, or search request.
+/// [`TfheError::InvalidServingConfig`] on a degenerate target or search
+/// request.
 pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneReport, TfheError> {
-    req.base.validate()?;
     if !req.target.rate_per_s.is_finite() || req.target.rate_per_s <= 0.0 {
         return Err(invalid(
             "target.rate_per_s",
@@ -461,79 +406,73 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
         return Err(invalid("requests", "must be at least 1 (got 0)".into()));
     }
     let slo = req.target.p99;
+    let spec = LoadSpec {
+        rate_per_s: req.target.rate_per_s,
+        requests: req.requests,
+        seed: req.seed,
+        deadline: Some(slo),
+    };
     let batch_grid = [1usize, 2, 4, 8, 16, 32];
     let lingers = linger_candidates(slo);
     let slacks = slack_candidates(slo);
     let queues = queue_candidates(&req.target);
     let mut trajectory = Vec::new();
-    // A feasible point prefers fewer workers, then larger batches, then
-    // lower p99; a best effort fewer losses, then lower p99.
-    let rank = |p: &SearchPoint| (p.workers, Reverse(p.max_batch_size), p.predicted.p99);
-    let loss = |p: &SearchPoint| (p.predicted.shed + p.predicted.expired, p.predicted.p99);
-    let mut best_feasible: Option<SearchPoint> = None;
-    let mut best_effort: Option<SearchPoint> = None;
     for workers in 1..=req.max_workers {
         for &max_batch_size in &batch_grid {
             for &max_linger in &lingers {
                 for &queue_capacity in &queues {
                     for &deadline_slack in &slacks {
-                        let mut cfg = req.base.clone();
-                        cfg.workers = workers;
-                        cfg.max_batch_size = max_batch_size;
-                        cfg.max_linger = max_linger;
-                        cfg.queue_capacity = queue_capacity;
-                        cfg.deadline_slack = deadline_slack;
-                        let spec = LoadSpec {
-                            rate_per_s: req.target.rate_per_s,
-                            requests: req.requests,
-                            seed: req.seed,
-                            deadline: Some(slo),
-                        };
-                        let predicted = simulate(&cfg, model, &spec)?;
-                        let feasible = predicted.shed == 0
-                            && predicted.expired == 0
-                            && predicted.completed == req.requests as u64
-                            && predicted.p99 <= slo;
-                        let point = SearchPoint {
+                        let config = ServingConfig {
                             workers,
                             max_batch_size,
                             max_linger,
                             queue_capacity,
                             deadline_slack,
+                            ..ServingConfig::default()
+                        };
+                        let predicted = simulate(&config, model, &spec)?;
+                        let feasible = lost(&predicted) == 0
+                            && predicted.completed == req.requests as u64
+                            && predicted.p99_latency <= slo;
+                        trajectory.push(SearchPoint {
+                            config,
                             predicted,
                             feasible,
-                        };
-                        trajectory.push(point);
-                        if feasible && best_feasible.is_none_or(|b| rank(&point) < rank(&b)) {
-                            best_feasible = Some(point);
-                        }
-                        if best_effort.is_none_or(|b| loss(&point) < loss(&b)) {
-                            best_effort = Some(point);
-                        }
+                        });
                     }
                 }
             }
         }
     }
-    let (winner, slo_met) = match (best_feasible, best_effort) {
-        (Some(point), _) => (point, true),
-        (None, Some(point)) => (point, false),
-        // Unreachable: every grid has at least one candidate.
-        (None, None) => return Err(invalid("max_workers", "search space is empty".into())),
+    // A feasible point prefers fewer workers, then larger batches, then
+    // lower p99; a best effort fewer losses, then lower p99. Ties go to
+    // the earlier point.
+    let rank = |p: &&SearchPoint| {
+        let (c, p99) = (&p.config, p.predicted.p99_latency);
+        (c.workers, Reverse(c.max_batch_size), p99)
     };
-    let mut recommended = req.base.clone();
-    recommended.workers = winner.workers;
-    recommended.max_batch_size = winner.max_batch_size;
-    recommended.max_linger = winner.max_linger;
-    recommended.queue_capacity = winner.queue_capacity;
-    recommended.deadline_slack = winner.deadline_slack;
+    let loss = |p: &&SearchPoint| (lost(&p.predicted), p.predicted.p99_latency);
+    let (winner, slo_met) = match trajectory.iter().filter(|p| p.feasible).min_by_key(rank) {
+        Some(point) => (point, true),
+        // Every grid has at least one candidate.
+        None => (
+            trajectory.iter().min_by_key(loss).expect("a candidate"),
+            false,
+        ),
+    };
     Ok(AutotuneReport {
         target: req.target,
-        recommended,
-        predicted: winner.predicted,
+        recommended: winner.config.clone(),
+        predicted: winner.predicted.clone(),
         slo_met,
         trajectory,
     })
+}
+
+/// Requests a run lost: every refusal at admission (`rejected + shed`) and
+/// every expiry.
+fn lost(stats: &DispatcherStats) -> u64 {
+    stats.rejected + stats.shed + stats.expired
 }
 
 // ---------------------------------------------------------------------------
@@ -545,7 +484,7 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
 /// [`DispatcherStats`] once every admitted request has resolved. Run it
 /// against a dispatcher built from [`AutotuneReport::recommended`] to see
 /// the recommendation serve real traffic; its `p99_latency` over
-/// [`PredictedProfile::p99`] says how well the [`ServiceModel`] was
+/// [`AutotuneReport::predicted`]'s says how well the [`ServiceModel`] was
 /// calibrated, not whether the policy was modelled right — both sides run
 /// the same policy code and read the same counts.
 ///
@@ -639,10 +578,10 @@ mod tests {
         let spec = LoadSpec::new(1.0, 64);
         let p = simulate(&cfg, &model, &spec).unwrap();
         assert_eq!(p.completed, 64);
-        assert_eq!(p.shed, 0);
+        assert_eq!(p.rejected + p.shed, 0);
         assert_eq!(p.expired, 0);
-        assert_eq!(p.p50, Duration::from_millis(1));
-        assert_eq!(p.p99, Duration::from_millis(1));
+        assert_eq!(p.p50_latency, Duration::from_millis(1));
+        assert_eq!(p.p99_latency, Duration::from_millis(1));
         assert!((p.mean_batch_size - 1.0).abs() < 1e-9);
     }
 
@@ -660,8 +599,8 @@ mod tests {
         let model = model_ms(1000);
         let spec = LoadSpec::new(10.0, 100);
         let p = simulate(&cfg, &model, &spec).unwrap();
-        assert!(p.shed > 0, "overload must shed: {p:?}");
-        assert_eq!(p.completed + p.expired + p.shed, 100, "conservation");
+        assert!(p.rejected + p.shed > 0, "overload must shed: {p:?}");
+        assert_eq!(lost(&p) + p.completed, 100, "conservation");
     }
 
     #[test]
@@ -709,10 +648,11 @@ mod tests {
         };
         let p = simulate(&cfg, &model, &spec).unwrap();
         assert!(p.expired > 0, "late work must expire: {p:?}");
-        assert_eq!(p.completed + p.expired + p.shed, 50, "conservation");
+        assert_eq!(lost(&p) + p.completed, 50, "conservation");
         // An executed request started within budget, so its end-to-end
         // latency is bounded by budget + service time.
-        assert!(p.p99 <= Duration::from_millis(100) + Duration::from_millis(1000) + cfg.max_linger);
+        let bound = Duration::from_millis(100) + Duration::from_millis(1000) + cfg.max_linger;
+        assert!(p.p99_latency <= bound);
     }
 
     #[test]
@@ -724,8 +664,8 @@ mod tests {
         });
         let report = autotune(&model, &req).unwrap();
         assert!(report.slo_met, "1 ms bootstraps can serve 200/s @ 25 ms");
-        assert!(report.predicted.p99 <= Duration::from_millis(25));
-        assert_eq!(report.predicted.shed, 0);
+        assert!(report.predicted.p99_latency <= Duration::from_millis(25));
+        assert_eq!(report.predicted.rejected + report.predicted.shed, 0);
         assert_eq!(report.predicted.expired, 0);
         report.recommended.validate().unwrap();
         assert!(!report.trajectory.is_empty());

@@ -23,7 +23,8 @@ pub fn modulus_switch(ct: &LweCiphertext, two_n: u64) -> (Vec<u64>, u64) {
 /// include the initial `X^(−b̃)` rotation of the test polynomial. With a
 /// warm `ws` the whole rotation touches no allocator at all (the software
 /// analogue of the paper keeping ACC resident in Private-A1 for the
-/// entire bootstrap).
+/// entire bootstrap). This is [`blind_rotate_assign_many`] on one
+/// accumulator.
 ///
 /// # Panics
 ///
@@ -35,34 +36,25 @@ pub fn blind_rotate_assign(
     mask_exponents: &[u64],
     ws: &mut BootstrapWorkspace,
 ) {
-    assert_eq!(
-        mask_exponents.len(),
-        bsk.lwe_dim(),
-        "mask length must equal the LWE dimension"
-    );
-    for (i, &a_tilde) in mask_exponents.iter().enumerate() {
-        if a_tilde == 0 {
-            // X^0 − 1 = 0: the external product would add an encryption of
-            // zero. Hardware still spends the cycles; functionally a no-op.
-            continue;
-        }
-        engine.rotate_cmux_into(bsk.fourier(i), acc, a_tilde as i64, ws);
-    }
+    let accs = std::slice::from_mut(acc);
+    blind_rotate_assign_many(engine, bsk, accs, &[mask_exponents], ws);
 }
 
 /// [`blind_rotate_assign`] for several independent accumulators sharing
 /// one bootstrapping key, with the loops interchanged: CMUX step outer,
 /// request inner. Every request performs exactly the external products it
 /// would perform alone, in the same order, so results are **bit-identical**
-/// to calling [`blind_rotate_assign`] once per request; what changes is
-/// that `BSK_i` — the one operand too large to stay cached across a whole
-/// rotation (the Fourier key is ~100 MB at the paper's sets) — is fetched
-/// from memory once per step for the whole chunk instead of once per
-/// request. This is the paper's batch BSK reuse (§IV-C: consecutive ACC
-/// streams share each `BSK_i` while it sits in Private-A2), with the
-/// chunk's accumulators playing Private-A1.
+/// to rotating each accumulator on its own; what changes is that `BSK_i`
+/// — the one operand too large to stay cached across a whole rotation
+/// (the Fourier key is ~100 MB at the paper's sets) — is fetched from
+/// memory once per step for the whole chunk instead of once per request.
+/// This is the paper's batch BSK reuse (§IV-C: consecutive ACC streams
+/// share each `BSK_i` while it sits in Private-A2), with the chunk's
+/// accumulators playing Private-A1.
 ///
-/// Allocation-free, like the per-request path.
+/// Allocation-free with a warm `ws`. A step whose exponent `ã_i` is 0 is
+/// skipped: `X^0 − 1 = 0`, so the external product would add an
+/// encryption of zero (hardware still spends the cycles).
 ///
 /// # Panics
 ///
@@ -73,13 +65,13 @@ pub fn blind_rotate_assign_many(
     engine: &ExternalProductEngine,
     bsk: &BootstrapKey,
     accs: &mut [GlweCiphertext],
-    masks: &[Vec<u64>],
+    masks: &[impl AsRef<[u64]>],
     ws: &mut BootstrapWorkspace,
 ) {
     assert_eq!(accs.len(), masks.len(), "one mask per accumulator required");
     for mask in masks {
         assert_eq!(
-            mask.len(),
+            mask.as_ref().len(),
             bsk.lwe_dim(),
             "mask length must equal the LWE dimension"
         );
@@ -87,8 +79,9 @@ pub fn blind_rotate_assign_many(
     for i in 0..bsk.lwe_dim() {
         let bsk_i = bsk.fourier(i);
         for (acc, mask) in accs.iter_mut().zip(masks) {
-            if mask[i] != 0 {
-                engine.rotate_cmux_into(bsk_i, acc, mask[i] as i64, ws);
+            let a_tilde = mask.as_ref()[i];
+            if a_tilde != 0 {
+                engine.rotate_cmux_into(bsk_i, acc, a_tilde as i64, ws);
             }
         }
     }

@@ -52,8 +52,8 @@
 //!   micro-batch under exactly one pinned key; [`DispatcherStats`]
 //!   breaks latency out [per tenant](TenantDispatchStats); a store wired
 //!   in via [`DispatcherBuilder::key_store`] hears the queue's tenant
-//!   order on every flush, to evict by next queued use, and its
-//!   hit/miss/eviction counters fold into the stats;
+//!   order on every flush, to evict by next queued use (its
+//!   hit/miss/eviction counters stay its own, [`KeyStore::stats`]);
 //! - the front-end is fault-aware (see [`crate::resilience`]), and it is
 //!   the one layer that retries a *request*: under an optional
 //!   [`RetryConfig`](crate::RetryConfig) the members of a batch that hit a
@@ -304,11 +304,10 @@ impl DispatchSpan {
     }
 }
 
-/// Aggregate dispatcher metrics (see [`Dispatcher::stats`]). Every count
-/// but the `key_*` ones is the serving core's, and one read is one
-/// consistent snapshot: `submitted ≥ completed + failed + cancelled +
-/// expired` (equal once everything admitted has resolved) and `batched ≥
-/// completed` hold on every read.
+/// Aggregate dispatcher metrics (see [`Dispatcher::stats`]), all the
+/// serving core's counts. One read is one consistent snapshot: `submitted
+/// ≥ completed + failed + cancelled + expired` (equal once everything
+/// admitted has resolved) and `batched ≥ completed` hold on every read.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DispatcherStats {
     /// Requests admitted to the queue.
@@ -361,15 +360,6 @@ pub struct DispatcherStats {
     /// for requests submitted with a tenant
     /// ([`Dispatcher::submit_for`] and friends).
     pub per_tenant: Vec<TenantDispatchStats>,
-    /// Key-cache hits, when a [`KeyStore`] is wired in via
-    /// [`DispatcherBuilder::key_store`] (0 otherwise).
-    pub key_hits: u64,
-    /// Key-cache misses.
-    pub key_misses: u64,
-    /// Key-cache evictions.
-    pub key_evictions: u64,
-    /// Key bytes currently resident in the cache.
-    pub key_bytes_resident: u64,
 }
 
 /// One tenant's slice of [`DispatcherStats`]: completion count and
@@ -650,19 +640,11 @@ impl Dispatcher {
 
     /// Aggregate metrics since construction: one consistent snapshot of
     /// the serving core's counts, copied under its lock (sorted for the
-    /// percentiles after the lock is dropped), plus the wired key store's
-    /// counters.
+    /// percentiles after the lock is dropped). A wired key store's
+    /// counters are its own [`KeyStore::stats`].
     pub fn stats(&self) -> DispatcherStats {
         let tally = lock(&self.shared.core).tally().clone();
-        let mut stats = tally.stats();
-        if let Some(store) = &self.shared.key_store {
-            let key = store.stats();
-            stats.key_hits = key.hits;
-            stats.key_misses = key.misses;
-            stats.key_evictions = key.evictions;
-            stats.key_bytes_resident = key.bytes_resident;
-        }
-        stats
+        tally.stats()
     }
 
     /// The per-request queue/execute journal: one
@@ -1856,7 +1838,7 @@ mod tests {
     }
 
     #[test]
-    fn keystore_backed_dispatcher_reports_cache_counters() {
+    fn keystore_backed_dispatcher_serves_warm_keys_from_the_cache() {
         use crate::keystore::{KeyStoreBootstrapper, MemoryBackend};
 
         let mut rng = StdRng::seed_from_u64(0xD15);
@@ -1909,17 +1891,13 @@ mod tests {
                 .unwrap();
             assert_eq!(ck.decrypt(&out), 1, "warm tenant {t}");
         }
-        let stats = d.stats();
-        assert_eq!(stats.completed, 8);
+        assert_eq!(d.stats().completed, 8);
         // One cold miss per tenant, hits after that, nothing evicted.
-        assert_eq!(stats.key_misses, 2);
-        assert_eq!(stats.key_evictions, 0);
-        assert!(stats.key_hits >= 1, "warm batches must hit the cache");
-        assert!(stats.key_bytes_resident > 0);
-        // Dispatcher stats agree with the store's own counters.
         let ks = store.stats();
-        assert_eq!(stats.key_hits, ks.hits);
-        assert_eq!(stats.key_misses, ks.misses);
+        assert_eq!(ks.misses, 2);
+        assert_eq!(ks.evictions, 0);
+        assert!(ks.hits >= 1, "warm batches must hit the cache");
+        assert!(ks.bytes_resident > 0);
         // All pins were released once the batches finished.
         let events = store.journal().events();
         let pins = events.iter().filter(|e| e.kind.label() == "pin").count();

@@ -101,7 +101,7 @@ use std::time::Duration;
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
-use crate::faults::{corrupt_ciphertext, fault_key, FaultInjector, FaultPlan, FaultSite};
+use crate::faults::{corrupt_ciphertext, fault_key, FaultPlan, FaultSite};
 use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
 use crate::params::TfheParams;
@@ -558,7 +558,7 @@ struct Shared {
     changed: Condvar,
     journal: Arc<Journal>,
     server: Arc<ServerKey>,
-    injector: FaultInjector,
+    plan: FaultPlan,
     output_check: Option<OutputCheck>,
 }
 
@@ -596,20 +596,20 @@ fn run_job(
     job: &Job<Arc<BatchRequest>>,
     ws: &mut BootstrapWorkspace,
 ) -> Ran<LweCiphertext> {
-    let injector = &shared.injector;
+    let plan = &shared.plan;
     let mut corrupt = Vec::with_capacity(job.range.len());
     for i in job.range.clone() {
         let key = fault_key(job.batch, i);
-        if injector.fires(FaultSite::WorkerPanic, key, job.attempt) {
+        if plan.fires(FaultSite::WorkerPanic, key, job.attempt) {
             panic!(
                 "injected fault: worker panic (batch {} ct {i} attempt {})",
                 job.batch, job.attempt
             );
         }
-        if injector.fires(FaultSite::WedgedJob, key, job.attempt) {
-            std::thread::sleep(injector.plan().wedge);
+        if plan.fires(FaultSite::WedgedJob, key, job.attempt) {
+            std::thread::sleep(plan.wedge);
         }
-        corrupt.push(injector.fires(FaultSite::CorruptOutput, key, job.attempt));
+        corrupt.push(plan.fires(FaultSite::CorruptOutput, key, job.attempt));
     }
     let items = job.req.items(job.range.clone());
     let mut outs = match shared.server.try_bootstrap_chunk(&items, ws) {
@@ -823,7 +823,7 @@ impl BootstrapEngineBuilder {
             changed: Condvar::new(),
             journal,
             server,
-            injector: FaultInjector::new(self.fault_plan),
+            plan: self.fault_plan,
             output_check: self.output_check,
         });
         let handles = (0..workers)
@@ -1496,7 +1496,7 @@ mod tests {
         seed: u64,
         sup: Supervisor<(), u64>,
         journal: Arc<Journal>,
-        injector: FaultInjector,
+        plan: FaultPlan,
         check: bool,
         budget: u32,
         workers: Vec<Worker>,
@@ -1517,10 +1517,7 @@ mod tests {
         /// plan's decisions for its ciphertexts at its attempt, as
         /// `run_job` makes them.
         fn run(&self, job: &Job<()>, rng: &mut StdRng) -> (u64, Ran<u64>) {
-            let fires = |site, i| {
-                self.injector
-                    .fires(site, fault_key(job.batch, i), job.attempt)
-            };
+            let fires = |site, i| self.plan.fires(site, fault_key(job.batch, i), job.attempt);
             let mut range = job.range.clone();
             let wedged = range.clone().any(|i| fires(FaultSite::WedgedJob, i));
             let cost = job.range.len() as u64 * rng.gen_range(1..=3u64) + u64::from(wedged) * WEDGE;
@@ -1824,7 +1821,7 @@ mod tests {
             seed,
             sup: Supervisor::new(workers, budget, max_retries, timeout, Arc::clone(&journal)),
             journal,
-            injector: FaultInjector::new(plan),
+            plan,
             check: rng.gen(),
             budget,
             workers: (0..workers).map(|_| Worker::Idle).collect(),

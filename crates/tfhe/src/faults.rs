@@ -16,9 +16,12 @@
 //! component makes injected faults *transient*: a retried bootstrap rolls
 //! a fresh decision, so bounded retry converges.
 //!
-//! A zero-rate [`FaultPlan`] (the default) is a guaranteed no-op: every
-//! [`FaultInjector::fires`] call short-circuits before hashing, so the
-//! hot path costs three float compares per bootstrap.
+//! A [`FaultPlan`] is its own decision oracle: [`FaultPlan::fires`] is a
+//! pure function of the plan and its arguments, safe to ask from any
+//! thread in any order, so a test predicts the engine's faults by asking
+//! the plan it gave the engine. A zero-rate plan (the default) is a
+//! guaranteed no-op: every `fires` call short-circuits before hashing, so
+//! the hot path costs three float compares per bootstrap.
 
 use std::time::Duration;
 
@@ -134,44 +137,19 @@ impl FaultPlan {
             FaultSite::CorruptOutput => self.corrupt_output,
         }
     }
-}
-
-/// Stateless decision oracle over a [`FaultPlan`]. Cheap to share
-/// (`Copy`) and safe to query from any thread in any order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wrap a plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self { plan }
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 
     /// Deterministic Bernoulli trial: does `site` fire for (`key`,
     /// `attempt`)? `key` must be stable across runs (e.g. `batch << 32 |
     /// ciphertext index`); `attempt` distinguishes retries so injected
     /// faults are transient.
     pub fn fires(&self, site: FaultSite, key: u64, attempt: u32) -> bool {
-        decide(
-            self.plan.seed,
-            site.domain(),
-            key,
-            attempt,
-            self.plan.rate(site),
-        )
+        decide(self.seed, site.domain(), key, attempt, self.rate(site))
     }
 }
 
 /// One deterministic Bernoulli decision: `true` with probability `rate`,
 /// as a pure function of `(seed, domain, key, attempt)`: what
-/// [`FaultInjector::fires`] asks for each site.
+/// [`FaultPlan::fires`] asks for each site.
 pub fn decide(seed: u64, domain: u64, key: u64, attempt: u32, rate: f64) -> bool {
     if rate <= 0.0 {
         return false;
@@ -248,27 +226,27 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_is_noop() {
-        let inj = FaultInjector::new(FaultPlan::seeded(42));
+        let plan = FaultPlan::seeded(42);
         for key in 0..1000 {
             for site in [
                 FaultSite::WorkerPanic,
                 FaultSite::WedgedJob,
                 FaultSite::CorruptOutput,
             ] {
-                assert_eq!(inj.plan().rate(site), 0.0);
-                assert!(!inj.fires(site, key, 0));
+                assert_eq!(plan.rate(site), 0.0);
+                assert!(!plan.fires(site, key, 0));
             }
         }
     }
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
-        let a = FaultInjector::new(FaultPlan::seeded(1).with_worker_panic(0.5));
-        let b = FaultInjector::new(FaultPlan::seeded(1).with_worker_panic(0.5));
-        let c = FaultInjector::new(FaultPlan::seeded(2).with_worker_panic(0.5));
-        let fire = |inj: &FaultInjector| -> Vec<bool> {
+        let a = FaultPlan::seeded(1).with_worker_panic(0.5);
+        let b = FaultPlan::seeded(1).with_worker_panic(0.5);
+        let c = FaultPlan::seeded(2).with_worker_panic(0.5);
+        let fire = |plan: &FaultPlan| -> Vec<bool> {
             (0..256)
-                .map(|k| inj.fires(FaultSite::WorkerPanic, k, 0))
+                .map(|k| plan.fires(FaultSite::WorkerPanic, k, 0))
                 .collect()
         };
         assert_eq!(fire(&a), fire(&b), "same seed must replay identically");
@@ -277,10 +255,10 @@ mod tests {
 
     #[test]
     fn rates_are_respected_statistically() {
-        let inj = FaultInjector::new(FaultPlan::seeded(7).with_worker_panic(0.25));
+        let plan = FaultPlan::seeded(7).with_worker_panic(0.25);
         let n = 20_000;
         let hits = (0..n)
-            .filter(|&k| inj.fires(FaultSite::WorkerPanic, k, 0))
+            .filter(|&k| plan.fires(FaultSite::WorkerPanic, k, 0))
             .count();
         let frac = hits as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "empirical rate {frac}");
@@ -288,28 +266,26 @@ mod tests {
 
     #[test]
     fn sites_roll_independent_streams() {
-        let inj = FaultInjector::new(
-            FaultPlan::seeded(9)
-                .with_worker_panic(0.5)
-                .with_corrupt_output(0.5),
-        );
+        let plan = FaultPlan::seeded(9)
+            .with_worker_panic(0.5)
+            .with_corrupt_output(0.5);
         let panic: Vec<bool> = (0..256)
-            .map(|k| inj.fires(FaultSite::WorkerPanic, k, 0))
+            .map(|k| plan.fires(FaultSite::WorkerPanic, k, 0))
             .collect();
         let corrupt: Vec<bool> = (0..256)
-            .map(|k| inj.fires(FaultSite::CorruptOutput, k, 0))
+            .map(|k| plan.fires(FaultSite::CorruptOutput, k, 0))
             .collect();
         assert_ne!(panic, corrupt, "site streams must not alias");
     }
 
     #[test]
     fn attempts_reroll_the_decision() {
-        let inj = FaultInjector::new(FaultPlan::seeded(11).with_worker_panic(0.5));
+        let plan = FaultPlan::seeded(11).with_worker_panic(0.5);
         // Some key that fires at attempt 0 must eventually clear on retry.
         let key = (0..1000)
-            .find(|&k| inj.fires(FaultSite::WorkerPanic, k, 0))
+            .find(|&k| plan.fires(FaultSite::WorkerPanic, k, 0))
             .expect("a firing key exists at rate 0.5");
-        let clears = (1..32).any(|a| !inj.fires(FaultSite::WorkerPanic, key, a));
+        let clears = (1..32).any(|a| !plan.fires(FaultSite::WorkerPanic, key, a));
         assert!(clears, "retries must be able to clear an injected fault");
     }
 

@@ -37,7 +37,9 @@
 //!   holding the pin for the duration of the batch.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
@@ -153,17 +155,36 @@ impl DirBackend {
         self.root.join(format!("tenant-{}.key", tenant.raw()))
     }
 
-    /// Write a serialized blob for `tenant`.
+    /// Write a serialized blob for `tenant`, replacing any previous one
+    /// whole: the blob goes to a temporary file in the same directory,
+    /// named uniquely per writer, which is then renamed over the key. A
+    /// concurrent `load` reads the old blob or the new one, never a
+    /// prefix of either.
     ///
     /// # Errors
     ///
     /// [`TfheError::KeyCorrupted`] wrapping the I/O failure, if any.
     pub fn store(&self, tenant: TenantId, blob: &[u8]) -> Result<(), TfheError> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.root).map_err(|e| TfheError::KeyCorrupted {
             detail: format!("cannot create key directory {}: {e}", self.root.display()),
         })?;
-        std::fs::write(self.path_for(tenant), blob).map_err(|e| TfheError::KeyCorrupted {
-            detail: format!("cannot write key for {tenant}: {e}"),
+        let path = self.path_for(tenant);
+        let writer = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("key.tmp-{}-{writer}", std::process::id()));
+        let written = (|| {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(blob)?;
+            // The data is durable before the name points at it, so a
+            // crash leaves the old key or the new one, not an empty file.
+            file.sync_all()?;
+            std::fs::rename(&tmp, &path)
+        })();
+        written.map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            TfheError::KeyCorrupted {
+                detail: format!("cannot write key for {tenant}: {e}"),
+            }
         })
     }
 }
@@ -803,6 +824,41 @@ mod tests {
             TfheError::KeyNotFound { tenant: 4 }
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_backend_store_never_tears_a_concurrent_load() {
+        // A key rotation replaces the file whole: a load racing 200
+        // re-stores of a key reads a complete blob every time.
+        let mut rng = StdRng::seed_from_u64(0xA7);
+        let ck = ClientKey::generate(ParamSet::Test.params(), &mut rng);
+        let blob = crate::serialize::serialize_server_key(&ServerKey::new(&ck, &mut rng));
+        let dir = std::env::temp_dir().join(format!("morphling-key-race-{}", std::process::id()));
+        let backend = DirBackend::new(&dir);
+        let tenant = TenantId::new(5);
+        backend.store(tenant, &blob).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (loads, torn) = std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..200 {
+                    backend.store(tenant, &blob).unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            let (mut loads, mut torn) = (0u32, 0u32);
+            loop {
+                let loaded = backend
+                    .load(tenant)
+                    .and_then(|b| deserialize_server_key(&b));
+                loads += 1;
+                torn += u32::from(loaded.is_err());
+                if done.load(Ordering::Acquire) {
+                    break (loads, torn);
+                }
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(torn, 0, "{torn} of {loads} loads read a torn blob");
     }
 
     /// One virtual client of the sweep: at most one pin or one load.

@@ -109,8 +109,7 @@ pub mod serving;
 mod workspace;
 
 pub use autotune::{
-    AutotuneReport, AutotuneRequest, LoadSpec, PredictedProfile, SearchPoint, ServiceModel,
-    SloTarget,
+    AutotuneReport, AutotuneRequest, LoadSpec, SearchPoint, ServiceModel, SloTarget,
 };
 pub use bootstrap::{
     blind_rotate_assign, blind_rotate_assign_many, modulus_switch, sample_extract,
@@ -121,7 +120,7 @@ pub use dispatch::{DispatchSpan, Dispatcher, DispatcherBuilder, DispatcherStats,
 pub use engine::{BootstrapEngine, BootstrapEngineBuilder, EngineHealth, EngineStats, OutputCheck};
 pub use error::TfheError;
 pub use external_product::ExternalProductEngine;
-pub use faults::{FaultInjector, FaultPlan, FaultSite};
+pub use faults::{FaultPlan, FaultSite};
 pub use ggsw::{FourierGgsw, GgswCiphertext};
 pub use glwe::GlweCiphertext;
 pub use journal::{Event, EventKind, Journal, Who};

@@ -231,16 +231,11 @@ impl Tally {
         self.batches
     }
 
-    /// First admission to last completion, in ns (0 before both).
-    pub(crate) fn window_ns(&self) -> u64 {
-        self.first_ns
-            .map_or(0, |first| self.last_ns.saturating_sub(first))
-    }
-
-    /// The counts as [`DispatcherStats`], the `key_*` fields zero.
+    /// The counts as [`DispatcherStats`].
     pub(crate) fn stats(&self) -> DispatcherStats {
         let completed = self.latencies.seen;
-        let window_ns = self.window_ns();
+        // First admission to last completion (0 before both).
+        let window_ns = (self.first_ns).map_or(0, |first| self.last_ns.saturating_sub(first));
         let ratio = |n: u64, d: f64| if d > 0.0 { n as f64 / d } else { 0.0 };
         let [p50, p95, p99] = quantiles(&self.latencies);
         let per_tenant = self.per_tenant.iter().map(|(&tenant, r)| {
@@ -272,7 +267,6 @@ impl Tally {
             p99_latency: p99,
             throughput_bs: ratio(completed, window_ns as f64 / 1e9),
             per_tenant: per_tenant.collect(),
-            ..DispatcherStats::default()
         }
     }
 }

@@ -23,7 +23,7 @@ use morphling_math::TorusScalar;
 use morphling_tfhe::faults::{corrupt_ciphertext, fault_key};
 use morphling_tfhe::{
     noise, BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineHealth, Event, EventKind,
-    FaultInjector, FaultPlan, FaultSite, Lut, LweCiphertext, ParamSet, ServerKey, TfheError,
+    FaultPlan, FaultSite, Lut, LweCiphertext, ParamSet, ServerKey, TfheError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,7 +151,7 @@ fn chaos_corrupted_outputs_are_caught_by_the_sanity_check() {
 
 /// A worker bootstraps its chunk as a whole (one fetch of each `BSK_i`
 /// for all of it), but faults stay keyed per ciphertext and attempt: the
-/// outcomes are exactly those the stateless injector predicts for
+/// outcomes are exactly those the plan itself predicts for
 /// `fault_key(batch, i)`, whatever the chunking.
 #[test]
 fn chaos_fault_keys_stay_per_ciphertext_on_the_chunked_path() {
@@ -163,7 +163,6 @@ fn chaos_fault_keys_stay_per_ciphertext_on_the_chunked_path() {
     // Corruption with no output check installed: precisely the predicted
     // ciphertexts of the first batch come back tampered.
     let plan = FaultPlan::seeded(0xABCD).with_corrupt_output(0.4);
-    let oracle = FaultInjector::new(plan);
     let engine = BootstrapEngine::builder()
         .workers(2)
         .chunk_size(4)
@@ -173,7 +172,7 @@ fn chaos_fault_keys_stay_per_ciphertext_on_the_chunked_path() {
     let out = bb(&engine, &cts, &lut).expect("unchecked corruption is not an error");
     let mut tampered = 0;
     for (i, (got, clean)) in out.iter().zip(&reference).enumerate() {
-        let hit = oracle.fires(FaultSite::CorruptOutput, fault_key(0, i), 0);
+        let hit = plan.fires(FaultSite::CorruptOutput, fault_key(0, i), 0);
         tampered += usize::from(hit);
         let want = if hit {
             corrupt_ciphertext(clean)
@@ -190,14 +189,13 @@ fn chaos_fault_keys_stay_per_ciphertext_on_the_chunked_path() {
     // Panics: a chunk's attempt dies iff the panic site of one of its
     // ciphertexts fires for that attempt, and is retried until none does.
     let plan = FaultPlan::seeded(0x5EED).with_worker_panic(0.2);
-    let oracle = FaultInjector::new(plan);
     let predicted: usize = (0..12)
         .step_by(4)
         .map(|start| {
             (0u32..)
                 .take_while(|&attempt| {
                     (start..start + 4)
-                        .any(|i| oracle.fires(FaultSite::WorkerPanic, fault_key(0, i), attempt))
+                        .any(|i| plan.fires(FaultSite::WorkerPanic, fault_key(0, i), attempt))
                 })
                 .count()
         })

@@ -123,11 +123,6 @@ fn dispatcher_over_chaotic_keystore_loses_nothing() {
         (submitted, completed, failed)
     );
     let ks = store.stats();
-    assert_eq!(
-        (stats.key_hits, stats.key_misses, stats.key_evictions),
-        (ks.hits, ks.misses, ks.evictions)
-    );
-    assert_eq!(stats.key_bytes_resident, ks.bytes_resident);
     assert!(ks.bytes_resident <= budget, "over budget");
     // The journal holds every transition, and its counts are the counters.
     let events = store.journal().events();

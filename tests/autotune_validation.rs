@@ -102,7 +102,7 @@ fn recommended_config_meets_its_slo_on_the_real_dispatcher() {
         "a 30%-of-capacity load must be feasible: {:?}",
         tuned.predicted
     );
-    assert!(tuned.predicted.p99 <= slo);
+    assert!(tuned.predicted.p99_latency <= slo);
     let again = autotune(&model, &req).expect("same search");
     assert_eq!(again.recommended, tuned.recommended);
     assert_eq!(again.predicted, tuned.predicted);
