@@ -247,11 +247,10 @@ impl SimReport {
 
     /// Bridge into the serving autotuner: this simulated accelerator as a
     /// [`ServiceModel`](morphling_tfhe::ServiceModel). Each in-flight
-    /// core slot is one "worker" whose per-bootstrap cost is the full
-    /// (stalled) per-ciphertext latency; scaling across slots is linear
-    /// by construction (the hardware completes `cores` bootstraps per
-    /// window), so the parallel efficiency is 1 and there is no software
-    /// batch overhead. Pair it with `workers = report.cores` when
+    /// core slot is one "worker" — one server of the model — whose
+    /// per-bootstrap cost is the full (stalled) per-ciphertext latency;
+    /// the hardware completes `cores` bootstraps per window, and there is
+    /// no software batch overhead. Pair it with `workers = report.cores` when
     /// autotuning: `capacity_bs(cores)` then reproduces
     /// [`throughput_bs_per_s`](Self::throughput_bs_per_s) up to the
     /// one-time fill/serial stages.
@@ -259,7 +258,6 @@ impl SimReport {
         morphling_tfhe::ServiceModel {
             bootstrap_ns: ((self.latency_cycles() as f64 / self.clock_hz) * 1e9).ceil() as u64,
             batch_overhead_ns: 0,
-            parallel_efficiency: 1.0,
         }
     }
 

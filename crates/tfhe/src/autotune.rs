@@ -61,7 +61,7 @@ use crate::faults;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
 use crate::policy::{drive, dur_ns, Arrival, ServingCore};
-use crate::serving::ServingConfig;
+use crate::serving::{at_least_one, ServingConfig};
 
 /// Hash domain separating arrival-time draws from the fault injector's
 /// and reservoir's other deterministic streams.
@@ -70,10 +70,6 @@ const ARRIVAL_DOMAIN: u64 = 0x6172_7276; // "arrv"
 /// Default fixed per-batch overhead assumed by [`ServiceModel::new`]:
 /// batcher wake-up, batch assembly, and backend dispatch.
 const DEFAULT_BATCH_OVERHEAD_NS: u64 = 50_000;
-
-/// Default parallel efficiency assumed by [`ServiceModel::new`] for
-/// multi-worker batches (memory-bandwidth and scheduling losses).
-const DEFAULT_PARALLEL_EFFICIENCY: f64 = 0.85;
 
 fn invalid(field: &'static str, detail: String) -> TfheError {
     TfheError::InvalidServingConfig { field, detail }
@@ -84,7 +80,9 @@ fn invalid(field: &'static str, detail: String) -> TfheError {
 // ---------------------------------------------------------------------------
 
 /// Plain cost model of the backend serving one micro-batch — the knob
-/// bridge between measured reality and the queueing simulation.
+/// bridge between measured reality and the queueing simulation. Each of a
+/// config's `workers` batchers is one server that runs its batch whole:
+/// `batch_overhead_ns + batch × bootstrap_ns`.
 ///
 /// Calibrate it [from engine stats](Self::from_engine_stats) (live
 /// measurement), from `morphling-apps`' `CpuModel` (datasheet numbers),
@@ -97,19 +95,15 @@ pub struct ServiceModel {
     /// Fixed per-batch overhead (batcher wake-up, batch assembly,
     /// backend dispatch), in nanoseconds.
     pub batch_overhead_ns: u64,
-    /// Fraction of ideal linear speedup multi-worker batches achieve,
-    /// in `(0, 1]`.
-    pub parallel_efficiency: f64,
 }
 
 impl ServiceModel {
     /// A model from a single measured (or assumed) per-bootstrap cost,
-    /// with default overhead and parallel efficiency.
+    /// with the default overhead.
     pub fn new(bootstrap: Duration) -> Self {
         Self {
             bootstrap_ns: dur_ns(bootstrap).max(1),
             batch_overhead_ns: DEFAULT_BATCH_OVERHEAD_NS,
-            parallel_efficiency: DEFAULT_PARALLEL_EFFICIENCY,
         }
     }
 
@@ -120,29 +114,17 @@ impl ServiceModel {
         stats.mean_bootstrap_time().map(Self::new)
     }
 
-    /// Service time of one `batch`-sized micro-batch on `workers`
-    /// workers: the batch executes in `ceil(batch / workers)` lockstep
-    /// rounds of one bootstrap each, degraded by the parallel
-    /// efficiency, plus the fixed per-batch overhead.
-    pub(crate) fn batch_service_ns(&self, batch: usize, workers: usize) -> u64 {
-        if batch == 0 {
-            return 0;
-        }
-        let workers = workers.max(1);
-        let rounds = batch.div_ceil(workers) as f64;
-        let penalty = if workers > 1 {
-            1.0 / self.parallel_efficiency.clamp(0.05, 1.0)
-        } else {
-            1.0
-        };
-        self.batch_overhead_ns + (rounds * self.bootstrap_ns as f64 * penalty) as u64
+    /// Service time of one `batch`-sized micro-batch on one server: the
+    /// fixed per-batch overhead plus one bootstrap per member.
+    pub(crate) fn batch_service_ns(&self, batch: usize) -> u64 {
+        let bootstraps = self.bootstrap_ns.saturating_mul(batch as u64);
+        self.batch_overhead_ns.saturating_add(bootstraps)
     }
 
-    /// Sustained throughput ceiling (bootstraps/s) of `workers` workers
-    /// running full `workers`-sized batches back to back.
+    /// Sustained throughput ceiling (bootstraps/s) of `workers` servers
+    /// each running one bootstrap after another.
     pub fn capacity_bs(&self, workers: usize) -> f64 {
-        let w = workers.max(1);
-        w as f64 * 1e9 / self.batch_service_ns(w, w) as f64
+        workers.max(1) as f64 * 1e9 / self.batch_service_ns(1) as f64
     }
 }
 
@@ -190,13 +172,7 @@ impl LoadSpec {
                 format!("must be a positive finite rate (got {})", self.rate_per_s),
             ));
         }
-        if self.requests == 0 {
-            return Err(invalid(
-                "load.requests",
-                "must be at least 1 (got 0)".into(),
-            ));
-        }
-        Ok(())
+        at_least_one("load.requests", self.requests)
     }
 
     /// The deterministic arrival schedule, in nanoseconds from the start
@@ -224,10 +200,10 @@ impl LoadSpec {
 /// policy under `cfg` on virtual time, with batch service times from
 /// `model`. Deterministic: same inputs, same stats.
 ///
-/// This is the core's one virtual-time driver (`policy::drive`) under a
-/// backend that never fails and keeps the single batcher busy for
-/// [`ServiceModel::batch_service_ns`] per batch, every arrival offered as
-/// by `try_submit`; the result is the core's tally as the
+/// This is the core's one virtual-time driver (`policy::drive`) with
+/// `cfg.workers` batchers, under a backend that never fails and keeps a
+/// batcher busy for [`ServiceModel::batch_service_ns`] per batch, every
+/// arrival offered as by `try_submit`; the result is the core's tally as the
 /// [`DispatcherStats`] that [`Dispatcher::stats`] would report for the
 /// same run (latencies exact below 4 096 requests). The core runs `cfg`'s
 /// breaker, as the dispatcher does; against a backend that never fails it
@@ -251,7 +227,7 @@ pub(crate) fn simulate(
     };
     let arrivals: Vec<Arrival> = spec.arrival_schedule_ns().into_iter().map(arrive).collect();
     let mut core = ServingCore::new(cfg, Arc::default(), &[]);
-    let backend = |_, _, batch: &[_]| (model.batch_service_ns(batch.len(), cfg.workers), Ok(()));
+    let backend = |_, _, batch: &[_]| (model.batch_service_ns(batch.len()), Ok(()));
     drive(
         &mut core,
         &arrivals,
@@ -399,12 +375,8 @@ pub fn autotune(model: &ServiceModel, req: &AutotuneRequest) -> Result<AutotuneR
     if req.target.p99.is_zero() {
         return Err(invalid("target.p99", "must be a positive duration".into()));
     }
-    if req.max_workers == 0 {
-        return Err(invalid("max_workers", "must be at least 1 (got 0)".into()));
-    }
-    if req.requests == 0 {
-        return Err(invalid("requests", "must be at least 1 (got 0)".into()));
-    }
+    at_least_one("max_workers", req.max_workers)?;
+    at_least_one("requests", req.requests)?;
     let slo = req.target.p99;
     let spec = LoadSpec {
         rate_per_s: req.target.rate_per_s,
@@ -539,7 +511,6 @@ mod tests {
         ServiceModel {
             bootstrap_ns: ms * 1_000_000,
             batch_overhead_ns: 0,
-            parallel_efficiency: 1.0,
         }
     }
 

@@ -135,7 +135,7 @@ pub enum TfheError {
     /// The request's deadline passed while it was still queued; the
     /// dispatcher dropped it instead of starting late work.
     DeadlineExceeded,
-    /// The dispatcher has shut down (or its batcher thread died); the
+    /// The dispatcher has shut down (or a batcher thread of it died); the
     /// request was not, and will not be, processed.
     DispatcherShutDown,
     /// A serialized key blob failed framing or checksum validation during

@@ -14,20 +14,40 @@
 //! - **shutdown drains**: everything already accepted completes;
 //! - **a blocked `submit` wakes** once the full queue has room;
 //! - **budgets stop at the deadline**: a request through dispatcher → a
-//!   dead engine costs a bounded number of worker panics.
+//!   dead engine costs a bounded number of worker panics;
+//! - **two batchers lose nothing**: with `workers(2)` two calls run at
+//!   once over a backend that fails calls retryably and malformed
+//!   requests permanently, and every ticket resolves once, to its own
+//!   output or an error, with the counters matching both journals; a
+//!   backend that panics on one call strands no ticket, closes admission,
+//!   and the surviving batcher drains the queue.
+//!
+//! The two-batcher cases read `MORPHLING_CHAOS_SEED` (CI sweeps 1..=3);
+//! the others run one fixed seed each.
 
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use morphling_tfhe::journal;
+use morphling_tfhe::{faults, journal};
 use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, BreakerConfig, ClientKey, Dispatcher,
     DispatcherBuilder, FaultPlan, Lut, LweCiphertext, ParamSet, RetryConfig, ServerKey,
-    ServingConfig, TfheError, Who,
+    ServingConfig, TenantId, TfheError, Ticket, Who,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Base seed, overridable via `MORPHLING_CHAOS_SEED` (CI sweeps 1..=3).
+fn chaos_seed(default: u64) -> u64 {
+    std::env::var("MORPHLING_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .map(|s| s.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ default)
+        .unwrap_or(default)
+}
 
 fn setup(seed: u64) -> (ClientKey, Arc<ServerKey>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -302,4 +322,192 @@ fn dispatch_chaos_budgets_stop_at_the_deadline() {
     for start in starts {
         assert!(start <= deadline_ns + 1_000_000, "a call at {start} ns");
     }
+}
+
+/// A server key behind a seeded fault plan: call `n` answers a retryable
+/// fault when the plan says so, panics if it is `panic_at`, and the first
+/// call waits (up to 5 s) for a second one to start, so that two batchers
+/// are seen in flight at once. It counts the calls running at once.
+struct TwoAtOnce {
+    inner: Arc<ServerKey>,
+    seed: u64,
+    rate: f64,
+    panic_at: Option<u64>,
+    calls: AtomicU64,
+    /// Calls running now, and the most ever.
+    running: Mutex<(u64, u64)>,
+    second: Condvar,
+}
+
+impl TwoAtOnce {
+    fn new(inner: &Arc<ServerKey>, seed: u64, rate: f64, panic_at: Option<u64>) -> Self {
+        Self {
+            inner: Arc::clone(inner),
+            seed,
+            rate,
+            panic_at,
+            calls: AtomicU64::new(0),
+            running: Mutex::new((0, 0)),
+            second: Condvar::new(),
+        }
+    }
+
+    fn most_at_once(&self) -> u64 {
+        self.running.lock().unwrap_or_else(|e| e.into_inner()).1
+    }
+}
+
+impl Bootstrapper for TwoAtOnce {
+    fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst);
+        let mut running = self.running.lock().unwrap_or_else(|e| e.into_inner());
+        running.0 += 1;
+        running.1 = running.1.max(running.0);
+        self.second.notify_all();
+        if call == 0 {
+            let patience = Duration::from_secs(5);
+            let waited = self
+                .second
+                .wait_timeout_while(running, patience, |r| r.1 < 2);
+            running = waited.unwrap_or_else(|e| e.into_inner()).0;
+        }
+        drop(running);
+        let answer = if Some(call) == self.panic_at {
+            None
+        } else if faults::decide(self.seed, 0x2BA7, call, 0, self.rate) {
+            Some(Err(TfheError::WorkerPanicked { worker: 0 }))
+        } else {
+            Some(self.inner.try_bootstrap_batch(req))
+        };
+        self.running.lock().unwrap_or_else(|e| e.into_inner()).0 -= 1;
+        answer.unwrap_or_else(|| panic!("backend bug (injected by the test)"))
+    }
+}
+
+/// Two batchers over a backend that fails a seeded third of its calls
+/// retryably, with three tenants, malformed requests among them and a few
+/// cancellations: no ticket is lost or answered twice, and the counts are
+/// the outcomes and the journals'.
+#[test]
+fn dispatch_chaos_two_batchers_account_for_every_ticket() {
+    let seed = chaos_seed(0x2BA7_C4A0);
+    let (ck, sk, mut rng) = setup(seed);
+    let lut = Arc::new(Lut::from_fn(sk.params().poly_size, 4, |m| (m + 1) % 4));
+    let backend = Arc::new(TwoAtOnce::new(&sk, seed, 0.3, None));
+    let config = ServingConfig::builder()
+        .workers(2)
+        .max_batch_size(4)
+        .max_linger(Duration::from_micros(200))
+        .retry(RetryConfig::new(2))
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&backend)).expect("validated");
+
+    // `None` expects an error: a malformed request fails alone, and a
+    // fault past the retry budget fails its batch.
+    let mut sent: Vec<(Option<LweCiphertext>, Ticket)> = Vec::new();
+    for i in 0..48u64 {
+        let tenant = TenantId::new(rng.gen_range(0..3));
+        let malformed = rng.gen_bool(0.05);
+        let ct = match malformed {
+            true => LweCiphertext::trivial(morphling_math::Torus32::from_raw(0), 4),
+            false => ck.encrypt(i % 4, &mut rng),
+        };
+        let expected = (!malformed).then(|| sk.programmable_bootstrap(&ct, &lut));
+        let ticket = dispatcher.submit_for(tenant, ct, Arc::clone(&lut), None);
+        let ticket = ticket.expect("admission stays open");
+        if rng.gen_bool(0.1) {
+            ticket.cancel();
+        }
+        sent.push((expected, ticket));
+    }
+    let (mut completed, mut failed, mut cancelled) = (BTreeSet::new(), 0u64, 0u64);
+    for (i, (expected, ticket)) in sent.into_iter().enumerate() {
+        let id = ticket.id();
+        match (ticket.wait_timeout(Duration::from_secs(20)), expected) {
+            (Ok(out), Some(want)) => {
+                assert_eq!(out, want, "request {i} got another request's output");
+                assert!(completed.insert(id), "request {i} answered twice");
+            }
+            (Err(TfheError::Cancelled), _) => cancelled += 1,
+            (Err(TfheError::WorkerPanicked { .. }), _) => failed += 1,
+            (Err(TfheError::LweDimensionMismatch { .. }), None) => failed += 1,
+            (got, _) => panic!("request {i}: unexpected outcome {got:?}"),
+        }
+    }
+    assert_eq!(backend.most_at_once(), 2, "two batches ran at once");
+    let stats = dispatcher.stats();
+    assert_eq!(stats.submitted, 48);
+    assert_eq!(
+        (
+            stats.completed,
+            stats.failed,
+            stats.cancelled,
+            stats.expired
+        ),
+        (completed.len() as u64, failed, cancelled, 0)
+    );
+    // The request journal spans each completion once; its batches are the
+    // ones served.
+    let spans = dispatcher.spans();
+    let ids: BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
+    assert_eq!((spans.len(), ids), (completed.len(), completed));
+    let batches: BTreeSet<u64> = spans.iter().map(|s| s.batch).collect();
+    assert_eq!(batches.len() as u64, stats.served_by_tier[0]);
+    let events = dispatcher.resilience_journal().events();
+    let retries = events.iter().filter(|e| e.kind.label() == "retry").count() as u64;
+    assert_eq!(stats.retries, retries);
+}
+
+/// A backend that panics on one call under two batchers: that call's
+/// tickets fail, admission closes, the other batcher drains the queue, and
+/// no ticket is stranded.
+#[test]
+fn dispatch_chaos_two_batchers_survive_a_panicking_call() {
+    let seed = chaos_seed(0x0DEA_D2B7);
+    let (ck, sk, mut rng) = setup(seed);
+    let lut = Arc::new(Lut::identity(sk.params().poly_size, 4));
+    let panic_at = seed % 4 + 1;
+    let backend = Arc::new(TwoAtOnce::new(&sk, seed, 0.0, Some(panic_at)));
+    let config = ServingConfig::builder()
+        .workers(2)
+        .max_batch_size(2)
+        .max_linger(Duration::ZERO)
+        .build()
+        .expect("valid serving knobs");
+    let dispatcher = Dispatcher::from_config(&config, Arc::clone(&backend)).expect("validated");
+    let mut sent = Vec::new();
+    for i in 0..24u64 {
+        let ct = ck.encrypt(i % 4, &mut rng);
+        let expected = sk.programmable_bootstrap(&ct, &lut);
+        match dispatcher.submit_for(TenantId::new(i % 3), ct, Arc::clone(&lut), None) {
+            Ok(ticket) => sent.push((expected, ticket)),
+            Err(e) => assert_eq!(e, TfheError::DispatcherShutDown),
+        }
+    }
+    let mut lost = 0;
+    for (i, (expected, ticket)) in sent.iter().enumerate() {
+        match ticket.wait_timeout(Duration::from_secs(20)) {
+            Ok(out) => assert_eq!(out, *expected, "request {i}"),
+            Err(TfheError::DispatcherShutDown) => lost += 1,
+            Err(other) => panic!("request {i}: {other}"),
+        }
+    }
+    let ct = ck.encrypt(0, &mut rng);
+    let refused = dispatcher.submit(ct, Arc::clone(&lut), None).err();
+    assert_eq!(
+        refused,
+        Some(TfheError::DispatcherShutDown),
+        "admission closed"
+    );
+    // Only the members of the call that panicked went unserved: the other
+    // batcher drained what was queued.
+    let stats = dispatcher.stats();
+    assert_eq!(stats.failed, 0, "nothing was left for the exit guard");
+    assert_eq!(stats.submitted, sent.len() as u64);
+    assert_eq!(stats.completed + lost, stats.submitted);
+    assert!(
+        (1..=2).contains(&lost),
+        "{lost} lost to one call of at most 2"
+    );
 }
