@@ -216,9 +216,9 @@ impl ExecutionTrace {
     }
 
     /// Render journal [`Event`]s (nanosecond stamps on the process epoch:
-    /// build the trace with `ExecutionTrace::new(1e3)`), whichever
-    /// journals they came from and in whatever order they were
-    /// concatenated:
+    /// build the trace with `ExecutionTrace::new(1e3)`) — one serving
+    /// stack's journal, or several concatenated in any order — with each
+    /// kind's args whoever recorded it:
     ///
     /// | who | kind | track | name | `cat` | args |
     /// |---|---|---|---|---|---|
@@ -248,7 +248,29 @@ impl ExecutionTrace {
         let arg = |k: &str, v: &dyn ToString| (k.to_string(), v.to_string());
         for (i, e) in events.iter().enumerate() {
             let label = e.kind.label();
-            let (process, thread, name, cat, args) = match (&e.who, &e.kind) {
+            let mut args = match &e.kind {
+                EventKind::Job {
+                    bootstraps,
+                    extractions,
+                } => vec![
+                    arg("bootstraps", bootstraps),
+                    arg("extractions", extractions),
+                ],
+                EventKind::Request { batch, .. } => vec![arg("batch", batch)],
+                EventKind::WatchdogTimeout { batch, chunk_start } => {
+                    vec![arg("batch", batch), arg("chunk_start", chunk_start)]
+                }
+                EventKind::OutputCheckFailed { index } => vec![arg("index", index)],
+                EventKind::ChunkRetry {
+                    chunk_start,
+                    attempt,
+                } => vec![arg("chunk_start", chunk_start), arg("attempt", attempt)],
+                EventKind::Retry { attempt } => vec![arg("attempt", attempt)],
+                EventKind::Failover { from } => vec![arg("from", from)],
+                EventKind::Load { bytes } | EventKind::Evict { bytes } => vec![arg("bytes", bytes)],
+                _ => Vec::new(),
+            };
+            let (process, thread, name, cat) = match (&e.who, &e.kind) {
                 (
                     Who::Worker(w),
                     EventKind::Job {
@@ -261,22 +283,9 @@ impl ExecutionTrace {
                     pool.engines = pool.engines.max(*w as u64 + 1);
                     // Multi-value jobs extract more outputs than they
                     // rotate; make that reuse visible in the span name.
-                    let name = if extractions != bootstraps {
-                        format!("job x{bootstraps}->x{extractions}")
-                    } else {
-                        format!("job x{bootstraps}")
-                    };
-                    let args = vec![
-                        arg("bootstraps", bootstraps),
-                        arg("extractions", extractions),
-                    ];
-                    (
-                        "BootstrapEngine",
-                        format!("worker-{w}"),
-                        name,
-                        "engine",
-                        args,
-                    )
+                    let fanout = (extractions != bootstraps).then(|| format!("->x{extractions}"));
+                    let name = format!("job x{bootstraps}{}", fanout.unwrap_or_default());
+                    ("BootstrapEngine", format!("worker-{w}"), name, "engine")
                 }
                 (Who::Dispatcher, EventKind::Request { id, batch, exec_ns }) => {
                     dispatcher.instructions += 1;
@@ -296,71 +305,23 @@ impl ExecutionTrace {
                             vec![arg("requests", &size)],
                         );
                     }
-                    let args = vec![arg("batch", batch)];
-                    (
-                        "Dispatcher",
-                        "queue".into(),
-                        format!("req {id}"),
-                        "dispatch",
-                        args,
-                    )
+                    let name = format!("req {id}");
+                    ("Dispatcher", "queue".into(), name, "dispatch")
                 }
-                (Who::Tenant(t), kind) => {
-                    let args = match kind {
-                        EventKind::Load { bytes } | EventKind::Evict { bytes } => {
-                            vec![arg("bytes", bytes)]
-                        }
-                        _ => Vec::new(),
-                    };
-                    (
-                        "KeyStore",
-                        format!("tenant-{t}"),
-                        label.into(),
-                        "keystore",
-                        args,
-                    )
+                (Who::Tenant(t), _) => {
+                    ("KeyStore", format!("tenant-{t}"), label.into(), "keystore")
                 }
                 (Who::Scope(scope), kind) => {
-                    let args = match kind {
-                        EventKind::Retry { attempt } => vec![arg("attempt", attempt)],
-                        EventKind::Failover { from } => vec![arg("from", from), arg("to", scope)],
-                        _ => Vec::new(),
-                    };
-                    (
-                        "Resilience",
-                        scope.to_string(),
-                        label.into(),
-                        "resilience",
-                        args,
-                    )
+                    if let EventKind::Failover { .. } = kind {
+                        args.push(arg("to", scope));
+                    }
+                    ("Resilience", scope.to_string(), label.into(), "resilience")
                 }
-                (who, kind) => {
-                    let mut args = Vec::new();
+                (who, _) => {
                     if let Who::Worker(w) = who {
-                        args.push(arg("worker", w));
+                        args.insert(0, arg("worker", w));
                     }
-                    match kind {
-                        EventKind::WatchdogTimeout { batch, chunk_start } => {
-                            args.push(arg("batch", batch));
-                            args.push(arg("chunk_start", chunk_start));
-                        }
-                        EventKind::OutputCheckFailed { index } => args.push(arg("index", index)),
-                        EventKind::ChunkRetry {
-                            chunk_start,
-                            attempt,
-                        } => {
-                            args.push(arg("chunk_start", chunk_start));
-                            args.push(arg("attempt", attempt));
-                        }
-                        _ => {}
-                    }
-                    (
-                        "BootstrapEngine",
-                        "faults".into(),
-                        label.into(),
-                        "fault",
-                        args,
-                    )
+                    ("BootstrapEngine", "faults".into(), label.into(), "fault")
                 }
             };
             let track = self.track(process, &thread);

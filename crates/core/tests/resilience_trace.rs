@@ -90,12 +90,11 @@ fn resilience_trace_roundtrips_to_disk() {
         "the dispatcher must fail over"
     );
 
-    // The dispatcher's resilience journal and its request spans, in one
-    // trace (CI checks every retry against the dispatch spans of the
-    // archived trace).
+    // The dispatcher's journal — its resilience events and its request
+    // spans — in one trace (CI checks every retry against the dispatch
+    // spans of the archived trace).
     let mut trace = ExecutionTrace::new(1e3);
-    trace.add_events(&dispatcher.resilience_journal().events());
-    trace.add_events(&dispatcher.request_journal().events());
+    trace.add_events(&dispatcher.journal().events());
     let names: Vec<_> = trace
         .spans()
         .iter()

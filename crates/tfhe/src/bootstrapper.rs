@@ -1,16 +1,12 @@
 //! The unified batch-bootstrap API surface: [`BatchRequest`] and the
 //! [`Bootstrapper`] trait.
 //!
-//! Four bootstrap backends share this one operator interface — the
-//! sequential [`ServerKey`] loop, the persistent
-//! [`BootstrapEngine`](crate::BootstrapEngine) pool, the
-//! dynamic-batching [`Dispatcher`](crate::dispatch::Dispatcher) over an
-//! ordered list of backends, and the per-tenant
-//! [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper). Callers
-//! describe *what* to bootstrap in a [`BatchRequest`] (ciphertexts, the
-//! LUTs each one goes through, and the tenant the dispatcher routes by)
-//! and any [`Bootstrapper`] decides *how*, the way single-kernel TFHE
-//! designs define one configurable entry point.
+//! Four bootstrap backends share this one operator interface (the table
+//! on [`Bootstrapper`]). Callers describe *what* to bootstrap in a
+//! [`BatchRequest`] (ciphertexts, the LUTs each one goes through, and the
+//! tenant the dispatcher routes by) and any [`Bootstrapper`] decides
+//! *how*, the way single-kernel TFHE designs define one configurable
+//! entry point.
 //!
 //! A request has one shape: ciphertext `i` goes through every LUT its
 //! list `lists[i]` names, all evaluated from one blind rotation via
@@ -43,6 +39,7 @@ use std::sync::Arc;
 
 use crate::engine::EngineHealth;
 use crate::error::TfheError;
+use crate::journal::Journal;
 use crate::keystore::TenantId;
 use crate::lut::Lut;
 use crate::lwe::LweCiphertext;
@@ -93,21 +90,16 @@ impl BatchRequest {
         if !cts.is_empty() && luts.is_empty() {
             return Err(TfheError::NoLutProvided);
         }
-        if lists.len() != cts.len() {
-            return Err(TfheError::FanoutLengthMismatch {
-                expected: cts.len(),
-                got: lists.len(),
-            });
+        let (expected, got, n) = (cts.len(), lists.len(), luts.len());
+        if expected != got {
+            return Err(TfheError::FanoutLengthMismatch { expected, got });
         }
         for (input, list) in lists.iter().enumerate() {
             if list.is_empty() {
                 return Err(TfheError::EmptyFanout { input });
             }
-            if let Some(&index) = list.iter().find(|&&j| j >= luts.len()) {
-                return Err(TfheError::LutIndexOutOfRange {
-                    index,
-                    luts: luts.len(),
-                });
+            if let Some(&index) = list.iter().find(|&&j| j >= n) {
+                return Err(TfheError::LutIndexOutOfRange { index, luts: n });
             }
         }
         Ok(Self {
@@ -222,6 +214,13 @@ pub trait Bootstrapper {
     fn health(&self) -> EngineHealth {
         EngineHealth::Healthy
     }
+
+    /// The journal this backend records into, which a dispatcher built over
+    /// it shares; `None` unless it keeps one (an engine, a key store's, a
+    /// dispatcher's).
+    fn journal(&self) -> Option<&Arc<Journal>> {
+        None
+    }
 }
 
 impl<B: Bootstrapper + ?Sized> Bootstrapper for &B {
@@ -231,6 +230,10 @@ impl<B: Bootstrapper + ?Sized> Bootstrapper for &B {
 
     fn health(&self) -> EngineHealth {
         (**self).health()
+    }
+
+    fn journal(&self) -> Option<&Arc<Journal>> {
+        (**self).journal()
     }
 }
 
@@ -242,29 +245,26 @@ impl<B: Bootstrapper + ?Sized> Bootstrapper for Arc<B> {
     fn health(&self) -> EngineHealth {
         (**self).health()
     }
+
+    fn journal(&self) -> Option<&Arc<Journal>> {
+        (**self).journal()
+    }
 }
 
 impl ServerKey {
     /// Check every ciphertext and every LUT in `req` against this key's
     /// parameters (shared by all backends).
     pub(crate) fn validate_request(&self, req: &BatchRequest) -> Result<(), TfheError> {
-        for ct in req.ciphertexts() {
-            if ct.dim() != self.params().lwe_dim {
-                return Err(TfheError::LweDimensionMismatch {
-                    expected: self.params().lwe_dim,
-                    got: ct.dim(),
-                });
-            }
+        let (expected, poly_size) = (self.params().lwe_dim, self.params().poly_size);
+        let mut dims = req.ciphertexts().iter().map(LweCiphertext::dim);
+        if let Some(got) = dims.find(|&d| d != expected) {
+            return Err(TfheError::LweDimensionMismatch { expected, got });
         }
-        for lut in req.luts() {
-            if lut.polynomial().len() != self.params().poly_size {
-                return Err(TfheError::LutSizeMismatch {
-                    lut: lut.polynomial().len(),
-                    poly_size: self.params().poly_size,
-                });
-            }
+        let mut sizes = req.luts().iter().map(|lut| lut.polynomial().len());
+        match sizes.find(|&n| n != poly_size) {
+            Some(lut) => Err(TfheError::LutSizeMismatch { lut, poly_size }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

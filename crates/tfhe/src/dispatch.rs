@@ -69,8 +69,7 @@
 //!   batch that fails retryably runs at once on the next
 //!   [fallback](DispatcherBuilder::fallback) tier, and an optional
 //!   circuit breaker per tier ([`ServingConfig::breaker`]) benches a sick
-//!   one; all of it lands in the dispatcher's
-//!   [resilience journal](Dispatcher::resilience_journal).
+//!   one; all of it lands in the stack's [journal](Dispatcher::journal).
 //!
 //! The backend is anything implementing [`Bootstrapper`], so the same
 //! dispatcher fronts a [`ServerKey`](crate::ServerKey) or — the intended
@@ -159,18 +158,12 @@ struct Shared {
     /// flush that leaves work behind.
     not_empty: Condvar,
     not_full: Condvar,
-    /// One [`EventKind::Request`] span per completed request. A journal
-    /// of its own, so that no flood of instants in `journal` can evict a
-    /// request span.
-    requests: Journal,
-    /// Where the core records its retries, sheds and breaker
-    /// transitions.
+    /// The stack's journal: one [`EventKind::Request`] span per completed
+    /// request, and the core's retries, sheds and breaker transitions.
     journal: Arc<Journal>,
     /// The key store serving the backend, when the backend is a
-    /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) — lets
-    /// [`Dispatcher::stats`] fold cache hit/miss/eviction counters into
-    /// one serving snapshot, and hears the queue's tenant order on every
-    /// flush.
+    /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper): it hears the
+    /// queue's tenant order on every flush, to evict by next queued use.
     key_store: Option<Arc<KeyStore>>,
 }
 
@@ -434,10 +427,9 @@ impl DispatcherBuilder {
         })
     }
 
-    /// Surface `store`'s cache counters through [`Dispatcher::stats`]
-    /// (key hits/misses/evictions/resident bytes), and on every flush hand
-    /// `store` the tenants still queued, next to run first, so that it
-    /// evicts the key needed last instead of the least recently used one.
+    /// On every flush hand `store` the tenants still queued, next to run
+    /// first, so that it evicts the key needed last instead of the least
+    /// recently used one; its counters stay its own ([`KeyStore::stats`]).
     /// Batch order and outputs do not change. Pass the same store's
     /// [`KeyStoreBootstrapper`](crate::KeyStoreBootstrapper) as the
     /// `build` backend to actually serve through it. Several dispatchers
@@ -465,12 +457,18 @@ impl DispatcherBuilder {
     }
 
     /// Spawn [`workers`](ServingConfig::workers) batcher threads over
-    /// `backend`, tier 0, and start serving.
+    /// `backend`, tier 0, and start serving, recording into `backend`'s
+    /// [journal](Bootstrapper::journal) unless it has none or another
+    /// dispatcher records into it.
     pub fn build<B>(self, backend: B) -> Dispatcher
     where
         B: Bootstrapper + Send + Sync + 'static,
     {
-        let journal = Arc::new(Journal::new());
+        // The backend's journal, or a fresh one: whichever no dispatcher took.
+        let mut journal = backend.journal().cloned().unwrap_or_default();
+        while !journal.claim() {
+            journal = Arc::default();
+        }
         let (names, fallbacks): (Vec<_>, Vec<_>) = self.fallbacks.into_iter().unzip();
         let state = State {
             core: ServingCore::new(&self.config, Arc::clone(&journal), &names),
@@ -481,7 +479,6 @@ impl DispatcherBuilder {
             config: self.config,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            requests: Journal::new(),
             journal,
             key_store: self.key_store,
         });
@@ -668,29 +665,21 @@ impl Dispatcher {
         tally.stats()
     }
 
-    /// The per-request queue/execute journal: one
-    /// [`EventKind::Request`] span for each of the newest 16 384 completed
-    /// requests, oldest first (`request_journal().dropped()` counts the
-    /// rest). Nothing else is recorded here, so no flood of other events
-    /// can evict a request.
-    pub fn request_journal(&self) -> &Journal {
-        &self.shared.requests
+    /// The stack's journal ([`DispatcherBuilder::build`]): the backend's
+    /// events, a [`Who::Dispatcher`] span per completed request, and under
+    /// [`Who::Scope`] — `"dispatcher"` for the front door and the `build`
+    /// backend, a [fallback](DispatcherBuilder::fallback)'s name for it —
+    /// retries, sheds, and each tier's breaker transitions, skips and
+    /// failovers (to it).
+    pub fn journal(&self) -> &Journal {
+        &self.shared.journal
     }
 
-    /// [`request_journal`](Self::request_journal), read back as
+    /// The request spans of [`journal`](Self::journal), read back as
     /// [`DispatchSpan`]s.
     pub fn spans(&self) -> Vec<DispatchSpan> {
-        let events = self.shared.requests.events();
+        let events = self.shared.journal.events();
         events.iter().filter_map(DispatchSpan::from_event).collect()
-    }
-
-    /// The resilience journal: retries and sheds, and each tier's breaker
-    /// transitions, skips and failovers (to it), under [`Who::Scope`]:
-    /// `"dispatcher"` for the front door and the `build` backend, a
-    /// [fallback](DispatcherBuilder::fallback)'s name for it. A backend's
-    /// own incidents stay in the backend's journal.
-    pub fn resilience_journal(&self) -> &Journal {
-        &self.shared.journal
     }
 
     /// The serving knobs this dispatcher runs under: the caller's config
@@ -761,6 +750,10 @@ impl Bootstrapper for Dispatcher {
             }
         }
         first_err.map_or(Ok(out), Err)
+    }
+
+    fn journal(&self) -> Option<&Arc<Journal>> {
+        Some(&self.shared.journal)
     }
 }
 
@@ -946,20 +939,21 @@ fn distribute(
     live: Vec<Entry<Pending>>,
     outs: Vec<LweCiphertext>,
 ) {
+    // One lock for the batch's spans: the backend may be recording too.
+    shared.journal.record_all(live.iter().map(|p| Event {
+        at_ns: p.enqueued_ns,
+        dur_ns: exec_start.saturating_sub(p.enqueued_ns),
+        who: Who::Dispatcher,
+        kind: EventKind::Request {
+            id: p.id,
+            batch: batch_id,
+            exec_ns,
+        },
+    }));
     // Slice the flat outputs by each member's LUT count (single-LUT
     // members take exactly one).
     let mut outs = outs.into_iter();
     for p in live {
-        shared.requests.record(Event {
-            at_ns: p.enqueued_ns,
-            dur_ns: exec_start.saturating_sub(p.enqueued_ns),
-            who: Who::Dispatcher,
-            kind: EventKind::Request {
-                id: p.id,
-                batch: batch_id,
-                exec_ns,
-            },
-        });
         let item: Vec<LweCiphertext> = outs.by_ref().take(p.item.luts.len()).collect();
         p.item.resolve(Ok(item));
     }
@@ -1546,10 +1540,7 @@ mod tests {
         let (spans, stats) = (d.spans(), d.stats());
         assert_eq!(stats.completed, ops);
         assert_eq!(spans.len(), JOURNAL_CAPACITY);
-        assert_eq!(
-            spans.len() as u64 + d.request_journal().dropped(),
-            stats.completed
-        );
+        assert_eq!(spans.len() as u64 + d.journal().dropped(), stats.completed);
         // The newest requests are the ones kept, oldest first.
         assert_eq!(spans.last().map(|s| s.id), Some(ops - 1));
         assert!(spans.windows(2).all(|w| w[0].exec_start <= w[1].exec_start));
@@ -1790,7 +1781,8 @@ mod tests {
             let answers: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
             assert_eq!(lock(&backend.sizes).clone(), calls);
             let stats = d.stats();
-            let events = d.resilience_journal().events();
+            let mut events = d.journal().events();
+            events.retain(|e| e.who != Who::Dispatcher);
             if retry.max_retries == 1 {
                 // Nobody's fault: all sixteen go round again, together.
                 let echoed: Vec<_> = (0..16).map(|i| Ok(dummy_ct(i))).collect();
@@ -2048,22 +2040,37 @@ mod tests {
         (evicts.next().unwrap().who.clone(), store.stats().hits)
     }
 
+    /// Counts the loads it serves.
+    #[derive(Default)]
+    struct CountedKeys {
+        inner: crate::keystore::MemoryBackend,
+        loads: std::sync::atomic::AtomicU64,
+    }
+
+    impl crate::keystore::KeyBackend for CountedKeys {
+        fn load(&self, tenant: TenantId) -> Result<Vec<u8>, TfheError> {
+            self.loads.fetch_add(1, Ordering::SeqCst);
+            self.inner.load(tenant)
+        }
+    }
+
     #[test]
     fn two_batchers_take_turns_at_a_one_key_store() {
-        use crate::keystore::{KeyStoreBootstrapper, MemoryBackend};
+        use crate::keystore::KeyStoreBootstrapper;
 
         let mut rng = StdRng::seed_from_u64(0xD17);
         let params = ParamSet::Test.params();
-        let backend = Arc::new(MemoryBackend::new());
+        let backend = Arc::new(CountedKeys::default());
         let clients: Vec<ClientKey> = (0..2)
             .map(|t| {
                 let ck = ClientKey::generate(params.clone(), &mut rng);
-                backend.insert_server_key(TenantId::new(t), &ServerKey::new(&ck, &mut rng));
+                let sk = ServerKey::new(&ck, &mut rng);
+                backend.inner.insert_server_key(TenantId::new(t), &sk);
                 ck
             })
             .collect();
         let budget = params.bsk_total_bytes_fourier() + params.ksk_total_bytes();
-        let store = Arc::new(KeyStore::new(backend, budget));
+        let store = Arc::new(KeyStore::new(backend.clone(), budget));
         let config = ServingConfig::builder()
             .workers(2)
             .max_batch_size(4)
@@ -2096,17 +2103,21 @@ mod tests {
         // stands at once, as with one batcher.
         let held = store.get(TenantId::new(0)).unwrap();
         let ct = clients[1].encrypt(0, &mut rng);
-        let refused = keys.try_bootstrap_batch(
-            &BatchRequest::shared(vec![ct], (*lut).clone()).with_tenant(TenantId::new(1)),
-        );
+        let req = BatchRequest::shared(vec![ct], (*lut).clone()).with_tenant(TenantId::new(1));
         assert_eq!(
-            refused.unwrap_err(),
+            keys.try_bootstrap_batch(&req).unwrap_err(),
             TfheError::KeyBudgetExceeded {
                 budget,
                 need: budget
             }
         );
         drop(held);
+        let out = keys.try_bootstrap_batch(&req).unwrap();
+        assert_eq!(clients[1].decrypt(&out[0]), 1);
+        // Every load the backend served made its key resident: a refused
+        // one was kept for its retry, not read again.
+        let loads = backend.loads.load(Ordering::SeqCst);
+        assert_eq!(loads, store.stats().loads);
     }
 
     #[test]

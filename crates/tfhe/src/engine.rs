@@ -902,8 +902,8 @@ impl BootstrapEngine {
         self.shared.lock().health()
     }
 
-    /// Zero the counters and clear the journal (e.g. between bench
-    /// warm-up and measurement).
+    /// Zero the counters and clear the journal, which a dispatcher over the
+    /// engine shares (e.g. between bench warm-up and measurement).
     pub fn reset_stats(&self) {
         let mut supervisor = self.shared.lock();
         supervisor.stats = EngineStats {
@@ -988,6 +988,10 @@ impl Bootstrapper for BootstrapEngine {
 
     fn health(&self) -> EngineHealth {
         BootstrapEngine::health(self)
+    }
+
+    fn journal(&self) -> Option<&Arc<Journal>> {
+        Some(&self.shared.journal)
     }
 }
 

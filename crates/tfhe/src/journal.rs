@@ -13,23 +13,27 @@
 //!   ([`now`]), which the dispatcher's batching clock reads too. No
 //!   component owns an epoch, so the events of any two journals of one
 //!   process concatenate into one timeline without arithmetic.
-//! - **One bound.** A journal keeps its newest [`JOURNAL_CAPACITY`]
-//!   events, oldest first, and counts what it overwrote
-//!   ([`Journal::dropped`]): a flood — an open breaker refusing millions
-//!   of submissions a second — turns the ring over and costs no memory.
-//!   What must survive such a flood lives in a journal of its own (the
-//!   dispatcher's request spans do).
+//! - **One journal per serving stack.** A dispatcher records into its
+//!   backend's ([`Bootstrapper::journal`](crate::Bootstrapper::journal)),
+//!   so one [`Journal::events`] call reads a stack's whole timeline.
+//! - **One bound per event class.** A journal keeps the newest
+//!   [`JOURNAL_CAPACITY`] events of each class — request spans, work,
+//!   incidents, refusals — and counts what it overwrote
+//!   ([`Journal::dropped`]): a flood of one class, such as an open breaker
+//!   shedding millions of submissions a second, turns its own ring over
+//!   and evicts no event of another.
 //!
 //! `morphling_core::trace::ExecutionTrace::add_events` renders any slice
 //! of events into a Chrome trace.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::policy::dur_ns;
 
-/// Events a [`Journal`] keeps before it overwrites its oldest.
+/// Events of one class a [`Journal`] keeps before it overwrites its oldest.
 pub const JOURNAL_CAPACITY: usize = 16_384;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -190,6 +194,18 @@ impl EventKind {
             Self::Corrupt => "corrupt",
         }
     }
+
+    /// The ring of a [`Journal`] this kind is kept in: request spans (0),
+    /// work (1), refusals (3) or, for anything else, incidents (2).
+    fn class(&self) -> usize {
+        match self {
+            Self::Request { .. } => 0,
+            Self::Job { .. } | Self::Hit | Self::Miss | Self::Load { .. } => 1,
+            Self::Evict { .. } | Self::Pin | Self::Unpin => 1,
+            Self::Shed | Self::TierSkipped => 3,
+            _ => 2,
+        }
+    }
 }
 
 /// One journaled event: when, how long, who, what.
@@ -207,11 +223,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// An instant, stamped [`now`].
-    pub fn instant(who: Who, kind: EventKind) -> Self {
-        Self::at(now(), who, kind)
-    }
-
     /// An instant at `at_ns` — for a recorder that is told the time.
     pub(crate) fn at(at_ns: u64, who: Who, kind: EventKind) -> Self {
         Self {
@@ -223,20 +234,22 @@ impl Event {
     }
 }
 
+/// Per class, the newest events, each with its place in record order.
 #[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<Event>,
-    dropped: u64,
+struct Rings {
+    recorded: u64,
+    classes: [VecDeque<(u64, Event)>; 4],
 }
 
-/// The newest [`JOURNAL_CAPACITY`] [`Event`]s recorded, in record order.
-///
-/// Each component owns its own; concatenate the `events()` of several and
-/// they describe one timeline, because every stamp is on the process
-/// epoch.
+/// The newest [`JOURNAL_CAPACITY`] [`Event`]s of each class recorded,
+/// read back in record order. A serving stack's components share one;
+/// concatenate the `events()` of several and they still describe one
+/// timeline, because every stamp is on the process epoch.
 #[derive(Debug, Default)]
 pub struct Journal {
-    ring: Mutex<Ring>,
+    rings: Mutex<Rings>,
+    /// Taken by the first dispatcher that records into this journal.
+    claimed: AtomicBool,
 }
 
 impl Journal {
@@ -245,37 +258,55 @@ impl Journal {
         Self::default()
     }
 
-    /// Every update leaves the ring valid, so a poisoned lock is still
+    /// Every update leaves the rings valid, so a poisoned lock is still
     /// good to use.
-    fn ring(&self) -> std::sync::MutexGuard<'_, Ring> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    fn rings(&self) -> std::sync::MutexGuard<'_, Rings> {
+        self.rings.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append `event`, overwriting the oldest one at capacity.
+    /// Append `event`, overwriting its class's oldest at capacity.
     pub fn record(&self, event: Event) {
-        let mut ring = self.ring();
-        if ring.events.len() == JOURNAL_CAPACITY {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(event);
+        self.record_all([event]);
     }
 
-    /// Snapshot of what the journal holds, oldest first.
+    /// [`record`](Self::record) each of `events` in turn, under one lock.
+    pub(crate) fn record_all(&self, events: impl IntoIterator<Item = Event>) {
+        let mut rings = self.rings();
+        for event in events {
+            let seq = rings.recorded;
+            rings.recorded += 1;
+            let ring = &mut rings.classes[event.kind.class()];
+            if ring.len() == JOURNAL_CAPACITY {
+                ring.pop_front();
+            }
+            ring.push_back((seq, event));
+        }
+    }
+
+    /// Snapshot of what the journal holds, in record order.
     pub fn events(&self) -> Vec<Event> {
-        self.ring().events.iter().cloned().collect()
+        let mut held: Vec<(u64, Event)> = self.rings().classes.iter().flatten().cloned().collect();
+        held.sort_by_key(|&(seq, _)| seq); // merges the four sorted runs
+        held.into_iter().map(|(_, e)| e).collect()
     }
 
     /// Events overwritten since construction or the last
     /// [`clear`](Self::clear): `events().len() + dropped()` is how many
     /// were recorded.
     pub fn dropped(&self) -> u64 {
-        self.ring().dropped
+        let rings = self.rings();
+        rings.recorded - rings.classes.iter().map(|c| c.len() as u64).sum::<u64>()
     }
 
     /// Forget everything, the dropped count included.
     pub fn clear(&self) {
-        *self.ring() = Ring::default();
+        *self.rings() = Rings::default();
+    }
+
+    /// Whether the asking dispatcher is the first: request ids restart at 0
+    /// in each, so two never share a journal.
+    pub(crate) fn claim(&self) -> bool {
+        !self.claimed.swap(true, Ordering::SeqCst)
     }
 }
 
@@ -296,7 +327,7 @@ mod tests {
                 .collect()
         };
         let record = |attempt: u32| {
-            journal.record(Event::instant(Who::Engine, EventKind::Retry { attempt }));
+            journal.record(Event::at(now(), Who::Engine, EventKind::Retry { attempt }));
         };
         (0..JOURNAL_CAPACITY as u32).for_each(record);
         assert_eq!(
@@ -313,14 +344,81 @@ mod tests {
     }
 
     #[test]
+    fn a_flood_of_one_class_evicts_no_event_of_another() {
+        const FLOOD: u64 = 100_000;
+        let journal = Journal::new();
+        let job = EventKind::Job {
+            bootstraps: 1,
+            extractions: 1,
+        };
+        journal.record(Event::at(0, Who::Worker(0), EventKind::WorkerPanic));
+        (1..=FLOOD).for_each(|t| journal.record(Event::at(t, Who::Worker(0), job.clone())));
+        let events = journal.events();
+        assert_eq!(events.len(), 1 + JOURNAL_CAPACITY);
+        assert_eq!(events[0].kind, EventKind::WorkerPanic, "the panic survives");
+        assert_eq!(events.last().map(|e| e.at_ns), Some(FLOOD));
+        assert_eq!(journal.dropped(), FLOOD - JOURNAL_CAPACITY as u64);
+
+        journal.clear();
+        let span = |id| {
+            Event::at(
+                id,
+                Who::Dispatcher,
+                EventKind::Request {
+                    id,
+                    batch: 0,
+                    exec_ns: 1,
+                },
+            )
+        };
+        let spans: Vec<Event> = (0..8).map(span).collect();
+        spans.iter().cloned().for_each(|e| journal.record(e));
+        (0..FLOOD).for_each(|t| journal.record(Event::at(t, Who::Dispatcher, EventKind::Shed)));
+        let events = journal.events();
+        assert_eq!(events[..8], spans, "the request spans survive, first");
+        assert!(events[8..].iter().all(|e| e.kind == EventKind::Shed));
+        assert_eq!(events.len(), 8 + JOURNAL_CAPACITY);
+        assert_eq!(journal.dropped(), FLOOD - JOURNAL_CAPACITY as u64);
+    }
+
+    #[test]
+    fn events_read_back_in_record_order_across_classes() {
+        let journal = Journal::new();
+        let kinds = [
+            EventKind::Shed,
+            EventKind::Miss,
+            EventKind::Retry { attempt: 1 },
+            EventKind::Request {
+                id: 0,
+                batch: 0,
+                exec_ns: 0,
+            },
+            EventKind::Pin,
+            EventKind::TierSkipped,
+        ];
+        (kinds.iter().cloned()).for_each(|k| journal.record(Event::at(0, Who::Engine, k)));
+        let read: Vec<EventKind> = journal.events().into_iter().map(|e| e.kind).collect();
+        assert_eq!(read, kinds);
+    }
+
+    #[test]
+    fn a_journal_is_claimed_once() {
+        let journal = Journal::new();
+        assert!(journal.claim());
+        assert!(!journal.claim());
+        journal.clear();
+        assert!(!journal.claim(), "clearing keeps the claim");
+    }
+
+    #[test]
     fn journals_built_apart_share_one_time_base() {
         let early = Journal::new();
         std::thread::sleep(std::time::Duration::from_millis(20));
         let late = Journal::new();
         // With an epoch per journal the first stamp would read 20 ms and
         // the second, taken later, 0.
-        early.record(Event::instant(Who::Engine, EventKind::Shed));
-        late.record(Event::instant(Who::Engine, EventKind::Shed));
+        early.record(Event::at(now(), Who::Engine, EventKind::Shed));
+        late.record(Event::at(now(), Who::Engine, EventKind::Shed));
         assert!(early.events()[0].at_ns <= late.events()[0].at_ns);
         if let Some(past) = Instant::now().checked_sub(std::time::Duration::from_secs(3600)) {
             assert_eq!(since_epoch(past), 0, "before the epoch reads 0");

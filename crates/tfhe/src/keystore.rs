@@ -216,7 +216,7 @@ pub struct KeyStoreStats {
     /// another caller's load and were served by the key it published.
     pub hits: u64,
     /// `get`s that found the key neither resident nor loading, and so
-    /// started a backend load.
+    /// started a load.
     pub misses: u64,
     /// Loads that published their key.
     pub loads: u64,
@@ -282,9 +282,9 @@ impl<K: Clone> KeyCache<K> {
         }
     }
 
-    fn record(&self, now: u64, tenant: TenantId, kind: EventKind) {
-        let event = Event::at(now, Who::Tenant(tenant.raw()), kind);
-        self.journal.record(event);
+    fn record(&self, now: u64, tenant: TenantId, kinds: impl IntoIterator<Item = EventKind>) {
+        let event = |kind| Event::at(now, Who::Tenant(tenant.raw()), kind);
+        self.journal.record_all(kinds.into_iter().map(event));
     }
 
     /// A `get` of `t` at `now`: pin its key, claim its load, or wait.
@@ -296,15 +296,14 @@ impl<K: Clone> KeyCache<K> {
                 r.pins += 1;
                 let key = r.key.clone();
                 self.stats.hits += 1;
-                self.record(now, t, EventKind::Hit);
-                self.record(now, t, EventKind::Pin);
+                self.record(now, t, [EventKind::Hit, EventKind::Pin]);
                 Lookup::Hit(key)
             }
             Some(Slot::Loading) => Lookup::Wait,
             None => {
                 self.slots.insert(t, Slot::Loading);
                 self.stats.misses += 1;
-                self.record(now, t, EventKind::Miss);
+                self.record(now, t, [EventKind::Miss]);
                 Lookup::Load
             }
         }
@@ -328,15 +327,14 @@ impl<K: Clone> KeyCache<K> {
                 self.stats.bytes_resident += bytes;
                 self.stats.resident_keys += 1;
                 self.stats.loads += 1;
-                self.record(now, t, EventKind::Load { bytes });
-                self.record(now, t, EventKind::Pin);
+                self.record(now, t, [EventKind::Load { bytes }, EventKind::Pin]);
                 Ok(key)
             }
             Err(e) => {
                 self.slots.remove(&t);
                 self.stats.load_failures += 1;
                 if matches!(e, TfheError::KeyCorrupted { .. }) {
-                    self.record(now, t, EventKind::Corrupt);
+                    self.record(now, t, [EventKind::Corrupt]);
                 }
                 Err(e)
             }
@@ -347,7 +345,7 @@ impl<K: Clone> KeyCache<K> {
     fn unpin(&mut self, now: u64, t: TenantId) {
         if let Some(Slot::Ready(r)) = self.slots.get_mut(&t) {
             r.pins -= 1;
-            self.record(now, t, EventKind::Unpin);
+            self.record(now, t, [EventKind::Unpin]);
         }
     }
 
@@ -381,7 +379,7 @@ impl<K: Clone> KeyCache<K> {
             self.stats.bytes_resident -= bytes;
             self.stats.resident_keys -= 1;
             self.stats.evictions += 1;
-            self.record(now, t, EventKind::Evict { bytes });
+            self.record(now, t, [EventKind::Evict { bytes }]);
         }
         Ok(())
     }
@@ -452,10 +450,8 @@ impl KeyStore {
     /// key material, each key counted by [`server_key_bytes`].
     pub fn new(backend: Arc<dyn KeyBackend>, budget_bytes: u64) -> Self {
         let journal = Arc::new(Journal::new());
-        let cache = Arc::new(Mutex::new(KeyCache::new(
-            budget_bytes,
-            Arc::clone(&journal),
-        )));
+        let cache = KeyCache::new(budget_bytes, Arc::clone(&journal));
+        let cache = Arc::new(Mutex::new(cache));
         let loaded = Arc::new(Condvar::new());
         let (claims, queue) = mpsc::channel();
         let (c, l) = (Arc::clone(&cache), Arc::clone(&loaded));
@@ -536,15 +532,21 @@ impl KeyStore {
 /// deserialize outside the lock, then publish the key pinned for its
 /// claimer and answer it — until the store is dropped. A load that
 /// unwinds resolves as failed, so the tenant's waiters wake and the next
-/// `get` loads again; its panic goes to the claimer.
+/// `get` loads again; its panic goes to the claimer. A key refused for
+/// room is kept for the next claim, which publishes it unloaded if it is
+/// the same tenant's: the retry of a call that waited for room.
 fn load_claims(
     backend: &dyn KeyBackend,
     cache: &Mutex<KeyCache<Arc<ServerKey>>>,
     loaded: &Condvar,
     claims: Receiver<Claim>,
 ) {
+    let mut refused = None;
     for (tenant, answer) in claims {
         let load = panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Some((_, kept)) = refused.take().filter(|&(t, _)| t == tenant) {
+                return kept;
+            }
             let key = deserialize_server_key(&backend.load(tenant)?)?;
             let bytes = server_key_bytes(&key);
             Ok((Arc::new(key), bytes))
@@ -554,8 +556,10 @@ fn load_claims(
             tenant: tenant.raw(),
         });
         let publish = load.as_ref().map_or(unwound, Clone::clone);
-        let key = lock(cache).loaded(journal::now(), tenant, publish);
+        let key = lock(cache).loaded(journal::now(), tenant, publish.clone());
         loaded.notify_all();
+        let full = matches!(key, Err(TfheError::KeyBudgetExceeded { .. }));
+        refused = full.then_some((tenant, publish));
         let _ = answer.send(load.map(|_| key));
     }
 }
@@ -694,6 +698,10 @@ impl Bootstrapper for KeyStoreBootstrapper {
                 pinned => return pinned?.try_bootstrap_batch(req),
             }
         }
+    }
+
+    fn journal(&self) -> Option<&Arc<Journal>> {
+        Some(&self.store.journal)
     }
 }
 

@@ -237,7 +237,7 @@ fn failover_with_dead_primary_matches_healthy_reference() {
     let served = stats.served_by_tier;
     assert_eq!(served[0], 0, "dead primary served nothing");
     assert_eq!(served[1], 1, "fallback served the batch");
-    let events = dispatcher.resilience_journal().events();
+    let events = dispatcher.journal().events();
     assert!(events.iter().any(|e| e.kind.label() == "failover"));
 }
 
@@ -258,12 +258,14 @@ fn a_tier_over_a_shut_down_engine_is_benched_on_the_first_request() {
     let req = BatchRequest::shared(encrypt_batch(3, 0x5D0E), lut);
     let want = f.server.try_bootstrap_batch(&req).expect("reference");
     assert_eq!(dispatcher.try_bootstrap_batch(&req), Ok(want));
-    // The engine is tier 0, which journals under the dispatcher's scope.
+    // The engine is tier 0, which journals under the dispatcher's scope,
+    // into the engine's journal, beside the request's span.
     let engine_tier = Who::Scope("dispatcher".into());
     let events: Vec<_> = dispatcher
-        .resilience_journal()
+        .journal()
         .events()
         .into_iter()
+        .filter(|e| matches!(e.who, Who::Scope(_)))
         .map(|e| (e.who, e.kind.label()))
         .collect();
     assert_eq!(

@@ -39,26 +39,28 @@ pub use morphling_math as math;
 pub use morphling_tfhe as tfhe;
 pub use morphling_transform as transform;
 
-/// The types nearly every consumer touches, importable in one line:
-/// `use morphling_repro::prelude::*;`.
-///
-/// Client/server key material, the unified [`Bootstrapper`] batch API
-/// with its [`BatchRequest`] and every backend — sequential
-/// [`ServerKey`], the persistent [`BootstrapEngine`] with its
-/// health/fault-plan surface, and the deadline-aware dynamic-batching
-/// [`Dispatcher`] — plus the multi-value
-/// bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`]), the
-/// service-resilience layer ([`RetryConfig`],
-/// [`BreakerConfig`], the [`DispatcherBuilder`] that appends fallback
-/// tiers), the one event [`Journal`] they all record into, the multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
-/// [`TenantId`] and the in-memory/directory backends), the unified
-/// serving surface ([`ServingConfig`] with [`Dispatcher::from_config`],
-/// and the simulator-in-the-loop autotuner's [`ServiceModel`] /
-/// [`AutotuneRequest`] / [`SloTarget`]), LUTs and ciphertexts, the
-/// paper's parameter sets, and the accelerator simulator. Deeper items
-/// (schedulers, radix integers, app models, the wire-format functions in
-/// `tfhe::serialize`) stay behind their module paths.
 pub mod prelude {
+    //! The types nearly every consumer touches, importable in one line:
+    //! `use morphling_repro::prelude::*;`.
+    //!
+    //! Client/server key material, the unified [`Bootstrapper`] batch API
+    //! with its [`BatchRequest`] and every backend — sequential
+    //! [`ServerKey`], the persistent [`BootstrapEngine`] with its
+    //! health/fault-plan surface, and the deadline-aware dynamic-batching
+    //! [`Dispatcher`] — plus the multi-value
+    //! bootstrapping surface ([`BootstrapOptions`], [`MultiLutPlan`]), the
+    //! service-resilience layer ([`RetryConfig`],
+    //! [`BreakerConfig`], the [`DispatcherBuilder`] that appends fallback
+    //! tiers), the one event [`Journal`] a serving stack records into, the
+    //! multi-tenant key layer ([`KeyStore`], [`KeyStoreBootstrapper`],
+    //! [`TenantId`] and the in-memory/directory backends), the unified
+    //! serving surface ([`ServingConfig`] with [`Dispatcher::from_config`],
+    //! and the simulator-in-the-loop autotuner's [`ServiceModel`] /
+    //! [`AutotuneRequest`] / [`SloTarget`]), LUTs and ciphertexts, the
+    //! paper's parameter sets, and the accelerator simulator. Deeper items
+    //! (schedulers, radix integers, app models, the wire-format functions in
+    //! `tfhe::serialize`) stay behind their module paths.
+
     pub use morphling_core::{sim::Simulator, ArchConfig, ReuseMode};
     pub use morphling_tfhe::{
         AutotuneReport, AutotuneRequest, BatchRequest, BootstrapEngine, BootstrapEngineBuilder,
