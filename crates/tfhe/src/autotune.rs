@@ -576,14 +576,18 @@ mod tests {
 
     #[test]
     fn linger_coalesces_batches() {
+        // A batch lingers only while another runs, so at two batchers:
+        // one batcher's batch waits for joiners while the other's runs.
         let model = model_ms(1);
         let spec = LoadSpec::new(2000.0, 256);
         let no_linger = ServingConfig::builder()
+            .workers(2)
             .max_batch_size(16)
             .max_linger(Duration::ZERO)
             .build()
             .unwrap();
         let with_linger = ServingConfig::builder()
+            .workers(2)
             .max_batch_size(16)
             .max_linger(Duration::from_millis(4))
             .build()

@@ -217,8 +217,8 @@ pub trait Bootstrapper {
 
     /// The journal this backend records into, which a dispatcher built over
     /// it shares; `None` unless it keeps one (an engine, a key store's, a
-    /// dispatcher's).
-    fn journal(&self) -> Option<&Arc<Journal>> {
+    /// dispatcher's). Named apart from their inherent `journal()`.
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
         None
     }
 }
@@ -232,8 +232,8 @@ impl<B: Bootstrapper + ?Sized> Bootstrapper for &B {
         (**self).health()
     }
 
-    fn journal(&self) -> Option<&Arc<Journal>> {
-        (**self).journal()
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
+        (**self).stack_journal()
     }
 }
 
@@ -246,8 +246,8 @@ impl<B: Bootstrapper + ?Sized> Bootstrapper for Arc<B> {
         (**self).health()
     }
 
-    fn journal(&self) -> Option<&Arc<Journal>> {
-        (**self).journal()
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
+        (**self).stack_journal()
     }
 }
 

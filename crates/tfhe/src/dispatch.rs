@@ -18,15 +18,15 @@
 //!   requests into micro-batches under a
 //!   [`max_batch_size`](ServingConfig::max_batch_size) /
 //!   [`max_linger`](ServingConfig::max_linger) policy: a batch is
-//!   flushed as soon as it is full, or when its oldest member has waited
-//!   `max_linger`, whichever comes first — bounded latency at low load,
-//!   full batches at high load — and runs on its batcher while the next
-//!   one forms, so up to `workers` batches are in flight at once, the way
-//!   each of Morphling's cores works on its own batch. The policy itself —
-//!   and admission, and what a failed batch does next — is the pure state
-//!   machine in `policy.rs`; the batchers only drive it with the wall
-//!   clock, under one lock, and the [autotuner](crate::autotune) drives
-//!   the same code with virtual time;
+//!   flushed as soon as it is full, or no other batch is running, or its
+//!   oldest member has waited `max_linger` — no wait on an idle backend
+//!   (at `workers = 1` none at all), full batches at high load — and runs
+//!   on its batcher while the next one forms, so up to `workers` batches
+//!   are in flight at once, the way each of Morphling's cores works on
+//!   its own batch. The policy itself — and admission, and what a failed
+//!   batch does next — is the pure state machine in `policy.rs`; the
+//!   batchers only drive it with the wall clock, under one lock, and the
+//!   [autotuner](crate::autotune) drives the same code with virtual time;
 //! - admission runs through a **bounded queue**:
 //!   [`try_submit`](Dispatcher::try_submit) rejects with
 //!   [`TfheError::QueueFull`] instead of queueing unboundedly
@@ -171,6 +171,25 @@ struct Shared {
 type Resolution = Result<Vec<LweCiphertext>, TfheError>;
 
 impl Pending {
+    /// A request of `ct` through `luts`, and its ticket, numbered when it
+    /// is admitted.
+    fn new(ct: LweCiphertext, luts: Vec<Arc<Lut>>) -> (Self, Ticket) {
+        let (reply, rx) = channel::bounded(1);
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let item = Self {
+            ct,
+            luts: luts.into_boxed_slice(),
+            cancelled: Arc::clone(&cancelled),
+            reply,
+        };
+        let ticket = Ticket {
+            id: 0,
+            cancelled,
+            reply: rx,
+        };
+        (item, ticket)
+    }
+
     /// Deliver the request's terminal result. The reply channel holds one
     /// slot and sees one send ever, so this never blocks; a dropped ticket
     /// just discards the send.
@@ -458,14 +477,14 @@ impl DispatcherBuilder {
 
     /// Spawn [`workers`](ServingConfig::workers) batcher threads over
     /// `backend`, tier 0, and start serving, recording into `backend`'s
-    /// [journal](Bootstrapper::journal) unless it has none or another
+    /// [journal](Bootstrapper::stack_journal) unless it has none or another
     /// dispatcher records into it.
     pub fn build<B>(self, backend: B) -> Dispatcher
     where
         B: Bootstrapper + Send + Sync + 'static,
     {
         // The backend's journal, or a fresh one: whichever no dispatcher took.
-        let mut journal = backend.journal().cloned().unwrap_or_default();
+        let mut journal = backend.stack_journal().cloned().unwrap_or_default();
         while !journal.claim() {
             journal = Arc::default();
         }
@@ -546,8 +565,8 @@ impl Dispatcher {
     /// `deadline` is the latest acceptable *execution start*: if the
     /// batcher has not started the request's batch by then, the request
     /// resolves to [`TfheError::DeadlineExceeded`] instead of running
-    /// late. A deadline sooner than the linger window flushes the batch
-    /// early.
+    /// late. A batch lingers for joiners only while another one runs; a
+    /// deadline sooner than that linger window flushes it early.
     ///
     /// # Errors
     ///
@@ -622,38 +641,46 @@ impl Dispatcher {
         deadline: Option<Instant>,
         block: bool,
     ) -> Result<Ticket, TfheError> {
+        let (item, mut ticket) = Pending::new(ct, luts);
+        (self.enqueue_all([(item, &mut ticket)], tenant, deadline, block)).map(|()| ticket)
+    }
+
+    /// Admit each request, in order, numbering its ticket: all under one
+    /// lock and with one wake-up, so that an idle batcher sees them as one
+    /// batch. A full queue blocks (`block`), letting the batchers at what
+    /// is queued meanwhile, or refuses; a refusal ends the admission.
+    fn enqueue_all<'t>(
+        &self,
+        requests: impl IntoIterator<Item = (Pending, &'t mut Ticket)>,
+        tenant: Option<TenantId>,
+        deadline: Option<Instant>,
+        block: bool,
+    ) -> Result<(), TfheError> {
         let shared = &self.shared;
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let mut item = Pending {
-            ct,
-            luts: luts.into_boxed_slice(),
-            cancelled: Arc::clone(&cancelled),
-            reply: reply_tx,
-        };
         // Instants before the epoch are 0: expired from the start.
         let deadline_ns = deadline.map(journal::since_epoch);
         let mut state = lock(&shared.state);
-        let id = loop {
+        let mut requests = requests.into_iter();
+        let mut next = requests.next();
+        let (mut admitted, mut refused) = (false, None);
+        while let Some((item, ticket)) = next.take() {
             // Stamped at admission: a `submit` that blocked on a full
-            // queue lingers from when it got in, not from when it was
-            // called.
+            // queue lingers from when it got in, not from when it was called.
             match (state.core).admit(journal::now(), tenant, deadline_ns, item, block) {
-                Ok(id) => break id,
+                Ok(id) => (ticket.id, next, admitted) = (id, requests.next(), true),
                 Err((TfheError::QueueFull { .. }, back)) if block => {
-                    item = back;
+                    next = Some((back, ticket));
+                    shared.not_empty.notify_one();
                     state = (shared.not_full.wait(state)).unwrap_or_else(PoisonError::into_inner);
                 }
-                Err((why, _)) => return Err(why),
+                Err((why, _)) => refused = Some(why),
             }
-        };
+        }
         drop(state);
-        shared.not_empty.notify_one();
-        Ok(Ticket {
-            id,
-            cancelled,
-            reply: reply_rx,
-        })
+        if admitted {
+            shared.not_empty.notify_one();
+        }
+        refused.map_or(Ok(()), Err)
     }
 
     /// Aggregate metrics since construction: one consistent snapshot of
@@ -722,9 +749,9 @@ impl std::fmt::Debug for Dispatcher {
 
 /// Whole-batch callers can treat the dispatcher as just another backend:
 /// the request is split into individual submissions with no deadline,
-/// which the batcher is free to coalesce with traffic from other callers —
-/// cross-request batching, the paper's SW-scheduler behavior. Results come
-/// back in input order.
+/// admitted together, which the batcher is free to coalesce with traffic
+/// from other callers — cross-request batching, the paper's SW-scheduler
+/// behavior. Results come back in input order.
 impl Bootstrapper for Dispatcher {
     fn try_bootstrap_batch(&self, req: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
         if req.is_empty() {
@@ -735,12 +762,14 @@ impl Bootstrapper for Dispatcher {
         // keeps an input's LUTs together (one rotation per input
         // downstream) while still coalescing across inputs. The request's
         // tenant rides along on every submission, so key affinity holds
-        // across the split.
-        let mut tickets = Vec::with_capacity(req.len());
-        for (ct, list) in req.ciphertexts().iter().zip(req.lists()) {
-            let picked = list.iter().map(|&j| Arc::clone(&luts[j])).collect();
-            tickets.push(self.enqueue(ct.clone(), picked, req.tenant(), None, true)?);
-        }
+        // across the split; all are admitted at once, so that an idle
+        // batcher does not flush the first few alone.
+        let picked = |list: &Vec<usize>| list.iter().map(|&j| Arc::clone(&luts[j])).collect();
+        let (items, mut tickets): (Vec<_>, Vec<_>) = (req.ciphertexts().iter().zip(req.lists()))
+            .map(|(ct, list)| Pending::new(ct.clone(), picked(list)))
+            .unzip();
+        let requests = items.into_iter().zip(&mut tickets);
+        self.enqueue_all(requests, req.tenant(), None, true)?;
         let mut out = Vec::with_capacity(req.output_len());
         let mut first_err = None;
         for ticket in tickets {
@@ -752,7 +781,7 @@ impl Bootstrapper for Dispatcher {
         first_err.map_or(Ok(out), Err)
     }
 
-    fn journal(&self) -> Option<&Arc<Journal>> {
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
         Some(&self.shared.journal)
     }
 }
@@ -895,18 +924,14 @@ fn run_as_batch(
     let mut luts: Vec<Arc<Lut>> = Vec::new();
     let mut lists: Vec<Vec<usize>> = Vec::with_capacity(live.len());
     for p in live {
-        let mut list = Vec::with_capacity(p.item.luts.len());
-        for lut in p.item.luts.iter() {
-            let idx = match luts.iter().position(|l| Arc::ptr_eq(l, lut)) {
-                Some(idx) => idx,
-                None => {
-                    luts.push(Arc::clone(lut));
-                    luts.len() - 1
-                }
-            };
-            list.push(idx);
-        }
-        lists.push(list);
+        let mut index = |lut: &Arc<Lut>| match luts.iter().position(|l| Arc::ptr_eq(l, lut)) {
+            Some(idx) => idx,
+            None => {
+                luts.push(Arc::clone(lut));
+                luts.len() - 1
+            }
+        };
+        lists.push(p.item.luts.iter().map(&mut index).collect());
     }
     let cts: Vec<LweCiphertext> = live.iter().map(|p| p.item.ct.clone()).collect();
     let owned: Vec<Lut> = luts.iter().map(|l| (**l).clone()).collect();
@@ -1040,6 +1065,21 @@ mod tests {
         Arc::new(Lut::identity(256, 4))
     }
 
+    /// One request per ciphertext of `cts`, each through `lut`, all
+    /// admitted at once.
+    fn submit_all(
+        d: &Dispatcher,
+        cts: impl IntoIterator<Item = LweCiphertext>,
+        lut: &Arc<Lut>,
+    ) -> Vec<Ticket> {
+        let (items, mut tickets): (Vec<_>, Vec<_>) = (cts.into_iter())
+            .map(|ct| Pending::new(ct, vec![Arc::clone(lut)]))
+            .unzip();
+        let requests = items.into_iter().zip(&mut tickets);
+        d.enqueue_all(requests, None, None, true).unwrap();
+        tickets
+    }
+
     /// A dispatcher over `backend` under `knobs`.
     fn dispatcher<B>(knobs: ServingConfigBuilder, backend: B) -> Dispatcher
     where
@@ -1084,13 +1124,13 @@ mod tests {
     }
 
     /// Batch membership, by request id, that the core forms on virtual
-    /// time when each wave arrives whole, a second after the one before,
-    /// and the backend answers at once.
+    /// time when each wave arrives whole, at one instant a second after
+    /// the one before, and the backend answers at once.
     fn virtual_batches(cfg: &ServingConfig, waves: &[Vec<Option<u64>>]) -> Vec<Vec<u64>> {
         use crate::policy::{drive, Arrival};
         let second = |wave: usize| wave as u64 * 1_000_000_000;
         let arrivals: Vec<Arrival> = (waves.iter().enumerate())
-            .flat_map(|(w, wave)| wave.iter().zip(second(w)..))
+            .flat_map(|(w, wave)| wave.iter().map(move |tenant| (tenant, second(w))))
             .map(|(&tenant, at)| Arrival {
                 at,
                 affinity: tenant.map(TenantId::new),
@@ -1213,55 +1253,112 @@ mod tests {
                 .max_linger(Duration::MAX),
             Arc::clone(&backend),
         );
-        let lut = dummy_lut();
-        let t0 = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
-        let t1 = d.submit(dummy_ct(1), lut, None).unwrap();
-        assert_eq!(t0.wait().unwrap(), dummy_ct(0));
-        assert_eq!(t1.wait().unwrap(), dummy_ct(1));
+        let tickets = submit_all(&d, [dummy_ct(0), dummy_ct(1)], &dummy_lut());
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.wait().unwrap(), dummy_ct(i as u64));
+        }
         assert_eq!(lock(&backend.sizes).clone(), vec![2]);
+    }
+
+    #[test]
+    fn a_whole_batch_reaches_an_idle_dispatcher_as_one_call() {
+        // Nothing lingers on an idle backend, so only admitting the whole
+        // batch at once keeps its first items from going alone; fifty
+        // batches in a row, because a batcher that wakes too soon splits
+        // only some.
+        for workers in [1, 2] {
+            let (backend, _started, _gate) = echo(false);
+            let d = dispatcher(
+                ServingConfig::builder()
+                    .workers(workers)
+                    .max_batch_size(8)
+                    .max_linger(Duration::from_secs(60)),
+                Arc::clone(&backend),
+            );
+            let cts: Vec<LweCiphertext> = (0..8).map(dummy_ct).collect();
+            let req = BatchRequest::shared(cts.clone(), (*dummy_lut()).clone());
+            for _ in 0..50 {
+                assert_eq!(d.try_bootstrap_batch(&req).unwrap(), cts);
+            }
+            assert_eq!(lock(&backend.sizes).clone(), [8; 50], "{workers} batchers");
+        }
+    }
+
+    #[test]
+    fn a_batch_lingers_behind_a_running_one_only_until_it_settles() {
+        let (backend, started, gate) = echo(true);
+        let d = dispatcher(
+            ServingConfig::builder()
+                .workers(2)
+                .max_batch_size(8)
+                .max_linger(Duration::from_secs(60)),
+            Arc::clone(&backend),
+        );
+        let lut = dummy_lut();
+        let patience = Duration::from_secs(5);
+        let first = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
+        started.recv_timeout(patience).unwrap();
+        // The other batcher seeds a batch with this one, which lingers...
+        let second = d.submit(dummy_ct(1), lut, None).unwrap();
+        assert!(started.recv_timeout(Duration::from_millis(50)).is_err());
+        // ...until the first call ends: the batcher that settles it polls
+        // next and flushes it, long before its linger is out.
+        gate.send(()).unwrap();
+        started.recv_timeout(patience).unwrap();
+        gate.send(()).unwrap();
+        assert_eq!(first.wait_timeout(patience).unwrap(), dummy_ct(0));
+        assert_eq!(second.wait_timeout(patience).unwrap(), dummy_ct(1));
+        assert_eq!(lock(&backend.sizes).clone(), vec![1, 1]);
     }
 
     #[test]
     fn a_forming_batch_makes_room_for_a_blocked_submitter() {
         // Members of the forming batch no longer occupy the queue, so a
         // `submit` blocked on a full queue gets in — and joins — while
-        // the batch lingers. With an unbounded linger nothing else would
-        // ever wake it.
+        // the batch lingers behind a running one. With an unbounded
+        // linger nothing else would ever wake it.
         let (backend, started, gate) = echo(true);
         let d = dispatcher(
             ServingConfig::builder()
+                .workers(2)
                 .max_batch_size(3)
                 .queue_capacity(2)
                 .max_linger(Duration::MAX),
             Arc::clone(&backend),
         );
         let lut = dummy_lut();
-        // Hold the batcher inside a first, full batch...
         let patience = Duration::from_secs(5);
-        let held: Vec<Ticket> = (0..3)
-            .map(|i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
-            .collect();
-        started.recv().unwrap();
-        // ...fill the queue behind it, and block one more submitter.
-        let queued: Vec<Ticket> = (3..5)
+        let submit = |i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap();
+        // Hold one batcher inside a lone first request, and the other
+        // inside a full batch that lingered behind it...
+        let mut held = vec![submit(0)];
+        started.recv_timeout(patience).unwrap();
+        held.extend((1..4).map(submit));
+        started.recv_timeout(patience).unwrap();
+        // ...fill the queue behind them, and block one more submitter.
+        let queued: Vec<Ticket> = (4..6)
             .map(|i| d.try_submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
             .collect();
         std::thread::scope(|s| {
-            let blocked = s.spawn(|| d.submit(dummy_ct(5), Arc::clone(&lut), None).unwrap());
+            let blocked = s.spawn(|| submit(6));
             // Not a synchronisation: the outcome is the same whether or
             // not the submitter is already waiting when the gate opens;
             // the pause only makes the interesting order the likely one.
             std::thread::sleep(Duration::from_millis(20));
+            // One call ends; the other still runs, so the next batch
+            // lingers until the blocked submitter fills it.
             gate.send(()).unwrap();
-            started.recv().unwrap();
-            gate.send(()).unwrap();
+            started.recv_timeout(patience).unwrap();
+            for _ in 0..2 {
+                gate.send(()).unwrap();
+            }
             let last = blocked.join().unwrap();
-            assert_eq!(last.wait_timeout(patience).unwrap(), dummy_ct(5));
+            assert_eq!(last.wait_timeout(patience).unwrap(), dummy_ct(6));
         });
         for (i, t) in held.into_iter().chain(queued).enumerate() {
             assert_eq!(t.wait_timeout(patience).unwrap(), dummy_ct(i as u64));
         }
-        assert_eq!(lock(&backend.sizes).clone(), vec![3, 3]);
+        assert_eq!(lock(&backend.sizes).clone(), vec![1, 3, 3]);
     }
 
     /// Backend whose first call panics once the gate opens.
@@ -1656,20 +1753,18 @@ mod tests {
                 .max_linger(Duration::from_millis(100)),
             Arc::clone(&sk),
         );
-        // One good request and one with the wrong LWE dimension, lingering
-        // into the same micro-batch.
-        let good = d
-            .submit(ck.encrypt(1, &mut rng), Arc::clone(&lut), None)
-            .unwrap();
-        let bad = d.submit(dummy_ct(0), Arc::clone(&lut), None).unwrap();
+        // One good request and one with the wrong LWE dimension, admitted
+        // together into the same micro-batch.
+        let cts = [ck.encrypt(1, &mut rng), dummy_ct(0)];
+        let [good, bad]: [Ticket; 2] = submit_all(&d, cts, &lut).try_into().unwrap();
         assert_eq!(ck.decrypt(&good.wait().unwrap()), 1);
         assert!(matches!(
             bad.wait().unwrap_err(),
             TfheError::LweDimensionMismatch { .. }
         ));
+        // One batch of both, then each alone.
         let stats = d.stats();
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.failed, 1);
+        assert_eq!((stats.completed, stats.failed, stats.batches), (1, 1, 3));
     }
 
     #[test]
@@ -1774,10 +1869,7 @@ mod tests {
                     .retry(retry),
                 Arc::clone(&backend),
             );
-            let lut = dummy_lut();
-            let tickets: Vec<Ticket> = (0..16)
-                .map(|i| d.submit(dummy_ct(i), Arc::clone(&lut), None).unwrap())
-                .collect();
+            let tickets = submit_all(&d, (0..16).map(dummy_ct), &dummy_lut());
             let answers: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
             assert_eq!(lock(&backend.sizes).clone(), calls);
             let stats = d.stats();

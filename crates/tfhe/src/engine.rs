@@ -990,7 +990,7 @@ impl Bootstrapper for BootstrapEngine {
         BootstrapEngine::health(self)
     }
 
-    fn journal(&self) -> Option<&Arc<Journal>> {
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
         Some(&self.shared.journal)
     }
 }

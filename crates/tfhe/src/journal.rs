@@ -14,7 +14,7 @@
 //!   component owns an epoch, so the events of any two journals of one
 //!   process concatenate into one timeline without arithmetic.
 //! - **One journal per serving stack.** A dispatcher records into its
-//!   backend's ([`Bootstrapper::journal`](crate::Bootstrapper::journal)),
+//!   backend's ([`Bootstrapper::stack_journal`](crate::Bootstrapper::stack_journal)),
 //!   so one [`Journal::events`] call reads a stack's whole timeline.
 //! - **One bound per event class.** A journal keeps the newest
 //!   [`JOURNAL_CAPACITY`] events of each class — request spans, work,

@@ -700,7 +700,7 @@ impl Bootstrapper for KeyStoreBootstrapper {
         }
     }
 
-    fn journal(&self) -> Option<&Arc<Journal>> {
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
         Some(&self.store.journal)
     }
 }

@@ -24,10 +24,11 @@
 //!   tenantless is a class of its own), in queue order, up to
 //!   `max_batch_size` — so one server key serves the whole batch. Other
 //!   classes stay queued in order;
-//! - the batch **flushes** when it is full, when `flush_at` arrives — its
-//!   oldest member's arrival plus `max_linger`, lowered by every member's
-//!   deadline minus `deadline_slack` — or when the door is closed
-//!   (draining);
+//! - the batch **flushes** when it is full, when no batch it routed is
+//!   still running (work-conserving: it waits for joiners only while the
+//!   backend is busy), when `flush_at` arrives — its oldest member's
+//!   arrival plus `max_linger`, lowered by every member's deadline minus
+//!   `deadline_slack` — or when the door is closed (draining);
 //! - at flush time **one sweep** over queue and batch hands back every
 //!   entry that was cancelled or whose deadline is not after `now` (the
 //!   latest acceptable execution *start*: `deadline == now` is too late);
@@ -303,6 +304,9 @@ pub(crate) struct ServingCore<T> {
     forming: Vec<Entry<T>>,
     /// When `forming` flushes even if it is not full.
     flush_at: u64,
+    /// Batches routed and not yet served or failed; `forming` waits for
+    /// joiners only while this is above zero.
+    running: usize,
     /// Members of a batch that failed permanently, each about to run alone.
     isolating: VecDeque<Entry<T>>,
     tally: Tally,
@@ -327,6 +331,7 @@ impl<T> ServingCore<T> {
             queue: VecDeque::new(),
             forming: Vec::new(),
             flush_at: 0,
+            running: 0,
             isolating: VecDeque::new(),
             tally: Tally {
                 served: vec![0; 1 + fallbacks.len()],
@@ -423,12 +428,10 @@ impl<T> ServingCore<T> {
         // A drain does not wait out a backoff.
         let ready = |e: &Entry<T>| draining || e.ready_at <= now;
         if let Some(alone) = self.isolating.pop_front() {
-            let (mut batch, mut dropped) = (Vec::new(), Vec::new());
-            match doom(&alone) {
-                Some(why) => dropped.push((alone, why)),
-                None => batch.push(alone),
-            }
-            return self.flush(batch, dropped);
+            return match doom(&alone) {
+                Some(why) => self.flush(Vec::new(), vec![(alone, why)]),
+                None => self.flush(vec![alone], Vec::new()),
+            };
         }
         if self.forming.is_empty() {
             if self.queue.is_empty() {
@@ -455,7 +458,8 @@ impl<T> ServingCore<T> {
                     i += 1;
                 }
             }
-            if self.forming.len() < self.cfg.max_batch_size && !draining && now < self.flush_at {
+            let lingers = self.running > 0 && now < self.flush_at;
+            if self.forming.len() < self.cfg.max_batch_size && !draining && lingers {
                 return Poll::WaitUntil(self.flush_at.min(self.next_ready(now)));
             }
         } else if !self.queue.iter().any(|e| doom(e).is_some()) {
@@ -511,7 +515,8 @@ impl<T> ServingCore<T> {
     }
 
     /// Route `batch` at `now`: fresh from a [`poll`](Self::poll) flush
-    /// (`ran` is `None`), or back from tier `ran.0` with its answer. A
+    /// (`ran` is `None`; it runs from then until it is served or failed),
+    /// or back from tier `ran.0` with its answer. A
     /// success serves it and a permanent error fails it (module docs); a
     /// retryable fault, or a fresh batch, goes to the first tier from the
     /// failed one down that admits — its health read through `health`.
@@ -525,6 +530,7 @@ impl<T> ServingCore<T> {
         health: impl Fn(usize) -> EngineHealth,
     ) -> Done<T> {
         let mut fault = None;
+        self.running += usize::from(ran.is_none());
         if let Some((tier, outcome)) = ran {
             // The breaker hears service health only: successes and
             // retryable faults. A permanent error says nothing about the
@@ -567,6 +573,7 @@ impl<T> ServingCore<T> {
 
     /// Tier `tier` served `batch` at `now`.
     fn serve(&mut self, now: u64, tier: usize, batch: Vec<Entry<T>>) -> Done<T> {
+        self.running = self.running.saturating_sub(1);
         let t = &mut self.tally;
         t.served[tier] += 1;
         t.last_ns = now;
@@ -586,6 +593,7 @@ impl<T> ServingCore<T> {
 
     /// No tier is left to run `batch`, which failed at `now` with `err`.
     fn fail(&mut self, now: u64, batch: Vec<Entry<T>>, err: TfheError) -> Done<T> {
+        self.running = self.running.saturating_sub(1);
         let mut resolved = Vec::new();
         if !err.is_retryable() && batch.len() > 1 {
             self.isolating.extend(batch);
@@ -1265,10 +1273,12 @@ mod tests {
                 .at
                 .saturating_add(dur_ns(s.cfg.max_linger));
             let flush_at = rescue_by.fold(lingered, |at, d| at.min(d.saturating_sub(slack)));
-            let due = members.len() >= cap || draining || flush_at <= t;
+            // Work-conserving: a batch lingers only while a call runs.
+            let idle = self.running.is_empty();
+            let due = members.len() >= cap || draining || flush_at <= t || idle;
             match polled {
                 Poll::WaitUntil(at) => {
-                    assert!(!due, "full, draining or past flush_at must flush now");
+                    assert!(!due, "full, draining, idle or past flush_at must flush now");
                     assert_eq!(*at, flush_at.min(next_ready));
                 }
                 Poll::Flush { .. } => assert!(due, "flushed {members:?} early at {t}"),
@@ -1681,26 +1691,22 @@ mod tests {
 
     #[test]
     fn tenant_affinity_forms_single_tenant_batches() {
-        // A lone tenant-1 request lingers out its 50 µs alone; while it
+        // A lone tenant-1 request goes at once on the idle core; while it
         // runs (10 µs), tenants interleave behind it: 1 2 1 2 1.
         let (a, b) = (Some(1), Some(2));
         let mut arrivals = vec![arrival(0, a)];
-        let behind = [a, b, a, b, a].into_iter().zip(51_000..);
+        let behind = [a, b, a, b, a].into_iter().zip(1_000..);
         arrivals.extend(behind.map(|(t, at)| arrival(at, t)));
         let out = run(&schedule(
             knobs(8, Duration::from_micros(50)),
             arrivals,
             10_000,
         ));
-        // Tenant 1's three wait out *their* seed's linger window; tenant
-        // 2's two are overdue by then and go at once, in their own order.
+        // Tenant 1's three go together when the first call ends, tenant
+        // 2's two after them, in their own order.
         assert_eq!(
             out.calls,
-            vec![
-                (50_000, vec![0]),
-                (51_000 + 50_000, vec![1, 3, 5]),
-                (51_000 + 50_000 + 10_000, vec![2, 4])
-            ]
+            vec![(0, vec![0]), (10_000, vec![1, 3, 5]), (20_000, vec![2, 4])]
         );
     }
 
@@ -1708,13 +1714,13 @@ mod tests {
     fn tenantless_and_tenant_traffic_never_share_a_batch() {
         let mut arrivals = vec![
             arrival(0, None),
-            arrival(51_000, None),
-            arrival(51_001, Some(5)),
+            arrival(1_000, None),
+            arrival(1_001, Some(5)),
         ];
-        // Cancelled while forming: its batch still flushes on its linger
-        // window, just without it.
-        arrivals[1].cancel_at = Some(60_500);
-        arrivals.push(arrival(51_002, None));
+        // Cancelled while queued behind the first call: the sweep hands it
+        // back, and the oldest live request seeds the next batch alone.
+        arrivals[1].cancel_at = Some(5_000);
+        arrivals.push(arrival(1_002, None));
         let out = run(&schedule(
             knobs(8, Duration::from_micros(50)),
             arrivals,
@@ -1722,7 +1728,7 @@ mod tests {
         ));
         assert_eq!(
             out.calls,
-            vec![(50_000, vec![0]), (101_000, vec![3]), (111_000, vec![2])]
+            vec![(0, vec![0]), (10_000, vec![2]), (20_000, vec![3])]
         );
         assert_eq!(out.left_as(Left::Cancelled), vec![1]);
     }
@@ -1757,15 +1763,57 @@ mod tests {
 
     #[test]
     fn unbounded_linger_saturates_instead_of_overflowing() {
-        // `Duration::MAX` is a valid `max_linger`: the batch waits for
-        // its second member however long that takes, and flushes when it
-        // is full.
-        let arrivals = [5, 1_000_000_000, 2_000_000_000].map(|at| arrival(at, None));
-        let mut s = schedule(knobs(2, Duration::MAX), arrivals.to_vec(), 1);
-        s.drain_at = Some(3_000_000_000);
+        // `Duration::MAX` is a valid `max_linger`: while request 0's call
+        // runs (5 s), the batch waits for its second member however long
+        // that takes and flushes when it is full; request 3 waits out the
+        // calls that run when it comes, and goes when none is left.
+        let s = 1_000_000_000;
+        let arrivals = [5, s, 2 * s, 3 * s].map(|at| arrival(at, None));
+        let cfg = ServingConfig {
+            workers: 2,
+            ..knobs(2, Duration::MAX)
+        };
         assert_eq!(
-            run(&s).calls,
-            vec![(1_000_000_000, vec![0, 1]), (3_000_000_000, vec![2])]
+            run(&schedule(cfg, arrivals.to_vec(), 5 * s)).calls,
+            vec![(5, vec![0]), (2 * s, vec![1, 2]), (7 * s, vec![3])]
+        );
+    }
+
+    #[test]
+    fn a_forming_batch_lingers_only_while_a_call_runs() {
+        // An idle core flushes a lone request at its arrival, whatever
+        // the linger.
+        let out = run(&schedule(
+            knobs(8, Duration::MAX),
+            vec![arrival(7, None)],
+            100,
+        ));
+        assert_eq!(out.calls, vec![(7, vec![0])]);
+        // At two batchers, request 1 comes while request 0's call runs
+        // (0–100): it goes when that call ends, not at its flush_at (1 010).
+        let two = ServingConfig {
+            workers: 2,
+            ..knobs(8, Duration::from_nanos(1_000))
+        };
+        let out = run(&schedule(
+            two,
+            vec![arrival(0, None), arrival(10, None)],
+            100,
+        ));
+        assert_eq!(out.calls, vec![(0, vec![0]), (100, vec![1])]);
+        // While calls run, a full batch goes at once (requests 1 and 2),
+        // and so does a deadline rescue, at deadline − slack (request 3).
+        let three = ServingConfig {
+            workers: 3,
+            deadline_slack: Duration::from_nanos(100),
+            ..knobs(2, Duration::MAX)
+        };
+        let mut arrivals = [0, 10, 20, 30].map(|at| arrival(at, None));
+        arrivals[3].deadline = Some(600);
+        let out = run(&schedule(three, arrivals.to_vec(), 1_000));
+        assert_eq!(
+            out.calls,
+            vec![(0, vec![0]), (20, vec![1, 2]), (500, vec![3])]
         );
     }
 
@@ -1788,23 +1836,19 @@ mod tests {
 
     #[test]
     fn a_request_backing_off_holds_nobody_up() {
-        // Tenant 1's request fails at 50 µs + 10 µs and is ready again
-        // 20 ms later; tenant 2 arrives at 1 ms and is served on its own
-        // linger window, while the first waits.
+        // Tenant 1's request fails at 10 µs and is ready again 20 ms
+        // later; tenant 2 arrives at 1 ms and is served at once, while the
+        // first waits.
         let cfg = retrying(knobs(8, Duration::from_micros(50)), 3);
         let mut s = schedule(cfg, vec![arrival(0, Some(1)), arrival(MS, Some(2))], 10_000);
         s.tiers[0].script = fails(1, &TRANSIENT);
         let out = run(&s);
         assert_eq!(
             out.calls,
-            vec![
-                (50_000, vec![0]),
-                (MS + 50_000, vec![1]),
-                (20 * MS + 60_000, vec![0])
-            ]
+            vec![(0, vec![0]), (MS, vec![1]), (20 * MS + 10_000, vec![0])]
         );
-        assert_eq!(out.left[1], Some((MS + 60_000, Left::Completed)));
-        assert_eq!(out.left[0], Some((20 * MS + 70_000, Left::Completed)));
+        assert_eq!(out.left[1], Some((MS + 10_000, Left::Completed)));
+        assert_eq!(out.left[0], Some((20 * MS + 20_000, Left::Completed)));
         assert_eq!(out.retried, 1);
     }
 

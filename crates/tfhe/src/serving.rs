@@ -82,7 +82,9 @@ pub struct ServingConfig {
     pub workers: usize,
     /// Flush a batch as soon as it reaches this many requests.
     pub max_batch_size: usize,
-    /// Flush a non-full batch once its oldest member has waited this long.
+    /// Flush a non-full batch once its oldest member has waited this long
+    /// while another batch is running; with none running it flushes at
+    /// once, so at `workers = 1` no batch lingers.
     pub max_linger: Duration,
     /// Admission-queue depth; beyond it `try_submit` rejects with
     /// [`TfheError::QueueFull`] and `submit` blocks.

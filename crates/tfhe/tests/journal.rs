@@ -177,8 +177,8 @@ impl<B: Bootstrapper> Bootstrapper for FailsOnce<B> {
         self.inner.try_bootstrap_batch(req)
     }
 
-    fn journal(&self) -> Option<&Arc<Journal>> {
-        self.inner.journal()
+    fn stack_journal(&self) -> Option<&Arc<Journal>> {
+        self.inner.stack_journal()
     }
 }
 
@@ -259,10 +259,7 @@ fn an_engine_stack_journals_each_job_inside_its_batch() {
     let engine = Arc::new(engine);
     let dispatcher = Dispatcher::from_config(&retry_once(), FailsOnce::new(Arc::clone(&engine)));
     let dispatcher = dispatcher.unwrap();
-    assert!(std::ptr::eq(
-        dispatcher.journal(),
-        BootstrapEngine::journal(&engine)
-    ));
+    assert!(std::ptr::eq(dispatcher.journal(), engine.journal()));
 
     let lut = Arc::new(Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4));
     let tickets: Vec<_> = (0..3)
@@ -306,11 +303,11 @@ fn two_dispatchers_over_one_store_read_only_their_own_spans() {
     assert!(!std::ptr::eq(second.journal(), keys.store().journal()));
     let first = Arc::new(first);
     let front = Dispatcher::new(Arc::clone(&first));
-    assert!(!std::ptr::eq(front.journal(), Dispatcher::journal(&first)));
+    assert!(!std::ptr::eq(front.journal(), first.journal()));
     // A journal a dispatcher made for itself is taken as well.
     let alone = Arc::new(Dispatcher::new(Echo::default()));
     let front = Dispatcher::new(Arc::clone(&alone));
-    assert!(!std::ptr::eq(front.journal(), Dispatcher::journal(&alone)));
+    assert!(!std::ptr::eq(front.journal(), alone.journal()));
 
     let lut = Arc::new(Lut::from_fn(params.poly_size, 4, |m| (m + 1) % 4));
     for (dispatcher, n) in [(&*first, 2), (&second, 3)] {
