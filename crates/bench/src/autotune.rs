@@ -142,8 +142,9 @@ pub fn config_json(outcome: &AutotuneOutcome) -> String {
 }
 
 /// The `--bench-out` summary CI validates: target, calibration,
-/// recommendation, predicted profile, search size, and — when validation
-/// ran — the measured profile plus measured ÷ predicted p99. Both are
+/// recommendation (the [`config_json`] text itself), predicted profile,
+/// search size, and — when validation ran — the measured profile plus
+/// measured ÷ predicted p99. Both are
 /// [`DispatcherStats`]; the predicted `shed` and the measured `rejected`
 /// are each every refusal at admission (`rejected + shed`).
 pub fn bench_json(outcome: &AutotuneOutcome) -> String {
@@ -163,12 +164,8 @@ pub fn bench_json(outcome: &AutotuneOutcome) -> String {
     ));
     s.push_str(&format!("  \"slo_met\": {},\n", r.slo_met));
     s.push_str(&format!(
-        "  \"recommended\": {{\"workers\": {}, \"max_batch_size\": {}, \"max_linger_us\": {}, \"queue_capacity\": {}, \"deadline_slack_us\": {}}},\n",
-        r.recommended.workers,
-        r.recommended.max_batch_size,
-        r.recommended.max_linger.as_micros(),
-        r.recommended.queue_capacity,
-        r.recommended.deadline_slack.as_micros()
+        "  \"recommended\": {},\n",
+        config_json(outcome).replace('\n', "\n  ")
     ));
     s.push_str(&format!(
         "  \"predicted\": {{\"p50_ms\": {}, \"p99_ms\": {}, \"throughput_bs\": {}, \"mean_batch_size\": {}, \"shed\": {}, \"expired\": {}}},\n",

@@ -411,7 +411,7 @@ type Backend = Arc<dyn Bootstrapper + Send + Sync>;
 /// carry because it is a live object — a [`key_store`](Self::key_store),
 /// [`fallback`](Self::fallback) backends. Every knob, the breaker's
 /// included, lives in the config ([`from_config`](Self::from_config));
-/// [`Dispatcher::builder`] starts from [`ServingConfig::default`].
+/// [`DispatcherBuilder::default`] starts from [`ServingConfig::default`].
 #[derive(Clone, Default)]
 pub struct DispatcherBuilder {
     config: ServingConfig,
@@ -521,19 +521,13 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Default policy plus runtime wiring (a key store, fallbacks); for
-    /// other knobs start from [`DispatcherBuilder::from_config`].
-    pub fn builder() -> DispatcherBuilder {
-        DispatcherBuilder::default()
-    }
-
     /// Wrap `backend` with default policy (batch ≤ 32, linger ≤ 2 ms,
     /// queue 1024).
     pub fn new<B>(backend: B) -> Self
     where
         B: Bootstrapper + Send + Sync + 'static,
     {
-        Self::builder().build(backend)
+        DispatcherBuilder::default().build(backend)
     }
 
     /// Build a dispatcher from a validated [`ServingConfig`] — the
@@ -1788,6 +1782,12 @@ mod tests {
         // same ticket delivers the result.
         gate.send(()).unwrap();
         assert_eq!(t.wait_timeout(Duration::from_secs(5)).unwrap(), dummy_ct(0));
+        // A timeout no deadline can hold is no deadline: the wait blocks
+        // until the result comes, instead of overflowing the clock.
+        let t = d.submit(dummy_ct(1), dummy_lut(), None).unwrap();
+        started.recv().unwrap();
+        gate.send(()).unwrap();
+        assert_eq!(t.wait_timeout(Duration::MAX).unwrap(), dummy_ct(1));
     }
 
     /// Retry up to three times, 60 ms, then 120 ms, then 150 ms apart.

@@ -7,10 +7,12 @@
 //! budget — so there is a single value an autotuner can emit and a
 //! deployment can pin: a plain-data struct covering every knob,
 //! JSON-serializable without serde ([`to_json`](ServingConfig::to_json)
-//! / [`from_json`](ServingConfig::from_json), following the same
-//! no-panic / typed-error conventions as [`crate::serialize`]), validated
-//! loudly ([`validate`](ServingConfig::validate)), and consumed directly
-//! by [`Dispatcher::from_config`](crate::Dispatcher::from_config).
+//! writes one flat shape — numbers, `null`, two flat objects — and
+//! [`from_json`](ServingConfig::from_json) reads that shape and no other
+//! JSON, following the same no-panic / typed-error conventions as
+//! [`crate::serialize`]), validated loudly
+//! ([`validate`](ServingConfig::validate)), and consumed directly by
+//! [`Dispatcher::from_config`](crate::Dispatcher::from_config).
 //!
 //! The autotuner ([`crate::autotune`]) searches over these configs and
 //! emits the winner; `report autotune` writes it to
@@ -43,6 +45,7 @@
 //! Durations serialize at **microsecond** granularity (`*_us` fields);
 //! sub-microsecond components are truncated by a round trip.
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,10 +102,11 @@ pub struct ServingConfig {
     /// it one; `None` admits unconditionally.
     pub breaker: Option<BreakerConfig>,
     /// Byte budget for a tenant [`KeyStore`](crate::KeyStore), when the
-    /// deployment serves multi-tenant traffic. Advisory for
-    /// [`Dispatcher::from_config`](crate::Dispatcher::from_config) (a
-    /// store needs a key *backend*, which
-    /// is runtime wiring); consumed by capacity-planning tooling.
+    /// deployment serves multi-tenant traffic. Nothing reads it yet:
+    /// [`Dispatcher::from_config`](crate::Dispatcher::from_config) builds
+    /// no store (a store needs a key *backend*, which is runtime wiring),
+    /// [`KeyStore::new`](crate::KeyStore::new) takes the live budget, and
+    /// the autotuner does not search it (ROADMAP item 5).
     pub key_budget_bytes: Option<u64>,
 }
 
@@ -232,17 +236,24 @@ impl ServingConfig {
 
     /// Parse a config previously written by [`to_json`](Self::to_json).
     ///
+    /// Reads the one shape `to_json` writes, with any whitespace between
+    /// tokens: an object whose values are numbers or `null`, where `retry`
+    /// and `breaker` are each `null` or a flat object of numbers. Integers
+    /// are read exactly (no `f64` detour), so `u64` seeds round-trip.
     /// Follows the crate's deserialization contract (`tfhe::serialize`):
     /// **never panics** on malformed input — every framing, type, or
-    /// schema failure is a typed [`TfheError::ConfigCorrupted`] — and the
-    /// parsed value is [`validate`](Self::validate)d before it is
+    /// schema failure (a string, bool or array value, an escaped, unknown
+    /// or duplicate key) is a typed [`TfheError::ConfigCorrupted`] — and
+    /// the parsed value is [`validate`](Self::validate)d before it is
     /// returned, so a degenerate-but-well-formed config fails with
     /// [`TfheError::InvalidServingConfig`] here rather than misbehaving
     /// later.
     ///
     /// `retry`, `breaker`, and `key_budget_bytes` may be `null` or
-    /// omitted (defaulting to no retries / no breaker / no budget);
-    /// everything else is required, and unknown fields are rejected.
+    /// omitted (defaulting to no retries / no breaker / no budget), as may
+    /// any field inside `retry` or `breaker` (defaulting to
+    /// [`RetryConfig::none`] / [`BreakerConfig::default`]); everything
+    /// else is required, and unknown fields are rejected.
     ///
     /// # Errors
     ///
@@ -250,136 +261,187 @@ impl ServingConfig {
     /// violations, [`TfheError::InvalidServingConfig`] on degenerate
     /// values.
     pub fn from_json(text: &str) -> Result<Self, TfheError> {
-        let value = json::parse(text)?;
-        let obj = value.as_obj("config")?;
+        let mut reader = Reader { text, pos: 0 };
         let mut cfg = Self::default();
-        let mut saw_version = false;
-        let mut required = RequiredFields::default();
-        for (key, v) in obj {
-            match key.as_str() {
+        let seen = reader.object("", |r, key| {
+            match key {
                 "version" => {
-                    let version = v.as_u64("version")?;
+                    let version: u64 = r.number(key)?;
                     if version != SERVING_CONFIG_VERSION {
                         return Err(corrupt(format!(
                             "unsupported version {version} (expected {SERVING_CONFIG_VERSION})"
                         )));
                     }
-                    saw_version = true;
                 }
-                "workers" => {
-                    cfg.workers = v.as_usize("workers")?;
-                    required.workers = true;
-                }
-                "max_batch_size" => {
-                    cfg.max_batch_size = v.as_usize("max_batch_size")?;
-                    required.max_batch_size = true;
-                }
-                "max_linger_us" => {
-                    cfg.max_linger = Duration::from_micros(v.as_u64("max_linger_us")?);
-                    required.max_linger = true;
-                }
-                "queue_capacity" => {
-                    cfg.queue_capacity = v.as_usize("queue_capacity")?;
-                    required.queue_capacity = true;
-                }
-                "deadline_slack_us" => {
-                    cfg.deadline_slack = Duration::from_micros(v.as_u64("deadline_slack_us")?);
-                    required.deadline_slack = true;
-                }
-                "retry" => {
-                    cfg.retry = match v {
-                        json::Json::Null => RetryConfig::none(),
-                        other => parse_retry(other)?,
-                    };
-                }
-                "breaker" => {
-                    cfg.breaker = match v {
-                        json::Json::Null => None,
-                        other => Some(parse_breaker(other)?),
-                    };
-                }
+                "workers" => cfg.workers = r.number(key)?,
+                "max_batch_size" => cfg.max_batch_size = r.number(key)?,
+                "max_linger_us" => cfg.max_linger = Duration::from_micros(r.number(key)?),
+                "queue_capacity" => cfg.queue_capacity = r.number(key)?,
+                "deadline_slack_us" => cfg.deadline_slack = Duration::from_micros(r.number(key)?),
+                "retry" => cfg.retry = r.retry()?,
+                "breaker" => cfg.breaker = r.breaker()?,
                 "key_budget_bytes" => {
-                    cfg.key_budget_bytes = match v {
-                        json::Json::Null => None,
-                        other => Some(other.as_u64("key_budget_bytes")?),
+                    cfg.key_budget_bytes = if r.eat("null") {
+                        None
+                    } else {
+                        Some(r.number(key)?)
                     };
                 }
-                unknown => {
-                    return Err(corrupt(format!("unknown field `{unknown}`")));
-                }
+                _ => return Ok(false),
             }
+            Ok(true)
+        })?;
+        if !reader.rest().is_empty() {
+            return Err(corrupt(format!(
+                "trailing characters at byte {}",
+                reader.pos
+            )));
         }
-        if !saw_version {
-            return Err(corrupt("missing field `version`".into()));
+        let required = [
+            "version",
+            "workers",
+            "max_batch_size",
+            "max_linger_us",
+            "queue_capacity",
+            "deadline_slack_us",
+        ];
+        if let Some(name) = required.iter().find(|name| !seen.contains(name)) {
+            return Err(corrupt(format!("missing field `{name}`")));
         }
-        required.check()?;
         cfg.validate()?;
         Ok(cfg)
     }
 }
 
-/// Presence tracking for the required top-level fields of the JSON form.
-#[derive(Default)]
-struct RequiredFields {
-    workers: bool,
-    max_batch_size: bool,
-    max_linger: bool,
-    queue_capacity: bool,
-    deadline_slack: bool,
+/// A cursor over the text [`ServingConfig::from_json`] reads; each method
+/// skips the whitespace before its token.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-impl RequiredFields {
-    fn check(&self) -> Result<(), TfheError> {
-        let missing = [
-            (self.workers, "workers"),
-            (self.max_batch_size, "max_batch_size"),
-            (self.max_linger, "max_linger_us"),
-            (self.queue_capacity, "queue_capacity"),
-            (self.deadline_slack, "deadline_slack_us"),
-        ]
-        .into_iter()
-        .find(|(present, _)| !present);
-        match missing {
-            Some((_, name)) => Err(corrupt(format!("missing field `{name}`"))),
-            None => Ok(()),
-        }
+impl<'a> Reader<'a> {
+    /// Skip whitespace and return what follows it.
+    fn rest(&mut self) -> &'a str {
+        let rest = &self.text[self.pos..];
+        let token = rest.trim_start_matches([' ', '\t', '\n', '\r']);
+        self.pos += rest.len() - token.len();
+        token
     }
-}
 
-fn parse_retry(v: &json::Json) -> Result<RetryConfig, TfheError> {
-    let mut r = RetryConfig::none();
-    for (key, v) in v.as_obj("retry")? {
-        match key.as_str() {
-            "max_retries" => r.max_retries = v.as_u32("retry.max_retries")?,
-            "base_backoff_us" => {
-                r.base_backoff = Duration::from_micros(v.as_u64("retry.base_backoff_us")?);
-            }
-            "max_backoff_us" => {
-                r.max_backoff = Duration::from_micros(v.as_u64("retry.max_backoff_us")?);
-            }
-            "jitter" => r.jitter = v.as_f64("retry.jitter")?,
-            "seed" => r.seed = v.as_u64("retry.seed")?,
-            unknown => return Err(corrupt(format!("unknown field `retry.{unknown}`"))),
+    /// Consume `token` if it comes next.
+    fn eat(&mut self, token: &str) -> bool {
+        let hit = self.rest().starts_with(token);
+        if hit {
+            self.pos += token.len();
         }
+        hit
     }
-    Ok(r)
-}
 
-fn parse_breaker(v: &json::Json) -> Result<BreakerConfig, TfheError> {
-    let mut b = BreakerConfig::default();
-    for (key, v) in v.as_obj("breaker")? {
-        match key.as_str() {
-            "window" => b.window = v.as_usize("breaker.window")?,
-            "failure_threshold" => {
-                b.failure_threshold = v.as_f64("breaker.failure_threshold")?;
-            }
-            "min_samples" => b.min_samples = v.as_usize("breaker.min_samples")?,
-            "cooldown_us" => b.cooldown = Duration::from_micros(v.as_u64("breaker.cooldown_us")?),
-            "probes_to_close" => b.probes_to_close = v.as_u32("breaker.probes_to_close")?,
-            unknown => return Err(corrupt(format!("unknown field `breaker.{unknown}`"))),
+    fn expect(&mut self, token: &str) -> Result<(), TfheError> {
+        if self.eat(token) {
+            Ok(())
+        } else {
+            Err(corrupt(format!("expected `{token}` at byte {}", self.pos)))
         }
     }
-    Ok(b)
+
+    /// A number as `T`: a `-` or a digit, then the longest run of digits,
+    /// signs, `.`, `e` and `E` — parsed whole, so `1.5` is no integer and
+    /// `1e999` no `u64`.
+    fn number<T: FromStr>(&mut self, key: &str) -> Result<T, TfheError> {
+        let rest = self.rest();
+        let len = if rest.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+            rest.find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
+                .unwrap_or(rest.len())
+        } else {
+            0
+        };
+        let raw = &rest[..len];
+        let at = self.pos;
+        self.pos += len;
+        raw.parse().map_err(|_| {
+            corrupt(format!(
+                "`{key}` must be a number in range (got `{raw}` at byte {at})"
+            ))
+        })
+    }
+
+    /// An object whose every value `field` reads: it is handed each key —
+    /// read up to the next quote, since a known one has no escapes — and
+    /// returns `false` for an unknown one. Returns the keys, each seen at
+    /// most once; `scope` prefixes them in errors.
+    fn object(
+        &mut self,
+        scope: &str,
+        mut field: impl FnMut(&mut Self, &str) -> Result<bool, TfheError>,
+    ) -> Result<Vec<&'a str>, TfheError> {
+        self.expect("{")?;
+        let mut seen = Vec::new();
+        if self.eat("}") {
+            return Ok(seen);
+        }
+        loop {
+            self.expect("\"")?;
+            let rest = &self.text[self.pos..];
+            let end = rest
+                .find('"')
+                .ok_or_else(|| corrupt("unterminated key".into()))?;
+            let key = &rest[..end];
+            self.pos += key.len() + 1;
+            if seen.contains(&key) {
+                return Err(corrupt(format!("duplicate field `{scope}{key}`")));
+            }
+            self.expect(":")?;
+            if !field(self, key)? {
+                return Err(corrupt(format!("unknown field `{scope}{key}`")));
+            }
+            seen.push(key);
+            if !self.eat(",") {
+                self.expect("}")?;
+                return Ok(seen);
+            }
+        }
+    }
+
+    /// `null` (no retries) or an object over [`RetryConfig::none`].
+    fn retry(&mut self) -> Result<RetryConfig, TfheError> {
+        let mut retry = RetryConfig::none();
+        if !self.eat("null") {
+            self.object("retry.", |r, key| {
+                match key {
+                    "max_retries" => retry.max_retries = r.number(key)?,
+                    "base_backoff_us" => retry.base_backoff = Duration::from_micros(r.number(key)?),
+                    "max_backoff_us" => retry.max_backoff = Duration::from_micros(r.number(key)?),
+                    "jitter" => retry.jitter = r.number(key)?,
+                    "seed" => retry.seed = r.number(key)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+        }
+        Ok(retry)
+    }
+
+    /// `null` (no breaker) or an object over [`BreakerConfig::default`].
+    fn breaker(&mut self) -> Result<Option<BreakerConfig>, TfheError> {
+        if self.eat("null") {
+            return Ok(None);
+        }
+        let mut b = BreakerConfig::default();
+        self.object("breaker.", |r, key| {
+            match key {
+                "window" => b.window = r.number(key)?,
+                "failure_threshold" => b.failure_threshold = r.number(key)?,
+                "min_samples" => b.min_samples = r.number(key)?,
+                "cooldown_us" => b.cooldown = Duration::from_micros(r.number(key)?),
+                "probes_to_close" => b.probes_to_close = r.number(key)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok(Some(b))
+    }
 }
 
 /// Fluent construction of a validated [`ServingConfig`].
@@ -451,308 +513,6 @@ impl ServingConfigBuilder {
 
 fn corrupt(detail: String) -> TfheError {
     TfheError::ConfigCorrupted { detail }
-}
-
-/// Minimal recursive-descent JSON reader, mirroring `tfhe::serialize`'s
-/// bounds-checked, never-panicking deserialization style for a text
-/// format: every malformed input becomes a typed
-/// [`TfheError::ConfigCorrupted`].
-mod json {
-    use super::corrupt;
-    use crate::error::TfheError;
-
-    /// Nesting allowed before the parser refuses (a config is two deep;
-    /// this bounds adversarial recursion).
-    const MAX_DEPTH: u32 = 16;
-
-    /// A parsed JSON value. Numbers keep their raw literal so `u64`s
-    /// round-trip exactly (an `f64` detour would corrupt seeds above
-    /// 2⁵³).
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// A number literal, kept raw.
-        Num(String),
-        /// A string literal, unescaped.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, in source order.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub(crate) fn as_obj(&self, field: &str) -> Result<&[(String, Json)], TfheError> {
-            match self {
-                Json::Obj(fields) => Ok(fields),
-                other => Err(corrupt(format!(
-                    "`{field}` must be an object (got {})",
-                    other.kind()
-                ))),
-            }
-        }
-
-        pub(crate) fn as_u64(&self, field: &str) -> Result<u64, TfheError> {
-            match self {
-                Json::Num(raw) => raw.parse::<u64>().map_err(|_| {
-                    corrupt(format!(
-                        "`{field}` must be a non-negative integer (got {raw})"
-                    ))
-                }),
-                other => Err(corrupt(format!(
-                    "`{field}` must be a number (got {})",
-                    other.kind()
-                ))),
-            }
-        }
-
-        pub(crate) fn as_u32(&self, field: &str) -> Result<u32, TfheError> {
-            let n = self.as_u64(field)?;
-            u32::try_from(n)
-                .map_err(|_| corrupt(format!("`{field}` does not fit in 32 bits (got {n})")))
-        }
-
-        pub(crate) fn as_usize(&self, field: &str) -> Result<usize, TfheError> {
-            let n = self.as_u64(field)?;
-            usize::try_from(n)
-                .map_err(|_| corrupt(format!("`{field}` does not fit in usize (got {n})")))
-        }
-
-        pub(crate) fn as_f64(&self, field: &str) -> Result<f64, TfheError> {
-            match self {
-                Json::Num(raw) => raw
-                    .parse::<f64>()
-                    .map_err(|_| corrupt(format!("`{field}` must be a number (got {raw})"))),
-                other => Err(corrupt(format!(
-                    "`{field}` must be a number (got {})",
-                    other.kind()
-                ))),
-            }
-        }
-
-        fn kind(&self) -> &'static str {
-            match self {
-                Json::Null => "null",
-                Json::Bool(_) => "a bool",
-                Json::Num(_) => "a number",
-                Json::Str(_) => "a string",
-                Json::Arr(_) => "an array",
-                Json::Obj(_) => "an object",
-            }
-        }
-    }
-
-    /// Parse one JSON document; trailing non-whitespace is an error.
-    pub fn parse(text: &str) -> Result<Json, TfheError> {
-        let mut cur = Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = cur.value(0)?;
-        cur.skip_ws();
-        if cur.pos != cur.bytes.len() {
-            return Err(corrupt(format!("trailing characters at byte {}", cur.pos)));
-        }
-        Ok(value)
-    }
-
-    struct Cursor<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Cursor<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn eat(&mut self, byte: u8) -> Result<(), TfheError> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(corrupt(format!(
-                    "expected `{}` at byte {}",
-                    byte as char, self.pos
-                )))
-            }
-        }
-
-        fn eat_literal(&mut self, lit: &str, value: Json) -> Result<Json, TfheError> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(value)
-            } else {
-                Err(corrupt(format!("invalid literal at byte {}", self.pos)))
-            }
-        }
-
-        fn value(&mut self, depth: u32) -> Result<Json, TfheError> {
-            if depth > MAX_DEPTH {
-                return Err(corrupt("nesting too deep".into()));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(depth),
-                Some(b'[') => self.array(depth),
-                Some(b'"') => Ok(Json::Str(self.string()?)),
-                Some(b'n') => self.eat_literal("null", Json::Null),
-                Some(b't') => self.eat_literal("true", Json::Bool(true)),
-                Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                Some(c) => Err(corrupt(format!(
-                    "unexpected byte `{}` at {}",
-                    c as char, self.pos
-                ))),
-                None => Err(corrupt("unexpected end of input".into())),
-            }
-        }
-
-        fn object(&mut self, depth: u32) -> Result<Json, TfheError> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                if fields.iter().any(|(k, _)| *k == key) {
-                    return Err(corrupt(format!("duplicate field `{key}`")));
-                }
-                self.skip_ws();
-                self.eat(b':')?;
-                let value = self.value(depth + 1)?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => {
-                        return Err(corrupt(format!(
-                            "expected `,` or `}}` at byte {}",
-                            self.pos
-                        )))
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self, depth: u32) -> Result<Json, TfheError> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(self.value(depth + 1)?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(corrupt(format!("expected `,` or `]` at byte {}", self.pos))),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, TfheError> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            _ => {
-                                return Err(corrupt(format!(
-                                    "unsupported escape at byte {}",
-                                    self.pos
-                                )))
-                            }
-                        }
-                        self.pos += 1;
-                    }
-                    Some(c) if c < 0x20 => {
-                        return Err(corrupt(format!("unescaped control byte at {}", self.pos)))
-                    }
-                    Some(_) => {
-                        // Copy the full UTF-8 scalar starting here.
-                        let start = self.pos;
-                        self.pos += 1;
-                        while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                            self.pos += 1;
-                        }
-                        match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                            Ok(s) => out.push_str(s),
-                            Err(_) => {
-                                return Err(corrupt(format!("invalid UTF-8 at byte {start}")))
-                            }
-                        }
-                    }
-                    None => return Err(corrupt("unterminated string".into())),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, TfheError> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            let mut saw_digit = false;
-            while let Some(c) = self.peek() {
-                match c {
-                    b'0'..=b'9' => {
-                        saw_digit = true;
-                        self.pos += 1;
-                    }
-                    b'.' | b'e' | b'E' | b'+' | b'-' => self.pos += 1,
-                    _ => break,
-                }
-            }
-            if !saw_digit {
-                return Err(corrupt(format!("invalid number at byte {start}")));
-            }
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| corrupt(format!("invalid number at byte {start}")))?;
-            // Insist the literal is a parseable number now, so `Num` holds
-            // a syntactically valid literal and the typed accessors only
-            // ever fail on *range*, not shape.
-            if raw.parse::<f64>().is_err() {
-                return Err(corrupt(format!("invalid number literal `{raw}`")));
-            }
-            Ok(Json::Num(raw.to_string()))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -928,7 +688,34 @@ mod tests {
 
     #[test]
     fn malformed_json_never_panics() {
-        for text in [
+        // One whole config, so that each spliced row differs from a valid
+        // document only in a form the schema cannot hold.
+        let config = |workers: &str, retry: &str, breaker: &str| {
+            format!(
+                "{{\"version\": 1, {workers}, \"max_batch_size\": 1, \"max_linger_us\": 0, \
+                 \"queue_capacity\": 1, \"deadline_slack_us\": 0, \"retry\": {retry}, \
+                 \"breaker\": {breaker}}}"
+            )
+        };
+        let workers = "\"workers\": 1";
+        assert!(ServingConfig::from_json(&config(workers, "{}", "{}")).is_ok());
+        let spliced = [
+            config("\"workers\": \"1\"", "null", "null"),
+            config("\"workers\": true", "null", "null"),
+            config("\"workers\": [1]", "null", "null"),
+            config("\"workers\": {}", "null", "null"),
+            config("\"workers\": null", "null", "null"),
+            config(workers, "1", "null"),
+            config(workers, "\"none\"", "null"),
+            config(workers, "[]", "null"),
+            config(workers, "null", "1"),
+            config(workers, "null", "\"none\""),
+            config(workers, "null", "[]"),
+            config("\"work\\u0065rs\": 1", "null", "null"),
+            config("\"w\u{f6}rkers\": 1", "null", "null"),
+            config(workers, "{\"seed\": 1, \"seed\": 1}", "null"),
+        ];
+        let literal = [
             "",
             "{",
             "}",
@@ -943,10 +730,11 @@ mod tests {
             "\"unterminated",
             "{\"a\\q\": 1}",
             "{\"version\": 1, \"workers\": [[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]}",
-        ] {
+        ];
+        for text in literal.map(String::from).into_iter().chain(spliced) {
             assert!(
                 matches!(
-                    ServingConfig::from_json(text),
+                    ServingConfig::from_json(&text),
                     Err(TfheError::ConfigCorrupted { .. })
                 ),
                 "input {text:?} must fail with ConfigCorrupted"
