@@ -105,8 +105,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-
 use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::journal::{self, Event, EventKind, Journal, Who};
@@ -125,12 +123,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One queued request: one input ciphertext through one or more LUTs
 /// (`luts.len()` outputs, in LUT order), one item of the formed batch and
 /// a single blind rotation. Its id, tenant (key affinity), enqueue time
-/// and deadline travel beside it in the core's [`Entry`].
+/// and deadline travel beside it in the core's [`Entry`]. Dropped
+/// unresolved — a batcher unwinding out of a backend — it resolves its
+/// ticket to [`TfheError::DispatcherShutDown`].
 struct Pending {
     ct: LweCiphertext,
     luts: Box<[Arc<Lut>]>,
-    cancelled: Arc<AtomicBool>,
-    reply: Sender<Resolution>,
+    reply: Arc<Reply>,
 }
 
 // The core builds each batch under the dispatcher's lock, and the usual
@@ -138,8 +137,13 @@ struct Pending {
 // without taking a lock of its own. A batch of eight stays under that
 // only while an entry is 128 bytes; at 136 the submitters found the lock
 // taken twice as often and a request through a no-op backend cost
-// +0.7 µs (EXPERIMENTS.md "one serving core").
-const _: () = assert!(std::mem::size_of::<Entry<Pending>>() <= 128);
+// +0.7 µs (EXPERIMENTS.md "one serving core"). One shared reply slot
+// per request keeps it at 120.
+const _: () = assert!(std::mem::size_of::<Entry<Pending>>() <= 120);
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Ticket>();
+};
 
 /// What the batchers share under the dispatcher's one lock.
 struct State {
@@ -170,31 +174,68 @@ struct Shared {
 /// What a request resolves to: one output per LUT it was submitted with.
 type Resolution = Result<Vec<LweCiphertext>, TfheError>;
 
+/// The one object a request and its [`Ticket`] share: the cancel flag the
+/// batchers read without a lock, and the slot its one result is delivered
+/// through.
+#[derive(Default)]
+struct Reply {
+    cancelled: AtomicBool,
+    slot: Mutex<Option<Resolution>>,
+    ready: Condvar,
+}
+
+impl Reply {
+    /// Store `result` unless the request already resolved, and wake the
+    /// waiter once it can take the lock.
+    fn settle(&self, result: Resolution) {
+        let mut slot = lock(&self.slot);
+        if slot.is_none() {
+            *slot = Some(result);
+            drop(slot);
+            self.ready.notify_all();
+        }
+    }
+
+    /// The result, waiting at most `timeout` for it (`Duration::MAX` is no
+    /// deadline), or `None` while the request is in flight. Taking it
+    /// leaves [`TfheError::DispatcherShutDown`] behind: a result is
+    /// delivered once.
+    fn take(&self, timeout: Duration) -> Option<Resolution> {
+        let waited = self
+            .ready
+            .wait_timeout_while(lock(&self.slot), timeout, |s| s.is_none());
+        let mut slot = waited.unwrap_or_else(PoisonError::into_inner).0;
+        (slot.as_mut()).map(|r| std::mem::replace(r, Err(TfheError::DispatcherShutDown)))
+    }
+}
+
 impl Pending {
     /// A request of `ct` through `luts`, and its ticket, numbered when it
     /// is admitted.
     fn new(ct: LweCiphertext, luts: Vec<Arc<Lut>>) -> (Self, Ticket) {
-        let (reply, rx) = channel::bounded(1);
-        let cancelled = Arc::new(AtomicBool::new(false));
+        let reply = Arc::<Reply>::default();
+        let ticket = Ticket {
+            id: 0,
+            reply: Arc::clone(&reply),
+        };
         let item = Self {
             ct,
             luts: luts.into_boxed_slice(),
-            cancelled: Arc::clone(&cancelled),
             reply,
-        };
-        let ticket = Ticket {
-            id: 0,
-            cancelled,
-            reply: rx,
         };
         (item, ticket)
     }
 
-    /// Deliver the request's terminal result. The reply channel holds one
-    /// slot and sees one send ever, so this never blocks; a dropped ticket
-    /// just discards the send.
+    /// Deliver the request's terminal result; a dropped ticket just
+    /// leaves it unread.
     fn resolve(self, result: Resolution) {
-        let _ = self.reply.send(result);
+        self.reply.settle(result);
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.reply.settle(Err(TfheError::DispatcherShutDown));
     }
 }
 
@@ -206,15 +247,14 @@ impl Pending {
 /// unless cancelled first).
 pub struct Ticket {
     id: u64,
-    cancelled: Arc<AtomicBool>,
-    reply: Receiver<Resolution>,
+    reply: Arc<Reply>,
 }
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
             .field("id", &self.id)
-            .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
+            .field("cancelled", &self.reply.cancelled.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -230,7 +270,7 @@ impl Ticket {
     /// [`TfheError::Cancelled`]; one already executing completes
     /// normally.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
+        self.reply.cancelled.store(true, Ordering::SeqCst);
     }
 
     /// Block until the request resolves.
@@ -247,18 +287,12 @@ impl Ticket {
 
     /// Every output the request owes, one per LUT it was enqueued with.
     fn outputs(self) -> Resolution {
-        self.reply
-            .recv()
-            .unwrap_or(Err(TfheError::DispatcherShutDown))
+        (self.reply.take(Duration::MAX)).unwrap_or(Err(TfheError::DispatcherShutDown))
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
     pub fn try_wait(&self) -> Option<Result<LweCiphertext, TfheError>> {
-        match self.reply.try_recv() {
-            Ok(result) => Some(single(result)),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(TfheError::DispatcherShutDown)),
-        }
+        self.reply.take(Duration::ZERO).map(single)
     }
 
     /// Bounded [`wait`](Self::wait): block at most `timeout` for the
@@ -274,11 +308,7 @@ impl Ticket {
     /// [`TfheError::WaitTimedOut`] (retryable) if `timeout` elapses
     /// first; otherwise as [`wait`](Self::wait).
     pub fn wait_timeout(&self, timeout: Duration) -> Result<LweCiphertext, TfheError> {
-        match self.reply.recv_timeout(timeout) {
-            Ok(result) => single(result),
-            Err(RecvTimeoutError::Timeout) => Err(TfheError::WaitTimedOut { timeout }),
-            Err(RecvTimeoutError::Disconnected) => Err(TfheError::DispatcherShutDown),
-        }
+        (self.reply.take(timeout)).map_or(Err(TfheError::WaitTimedOut { timeout }), single)
     }
 }
 
@@ -800,7 +830,7 @@ fn batcher_loop(shared: &Shared, tiers: &[Backend]) {
     loop {
         let now = journal::now();
         let core = &mut state.core;
-        match core.poll(now, |p| p.cancelled.load(Ordering::SeqCst)) {
+        match core.poll(now, |p| p.reply.cancelled.load(Ordering::SeqCst)) {
             Poll::Flush { batch, dropped } => {
                 // The 0-based number of a non-empty batch.
                 let call = core.tally().batches().saturating_sub(1);
@@ -856,8 +886,8 @@ impl Shared {
 /// the dispatcher: whatever the core still holds (queued, forming, backing
 /// off) fails with [`TfheError::DispatcherShutDown`], and blocked
 /// submitters wake to see the closed door. (A batch already handed to the
-/// backend unwinds with its batcher; dropping its reply senders reports
-/// the same error.)
+/// backend unwinds with its batcher; dropping its unresolved requests
+/// reports the same error.)
 struct ExitGuard<'a>(&'a Shared);
 
 impl Drop for ExitGuard<'_> {
@@ -871,9 +901,8 @@ impl Drop for ExitGuard<'_> {
                 _ => Vec::new(),
             }
         };
-        for e in leftovers {
-            e.item.resolve(Err(TfheError::DispatcherShutDown));
-        }
+        // Dropped unresolved, each reports `DispatcherShutDown`.
+        drop(leftovers);
         self.0.wake_all();
     }
 }
@@ -988,6 +1017,7 @@ mod tests {
     use crate::serving::ServingConfigBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     /// Echo backend: returns the inputs unchanged, recording each batch's
     /// size and optionally blocking on a gate until released — the
@@ -999,7 +1029,7 @@ mod tests {
         /// The tenant each backend call was made for, in call order.
         tenants: Mutex<Vec<Option<u64>>>,
         started: Sender<()>,
-        gate: Receiver<()>,
+        gate: Mutex<Receiver<()>>,
         gated: bool,
     }
 
@@ -1011,15 +1041,15 @@ mod tests {
         gated: bool,
         fail_first: usize,
     ) -> (Arc<EchoBackend>, Receiver<()>, Sender<()>) {
-        let (started_tx, started_rx) = channel::unbounded();
-        let (gate_tx, gate_rx) = channel::unbounded();
+        let (started_tx, started_rx) = channel();
+        let (gate_tx, gate_rx) = channel();
         (
             Arc::new(EchoBackend {
                 fail_first,
                 sizes: Mutex::new(Vec::new()),
                 tenants: Mutex::new(Vec::new()),
                 started: started_tx,
-                gate: gate_rx,
+                gate: Mutex::new(gate_rx),
                 gated,
             }),
             started_rx,
@@ -1037,7 +1067,7 @@ mod tests {
             lock(&self.tenants).push(req.tenant().map(TenantId::raw));
             let _ = self.started.send(());
             if self.gated {
-                let _ = self.gate.recv();
+                let _ = lock(&self.gate).recv();
             }
             if call <= self.fail_first {
                 return Err(TfheError::WorkerPanicked { worker: 0 });
@@ -1358,26 +1388,26 @@ mod tests {
     /// Backend whose first call panics once the gate opens.
     struct PanickingBackend {
         started: Sender<()>,
-        gate: Receiver<()>,
+        gate: Mutex<Receiver<()>>,
     }
 
     impl Bootstrapper for PanickingBackend {
         fn try_bootstrap_batch(&self, _: &BatchRequest) -> Result<Vec<LweCiphertext>, TfheError> {
             let _ = self.started.send(());
-            let _ = self.gate.recv();
+            let _ = lock(&self.gate).recv();
             panic!("backend bug (injected by the test)");
         }
     }
 
     #[test]
     fn a_dead_batcher_strands_no_ticket_and_closes_admission() {
-        let (started_tx, started) = channel::unbounded();
-        let (gate, gate_rx) = channel::unbounded();
+        let (started_tx, started) = channel();
+        let (gate, gate_rx) = channel();
         let d = dispatcher(
             ServingConfig::builder().max_batch_size(1),
             PanickingBackend {
                 started: started_tx,
-                gate: gate_rx,
+                gate: Mutex::new(gate_rx),
             },
         );
         let lut = dummy_lut();
@@ -1782,12 +1812,31 @@ mod tests {
         // same ticket delivers the result.
         gate.send(()).unwrap();
         assert_eq!(t.wait_timeout(Duration::from_secs(5)).unwrap(), dummy_ct(0));
+        // A delivered result is consumed: every later read reports the
+        // dead service, at once.
+        let gone = Err(TfheError::DispatcherShutDown);
+        assert_eq!(t.try_wait(), Some(gone.clone()));
+        assert_eq!(t.wait_timeout(Duration::MAX), gone);
         // A timeout no deadline can hold is no deadline: the wait blocks
         // until the result comes, instead of overflowing the clock.
         let t = d.submit(dummy_ct(1), dummy_lut(), None).unwrap();
         started.recv().unwrap();
         gate.send(()).unwrap();
         assert_eq!(t.wait_timeout(Duration::MAX).unwrap(), dummy_ct(1));
+        // A result stored before the wait starts, one stored from another
+        // thread, and a request dropped unresolved (a batcher unwinding).
+        let (item, t) = Pending::new(dummy_ct(2), vec![dummy_lut()]);
+        item.resolve(Ok(vec![dummy_ct(2)]));
+        assert_eq!(t.wait(), Ok(dummy_ct(2)));
+        let (item, t) = Pending::new(dummy_ct(3), vec![dummy_lut()]);
+        let resolver = std::thread::spawn(move || item.resolve(Ok(vec![dummy_ct(3)])));
+        assert_eq!(t.wait(), Ok(dummy_ct(3)));
+        resolver.join().unwrap();
+        let (item, t) = Pending::new(dummy_ct(4), vec![dummy_lut()]);
+        assert_eq!(t.try_wait(), None);
+        drop(item);
+        assert_eq!(t.try_wait(), Some(gone.clone()));
+        assert_eq!(t.wait(), gone);
     }
 
     /// Retry up to three times, 60 ms, then 120 ms, then 150 ms apart.
@@ -2058,7 +2107,7 @@ mod tests {
     struct GatedKeys {
         inner: Arc<crate::keystore::MemoryBackend>,
         entered: Sender<()>,
-        gate: Receiver<()>,
+        gate: Mutex<Receiver<()>>,
         opened: AtomicBool,
     }
 
@@ -2066,7 +2115,7 @@ mod tests {
         fn load(&self, tenant: TenantId) -> Result<Vec<u8>, TfheError> {
             if !self.opened.swap(true, Ordering::SeqCst) {
                 self.entered.send(()).unwrap();
-                self.gate.recv().unwrap();
+                lock(&self.gate).recv().unwrap();
             }
             self.inner.load(tenant)
         }
@@ -2089,12 +2138,12 @@ mod tests {
                 ck
             })
             .collect();
-        let (entered, entered_rx) = channel::unbounded();
-        let (gate_tx, gate) = channel::unbounded();
+        let (entered, entered_rx) = channel();
+        let (gate_tx, gate) = channel();
         let keys = GatedKeys {
             inner,
             entered,
-            gate,
+            gate: Mutex::new(gate),
             opened: AtomicBool::new(false),
         };
         let budget = 2 * (params.bsk_total_bytes_fourier() + params.ksk_total_bytes());
