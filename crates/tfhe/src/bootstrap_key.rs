@@ -1,10 +1,12 @@
 //! The bootstrapping key: `n` GGSW encryptions of the LWE key bits.
 
+use morphling_transform::Spectrum;
 use rand::Rng;
 
 use crate::fft_cache::fft_for;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
 use crate::keys::ClientKey;
+use crate::params::TfheParams;
 
 /// `BSK = (BSK_1, …, BSK_n)` where `BSK_i = GGSW(s_i)` under the GLWE key.
 ///
@@ -29,9 +31,19 @@ impl BootstrapKey {
         Self { fourier }
     }
 
-    /// The decoder's key: non-empty GGSWs of one shape.
-    pub(crate) fn from_fourier(fourier: Vec<FourierGgsw>) -> Self {
+    /// The decoder's key of `params`' shape: zero spectra until it fills
+    /// [`spectra_mut`](Self::spectra_mut).
+    pub(crate) fn zeroed(params: &TfheParams) -> Self {
+        let (k, level, n) = (params.glwe_dim, params.bsk_decomp.level(), params.poly_size);
+        let fourier = (0..params.lwe_dim)
+            .map(|_| FourierGgsw::zeroed(k, level, n))
+            .collect();
         Self { fourier }
+    }
+
+    /// Every spectrum in wire order: GGSW, row, component.
+    pub(crate) fn spectra_mut(&mut self) -> impl Iterator<Item = &mut Spectrum> {
+        self.fourier.iter_mut().flat_map(FourierGgsw::spectra_mut)
     }
 
     /// Number of GGSWs, equal to the LWE dimension `n`.

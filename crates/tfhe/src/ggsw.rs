@@ -69,34 +69,6 @@ impl GgswCiphertext {
         }
     }
 
-    /// Rebuild from explicit rows (deserialization path).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there are exactly `(glwe_dim + 1) · level` rows, every
-    /// row has `glwe_dim` masks, and all rows share one polynomial size.
-    pub(crate) fn from_rows(rows: Vec<GlweCiphertext>, glwe_dim: usize, level: usize) -> Self {
-        assert_eq!(
-            rows.len(),
-            (glwe_dim + 1) * level,
-            "GGSW row count mismatch"
-        );
-        assert!(
-            rows.iter().all(|r| r.dim() == glwe_dim),
-            "GGSW row GLWE dimension mismatch"
-        );
-        let n = rows[0].poly_size();
-        assert!(
-            rows.iter().all(|r| r.poly_size() == n),
-            "GGSW row polynomial size mismatch"
-        );
-        Self {
-            rows,
-            glwe_dim,
-            level,
-        }
-    }
-
     /// The matrix rows in `(component, level)` order — row `i·l + j` holds
     /// component `i`, level `j`.
     pub fn rows(&self) -> &[GlweCiphertext] {
@@ -149,6 +121,22 @@ pub struct FourierGgsw {
 }
 
 impl FourierGgsw {
+    /// `(k+1)·l` rows of `k+1` zero spectra of size `n`.
+    pub(crate) fn zeroed(glwe_dim: usize, level: usize, n: usize) -> Self {
+        let row = || (0..=glwe_dim).map(|_| Spectrum::zero(n)).collect();
+        Self {
+            rows: (0..(glwe_dim + 1) * level).map(|_| row()).collect(),
+            glwe_dim,
+            level,
+            poly_size: n,
+        }
+    }
+
+    /// Every spectrum, row by row.
+    pub(crate) fn spectra_mut(&mut self) -> impl Iterator<Item = &mut Spectrum> {
+        self.rows.iter_mut().flatten()
+    }
+
     /// The spectra of row `r` (its `k+1` component polynomials).
     pub fn row(&self, r: usize) -> &[Spectrum] {
         &self.rows[r]
@@ -196,7 +184,11 @@ impl FourierGgsw {
                 GlweCiphertext::from_parts(polys, body)
             })
             .collect();
-        GgswCiphertext::from_rows(rows, self.glwe_dim, self.level)
+        GgswCiphertext {
+            rows,
+            glwe_dim: self.glwe_dim,
+            level: self.level,
+        }
     }
 
     /// Bytes this ciphertext occupies in the transform domain (8 bytes per

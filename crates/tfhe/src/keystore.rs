@@ -24,7 +24,10 @@
 //!   `get(tenant)` returns a [`PinnedKey`], which unpins when dropped;
 //!   concurrent misses for one tenant share one backend load, done
 //!   outside the lock on the loader, so every resident key's memory comes
-//!   from one thread however many callers miss.
+//!   from one thread however many callers miss. Evicted keys go back to
+//!   the loader, which frees them outside the lock and decodes the next
+//!   load into one of them: live key memory peaks at the budget plus one
+//!   key.
 //! - Eviction, over *unpinned* residents only: first those the serving
 //!   queue does not name, least recently used first, then the one whose
 //!   first queued use is farthest away (Belady over the queue). The
@@ -51,7 +54,7 @@ use crate::bootstrapper::{BatchRequest, Bootstrapper};
 use crate::error::TfheError;
 use crate::journal::{self, Event, EventKind, Journal, Who};
 use crate::lwe::LweCiphertext;
-use crate::serialize::deserialize_server_key;
+use crate::serialize::decode;
 use crate::server::ServerKey;
 
 /// Mutex guard that shrugs off poisoning: key-cache bookkeeping stays
@@ -310,11 +313,19 @@ impl<K: Clone> KeyCache<K> {
     }
 
     /// Resolve the load of `t` its caller claimed: publish the key pinned
-    /// for that caller, evicting unpinned residents to make room, or
+    /// for that caller, evicting unpinned residents to make room into
+    /// `evicted` (for the caller to free or reuse outside the lock), or
     /// clear the slot and count the failure — the load's own, or
     /// [`TfheError::KeyBudgetExceeded`] when evicting cannot make room.
-    fn loaded(&mut self, now: u64, t: TenantId, load: Loaded<K>) -> Result<K, TfheError> {
-        match load.and_then(|(key, bytes)| self.evict_for(now, bytes).map(|()| (key, bytes))) {
+    fn loaded(
+        &mut self,
+        now: u64,
+        t: TenantId,
+        load: Loaded<K>,
+        evicted: &mut Vec<K>,
+    ) -> Result<K, TfheError> {
+        let made_room = |(key, bytes)| self.evict_for(now, bytes, evicted).map(|()| (key, bytes));
+        match load.and_then(made_room) {
             Ok((key, bytes)) => {
                 self.tick += 1;
                 let resident = Resident {
@@ -349,12 +360,12 @@ impl<K: Clone> KeyCache<K> {
         }
     }
 
-    /// Evict unpinned residents until `need` more bytes fit — those not
-    /// `queued` first, least recently used first, then the one queued
-    /// last — or evict nothing and fail if evicting them all would not do.
-    /// Never wait on a pin: its holder may itself be waiting on this load
-    /// (livelock).
-    fn evict_for(&mut self, now: u64, need: u64) -> Result<(), TfheError> {
+    /// Evict unpinned residents into `evicted` until `need` more bytes
+    /// fit — those not `queued` first, least recently used first, then the
+    /// one queued last — or evict nothing and fail if evicting them all
+    /// would not do. Never wait on a pin: its holder may itself be waiting
+    /// on this load (livelock).
+    fn evict_for(&mut self, now: u64, need: u64, evicted: &mut Vec<K>) -> Result<(), TfheError> {
         let queued = |t| self.queued.iter().position(|&q| q == t);
         let mut unpinned: Vec<(usize, u64, TenantId, u64)> = (self.slots.iter())
             .filter_map(|(&t, slot)| match slot {
@@ -375,7 +386,9 @@ impl<K: Clone> KeyCache<K> {
             if self.stats.bytes_resident + need <= self.budget {
                 break;
             }
-            self.slots.remove(&t);
+            if let Some(Slot::Ready(r)) = self.slots.remove(&t) {
+                evicted.push(r.key);
+            }
             self.stats.bytes_resident -= bytes;
             self.stats.resident_keys -= 1;
             self.stats.evictions += 1;
@@ -535,19 +548,24 @@ impl KeyStore {
 /// `get` loads again; its panic goes to the claimer. A key refused for
 /// room is kept for the next claim, which publishes it unloaded if it is
 /// the same tenant's: the retry of a call that waited for room.
+/// The keys a load evicts are let go of after its claimer is answered,
+/// outside the lock, but for one no one else holds (or a kept refused key
+/// the next claim does not take): the spare the next load decodes into.
 fn load_claims(
     backend: &dyn KeyBackend,
     cache: &Mutex<KeyCache<Arc<ServerKey>>>,
     loaded: &Condvar,
     claims: Receiver<Claim>,
 ) {
-    let mut refused = None;
+    let (mut refused, mut spare, mut evicted) = (None, None, Vec::new());
     for (tenant, answer) in claims {
         let load = panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some((_, kept)) = refused.take().filter(|&(t, _)| t == tenant) {
-                return kept;
+            match refused.take() {
+                Some((t, kept)) if t == tenant => return kept,
+                Some((_, Ok((key, _)))) => spare = spare.take().or_else(|| Arc::into_inner(key)),
+                _ => {}
             }
-            let key = deserialize_server_key(&backend.load(tenant)?)?;
+            let key = decode(&backend.load(tenant)?, spare.take())?;
             let bytes = server_key_bytes(&key);
             Ok((Arc::new(key), bytes))
         }));
@@ -556,11 +574,14 @@ fn load_claims(
             tenant: tenant.raw(),
         });
         let publish = load.as_ref().map_or(unwound, Clone::clone);
-        let key = lock(cache).loaded(journal::now(), tenant, publish.clone());
+        let key = lock(cache).loaded(journal::now(), tenant, publish.clone(), &mut evicted);
         loaded.notify_all();
         let full = matches!(key, Err(TfheError::KeyBudgetExceeded { .. }));
         refused = full.then_some((tenant, publish));
         let _ = answer.send(load.map(|_| key));
+        for key in evicted.drain(..) {
+            spare = spare.take().or_else(|| Arc::into_inner(key));
+        }
     }
 }
 
@@ -710,6 +731,7 @@ mod tests {
     use super::*;
     use crate::keys::ClientKey;
     use crate::params::ParamSet;
+    use crate::serialize::{deserialize_server_key, serialize_server_key};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -805,6 +827,44 @@ mod tests {
         );
         // A good tenant still serves.
         assert!(store.get(TenantId::new(1)).is_ok());
+    }
+
+    /// Where each spectrum of `key`'s bootstrapping key lives.
+    fn spectrum_addresses(key: &ServerKey) -> Vec<usize> {
+        let bsk = key.bootstrap_key();
+        (0..bsk.lwe_dim())
+            .flat_map(|i| bsk.fourier(i).rows().iter().flatten())
+            .map(|s| s.re().as_ptr() as usize)
+            .collect()
+    }
+
+    /// With room for one key and two tenants taking turns, every load
+    /// evicts the other tenant's key, and from the second eviction on
+    /// each load decodes into the key the load before it evicted: the
+    /// same storage, spectrum for spectrum, holding the new tenant's key.
+    #[test]
+    fn a_load_decodes_into_the_key_the_load_before_it_evicted() {
+        let (backend, _) = seeded_backend(&[0, 1], 0xAA);
+        let frames: Vec<Vec<u8>> = (0..2)
+            .map(|t| backend.load(TenantId::new(t)).unwrap())
+            .collect();
+        let store = KeyStore::new(backend, one_key_bytes());
+        let mut loaded: Vec<Vec<usize>> = Vec::new();
+        for i in 0..6 {
+            let pinned = store.get(TenantId::new(i % 2)).unwrap();
+            let at = spectrum_addresses(&pinned);
+            if i >= 2 {
+                assert_eq!(at, loaded[i as usize - 2], "load {i}");
+            }
+            assert!(
+                serialize_server_key(&pinned) == frames[i as usize % 2],
+                "load {i}"
+            );
+            loaded.push(at);
+        }
+        assert_ne!(loaded[0][0], loaded[1][0]);
+        let stats = store.stats();
+        assert_eq!((stats.loads, stats.evictions, stats.hits), (6, 5, 0));
     }
 
     #[test]
@@ -1047,6 +1107,10 @@ mod tests {
         /// The queued-tenant list the cache holds, as the model sees it.
         queued: Vec<TenantId>,
         keys: HashMap<TenantId, u64>,
+        /// Every key a load published, and every key an eviction handed
+        /// back to `loaded`'s caller, in order.
+        published: Vec<u64>,
+        handed_back: Vec<u64>,
         reached: Reached,
         /// After each step: the counters and the pins held.
         steps: Vec<(KeyStoreStats, u64)>,
@@ -1112,8 +1176,11 @@ mod tests {
                 .filter(|&u| self.count(Client::Holding(u)) > 0)
                 .collect();
             let refused = self.bytes(&pinned) + need > budget;
-            self.clients[c] = match (load.clone(), self.cache.loaded(now, t, load)) {
+            let mut evicted = Vec::new();
+            let got = self.cache.loaded(now, t, load.clone(), &mut evicted);
+            self.clients[c] = match (load, got) {
                 (Ok(_), Err(e)) => {
+                    assert!(evicted.is_empty(), "seed {}", self.seed);
                     assert!(refused, "seed {}: {e}", self.seed);
                     assert_eq!(e, TfheError::KeyBudgetExceeded { budget, need });
                     self.reached[4] += 1;
@@ -1123,7 +1190,9 @@ mod tests {
                     assert!(!refused && got == key, "seed {}", self.seed);
                     // The reference evicts unpinned residents until the
                     // key fits: the least recently used of those not
-                    // queued, else the one queued last.
+                    // queued, else the one queued last — and hands each
+                    // victim's key back, in that order.
+                    let mut victims = Vec::new();
                     while self.bytes(&self.lru) + need > budget {
                         let unpinned: Vec<usize> = (0..self.lru.len())
                             .filter(|&i| !pinned.contains(&self.lru[i]))
@@ -1136,14 +1205,18 @@ mod tests {
                                 .expect("not refused, so something is unpinned"),
                         };
                         self.reached[7] += u64::from(victim != unpinned[0]);
-                        self.lru.remove(victim);
+                        victims.push(self.keys[&self.lru.remove(victim)]);
                         self.reached[3] += 1;
                     }
+                    assert_eq!(evicted, victims, "seed {}: keys handed back", self.seed);
+                    self.handed_back.append(&mut evicted);
                     self.lru.push(t);
                     self.keys.insert(t, key);
+                    self.published.push(key);
                     Client::Holding(t)
                 }
                 (Err(e), got) => {
+                    assert!(evicted.is_empty(), "seed {}", self.seed);
                     assert_eq!(got, Err(e.clone()), "seed {}", self.seed);
                     self.reached[if outcome == 0 { 5 } else { 6 }] += 1;
                     Client::Idle
@@ -1179,6 +1252,22 @@ mod tests {
                     None => assert_eq!((held, loading, waiting), (0, 0, 0), "seed {seed}: {t}"),
                 }
             }
+            // Every key published is resident or was handed back, once:
+            // none is dropped inside the cache.
+            let mut resident: Vec<u64> = (cache.slots.values())
+                .filter_map(|slot| match slot {
+                    Slot::Ready(r) => Some(r.key),
+                    Slot::Loading => None,
+                })
+                .collect();
+            resident.extend(&self.handed_back);
+            resident.sort_unstable();
+            let mut published = self.published.clone();
+            published.sort_unstable();
+            assert_eq!(
+                resident, published,
+                "seed {seed}: keys resident or handed back"
+            );
             // The residents are the model's, after its next-use-then-LRU
             // victims, in the same recency order.
             by_recency.sort_unstable();
@@ -1236,6 +1325,8 @@ mod tests {
             lru: Vec::new(),
             queued: Vec::new(),
             keys: HashMap::new(),
+            published: Vec::new(),
+            handed_back: Vec::new(),
             reached: [0; 8],
             steps: Vec::new(),
         };
@@ -1311,7 +1402,7 @@ mod tests {
             }
             let now = i as u64;
             if let Lookup::Load = cache.lookup(now, t) {
-                cache.loaded(now, t, Ok((now, 1))).unwrap();
+                cache.loaded(now, t, Ok((now, 1)), &mut Vec::new()).unwrap();
             }
             cache.unpin(now, t);
         }

@@ -52,35 +52,13 @@ impl KeySwitchKey {
         }
     }
 
-    /// Rebuild from the flat key (deserialization path): every `KSK_(i,j)`
-    /// as `dim_out + 1` words, in the order of [`row`](Self::row).
-    ///
-    /// # Errors
-    ///
-    /// [`TfheError::KeyCorrupted`] if `decomp` keeps more than 32 bits or
-    /// `words` is not a whole number of input-mask rows.
-    pub(crate) fn from_words(
-        words: Vec<Torus32>,
-        decomp: DecompParams,
-        dim_out: usize,
-    ) -> Result<Self, TfheError> {
-        let per_input = dim_out
-            .checked_add(1)
-            .and_then(|width| width.checked_mul(decomp.level()));
-        match per_input {
-            Some(n) if decomp.total_bits() <= Torus32::BITS && words.len().is_multiple_of(n) => {
-                Ok(Self {
-                    words,
-                    decomposer: SignedDecomposer::new(decomp),
-                    dim_out,
-                })
-            }
-            _ => Err(TfheError::KeyCorrupted {
-                detail: format!(
-                    "KSK of {} words does not fit {decomp:?} and output dimension {dim_out}",
-                    words.len()
-                ),
-            }),
+    /// The decoder's key: no words until it fills
+    /// [`words_mut`](Self::words_mut).
+    pub(crate) fn empty(decomp: DecompParams, dim_out: usize) -> Self {
+        Self {
+            words: Vec::new(),
+            decomposer: SignedDecomposer::new(decomp),
+            dim_out,
         }
     }
 
@@ -100,6 +78,12 @@ impl KeySwitchKey {
     /// `(0, 1)`, … back to back.
     pub(crate) fn words(&self) -> &[Torus32] {
         &self.words
+    }
+
+    /// The flat key, for the decoder to refill in place with a whole
+    /// number of rows.
+    pub(crate) fn words_mut(&mut self) -> &mut Vec<Torus32> {
+        &mut self.words
     }
 
     /// The decomposition parameters (base log + level).
@@ -329,30 +313,6 @@ mod tests {
             }
         );
         assert_eq!(ksk.try_key_switch_many(&[]).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn from_words_takes_whole_rows_only() {
-        let mut rng = StdRng::seed_from_u64(57);
-        let params = ParamSet::Test.params();
-        let key_in = LweSecretKey::generate(6, &mut rng);
-        let key_out = LweSecretKey::generate(4, &mut rng);
-        let ksk = KeySwitchKey::generate(&key_in, &key_out, &params, &mut rng);
-        let rebuilt = KeySwitchKey::from_words(ksk.words().to_vec(), params.ksk_decomp, 4).unwrap();
-        assert_eq!(rebuilt.words(), ksk.words());
-        assert_eq!(rebuilt.dim_in(), 6);
-        assert_eq!(rebuilt.row(5, 3), &ksk.words()[ksk.words().len() - 5..]);
-        for (words, decomp, dim_out) in [
-            (ksk.words()[1..].to_vec(), params.ksk_decomp, 4),
-            (ksk.words().to_vec(), params.ksk_decomp, 6),
-            (ksk.words().to_vec(), DecompParams::new(11, 3), 4),
-            (ksk.words().to_vec(), params.ksk_decomp, usize::MAX),
-        ] {
-            assert!(matches!(
-                KeySwitchKey::from_words(words, decomp, dim_out),
-                Err(TfheError::KeyCorrupted { .. })
-            ));
-        }
     }
 
     #[test]

@@ -35,13 +35,19 @@
 //! [`TfheError::KeyCorrupted`] with a description of the first failure.
 //! There is no serde involved; the format is hand-rolled and pinned by
 //! round-trip property tests (`tests/serialization.rs`).
+//!
+//! A frame is decoded in one pass into the key's own storage, after every
+//! check: each wire polynomial through one reused coefficient buffer and
+//! a forward transform in place into its spectrum, the KSK words straight
+//! into the key's word buffer. The storage is a key of the same
+//! parameters the caller hands over — the [`KeyStore`](crate::KeyStore)'s
+//! loader passes the key it last evicted — or else allocated once.
 
 use morphling_math::{DecompParams, Polynomial, Torus32};
 
 use crate::bootstrap_key::BootstrapKey;
 use crate::error::TfheError;
 use crate::fft_cache::fft_for;
-use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweCiphertext;
 use crate::ksk::KeySwitchKey;
 use crate::params::TfheParams;
@@ -241,30 +247,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// `n` torus words, taken as one bounds-checked run of `4·n` bytes.
-    fn torus_words(&mut self, n: usize) -> Result<Vec<Torus32>, TfheError> {
-        let len = n
-            .checked_mul(4)
-            .ok_or_else(|| corrupt(format!("{n} torus words overflow usize")))?;
-        let words = self.take(len)?.chunks_exact(4);
-        Ok(words
-            .map(|b| Torus32::from_raw(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-            .collect())
-    }
-
-    fn torus_poly(&mut self, n: usize) -> Result<Polynomial<Torus32>, TfheError> {
-        Ok(Polynomial::from_coeffs(self.torus_words(n)?))
-    }
-
-    fn glwe(&mut self, k: usize, n: usize) -> Result<GlweCiphertext, TfheError> {
-        let mut masks = Vec::with_capacity(k);
-        for _ in 0..k {
-            masks.push(self.torus_poly(n)?);
-        }
-        let body = self.torus_poly(n)?;
-        Ok(GlweCiphertext::from_parts(masks, body))
-    }
-
     /// Bytes not yet taken.
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -444,7 +426,12 @@ fn write_bootstrap_key(w: &mut Writer, key: &BootstrapKey) {
     }
 }
 
-fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
+/// An embedded BSK's shape header: `(n, k, level, N)`.
+type BskShape = (usize, usize, usize, usize);
+
+/// An embedded BSK's shape header, checked against the words behind it,
+/// and those words' bytes.
+fn read_bootstrap_key<'a>(r: &mut Reader<'a>) -> Result<(BskShape, &'a [u8]), TfheError> {
     let n_ggsw = r.len_field("BSK GGSW count")?;
     let k = r.len_field("BSK GLWE dimension")?;
     let level = r.len_field("BSK level")?;
@@ -460,17 +447,7 @@ fn read_bootstrap_key(r: &mut Reader<'_>) -> Result<BootstrapKey, TfheError> {
             r.remaining()
         )));
     }
-    let fft = fft_for(n);
-    let mut fourier = Vec::with_capacity(n_ggsw);
-    for _ in 0..n_ggsw {
-        let rows = (0..k1 * level)
-            .map(|_| r.glwe(k, n))
-            .collect::<Result<_, _>>()?;
-        // Into the transform domain as it is read: the coefficient key
-        // never exists whole.
-        fourier.push(GgswCiphertext::from_rows(rows, k, level).to_fourier(&fft));
-    }
-    Ok(BootstrapKey::from_fourier(fourier))
+    Ok(((n_ggsw, k, level, n), r.take(r.remaining())?))
 }
 
 /// Payload bytes of a [`KeySwitchKey`]: what [`write_key_switch_key`]
@@ -487,7 +464,12 @@ fn write_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     w.torus_words(key.words());
 }
 
-fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
+/// An embedded KSK's shape header: `(dim_in, dim_out, decomposition)`.
+type KskShape = (usize, usize, DecompParams);
+
+/// An embedded KSK's shape header, checked against the words behind it,
+/// and those words' bytes.
+fn read_key_switch_key<'a>(r: &mut Reader<'a>) -> Result<(KskShape, &'a [u8]), TfheError> {
     let dim_in = r.len_field("KSK input dimension")?;
     let dim_out = r.len_field("KSK output dimension")?;
     let base_log = r.u32()?;
@@ -495,19 +477,23 @@ fn read_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, TfheError> {
     if base_log == 0 || base_log > 32 || level == 0 || base_log as usize * level > 32 {
         return Err(corrupt("KSK decomposition parameters out of range"));
     }
-    let words = r
-        .words_left(&[dim_in, level, dim_out.saturating_add(1)])
+    r.words_left(&[dim_in, level, dim_out.saturating_add(1)])
         .ok_or_else(|| {
             corrupt(format!(
                 "KSK header {dim_in}×{level}×({dim_out}+1) words disagrees with {} payload bytes",
                 r.remaining()
             ))
         })?;
-    KeySwitchKey::from_words(
-        r.torus_words(words)?,
-        DecompParams::new(base_log, level),
-        dim_out,
-    )
+    let decomp = DecompParams::new(base_log, level);
+    Ok(((dim_in, dim_out, decomp), r.take(r.remaining())?))
+}
+
+/// The torus words of an embedded key's payload, in wire order.
+fn torus_words(bytes: &[u8]) -> impl Iterator<Item = Torus32> + '_ {
+    let (words, _) = bytes.as_chunks();
+    words
+        .iter()
+        .map(|&w| Torus32::from_raw(u32::from_le_bytes(w)))
 }
 
 /// Checks a frame's backend byte. Tags 0–3 were the transform-path
@@ -554,26 +540,24 @@ pub fn serialize_server_key(key: &ServerKey) -> Vec<u8> {
 /// [`TfheError::KeyCorrupted`] on any framing, checksum, or shape
 /// violation.
 pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
+    decode(bytes, None)
+}
+
+/// Decode a server-key frame into `recycled`'s storage if its parameters
+/// are the frame's, else into a key allocated once for them (`recycled`
+/// is freed first). Every check runs before a word is written, so a
+/// rejected frame leaves nothing half-decoded behind.
+pub(crate) fn decode(bytes: &[u8], recycled: Option<ServerKey>) -> Result<ServerKey, TfheError> {
     let mut r = Reader::new(unframe(bytes)?);
     let params = read_params(&mut r)?;
     check_backend_tag(r.u8()?)?;
     let _reserved = [r.u8()?, r.u8()?];
     let bsk_len = r.len_field("embedded BSK")?;
-    let mut bsk_r = Reader::new(r.take(bsk_len)?);
-    let bsk = read_bootstrap_key(&mut bsk_r)?;
-    bsk_r.done()?;
+    let (bsk_shape, bsk_words) = read_bootstrap_key(&mut Reader::new(r.take(bsk_len)?))?;
     let ksk_len = r.len_field("embedded KSK")?;
-    let mut ksk_r = Reader::new(r.take(ksk_len)?);
-    let ksk = read_key_switch_key(&mut ksk_r)?;
-    ksk_r.done()?;
+    let ((dim_in, dim_out, ksk_decomp), ksk_words) =
+        read_key_switch_key(&mut Reader::new(r.take(ksk_len)?))?;
     r.done()?;
-    let first = bsk.fourier(0);
-    let bsk_shape = (
-        bsk.lwe_dim(),
-        first.glwe_dim(),
-        first.level(),
-        first.poly_size(),
-    );
     let level = params.bsk_decomp.level();
     let params_shape = (params.lwe_dim, params.glwe_dim, level, params.poly_size);
     if bsk_shape != params_shape {
@@ -581,16 +565,14 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
             "BSK shape (n, k, level, N) = {bsk_shape:?} disagrees with params {params_shape:?}"
         )));
     }
-    if ksk.dim_out() != params.lwe_dim || ksk.dim_in() != params.extracted_lwe_dim() {
+    if dim_out != params.lwe_dim || dim_in != params.extracted_lwe_dim() {
         return Err(corrupt(format!(
-            "KSK dims {}→{} disagree with params {}→{}",
-            ksk.dim_in(),
-            ksk.dim_out(),
+            "KSK dims {dim_in}→{dim_out} disagree with params {}→{}",
             params.extracted_lwe_dim(),
             params.lwe_dim
         )));
     }
-    let (ksk_decomp, decomp) = (ksk.decomp_params(), params.ksk_decomp);
+    let decomp = params.ksk_decomp;
     if ksk_decomp != decomp {
         return Err(corrupt(format!(
             "KSK decomposition (base_log, level) = ({}, {}) disagrees with params ({}, {})",
@@ -600,7 +582,29 @@ pub fn deserialize_server_key(bytes: &[u8]) -> Result<ServerKey, TfheError> {
             decomp.level()
         )));
     }
-    Ok(ServerKey::from_parts(params, bsk, ksk))
+    let n = params.poly_size;
+    let mut key = match recycled.filter(|key| *key.params() == params) {
+        Some(key) => key,
+        None => {
+            let bsk = BootstrapKey::zeroed(&params);
+            ServerKey::from_parts(params, bsk, KeySwitchKey::empty(decomp, dim_out))
+        }
+    };
+    let (bsk, ksk) = key.material_mut();
+    // Each wire polynomial goes through one buffer as the centered
+    // representatives `forward_torus` would read (so the spectra are its,
+    // bit for bit) and is transformed into its spectrum in place.
+    let (fft, mut coeffs) = (fft_for(n), Polynomial::<i64>::zero(n));
+    for (spectrum, poly) in bsk.spectra_mut().zip(bsk_words.chunks_exact(4 * n)) {
+        for (c, w) in coeffs.coeffs_mut().iter_mut().zip(torus_words(poly)) {
+            *c = i64::from(w.to_signed());
+        }
+        fft.forward_int_into(&coeffs, spectrum);
+    }
+    let words = ksk.words_mut();
+    words.clear();
+    words.extend(torus_words(ksk_words));
+    Ok(key)
 }
 
 #[cfg(test)]

@@ -148,6 +148,11 @@ impl ServerKey {
         &self.ksk
     }
 
+    /// Both keys, for the decoder to refill in place.
+    pub(crate) fn material_mut(&mut self) -> (&mut BootstrapKey, &mut KeySwitchKey) {
+        (&mut self.bsk, &mut self.ksk)
+    }
+
     /// The transform engine this key computes with.
     #[cfg(test)]
     pub(crate) fn fft(&self) -> &morphling_transform::NegacyclicFft {

@@ -18,12 +18,17 @@
 //!   covered by the frame's checksum or its field validation);
 //! - **versions**: frames are written as version 2 (word-wise checksum)
 //!   and version-1 frames (byte-wise FNV-1a) still load, with the same
-//!   guarantees.
+//!   guarantees;
+//! - **recycling**: a frame a key store's loader decodes into the key it
+//!   last evicted is the key a fresh decode gives, and a bad frame is
+//!   rejected all the same.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use morphling_tfhe::keystore::server_key_bytes;
 use morphling_tfhe::{
-    deserialize_server_key, serialize_server_key, ClientKey, ParamSet, ServerKey, TfheError,
+    deserialize_server_key, serialize_server_key, ClientKey, KeyStore, MemoryBackend, ParamSet,
+    ServerKey, TenantId, TfheError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -485,4 +490,168 @@ fn checksum_flip_reports_stored_and_computed() {
         }
         other => panic!("checksum damage must be KeyCorrupted, got {other:?}"),
     }
+}
+
+/// A key store over `frames` (tenant `i` is `frames[i]`) with room for
+/// `room` keys' bytes.
+fn store_of(frames: &[&[u8]], room: u64) -> (Arc<MemoryBackend>, KeyStore) {
+    let backend = Arc::new(MemoryBackend::new());
+    for (t, frame) in frames.iter().enumerate() {
+        backend.insert(TenantId::new(t as u64), frame.to_vec());
+    }
+    (Arc::clone(&backend), KeyStore::new(backend, room))
+}
+
+/// Where `key`'s first spectrum lives.
+fn first_plane(key: &ServerKey) -> usize {
+    key.bootstrap_key().fourier(0).row(0)[0].re().as_ptr() as usize
+}
+
+/// `got` is `want` spectrum for spectrum and word for word, writes the
+/// same frame, and bootstraps a ciphertext of `ck` to the same bits.
+fn assert_same_key(got: &ServerKey, want: &ServerKey, ck: &ClientKey, what: &str) {
+    assert_eq!(got.params(), want.params(), "{what}");
+    let (bsk, fresh) = (got.bootstrap_key(), want.bootstrap_key());
+    assert_eq!(bsk.lwe_dim(), fresh.lwe_dim(), "{what}");
+    for i in 0..bsk.lwe_dim() {
+        let ggsw = fresh.fourier(i);
+        for r in 0..(ggsw.glwe_dim() + 1) * ggsw.level() {
+            assert!(
+                bsk.fourier(i).row(r) == ggsw.row(r),
+                "{what}: BSK_{i} row {r}"
+            );
+        }
+    }
+    let (ksk, fresh) = (got.key_switch_key(), want.key_switch_key());
+    for i in 0..fresh.dim_in() {
+        for j in 0..fresh.level() {
+            assert_eq!(ksk.row(i, j), fresh.row(i, j), "{what}: KSK_({i},{j})");
+        }
+    }
+    assert_eq!(
+        serialize_server_key(got),
+        serialize_server_key(want),
+        "{what}"
+    );
+    let lut = morphling_tfhe::Lut::from_fn(want.params().poly_size, 4, |m| (m + 3) % 4);
+    let ct = ck.encrypt(1, &mut StdRng::seed_from_u64(0x66));
+    let out = got.programmable_bootstrap(&ct, &lut);
+    assert_eq!(out, want.programmable_bootstrap(&ct, &lut), "{what}");
+    assert_eq!(ck.decrypt(&out), 0, "{what}");
+}
+
+/// Tenant B's frame decoded into the storage of tenant A's key, which a
+/// store with room for one key evicted, is the key a fresh decode of B's
+/// frame gives, at Test and TestMedium.
+#[test]
+fn a_frame_decoded_into_an_evicted_key_is_the_fresh_decode() {
+    for (seed, set) in [(0x77u64, ParamSet::Test), (0x88, ParamSet::TestMedium)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = serialize_server_key(&ServerKey::new(
+            &ClientKey::generate(set.params(), &mut rng),
+            &mut rng,
+        ));
+        let ck = ClientKey::generate(set.params(), &mut rng);
+        let b = serialize_server_key(&ServerKey::new(&ck, &mut rng));
+        let fresh = deserialize_server_key(&b).unwrap();
+        // A, then A again under another tenant, which evicts the first:
+        // the loader keeps it as its spare, and B is decoded into it.
+        let (_, store) = store_of(&[&a, &a, &b], server_key_bytes(&fresh));
+        let spare = first_plane(&store.get(TenantId::new(0)).unwrap());
+        drop(store.get(TenantId::new(1)).unwrap());
+        let got = store.get(TenantId::new(2)).unwrap();
+        assert_eq!(
+            first_plane(&got),
+            spare,
+            "{set:?}: decoded into the evicted key"
+        );
+        assert_same_key(&got, &fresh, &ck, &format!("{set:?}"));
+    }
+}
+
+/// A spare of other parameters is not decoded into: the frame gets a key
+/// of its own shape, the fresh decode's.
+#[test]
+fn a_spare_of_other_parameters_falls_back_to_a_fresh_decode() {
+    let mut rng = StdRng::seed_from_u64(0x99);
+    let medium = ServerKey::new(
+        &ClientKey::generate(ParamSet::TestMedium.params(), &mut rng),
+        &mut rng,
+    );
+    let a = serialize_server_key(&medium);
+    let (ck, _, b) = fixture();
+    let fresh = deserialize_server_key(b).unwrap();
+    let room = server_key_bytes(&medium).max(server_key_bytes(&fresh));
+    let (_, store) = store_of(&[&a, &a, b], room);
+    drop(store.get(TenantId::new(0)).unwrap());
+    drop(store.get(TenantId::new(1)).unwrap());
+    let got = store.get(TenantId::new(2)).unwrap();
+    assert_same_key(&got, &fresh, ck, "Test frame over a TestMedium spare");
+}
+
+/// Every kind of bad frame is still a corrupted key when the loader holds
+/// a spare of the frame's parameters: proper prefixes, flipped bits in
+/// both versions, kind confusion and a parameter block the keys disagree
+/// with. A good frame loads after each, so each met a spare.
+#[test]
+fn bad_frames_are_rejected_when_a_spare_is_at_hand() {
+    let blob = blob();
+    let fresh = deserialize_server_key(blob).unwrap();
+    let (backend, store) = store_of(&[blob, blob], server_key_bytes(&fresh));
+    let bad = TenantId::new(2);
+    let mut turn = 0;
+    drop(store.get(TenantId::new(turn)).unwrap());
+    let mut rejected_with_a_spare = |frame: Vec<u8>, what: &str| {
+        // The other good tenant evicts the resident one, which the loader
+        // keeps as its spare; the bad frame is decoded next.
+        turn ^= 1;
+        drop(store.get(TenantId::new(turn)).unwrap());
+        backend.insert(bad, frame);
+        match store.get(bad).map(drop) {
+            Err(TfheError::KeyCorrupted { .. }) => {}
+            other => panic!("{what}: must be KeyCorrupted, got {other:?}"),
+        }
+    };
+    for cut in [
+        0,
+        7,
+        15,
+        16,
+        200,
+        blob.len() / 3,
+        blob.len() - 9,
+        blob.len() - 1,
+    ] {
+        rejected_with_a_spare(blob[..cut].to_vec(), &format!("prefix of {cut}"));
+    }
+    for frame in [blob.clone(), as_version_1(blob)] {
+        for pos in (0..frame.len()).step_by(4093) {
+            let mut flipped = frame.clone();
+            flipped[pos] ^= 1 << (pos % 8);
+            rejected_with_a_spare(flipped, &format!("v{} bit flip at {pos}", frame[4]));
+        }
+    }
+    for kind in 1..=4u8 {
+        let mut other = blob.clone();
+        other[6] = kind;
+        rejected_with_a_spare(other, &format!("kind {kind}"));
+    }
+    let level_at = param_fields_at(blob) + 28;
+    let mut level = blob.clone();
+    level[level_at..level_at + 8].copy_from_slice(&2u64.to_le_bytes());
+    rejected_with_a_spare(as_version_1(&level), "BSK level");
+    let (_, _, ksk) = sections(blob);
+    let mut shape: Vec<u8> = [1u64, 1, 1, 4]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    shape.resize(shape.len() + 64, 0);
+    rejected_with_a_spare(with_sections(blob, &shape, ksk), "BSK shape");
+    let ksk_at = param_fields_at(blob) + 36;
+    let mut decomp = blob.clone();
+    decomp[ksk_at..ksk_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    rejected_with_a_spare(as_version_1(&decomp), "KSK decomposition");
+    let stats = store.stats();
+    assert_eq!(stats.load_failures, stats.misses - stats.loads);
+    assert_eq!(stats.loads, stats.evictions + 1);
 }

@@ -97,6 +97,16 @@ pub(crate) struct Aligned {
     start: usize,
 }
 
+impl Aligned {
+    /// `len` zeros: allocated zeroed, then the cache-line offset.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        let mut buf = vec![0.0; len + SPARE];
+        let start = cache_line_offset(&buf);
+        buf.truncate(start + len);
+        Self { buf, start }
+    }
+}
+
 impl FromIterator<f64> for Aligned {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         // The spare room in front, then the values move down to the line.
@@ -125,7 +135,9 @@ impl std::ops::DerefMut for Aligned {
 
 impl Clone for Aligned {
     fn clone(&self) -> Self {
-        self.iter().copied().collect()
+        let mut copy = Self::zeroed(self.len());
+        copy.copy_from_slice(self);
+        copy
     }
 }
 
@@ -1037,9 +1049,12 @@ mod tests {
         let want: Vec<f64> = (0..37).map(f64::from).collect();
         let mut copy = collected.clone();
         let zeros: Aligned = std::iter::repeat_n(0.0, 5).collect();
-        for plane in [&collected, &copy, &zeros, &std::iter::empty().collect()] {
+        let zeroed = [Aligned::zeroed(5), Aligned::zeroed(0)];
+        let empty = std::iter::empty().collect();
+        for plane in [&collected, &copy, &zeros, &empty, &zeroed[0], &zeroed[1]] {
             assert_eq!(plane.as_ptr() as usize % 64, 0);
         }
+        assert_eq!(zeroed, [zeros.clone(), empty]);
         assert_eq!((&collected[..], &copy[..]), (&want[..], &want[..]));
         assert_eq!(copy, collected);
         copy[36] = -1.0;

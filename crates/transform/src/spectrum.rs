@@ -41,7 +41,7 @@ impl Spectrum {
             "polynomial size must be a power of two ≥ 2"
         );
         Self {
-            planes: std::iter::repeat_n(0.0, n).collect(),
+            planes: Aligned::zeroed(n),
         }
     }
 
