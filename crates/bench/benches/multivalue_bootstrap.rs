@@ -12,13 +12,12 @@
 //!   — the same derivation paying one rotation per LUT (bit-identical to
 //!   `fused` by construction, which the bench asserts before timing).
 //!
-//! Besides the criterion group, each shape is timed directly and the
-//! results land in `BENCH_multivalue.json` (CI validates and archives it)
-//! with ns per LUT and the `amortized_speedup` at k = 4.
+//! Each shape is timed directly and the results land in
+//! `BENCH_multivalue.json` (CI validates and archives it) with ns per LUT
+//! and the `amortized_speedup` at k = 4. A failed write exits non-zero.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morphling_tfhe::{ClientKey, Lut, LweCiphertext, ParamSet, ServerKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,10 +60,8 @@ fn time_ns(mut op: impl FnMut() -> Vec<LweCiphertext>, runs: u32) -> f64 {
     t0.elapsed().as_nanos() as f64 / f64::from(runs)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let f = fixture();
-    let mut g = c.benchmark_group("multivalue_bootstrap");
-    g.sample_size(10);
 
     let mut entries = Vec::new();
     let mut k4_speedup = 0.0f64;
@@ -81,27 +78,7 @@ fn bench(c: &mut Criterion) {
             .unwrap();
         assert_eq!(fused, separate, "k={k}: paths must be bit-identical");
 
-        g.bench_with_input(BenchmarkId::new("fused", k), &k, |b, _| {
-            b.iter(|| {
-                f.server
-                    .try_programmable_bootstrap_many_with(
-                        std::hint::black_box(&f.ct),
-                        luts,
-                        &mut f.server.workspace(),
-                    )
-                    .unwrap()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("separate", k), &k, |b, _| {
-            b.iter(|| {
-                f.server
-                    .try_programmable_bootstrap_many_separate(std::hint::black_box(&f.ct), luts)
-                    .unwrap()
-            })
-        });
-
-        // Direct measurement for the JSON artifact; interleave the two
-        // paths so machine-load drift hits both alike.
+        // Interleave the two paths so machine-load drift hits both alike.
         let (runs, rounds) = (10u32, 5u32);
         let (mut fused_ns, mut separate_ns) = (0.0, 0.0);
         for _ in 0..rounds {
@@ -148,7 +125,6 @@ fn bench(c: &mut Criterion) {
             runs * rounds
         ));
     }
-    g.finish();
 
     let json = format!(
         "{{\n  \"bench\": \"multivalue_bootstrap\",\n  \"amortized_speedup\": {k4_speedup:.3},\n  \"entries\": [\n{}\n  ]\n}}\n",
@@ -156,8 +132,6 @@ fn bench(c: &mut Criterion) {
     );
     if let Err(e) = std::fs::write("BENCH_multivalue.json", json) {
         eprintln!("could not write BENCH_multivalue.json: {e}");
+        std::process::exit(1);
     }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -24,19 +24,19 @@
 //! against a ring of them larger than the L2 cache. The staged sum minus
 //! the fused whole is the inter-stage memory traffic the fusion removes.
 //!
-//! Besides the criterion group, each size is timed directly and the
-//! results land in `BENCH_transform.json` (committed; CI regenerates and
+//! Each size is timed directly and the results land in
+//! `BENCH_transform.json` (committed; CI regenerates and
 //! checks, within the run, that the fused CMUX is no slower than the
 //! staged one at N ≥ 1024 and that the staged CMUX's forward and inverse
 //! stages — its transforms — stay the share of the whole hot staged CMUX
 //! they were in the committed file: the scalar reference pays a libm
 //! `fma` per operation without hardware FMA in the target features, so
 //! "kernel ≥ reference" would pass a kernel several times slower), with
-//! the vector ISA the kernel ran on as `"isa"`.
+//! the vector ISA the kernel ran on as `"isa"`. A failed write exits
+//! non-zero.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morphling_math::{Complex64, DecompParams, Polynomial, SignedDecomposer, Torus32};
 use morphling_transform::{FftPlan, NegacyclicFft, Spectrum};
 use rand::rngs::StdRng;
@@ -299,10 +299,8 @@ fn time_ns(mut op: impl FnMut(), runs: u32, rounds: usize) -> f64 {
     samples[rounds / 2]
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
-    let mut g = c.benchmark_group("transform_kernel");
-    g.sample_size(10);
 
     let mut entries = Vec::new();
     let mut min_speedup = f64::INFINITY;
@@ -332,16 +330,6 @@ fn bench(c: &mut Criterion) {
             "n={n}: inverse kernel must equal the reference"
         );
 
-        g.bench_with_input(BenchmarkId::new("reference_forward", n), &n, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(reference.forward(std::hint::black_box(&digits)));
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("kernel_forward", n), &n, |b, _| {
-            b.iter(|| fft.forward_int_into(std::hint::black_box(&digits), &mut spectrum))
-        });
-
-        // Direct measurement for the JSON artifact.
         let (runs, rounds) = (200u32, 9usize);
         let ref_fwd = time_ns(
             || {
@@ -413,7 +401,6 @@ fn bench(c: &mut Criterion) {
             cmux.fused_streamed,
         ));
     }
-    g.finish();
 
     // Every size above gets the same ISA from detection.
     let isa = NegacyclicFft::new(2048).isa();
@@ -424,8 +411,6 @@ fn bench(c: &mut Criterion) {
     );
     if let Err(e) = std::fs::write("BENCH_transform.json", json) {
         eprintln!("could not write BENCH_transform.json: {e}");
+        std::process::exit(1);
     }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

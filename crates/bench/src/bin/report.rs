@@ -4,11 +4,15 @@
 //!
 //! ```text
 //! cargo run -p morphling-bench --release --bin report -- artifacts            # everything
-//! cargo run -p morphling-bench --release --bin report -- artifacts table5 --measure-cpu
+//! cargo run -p morphling-bench --release --bin report -- artifacts fig1 table5 --measure-cpu
 //! cargo run -p morphling-bench --release --bin report -- trace trace.json
 //! cargo run -p morphling-bench --release --bin report -- autotune --rate 50 --p99 100
 //! cargo run -p morphling-bench --release --bin report -- help
 //! ```
+//!
+//! `--measure-cpu` adds live rows measured on this host's CPU: Fig 1's
+//! blind rotation + extraction and key switch times, and Table V's
+//! bootstrap latency and engine throughput.
 //!
 //! `autotune` calibrates a service model from a live engine run, searches
 //! the serving-config space for the requested open-loop rate (req/s) and
@@ -80,7 +84,7 @@ fn run_artifacts(args: &[String]) {
     let isa = morphling_transform::NegacyclicFft::new(2048).isa();
     println!("transform kernel ISA: {isa}");
     if want("fig1") {
-        println!("{}", reports::fig1_report());
+        println!("{}", reports::fig1_report(measure_cpu));
     }
     if want("fig3") {
         println!("{}", reports::fig3_report());

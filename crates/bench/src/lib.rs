@@ -1,7 +1,7 @@
 //! Report generators for every table and figure of the Morphling
 //! evaluation. Each function returns the regenerated artifact as a
-//! formatted table (with the paper's values alongside ours); the Criterion
-//! benches and the `report` binary are thin wrappers.
+//! formatted table (with the paper's values alongside ours); the `report`
+//! binary prints them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,8 +21,8 @@ use morphling_core::sched::{HwScheduler, SwScheduler, Workload};
 use morphling_core::sim::Simulator;
 use morphling_core::{hwmodel, ArchConfig, ReuseMode};
 use morphling_tfhe::{
-    BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EngineStats, ParamSet, ServerKey,
-    TfheParams,
+    BatchRequest, BootstrapEngine, BootstrapOptions, Bootstrapper, ClientKey, EngineStats, Lut,
+    ParamSet, ServerKey, TfheParams,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,6 +61,38 @@ pub(crate) fn measure_cpu_bootstrap(set: ParamSet, iters: u32) -> (f64, f64) {
     (elapsed * 1e3, 1.0 / elapsed)
 }
 
+/// Measure our CPU blind rotation + sample extraction and key switch
+/// apart: returns `(rotate_ms, key_switch_ms)`, each the mean of `iters`
+/// runs at `set`, single-threaded.
+pub(crate) fn measure_cpu_stages(set: ParamSet, iters: u32) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(7778);
+    let params = set.params();
+    let ck = ClientKey::generate(params.clone(), &mut rng);
+    let sk = ServerKey::new(&ck, &mut rng);
+    let ct = ck.encrypt(1, &mut rng);
+    let lut = Lut::identity(params.poly_size, params.plaintext_modulus);
+    let rotate = || {
+        sk.bootstrap_with_options(&ct, &lut, BootstrapOptions::new().keyswitch(false))
+            .expect("bootstrap without the key switch")
+    };
+    // Warm-up, and the key switch's input.
+    let extracted = rotate();
+    let mean_ms = |op: &dyn Fn()| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            op();
+        }
+        start.elapsed().as_secs_f64() * 1e3 / f64::from(iters)
+    };
+    let rotate_ms = mean_ms(&|| {
+        std::hint::black_box(rotate());
+    });
+    let key_switch_ms = mean_ms(&|| {
+        std::hint::black_box(sk.key_switch_key().key_switch(&extracted));
+    });
+    (rotate_ms, key_switch_ms)
+}
+
 /// Measure the persistent [`BootstrapEngine`]'s throughput (BS/s) over a
 /// batch, with the pool already warm — the steady-state number a stream
 /// of batches sees. Also returns the engine's own [`EngineStats`] so
@@ -97,8 +129,10 @@ pub(crate) fn measure_engine_bootstrap(
 }
 
 /// **Fig 1**: operation / memory breakdown of one bootstrap at the 128-bit
-/// configuration (N=1024, n=481, k=2, l_b=4, l_k=9).
-pub fn fig1_report() -> String {
+/// configuration (N=1024, n=481, k=2, l_b=4, l_k=9). `measured_cpu`
+/// adds the time split of our own functional TFHE implementation (slow —
+/// a few seconds).
+pub fn fig1_report(measured_cpu: bool) -> String {
     let params = ParamSet::Fig1.params();
     let ops = cpu_bootstrap_ops(&params);
     let mem = bootstrap_memory(&params);
@@ -155,6 +189,16 @@ pub fn fig1_report() -> String {
         "    working set   {:>9.3} MB",
         mem.working as f64 / 1048576.0
     );
+    if measured_cpu {
+        let (rotate_ms, key_switch_ms) = measure_cpu_stages(ParamSet::Fig1, 10);
+        let _ = writeln!(s, "  time (measured: our CPU impl, 1 core):   paper");
+        for (stage, ms, paper) in [
+            ("blind rotation + extraction", rotate_ms, 37.7),
+            ("key switch", key_switch_ms, 6.4),
+        ] {
+            let _ = writeln!(s, "    {stage:<27} {ms:>7.2} ms   {paper:>4.1} ms");
+        }
+    }
     s
 }
 
@@ -580,7 +624,7 @@ mod tests {
     #[test]
     fn every_report_renders() {
         for report in [
-            fig1_report(),
+            fig1_report(false),
             fig3_report(),
             table4_report(),
             table5_report(false),

@@ -7,10 +7,11 @@
 //! unit class keeps a binary heap of ready instructions, per-instruction
 //! durations come from a memoized [`SimReport`], and every dispatch is
 //! O(log n) — O(n log n) overall, against the O(n²) rescan of the
-//! original list scheduler (kept as [`HwScheduler::run_reference`] for
-//! differential testing and the comparison bench). Both produce the same
-//! policy: among ready instructions, issue the one with the earliest
-//! possible start, breaking ties by instruction id.
+//! original list scheduler (kept in this module's tests as
+//! `run_reference`, the differential oracle and the baseline of the
+//! ignored speedup test). Both produce the same policy: among ready
+//! instructions, issue the one with the earliest possible start, breaking
+//! ties by instruction id.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -186,28 +187,12 @@ impl HwScheduler {
     /// Duration (cycles) of one instruction on its unit, for a group of
     /// `group_size` ciphertexts under `params`. `report` supplies the
     /// stalled iteration period for blind rotations, making this O(1)
-    /// per instruction; `None` re-runs the analytical simulator inline
-    /// (the seed behavior, kept for [`run_reference`](Self::run_reference)).
-    fn duration_with(
-        &self,
-        op: &Op,
-        params: &TfheParams,
-        group_size: u64,
-        report: Option<&SimReport>,
-    ) -> u64 {
+    /// per instruction.
+    fn duration(&self, op: &Op, params: &TfheParams, group_size: u64, report: &SimReport) -> u64 {
         let cfg = &self.config;
         let vpu = VpuCost::compute(params);
         match op {
             Op::Xpu(XpuOp::BlindRotate { iterations }) => {
-                let fresh;
-                let report = match report {
-                    Some(r) => r,
-                    None => {
-                        fresh = Simulator::new(cfg.clone())
-                            .bootstrap_batch(params, group_size as usize);
-                        &fresh
-                    }
-                };
                 (u64::from(*iterations) as f64 * report.iter_cycles as f64 * report.stall) as u64
             }
             Op::Vpu(VpuOp::ModSwitch) => (group_size * vpu.mod_switch_macs)
@@ -280,7 +265,7 @@ impl HwScheduler {
         // Precomputed durations: O(n) thanks to the memoized report.
         let durations: Vec<u64> = instrs
             .iter()
-            .map(|i| self.duration_with(&i.op, params, group_size, Some(&report)))
+            .map(|i| self.duration(&i.op, params, group_size, &report))
             .collect();
 
         // Dependency bookkeeping: successors + remaining-dependency
@@ -443,76 +428,6 @@ impl HwScheduler {
         (timeline, trace)
     }
 
-    /// The original O(n²) list scheduler this crate shipped with: every
-    /// dispatch rescans the whole program, and every `BlindRotate`
-    /// re-runs the analytical simulator. Kept verbatim as the
-    /// differential oracle for [`run`](Self::run) (identical policy, so
-    /// identical timelines) and as the baseline of the
-    /// `scheduler_event_driven` bench.
-    pub fn run_reference(&self, program: &Program, params: &TfheParams) -> Timeline {
-        let group_size = self.config.bootstrap_cores() as u64;
-        let n = program.len();
-        let mut finish: Vec<Option<u64>> = vec![None; n];
-        let mut xpu_free = 0u64;
-        let mut vpu_free = 0u64;
-        let mut dma_free = [0u64; DMA_ENGINES];
-        let mut timeline = Timeline::default();
-        let mut scheduled = 0usize;
-        while scheduled < n {
-            // Among ready instructions, pick the earliest possible start
-            // (ties: program order).
-            let mut best: Option<(u64, usize)> = None;
-            for instr in program.instructions() {
-                if finish[instr.id as usize].is_some() {
-                    continue;
-                }
-                let deps_done: Option<u64> = instr
-                    .deps
-                    .iter()
-                    .map(|&d| finish[d as usize])
-                    .try_fold(0u64, |acc, f| f.map(|v| acc.max(v)));
-                let Some(dep_ready) = deps_done else { continue };
-                let unit_free = match instr.op.unit() {
-                    UnitClass::Xpu => xpu_free,
-                    UnitClass::Vpu => vpu_free,
-                    UnitClass::Dma => *dma_free.iter().min().expect("two engines"),
-                };
-                let start = dep_ready.max(unit_free);
-                if best.is_none_or(|(s, _)| start < s) {
-                    best = Some((start, instr.id as usize));
-                }
-            }
-            let (start, idx) = best.expect("acyclic program always has a ready instruction");
-            let instr = &program.instructions()[idx];
-            // The seed implementation re-entered the full analytical
-            // simulator here for every BlindRotate; `None` preserves that.
-            let dur = self.duration_with(&instr.op, params, group_size, None);
-            let end = start + dur;
-            let unit = instr.op.unit();
-            match unit {
-                UnitClass::Xpu => xpu_free = end,
-                UnitClass::Vpu => vpu_free = end,
-                UnitClass::Dma => {
-                    let slot = dma_free
-                        .iter_mut()
-                        .min_by_key(|t| **t)
-                        .expect("two engines");
-                    *slot = end;
-                }
-            }
-            finish[idx] = Some(end);
-            timeline.entries.push(Scheduled {
-                id: instr.id,
-                start,
-                end,
-                unit,
-            });
-            scheduled += 1;
-        }
-        timeline.entries.sort_by_key(|e| (e.start, e.id));
-        timeline
-    }
-
     /// Convenience: makespan in seconds.
     pub fn run_seconds(&self, program: &Program, params: &TfheParams) -> f64 {
         self.run(program, params).makespan_cycles() as f64 / self.config.clock_hz()
@@ -521,9 +436,98 @@ impl HwScheduler {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
+    use crate::isa::GroupId;
     use crate::sched::software::{SwScheduler, Workload};
     use morphling_tfhe::ParamSet;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl HwScheduler {
+        /// The original O(n²) list scheduler this crate shipped with: every
+        /// dispatch rescans the whole program, and every `BlindRotate`
+        /// re-runs the analytical simulator. Kept as the differential
+        /// oracle for [`run`](HwScheduler::run) (identical policy, so
+        /// identical timelines) and as the baseline of
+        /// `event_driven_is_over_ten_times_the_reference_on_deepcnn100`.
+        fn run_reference(&self, program: &Program, params: &TfheParams) -> Timeline {
+            let group_size = self.config.bootstrap_cores() as u64;
+            // Only a blind rotation reads the report it is passed.
+            let memo = self.sim_report(params, group_size);
+            let n = program.len();
+            let mut finish: Vec<Option<u64>> = vec![None; n];
+            let mut xpu_free = 0u64;
+            let mut vpu_free = 0u64;
+            let mut dma_free = [0u64; DMA_ENGINES];
+            let mut timeline = Timeline::default();
+            let mut scheduled = 0usize;
+            while scheduled < n {
+                // Among ready instructions, pick the earliest possible start
+                // (ties: program order).
+                let mut best: Option<(u64, usize)> = None;
+                for instr in program.instructions() {
+                    if finish[instr.id as usize].is_some() {
+                        continue;
+                    }
+                    let deps_done: Option<u64> = instr
+                        .deps
+                        .iter()
+                        .map(|&d| finish[d as usize])
+                        .try_fold(0u64, |acc, f| f.map(|v| acc.max(v)));
+                    let Some(dep_ready) = deps_done else { continue };
+                    let unit_free = match instr.op.unit() {
+                        UnitClass::Xpu => xpu_free,
+                        UnitClass::Vpu => vpu_free,
+                        UnitClass::Dma => *dma_free.iter().min().expect("two engines"),
+                    };
+                    let start = dep_ready.max(unit_free);
+                    if best.is_none_or(|(s, _)| start < s) {
+                        best = Some((start, instr.id as usize));
+                    }
+                }
+                let (start, idx) = best.expect("acyclic program always has a ready instruction");
+                let instr = &program.instructions()[idx];
+                // The seed implementation re-entered the full analytical
+                // simulator here for every BlindRotate; so does this.
+                let fresh;
+                let report = match instr.op {
+                    Op::Xpu(_) => {
+                        fresh = Simulator::new(self.config.clone())
+                            .bootstrap_batch(params, group_size as usize);
+                        &fresh
+                    }
+                    _ => &memo,
+                };
+                let dur = self.duration(&instr.op, params, group_size, report);
+                let end = start + dur;
+                let unit = instr.op.unit();
+                match unit {
+                    UnitClass::Xpu => xpu_free = end,
+                    UnitClass::Vpu => vpu_free = end,
+                    UnitClass::Dma => {
+                        let slot = dma_free
+                            .iter_mut()
+                            .min_by_key(|t| **t)
+                            .expect("two engines");
+                        *slot = end;
+                    }
+                }
+                finish[idx] = Some(end);
+                timeline.entries.push(Scheduled {
+                    id: instr.id,
+                    start,
+                    end,
+                    unit,
+                });
+                scheduled += 1;
+            }
+            timeline.entries.sort_by_key(|e| (e.start, e.id));
+            timeline
+        }
+    }
 
     fn setup() -> (SwScheduler, HwScheduler, TfheParams) {
         let cfg = ArchConfig::morphling_default();
@@ -645,5 +649,161 @@ mod tests {
         let b = hw.run(&prog, &params);
         assert_eq!(a.entries(), b.entries());
         assert_eq!(hw.report_cache.borrow().len(), 1);
+    }
+
+    /// A random dependency-correct program: arbitrary op mix, up to three
+    /// dependencies per instruction drawn from arbitrary earlier ids. This
+    /// exercises shapes the software scheduler never emits (e.g. DMA chains,
+    /// back-to-back blind rotations, fan-in onto one instruction).
+    fn random_program(seed: u64, len: usize) -> Program {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut prog = Program::new();
+        for id in 0..len as u32 {
+            let op = match rng.gen_range(0u32..8) {
+                0 => Op::Xpu(XpuOp::BlindRotate {
+                    iterations: rng.gen_range(1u32..700),
+                }),
+                1 => Op::Vpu(VpuOp::ModSwitch),
+                2 => Op::Vpu(VpuOp::SampleExtract),
+                3 => Op::Vpu(VpuOp::KeySwitch),
+                4 => Op::Vpu(VpuOp::PAlu {
+                    macs: rng.gen_range(1u64..100_000),
+                }),
+                5 => Op::Dma(DmaOp::LoadLwe),
+                6 => Op::Dma(DmaOp::LoadKsk),
+                _ => Op::Dma(DmaOp::StoreLwe),
+            };
+            let mut deps = Vec::new();
+            if id > 0 {
+                for _ in 0..rng.gen_range(0usize..=3) {
+                    let d = rng.gen_range(0u32..id);
+                    if !deps.contains(&d) {
+                        deps.push(d);
+                    }
+                }
+                deps.sort_unstable();
+            }
+            prog.push(GroupId(id / 8), op, deps);
+        }
+        prog
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// On software-scheduler-shaped programs (random level structure),
+        /// the event-driven scheduler reproduces the reference list
+        /// scheduler's timeline entry for entry — same starts, same ends,
+        /// same units — hence identical makespans.
+        #[test]
+        fn event_driven_matches_reference_on_random_workloads(
+            levels in prop::collection::vec((1u64..60, 0u64..50_000), 4),
+            depth in 1usize..5,
+        ) {
+            let (sw, hw, params) = setup();
+            let w = Workload { levels: levels[..depth.min(levels.len())].to_vec() };
+            let prog = sw.compile(&w, &params);
+            let fast = hw.run(&prog, &params);
+            let slow = hw.run_reference(&prog, &params);
+            prop_assert_eq!(fast.makespan_cycles(), slow.makespan_cycles());
+            prop_assert_eq!(fast.entries(), slow.entries());
+        }
+
+        /// On arbitrary random DAGs (shapes the software scheduler never
+        /// emits), the two implementations still agree exactly.
+        #[test]
+        fn event_driven_matches_reference_on_random_dags(
+            seed in any::<u64>(),
+            len in 1usize..120,
+        ) {
+            let (_, hw, params) = setup();
+            let prog = random_program(seed, len);
+            let fast = hw.run(&prog, &params);
+            let slow = hw.run_reference(&prog, &params);
+            prop_assert_eq!(fast.makespan_cycles(), slow.makespan_cycles());
+            prop_assert_eq!(fast.entries(), slow.entries());
+        }
+    }
+
+    /// Utilization stays in [0, 1] for every unit class on both scheduler
+    /// implementations — the DMA class in particular, whose two engines used
+    /// to sum busy cycles against a single makespan.
+    #[test]
+    fn utilization_is_normalized_per_engine() {
+        let (sw, hw, params) = setup();
+        let prog = sw.compile(&Workload::independent(128).then(128, 0), &params);
+        for tl in [hw.run(&prog, &params), hw.run_reference(&prog, &params)] {
+            for unit in [UnitClass::Xpu, UnitClass::Vpu, UnitClass::Dma] {
+                let u = tl.utilization(unit);
+                assert!((0.0..=1.0).contains(&u), "{unit}: {u}");
+            }
+        }
+    }
+
+    /// Scaling smoke test: a 1000-group (8000-instruction) program — the
+    /// DeepCNN-100 order of magnitude — schedules in well under a second.
+    /// The seed's O(n²) rescan with a fresh simulator run per blind rotation
+    /// took tens of seconds here.
+    #[test]
+    fn thousand_group_program_schedules_fast() {
+        let (sw, hw, params) = setup();
+        let group = sw.group_size();
+        let prog = sw.compile(&Workload::independent(1000 * group), &params);
+        assert_eq!(prog.len(), 8000);
+        let t0 = Instant::now();
+        let tl = hw.run(&prog, &params);
+        let elapsed = t0.elapsed();
+        assert_eq!(tl.entries().len(), 8000);
+        assert!(
+            elapsed.as_secs_f64() < 1.0,
+            "1000-group schedule took {elapsed:?}"
+        );
+    }
+
+    /// The event-driven scheduler against the seed's list scheduler on the
+    /// paper's largest application program, DeepCNN-100: the same
+    /// makespan, and more than 10x faster. A timing, so it is ignored in
+    /// the default run; `cargo test --release -p morphling-core --lib --
+    /// --ignored --nocapture event_driven_is_over_ten_times` runs it.
+    #[test]
+    #[ignore = "a timing; run it in release with --ignored"]
+    fn event_driven_is_over_ten_times_the_reference_on_deepcnn100() {
+        let (sw, hw, params) = setup();
+        // DeepCNN-100's levels, as `morphling_apps::models::deep_cnn(100)
+        // .workload()` builds them (that crate depends on this one).
+        let mut levels = vec![(144, 648), (736, 6_624)];
+        levels.extend([(736, 33_856); 100]);
+        levels.push((32, 6_048));
+        let deepcnn = Workload { levels };
+        let prog = sw.compile(&deepcnn, &params);
+        println!(
+            "DeepCNN-100 program: {} instructions across {} levels ({} bootstraps)",
+            prog.len(),
+            deepcnn.levels.len(),
+            deepcnn.total_bootstraps()
+        );
+
+        // One timed run each, same program, same policy.
+        let t0 = Instant::now();
+        let fast = hw.run(&prog, &params);
+        let t_fast = t0.elapsed();
+        let t0 = Instant::now();
+        let slow = hw.run_reference(&prog, &params);
+        let t_slow = t0.elapsed();
+        assert_eq!(
+            fast.makespan_cycles(),
+            slow.makespan_cycles(),
+            "schedulers disagree on the DeepCNN-100 makespan"
+        );
+        let speedup = t_slow.as_secs_f64() / t_fast.as_secs_f64().max(1e-9);
+        println!(
+            "event-driven {t_fast:?}  vs  reference list {t_slow:?}  ({speedup:.0}x speedup, \
+             makespan {} cycles)",
+            fast.makespan_cycles()
+        );
+        assert!(
+            speedup > 10.0,
+            "event-driven scheduler must be >10x faster on DeepCNN-100 (got {speedup:.1}x)"
+        );
     }
 }

@@ -52,7 +52,7 @@ impl SwScheduler {
     /// The group size: ciphertexts scheduled together per instruction
     /// (one per XPU set of rows — 16 in the default configuration; four
     /// groups make the 64-ciphertext super-group of §V-E).
-    pub fn group_size(&self) -> u64 {
+    pub(crate) fn group_size(&self) -> u64 {
         self.config.bootstrap_cores() as u64
     }
 
