@@ -2,15 +2,15 @@
 
 use morphling_math::negacyclic::{mul_int_int, mul_int_torus32};
 use morphling_math::{DecompParams, Polynomial, SignedDecomposer, Torus32, TorusScalar};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-fn torus_poly(n: usize) -> impl Strategy<Value = Polynomial<Torus32>> {
-    prop::collection::vec(any::<u32>(), n)
-        .prop_map(|v| Polynomial::from_coeffs(v.into_iter().map(Torus32::from_raw).collect()))
+fn torus_poly(rng: &mut StdRng, n: usize) -> Polynomial<Torus32> {
+    Polynomial::from_fn(n, |_| Torus32::from_raw(rng.gen()))
 }
 
-fn int_poly(n: usize, bound: i64) -> impl Strategy<Value = Polynomial<i64>> {
-    prop::collection::vec(-bound..bound, n).prop_map(Polynomial::from_coeffs)
+fn int_poly(rng: &mut StdRng, n: usize, bound: i64) -> Polynomial<i64> {
+    Polynomial::from_fn(n, |_| rng.gen_range(-bound..bound))
 }
 
 fn torus_distance(a: f64, b: f64) -> f64 {
@@ -18,120 +18,178 @@ fn torus_distance(a: f64, b: f64) -> f64 {
     d.min(1.0 - d)
 }
 
-proptest! {
-    #[test]
-    fn torus_add_commutes(a: u32, b: u32) {
-        let (a, b) = (Torus32::from_raw(a), Torus32::from_raw(b));
-        prop_assert_eq!(a + b, b + a);
+#[test]
+fn torus_add_commutes() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0001);
+    for case in 0..64 {
+        let (a, b) = (Torus32::from_raw(rng.gen()), Torus32::from_raw(rng.gen()));
+        assert_eq!(a + b, b + a, "case {case}: a={a:?} b={b:?}");
     }
+}
 
-    #[test]
-    fn torus_add_neg_is_zero(a: u32) {
-        let a = Torus32::from_raw(a);
-        prop_assert_eq!(a + (-a), Torus32::ZERO);
+#[test]
+fn torus_add_neg_is_zero() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0002);
+    for case in 0..64 {
+        let a = Torus32::from_raw(rng.gen());
+        assert_eq!(a + (-a), Torus32::ZERO, "case {case}: a={a:?}");
     }
+}
 
-    #[test]
-    fn torus_scalar_mul_distributes(a: u32, b: u32, k in -1000i64..1000) {
-        let (a, b) = (Torus32::from_raw(a), Torus32::from_raw(b));
-        prop_assert_eq!((a + b).scalar_mul(k), a.scalar_mul(k) + b.scalar_mul(k));
+#[test]
+fn torus_scalar_mul_distributes() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0003);
+    for case in 0..64 {
+        let (a, b) = (Torus32::from_raw(rng.gen()), Torus32::from_raw(rng.gen()));
+        let k = rng.gen_range(-1000i64..1000);
+        let lhs = (a + b).scalar_mul(k);
+        let rhs = a.scalar_mul(k) + b.scalar_mul(k);
+        assert_eq!(lhs, rhs, "case {case}: a={a:?} b={b:?} k={k}");
     }
+}
 
-    #[test]
-    fn encode_decode_roundtrips(m in 0u64..256, p_log in 1u32..9) {
+#[test]
+fn encode_decode_roundtrips() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0004);
+    for case in 0..64 {
+        let (m, p_log) = (rng.gen_range(0u64..256), rng.gen_range(1u32..9));
         let p = 1u64 << p_log;
         let m = m % p;
-        prop_assert_eq!(Torus32::encode(m, p).decode(p), m);
+        let back = Torus32::encode(m, p).decode(p);
+        assert_eq!(back, m, "case {case}: m={m} p={p}");
     }
+}
 
-    #[test]
-    fn mod_switch_error_is_half_step(raw: u32, n_log in 8u32..13) {
+#[test]
+fn mod_switch_error_is_half_step() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0005);
+    for case in 0..64 {
+        let (raw, n_log): (u32, _) = (rng.gen(), rng.gen_range(8u32..13));
         let two_n = 1u64 << (n_log + 1);
         let t = Torus32::from_raw(raw);
         let switched = t.mod_switch(two_n) as f64 / two_n as f64;
-        prop_assert!(torus_distance(switched, t.to_f64()) <= 0.5 / two_n as f64 + 1e-12);
+        let err = torus_distance(switched, t.to_f64());
+        let bound = 0.5 / two_n as f64 + 1e-12;
+        assert!(err <= bound, "case {case}: raw={raw:#x} 2N={two_n}");
     }
+}
 
-    #[test]
-    fn rotation_composes(p in torus_poly(16), a in -64i64..64, b in -64i64..64) {
-        prop_assert_eq!(p.monomial_mul(a).monomial_mul(b), p.monomial_mul(a + b));
+#[test]
+fn rotation_composes() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0006);
+    for case in 0..64 {
+        let p = torus_poly(&mut rng, 16);
+        let (a, b) = (rng.gen_range(-64i64..64), rng.gen_range(-64i64..64));
+        let lhs = p.monomial_mul(a).monomial_mul(b);
+        let rhs = p.monomial_mul(a + b);
+        assert_eq!(lhs, rhs, "case {case}: p={p:?} a={a} b={b}");
     }
+}
 
-    #[test]
-    fn rotation_by_2n_is_identity(p in torus_poly(16)) {
-        prop_assert_eq!(p.monomial_mul(32), p);
+#[test]
+fn rotation_by_2n_is_identity() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0007);
+    for case in 0..64 {
+        let p = torus_poly(&mut rng, 16);
+        assert_eq!(p.monomial_mul(32), p, "case {case}: p={p:?}");
     }
+}
 
-    #[test]
-    fn rotation_preserves_sums_up_to_sign(p in torus_poly(8), a in 0i64..16) {
-        // |coefficient multiset| is preserved by rotation (up to negation).
-        let r = p.monomial_mul(a);
-        let mut orig: Vec<u32> = p.iter().map(|c| c.into_raw().min(c.into_raw().wrapping_neg())).collect();
-        let mut rot: Vec<u32> = r.iter().map(|c| c.into_raw().min(c.into_raw().wrapping_neg())).collect();
-        orig.sort_unstable();
-        rot.sort_unstable();
-        prop_assert_eq!(orig, rot);
+#[test]
+fn rotation_preserves_sums_up_to_sign() {
+    // |coefficient multiset| is preserved by rotation (up to negation).
+    let magnitudes = |q: &Polynomial<Torus32>| {
+        let mut m: Vec<u32> = q
+            .iter()
+            .map(|c| c.into_raw().min(c.into_raw().wrapping_neg()))
+            .collect();
+        m.sort_unstable();
+        m
+    };
+    let mut rng = StdRng::seed_from_u64(0x3A7_0008);
+    for case in 0..64 {
+        let (p, a) = (torus_poly(&mut rng, 8), rng.gen_range(0i64..16));
+        let rot = magnitudes(&p.monomial_mul(a));
+        assert_eq!(magnitudes(&p), rot, "case {case}: p={p:?} a={a}");
     }
+}
 
-    #[test]
-    fn negacyclic_mul_associates_with_monomials(
-        p in int_poly(8, 100),
-        q in int_poly(8, 100),
-        a in 0i64..16,
-    ) {
+#[test]
+fn negacyclic_mul_associates_with_monomials() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_0009);
+    for case in 0..64 {
+        let (p, q) = (int_poly(&mut rng, 8, 100), int_poly(&mut rng, 8, 100));
+        let a = rng.gen_range(0i64..16);
         // (X^a · p) · q == X^a · (p · q)
         let lhs = mul_int_int(&p.monomial_mul(a), &q);
         let rhs = mul_int_int(&p, &q).monomial_mul(a);
-        prop_assert_eq!(lhs, rhs);
+        assert_eq!(lhs, rhs, "case {case}: p={p:?} q={q:?} a={a}");
     }
+}
 
-    #[test]
-    fn negacyclic_int_torus_matches_int_int_on_small_values(
-        d in int_poly(8, 50),
-        t in int_poly(8, 50),
-    ) {
+#[test]
+fn negacyclic_int_torus_matches_int_int_on_small_values() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_000A);
+    for case in 0..64 {
+        let (d, t) = (int_poly(&mut rng, 8, 50), int_poly(&mut rng, 8, 50));
         // Embed the small integer poly into the torus (value * 1) and check
         // the torus product agrees with the integer product mod 2^32.
         let t_torus = t.map(|&c| Torus32::from_raw(c as u32));
-        let exact = mul_int_int(&d, &t);
+        let exact = mul_int_int(&d, &t).map(|&c| Torus32::from_raw(c as u32));
         let torus = mul_int_torus32(&d, &t_torus);
-        for j in 0..8 {
-            prop_assert_eq!(torus[j].into_raw(), exact[j] as u32);
-        }
+        assert_eq!(torus, exact, "case {case}: d={d:?} t={t:?}");
     }
+}
 
-    #[test]
-    fn decomposition_error_bounded(raw: u32, b in 1u32..9, l in 1usize..4) {
-        prop_assume!(b * l as u32 <= 32);
+#[test]
+fn decomposition_error_bounded() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_000B);
+    for case in 0..64 {
+        let (raw, b, l): (u32, _, _) =
+            (rng.gen(), rng.gen_range(1u32..9), rng.gen_range(1usize..4));
+        if b * l as u32 > 32 {
+            continue;
+        }
         let dec = SignedDecomposer::<Torus32>::new(DecompParams::new(b, l));
         let x = Torus32::from_raw(raw);
         let digits = dec.decompose_scalar(x);
         let half_beta = (1i64 << b) / 2;
+        let at = format!("case {case}: raw={raw:#x} b={b} l={l}");
         for &d in &digits {
-            prop_assert!((-half_beta..half_beta).contains(&d));
+            assert!((-half_beta..half_beta).contains(&d), "{at}: digit {d}");
         }
         let back = dec.recompose_scalar(&digits);
         let err = torus_distance(back.to_f64(), x.to_f64());
-        prop_assert!(err <= dec.max_error() + 1e-12, "err={} bound={}", err, dec.max_error());
+        let bound = dec.max_error();
+        assert!(err <= bound + 1e-12, "{at}: err={err} bound={bound}");
     }
+}
 
-    #[test]
-    fn decomposition_of_negation_negates_digits_recomposition(raw: u32, b in 2u32..8, l in 1usize..4) {
-        prop_assume!(b * l as u32 <= 32);
+#[test]
+fn decomposition_of_negation_negates_digits_recomposition() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_000C);
+    for case in 0..64 {
+        let (raw, b, l): (u32, _, _) =
+            (rng.gen(), rng.gen_range(2u32..8), rng.gen_range(1usize..4));
+        if b * l as u32 > 32 {
+            continue;
+        }
         let dec = SignedDecomposer::<Torus32>::new(DecompParams::new(b, l));
         let x = Torus32::from_raw(raw);
         // decompose(-x) recomposes to -(recompose(decompose(x))) up to the
         // rounding tie direction; check both are within 2*max_error of -x.
         let back_neg = dec.recompose_scalar(&dec.decompose_scalar(-x));
         let err = torus_distance(back_neg.to_f64(), (-x).to_f64());
-        prop_assert!(err <= dec.max_error() + 1e-12);
+        let at = format!("case {case}: raw={raw:#x} b={b} l={l}");
+        assert!(err <= dec.max_error() + 1e-12, "{at}: err={err}");
     }
+}
 
-    #[test]
-    fn poly_decomposition_is_the_scalar_carry_chain(
-        p in torus_poly(16),
-        seed: u32,
-    ) {
+#[test]
+fn poly_decomposition_is_the_scalar_carry_chain() {
+    let mut rng = StdRng::seed_from_u64(0x3A7_000D);
+    for case in 0..64 {
+        let (p, seed): (_, u32) = (torus_poly(&mut rng, 16), rng.gen());
         // The level-outer, carry-free polynomial path against the
         // per-coefficient carry chain, for every gadget that fits the
         // 32-bit torus. Half the coefficients are built to sit on the
@@ -157,7 +215,11 @@ proptest! {
                     seed.rotate_left(b),
                 ];
                 let p = Polynomial::from_fn(16, |j| {
-                    if j % 2 == 0 { p[j] } else { Torus32::from_raw(edges[j / 2]) }
+                    if j % 2 == 0 {
+                        p[j]
+                    } else {
+                        Torus32::from_raw(edges[j / 2])
+                    }
                 });
                 let mut out = vec![Polynomial::<i64>::zero(16); l];
                 dec.decompose_poly_into(&p, &mut out);
@@ -165,7 +227,11 @@ proptest! {
                 for (j, &c) in p.iter().enumerate() {
                     dec.decompose_scalar_into(c, &mut digits);
                     for (i, dp) in out.iter().enumerate() {
-                        prop_assert_eq!(dp[j], digits[i], "b={} l={} x={:#x} level {}", b, l, c.into_raw(), i);
+                        let x = c.into_raw();
+                        assert_eq!(
+                            dp[j], digits[i],
+                            "case {case}: seed={seed:#x} b={b} l={l} x={x:#x} level {i}"
+                        );
                     }
                 }
             }

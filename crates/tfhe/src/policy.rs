@@ -2065,44 +2065,46 @@ mod tests {
 
     mod percentile_properties {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            #[test]
-            fn monotone_in_q_and_bounded(
-                xs in prop::collection::vec(0u64..1_000_000, 16),
-                len in 1usize..17,
-                q1 in 0.0f64..1.0,
-                q2 in 0.0f64..1.0,
-            ) {
-                let mut xs = xs;
-                xs.truncate(len);
+        #[test]
+        fn monotone_in_q_and_bounded() {
+            let mut rng = StdRng::seed_from_u64(0xBE7C_0001);
+            for case in 0..128 {
+                let mut xs: Vec<u64> = (0..16).map(|_| rng.gen_range(0u64..1_000_000)).collect();
+                xs.truncate(rng.gen_range(1usize..17));
                 xs.sort_unstable();
+                let (q1, q2) = (rng.gen_range(0.0f64..1.0), rng.gen_range(0.0f64..1.0));
                 let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
                 let p_lo = percentile(&xs, lo);
                 let p_hi = percentile(&xs, hi);
-                prop_assert!(p_lo <= p_hi, "percentile not monotone: q{lo} > q{hi}");
-                prop_assert!(p_lo >= Duration::from_nanos(xs[0]));
-                prop_assert!(p_hi <= Duration::from_nanos(*xs.last().unwrap()));
+                let at = format!("case {case}: xs={xs:?} q={lo},{hi}");
+                assert!(p_lo <= p_hi, "{at}: percentile not monotone");
+                assert!(p_lo >= Duration::from_nanos(xs[0]), "{at}");
+                assert!(p_hi <= Duration::from_nanos(*xs.last().unwrap()), "{at}");
             }
+        }
 
-            #[test]
-            fn exact_on_singletons(x in any::<u64>(), q in 0.0f64..1.0) {
-                prop_assert_eq!(percentile(&[x], q), Duration::from_nanos(x));
+        #[test]
+        fn exact_on_singletons() {
+            let mut rng = StdRng::seed_from_u64(0xBE7C_0002);
+            for case in 0..128 {
+                let (x, q): (u64, _) = (rng.gen(), rng.gen_range(0.0f64..1.0));
+                let got = percentile(&[x], q);
+                assert_eq!(got, Duration::from_nanos(x), "case {case}: x={x} q={q}");
             }
+        }
 
-            #[test]
-            fn extremes_hit_min_and_max(
-                xs in prop::collection::vec(0u64..1_000_000, 8),
-                len in 1usize..9,
-            ) {
-                let mut xs = xs;
-                xs.truncate(len);
+        #[test]
+        fn extremes_hit_min_and_max() {
+            let mut rng = StdRng::seed_from_u64(0xBE7C_0003);
+            for case in 0..128 {
+                let mut xs: Vec<u64> = (0..8).map(|_| rng.gen_range(0u64..1_000_000)).collect();
+                xs.truncate(rng.gen_range(1usize..9));
                 xs.sort_unstable();
-                prop_assert_eq!(percentile(&xs, 0.0), Duration::from_nanos(xs[0]));
-                prop_assert_eq!(percentile(&xs, 1.0), Duration::from_nanos(*xs.last().unwrap()));
+                let at = format!("case {case}: xs={xs:?}");
+                assert_eq!(percentile(&xs, 0.0), Duration::from_nanos(xs[0]), "{at}");
+                let max = Duration::from_nanos(*xs.last().unwrap());
+                assert_eq!(percentile(&xs, 1.0), max, "{at}");
             }
         }
     }

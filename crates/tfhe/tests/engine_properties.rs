@@ -10,9 +10,8 @@ use morphling_tfhe::{
     BatchRequest, BootstrapEngine, Bootstrapper, ClientKey, EventKind, Lut, LweCiphertext,
     ParamSet, ServerKey,
 };
-use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Shared-LUT batch through any [`Bootstrapper`] backend.
 fn bb(backend: &impl Bootstrapper, cts: &[LweCiphertext], lut: &Lut) -> Vec<LweCiphertext> {
@@ -46,15 +45,12 @@ fn encrypt_batch(msgs: &[u64]) -> Vec<LweCiphertext> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn engine_is_bit_identical_to_sequential(
-        msgs in prop::collection::vec(0u64..4, 17),
-        workers in 1usize..5,
-        chunk in 1usize..7,
-    ) {
+#[test]
+fn engine_is_bit_identical_to_sequential() {
+    let mut rng = StdRng::seed_from_u64(0xE9_0001);
+    for case in 0..6 {
+        let msgs: Vec<u64> = (0..17).map(|_| rng.gen_range(0u64..4)).collect();
+        let (workers, chunk) = (rng.gen_range(1usize..5), rng.gen_range(1usize..7));
         let f = fixture();
         let lut = Lut::from_fn(f.server.params().poly_size, 4, |m| (3 * m + 1) % 4);
         let cts = encrypt_batch(&msgs);
@@ -66,14 +62,18 @@ proptest! {
         let seq = bb(&*f.server, &cts, &lut);
         let eng = bb(&engine, &cts, &lut);
         // Bit-identical, element for element — not merely decrypt-equal.
-        prop_assert_eq!(seq, eng);
+        let at = format!("case {case}: msgs={msgs:?} workers={workers} chunk={chunk}");
+        assert_eq!(seq, eng, "{at}");
     }
+}
 
-    #[test]
-    fn engine_matches_sequential_baseline_and_counts_exactly(
-        sizes in prop::collection::vec(0usize..9, 4),
-        workers in 1usize..4,
-    ) {
+#[test]
+fn engine_matches_sequential_baseline_and_counts_exactly() {
+    let mut rng = StdRng::seed_from_u64(0xE9_0002);
+    for case in 0..6 {
+        let sizes: Vec<usize> = (0..4).map(|_| rng.gen_range(0usize..9)).collect();
+        let workers = rng.gen_range(1usize..4);
+        let at = format!("case {case}: sizes={sizes:?} workers={workers}");
         let f = fixture();
         let lut = Lut::identity(f.server.params().poly_size, 4);
         let engine = BootstrapEngine::builder()
@@ -85,7 +85,7 @@ proptest! {
             let msgs: Vec<u64> = (0..size as u64).map(|i| (i + round as u64) % 4).collect();
             let cts = encrypt_batch(&msgs);
             let eng = bb(&engine, &cts, &lut);
-            prop_assert_eq!(&eng, &bb(&*f.server, &cts, &lut));
+            assert_eq!(eng, bb(&*f.server, &cts, &lut), "{at}: round {round}");
             expected_bootstraps += size as u64;
         }
         let stats = engine.stats();
@@ -93,10 +93,13 @@ proptest! {
         // submissions return early and must not inflate the calibration
         // denominator.
         let dispatched = sizes.iter().filter(|&&s| s > 0).count() as u64;
-        prop_assert_eq!(stats.batches, dispatched);
-        prop_assert_eq!(stats.bootstraps, expected_bootstraps);
-        prop_assert_eq!(stats.workers, workers);
-        prop_assert!(expected_bootstraps == 0 || stats.busy.as_nanos() > 0);
+        assert_eq!(stats.batches, dispatched, "{at}");
+        assert_eq!(stats.bootstraps, expected_bootstraps, "{at}");
+        assert_eq!(stats.workers, workers, "{at}");
+        assert!(
+            expected_bootstraps == 0 || stats.busy.as_nanos() > 0,
+            "{at}"
+        );
     }
 }
 

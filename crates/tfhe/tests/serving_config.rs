@@ -6,148 +6,139 @@
 use std::time::Duration;
 
 use morphling_tfhe::{BreakerConfig, RetryConfig, ServingConfig, TfheError};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-fn retry_strategy() -> impl Strategy<Value = RetryConfig> {
-    (
-        0u32..16,
-        0u64..1_000_000,
-        0u64..10_000_000,
-        0.0f64..1.0,
-        any::<u64>(),
-    )
-        .prop_map(|(max_retries, base_us, max_us, jitter, seed)| RetryConfig {
-            max_retries,
-            base_backoff: Duration::from_micros(base_us),
-            max_backoff: Duration::from_micros(max_us),
-            jitter,
-            seed,
-        })
+fn random_retry(rng: &mut StdRng) -> RetryConfig {
+    RetryConfig {
+        max_retries: rng.gen_range(0u32..16),
+        base_backoff: Duration::from_micros(rng.gen_range(0u64..1_000_000)),
+        max_backoff: Duration::from_micros(rng.gen_range(0u64..10_000_000)),
+        jitter: rng.gen_range(0.0f64..1.0),
+        seed: rng.gen(),
+    }
 }
 
-fn breaker_strategy() -> impl Strategy<Value = BreakerConfig> {
-    (
-        1usize..512,
-        // The validator requires a threshold in (0, 1].
-        0.001f64..1.0,
+fn random_breaker(rng: &mut StdRng) -> BreakerConfig {
+    let window = rng.gen_range(1usize..512);
+    BreakerConfig {
+        window,
+        // The validator requires a threshold in (0, 1]...
+        failure_threshold: rng.gen_range(0.001f64..1.0),
         // ...and `min_samples` in 1..=window.
-        0usize..128,
-        0u64..60_000_000,
-        1u32..8,
-    )
-        .prop_map(
-            |(window, failure_threshold, samples, cooldown_us, probes_to_close)| BreakerConfig {
-                window,
-                failure_threshold,
-                min_samples: 1 + samples % window,
-                cooldown: Duration::from_micros(cooldown_us),
-                probes_to_close,
-            },
-        )
+        min_samples: 1 + rng.gen_range(0usize..128) % window,
+        cooldown: Duration::from_micros(rng.gen_range(0u64..60_000_000)),
+        probes_to_close: rng.gen_range(1u32..8),
+    }
 }
 
-fn config_strategy() -> impl Strategy<Value = ServingConfig> {
-    (
-        (
-            1usize..64,
-            1usize..256,
-            0u64..100_000,
-            1usize..8192,
-            0u64..100_000,
-        ),
-        retry_strategy(),
-        (any::<bool>(), breaker_strategy()),
-        (any::<bool>(), 1u64..u64::MAX),
-    )
-        .prop_map(
-            |(
-                (workers, max_batch_size, linger_us, queue_capacity, slack_us),
-                retry,
-                (with_breaker, breaker),
-                (with_budget, budget),
-            )| {
-                ServingConfig {
-                    workers,
-                    max_batch_size,
-                    max_linger: Duration::from_micros(linger_us),
-                    queue_capacity,
-                    deadline_slack: Duration::from_micros(slack_us),
-                    retry,
-                    breaker: with_breaker.then_some(breaker),
-                    key_budget_bytes: with_budget.then_some(budget),
-                }
-            },
-        )
+fn random_config(rng: &mut StdRng) -> ServingConfig {
+    let workers = rng.gen_range(1usize..64);
+    let max_batch_size = rng.gen_range(1usize..256);
+    let max_linger = Duration::from_micros(rng.gen_range(0u64..100_000));
+    let queue_capacity = rng.gen_range(1usize..8192);
+    let deadline_slack = Duration::from_micros(rng.gen_range(0u64..100_000));
+    let retry = random_retry(rng);
+    let (with_breaker, breaker): (bool, _) = (rng.gen(), random_breaker(rng));
+    let (with_budget, budget): (bool, _) = (rng.gen(), rng.gen_range(1u64..u64::MAX));
+    ServingConfig {
+        workers,
+        max_batch_size,
+        max_linger,
+        queue_capacity,
+        deadline_slack,
+        retry,
+        breaker: with_breaker.then_some(breaker),
+        key_budget_bytes: with_budget.then_some(budget),
+    }
 }
 
 /// A parse outcome may be success or a typed config error — anything
 /// else (or a panic, which the harness catches as a test failure) is a
 /// bug in the parser.
-fn assert_typed_outcome(input: &str) -> Option<ServingConfig> {
+fn assert_typed_outcome(case: usize, input: &str) -> Option<ServingConfig> {
     match ServingConfig::from_json(input) {
         Ok(cfg) => Some(cfg),
         Err(TfheError::ConfigCorrupted { .. }) | Err(TfheError::InvalidServingConfig { .. }) => {
             None
         }
-        Err(other) => panic!("wrong error type for {input:?}: {other}"),
+        Err(other) => panic!("case {case}: wrong error type for {input:?}: {other}"),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Any valid config round-trips through JSON bit-exactly.
-    #[test]
-    fn json_round_trip_is_lossless(cfg in config_strategy()) {
-        prop_assert!(cfg.validate().is_ok(), "strategy must generate valid configs");
+/// Any valid config round-trips through JSON bit-exactly.
+#[test]
+fn json_round_trip_is_lossless() {
+    let mut rng = StdRng::seed_from_u64(0x5E7_0001);
+    for case in 0..256 {
+        let cfg = random_config(&mut rng);
+        assert!(cfg.validate().is_ok(), "case {case}: invalid {cfg:?}");
         let json = cfg.to_json();
         let back = ServingConfig::from_json(&json).expect("own output must parse");
-        prop_assert_eq!(back, cfg);
+        assert_eq!(back, cfg, "case {case}: {json}");
     }
+}
 
-    /// Serialization is deterministic: same config, same bytes.
-    #[test]
-    fn serialization_is_deterministic(cfg in config_strategy()) {
-        prop_assert_eq!(cfg.to_json(), cfg.to_json());
+/// Serialization is deterministic: same config, same bytes.
+#[test]
+fn serialization_is_deterministic() {
+    let mut rng = StdRng::seed_from_u64(0x5E7_0002);
+    for case in 0..256 {
+        let cfg = random_config(&mut rng);
+        assert_eq!(cfg.to_json(), cfg.to_json(), "case {case}: {cfg:?}");
     }
+}
 
-    /// Truncating valid JSON anywhere never panics: a strict prefix must
-    /// fail with the typed corruption error, never a crash.
-    #[test]
-    fn truncation_never_panics(cfg in config_strategy(), cut in 0usize..2048) {
+/// Truncating valid JSON anywhere never panics: a strict prefix must
+/// fail with the typed corruption error, never a crash.
+#[test]
+fn truncation_never_panics() {
+    let mut rng = StdRng::seed_from_u64(0x5E7_0003);
+    for case in 0..256 {
+        let (cfg, cut) = (random_config(&mut rng), rng.gen_range(0usize..2048));
         let json = cfg.to_json();
         let cut = cut.min(json.len());
-        match assert_typed_outcome(&json[..cut]) {
-            Some(parsed) => prop_assert_eq!(parsed, cfg),
-            None => prop_assert!(cut < json.len(), "full document must parse"),
+        match assert_typed_outcome(case, &json[..cut]) {
+            Some(parsed) => assert_eq!(parsed, cfg, "case {case}: cut {cut} of {json}"),
+            None => assert!(cut < json.len(), "case {case}: {json} must parse"),
         }
     }
+}
 
-    /// Splicing a random byte into valid JSON never panics and never
-    /// silently yields an *invalid* config.
-    #[test]
-    fn byte_mutation_never_panics(
-        cfg in config_strategy(),
-        pos in 0usize..2048,
-        byte: u8,
-    ) {
+/// Splicing a random byte into valid JSON never panics and never
+/// silently yields an *invalid* config.
+#[test]
+fn byte_mutation_never_panics() {
+    let mut rng = StdRng::seed_from_u64(0x5E7_0004);
+    for case in 0..256 {
+        let cfg = random_config(&mut rng);
+        let (pos, byte): (usize, u8) = (rng.gen_range(0..2048), rng.gen());
         let mut bytes = cfg.to_json().into_bytes();
         let pos = pos % bytes.len();
         bytes[pos] = byte;
         // Invalid UTF-8 can't even reach the parser; skip those splices.
-        let Ok(mutated) = String::from_utf8(bytes) else { return };
+        let Ok(mutated) = String::from_utf8(bytes) else {
+            continue;
+        };
         // A mutation may keep the document well-formed (e.g. flipping a
         // digit); whatever parses must still validate.
-        if let Some(parsed) = assert_typed_outcome(&mutated) {
-            prop_assert!(parsed.validate().is_ok());
+        if let Some(parsed) = assert_typed_outcome(case, &mutated) {
+            assert!(
+                parsed.validate().is_ok(),
+                "case {case}: byte {byte:#x} at {pos}: {mutated}"
+            );
         }
     }
+}
 
-    /// Arbitrary garbage never panics the parser.
-    #[test]
-    fn arbitrary_input_never_panics(bytes in prop::collection::vec(any::<u8>(), 64)) {
+/// Arbitrary garbage never panics the parser.
+#[test]
+fn arbitrary_input_never_panics() {
+    let mut rng = StdRng::seed_from_u64(0x5E7_0005);
+    for case in 0..256 {
+        let bytes: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
         let garbage = String::from_utf8_lossy(&bytes);
-        let _ = assert_typed_outcome(&garbage);
+        let _ = assert_typed_outcome(case, &garbage);
     }
 }
 
